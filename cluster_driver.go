@@ -284,8 +284,9 @@ func (c *Cluster) liveNeighbors(id NodeID) []NodeID {
 // block-record threshold is reached — mirroring cluster.Host's seal
 // path, so a long-lived facade run bounds wal.log growth and the
 // recovery replay tail instead of accumulating every block since
-// start. Runs on the submitter's goroutine right after a seal;
-// concurrent compactions coalesce inside the backend.
+// start. Runs right after a seal, on the goroutine that sealed (the
+// device's own worker inside SubmitBatch); concurrent compactions
+// coalesce inside the backend.
 func (c *Cluster) maybeCompact(id NodeID) {
 	fb, ok := c.backends[id]
 	if !ok {
@@ -401,52 +402,106 @@ func (c *Cluster) Submit(ctx context.Context, id NodeID, data []byte) (Ref, erro
 // the fabric carries one frame per (sender, receiver) pair per batch
 // instead of one per sealed block — and the acknowledgements are
 // awaited together, amortizing the wait over the whole slot.
+//
+// The seal stage runs before anything of the batch is on the wire and
+// every device owns its engine, store, backend and WAL, so devices
+// seal side by side like real ones: one task per owner, in batch order
+// within an owner (Engine.Generate is never concurrent with itself),
+// on at most WithWorkers goroutines. OnBlockSealed callbacks of
+// different devices may therefore arrive concurrently and out of batch
+// order. On durable deployments the per-node fsyncs and compactions
+// overlap the same way. Everything after the seal stage — ack
+// registration, commit windows, announcements, ack waits — runs on the
+// caller in batch order.
 func (c *Cluster) SubmitBatch(ctx context.Context, batch []Submission) ([]Ref, error) {
+	// Group the batch per owner, resolving every owner before anything
+	// is sealed: an unknown node fails the call without leaving sealed,
+	// never-announced blocks behind on the devices ahead of it.
+	type owner struct {
+		n    *node.Node
+		subs []int // indexes into batch, ascending
+	}
+	var owners []owner
+	ownerOf := make(map[NodeID]int, len(batch))
+	for i, sub := range batch {
+		o, seen := ownerOf[sub.Node]
+		if !seen {
+			n, ok := c.nodes[sub.Node]
+			if !ok {
+				return nil, fmt.Errorf("twoldag: unknown node %v", sub.Node)
+			}
+			o = len(owners)
+			ownerOf[sub.Node] = o
+			owners = append(owners, owner{n: n})
+		}
+		owners[o].subs = append(owners[o].subs, i)
+	}
+
 	type flush struct {
 		n *node.Node
 		d Digest
 		w *cluster.Waiter
 	}
-	refs := make([]Ref, 0, len(batch))
-	flushes := make([]flush, 0, len(batch))
+	refs := make([]Ref, len(batch))
+	flushes := make([]flush, len(batch))
+	// failed is the lowest batch index whose seal failed and sealErr its
+	// error. No worker starts a block beyond failed; blocks before it
+	// are still sealed, so the refs returned are exactly those of
+	// batch[:failed] whatever the interleaving.
+	var (
+		failed  atomic.Int64
+		mu      sync.Mutex // orders the writers of failed and sealErr
+		sealErr error
+	)
+	failed.Store(int64(len(batch)))
+	fanOut(len(owners), c.workers, func(o int) {
+		n := owners[o].n
+		for _, i := range owners[o].subs {
+			if int64(i) > failed.Load() {
+				return
+			}
+			b, d, err := n.GenerateLocal(batch[i].Data)
+			if err != nil {
+				mu.Lock()
+				if int64(i) < failed.Load() {
+					failed.Store(int64(i))
+					sealErr = err
+				}
+				mu.Unlock()
+				return
+			}
+			c.maybeCompact(n.ID())
+			refs[i] = b.Header.Ref()
+			flushes[i] = flush{n: n, d: d}
+		}
+	})
+	if f := failed.Load(); f < int64(len(batch)) {
+		return refs[:f], sealErr
+	}
+
+	for i := range flushes {
+		f := &flushes[i]
+		f.w = c.tracker.Expect(f.d, c.liveNeighbors(f.n.ID()))
+	}
 	fail := func(err error) ([]Ref, error) {
 		for _, f := range flushes {
 			c.tracker.Cancel(f.d)
 		}
 		return refs, err
 	}
-	for _, sub := range batch {
-		n, ok := c.nodes[sub.Node]
-		if !ok {
-			return fail(fmt.Errorf("twoldag: unknown node %v", sub.Node))
-		}
-		b, d, err := n.GenerateLocal(sub.Data)
-		if err != nil {
-			return fail(err)
-		}
-		c.maybeCompact(sub.Node)
-		refs = append(refs, b.Header.Ref())
-		flushes = append(flushes, flush{n: n, d: d, w: c.tracker.Expect(d, c.liveNeighbors(sub.Node))})
-	}
-	// Coalesce outbound announcements per sender, preserving seal
-	// order within each sender's run so the receiver's A_i ends on the
-	// newest digest.
-	bySender := make(map[NodeID][]Digest, len(flushes))
-	senders := make([]*node.Node, 0, len(flushes))
-	for _, f := range flushes {
-		id := f.n.ID()
-		if _, seen := bySender[id]; !seen {
-			senders = append(senders, f.n)
-		}
-		bySender[id] = append(bySender[id], f.d)
-	}
 	actx, cancel := c.ackCtx(ctx)
 	defer cancel()
-	for _, n := range senders {
-		if err := c.commitWindow(n); err != nil {
+	// One coalesced announcement per sender, in seal order so the
+	// receiver's A_i ends on the newest digest.
+	for _, o := range owners {
+		if err := c.commitWindow(o.n); err != nil {
 			return fail(err)
 		}
-		n.AnnounceBatch(actx, bySender[n.ID()])
+		ds := make([]Digest, len(o.subs))
+		for k, i := range o.subs {
+			ds[k] = flushes[i].d
+		}
+		o.n.AnnounceBatch(actx, ds)
 	}
 	if c.retry.Enabled() {
 		// Await concurrently so every flush's retry clock runs at once;

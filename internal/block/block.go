@@ -141,9 +141,11 @@ func (h *Header) Seal() digest.Digest { return h.Hash() }
 func (h *Header) Sealed() bool { return h.hashOK }
 
 // powPrefix is the preimage prefix of Eq. 5: H(M(b^d), Δ, nonce) ≤ ρ.
-// The nonce is appended by the pow package.
+// The nonce is appended by the pow package; the buffer reserves room
+// for it, so pow.VerifyPrefix completes the preimage in place instead
+// of copying the prefix on every validation.
 func (h *Header) powPrefix() []byte {
-	buf := make([]byte, 0, digest.Size*(len(h.Digests)+1)+8*len(h.Digests))
+	buf := make([]byte, 0, digest.Size+len(h.Digests)*(4+digest.Size)+pow.NonceSize)
 	buf = append(buf, h.Root[:]...)
 	buf = appendDigestRefs(buf, h.Digests)
 	return buf
@@ -154,7 +156,8 @@ func (h *Header) powPrefix() []byte {
 // folded in so a signature cannot be replayed onto a different position
 // in the log.
 func (h *Header) SigPreimage() []byte {
-	buf := make([]byte, 0, 32+digest.Size*(len(h.Digests)+1))
+	// Five uint32 fields, the root and Δ.
+	buf := make([]byte, 0, 4*5+digest.Size+len(h.Digests)*(4+digest.Size))
 	buf = appendUint32(buf, h.Version)
 	buf = appendUint32(buf, h.Time)
 	buf = appendUint32(buf, uint32(h.Origin))

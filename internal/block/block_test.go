@@ -244,3 +244,28 @@ func TestPowDifficultyZeroStillBuilds(t *testing.T) {
 		t.Fatal("zero-difficulty block should trivially verify")
 	}
 }
+
+// TestPreimageBuffersAreExact pins the two preimage buffers of
+// ValidateHeader to one allocation each: powPrefix reserves the nonce's
+// room, so pow.VerifyPrefix appends in place, and SigPreimage is sized
+// for every field it writes — for an empty Δ (a decoded header may
+// carry one) as for a seal-sized one.
+func TestPreimageBuffersAreExact(t *testing.T) {
+	for _, n := range []int{0, 1, 4, 9} {
+		h := &Header{}
+		for v := 0; v < n; v++ {
+			h.Digests = append(h.Digests, DigestRef{Node: identity.NodeID(v), Digest: digest.Sum([]byte{byte(v)})})
+		}
+		prefix := h.powPrefix()
+		if got := testing.AllocsPerRun(100, func() { pow.VerifyPrefix(prefix, 7, 0) }); got != 0 {
+			t.Errorf("Δ of %d: VerifyPrefix allocates %v times appending the nonce, want 0", n, got)
+		}
+		if got := testing.AllocsPerRun(100, func() { pow.VerifyPrefix(h.powPrefix(), 7, 0) }); got != 1 {
+			t.Errorf("Δ of %d: powPrefix + VerifyPrefix allocate %v times, want 1", n, got)
+		}
+		// One buffer plus the digest slice SigPreimage returns.
+		if got := testing.AllocsPerRun(100, func() { h.SigPreimage() }); got != 2 {
+			t.Errorf("Δ of %d: SigPreimage allocates %v times, want 2", n, got)
+		}
+	}
+}

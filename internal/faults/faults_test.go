@@ -19,11 +19,11 @@ import (
 // recorder captures fault-layer events for assertions.
 type recorder struct {
 	events.Nop
-	mu        sync.Mutex
-	drops     []events.MessageDropped
-	suspects  []events.PeerSuspected
-	recovers  []events.PeerRecovered
-	retries   []events.RetryAttempted
+	mu       sync.Mutex
+	drops    []events.MessageDropped
+	suspects []events.PeerSuspected
+	recovers []events.PeerRecovered
+	retries  []events.RetryAttempted
 }
 
 func (r *recorder) OnMessageDropped(e events.MessageDropped) {

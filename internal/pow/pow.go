@@ -7,12 +7,26 @@
 // Difficulty is expressed as the required number of leading zero bits of
 // the digest, which is equivalent to the paper's "≤ ρ" threshold form
 // with ρ = 2^(256-k) - 1.
+//
+// The search grinds from a SHA-256 midstate. Every try hashes the same
+// prefix M(b^d) ‖ Δ followed by a different 4-byte nonce, and SHA-256
+// consumes its input left to right in 64-byte blocks, so the state
+// after the prefix is the same for every nonce: SearchPrefix absorbs
+// the prefix once, saves that state, and per try restores it and
+// hashes only the nonce (plus whatever unaligned tail of the prefix the
+// state still buffers) — one compression instead of one per 64 bytes
+// of prefix. The preimage is byte for byte the one VerifyPrefix hashes
+// whole, so the digest, the difficulty test and the smallest-nonce rule
+// — and with them every sealed header — are unchanged.
 package pow
 
 import (
+	"crypto/sha256"
+	"encoding"
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"hash"
 
 	"github.com/twoldag/twoldag/internal/digest"
 )
@@ -50,14 +64,31 @@ func SearchPrefix(prefix []byte, diff Difficulty, maxTries uint64) (uint32, dige
 	if maxTries == 0 || maxTries > 1<<32 {
 		maxTries = 1 << 32
 	}
-	buf := make([]byte, len(prefix)+NonceSize)
-	copy(buf, prefix)
+	// crypto/sha256 documents that its Hash marshals and unmarshals
+	// its internal state; that state is the midstate.
+	h := sha256.New().(interface {
+		hash.Hash
+		encoding.BinaryMarshaler
+		encoding.BinaryUnmarshaler
+	})
+	h.Write(prefix) // sha256 never returns an error
+	mid, err := h.MarshalBinary()
+	if err != nil {
+		return 0, digest.Digest{}, fmt.Errorf("pow: saving hash state: %w", err)
+	}
+	var (
+		nonce [NonceSize]byte
+		d     digest.Digest
+	)
 	for i := uint64(0); i < maxTries; i++ {
-		nonce := uint32(i)
-		binary.LittleEndian.PutUint32(buf[len(prefix):], nonce)
-		d := digest.Sum(buf)
+		if err := h.UnmarshalBinary(mid); err != nil {
+			return 0, digest.Digest{}, fmt.Errorf("pow: restoring hash state: %w", err)
+		}
+		binary.LittleEndian.PutUint32(nonce[:], uint32(i))
+		h.Write(nonce[:])
+		h.Sum(d[:0])
 		if Meets(d, diff) {
-			return nonce, d, nil
+			return uint32(i), d, nil
 		}
 	}
 	return 0, digest.Digest{}, fmt.Errorf("%w: difficulty %d after %d tries", ErrExhausted, diff, maxTries)

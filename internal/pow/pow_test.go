@@ -1,7 +1,9 @@
 package pow
 
 import (
+	"encoding/binary"
 	"errors"
+	"fmt"
 	"testing"
 	"testing/quick"
 
@@ -118,4 +120,98 @@ func BenchmarkVerifyPrefix(b *testing.B) {
 			b.Fatal("verification failed")
 		}
 	}
+}
+
+// BenchmarkHotpathSearchPrefix is the Eq. 5 grind at the default
+// difficulty over seal-sized prefixes: 356 B is Root ‖ Δ of a block
+// with 8 neighbors (Δ of 9), 392 B ends 8 bytes into a SHA-256 block.
+// The prefix changes every iteration so ns/op averages over the ~256
+// expected tries instead of timing one lucky or unlucky nonce.
+func BenchmarkHotpathSearchPrefix(b *testing.B) {
+	for _, size := range []int{356, 392} {
+		b.Run(fmt.Sprintf("prefix=%dB", size), func(b *testing.B) {
+			prefix := make([]byte, size)
+			for i := range prefix {
+				prefix[i] = byte(i * 7)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				binary.LittleEndian.PutUint64(prefix, uint64(i))
+				if _, _, err := SearchPrefix(prefix, DefaultDifficulty, 0); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
+// searchReference is the whole-buffer search SearchPrefix replaced:
+// every try hashes prefix ‖ nonce from the first byte. It is the
+// oracle the midstate search is compared against.
+func searchReference(prefix []byte, diff Difficulty, maxTries uint64) (uint32, digest.Digest, bool) {
+	if maxTries == 0 || maxTries > 1<<32 {
+		maxTries = 1 << 32
+	}
+	for i := uint64(0); i < maxTries; i++ {
+		d := digest.Sum(AppendNonce(prefix[:len(prefix):len(prefix)], uint32(i)))
+		if Meets(d, diff) {
+			return uint32(i), d, true
+		}
+	}
+	return 0, digest.Digest{}, false
+}
+
+// checkAgainstReference fails unless SearchPrefix and the reference
+// agree on solvability, nonce and digest.
+func checkAgainstReference(t *testing.T, prefix []byte, diff Difficulty, maxTries uint64) {
+	t.Helper()
+	wantNonce, wantDigest, solvable := searchReference(prefix, diff, maxTries)
+	nonce, d, err := SearchPrefix(prefix, diff, maxTries)
+	if !solvable {
+		if !errors.Is(err, ErrExhausted) {
+			t.Fatalf("len %d diff %d tries %d: want ErrExhausted, got nonce %d, err %v", len(prefix), diff, maxTries, nonce, err)
+		}
+		return
+	}
+	if err != nil {
+		t.Fatalf("len %d diff %d tries %d: %v", len(prefix), diff, maxTries, err)
+	}
+	if nonce != wantNonce || d != wantDigest {
+		t.Fatalf("len %d diff %d tries %d: got (%d, %s), reference (%d, %s)",
+			len(prefix), diff, maxTries, nonce, d.Hex(), wantNonce, wantDigest.Hex())
+	}
+}
+
+// TestSearchPrefixMatchesReference sweeps every prefix length 0–200 —
+// which covers each len%64 where tail ‖ nonce ‖ padding fits one block
+// (≤ 51), spills into a second (52–59) or where the nonce itself
+// straddles the block boundary (60–63) — at difficulties 0/1/8/12,
+// with an unbounded search and one that exhausts after two tries.
+func TestSearchPrefixMatchesReference(t *testing.T) {
+	buf := make([]byte, 200)
+	for i := range buf {
+		buf[i] = byte(i*31 + 7)
+	}
+	for n := 0; n <= len(buf); n++ {
+		for _, diff := range []Difficulty{0, 1, 8, 12} {
+			if diff == 12 && n%64 != 0 && n%64 < 51 {
+				continue // ~4096 tries each: keep the boundary lengths only
+			}
+			checkAgainstReference(t, buf[:n], diff, 0)
+			checkAgainstReference(t, buf[:n], diff, 2)
+		}
+	}
+}
+
+func FuzzSearchPrefixMatchesReference(f *testing.F) {
+	for _, n := range []int{0, 51, 52, 55, 56, 59, 60, 63, 64, 128, 200} {
+		f.Add(make([]byte, n), uint8(8), uint16(0))
+	}
+	f.Add([]byte("block header fields"), uint8(12), uint16(3))
+	f.Fuzz(func(t *testing.T, prefix []byte, diff uint8, maxTries uint16) {
+		// Difficulty ≤ 12 bounds the reference at a few thousand hashes
+		// per input; maxTries 0 is the unbounded search.
+		checkAgainstReference(t, prefix, Difficulty(diff%13), uint64(maxTries))
+	})
 }

@@ -27,11 +27,11 @@ func TestScaleRun10k(t *testing.T) {
 		t.Fatal(err)
 	}
 	s, err := New(Config{
-		Graph:          g,
-		Seed:           1,
-		Slots:          500,
-		BodyBytes:      100_000,
-		Gamma:          8,
+		Graph:         g,
+		Seed:          1,
+		Slots:         500,
+		BodyBytes:     100_000,
+		Gamma:         8,
 		VerifyLag:     8,
 		PipelineDepth: 2,
 		ChunkSize:     256,

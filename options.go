@@ -67,22 +67,22 @@ type Option func(*config) error
 
 // config is the resolved runtime configuration.
 type config struct {
-	driver    Driver
-	nodes     int
-	gamma     int
-	seed      int64
-	topo      *topology.Graph
-	params    block.Params
-	rto       time.Duration
-	transport TransportKind
-	workers   int
-	observers []Observer
-	malicious int
-	bodyBytes int
-	pipeline  int
-	chunk     int
-	faultPlan faults.Plan
-	retry     faults.RetryPolicy
+	driver       Driver
+	nodes        int
+	gamma        int
+	seed         int64
+	topo         *topology.Graph
+	params       block.Params
+	rto          time.Duration
+	transport    TransportKind
+	workers      int
+	observers    []Observer
+	malicious    int
+	bodyBytes    int
+	pipeline     int
+	chunk        int
+	faultPlan    faults.Plan
+	retry        faults.RetryPolicy
 	dataDir      string
 	trustCap     int
 	compactEvery int
@@ -181,8 +181,11 @@ func WithTransport(k TransportKind) Option {
 	}
 }
 
-// WithWorkers bounds the worker pool AuditMany fans audits out over
-// (0 = GOMAXPROCS).
+// WithWorkers bounds the goroutines a batch call fans out over (0 =
+// GOMAXPROCS): the audits of AuditMany on both drivers, and on the
+// live driver the seal stage of SubmitBatch, where each device's
+// blocks are sealed on a worker of its own. Results do not depend on
+// the width; 1 runs either as a plain loop.
 func WithWorkers(n int) Option {
 	return func(c *config) error {
 		if n < 0 {

@@ -42,7 +42,7 @@ func runRecoveryScenario(t *testing.T, dataDir string, kill bool, extra ...Optio
 		WithSeed(7),
 		WithGamma(1),
 		WithDifficulty(2),
-		WithRequestTimeout(250*time.Millisecond),
+		WithRequestTimeout(250 * time.Millisecond),
 		WithFaults(plan),
 		WithRetryPolicy(chaosRetry()),
 		WithDataDir(dataDir),

@@ -48,8 +48,25 @@ type Runtime interface {
 	// ingests its whole batch in one pass — and waits for the
 	// acknowledgements together: one announcement flush per slot
 	// instead of per block, one frame per (sender, neighbor) pair
-	// instead of per edge. On error the already-sealed prefix of refs
-	// is returned.
+	// instead of per edge.
+	//
+	// Failures: when a seal fails, the error returned is that of the
+	// lowest-index failing submission and the refs are exactly those
+	// of the submissions before it — all sealed, none announced. The
+	// live driver seals each device's blocks on its own worker
+	// (WithWorkers): once a failure is on record no worker starts a
+	// block that comes after it in the batch, and an unknown
+	// Submission.Node fails the call before anything is sealed (the
+	// simulator meets it in batch order, after sealing the entries
+	// ahead of it). A failure after the seal stage — a commit window
+	// that does not close, an acknowledgement wait that times out,
+	// lowest index first — returns the refs of the whole batch beside
+	// the error, and every acknowledgement wait it registered is
+	// cancelled.
+	//
+	// On the live driver OnBlockSealed callbacks of different devices
+	// may arrive concurrently and out of batch order; a device's own
+	// arrive in its sequence order.
 	SubmitBatch(ctx context.Context, batch []Submission) ([]Ref, error)
 	// Audit runs PoP from validator against ref and reports whether
 	// γ+1 distinct nodes vouch for the block.

@@ -307,27 +307,6 @@ func TestAuditManyBothDrivers(t *testing.T) {
 	}
 }
 
-// TestSubmitBatchPartialFailure pins the documented contract: on a
-// failing submission the already-sealed prefix of refs is returned
-// alongside the error.
-func TestSubmitBatchPartialFailure(t *testing.T) {
-	rt := newRuntime(t, baseOptions(6, 1)...)
-	rt.AdvanceSlot()
-	ids := rt.Nodes()
-	batch := []Submission{
-		{Node: ids[0], Data: []byte("ok")},
-		{Node: 999, Data: []byte("unknown node")},
-		{Node: ids[1], Data: []byte("never sealed")},
-	}
-	refs, err := rt.SubmitBatch(context.Background(), batch)
-	if err == nil {
-		t.Fatal("batch with unknown node succeeded")
-	}
-	if len(refs) != 1 || refs[0].Node != ids[0] {
-		t.Fatalf("want the sealed prefix [1 ref], got %v", refs)
-	}
-}
-
 // TestSubmitRespectsContextDeadline pins the satellite fix: the submit
 // acknowledgement wait honors the caller's context instead of a
 // hardcoded wall clock.
