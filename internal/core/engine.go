@@ -42,10 +42,10 @@ type Engine struct {
 
 // EngineOptions overrides the state an engine would otherwise build for
 // itself. The simulator uses it to back thousands of engines with
-// per-node compact stores over one shared content-addressed arena and
+// per-node stores over one shared content-addressed arena and
 // one process-wide verification cache.
 type EngineOptions struct {
-	// Store replaces the default sharded ledger.NewStore. Must be owned
+	// Store replaces the default ledger.NewStore. Must be owned
 	// by the engine's node ID.
 	Store *ledger.Store
 	// Trust replaces the default empty ledger.NewTrustStore — how a

@@ -223,7 +223,7 @@ func (v *Validator) construct(ctx context.Context, ref block.Ref, blk *block.Blo
 			res.Consensus = true
 			res.Path = path
 			res.Vouchers = vouchers.snapshot()
-			v.cacheVerifiedPath(path)
+			v.cacheVerifiedPath(path, blk)
 			return nil
 		}
 
@@ -381,13 +381,22 @@ func (v *Validator) replyValid(child *block.Header, jPrime identity.NodeID, cur 
 }
 
 // cacheVerifiedPath is line 39: store every header on the successful
-// path into H_i.
-func (v *Validator) cacheVerifiedPath(path []PathStep) {
+// path into H_i. Step 0's header is embedded in the fetched target
+// block, so storing it as is would keep the target's whole body
+// reachable from H_i — a validator holding another node's data, which
+// 2LDAG nodes never do. Unless the block is fully sealed (store or
+// arena state that is shared and lives on regardless), H_i gets a
+// detached copy of that header.
+func (v *Validator) cacheVerifiedPath(path []PathStep, target *block.Block) {
 	if v.cfg.Trust == nil {
 		return
 	}
-	for _, step := range path {
-		v.cfg.Trust.Add(step.Header)
+	for i, step := range path {
+		h := step.Header
+		if i == 0 && !target.Sealed() && !v.cfg.Trust.Has(step.HeaderHash) {
+			h = h.CloneSealed()
+		}
+		v.cfg.Trust.Add(h)
 	}
 }
 

@@ -276,6 +276,54 @@ func TestPoPTrustPathSelection(t *testing.T) {
 	}
 }
 
+// TestPoPTrustStoreDoesNotPinFetchedBody: a target decoded off the
+// wire arrives as a block nobody else holds, its header embedded in it.
+// H_i must store a detached copy of that header — keeping the embedded
+// one would keep the target's whole body reachable from the validator —
+// while a fully sealed target (shared store state) stays shared.
+func TestPoPTrustStoreDoesNotPinFetchedBody(t *testing.T) {
+	l := newLab(t, topology.PaperFig4())
+	l.genesisAll()
+	l.runSlot(1, 3, 4)
+	ref := block.Ref{Node: 1, Seq: 1}
+
+	var fetched *block.Block
+	l.fetcher.InterceptBlock = func(_ block.Ref, b *block.Block, err error) (*block.Block, error) {
+		if err != nil {
+			return nil, err
+		}
+		fetched, err = block.Decode(block.Encode(b))
+		return fetched, err
+	}
+	res, err := l.validator(0, 2).Verify(context.Background(), ref, l.fetcher)
+	if err != nil || !res.Consensus {
+		t.Fatalf("verify: %v / %+v", err, res)
+	}
+	hh := fetched.Header.Hash()
+	got, ok := l.engines[0].Trust().Get(hh)
+	if !ok {
+		t.Fatal("target header not cached")
+	}
+	if got == &fetched.Header {
+		t.Fatal("H_i stores the header embedded in the fetched block, pinning its body")
+	}
+	if !got.Sealed() || got.Hash() != hh {
+		t.Fatal("detached header is not the sealed target header")
+	}
+
+	l.fetcher.InterceptBlock = nil
+	stored, err := l.engines[1].Store().Get(ref.Seq)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := l.validator(2, 2).Verify(context.Background(), ref, l.fetcher); err != nil {
+		t.Fatal(err)
+	}
+	if got, _ := l.engines[2].Trust().Get(hh); got != &stored.Header {
+		t.Fatal("fully sealed target header was copied instead of shared")
+	}
+}
+
 // TestPoPTrustStoreDisabled: without H_i every verification pays full
 // network cost (the ABL-TPS ablation baseline).
 func TestPoPTrustStoreDisabled(t *testing.T) {

@@ -22,10 +22,10 @@ type arenaShard struct {
 // sealed block is held exactly once, keyed by its header hash, in the
 // spirit of fixed-path byte-tree storage where bodies are stored once
 // and addressed by content. Per-node Stores built with NewStoreInArena
-// become lightweight index structures (an ordered log of shared
-// references plus a compact child index) over the arena instead of
-// carrying private digest-keyed maps each — the storage shape that lets
-// the simulator hold 10k–100k node ledgers in one process.
+// are an ordered log of shared references (plus the responder index
+// every store builds on demand) over the arena instead of carrying a
+// private hash-keyed map each — the storage shape that lets the
+// simulator hold 10k–100k node ledgers in one process.
 //
 // Blocks must be sealed before Put (their header hash is the arena
 // key, so it must be frozen); the arena hands them back by shared

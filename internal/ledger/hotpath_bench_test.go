@@ -238,6 +238,44 @@ func BenchmarkRecoverCold(b *testing.B) {
 	}
 }
 
+// BenchmarkHotpathTrustAdd prices caching one verified header in H_i
+// (Alg. 3 line 39): uncapped is the plain insert, index growth
+// included; cap=1024 is the scale runs' setting, where every Add past
+// the cap also evicts the oldest header, so eviction is on the timed
+// path. Headers carry a Δ of nine digests nobody else references, the
+// most index work an Add can do.
+func BenchmarkHotpathTrustAdd(b *testing.B) {
+	const pool = 1 << 16
+	hdrs := make([]*block.Header, pool)
+	for i := range hdrs {
+		hdrs[i] = syntheticHeader(uint32(i))
+	}
+	for _, bc := range []struct {
+		name string
+		cap  int
+	}{{"uncapped", 0}, {"cap=1024", 1024}} {
+		b.Run(bc.name, func(b *testing.B) {
+			ts := NewTrustStore()
+			ts.SetCap(bc.cap)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				h := hdrs[i%pool]
+				// A capped store evicted h long before the pool comes
+				// round again; an uncapped one starts over instead.
+				if bc.cap == 0 && i > 0 && i%pool == 0 {
+					b.StopTimer()
+					ts = NewTrustStore()
+					b.StartTimer()
+				}
+				if !ts.Add(h) {
+					b.Fatal("Add reported a duplicate")
+				}
+			}
+		})
+	}
+}
+
 func BenchmarkHotpathStoreOldestContaining(b *testing.B) {
 	key := identity.Deterministic(1, 1)
 	p := block.DefaultParams()

@@ -52,12 +52,10 @@ const maxSnapshotBlock = block.MaxBodyLen + 1<<20
 // WriteSnapshot serializes the store: magic, owner, block count, then
 // each block length-prefixed in sequence order.
 //
-// Both index modes snapshot identically: an arena-backed compact store
-// (NewStoreInArena) shares its *blocks* with the arena but still owns
-// the ordered log slice — only the responder index is externalized —
-// so serializing the log needs no arena access and the result is
-// byte-identical to a sharded store holding the same blocks
-// (TestSnapshotArenaStore pins this).
+// An arena-backed store (NewStoreInArena) shares its *blocks* with the
+// arena but still owns the ordered log slice, so serializing the log
+// needs no arena access and the result is byte-identical to a NewStore
+// holding the same blocks (TestSnapshotArenaStore pins this).
 func (s *Store) WriteSnapshot(w io.Writer) error {
 	s.mu.RLock()
 	defer s.mu.RUnlock()

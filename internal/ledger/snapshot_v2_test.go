@@ -100,6 +100,43 @@ func TestSnapshotV2TrustCap(t *testing.T) {
 	if got.Trust.Len() != 2 {
 		t.Fatalf("capped restore kept %d headers", got.Trust.Len())
 	}
+
+	// A capped store that has already evicted restores to the same
+	// chain heads: keep adding past the cap on the original and on the
+	// restored copy, and every ChildOf answer and the snapshot bytes
+	// must stay identical. The shared digest sits in every header's Δ,
+	// so its earliest live child moves with each eviction.
+	shared := digest.Sum([]byte("referenced by all"))
+	chain := chainFor(t, identity.Deterministic(9, 4), 14, []block.DigestRef{{Node: 7, Digest: shared}})
+	orig := NewNodeState(4, 5)
+	for _, b := range chain[:9] { // headers 0-3 already evicted
+		orig.Trust.Add(b.Header.Clone())
+	}
+	restored, err := ReadSnapshotState(stateBytes(t, orig), stateOpts())
+	if err != nil {
+		t.Fatal(err)
+	}
+	probes := []digest.Digest{shared}
+	for _, b := range chain {
+		probes = append(probes, b.Header.Hash())
+	}
+	for i, b := range chain[9:] {
+		orig.Trust.Add(b.Header.Clone())
+		restored.Trust.Add(b.Header.Clone())
+		for _, d := range probes {
+			ho, oko := orig.Trust.ChildOf(d)
+			hr, okr := restored.Trust.ChildOf(d)
+			if oko != okr || (oko && ho.Hash() != hr.Hash()) {
+				t.Fatalf("add %d: ChildOf(%s) differs after restore", i, d)
+			}
+		}
+		if !bytes.Equal(stateBytes(t, orig), stateBytes(t, restored)) {
+			t.Fatalf("add %d: restored store serializes differently", i)
+		}
+	}
+	if h, ok := restored.Trust.ChildOf(shared); !ok || h.Seq != 9 {
+		t.Fatalf("earliest live child of the shared digest: %v %v, want seq 9", h, ok)
+	}
 }
 
 // TestSnapshotV2CapEvictionOrder: a capped store snapshots its live

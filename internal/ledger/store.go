@@ -27,6 +27,18 @@
 // know the Merkle leaf size; callers that hold the Params can run
 // Params.SealBlock before Append to memoize the body root as well.
 //
+// # Index footprint
+//
+// The paper's storage claim is that a device holds its own blocks and,
+// for everyone else, only fingerprints, so the indexes around S_i and
+// H_i are kept smaller than what they index and free of pointers (the
+// garbage collector never scans them). Each structure has one layout,
+// whoever builds it: Store keeps a digest → {oldest, count} map built
+// on the first responder query; TrustStore keeps an insertion-ordered
+// ring with 64-bit-keyed maps and per-reference links (see the types).
+// TestStoreIndexBytesPerBlock and TestTrustStoreIndexBytesPerHeader
+// hold both to a byte ceiling.
+//
 // # Immutable-prefix views
 //
 // Store is append-only, so any prefix of it is immutable forever.
@@ -56,27 +68,10 @@ var (
 	ErrNotFound    = errors.New("ledger: block not found")
 )
 
-// storeShardCount shards the digest-keyed indexes by digest prefix so
-// concurrent audit fan-out (AuditMany, parallel simulator slots)
-// querying one responder's store does not serialize on a single
-// RWMutex. Power of two; header digests are uniform hashes, so the
-// first byte balances shards.
-const storeShardCount = 16
-
-// storeShard holds the digest-keyed lookup state for one prefix class.
-// Values are block pointers (not log indexes) so lookups never touch
-// the main log lock.
-type storeShard struct {
-	mu       sync.RWMutex
-	byHash   map[digest.Digest]*block.Block
-	contains map[digest.Digest][]*block.Block // ascending seq = oldest first
-}
-
-// containsEntry is the compact-mode responder index record for one
-// referenced digest: only the oldest matching sequence (Alg. 4 wants
-// exactly that block) and the match count (|C_j'(b)|, Prop. 5) are ever
-// queried, so the full ascending list the sharded index keeps is
-// unnecessary.
+// containsEntry is the responder index record for one referenced
+// digest: only the oldest matching sequence (Alg. 4 wants exactly that
+// block) and the match count (|C_j'(b)|, Prop. 5) are ever queried, so
+// that is all the index keeps.
 type containsEntry struct {
 	oldest uint32
 	count  uint32
@@ -86,19 +81,21 @@ type containsEntry struct {
 // index answering the responder query of Algorithm 4 — "the oldest of my
 // blocks whose Δ contains digest d".
 //
-// A store runs in one of two index modes, chosen at construction:
+// Every store keeps the same state: the ordered log and one
+// digest → {oldest, count} responder index, built from the log on the
+// first responder query and kept current by Append from then on, so a
+// node nobody audits (and a zero-audit scaling run of 10k–100k stores)
+// never pays for it. Keys and values of the index hold no pointers.
+// Stores differ only in who answers ByHash: a live node's store
+// (NewStore) keeps its own hash → sequence map, while the simulator's
+// stores (NewStoreInArena) publish their sealed blocks to one shared
+// content-addressed Arena and ask it.
 //
-//   - Sharded (NewStore): the digest-keyed indexes are sharded by digest
-//     prefix so responder lookups from many concurrent audits spread
-//     across locks. This is the live-node mode, sized for one node per
-//     process.
-//   - Compact (NewStoreInArena): sealed blocks are published to a shared
-//     content-addressed Arena and the store keeps only the ordered log of
-//     references plus a single {oldest, count} map, built lazily on the
-//     first responder query. This is the simulator mode: with 10k–100k
-//     stores in one process, 32 eagerly-allocated maps per store dwarf
-//     the data they index, and zero-audit scaling runs never pay for a
-//     responder index at all.
+// One lock guards the log and the index. Append holds it across the
+// journal write (that is what keeps journal order equal to apply order
+// and lets a compaction's gather see every block its rotated WAL
+// holds), so on a durable node a responder query, like Get, waits out
+// an append's fsync.
 type Store struct {
 	mu        sync.RWMutex
 	owner     identity.NodeID
@@ -106,43 +103,30 @@ type Store struct {
 	bodyBytes int64
 	refCount  int64 // Σ len(Header.Digests) over the log, for O(1) ModelBits
 
-	// Compact mode (arena != nil): contains is nil until the first
-	// responder query builds it; Append keeps it current afterwards.
-	arena    *Arena
-	indexed  bool
+	// contains is nil until the first responder query builds it.
 	contains map[digest.Digest]containsEntry
 
-	// Sharded mode (arena == nil).
-	shards [storeShardCount]storeShard
+	// Exactly one of the two is set.
+	arena  *Arena
+	byHash map[digest.Digest]uint32 // header hash → sequence number
 
 	// journal, when set, durably records every append before it is
 	// published (write-ahead). nil = in-memory only.
 	journal Journal
 }
 
-// NewStore creates an empty log owned by the given node, with the
-// sharded digest indexes suited to a single node per process.
+// NewStore creates an empty log owned by the given node.
 func NewStore(owner identity.NodeID) *Store {
-	s := &Store{owner: owner}
-	for i := range s.shards {
-		s.shards[i].byHash = make(map[digest.Digest]*block.Block)
-		s.shards[i].contains = make(map[digest.Digest][]*block.Block)
-	}
-	return s
+	return &Store{owner: owner, byHash: make(map[digest.Digest]uint32)}
 }
 
-// NewStoreInArena creates an empty log owned by the given node in
-// compact mode: appended blocks are also published to the shared
-// content-addressed arena, hash lookups are answered by the arena, and
-// the responder index is a single lazily-built compact map. Many stores
-// may share one arena; this is the representation that lets the
-// simulator hold tens of thousands of ledgers in one process.
+// NewStoreInArena creates an empty log owned by the given node whose
+// appended blocks are also published to the shared content-addressed
+// arena, which then answers hash lookups. Many stores may share one
+// arena; this is the representation that lets the simulator hold tens
+// of thousands of ledgers in one process.
 func NewStoreInArena(owner identity.NodeID, a *Arena) *Store {
 	return &Store{owner: owner, arena: a}
-}
-
-func (s *Store) shard(d digest.Digest) *storeShard {
-	return &s.shards[d[0]&(storeShardCount-1)]
 }
 
 // Owner returns the owning node's ID.
@@ -197,36 +181,17 @@ func (s *Store) Append(b *block.Block) error {
 	s.refCount += int64(len(cp.Header.Digests))
 	if s.arena != nil {
 		s.arena.Put(cp)
-		// The compact responder index is lazy: until the first
-		// OldestContaining/CountContaining builds it, appends cost
-		// nothing here; afterwards they keep it current.
-		if s.indexed {
-			s.indexContains(cp)
-		}
-		return nil
+	} else {
+		s.byHash[hh] = cp.Header.Seq
 	}
-	// Index updates take the shard locks while still holding the main
-	// lock: appends are serialized anyway (the seq check demands it), and
-	// publishing under the shard lock keeps each index internally
-	// consistent for lock-free-of-main readers.
-	hs := s.shard(hh)
-	hs.mu.Lock()
-	hs.byHash[hh] = cp
-	hs.mu.Unlock()
-	for _, ref := range cp.Header.Digests {
-		if ref.Digest.IsZero() {
-			continue
-		}
-		cs := s.shard(ref.Digest)
-		cs.mu.Lock()
-		cs.contains[ref.Digest] = append(cs.contains[ref.Digest], cp)
-		cs.mu.Unlock()
+	if s.contains != nil {
+		s.indexContains(cp)
 	}
 	return nil
 }
 
-// indexContains folds one block into the compact responder index.
-// Caller holds s.mu for writing.
+// indexContains folds one block into the responder index. Caller holds
+// s.mu for writing.
 func (s *Store) indexContains(b *block.Block) {
 	for _, ref := range b.Header.Digests {
 		if ref.Digest.IsZero() {
@@ -241,26 +206,23 @@ func (s *Store) indexContains(b *block.Block) {
 	}
 }
 
-// ensureIndexed builds the compact responder index from the log on the
-// first query. Double-checked so steady-state queries stay on the read
-// lock.
-func (s *Store) ensureIndexed() {
+// rlockIndexed takes the read lock with the responder index in place,
+// building it from the log on the first query; steady-state queries
+// never take the write lock.
+func (s *Store) rlockIndexed() {
 	s.mu.RLock()
-	done := s.indexed
-	s.mu.RUnlock()
-	if done {
-		return
+	for s.contains == nil {
+		s.mu.RUnlock()
+		s.mu.Lock()
+		if s.contains == nil {
+			s.contains = make(map[digest.Digest]containsEntry)
+			for _, b := range s.blocks {
+				s.indexContains(b)
+			}
+		}
+		s.mu.Unlock()
+		s.mu.RLock()
 	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.indexed {
-		return
-	}
-	s.contains = make(map[digest.Digest]containsEntry)
-	for _, b := range s.blocks {
-		s.indexContains(b)
-	}
-	s.indexed = true
 }
 
 // Len returns |S_i|.
@@ -294,51 +256,39 @@ func (s *Store) Latest() *block.Block {
 
 // ByHash returns the (sealed, read-only) block whose header hashes to d.
 func (s *Store) ByHash(d digest.Digest) (*block.Block, bool) {
-	if s.arena != nil {
-		// The arena is shared across many owners: membership in *this*
-		// store means the arena's block occupies its sequence slot in
-		// the log.
-		b, ok := s.arena.Get(d)
-		if !ok || b.Header.Origin != s.owner {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	if s.arena == nil {
+		seq, ok := s.byHash[d]
+		if !ok {
 			return nil, false
 		}
-		s.mu.RLock()
-		defer s.mu.RUnlock()
-		if int(b.Header.Seq) >= len(s.blocks) || s.blocks[b.Header.Seq] != b {
-			return nil, false
-		}
-		return b, true
+		return s.blocks[seq], true
 	}
-	sh := s.shard(d)
-	sh.mu.RLock()
-	defer sh.mu.RUnlock()
-	b, ok := sh.byHash[d]
-	return b, ok
+	// The arena is shared across many owners: membership in *this*
+	// store means the arena's block occupies its sequence slot in the
+	// log.
+	b, ok := s.arena.Get(d)
+	if !ok || b.Header.Origin != s.owner ||
+		int(b.Header.Seq) >= len(s.blocks) || s.blocks[b.Header.Seq] != b {
+		return nil, false
+	}
+	return b, true
 }
 
 // oldestContainingAt answers the responder's selection rule restricted
-// to the first limit blocks (limit = MaxUint32 for the whole log). Both
-// index modes append in ascending sequence order, so the oldest
-// in-fence match is the index head whenever it predates the fence.
+// to the first limit blocks (limit = MaxUint32 for the whole log).
+// Blocks are indexed in ascending sequence order, so the oldest
+// in-fence match is the index record's oldest whenever that predates
+// the fence.
 func (s *Store) oldestContainingAt(d digest.Digest, limit uint32) (*block.Block, bool) {
-	if s.arena != nil {
-		s.ensureIndexed()
-		s.mu.RLock()
-		defer s.mu.RUnlock()
-		e, ok := s.contains[d]
-		if !ok || e.oldest >= limit {
-			return nil, false
-		}
-		return s.blocks[e.oldest], true
-	}
-	sh := s.shard(d)
-	sh.mu.RLock()
-	defer sh.mu.RUnlock()
-	bs := sh.contains[d]
-	if len(bs) == 0 || bs[0].Header.Seq >= limit {
+	s.rlockIndexed()
+	defer s.mu.RUnlock()
+	e, ok := s.contains[d]
+	if !ok || e.oldest >= limit {
 		return nil, false
 	}
-	return bs[0], true
+	return s.blocks[e.oldest], true
 }
 
 // OldestContaining implements the responder's selection rule (Alg. 4,
@@ -353,16 +303,9 @@ func (s *Store) OldestContaining(d digest.Digest) (*block.Block, bool) {
 // reference digest d. Exposed for the micro-loop analysis tests
 // (Prop. 5).
 func (s *Store) CountContaining(d digest.Digest) int {
-	if s.arena != nil {
-		s.ensureIndexed()
-		s.mu.RLock()
-		defer s.mu.RUnlock()
-		return int(s.contains[d].count)
-	}
-	sh := s.shard(d)
-	sh.mu.RLock()
-	defer sh.mu.RUnlock()
-	return len(sh.contains[d])
+	s.rlockIndexed()
+	defer s.mu.RUnlock()
+	return int(s.contains[d].count)
 }
 
 // BodyBytes returns the cumulative body payload stored, in bytes.
