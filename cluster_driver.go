@@ -331,16 +331,28 @@ func (c *Cluster) awaitAckRetry(ctx context.Context, n *node.Node, d Digest, w *
 	})
 }
 
-// commitWindow closes a durable node's open WAL commit window before
-// its digests go on the wire. Only the batched policy commits at the
-// flush boundary: SyncAlways already committed per block at seal time
-// (an extra fsync here would tax the default path), and SyncInterval
-// is deliberately decoupled from flushes.
-func (c *Cluster) commitWindow(n *node.Node) error {
+// commitWindows closes the open WAL commit windows of durable nodes
+// before their digests go on the wire, and returns the first error in
+// argument order. Only the batched policy commits at the flush
+// boundary: SyncAlways already committed per block at seal time (an
+// extra fsync here would tax the default path), and SyncInterval is
+// deliberately decoupled from flushes. The nodes wait on their own
+// files side by side — an fsync wait is not CPU, so the width is the
+// node count, not WithWorkers.
+func (c *Cluster) commitWindows(nodes ...*node.Node) error {
 	if !c.sync.Batched() {
 		return nil
 	}
-	return n.CommitJournal()
+	errs := make([]error, len(nodes))
+	fanOut(len(nodes), len(nodes), func(i int) {
+		errs[i] = nodes[i].CommitJournal()
+	})
+	for _, err := range errs {
+		if err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // commitObservers collects the user observers that also implement
@@ -383,7 +395,7 @@ func (c *Cluster) Submit(ctx context.Context, id NodeID, data []byte) (Ref, erro
 		return Ref{}, err
 	}
 	c.maybeCompact(id)
-	if err := c.commitWindow(n); err != nil {
+	if err := c.commitWindows(n); err != nil {
 		return b.Header.Ref(), err
 	}
 	w := c.tracker.Expect(d, c.liveNeighbors(id))
@@ -410,9 +422,11 @@ func (c *Cluster) Submit(ctx context.Context, id NodeID, data []byte) (Ref, erro
 // on at most WithWorkers goroutines. OnBlockSealed callbacks of
 // different devices may therefore arrive concurrently and out of batch
 // order. On durable deployments the per-node fsyncs and compactions
-// overlap the same way. Everything after the seal stage — ack
-// registration, commit windows, announcements, ack waits — runs on the
-// caller in batch order.
+// overlap the same way. Under SyncBatch the owners' commit windows
+// then close together, one fsync each in flight at once, and the first
+// failure in batch order fails the call with nothing of the batch
+// announced. Everything else after the seal stage — ack registration,
+// announcements, ack waits — runs on the caller in batch order.
 func (c *Cluster) SubmitBatch(ctx context.Context, batch []Submission) ([]Ref, error) {
 	// Group the batch per owner, resolving every owner before anything
 	// is sealed: an unknown node fails the call without leaving sealed,
@@ -489,14 +503,20 @@ func (c *Cluster) SubmitBatch(ctx context.Context, batch []Submission) ([]Ref, e
 		}
 		return refs, err
 	}
+	// Every owner's commit window closes before any digest of the batch
+	// is on the wire, so a failed fsync leaves nothing announced.
+	senders := make([]*node.Node, len(owners))
+	for o := range owners {
+		senders[o] = owners[o].n
+	}
+	if err := c.commitWindows(senders...); err != nil {
+		return fail(err)
+	}
 	actx, cancel := c.ackCtx(ctx)
 	defer cancel()
 	// One coalesced announcement per sender, in seal order so the
 	// receiver's A_i ends on the newest digest.
 	for _, o := range owners {
-		if err := c.commitWindow(o.n); err != nil {
-			return fail(err)
-		}
 		ds := make([]Digest, len(o.subs))
 		for k, i := range o.subs {
 			ds[k] = flushes[i].d

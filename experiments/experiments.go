@@ -422,9 +422,11 @@ func Ablations(scale Scale) ([]*FigResult, error) {
 // sweeps network size over a seeded small-world topology and reports
 // per-node storage, communication, heap footprint and wall-clock at
 // each size. Everything but heap/wall-clock is deterministic on the
-// seed; the curve's headline claim is that per-node cost stays flat
-// while n grows 50x, which is what the arena-backed compact stores
-// buy. Not part of the "all" figure set — the paper has no such
+// seed; the heap column is the live heap after two collections
+// (sim.MemReport), which repeats to the KB. The curve's headline claim
+// is that per-node cost stays flat while n grows 50x, which is what a
+// node holding only its own blocks plus fingerprint-sized indexes
+// buys. Not part of the "all" figure set — the paper has no such
 // figure; run it with `experiments scaling`.
 func ScalingCurve(scale Scale) ([]*FigResult, error) {
 	sizes := []int{200, 1_000, 5_000, 10_000}

@@ -41,12 +41,13 @@ type Engine struct {
 }
 
 // EngineOptions overrides the state an engine would otherwise build for
-// itself. The simulator uses it to back thousands of engines with
-// per-node stores over one shared content-addressed arena and
-// one process-wide verification cache.
+// itself: a recovered node resumes on its persisted stores, and the
+// simulator backs thousands of engines with one process-wide
+// verification cache.
 type EngineOptions struct {
-	// Store replaces the default ledger.NewStore. Must be owned
-	// by the engine's node ID.
+	// Store replaces the default empty ledger.NewStore — how a
+	// recovered node resumes with its persisted S_i. Must be owned by
+	// the engine's node ID.
 	Store *ledger.Store
 	// Trust replaces the default empty ledger.NewTrustStore — how a
 	// recovered node resumes with its persisted H_i.

@@ -384,9 +384,9 @@ func (v *Validator) replyValid(child *block.Header, jPrime identity.NodeID, cur 
 // path into H_i. Step 0's header is embedded in the fetched target
 // block, so storing it as is would keep the target's whole body
 // reachable from H_i — a validator holding another node's data, which
-// 2LDAG nodes never do. Unless the block is fully sealed (store or
-// arena state that is shared and lives on regardless), H_i gets a
-// detached copy of that header.
+// 2LDAG nodes never do. Unless the block is fully sealed (it sits in
+// its owner's log, shared and alive regardless), H_i gets a detached
+// copy of that header.
 func (v *Validator) cacheVerifiedPath(path []PathStep, target *block.Block) {
 	if v.cfg.Trust == nil {
 		return

@@ -28,6 +28,21 @@ func syntheticHeader(seq uint32) *block.Header {
 	return h
 }
 
+// syntheticBlocks returns n fully sealed, body-less blocks around
+// syntheticHeader(0..n-1): a log node 1 can append in order.
+func syntheticBlocks(tb testing.TB, n int) []*block.Block {
+	tb.Helper()
+	p := testParams()
+	blocks := make([]*block.Block, n)
+	for i := range blocks {
+		blocks[i] = &block.Block{Header: *syntheticHeader(uint32(i)).Clone()}
+		if err := p.SealBlock(blocks[i]); err != nil {
+			tb.Fatal(err)
+		}
+	}
+	return blocks
+}
+
 func liveHeap() uint64 {
 	runtime.GC()
 	runtime.GC()
@@ -84,21 +99,17 @@ func TestTrustStoreIndexBytesPerHeader(t *testing.T) {
 	}
 }
 
-// TestStoreIndexBytesPerBlock is the same bound for S_i on a live
-// node: the hash map, the log slot and the responder index, once a
-// first query has built it. The sharded block-pointer lists this
-// replaced measured 997 B per block.
+// TestStoreIndexBytesPerBlock is the same bound for S_i: the log slot
+// and the responder index, once a first query has built it — one
+// 64-bit key → sequence number entry per referenced digest, nine a
+// block here. The 701 B it replaced were a digest → {oldest, count}
+// entry per reference (~76 B each, ~640 B a block: the 32-byte keys
+// repeated digests the log's own headers already hold) plus a
+// hash → sequence entry per block (~62 B) that no protocol path read.
 func TestStoreIndexBytesPerBlock(t *testing.T) {
 	skipUnderRace(t)
-	const n, ceiling = 50_000, 850
-	p := testParams()
-	blocks := make([]*block.Block, n)
-	for i := range blocks {
-		blocks[i] = &block.Block{Header: *syntheticHeader(uint32(i)).Clone()}
-		if err := p.SealBlock(blocks[i]); err != nil {
-			t.Fatal(err)
-		}
-	}
+	const n, ceiling = 50_000, 330
+	blocks := syntheticBlocks(t, n)
 	per := indexBytesPer(n, func() any {
 		s := NewStore(1)
 		for _, b := range blocks {

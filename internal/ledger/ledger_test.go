@@ -85,7 +85,7 @@ func TestStoreGetMissing(t *testing.T) {
 	}
 }
 
-func TestStoreByHashAndOldestContaining(t *testing.T) {
+func TestStoreOldestContaining(t *testing.T) {
 	key := identity.Deterministic(1, 1)
 	s := NewStore(1)
 	target := digest.Sum([]byte("neighbor block"))
@@ -96,11 +96,13 @@ func TestStoreByHashAndOldestContaining(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if got, ok := s.ByHash(blocks[1].Header.Hash()); !ok || got.Header.Seq != 1 {
-		t.Fatal("ByHash lookup failed")
+	// A block is found by its sequence number, and is the very block
+	// that was appended.
+	if got, err := s.Get(1); err != nil || got != blocks[1] || got.Header.Hash() != blocks[1].Header.Hash() {
+		t.Fatalf("Get(1) = %v, %v", got, err)
 	}
-	if _, ok := s.ByHash(digest.Sum([]byte("missing"))); ok {
-		t.Fatal("ByHash hit for unknown digest")
+	if _, ok := s.OldestContaining(digest.Sum([]byte("missing"))); ok {
+		t.Fatal("OldestContaining hit for unreferenced digest")
 	}
 	oldest, ok := s.OldestContaining(target)
 	if !ok || oldest.Header.Seq != 0 {
@@ -113,6 +115,38 @@ func TestStoreByHashAndOldestContaining(t *testing.T) {
 	child, ok := s.OldestContaining(blocks[0].Header.Hash())
 	if !ok || child.Header.Seq != 1 {
 		t.Fatal("chain child lookup failed")
+	}
+}
+
+// TestStoreIndexStaysCurrentAfterLazyBuild queries the responder index
+// early (forcing the lazy build) and then keeps appending: post-build
+// appends must land in the index incrementally.
+func TestStoreIndexStaysCurrentAfterLazyBuild(t *testing.T) {
+	key := identity.Deterministic(1, 1)
+	target := digest.Sum([]byte("late ref"))
+	blocks := chainFor(t, key, 4, []block.DigestRef{{Node: 9, Digest: target}})
+
+	s := NewStore(1)
+	if err := s.Append(blocks[0]); err != nil {
+		t.Fatal(err)
+	}
+	// Force the lazy build with only one block in the log.
+	if oldest, ok := s.OldestContaining(target); !ok || oldest != blocks[0] {
+		t.Fatal("index wrong after lazy build")
+	}
+	for _, b := range blocks[1:] {
+		if err := s.Append(b); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if s.CountContaining(target) != 4 {
+		t.Fatalf("CountContaining = %d, want 4 after post-build appends", s.CountContaining(target))
+	}
+	if oldest, ok := s.OldestContaining(target); !ok || oldest != blocks[0] {
+		t.Fatal("a later reference displaced the oldest block")
+	}
+	if oldest, ok := s.OldestContaining(blocks[2].Header.Hash()); !ok || oldest != blocks[3] {
+		t.Fatal("post-build append missing from index")
 	}
 }
 
@@ -250,6 +284,28 @@ func TestDigestCacheSnapshot(t *testing.T) {
 	}
 }
 
+func TestDigestCacheAppendSnapshotReusesScratch(t *testing.T) {
+	c := NewDigestCache()
+	d1, d2 := digest.Sum([]byte("a")), digest.Sum([]byte("b"))
+	c.Update(2, d1)
+	c.Update(3, d2)
+	scratch := make([]block.DigestRef, 0, 8)
+	prev := digest.Sum([]byte("prev"))
+	got := c.AppendSnapshot(scratch[:0], 1, prev, []identity.NodeID{3, 2, 7})
+	want := c.Snapshot(1, prev, []identity.NodeID{3, 2, 7})
+	if len(got) != len(want) {
+		t.Fatalf("len mismatch: %d vs %d", len(got), len(want))
+	}
+	for i := range got {
+		if got[i] != want[i] {
+			t.Fatalf("entry %d differs: %+v vs %+v", i, got[i], want[i])
+		}
+	}
+	if &got[0] != &scratch[:1][0] {
+		t.Fatal("AppendSnapshot did not reuse the scratch backing array")
+	}
+}
+
 func TestTrustStoreAddAndChildOf(t *testing.T) {
 	key := identity.Deterministic(1, 1)
 	ts := NewTrustStore()
@@ -306,7 +362,7 @@ func TestTrustStoreSharedSealedReads(t *testing.T) {
 
 // TestTrustStoreSealedHeadersShared pins the scale-mode contract:
 // a header that is already sealed is stored by reference, not cloned,
-// so thousands of validators index one arena-resident header.
+// so thousands of validators index the one header its owner's log holds.
 func TestTrustStoreSealedHeadersShared(t *testing.T) {
 	key := identity.Deterministic(1, 1)
 	ts := NewTrustStore()

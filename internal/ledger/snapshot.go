@@ -52,10 +52,10 @@ const maxSnapshotBlock = block.MaxBodyLen + 1<<20
 // WriteSnapshot serializes the store: magic, owner, block count, then
 // each block length-prefixed in sequence order.
 //
-// An arena-backed store (NewStoreInArena) shares its *blocks* with the
-// arena but still owns the ordered log slice, so serializing the log
-// needs no arena access and the result is byte-identical to a NewStore
-// holding the same blocks (TestSnapshotArenaStore pins this).
+// Only the log is serialized, never the responder index: a restored
+// store rebuilds that on its first responder query, so the bytes are
+// the same whether or not the index exists and whatever its layout
+// (TestSnapshotIgnoresIndex pins this, golden digest included).
 func (s *Store) WriteSnapshot(w io.Writer) error {
 	s.mu.RLock()
 	defer s.mu.RUnlock()

@@ -210,50 +210,68 @@ func TestSnapshotV2WrongOwner(t *testing.T) {
 	}
 }
 
-// TestSnapshotArenaStore pins satellite invariant: an arena-backed
-// compact store serializes byte-identically to a sharded store holding
-// the same blocks — WriteSnapshot never needs the arena.
-func TestSnapshotArenaStore(t *testing.T) {
-	key := identity.Deterministic(4, 4)
-	blocks := chainFor(t, key, 5, nil)
-
-	sharded := NewStore(4)
-	arena := NewArena()
-	compact := NewStoreInArena(4, arena)
-	for _, b := range blocks {
-		if err := sharded.Append(b); err != nil {
-			t.Fatal(err)
+// TestSnapshotIgnoresIndex: snapshots serialize the log, never the
+// responder index, so a store that has built its index and one that
+// never did write the same bytes — and those bytes are pinned by a
+// digest computed before the index moved to 64-bit keys and the
+// simulator's block arena was removed, so no index change can move
+// them.
+func TestSnapshotIgnoresIndex(t *testing.T) {
+	const golden = "8653bb0963bbc08286fb7dfc0e2ae2c781d5760b1b5763458f3e10e5c19dcf92"
+	shared := digest.Sum([]byte("referenced by all"))
+	blocks := chainFor(t, identity.Deterministic(4, 4), 6, []block.DigestRef{{Node: 7, Digest: shared}})
+	build := func() *NodeState {
+		st := NewNodeState(4, 5)
+		for _, b := range blocks {
+			if err := st.Store.Append(b); err != nil {
+				t.Fatal(err)
+			}
 		}
-		if err := compact.Append(b); err != nil {
-			t.Fatal(err)
+		for _, b := range chainFor(t, identity.Deterministic(9, 4), 3, nil) {
+			st.Trust.Add(b.Header.Clone())
 		}
+		st.Cache.Update(9, digest.Sum([]byte("nine")))
+		return st
+	}
+	cold, indexed := build(), build()
+	if b, ok := indexed.Store.OldestContaining(shared); !ok || b != blocks[0] {
+		t.Fatal("responder index misses the shared digest")
 	}
 
 	var a, b bytes.Buffer
-	if err := sharded.WriteSnapshot(&a); err != nil {
+	if err := cold.Store.WriteSnapshot(&a); err != nil {
 		t.Fatal(err)
 	}
-	if err := compact.WriteSnapshot(&b); err != nil {
+	if err := indexed.Store.WriteSnapshot(&b); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(a.Bytes(), b.Bytes()) {
-		t.Fatal("arena-backed snapshot differs from sharded snapshot")
+		t.Fatal("v1 snapshot differs once the responder index is built")
 	}
-	// And the v2 path sees the same equivalence.
-	stA := &NodeState{Store: sharded, Trust: NewTrustStore(), Cache: NewDigestCache()}
-	stB := &NodeState{Store: compact, Trust: NewTrustStore(), Cache: NewDigestCache()}
-	if !bytes.Equal(stateBytes(t, stA), stateBytes(t, stB)) {
-		t.Fatal("v2 snapshot differs between index modes")
+	raw := stateBytes(t, indexed)
+	if !bytes.Equal(stateBytes(t, cold), raw) {
+		t.Fatal("v2 snapshot differs once the responder index is built")
 	}
-	// Round-trip restores a fully indexed, sealed store.
-	restored, err := ReadSnapshotState(stateBytes(t, stB), stateOpts())
+	if got := digest.Sum(raw).Hex(); got != golden {
+		t.Fatalf("v2 snapshot bytes moved: digest %s, golden %s", got, golden)
+	}
+
+	// Round-trip restores the same blocks, found by sequence number,
+	// and a store that indexes on demand.
+	restored, err := ReadSnapshotState(raw, stateOpts())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if restored.Store.Len() != 5 {
-		t.Fatal("arena snapshot lost blocks")
+	if restored.Store.Len() != len(blocks) {
+		t.Fatal("snapshot lost blocks")
 	}
-	if _, ok := restored.Store.OldestContaining(blocks[0].Header.Hash()); !ok {
+	for _, want := range blocks {
+		got, err := restored.Store.Get(want.Header.Seq)
+		if err != nil || got.Header.Hash() != want.Header.Hash() {
+			t.Fatalf("restored #%d: %v, %v", want.Header.Seq, got, err)
+		}
+	}
+	if child, ok := restored.Store.OldestContaining(blocks[0].Header.Hash()); !ok || child.Header.Seq != 1 {
 		t.Fatal("restored store lost the digest index")
 	}
 }

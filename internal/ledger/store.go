@@ -14,12 +14,15 @@
 //
 // Store and TrustStore hold immutable, header-sealed blocks and
 // headers (see the block package doc) and hand them out by shared
-// reference: Get, Latest, ByHash, OldestContaining, Headers,
-// TrustStore.Get and ChildOf return pointers into the store, not
-// copies. Callers must treat the results as read-only; anyone who
-// needs to mutate one (e.g. the attack library forging a reply) must
-// take a block.Clone/Header.Clone first. This removes the O(C) body
-// copy that used to sit on every REQ_CHILD/GetBlock hop.
+// reference: Get, Latest, OldestContaining, Headers, TrustStore.Get
+// and ChildOf return pointers into the store, not copies. Callers must
+// treat the results as read-only; anyone who needs to mutate one (e.g.
+// the attack library forging a reply) must take a
+// block.Clone/Header.Clone first. This removes the O(C) body copy that
+// used to sit on every REQ_CHILD/GetBlock hop. A sealed block has one
+// owner — the log of the device that sealed it — and is found by
+// (origin, sequence number); nothing in the protocol looks a block up
+// by its own hash, so no store keeps a hash → block map.
 //
 // Blocks built by block.Params.Build are fully sealed (body root
 // memoized too). A block appended unsealed — e.g. restored from a
@@ -33,9 +36,14 @@
 // for everyone else, only fingerprints, so the indexes around S_i and
 // H_i are kept smaller than what they index and free of pointers (the
 // garbage collector never scans them). Each structure has one layout,
-// whoever builds it: Store keeps a digest → {oldest, count} map built
-// on the first responder query; TrustStore keeps an insertion-ordered
-// ring with 64-bit-keyed maps and per-reference links (see the types).
+// whoever builds it, keyed by the first 64 bits of a digest: Store
+// keeps one key → oldest-sequence map, built on the first responder
+// query; TrustStore keeps an insertion-ordered ring with two such maps
+// and per-reference links (see the types). A key only narrows the
+// search. The full 32-byte digests already sit in the headers the
+// stores hold, so the indexes never repeat them, and every lookup
+// compares against them before it answers: two digests sharing a key
+// cost an extra comparison, never a wrong block.
 // TestStoreIndexBytesPerBlock and TestTrustStoreIndexBytesPerHeader
 // hold both to a byte ceiling.
 //
@@ -52,6 +60,7 @@
 package ledger
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"sync"
@@ -68,28 +77,23 @@ var (
 	ErrNotFound    = errors.New("ledger: block not found")
 )
 
-// containsEntry is the responder index record for one referenced
-// digest: only the oldest matching sequence (Alg. 4 wants exactly that
-// block) and the match count (|C_j'(b)|, Prop. 5) are ever queried, so
-// that is all the index keeps.
-type containsEntry struct {
-	oldest uint32
-	count  uint32
-}
+// digestKey is the 64-bit index key of a digest: its first eight
+// bytes. Digests are uniform hashes, so any eight would do.
+func digestKey(d *digest.Digest) uint64 { return binary.LittleEndian.Uint64(d[:8]) }
 
 // Store is S_i: the append-only log of one node's own blocks, with an
 // index answering the responder query of Algorithm 4 — "the oldest of my
 // blocks whose Δ contains digest d".
 //
-// Every store keeps the same state: the ordered log and one
-// digest → {oldest, count} responder index, built from the log on the
-// first responder query and kept current by Append from then on, so a
-// node nobody audits (and a zero-audit scaling run of 10k–100k stores)
-// never pays for it. Keys and values of the index hold no pointers.
-// Stores differ only in who answers ByHash: a live node's store
-// (NewStore) keeps its own hash → sequence map, while the simulator's
-// stores (NewStoreInArena) publish their sealed blocks to one shared
-// content-addressed Arena and ask it.
+// Every store keeps the same state: the ordered log and one responder
+// index, built from the log on the first responder query and kept
+// current by Append from then on, so a node nobody audits (and a
+// zero-audit scaling run of 10k–100k stores) never pays for it. The
+// index is fingerprint-sized — a 64-bit digest key → the sequence
+// number of the oldest block whose Δ holds a digest with that key —
+// because the log already stores every referenced digest in full
+// inside its own headers: a hit is confirmed against the answering
+// block's Δ before it is returned. Keys and values hold no pointers.
 //
 // One lock guards the log and the index. Append holds it across the
 // journal write (that is what keeps journal order equal to apply order
@@ -103,12 +107,19 @@ type Store struct {
 	bodyBytes int64
 	refCount  int64 // Σ len(Header.Digests) over the log, for O(1) ModelBits
 
-	// contains is nil until the first responder query builds it.
-	contains map[digest.Digest]containsEntry
-
-	// Exactly one of the two is set.
-	arena  *Arena
-	byHash map[digest.Digest]uint32 // header hash → sequence number
+	// contains is nil until the first responder query builds it. It
+	// maps a referenced digest's key to the oldest block whose Δ holds
+	// a digest with that key. Only the oldest is ever asked for (Alg. 4
+	// wants exactly that block), and blocks are indexed in ascending
+	// sequence order, so an entry is written once and never updated.
+	contains map[uint64]uint32
+	// containsMore takes the digests whose key was already claimed by
+	// an older block that does not reference them, under their full 32
+	// bytes → their own oldest block. With 64-bit keys it is expected
+	// to stay empty (and unallocated).
+	containsMore map[digest.Digest]uint32
+	// keyMask is all ones; tests narrow it to force key collisions.
+	keyMask uint64
 
 	// journal, when set, durably records every append before it is
 	// published (write-ahead). nil = in-memory only.
@@ -117,16 +128,7 @@ type Store struct {
 
 // NewStore creates an empty log owned by the given node.
 func NewStore(owner identity.NodeID) *Store {
-	return &Store{owner: owner, byHash: make(map[digest.Digest]uint32)}
-}
-
-// NewStoreInArena creates an empty log owned by the given node whose
-// appended blocks are also published to the shared content-addressed
-// arena, which then answers hash lookups. Many stores may share one
-// arena; this is the representation that lets the simulator hold tens
-// of thousands of ledgers in one process.
-func NewStoreInArena(owner identity.NodeID, a *Arena) *Store {
-	return &Store{owner: owner, arena: a}
+	return &Store{owner: owner, keyMask: ^uint64(0)}
 }
 
 // Owner returns the owning node's ID.
@@ -161,7 +163,7 @@ func (s *Store) Append(b *block.Block) error {
 	}
 	// Seal outside the lock: the memoizing Hash call must not race with
 	// readers of already-stored blocks, and cp is still private here.
-	hh := cp.Header.Seal()
+	cp.Header.Seal()
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if int(cp.Header.Seq) != len(s.blocks) {
@@ -179,30 +181,39 @@ func (s *Store) Append(b *block.Block) error {
 	s.blocks = append(s.blocks, cp)
 	s.bodyBytes += int64(len(cp.Body))
 	s.refCount += int64(len(cp.Header.Digests))
-	if s.arena != nil {
-		s.arena.Put(cp)
-	} else {
-		s.byHash[hh] = cp.Header.Seq
-	}
 	if s.contains != nil {
 		s.indexContains(cp)
 	}
 	return nil
 }
 
-// indexContains folds one block into the responder index. Caller holds
-// s.mu for writing.
+// indexContains folds one block, already in the log, into the
+// responder index. Caller holds s.mu for writing.
 func (s *Store) indexContains(b *block.Block) {
-	for _, ref := range b.Header.Digests {
-		if ref.Digest.IsZero() {
+	for k := range b.Header.Digests {
+		d := &b.Header.Digests[k].Digest
+		if d.IsZero() {
 			continue
 		}
-		e, ok := s.contains[ref.Digest]
-		if !ok {
-			e.oldest = b.Header.Seq
+		rk := digestKey(d) & s.keyMask
+		seq, taken := s.contains[rk]
+		if !taken {
+			s.contains[rk] = b.Header.Seq
+			continue
 		}
-		e.count++
-		s.contains[ref.Digest] = e
+		// The key's block references d itself (the common case: a
+		// neighbour's digest stays in Δ until it seals again) or d has
+		// an overflow record already: an older block is on file.
+		if s.blocks[seq].Header.Contains(*d) {
+			continue
+		}
+		if _, indexed := s.containsMore[*d]; indexed {
+			continue
+		}
+		if s.containsMore == nil {
+			s.containsMore = make(map[digest.Digest]uint32)
+		}
+		s.containsMore[*d] = b.Header.Seq
 	}
 }
 
@@ -215,7 +226,7 @@ func (s *Store) rlockIndexed() {
 		s.mu.RUnlock()
 		s.mu.Lock()
 		if s.contains == nil {
-			s.contains = make(map[digest.Digest]containsEntry)
+			s.contains = make(map[uint64]uint32)
 			for _, b := range s.blocks {
 				s.indexContains(b)
 			}
@@ -254,41 +265,30 @@ func (s *Store) Latest() *block.Block {
 	return s.blocks[len(s.blocks)-1]
 }
 
-// ByHash returns the (sealed, read-only) block whose header hashes to d.
-func (s *Store) ByHash(d digest.Digest) (*block.Block, bool) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	if s.arena == nil {
-		seq, ok := s.byHash[d]
-		if !ok {
-			return nil, false
-		}
-		return s.blocks[seq], true
-	}
-	// The arena is shared across many owners: membership in *this*
-	// store means the arena's block occupies its sequence slot in the
-	// log.
-	b, ok := s.arena.Get(d)
-	if !ok || b.Header.Origin != s.owner ||
-		int(b.Header.Seq) >= len(s.blocks) || s.blocks[b.Header.Seq] != b {
-		return nil, false
-	}
-	return b, true
-}
-
 // oldestContainingAt answers the responder's selection rule restricted
-// to the first limit blocks (limit = MaxUint32 for the whole log).
-// Blocks are indexed in ascending sequence order, so the oldest
-// in-fence match is the index record's oldest whenever that predates
-// the fence.
+// to the first limit blocks (limit = MaxUint32 for the whole log): two
+// map probes at most and one scan of a Δ. The block on file under d's
+// key is the oldest referencing any digest with that key, so if it
+// references d it is d's oldest, and if it sits beyond the fence so
+// does every block referencing d. Otherwise d, if referenced at all,
+// has its own overflow record.
 func (s *Store) oldestContainingAt(d digest.Digest, limit uint32) (*block.Block, bool) {
 	s.rlockIndexed()
 	defer s.mu.RUnlock()
-	e, ok := s.contains[d]
-	if !ok || e.oldest >= limit {
+	seq, ok := s.contains[digestKey(&d)&s.keyMask]
+	if !ok || seq >= limit {
 		return nil, false
 	}
-	return s.blocks[e.oldest], true
+	// Contains is false for the zero digest, which is never indexed but
+	// shares key 0 with whatever digest happens to start with zeros.
+	if b := s.blocks[seq]; b.Header.Contains(d) {
+		return b, true
+	}
+	seq, ok = s.containsMore[d]
+	if !ok || seq >= limit {
+		return nil, false
+	}
+	return s.blocks[seq], true
 }
 
 // OldestContaining implements the responder's selection rule (Alg. 4,
@@ -299,13 +299,25 @@ func (s *Store) OldestContaining(d digest.Digest) (*block.Block, bool) {
 	return s.oldestContainingAt(d, ^uint32(0))
 }
 
-// CountContaining returns |C_j'(b)|: how many of the owner's blocks
-// reference digest d. Exposed for the micro-loop analysis tests
-// (Prop. 5).
+// CountContaining returns |C_j'(b)|: how many Δ entries of the owner's
+// blocks reference digest d. Test support for the micro-loop analysis
+// (Prop. 5); no protocol path asks, so it scans the log instead of
+// costing the index a counter per digest.
 func (s *Store) CountContaining(d digest.Digest) int {
-	s.rlockIndexed()
+	if d.IsZero() {
+		return 0
+	}
+	s.mu.RLock()
 	defer s.mu.RUnlock()
-	return int(s.contains[d].count)
+	n := 0
+	for _, b := range s.blocks {
+		for k := range b.Header.Digests {
+			if b.Header.Digests[k].Digest == d {
+				n++
+			}
+		}
+	}
+	return n
 }
 
 // BodyBytes returns the cumulative body payload stored, in bytes.

@@ -1,7 +1,6 @@
 package ledger
 
 import (
-	"encoding/binary"
 	"fmt"
 	"io"
 	"sync"
@@ -96,7 +95,7 @@ func NewTrustStore() *TrustStore {
 }
 
 func (t *TrustStore) key(d *digest.Digest) uint64 {
-	return binary.LittleEndian.Uint64(d[:8]) & t.keyMask
+	return digestKey(d) & t.keyMask
 }
 
 func (t *TrustStore) at(id uint32) *trustEntry { return &t.entries[id-t.base] }
@@ -166,9 +165,9 @@ func (t *TrustStore) SetJournal(j Journal) {
 // before any copying). It returns true when the header was newly
 // added. Sealed headers — immutable by contract everywhere in this
 // codebase — are stored by shared reference, so the thousands of
-// validators of a scaled simulation index one arena-resident header
-// instead of cloning it apiece; unsealed headers are defensively
-// cloned.
+// validators of a scaled simulation index the one header that sits in
+// its owner's log instead of cloning it apiece; unsealed headers are
+// defensively cloned.
 func (t *TrustStore) Add(h *block.Header) bool {
 	sealed := h.Sealed()
 	hh := h.Hash()

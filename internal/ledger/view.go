@@ -60,9 +60,9 @@ func (v View) Get(seq uint32) (*block.Block, error) {
 // OldestContaining answers the responder's selection rule (Alg. 4,
 // Eq. 10–11) restricted to the prefix: among the owner's first Len()
 // blocks whose Δ contains d, return the oldest. Blocks are indexed in
-// ascending sequence order, so the oldest in-fence match is the index
-// record's oldest whenever that predates the fence — the fence check
-// alone keeps views exact.
+// ascending sequence order and an index record, once written, never
+// changes, so the oldest in-fence match is d's record whenever that
+// predates the fence — the fence check alone keeps views exact.
 func (v View) OldestContaining(d digest.Digest) (*block.Block, bool) {
 	return v.store.oldestContainingAt(d, v.limit)
 }

@@ -64,8 +64,8 @@ func BenchmarkAnnounceBatch(b *testing.B) {
 // TestParallelSchedulerIsDeterministic); the difference is wall clock.
 // The n=10k variant is the scale benchmark behind ROADMAP item 5: a
 // 10k-node small-world network stepping three slots with audits live
-// (VerifyLag below the horizon) on the chunked phases and arena-backed
-// compact stores, so ns/op tracks per-slot cost at scale.
+// (VerifyLag below the horizon) on the chunked phases and one plain
+// store per node, so ns/op tracks per-slot cost at scale.
 func BenchmarkHotpathSimStep(b *testing.B) {
 	for _, workers := range []int{1, 0} {
 		name := "serial"

@@ -10,7 +10,7 @@ import (
 
 // TestScaleRun10k is the ROADMAP item 5 acceptance run: a seeded
 // 10k-node small-world network driven for 500 slots with audit duty
-// live, on the arena-backed compact stores and chunked phases. It
+// live, on ten thousand plain per-node stores and chunked phases. It
 // asserts the run completes with bounded memory and logs the headline
 // numbers (blocks, audits, wall-clock, heap per node). The run takes
 // ~20 minutes on one core, so it is opt-in:
@@ -60,9 +60,9 @@ func TestScaleRun10k(t *testing.T) {
 	if rep.Mem == nil {
 		t.Fatal("no memory sample")
 	}
-	// Bounded memory: the 5M sealed blocks live once in the arena;
-	// anything past ~10 MB/node would mean per-node state regressed to
-	// pre-arena duplication.
+	// Bounded memory: each of the 5M sealed blocks lives once, in its
+	// owner's log; anything past ~10 MB/node would mean nodes went back
+	// to holding copies of each other's blocks.
 	if rep.Mem.BytesPerNode > 10<<20 {
 		t.Fatalf("heap = %d bytes/node, want < 10 MB/node", rep.Mem.BytesPerNode)
 	}

@@ -129,10 +129,11 @@ type Config struct {
 	// byte-identical for any (Workers, PipelineDepth, ChunkSize).
 	ChunkSize int
 	// SampleMemStats fills Report.Mem with process heap statistics at
-	// Finalize (runtime.ReadMemStats). Off by default: the sample
-	// reflects the whole process, not just this run, and it is the one
-	// Report field that is NOT a pure function of the Config — leave it
-	// off where reports are compared across runs.
+	// Finalize (two forced collections, then runtime.ReadMemStats). Off
+	// by default: the sample reflects the whole process, not just this
+	// run, and it is the one Report field that is NOT a pure function
+	// of the Config — leave it off where reports are compared across
+	// runs.
 	SampleMemStats bool
 	// PipelineDepth bounds how many slots of audit duty may be in
 	// flight behind generation: at depth d the slotted scheduler moves
@@ -257,11 +258,8 @@ type Sim struct {
 	validators []*core.Validator
 	behaviors  []attack.Behavior
 	periods    []int
-	// arena holds every sealed block in the run exactly once,
-	// content-addressed; per-node stores are compact indexes over it
-	// (ledger.NewStoreInArena). vcache is the one process-wide
-	// header-verification cache every validator shares.
-	arena  *ledger.Arena
+	// vcache is the one process-wide header-verification cache every
+	// validator shares.
 	vcache *block.VerifyCache
 	// chunk is the resolved phase chunk size (Config.ChunkSize or auto).
 	chunk int
@@ -347,17 +345,20 @@ type Report struct {
 	Mem *MemReport
 }
 
-// MemReport is the heap footprint sampled at Finalize
-// (runtime.ReadMemStats), for scaling runs that report memory alongside
-// time: bytes/node vs n is the headline curve of the scaling
-// experiment.
+// MemReport is the heap footprint sampled at Finalize, for scaling
+// runs that report memory alongside time: bytes/node vs n is the
+// headline curve of the scaling experiment. The sample is taken the
+// way benchmark/ takes live_heap_mb — two runtime.GC() calls, then
+// runtime.ReadMemStats — so HeapAllocBytes is what the run still
+// holds, not what the collector had not got to yet, and repeats run to
+// run closely enough for a CI ceiling to see a 20 % change.
 type MemReport struct {
 	// HeapInuseBytes is spans-in-use; HeapAllocBytes live objects.
 	HeapInuseBytes  uint64
 	HeapAllocBytes  uint64
 	TotalAllocBytes uint64
 	NumGC           uint32
-	// BytesPerNode is HeapInuseBytes / |V|.
+	// BytesPerNode is HeapAllocBytes / |V|.
 	BytesPerNode uint64
 }
 
@@ -410,7 +411,6 @@ func New(cfg Config) (*Sim, error) {
 		validators:   make([]*core.Validator, len(ids)),
 		behaviors:    make([]attack.Behavior, len(ids)),
 		vmu:          make([]*sync.Mutex, len(ids)),
-		arena:        ledger.NewArena(),
 		vcache:       block.NewVerifyCache(),
 		nodeRNG:      make([]*rand.Rand, len(ids)),
 		comm:         make([]*commCell, len(ids)),
@@ -426,14 +426,11 @@ func New(cfg Config) (*Sim, error) {
 		s.idx[id] = i
 		key := identity.Deterministic(id, cfg.Seed)
 		pairs = append(pairs, key)
-		// Every engine stores through the shared content-addressed arena
-		// (bodies held once, per-node compact indexes) and shares the
-		// process-wide verification cache — the memory shape that fits
-		// 10k–100k ledgers in one process.
-		eng, err := core.NewEngineWith(key, params, g, core.EngineOptions{
-			Store:       ledger.NewStoreInArena(id, s.arena),
-			VerifyCache: s.vcache,
-		})
+		// A sealed block lives once, in its owner's log; every other
+		// node holds it by shared reference at most (H_i headers), and
+		// all engines share the process-wide verification cache — the
+		// memory shape that fits 10k–100k ledgers in one process.
+		eng, err := core.NewEngineWith(key, params, g, core.EngineOptions{VerifyCache: s.vcache})
 		if err != nil {
 			return nil, fmt.Errorf("sim: engine %v: %w", id, err)
 		}
@@ -1100,6 +1097,10 @@ func (s *Sim) Finalize() *Report {
 		r.NodeCommBits[i] = s.comm[i].totalBits()
 	}
 	if s.cfg.SampleMemStats && r.Mem == nil {
+		// The second collection frees what the first one's finalizers
+		// and sync.Pool victim caches released.
+		runtime.GC()
+		runtime.GC()
 		var ms runtime.MemStats
 		runtime.ReadMemStats(&ms)
 		r.Mem = &MemReport{
@@ -1107,7 +1108,7 @@ func (s *Sim) Finalize() *Report {
 			HeapAllocBytes:  ms.HeapAlloc,
 			TotalAllocBytes: ms.TotalAlloc,
 			NumGC:           ms.NumGC,
-			BytesPerNode:    ms.HeapInuse / uint64(len(s.ids)),
+			BytesPerNode:    ms.HeapAlloc / uint64(len(s.ids)),
 		}
 	}
 	return r
@@ -1249,10 +1250,7 @@ func (s *Sim) JoinNode(id identity.NodeID) error {
 	if err := s.ring.Register(key.ID, key.Public); err != nil {
 		return fmt.Errorf("sim: registering joiner: %w", err)
 	}
-	eng, err := core.NewEngineWith(key, s.params, s.graph, core.EngineOptions{
-		Store:       ledger.NewStoreInArena(id, s.arena),
-		VerifyCache: s.vcache,
-	})
+	eng, err := core.NewEngineWith(key, s.params, s.graph, core.EngineOptions{VerifyCache: s.vcache})
 	if err != nil {
 		return fmt.Errorf("sim: joiner engine: %w", err)
 	}

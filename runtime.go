@@ -59,10 +59,11 @@ type Runtime interface {
 	// Submission.Node fails the call before anything is sealed (the
 	// simulator meets it in batch order, after sealing the entries
 	// ahead of it). A failure after the seal stage — a commit window
-	// that does not close, an acknowledgement wait that times out,
-	// lowest index first — returns the refs of the whole batch beside
-	// the error, and every acknowledgement wait it registered is
-	// cancelled.
+	// that does not close (every window closes before the first
+	// announcement, so nothing of the batch is on the wire then), an
+	// acknowledgement wait that times out, lowest index first —
+	// returns the refs of the whole batch beside the error, and every
+	// acknowledgement wait it registered is cancelled.
 	//
 	// On the live driver OnBlockSealed callbacks of different devices
 	// may arrive concurrently and out of batch order; a device's own
