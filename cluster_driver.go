@@ -561,9 +561,11 @@ func (c *Cluster) Audit(ctx context.Context, validator NodeID, ref Ref) (*AuditR
 }
 
 // AuditMany implements Runtime: audits fan out over a worker pool
-// bounded by WithWorkers. Node runtimes build a fresh PoP validator
-// per audit over shared, locked state, so any mix of validators may
-// run concurrently.
+// bounded by WithWorkers. A node's one PoP validator holds only
+// configuration, builds each audit's state afresh and reads shared
+// state that locks for itself (core.Validator), so any mix of
+// validators — the same one several times included — may run
+// concurrently.
 func (c *Cluster) AuditMany(ctx context.Context, reqs []AuditRequest) []AuditOutcome {
 	out := make([]AuditOutcome, len(reqs))
 	fanOut(len(reqs), c.workers, func(i int) {

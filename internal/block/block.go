@@ -128,7 +128,7 @@ func (h *Header) Hash() digest.Digest {
 	if h.hashOK {
 		return h.hash
 	}
-	h.hash = digest.Sum(appendHeader(make([]byte, 0, headerWireSize(h)), h))
+	h.hash = digest.Sum(AppendEncodeHeader(make([]byte, 0, headerWireSize(h)), h))
 	h.hashOK = true
 	return h.hash
 }

@@ -41,8 +41,11 @@ func appendDigestRefs(b []byte, refs []DigestRef) []byte {
 	return b
 }
 
-// appendHeader serializes h in full (including signature).
-func appendHeader(b []byte, h *Header) []byte {
+// AppendEncodeHeader appends h's wire form, in full (including
+// signature), to b and returns the extended slice, so a caller that
+// already owns a buffer (a transport frame, a WAL record) encodes in
+// place.
+func AppendEncodeHeader(b []byte, h *Header) []byte {
 	b = appendUint32(b, h.Version)
 	b = appendUint32(b, h.Time)
 	b = appendUint32(b, uint32(h.Origin))
@@ -58,7 +61,7 @@ func appendHeader(b []byte, h *Header) []byte {
 
 // EncodeHeader serializes a header to its wire form.
 func EncodeHeader(h *Header) []byte {
-	return appendHeader(make([]byte, 0, headerWireSize(h)), h)
+	return AppendEncodeHeader(make([]byte, 0, headerWireSize(h)), h)
 }
 
 func headerWireSize(h *Header) int {
@@ -72,11 +75,15 @@ func (h *Header) WireSize() int {
 
 // Encode serializes a full block (header then length-prefixed body).
 func Encode(b *Block) []byte {
-	out := make([]byte, 0, headerWireSize(&b.Header)+4+len(b.Body))
-	out = appendHeader(out, &b.Header)
-	out = appendUint32(out, uint32(len(b.Body)))
-	out = append(out, b.Body...)
-	return out
+	return AppendEncode(make([]byte, 0, b.WireSize()), b)
+}
+
+// AppendEncode appends the bytes Encode produces to dst and returns the
+// extended slice.
+func AppendEncode(dst []byte, b *Block) []byte {
+	dst = AppendEncodeHeader(dst, &b.Header)
+	dst = appendUint32(dst, uint32(len(b.Body)))
+	return append(dst, b.Body...)
 }
 
 // WireSize returns the exact number of bytes Encode produces.
@@ -118,68 +125,69 @@ func (r *reader) digest() (digest.Digest, error) {
 	return d, nil
 }
 
-func decodeHeader(r *reader) (*Header, error) {
-	var h Header
+// decodeHeader parses one header at the cursor into h, which must be
+// zero. Δ and the signature are copied out of the buffer.
+func decodeHeader(r *reader, h *Header) error {
 	var err error
 	if h.Version, err = r.uint32(); err != nil {
-		return nil, err
+		return err
 	}
 	if h.Time, err = r.uint32(); err != nil {
-		return nil, err
+		return err
 	}
 	origin, err := r.uint32()
 	if err != nil {
-		return nil, err
+		return err
 	}
 	h.Origin = identity.NodeID(origin)
 	if h.Seq, err = r.uint32(); err != nil {
-		return nil, err
+		return err
 	}
 	if h.Root, err = r.digest(); err != nil {
-		return nil, err
+		return err
 	}
 	nRefs, err := r.uint32()
 	if err != nil {
-		return nil, err
+		return err
 	}
 	if nRefs > MaxDigestRefs {
-		return nil, fmt.Errorf("%w: %d digest refs", ErrOversized, nRefs)
+		return fmt.Errorf("%w: %d digest refs", ErrOversized, nRefs)
 	}
 	h.Digests = make([]DigestRef, nRefs)
 	for i := range h.Digests {
 		node, err := r.uint32()
 		if err != nil {
-			return nil, err
+			return err
 		}
 		d, err := r.digest()
 		if err != nil {
-			return nil, err
+			return err
 		}
 		h.Digests[i] = DigestRef{Node: identity.NodeID(node), Digest: d}
 	}
 	if h.Nonce, err = r.uint32(); err != nil {
-		return nil, err
+		return err
 	}
 	sigLen, err := r.uint32()
 	if err != nil {
-		return nil, err
+		return err
 	}
 	if sigLen > MaxSignatureLen {
-		return nil, fmt.Errorf("%w: signature %d bytes", ErrOversized, sigLen)
+		return fmt.Errorf("%w: signature %d bytes", ErrOversized, sigLen)
 	}
 	sig, err := r.bytes(int(sigLen))
 	if err != nil {
-		return nil, err
+		return err
 	}
 	h.Signature = append([]byte(nil), sig...)
-	return &h, nil
+	return nil
 }
 
 // DecodeHeader parses a header and rejects trailing bytes.
 func DecodeHeader(buf []byte) (*Header, error) {
-	r := &reader{buf: buf}
-	h, err := decodeHeader(r)
-	if err != nil {
+	r := reader{buf: buf}
+	h := new(Header)
+	if err := decodeHeader(&r, h); err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrBadEncoded, err)
 	}
 	if r.off != len(buf) {
@@ -188,11 +196,26 @@ func DecodeHeader(buf []byte) (*Header, error) {
 	return h, nil
 }
 
-// Decode parses a full block and rejects trailing bytes.
+// Decode parses a full block and rejects trailing bytes. The block owns
+// every byte it references; buf may be reused afterwards.
 func Decode(buf []byte) (*Block, error) {
-	r := &reader{buf: buf}
-	h, err := decodeHeader(r)
+	b, err := DecodeOwned(buf)
 	if err != nil {
+		return nil, err
+	}
+	b.Body = append([]byte(nil), b.Body...)
+	return b, nil
+}
+
+// DecodeOwned is Decode for a caller that hands buf over: the block's
+// Body aliases buf instead of copying it out (header fields are still
+// copied), so buf must be neither modified nor reused afterwards. It is
+// how a received frame's private payload copy becomes the block body
+// without a second copy.
+func DecodeOwned(buf []byte) (*Block, error) {
+	r := reader{buf: buf}
+	b := new(Block)
+	if err := decodeHeader(&r, &b.Header); err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrBadEncoded, err)
 	}
 	bodyLen, err := r.uint32()
@@ -209,5 +232,6 @@ func Decode(buf []byte) (*Block, error) {
 	if r.off != len(buf) {
 		return nil, fmt.Errorf("%w: %d bytes", ErrTrailing, len(buf)-r.off)
 	}
-	return &Block{Header: *h, Body: append([]byte(nil), body...)}, nil
+	b.Body = body
+	return b, nil
 }

@@ -41,7 +41,8 @@ var (
 	// not hash to its header root (Algorithm 3 line 4).
 	ErrRootMismatch = errors.New("core: verifier block failed root check")
 	// ErrInvalidBlock is returned when the verifier's block fails
-	// header validation (PoW or signature).
+	// header validation (PoW or signature) or is not the block the
+	// validator asked for.
 	ErrInvalidBlock = errors.New("core: verifier block invalid")
 	// ErrNoChild is returned by responders that hold no child of the
 	// requested digest.

@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
-	"sort"
 
 	"github.com/twoldag/twoldag/internal/block"
 	"github.com/twoldag/twoldag/internal/digest"
@@ -45,7 +44,8 @@ type ValidatorConfig struct {
 	Avoid func(identity.NodeID) bool
 	// Strategy selects the next responder; nil means WPS (Alg. 1).
 	Strategy SelectionStrategy
-	// RNG breaks selection ties; nil keeps runs deterministic.
+	// RNG breaks selection ties; nil keeps runs deterministic. A
+	// validator given one must not run Verify concurrently.
 	RNG *rand.Rand
 	// StepBudget caps candidate probes; 0 means DefaultStepBudget.
 	StepBudget int
@@ -70,6 +70,16 @@ type ValidatorConfig struct {
 }
 
 // Validator runs Proof-of-Path verifications (Algorithm 3).
+//
+// A Validator holds configuration only — every Verify builds its R_i,
+// path and bookkeeping afresh, and the stores it reads (H_i, the
+// verification cache, the blacklist, the topology) lock for themselves
+// — so one Validator serves any number of concurrent Verify calls,
+// which is how a node.Node uses the single one it builds at start-up.
+// The exceptions are what the caller plugs in: a ValidatorConfig.RNG
+// (a *rand.Rand is not safe for concurrent use; node.Node passes none,
+// the simulator runs each node's audits serially) and a Strategy or
+// Avoid callback with state of its own.
 type Validator struct {
 	cfg      ValidatorConfig
 	strategy SelectionStrategy
@@ -99,46 +109,46 @@ func NewValidator(cfg ValidatorConfig) (*Validator, error) {
 	return v, nil
 }
 
-// voucherSet is R_i: an insertion-ordered set of distinct node IDs.
-// Membership maps each node to the sequence number of its latest add,
-// making add/remove O(1) — rollback on deep paths used to pay an O(n)
-// scan per removal — while snapshot reconstructs insertion order.
+// voucherSet is R_i: the distinct node IDs vouching so far, in the
+// order of each member's latest add. It is a plain slice: |R_i| never
+// exceeds γ+1 (construction stops there) and γ is a fraction of an
+// IoT-scale |V|, so a linear scan beats hashing and the set costs one
+// allocation per attempt instead of a map.
 type voucherSet struct {
-	in  map[identity.NodeID]int
-	seq int
-}
-
-func newVoucherSet() *voucherSet {
-	return &voucherSet{in: make(map[identity.NodeID]int)}
+	ids []identity.NodeID
 }
 
 func (s *voucherSet) add(id identity.NodeID) {
-	if _, ok := s.in[id]; !ok {
-		s.in[id] = s.seq
-		s.seq++
+	if !s.has(id) {
+		s.ids = append(s.ids, id)
 	}
 }
 
+// remove deletes id, keeping the others in order; a later add of the
+// same id joins at the end.
 func (s *voucherSet) remove(id identity.NodeID) {
-	delete(s.in, id)
+	for i, m := range s.ids {
+		if m == id {
+			s.ids = append(s.ids[:i], s.ids[i+1:]...)
+			return
+		}
+	}
 }
 
 func (s *voucherSet) has(id identity.NodeID) bool {
-	_, ok := s.in[id]
-	return ok
+	for _, m := range s.ids {
+		if m == id {
+			return true
+		}
+	}
+	return false
 }
 
-func (s *voucherSet) len() int { return len(s.in) }
+func (s *voucherSet) len() int { return len(s.ids) }
 
-// snapshot returns the members in insertion order (of each member's
-// latest add).
+// snapshot returns a copy of the members in order.
 func (s *voucherSet) snapshot() []identity.NodeID {
-	out := make([]identity.NodeID, 0, len(s.in))
-	for id := range s.in {
-		out = append(out, id)
-	}
-	sort.Slice(out, func(i, j int) bool { return s.in[out[i]] < s.in[out[j]] })
-	return out
+	return append([]identity.NodeID(nil), s.ids...)
 }
 
 // Verify runs Algorithm 3 against the block identified by ref,
@@ -157,6 +167,13 @@ func (v *Validator) Verify(ctx context.Context, ref block.Ref, f Fetcher) (*Resu
 		return res, fmt.Errorf("core: retrieving target %v: %w", ref, err)
 	}
 	res.MessagesReceived++
+	// The reply must be the block that was asked for: an owner answering
+	// with another of its well-attested blocks would otherwise have that
+	// one audited under the requested name. Origin and Seq are inside
+	// SigPreimage, so the signature check below binds the comparison.
+	if got := blk.Header.Ref(); got != ref {
+		return res, fmt.Errorf("%w: asked for %v, got %v", ErrInvalidBlock, ref, got)
+	}
 	root, err := v.cfg.Params.BlockBodyRoot(blk)
 	if err != nil {
 		return res, fmt.Errorf("core: hashing target body: %w", err)
@@ -185,33 +202,37 @@ func (v *Validator) construct(ctx context.Context, ref block.Ref, blk *block.Blo
 	// Line 6: R_i = {j}, P_i = {b_j,t}, verifying block = target.
 	// Fetched headers are owned by the validator (or shared sealed store
 	// state) and never mutated here, so path steps reference them
-	// directly — no per-hop clone, and Hash() is memoized.
-	vouchers := newVoucherSet()
+	// directly — no per-hop clone, and Hash() is memoized. R_i and P_i
+	// start with room for the γ+1 distinct vouchers consensus needs.
+	vouchers := &voucherSet{ids: make([]identity.NodeID, 0, v.cfg.Gamma+1)}
 	vouchers.add(ref.Node)
 	hdr := &blk.Header
-	path := []PathStep{{Node: ref.Node, Header: hdr, HeaderHash: hdr.Hash()}}
+	path := make([]PathStep, 1, v.cfg.Gamma+2)
+	path[0] = PathStep{Node: ref.Node, Header: hdr, HeaderHash: hdr.Hash()}
 
 	budget := v.cfg.StepBudget
 
-	// dead records blocks whose subtrees were exhausted by a rollback.
-	// The paper's pseudocode resets V' = V each outer iteration (line
-	// 14), which livelocks between two dead-end branches when consensus
-	// is unsatisfiable; memoizing exhausted blocks preserves Algorithm
-	// 3's behavior on satisfiable instances while guaranteeing
-	// termination (stores are immutable during one verification).
-	dead := make(map[digest.Digest]bool)
-
-	// One SelectionState and one neighbor buffer serve every probe of
-	// this attempt: strategies and candidate filtering run through their
-	// scratch fields, so a probe costs no per-step allocations.
-	st := SelectionState{
-		Validator:  v.cfg.Self,
-		Verifier:   ref.Node,
-		InVouchers: vouchers.has,
-		Topo:       v.cfg.Topo,
-		RNG:        v.cfg.RNG,
-	}
-	var nbBuf []identity.NodeID
+	// Probe and rollback bookkeeping. All of it starts nil and is made by
+	// its first write (a nil map reads and clears for free), so an audit
+	// that H_i satisfies outright — the warm case — builds none of it.
+	var (
+		// dead records blocks whose subtrees were exhausted by a
+		// rollback. The paper's pseudocode resets V' = V each outer
+		// iteration (line 14), which livelocks between two dead-end
+		// branches when consensus is unsatisfiable; memoizing exhausted
+		// blocks preserves Algorithm 3's behavior on satisfiable
+		// instances while guaranteeing termination (stores are immutable
+		// during one verification).
+		dead map[digest.Digest]bool
+		// excluded is V', the nodes rolled back past; tried is the
+		// neighbors of the current verifying node already probed.
+		excluded, tried map[identity.NodeID]bool
+		// One SelectionState and one neighbor buffer serve every probe of
+		// this attempt: strategies and candidate filtering run through
+		// their scratch fields, so a probe costs no per-step allocations.
+		st    *SelectionState
+		nbBuf []identity.NodeID
+	)
 
 	// Lines 8–38: construct the path.
 	for {
@@ -230,8 +251,8 @@ func (v *Validator) construct(ctx context.Context, ref block.Ref, blk *block.Blo
 		// Lines 13–35: probe neighbors of the verifying block's origin,
 		// rolling back when a node's neighborhood is exhausted. V' (the
 		// exclusion set) resets at each outer iteration, per line 14.
-		excluded := make(map[identity.NodeID]bool)
-		tried := make(map[identity.NodeID]bool)
+		clear(excluded)
+		clear(tried)
 		advanced := false
 
 		for !advanced {
@@ -245,8 +266,8 @@ func (v *Validator) construct(ctx context.Context, ref block.Ref, blk *block.Blo
 			if len(cands) == 0 {
 				// Lines 26–31: roll back past the exhausted node.
 				res.Rollbacks++
-				excluded[cur.Node] = true
-				dead[cur.HeaderHash] = true
+				mark(&excluded, cur.Node)
+				mark(&dead, cur.HeaderHash)
 				if !union {
 					// Line 27; with union semantics the voucher
 					// stays (its block provably descends from the
@@ -259,7 +280,7 @@ func (v *Validator) construct(ctx context.Context, ref block.Ref, blk *block.Blo
 					res.Path = path
 					return fmt.Errorf("%w: %v: every path exhausted", ErrNoConsensus, ref)
 				}
-				tried = make(map[identity.NodeID]bool)
+				clear(tried)
 				continue
 			}
 
@@ -268,10 +289,19 @@ func (v *Validator) construct(ctx context.Context, ref block.Ref, blk *block.Blo
 				return fmt.Errorf("%w: %v", ErrStepBudget, ref)
 			}
 
+			if st == nil {
+				st = &SelectionState{
+					Validator:  v.cfg.Self,
+					Verifier:   ref.Node,
+					InVouchers: vouchers.has,
+					Topo:       v.cfg.Topo,
+					RNG:        v.cfg.RNG,
+				}
+			}
 			st.Current = cur.Node
 			st.Candidates = cands
-			jPrime := v.strategy.Next(&st)
-			tried[jPrime] = true
+			jPrime := v.strategy.Next(st)
+			mark(&tried, jPrime)
 
 			// Lines 17–24: REQ_CHILD / RPY_CHILD exchange.
 			res.MessagesSent++
@@ -303,6 +333,14 @@ func (v *Validator) construct(ctx context.Context, ref block.Ref, blk *block.Blo
 			advanced = true
 		}
 	}
+}
+
+// mark sets (*m)[k], making the map on its first write.
+func mark[K comparable](m *map[K]bool, k K) {
+	if *m == nil {
+		*m = make(map[K]bool)
+	}
+	(*m)[k] = true
 }
 
 // runTPS is Algorithm 2: follow child links already present in H_i,

@@ -125,6 +125,39 @@ func TestPoPDetectsForgedHeader(t *testing.T) {
 	}
 }
 
+// TestPoPRejectsSubstitutedBlock: a Byzantine owner answering
+// GET_BLOCK(B2) with its older, well-attested B1 must not get B1's
+// consensus reported under B2's name — the fetched block has to be the
+// one that was asked for.
+func TestPoPRejectsSubstitutedBlock(t *testing.T) {
+	l := newLab(t, topology.PaperFig4())
+	l.genesisAll()
+	l.runSlot(1, 3, 4) // B1, attested by D1 and E1
+	l.runSlot(1)       // B2, which nobody has built on
+	older, err := l.engines[1].Store().Get(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	l.fetcher.InterceptBlock = func(ref block.Ref, b *block.Block, err error) (*block.Block, error) {
+		if err == nil && ref == (block.Ref{Node: 1, Seq: 2}) {
+			return older, nil
+		}
+		return b, err
+	}
+	res, err := l.validator(0, 2).Verify(context.Background(), block.Ref{Node: 1, Seq: 2}, l.fetcher)
+	if !errors.Is(err, ErrInvalidBlock) {
+		t.Fatalf("want ErrInvalidBlock, got %v (consensus=%v, path=%s)", err, res.Consensus, fmtPath(res))
+	}
+	if res.Consensus || len(res.Path) != 0 {
+		t.Fatalf("substituted block reached the path: consensus=%v path=%s", res.Consensus, fmtPath(res))
+	}
+	// The honest B1 is still auditable under its own name.
+	l.fetcher.InterceptBlock = nil
+	if res, err := l.validator(0, 2).Verify(context.Background(), block.Ref{Node: 1, Seq: 1}, l.fetcher); err != nil || !res.Consensus {
+		t.Fatalf("honest audit of B1: %v", err)
+	}
+}
+
 // TestPoPRoutesAroundSilentNode: a malicious node that never answers
 // REQ_CHILD is bypassed via other branches (the Fig. 5 behavior).
 func TestPoPRoutesAroundSilentNode(t *testing.T) {

@@ -231,6 +231,11 @@ func (t *Transport) Self() identity.NodeID { return t.inner.Self() }
 // Inbox implements transport.Transport.
 func (t *Transport) Inbox() <-chan transport.Envelope { return t.inner.Inbox() }
 
+// SetResponseHandler implements transport.Transport: receiving is the
+// inner transport's business, so it routes responses exactly as it
+// would unwrapped.
+func (t *Transport) SetResponseHandler(f func(*wire.Message)) { t.inner.SetResponseHandler(f) }
+
 // Close implements transport.Transport. Frames still sitting in an
 // injected delay are abandoned (a delayed frame racing a shutdown is
 // indistinguishable from a drop, exactly like the in-memory fabric's

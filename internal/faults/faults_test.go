@@ -179,7 +179,7 @@ func TestSeededDropsReplayAcrossFabrics(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer tn2.Close()
-	tn1.AddPeer(2, tn2.Addr())
+	tn1.SetPeer(2, tn2.Addr())
 	ftTCP := faults.Wrap(tn1, plan, nil, nil)
 	for i := uint64(0); i < 200; i++ {
 		if err := ftTCP.Send(ctx, 2, announce(1, 2, i)); err != nil {
@@ -364,4 +364,55 @@ func TestWrapperPassesInnerErrors(t *testing.T) {
 	if !errors.Is(err, transport.ErrClosed) {
 		t.Fatalf("send after close = %v, want ErrClosed", err)
 	}
+}
+
+// TestDuplicatedRepliesCompleteEachCallOnce: both RPCs sit on wrapped
+// transports whose plan delivers every frame twice, the copy up to a
+// few milliseconds late — so every request is served twice and every
+// reply arrives twice, the second often after its call returned and its
+// reply channel went on to serve another call. The wrapper forwards
+// response routing to the fabric underneath, and no call may be handed
+// a reply it did not issue.
+func TestDuplicatedRepliesCompleteEachCallOnce(t *testing.T) {
+	plan := faults.Plan{Seed: 11, DuplicateRate: 1, MaxDelay: 2 * time.Millisecond}
+	netw := transport.NewNetwork()
+	defer netw.Close()
+	ep1, _ := netw.Endpoint(1)
+	ep2, _ := netw.Endpoint(2)
+	ctx := context.Background()
+
+	var responder *transport.RPC
+	responder = transport.NewRPC(faults.Wrap(ep2, plan, nil, nil), func(env transport.Envelope) {
+		reply := wire.NewNotFound(env.Msg)
+		reply.Digest = env.Msg.Digest // lets the caller tell whose reply it got
+		_ = responder.Reply(ctx, env.From, reply)
+	}, time.Second)
+	defer responder.Close()
+	caller := transport.NewRPC(faults.Wrap(ep1, plan, nil, nil), func(env transport.Envelope) {
+		t.Errorf("caller's handler saw %v corr=%d", env.Msg.Kind, env.Msg.Corr)
+	}, 2*time.Second)
+	defer caller.Close()
+
+	const workers, calls = 4, 50
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; i < calls; i++ {
+				tag := digest.Sum([]byte{byte(w), byte(i)})
+				var issued uint64
+				resp, err := caller.Call(ctx, 2, func(corr, nonce uint64) *wire.Message {
+					issued = corr
+					return wire.NewReqChild(1, 2, tag, corr, nonce)
+				})
+				if err != nil {
+					t.Errorf("call %d/%d: %v", w, i, err)
+				} else if resp.Corr != issued || resp.Digest != tag {
+					t.Errorf("call %d/%d (corr %d) was handed the reply to corr %d", w, i, issued, resp.Corr)
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
 }

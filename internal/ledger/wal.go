@@ -80,7 +80,7 @@ func appendWALTrust(dst []byte, inserted int64, h *block.Header) []byte {
 	var idx [walTrustPrefix]byte
 	binary.LittleEndian.PutUint64(idx[:], uint64(inserted))
 	dst = append(dst, idx[:]...)
-	return append(dst, block.EncodeHeader(h)...)
+	return block.AppendEncodeHeader(dst, h)
 }
 
 // appendWALDigest appends a digest-cache record payload.

@@ -106,6 +106,12 @@ type Node struct {
 	rpc    *transport.RPC
 	bl     *ledger.Blacklist
 
+	// validator and fetcher serve every Audit: a Validator holds only
+	// configuration and is safe for concurrent Verify calls, and the
+	// fetcher is a stateless adapter over rpc.
+	validator *core.Validator
+	fetcher   rpcFetcher
+
 	mu       sync.Mutex
 	lastAnns map[identity.NodeID][]time.Time
 
@@ -159,6 +165,20 @@ func New(cfg Config) (*Node, error) {
 		seen:     make(map[identity.NodeID]*seenRing),
 		slot:     wallClockSlot,
 	}
+	n.validator, err = eng.Validator(cfg.Gamma, cfg.Ring, func(c *core.ValidatorConfig) {
+		c.Strategy = cfg.Strategy
+		c.Blacklist = n.bl
+		if h := cfg.Health; h != nil {
+			// Route around peers the circuit breaker suspects; the
+			// filter is advisory (suspects remain last-resort
+			// candidates, which doubles as the recovery probe).
+			c.Avoid = h.Suspected
+		}
+	})
+	if err != nil {
+		return nil, fmt.Errorf("node: %w", err)
+	}
+	n.fetcher = rpcFetcher{node: n}
 	n.rpc = transport.NewRPC(cfg.Transport, n.handle, cfg.RequestTimeout)
 	return n, nil
 }
@@ -556,20 +576,7 @@ func (n *Node) NextNonce() uint64 { return n.rpc.NextNonce() }
 // Audit verifies the given block via PoP over the live network and
 // returns the consensus result.
 func (n *Node) Audit(ctx context.Context, ref block.Ref) (*core.Result, error) {
-	v, err := n.engine.Validator(n.cfg.Gamma, n.cfg.Ring, func(c *core.ValidatorConfig) {
-		c.Strategy = n.cfg.Strategy
-		c.Blacklist = n.bl
-		if h := n.cfg.Health; h != nil {
-			// Route around peers the circuit breaker suspects; the
-			// filter is advisory (suspects remain last-resort
-			// candidates, which doubles as the recovery probe).
-			c.Avoid = h.Suspected
-		}
-	})
-	if err != nil {
-		return nil, err
-	}
-	res, err := v.Verify(ctx, ref, &rpcFetcher{node: n})
+	res, err := n.validator.Verify(ctx, ref, &n.fetcher)
 	if obs := n.cfg.Observer; obs != nil {
 		if err == nil && res.Consensus {
 			obs.OnConsensusReached(events.ConsensusReached{

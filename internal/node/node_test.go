@@ -2,12 +2,14 @@ package node
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"sync"
 	"testing"
 	"time"
 
 	"github.com/twoldag/twoldag/internal/block"
+	"github.com/twoldag/twoldag/internal/core"
 	"github.com/twoldag/twoldag/internal/digest"
 	"github.com/twoldag/twoldag/internal/events"
 	"github.com/twoldag/twoldag/internal/identity"
@@ -58,7 +60,7 @@ func (l *deliveryLog) record(d delivery) {
 }
 
 // wait blocks until from's announcement of d was ingested by to.
-func (l *deliveryLog) wait(t *testing.T, from, to identity.NodeID, d digest.Digest) {
+func (l *deliveryLog) wait(t testing.TB, from, to identity.NodeID, d digest.Digest) {
 	t.Helper()
 	deadline := time.After(5 * time.Second)
 	for {
@@ -80,7 +82,7 @@ func (l *deliveryLog) wait(t *testing.T, from, to identity.NodeID, d digest.Dige
 // cluster spins up a live in-memory 2LDAG network over the given
 // topology.
 type cluster struct {
-	t     *testing.T
+	t     testing.TB
 	net   *transport.Network
 	nodes map[identity.NodeID]*Node
 	topo  *topology.Graph
@@ -88,7 +90,7 @@ type cluster struct {
 	slot  uint32
 }
 
-func newCluster(t *testing.T, g *topology.Graph, gamma int) *cluster {
+func newCluster(t testing.TB, g *topology.Graph, gamma int) *cluster {
 	t.Helper()
 	params := block.DefaultParams()
 	params.Difficulty = 2
@@ -247,6 +249,52 @@ func TestTrustCacheAcrossLiveAudits(t *testing.T) {
 	}
 }
 
+// TestLiveAuditRejectsSubstitutedBlock: a Byzantine owner answers
+// GET_BLOCK(B2) over the wire with its older, well-attested B1. The
+// audit of B2 must fail instead of reporting B1's consensus under B2's
+// name.
+func TestLiveAuditRejectsSubstitutedBlock(t *testing.T) {
+	c := newCluster(t, topology.PaperFig4(), 2)
+	c.runSlot(0, 1, 2, 3, 4)
+	c.runSlot(1, 3, 4) // B1, D1 (child of B1), E1 (child of D1)
+	c.runSlot(1)       // B2
+	older, err := c.nodes[1].Engine().Store().Get(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// B turns Byzantine: its runtime is replaced by a bare endpoint that
+	// serves B1 whatever block is asked for.
+	if err := c.nodes[1].Close(); err != nil {
+		t.Fatal(err)
+	}
+	delete(c.nodes, 1)
+	if err := c.net.Remove(1); err != nil {
+		t.Fatal(err)
+	}
+	evil, err := c.net.Endpoint(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	served := make(chan struct{})
+	go func() {
+		defer close(served)
+		for env := range evil.Inbox() {
+			if env.Msg.Kind == wire.KindGetBlock {
+				_ = evil.Send(context.Background(), env.From, wire.NewBlockResp(env.Msg, older))
+			}
+		}
+	}()
+	res, err := c.nodes[0].Audit(context.Background(), block.Ref{Node: 1, Seq: 2})
+	if !errors.Is(err, core.ErrInvalidBlock) {
+		t.Fatalf("want ErrInvalidBlock, got %v", err)
+	}
+	if res.Consensus || len(res.Path) != 0 {
+		t.Fatalf("substituted block reached the path: %+v", res)
+	}
+	_ = evil.Close()
+	<-served
+}
+
 // TestDoSFlooderGetsBanned: a neighbor announcing digests far above
 // the rate limit is banned and its announcements ignored.
 func TestDoSFlooderGetsBanned(t *testing.T) {
@@ -366,7 +414,7 @@ func TestLiveClusterOverTCP(t *testing.T) {
 	for id, tn := range tcps {
 		for other, otherTn := range tcps {
 			if id != other {
-				tn.AddPeer(other, otherTn.Addr())
+				tn.SetPeer(other, otherTn.Addr())
 			}
 		}
 	}

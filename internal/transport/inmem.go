@@ -97,7 +97,9 @@ func (n *Network) Close() error {
 	return nil
 }
 
-// deliver enqueues an envelope at the target, dropping on overflow.
+// deliver hands an envelope to the target: a response goes to the
+// target's response handler on this goroutine, anything else is
+// enqueued on its inbox and dropped on overflow.
 func (n *Network) deliver(to identity.NodeID, env Envelope) error {
 	n.mu.RLock()
 	ep, ok := n.eps[to]
@@ -109,6 +111,10 @@ func (n *Network) deliver(to identity.NodeID, env Envelope) error {
 	defer ep.stateMu.RUnlock()
 	if ep.closed {
 		return fmt.Errorf("%w: %v", ErrClosed, to)
+	}
+	if ep.onResponse != nil && solicited(env.Msg) {
+		ep.onResponse(env.Msg)
+		return nil
 	}
 	select {
 	case ep.inbox <- env:
@@ -124,10 +130,12 @@ type Endpoint struct {
 	id    identity.NodeID
 	inbox chan Envelope
 
-	// stateMu guards closed so no delivery can race the inbox close.
-	stateMu sync.RWMutex
-	closed  bool
-	done    chan struct{}
+	// stateMu guards closed so no delivery can race the inbox close,
+	// and onResponse.
+	stateMu    sync.RWMutex
+	closed     bool
+	onResponse func(*wire.Message)
+	done       chan struct{}
 }
 
 var _ Transport = (*Endpoint)(nil)
@@ -137,6 +145,13 @@ func (e *Endpoint) Self() identity.NodeID { return e.id }
 
 // Inbox implements Transport.
 func (e *Endpoint) Inbox() <-chan Envelope { return e.inbox }
+
+// SetResponseHandler implements Transport.
+func (e *Endpoint) SetResponseHandler(f func(*wire.Message)) {
+	e.stateMu.Lock()
+	defer e.stateMu.Unlock()
+	e.onResponse = f
+}
 
 // Send implements Transport, applying the fabric's loss and latency
 // rules. The message is deep-copied so sender and receiver never share

@@ -42,6 +42,7 @@ type TCPNode struct {
 	closed      bool
 	onDrop      func(Envelope)
 	onBootstrap func(*wire.Message) *wire.Message
+	onResponse  func(*wire.Message)
 
 	wg sync.WaitGroup
 }
@@ -104,10 +105,6 @@ func (n *TCPNode) AdvertiseAddr() string {
 	return n.ln.Addr().String()
 }
 
-// AddPeer registers or updates a peer's dial address.
-// Deprecated-in-spirit alias of SetPeer, kept for existing callers.
-func (n *TCPNode) AddPeer(id identity.NodeID, addr string) { n.SetPeer(id, addr) }
-
 // SetPeer registers or updates a peer's dial address. When the address
 // changes, any cached connection to the peer is dropped so the next
 // Send dials the new address.
@@ -167,6 +164,15 @@ func (n *TCPNode) SetBootstrapHandler(f func(*wire.Message) *wire.Message) {
 	n.onBootstrap = f
 }
 
+// SetResponseHandler implements Transport. The handler runs on
+// read-loop goroutines (and on the sender's for a self-addressed
+// frame).
+func (n *TCPNode) SetResponseHandler(f func(*wire.Message)) {
+	n.stateMu.Lock()
+	defer n.stateMu.Unlock()
+	n.onResponse = f
+}
+
 // Self implements Transport.
 func (n *TCPNode) Self() identity.NodeID { return n.self }
 
@@ -195,7 +201,8 @@ func (n *TCPNode) acceptLoop() {
 	}
 }
 
-// readLoop decodes frames from one connection into the inbox.
+// readLoop decodes frames from one connection and hands each to the
+// response handler or the inbox.
 func (n *TCPNode) readLoop(conn net.Conn) {
 	defer n.wg.Done()
 	defer func() {
@@ -253,16 +260,28 @@ func (n *TCPNode) readLoop(conn net.Conn) {
 			n.stateMu.RUnlock()
 			return
 		}
-		select {
-		case n.inbox <- Envelope{From: msg.From, Msg: msg}:
-		default:
-			// Lossy under overload, like the in-memory fabric; the drop
-			// handler lets the node surface it as a MessageDropped event.
-			if n.onDrop != nil {
-				n.onDrop(Envelope{From: msg.From, Msg: msg})
-			}
+		// Lossy under overload, like the in-memory fabric; the drop
+		// handler lets the node surface it as a MessageDropped event.
+		if !n.route(Envelope{From: msg.From, Msg: msg}) && n.onDrop != nil {
+			n.onDrop(Envelope{From: msg.From, Msg: msg})
 		}
 		n.stateMu.RUnlock()
+	}
+}
+
+// route hands env to the response handler or queues it on the inbox,
+// and reports false when a full inbox shed it. The caller holds stateMu
+// for reading and has checked closed.
+func (n *TCPNode) route(env Envelope) bool {
+	if n.onResponse != nil && solicited(env.Msg) {
+		n.onResponse(env.Msg)
+		return true
+	}
+	select {
+	case n.inbox <- env:
+		return true
+	default:
+		return false
 	}
 }
 
@@ -321,14 +340,12 @@ func (n *TCPNode) deliverLocal(msg *wire.Message) error {
 	if n.closed {
 		return ErrClosed
 	}
-	select {
-	case n.inbox <- Envelope{From: n.self, Msg: cp}:
-		return nil
-	default:
+	if !n.route(Envelope{From: n.self, Msg: cp}) {
 		// The sender IS the receiver, so the overflow is reportable as a
 		// send error, exactly like the in-memory fabric's.
 		return fmt.Errorf("%w: to %v", ErrBackpressure, n.self)
 	}
+	return nil
 }
 
 func (n *TCPNode) conn(ctx context.Context, to identity.NodeID) (*lockedConn, error) {

@@ -137,6 +137,18 @@ var (
 const MaxPayload = block.MaxBodyLen + 1<<16
 
 // Message is a single 2LDAG protocol message.
+//
+// The payload has one of two sources. A decoded message, and every
+// sender-built kind except RpyChild and BlockResp, holds its payload
+// bytes in Payload. NewRpyChild and NewBlockResp instead keep a
+// reference to the sealed header or block they answer with and leave
+// Payload nil: WireSize and AppendEncode write that header or block
+// straight into the caller's buffer, so serving a block costs one copy
+// into the frame instead of an intermediate encoding. Sealed headers
+// and blocks are immutable (package block), so the bytes such a message
+// encodes to never change — a send that a fault plan delays or
+// duplicates, or a caller repeats, produces the identical frame. To
+// read a sender-built reply's payload, Decode its encoding.
 type Message struct {
 	Kind Kind
 	From identity.NodeID
@@ -151,8 +163,16 @@ type Message struct {
 	Digest digest.Digest
 	// Ref identifies the requested block (GetBlock).
 	Ref block.Ref
-	// Payload carries an encoded header (RpyChild) or block (BlockResp).
+	// Payload carries an encoded header (RpyChild) or block (BlockResp),
+	// a digest run (DigestBatch, DigestAck) or a directory record
+	// (Hello, PeerList). Nil on a sender-built RpyChild or BlockResp,
+	// whose payload is encoded from hdr or blk.
 	Payload []byte
+
+	// hdr and blk are the lazy payload source of a sender-built RpyChild
+	// and BlockResp: at most one is set, and Payload is nil when one is.
+	hdr *block.Header
+	blk *block.Block
 }
 
 // NewDigestAnnounce builds the digest broadcast of Sec. III-D.
@@ -182,11 +202,12 @@ func NewReqChild(from, to identity.NodeID, target digest.Digest, corr, nonce uin
 	return &Message{Kind: KindReqChild, From: from, To: to, Digest: target, Corr: corr, Nonce: nonce}
 }
 
-// NewRpyChild answers req with an encoded header.
+// NewRpyChild answers req with the sealed header h, which is encoded
+// when the message is (see Message) and must not be mutated.
 func NewRpyChild(req *Message, h *block.Header) *Message {
 	return &Message{
 		Kind: KindRpyChild, From: req.To, To: req.From,
-		Corr: req.Corr, Nonce: req.Nonce, Payload: block.EncodeHeader(h),
+		Corr: req.Corr, Nonce: req.Nonce, hdr: h,
 	}
 }
 
@@ -195,11 +216,12 @@ func NewGetBlock(from, to identity.NodeID, ref block.Ref, corr, nonce uint64) *M
 	return &Message{Kind: KindGetBlock, From: from, To: to, Ref: ref, Corr: corr, Nonce: nonce}
 }
 
-// NewBlockResp answers req with an encoded block.
+// NewBlockResp answers req with the sealed block b, which is encoded
+// when the message is (see Message) and must not be mutated.
 func NewBlockResp(req *Message, b *block.Block) *Message {
 	return &Message{
 		Kind: KindBlockResp, From: req.To, To: req.From,
-		Corr: req.Corr, Nonce: req.Nonce, Payload: block.Encode(b),
+		Corr: req.Corr, Nonce: req.Nonce, blk: b,
 	}
 }
 
@@ -451,12 +473,15 @@ func (m *Message) DecodeHeaderPayload() (*block.Header, error) {
 	return block.DecodeHeader(m.Payload)
 }
 
-// DecodeBlockPayload parses the block carried by a BlockResp.
+// DecodeBlockPayload parses the block carried by a BlockResp. The
+// block's body aliases m.Payload — Decode already gave the message a
+// private copy of the frame's payload, so a second copy would buy
+// nothing — and the payload must not be modified afterwards.
 func (m *Message) DecodeBlockPayload() (*block.Block, error) {
 	if m.Kind != KindBlockResp {
 		return nil, fmt.Errorf("%w: %v carries no block", ErrBadPayload, m.Kind)
 	}
-	return block.Decode(m.Payload)
+	return block.DecodeOwned(m.Payload)
 }
 
 // Encode serializes the message into a fresh buffer.
@@ -476,14 +501,30 @@ func (m *Message) AppendEncode(buf []byte) []byte {
 	buf = append(buf, m.Digest[:]...)
 	buf = binary.LittleEndian.AppendUint32(buf, uint32(m.Ref.Node))
 	buf = binary.LittleEndian.AppendUint32(buf, m.Ref.Seq)
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(m.Payload)))
-	buf = append(buf, m.Payload...)
-	return buf
+	buf = binary.LittleEndian.AppendUint32(buf, uint32(m.payloadSize()))
+	switch {
+	case m.blk != nil:
+		return block.AppendEncode(buf, m.blk)
+	case m.hdr != nil:
+		return block.AppendEncodeHeader(buf, m.hdr)
+	}
+	return append(buf, m.Payload...)
+}
+
+// payloadSize is the encoded payload length, whichever source it has.
+func (m *Message) payloadSize() int {
+	switch {
+	case m.blk != nil:
+		return m.blk.WireSize()
+	case m.hdr != nil:
+		return m.hdr.WireSize()
+	}
+	return len(m.Payload)
 }
 
 // WireSize is the exact encoded size in bytes.
 func (m *Message) WireSize() int {
-	return 1 + 4 + 4 + 8 + 8 + digest.Size + 4 + 4 + 4 + len(m.Payload)
+	return 1 + 4 + 4 + 8 + 8 + digest.Size + 4 + 4 + 4 + m.payloadSize()
 }
 
 // Decode parses an encoded message, rejecting trailing bytes.

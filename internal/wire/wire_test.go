@@ -2,6 +2,7 @@ package wire
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
 	"errors"
@@ -28,10 +29,13 @@ func sampleHeader() *block.Header {
 	return &b.Header
 }
 
+// messagesEqual compares the envelope fields directly and the payload
+// through the encoding: a sender-built RpyChild or BlockResp carries
+// its header or block by reference and has no Payload bytes to compare.
 func messagesEqual(a, b *Message) bool {
 	return a.Kind == b.Kind && a.From == b.From && a.To == b.To &&
 		a.Corr == b.Corr && a.Nonce == b.Nonce && a.Digest == b.Digest &&
-		a.Ref == b.Ref && string(a.Payload) == string(b.Payload)
+		a.Ref == b.Ref && bytes.Equal(a.Encode(), b.Encode())
 }
 
 func TestRoundTripAllKinds(t *testing.T) {
@@ -84,7 +88,12 @@ func TestResponseConstructorsSwapEndpoints(t *testing.T) {
 func TestDecodePayloads(t *testing.T) {
 	h := sampleHeader()
 	req := NewReqChild(1, 2, digest.Sum([]byte("t")), 1, 1)
-	rpy := NewRpyChild(req, h)
+	// The payload decoders read a received message: a sender-built reply
+	// holds the header or block by reference until it is encoded.
+	rpy, err := Decode(NewRpyChild(req, h).Encode())
+	if err != nil {
+		t.Fatalf("Decode RPY_CHILD: %v", err)
+	}
 	back, err := rpy.DecodeHeaderPayload()
 	if err != nil {
 		t.Fatalf("DecodeHeaderPayload: %v", err)
@@ -98,12 +107,15 @@ func TestDecodePayloads(t *testing.T) {
 
 	blk := &block.Block{Header: *h, Body: []byte("body bytes")}
 	get := NewGetBlock(1, 2, h.Ref(), 2, 2)
-	resp := NewBlockResp(get, blk)
+	resp, err := Decode(NewBlockResp(get, blk).Encode())
+	if err != nil {
+		t.Fatalf("Decode BLOCK_RESP: %v", err)
+	}
 	backBlk, err := resp.DecodeBlockPayload()
 	if err != nil {
 		t.Fatalf("DecodeBlockPayload: %v", err)
 	}
-	if string(backBlk.Body) != string(blk.Body) {
+	if string(backBlk.Body) != string(blk.Body) || backBlk.Header.Hash() != h.Hash() {
 		t.Fatal("block payload mismatch")
 	}
 	if _, err := get.DecodeBlockPayload(); !errors.Is(err, ErrBadPayload) {
@@ -421,6 +433,8 @@ func FuzzDecodeMessage(f *testing.F) {
 		NewDigestBatch(1, 2, []digest.Digest{digest.Sum([]byte("a")), digest.Sum([]byte("b"))}, 4).Encode(),
 		NewDigestAck(NewDigestBatch(1, 2, []digest.Digest{digest.Sum([]byte("a"))}, 4)).Encode(),
 		req.Encode(),
+		NewRpyChild(req, sampleHeader()).Encode(),
+		NewBlockResp(req, &block.Block{Header: *sampleHeader(), Body: []byte("body")}).Encode(),
 		NewNotFound(req).Encode(),
 		hello.Encode(),
 		goldenPeerList().Encode(),
@@ -459,4 +473,60 @@ func FuzzDecodeMessage(f *testing.F) {
 			_, _ = m.DecodeDigestBatchPayload()
 		}
 	})
+}
+
+// goldenFrames builds one frame of every kind from fixed inputs.
+func goldenFrames() []*Message {
+	h := sampleHeader()
+	blk := &block.Block{Header: *h, Body: []byte("golden body bytes")}
+	req := NewReqChild(1, 2, digest.Sum([]byte("t")), 7, 9)
+	get := NewGetBlock(1, 2, h.Ref(), 8, 10)
+	batch := NewDigestBatch(1, 2, []digest.Digest{digest.Sum([]byte("a")), digest.Sum([]byte("b"))}, 4)
+	return []*Message{
+		NewDigestAnnounce(1, 2, digest.Sum([]byte("d")), 3),
+		req,
+		NewRpyChild(req, h),
+		get,
+		NewBlockResp(get, blk),
+		NewNotFound(get),
+		batch,
+		NewDigestAck(batch),
+		goldenHello(),
+		goldenPeerList(),
+		NewLeave(1, 2, 6),
+	}
+}
+
+// goldenFrameSums are the SHA-256 of each goldenFrames encoding, computed
+// on the commit before RpyChild and BlockResp began to encode their
+// header or block inside AppendEncode: no frame byte may move.
+var goldenFrameSums = map[Kind]string{
+	KindDigestAnnounce: "078ccc47229de45cb34737965bcffdc682b4f635ff7b569c2a6a402f7108b3f9",
+	KindReqChild:       "493274784b764e5e08b20db18775f1dd262502cd177e1d3eac7a5e1b361f5da0",
+	KindRpyChild:       "5b13973db533f317b7938b3f9e9929d796e8a94b73063aef5393a04ddd96c1f9",
+	KindGetBlock:       "3eabe430af0a16dbd5b3436b5fb8fc0cb7ef752108c7746c3b4d4f21f1e534d3",
+	KindBlockResp:      "c2116cf7a6e208a654e1b23907ca2dd13b0c8c5f69db63bfb74006d41fb34375",
+	KindNotFound:       "a4e85de99a9cfb3f15bd9e4a2b90a144e3d43423507a03b504daeac43ff35fdc",
+	KindDigestBatch:    "436267422c562e4fc79b966ec3cc5a4dc69e37a7f71d8359fc7abfe831fe2dd8",
+	KindDigestAck:      "96928632017b6e3161beee6bb78254214562af7bd7df63f30ce41dd37bb76978",
+	KindHello:          "aa5c0ee9346b5f4411fe804a145869d1e3fb84f13c1c39332c6aaa8a610e5a05",
+	KindPeerList:       "3d09b3bdb7ca33d015a86bafad8f5e69ab8c977d5553e4efd739bed103539444",
+	KindLeave:          "9416a96af4e84697910174dbc9e10525d1a395c1b3ca66df1b921ab226f1217b",
+}
+
+func TestFrameBytesGolden(t *testing.T) {
+	frames := goldenFrames()
+	if len(frames) != int(kindMax)-1 {
+		t.Fatalf("%d golden frames for %d kinds", len(frames), int(kindMax)-1)
+	}
+	for _, m := range frames {
+		enc := m.AppendEncode(nil)
+		if len(enc) != m.WireSize() {
+			t.Fatalf("%v: WireSize %d, encoded %d", m.Kind, m.WireSize(), len(enc))
+		}
+		sum := sha256.Sum256(enc)
+		if got := hex.EncodeToString(sum[:]); got != goldenFrameSums[m.Kind] {
+			t.Errorf("%v: frame bytes drifted: sha256 %s, want %s", m.Kind, got, goldenFrameSums[m.Kind])
+		}
+	}
 }
