@@ -111,15 +111,18 @@ type Cluster struct {
 	plan    faults.Plan
 	retry   faults.RetryPolicy
 
-	// Durability (WithDataDir): one FileBackend per node under
-	// dataDir/node-<id>, kept so Silence can flush + close it and
-	// Restart can recover from it. Each node's WAL is folded into a
-	// snapshot every compactEvery sealed blocks (see maybeCompact).
+	// Durability (WithDataDir): one log for the whole data dir, which
+	// every device writes to (dataDir/wal.log), and one FileBackend per
+	// running device on it for that device's snapshot under
+	// dataDir/node-<id> — kept so Silence can snapshot + close it and
+	// Restart can recover from it. The log is folded into the devices'
+	// snapshots once any of them has sealed compactEvery blocks into its
+	// current generation (see maybeCompact).
 	dataDir      string
 	trustCap     int
 	compactEvery int
 	sync         SyncPolicy
-	commitObs    ledger.CommitObserver // user observers that watch WAL commits
+	log          *ledger.Log
 	backends     map[NodeID]*ledger.FileBackend
 }
 
@@ -146,8 +149,10 @@ func newCluster(cfg *config, g *topology.Graph) (*Cluster, error) {
 		trustCap:     cfg.trustCap,
 		compactEvery: cfg.compactEvery,
 		sync:         cfg.syncPolicy,
-		commitObs:    commitObservers(cfg.observers),
 		backends:     make(map[NodeID]*ledger.FileBackend),
+	}
+	if c.compactEvery <= 0 {
+		c.compactEvery = cluster.DefaultCompactEvery
 	}
 	switch cfg.transport {
 	case TCP:
@@ -164,21 +169,57 @@ func newCluster(cfg *config, g *topology.Graph) (*Cluster, error) {
 		return nil, fmt.Errorf("twoldag: %w", err)
 	}
 	c.ring = ring
-	for _, kp := range pairs {
-		if err := c.startNode(kp); err != nil {
-			_ = c.Close()
-			return nil, err
-		}
+	if err := c.start(cfg, pairs); err != nil {
+		_ = c.Close()
+		return nil, err
 	}
 	return c, nil
 }
 
-// startNode creates the transport and runtime for one device.
-func (c *Cluster) startNode(kp identity.KeyPair) error {
+// start opens the data dir's log, if there is to be one, and brings
+// every device up on it.
+func (c *Cluster) start(cfg *config, pairs []identity.KeyPair) error {
+	if c.dataDir != "" {
+		bopts := append([]ledger.BackendOption{ledger.WithSyncPolicy(c.sync)}, cfg.backendOpts...)
+		if co := commitObservers(cfg.observers); co != nil {
+			bopts = append(bopts, ledger.WithCommitObserver(co))
+		}
+		var err error
+		if c.log, err = ledger.OpenLog(c.dataDir, bopts...); err != nil {
+			return fmt.Errorf("twoldag: %w", err)
+		}
+	}
+	for _, kp := range pairs {
+		if err := c.startNode(kp); err != nil {
+			return err
+		}
+	}
+	if c.log == nil {
+		return nil
+	}
+	// Every device has recovered: fold what the log held into fresh
+	// snapshots, so a crash loop cannot grow an unbounded replay tail.
+	return c.compact()
+}
+
+// startNode creates the transport and runtime for one device. A start
+// that fails leaves nothing behind — no endpoint on the fabric, no open
+// backend — so the caller can retry it.
+func (c *Cluster) startNode(kp identity.KeyPair) (err error) {
 	ep, err := c.fab.endpoint(kp.ID)
 	if err != nil {
 		return fmt.Errorf("twoldag: %w", err)
 	}
+	var fb *ledger.FileBackend
+	defer func() {
+		if err != nil {
+			if fb != nil {
+				_ = fb.Close()
+			}
+			_ = ep.Close()
+			_ = c.fab.remove(kp.ID)
+		}
+	}()
 	// User observers run before the tracker: the tracker's ack is
 	// what unblocks a waiting Submit/SubmitBatch, so ordering it
 	// last guarantees every user observer has already seen a
@@ -204,12 +245,8 @@ func (c *Cluster) startNode(kp identity.KeyPair) error {
 	}
 	var state *ledger.NodeState
 	var backend ledger.Backend
-	if c.dataDir != "" {
-		bopts := []ledger.BackendOption{ledger.WithSyncPolicy(c.sync)}
-		if c.commitObs != nil {
-			bopts = append(bopts, ledger.WithCommitObserver(c.commitObs))
-		}
-		fb, err := ledger.OpenFileBackend(filepath.Join(c.dataDir, fmt.Sprintf("node-%d", kp.ID)), bopts...)
+	if c.log != nil {
+		fb, err = c.log.OpenBackend(filepath.Join(c.dataDir, fmt.Sprintf("node-%d", kp.ID)))
 		if err != nil {
 			return fmt.Errorf("twoldag: node %v: %w", kp.ID, err)
 		}
@@ -220,10 +257,8 @@ func (c *Cluster) startNode(kp identity.KeyPair) error {
 			TrustCap: c.trustCap,
 		})
 		if err != nil {
-			_ = fb.Close()
 			return fmt.Errorf("twoldag: recovering node %v: %w", kp.ID, err)
 		}
-		c.backends[kp.ID] = fb
 		backend = fb
 	}
 	n, err := node.New(node.Config{
@@ -242,15 +277,14 @@ func (c *Cluster) startNode(kp identity.KeyPair) error {
 		Backend:        backend,
 	})
 	if err != nil {
-		if fb := c.backends[kp.ID]; fb != nil {
-			_ = fb.Close()
-			delete(c.backends, kp.ID)
-		}
 		return fmt.Errorf("twoldag: starting node %v: %w", kp.ID, err)
 	}
 	slot := &c.slot
 	n.SetClock(func() uint32 { return slot.Load() })
 	c.nodes[kp.ID] = n
+	if fb != nil {
+		c.backends[kp.ID] = fb
+	}
 	return nil
 }
 
@@ -280,27 +314,29 @@ func (c *Cluster) liveNeighbors(id NodeID) []NodeID {
 	return out
 }
 
-// maybeCompact folds a node's WAL into a fresh snapshot once the
-// block-record threshold is reached — mirroring cluster.Host's seal
-// path, so a long-lived facade run bounds wal.log growth and the
-// recovery replay tail instead of accumulating every block since
-// start. Runs right after a seal, on the goroutine that sealed (the
-// device's own worker inside SubmitBatch); concurrent compactions
-// coalesce inside the backend.
-func (c *Cluster) maybeCompact(id NodeID) {
-	fb, ok := c.backends[id]
-	if !ok {
-		return
+// maybeCompact folds the data dir's log into fresh snapshots of every
+// running device once one of them has the threshold of block records
+// in the current generation — mirroring cluster.Host's seal path, so a
+// long-lived facade run bounds wal.log growth and the recovery replay
+// tail instead of accumulating every block since start. Runs on the
+// submitting goroutine between a round's appends and the next round's
+// seals, so no block is staged but unpublished while the log rotates.
+func (c *Cluster) maybeCompact() {
+	if c.log != nil && c.log.PendingBlocks() >= c.compactEvery {
+		// Not lost: the log keeps a failure as its sticky error, which
+		// Close reports, and the next trigger retries.
+		_ = c.compact()
 	}
-	every := c.compactEvery
-	if every <= 0 {
-		every = cluster.DefaultCompactEvery
-	}
-	if fb.PendingBlocks() < every {
-		return
-	}
-	n := c.nodes[id]
-	_ = fb.Compact(func() (*ledger.NodeState, error) {
+}
+
+// compact rotates the log once, snapshots every running device and
+// drops the rotated generation (ledger.Log.Compact).
+func (c *Cluster) compact() error {
+	return c.log.Compact(func(id NodeID) (*ledger.NodeState, error) {
+		n, ok := c.nodes[id]
+		if !ok {
+			return nil, fmt.Errorf("twoldag: node %v has an open backend but does not run", id)
+		}
 		return n.Engine().State(), nil
 	})
 }
@@ -329,30 +365,6 @@ func (c *Cluster) awaitAckRetry(ctx context.Context, n *node.Node, d Digest, w *
 	return c.tracker.AwaitRetry(ctx, n.ID(), d, w, c.retry, c.obs, func(ctx context.Context, nb NodeID, d Digest) {
 		n.AnnounceTo(ctx, nb, d)
 	})
-}
-
-// commitWindows closes the open WAL commit windows of durable nodes
-// before their digests go on the wire, and returns the first error in
-// argument order. Only the batched policy commits at the flush
-// boundary: SyncAlways already committed per block at seal time (an
-// extra fsync here would tax the default path), and SyncInterval is
-// deliberately decoupled from flushes. The nodes wait on their own
-// files side by side — an fsync wait is not CPU, so the width is the
-// node count, not WithWorkers.
-func (c *Cluster) commitWindows(nodes ...*node.Node) error {
-	if !c.sync.Batched() {
-		return nil
-	}
-	errs := make([]error, len(nodes))
-	fanOut(len(nodes), len(nodes), func(i int) {
-		errs[i] = nodes[i].CommitJournal()
-	})
-	for _, err := range errs {
-		if err != nil {
-			return err
-		}
-	}
-	return nil
 }
 
 // commitObservers collects the user observers that also implement
@@ -385,27 +397,13 @@ func (m multiCommitObserver) OnWALCommit(blocks int, bytes int64) {
 
 // Submit implements Runtime: seal, announce, and wait for every live
 // neighbor's acknowledgement (event-driven — see cluster.AckTracker).
+// It is SubmitBatch of one block.
 func (c *Cluster) Submit(ctx context.Context, id NodeID, data []byte) (Ref, error) {
-	n, ok := c.nodes[id]
-	if !ok {
-		return Ref{}, fmt.Errorf("twoldag: unknown node %v", id)
-	}
-	b, d, err := n.GenerateLocal(data)
-	if err != nil {
+	refs, err := c.SubmitBatch(ctx, []Submission{{Node: id, Data: data}})
+	if len(refs) == 0 {
 		return Ref{}, err
 	}
-	c.maybeCompact(id)
-	if err := c.commitWindows(n); err != nil {
-		return b.Header.Ref(), err
-	}
-	w := c.tracker.Expect(d, c.liveNeighbors(id))
-	actx, cancel := c.ackCtx(ctx)
-	defer cancel()
-	n.Announce(actx, d)
-	if err := c.awaitAckRetry(actx, n, d, w); err != nil {
-		return b.Header.Ref(), err
-	}
-	return b.Header.Ref(), nil
+	return refs[0], err
 }
 
 // SubmitBatch implements Runtime: all blocks are sealed first, then
@@ -415,18 +413,23 @@ func (c *Cluster) Submit(ctx context.Context, id NodeID, data []byte) (Ref, erro
 // instead of one per sealed block — and the acknowledgements are
 // awaited together, amortizing the wait over the whole slot.
 //
-// The seal stage runs before anything of the batch is on the wire and
-// every device owns its engine, store, backend and WAL, so devices
-// seal side by side like real ones: one task per owner, in batch order
-// within an owner (Engine.Generate is never concurrent with itself),
-// on at most WithWorkers goroutines. OnBlockSealed callbacks of
-// different devices may therefore arrive concurrently and out of batch
-// order. On durable deployments the per-node fsyncs and compactions
-// overlap the same way. Under SyncBatch the owners' commit windows
-// then close together, one fsync each in flight at once, and the first
-// failure in batch order fails the call with nothing of the batch
-// announced. Everything else after the seal stage — ack registration,
-// announcements, ack waits — runs on the caller in batch order.
+// The seal stage runs before anything of the batch is on the wire, in
+// rounds: round r is the r-th block of every owner in the batch, so a
+// normal slot — one block per device — is one round. A round's blocks
+// are mined and signed side by side like real devices', on at most
+// WithWorkers goroutines (with one, on the caller in batch order), and
+// on a durable deployment each stages its record in the data dir's log
+// as it is sealed. Then the round's one commit window closes — one
+// fsync whatever the device count, under SyncAlways and SyncBatch alike
+// (SyncInterval leaves it to the ticker) — and only then are the blocks
+// appended to their S_i and BlockSealed fired, on the caller, in owner
+// order: durable before anything can see them, and the number of
+// windows a function of the batch alone. A window that does not close
+// is a seal failure of every block in it: none is appended or counted,
+// store and log still agree, and the next batch seals the same
+// sequence numbers again. The log compacts, when due, between rounds.
+// Everything after the seal stage — ack registration, announcements,
+// ack waits — runs on the caller in batch order.
 func (c *Cluster) SubmitBatch(ctx context.Context, batch []Submission) ([]Ref, error) {
 	// Group the batch per owner, resolving every owner before anything
 	// is sealed: an unknown node fails the call without leaving sealed,
@@ -460,35 +463,72 @@ func (c *Cluster) SubmitBatch(ctx context.Context, batch []Submission) ([]Ref, e
 	flushes := make([]flush, len(batch))
 	// failed is the lowest batch index whose seal failed and sealErr its
 	// error. No worker starts a block beyond failed; blocks before it
-	// are still sealed, so the refs returned are exactly those of
-	// batch[:failed] whatever the interleaving.
+	// are still sealed, in later rounds too, so the refs returned are
+	// exactly those of batch[:failed] whatever the interleaving.
 	var (
 		failed  atomic.Int64
 		mu      sync.Mutex // orders the writers of failed and sealErr
 		sealErr error
 	)
 	failed.Store(int64(len(batch)))
-	fanOut(len(owners), c.workers, func(o int) {
-		n := owners[o].n
-		for _, i := range owners[o].subs {
-			if int64(i) > failed.Load() {
-				return
-			}
-			b, d, err := n.GenerateLocal(batch[i].Data)
-			if err != nil {
-				mu.Lock()
-				if int64(i) < failed.Load() {
-					failed.Store(int64(i))
-					sealErr = err
-				}
-				mu.Unlock()
-				return
-			}
-			c.maybeCompact(n.ID())
-			refs[i] = b.Header.Ref()
-			flushes[i] = flush{n: n, d: d}
+	fail := func(i int, err error) {
+		mu.Lock()
+		if int64(i) < failed.Load() {
+			failed.Store(int64(i))
+			sealErr = err
 		}
-	})
+		mu.Unlock()
+	}
+	type sealing struct {
+		n *node.Node
+		i int // index into batch
+		b *Block
+	}
+	var round []sealing
+	for r := 0; ; r++ {
+		round = round[:0]
+		for _, o := range owners {
+			if r < len(o.subs) && int64(o.subs[r]) < failed.Load() {
+				round = append(round, sealing{n: o.n, i: o.subs[r]})
+			}
+		}
+		if len(round) == 0 {
+			break
+		}
+		fanOut(len(round), c.workers, func(k int) {
+			s := &round[k]
+			if int64(s.i) > failed.Load() {
+				return
+			}
+			b, err := s.n.SealLocal(batch[s.i].Data)
+			if err != nil {
+				fail(s.i, err)
+				return
+			}
+			s.b = b
+		})
+		var werr error
+		if c.log != nil && c.sync.Every() == 0 {
+			werr = c.log.Commit()
+		}
+		for _, s := range round {
+			if s.b == nil {
+				continue
+			}
+			if werr != nil {
+				fail(s.i, werr)
+				continue
+			}
+			d, err := s.n.PublishLocal(s.b)
+			if err != nil {
+				fail(s.i, err)
+				continue
+			}
+			refs[s.i] = s.b.Header.Ref()
+			flushes[s.i] = flush{n: s.n, d: d}
+		}
+		c.maybeCompact()
+	}
 	if f := failed.Load(); f < int64(len(batch)) {
 		return refs[:f], sealErr
 	}
@@ -497,20 +537,11 @@ func (c *Cluster) SubmitBatch(ctx context.Context, batch []Submission) ([]Ref, e
 		f := &flushes[i]
 		f.w = c.tracker.Expect(f.d, c.liveNeighbors(f.n.ID()))
 	}
-	fail := func(err error) ([]Ref, error) {
+	abort := func(err error) ([]Ref, error) {
 		for _, f := range flushes {
 			c.tracker.Cancel(f.d)
 		}
 		return refs, err
-	}
-	// Every owner's commit window closes before any digest of the batch
-	// is on the wire, so a failed fsync leaves nothing announced.
-	senders := make([]*node.Node, len(owners))
-	for o := range owners {
-		senders[o] = owners[o].n
-	}
-	if err := c.commitWindows(senders...); err != nil {
-		return fail(err)
 	}
 	actx, cancel := c.ackCtx(ctx)
 	defer cancel()
@@ -538,14 +569,14 @@ func (c *Cluster) SubmitBatch(ctx context.Context, batch []Submission) ([]Ref, e
 		wg.Wait()
 		for _, err := range errs {
 			if err != nil {
-				return fail(err)
+				return abort(err)
 			}
 		}
 		return refs, nil
 	}
 	for _, f := range flushes {
 		if err := c.awaitAck(actx, f.n.ID(), f.d, f.w); err != nil {
-			return fail(err)
+			return abort(err)
 		}
 	}
 	return refs, nil
@@ -630,10 +661,13 @@ func (c *Cluster) Join() (NodeID, error) {
 
 // Silence implements Runtime: the device's transport closes, and
 // subsequent audits must route around it, as in the paper's
-// malicious-node experiments. With WithDataDir, the node's backend is
-// flushed and closed too — everything the node accepted before going
-// silent is on disk, and Restart can bring it back from exactly that
-// state.
+// malicious-node experiments. With WithDataDir, the node's whole state
+// is written to its own snapshot and its backend closed — everything
+// the node accepted before going silent is on disk, and Restart can
+// bring it back from exactly that state. The snapshot is what keeps
+// that true while the others run on: a silent device has no state in
+// memory for the next compaction to gather, and the compaction lets go
+// of the log generations that held its records.
 func (c *Cluster) Silence(id NodeID) error {
 	n, ok := c.nodes[id]
 	if !ok {
@@ -643,6 +677,10 @@ func (c *Cluster) Silence(id NodeID) error {
 	err := n.Close()
 	if fb, ok := c.backends[id]; ok {
 		delete(c.backends, id)
+		serr := fb.Compact(func() (*ledger.NodeState, error) { return n.Engine().State(), nil })
+		if serr != nil && err == nil {
+			err = serr
+		}
 		if cerr := fb.Close(); cerr != nil && err == nil {
 			err = cerr
 		}
@@ -654,12 +692,14 @@ func (c *Cluster) Silence(id NodeID) error {
 }
 
 // Restart brings a silenced (or crashed) device back from its data
-// dir: the backend reopens, the whole ledger state recovers from
-// snapshot + WAL, and the node serves again under the same identity.
-// Requires WithDataDir; the device must not be running. The restarted
-// node's A_i, H_i and S_i are exactly what was durable at silence
-// time — the caller re-flushes its latest digest if neighbors were
-// ahead of the crash point.
+// dir: its backend reopens, the whole ledger state recovers from its
+// snapshot + its records in the data dir's log, and the node serves
+// again under the same identity. Requires WithDataDir; the device must
+// not be running. The restarted node's A_i, H_i and S_i are exactly
+// what was durable at silence time — the caller re-flushes its latest
+// digest if neighbors were ahead of the crash point. A Restart that
+// fails (a damaged snapshot, say) leaves the device as it was, silent,
+// and can be repeated once the dir is repaired.
 func (c *Cluster) Restart(id NodeID) error {
 	if c.dataDir == "" {
 		return fmt.Errorf("twoldag: Restart(%v) requires WithDataDir", id)
@@ -695,8 +735,8 @@ func (c *Cluster) StateDigest(id NodeID) (Digest, error) {
 	return digest.Sum(buf.Bytes()), nil
 }
 
-// Close implements Runtime: every node stops, backends flush and
-// close, then the fabric.
+// Close implements Runtime: every node stops, the log flushes and
+// closes with every backend on it, then the fabric.
 func (c *Cluster) Close() error {
 	var first error
 	for id, n := range c.nodes {
@@ -705,11 +745,11 @@ func (c *Cluster) Close() error {
 		}
 		delete(c.nodes, id)
 	}
-	for id, fb := range c.backends {
-		if err := fb.Close(); err != nil && first == nil {
+	if c.log != nil {
+		if err := c.log.Close(); err != nil && first == nil {
 			first = err
 		}
-		delete(c.backends, id)
+		c.log, c.backends = nil, map[NodeID]*ledger.FileBackend{}
 	}
 	if err := c.fab.close(); err != nil && first == nil {
 		first = err

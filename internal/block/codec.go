@@ -91,6 +91,16 @@ func (b *Block) WireSize() int {
 	return headerWireSize(&b.Header) + 4 + len(b.Body)
 }
 
+// EncodedOrigin reads the origin out of an encoded header or block
+// (version, time, origin: the third word) without decoding the rest —
+// how a log shared by several devices tells whose block a record is.
+func EncodedOrigin(enc []byte) (identity.NodeID, bool) {
+	if len(enc) < 12 {
+		return 0, false
+	}
+	return identity.NodeID(binary.LittleEndian.Uint32(enc[8:])), true
+}
+
 // reader is a bounds-checked cursor over an encoding.
 type reader struct {
 	buf []byte

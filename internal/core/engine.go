@@ -231,6 +231,15 @@ func (e *Engine) OnDigestsFrom(from identity.NodeID, ds []digest.Digest) error {
 // engine (sequence numbers are assigned from the store tail); other
 // engine methods may run concurrently with it.
 func (e *Engine) Generate(t uint32, body []byte) (*block.Block, digest.Digest, error) {
+	b, err := e.build(t, body)
+	if err != nil {
+		return nil, digest.Digest{}, err
+	}
+	return e.Publish(b)
+}
+
+// build assembles, mines and signs the node's next block.
+func (e *Engine) build(t uint32, body []byte) (*block.Block, error) {
 	var prev digest.Digest
 	seq := uint32(e.store.Len())
 	if latest := e.store.Latest(); latest != nil {
@@ -243,8 +252,34 @@ func (e *Engine) Generate(t uint32, body []byte) (*block.Block, digest.Digest, e
 	e.refScratch = e.cache.AppendSnapshot(e.refScratch[:0], e.key.ID, prev, e.nbScratch)
 	b, err := e.params.Build(e.key, t, seq, body, e.refScratch)
 	if err != nil {
-		return nil, digest.Digest{}, fmt.Errorf("core: generating block %v#%d: %w", e.key.ID, seq, err)
+		return nil, fmt.Errorf("core: generating block %v#%d: %w", e.key.ID, seq, err)
 	}
+	return b, nil
+}
+
+// Seal is the first half of a Generate split around a commit window:
+// it assembles, mines and signs the next block and stages its record
+// in the backend (ledger.Backend.StageBlock) without appending it to
+// S_i. The driver seals a round of engines this way, closes the
+// window they share with one fsync, and then Publishes each block —
+// or, when the window failed, publishes none, and store and log still
+// agree. Like Generate it is not concurrent with itself, and the block
+// it returns is published (or dropped) before the next one is sealed.
+func (e *Engine) Seal(t uint32, body []byte) (*block.Block, error) {
+	b, err := e.build(t, body)
+	if err == nil && e.backend != nil {
+		err = e.backend.StageBlock(b)
+	}
+	if err != nil {
+		return nil, err
+	}
+	return b, nil
+}
+
+// Publish appends a block the engine built to S_i — for one Seal
+// staged, without writing its record again — and returns it with the
+// digest to announce.
+func (e *Engine) Publish(b *block.Block) (*block.Block, digest.Digest, error) {
 	if err := e.store.Append(b); err != nil {
 		return nil, digest.Digest{}, fmt.Errorf("core: appending block: %w", err)
 	}

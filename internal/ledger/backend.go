@@ -122,6 +122,10 @@ type RecoverOptions struct {
 	// fully serial. The recovered state, RecoveryReport, and every
 	// error are identical at any width.
 	Workers int
+
+	// shared is set by Recover on a view of a shared log: other owners'
+	// block records are passed over instead of failing as ErrWrongOwner.
+	shared bool
 }
 
 // Backend is the pluggable durability layer under a node's ledger: a
@@ -142,12 +146,22 @@ type Backend interface {
 	// called after the WAL has been rotated and must return a
 	// consistent view of the current state; mutations logged while the
 	// snapshot is written land in the new WAL generation and replay
-	// idempotently over the snapshot on recovery.
+	// idempotently over the snapshot on recovery. A failure is returned
+	// and also kept as the sticky error Sync and Close report.
 	Compact(gather func() (*NodeState, error)) error
 
 	// PendingBlocks reports how many block records the current WAL
 	// generation holds — the compaction trigger.
 	PendingBlocks() int
+
+	// StageBlock writes b's record into the open commit window and
+	// returns without waiting for the fsync. A LogBlock of the same
+	// block afterwards writes nothing: it only acknowledges (under
+	// SyncAlways, waits for) the window's fsync. A driver that stages a
+	// whole round of blocks, commits once and then appends them to their
+	// stores pays one fsync for the round, and no block of it is visible
+	// before it is durable.
+	StageBlock(b *block.Block) error
 
 	// Commit closes the current commit window, fsyncing every staged
 	// block record: the acknowledgement point drivers invoke at their

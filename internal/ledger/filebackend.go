@@ -7,7 +7,7 @@ import (
 	"io/fs"
 	"os"
 	"path/filepath"
-	"sync"
+	"slices"
 	"time"
 
 	"github.com/twoldag/twoldag/internal/block"
@@ -16,36 +16,62 @@ import (
 	"github.com/twoldag/twoldag/internal/par"
 )
 
-// FileBackend data-dir layout (one directory per node):
+// Data-dir layout. The write-ahead log belongs to the data dir (Log);
+// a FileBackend is one owner's view of it and keeps that owner's
+// snapshot:
 //
-//	snapshot.2ldg — last compacted snapshot (snapshot v2: S_i blocks,
-//	                H_i headers, A_i entries, trust cap, CRC-sealed).
-//	                Always committed by atomic rename; never partial.
 //	wal.log       — current WAL generation: every mutation since the
-//	                snapshot, one CRC-framed record each (see wal.go).
+//	                snapshots, one CRC-framed record each (see wal.go).
 //	wal.old       — previous generation, present only inside a
-//	                compaction window (rotation committed, snapshot
-//	                not yet); replayed between snapshot and wal.log.
+//	                compaction window (rotation committed, not every
+//	                snapshot yet); replayed between snapshot and
+//	                wal.log, and never replaced while it exists.
+//	snapshot.2ldg — an owner's last compacted snapshot (snapshot v2:
+//	                S_i blocks, H_i headers, A_i entries, trust cap,
+//	                CRC-sealed). Always committed by atomic rename;
+//	                never partial.
 //	snapshot.tmp  — snapshot being written; garbage after a crash,
 //	                deleted on recovery.
 //
+// OpenFileBackend(dir) is the self-contained single-owner case (one
+// process per device, `serve`): all four files in dir, records as they
+// have always been written, and Recover rewrites the dir to snapshot +
+// empty wal.log. A process hosting several devices opens the log once,
+// OpenLog(dir), and a backend per device, Log.OpenBackend: dir/wal.log
+// and dir/wal.old for all of them, every record naming its owner, and
+// dir/node-<id>/snapshot.2ldg (and .tmp) per device. A device then
+// recovers as its own snapshot plus the shared generations filtered to
+// its records, through the same idempotent replay rules — its snapshot
+// may well be newer than records of its still in the log. (A node-<id>
+// dir holding a wal.log or wal.old of its own was written before the
+// log was shared: those replay first, then go.)
+//
 // Fsync discipline: block records are acknowledged by the fsync of
-// the commit window they were staged into (see walwriter.go) — under
-// the default SyncAlways policy that fsync happens before Store.Append
-// publishes the block (write-ahead — an accepted block survives a
-// crash); trust and digest records are written immediately but fsynced
-// lazily, piggybacking on the next commit window, Sync, or Close.
-// Losing the tail of trust/digest records in a crash costs
-// re-auditing, never data.
+// the commit window they were staged into (see walwriter.go), shared
+// by every owner that staged into it — under the default SyncAlways
+// policy that fsync happens before Store.Append publishes the block
+// (write-ahead — an accepted block survives a crash); trust and digest
+// records are written immediately but fsynced lazily, piggybacking on
+// the next commit window, Sync, or Close. Losing the tail of
+// trust/digest records in a crash costs re-auditing, never data.
+//
+// Compaction is the log's (Log.Compact): rotate once, snapshot every
+// open backend, drop wal.old. It has no state to gather for a backend
+// that is closed, and drops the generations that held its records: so
+// whoever closes a backend of a shared log while the others run on
+// first leaves that owner's whole state in its snapshot (Compact on
+// the backend does just that). An owner closed without — or found in
+// the files and never recovered — is uncovered, and holds every
+// compaction off until it is recovered again.
 //
 // Torn writes: a crash mid-record leaves wal.log with an incomplete or
-// CRC-failing tail. Recovery replays the intact prefix, discards the
-// tail, and the post-recovery compaction rewrites a clean snapshot —
-// so the node restarts exactly at the last durable record. Only
-// wal.log may end torn: a failed write poisons the generation and the
-// partial frame is truncated away before any further record (or the
-// rotation rename) — so replay never has to skip mid-file garbage, and
-// a torn wal.old is treated as corruption, not tolerated.
+// CRC-failing tail. Recovery replays the intact prefix and discards the
+// tail (a shared log cuts it off as it opens), so the node restarts
+// exactly at the last durable record. Only wal.log may end torn: a
+// failed write poisons the generation and the partial frame is
+// truncated away before any further record (or the rotation rename) —
+// so replay never has to skip mid-file garbage, and a torn wal.old is
+// treated as corruption, not tolerated.
 const (
 	snapshotFileName = "snapshot.2ldg"
 	walFileName      = "wal.log"
@@ -53,47 +79,24 @@ const (
 	snapshotTmpName  = "snapshot.tmp"
 )
 
-// FileBackend is the file-backed ledger Backend: an append-only WAL
-// plus snapshot-v2 compaction in a single data directory. Safe for
-// concurrent journal use; Compact may run concurrently with logging.
+// FileBackend is the file-backed ledger Backend of one owner: its
+// records in the data dir's Log plus its own snapshot-v2 file. Safe
+// for concurrent journal use; Compact may run concurrently with
+// logging.
 type FileBackend struct {
-	dir    string
-	policy SyncPolicy
-	obs    CommitObserver
+	log *Log
+	dir string // keeps the snapshot; the log's own dir for a single owner
 
-	mu         sync.Mutex
-	f          *os.File // wal.log, append-only
-	scratch    []byte   // record frame scratch, reused under mu
-	pscratch   []byte   // trust/digest payload scratch, reused under mu
-	pending    int      // block records in the current WAL generation
-	compacting bool
-	closed     bool
-	deferred   error // sticky trust/digest journal error (see Sync)
-	recovered  bool
-	report     RecoveryReport
-
-	// goodOff is the byte length of wal.log's known-intact record
-	// prefix; dirty marks that a failed write may have left a partial
-	// frame after it. Every write first repairs (truncates back to
-	// goodOff), so an fsynced block record is never preceded by garbage
-	// — replay stops at the first corrupt record, and a block record
-	// stranded behind one would be acknowledged-then-lost.
-	goodOff int64
-	dirty   bool
-
-	// Commit-window state (see walwriter.go): syncedOff is the prefix
-	// the last successful fsync acknowledged; (syncedOff, goodOff] is
-	// the open window. windowBlocks counts block records staged in it,
-	// waiters the SyncAlways callers blocked on its fsync.
-	syncedOff    int64
-	windowBlocks int
-	waiters      []chan error
-	fsyncs       int64 // commit windows closed since open
-	committed    int64 // WAL bytes acknowledged durable since open
-
-	kick chan struct{} // wakes the committer (capacity 1, coalescing)
-	stop chan struct{} // closed by Close to retire the committer
-	done chan struct{} // closed by the committer on exit
+	// Guarded by log.mu.
+	owner        identity.NodeID // from Recover
+	recovered    bool
+	closed       bool
+	report       RecoveryReport
+	pending      int          // own block records in the current WAL generation
+	windowBlocks int          // those of them in the open commit window
+	staged       *block.Block // written by StageBlock, not yet acknowledged by LogBlock
+	stagedAt     int64        // log.fsyncs at that write: durable once it has moved on
+	logged       bool         // has records no snapshot of its own covers
 }
 
 // RecoveryReport summarizes what the last Recover read from disk, so
@@ -106,7 +109,7 @@ type RecoveryReport struct {
 	// generations, duplicates of the snapshot excluded).
 	WALBlocks int
 	// WALBytes is the intact record prefix replayed across both WAL
-	// generations.
+	// generations (of a shared log: every owner's records in it).
 	WALBytes int
 	// TornTail reports that wal.log ended in an incomplete or corrupt
 	// record; TornBytes is the discarded suffix length. Torn tails only
@@ -118,50 +121,40 @@ type RecoveryReport struct {
 	Duration time.Duration
 }
 
-// OpenFileBackend opens (creating if needed) the data directory and
-// its WAL. Call Recover next; journal calls before Recover fail.
+// OpenFileBackend opens (creating if needed) a single-owner data dir:
+// its log and the one backend on it, which closes the log with itself.
+// Call Recover next.
 func OpenFileBackend(dir string, opts ...BackendOption) (*FileBackend, error) {
+	l, err := openLog(dir, false, opts)
+	if err != nil {
+		return nil, err
+	}
+	return &FileBackend{log: l, dir: dir}, nil
+}
+
+// OpenBackend opens one owner's backend on a shared log; dir (created
+// if needed) keeps that owner's snapshot. Call Recover next. Closing
+// the backend leaves the log open.
+func (l *Log) OpenBackend(dir string) (*FileBackend, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("ledger: creating data dir: %w", err)
 	}
-	f, err := os.OpenFile(filepath.Join(dir, walFileName), os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
-	if err != nil {
-		return nil, fmt.Errorf("ledger: opening WAL: %w", err)
-	}
-	info, err := f.Stat()
-	if err != nil {
-		f.Close()
-		return nil, fmt.Errorf("ledger: statting WAL: %w", err)
-	}
-	fb := &FileBackend{
-		dir: dir, f: f,
-		goodOff: info.Size(), syncedOff: info.Size(),
-		kick: make(chan struct{}, 1),
-		stop: make(chan struct{}),
-		done: make(chan struct{}),
-	}
-	for _, o := range opts {
-		o(fb)
-	}
-	if err := fb.policy.Validate(); err != nil {
-		f.Close()
-		return nil, err
-	}
-	go fb.committer()
-	return fb, nil
+	return &FileBackend{log: l, dir: dir}, nil
 }
 
-// Dir returns the backend's data directory.
-func (fb *FileBackend) Dir() string { return fb.dir }
-
 // Recover rebuilds the node state from snapshot + WAL (see Backend).
-// It then compacts immediately: the recovered state becomes a fresh
-// snapshot and the WAL restarts empty, so a crash loop cannot grow an
-// unbounded replay tail.
+// A single-owner backend then compacts immediately: the recovered
+// state becomes a fresh snapshot and the WAL restarts empty, so a
+// crash loop cannot grow an unbounded replay tail. On a shared log
+// that is the opener's to do, with Log.Compact, once every owner has
+// recovered.
 func (fb *FileBackend) Recover(opts RecoverOptions) (*NodeState, error) {
-	fb.mu.Lock()
-	defer fb.mu.Unlock()
-	if fb.closed {
+	l := fb.log
+	l.compactMu.Lock()
+	defer l.compactMu.Unlock()
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if l.closed || fb.closed {
 		return nil, ErrBackendClosed
 	}
 	if fb.recovered {
@@ -199,19 +192,34 @@ func (fb *FileBackend) Recover(opts RecoverOptions) (*NodeState, error) {
 	// only in wal.log — the generation a crash can tear mid-write;
 	// wal.old was synced and repaired before its rotation rename, so a
 	// torn record there is corruption that would silently drop every
-	// acknowledged record after it.
-	for _, gen := range []struct {
-		name      string
-		allowTorn bool
-	}{{walOldFileName, false}, {walFileName, true}} {
-		buf, err := os.ReadFile(filepath.Join(fb.dir, gen.name))
+	// acknowledged record after it. A view of a shared log reads what
+	// its own dir holds from before the log was shared, then the shared
+	// generations.
+	type generation struct {
+		dir, name string
+		shared    bool
+	}
+	gens := []generation{{fb.dir, walOldFileName, false}, {fb.dir, walFileName, false}}
+	if _, covered := l.covered[opts.Owner]; l.shared && !covered {
+		gens = append(gens, generation{l.dir, walOldFileName, true}, generation{l.dir, walFileName, true})
+	}
+	legacy := false
+	for _, gen := range gens {
+		buf, err := os.ReadFile(filepath.Join(gen.dir, gen.name))
 		if errors.Is(err, fs.ErrNotExist) {
 			continue
 		}
 		if err != nil {
 			return nil, fmt.Errorf("ledger: reading %s: %w", gen.name, err)
 		}
-		stats, err := replayWAL(st, buf, opts, gen.allowTorn, pool)
+		if gen.dir == l.dir && gen.name == walFileName {
+			// Others may be appending: past goodOff is at most a partial
+			// frame awaiting repair.
+			buf = buf[:min(int64(len(buf)), l.goodOff)]
+		}
+		legacy = legacy || gen.shared != l.shared
+		opts.shared = gen.shared
+		stats, err := replayWAL(st, buf, opts, gen.name == walFileName, pool)
 		if err != nil {
 			return nil, fmt.Errorf("ledger: replaying %s: %w", gen.name, err)
 		}
@@ -223,24 +231,35 @@ func (fb *FileBackend) Recover(opts RecoverOptions) (*NodeState, error) {
 		}
 	}
 	report.Duration = time.Since(start)
-	fb.report = report
-	fb.recovered = true
-	// Normalize on disk: recovered state → fresh snapshot, empty WAL,
-	// no wal.old. Done under mu — nothing else can log yet.
-	if err := fb.writeSnapshotFile(st); err != nil {
-		return nil, err
+	// Normalize on disk: recovered state → fresh snapshot, and what it
+	// makes redundant of this owner's alone → gone. Done under mu —
+	// nothing else can log or compact meanwhile.
+	if !l.shared || legacy {
+		if err := fb.writeSnapshotFile(st); err != nil {
+			return nil, err
+		}
+		_ = os.Remove(filepath.Join(fb.dir, walOldFileName))
 	}
-	if err := fb.resetWALLocked(); err != nil {
-		return nil, err
+	if !l.shared {
+		if err := l.f.Truncate(0); err != nil {
+			return nil, fmt.Errorf("ledger: truncating WAL: %w", err)
+		}
+		l.goodOff, l.syncedOff, l.dirty, l.hasOld = 0, 0, false, false
+	} else if legacy {
+		_ = os.Remove(filepath.Join(fb.dir, walFileName))
+		syncDir(fb.dir)
 	}
-	_ = os.Remove(filepath.Join(fb.dir, walOldFileName))
+	fb.owner, fb.report, fb.recovered = opts.Owner, report, true
+	delete(l.uncovered, opts.Owner)
+	delete(l.covered, opts.Owner)
+	l.views = append(l.views, fb)
 	return st, nil
 }
 
 // writeSnapshotFile writes st to snapshot.tmp, fsyncs, and commits it
 // by rename. The caller must exclude concurrent snapshot writers —
-// either by holding fb.mu (Recover) or by owning the compacting flag
-// (Compact); the write itself never touches the live WAL handle.
+// by holding the log's compactMu, as Recover and Compact do; the write
+// itself never touches the live WAL handle.
 func (fb *FileBackend) writeSnapshotFile(st *NodeState) error {
 	tmp := filepath.Join(fb.dir, snapshotTmpName)
 	f, err := os.OpenFile(tmp, os.O_CREATE|os.O_WRONLY|os.O_TRUNC, 0o644)
@@ -265,282 +284,198 @@ func (fb *FileBackend) writeSnapshotFile(st *NodeState) error {
 		os.Remove(tmp)
 		return fmt.Errorf("ledger: committing snapshot: %w", err)
 	}
-	fb.syncDir()
+	syncDir(fb.dir)
 	return nil
 }
 
-// resetWALLocked truncates wal.log to empty and resets the pending
-// count. Caller holds fb.mu.
-func (fb *FileBackend) resetWALLocked() error {
-	if err := fb.f.Truncate(0); err != nil {
-		return fmt.Errorf("ledger: truncating WAL: %w", err)
-	}
-	fb.pending = 0
-	fb.goodOff = 0
-	fb.syncedOff = 0
-	fb.windowBlocks = 0
-	fb.dirty = false
-	return nil
-}
-
-// syncDir fsyncs the data directory so renames and truncations are
-// durable. Best-effort: some filesystems reject directory fsync.
-func (fb *FileBackend) syncDir() {
-	if d, err := os.Open(fb.dir); err == nil {
-		_ = d.Sync()
-		d.Close()
-	}
-}
-
-// repairLocked truncates a poisoned tail — the partial frame a failed
-// write may have left past goodOff — back to the last intact record
-// boundary. Until it succeeds no further record may be appended: a
-// record behind garbage is unreachable to replay, and for a block
-// record that would break the write-ahead guarantee (fsync-acknowledged
-// yet lost on recovery). Caller holds fb.mu.
-func (fb *FileBackend) repairLocked() error {
-	if !fb.dirty {
-		return nil
-	}
-	if err := fb.f.Truncate(fb.goodOff); err != nil {
-		return fmt.Errorf("ledger: truncating partial WAL record: %w", err)
-	}
-	fb.dirty = false
-	return nil
-}
-
-// logLocked frames and writes one record, repairing any poisoned tail
-// first. Caller holds fb.mu.
+// logLocked writes one record of this owner's — named as its own when
+// the log is shared — into the open commit window. Caller holds log.mu.
 func (fb *FileBackend) logLocked(kind byte, payload []byte) error {
 	if fb.closed {
 		return ErrBackendClosed
 	}
-	if err := fb.repairLocked(); err != nil {
+	if !fb.recovered {
+		return errors.New("ledger: journal call before Recover")
+	}
+	if fb.log.shared && kind != walKindBlock {
+		kind |= walOwnerTag
+	}
+	if err := fb.log.appendLocked(kind, payload); err != nil {
 		return err
 	}
-	fb.scratch = appendWALRecord(fb.scratch[:0], kind, payload)
-	if _, err := fb.f.Write(fb.scratch); err != nil {
-		// os.File.Write can fail after writing some bytes (ENOSPC, I/O
-		// error): everything past goodOff is garbage until repaired.
-		fb.dirty = true
-		return fmt.Errorf("ledger: writing WAL record: %w", err)
-	}
-	fb.goodOff += int64(len(fb.scratch))
+	fb.logged = true
 	return nil
 }
 
-// LogBlock stages a block record into the current commit window.
-// Under SyncAlways (the default) it blocks until the window's fsync
-// returns — write-ahead, the block is durable before Store.Append
-// publishes it — while concurrent callers share that fsync. Under
-// SyncBatch/SyncInterval it returns once staged; Commit or the
-// committer's ticker acknowledges the window later. An error here
-// fails the append.
-func (fb *FileBackend) LogBlock(b *block.Block) error {
-	fb.mu.Lock()
-	if err := fb.logLocked(walKindBlock, block.Encode(b)); err != nil {
-		fb.mu.Unlock()
+// stageLocked writes b's record and counts it into the open window.
+func (fb *FileBackend) stageLocked(b *block.Block) error {
+	l := fb.log
+	l.pscratch = block.AppendEncode(l.pscratch[:0], b)
+	if err := fb.logLocked(walKindBlock, l.pscratch); err != nil {
 		return err
 	}
 	fb.pending++
 	fb.windowBlocks++
-	if !fb.policy.PerBlock() {
-		fb.mu.Unlock()
+	return nil
+}
+
+// StageBlock writes b's record into the open commit window and returns
+// (see Backend): the LogBlock that follows the window's Commit finds it
+// there.
+func (fb *FileBackend) StageBlock(b *block.Block) error {
+	l := fb.log
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if err := fb.stageLocked(b); err != nil {
+		return err
+	}
+	fb.staged, fb.stagedAt = b, l.fsyncs
+	return nil
+}
+
+// LogBlock stages a block record into the current commit window —
+// unless StageBlock already has, in a window that did not fail. Under
+// SyncAlways (the default) it then blocks until the fsync covering the
+// record has returned — write-ahead, the block is durable before
+// Store.Append publishes it — while concurrent callers share that
+// fsync; a staged record whose window was committed since returns at
+// once. Under SyncBatch/SyncInterval it returns once staged; Commit or
+// the committer's ticker acknowledges the window later. An error here
+// fails the append.
+func (fb *FileBackend) LogBlock(b *block.Block) error {
+	l := fb.log
+	l.mu.Lock()
+	durable := fb.staged == b && l.fsyncs > fb.stagedAt
+	if fb.staged != b {
+		if err := fb.stageLocked(b); err != nil {
+			l.mu.Unlock()
+			return err
+		}
+	}
+	fb.staged = nil
+	if durable || !l.policy.PerBlock() {
+		l.mu.Unlock()
 		return nil
 	}
-	// The committer fsyncs under fb.mu, so callers that stage while a
+	// The committer fsyncs under l.mu, so callers that stage while a
 	// flush is in flight join the next window — group commit without
 	// ever acknowledging before durability.
 	w := waiterPool.Get().(chan error)
-	fb.waiters = append(fb.waiters, w)
-	fb.mu.Unlock()
-	fb.kickCommitter()
+	l.waiters = append(l.waiters, w)
+	l.mu.Unlock()
+	l.kickCommitter()
 	err := <-w
 	waiterPool.Put(w)
 	return err
 }
 
-// LogTrust writes a trust-store record (no fsync; see the package
-// discipline above). Errors are additionally kept sticky for Sync.
+// payloadLocked starts a lazy record's payload in the log's scratch:
+// empty, or on a shared log the owner tag.
+func (fb *FileBackend) payloadLocked() []byte {
+	if !fb.log.shared {
+		return fb.log.pscratch[:0]
+	}
+	return binary.LittleEndian.AppendUint32(fb.log.pscratch[:0], uint32(fb.owner))
+}
+
+// logLazy writes a trust or digest record whose payload build appends
+// (no fsync; see the discipline above). Errors are additionally kept
+// sticky for Sync.
+func (fb *FileBackend) logLazy(kind byte, build func(dst []byte) []byte) error {
+	l := fb.log
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	l.pscratch = build(fb.payloadLocked())
+	err := fb.logLocked(kind, l.pscratch)
+	if err != nil && l.deferred == nil && !errors.Is(err, ErrBackendClosed) {
+		l.deferred = err
+	}
+	return err
+}
+
+// LogTrust writes a trust-store record.
 func (fb *FileBackend) LogTrust(h *block.Header, inserted int64) error {
-	fb.mu.Lock()
-	defer fb.mu.Unlock()
-	fb.pscratch = appendWALTrust(fb.pscratch[:0], inserted, h)
-	err := fb.logLocked(walKindTrust, fb.pscratch)
-	if err != nil && fb.deferred == nil && !errors.Is(err, ErrBackendClosed) {
-		fb.deferred = err
-	}
-	return err
+	return fb.logLazy(walKindTrust, func(dst []byte) []byte { return appendWALTrust(dst, inserted, h) })
 }
 
-// LogDigest writes a digest-cache record (no fsync). Errors are
-// additionally kept sticky for Sync.
+// LogDigest writes a digest-cache record.
 func (fb *FileBackend) LogDigest(from identity.NodeID, d digest.Digest) error {
-	fb.mu.Lock()
-	defer fb.mu.Unlock()
-	fb.pscratch = appendWALDigest(fb.pscratch[:0], from, d)
-	err := fb.logLocked(walKindDigest, fb.pscratch)
-	if err != nil && fb.deferred == nil && !errors.Is(err, ErrBackendClosed) {
-		fb.deferred = err
-	}
-	return err
+	return fb.logLazy(walKindDigest, func(dst []byte) []byte { return appendWALDigest(dst, from, d) })
 }
 
-// LogForget writes a digest-cache removal record (no fsync). Errors
-// are additionally kept sticky for Sync.
+// LogForget writes a digest-cache removal record.
 func (fb *FileBackend) LogForget(from identity.NodeID) error {
-	fb.mu.Lock()
-	defer fb.mu.Unlock()
-	var node [4]byte
-	binary.LittleEndian.PutUint32(node[:], uint32(from))
-	err := fb.logLocked(walKindForget, node[:])
-	if err != nil && fb.deferred == nil && !errors.Is(err, ErrBackendClosed) {
-		fb.deferred = err
-	}
-	return err
+	return fb.logLazy(walKindForget, func(dst []byte) []byte {
+		return binary.LittleEndian.AppendUint32(dst, uint32(from))
+	})
 }
 
-// PendingBlocks reports block records in the current WAL generation.
+// PendingBlocks reports this owner's block records in the current WAL
+// generation.
 func (fb *FileBackend) PendingBlocks() int {
-	fb.mu.Lock()
-	defer fb.mu.Unlock()
+	fb.log.mu.Lock()
+	defer fb.log.mu.Unlock()
 	return fb.pending
 }
 
 // RecoveryReport returns what the last Recover read from disk; the
 // zero report before Recover has run.
 func (fb *FileBackend) RecoveryReport() RecoveryReport {
-	fb.mu.Lock()
-	defer fb.mu.Unlock()
+	fb.log.mu.Lock()
+	defer fb.log.mu.Unlock()
 	return fb.report
 }
 
-// Compact rotates the WAL and folds everything into a fresh snapshot:
-//
-//  1. under mu: fsync wal.log, rename it to wal.old, start an empty
-//     generation (pending = 0);
-//  2. outside mu: gather the current state and commit it as the new
-//     snapshot (tmp + rename);
-//  3. delete wal.old.
-//
-// Logging continues into the new generation throughout. Records
-// gathered into the snapshot AND logged to the new generation replay
-// idempotently; a crash at any step recovers (wal.old replays between
-// snapshot and wal.log; snapshot.tmp is discarded). Concurrent Compact
-// calls coalesce: the later call returns nil without compacting.
+// WALStats returns the log's durability counters since open.
+func (fb *FileBackend) WALStats() WALStats { return fb.log.WALStats() }
+
+// Compact folds the journal into a fresh snapshot of this owner's
+// state. On a single-owner backend that is the whole of Log.Compact:
+// the log rotates and wal.old goes once the snapshot is committed. On
+// a shared log a backend cannot retire generations that hold other
+// owners' records, so only its own snapshot is written, from gather —
+// which is what has to happen before it is closed for good.
 func (fb *FileBackend) Compact(gather func() (*NodeState, error)) error {
-	fb.mu.Lock()
-	if fb.closed {
-		fb.mu.Unlock()
-		return ErrBackendClosed
+	only := fb
+	if !fb.log.shared {
+		only = nil
 	}
-	if fb.compacting {
-		fb.mu.Unlock()
-		return nil
-	}
-	fb.compacting = true
-	if err := fb.rotateLocked(); err != nil {
-		fb.compacting = false
-		fb.mu.Unlock()
-		return err
-	}
-	fb.mu.Unlock()
-
-	finish := func(err error) error {
-		fb.mu.Lock()
-		fb.compacting = false
-		fb.mu.Unlock()
-		return err
-	}
-	st, err := gather()
-	if err != nil {
-		// The rotation stands: wal.old still replays on recovery.
-		return finish(fmt.Errorf("ledger: gathering state for compaction: %w", err))
-	}
-	if err := fb.writeSnapshotFile(st); err != nil {
-		return finish(err)
-	}
-	if err := os.Remove(filepath.Join(fb.dir, walOldFileName)); err != nil && !errors.Is(err, fs.ErrNotExist) {
-		return finish(fmt.Errorf("ledger: removing rotated WAL: %w", err))
-	}
-	fb.syncDir()
-	return finish(nil)
+	return fb.log.compact(only, func(identity.NodeID) (*NodeState, error) { return gather() })
 }
 
-// rotateLocked closes the current WAL generation as wal.old and opens
-// a fresh wal.log. The generation is repaired before the rename, so
-// wal.old never carries a partial frame — which is what entitles
-// recovery to treat a torn wal.old as corruption rather than a crash
-// artifact. Caller holds fb.mu with compacting set.
-func (fb *FileBackend) rotateLocked() error {
-	// Closing the commit window first acknowledges (or fails) every
-	// staged record and blocked caller before the generation is sealed
-	// as wal.old.
-	if err := fb.commitLocked(); err != nil {
-		return fmt.Errorf("ledger: syncing WAL for rotation: %w", err)
-	}
-	if err := fb.f.Close(); err != nil {
-		return fmt.Errorf("ledger: closing WAL for rotation: %w", err)
-	}
-	walPath := filepath.Join(fb.dir, walFileName)
-	if err := os.Rename(walPath, filepath.Join(fb.dir, walOldFileName)); err != nil {
-		return fmt.Errorf("ledger: rotating WAL: %w", err)
-	}
-	f, err := os.OpenFile(walPath, os.O_CREATE|os.O_WRONLY|os.O_APPEND|os.O_EXCL, 0o644)
-	if err != nil {
-		return fmt.Errorf("ledger: opening new WAL generation: %w", err)
-	}
-	fb.f = f
-	fb.pending = 0
-	fb.goodOff = 0
-	fb.syncedOff = 0
-	fb.windowBlocks = 0
-	fb.dirty = false
-	fb.syncDir()
-	return nil
-}
+// Commit closes the log's current commit window (see Log.Commit).
+func (fb *FileBackend) Commit() error { return fb.log.Commit() }
 
-// Sync closes the current commit window (fsyncing anything staged)
-// and surfaces any sticky trust/digest journal error (clearing it).
-func (fb *FileBackend) Sync() error {
-	fb.mu.Lock()
-	defer fb.mu.Unlock()
-	if fb.closed {
+// Sync closes the log's current commit window and surfaces its sticky
+// error (see Log.Sync).
+func (fb *FileBackend) Sync() error { return fb.log.Sync() }
+
+// Close commits any open window and closes the backend; a single-owner
+// backend closes its log with it. Closing a backend of a shared log
+// that has logged since its last snapshot leaves its owner uncovered.
+// Further calls return ErrBackendClosed.
+func (fb *FileBackend) Close() error {
+	l := fb.log
+	if !l.shared {
+		return l.Close()
+	}
+	l.compactMu.Lock()
+	defer l.compactMu.Unlock()
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if l.closed || fb.closed {
 		return ErrBackendClosed
 	}
-	cerr := fb.commitLocked()
-	err := fb.deferred
-	fb.deferred = nil
-	if err == nil {
-		err = cerr
+	err := l.commitLocked()
+	fb.closed = true
+	l.views = slices.DeleteFunc(l.views, func(v *FileBackend) bool { return v == fb })
+	if !fb.recovered {
+		return err
+	}
+	if fb.logged {
+		l.uncovered[fb.owner] = struct{}{}
+	} else {
+		l.covered[fb.owner] = struct{}{}
 	}
 	return err
-}
-
-// Close commits any open window, closes the WAL, and retires the
-// committer goroutine. Further calls return ErrBackendClosed.
-func (fb *FileBackend) Close() error {
-	fb.mu.Lock()
-	if fb.closed {
-		fb.mu.Unlock()
-		return ErrBackendClosed
-	}
-	err := fb.commitLocked()
-	fb.closed = true
-	if cerr := fb.f.Close(); err == nil {
-		err = cerr
-	}
-	if err == nil {
-		err = fb.deferred
-	}
-	fb.deferred = nil
-	fb.mu.Unlock()
-	// The committer may be blocked acquiring fb.mu, so stop it only
-	// after releasing; closed is set, so a late wakeup is a no-op.
-	close(fb.stop)
-	<-fb.done
-	if err != nil {
-		return fmt.Errorf("ledger: closing backend: %w", err)
-	}
-	return nil
 }

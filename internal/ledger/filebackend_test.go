@@ -316,13 +316,13 @@ func TestFileBackendPartialWriteRepair(t *testing.T) {
 	// Inject the failure aftermath exactly as logLocked records it:
 	// bytes on disk past goodOff, dirty set. (Half a frame header is as
 	// ugly as it gets — replay could not even skip it as a bad record.)
-	fb.mu.Lock()
-	if _, err := fb.f.Write([]byte{walKindTrust, 0xFF, 0xFF}); err != nil {
-		fb.mu.Unlock()
+	fb.log.mu.Lock()
+	if _, err := fb.log.f.Write([]byte{walKindTrust, 0xFF, 0xFF}); err != nil {
+		fb.log.mu.Unlock()
 		t.Fatal(err)
 	}
-	fb.dirty = true
-	fb.mu.Unlock()
+	fb.log.dirty = true
+	fb.log.mu.Unlock()
 
 	// Logging continues: the next append must repair first, then the
 	// block fsync acknowledges it.
@@ -361,13 +361,13 @@ func TestFileBackendPartialWriteRepairOnRotate(t *testing.T) {
 	fb, st := openBackend(t, dir, opts)
 	driveState(t, st, 2)
 
-	fb.mu.Lock()
-	if _, err := fb.f.Write([]byte("torn frame")); err != nil {
-		fb.mu.Unlock()
+	fb.log.mu.Lock()
+	if _, err := fb.log.f.Write([]byte("torn frame")); err != nil {
+		fb.log.mu.Unlock()
 		t.Fatal(err)
 	}
-	fb.dirty = true
-	fb.mu.Unlock()
+	fb.log.dirty = true
+	fb.log.mu.Unlock()
 
 	// Compact rotates (repairing first), then snapshots and deletes
 	// wal.old — simulate the compaction crash window by checking the

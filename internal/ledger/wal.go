@@ -26,6 +26,14 @@ import (
 // readable up to the last complete record. Replay treats exactly that
 // as the recovery point (see replayWAL); everything before a torn or
 // corrupt record is state the node durably owned.
+//
+// A log shared by several devices (see Log) has to say whose each
+// record is. A block record already does — its header opens with the
+// origin — so it is written as in a single-owner log; every other kind
+// is written with walOwnerTag set and the owner's ID (uint32 LE) ahead
+// of the payload above. The tag is a fixed four bytes on every such
+// record, never a marker between records, so what a log holds does not
+// depend on the order its owners wrote in.
 
 // WAL record kinds.
 const (
@@ -33,6 +41,13 @@ const (
 	walKindTrust  = 2 // payload: insertion index uint64 LE + block.EncodeHeader(h)
 	walKindDigest = 3 // payload: sender uint32 LE + digest [digest.Size]byte
 	walKindForget = 4 // payload: sender uint32 LE
+)
+
+// walOwnerTag, set in a record's kind, says the payload opens with the
+// walOwnerLen bytes of the owning node's ID.
+const (
+	walOwnerTag = 0x80
+	walOwnerLen = 4
 )
 
 // walTrustPrefix is the insertion-index prefix of a trust payload.
@@ -97,6 +112,21 @@ type walRecord struct {
 	payload []byte // aliases the input buffer
 }
 
+// owner names the node r belongs to when the record says so itself: by
+// its tag, or by the origin of the block it carries.
+func (r walRecord) owner() (identity.NodeID, bool) {
+	switch {
+	case r.kind&walOwnerTag != 0:
+		if len(r.payload) < walOwnerLen {
+			return 0, false
+		}
+		return identity.NodeID(binary.LittleEndian.Uint32(r.payload)), true
+	case r.kind == walKindBlock:
+		return block.EncodedOrigin(r.payload)
+	}
+	return 0, false
+}
+
 // scanWALRecord decodes the record at the head of buf. It returns the
 // record, the number of bytes consumed, and an error. A clean torn
 // tail (buf is a proper prefix of a record: too short, or the CRC
@@ -148,7 +178,9 @@ type walReplayStats struct {
 // (sequence below the log length) are skipped, trust records below the
 // store's insertion horizon are skipped, digest upserts are
 // latest-wins — so a WAL generation that overlaps the snapshot it
-// preceded is harmless.
+// preceded is harmless. Records of another owner — tagged ones, and in
+// a shared log (opts.shared) blocks too — are passed over: a view of a
+// shared log replays its owner's records and nobody else's.
 //
 // Blocks are re-sealed through opts.Params.SealBlock and, when
 // opts.Ring is set, re-verified with opts.Params.Validate before they
@@ -184,9 +216,27 @@ scan:
 			}
 			break
 		}
-		switch rec.kind {
+		kind, payload := rec.kind, rec.payload
+		owner, named := rec.owner()
+		switch {
+		case kind&walOwnerTag != 0 && named:
+			kind, payload = kind&^walOwnerTag, payload[walOwnerLen:]
+		case !opts.shared && kind&walOwnerTag == 0:
+			// A single-owner log holds one node's records: a foreign block
+			// in it is the wrong data dir (below), not a neighbour's record.
+			named = false
+		case !named:
+			scanErr = fmt.Errorf("%w: record of kind %d at offset %d names no owner", ErrBadWALRecord, kind, off)
+			break scan
+		}
+		if named && owner != opts.Owner {
+			off += n
+			stats.valid = off
+			continue
+		}
+		switch kind {
 		case walKindBlock:
-			b, err := block.Decode(rec.payload)
+			b, err := block.Decode(payload)
 			if err != nil {
 				scanErr = fmt.Errorf("%w: block at offset %d: %v", ErrBadWALRecord, off, err)
 				break scan
@@ -207,12 +257,12 @@ scan:
 				have++
 			}
 		case walKindTrust:
-			if len(rec.payload) < walTrustPrefix {
-				scanErr = fmt.Errorf("%w: trust record at offset %d: %d bytes", ErrBadWALRecord, off, len(rec.payload))
+			if len(payload) < walTrustPrefix {
+				scanErr = fmt.Errorf("%w: trust record at offset %d: %d bytes", ErrBadWALRecord, off, len(payload))
 				break scan
 			}
-			idx := int64(binary.LittleEndian.Uint64(rec.payload[:walTrustPrefix]))
-			h, err := block.DecodeHeader(rec.payload[walTrustPrefix:])
+			idx := int64(binary.LittleEndian.Uint64(payload[:walTrustPrefix]))
+			h, err := block.DecodeHeader(payload[walTrustPrefix:])
 			if err != nil {
 				scanErr = fmt.Errorf("%w: header at offset %d: %v", ErrBadWALRecord, off, err)
 				break scan
@@ -227,22 +277,22 @@ scan:
 				st.Trust.Add(h)
 			}
 		case walKindDigest:
-			if len(rec.payload) != 4+digest.Size {
-				scanErr = fmt.Errorf("%w: digest record at offset %d: %d bytes", ErrBadWALRecord, off, len(rec.payload))
+			if len(payload) != 4+digest.Size {
+				scanErr = fmt.Errorf("%w: digest record at offset %d: %d bytes", ErrBadWALRecord, off, len(payload))
 				break scan
 			}
-			from := identity.NodeID(binary.LittleEndian.Uint32(rec.payload[:4]))
+			from := identity.NodeID(binary.LittleEndian.Uint32(payload[:4]))
 			var d digest.Digest
-			copy(d[:], rec.payload[4:])
+			copy(d[:], payload[4:])
 			st.Cache.Update(from, d)
 		case walKindForget:
-			if len(rec.payload) != 4 {
-				scanErr = fmt.Errorf("%w: forget record at offset %d: %d bytes", ErrBadWALRecord, off, len(rec.payload))
+			if len(payload) != 4 {
+				scanErr = fmt.Errorf("%w: forget record at offset %d: %d bytes", ErrBadWALRecord, off, len(payload))
 				break scan
 			}
-			st.Cache.Forget(identity.NodeID(binary.LittleEndian.Uint32(rec.payload[:4])))
+			st.Cache.Forget(identity.NodeID(binary.LittleEndian.Uint32(payload[:4])))
 		default:
-			scanErr = fmt.Errorf("%w: unknown kind %d at offset %d", ErrBadWALRecord, rec.kind, off)
+			scanErr = fmt.Errorf("%w: unknown kind %d at offset %d", ErrBadWALRecord, kind, off)
 			break scan
 		}
 		off += n

@@ -217,7 +217,9 @@ func TestWALReplayVerifiesWithRing(t *testing.T) {
 
 // FuzzWALReplay: arbitrary bytes must never panic and never corrupt
 // the state invariants — either replay succeeds with a consistent
-// store, or it errors.
+// store, or it errors. Read as a shared log, they must never carry a
+// record across owners: what an owner replays from them is what the
+// single-owner rules make of its own records alone.
 func FuzzWALReplay(f *testing.F) {
 	key := identity.Deterministic(1, 1)
 	p := testParams()
@@ -250,17 +252,64 @@ func FuzzWALReplay(f *testing.F) {
 	// trailing trust record.
 	f.Add(window[:len(window)/2])
 	f.Add(window[:len(window)-5])
+	// A shared log: two owners' blocks and owner-tagged lazy records
+	// interleaved, whole and torn, and a tag too short to hold an owner.
+	key2 := identity.Deterministic(2, 1)
+	b2, err := p.Build(key2, 0, 0, []byte("other"), []block.DigestRef{{Node: 2}})
+	if err != nil {
+		f.Fatal(err)
+	}
+	tag := func(owner byte, payload []byte) []byte { return append([]byte{owner, 0, 0, 0}, payload...) }
+	var two []byte
+	two = appendWALRecord(two, walKindBlock, block.Encode(b))
+	two = appendWALRecord(two, walKindDigest|walOwnerTag, tag(2, appendWALDigest(nil, 7, digest.Sum([]byte("2")))))
+	two = appendWALRecord(two, walKindBlock, block.Encode(b2))
+	two = appendWALRecord(two, walKindTrust|walOwnerTag, tag(1, appendWALTrust(nil, 0, &b2.Header)))
+	two = appendWALRecord(two, walKindDigest|walOwnerTag, tag(1, appendWALDigest(nil, 7, digest.Sum([]byte("1")))))
+	two = appendWALRecord(two, walKindForget|walOwnerTag, tag(2, []byte{7, 0, 0, 0}))
+	two = appendWALRecord(two, walKindBlock, block.Encode(b1))
+	f.Add(two)
+	f.Add(two[:len(two)-40])
+	f.Add(appendWALRecord(two, walKindForget|walOwnerTag, []byte{1, 0}))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		st := NewNodeState(1, 0)
 		stats, err := replayWAL(st, data, RecoverOptions{Owner: 1, Params: p}, true, nil)
-		if err != nil {
-			return
+		if err == nil {
+			if stats.blocks != st.Store.Len() {
+				t.Fatalf("blocks=%d store=%d", stats.blocks, st.Store.Len())
+			}
+			if stats.valid > len(data) {
+				t.Fatalf("valid=%d > input %d", stats.valid, len(data))
+			}
 		}
-		if stats.blocks != st.Store.Len() {
-			t.Fatalf("blocks=%d store=%d", stats.blocks, st.Store.Len())
-		}
-		if stats.valid > len(data) {
-			t.Fatalf("valid=%d > input %d", stats.valid, len(data))
+		for _, o := range []identity.NodeID{1, 2} {
+			got := NewNodeState(o, 0)
+			stats, err := replayWAL(got, data, RecoverOptions{Owner: o, Params: p, shared: true}, true, nil)
+			if err != nil {
+				continue
+			}
+			// The intact prefix named an owner on every record, or the
+			// replay would have failed: o's alone, tags off, must replay
+			// to the same state under the single-owner rules.
+			var own []byte
+			for off := 0; off < stats.valid; {
+				rec, n, _ := scanWALRecord(data[off:])
+				off += n
+				if owner, _ := rec.owner(); owner != o {
+					continue
+				}
+				if rec.kind&walOwnerTag != 0 {
+					rec.kind, rec.payload = rec.kind&^walOwnerTag, rec.payload[walOwnerLen:]
+				}
+				own = appendWALRecord(own, rec.kind, rec.payload)
+			}
+			want := NewNodeState(o, 0)
+			if _, err := replayWAL(want, own, RecoverOptions{Owner: o, Params: p}, false, nil); err != nil {
+				t.Fatalf("owner %v: its own records of a log that replayed do not replay alone: %v", o, err)
+			}
+			if !bytes.Equal(stateBytes(t, got), stateBytes(t, want)) {
+				t.Fatalf("owner %v: replaying the shared log gave another state than replaying its own records of it", o)
+			}
 		}
 	})
 }

@@ -208,9 +208,9 @@ func TestRecoveryUnackedDiscardAfterCrash(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	fb.mu.Lock()
-	synced, good := fb.syncedOff, fb.goodOff
-	fb.mu.Unlock()
+	fb.log.mu.Lock()
+	synced, good := fb.log.syncedOff, fb.log.goodOff
+	fb.log.mu.Unlock()
 	if synced >= good || synced%3 != 0 {
 		t.Fatalf("offsets synced=%d good=%d", synced, good)
 	}

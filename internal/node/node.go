@@ -470,13 +470,30 @@ func (n *Node) Generate(ctx context.Context, body []byte) (*block.Block, error) 
 // and appended to S_i — without announcing it, and returns the block
 // together with the digest to announce.
 func (n *Node) GenerateLocal(body []byte) (*block.Block, digest.Digest, error) {
-	slot := n.slot()
-	b, d, err := n.engine.Generate(slot, body)
+	return n.sealed(n.engine.Generate(n.slot(), body))
+}
+
+// SealLocal and PublishLocal are GenerateLocal split around a commit
+// window the driver closes in between (core.Engine.Seal and Publish):
+// SealLocal mines and signs the next block and stages its journal
+// record, PublishLocal appends it to S_i and fires BlockSealed. A block
+// whose window failed is simply never published.
+func (n *Node) SealLocal(body []byte) (*block.Block, error) {
+	return n.engine.Seal(n.slot(), body)
+}
+
+func (n *Node) PublishLocal(b *block.Block) (digest.Digest, error) {
+	_, d, err := n.sealed(n.engine.Publish(b))
+	return d, err
+}
+
+// sealed reports a block that has just entered S_i to the observer.
+func (n *Node) sealed(b *block.Block, d digest.Digest, err error) (*block.Block, digest.Digest, error) {
 	if err != nil {
 		return nil, digest.Digest{}, err
 	}
 	if obs := n.cfg.Observer; obs != nil {
-		obs.OnBlockSealed(events.BlockSealed{Node: n.ID(), Ref: b.Header.Ref(), Digest: d, Slot: slot})
+		obs.OnBlockSealed(events.BlockSealed{Node: n.ID(), Ref: b.Header.Ref(), Digest: d, Slot: b.Header.Time})
 	}
 	return b, d, nil
 }

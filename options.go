@@ -87,6 +87,7 @@ type config struct {
 	trustCap     int
 	compactEvery int
 	syncPolicy   SyncPolicy
+	backendOpts  []ledger.BackendOption // in-package tests only: fault injection under the log
 }
 
 func defaultConfig() *config {
@@ -183,9 +184,11 @@ func WithTransport(k TransportKind) Option {
 
 // WithWorkers bounds the goroutines a batch call fans out over (0 =
 // GOMAXPROCS): the audits of AuditMany on both drivers, and on the
-// live driver the seal stage of SubmitBatch, where each device's
-// blocks are sealed on a worker of its own. Results do not depend on
-// the width; 1 runs either as a plain loop.
+// live driver the CPU side of SubmitBatch's seal stage — mining,
+// signing and staging the blocks of a round, one device per worker. It
+// does not bound I/O: a round's one fsync is the caller's. Results do
+// not depend on the width; 1 runs either as a plain loop on the
+// caller, in batch order.
 func WithWorkers(n int) Option {
 	return func(c *config) error {
 		if n < 0 {
@@ -281,13 +284,20 @@ func WithRetryPolicy(p RetryPolicy) Option {
 	}
 }
 
-// WithDataDir makes the live driver's ledgers durable: each node gets
-// a file-backed WAL + snapshot backend under dir/node-<id>
-// (ledger.FileBackend), recovers its whole prior state (S_i, H_i, A_i)
-// on start, and fsyncs every sealed block before acknowledging it. A
-// silenced node can then be brought back with Cluster.Restart, resuming
+// WithDataDir makes the live driver's ledgers durable. The devices of
+// the process write to one write-ahead log, dir/wal.log (dir/wal.old
+// beside it inside a compaction), every record naming its device, and
+// each keeps its own snapshot under dir/node-<id> (ledger.Log and
+// ledger.FileBackend). A device recovers its whole prior state (S_i,
+// H_i, A_i) on start from its snapshot plus its records in the log,
+// and every sealed block is fsynced before it is appended, announced
+// or returned — one fsync per round of a batch for all the devices in
+// it (see SubmitBatch). A silenced node leaves its state in its
+// snapshot and can be brought back with Cluster.Restart, resuming
 // exactly from its last durable record — the crash/recovery scenario
-// of the robustness suite. Live driver only: the simulator's world is
+// of the robustness suite. A dir whose node-<id> dirs still hold a
+// wal.log each, as written before the log was shared, opens too and
+// is converted on the way. Live driver only: the simulator's world is
 // rebuilt deterministically from its seed.
 func WithDataDir(dir string) Option {
 	return func(c *config) error {
@@ -300,10 +310,14 @@ func WithDataDir(dir string) Option {
 }
 
 // WithCompactEvery sets the WAL compaction threshold in block records
-// (default 256): once a node's current WAL generation holds that many
-// blocks, the next seal folds it into a fresh snapshot, bounding both
-// wal.log growth and the recovery replay tail. Requires WithDataDir;
-// live driver only.
+// (default 256). The trigger is log-wide: once any one device has that
+// many blocks in the current generation of the data dir's log, the
+// log rotates once, every running device's state is folded into a
+// fresh snapshot of its own, and the rotated generation is dropped —
+// bounding both wal.log growth (devices x threshold blocks) and the
+// recovery replay tail. Devices sealing in step, one block a slot,
+// all get their snapshot in the slot of their n-th block. Requires
+// WithDataDir; live driver only.
 func WithCompactEvery(n int) Option {
 	return func(c *config) error {
 		if n <= 0 {
@@ -325,16 +339,28 @@ type SyncPolicy = ledger.SyncPolicy
 func SyncAlways() SyncPolicy { return ledger.SyncAlways() }
 
 // SyncBatch defers the fsync to the slot flush: one commit window per
-// Submit/SubmitBatch, closed before any digest is announced. A crash
-// can only lose blocks no neighbor was ever told about.
+// round of a Submit/SubmitBatch, closed before any digest is
+// announced. A crash can only lose blocks no neighbor was ever told
+// about.
 func SyncBatch() SyncPolicy { return ledger.SyncBatch() }
 
 // SyncInterval fsyncs staged records at most every d — bounded
 // staleness: a crash loses at most the last d of sealed traffic.
 func SyncInterval(d time.Duration) SyncPolicy { return ledger.SyncInterval(d) }
 
-// WithSyncPolicy sets the WAL commit-window policy for every durable
-// node (default SyncAlways). Requires WithDataDir; live driver only.
+// WithSyncPolicy sets the WAL commit-window policy of the data dir's
+// log (default SyncAlways). Requires WithDataDir; live driver only.
+//
+// On this driver SyncAlways and SyncBatch now do the same thing, at
+// the same cost: Submit and SubmitBatch stage a round's blocks, close
+// one window with one fsync, and only then append and announce, under
+// either. What still tells them apart is a block logged outside that
+// path — ledger.Store.Append straight on a journaled store, which is
+// how cluster.Host (`twoldag serve`) seals: SyncAlways blocks that
+// append on an fsync of its own, SyncBatch stages it and leaves the
+// fsync to the host's flush. SyncInterval is the one policy with a
+// different contract here too: the round's window is left to the
+// ticker, and the blocks are appended and announced ahead of it.
 func WithSyncPolicy(p SyncPolicy) Option {
 	return func(c *config) error {
 		if err := p.Validate(); err != nil {

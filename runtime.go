@@ -53,21 +53,25 @@ type Runtime interface {
 	// Failures: when a seal fails, the error returned is that of the
 	// lowest-index failing submission and the refs are exactly those
 	// of the submissions before it — all sealed, none announced. The
-	// live driver seals each device's blocks on its own worker
-	// (WithWorkers): once a failure is on record no worker starts a
-	// block that comes after it in the batch, and an unknown
+	// live driver seals in rounds, the r-th block of every device side
+	// by side (WithWorkers): once a failure is on record no worker
+	// starts a block that comes after it in the batch, and an unknown
 	// Submission.Node fails the call before anything is sealed (the
 	// simulator meets it in batch order, after sealing the entries
-	// ahead of it). A failure after the seal stage — a commit window
-	// that does not close (every window closes before the first
-	// announcement, so nothing of the batch is on the wire then), an
-	// acknowledgement wait that times out, lowest index first —
-	// returns the refs of the whole batch beside the error, and every
-	// acknowledgement wait it registered is cancelled.
+	// ahead of it). On a durable deployment a round's commit window —
+	// one fsync for all its blocks — closes before any of them is
+	// appended, reported sealed, returned or announced; a window that
+	// does not close is a seal failure of every block in it, so none
+	// of them exists afterwards, in memory or on disk, and the next
+	// batch seals their sequence numbers again. A failure after the
+	// seal stage — an acknowledgement wait that times out, lowest
+	// index first — returns the refs of the whole batch beside the
+	// error, and every acknowledgement wait it registered is
+	// cancelled.
 	//
-	// On the live driver OnBlockSealed callbacks of different devices
-	// may arrive concurrently and out of batch order; a device's own
-	// arrive in its sequence order.
+	// On the live driver OnBlockSealed callbacks arrive round by round
+	// after the round's window has closed, a device's own in its
+	// sequence order.
 	SubmitBatch(ctx context.Context, batch []Submission) ([]Ref, error)
 	// Audit runs PoP from validator against ref and reports whether
 	// γ+1 distinct nodes vouch for the block.

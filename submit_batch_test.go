@@ -7,12 +7,10 @@ import (
 	"math/rand"
 	"reflect"
 	"strings"
-	"sync/atomic"
 	"testing"
 	"time"
 
 	"github.com/twoldag/twoldag/internal/block"
-	"github.com/twoldag/twoldag/internal/ledger"
 )
 
 // withMaxBodyBytes makes seals of larger bodies fail — the one seal
@@ -279,64 +277,5 @@ func TestSubmitBatchWorkersEquivalence(t *testing.T) {
 				t.Fatalf("no audit reached consensus; test has no power: %v", serial.verdicts)
 			}
 		})
-	}
-}
-
-// sealHookObserver runs a callback on every sealed block.
-type sealHookObserver struct {
-	NopObserver
-	announced atomic.Int64
-	onSealed  func(BlockSealed)
-}
-
-func (o *sealHookObserver) OnBlockSealed(e BlockSealed)       { o.onSealed(e) }
-func (o *sealHookObserver) OnDigestAnnounced(DigestAnnounced) { o.announced.Add(1) }
-func (o *sealHookObserver) OnDigestBatchDelivered(e DigestBatchDelivered) {
-	o.announced.Add(int64(len(e.Digests)))
-}
-
-// TestSubmitBatchCommitFailureAnnouncesNothing: under SyncBatch every
-// owner's commit window closes before the first digest of the batch
-// goes on the wire, so a window that does not close — here the last
-// owner's, whose backend is shut right after its seal staged the
-// record — fails the call with no owner announced, the owners ahead
-// of it included, every block sealed and every expectation cancelled.
-func TestSubmitBatchCommitFailureAnnouncesNothing(t *testing.T) {
-	obs := &sealHookObserver{}
-	rt := newRuntime(t, append(baseOptions(6, 1), WithWorkers(1), WithObserver(obs),
-		WithDataDir(t.TempDir()), WithSyncPolicy(SyncBatch()))...)
-	c := rt.(*Cluster)
-	rt.AdvanceSlot()
-	ids := rt.Nodes()
-	last := ids[len(ids)-1]
-	obs.onSealed = func(e BlockSealed) {
-		if e.Node == last {
-			if err := c.backends[last].Close(); err != nil {
-				t.Errorf("closing %v's backend: %v", last, err)
-			}
-		}
-	}
-	batch := make([]Submission, len(ids))
-	for i, id := range ids {
-		batch[i] = Submission{Node: id, Data: []byte("reading")}
-	}
-	refs, err := rt.SubmitBatch(context.Background(), batch)
-	if !errors.Is(err, ledger.ErrBackendClosed) {
-		t.Fatalf("want the last owner's commit error, got %v", err)
-	}
-	if len(refs) != len(batch) {
-		t.Fatalf("got %d refs, want all %d: the failure is past the seal stage", len(refs), len(batch))
-	}
-	if got := obs.announced.Load(); got != 0 {
-		t.Fatalf("%d digests were delivered although a commit window of the batch never closed", got)
-	}
-	for _, ref := range refs {
-		b, err := rt.Block(ref)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if left := c.tracker.Pending(b.Header.Hash()); left != nil {
-			t.Fatalf("expectation for %v still registered, pending %v", ref, left)
-		}
 	}
 }
