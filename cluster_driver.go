@@ -111,11 +111,11 @@ type Cluster struct {
 
 	// Durability (WithDataDir): one log for the whole data dir, which
 	// every device writes to (dataDir/wal.log), and one FileBackend per
-	// running device on it for that device's snapshot under
-	// dataDir/node-<id> — kept so Silence can snapshot + close it and
-	// Restart can recover from it. The log is folded into the devices'
-	// snapshots once any of them has sealed compactEvery blocks into its
-	// current generation (see maybeCompact).
+	// running device on it for that device's segment and checkpoint
+	// under dataDir/node-<id> — kept so Silence can checkpoint + close it
+	// and Restart can recover from it. The log is folded into the
+	// devices' segments and checkpoints once any of them has sealed
+	// compactEvery blocks into its current generation (see maybeCompact).
 	dataDir      string
 	trustCap     int
 	compactEvery int
@@ -195,8 +195,9 @@ func (c *Cluster) start(cfg *config, pairs []identity.KeyPair) error {
 	if c.log == nil {
 		return nil
 	}
-	// Every device has recovered: fold what the log held into fresh
-	// snapshots, so a crash loop cannot grow an unbounded replay tail.
+	// Every device has recovered: fold what the log held into segments
+	// and checkpoints, so a crash loop cannot grow an unbounded replay
+	// tail.
 	return c.compact()
 }
 
@@ -312,9 +313,10 @@ func (c *Cluster) liveNeighbors(id NodeID) []NodeID {
 	return out
 }
 
-// maybeCompact folds the data dir's log into fresh snapshots of every
-// running device once one of them has the threshold of block records
-// in the current generation — mirroring cluster.Host's seal path, so a
+// maybeCompact folds the data dir's log into the segments and
+// checkpoints of every running device once one of them has the
+// threshold of block records in the current generation — mirroring
+// cluster.Host's seal path, so a
 // long-lived facade run bounds wal.log growth and the recovery replay
 // tail instead of accumulating every block since start. Runs on the
 // submitting goroutine between a round's appends and the next round's
@@ -327,8 +329,9 @@ func (c *Cluster) maybeCompact() {
 	}
 }
 
-// compact rotates the log once, snapshots every running device and
-// drops the rotated generation (ledger.Log.Compact).
+// compact rotates the log once, commits every running device's
+// segment and checkpoint and drops the rotated generation
+// (ledger.Log.Compact).
 func (c *Cluster) compact() error {
 	return c.log.Compact(func(id NodeID) (*ledger.NodeState, error) {
 		n, ok := c.nodes[id]
@@ -660,12 +663,15 @@ func (c *Cluster) Join() (NodeID, error) {
 // Silence implements Runtime: the device's transport closes, and
 // subsequent audits must route around it, as in the paper's
 // malicious-node experiments. With WithDataDir, the node's whole state
-// is written to its own snapshot and its backend closed — everything
-// the node accepted before going silent is on disk, and Restart can
-// bring it back from exactly that state. The snapshot is what keeps
-// that true while the others run on: a silent device has no state in
-// memory for the next compaction to gather, and the compaction lets go
-// of the log generations that held its records.
+// is committed to its own segment and checkpoint and its backend
+// closed — everything the node accepted before going silent is on
+// disk, and Restart can bring it back from exactly that state. The
+// checkpoint is what keeps that true while the others run on: a silent
+// device has no state in memory for the next compaction to gather, and
+// the compaction lets go of the log generations that held its records.
+// The blocks it sealed since the last compaction are appended to its
+// segment; the older ones are there already, so a device with nothing
+// new writes its checkpoint alone.
 func (c *Cluster) Silence(id NodeID) error {
 	n, ok := c.nodes[id]
 	if !ok {
@@ -691,13 +697,13 @@ func (c *Cluster) Silence(id NodeID) error {
 
 // Restart brings a silenced (or crashed) device back from its data
 // dir: its backend reopens, the whole ledger state recovers from its
-// snapshot + its records in the data dir's log, and the node serves
-// again under the same identity. Requires WithDataDir; the device must
-// not be running. The restarted node's A_i, H_i and S_i are exactly
-// what was durable at silence time — the caller re-flushes its latest
-// digest if neighbors were ahead of the crash point. A Restart that
-// fails (a damaged snapshot, say) leaves the device as it was, silent,
-// and can be repeated once the dir is repaired.
+// checkpoint and segment + its records in the data dir's log, and the
+// node serves again under the same identity. Requires WithDataDir; the
+// device must not be running. The restarted node's A_i, H_i and S_i
+// are exactly what was durable at silence time — the caller re-flushes
+// its latest digest if neighbors were ahead of the crash point. A
+// Restart that fails (a damaged checkpoint, say) leaves the device as
+// it was, silent, and can be repeated once the dir is repaired.
 func (c *Cluster) Restart(id NodeID) error {
 	if c.dataDir == "" {
 		return fmt.Errorf("twoldag: Restart(%v) requires WithDataDir", id)
@@ -719,15 +725,18 @@ func (c *Cluster) Restart(id NodeID) error {
 }
 
 // StateDigest returns a canonical digest over a node's whole ledger
-// state — the SHA-256 of its snapshot-v2 stream (S_i, H_i, A_i, trust
-// cap), hashed as it is written — for byte-identity checks across
-// crash/recovery boundaries.
+// state, for identity checks across crash/recovery boundaries: SHA-256
+// over the branch table of the device's checkpoint — trust cap, each
+// S_i block's header hash and body root, H_i's insertion count and
+// header hashes in insertion order, A_i. Equal states give equal
+// digests; the values differ from those of builds that hashed the
+// whole snapshot-v2 stream instead.
 func (c *Cluster) StateDigest(id NodeID) (Digest, error) {
 	n, ok := c.nodes[id]
 	if !ok {
 		return Digest{}, fmt.Errorf("twoldag: unknown node %v", id)
 	}
-	return n.Engine().State().Digest()
+	return n.Engine().State().Digest(), nil
 }
 
 // Close implements Runtime: every node stops, the log flushes and

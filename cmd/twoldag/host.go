@@ -38,9 +38,9 @@ func runHost(args []string, join bool) int {
 	advertise := fs.String("advertise", "", "address announced to peers (default: the bound address)")
 	timeout := fs.Duration("timeout", 2*time.Second, "PoP request timeout τ and acknowledgement deadline")
 
-	// Durability: with -data the ledger persists (WAL + snapshots) and a
-	// killed process restarted on the same directory resumes exactly
-	// where its last fsync'd block left off.
+	// Durability: with -data the ledger persists (WAL, block segment,
+	// checkpoint) and a killed process restarted on the same directory
+	// resumes exactly where its last fsync'd block left off.
 	dataDir := fs.String("data", "", "ledger data directory (empty: in-memory only)")
 	trustCap := fs.Int("trust-cap", 0, "bound on retained trust headers H_i, oldest evicted first (0: unbounded)")
 	compactEvery := fs.Int("compact-every", 0, "WAL compaction threshold in block records (0: default 256)")
@@ -120,12 +120,12 @@ func runHost(args []string, join bool) int {
 	}
 	if rep, ok := h.RecoveryReport(); ok {
 		rate := ""
-		if blocks := rep.SnapshotBlocks + rep.WALBlocks; blocks > 0 && rep.Duration > 0 {
+		if blocks := rep.SegmentBlocks + rep.WALBlocks; blocks > 0 && rep.Duration > 0 {
 			rate = fmt.Sprintf(" in %s (%.0f blocks/s)",
 				rep.Duration.Round(time.Microsecond), float64(blocks)/rep.Duration.Seconds())
 		}
-		fmt.Fprintf(os.Stderr, "twoldag %s: recovered %d snapshot + %d WAL blocks from %s%s\n",
-			name, rep.SnapshotBlocks, rep.WALBlocks, *dataDir, rate)
+		fmt.Fprintf(os.Stderr, "twoldag %s: recovered %d segment + %d WAL blocks from %s%s\n",
+			name, rep.SegmentBlocks, rep.WALBlocks, *dataDir, rate)
 		if rep.TornTail {
 			fmt.Fprintf(os.Stderr, "twoldag %s: discarded a %d-byte torn WAL tail (unacknowledged final record)\n",
 				name, rep.TornBytes)

@@ -291,12 +291,12 @@ func digests(t *testing.T, c *Cluster, ids []NodeID) map[NodeID]Digest {
 	return out
 }
 
-// TestRestartAfterDamagedSnapshot: a Restart that fails must leave
+// TestRestartAfterDamagedCheckpoint: a Restart that fails must leave
 // nothing behind. It used to leave the device's endpoint registered on
 // the fabric (on TCP a listening socket with it), so the retry, after
 // the operator had repaired the dir, failed with "peer already
 // registered".
-func TestRestartAfterDamagedSnapshot(t *testing.T) {
+func TestRestartAfterDamagedCheckpoint(t *testing.T) {
 	for _, kind := range []TransportKind{InMemory, TCP} {
 		t.Run(fmt.Sprint(kind), func(t *testing.T) {
 			dir := t.TempDir()
@@ -308,21 +308,21 @@ func TestRestartAfterDamagedSnapshot(t *testing.T) {
 			if err := rt.Silence(victim); err != nil {
 				t.Fatal(err)
 			}
-			snap := filepath.Join(dir, fmt.Sprintf("node-%d", victim), "snapshot.2ldg")
-			good, err := os.ReadFile(snap)
+			ckpt := filepath.Join(dir, fmt.Sprintf("node-%d", victim), "checkpoint.2ldg")
+			good, err := os.ReadFile(ckpt)
 			if err != nil {
-				t.Fatalf("Silence left no snapshot: %v", err)
+				t.Fatalf("Silence left no checkpoint: %v", err)
 			}
-			if err := os.WriteFile(snap, []byte("not a snapshot"), 0o644); err != nil {
+			if err := os.WriteFile(ckpt, []byte("not a checkpoint"), 0o644); err != nil {
 				t.Fatal(err)
 			}
 			if err := c.Restart(victim); err == nil {
-				t.Fatal("Restart recovered from a garbage snapshot")
+				t.Fatal("Restart recovered from a garbage checkpoint")
 			}
 			if _, err := c.StateDigest(victim); err == nil {
 				t.Fatal("a device whose Restart failed counts as running")
 			}
-			if err := os.WriteFile(snap, good, 0o644); err != nil {
+			if err := os.WriteFile(ckpt, good, 0o644); err != nil {
 				t.Fatal(err)
 			}
 			if err := c.Restart(victim); err != nil {
@@ -339,7 +339,8 @@ func TestRestartAfterDamagedSnapshot(t *testing.T) {
 // TestSilencedAcrossCompactions: a device silenced while the others
 // seal on through two compactions of the log they share comes back
 // byte-identical — its records went with the generations the
-// compactions retired, its snapshot from Silence holds them all.
+// compactions retired, its checkpoint and segment from Silence hold
+// them all.
 func TestSilencedAcrossCompactions(t *testing.T) {
 	dir := t.TempDir()
 	rt := newRuntime(t, append(baseOptions(6, 1), WithDataDir(dir), WithCompactEvery(3))...)
@@ -382,97 +383,6 @@ func TestSilencedAcrossCompactions(t *testing.T) {
 	for id, d := range digests(t, rt2.(*Cluster), rt2.Nodes()) {
 		if d != want[id] {
 			t.Errorf("node %v cold-started into another state", id)
-		}
-	}
-}
-
-// TestClusterOpensPerDeviceLayout: a data dir in the layout of the
-// commit before the log was shared — every device's own wal.log,
-// wal.old and snapshot under node-<id> — opens, recovers every device
-// to the state those files hold, and carries on in the new layout.
-func TestClusterOpensPerDeviceLayout(t *testing.T) {
-	opts := func(dir string) []Option { return append(baseOptions(6, 1), WithDataDir(dir)) }
-	src := newRuntime(t, opts(t.TempDir())...)
-	a := src.(*Cluster)
-	fillBatch(t, src, 4)
-	ids := src.Nodes()
-
-	// Write what a holds the old way: each device through a single-owner
-	// backend in its own dir — some compacted halfway, one caught
-	// between the rotation and the snapshot of a compaction.
-	dir := t.TempDir()
-	for i, id := range ids {
-		ndir := filepath.Join(dir, fmt.Sprintf("node-%d", id))
-		fb, err := ledger.OpenFileBackend(ndir)
-		if err != nil {
-			t.Fatal(err)
-		}
-		st, err := fb.Recover(ledger.RecoverOptions{Owner: id, Params: a.params, Ring: a.ring})
-		if err != nil {
-			t.Fatal(err)
-		}
-		st.Attach(fb)
-		state := a.nodes[id].Engine().State()
-		for seq := 0; seq < state.Store.Len(); seq++ {
-			b, err := state.Store.Get(uint32(seq))
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := st.Store.Append(b); err != nil {
-				t.Fatal(err)
-			}
-			if seq == 1 && i%2 == 0 {
-				if err := fb.Compact(func() (*ledger.NodeState, error) { return st, nil }); err != nil {
-					t.Fatal(err)
-				}
-			}
-		}
-		for _, nb := range a.topo.Neighbors(id) {
-			if d, ok := state.Cache.Get(nb); ok {
-				st.Cache.Update(nb, d)
-			}
-		}
-		if err := fb.Close(); err != nil {
-			t.Fatal(err)
-		}
-		if i == 1 {
-			if err := os.Rename(filepath.Join(ndir, "wal.log"), filepath.Join(ndir, "wal.old")); err != nil {
-				t.Fatal(err)
-			}
-		}
-	}
-
-	rt := newRuntime(t, opts(dir)...)
-	b := rt.(*Cluster)
-	want := digests(t, a, ids)
-	for id, d := range digests(t, b, ids) {
-		if d != want[id] {
-			t.Errorf("node %v recovered from its own log into another state", id)
-		}
-	}
-	for _, id := range ids {
-		for _, name := range []string{"wal.log", "wal.old"} {
-			if _, err := os.Stat(filepath.Join(dir, fmt.Sprintf("node-%d", id), name)); !errors.Is(err, os.ErrNotExist) {
-				t.Errorf("node %v still has a %s of its own", id, name)
-			}
-		}
-	}
-	// Both carry on alike (from the same slot: logical time is the
-	// caller's, not the data dir's), and the converted dir survives a
-	// restart in the new layout.
-	for rt.Slot() < src.Slot() {
-		rt.AdvanceSlot()
-	}
-	fillBatch(t, src, 2)
-	fillBatch(t, rt, 2)
-	want = digests(t, a, ids)
-	if err := rt.Close(); err != nil {
-		t.Fatal(err)
-	}
-	rt2 := newRuntime(t, opts(dir)...)
-	for id, d := range digests(t, rt2.(*Cluster), ids) {
-		if d != want[id] {
-			t.Errorf("node %v: the converted dir reopened into another state", id)
 		}
 	}
 }

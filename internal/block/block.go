@@ -290,7 +290,7 @@ func (p Params) BlockBodyRoot(b *Block) (digest.Digest, error) {
 
 // SealBlock fully seals a block in place: the header hash is memoized
 // and the body Merkle root is computed under p and memoized. Use it
-// before storing blocks that did not come from Build (snapshot
+// before storing blocks that did not come from Build (segment
 // restores, wire decodes), so later validations skip the O(C) body
 // hash. The block must not be shared with other goroutines yet, and
 // must not be mutated afterwards.

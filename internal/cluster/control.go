@@ -190,11 +190,7 @@ func execControl(ctx context.Context, h *Host, req *ControlRequest) (ControlResp
 			Digest: d.Hex(),
 		}, false
 	case "state":
-		d, err := h.StateDigest()
-		if err != nil {
-			return fail(err), false
-		}
-		return ControlResponse{OK: true, Digest: d.Hex()}, false
+		return ControlResponse{OK: true, Digest: h.StateDigest().Hex()}, false
 	case "compact":
 		if err := h.Compact(); err != nil {
 			return fail(err), false

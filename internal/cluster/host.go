@@ -65,16 +65,17 @@ type Config struct {
 	Plan faults.Plan
 	// Observer, when non-nil, receives the node's event stream.
 	Observer events.Observer
-	// DataDir, when set, makes the ledger durable: a file-backed
-	// WAL + snapshot backend (ledger.FileBackend) opens there, the
+	// DataDir, when set, makes the ledger durable: a file-backed WAL +
+	// segment + checkpoint backend (ledger.FileBackend) opens there, the
 	// node recovers its whole prior state (S_i, H_i, A_i) before
-	// serving, every sealed block fsyncs before it is acknowledged,
-	// and the WAL compacts into a snapshot every CompactEvery blocks.
-	// Empty = in-memory only (the no-op backend).
+	// serving, every sealed block fsyncs before it is acknowledged, and
+	// every CompactEvery blocks the WAL's blocks move to the segment and
+	// the rest of the state to a fresh checkpoint. Empty = in-memory
+	// only (the no-op backend).
 	DataDir string
 	// TrustCap bounds H_i to that many headers (FIFO eviction;
 	// 0 = unbounded). With DataDir set the cap is persisted in the
-	// snapshot and survives restarts even if the flag is dropped.
+	// checkpoint and survives restarts even if the flag is dropped.
 	TrustCap int
 	// CompactEvery is the WAL compaction threshold in block records
 	// (default 256; only meaningful with DataDir).
@@ -296,8 +297,9 @@ func (h *Host) startNode() error {
 	}
 
 	// Durability: open the data dir and recover the whole prior state
-	// — snapshot, then WAL replay with cryptographic re-verification
-	// against the ring — before the node serves any traffic.
+	// — checkpoint and segment, then WAL replay, with cryptographic
+	// re-verification against the ring — before the node serves any
+	// traffic.
 	var state *ledger.NodeState
 	var backend ledger.Backend
 	if h.cfg.DataDir != "" {
@@ -637,10 +639,10 @@ func (h *Host) Seal(data []byte) (block.Ref, digest.Digest, error) {
 	return b.Header.Ref(), d, nil
 }
 
-// maybeCompact folds the WAL into a snapshot once the block-record
-// threshold is reached. Runs inside the Seal verb (h.wg held), so
-// Close never races the backend away mid-compaction; concurrent
-// compactions coalesce inside the backend.
+// maybeCompact folds the WAL into segment and checkpoint once the
+// block-record threshold is reached. Runs inside the Seal verb (h.wg
+// held), so Close never races the backend away mid-compaction;
+// concurrent compactions coalesce inside the backend.
 func (h *Host) maybeCompact() {
 	if h.backend == nil {
 		return
@@ -695,10 +697,13 @@ func (h *Host) Latest() (ref block.Ref, d digest.Digest, ok bool) {
 }
 
 // StateDigest returns a canonical digest over the node's whole ledger
-// state — the SHA-256 of its snapshot-v2 stream (S_i, H_i, A_i, trust
-// cap), hashed as it is written — for byte-identity checks across
-// crash/recovery boundaries.
-func (h *Host) StateDigest() (digest.Digest, error) {
+// state (ledger.NodeState.Digest: SHA-256 over the checkpoint's branch
+// table — trust cap, each S_i block's header hash and body root, H_i's
+// insertion count and header hashes, A_i) for identity checks across
+// crash/recovery boundaries. Equal states give equal digests; the
+// values differ from those of builds that hashed the whole snapshot-v2
+// stream instead.
+func (h *Host) StateDigest() digest.Digest {
 	return h.node.Engine().State().Digest()
 }
 

@@ -61,11 +61,7 @@ func observeOutcome(t *testing.T, hosts []*Host) recoveryOutcome {
 	out.consensus = res.Consensus
 	out.vouchers = len(res.Vouchers)
 	for _, h := range hosts {
-		d, err := h.StateDigest()
-		if err != nil {
-			t.Fatalf("state digest on %v: %v", h.ID(), err)
-		}
-		out.states[h.ID()] = d
+		out.states[h.ID()] = h.StateDigest()
 	}
 	return out
 }
@@ -74,9 +70,9 @@ func observeOutcome(t *testing.T, hosts []*Host) recoveryOutcome {
 // host level: two identical three-node clusters run the same workload;
 // in one of them node 2 is killed mid-slot — after its block hit the
 // WAL, before it announced — and restarted from its data dir. The
-// restarted cluster must end byte-identical to the uninterrupted one:
-// every node's (S_i, H_i, A_i) serialization and the outcome of a
-// subsequent audit.
+// restarted cluster must end identical to the uninterrupted one: every
+// node's (S_i, H_i, A_i) state digest and the outcome of a subsequent
+// audit.
 func TestRecoveryKillRestartEquivalence(t *testing.T) {
 	const seed = 13
 	base := t.TempDir()
@@ -156,13 +152,13 @@ func TestRecoveryKillRestartEquivalence(t *testing.T) {
 
 // TestStateDigestGolden pins Host.StateDigest of a seeded three-host
 // run — two slots sealed and flushed, one audit, so S_i, H_i and A_i
-// are all populated — to the values the in-memory snapshot-v2 buffer
-// produced before the digest was streamed: every value is unchanged.
+// are all populated — to the values of the checkpoint digest
+// (ledger.NodeState.Digest).
 func TestStateDigestGolden(t *testing.T) {
 	golden := map[identity.NodeID]string{
-		0: "4d933cf91f2d6ba07a704179a086691b732ca1de02aa944f4b8f2b1940d8d105",
-		1: "5d47e1f4acc119b0274c246ccccc7d012a8e592bc0d35afc8e299b91889e3184",
-		2: "0eabe0ced35f8164234a97590cb43428bae7e50722865996e0513698cbbc2dcb",
+		0: "c9bb13a118845e3189e0a1fdfeccd4f09f9af28c7274379ff6c28503c1987a67",
+		1: "a235d9fce3fdcb2264ea01a2acef0cbc1bf7204a9347ce2f5255cf4c9951bcef",
+		2: "57f03a5179d07db7b0a475139fa3f3e506381264f2c19ac27b8a5213e6ed8c8c",
 	}
 	hosts := startHosts(t, 3, 13, nil)
 	recoveryWorkload(t, hosts, 1)
@@ -218,10 +214,7 @@ func TestRecoverySyncPolicies(t *testing.T) {
 					t.Fatalf("flush slot %d: %v", slot, err)
 				}
 			}
-			before, err := h.StateDigest()
-			if err != nil {
-				t.Fatal(err)
-			}
+			before := h.StateDigest()
 			// Kill: close the node directly — no Leave, no host drain.
 			_ = h.node.Close()
 
@@ -230,14 +223,10 @@ func TestRecoverySyncPolicies(t *testing.T) {
 				t.Fatalf("restart: %v", err)
 			}
 			t.Cleanup(func() { _ = h2.Close() })
-			after, err := h2.StateDigest()
-			if err != nil {
-				t.Fatal(err)
-			}
-			if after != before {
+			if after := h2.StateDigest(); after != before {
 				t.Fatalf("state digest changed across kill + restart under %s", tc.name)
 			}
-			digests[tc.name] = after
+			digests[tc.name] = before
 		})
 	}
 	if digests["batch"] != digests["always"] || digests["interval"] != digests["always"] {

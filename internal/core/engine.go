@@ -150,9 +150,9 @@ func (e *Engine) Trust() *ledger.TrustStore { return e.trust }
 func (e *Engine) Cache() *ledger.DigestCache { return e.cache }
 
 // State bundles the engine's ledger structures as a ledger.NodeState —
-// the view snapshot-v2 compaction serializes. The structures are the
-// live ones, not copies; the serializer takes each structure's read
-// lock itself.
+// the view a compaction commits to segment and checkpoint. The
+// structures are the live ones, not copies; the writer takes each
+// structure's read lock itself.
 func (e *Engine) State() *ledger.NodeState {
 	return &ledger.NodeState{
 		Store:    e.store,

@@ -13,8 +13,9 @@ import (
 // loses data nobody else stores). The ledger structures stay in-memory
 // and index-rich; durability is layered underneath them through a
 // Journal that observes every mutation, and a Backend that can compact
-// the journal into a snapshot and recover the whole node state after a
-// crash.
+// the journal — each sealed block into an append-only segment, the
+// rest of the node into a checkpoint — and recover the whole node
+// state after a crash.
 //
 // # Sealed-immutability contract
 //
@@ -54,7 +55,7 @@ type Journal interface {
 	// LogTrust records a sealed header added to H_i. inserted is the
 	// header's zero-based index in H_i's lifetime insertion sequence
 	// (TrustStore.Insertions at Add time); recovery uses it to skip
-	// records a snapshot already accounts for, FIFO evictions included.
+	// records a checkpoint already accounts for, FIFO evictions included.
 	LogTrust(h *block.Header, inserted int64) error
 	// LogDigest records a digest-cache upsert: from's latest digest.
 	LogDigest(from identity.NodeID, d digest.Digest) error
@@ -65,8 +66,9 @@ type Journal interface {
 
 // NodeState is the whole recoverable state of one node's ledger: the
 // own-block log S_i, the PoP trust store H_i (with its FIFO cap), and
-// the neighbor digest cache A_i. It is what snapshot v2 serializes and
-// what Backend.Recover returns.
+// the neighbor digest cache A_i. FileBackend keeps S_i in a segment and
+// the rest in a checkpoint (see checkpoint.go), Backend.Recover returns
+// it, and Digest names it.
 type NodeState struct {
 	Store *Store
 	Trust *TrustStore
@@ -101,8 +103,8 @@ func (st *NodeState) Attach(j Journal) {
 
 // RecoverOptions parameterizes Backend.Recover.
 type RecoverOptions struct {
-	// Owner is the recovering node; a snapshot or WAL belonging to a
-	// different node fails recovery with ErrWrongOwner.
+	// Owner is the recovering node; a checkpoint, segment or WAL
+	// belonging to a different node fails recovery with ErrWrongOwner.
 	Owner identity.NodeID
 	// Params re-seals replayed blocks and headers
 	// (block.Params.SealBlock), so everything Recover returns honors
@@ -111,7 +113,7 @@ type RecoverOptions struct {
 	// Ring, when non-nil, authenticates what recovery restores; use it
 	// when the data dir is untrusted media. Every replayed block is
 	// still re-sealed and checked for version, PoW and M(body) == Root,
-	// but the snapshot's blocks, and each WAL generation's new ones, are
+	// but the segment's blocks, and each WAL generation's new ones, are
 	// one hash chain (Δ[0] links each to its predecessor), so one
 	// signature — the newest block's — authenticates each such run
 	// (block.Params.VerifyChain). A run the proof does not cover is
@@ -123,7 +125,7 @@ type RecoverOptions struct {
 	// signature of its own (ValidateHeader): |H_i| per restart, bounded
 	// by the trust cap when one is set.
 	Ring *identity.Ring
-	// TrustCap, when > 0, overrides the snapshot's recorded cap (a
+	// TrustCap, when > 0, overrides the checkpoint's recorded cap (a
 	// redeployment with a new -trust-cap wins); 0 adopts the recorded
 	// cap so the bound survives restarts unconfigured.
 	TrustCap int
@@ -134,25 +136,27 @@ type RecoverOptions struct {
 }
 
 // Backend is the pluggable durability layer under a node's ledger: a
-// Journal plus snapshot/recovery lifecycle. The in-memory default is
+// Journal plus compaction/recovery lifecycle. The in-memory default is
 // simply the absence of one (nil journal everywhere); FileBackend is
-// the file-backed implementation (append-only WAL + snapshot-v2
-// compaction).
+// the file-backed implementation (append-only WAL, compacted into an
+// append-only block segment and a checkpoint).
 type Backend interface {
 	Journal
 
-	// Recover rebuilds the node state recorded so far: snapshot first,
-	// then WAL replay (torn tails tolerated). On a fresh backend it
-	// returns an empty state. Call once, before attaching the backend
-	// as journal and before the node sees traffic.
+	// Recover rebuilds the node state recorded so far: checkpoint and
+	// segment first, then WAL replay (torn tails tolerated). On a fresh
+	// backend it returns an empty state. Call once, before attaching the
+	// backend as journal and before the node sees traffic.
 	Recover(opts RecoverOptions) (*NodeState, error)
 
-	// Compact folds the journal into a fresh snapshot. gather is
-	// called after the WAL has been rotated and must return a
-	// consistent view of the current state; mutations logged while the
-	// snapshot is written land in the new WAL generation and replay
-	// idempotently over the snapshot on recovery. A failure is returned
-	// and also kept as the sticky error Sync and Close report.
+	// Compact folds the journal into the segment and a fresh
+	// checkpoint: the blocks the segment lacks are appended to it, the
+	// rest of the state replaces the checkpoint. gather is called after
+	// the WAL has been rotated and must return a consistent view of the
+	// current state, continuing the blocks the segment holds; mutations
+	// logged meanwhile land in the new WAL generation and replay
+	// idempotently on recovery. A failure is returned and also kept as
+	// the sticky error Sync and Close report.
 	Compact(gather func() (*NodeState, error)) error
 
 	// PendingBlocks reports how many block records the current WAL

@@ -2,8 +2,6 @@ package ledger
 
 import (
 	"encoding/binary"
-	"fmt"
-	"io"
 	"sort"
 	"sync"
 
@@ -129,23 +127,18 @@ func (c *DigestCache) Len() int {
 	return len(c.nodes)
 }
 
-// writeSnapshotEntries writes the snapshot-v2 cache section (count +
-// node-sorted fixed-width entries) under the read lock.
-func (c *DigestCache) writeSnapshotEntries(w io.Writer) error {
+// appendEntries appends A_i's checkpoint branch — which is also its
+// state-digest branch — under the read lock: the entry count, then
+// each entry's node and digest, in node order.
+func (c *DigestCache) appendEntries(dst []byte) []byte {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
-	if err := writeU32(w, uint32(len(c.nodes))); err != nil {
-		return fmt.Errorf("ledger: writing cache count: %w", err)
-	}
-	var entry [4 + digest.Size]byte
+	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(c.nodes)))
 	for i, j := range c.nodes {
-		binary.LittleEndian.PutUint32(entry[:4], uint32(j))
-		copy(entry[4:], c.digests[i][:])
-		if _, err := w.Write(entry[:]); err != nil {
-			return fmt.Errorf("ledger: writing cache entry: %w", err)
-		}
+		dst = binary.LittleEndian.AppendUint32(dst, uint32(j))
+		dst = append(dst, c.digests[i][:]...)
 	}
-	return nil
+	return dst
 }
 
 // Snapshot assembles the Δ field for a new block (Sec. III-D): the

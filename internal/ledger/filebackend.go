@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"io"
 	"io/fs"
 	"os"
 	"path/filepath"
@@ -17,33 +18,36 @@ import (
 
 // Data-dir layout. The write-ahead log belongs to the data dir (Log);
 // a FileBackend is one owner's view of it and keeps that owner's
-// snapshot:
+// segment and checkpoint (see checkpoint.go):
 //
-//	wal.log       — current WAL generation: every mutation since the
-//	                snapshots, one CRC-framed record each (see wal.go).
-//	wal.old       — previous generation, present only inside a
-//	                compaction window (rotation committed, not every
-//	                snapshot yet); replayed between snapshot and
-//	                wal.log, and never replaced while it exists.
-//	snapshot.2ldg — an owner's last compacted snapshot (snapshot v2:
-//	                S_i blocks, H_i headers, A_i entries, trust cap,
-//	                CRC-sealed). Always committed by atomic rename;
-//	                never partial.
-//	snapshot.tmp  — snapshot being written; garbage after a crash,
-//	                deleted on recovery.
+//	wal.log         — current WAL generation: every mutation since the
+//	                  last compaction, one CRC-framed record each (see
+//	                  wal.go).
+//	wal.old         — previous generation, present only inside a
+//	                  compaction window (rotation committed, not every
+//	                  checkpoint yet); replayed between segment and
+//	                  wal.log, and never replaced while it exists.
+//	blocks.seg      — an owner's sealed blocks, oldest first, framed as
+//	                  WAL block records. Append-only: each block is
+//	                  written to it once.
+//	checkpoint.2ldg — an owner's last checkpoint: trust cap, H_i, A_i
+//	                  and the segment prefix it vouches for, CRC-sealed.
+//	                  Always committed by atomic rename; never partial.
+//	checkpoint.tmp  — checkpoint being written; garbage after a crash,
+//	                  deleted on recovery.
 //
 // OpenFileBackend(dir) is the self-contained single-owner case (one
-// process per device, `serve`): all four files in dir, records as they
-// have always been written, and Recover rewrites the dir to snapshot +
-// empty wal.log. A process hosting several devices opens the log once,
-// OpenLog(dir), and a backend per device, Log.OpenBackend: dir/wal.log
-// and dir/wal.old for all of them, every record naming its owner, and
-// dir/node-<id>/snapshot.2ldg (and .tmp) per device. A device then
-// recovers as its own snapshot plus the shared generations filtered to
-// its records, through the same idempotent replay rules — its snapshot
-// may well be newer than records of its still in the log. (A node-<id>
-// dir holding a wal.log or wal.old of its own was written before the
-// log was shared: those replay first, then go.)
+// process per device, `serve`): all five files in dir, records as they
+// have always been written, and a Recover that replayed any records
+// folds them — the blocks the segment lacks appended to it, a
+// checkpoint committed, the WAL emptied. A process hosting several
+// devices opens the log once, OpenLog(dir), and a backend per device,
+// Log.OpenBackend: dir/wal.log and dir/wal.old for all of them, every
+// record naming its owner, and dir/node-<id>/ for each device's
+// segment and checkpoint (and .tmp). A device then recovers as its
+// checkpoint and segment plus the shared generations filtered to its
+// records, through the same idempotent replay rules — its checkpoint
+// may well be newer than records of its still in the log.
 //
 // Fsync discipline: block records are acknowledged by the fsync of
 // the commit window they were staged into (see walwriter.go), shared
@@ -52,16 +56,23 @@ import (
 // (write-ahead — an accepted block survives a crash); trust and digest
 // records are written immediately but fsynced lazily, piggybacking on
 // the next commit window, Sync, or Close. Losing the tail of
-// trust/digest records in a crash costs re-auditing, never data.
+// trust/digest records in a crash costs re-auditing, never data. A
+// segment append is fsynced before the checkpoint that records it is
+// written, and that checkpoint before the rename that commits it.
 //
-// Compaction is the log's (Log.Compact): rotate once, snapshot every
-// open backend, drop wal.old. It has no state to gather for a backend
-// that is closed, and drops the generations that held its records: so
-// whoever closes a backend of a shared log while the others run on
-// first leaves that owner's whole state in its snapshot (Compact on
-// the backend does just that). An owner closed without — or found in
-// the files and never recovered — is uncovered, and holds every
-// compaction off until it is recovered again.
+// Compaction is the log's (Log.Compact): rotate once, for every open
+// backend append the blocks its segment lacks and commit a checkpoint,
+// drop wal.old. So a block is written twice in its life, as a WAL
+// record and as a segment record, however many compactions follow: a
+// compaction writes the blocks sealed since the last one plus a
+// checkpoint per owner, and a Silence that follows it only the
+// checkpoint. Compaction has no state to gather for a backend that is
+// closed, and drops the generations that held its records: so whoever
+// closes a backend of a shared log while the others run on first
+// commits that owner's whole state (Compact on the backend does just
+// that). An owner closed without — or found in the files and never
+// recovered — is uncovered, and holds every compaction off until it is
+// recovered again.
 //
 // Torn writes: a crash mid-record leaves wal.log with an incomplete or
 // CRC-failing tail. Recovery replays the intact prefix and discards the
@@ -70,21 +81,33 @@ import (
 // failed write poisons the generation and the partial frame is
 // truncated away before any further record (or the rotation rename) —
 // so replay never has to skip mid-file garbage, and a torn wal.old is
-// treated as corruption, not tolerated.
+// treated as corruption, not tolerated. A segment may end in bytes
+// past the prefix its checkpoint records — an append whose checkpoint
+// never committed: recovery reads only the prefix, and the next append
+// truncates the rest before writing behind it.
 const (
-	snapshotFileName = "snapshot.2ldg"
-	walFileName      = "wal.log"
-	walOldFileName   = "wal.old"
-	snapshotTmpName  = "snapshot.tmp"
+	walFileName        = "wal.log"
+	walOldFileName     = "wal.old"
+	segmentFileName    = "blocks.seg"
+	checkpointFileName = "checkpoint.2ldg"
+	checkpointTmpName  = "checkpoint.tmp"
+	// legacySnapshotName is the whole-state snapshot earlier builds kept
+	// where a checkpoint and segment are now. Recovery refuses a dir that
+	// holds one rather than start its owner empty.
+	legacySnapshotName = "snapshot.2ldg"
 )
 
 // FileBackend is the file-backed ledger Backend of one owner: its
-// records in the data dir's Log plus its own snapshot-v2 file. Safe
-// for concurrent journal use; Compact may run concurrently with
+// records in the data dir's Log plus its own segment and checkpoint.
+// Safe for concurrent journal use; Compact may run concurrently with
 // logging.
 type FileBackend struct {
 	log *Log
-	dir string // keeps the snapshot; the log's own dir for a single owner
+	dir string // keeps segment and checkpoint; the log's own dir for a single owner
+
+	// seg is the segment prefix the committed checkpoint records. Guarded
+	// by log.compactMu.
+	seg segmentMark
 
 	// Guarded by log.mu.
 	owner        identity.NodeID // from Recover
@@ -95,17 +118,17 @@ type FileBackend struct {
 	windowBlocks int          // those of them in the open commit window
 	staged       *block.Block // written by StageBlock, not yet acknowledged by LogBlock
 	stagedAt     int64        // log.fsyncs at that write: durable once it has moved on
-	logged       bool         // has records no snapshot of its own covers
+	logged       bool         // has records no checkpoint of its own covers
 }
 
 // RecoveryReport summarizes what the last Recover read from disk, so
 // callers can surface how much state replayed and whether a torn WAL
 // tail — bytes written but never fsync-acknowledged — was discarded.
 type RecoveryReport struct {
-	// SnapshotBlocks counts blocks restored from the snapshot.
-	SnapshotBlocks int
+	// SegmentBlocks counts blocks restored from the segment.
+	SegmentBlocks int
 	// WALBlocks counts block records applied during WAL replay (both
-	// generations, duplicates of the snapshot excluded).
+	// generations, duplicates of the segment's excluded).
 	WALBlocks int
 	// WALBytes is the intact record prefix replayed across both WAL
 	// generations (of a shared log: every owner's records in it).
@@ -115,8 +138,8 @@ type RecoveryReport struct {
 	// ever hold unacknowledged data.
 	TornTail  bool
 	TornBytes int
-	// Duration is the wall time spent reading the snapshot and
-	// replaying both WAL generations (normalization excluded).
+	// Duration is the wall time spent reading checkpoint and segment and
+	// replaying both WAL generations (folding excluded).
 	Duration time.Duration
 }
 
@@ -132,8 +155,8 @@ func OpenFileBackend(dir string, opts ...BackendOption) (*FileBackend, error) {
 }
 
 // OpenBackend opens one owner's backend on a shared log; dir (created
-// if needed) keeps that owner's snapshot. Call Recover next. Closing
-// the backend leaves the log open.
+// if needed) keeps that owner's segment and checkpoint. Call Recover
+// next. Closing the backend leaves the log open.
 func (l *Log) OpenBackend(dir string) (*FileBackend, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("ledger: creating data dir: %w", err)
@@ -141,14 +164,14 @@ func (l *Log) OpenBackend(dir string) (*FileBackend, error) {
 	return &FileBackend{log: l, dir: dir}, nil
 }
 
-// Recover rebuilds the node state from snapshot + WAL (see Backend).
-// With opts.Ring its blocks cost hashing plus one signature per
-// replayed chain, its H_i one signature per header (RecoverOptions.Ring).
-// A single-owner backend then compacts immediately: the recovered
-// state becomes a fresh snapshot and the WAL restarts empty, so a
-// crash loop cannot grow an unbounded replay tail. On a shared log
-// that is the opener's to do, with Log.Compact, once every owner has
-// recovered.
+// Recover rebuilds the node state from checkpoint, segment and WAL (see
+// Backend). With opts.Ring its blocks cost hashing plus one signature
+// per replayed chain, its H_i one signature per header
+// (RecoverOptions.Ring). A single-owner backend that replayed any
+// records then folds them at once — the segment takes the blocks it
+// lacked, a checkpoint commits and the WAL restarts empty — so a crash
+// loop cannot grow an unbounded replay tail. On a shared log that is
+// the opener's to do, with Log.Compact, once every owner has recovered.
 func (fb *FileBackend) Recover(opts RecoverOptions) (*NodeState, error) {
 	l := fb.log
 	l.compactMu.Lock()
@@ -161,61 +184,46 @@ func (fb *FileBackend) Recover(opts RecoverOptions) (*NodeState, error) {
 	if fb.recovered {
 		return nil, errors.New("ledger: backend already recovered")
 	}
-	// An interrupted compaction never committed its snapshot.
-	_ = os.Remove(filepath.Join(fb.dir, snapshotTmpName))
+	// An interrupted compaction never committed its checkpoint.
+	_ = os.Remove(filepath.Join(fb.dir, checkpointTmpName))
 
 	start := time.Now()
-
-	st := NewNodeState(opts.Owner, opts.TrustCap)
-	sf, err := os.Open(filepath.Join(fb.dir, snapshotFileName))
-	switch {
-	case errors.Is(err, fs.ErrNotExist):
-		// Fresh data dir.
-	case err != nil:
-		return nil, fmt.Errorf("ledger: reading snapshot: %w", err)
-	default:
-		st, err = readSnapshotStream(sf, opts)
-		sf.Close()
-		if err != nil {
-			return nil, err
-		}
+	cp, err := fb.readCheckpoint(opts)
+	if err != nil {
+		return nil, err
 	}
-	report := RecoveryReport{SnapshotBlocks: st.Store.Len()}
-	// The trust cap must be in force before replay so FIFO evictions
-	// replay exactly as they happened live. A torn tail is tolerated
-	// only in wal.log — the generation a crash can tear mid-write;
-	// wal.old was synced and repaired before its rotation rename, so a
-	// torn record there is corruption that would silently drop every
-	// acknowledged record after it. A view of a shared log reads what
-	// its own dir holds from before the log was shared, then the shared
-	// generations.
-	type generation struct {
-		dir, name string
-		shared    bool
+	st := cp.st
+	report := RecoveryReport{SegmentBlocks: st.Store.Len()}
+	// The trust cap is in force before replay, so FIFO evictions replay
+	// exactly as they happened live. A torn tail is tolerated only in
+	// wal.log — the generation a crash can tear mid-write; wal.old was
+	// synced and repaired before its rotation rename, so a torn record
+	// there is corruption that would silently drop every acknowledged
+	// record after it. An owner closed with its checkpoint holding all
+	// it ever logged has nothing to look for in the generations.
+	gens := []string{walOldFileName, walFileName}
+	if _, covered := l.covered[opts.Owner]; covered {
+		gens = nil
 	}
-	gens := []generation{{fb.dir, walOldFileName, false}, {fb.dir, walFileName, false}}
-	if _, covered := l.covered[opts.Owner]; l.shared && !covered {
-		gens = append(gens, generation{l.dir, walOldFileName, true}, generation{l.dir, walFileName, true})
-	}
-	legacy := false
-	for _, gen := range gens {
-		buf, err := os.ReadFile(filepath.Join(gen.dir, gen.name))
+	opts.shared = l.shared
+	replayed := false
+	for _, name := range gens {
+		buf, err := os.ReadFile(filepath.Join(l.dir, name))
 		if errors.Is(err, fs.ErrNotExist) {
 			continue
 		}
 		if err != nil {
-			return nil, fmt.Errorf("ledger: reading %s: %w", gen.name, err)
+			return nil, fmt.Errorf("ledger: reading %s: %w", name, err)
 		}
-		if gen.dir == l.dir && gen.name == walFileName {
+		if name == walFileName {
 			// Others may be appending: past goodOff is at most a partial
 			// frame awaiting repair.
 			buf = buf[:min(int64(len(buf)), l.goodOff)]
 		}
-		legacy = legacy || gen.shared != l.shared
-		opts.shared = gen.shared
-		stats, err := replayWAL(st, buf, opts, gen.name == walFileName)
+		replayed = replayed || len(buf) > 0 || name == walOldFileName
+		stats, err := replayWAL(st, buf, opts, name == walFileName)
 		if err != nil {
-			return nil, fmt.Errorf("ledger: replaying %s: %w", gen.name, err)
+			return nil, fmt.Errorf("ledger: replaying %s: %w", name, err)
 		}
 		report.WALBlocks += stats.blocks
 		report.WALBytes += stats.valid
@@ -225,23 +233,17 @@ func (fb *FileBackend) Recover(opts RecoverOptions) (*NodeState, error) {
 		}
 	}
 	report.Duration = time.Since(start)
-	// Normalize on disk: recovered state → fresh snapshot, and what it
-	// makes redundant of this owner's alone → gone. Done under mu —
-	// nothing else can log or compact meanwhile.
-	if !l.shared || legacy {
-		if err := fb.writeSnapshotFile(st); err != nil {
+	fb.seg = cp.seg
+	if !l.shared && replayed {
+		// Fold under mu: nothing else can log or compact meanwhile.
+		if err := fb.commitState(st); err != nil {
 			return nil, err
 		}
-		_ = os.Remove(filepath.Join(fb.dir, walOldFileName))
-	}
-	if !l.shared {
+		_ = os.Remove(filepath.Join(l.dir, walOldFileName))
 		if err := l.f.Truncate(0); err != nil {
 			return nil, fmt.Errorf("ledger: truncating WAL: %w", err)
 		}
 		l.goodOff, l.syncedOff, l.dirty, l.hasOld = 0, 0, false, false
-	} else if legacy {
-		_ = os.Remove(filepath.Join(fb.dir, walFileName))
-		syncDir(fb.dir)
 	}
 	fb.owner, fb.report, fb.recovered = opts.Owner, report, true
 	delete(l.uncovered, opts.Owner)
@@ -250,36 +252,145 @@ func (fb *FileBackend) Recover(opts RecoverOptions) (*NodeState, error) {
 	return st, nil
 }
 
-// writeSnapshotFile writes st to snapshot.tmp, fsyncs, and commits it
-// by rename. The caller must exclude concurrent snapshot writers —
-// by holding the log's compactMu, as Recover and Compact do; the write
-// itself never touches the live WAL handle.
-func (fb *FileBackend) writeSnapshotFile(st *NodeState) error {
-	tmp := filepath.Join(fb.dir, snapshotTmpName)
-	f, err := os.OpenFile(tmp, os.O_CREATE|os.O_WRONLY|os.O_TRUNC, 0o644)
-	if err != nil {
-		return fmt.Errorf("ledger: creating snapshot: %w", err)
+// readCheckpoint restores what fb.dir holds of opts.Owner besides the
+// log — its checkpoint, then the segment prefix that records — or an
+// empty state for a dir without a checkpoint.
+func (fb *FileBackend) readCheckpoint(opts RecoverOptions) (*checkpoint, error) {
+	raw, err := os.ReadFile(filepath.Join(fb.dir, checkpointFileName))
+	if errors.Is(err, fs.ErrNotExist) {
+		if _, err := os.Stat(filepath.Join(fb.dir, legacySnapshotName)); err == nil {
+			return nil, fmt.Errorf("ledger: %s holds a %s, the format of an earlier build, which this one does not read",
+				fb.dir, legacySnapshotName)
+		}
+		return &checkpoint{st: NewNodeState(opts.Owner, opts.TrustCap)}, nil
 	}
-	if err := st.WriteSnapshot(f); err != nil {
-		f.Close()
-		os.Remove(tmp)
+	if err != nil {
+		return nil, fmt.Errorf("ledger: reading checkpoint: %w", err)
+	}
+	cp, err := decodeCheckpoint(raw, opts)
+	if err != nil || cp.seg.records == 0 {
+		return cp, err
+	}
+	f, err := os.Open(filepath.Join(fb.dir, segmentFileName))
+	if err != nil {
+		return nil, fmt.Errorf("%w: %v", ErrBadSegment, err)
+	}
+	defer f.Close()
+	if err := readSegment(f, cp, opts); err != nil {
+		return nil, err
+	}
+	return cp, nil
+}
+
+// commitState makes st this owner's state on disk besides the log: the
+// blocks of S_i its segment lacks are appended and fsynced, then a
+// checkpoint recording them commits. A failure leaves the last
+// checkpoint in force. Caller holds log.compactMu.
+func (fb *FileBackend) commitState(st *NodeState) error {
+	blocks, err := st.Store.since(fb.seg.records, fb.seg.last)
+	if err != nil {
 		return err
 	}
+	seg := fb.seg
+	if len(blocks) > 0 {
+		if seg, err = fb.appendSegment(blocks); err != nil {
+			return err
+		}
+	}
+	if err := fb.writeCheckpoint(appendCheckpoint(nil, &checkpoint{st: st, seg: seg})); err != nil {
+		return err
+	}
+	fb.seg = seg
+	return nil
+}
+
+// appendSegment writes blocks to the segment behind the prefix the
+// checkpoint records — cutting off first whatever an append that never
+// committed left past it — and fsyncs them. It returns the prefix with
+// the blocks in it, which only a checkpoint recording it commits.
+func (fb *FileBackend) appendSegment(blocks []*block.Block) (segmentMark, error) {
+	seg := fb.seg
+	path := filepath.Join(fb.dir, segmentFileName)
+	info, err := os.Stat(path)
+	switch {
+	case errors.Is(err, fs.ErrNotExist) && seg.size == 0:
+	case err != nil:
+		return segmentMark{}, fmt.Errorf("ledger: statting segment: %w", err)
+	case info.Size() < seg.size:
+		return segmentMark{}, fmt.Errorf("%w: %d bytes, its checkpoint records %d", ErrBadSegment, info.Size(), seg.size)
+	}
+	f, err := fb.log.openFile(path, os.O_CREATE|os.O_WRONLY|os.O_APPEND)
+	if err != nil {
+		return segmentMark{}, fmt.Errorf("ledger: opening segment: %w", err)
+	}
+	defer f.Close() // on error paths; the success path closes below
+	if info != nil && info.Size() > seg.size {
+		if err := f.Truncate(seg.size); err != nil {
+			return segmentMark{}, fmt.Errorf("ledger: truncating uncommitted segment tail: %w", err)
+		}
+	}
+	total := 0
+	for _, b := range blocks {
+		total += walHeaderLen + b.WireSize() + walCRCLen
+	}
+	buf, enc := make([]byte, 0, min(total, 128<<10)), []byte(nil)
+	for i, b := range blocks {
+		enc = block.AppendEncode(enc[:0], b)
+		buf = appendWALRecord(buf, walKindBlock, enc)
+		if len(buf) < 64<<10 && i < len(blocks)-1 {
+			continue
+		}
+		if err := writeFull(f, buf); err != nil {
+			return segmentMark{}, fmt.Errorf("ledger: appending to segment: %w", err)
+		}
+		seg.size += int64(len(buf))
+		buf = buf[:0]
+	}
 	if err := f.Sync(); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return fmt.Errorf("ledger: syncing snapshot: %w", err)
+		return segmentMark{}, fmt.Errorf("ledger: syncing segment: %w", err)
 	}
 	if err := f.Close(); err != nil {
-		os.Remove(tmp)
-		return fmt.Errorf("ledger: closing snapshot: %w", err)
+		return segmentMark{}, fmt.Errorf("ledger: closing segment: %w", err)
 	}
-	if err := os.Rename(tmp, filepath.Join(fb.dir, snapshotFileName)); err != nil {
+	seg.records += uint32(len(blocks))
+	seg.last = blocks[len(blocks)-1].Header.Hash()
+	return seg, nil
+}
+
+// writeCheckpoint commits raw as this owner's checkpoint: written to
+// checkpoint.tmp, fsynced, renamed over the last one, the dir fsynced.
+func (fb *FileBackend) writeCheckpoint(raw []byte) error {
+	tmp := filepath.Join(fb.dir, checkpointTmpName)
+	f, err := fb.log.openFile(tmp, os.O_CREATE|os.O_WRONLY|os.O_TRUNC)
+	if err != nil {
+		return fmt.Errorf("ledger: creating checkpoint: %w", err)
+	}
+	err = writeFull(f, raw)
+	if err == nil {
+		err = f.Sync()
+	}
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err == nil {
+		err = fb.log.rename(tmp, filepath.Join(fb.dir, checkpointFileName))
+	}
+	if err != nil {
 		os.Remove(tmp)
-		return fmt.Errorf("ledger: committing snapshot: %w", err)
+		return fmt.Errorf("ledger: committing checkpoint: %w", err)
 	}
 	syncDir(fb.dir)
 	return nil
+}
+
+// writeFull writes p to w whole: a short count without an error is
+// io.ErrShortWrite.
+func writeFull(w io.Writer, p []byte) error {
+	n, err := w.Write(p)
+	if err == nil && n < len(p) {
+		err = io.ErrShortWrite
+	}
+	return err
 }
 
 // logLocked writes one record of this owner's — named as its own when
@@ -423,12 +534,14 @@ func (fb *FileBackend) RecoveryReport() RecoveryReport {
 // WALStats returns the log's durability counters since open.
 func (fb *FileBackend) WALStats() WALStats { return fb.log.WALStats() }
 
-// Compact folds the journal into a fresh snapshot of this owner's
-// state. On a single-owner backend that is the whole of Log.Compact:
-// the log rotates and wal.old goes once the snapshot is committed. On
-// a shared log a backend cannot retire generations that hold other
-// owners' records, so only its own snapshot is written, from gather —
-// which is what has to happen before it is closed for good.
+// Compact commits this owner's state, from gather, to its segment and
+// checkpoint. On a single-owner backend that is the whole of
+// Log.Compact: the log rotates and wal.old goes once the checkpoint is
+// committed. On a shared log a backend cannot retire generations that
+// hold other owners' records, so only its own segment and checkpoint
+// are written — which is what has to happen before it is closed for
+// good, and with nothing sealed since the last compaction is a
+// checkpoint alone.
 func (fb *FileBackend) Compact(gather func() (*NodeState, error)) error {
 	only := fb
 	if !fb.log.shared {
@@ -446,7 +559,7 @@ func (fb *FileBackend) Sync() error { return fb.log.Sync() }
 
 // Close commits any open window and closes the backend; a single-owner
 // backend closes its log with it. Closing a backend of a shared log
-// that has logged since its last snapshot leaves its owner uncovered.
+// that has logged since its last checkpoint leaves its owner uncovered.
 // Further calls return ErrBackendClosed.
 func (fb *FileBackend) Close() error {
 	l := fb.log

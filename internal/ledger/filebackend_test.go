@@ -70,12 +70,16 @@ func TestFileBackendRecoverEquivalence(t *testing.T) {
 	if !bytes.Equal(stateBytes(t, st2), want) {
 		t.Fatal("recovered state differs from the pre-crash state")
 	}
-	// Recovery normalized the dir: fresh snapshot, empty WAL.
+	// Recovery folded what it replayed: blocks in the segment, a
+	// checkpoint, an empty WAL.
 	if fb2.PendingBlocks() != 0 {
 		t.Fatal("recovery left pending WAL blocks")
 	}
-	if _, err := os.Stat(filepath.Join(dir, snapshotFileName)); err != nil {
-		t.Fatalf("no snapshot after recovery: %v", err)
+	if info, err := os.Stat(filepath.Join(dir, walFileName)); err != nil || info.Size() != 0 {
+		t.Fatalf("recovery left the WAL as it was: %v", err)
+	}
+	if rep := fb2.RecoveryReport(); rep.SegmentBlocks != 0 || rep.WALBlocks != 3 {
+		t.Fatalf("first recovery read %+v, want the 3 blocks from the WAL", rep)
 	}
 	// And the recovered node keeps working: more appends, another
 	// recovery, still equivalent.
@@ -88,6 +92,9 @@ func TestFileBackendRecoverEquivalence(t *testing.T) {
 	defer fb3.Close()
 	if !bytes.Equal(stateBytes(t, st3), want) {
 		t.Fatal("second recovery differs")
+	}
+	if rep := fb3.RecoveryReport(); rep.SegmentBlocks != 3 || rep.WALBlocks != 2 {
+		t.Fatalf("second recovery read %+v, want 3 blocks from the segment and 2 from the WAL", rep)
 	}
 }
 
@@ -109,7 +116,7 @@ func TestFileBackendTornTail(t *testing.T) {
 	opts := RecoverOptions{Owner: 4, Params: testParams()}
 	fb, st := openBackend(t, dir, opts)
 	driveState(t, st, 2)
-	// Fold the two blocks into the snapshot so the hand-crafted WAL
+	// Fold the two blocks into the segment so the hand-crafted WAL
 	// below continues from them.
 	if err := fb.Compact(func() (*NodeState, error) { return st, nil }); err != nil {
 		t.Fatal(err)
@@ -131,16 +138,16 @@ func TestFileBackendTornTail(t *testing.T) {
 	fb2, st2 := openBackend(t, dir, opts)
 	defer fb2.Close()
 	if st2.Store.Len() != 3 {
-		t.Fatalf("recovered %d blocks, want 3 (2 snapshot + 1 intact WAL)", st2.Store.Len())
+		t.Fatalf("recovered %d blocks, want 3 (2 segment + 1 intact WAL)", st2.Store.Len())
 	}
 	if b, _ := st2.Store.Get(2); b.Header.Hash() != blocks[2].Header.Hash() {
 		t.Fatal("intact WAL record not applied")
 	}
 }
 
-// TestFileBackendCompaction: rotation folds the WAL into the snapshot,
-// logging continues, and every crash-window leftover (wal.old,
-// snapshot.tmp) recovers.
+// TestFileBackendCompaction: rotation folds the WAL into segment and
+// checkpoint, logging continues, and recovery reads both plus the new
+// generation.
 func TestFileBackendCompaction(t *testing.T) {
 	dir := t.TempDir()
 	opts := RecoverOptions{Owner: 4, Params: testParams()}
@@ -167,7 +174,7 @@ func TestFileBackendCompaction(t *testing.T) {
 	if err := fb.Close(); err != nil {
 		t.Fatal(err)
 	}
-	// …and recovery reads snapshot + new WAL.
+	// …and recovery reads checkpoint and segment + new WAL.
 	fb2, st2 := openBackend(t, dir, opts)
 	defer fb2.Close()
 	if !bytes.Equal(stateBytes(t, st2), want) {
@@ -176,9 +183,11 @@ func TestFileBackendCompaction(t *testing.T) {
 }
 
 // TestFileBackendCrashedCompaction: a compaction interrupted between
-// rotation and snapshot commit leaves wal.old (and possibly
-// snapshot.tmp); recovery replays snapshot + wal.old + wal.log and
-// discards the tmp.
+// rotation and checkpoint commit leaves wal.old, possibly a
+// checkpoint.tmp and segment bytes no checkpoint records; recovery
+// replays segment + wal.old + wal.log, discards the tmp and reads none
+// of the uncommitted bytes, and the fold it does appends behind the
+// committed prefix only.
 func TestFileBackendCrashedCompaction(t *testing.T) {
 	dir := t.TempDir()
 	opts := RecoverOptions{Owner: 4, Params: testParams()}
@@ -190,14 +199,18 @@ func TestFileBackendCrashedCompaction(t *testing.T) {
 	}
 
 	// Hand-craft the crash window: the WAL generation renamed to
-	// wal.old, an empty current WAL, and a garbage snapshot.tmp.
+	// wal.old, an empty current WAL, a garbage checkpoint.tmp, and a
+	// segment append that never committed.
 	if err := os.Rename(filepath.Join(dir, walFileName), filepath.Join(dir, walOldFileName)); err != nil {
 		t.Fatal(err)
 	}
 	if err := os.WriteFile(filepath.Join(dir, walFileName), nil, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if err := os.WriteFile(filepath.Join(dir, snapshotTmpName), []byte("partial snapshot garbage"), 0o644); err != nil {
+	if err := os.WriteFile(filepath.Join(dir, checkpointTmpName), []byte("partial checkpoint garbage"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(dir, segmentFileName), []byte("uncommitted segment garbage"), 0o644); err != nil {
 		t.Fatal(err)
 	}
 
@@ -206,11 +219,33 @@ func TestFileBackendCrashedCompaction(t *testing.T) {
 	if !bytes.Equal(stateBytes(t, st2), want) {
 		t.Fatal("crashed-compaction recovery differs")
 	}
-	if _, err := os.Stat(filepath.Join(dir, snapshotTmpName)); !errors.Is(err, os.ErrNotExist) {
-		t.Fatal("snapshot.tmp survived recovery")
+	if _, err := os.Stat(filepath.Join(dir, checkpointTmpName)); !errors.Is(err, os.ErrNotExist) {
+		t.Fatal("checkpoint.tmp survived recovery")
 	}
 	if _, err := os.Stat(filepath.Join(dir, walOldFileName)); !errors.Is(err, os.ErrNotExist) {
 		t.Fatal("wal.old survived recovery")
+	}
+	strictSegment(t, dir)
+}
+
+// strictSegment fails unless dir's segment is exactly the run of intact
+// block records its checkpoint records.
+func strictSegment(t *testing.T, dir string) {
+	t.Helper()
+	raw, err := os.ReadFile(filepath.Join(dir, checkpointFileName))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var mark segmentMark
+	if err := mark.read(&cursor{buf: raw, off: len(checkpointMagic) + 4 + 4}); err != nil {
+		t.Fatal(err)
+	}
+	seg, err := os.ReadFile(filepath.Join(dir, segmentFileName))
+	if err != nil && !(errors.Is(err, os.ErrNotExist) && mark.size == 0) {
+		t.Fatal(err)
+	}
+	if got := markOf(seg); got != mark || int64(len(seg)) != mark.size {
+		t.Fatalf("segment of %d bytes holds %+v, its checkpoint records %+v", len(seg), got, mark)
 	}
 }
 
@@ -262,8 +297,7 @@ func TestFileBackendClosed(t *testing.T) {
 	}
 }
 
-// TestFileBackendRing: recovery with a Ring re-verifies every block;
-// flipping one byte in the stored snapshot is caught by its CRC, and a
+// TestFileBackendRing: recovery with a Ring re-verifies every block: a
 // validly-framed but forged WAL block is caught by Validate.
 func TestFileBackendRing(t *testing.T) {
 	dir := t.TempDir()
@@ -414,7 +448,7 @@ func TestFileBackendTornOldWAL(t *testing.T) {
 	}
 }
 
-// TestFileBackendRecoveryReport: the report counts snapshot blocks,
+// TestFileBackendRecoveryReport: the report counts segment blocks,
 // replayed WAL blocks and bytes, and surfaces a discarded torn tail.
 func TestFileBackendRecoveryReport(t *testing.T) {
 	dir := t.TempDir()
@@ -444,11 +478,11 @@ func TestFileBackendRecoveryReport(t *testing.T) {
 	defer fb2.Close()
 	rep := fb2.RecoveryReport()
 	want := RecoveryReport{
-		SnapshotBlocks: 2,
-		WALBlocks:      1,
-		WALBytes:       intact,
-		TornTail:       true,
-		TornBytes:      len(torn) - intact,
+		SegmentBlocks: 2,
+		WALBlocks:     1,
+		WALBytes:      intact,
+		TornTail:      true,
+		TornBytes:     len(torn) - intact,
 	}
 	if rep.Duration <= 0 {
 		t.Fatalf("report duration %v, want > 0", rep.Duration)
@@ -462,12 +496,12 @@ func TestFileBackendRecoveryReport(t *testing.T) {
 	}
 }
 
-// TestFileBackendTrustEvictionHorizon is the reviewer's capped-trust
-// scenario: a snapshot taken after FIFO evictions, with the pre-
-// eviction trust records still in a not-yet-deleted wal.old (the
-// compaction crash window). Replaying those records must not re-add
-// evicted headers — each carries its insertion index, and the
-// snapshot's recorded insertion count is the replay horizon.
+// TestFileBackendTrustEvictionHorizon is the capped-trust scenario: a
+// checkpoint taken after FIFO evictions, with the pre-eviction trust
+// records still in a not-yet-deleted wal.old (the compaction crash
+// window). Replaying those records must not re-add evicted headers —
+// each carries its insertion index, and the checkpoint's recorded
+// insertion count is the replay horizon.
 func TestFileBackendTrustEvictionHorizon(t *testing.T) {
 	dir := t.TempDir()
 	opts := RecoverOptions{Owner: 4, Params: testParams(), TrustCap: 2}
@@ -487,9 +521,9 @@ func TestFileBackendTrustEvictionHorizon(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Reconstruct the crash window: snapshot committed, wal.old (with
-	// every pre-snapshot trust record) not yet deleted, plus one
-	// post-snapshot insertion in wal.log.
+	// Reconstruct the crash window: checkpoint committed, wal.old (with
+	// every pre-checkpoint trust record) not yet deleted, plus one
+	// post-checkpoint insertion in wal.log.
 	extra := chainFor(t, identity.Deterministic(8, 4), 1, nil)[0]
 	var old []byte
 	for i, b := range nb {
@@ -519,7 +553,7 @@ func TestFileBackendTrustEvictionHorizon(t *testing.T) {
 		t.Fatalf("inserted = %d, want 7", st2.Trust.Insertions())
 	}
 
-	// Replant the stale generation against the normalized snapshot
+	// Replant the stale generation against the folded checkpoint
 	// (horizon now 7): every record is below it, so recovery changes
 	// nothing.
 	want := stateBytes(t, st2)

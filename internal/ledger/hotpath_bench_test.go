@@ -115,8 +115,8 @@ func BenchmarkHotpathWALGroupCommit(b *testing.B) {
 }
 
 // copyLedgerDir clones a fixture data dir file by file, so each
-// recovery iteration gets a pristine copy (Recover normalizes the dir
-// it runs on: a WAL-heavy fixture would become snapshot-heavy after
+// recovery iteration gets a pristine copy (Recover folds the WAL of the
+// dir it runs on: a WAL-heavy fixture would become segment-heavy after
 // the first iteration).
 func copyLedgerDir(b testing.TB, src, dst string) {
 	b.Helper()
@@ -143,8 +143,9 @@ func copyLedgerDir(b testing.TB, src, dst string) {
 // (Ring set). Every block is re-sealed and checked for PoW, body root
 // and its link to its predecessor, and the chain proof then verifies
 // one signature per replayed run — the newest block's — instead of
-// one per block. The snapshot fixture holds all blocks in snapshot v2;
-// the wal fixture holds the same blocks as raw WAL records.
+// one per block. The segment fixture holds all blocks in the segment
+// (and a checkpoint); the wal fixture holds the same blocks as raw WAL
+// records.
 func BenchmarkRecoverCold(b *testing.B) {
 	const n = 512
 	key := identity.Deterministic(1, 4)
@@ -174,11 +175,11 @@ func BenchmarkRecoverCold(b *testing.B) {
 	if err := fb.Close(); err != nil {
 		b.Fatal(err)
 	}
-	// The snapshot-heavy fixture is the same dir after one recovery
-	// normalized it (fresh snapshot, empty WAL).
-	snapDir := b.TempDir()
-	copyLedgerDir(b, walDir, snapDir)
-	fb2, err := OpenFileBackend(snapDir)
+	// The segment-heavy fixture is the same dir after one recovery folded
+	// it (segment + checkpoint, empty WAL).
+	segDir := b.TempDir()
+	copyLedgerDir(b, walDir, segDir)
+	fb2, err := OpenFileBackend(segDir)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -190,7 +191,7 @@ func BenchmarkRecoverCold(b *testing.B) {
 	}
 
 	for _, fix := range []struct{ name, dir string }{
-		{"snapshot", snapDir},
+		{"segment", segDir},
 		{"wal", walDir},
 	} {
 		b.Run(fix.name, func(b *testing.B) {
@@ -219,6 +220,60 @@ func BenchmarkRecoverCold(b *testing.B) {
 				b.StartTimer()
 			}
 		})
+	}
+}
+
+// BenchmarkHotpathCheckpoint prices what Silence writes for a device
+// with nothing sealed since the last compaction: a 300-block owner of a
+// shared log (1 KiB bodies, the restart_durable shape) commits its
+// state again, which is its checkpoint alone — tmp, fsync, rename, dir
+// fsync — where the whole-state snapshot it replaced rewrote all 300
+// blocks every time.
+func BenchmarkHotpathCheckpoint(b *testing.B) {
+	const n = 300
+	key := identity.Deterministic(1, 4)
+	p := testParams()
+	base := b.TempDir()
+	l, err := OpenLog(base, WithSyncPolicy(SyncBatch()))
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer l.Close()
+	fb, err := l.OpenBackend(filepath.Join(base, "node-1"))
+	if err != nil {
+		b.Fatal(err)
+	}
+	st, err := fb.Recover(RecoverOptions{Owner: 1, Params: p})
+	if err != nil {
+		b.Fatal(err)
+	}
+	st.Attach(fb)
+	body := make([]byte, 1024)
+	var prev digest.Digest
+	for i := 0; i < n; i++ {
+		body[0], body[1] = byte(i), byte(i>>8)
+		blk, err := p.Build(key, uint32(i), uint32(i), body, []block.DigestRef{{Node: 1, Digest: prev}})
+		if err != nil {
+			b.Fatal(err)
+		}
+		if err := st.Store.Append(blk); err != nil {
+			b.Fatal(err)
+		}
+		prev = blk.Header.Hash()
+	}
+	if err := l.Commit(); err != nil {
+		b.Fatal(err)
+	}
+	gather := func() (*NodeState, error) { return st, nil }
+	if err := fb.Compact(gather); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := fb.Compact(gather); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 

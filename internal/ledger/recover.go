@@ -28,7 +28,7 @@ type recoverVerifier struct {
 	// the run's first block must link to; nil for an empty store.
 	prev   *block.Header
 	blocks []*block.Block
-	labels []int // scan position of each block: WAL offset or snapshot index
+	labels []int // scan position of each block: WAL offset or segment index
 }
 
 // add queues one decoded block; label is its position in the scanned

@@ -36,8 +36,8 @@ func recoverReference(v *recoverVerifier) (int, error) {
 }
 
 // ledgerFiles is a data dir as bytes: paths relative to the dir. A
-// shared one is a log several owners write, each owner's snapshot in
-// node-<id>; otherwise the dir is one owner's.
+// shared one is a log several owners write, each owner's segment and
+// checkpoint in node-<id>; otherwise the dir is one owner's.
 type ledgerFiles struct {
 	files  map[string][]byte
 	shared bool
@@ -132,7 +132,7 @@ func sameOutcome(got, want recoverOutcome) string {
 }
 
 // TestRecoveryFixturesMatchReference: over clean, torn, forged, gapped
-// and wrong-owner fixtures — WAL-heavy and snapshot-heavy — recovery
+// and wrong-owner fixtures — WAL-heavy and segment-heavy — recovery
 // must accept exactly what the per-block reference accepts, with a
 // byte-identical state and report, and fail with the identical error
 // string. The chain proof may never change what recovery accepts,
@@ -185,9 +185,9 @@ func TestRecoveryFixturesMatchReference(t *testing.T) {
 		mk      func(t *testing.T) string
 	}{
 		{"wal", false, cleanDir},
-		{"snapshot", false, func(t *testing.T) string {
+		{"segment", false, func(t *testing.T) string {
 			dir := cleanDir(t)
-			fb, _ := openBackendWith(t, dir, opts) // Recover normalizes: snapshot + empty WAL
+			fb, _ := openBackendWith(t, dir, opts) // Recover folds: segment + checkpoint + empty WAL
 			if err := fb.Close(); err != nil {
 				t.Fatal(err)
 			}
@@ -217,10 +217,11 @@ func TestRecoveryFixturesMatchReference(t *testing.T) {
 			foreign := chainFor(t, identity.Deterministic(2, 1), 1, nil)[0]
 			return walOnly(t, block.Encode(foreign))
 		}},
-		{"forged-snapshot-block", true, func(t *testing.T) string {
-			// Tamper a block *after* it entered the store, then snapshot:
-			// the CRC covers the tampered bytes (so it passes), and only
-			// the cryptographic re-verification can catch it.
+		{"forged-segment-block", true, func(t *testing.T) string {
+			// Tamper a block *after* it entered the store, then write it
+			// out: the record CRC covers the tampered bytes (so it
+			// passes), and only the cryptographic re-verification can
+			// catch it.
 			st := walState()
 			for _, b := range blocks[:3] {
 				if err := st.Store.Append(b); err != nil {
@@ -232,12 +233,26 @@ func TestRecoveryFixturesMatchReference(t *testing.T) {
 				t.Fatal(err)
 			}
 			tampered.Body[0] ^= 0xFF
-			dir := t.TempDir()
-			if err := os.WriteFile(filepath.Join(dir, snapshotFileName), stateBytes(t, st), 0o644); err != nil {
-				t.Fatal(err)
-			}
+			dir := writeFiles(t, t.TempDir(), stateLedgerFiles(st).files)
 			tampered.Body[0] ^= 0xFF // restore the shared fixture block
 			return dir
+		}},
+		{"forged-checkpoint", true, func(t *testing.T) string {
+			// A well-sealed checkpoint naming another newest block than
+			// the segment it vouches for ends in.
+			st := walState()
+			for _, b := range blocks[:3] {
+				if err := st.Store.Append(b); err != nil {
+					t.Fatal(err)
+				}
+			}
+			_, seg := stateFiles(st)
+			mark := markOf(seg)
+			mark.last = blocks[1].Header.Hash()
+			return writeFiles(t, t.TempDir(), map[string][]byte{
+				checkpointFileName: appendCheckpoint(nil, &checkpoint{st: st, seg: mark}),
+				segmentFileName:    seg,
+			})
 		}},
 	}
 	for _, fix := range fixtures {
@@ -303,20 +318,29 @@ func encodeAll(blocks []*block.Block) [][]byte {
 	return encs
 }
 
-// rawSnapshot is a v2 stream of owner's block encodings, taken as they
-// are, with an empty H_i and A_i — what NodeState.WriteSnapshot writes
-// for those blocks, whether or not they would decode.
-func rawSnapshot(owner identity.NodeID, encs [][]byte) []byte {
-	out := append([]byte(nil), snapshotMagicV2[:]...)
-	out = binary.LittleEndian.AppendUint32(out, uint32(owner))
-	out = binary.LittleEndian.AppendUint32(out, 0) // trust cap
-	out = binary.LittleEndian.AppendUint32(out, uint32(len(encs)))
-	for _, e := range encs {
-		out = binary.LittleEndian.AppendUint32(out, uint32(len(e)))
-		out = append(out, e...)
+// writeFiles writes files into dir and returns it.
+func writeFiles(t testing.TB, dir string, files map[string][]byte) string {
+	t.Helper()
+	for name, data := range files {
+		if err := os.WriteFile(filepath.Join(dir, name), data, 0o644); err != nil {
+			t.Fatal(err)
+		}
 	}
-	out = append(out, make([]byte, 8+4+4)...) // no H_i insertions, headers or A_i entries
-	return binary.LittleEndian.AppendUint32(out, crc32.Checksum(out, walTable))
+	return dir
+}
+
+// stateLedgerFiles is a single-owner dir holding st's checkpoint and
+// segment.
+func stateLedgerFiles(st *NodeState) ledgerFiles {
+	ckpt, seg := stateFiles(st)
+	return ledgerFiles{files: map[string][]byte{checkpointFileName: ckpt, segmentFileName: seg}}
+}
+
+// rawState is owner's checkpoint, with an empty H_i and A_i, for the
+// segment seg as it is: it records seg's whole records — what a
+// compaction writes for those blocks, whether or not they would decode.
+func rawState(owner identity.NodeID, seg []byte) (ckpt []byte) {
+	return appendCheckpoint(nil, &checkpoint{st: NewNodeState(owner, 0), seg: markOf(seg)})
 }
 
 // chainLayout lays one owner's block encodings out in a data dir. The
@@ -324,14 +348,14 @@ func rawSnapshot(owner identity.NodeID, encs [][]byte) []byte {
 // so every mutation of the same chain lands in the same places.
 type chainLayout struct {
 	name    string
-	snap    int    // blocks in the snapshot
+	seg     int    // blocks in the segment
 	old     int    // blocks in wal.old after those
-	noWAL   bool   // the snapshot holds everything
+	noWAL   bool   // the segment holds everything
 	pattern []bool // shared only: per wal.log block record, whether it is the other owner's
 }
 
-// chainLayouts returns the four layouts of an n-block chain: snapshot
-// only, WAL only, snapshot + wal.old + wal.log split at random points,
+// chainLayouts returns the four layouts of an n-block chain: segment
+// only, WAL only, segment + wal.old + wal.log split at random points,
 // and a log shared with a second owner of others blocks.
 func chainLayouts(n, others int, rng *rand.Rand) []chainLayout {
 	a := rng.Intn(n + 1)
@@ -342,10 +366,10 @@ func chainLayouts(n, others int, rng *rand.Rand) []chainLayout {
 		pattern[i] = true
 	}
 	return []chainLayout{
-		{name: "snapshot", snap: n, noWAL: true},
+		{name: "segment", seg: n, noWAL: true},
 		{name: "wal"},
-		{name: fmt.Sprintf("split-%d-%d", a, b), snap: a, old: b - a},
-		{name: fmt.Sprintf("shared-%d", s), snap: s, pattern: pattern},
+		{name: fmt.Sprintf("split-%d-%d", a, b), seg: a, old: b - a},
+		{name: fmt.Sprintf("shared-%d", s), seg: s, pattern: pattern},
 	}
 }
 
@@ -365,21 +389,23 @@ func (l chainLayout) files(encs, others [][]byte, trusted *block.Header) ledgerF
 	tag(walKindTrust, appendWALTrust(nil, 0, trusted))
 
 	lf := ledgerFiles{files: map[string][]byte{}, shared: l.pattern != nil}
-	if l.snap > 0 {
-		name := snapshotFileName
+	if l.seg > 0 {
+		dir := ""
 		if lf.shared {
-			name = filepath.Join("node-1", snapshotFileName)
+			dir = "node-1"
 		}
-		lf.files[name] = rawSnapshot(1, encs[:l.snap])
+		seg, _ := segmentOf(encs[:l.seg])
+		lf.files[filepath.Join(dir, segmentFileName)] = seg
+		lf.files[filepath.Join(dir, checkpointFileName)] = rawState(1, seg)
 	}
 	if l.noWAL {
 		return lf
 	}
 	var old, log []byte
-	for _, e := range encs[l.snap : l.snap+l.old] {
+	for _, e := range encs[l.seg : l.seg+l.old] {
 		old = appendWALRecord(old, walKindBlock, e)
 	}
-	own, other := encs[l.snap+l.old:], others
+	own, other := encs[l.seg+l.old:], others
 	for _, theirs := range l.pattern {
 		if theirs {
 			log, other = appendWALRecord(log, walKindBlock, other[0]), other[1:]
@@ -567,13 +593,13 @@ func reframeWAL(buf []byte) {
 	}
 }
 
-// FuzzRecoverMatchesReference mutates the snapshot and WAL bytes of a
-// four-block chain — two blocks in the snapshot, two in wal.log — with
-// the snapshot CRC and every whole record's CRC recomputed, so the
-// mutations reach the block checks. Recovery must match the per-block
-// reference exactly: the one input they disagree on
-// (TestRecoverChainSignedBySuccessor) needs a signature only the key
-// can make.
+// FuzzRecoverMatchesReference mutates the segment and WAL bytes of a
+// four-block chain — two blocks in the segment, two in wal.log — with
+// every whole record's CRC recomputed and the checkpoint recording the
+// segment's whole records as they are, so the mutations reach the block
+// checks. Recovery must match the per-block reference exactly: the one
+// input they disagree on (TestRecoverChainSignedBySuccessor) needs a
+// signature only the key can make.
 func FuzzRecoverMatchesReference(f *testing.F) {
 	key, nb := identity.Deterministic(1, 5), identity.Deterministic(9, 5)
 	ring := identity.NewRing()
@@ -588,17 +614,15 @@ func FuzzRecoverMatchesReference(f *testing.F) {
 	trusted := proofChain(f, nb, 1, rng, true)[0]
 	wal := walBlockRecords(encs[2:])
 	wal = appendWALRecord(wal, walKindTrust, appendWALTrust(nil, 0, &trusted.Header))
-	f.Add(rawSnapshot(1, encs[:2]), wal)
-	f.Add(rawSnapshot(1, nil), walBlockRecords(encs))
-	f.Add(rawSnapshot(1, encs), []byte(nil))
+	f.Add(walBlockRecords(encs[:2]), wal)
+	f.Add([]byte(nil), walBlockRecords(encs))
+	f.Add(walBlockRecords(encs), []byte(nil))
 	base := f.TempDir()
-	f.Fuzz(func(t *testing.T, snap, wal []byte) {
-		snap, wal = bytes.Clone(snap), bytes.Clone(wal)
-		if len(snap) >= 12 {
-			binary.LittleEndian.PutUint32(snap[len(snap)-4:], crc32.Checksum(snap[:len(snap)-4], walTable))
-		}
+	f.Fuzz(func(t *testing.T, seg, wal []byte) {
+		seg, wal = bytes.Clone(seg), bytes.Clone(wal)
+		reframeWAL(seg)
 		reframeWAL(wal)
-		lf := ledgerFiles{files: map[string][]byte{snapshotFileName: snap, walFileName: wal}}
+		lf := ledgerFiles{files: map[string][]byte{checkpointFileName: rawState(1, seg), segmentFileName: seg, walFileName: wal}}
 		got, want := recoverFiles(t, base, lf, opts, false), recoverFiles(t, base, lf, opts, true)
 		if diff := sameOutcome(got, want); diff != "" {
 			t.Fatal(diff)
@@ -608,7 +632,7 @@ func FuzzRecoverMatchesReference(f *testing.F) {
 
 // TestRecoverRejectsForgedTrustHeader: a Ring-verified recovery
 // authenticates H_i as well as S_i. A neighbour's header with one
-// signature byte flipped — planted in the snapshot's trust section or
+// signature byte flipped — planted in the checkpoint's H_i branch or
 // in a WAL trust record — fails recovery; before, it was restored
 // with nothing but a CRC check and then counted as a voucher by every
 // audit whose path crossed it. Each header is validated on its own:
@@ -655,7 +679,7 @@ func TestRecoverRejectsForgedTrustHeader(t *testing.T) {
 		want error
 		at   string
 	}{
-		{"snapshot", ledgerFiles{files: map[string][]byte{snapshotFileName: stateBytes(t, state(forged))}}, ErrBadSnapshot, "trust header 1:"},
+		{"checkpoint", stateLedgerFiles(state(forged)), ErrBadCheckpoint, "H_i: header 1:"},
 		{"wal", ledgerFiles{files: map[string][]byte{walFileName: log}}, ErrBadWALRecord, fmt.Sprintf("trust header at offset %d:", forgedAt)},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
@@ -672,7 +696,7 @@ func TestRecoverRejectsForgedTrustHeader(t *testing.T) {
 		})
 	}
 	// The honest header passes: the check costs a signature, not a verdict.
-	honest := ledgerFiles{files: map[string][]byte{snapshotFileName: stateBytes(t, state(audited[1].Header.Clone()))}}
+	honest := stateLedgerFiles(state(audited[1].Header.Clone()))
 	if out := recoverFiles(t, base, honest, opts, false); out.err != "" {
 		t.Fatalf("honest H_i rejected: %s", out.err)
 	}

@@ -330,90 +330,249 @@ func ownRecords(t *testing.T, buf []byte, o identity.NodeID) []byte {
 	return out
 }
 
-// TestSharedLogCrashMatrix cuts the shared wal.log at every record
-// boundary and inside every record. Each owner must come back as its
-// snapshot plus exactly its own records of the intact prefix — checked
-// against the single-owner path replaying just those records — and
-// never with a record of anybody else's.
+// TestSharedLogCrashMatrix crashes a shared log at every point it can
+// be written. wal.log: cut at every record boundary and inside every
+// record, each owner must come back as its checkpoint and segment plus
+// exactly its own records of the intact prefix — checked against the
+// single-owner path replaying just those records — and never with a
+// record of anybody else's. Compaction and Silence: the data dir as it
+// stands halfway through and after every write of every step (segment
+// appends, checkpoint.tmp), before and after every rename (the
+// rotation; each checkpoint's commit, so a crash before its dir fsync
+// either way), must recover every owner to the state it had — and,
+// carrying on from there, find again what it appends behind whatever
+// the crash left.
 func TestSharedLogCrashMatrix(t *testing.T) {
-	owners := []identity.NodeID{1, 2, 3}
-	fx := newWorldFixture(t, owners, 40)
-	base := t.TempDir()
-	w := newWorld(t, base, true, WithSyncPolicy(SyncBatch()))
-	for _, o := range owners {
-		w.open(o)
-	}
-	// 36 steps run up to the first compaction, the rest fill wal.log.
-	for _, op := range worldWorkload(7, owners, 0, 37+30) {
-		w.apply(fx, op)
-	}
-	w.close()
-	raw, err := os.ReadFile(filepath.Join(base, walFileName))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var cuts []int
-	for off := 0; off < len(raw); {
-		_, n, err := scanWALRecord(raw[off:])
-		if err != nil {
-			t.Fatalf("fixture log damaged at %d: %v", off, err)
-		}
-		cuts = append(cuts, off, off+1, off+n/2, off+n-1)
-		off += n
-	}
-	cuts = append(cuts, len(raw))
-	if len(cuts) < 4*20 {
-		t.Fatalf("only %d cut points: the fixture log is too short to mean anything", len(cuts))
-	}
-	for _, cut := range cuts {
-		cdir := t.TempDir()
+	t.Run("wal.log", func(t *testing.T) {
+		owners := []identity.NodeID{1, 2, 3}
+		fx := newWorldFixture(t, owners, 40)
+		base := t.TempDir()
+		w := newWorld(t, base, true, WithSyncPolicy(SyncBatch()))
 		for _, o := range owners {
-			ndir := filepath.Join(cdir, fmt.Sprintf("node-%d", o))
-			if err := os.Mkdir(ndir, 0o755); err != nil {
-				t.Fatal(err)
-			}
-			copyLedgerDir(t, w.dir(o), ndir) // a node dir of a shared log: the snapshot
+			w.open(o)
 		}
-		if err := os.WriteFile(filepath.Join(cdir, walFileName), raw[:cut], 0o644); err != nil {
+		// 36 steps run up to the first compaction, the rest fill wal.log.
+		for _, op := range worldWorkload(7, owners, 0, 37+30) {
+			w.apply(fx, op)
+		}
+		w.close()
+		raw, err := os.ReadFile(filepath.Join(base, walFileName))
+		if err != nil {
 			t.Fatal(err)
 		}
-		got := newWorld(t, cdir, true)
-		for _, o := range owners {
-			got.open(o)
-			// The reference: o's snapshot and o's records, in a dir of
-			// its own, through the single-owner path.
-			rdir := t.TempDir()
-			copyLedgerDir(t, w.dir(o), rdir)
-			if err := os.WriteFile(filepath.Join(rdir, walFileName), ownRecords(t, raw[:cut], o), 0o644); err != nil {
+		var cuts []int
+		for off := 0; off < len(raw); {
+			_, n, err := scanWALRecord(raw[off:])
+			if err != nil {
+				t.Fatalf("fixture log damaged at %d: %v", off, err)
+			}
+			cuts = append(cuts, off, off+1, off+n/2, off+n-1)
+			off += n
+		}
+		cuts = append(cuts, len(raw))
+		if len(cuts) < 4*20 {
+			t.Fatalf("only %d cut points: the fixture log is too short to mean anything", len(cuts))
+		}
+		for _, cut := range cuts {
+			cdir := t.TempDir()
+			for _, o := range owners {
+				ndir := filepath.Join(cdir, fmt.Sprintf("node-%d", o))
+				if err := os.Mkdir(ndir, 0o755); err != nil {
+					t.Fatal(err)
+				}
+				copyLedgerDir(t, w.dir(o), ndir) // a node dir of a shared log: segment and checkpoint
+			}
+			if err := os.WriteFile(filepath.Join(cdir, walFileName), raw[:cut], 0o644); err != nil {
 				t.Fatal(err)
 			}
-			ref, err := OpenFileBackend(rdir)
-			if err != nil {
+			got := newWorld(t, cdir, true)
+			for _, o := range owners {
+				got.open(o)
+				// The reference: o's segment, checkpoint and records, in a dir of
+				// its own, through the single-owner path.
+				rdir := t.TempDir()
+				copyLedgerDir(t, w.dir(o), rdir)
+				if err := os.WriteFile(filepath.Join(rdir, walFileName), ownRecords(t, raw[:cut], o), 0o644); err != nil {
+					t.Fatal(err)
+				}
+				ref, err := OpenFileBackend(rdir)
+				if err != nil {
+					t.Fatal(err)
+				}
+				want, err := ref.Recover(worldOpts(o))
+				if err != nil {
+					t.Fatalf("cut %d: reference recovery of %v: %v", cut, o, err)
+				}
+				ref.Close()
+				if !bytes.Equal(stateBytes(t, got.sts[o]), stateBytes(t, want)) {
+					t.Fatalf("cut %d: owner %v recovered something other than its own records of the intact prefix", cut, o)
+				}
+				if rep := got.fbs[o].RecoveryReport(); rep.TornTail {
+					t.Fatalf("cut %d: owner %v saw a torn tail the log should have cut off as it opened", cut, o)
+				}
+			}
+			// The tear is gone for good: what is appended now is found again.
+			got.sts[1].Cache.Update(77, digest.Sum([]byte("after the tear")))
+			want := got.states()
+			got.close()
+			again := newWorld(t, cdir, true)
+			for _, o := range owners {
+				again.open(o)
+			}
+			sameStates(t, fmt.Sprintf("cut %d: reopened after appending behind the cut", cut), again.states(), want)
+			again.close()
+		}
+	})
+	t.Run("compaction and Silence", func(t *testing.T) {
+		owners := []identity.NodeID{1, 2, 3}
+		fx := newWorldFixture(t, owners, 60)
+		base := t.TempDir()
+		rec := &crashRecorder{base: base}
+		w := newWorld(t, base, true, append(rec.options(), WithSyncPolicy(SyncBatch()))...)
+		defer func() { w.close() }()
+		for _, o := range owners {
+			w.open(o)
+		}
+		// One compaction on the way, so segments and checkpoints are not
+		// empty, then records it has not folded.
+		for _, op := range worldWorkload(7, owners, 0, 37+30) {
+			w.apply(fx, op)
+		}
+		if err := w.log.Commit(); err != nil {
+			t.Fatal(err)
+		}
+		for _, step := range []struct {
+			name string
+			run  func()
+		}{
+			{"compaction", func() {
+				if err := w.compact(); err != nil {
+					t.Fatal(err)
+				}
+			}},
+			{"Silence", func() { w.silence(2) }},
+		} {
+			// Blocks the step has to append to the segment.
+			for i := 0; i < 3; i++ {
+				w.apply(fx, worldOp{kind: 0, owner: 2})
+			}
+			if err := w.log.Commit(); err != nil {
 				t.Fatal(err)
 			}
-			want, err := ref.Recover(worldOpts(o))
-			if err != nil {
-				t.Fatalf("cut %d: reference recovery of %v: %v", cut, o, err)
+			want := w.states()
+			images := rec.record(step.run)
+			if len(images) < 6 {
+				t.Fatalf("%s: %d crash points: nothing was written", step.name, len(images))
 			}
-			ref.Close()
-			if !bytes.Equal(stateBytes(t, got.sts[o]), stateBytes(t, want)) {
-				t.Fatalf("cut %d: owner %v recovered something other than its own records of the intact prefix", cut, o)
-			}
-			if rep := got.fbs[o].RecoveryReport(); rep.TornTail {
-				t.Fatalf("cut %d: owner %v saw a torn tail the log should have cut off as it opened", cut, o)
+			for i, img := range images {
+				dir := writeImage(t, img)
+				got := newWorld(t, dir, true)
+				for _, o := range owners {
+					got.open(o)
+				}
+				sameStates(t, fmt.Sprintf("%s, crash point %d", step.name, i), got.states(), want)
+				// Carry on behind the crash: a block and a digest each, a
+				// compaction, a cold start.
+				for _, o := range owners {
+					got.apply(fx, worldOp{kind: 0, owner: o})
+					got.apply(fx, worldOp{kind: 2, owner: o, arg: 9})
+				}
+				if err := got.compact(); err != nil {
+					t.Fatalf("%s, crash point %d: compacting after recovery: %v", step.name, i, err)
+				}
+				after := got.states()
+				got.close()
+				for _, o := range owners {
+					strictSegment(t, got.dir(o))
+				}
+				again := newWorld(t, dir, true)
+				for _, o := range owners {
+					again.open(o)
+				}
+				sameStates(t, fmt.Sprintf("%s, crash point %d: carried on", step.name, i), again.states(), after)
+				again.close()
 			}
 		}
-		// The tear is gone for good: what is appended now is found again.
-		got.sts[1].Cache.Update(77, digest.Sum([]byte("after the tear")))
-		want := got.states()
-		got.close()
-		again := newWorld(t, cdir, true)
-		for _, o := range owners {
-			again.open(o)
-		}
-		sameStates(t, fmt.Sprintf("cut %d: reopened after appending behind the cut", cut), again.states(), want)
-		again.close()
+	})
+}
+
+// crashRecorder takes an image of the data dir at every crash point of
+// the file writes under it while recording: halfway through and after
+// each write and truncation, before and after each rename. One lock
+// holds every write through the seam and every image, so an image is
+// always a prefix of the operations as they happened in order.
+type crashRecorder struct {
+	mu     sync.Mutex
+	base   string
+	on     bool
+	images []map[string][]byte
+}
+
+func (c *crashRecorder) options() []BackendOption {
+	return []BackendOption{
+		WithWALFile(func(f WALFile) WALFile { return recordedFile{f, c} }),
+		func(l *Log) {
+			l.rename = func(oldpath, newpath string) error {
+				c.mu.Lock()
+				defer c.mu.Unlock()
+				c.imageLocked()
+				err := os.Rename(oldpath, newpath)
+				c.imageLocked()
+				return err
+			}
+		},
 	}
+}
+
+// record runs step and returns the images taken meanwhile, and one of
+// where it left the dir.
+func (c *crashRecorder) record(step func()) []map[string][]byte {
+	c.mu.Lock()
+	c.on, c.images = true, nil
+	c.mu.Unlock()
+	step()
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.imageLocked()
+	c.on = false
+	return c.images
+}
+
+func (c *crashRecorder) imageLocked() {
+	if !c.on {
+		return
+	}
+	img, err := readTree(c.base)
+	if err != nil {
+		panic(err) // on a writer's goroutine: no t.Fatal here
+	}
+	c.images = append(c.images, img)
+}
+
+type recordedFile struct {
+	WALFile
+	c *crashRecorder
+}
+
+func (f recordedFile) Write(p []byte) (int, error) {
+	f.c.mu.Lock()
+	defer f.c.mu.Unlock()
+	n, err := f.WALFile.Write(p[:len(p)/2])
+	if err != nil {
+		return n, err
+	}
+	f.c.imageLocked()
+	m, err := f.WALFile.Write(p[len(p)/2:])
+	f.c.imageLocked()
+	return n + m, err
+}
+
+func (f recordedFile) Truncate(size int64) error {
+	f.c.mu.Lock()
+	defer f.c.mu.Unlock()
+	err := f.WALFile.Truncate(size)
+	f.c.imageLocked()
+	return err
 }
 
 // TestSharedLogTornOldGeneration: the shared wal.old was synced and
@@ -618,54 +777,5 @@ func TestSharedLogRestartWhileOthersLog(t *testing.T) {
 		w.open(o)
 	}
 	sameStates(t, "cold start after the bounces", w.states(), want)
-	w.close()
-}
-
-// TestSharedLogOpensPrivateLayout: a data dir written when every device
-// had a WAL of its own — node-<id>/wal.log, wal.old, snapshot.2ldg, the
-// parent commit's Cluster layout — opens as a shared log: each owner
-// replays its private generations once, keeps their content in a fresh
-// snapshot, and logs to the shared file from then on.
-func TestSharedLogOpensPrivateLayout(t *testing.T) {
-	owners := []identity.NodeID{1, 2, 3}
-	fx := newWorldFixture(t, owners, 40)
-	base := t.TempDir()
-	old := newWorld(t, base, false)
-	for _, o := range owners {
-		old.open(o)
-	}
-	for _, op := range worldWorkload(3, owners, 0, 90) {
-		old.apply(fx, op)
-	}
-	want := old.states()
-	old.close()
-	// Owner 2 crashed inside a compaction: its generation rotated, its
-	// snapshot not yet written.
-	if err := os.Rename(filepath.Join(old.dir(2), walFileName), filepath.Join(old.dir(2), walOldFileName)); err != nil {
-		t.Fatal(err)
-	}
-
-	w := newWorld(t, base, true)
-	for _, o := range owners {
-		w.open(o)
-	}
-	sameStates(t, "private layout through the shared log", w.states(), want)
-	for _, o := range owners {
-		for _, name := range []string{walFileName, walOldFileName} {
-			if _, err := os.Stat(filepath.Join(w.dir(o), name)); !errors.Is(err, os.ErrNotExist) {
-				t.Errorf("owner %v still has a private %s", o, name)
-			}
-		}
-	}
-	for _, o := range owners {
-		w.apply(fx, worldOp{kind: 0, owner: o})
-		w.apply(fx, worldOp{kind: 2, owner: o, arg: 5})
-	}
-	want = w.states()
-	w.reopen() // crash
-	for _, o := range owners {
-		w.open(o)
-	}
-	sameStates(t, "after a crash on the shared log", w.states(), want)
 	w.close()
 }

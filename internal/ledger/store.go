@@ -25,8 +25,8 @@
 // by its own hash, so no store keeps a hash → block map.
 //
 // Blocks built by block.Params.Build are fully sealed (body root
-// memoized too). A block appended unsealed — e.g. restored from a
-// snapshot — keeps only the header seal, because the store does not
+// memoized too). A block appended unsealed — e.g. decoded from the
+// wire — keeps only the header seal, because the store does not
 // know the Merkle leaf size; callers that hold the Params can run
 // Params.SealBlock before Append to memoize the body root as well.
 //
@@ -68,6 +68,7 @@ import (
 	"github.com/twoldag/twoldag/internal/block"
 	"github.com/twoldag/twoldag/internal/digest"
 	"github.com/twoldag/twoldag/internal/identity"
+	"github.com/twoldag/twoldag/internal/merkle"
 )
 
 // Sentinel errors.
@@ -138,7 +139,7 @@ func (s *Store) Owner() identity.NodeID { return s.owner }
 // logs the sealed block (and fsyncs, for FileBackend) before the block
 // becomes visible, and a journal error fails the append. Install
 // before the store sees traffic; blocks appended earlier are the
-// recovery layer's concern (snapshot), not the journal's.
+// recovery layer's concern (segment and checkpoint), not the journal's.
 func (s *Store) SetJournal(j Journal) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -150,7 +151,7 @@ func (s *Store) SetJournal(j Journal) {
 //
 // A sealed block (block.Params.Build output) is stored by reference —
 // the caller keeps read access but must not mutate it afterwards. An
-// unsealed block (e.g. decoded from a snapshot) is defensively copied
+// unsealed block (e.g. decoded from the wire) is defensively copied
 // and header-sealed, so the caller's value stays mutable; run
 // block.Params.SealBlock first to carry a body-root memo too.
 func (s *Store) Append(b *block.Block) error {
@@ -338,6 +339,41 @@ func (s *Store) ModelBits(m block.SizeModel) int64 {
 	// the running refCount makes this O(1) — scaling experiments call it
 	// per node per sample point.
 	return int64(len(s.blocks))*int64(m.ConstantBits()+m.C) + int64(m.FH)*s.refCount
+}
+
+// since returns the blocks after the first n, provided the n-th hashes
+// to last: what a segment holding that prefix of this log lacks. The
+// result shares the log's backing array, which Append never rewrites
+// below its length.
+func (s *Store) since(n uint32, last digest.Digest) ([]*block.Block, error) {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	if int(n) > len(s.blocks) || (n > 0 && s.blocks[n-1].Header.Hash() != last) {
+		return nil, fmt.Errorf("ledger: the %d blocks of %v do not continue its segment of %d", len(s.blocks), s.owner, n)
+	}
+	return s.blocks[n:len(s.blocks):len(s.blocks)], nil
+}
+
+// appendDigest appends S_i's state-digest branch under the read lock:
+// the block count, then each block's header hash and body root M(body)
+// under the default leaf size — the root memoized at seal time, so no
+// body is hashed again (recovery memoizes what it computes, whether or
+// not it compared it to the header's Root).
+func (s *Store) appendDigest(dst []byte) []byte {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(s.blocks)))
+	for _, b := range s.blocks {
+		hh := b.Header.Hash()
+		root, ok := b.CachedBodyRoot(merkle.DefaultLeafSize)
+		if !ok {
+			// Appended unsealed: no memo. RootOfBody fails only on a
+			// non-positive leaf size.
+			root, _ = merkle.RootOfBody(b.Body, merkle.DefaultLeafSize)
+		}
+		dst = append(append(dst, hh[:]...), root[:]...)
+	}
+	return dst
 }
 
 // Headers returns the stored (sealed, read-only) headers in sequence

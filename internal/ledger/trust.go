@@ -1,8 +1,7 @@
 package ledger
 
 import (
-	"fmt"
-	"io"
+	"encoding/binary"
 	"sync"
 
 	"github.com/twoldag/twoldag/internal/block"
@@ -30,8 +29,8 @@ type TrustStore struct {
 	// entries[head:] are the live headers, oldest-inserted first. The
 	// ring serves two masters: the FIFO bound (capLimit > 0) evicts
 	// from head — the scale runs cap H_i so ten-thousand-validator
-	// simulations stay bounded — and snapshot v2 serializes headers in
-	// this order so a restored store reproduces ChildOf's
+	// simulations stay bounded — and the checkpoint serializes headers
+	// in this order so a restored store reproduces ChildOf's
 	// earliest-inserted-wins choices exactly. An entry's id is
 	// base + its index; ids (unlike indexes) survive the compaction
 	// that drops the evicted prefix, and all id arithmetic is modulo
@@ -61,7 +60,7 @@ type TrustStore struct {
 	capLimit  int
 	// inserted counts successful Adds over the store's lifetime. It is
 	// the insertion horizon durability needs: each journaled header
-	// carries its index, snapshots record the count at gather time, and
+	// carries its index, checkpoints record the count at gather time, and
 	// WAL replay skips records below it — re-adding a since-evicted
 	// header would evict a different live one.
 	inserted int64
@@ -186,7 +185,7 @@ func (t *TrustStore) Add(h *block.Header) bool {
 	}
 	// Journal inside the lock so the logged order is exactly the
 	// insertion order replay must reproduce; the index identifies this
-	// insertion across snapshot horizons. A journal error degrades
+	// insertion across checkpoint horizons. A journal error degrades
 	// durability, never the live store: the backend keeps it sticky
 	// and surfaces it on Sync/Close.
 	if t.journal != nil {
@@ -291,41 +290,48 @@ func (t *TrustStore) compactLocked() {
 
 // Insertions returns the number of successful Adds over the store's
 // lifetime (evicted headers included) — the replay horizon recorded in
-// snapshots and carried by every journaled trust record.
+// checkpoints and carried by every journaled trust record.
 func (t *TrustStore) Insertions() int64 {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
 	return t.inserted
 }
 
-// setInsertions restores the lifetime insertion count from a snapshot.
+// setInsertions restores the lifetime insertion count from a checkpoint.
 func (t *TrustStore) setInsertions(n int64) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	t.inserted = n
 }
 
-// writeSnapshotHeaders writes the snapshot-v2 trust section (insertion
-// count + live-header count + headers in insertion order) under the
-// read lock.
-func (t *TrustStore) writeSnapshotHeaders(w io.Writer) error {
+// appendHeaders appends H_i's checkpoint branch under the read lock:
+// the insertion count, the live-header count and each live header,
+// length-prefixed, in insertion order.
+func (t *TrustStore) appendHeaders(dst []byte) []byte {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
-	if err := writeU64(w, uint64(t.inserted)); err != nil {
-		return fmt.Errorf("ledger: writing trust insertion count: %w", err)
-	}
+	dst = binary.LittleEndian.AppendUint64(dst, uint64(t.inserted))
 	live := t.entries[t.head:]
-	if err := writeU32(w, uint32(len(live))); err != nil {
-		return fmt.Errorf("ledger: writing trust count: %w", err)
-	}
-	var rec []byte
+	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(live)))
 	for i := range live {
-		rec = appendFramed(rec, block.AppendEncodeHeader, live[i].hdr)
-		if _, err := w.Write(rec); err != nil {
-			return fmt.Errorf("ledger: writing trust header: %w", err)
-		}
+		dst = appendFramed(dst, block.AppendEncodeHeader, live[i].hdr)
 	}
-	return nil
+	return dst
+}
+
+// appendHashes appends H_i's state-digest branch under the read lock:
+// appendHeaders with each header's hash in place of its encoding.
+func (t *TrustStore) appendHashes(dst []byte) []byte {
+	t.mu.RLock()
+	defer t.mu.RUnlock()
+	dst = binary.LittleEndian.AppendUint64(dst, uint64(t.inserted))
+	live := t.entries[t.head:]
+	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(live)))
+	for i := range live {
+		hh := live[i].hdr.Hash()
+		dst = append(dst, hh[:]...)
+	}
+	return dst
 }
 
 // Has reports whether a header with the given hash is stored.

@@ -2,8 +2,8 @@ package ledger
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
-	"io"
 	"math/rand"
 	"testing"
 
@@ -97,20 +97,14 @@ func (t *trustReference) evict(hh digest.Digest) {
 
 func (t *trustReference) Insertions() int64 { return t.inserted }
 
-func (t *trustReference) writeSnapshotHeaders(w io.Writer) error {
-	if err := writeU64(w, uint64(t.inserted)); err != nil {
-		return err
-	}
+func (t *trustReference) appendHeaders(dst []byte) []byte {
+	dst = binary.LittleEndian.AppendUint64(dst, uint64(t.inserted))
 	live := t.order[t.head:]
-	if err := writeU32(w, uint32(len(live))); err != nil {
-		return err
-	}
+	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(live)))
 	for _, hh := range live {
-		if _, err := w.Write(appendFramed(nil, block.AppendEncodeHeader, t.headers[hh])); err != nil {
-			return err
-		}
+		dst = appendFramed(dst, block.AppendEncodeHeader, t.headers[hh])
 	}
-	return nil
+	return dst
 }
 
 func (t *trustReference) Has(headerHash digest.Digest) bool {
@@ -295,22 +289,14 @@ func (p *trustPair) checkChildOf(d digest.Digest) {
 	}
 }
 
-func (p *trustPair) snapshots() (got, want []byte) {
-	p.t.Helper()
-	var g, w bytes.Buffer
-	if err := p.got.writeSnapshotHeaders(&g); err != nil {
-		p.t.Fatal(err)
-	}
-	if err := p.want.writeSnapshotHeaders(&w); err != nil {
-		p.t.Fatal(err)
-	}
-	return g.Bytes(), w.Bytes()
+func (p *trustPair) checkpoints() (got, want []byte) {
+	return p.got.appendHeaders(nil), p.want.appendHeaders(nil)
 }
 
 // checkAll compares every observable: each header ever added through
 // Has and Get, ChildOf for every digest ever referenced and every
 // header hash (a header's hash is what its children reference), and
-// the snapshot bytes.
+// the checkpoint bytes.
 func (p *trustPair) checkAll() {
 	p.t.Helper()
 	p.checkCounts()
@@ -331,8 +317,8 @@ func (p *trustPair) checkAll() {
 	for d := range p.refs {
 		p.checkChildOf(d)
 	}
-	if g, w := p.snapshots(); !bytes.Equal(g, w) {
-		p.t.Fatal("snapshot trust section differs from the reference")
+	if g, w := p.checkpoints(); !bytes.Equal(g, w) {
+		p.t.Fatal("checkpoint H_i branch differs from the reference")
 	}
 }
 

@@ -58,9 +58,9 @@ const (
 	walCRCLen    = 4
 )
 
-// maxWALPayload bounds one record payload — same bound as a snapshot
-// block record, which dominates the header and digest payloads.
-const maxWALPayload = maxSnapshotBlock
+// maxWALPayload bounds one record payload (and one checkpoint header):
+// a block record's, which dominates the header and digest payloads.
+const maxWALPayload = block.MaxBodyLen + 1<<20
 
 // walTable is the CRC-32C (Castagnoli) table; hardware-accelerated on
 // every platform Go supports.
@@ -87,7 +87,7 @@ func appendWALRecord(dst []byte, kind byte, payload []byte) []byte {
 
 // appendWALTrust appends a trust record payload: the header's lifetime
 // insertion index in H_i followed by its encoding. The index lets
-// replay skip Adds the snapshot already accounts for — re-adding a
+// replay skip Adds the checkpoint already accounts for — re-adding a
 // header a capped store had since evicted would evict a different live
 // header and break byte-identical recovery.
 func appendWALTrust(dst []byte, inserted int64, h *block.Header) []byte {
@@ -176,8 +176,8 @@ type walReplayStats struct {
 // after it. Records replay idempotently — blocks already present
 // (sequence below the log length) are skipped, trust records below the
 // store's insertion horizon are skipped, digest upserts are
-// latest-wins — so a WAL generation that overlaps the snapshot it
-// preceded is harmless. Records of another owner — tagged ones, and in
+// latest-wins — so a WAL generation that overlaps the checkpoint and
+// segment it preceded is harmless. Records of another owner — tagged ones, and in
 // a shared log (opts.shared) blocks too — are passed over: a view of a
 // shared log replays its owner's records and nobody else's.
 //
@@ -250,7 +250,7 @@ scan:
 			}
 			switch seq := int(b.Header.Seq); {
 			case seq < have:
-				// Already restored by the snapshot (or an earlier WAL
+				// Already restored from the segment (or an earlier WAL
 				// generation): the record predates the last compaction.
 			case seq > have:
 				scanErr = fmt.Errorf("%w: block at offset %d seq %d, store has %d", ErrBadWALRecord, off, seq, have)
@@ -270,7 +270,7 @@ scan:
 				scanErr = fmt.Errorf("%w: header at offset %d: %v", ErrBadWALRecord, off, err)
 				break scan
 			}
-			// Skip insertions the snapshot already accounts for: the
+			// Skip insertions the checkpoint already accounts for: the
 			// header may have been FIFO-evicted since, and re-adding it
 			// would evict a different live header instead. At or above
 			// the horizon the Add replays with the exact state it saw

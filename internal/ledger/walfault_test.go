@@ -3,10 +3,14 @@ package ledger
 import (
 	"bytes"
 	"errors"
+	"fmt"
+	"io"
+	"io/fs"
 	"os"
 	"path/filepath"
 	"strings"
 	"sync"
+	"syscall"
 	"testing"
 
 	"github.com/twoldag/twoldag/internal/digest"
@@ -14,31 +18,40 @@ import (
 )
 
 // Storage faults below the log, through its write/sync seam (WALFile
-// and the rename hook): a write that fails or comes up short halfway
-// through a frame, an fsync that fails, a truncation that fails, a
-// rotation whose rename fails. After each, what was acknowledged must
-// be recoverable and what was not must be gone, whichever owner of a
-// shared log the fault hit and whichever writes next.
+// and the rename hook) — which every file the log and its backends
+// write goes through: WAL generations, segments, checkpoints. A write
+// that fails or comes up short halfway through a frame, an fsync that
+// fails, a truncation that fails, a rename that fails. After each, what
+// was acknowledged must be recoverable and what was not must be gone,
+// whichever owner of a shared log the fault hit and whichever writes
+// next.
 
 var errInjected = errors.New("injected storage fault")
 
 // walFaults arms faults: each counter fails that many of the next
-// calls of its kind.
+// calls of its kind, on any file or only on the one named.
 type walFaults struct {
 	mu                                sync.Mutex
 	writes, syncs, truncates, renames int
-	short                             bool // a failing write reports a short count and no error
+	short                             bool   // a failing write reports a short count and no error
+	err                               error  // what a failing call returns (errInjected when nil)
+	only                              string // when set, the path of the one file that fails (of a rename: the old path)
 	onRename                          func(oldpath, newpath string)
 }
 
-func (f *walFaults) take(n *int) bool {
+// take reports whether the call of kind n on the file at path fails,
+// and with which error.
+func (f *walFaults) take(n *int, path string) error {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	if *n == 0 {
-		return false
+	if *n == 0 || (f.only != "" && path != f.only) {
+		return nil
 	}
 	*n--
-	return true
+	if f.err != nil {
+		return f.err
+	}
+	return errInjected
 }
 
 func (f *walFaults) arm(set func()) {
@@ -49,31 +62,36 @@ func (f *walFaults) arm(set func()) {
 
 type faultyFile struct {
 	WALFile
-	f *walFaults
+	f    *walFaults
+	path string
 }
 
 // Write, when armed, puts half of the frame on disk before it fails.
 func (ff faultyFile) Write(p []byte) (int, error) {
-	if !ff.f.take(&ff.f.writes) {
+	err := ff.f.take(&ff.f.writes, ff.path)
+	if err == nil {
 		return ff.WALFile.Write(p)
 	}
 	n, _ := ff.WALFile.Write(p[:len(p)/2])
-	if ff.f.short {
+	ff.f.mu.Lock()
+	short := ff.f.short
+	ff.f.mu.Unlock()
+	if short {
 		return n, nil
 	}
-	return n, errInjected
+	return n, err
 }
 
 func (ff faultyFile) Sync() error {
-	if ff.f.take(&ff.f.syncs) {
-		return errInjected
+	if err := ff.f.take(&ff.f.syncs, ff.path); err != nil {
+		return err
 	}
 	return ff.WALFile.Sync()
 }
 
 func (ff faultyFile) Truncate(size int64) error {
-	if ff.f.take(&ff.f.truncates) {
-		return errInjected
+	if err := ff.f.take(&ff.f.truncates, ff.path); err != nil {
+		return err
 	}
 	return ff.WALFile.Truncate(size)
 }
@@ -81,17 +99,26 @@ func (ff faultyFile) Truncate(size int64) error {
 // options puts the faults under a log.
 func (f *walFaults) options() []BackendOption {
 	return []BackendOption{
-		WithWALFile(func(w WALFile) WALFile { return faultyFile{w, f} }),
+		WithWALFile(func(w WALFile) WALFile {
+			path := ""
+			if of, ok := w.(*os.File); ok {
+				path = of.Name()
+			}
+			return faultyFile{w, f, path}
+		}),
 		func(l *Log) {
 			l.rename = func(oldpath, newpath string) error {
-				if f.take(&f.renames) {
-					return errInjected
+				if err := f.take(&f.renames, oldpath); err != nil {
+					return err
 				}
 				if err := os.Rename(oldpath, newpath); err != nil {
 					return err
 				}
-				if f.onRename != nil {
-					f.onRename(oldpath, newpath)
+				f.mu.Lock()
+				hook := f.onRename
+				f.mu.Unlock()
+				if hook != nil {
+					hook(oldpath, newpath)
 				}
 				return nil
 			}
@@ -333,7 +360,7 @@ func TestWALFaultRotation(t *testing.T) {
 			// generation should be created.
 			faults.arm(func() {
 				faults.onRename = func(oldpath, newpath string) {
-					faults.onRename = nil
+					faults.arm(func() { faults.onRename = nil })
 					if err := os.WriteFile(oldpath, nil, 0o644); err != nil {
 						t.Error(err)
 					}
@@ -404,14 +431,14 @@ func TestCompactionFailureKeepsEveryGeneration(t *testing.T) {
 				t.Fatal("a compaction whose gather fails reported success")
 			}
 			drive(2)
-			// The second failure is in the snapshot step: the tmp file
+			// The second failure is in the checkpoint step: the tmp file
 			// cannot be created.
-			blocked := filepath.Join(w.dir(owners[len(owners)-1]), snapshotTmpName)
+			blocked := filepath.Join(w.dir(owners[len(owners)-1]), checkpointTmpName)
 			if err := os.Mkdir(blocked, 0o755); err != nil {
 				t.Fatal(err)
 			}
 			if err := w.compact(); err == nil {
-				t.Fatal("a compaction whose snapshot cannot be written reported success")
+				t.Fatal("a compaction whose checkpoint cannot be written reported success")
 			}
 			if err := os.Remove(blocked); err != nil {
 				t.Fatal(err)
@@ -439,7 +466,7 @@ func TestCompactionFailureKeepsEveryGeneration(t *testing.T) {
 			}
 			drive(1)
 			if err := w.compact(); err != nil {
-				t.Fatalf("the compaction that retries the snapshots: %v", err)
+				t.Fatalf("the compaction that retries the checkpoints: %v", err)
 			}
 			logDir := base
 			if !shared {
@@ -458,4 +485,153 @@ func TestCompactionFailureKeepsEveryGeneration(t *testing.T) {
 			w.close()
 		})
 	}
+}
+
+// TestCheckpointFaults: storage faults under the segment and checkpoint
+// writers, hitting owner k of N in the middle of a log-wide compaction
+// (or the one owner of a single-owner dir): EIO, ENOSPC or a short write
+// halfway through a segment append or through checkpoint.tmp, an fsync
+// of either that fails, a checkpoint rename that fails. The compaction
+// reports it and keeps wal.old; a crash right then recovers every owner
+// to the state it had; the next trigger retries and lets wal.old go;
+// and whatever the failed append left past the segment's recorded
+// prefix is cut before anything is appended behind it.
+func TestCheckpointFaults(t *testing.T) {
+	type fault struct {
+		name string
+		file string
+		want error
+		set  func(f *walFaults)
+	}
+	var faults []fault
+	for _, file := range []string{segmentFileName, checkpointTmpName} {
+		faults = append(faults,
+			fault{"EIO", file, syscall.EIO, func(f *walFaults) { f.writes, f.err = 1, syscall.EIO }},
+			fault{"ENOSPC", file, syscall.ENOSPC, func(f *walFaults) { f.writes, f.err = 1, syscall.ENOSPC }},
+			fault{"short write", file, io.ErrShortWrite, func(f *walFaults) { f.writes, f.short = 1, true }},
+			fault{"failed fsync", file, errInjected, func(f *walFaults) { f.syncs = 1 }},
+		)
+	}
+	faults = append(faults, fault{"failed rename", checkpointTmpName, errInjected, func(f *walFaults) { f.renames = 1 }})
+	for _, shared := range []bool{false, true} {
+		owners, victim := []identity.NodeID{1}, identity.NodeID(1)
+		if shared {
+			owners, victim = []identity.NodeID{1, 2, 3}, 2
+		}
+		for _, fc := range faults {
+			name := fmt.Sprintf("%s/%s/shared=%v", fc.file, fc.name, shared)
+			t.Run(name, func(t *testing.T) {
+				faults := &walFaults{}
+				fx := newWorldFixture(t, owners, 12)
+				base := t.TempDir()
+				w := newWorld(t, base, shared, faults.options()...)
+				defer func() { w.close() }()
+				for _, o := range owners {
+					w.open(o)
+				}
+				drive := func(n int) {
+					for _, o := range owners {
+						for i := 0; i < n; i++ {
+							w.apply(fx, worldOp{kind: 0, owner: o})
+							w.apply(fx, worldOp{kind: 1, owner: o, arg: i})
+							w.apply(fx, worldOp{kind: 2, owner: o, arg: i})
+						}
+					}
+				}
+				logDir := base
+				if !shared {
+					logDir = w.dir(1)
+				}
+				drive(3)
+				if err := w.compact(); err != nil {
+					t.Fatal(err)
+				}
+				drive(2)
+				want := w.states()
+				faults.arm(func() {
+					fc.set(faults)
+					faults.only = filepath.Join(w.dir(victim), fc.file)
+				})
+				if err := w.compact(); !errors.Is(err, fc.want) {
+					t.Fatalf("compaction over the fault: %v, want %v", err, fc.want)
+				}
+				if _, err := os.Stat(filepath.Join(logDir, walOldFileName)); err != nil {
+					t.Fatalf("wal.old went with a compaction that failed: %v", err)
+				}
+				sameStates(t, "crash after the failed compaction", recoverImage(t, dirImage(t, base), shared, owners), want)
+
+				// The next trigger retries, and appends behind the committed
+				// prefix only.
+				drive(1)
+				want = w.states()
+				if err := w.compact(); err != nil {
+					t.Fatalf("the compaction after the failed one: %v", err)
+				}
+				if _, err := os.Stat(filepath.Join(logDir, walOldFileName)); !errors.Is(err, os.ErrNotExist) {
+					t.Fatal("wal.old survived the compaction that covered it")
+				}
+				for _, o := range owners {
+					strictSegment(t, w.dir(o))
+				}
+				sameStates(t, "crash after the retry", recoverImage(t, dirImage(t, base), shared, owners), want)
+			})
+		}
+	}
+}
+
+// dirImage reads every regular file under base, by relative path: a
+// data dir as a crash at this instant would leave it.
+func dirImage(t testing.TB, base string) map[string][]byte {
+	t.Helper()
+	img, err := readTree(base)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return img
+}
+
+func readTree(base string) (map[string][]byte, error) {
+	img := map[string][]byte{}
+	err := filepath.WalkDir(base, func(path string, d fs.DirEntry, err error) error {
+		if err != nil || !d.Type().IsRegular() {
+			return err
+		}
+		data, err := os.ReadFile(path)
+		if err != nil {
+			return err
+		}
+		rel, err := filepath.Rel(base, path)
+		img[rel] = data
+		return err
+	})
+	return img, err
+}
+
+// recoverImage lays img out in a fresh dir and recovers every owner from
+// it, returning their states.
+func recoverImage(t *testing.T, img map[string][]byte, shared bool, owners []identity.NodeID) map[identity.NodeID][]byte {
+	t.Helper()
+	dir := writeImage(t, img)
+	w := newWorld(t, dir, shared)
+	defer w.close()
+	for _, o := range owners {
+		w.open(o)
+	}
+	return w.states()
+}
+
+// writeImage lays img out in a fresh dir.
+func writeImage(t *testing.T, img map[string][]byte) string {
+	t.Helper()
+	dir := t.TempDir()
+	for rel, data := range img {
+		path := filepath.Join(dir, rel)
+		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return dir
 }

@@ -168,18 +168,19 @@ func WithCommitObserver(o CommitObserver) BackendOption {
 	return func(l *Log) { l.obs = o }
 }
 
-// WALFile is what the log asks of the file it appends to. *os.File is
-// the one production implementation; the interface is the seam under
-// the log where a test fails or shortens a write and fails an fsync or
-// a truncation.
+// WALFile is what the log asks of a file it writes: a WAL generation,
+// a segment or a checkpoint. *os.File is the one production
+// implementation; the interface is the seam under the log where a test
+// fails or shortens a write and fails an fsync or a truncation.
 type WALFile interface {
 	io.WriteCloser
 	Sync() error
 	Truncate(size int64) error
 }
 
-// WithWALFile has the log write through wrap(f) for every generation f
-// it opens. For fault-injection tests.
+// WithWALFile has the log, and every backend on it, write through
+// wrap(f) for every file f they open: WAL generations, segments and
+// checkpoints. For fault-injection tests.
 func WithWALFile(wrap func(WALFile) WALFile) BackendOption {
 	return func(l *Log) { l.wrap = wrap }
 }
@@ -198,7 +199,8 @@ type WALStats struct {
 // retires them. It serves the FileBackends opened on it — the one
 // OpenFileBackend makes for a single-owner dir, or one per device of
 // a process for a log opened with OpenLog — and each of those is a
-// Journal for its own node's structures and keeps its own snapshot.
+// Journal for its own node's structures and keeps its own segment and
+// checkpoint.
 // Safe for concurrent use by all of them.
 type Log struct {
 	dir    string
@@ -206,11 +208,11 @@ type Log struct {
 	policy SyncPolicy
 	obs    CommitObserver
 	wrap   func(WALFile) WALFile               // nil outside tests
-	rename func(oldpath, newpath string) error // os.Rename outside tests
+	rename func(oldpath, newpath string) error // os.Rename outside tests: rotations and checkpoint commits
 
 	// compactMu is held for the length of a compaction, and by a backend
 	// of a shared log while it recovers or closes: the set of backends a
-	// compaction snapshots does not change under it, nor do the files a
+	// compaction commits does not change under it, nor do the files a
 	// recovery reads. Taken before mu.
 	compactMu sync.Mutex
 
@@ -223,17 +225,17 @@ type Log struct {
 	deferred error // sticky lazy-record or compaction error (see Sync)
 
 	// hasOld says wal.old exists: a compaction rotated and has not yet
-	// committed every snapshot that lets it go. Until one does, nothing
+	// committed every checkpoint that lets it go. Until one does, nothing
 	// rotates again — the rename would replace the only copy of records
-	// no snapshot holds.
+	// no segment or checkpoint holds.
 	hasOld bool
-	// uncovered owners have records in the generations that no snapshot
-	// is known to hold and no open backend could gather — found in the
-	// files as a shared log opened and not yet recovered, or closed with
-	// records newer than their snapshot: while there is one, compaction
-	// leaves the generations alone. covered owners closed with their
-	// snapshot holding all they ever logged here: their next Recover
-	// need not read the generations.
+	// uncovered owners have records in the generations that no
+	// checkpoint is known to hold and no open backend could gather —
+	// found in the files as a shared log opened and not yet recovered, or
+	// closed with records newer than their checkpoint: while there is
+	// one, compaction leaves the generations alone. covered owners closed
+	// with their checkpoint holding all they ever logged here: their next
+	// Recover need not read the generations.
 	uncovered, covered map[identity.NodeID]struct{}
 
 	// goodOff is the byte length of wal.log's known-intact record
@@ -314,7 +316,12 @@ func openLog(dir string, shared bool, opts []BackendOption) (*Log, error) {
 
 // openGeneration opens wal.log for appending behind the seam.
 func (l *Log) openGeneration(flag int) (WALFile, error) {
-	f, err := os.OpenFile(filepath.Join(l.dir, walFileName), os.O_CREATE|os.O_WRONLY|os.O_APPEND|flag, 0o644)
+	return l.openFile(filepath.Join(l.dir, walFileName), os.O_CREATE|os.O_WRONLY|os.O_APPEND|flag)
+}
+
+// openFile opens a file of the data dir for writing behind the seam.
+func (l *Log) openFile(path string, flag int) (WALFile, error) {
+	f, err := os.OpenFile(path, flag, 0o644)
 	if err != nil {
 		return nil, err
 	}
@@ -590,34 +597,38 @@ func (l *Log) rotateLocked() error {
 	return nil
 }
 
-// Compact folds the log into fresh snapshots of every open backend:
+// Compact folds the log into the segments and checkpoints of every
+// open backend:
 //
 //  1. under mu: fsync wal.log, rename it to wal.old, start an empty
 //     generation (every owner's pending = 0);
-//  2. outside mu: gather each owner's current state and commit it as
-//     that owner's new snapshot (tmp + rename), side by side;
+//  2. outside mu, owners side by side: gather each owner's current
+//     state, append the blocks its segment lacks and fsync them, then
+//     commit a checkpoint recording them (tmp + fsync + rename);
 //  3. delete wal.old.
 //
 // Logging continues into the new generation throughout. Records
-// gathered into a snapshot AND logged to the new generation replay
-// idempotently; a crash at any step recovers (wal.old replays between
-// snapshot and wal.log; snapshot.tmp is discarded). When step 2 fails
-// wal.old stays, and the next Compact retries the snapshots without
-// rotating: a generation only goes once snapshots hold every record in
-// it. A failure is returned and kept as the sticky error Sync and
-// Close report. Compact returns nil without compacting, leaving it to
-// the next trigger, when a compaction is in flight, no backend is open
-// to gather from, a block is staged but not yet appended to its store
-// (the snapshot would miss a record the rotation retires), or an owner
-// is uncovered.
+// gathered into a checkpoint or segment AND logged to the new
+// generation replay idempotently; a crash at any step recovers
+// (wal.old replays between segment and wal.log; checkpoint.tmp is
+// discarded, segment bytes past the checkpoint's record ignored and
+// later cut). When step 2 fails wal.old stays, and the next Compact
+// retries the checkpoints without rotating: a generation only goes once
+// checkpoints hold every record in it. A failure is returned and kept
+// as the sticky error Sync and Close report. Compact returns nil
+// without compacting, leaving it to the next trigger, when a
+// compaction is in flight, no backend is open to gather from, a block
+// is staged but not yet appended to its store (the checkpoint would
+// miss a record the rotation retires), or an owner is uncovered.
 func (l *Log) Compact(gather func(owner identity.NodeID) (*NodeState, error)) error {
 	return l.compact(nil, gather)
 }
 
-// compact is Compact, or with only set the snapshot half of it for that
-// one view: its owner's state into its own snapshot, no generation
-// touched — and that one waits its turn instead of leaving it to a next
-// trigger, because the caller is about to close the view.
+// compact is Compact, or with only set the checkpoint half of it for
+// that one view: its owner's state into its own segment and
+// checkpoint, no generation touched — and that one waits its turn
+// instead of leaving it to a next trigger, because the caller is about
+// to close the view.
 func (l *Log) compact(only *FileBackend, gather func(owner identity.NodeID) (*NodeState, error)) (err error) {
 	if only != nil {
 		l.compactMu.Lock()
@@ -648,7 +659,7 @@ func (l *Log) compact(only *FileBackend, gather func(owner identity.NodeID) (*No
 	errs := make([]error, len(views))
 	if err == nil {
 		for _, v := range views {
-			v.logged = false // whatever it logs from here on is newer than the snapshot
+			v.logged = false // whatever it logs from here on is newer than the checkpoint
 		}
 	}
 	l.mu.Unlock()
@@ -671,7 +682,7 @@ func (l *Log) compact(only *FileBackend, gather func(owner identity.NodeID) (*No
 			errs[i] = fmt.Errorf("ledger: gathering state for compaction: %w", err)
 			return
 		}
-		errs[i] = views[i].writeSnapshotFile(st)
+		errs[i] = views[i].commitState(st)
 	})
 	if err = errors.Join(errs...); err != nil || only != nil {
 		return err

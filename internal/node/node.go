@@ -76,8 +76,8 @@ type Config struct {
 	// directory state there. Runs on the dispatch goroutine; must not
 	// block.
 	Control func(transport.Envelope)
-	// State, when non-nil, is the recovered ledger state
-	// (snapshot + WAL replay) the node resumes from instead of empty
+	// State, when non-nil, is the recovered ledger state (checkpoint +
+	// segment + WAL replay) the node resumes from instead of empty
 	// structures. Its store must be owned by Key.ID.
 	State *ledger.NodeState
 	// TrustCap, when > 0, bounds H_i (FIFO eviction). Applied on top

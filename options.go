@@ -287,18 +287,17 @@ func WithRetryPolicy(p RetryPolicy) Option {
 // WithDataDir makes the live driver's ledgers durable. The devices of
 // the process write to one write-ahead log, dir/wal.log (dir/wal.old
 // beside it inside a compaction), every record naming its device, and
-// each keeps its own snapshot under dir/node-<id> (ledger.Log and
-// ledger.FileBackend). A device recovers its whole prior state (S_i,
-// H_i, A_i) on start from its snapshot plus its records in the log,
-// and every sealed block is fsynced before it is appended, announced
-// or returned — one fsync per round of a batch for all the devices in
-// it (see SubmitBatch). A silenced node leaves its state in its
-// snapshot and can be brought back with Cluster.Restart, resuming
-// exactly from its last durable record — the crash/recovery scenario
-// of the robustness suite. A dir whose node-<id> dirs still hold a
-// wal.log each, as written before the log was shared, opens too and
-// is converted on the way. Live driver only: the simulator's world is
-// rebuilt deterministically from its seed.
+// each keeps its own block segment and checkpoint under dir/node-<id>
+// (ledger.Log and ledger.FileBackend). A device recovers its whole
+// prior state (S_i, H_i, A_i) on start from its checkpoint and segment
+// plus its records in the log, and every sealed block is fsynced
+// before it is appended, announced or returned — one fsync per round
+// of a batch for all the devices in it (see SubmitBatch). A silenced
+// node leaves its state in its segment and checkpoint and can be
+// brought back with Cluster.Restart, resuming exactly from its last
+// durable record — the crash/recovery scenario of the robustness
+// suite. Live driver only: the simulator's world is rebuilt
+// deterministically from its seed.
 func WithDataDir(dir string) Option {
 	return func(c *config) error {
 		if dir == "" {
@@ -312,11 +311,13 @@ func WithDataDir(dir string) Option {
 // WithCompactEvery sets the WAL compaction threshold in block records
 // (default 256). The trigger is log-wide: once any one device has that
 // many blocks in the current generation of the data dir's log, the
-// log rotates once, every running device's state is folded into a
-// fresh snapshot of its own, and the rotated generation is dropped —
-// bounding both wal.log growth (devices x threshold blocks) and the
-// recovery replay tail. Devices sealing in step, one block a slot,
-// all get their snapshot in the slot of their n-th block. Requires
+// log rotates once, every running device's blocks since the last
+// compaction are appended to its segment and the rest of its state
+// committed as a fresh checkpoint, and the rotated generation is
+// dropped — bounding both wal.log growth (devices x threshold blocks)
+// and the recovery replay tail, at a cost that follows the blocks
+// sealed since, not the device's lifetime. Devices sealing in step, one
+// block a slot, all compact in the slot of their n-th block. Requires
 // WithDataDir; live driver only.
 func WithCompactEvery(n int) Option {
 	return func(c *config) error {
@@ -374,7 +375,7 @@ func WithSyncPolicy(p SyncPolicy) Option {
 // WithTrustCap bounds every node's trust store H_i to n headers,
 // evicting oldest-inserted first (ledger.TrustStore.SetCap) — the knob
 // that keeps long-lived deployments' memory bounded, on both drivers.
-// With WithDataDir the cap is persisted in the snapshot and survives
+// With WithDataDir the cap is persisted in the checkpoint and survives
 // restarts. 0 (default) is unbounded.
 func WithTrustCap(n int) Option {
 	return func(c *config) error {

@@ -12,9 +12,11 @@ import (
 // The facade recovery suite: with WithDataDir every device's ledger is
 // durable, and a device killed and restarted from its data dir must be
 // byte-identical to one that never went down. The probe is
-// Cluster.StateDigest — a digest over the snapshot-v2 serialization of
-// (S_i, H_i, A_i, trust cap) — so "equivalent" means every block,
-// trust header (in insertion order), cache entry and the cap itself.
+// Cluster.StateDigest — a digest over (S_i, H_i, A_i, trust cap): each
+// block's header hash and body root, each trust header's hash in
+// insertion order and the insertion count, every cache entry, the cap —
+// so "equivalent" means every block, trust header, cache entry and the
+// cap itself.
 
 // recoveryRun is one scenario's observable outcome, mirroring the
 // chaos suite plus the per-node ledger state digests.
@@ -208,19 +210,21 @@ func TestRecoveryFacadeSyncPolicies(t *testing.T) {
 
 // TestStateDigestGolden pins Cluster.StateDigest of every node after
 // the uninterrupted recovery scenario — blocks, audited headers under
-// a trust cap, cache entries — to the values the in-memory snapshot-v2
-// buffer produced before the digest was streamed: every value is
-// unchanged.
+// a trust cap, cache entries — to the values of the checkpoint digest
+// (ledger.NodeState.Digest), so a change to what it covers or how shows
+// here. (The values differ from the earlier snapshot-v2 stream digest;
+// ledger's TestStateDigestMatchesV2 holds the two to the same
+// equalities.)
 func TestStateDigestGolden(t *testing.T) {
 	golden := map[NodeID]string{
-		0: "67f5b9debfe05c5737bf959b3d23e5982e00fb8d4c38af40b9082e1a8e85dfa6",
-		1: "fb5dcf6361647cdaf764f90871cfcfe9c8d01a9bd188e0beda6f89db4f9c958a",
-		2: "be9e7643a874f3a2b826bf98dab376fe977a048507d179b2f089d187af13f451",
-		3: "eece6f3c327c7a56b6140b6ab6c90713273d80543b54d779d1a368093425aae2",
-		4: "a69fb3754518958ec31b523fa7b4087c3ea4fb2522194582fd78b36d75b58439",
-		5: "c6de47f76ff98b7dafc9c8c28cad284525bf86015df5754322bfae358decb2a9",
-		6: "845d4aa0495c9c377b533e95fdb2ce2f0b37c05a7e6d45c757aec5d071db79f8",
-		7: "275149c9face95ca57b5ba6a1be88fea66ae908190e1eb23fb10a28856527ea4",
+		0: "71f07af3f14b4a6bd1b261f81497631f40cd807d2715bde2f6649934d2488cc3",
+		1: "60a8511db25891703aabd3570b6c40ad2a187f443d58faabe4d7f199c6551e58",
+		2: "33efb182d7886706f71680a33b3aa0e1618372d2ff17d37ffde05a964f560685",
+		3: "5ae04ba47bd156826782ea1a5fd50c1e4f88e78cb403260a42eff905f8d464d5",
+		4: "0d6a97d068b14c79601fe89cfeb904feb241dd33e97fff0f0a8a2324acad1d4b",
+		5: "3d28e42b931d4edeab9ad6e012b9b70b69324c9185739461d0e220083f65bdc2",
+		6: "692cc332642674aa4b8669fe6be3cf7da84f9b4f734c7c4c1fd6faa8e0a5662c",
+		7: "bd74e0baff721d57e9bfef89054896897a31ee4435e4f0170cfca0f25d227de6",
 	}
 	run := runRecoveryScenario(t, t.TempDir(), false)
 	if len(run.states) != len(golden) {
@@ -282,7 +286,7 @@ func TestRecoveryOptionValidation(t *testing.T) {
 }
 
 // TestRecoveryTrustCapSurvivesRestart: the cap is recorded in the
-// snapshot, so a restart without reconfiguration keeps the bound.
+// checkpoint, so a restart without reconfiguration keeps the bound.
 func TestRecoveryTrustCapSurvivesRestart(t *testing.T) {
 	dir := t.TempDir()
 	rt, err := New(
@@ -360,15 +364,15 @@ func TestRecoveryFacadeCompaction(t *testing.T) {
 	}
 	// Three blocks sealed per node with a threshold of two: each WAL
 	// rotated at least once, so pending sits below the threshold and a
-	// snapshot exists.
+	// checkpoint exists.
 	for _, id := range rt.Nodes() {
 		fb := c.backends[id]
 		if p := fb.PendingBlocks(); p >= 2 {
 			t.Errorf("node %v: %d pending WAL blocks, threshold 2 never compacted", id, p)
 		}
-		snap := filepath.Join(dir, fmt.Sprintf("node-%d", id), "snapshot.2ldg")
-		if _, err := os.Stat(snap); err != nil {
-			t.Errorf("node %v: no snapshot after compaction: %v", id, err)
+		ckpt := filepath.Join(dir, fmt.Sprintf("node-%d", id), "checkpoint.2ldg")
+		if _, err := os.Stat(ckpt); err != nil {
+			t.Errorf("node %v: no checkpoint after compaction: %v", id, err)
 		}
 	}
 	// The compacted state restarts byte-identical.

@@ -3,8 +3,8 @@
 // flushed — and restarted on the same directory. The restarted cluster
 // must be indistinguishable from one that never crashed: identical
 // sealed header hashes, audit verdicts, and per-node ledger state
-// digests (the "state" op — a digest over the snapshot-v2
-// serialization of S_i, H_i, A_i and the trust cap).
+// digests (the "state" op — a digest over S_i, H_i, A_i and the trust
+// cap: ledger.NodeState.Digest).
 package e2e
 
 import (
@@ -16,7 +16,7 @@ import (
 )
 
 // recoveryFlags configure one durable host: the shared e2e world, no
-// chaos, a trust cap (so snapshot v2's cap field rides the whole
+// chaos, a trust cap (so the checkpoint's cap branch rides the whole
 // pipeline), the WAL sync policy under test, and a per-node data dir
 // under base.
 func recoveryFlags(base string, id int, sync string) []string {
@@ -54,10 +54,10 @@ type recoveryObs struct {
 
 // runRecoveryE2E drives the fixed durable workload: two full submit
 // slots, a forced compaction on the victim (so its recovery crosses
-// snapshot + WAL, not WAL alone), a third slot in which everyone seals
-// — and, when kill is set, the victim is SIGKILLed before anyone
-// flushes and a fresh serve process resumes from its data dir — then
-// flushes, audits, and a state digest per node.
+// segment + checkpoint + WAL, not WAL alone), a third slot in which
+// everyone seals — and, when kill is set, the victim is SIGKILLed
+// before anyone flushes and a fresh serve process resumes from its
+// data dir — then flushes, audits, and a state digest per node.
 func runRecoveryE2E(t *testing.T, base string, kill bool, sync string) recoveryObs {
 	t.Helper()
 	procs := spawnDurable(t, base, sync)
