@@ -608,8 +608,9 @@ func (c *Cluster) AuditMany(ctx context.Context, reqs []AuditRequest) []AuditOut
 	return out
 }
 
-// Block implements Runtime. The returned block is shared, sealed
-// store state — treat it as read-only and Clone it before mutating.
+// Block implements Runtime. The returned block is shared store state,
+// or read back from the owner's segment (ledger.Store.Get) — treat it
+// as read-only and Clone it before mutating.
 func (c *Cluster) Block(ref Ref) (*Block, error) {
 	n, ok := c.nodes[ref.Node]
 	if !ok {

@@ -232,6 +232,16 @@ func (b *Block) Clone() *Block {
 	return &Block{Header: *b.Header.Clone(), Body: append([]byte(nil), b.Body...)}
 }
 
+// WithoutBody returns a copy of b that holds no body: it shares b's
+// header — Δ, signature and memoized hash — and keeps its body-root
+// memo. It is what a store keeps of a block whose body lives on disk;
+// like b it is read-only.
+func (b *Block) WithoutBody() *Block {
+	c := *b
+	c.Body = nil
+	return &c
+}
+
 // Sealed reports whether the block is fully sealed: header hash and
 // body root both memoized. Sealed blocks are immutable by contract and
 // may be shared across goroutines without copying.

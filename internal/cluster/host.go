@@ -785,7 +785,8 @@ func (h *Host) Audit(ctx context.Context, ref block.Ref) (*core.Result, error) {
 	return h.node.Audit(actx, ref)
 }
 
-// Block fetches a sealed block from this node's own store (read-only).
+// Block fetches a block from this node's own store (read-only; with a
+// data dir, read back from the segment once its body has moved there).
 func (h *Host) Block(ref block.Ref) (*block.Block, error) {
 	if ref.Node != h.id {
 		return nil, fmt.Errorf("cluster: block %v is not local to %v", ref, h.id)

@@ -2,6 +2,7 @@ package ledger
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -12,6 +13,7 @@ import (
 	"github.com/twoldag/twoldag/internal/block"
 	"github.com/twoldag/twoldag/internal/digest"
 	"github.com/twoldag/twoldag/internal/identity"
+	"github.com/twoldag/twoldag/internal/merkle"
 )
 
 // On-disk state besides the log. IoT devices reboot, and a 2LDAG node
@@ -22,7 +24,9 @@ import (
 //   - its segment: its sealed blocks, oldest first, each framed exactly
 //     like a WAL block record (appendWALRecord / scanWALRecord: one
 //     codec). A block is appended once — by the compaction, Silence or
-//     recovery that first finds it missing — and never copied again.
+//     recovery that first finds it missing — and never copied again;
+//     from then on it is also where S_i reads the block's body from
+//     (bodies.go).
 //   - its checkpoint: the rest of the node — trust cap, H_i, A_i — and
 //     the segment prefix it vouches for (segmentMark: records, bytes,
 //     newest header hash), CRC-sealed and replaced whole by rename.
@@ -340,15 +344,18 @@ func (r *cursor) framed(limit uint32) ([]byte, error) {
 // S_i: exactly cp.seg.records block records of opts.Owner's, in
 // sequence from 0, the newest hashing to cp.seg.last, read from r
 // through one reused record buffer — the segment is never held whole,
-// and nothing past the prefix is read. The scan does the decoding and
-// structural checks and queues each block's re-seal and authentication
-// on a recoverVerifier; the blocks enter the store only once all of it
-// has passed.
-func readSegment(r io.Reader, cp *checkpoint, opts RecoverOptions) error {
+// and nothing past the prefix is read. Each block is sealed from that
+// buffer and kept without its body, which S_i reads back from r on
+// demand (Store.segmented). The scan does the decoding and structural
+// checks and queues each block's authentication on a recoverVerifier;
+// the blocks enter the store only once all of it has passed.
+func readSegment(r io.ReaderAt, cp *checkpoint, opts RecoverOptions) error {
 	mark := cp.seg
 	verify := recoverVerifier{opts: opts}
-	src := bufio.NewReaderSize(io.LimitReader(r, mark.size), 64<<10)
+	src := bufio.NewReaderSize(io.NewSectionReader(r, 0, mark.size), 64<<10)
 	var buf []byte
+	var end int64
+	var ends []int64 // where each record ends
 	// The scan stops at its first error, but queued verification has not
 	// run yet: a failing block before that point outranks it.
 	var scanErr error
@@ -367,7 +374,7 @@ func readSegment(r io.Reader, cp *checkpoint, opts RecoverOptions) error {
 			scanErr = fmt.Errorf("%w: record %d of kind %d", ErrBadSegment, i, rec.kind)
 			break
 		}
-		b, err := block.Decode(rec.payload)
+		b, err := block.DecodeOwned(rec.payload)
 		if err != nil {
 			scanErr = fmt.Errorf("%w: block %d: %v", ErrBadSegment, i, err)
 			break
@@ -376,6 +383,20 @@ func readSegment(r io.Reader, cp *checkpoint, opts RecoverOptions) error {
 			scanErr = fmt.Errorf("%w: segment block %d origin %v", ErrWrongOwner, i, b.Header.Origin)
 			break
 		}
+		// The body aliases buf, which the next record overwrites: seal it
+		// now and let it go — unless the state digest, which hashes bodies
+		// under the default leaf size, would have to read it back.
+		if err := opts.Params.SealBlock(b); err != nil {
+			scanErr = fmt.Errorf("%w: block %d: %v", ErrBadSegment, i, err)
+			break
+		}
+		if _, ok := b.CachedBodyRoot(merkle.DefaultLeafSize); ok {
+			b.Body = nil
+		} else {
+			b.Body = bytes.Clone(b.Body)
+		}
+		end += int64(len(buf))
+		ends = append(ends, end)
 		// Queue before the sequence check: a block that fails both has
 		// its verification failure reported, as a pass that sealed and
 		// validated each block before appending it would.
@@ -403,6 +424,7 @@ func readSegment(r io.Reader, cp *checkpoint, opts RecoverOptions) error {
 			return fmt.Errorf("%w: block %d: %v", ErrBadSegment, i, err)
 		}
 	}
+	cp.st.Store.segmented(r, 0, ends)
 	return nil
 }
 

@@ -122,8 +122,13 @@ func TestCheckpointRoundTrip(t *testing.T) {
 		t.Fatalf("restored sizes: %d blocks, %d headers, %d entries",
 			got.Store.Len(), got.Trust.Len(), got.Cache.Len())
 	}
-	if b, _ := got.Store.Get(0); !b.Sealed() {
-		t.Fatal("restored block not fully sealed")
+	// S_i holds the restored blocks sealed and without their bodies; Get
+	// reads a body back into a fresh block around the stored header.
+	if b := got.Store.Latest(); !b.Sealed() || b.Body != nil {
+		t.Fatal("restored block not fully sealed, or holding its body")
+	}
+	if b, _ := got.Store.Get(0); !b.Header.Sealed() || len(b.Body) == 0 {
+		t.Fatal("a body read back lost its header seal or its body")
 	}
 	empty := NewNodeState(4, 0)
 	if got := roundTrip(t, empty, stateOpts()); !bytes.Equal(stateBytes(t, got), stateBytes(t, empty)) {
@@ -335,7 +340,7 @@ func (s digestSpec) build() *NodeState {
 // equal/unequal, and both must see every difference.
 func TestStateDigestMatchesV2(t *testing.T) {
 	p := testParams()
-	v2 := func(st *NodeState) digest.Digest { return digest.Sum(snapshotV2(st)) }
+	v2 := func(st *NodeState) digest.Digest { return digest.Sum(stateBytes(t, st)) }
 	for seed := int64(1); seed <= 6; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		base := digestSpec{
@@ -545,13 +550,13 @@ func TestCompactionWritesEachBlockOnce(t *testing.T) {
 	if err := fb.Compact(func() (*NodeState, error) { return st, nil }); err != nil {
 		t.Fatal(err)
 	}
+	want := stateBytes(t, st) // its bodies are read back through the backend
 	if err := fb.Close(); err != nil {
 		t.Fatal(err)
 	}
 	if w := counter.take(); w[segmentFileName] != 0 || w[checkpointTmpName] != checkpointSize() {
 		t.Fatalf("Silence with nothing new wrote %v: want no segment bytes and one %d-byte checkpoint", w, checkpointSize())
 	}
-	want := stateBytes(t, st)
 	fb, err = l.OpenBackend(dir)
 	if err != nil {
 		t.Fatal(err)

@@ -29,7 +29,12 @@ import (
 //	                  wal.log, and never replaced while it exists.
 //	blocks.seg      — an owner's sealed blocks, oldest first, framed as
 //	                  WAL block records. Append-only: each block is
-//	                  written to it once.
+//	                  written to it once. It is also where the owner's
+//	                  bodies are read from: once a committed checkpoint
+//	                  covers a block, S_i keeps its header and the
+//	                  record's place and drops the body, which Store.Get
+//	                  reads back through a read-only handle the backend
+//	                  holds open until it closes.
 //	checkpoint.2ldg — an owner's last checkpoint: trust cap, H_i, A_i
 //	                  and the segment prefix it vouches for, CRC-sealed.
 //	                  Always committed by atomic rename; never partial.
@@ -105,9 +110,14 @@ type FileBackend struct {
 	log *Log
 	dir string // keeps segment and checkpoint; the log's own dir for a single owner
 
-	// seg is the segment prefix the committed checkpoint records. Guarded
-	// by log.compactMu.
-	seg segmentMark
+	// Guarded by log.compactMu: seg is the segment prefix the committed
+	// checkpoint records; store is the S_i Recover returned, the one
+	// store whose bodies a commit lets go of, and segFile the read-only
+	// handle on the segment it reads them back through (nil until the
+	// segment exists, closed with the backend).
+	seg     segmentMark
+	store   *Store
+	segFile *os.File
 
 	// Guarded by log.mu.
 	owner        identity.NodeID // from Recover
@@ -184,6 +194,11 @@ func (fb *FileBackend) Recover(opts RecoverOptions) (*NodeState, error) {
 	if fb.recovered {
 		return nil, errors.New("ledger: backend already recovered")
 	}
+	defer func() {
+		if !fb.recovered {
+			fb.closeSegment()
+		}
+	}()
 	// An interrupted compaction never committed its checkpoint.
 	_ = os.Remove(filepath.Join(fb.dir, checkpointTmpName))
 
@@ -193,6 +208,7 @@ func (fb *FileBackend) Recover(opts RecoverOptions) (*NodeState, error) {
 		return nil, err
 	}
 	st := cp.st
+	fb.store = st.Store
 	report := RecoveryReport{SegmentBlocks: st.Store.Len()}
 	// The trust cap is in force before replay, so FIFO evictions replay
 	// exactly as they happened live. A torn tail is tolerated only in
@@ -253,8 +269,9 @@ func (fb *FileBackend) Recover(opts RecoverOptions) (*NodeState, error) {
 }
 
 // readCheckpoint restores what fb.dir holds of opts.Owner besides the
-// log — its checkpoint, then the segment prefix that records — or an
-// empty state for a dir without a checkpoint.
+// log — its checkpoint, then the segment prefix that records, whose
+// handle stays open as fb.segFile — or an empty state for a dir
+// without a checkpoint.
 func (fb *FileBackend) readCheckpoint(opts RecoverOptions) (*checkpoint, error) {
 	raw, err := os.ReadFile(filepath.Join(fb.dir, checkpointFileName))
 	if errors.Is(err, fs.ErrNotExist) {
@@ -275,58 +292,81 @@ func (fb *FileBackend) readCheckpoint(opts RecoverOptions) (*checkpoint, error) 
 	if err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrBadSegment, err)
 	}
-	defer f.Close()
 	if err := readSegment(f, cp, opts); err != nil {
+		f.Close()
 		return nil, err
 	}
+	fb.segFile = f
 	return cp, nil
 }
 
 // commitState makes st this owner's state on disk besides the log: the
 // blocks of S_i its segment lacks are appended and fsynced, then a
-// checkpoint recording them commits. A failure leaves the last
+// checkpoint recording them commits. Once it has, the S_i Recover
+// returned lets go of their bodies. A failure leaves the last
 // checkpoint in force. Caller holds log.compactMu.
 func (fb *FileBackend) commitState(st *NodeState) error {
 	blocks, err := st.Store.since(fb.seg.records, fb.seg.last)
 	if err != nil {
 		return err
 	}
-	seg := fb.seg
+	seg, ends := fb.seg, []int64(nil)
 	if len(blocks) > 0 {
-		if seg, err = fb.appendSegment(blocks); err != nil {
+		if seg, ends, err = fb.appendSegment(blocks); err != nil {
 			return err
 		}
 	}
 	if err := fb.writeCheckpoint(appendCheckpoint(nil, &checkpoint{st: st, seg: seg})); err != nil {
 		return err
 	}
+	from := fb.seg.records
 	fb.seg = seg
+	if len(ends) > 0 && st.Store == fb.store {
+		if fb.segFile == nil {
+			f, err := os.Open(filepath.Join(fb.dir, segmentFileName))
+			if err != nil {
+				return nil // the bodies stay on the heap
+			}
+			fb.segFile = f
+		}
+		fb.store.segmented(fb.segFile, from, ends)
+	}
 	return nil
+}
+
+// closeSegment closes the read handle on the segment; the store reads
+// no body back from then on. Caller holds log.compactMu.
+func (fb *FileBackend) closeSegment() {
+	if fb.segFile != nil {
+		fb.segFile.Close()
+		fb.segFile = nil
+	}
 }
 
 // appendSegment writes blocks to the segment behind the prefix the
 // checkpoint records — cutting off first whatever an append that never
 // committed left past it — and fsyncs them. It returns the prefix with
-// the blocks in it, which only a checkpoint recording it commits.
-func (fb *FileBackend) appendSegment(blocks []*block.Block) (segmentMark, error) {
+// the blocks in it, which only a checkpoint recording it commits, and
+// where each block's record ends.
+func (fb *FileBackend) appendSegment(blocks []*block.Block) (segmentMark, []int64, error) {
 	seg := fb.seg
 	path := filepath.Join(fb.dir, segmentFileName)
 	info, err := os.Stat(path)
 	switch {
 	case errors.Is(err, fs.ErrNotExist) && seg.size == 0:
 	case err != nil:
-		return segmentMark{}, fmt.Errorf("ledger: statting segment: %w", err)
+		return segmentMark{}, nil, fmt.Errorf("ledger: statting segment: %w", err)
 	case info.Size() < seg.size:
-		return segmentMark{}, fmt.Errorf("%w: %d bytes, its checkpoint records %d", ErrBadSegment, info.Size(), seg.size)
+		return segmentMark{}, nil, fmt.Errorf("%w: %d bytes, its checkpoint records %d", ErrBadSegment, info.Size(), seg.size)
 	}
 	f, err := fb.log.openFile(path, os.O_CREATE|os.O_WRONLY|os.O_APPEND)
 	if err != nil {
-		return segmentMark{}, fmt.Errorf("ledger: opening segment: %w", err)
+		return segmentMark{}, nil, fmt.Errorf("ledger: opening segment: %w", err)
 	}
 	defer f.Close() // on error paths; the success path closes below
 	if info != nil && info.Size() > seg.size {
 		if err := f.Truncate(seg.size); err != nil {
-			return segmentMark{}, fmt.Errorf("ledger: truncating uncommitted segment tail: %w", err)
+			return segmentMark{}, nil, fmt.Errorf("ledger: truncating uncommitted segment tail: %w", err)
 		}
 	}
 	total := 0
@@ -334,27 +374,30 @@ func (fb *FileBackend) appendSegment(blocks []*block.Block) (segmentMark, error)
 		total += walHeaderLen + b.WireSize() + walCRCLen
 	}
 	buf, enc := make([]byte, 0, min(total, 128<<10)), []byte(nil)
+	ends, end := make([]int64, len(blocks)), seg.size
 	for i, b := range blocks {
 		enc = block.AppendEncode(enc[:0], b)
 		buf = appendWALRecord(buf, walKindBlock, enc)
+		end += int64(walHeaderLen + len(enc) + walCRCLen)
+		ends[i] = end
 		if len(buf) < 64<<10 && i < len(blocks)-1 {
 			continue
 		}
 		if err := writeFull(f, buf); err != nil {
-			return segmentMark{}, fmt.Errorf("ledger: appending to segment: %w", err)
+			return segmentMark{}, nil, fmt.Errorf("ledger: appending to segment: %w", err)
 		}
 		seg.size += int64(len(buf))
 		buf = buf[:0]
 	}
 	if err := f.Sync(); err != nil {
-		return segmentMark{}, fmt.Errorf("ledger: syncing segment: %w", err)
+		return segmentMark{}, nil, fmt.Errorf("ledger: syncing segment: %w", err)
 	}
 	if err := f.Close(); err != nil {
-		return segmentMark{}, fmt.Errorf("ledger: closing segment: %w", err)
+		return segmentMark{}, nil, fmt.Errorf("ledger: closing segment: %w", err)
 	}
 	seg.records += uint32(len(blocks))
 	seg.last = blocks[len(blocks)-1].Header.Hash()
-	return seg, nil
+	return seg, ends, nil
 }
 
 // writeCheckpoint commits raw as this owner's checkpoint: written to
@@ -560,6 +603,7 @@ func (fb *FileBackend) Sync() error { return fb.log.Sync() }
 // Close commits any open window and closes the backend; a single-owner
 // backend closes its log with it. Closing a backend of a shared log
 // that has logged since its last checkpoint leaves its owner uncovered.
+// The store Recover returned reads no segmented body back afterwards.
 // Further calls return ErrBackendClosed.
 func (fb *FileBackend) Close() error {
 	l := fb.log
@@ -575,6 +619,7 @@ func (fb *FileBackend) Close() error {
 	}
 	err := l.commitLocked()
 	fb.closed = true
+	fb.closeSegment()
 	l.views = slices.DeleteFunc(l.views, func(v *FileBackend) bool { return v == fb })
 	if !fb.recovered {
 		return err

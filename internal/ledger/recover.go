@@ -5,7 +5,8 @@ import (
 )
 
 // Replay verification. Every replayed block is re-sealed (body root,
-// header hash: a few µs) and, with a Ring, authenticated. Its own
+// header hash: a few µs; a segment block as the scan reads it, the
+// others here) and, with a Ring, authenticated. Its own
 // signature would cost ~60 µs, but the blocks a run replays are one
 // device's hash chain — Δ[0] of each is its predecessor's header hash —
 // so the newest block's signature commits to all of them
@@ -43,13 +44,18 @@ func (v *recoverVerifier) add(b *block.Block, label int) {
 // prove the two agree.
 var checkBlocks = (*recoverVerifier).checkBlocks
 
-// checkBlocks re-seals every queued block and, with a Ring, accepts
-// the run on its chain proof or else validates it block by block.
+// checkBlocks re-seals every queued block the scan has not (the
+// segment's come sealed, their bodies already let go) and, with a Ring,
+// accepts the run on its chain proof or else validates it block by
+// block.
 func (v *recoverVerifier) checkBlocks() (int, error) {
 	p, ring := v.opts.Params, v.opts.Ring
 	sealed := len(v.blocks)
 	var sealErr error
 	for i, b := range v.blocks {
+		if b.Sealed() {
+			continue
+		}
 		if sealErr = p.SealBlock(b); sealErr != nil {
 			sealed = i
 			break

@@ -18,13 +18,16 @@ import (
 )
 
 // recoverReference is how recovery verified blocks before the chain
-// proof: every queued block re-sealed and, with a Ring, validated on
-// its own — one signature per block — the first failure in queue order
-// reported. It stays as the reference the proof is checked against.
+// proof: every queued block re-sealed (unless the segment scan sealed
+// it) and, with a Ring, validated on its own — one signature per block
+// — the first failure in queue order reported. It stays as the
+// reference the proof is checked against.
 func recoverReference(v *recoverVerifier) (int, error) {
 	for i, b := range v.blocks {
-		if err := v.opts.Params.SealBlock(b); err != nil {
-			return i, err
+		if !b.Sealed() {
+			if err := v.opts.Params.SealBlock(b); err != nil {
+				return i, err
+			}
 		}
 		if v.opts.Ring != nil {
 			if err := v.opts.Params.Validate(b, v.opts.Ring); err != nil {
@@ -593,13 +596,27 @@ func reframeWAL(buf []byte) {
 	}
 }
 
-// FuzzRecoverMatchesReference mutates the segment and WAL bytes of a
-// four-block chain — two blocks in the segment, two in wal.log — with
-// every whole record's CRC recomputed and the checkpoint recording the
-// segment's whole records as they are, so the mutations reach the block
-// checks. Recovery must match the per-block reference exactly: the one
-// input they disagree on (TestRecoverChainSignedBySuccessor) needs a
-// signature only the key can make.
+// FuzzRecoverMatchesReference mutates the records of a four-block
+// chain: split of its blocks go to the segment, the rest to wal.log
+// with a trust record behind them, and six edits — each an offset (low
+// 16 bits) into the segment and WAL bytes taken as one string and a
+// byte to xor there (the next 8) — flip bytes anywhere in them (kinds,
+// lengths, headers, bodies). Every whole record's CRC is then
+// recomputed, so the mutations reach the block checks, the checkpoint
+// records the segment's whole records as they are, and cut bytes are
+// torn off wal.log's end. Recovery must match the per-block reference
+// exactly: the one input they disagree on
+// (TestRecoverChainSignedBySuccessor) needs a signature only the key
+// can make.
+//
+// Every argument is an integer because the fuzzing engine minimizes
+// each input that widens coverage before it runs another, for up to
+// -fuzzminimizetime (60 s by default), and minimizes only []byte and
+// string arguments — dropping every contiguous range of one, then
+// trying 32 substitutes for each byte. Over the ~1.5 KB of raw segment
+// and WAL bytes this target used to take, at two recoveries a try, the
+// first interesting input took the whole window: 5-8 execs in 15 s.
+// Integers leave nothing to minimize.
 func FuzzRecoverMatchesReference(f *testing.F) {
 	key, nb := identity.Deterministic(1, 5), identity.Deterministic(9, 5)
 	ring := identity.NewRing()
@@ -612,16 +629,29 @@ func FuzzRecoverMatchesReference(f *testing.F) {
 	rng := rand.New(rand.NewSource(4))
 	encs := encodeAll(proofChain(f, key, 4, rng, true))
 	trusted := proofChain(f, nb, 1, rng, true)[0]
-	wal := walBlockRecords(encs[2:])
-	wal = appendWALRecord(wal, walKindTrust, appendWALTrust(nil, 0, &trusted.Header))
-	f.Add(walBlockRecords(encs[:2]), wal)
-	f.Add([]byte(nil), walBlockRecords(encs))
-	f.Add(walBlockRecords(encs), []byte(nil))
+	trust := appendWALRecord(nil, walKindTrust, appendWALTrust(nil, 0, &trusted.Header))
+	// Seeds: the honest layouts, then a header byte, a body byte and a
+	// record length of block 2, and a torn tail.
+	f.Add(uint8(2), uint16(0), uint32(0), uint32(0), uint32(0), uint32(0), uint32(0), uint32(0))
+	f.Add(uint8(0), uint16(0), uint32(0), uint32(0), uint32(0), uint32(0), uint32(0), uint32(0))
+	f.Add(uint8(4), uint16(0), uint32(0), uint32(0), uint32(0), uint32(0), uint32(0), uint32(0))
+	rec := walHeaderLen + len(encs[0]) + walCRCLen
+	for _, at := range []int{2*rec + walHeaderLen + 40, 3*rec - walCRCLen - 1, 2*rec + 1} {
+		f.Add(uint8(2), uint16(0), uint32(at)|0x10<<16, uint32(0), uint32(0), uint32(0), uint32(0), uint32(0))
+	}
+	f.Add(uint8(1), uint16(3), uint32(0), uint32(0), uint32(0), uint32(0), uint32(0), uint32(0))
 	base := f.TempDir()
-	f.Fuzz(func(t *testing.T, seg, wal []byte) {
-		seg, wal = bytes.Clone(seg), bytes.Clone(wal)
+	f.Fuzz(func(t *testing.T, split uint8, cut uint16, e0, e1, e2, e3, e4, e5 uint32) {
+		k := int(split) % (len(encs) + 1)
+		seg := walBlockRecords(encs[:k])
+		all := append(append(seg, walBlockRecords(encs[k:])...), trust...)
+		for _, e := range []uint32{e0, e1, e2, e3, e4, e5} {
+			all[int(e&0xffff)%len(all)] ^= byte(e >> 16)
+		}
+		seg, wal := all[:len(seg):len(seg)], all[len(seg):]
 		reframeWAL(seg)
 		reframeWAL(wal)
+		wal = wal[:len(wal)-int(cut)%(len(wal)+1)]
 		lf := ledgerFiles{files: map[string][]byte{checkpointFileName: rawState(1, seg), segmentFileName: seg, walFileName: wal}}
 		got, want := recoverFiles(t, base, lf, opts, false), recoverFiles(t, base, lf, opts, true)
 		if diff := sameOutcome(got, want); diff != "" {

@@ -403,8 +403,9 @@ func TestSharedLogCrashMatrix(t *testing.T) {
 				if err != nil {
 					t.Fatalf("cut %d: reference recovery of %v: %v", cut, o, err)
 				}
+				wantBytes := stateBytes(t, want) // read while its backend is open
 				ref.Close()
-				if !bytes.Equal(stateBytes(t, got.sts[o]), stateBytes(t, want)) {
+				if !bytes.Equal(stateBytes(t, got.sts[o]), wantBytes) {
 					t.Fatalf("cut %d: owner %v recovered something other than its own records of the intact prefix", cut, o)
 				}
 				if rep := got.fbs[o].RecoveryReport(); rep.TornTail {

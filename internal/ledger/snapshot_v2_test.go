@@ -27,26 +27,35 @@ import (
 var snapshotMagicV2 = [8]byte{'2', 'L', 'D', 'G', 'S', 'N', 'P', 2}
 
 // snapshotV2 encodes st as a v2 stream. Its trust and cache sections
-// are the checkpoint's H_i and A_i branches, byte for byte.
-func snapshotV2(st *NodeState) []byte {
+// are the checkpoint's H_i and A_i branches, byte for byte. A body that
+// lives only in the segment is read back (Store.Get), so a store that
+// cannot read one encodes to an error.
+func snapshotV2(st *NodeState) ([]byte, error) {
 	out := append([]byte(nil), snapshotMagicV2[:]...)
 	out = binary.LittleEndian.AppendUint32(out, uint32(st.Store.Owner()))
 	out = binary.LittleEndian.AppendUint32(out, uint32(st.TrustCap))
-	st.Store.mu.RLock()
-	out = binary.LittleEndian.AppendUint32(out, uint32(len(st.Store.blocks)))
-	for _, b := range st.Store.blocks {
+	n := st.Store.Len()
+	out = binary.LittleEndian.AppendUint32(out, uint32(n))
+	for seq := 0; seq < n; seq++ {
+		b, err := st.Store.Get(uint32(seq))
+		if err != nil {
+			return nil, err
+		}
 		out = appendFramed(out, block.AppendEncode, b)
 	}
-	st.Store.mu.RUnlock()
 	out = st.Trust.appendHeaders(out)
 	out = st.Cache.appendEntries(out)
-	return binary.LittleEndian.AppendUint32(out, crc32.Checksum(out, walTable))
+	return binary.LittleEndian.AppendUint32(out, crc32.Checksum(out, walTable)), nil
 }
 
 // stateBytes is st's v2 encoding: the byte-identity probe.
 func stateBytes(t testing.TB, st *NodeState) []byte {
 	t.Helper()
-	return snapshotV2(st)
+	raw, err := snapshotV2(st)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return raw
 }
 
 // TestSnapshotIgnoresIndex: the v2 reference encodes the log, never the

@@ -24,6 +24,17 @@
 // (origin, sequence number); nothing in the protocol looks a block up
 // by its own hash, so no store keeps a hash → block map.
 //
+// One exception, on a durable node: once a committed checkpoint covers
+// a block, its body lives only in the owner's segment (see
+// FileBackend), and S_i keeps the block without it — header, body-root
+// memo and the record's place in the segment (bodies.go). Get of such a
+// block reads the record back and returns a fresh read-only block: the
+// stored, shared header plus the body read, with no body-root memo, so
+// whoever validates it hashes that body (a store keeps the last few it
+// read, so a block asked for again soon is not read again). Latest,
+// OldestContaining and Headers hand out the body-less block itself;
+// their callers read headers only. Headers stay shared either way.
+//
 // Blocks built by block.Params.Build are fully sealed (body root
 // memoized too). A block appended unsealed — e.g. decoded from the
 // wire — keeps only the header seal, because the store does not
@@ -125,6 +136,10 @@ type Store struct {
 	// journal, when set, durably records every append before it is
 	// published (write-ahead). nil = in-memory only.
 	journal Journal
+
+	// seg, on a durable node, is where the blocks the owner's segment
+	// holds are read back from (see segmentBodies). nil in memory.
+	seg *segmentBodies
 }
 
 // NewStore creates an empty log owned by the given node.
@@ -244,15 +259,25 @@ func (s *Store) Len() int {
 	return len(s.blocks)
 }
 
-// Get returns the (sealed, read-only) block with the given sequence
-// number.
+// Get returns the (read-only) block with the given sequence number:
+// the stored, sealed block, or — for one whose body lives only in the
+// segment — a fresh block read back from it (see the package doc). A
+// record that is not that block's is ErrBadSegment.
 func (s *Store) Get(seq uint32) (*block.Block, error) {
 	s.mu.RLock()
-	defer s.mu.RUnlock()
 	if int(seq) >= len(s.blocks) {
+		s.mu.RUnlock()
 		return nil, fmt.Errorf("%w: %v#%d", ErrNotFound, s.owner, seq)
 	}
-	return s.blocks[seq], nil
+	b := s.blocks[seq]
+	if s.seg == nil || int(seq) >= len(s.seg.ends) || b.Body != nil {
+		s.mu.RUnlock()
+		return b, nil
+	}
+	seg, start, end := s.seg, s.seg.start(seq), s.seg.ends[seq]
+	s.mu.RUnlock()
+	// The record never changes once committed: read it unlocked.
+	return seg.read(b, start, end)
 }
 
 // Latest returns the (sealed, read-only) most recent block, or nil for
@@ -344,7 +369,7 @@ func (s *Store) ModelBits(m block.SizeModel) int64 {
 // since returns the blocks after the first n, provided the n-th hashes
 // to last: what a segment holding that prefix of this log lacks. The
 // result shares the log's backing array, which Append never rewrites
-// below its length.
+// below its length and segmented only below the segment's prefix.
 func (s *Store) since(n uint32, last digest.Digest) ([]*block.Block, error) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()

@@ -699,8 +699,11 @@ func (l *Log) compact(only *FileBackend, gather func(owner identity.NodeID) (*No
 
 // Close commits any open window, closes the WAL, and retires the
 // committer goroutine; every backend still open on the log is closed
-// with it. Further calls return ErrBackendClosed.
+// with it. It waits out a compaction in flight. Further calls return
+// ErrBackendClosed.
 func (l *Log) Close() error {
+	l.compactMu.Lock()
+	defer l.compactMu.Unlock()
 	l.mu.Lock()
 	if l.closed {
 		l.mu.Unlock()
@@ -708,6 +711,9 @@ func (l *Log) Close() error {
 	}
 	err := l.commitLocked()
 	l.closed = true
+	for _, v := range l.views {
+		v.closeSegment()
+	}
 	if cerr := l.f.Close(); err == nil {
 		err = cerr
 	}

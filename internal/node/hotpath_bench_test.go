@@ -6,33 +6,80 @@ import (
 	"testing"
 
 	"github.com/twoldag/twoldag/internal/block"
+	"github.com/twoldag/twoldag/internal/core"
 	"github.com/twoldag/twoldag/internal/identity"
+	"github.com/twoldag/twoldag/internal/ledger"
 	"github.com/twoldag/twoldag/internal/topology"
 )
 
-// warmAuditCluster builds the Fig. 4 deployment over the in-memory
-// fabric with benchmark-shaped blocks (1 KiB bodies) and runs one audit
-// of B1 from validator A, so B1's whole path sits in H_A. Every further
-// audit of B1 is the warm case: one GET_BLOCK round trip, the body-root
-// check and TPS hits — 2 messages, 0 hops.
-func warmAuditCluster(tb testing.TB) (*Node, block.Ref) {
+// sealFig4 seals the Fig. 4 blocks with benchmark-shaped (1 KiB)
+// bodies: genesis everywhere, then B1, D1 (child of B1), E1 (child of
+// D1).
+func sealFig4(tb testing.TB, c *cluster) {
 	tb.Helper()
-	c := newCluster(tb, topology.PaperFig4(), 2)
 	body := bytes.Repeat([]byte{0xA5}, 1024)
-	ctx := context.Background()
-	// Genesis everywhere, then B1, D1 (child of B1), E1 (child of D1).
 	for _, order := range [][]identity.NodeID{{0, 1, 2, 3, 4}, {1, 3, 4}} {
 		c.slot++
 		for _, id := range order {
-			b, err := c.nodes[id].Generate(ctx, body)
+			b, err := c.nodes[id].Generate(context.Background(), body)
 			if err != nil {
 				tb.Fatalf("Generate(%v): %v", id, err)
 			}
 			c.waitForDigest(id, b.Header.Hash())
 		}
 	}
+}
+
+// durableFig4 is the Fig. 4 deployment with B1's owner, node 1, on a
+// data dir of its own (returned), compacted once the blocks are sealed:
+// B1's body then lives only in node 1's segment, and every GET_BLOCK of
+// it reads it back from there.
+func durableFig4(tb testing.TB) (*cluster, string) {
+	tb.Helper()
+	dir := tb.TempDir()
+	var fb *ledger.FileBackend
+	c := newCluster(tb, topology.PaperFig4(), 2, func(cfg *Config) {
+		if cfg.Key.ID != 1 {
+			return
+		}
+		var err error
+		if fb, err = ledger.OpenFileBackend(dir); err != nil {
+			tb.Fatal(err)
+		}
+		tb.Cleanup(func() { _ = fb.Close() }) // after the nodes close
+		st, err := fb.Recover(ledger.RecoverOptions{Owner: 1, Params: cfg.Params, Ring: cfg.Ring})
+		if err != nil {
+			tb.Fatal(err)
+		}
+		cfg.State, cfg.Backend = st, fb
+	})
+	sealFig4(tb, c)
+	owner := c.nodes[1].Engine()
+	if err := fb.Compact(func() (*ledger.NodeState, error) { return owner.State(), nil }); err != nil {
+		tb.Fatal(err)
+	}
+	if b := owner.Store().Latest(); b.Header.Seq != 1 || b.Body != nil {
+		tb.Fatal("compaction left B1's body on node 1's heap")
+	}
+	return c, dir
+}
+
+// warmAuditCluster builds the Fig. 4 deployment over the in-memory
+// fabric — B1's owner on a data dir when durable is set (durableFig4)
+// — and runs one audit of B1 from validator A, so B1's whole path sits
+// in H_A. Every further audit of B1 is the warm case: one GET_BLOCK
+// round trip, the body-root check and TPS hits — 2 messages, 0 hops.
+func warmAuditCluster(tb testing.TB, durable bool) (*Node, block.Ref) {
+	tb.Helper()
+	var c *cluster
+	if durable {
+		c, _ = durableFig4(tb)
+	} else {
+		c = newCluster(tb, topology.PaperFig4(), 2)
+		sealFig4(tb, c)
+	}
 	validator, ref := c.nodes[0], block.Ref{Node: 1, Seq: 1}
-	res, err := validator.Audit(ctx, ref)
+	res, err := validator.Audit(context.Background(), ref)
 	if err != nil || !res.Consensus {
 		tb.Fatalf("cold audit: consensus=%v err=%v", res != nil && res.Consensus, err)
 	}
@@ -41,7 +88,7 @@ func warmAuditCluster(tb testing.TB) (*Node, block.Ref) {
 
 // warmAudit runs one warm audit and checks it stayed on the cache-hit
 // path (a fetch would hide the very allocations the guard counts).
-func warmAudit(tb testing.TB, v *Node, ref block.Ref) {
+func warmAudit(tb testing.TB, v *Node, ref block.Ref) *core.Result {
 	res, err := v.Audit(context.Background(), ref)
 	if err != nil || !res.Consensus {
 		tb.Fatalf("warm audit: %v", err)
@@ -49,6 +96,7 @@ func warmAudit(tb testing.TB, v *Node, ref block.Ref) {
 	if res.HeadersFetched != 0 || res.MessagesSent != 1 || res.MessagesReceived != 1 {
 		tb.Fatalf("warm audit left the cache-hit path: %+v", res)
 	}
+	return res
 }
 
 // warmAuditAllocCeiling bounds the heap allocations of one warm audit,
@@ -56,6 +104,12 @@ func warmAudit(tb testing.TB, v *Node, ref block.Ref) {
 // decode (message, payload copy, header, Δ, signature, block), the
 // request frame, the Result with its path and vouchers, and the event.
 const warmAuditAllocCeiling = 20
+
+// warmAuditAllocs counts the allocations of one warm audit.
+func warmAuditAllocs(t *testing.T, durable bool) float64 {
+	v, ref := warmAuditCluster(t, durable)
+	return testing.AllocsPerRun(2000, func() { warmAudit(t, v, ref) })
+}
 
 // TestWarmAuditAllocs is the allocation guard of the PoP read path: the
 // whole round trip of a warm audit — build and encode GET_BLOCK, the
@@ -65,21 +119,54 @@ func TestWarmAuditAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector's instrumentation allocates")
 	}
-	v, ref := warmAuditCluster(t)
-	got := testing.AllocsPerRun(2000, func() { warmAudit(t, v, ref) })
+	got := warmAuditAllocs(t, false)
 	t.Logf("warm audit: %.1f allocs", got)
 	if got > warmAuditAllocCeiling {
 		t.Fatalf("warm audit makes %.1f allocations, ceiling %d", got, warmAuditAllocCeiling)
 	}
 }
 
-// BenchmarkHotpathAuditWarm times the same warm audit; one op is one
-// Audit call on a validator whose H_i already holds the target's path.
-func BenchmarkHotpathAuditWarm(b *testing.B) {
-	v, ref := warmAuditCluster(b)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		warmAudit(b, v, ref)
+// TestWarmAuditAllocsDurable holds the same audit against a responder
+// that reads B1 back from its segment to at most two allocations more
+// than the in-memory one, measured beside it: the record read and the
+// fresh block around it.
+func TestWarmAuditAllocsDurable(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's instrumentation allocates")
+	}
+	mem, durable := warmAuditAllocs(t, false), warmAuditAllocs(t, true)
+	t.Logf("warm audit: %.1f allocs in memory, %.1f with the body read from the segment", mem, durable)
+	if durable > mem+2 {
+		t.Fatalf("a warm audit of a segmented block makes %.1f allocations, ceiling %.1f (in memory + 2)", durable, mem+2)
 	}
 }
+
+// benchWarmAudit times warm audits; one op is one Audit call on a
+// validator whose H_i already holds the target's path. Messages, hops
+// and trust hits per audit ride along, so the durable row can be held
+// to the in-memory one's counts.
+func benchWarmAudit(b *testing.B, durable bool) {
+	v, ref := warmAuditCluster(b, durable)
+	b.ReportAllocs()
+	b.ResetTimer()
+	var msgs, hops, hits int
+	for i := 0; i < b.N; i++ {
+		res := warmAudit(b, v, ref)
+		msgs += res.MessagesSent + res.MessagesReceived
+		hops += res.HeadersFetched
+		hits += res.TrustHits
+	}
+	n := float64(b.N)
+	b.ReportMetric(float64(msgs)/n, "msgs/op")
+	b.ReportMetric(float64(hops)/n, "hops/op")
+	b.ReportMetric(float64(hits)/n, "trusthits/op")
+}
+
+// BenchmarkHotpathAuditWarm times the warm audit against an in-memory
+// responder.
+func BenchmarkHotpathAuditWarm(b *testing.B) { benchWarmAudit(b, false) }
+
+// BenchmarkHotpathAuditWarmDurable times it against a responder whose
+// copy of B1's body is on disk only: each GET_BLOCK reads and checks
+// the record from the segment (page cache warm).
+func BenchmarkHotpathAuditWarmDurable(b *testing.B) { benchWarmAudit(b, true) }

@@ -90,7 +90,9 @@ type cluster struct {
 	slot  uint32
 }
 
-func newCluster(t testing.TB, g *topology.Graph, gamma int) *cluster {
+// configure, when given, finishes each node's Config before the node
+// starts.
+func newCluster(t testing.TB, g *topology.Graph, gamma int, configure ...func(cfg *Config)) *cluster {
 	t.Helper()
 	params := block.DefaultParams()
 	params.Difficulty = 2
@@ -108,7 +110,7 @@ func newCluster(t testing.TB, g *topology.Graph, gamma int) *cluster {
 		if err != nil {
 			t.Fatal(err)
 		}
-		n, err := New(Config{
+		cfg := Config{
 			Key:            kp,
 			Params:         params,
 			Topo:           g,
@@ -117,7 +119,11 @@ func newCluster(t testing.TB, g *topology.Graph, gamma int) *cluster {
 			Gamma:          gamma,
 			RequestTimeout: 500 * time.Millisecond,
 			Observer:       c.log,
-		})
+		}
+		for _, f := range configure {
+			f(&cfg)
+		}
+		n, err := New(cfg)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -81,7 +81,9 @@ type Runtime interface {
 	// in request order.
 	AuditMany(ctx context.Context, reqs []AuditRequest) []AuditOutcome
 	// Block fetches a block from its origin's local store (display,
-	// sample proofs). The result is shared sealed state — read-only.
+	// sample proofs). The result is read-only: shared sealed state, or
+	// on a durable deployment, once the block's body has moved to its
+	// owner's segment, a block read back from there.
 	Block(ref Ref) (*Block, error)
 	// Join adds a new device in radio range of a live device and
 	// returns its ID.
