@@ -797,13 +797,14 @@ func (h *Host) Block(ref block.Ref) (*block.Block, error) {
 // Close shuts the host down gracefully, in strict order: stop
 // accepting verbs, cancel and drain every in-flight one (their retry
 // loops are bounded by the policy cap and their contexts are dead),
-// flush + fsync and close the durability backend — every accepted
-// block is on disk before any peer learns we are leaving — then
-// broadcast Leave so peers mark this node dead immediately instead of
-// waiting for their health trackers, and finally close the node —
-// which closes the RPC layer, the transport and the listener. Journal
-// writes from frames that arrive between backend close and node close
-// are dropped (ErrBackendClosed): nothing a departing node must keep.
+// flush + fsync the durability backend — every accepted block is on
+// disk before any peer learns we are leaving — then broadcast Leave so
+// peers mark this node dead immediately instead of waiting for their
+// health trackers, close the node — which closes the RPC layer, the
+// transport and the listener — and only then close the backend. Until
+// the node stops serving, a GET_BLOCK still reads a body that lives
+// only in the segment, and journal writes from frames that arrive
+// meanwhile still reach the log, which the backend's close commits.
 func (h *Host) Close() error {
 	h.closeMu.Lock()
 	defer h.closeMu.Unlock()
@@ -817,12 +818,7 @@ func (h *Host) Close() error {
 	h.wg.Wait()
 	var backendErr error
 	if h.backend != nil {
-		if err := h.backend.Sync(); err != nil {
-			backendErr = err
-		}
-		if err := h.backend.Close(); err != nil && backendErr == nil {
-			backendErr = err
-		}
+		backendErr = h.backend.Sync()
 	}
 	lctx, lcancel := context.WithTimeout(context.Background(), h.cfg.RequestTimeout)
 	for _, peer := range h.Live() {
@@ -832,8 +828,14 @@ func (h *Host) Close() error {
 		_ = h.node.Send(lctx, peer, wire.NewLeave(h.id, peer, h.node.NextNonce()))
 	}
 	lcancel()
-	if err := h.node.Close(); err != nil {
-		return err
+	nodeErr := h.node.Close()
+	if h.backend != nil {
+		if err := h.backend.Close(); err != nil && backendErr == nil {
+			backendErr = err
+		}
+	}
+	if nodeErr != nil {
+		return nodeErr
 	}
 	return backendErr
 }

@@ -6,7 +6,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"sync/atomic"
 
 	"github.com/twoldag/twoldag/internal/block"
 	"github.com/twoldag/twoldag/internal/merkle"
@@ -20,24 +19,16 @@ import (
 // when a block is asked for whole (Get: GET_BLOCK, Runtime.Block,
 // sample proofs). Everything else the protocol asks of S_i (responder
 // queries, Latest, Headers, the state digest, checkpoints) reads
-// headers and memos only.
-//
-// recentReads is how many blocks read back a store keeps, one slot per
-// sequence number modulo it, so a block audited again soon costs no
-// read: at most recentReads records on the heap per device (~12 KB at
-// 1 KiB bodies), held until another block takes the slot. A kept
-// block was checked when it was read; damage to the segment after
-// that shows on the next read of the block.
-const recentReads = 8
+// headers and memos only. No read is kept: every Get of a segmented
+// block reads its record (BenchmarkHotpathSegmentGet prices one).
 
 // segmentBodies is where a durable store reads back the bodies it
 // does not hold: the first len(ends) blocks of the log sit in the
 // segment r, block i's record ending at ends[i] and starting where
 // block i-1's ends (block 0's at 0).
 type segmentBodies struct {
-	r      io.ReaderAt
-	ends   []int64 // guarded by the store's lock
-	recent [recentReads]atomic.Pointer[block.Block]
+	r    io.ReaderAt
+	ends []int64 // guarded by the store's lock
 }
 
 // start is where block seq's record starts. Caller holds the store's
@@ -47,22 +38,6 @@ func (sb *segmentBodies) start(seq uint32) int64 {
 		return 0
 	}
 	return sb.ends[seq-1]
-}
-
-// read returns block b back whole from its record, bytes [start, end)
-// of the segment: kept from a recent read, or read now
-// (readSegmented).
-func (sb *segmentBodies) read(b *block.Block, start, end int64) (*block.Block, error) {
-	slot := &sb.recent[b.Header.Seq%recentReads]
-	if c := slot.Load(); c != nil && c.Header.Seq == b.Header.Seq {
-		return c, nil
-	}
-	c, err := readSegmented(sb.r, b, start, end)
-	if err != nil {
-		return nil, err
-	}
-	slot.Store(c)
-	return c, nil
 }
 
 // readSegmented reads the segment record of b, bytes [start, end) of
@@ -95,35 +70,33 @@ func readSegmented(r io.ReaderAt, b *block.Block, start, end int64) (*block.Bloc
 	return &block.Block{Header: *h, Body: p[len(hdr)+4 : len(p) : len(p)]}, nil
 }
 
-// segmented records that the blocks from seq from on, one per entry of
-// ends, sit in the segment r — ends[k] is where block from+k's record
-// ends — and lets go of their bodies: each is replaced by a body-less
-// copy (block.Block.WithoutBody), which Get reads back through r.
-// Readers holding the replaced block keep it whole. A block without a
-// body-root memo under the default leaf size stays whole, since the
-// state digest needs that root. The first call installs r; a store
-// with blocks before from that were never recorded (the backend could
-// not open its segment for reading then) keeps every body.
-func (s *Store) segmented(r io.ReaderAt, from uint32, ends []int64) {
+// readBodiesFrom makes r, the owner's segment, where this store reads
+// back the bodies segmented lets go of. The backend installs it once,
+// when it first opens the segment, the way SetJournal installs the
+// journal.
+func (s *Store) readBodiesFrom(r io.ReaderAt) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.seg == nil && from == 0 {
-		s.seg = &segmentBodies{r: r}
-	}
-	if s.seg == nil || int(from) != len(s.seg.ends) {
-		return
-	}
-	start := s.seg.start(from)
-	for k, end := range ends {
-		i := int(from) + k
-		b := s.blocks[i]
-		if b.Body == nil {
-			// Restored without its body (readSegment): count the one on disk.
-			s.bodyBytes += end - start - walHeaderLen - walCRCLen - int64(b.Header.WireSize()) - 4
-		} else if _, ok := b.CachedBodyRoot(merkle.DefaultLeafSize); ok {
-			s.blocks[i] = b.WithoutBody()
+	s.seg = &segmentBodies{r: r}
+}
+
+// segmented records that the next len(ends) blocks after those already
+// recorded sit in the segment — ends[k] is where the k-th one's record
+// ends — and lets go of their bodies: each is replaced by a body-less
+// copy (block.Block.WithoutBody), which Get reads back. Readers holding
+// the replaced block keep it whole. A block without a body-root memo
+// under the default leaf size stays whole, since the state digest
+// needs that root; one restored without its body (readSegment) has
+// none to let go.
+func (s *Store) segmented(ends []int64) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	from := len(s.seg.ends)
+	for k := range ends {
+		b := s.blocks[from+k]
+		if _, ok := b.CachedBodyRoot(merkle.DefaultLeafSize); ok && b.Body != nil {
+			s.blocks[from+k] = b.WithoutBody()
 		}
-		start = end
 	}
 	s.seg.ends = append(s.seg.ends, ends...)
 }

@@ -124,12 +124,50 @@ func TestSegmentedBlocksReadBack(t *testing.T) {
 	}
 }
 
+// TestSegmentedAfterShadowCommit: a compaction may commit a state other
+// than the one Recover returned (the benchmark's drills fold a shadow
+// store). Its blocks then sit in the segment where the recovered S_i
+// has none, so that S_i lets go of no body from then on — its later
+// commits included — and every block it holds still reads back as
+// sealed.
+func TestSegmentedAfterShadowCommit(t *testing.T) {
+	chain := bodyChain(t, identity.Deterministic(1, 4), 8)
+	fb, st := openBackend(t, t.TempDir(), RecoverOptions{Owner: 1, Params: testParams()})
+	defer fb.Close()
+	shadow := NewNodeState(1, 0)
+	for _, b := range chain[:6] {
+		if err := shadow.Store.Append(b); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := fb.Compact(func() (*NodeState, error) { return shadow, nil }); err != nil {
+		t.Fatal(err)
+	}
+	for _, b := range chain {
+		if err := st.Store.Append(b); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := fb.Compact(func() (*NodeState, error) { return st, nil }); err != nil {
+		t.Fatal(err)
+	}
+	for seq, want := range chain {
+		got, err := st.Store.Get(uint32(seq))
+		if err != nil {
+			t.Fatalf("Get(%d): %v", seq, err)
+		}
+		if got.Body == nil || !bytes.Equal(block.Encode(got), block.Encode(want)) {
+			t.Fatalf("block %d reads back as another block", seq)
+		}
+	}
+}
+
 // TestSegmentedGetConcurrent: readers Get blocks — the ones a store
-// holds, the ones it lets go of and the ones it keeps from recent reads
-// — while the owner appends and compacts, each compaction swapping
-// bodies out under them. Every read must be the block sealed.
+// holds and the ones it lets go of — while the owner appends and
+// compacts, each compaction swapping bodies out under them. Every read
+// must be the block sealed.
 func TestSegmentedGetConcurrent(t *testing.T) {
-	const rounds, per = 6, 2 * recentReads
+	const rounds, per = 6, 16
 	chain := bodyChain(t, identity.Deterministic(1, 4), rounds*per)
 	encs := encodeAll(chain)
 	fb, st := openBackend(t, t.TempDir(), RecoverOptions{Owner: 1, Params: testParams()})
@@ -388,10 +426,9 @@ func TestDurableStoreBytesPerBlock(t *testing.T) {
 
 // BenchmarkHotpathSegmentGet prices reading a segmented block back: the
 // record's read (page cache warm), its CRC and header check, and the
-// fresh block. Gets cycle through more blocks than a store keeps from
-// recent reads, so every one reads.
+// fresh block. Gets cycle through a 64-block segment.
 func BenchmarkHotpathSegmentGet(b *testing.B) {
-	const n = 8 * recentReads
+	const n = 64
 	chain := bodyChain(b, identity.Deterministic(1, 4), n)
 	dir := b.TempDir()
 	fb, err := OpenFileBackend(dir)

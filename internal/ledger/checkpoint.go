@@ -346,15 +346,16 @@ func (r *cursor) framed(limit uint32) ([]byte, error) {
 // through one reused record buffer — the segment is never held whole,
 // and nothing past the prefix is read. Each block is sealed from that
 // buffer and kept without its body, which S_i reads back from r on
-// demand (Store.segmented). The scan does the decoding and structural
-// checks and queues each block's authentication on a recoverVerifier;
-// the blocks enter the store only once all of it has passed.
+// demand (Store.readBodiesFrom). The scan does the decoding and
+// structural checks and queues each block's authentication on a
+// recoverVerifier; the blocks enter the store only once all of it has
+// passed.
 func readSegment(r io.ReaderAt, cp *checkpoint, opts RecoverOptions) error {
 	mark := cp.seg
 	verify := recoverVerifier{opts: opts}
 	src := bufio.NewReaderSize(io.NewSectionReader(r, 0, mark.size), 64<<10)
 	var buf []byte
-	var end int64
+	var end, dropped int64
 	var ends []int64 // where each record ends
 	// The scan stops at its first error, but queued verification has not
 	// run yet: a failing block before that point outranks it.
@@ -391,6 +392,7 @@ func readSegment(r io.ReaderAt, cp *checkpoint, opts RecoverOptions) error {
 			break
 		}
 		if _, ok := b.CachedBodyRoot(merkle.DefaultLeafSize); ok {
+			dropped += int64(len(b.Body))
 			b.Body = nil
 		} else {
 			b.Body = bytes.Clone(b.Body)
@@ -424,7 +426,10 @@ func readSegment(r io.ReaderAt, cp *checkpoint, opts RecoverOptions) error {
 			return fmt.Errorf("%w: block %d: %v", ErrBadSegment, i, err)
 		}
 	}
-	cp.st.Store.segmented(r, 0, ends)
+	s := cp.st.Store
+	s.bodyBytes += dropped // Append counted none of the bodies let go; s is not shared yet
+	s.readBodiesFrom(r)
+	s.segmented(ends)
 	return nil
 }
 

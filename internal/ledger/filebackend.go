@@ -112,9 +112,10 @@ type FileBackend struct {
 
 	// Guarded by log.compactMu: seg is the segment prefix the committed
 	// checkpoint records; store is the S_i Recover returned, the one
-	// store whose bodies a commit lets go of, and segFile the read-only
-	// handle on the segment it reads them back through (nil until the
-	// segment exists, closed with the backend).
+	// store whose bodies a commit lets go of (nil once a commit has
+	// written another's blocks), and segFile the read-only handle on the
+	// segment it reads them back through (opened where the segment is
+	// first read or written, closed with the backend).
 	seg     segmentMark
 	store   *Store
 	segFile *os.File
@@ -270,8 +271,8 @@ func (fb *FileBackend) Recover(opts RecoverOptions) (*NodeState, error) {
 
 // readCheckpoint restores what fb.dir holds of opts.Owner besides the
 // log — its checkpoint, then the segment prefix that records, whose
-// handle stays open as fb.segFile — or an empty state for a dir
-// without a checkpoint.
+// handle stays open as fb.segFile, S_i's to read bodies back through —
+// or an empty state for a dir without a checkpoint.
 func (fb *FileBackend) readCheckpoint(opts RecoverOptions) (*checkpoint, error) {
 	raw, err := os.ReadFile(filepath.Join(fb.dir, checkpointFileName))
 	if errors.Is(err, fs.ErrNotExist) {
@@ -303,8 +304,10 @@ func (fb *FileBackend) readCheckpoint(opts RecoverOptions) (*checkpoint, error) 
 // commitState makes st this owner's state on disk besides the log: the
 // blocks of S_i its segment lacks are appended and fsynced, then a
 // checkpoint recording them commits. Once it has, the S_i Recover
-// returned lets go of their bodies. A failure leaves the last
-// checkpoint in force. Caller holds log.compactMu.
+// returned lets go of their bodies — when st holds it. Blocks of
+// another S_i (a shadow state, say) leave the recovered one no longer
+// a mirror of the segment: it lets go of no more bodies. A failure
+// leaves the last checkpoint in force. Caller holds log.compactMu.
 func (fb *FileBackend) commitState(st *NodeState) error {
 	blocks, err := st.Store.since(fb.seg.records, fb.seg.last)
 	if err != nil {
@@ -319,17 +322,13 @@ func (fb *FileBackend) commitState(st *NodeState) error {
 	if err := fb.writeCheckpoint(appendCheckpoint(nil, &checkpoint{st: st, seg: seg})); err != nil {
 		return err
 	}
-	from := fb.seg.records
 	fb.seg = seg
-	if len(ends) > 0 && st.Store == fb.store {
-		if fb.segFile == nil {
-			f, err := os.Open(filepath.Join(fb.dir, segmentFileName))
-			if err != nil {
-				return nil // the bodies stay on the heap
-			}
-			fb.segFile = f
-		}
-		fb.store.segmented(fb.segFile, from, ends)
+	switch {
+	case len(ends) == 0:
+	case st.Store == fb.store:
+		fb.store.segmented(ends)
+	default:
+		fb.store = nil
 	}
 	return nil
 }
@@ -364,6 +363,18 @@ func (fb *FileBackend) appendSegment(blocks []*block.Block) (segmentMark, []int6
 		return segmentMark{}, nil, fmt.Errorf("ledger: opening segment: %w", err)
 	}
 	defer f.Close() // on error paths; the success path closes below
+	if fb.segFile == nil {
+		// The segment's first write (readCheckpoint opens an existing one):
+		// the read-only handle S_i reads its bodies back through.
+		r, err := os.Open(path)
+		if err != nil {
+			return segmentMark{}, nil, fmt.Errorf("ledger: opening segment for reading: %w", err)
+		}
+		fb.segFile = r
+		if fb.store != nil {
+			fb.store.readBodiesFrom(r)
+		}
+	}
 	if info != nil && info.Size() > seg.size {
 		if err := f.Truncate(seg.size); err != nil {
 			return segmentMark{}, nil, fmt.Errorf("ledger: truncating uncommitted segment tail: %w", err)

@@ -596,16 +596,24 @@ func reframeWAL(buf []byte) {
 	}
 }
 
-// FuzzRecoverMatchesReference mutates the records of a four-block
-// chain: split of its blocks go to the segment, the rest to wal.log
-// with a trust record behind them, and six edits — each an offset (low
-// 16 bits) into the segment and WAL bytes taken as one string and a
-// byte to xor there (the next 8) — flip bytes anywhere in them (kinds,
-// lengths, headers, bodies). Every whole record's CRC is then
-// recomputed, so the mutations reach the block checks, the checkpoint
-// records the segment's whole records as they are, and cut bytes are
-// torn off wal.log's end. Recovery must match the per-block reference
-// exactly: the one input they disagree on
+// FuzzRecoverMatchesReference edits the records of a four-block chain
+// and a trust record behind it, then lays them out: the first split
+// records go to the segment, the rest to wal.log. The edits, in order:
+//   - rec picks one record edit — none, duplicate, swap with the next
+//     or drop (low 2 bits) — of record rec>>2;
+//   - splice inserts or deletes (bit 31) splice>>16&0xff bytes at
+//     offset splice&0xffff of the segment and WAL bytes taken as one
+//     string, inserting copies of byte splice>>24&0x7f;
+//   - six xors, each an offset (low 16 bits) into those bytes and a
+//     byte to xor there (the next 8), flip bytes anywhere in them
+//     (kinds, lengths, headers, bodies).
+//
+// Every whole record's CRC is then recomputed, so the edits reach the
+// block checks; the checkpoint records the segment's whole records as
+// they are; the first tail bytes of wal.log are appended to the segment
+// behind that prefix, as by an append whose checkpoint never committed;
+// and cut bytes are torn off wal.log's end. Recovery must match the
+// per-block reference exactly: the one input they disagree on
 // (TestRecoverChainSignedBySuccessor) needs a signature only the key
 // can make.
 //
@@ -630,29 +638,72 @@ func FuzzRecoverMatchesReference(f *testing.F) {
 	encs := encodeAll(proofChain(f, key, 4, rng, true))
 	trusted := proofChain(f, nb, 1, rng, true)[0]
 	trust := appendWALRecord(nil, walKindTrust, appendWALTrust(nil, 0, &trusted.Header))
-	// Seeds: the honest layouts, then a header byte, a body byte and a
-	// record length of block 2, and a torn tail.
-	f.Add(uint8(2), uint16(0), uint32(0), uint32(0), uint32(0), uint32(0), uint32(0), uint32(0))
-	f.Add(uint8(0), uint16(0), uint32(0), uint32(0), uint32(0), uint32(0), uint32(0), uint32(0))
-	f.Add(uint8(4), uint16(0), uint32(0), uint32(0), uint32(0), uint32(0), uint32(0), uint32(0))
+	// Seeds: the honest layouts; a header byte, a body byte and a record
+	// length of block 2; block 1 duplicated, blocks 1 and 2 swapped,
+	// block 2 dropped; 16 bytes inserted into and deleted from block 2;
+	// a whole block and half of one behind the segment's prefix; and a
+	// torn tail.
+	seed := func(split uint8, rec uint16, splice uint32, tail, cut uint16, xor uint32) {
+		f.Add(split, rec, splice, tail, cut, xor, uint32(0), uint32(0), uint32(0), uint32(0), uint32(0))
+	}
+	for _, split := range []uint8{2, 0, 4} {
+		seed(split, 0, 0, 0, 0, 0)
+	}
 	rec := walHeaderLen + len(encs[0]) + walCRCLen
 	for _, at := range []int{2*rec + walHeaderLen + 40, 3*rec - walCRCLen - 1, 2*rec + 1} {
-		f.Add(uint8(2), uint16(0), uint32(at)|0x10<<16, uint32(0), uint32(0), uint32(0), uint32(0), uint32(0))
+		seed(2, 0, 0, 0, 0, uint32(at)|0x10<<16)
 	}
-	f.Add(uint8(1), uint16(3), uint32(0), uint32(0), uint32(0), uint32(0), uint32(0), uint32(0))
+	seed(2, 1<<2|1, 0, 0, 0, 0)
+	seed(2, 1<<2|2, 0, 0, 0, 0)
+	seed(2, 2<<2|3, 0, 0, 0, 0)
+	seed(2, 0, uint32(2*rec+walHeaderLen+40)|16<<16|0x5A<<24, 0, 0, 0)
+	seed(2, 0, uint32(2*rec+walHeaderLen+40)|16<<16|1<<31, 0, 0, 0)
+	seed(2, 0, 0, uint16(rec), 0, 0)
+	seed(2, 0, 0, uint16(rec/2), 0, 0)
+	seed(1, 0, 0, 0, 3, 0)
 	base := f.TempDir()
-	f.Fuzz(func(t *testing.T, split uint8, cut uint16, e0, e1, e2, e3, e4, e5 uint32) {
-		k := int(split) % (len(encs) + 1)
-		seg := walBlockRecords(encs[:k])
-		all := append(append(seg, walBlockRecords(encs[k:])...), trust...)
-		for _, e := range []uint32{e0, e1, e2, e3, e4, e5} {
-			all[int(e&0xffff)%len(all)] ^= byte(e >> 16)
+	f.Fuzz(func(t *testing.T, split uint8, rec uint16, splice uint32, tail, cut uint16, e0, e1, e2, e3, e4, e5 uint32) {
+		recs := make([][]byte, 0, len(encs)+2)
+		for _, e := range encs {
+			recs = append(recs, appendWALRecord(nil, walKindBlock, e))
 		}
-		seg, wal := all[:len(seg):len(seg)], all[len(seg):]
+		recs = append(recs, trust)
+		switch i := int(rec>>2) % len(recs); rec & 3 {
+		case 1:
+			recs = slices.Insert(recs, i, recs[i])
+		case 2:
+			if i+1 < len(recs) {
+				recs[i], recs[i+1] = recs[i+1], recs[i]
+			}
+		case 3:
+			recs = slices.Delete(recs, i, i+1)
+		}
+		k := int(split) % (len(recs) + 1)
+		segLen := len(slices.Concat(recs[:k]...))
+		all := slices.Concat(recs...)
+		at, n := int(splice&0xffff)%(len(all)+1), int(splice>>16&0xff)
+		if splice>>31 == 0 {
+			all = slices.Insert(all, at, bytes.Repeat([]byte{byte(splice >> 24 & 0x7f)}, n)...)
+			if at < segLen {
+				segLen += n
+			}
+		} else {
+			n = min(n, len(all)-at)
+			all = slices.Delete(all, at, at+n)
+			segLen -= max(0, min(segLen, at+n)-at)
+		}
+		for _, e := range []uint32{e0, e1, e2, e3, e4, e5} {
+			if len(all) > 0 {
+				all[int(e&0xffff)%len(all)] ^= byte(e >> 16)
+			}
+		}
+		seg, wal := all[:segLen:segLen], all[segLen:]
 		reframeWAL(seg)
 		reframeWAL(wal)
+		ckpt := rawState(1, seg)
+		seg = append(seg, wal[:int(tail)%(len(wal)+1)]...)
 		wal = wal[:len(wal)-int(cut)%(len(wal)+1)]
-		lf := ledgerFiles{files: map[string][]byte{checkpointFileName: rawState(1, seg), segmentFileName: seg, walFileName: wal}}
+		lf := ledgerFiles{files: map[string][]byte{checkpointFileName: ckpt, segmentFileName: seg, walFileName: wal}}
 		got, want := recoverFiles(t, base, lf, opts, false), recoverFiles(t, base, lf, opts, true)
 		if diff := sameOutcome(got, want); diff != "" {
 			t.Fatal(diff)

@@ -30,10 +30,10 @@
 // memo and the record's place in the segment (bodies.go). Get of such a
 // block reads the record back and returns a fresh read-only block: the
 // stored, shared header plus the body read, with no body-root memo, so
-// whoever validates it hashes that body (a store keeps the last few it
-// read, so a block asked for again soon is not read again). Latest,
-// OldestContaining and Headers hand out the body-less block itself;
-// their callers read headers only. Headers stay shared either way.
+// whoever validates it hashes that body; each such Get reads the record
+// again. Latest, OldestContaining and Headers hand out the body-less
+// block itself; their callers read headers only. Headers stay shared
+// either way.
 //
 // Blocks built by block.Params.Build are fully sealed (body root
 // memoized too). A block appended unsealed — e.g. decoded from the
@@ -277,7 +277,7 @@ func (s *Store) Get(seq uint32) (*block.Block, error) {
 	seg, start, end := s.seg, s.seg.start(seq), s.seg.ends[seq]
 	s.mu.RUnlock()
 	// The record never changes once committed: read it unlocked.
-	return seg.read(b, start, end)
+	return readSegmented(seg.r, b, start, end)
 }
 
 // Latest returns the (sealed, read-only) most recent block, or nil for

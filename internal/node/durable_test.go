@@ -31,7 +31,7 @@ func TestSegmentFaultsFailAudits(t *testing.T) {
 		{"truncated below B1's record", func(seg []byte) []byte { return seg[:len(seg)-100] }},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			c, dir := durableFig4(t)
+			c, dir := durableFig4(t, 1)
 			path := filepath.Join(dir, "blocks.seg")
 			seg, err := os.ReadFile(path)
 			if err != nil {

@@ -3,6 +3,7 @@ package node
 import (
 	"bytes"
 	"context"
+	"math/rand"
 	"testing"
 
 	"github.com/twoldag/twoldag/internal/block"
@@ -13,12 +14,13 @@ import (
 )
 
 // sealFig4 seals the Fig. 4 blocks with benchmark-shaped (1 KiB)
-// bodies: genesis everywhere, then B1, D1 (child of B1), E1 (child of
-// D1).
-func sealFig4(tb testing.TB, c *cluster) {
+// bodies: genesis everywhere, then in each of slots slots B_k, D_k
+// (child of B_k), E_k (child of D_k).
+func sealFig4(tb testing.TB, c *cluster, slots int) {
 	tb.Helper()
 	body := bytes.Repeat([]byte{0xA5}, 1024)
-	for _, order := range [][]identity.NodeID{{0, 1, 2, 3, 4}, {1, 3, 4}} {
+	order := []identity.NodeID{0, 1, 2, 3, 4}
+	for range slots + 1 {
 		c.slot++
 		for _, id := range order {
 			b, err := c.nodes[id].Generate(context.Background(), body)
@@ -27,14 +29,15 @@ func sealFig4(tb testing.TB, c *cluster) {
 			}
 			c.waitForDigest(id, b.Header.Hash())
 		}
+		order = []identity.NodeID{1, 3, 4}
 	}
 }
 
-// durableFig4 is the Fig. 4 deployment with B1's owner, node 1, on a
-// data dir of its own (returned), compacted once the blocks are sealed:
-// B1's body then lives only in node 1's segment, and every GET_BLOCK of
-// it reads it back from there.
-func durableFig4(tb testing.TB) (*cluster, string) {
+// durableFig4 is the Fig. 4 deployment of sealFig4 with B's owner,
+// node 1, on a data dir of its own (returned), compacted once the
+// blocks are sealed: B's bodies then live only in node 1's segment, and
+// every GET_BLOCK of B_k reads it back from there.
+func durableFig4(tb testing.TB, slots int) (*cluster, string) {
 	tb.Helper()
 	dir := tb.TempDir()
 	var fb *ledger.FileBackend
@@ -53,37 +56,50 @@ func durableFig4(tb testing.TB) (*cluster, string) {
 		}
 		cfg.State, cfg.Backend = st, fb
 	})
-	sealFig4(tb, c)
+	sealFig4(tb, c, slots)
 	owner := c.nodes[1].Engine()
 	if err := fb.Compact(func() (*ledger.NodeState, error) { return owner.State(), nil }); err != nil {
 		tb.Fatal(err)
 	}
-	if b := owner.Store().Latest(); b.Header.Seq != 1 || b.Body != nil {
-		tb.Fatal("compaction left B1's body on node 1's heap")
+	if b := owner.Store().Latest(); int(b.Header.Seq) != slots || b.Body != nil {
+		tb.Fatal("compaction left B's bodies on node 1's heap")
 	}
 	return c, dir
 }
 
+// warmSlots is how many slots a warm-audit deployment seals, and
+// warmRefs how many of B's blocks from them its audits cycle through,
+// at seeded random sequence numbers — about what each device holds of
+// audit_repeat_mem's working set (256 (validator, ref) pairs over 32
+// devices, anywhere in their logs).
+const warmSlots, warmRefs = 64, 8
+
 // warmAuditCluster builds the Fig. 4 deployment over the in-memory
-// fabric — B1's owner on a data dir when durable is set (durableFig4)
-// — and runs one audit of B1 from validator A, so B1's whole path sits
-// in H_A. Every further audit of B1 is the warm case: one GET_BLOCK
-// round trip, the body-root check and TPS hits — 2 messages, 0 hops.
-func warmAuditCluster(tb testing.TB, durable bool) (*Node, block.Ref) {
+// fabric — B's owner on a data dir when durable is set (durableFig4) —
+// and runs one audit of each of warmRefs of B's blocks from validator
+// A, so their whole paths sit in H_A. Every further audit of one is
+// the warm case: one GET_BLOCK round trip, the body-root check and TPS
+// hits — 2 messages, 0 hops.
+func warmAuditCluster(tb testing.TB, durable bool) (*Node, []block.Ref) {
 	tb.Helper()
 	var c *cluster
 	if durable {
-		c, _ = durableFig4(tb)
+		c, _ = durableFig4(tb, warmSlots)
 	} else {
 		c = newCluster(tb, topology.PaperFig4(), 2)
-		sealFig4(tb, c)
+		sealFig4(tb, c, warmSlots)
 	}
-	validator, ref := c.nodes[0], block.Ref{Node: 1, Seq: 1}
-	res, err := validator.Audit(context.Background(), ref)
-	if err != nil || !res.Consensus {
-		tb.Fatalf("cold audit: consensus=%v err=%v", res != nil && res.Consensus, err)
+	validator := c.nodes[0]
+	var refs []block.Ref
+	for _, k := range rand.New(rand.NewSource(1)).Perm(warmSlots)[:warmRefs] {
+		ref := block.Ref{Node: 1, Seq: uint32(k + 1)}
+		res, err := validator.Audit(context.Background(), ref)
+		if err != nil || !res.Consensus {
+			tb.Fatalf("cold audit of %v: consensus=%v err=%v", ref, res != nil && res.Consensus, err)
+		}
+		refs = append(refs, ref)
 	}
-	return validator, ref
+	return validator, refs
 }
 
 // warmAudit runs one warm audit and checks it stayed on the cache-hit
@@ -107,8 +123,12 @@ const warmAuditAllocCeiling = 20
 
 // warmAuditAllocs counts the allocations of one warm audit.
 func warmAuditAllocs(t *testing.T, durable bool) float64 {
-	v, ref := warmAuditCluster(t, durable)
-	return testing.AllocsPerRun(2000, func() { warmAudit(t, v, ref) })
+	v, refs := warmAuditCluster(t, durable)
+	i := 0
+	return testing.AllocsPerRun(2000, func() {
+		warmAudit(t, v, refs[i%len(refs)])
+		i++
+	})
 }
 
 // TestWarmAuditAllocs is the allocation guard of the PoP read path: the
@@ -126,10 +146,10 @@ func TestWarmAuditAllocs(t *testing.T) {
 	}
 }
 
-// TestWarmAuditAllocsDurable holds the same audit against a responder
-// that reads B1 back from its segment to at most two allocations more
-// than the in-memory one, measured beside it: the record read and the
-// fresh block around it.
+// TestWarmAuditAllocsDurable holds the same audits against a responder
+// that reads each B_k back from its segment to at most two allocations
+// more than the in-memory one, measured beside it: the record read and
+// the fresh block around it.
 func TestWarmAuditAllocsDurable(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector's instrumentation allocates")
@@ -146,12 +166,12 @@ func TestWarmAuditAllocsDurable(t *testing.T) {
 // and trust hits per audit ride along, so the durable row can be held
 // to the in-memory one's counts.
 func benchWarmAudit(b *testing.B, durable bool) {
-	v, ref := warmAuditCluster(b, durable)
+	v, refs := warmAuditCluster(b, durable)
 	b.ReportAllocs()
 	b.ResetTimer()
 	var msgs, hops, hits int
 	for i := 0; i < b.N; i++ {
-		res := warmAudit(b, v, ref)
+		res := warmAudit(b, v, refs[i%len(refs)])
 		msgs += res.MessagesSent + res.MessagesReceived
 		hops += res.HeadersFetched
 		hits += res.TrustHits
@@ -162,11 +182,11 @@ func benchWarmAudit(b *testing.B, durable bool) {
 	b.ReportMetric(float64(hits)/n, "trusthits/op")
 }
 
-// BenchmarkHotpathAuditWarm times the warm audit against an in-memory
-// responder.
+// BenchmarkHotpathAuditWarm times warm audits, cycling through
+// warmRefs of B's blocks, against an in-memory responder.
 func BenchmarkHotpathAuditWarm(b *testing.B) { benchWarmAudit(b, false) }
 
-// BenchmarkHotpathAuditWarmDurable times it against a responder whose
-// copy of B1's body is on disk only: each GET_BLOCK reads and checks
-// the record from the segment (page cache warm).
+// BenchmarkHotpathAuditWarmDurable times the same audits against a
+// responder whose copies of B's bodies are on disk only: each GET_BLOCK
+// reads and checks the record from the segment (page cache warm).
 func BenchmarkHotpathAuditWarmDurable(b *testing.B) { benchWarmAudit(b, true) }
