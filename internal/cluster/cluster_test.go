@@ -1,11 +1,14 @@
 package cluster
 
 import (
+	"bufio"
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
 	"io"
 	"runtime"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -350,4 +353,69 @@ func TestControlProtocol(t *testing.T) {
 	if _, _, err := h.Seal(nil); !errors.Is(err, ErrClosed) {
 		t.Fatalf("host alive after leave: %v", err)
 	}
+}
+
+// FuzzControlLines feeds hostile bytes, as lines, to the control loop of
+// a fresh durable host on loopback. The loop must neither panic nor
+// hang, must answer every non-empty line it reads up to and including a
+// leave with exactly one response line, and must answer a line that is
+// not a request with "bad request".
+func FuzzControlLines(f *testing.F) {
+	for _, seed := range []string{
+		"{\"op\":\"slot\",\"slot\":2}\n{\"op\":\"seal\",\"data\":\"aGk=\"}\n{\"op\":\"state\"}",
+		"{\"op\":\"submit\",\"data\":\"eA==\"}\n{\"op\":\"latest\"}\n{\"op\":\"compact\"}",
+		"{\"op\":\"flush\",\"digests\":[\"00\",\"zz\"]}\n{\"op\":\"audit\",\"ref\":{\"node\":0,\"seq\":9}}",
+		"{\"op\":\"audit\"}\n\r\n{\"op\":\"silence\",\"node\":4}\n{\"op\":\"info\"}\nnull",
+		"{\"op\":\"leave\"}\n{\"op\":\"seal\"}",
+		"not json\n{\"op\":\n\"leave\"\n\x00\xff",
+	} {
+		f.Add([]byte(seed))
+	}
+	f.Fuzz(func(t *testing.T, in []byte) {
+		h, err := Start(Config{
+			ID: 0, Nodes: 1, Seed: 7, Gamma: 0, Difficulty: 2,
+			RequestTimeout: 50 * time.Millisecond,
+			DataDir:        t.TempDir(),
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var out bytes.Buffer
+		done := make(chan error, 1)
+		go func() { done <- ServeControl(context.Background(), h, bytes.NewReader(in), &out) }()
+		select {
+		case <-done:
+		case <-time.After(30 * time.Second):
+			t.Fatal("the control loop hangs")
+		}
+		// The lines it had to answer, split as it splits them, and which
+		// of them are not requests.
+		var bad []bool
+		sc := bufio.NewScanner(bytes.NewReader(in))
+		sc.Buffer(make([]byte, 0, 1<<16), 1<<24)
+		for sc.Scan() {
+			if len(sc.Bytes()) == 0 {
+				continue
+			}
+			var req ControlRequest
+			err := json.Unmarshal(sc.Bytes(), &req)
+			bad = append(bad, err != nil)
+			if err == nil && req.Op == "leave" {
+				break
+			}
+		}
+		lines := bytes.Split(bytes.TrimSuffix(out.Bytes(), []byte("\n")), []byte("\n"))
+		if len(lines) != 1+len(bad) {
+			t.Fatalf("%d lines out (the ready line and responses) for %d lines to answer:\n%s", len(lines), len(bad), out.Bytes())
+		}
+		for i, line := range lines[1:] {
+			var resp ControlResponse
+			if err := json.Unmarshal(line, &resp); err != nil {
+				t.Fatalf("response %d is no response: %q: %v", i, line, err)
+			}
+			if got := strings.HasPrefix(resp.Err, "bad request"); got != bad[i] {
+				t.Fatalf("response %d: %+v, want a bad request: %v", i, resp, bad[i])
+			}
+		}
+	})
 }

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"os"
 	"path/filepath"
 	"testing"
 	"time"
@@ -147,6 +148,49 @@ func TestRecoveryKillRestartEquivalence(t *testing.T) {
 		if got.states[id] != w {
 			t.Fatalf("node %v state digest diverged after crash recovery", id)
 		}
+	}
+}
+
+// TestRecoveryHostAckedDigestSurvivesKill: a Host's wire-level
+// DigestAck outlives the Host, so the digest record it vouches for must
+// be in the kernel before the ack leaves — the log buffers such records
+// otherwise. A announces a digest and sees B's ack; B's data dir is then
+// copied as a SIGKILL leaves it (no Sync, no Close), and B recovered
+// from the copy must hold the digest in A_i.
+func TestRecoveryHostAckedDigestSurvivesKill(t *testing.T) {
+	base := t.TempDir()
+	hosts := startHosts(t, 2, 13, func(id identity.NodeID, cfg *Config) {
+		cfg.DataDir = filepath.Join(base, fmt.Sprintf("node-%d", id))
+	})
+	a, b := hosts[0], hosts[1]
+	if !a.Topology().IsNeighbor(a.ID(), b.ID()) {
+		t.Fatal("the fixture's two devices are not radio neighbours")
+	}
+	a.SetSlot(1)
+	_, d, err := a.Seal([]byte("acked"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := a.Flush(context.Background(), []digest.Digest{d}); err != nil {
+		t.Fatalf("flush: %v", err) // returns once B's ack arrived
+	}
+	killed := filepath.Join(t.TempDir(), "node-1")
+	if err := os.CopyFS(killed, os.DirFS(filepath.Join(base, "node-1"))); err != nil {
+		t.Fatal(err)
+	}
+	fb, err := ledger.OpenFileBackend(killed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer fb.Close()
+	p := block.DefaultParams()
+	p.Difficulty = 2
+	st, err := fb.Recover(ledger.RecoverOptions{Owner: b.ID(), Params: p})
+	if err != nil {
+		t.Fatalf("recovering the killed copy: %v", err)
+	}
+	if got, ok := st.Cache.Get(a.ID()); !ok || got != d {
+		t.Fatalf("A_i of the killed copy holds (%v, %v) for %v, want the acked digest %v", got, ok, a.ID(), d)
 	}
 }
 

@@ -137,6 +137,16 @@ func (e *Engine) CommitJournal() error {
 	return e.backend.Commit()
 }
 
+// FlushJournal writes the backend's buffered records without an fsync
+// (ledger.Backend.Flush), so a crash of this process no longer loses
+// them. A no-op for in-memory engines.
+func (e *Engine) FlushJournal() error {
+	if e.backend == nil {
+		return nil
+	}
+	return e.backend.Flush()
+}
+
 // ID returns the node's identity.
 func (e *Engine) ID() identity.NodeID { return e.key.ID }
 

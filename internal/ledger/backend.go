@@ -43,7 +43,8 @@ var (
 // so the journal order is exactly the apply order, and replaying the
 // journal reproduces the state byte for byte. Implementations must
 // therefore be fast (buffered writes; only LogBlock is expected to
-// fsync) and must not call back into the ledger structures.
+// write or fsync before it returns) and must not call back into the
+// ledger structures.
 //
 // A nil Journal (the default on every structure) is the in-memory
 // no-op backend: no call sites pay more than a nil check.
@@ -163,24 +164,32 @@ type Backend interface {
 	// generation holds — the compaction trigger.
 	PendingBlocks() int
 
-	// StageBlock writes b's record into the open commit window and
-	// returns without waiting for the fsync. A LogBlock of the same
-	// block afterwards writes nothing: it only acknowledges (under
-	// SyncAlways, waits for) the window's fsync. A driver that stages a
-	// whole round of blocks, commits once and then appends them to their
-	// stores pays one fsync for the round, and no block of it is visible
-	// before it is durable.
+	// StageBlock logs b's record into the open commit window and
+	// returns without writing it (unless the log's buffer is full) or
+	// waiting for an fsync: the Commit that closes the window writes and
+	// fsyncs it. A LogBlock of the same block afterwards logs nothing: it
+	// only acknowledges (under SyncAlways, waits for) the window's
+	// fsync. A driver that stages a whole round of blocks, commits once
+	// and then appends them to their stores pays one write and one fsync
+	// for the round, and no block of it is visible before it is durable.
 	StageBlock(b *block.Block) error
 
-	// Commit closes the current commit window, fsyncing every staged
-	// block record: the acknowledgement point drivers invoke at their
-	// flush boundary under a batched SyncPolicy. A no-op when nothing
-	// is staged.
+	// Commit closes the current commit window: it writes every buffered
+	// record and fsyncs every record logged since the last fsync — the
+	// acknowledgement point drivers invoke at their flush boundary. A
+	// failed write or fsync, here or earlier in the window, fails every
+	// block record of the window, and Commit reports it. A no-op when
+	// nothing was logged.
 	Commit() error
 
-	// Sync flushes and fsyncs everything logged so far, and surfaces
-	// any deferred journal error (trust/digest records are buffered;
-	// their write errors are sticky and reported here and on Close).
+	// Flush writes every buffered record without an fsync, so a process
+	// kill no longer loses it: what a node calls before it acknowledges
+	// a digest on the wire.
+	Flush() error
+
+	// Sync writes and fsyncs everything logged so far, and surfaces any
+	// deferred journal error (trust, digest and forget records are
+	// buffered; one lost to storage is reported here and on Close).
 	Sync() error
 
 	// Close syncs and releases the backend. Journal calls after Close

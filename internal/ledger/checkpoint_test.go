@@ -439,10 +439,18 @@ func headersOf(blocks []*block.Block) []*block.Header {
 	return out
 }
 
-// byteCounter counts what the files of a log are written, by file name.
+// byteCounter counts what the files of a log are written, by file name:
+// bytes, write calls and fsyncs.
 type byteCounter struct {
-	mu    sync.Mutex
-	bytes map[string]int64
+	mu            sync.Mutex
+	bytes         map[string]int64
+	writes, syncs map[string]int
+}
+
+func newByteCounter() *byteCounter {
+	c := &byteCounter{}
+	c.take()
+	return c
 }
 
 func (c *byteCounter) wrap(f WALFile) WALFile {
@@ -453,13 +461,23 @@ func (c *byteCounter) wrap(f WALFile) WALFile {
 	return countedFile{f, c, name}
 }
 
-// take returns the counts so far and starts over.
+// take returns the bytes written so far and starts every count over.
 func (c *byteCounter) take() map[string]int64 {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	out := c.bytes
-	c.bytes = map[string]int64{}
+	c.bytes, c.writes, c.syncs = map[string]int64{}, map[string]int{}, map[string]int{}
 	return out
+}
+
+// calls returns the write calls and fsyncs the named file took so far,
+// and starts every count over.
+func (c *byteCounter) calls(name string) (writes, syncs int) {
+	c.mu.Lock()
+	writes, syncs = c.writes[name], c.syncs[name]
+	c.mu.Unlock()
+	c.take()
+	return writes, syncs
 }
 
 type countedFile struct {
@@ -472,8 +490,16 @@ func (f countedFile) Write(p []byte) (int, error) {
 	n, err := f.WALFile.Write(p)
 	f.c.mu.Lock()
 	f.c.bytes[f.name] += int64(n)
+	f.c.writes[f.name]++
 	f.c.mu.Unlock()
 	return n, err
+}
+
+func (f countedFile) Sync() error {
+	f.c.mu.Lock()
+	f.c.syncs[f.name]++
+	f.c.mu.Unlock()
+	return f.WALFile.Sync()
 }
 
 // TestCompactionWritesEachBlockOnce is the write-amplification gate:
@@ -485,7 +511,7 @@ func (f countedFile) Write(p []byte) (int, error) {
 // 1024 blocks, then 1024 again.)
 func TestCompactionWritesEachBlockOnce(t *testing.T) {
 	const per = 256
-	counter := &byteCounter{bytes: map[string]int64{}}
+	counter := newByteCounter()
 	base := t.TempDir()
 	l, err := OpenLog(base, WithWALFile(counter.wrap), WithSyncPolicy(SyncBatch()))
 	if err != nil {

@@ -55,15 +55,18 @@ import (
 // may well be newer than records of its still in the log.
 //
 // Fsync discipline: block records are acknowledged by the fsync of
-// the commit window they were staged into (see walwriter.go), shared
-// by every owner that staged into it — under the default SyncAlways
+// the commit window they were logged into (see walwriter.go), shared
+// by every owner that logged into it — under the default SyncAlways
 // policy that fsync happens before Store.Append publishes the block
-// (write-ahead — an accepted block survives a crash); trust and digest
-// records are written immediately but fsynced lazily, piggybacking on
-// the next commit window, Sync, or Close. Losing the tail of
-// trust/digest records in a crash costs re-auditing, never data. A
-// segment append is fsynced before the checkpoint that records it is
-// written, and that checkpoint before the rename that commits it.
+// (write-ahead — an accepted block survives a crash). Trust, digest
+// and forget records are buffered with the rest and ride the next
+// write: a window close, a block record the policy writes at once, a
+// Flush (a cluster.Host's, before it acks a digest on the wire), or a
+// full buffer. A process kill loses those logged since the last write,
+// a power loss those since the last fsync; either costs re-auditing,
+// never data. A segment append is fsynced before the checkpoint that
+// records it is written, and that checkpoint before the rename that
+// commits it.
 //
 // Compaction is the log's (Log.Compact): rotate once, for every open
 // backend append the blocks its segment lacks and commit a checkpoint,
@@ -127,7 +130,7 @@ type FileBackend struct {
 	report       RecoveryReport
 	pending      int          // own block records in the current WAL generation
 	windowBlocks int          // those of them in the open commit window
-	staged       *block.Block // written by StageBlock, not yet acknowledged by LogBlock
+	staged       *block.Block // logged by StageBlock, not yet acknowledged by LogBlock
 	stagedAt     int64        // log.fsyncs at that write: durable once it has moved on
 	logged       bool         // has records no checkpoint of its own covers
 }
@@ -202,6 +205,11 @@ func (fb *FileBackend) Recover(opts RecoverOptions) (*NodeState, error) {
 	}()
 	// An interrupted compaction never committed its checkpoint.
 	_ = os.Remove(filepath.Join(fb.dir, checkpointTmpName))
+	// Replay reads the file: records of this owner's still buffered — kept
+	// by a close whose write failed — go out first.
+	if err := l.writeLocked(); err != nil {
+		return nil, err
+	}
 
 	start := time.Now()
 	cp, err := fb.readCheckpoint(opts)
@@ -447,7 +455,7 @@ func writeFull(w io.Writer, p []byte) error {
 	return err
 }
 
-// logLocked writes one record of this owner's — named as its own when
+// logLocked buffers one record of this owner's — named as its own when
 // the log is shared — into the open commit window. Caller holds log.mu.
 func (fb *FileBackend) logLocked(kind byte, payload []byte) error {
 	if fb.closed {
@@ -466,7 +474,9 @@ func (fb *FileBackend) logLocked(kind byte, payload []byte) error {
 	return nil
 }
 
-// stageLocked writes b's record and counts it into the open window.
+// stageLocked buffers b's record and counts it into the open window. A
+// full buffer is written, and a failed write fails the window, b with
+// it.
 func (fb *FileBackend) stageLocked(b *block.Block) error {
 	l := fb.log
 	l.pscratch = block.AppendEncode(l.pscratch[:0], b)
@@ -475,12 +485,12 @@ func (fb *FileBackend) stageLocked(b *block.Block) error {
 	}
 	fb.pending++
 	fb.windowBlocks++
-	return nil
+	return l.spillLocked()
 }
 
-// StageBlock writes b's record into the open commit window and returns
-// (see Backend): the LogBlock that follows the window's Commit finds it
-// there.
+// StageBlock logs b's record into the open commit window and returns
+// (see Backend): the Commit that closes the window writes and fsyncs
+// it, and the LogBlock that follows finds it there.
 func (fb *FileBackend) StageBlock(b *block.Block) error {
 	l := fb.log
 	l.mu.Lock()
@@ -492,15 +502,15 @@ func (fb *FileBackend) StageBlock(b *block.Block) error {
 	return nil
 }
 
-// LogBlock stages a block record into the current commit window —
+// LogBlock logs a block record into the current commit window —
 // unless StageBlock already has, in a window that did not fail. Under
 // SyncAlways (the default) it then blocks until the fsync covering the
 // record has returned — write-ahead, the block is durable before
 // Store.Append publishes it — while concurrent callers share that
 // fsync; a staged record whose window was committed since returns at
-// once. Under SyncBatch/SyncInterval it returns once staged; Commit or
-// the committer's ticker acknowledges the window later. An error here
-// fails the append.
+// once. Under SyncBatch/SyncInterval it returns once the record is
+// written, so a process kill keeps it; Commit or the committer's ticker
+// acknowledges the window later. An error here fails the append.
 func (fb *FileBackend) LogBlock(b *block.Block) error {
 	l := fb.log
 	l.mu.Lock()
@@ -512,9 +522,14 @@ func (fb *FileBackend) LogBlock(b *block.Block) error {
 		}
 	}
 	fb.staged = nil
-	if durable || !l.policy.PerBlock() {
+	if durable {
 		l.mu.Unlock()
 		return nil
+	}
+	if !l.policy.PerBlock() {
+		err := l.writeLocked()
+		l.mu.Unlock()
+		return err
 	}
 	// The committer fsyncs under l.mu, so callers that stage while a
 	// flush is in flight join the next window — group commit without
@@ -537,32 +552,38 @@ func (fb *FileBackend) payloadLocked() []byte {
 	return binary.LittleEndian.AppendUint32(fb.log.pscratch[:0], uint32(fb.owner))
 }
 
-// logLazy writes a trust or digest record whose payload build appends
-// (no fsync; see the discipline above). Errors are additionally kept
-// sticky for Sync.
+// logLazy buffers a trust, digest or forget record whose payload build
+// appends (no write of its own; see the discipline above). It fails
+// only when the log takes no records, an error also kept sticky for
+// Sync; a record lost to storage later is reported there alone.
 func (fb *FileBackend) logLazy(kind byte, build func(dst []byte) []byte) error {
 	l := fb.log
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	l.pscratch = build(fb.payloadLocked())
-	err := fb.logLocked(kind, l.pscratch)
-	if err != nil && l.deferred == nil && !errors.Is(err, ErrBackendClosed) {
-		l.deferred = err
+	if err := fb.logLocked(kind, l.pscratch); err != nil {
+		if l.deferred == nil && !errors.Is(err, ErrBackendClosed) {
+			l.deferred = err
+		}
+		return err
 	}
-	return err
+	// A write failing here fails the window's blocks, not this record,
+	// which stays buffered (writeLocked).
+	_ = l.spillLocked()
+	return nil
 }
 
-// LogTrust writes a trust-store record.
+// LogTrust buffers a trust-store record.
 func (fb *FileBackend) LogTrust(h *block.Header, inserted int64) error {
 	return fb.logLazy(walKindTrust, func(dst []byte) []byte { return appendWALTrust(dst, inserted, h) })
 }
 
-// LogDigest writes a digest-cache record.
+// LogDigest buffers a digest-cache record.
 func (fb *FileBackend) LogDigest(from identity.NodeID, d digest.Digest) error {
 	return fb.logLazy(walKindDigest, func(dst []byte) []byte { return appendWALDigest(dst, from, d) })
 }
 
-// LogForget writes a digest-cache removal record.
+// LogForget buffers a digest-cache removal record.
 func (fb *FileBackend) LogForget(from identity.NodeID) error {
 	return fb.logLazy(walKindForget, func(dst []byte) []byte {
 		return binary.LittleEndian.AppendUint32(dst, uint32(from))
@@ -610,6 +631,10 @@ func (fb *FileBackend) Commit() error { return fb.log.Commit() }
 // Sync closes the log's current commit window and surfaces its sticky
 // error (see Log.Sync).
 func (fb *FileBackend) Sync() error { return fb.log.Sync() }
+
+// Flush writes the log's buffered records without an fsync (see
+// Log.Flush).
+func (fb *FileBackend) Flush() error { return fb.log.Flush() }
 
 // Close commits any open window and closes the backend; a single-owner
 // backend closes its log with it. Closing a backend of a shared log

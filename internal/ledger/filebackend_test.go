@@ -50,8 +50,8 @@ func driveState(t *testing.T, st *NodeState, n int) {
 
 // TestFileBackendRecoverEquivalence is the backend-level crash proof:
 // a state driven through a journaling backend, abandoned without any
-// graceful shutdown (only LogBlock's own fsyncs), recovers
-// byte-identical on reopen.
+// graceful shutdown (only LogBlock's own fsyncs and one Flush),
+// recovers byte-identical on reopen.
 func TestFileBackendRecoverEquivalence(t *testing.T) {
 	dir := t.TempDir()
 	opts := RecoverOptions{Owner: 4, Params: testParams()}
@@ -59,11 +59,14 @@ func TestFileBackendRecoverEquivalence(t *testing.T) {
 	fb, st := openBackend(t, dir, opts)
 	driveState(t, st, 3)
 	want := stateBytes(t, st)
-	// Simulate a crash: no Sync, no Close — just drop the handle. The
-	// trust/digest tail is made durable by the block fsyncs interleaved
-	// with it (file writes already hit the OS; fsync matters only for
-	// power loss, which a test cannot simulate).
-	_ = fb
+	// Simulate a process kill: no Sync, no Close — just drop the handle
+	// once everything logged is written (the trust/digest tail after
+	// the last block is still buffered until then). Written bytes are in
+	// the kernel and survive a kill; what fsync adds is power loss,
+	// which TestWALCrashImages covers.
+	if err := fb.Flush(); err != nil {
+		t.Fatal(err)
+	}
 
 	fb2, st2 := openBackend(t, dir, opts)
 	defer fb2.Close()

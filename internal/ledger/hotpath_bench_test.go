@@ -14,8 +14,9 @@ import (
 
 // BenchmarkHotpathWALAppend prices durability on the seal path, layer
 // by layer: record is the pure codec (frame + CRC-32C into a reused
-// buffer), buffered is a journaled trust write (no fsync — the lazy
-// tier), fsync is LogBlock, the full write-ahead append whose fsync
+// buffer), buffered is a journaled trust record (the lazy tier: framed
+// into the log's buffer, one write per walBufferLimit of records, no
+// fsync), fsync is LogBlock, the full write-ahead append whose fsync
 // gates Store.Append publishing a sealed block. The in-memory default
 // (no backend attached) is a nil-journal branch, i.e. free — that
 // claim is guarded by BenchmarkHotpathFaultFree and
@@ -73,9 +74,10 @@ func BenchmarkHotpathWALAppend(b *testing.B) {
 }
 
 // BenchmarkHotpathWALGroupCommit prices the durable seal path under
-// the batched sync policy: LogBlock stages records without blocking
-// and one Commit fsync acknowledges the whole window, so the
-// per-block cost is the codec plus 1/batch of an fsync. batch=1 is
+// the batched sync policy: LogBlock writes its record without waiting
+// for an fsync and one Commit fsync acknowledges the whole window, so
+// the per-block cost is the codec and a write plus 1/batch of an
+// fsync. batch=1 is
 // the group-commit writer doing SyncAlways-shaped work (one window
 // per block, the ~185 µs fsync baseline of
 // BenchmarkHotpathWALAppend/fsync); batch=64 must amortize the fsync

@@ -133,6 +133,23 @@ func (w *world) states() map[identity.NodeID][]byte {
 	return out
 }
 
+// flush writes every record logged so far to the kernel, where a
+// process kill leaves it.
+func (w *world) flush() {
+	w.t.Helper()
+	var errs []error
+	if w.shared {
+		errs = append(errs, w.log.Flush())
+	} else {
+		for _, fb := range w.fbs {
+			errs = append(errs, fb.Flush())
+		}
+	}
+	if err := errors.Join(errs...); err != nil {
+		w.t.Fatalf("flush (shared=%v): %v", w.shared, err)
+	}
+}
+
 // close shuts everything down gracefully.
 func (w *world) close() {
 	for _, fb := range w.fbs {
@@ -258,14 +275,16 @@ func TestSharedLogDifferential(t *testing.T) {
 					w.open(o)
 				}
 			}
-			// crashAndRecover drops every handle — nothing closed, nothing
-			// synced beyond what the policy already had — and cold-starts
-			// the given owners.
+			// crashAndRecover kills the process: every record logged is
+			// written (a kill leaves the kernel's copy), then every handle
+			// is dropped — nothing closed, nothing synced beyond what the
+			// policy already had — and the given owners cold-start.
 			crashAndRecover := func(what string, up []identity.NodeID) {
 				t.Helper()
 				want := private.states()
 				sameStates(t, what+": live states, shared vs private", shared.states(), want)
 				for _, w := range worlds {
+					w.flush()
 					w.reopen()
 					for _, o := range up {
 						w.open(o)

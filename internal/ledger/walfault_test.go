@@ -142,11 +142,13 @@ func strictLog(t *testing.T, dir string) {
 	}
 }
 
-// TestWALFaultWriteRepairAcrossOwners: owner 1's block record stops
-// halfway through its frame — with an error, or as a short write that
-// reports none. The next record is owner 2's. It must not land behind
-// the half frame: the log repairs first, also when the first attempt
-// at the repair fails too, so everything acknowledged is found again.
+// TestWALFaultWriteRepairAcrossOwners: the write carrying owner 1's
+// block record stops halfway through — with an error, or as a short
+// write that reports none. Owner 2's digest record, buffered ahead of
+// it, is not lost with it, and the next records are owner 2's. None may
+// land behind the half frame: the log repairs first. When the first
+// attempt at the repair fails too, the lazy record buffered meanwhile
+// is lost and Sync says so, and everything acknowledged is found again.
 func TestWALFaultWriteRepairAcrossOwners(t *testing.T) {
 	for _, tc := range []struct {
 		name      string
@@ -169,6 +171,13 @@ func TestWALFaultWriteRepairAcrossOwners(t *testing.T) {
 				w.apply(fx, worldOp{kind: 2, owner: o, arg: 1})
 			}
 
+			if tc.truncates > 0 {
+				// A failed repair loses whatever is buffered: let that be
+				// only the record this case logs for it.
+				if err := w.log.Flush(); err != nil {
+					t.Fatal(err)
+				}
+			}
 			faults.arm(func() { faults.writes, faults.short, faults.truncates = 1, tc.short, tc.truncates })
 			st1 := w.sts[1]
 			if err := st1.Store.Append(fx.chains[1][1]); err == nil {
@@ -178,10 +187,11 @@ func TestWALFaultWriteRepairAcrossOwners(t *testing.T) {
 				t.Fatalf("the failed block counts: store %d, pending %d", st1.Store.Len(), w.fbs[1].PendingBlocks())
 			}
 			if tc.truncates > 0 {
-				// The repair fails once: owner 2's record must fail with
-				// it rather than be written behind the half frame.
-				if err := w.fbs[2].LogDigest(9, digest.Sum([]byte("lost"))); err == nil {
-					t.Fatal("a record was written while the log could not be repaired")
+				// The repair fails once: owner 2's record is lost rather
+				// than written behind the half frame (the recovered state
+				// below would hold it), and Sync reports the loss.
+				if err := w.fbs[2].LogDigest(9, digest.Sum([]byte("lost"))); err != nil {
+					t.Fatal(err)
 				}
 				if err := w.log.Sync(); !errors.Is(err, errInjected) {
 					t.Fatalf("Sync did not report the lazy record's failure: %v", err)
@@ -205,76 +215,94 @@ func TestWALFaultWriteRepairAcrossOwners(t *testing.T) {
 	}
 }
 
-// TestWALFaultSyncFailure: the fsync of a commit window fails. Nothing
-// of the window was acknowledged, so nothing of it may be appended,
-// counted as pending or found by a recovery, whoever staged it — and
-// the next window, whoever stages first, goes through.
+// TestWALFaultSyncFailure: the fsync of a commit window fails — or,
+// before the window closes, a write that carries part of it does (a
+// Flush, as a node makes before acking a digest, or a full buffer).
+// Nothing of the window was acknowledged, so nothing of it may be
+// appended, counted as pending or found by a recovery, whoever staged
+// it and whether before or after the failed write — and the next
+// window, whoever stages first, goes through.
 func TestWALFaultSyncFailure(t *testing.T) {
-	for _, policy := range []SyncPolicy{SyncAlways(), SyncBatch()} {
-		t.Run("staged round/"+policy.String(), func(t *testing.T) {
-			faults := &walFaults{}
-			fx := newWorldFixture(t, []identity.NodeID{1, 2, 3}, 6)
-			base := t.TempDir()
-			w := newWorld(t, base, true, append(faults.options(), WithSyncPolicy(policy))...)
-			owners := []identity.NodeID{1, 2, 3}
-			for _, o := range owners {
-				w.open(o)
+	for _, midRound := range []bool{false, true} {
+		for _, policy := range []SyncPolicy{SyncAlways(), SyncBatch()} {
+			name := "staged round/" + policy.String()
+			if midRound {
+				name = "staged round, failed write mid-round/" + policy.String()
 			}
-			round := func(wantErr bool) {
-				t.Helper()
+			t.Run(name, func(t *testing.T) {
+				faults := &walFaults{}
+				fx := newWorldFixture(t, []identity.NodeID{1, 2, 3}, 6)
+				base := t.TempDir()
+				w := newWorld(t, base, true, append(faults.options(), WithSyncPolicy(policy))...)
+				owners := []identity.NodeID{1, 2, 3}
 				for _, o := range owners {
-					if err := w.fbs[o].StageBlock(fx.chains[o][w.sts[o].Store.Len()]); err != nil {
-						t.Fatal(err)
+					w.open(o)
+				}
+				round := func(wantErr bool) {
+					t.Helper()
+					for i, o := range owners {
+						if err := w.fbs[o].StageBlock(fx.chains[o][w.sts[o].Store.Len()]); err != nil {
+							t.Fatal(err)
+						}
+						if w.sts[o].Store.Len() != w.fbs[o].PendingBlocks()-1 {
+							t.Fatalf("owner %v: a staged block is pending, and not yet in the store", o)
+						}
+						if wantErr && midRound && i == 0 {
+							if err := w.log.Flush(); !errors.Is(err, errInjected) {
+								t.Fatalf("Flush over a failed write: %v", err)
+							}
+						}
 					}
-					if w.sts[o].Store.Len() != w.fbs[o].PendingBlocks()-1 {
-						t.Fatalf("owner %v: a staged block is pending, and not yet in the store", o)
+					err := w.log.Commit()
+					if wantErr != (err != nil) {
+						t.Fatalf("Commit: %v, want an error: %v", err, wantErr)
+					}
+					if err != nil {
+						return
+					}
+					for _, o := range owners {
+						w.apply(fx, worldOp{kind: 0, owner: o})
 					}
 				}
-				err := w.log.Commit()
-				if wantErr != (err != nil) {
-					t.Fatalf("Commit: %v, want an error: %v", err, wantErr)
+				round(false)
+				fsyncs := w.log.WALStats().Fsyncs
+				if midRound {
+					faults.arm(func() { faults.writes = 1 })
+				} else {
+					faults.arm(func() { faults.syncs = 1 })
 				}
-				if err != nil {
-					return
-				}
+				round(true)
 				for _, o := range owners {
-					w.apply(fx, worldOp{kind: 0, owner: o})
+					if p := w.fbs[o].PendingBlocks(); p != 1 {
+						t.Errorf("owner %v: %d pending blocks after a failed window, want the 1 of the window before", o, p)
+					}
 				}
-			}
-			round(false)
-			fsyncs := w.log.WALStats().Fsyncs
-			faults.arm(func() { faults.syncs = 1 })
-			round(true)
-			for _, o := range owners {
-				if p := w.fbs[o].PendingBlocks(); p != 1 {
-					t.Errorf("owner %v: %d pending blocks after a failed window, want the 1 of the window before", o, p)
+				// A block of the failed window appended after all is written
+				// again: its staged record went with the window.
+				w.apply(fx, worldOp{kind: 0, owner: 2})
+				if err := w.log.Commit(); err != nil {
+					t.Fatal(err)
 				}
-			}
-			// A block of the failed window appended after all is written
-			// again: its staged record went with the window.
-			w.apply(fx, worldOp{kind: 0, owner: 2})
-			if err := w.log.Commit(); err != nil {
-				t.Fatal(err)
-			}
-			// The other way round this time: the owner that staged last
-			// writes first behind the poisoned region.
-			owners[0], owners[2] = owners[2], owners[0]
-			round(false)
-			if got := w.log.WALStats().Fsyncs - fsyncs; got != 2 {
-				t.Fatalf("%d windows acknowledged since the first, want 2: the failed one does not count", got)
-			}
-			strictLog(t, base)
-			want := w.states()
-			w.reopen() // crash
-			for _, o := range owners {
-				w.open(o)
-			}
-			sameStates(t, "recovered", w.states(), want)
-			if a, b := w.sts[1].Store.Len(), w.sts[2].Store.Len(); a != 2 || b != 3 {
-				t.Fatalf("recovered %d and %d blocks, want the 2 and 3 acknowledged ones", a, b)
-			}
-			w.close()
-		})
+				// The other way round this time: the owner that staged last
+				// writes first behind the poisoned region.
+				owners[0], owners[2] = owners[2], owners[0]
+				round(false)
+				if got := w.log.WALStats().Fsyncs - fsyncs; got != 2 {
+					t.Fatalf("%d windows acknowledged since the first, want 2: the failed one does not count", got)
+				}
+				strictLog(t, base)
+				want := w.states()
+				w.reopen() // crash
+				for _, o := range owners {
+					w.open(o)
+				}
+				sameStates(t, "recovered", w.states(), want)
+				if a, b := w.sts[1].Store.Len(), w.sts[2].Store.Len(); a != 2 || b != 3 {
+					t.Fatalf("recovered %d and %d blocks, want the 2 and 3 acknowledged ones", a, b)
+				}
+				w.close()
+			})
+		}
 	}
 	t.Run("blocking append", func(t *testing.T) {
 		faults := &walFaults{}

@@ -1,6 +1,7 @@
 package ledger
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
@@ -16,44 +17,67 @@ import (
 )
 
 // Group commit: the classic storage-engine answer to fsync dominating
-// a write-ahead log (etcd, Pebble, every production WAL). Block
-// records are staged into wal.log immediately, but the fsync that
-// acknowledges them covers a whole *commit window* — every record
-// staged since the last fsync, whichever owner of the log staged it —
-// so concurrent and batched writers share one disk flush instead of
-// paying one each. The log belongs to the data dir, not to a device
-// (see Log): the devices one process hosts write to one file, and a
-// window is whatever all of them staged between two of its fsyncs.
+// a write-ahead log (etcd, Pebble, every production WAL). The fsync
+// that acknowledges block records covers a whole *commit window* —
+// every record logged since the last fsync, whichever owner of the log
+// logged it — so concurrent and batched writers share one disk flush
+// instead of paying one each. The log belongs to the data dir, not to
+// a device (see Log): the devices one process hosts write to one file,
+// and a window is whatever all of them logged between two of its
+// fsyncs.
+//
+// The write(2) is shared the same way. Every record is framed into one
+// buffer the log holds, in log order, and the buffer goes to wal.log
+// in one write when something needs its bytes in the kernel: every
+// window close (Commit, the SyncAlways committer, the SyncInterval
+// ticker, a rotation, Sync, Close), a LogBlock under SyncBatch or
+// SyncInterval before it returns, Flush, and the buffer reaching
+// walBufferLimit. The rule is that a record reaches the kernel before
+// anything that vouches for it can outlive the process: a window's
+// fsync vouches for its blocks, and a cluster.Host's wire-level
+// DigestAck for a digest, which is why the Host flushes before it
+// acks. An in-process acknowledgement dies with the process and needs
+// no write. So a process kill loses at most the trust, digest and
+// forget records logged since the last write — never an acknowledged
+// block or a wire-acknowledged digest. Records reach wal.log whole and
+// in log order, so its bytes do not depend on where the writes fell.
 //
 // A driver that knows its batch forms the window itself, under any
 // policy: StageBlock every block of a round, Commit once, then append
 // the blocks to their stores (the LogBlock inside Store.Append finds
 // the record staged and durable, and returns). That is one fsync per
-// round however many devices sealed in it, no block visible before it
-// is durable, and a window count that is a function of the batch and
-// not of goroutine timing. For everyone else the window is closed by
+// round however many devices sealed in it — and one write, or one per
+// walBufferLimit of records — no block visible before it is durable,
+// and a window count that is a function of the batch and not of
+// goroutine timing. For everyone else the window is closed by
 // whichever of these the SyncPolicy selects:
 //
-//   - SyncAlways: a dedicated committer goroutine fsyncs on every
-//     block record logged without staging; each LogBlock caller blocks
-//     until the fsync covering its record returns. Callers that stage
-//     while an fsync is in flight are absorbed into the next window,
-//     so the per-block write-ahead contract is preserved exactly while
-//     concurrent seal paths amortize the flush.
-//   - SyncBatch: LogBlock stages and returns; Commit closes the
-//     window explicitly. Drivers call it once per slot flush, before
-//     any digest goes on the wire — write-ahead at window granularity
-//     (a neighbor never learns of a block that could vanish).
-//   - SyncInterval(d): the committer's ticker closes the window every
-//     d — bounded staleness for deployments that can afford to lose
-//     the last instants of sealed traffic.
+//   - SyncAlways: a dedicated committer goroutine writes and fsyncs on
+//     every block record logged without staging; each LogBlock caller
+//     blocks until the fsync covering its record returns. Callers that
+//     log while an fsync is in flight are absorbed into the next
+//     window, so the per-block write-ahead contract is preserved
+//     exactly while concurrent seal paths amortize the flush.
+//   - SyncBatch: LogBlock writes its record and returns; Commit closes
+//     the window explicitly. Drivers call it once per slot flush,
+//     before any digest goes on the wire — write-ahead at window
+//     granularity (a neighbor never learns of a block that could
+//     vanish).
+//   - SyncInterval(d): LogBlock writes and returns; the committer's
+//     ticker closes the window every d — bounded staleness for
+//     deployments that can afford to lose the last instants of sealed
+//     traffic.
 //
-// Crash safety of an open window: records staged but not yet fsynced
+// Crash safety of an open window: records written but not yet fsynced
 // were never acknowledged. The kernel may persist them out of order,
 // but replay stops at the first incomplete or corrupt record, so any
 // record the crash orphaned behind a hole is unreachable — recovery
 // sees a clean prefix, every fsync-acknowledged record of which is
 // intact (they all precede the window). Nothing is ever half-applied.
+// A write or an fsync that fails fails every block record of the open
+// window, written or buffered, as if the window had never been opened
+// (failWindowLocked); the lazy records still buffered survive it and go
+// out ahead of the next write.
 
 // syncMode enumerates the window-closing disciplines.
 type syncMode uint8
@@ -216,13 +240,17 @@ type Log struct {
 	// recovery reads. Taken before mu.
 	compactMu sync.Mutex
 
-	mu       sync.Mutex
-	f        WALFile        // wal.log, append-only
-	scratch  []byte         // record frame scratch, reused under mu
-	pscratch []byte         // payload scratch, reused under mu
-	views    []*FileBackend // recovered and not yet closed
-	closed   bool
-	deferred error // sticky lazy-record or compaction error (see Sync)
+	mu        sync.Mutex
+	f         WALFile        // wal.log, append-only
+	buf       []byte         // framed records not yet written, in log order: they go behind goodOff (writeLocked)
+	bufBlocks int            // block records among them
+	pscratch  []byte         // payload scratch, reused under mu
+	views     []*FileBackend // recovered and not yet closed
+	closed    bool
+	deferred  error // sticky lazy-record or compaction error (see Sync)
+	// failed is the error of a write outside a window close that failed
+	// the window's block records: the close of that window fails with it.
+	failed error
 
 	// hasOld says wal.old exists: a compaction rotated and has not yet
 	// committed every checkpoint that lets it go. Until one does, nothing
@@ -251,9 +279,9 @@ type Log struct {
 	broken  error
 
 	// Commit-window state: syncedOff is the prefix the last successful
-	// fsync acknowledged; (syncedOff, goodOff] is the open window, and
-	// each view counts the block records it has in it. waiters are the
-	// SyncAlways callers blocked on its fsync.
+	// fsync acknowledged; (syncedOff, goodOff] and the buffer are the
+	// open window, and each view counts the block records it has in it.
+	// waiters are the SyncAlways callers blocked on its fsync.
 	syncedOff int64
 	waiters   []chan error
 	fsyncs    int64 // commit windows closed since open
@@ -411,27 +439,114 @@ func (l *Log) repairLocked() error {
 	return nil
 }
 
-// appendLocked frames and writes one record, repairing any poisoned
-// tail first. Caller holds l.mu.
+// walBufferLimit is the buffer size at which the log writes it without
+// waiting for a window close: one write per this many bytes of records
+// at most, and a bound on the memory the buffer holds.
+const walBufferLimit = 64 << 10
+
+// appendLocked frames one record into the buffer. It fails only when
+// the log takes no records: closed, or without a current generation.
+// Caller holds l.mu.
 func (l *Log) appendLocked(kind byte, payload []byte) error {
 	if l.closed {
 		return ErrBackendClosed
 	}
-	if err := l.repairLocked(); err != nil {
-		return err
+	if l.broken != nil {
+		return l.broken
 	}
-	l.scratch = appendWALRecord(l.scratch[:0], kind, payload)
-	if n, err := l.f.Write(l.scratch); err != nil || n < len(l.scratch) {
+	l.buf = appendWALRecord(l.buf, kind, payload)
+	if kind == walKindBlock {
+		l.bufBlocks++
+	}
+	return nil
+}
+
+// spillLocked writes the buffer once it has reached walBufferLimit.
+// Caller holds l.mu.
+func (l *Log) spillLocked() error {
+	if len(l.buf) < walBufferLimit {
+		return nil
+	}
+	return l.writeLocked()
+}
+
+// writeLocked writes the buffer behind goodOff in one write, repairing
+// any poisoned tail first. A write that fails fails the open window's
+// block records (failWindowLocked) — and, outside a window close, the
+// close of that window too (l.failed) — while the buffered lazy records
+// stay buffered, to go out ahead of the next write. A repair that fails
+// leaves nowhere intact to write them: they are dropped and kept as the
+// sticky error Sync and Close report. Caller holds l.mu.
+func (l *Log) writeLocked() error {
+	err := l.repairLocked()
+	lost := err != nil
+	if !lost {
+		if len(l.buf) == 0 {
+			return nil
+		}
+		if err = writeFull(l.f, l.buf); err == nil {
+			l.goodOff += int64(len(l.buf))
+			l.buf, l.bufBlocks = l.buf[:0], 0
+			return nil
+		}
 		// A write can fail after writing some bytes (ENOSPC, I/O error):
 		// everything past goodOff is garbage until repaired.
 		l.dirty = true
-		if err == nil {
-			err = io.ErrShortWrite
-		}
-		return fmt.Errorf("ledger: writing WAL record: %w", err)
+		err = fmt.Errorf("ledger: writing WAL: %w", err)
 	}
-	l.goodOff += int64(len(l.scratch))
-	return nil
+	if l.failWindowLocked(err) > 0 && l.failed == nil {
+		l.failed = err
+	}
+	if lost && len(l.buf) > 0 {
+		l.buf = l.buf[:0]
+		if l.deferred == nil {
+			l.deferred = err
+		}
+	}
+	return err
+}
+
+// failWindowLocked fails every block record of the open window, whoever
+// logged it: each leaves its owner's pending count and stops counting
+// as staged, and every SyncAlways caller blocked on the window gets err,
+// so nothing of the window is appended to a store. The records the
+// window already wrote go with the unacknowledged region past
+// syncedOff, which the next write truncates away; those still buffered
+// leave the buffer, its lazy records staying in order. It returns how
+// many block records failed. Caller holds l.mu.
+func (l *Log) failWindowLocked(err error) int {
+	blocks := 0
+	for _, v := range l.views {
+		blocks += v.windowBlocks
+		v.pending -= v.windowBlocks
+		v.windowBlocks = 0
+		v.staged = nil
+	}
+	if blocks > l.bufBlocks {
+		l.goodOff, l.dirty = l.syncedOff, true
+	}
+	if l.bufBlocks > 0 {
+		l.buf, l.bufBlocks = lazyRecords(l.buf), 0
+	}
+	for _, w := range l.waiters {
+		w <- err
+	}
+	l.waiters = l.waiters[:0]
+	return blocks
+}
+
+// lazyRecords filters the block records out of a run of framed records,
+// in place, keeping the others in order.
+func lazyRecords(buf []byte) []byte {
+	out := buf[:0]
+	for off := 0; off < len(buf); {
+		n := walHeaderLen + int(binary.LittleEndian.Uint32(buf[off+1:])) + walCRCLen
+		if buf[off] != walKindBlock {
+			out = append(out, buf[off:off+n]...)
+		}
+		off += n
+	}
+	return out
 }
 
 // waiterPool recycles the one-shot acknowledgement channels LogBlock
@@ -482,42 +597,45 @@ func (l *Log) committer() {
 	}
 }
 
-// commitLocked closes the current commit window: repair any poisoned
-// tail, fsync everything staged past syncedOff, and release every
-// blocked LogBlock caller. On fsync failure the durability of the
-// whole unsynced region is unknown, so it is poisoned wholesale —
-// goodOff retreats to the last acknowledged fsync and the next write
-// truncates the region away; every waiter fails (their appends fail
-// with them), and every owner's staged-but-unacknowledged block
-// records leave its pending count and stop counting as staged, so
-// nothing of the window is ever appended to a store. Caller holds l.mu.
+// commitLocked closes the current commit window: write the buffer,
+// fsync everything past syncedOff, and release every blocked LogBlock
+// caller. On fsync failure the durability of the whole unsynced region
+// is unknown, so it is poisoned wholesale — goodOff retreats to the
+// last acknowledged fsync and the next write truncates the region away
+// — and the window fails (failWindowLocked), as it does when the write
+// fails. A window an earlier write already failed (l.failed) fails
+// again here, taking what was logged into it since: the close reports
+// it, and commits only the lazy records left. Caller holds l.mu.
 func (l *Log) commitLocked() error {
-	rerr := l.repairLocked()
-	if l.goodOff == l.syncedOff && len(l.waiters) == 0 {
-		return rerr // nothing staged since the last fsync
+	failed := l.failed
+	if failed != nil {
+		l.failWindowLocked(failed)
+		l.failed = nil
 	}
-	err := l.f.Sync()
+	err := l.writeLocked()
+	if err == nil && l.goodOff == l.syncedOff && len(l.waiters) == 0 {
+		return failed // nothing written since the last fsync
+	}
+	if err == nil {
+		if err = l.f.Sync(); err != nil {
+			err = fmt.Errorf("ledger: syncing WAL: %w", err)
+			l.goodOff, l.dirty = l.syncedOff, true
+			l.failWindowLocked(err)
+		}
+	}
 	if err != nil {
-		err = fmt.Errorf("ledger: syncing WAL: %w", err)
-		l.goodOff = l.syncedOff
-		l.dirty = true
+		l.failed = nil // this close reports it
+		return err
 	}
 	blocks := 0
 	for _, v := range l.views {
-		if err != nil {
-			v.pending -= v.windowBlocks
-			v.staged = nil
-		}
 		blocks += v.windowBlocks
 		v.windowBlocks = 0
 	}
 	for _, w := range l.waiters {
-		w <- err
+		w <- nil
 	}
 	l.waiters = l.waiters[:0]
-	if err != nil {
-		return err
-	}
 	bytes := l.goodOff - l.syncedOff
 	l.syncedOff = l.goodOff
 	l.fsyncs++
@@ -525,14 +643,15 @@ func (l *Log) commitLocked() error {
 	if l.obs != nil {
 		l.obs.OnWALCommit(blocks, bytes)
 	}
-	return rerr
+	return failed
 }
 
-// Commit closes the current commit window, fsyncing every staged
-// record: the acknowledgement point of a driver that staged a round of
-// blocks, and under SyncBatch the one a driver invokes once per slot
-// flush; a cheap no-op when nothing is staged. Unlike Sync it does not
-// surface (or clear) sticky errors — it is a hot-path call.
+// Commit closes the current commit window, writing the buffer and
+// fsyncing every record logged since the last fsync: the
+// acknowledgement point of a driver that staged a round of blocks, and
+// under SyncBatch the one a driver invokes once per slot flush; a
+// cheap no-op when nothing was logged. Unlike Sync it does not surface
+// (or clear) sticky errors — it is a hot-path call.
 func (l *Log) Commit() error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -542,9 +661,9 @@ func (l *Log) Commit() error {
 	return l.commitLocked()
 }
 
-// Sync closes the current commit window (fsyncing anything staged)
-// and surfaces any sticky lazy-record or compaction error (clearing
-// it).
+// Sync closes the current commit window (writing and fsyncing anything
+// logged) and surfaces any sticky lazy-record or compaction error
+// (clearing it).
 func (l *Log) Sync() error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -558,6 +677,19 @@ func (l *Log) Sync() error {
 		err = cerr
 	}
 	return err
+}
+
+// Flush writes every buffered record to wal.log without an fsync: a
+// process kill no longer loses them, power loss still may. A node that
+// acknowledges a digest on the wire flushes first. A failed write fails
+// the open window as it would at its close (see writeLocked).
+func (l *Log) Flush() error {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if l.closed {
+		return ErrBackendClosed
+	}
+	return l.writeLocked()
 }
 
 // rotateLocked closes the current WAL generation as wal.old and opens

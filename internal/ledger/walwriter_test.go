@@ -2,12 +2,17 @@ package ledger
 
 import (
 	"bytes"
+	"fmt"
+	"math/rand"
 	"os"
 	"path/filepath"
+	"slices"
 	"sync"
 	"testing"
 	"time"
 
+	"github.com/twoldag/twoldag/internal/block"
+	"github.com/twoldag/twoldag/internal/digest"
 	"github.com/twoldag/twoldag/internal/identity"
 )
 
@@ -270,6 +275,339 @@ func TestRecoveryUnackedDiscardAfterCrash(t *testing.T) {
 		})
 	}
 	_ = fb.Close()
+}
+
+// TestWALWritesPerWindow pins the write(2) count of the log: records
+// are framed into one buffer and written when something needs them in
+// the kernel — a window close, Flush, a LogBlock that acknowledges no
+// fsync, a full buffer — not one write per record.
+func TestWALWritesPerWindow(t *testing.T) {
+	p := testParams()
+	t.Run("staged round", func(t *testing.T) {
+		// 32 devices of one process: each takes in 8 announcements, then
+		// seals and stages. One Commit closes the round.
+		const owners, digests = 32, 8
+		for _, policy := range []SyncPolicy{SyncAlways(), SyncBatch()} {
+			for _, body := range []int{1 << 10, 2 << 10} {
+				t.Run(fmt.Sprintf("%s/body=%d", policy, body), func(t *testing.T) {
+					c := newByteCounter()
+					base := t.TempDir()
+					l, err := OpenLog(base, WithWALFile(c.wrap), WithSyncPolicy(policy))
+					if err != nil {
+						t.Fatal(err)
+					}
+					defer l.Close()
+					fbs := make([]*FileBackend, owners)
+					sts := make([]*NodeState, owners)
+					blocks := make([]*block.Block, owners)
+					for i := range fbs {
+						o := identity.NodeID(i + 1)
+						if fbs[i], err = l.OpenBackend(filepath.Join(base, fmt.Sprintf("node-%d", o))); err != nil {
+							t.Fatal(err)
+						}
+						if sts[i], err = fbs[i].Recover(RecoverOptions{Owner: o, Params: p}); err != nil {
+							t.Fatal(err)
+						}
+						sts[i].Attach(fbs[i])
+						if blocks[i], err = p.Build(identity.Deterministic(o, 4), 0, 0, make([]byte, body), []block.DigestRef{{Node: o}}); err != nil {
+							t.Fatal(err)
+						}
+					}
+					for i := range fbs {
+						for k := 0; k < digests; k++ {
+							sts[i].Cache.Update(identity.NodeID(100+k), digest.Sum([]byte{byte(i), byte(k)}))
+						}
+						if err := fbs[i].StageBlock(blocks[i]); err != nil {
+							t.Fatal(err)
+						}
+					}
+					if err := l.Commit(); err != nil {
+						t.Fatal(err)
+					}
+					for i := range fbs {
+						if err := sts[i].Store.Append(blocks[i]); err != nil {
+							t.Fatal(err)
+						}
+					}
+					writes, syncs := c.calls(walFileName)
+					info, err := os.Stat(filepath.Join(base, walFileName))
+					if err != nil {
+						t.Fatal(err)
+					}
+					want := 1
+					if info.Size() >= walBufferLimit {
+						want = 2 // the bound splits the round
+					}
+					if writes != want || syncs != 1 {
+						t.Fatalf("a round of %d bytes took %d writes and %d fsyncs, want %d and 1 (one write per record is %d)",
+							info.Size(), writes, syncs, want, owners*(digests+1))
+					}
+				})
+			}
+		}
+	})
+
+	t.Run("lazy records only", func(t *testing.T) {
+		h := chainFor(t, identity.Deterministic(9, 4), 1, nil)[0].Header.Clone()
+		logLazy := func(t *testing.T, st *NodeState, c *byteCounter) {
+			t.Helper()
+			st.Trust.Add(h)
+			st.Cache.Update(7, digest.Sum([]byte("d")))
+			st.Cache.Forget(7)
+			if writes, syncs := c.calls(walFileName); writes != 0 || syncs != 0 {
+				t.Fatalf("three lazy records took %d writes and %d fsyncs, want none", writes, syncs)
+			}
+		}
+		for _, tc := range []struct {
+			name  string
+			run   func(fb *FileBackend) error
+			syncs int
+		}{
+			{"Commit", (*FileBackend).Commit, 1},
+			{"Sync", (*FileBackend).Sync, 1},
+			{"Close", (*FileBackend).Close, 1},
+			{"Flush", (*FileBackend).Flush, 0},
+		} {
+			t.Run(tc.name, func(t *testing.T) {
+				c := newByteCounter()
+				dir := t.TempDir()
+				fb, st := openBackendWith(t, dir, walOpts(), WithWALFile(c.wrap))
+				defer fb.Close()
+				logLazy(t, st, c)
+				if err := tc.run(fb); err != nil {
+					t.Fatal(err)
+				}
+				if writes, syncs := c.calls(walFileName); writes != 1 || syncs != tc.syncs {
+					t.Fatalf("%s took %d writes and %d fsyncs, want 1 and %d", tc.name, writes, syncs, tc.syncs)
+				}
+				fb2, st2 := openBackend(t, copyDir(t, dir), walOpts())
+				defer fb2.Close()
+				if !bytes.Equal(stateBytes(t, st2), stateBytes(t, st)) {
+					t.Fatalf("the records %s wrote do not recover the state", tc.name)
+				}
+			})
+		}
+		t.Run("bound", func(t *testing.T) {
+			c := newByteCounter()
+			fb, st := openBackendWith(t, t.TempDir(), walOpts(), WithWALFile(c.wrap))
+			defer fb.Close()
+			logged := 0
+			for i := 0; logged < walBufferLimit; i++ {
+				st.Cache.Update(identity.NodeID(100+i%64), digest.Sum([]byte{byte(i)}))
+				logged += walHeaderLen + 4 + digest.Size + walCRCLen
+				want := 0
+				if logged >= walBufferLimit {
+					want = 1
+				}
+				if writes, _ := c.calls(walFileName); writes != want {
+					t.Fatalf("%d writes with %d bytes logged, want %d", writes, logged, want)
+				}
+			}
+		})
+	})
+
+	t.Run("SyncBatch LogBlock", func(t *testing.T) {
+		c := newByteCounter()
+		dir := t.TempDir()
+		fb, st := openBackendWith(t, dir, walOpts(), WithWALFile(c.wrap), WithSyncPolicy(SyncBatch()))
+		defer fb.Close()
+		st.Cache.Update(7, digest.Sum([]byte("before the block")))
+		if err := st.Store.Append(chainFor(t, identity.Deterministic(1, 1), 1, nil)[0]); err != nil {
+			t.Fatal(err)
+		}
+		if writes, syncs := c.calls(walFileName); writes != 1 || syncs != 0 {
+			t.Fatalf("LogBlock under SyncBatch took %d writes and %d fsyncs, want 1 and 0", writes, syncs)
+		}
+		// What a process kill leaves: the block and the digest before it.
+		fb2, st2 := openBackend(t, copyDir(t, dir), walOpts())
+		defer fb2.Close()
+		if !bytes.Equal(stateBytes(t, st2), stateBytes(t, st)) {
+			t.Fatal("the written block does not recover")
+		}
+	})
+}
+
+// copyDir copies a single-owner data dir, as a process kill leaves it,
+// to a fresh one.
+func copyDir(t *testing.T, dir string) string {
+	t.Helper()
+	cdir := t.TempDir()
+	copyLedgerDir(t, dir, cdir)
+	return cdir
+}
+
+// syncTracker follows the data dir's current wal.log through the file
+// seam and notes how many of its bytes the last fsync covered: what a
+// power loss leaves of it. (A segment or checkpoint only ever gets a
+// name a recovery reads once fsynced; TestSharedLogCrashMatrix and
+// TestCheckpointFaults cut those.)
+type syncTracker struct {
+	mu     sync.Mutex
+	cur    *os.File
+	synced int64
+}
+
+func (s *syncTracker) option() BackendOption {
+	return WithWALFile(func(f WALFile) WALFile {
+		of, ok := f.(*os.File)
+		if !ok || filepath.Base(of.Name()) != walFileName {
+			return f
+		}
+		s.mu.Lock()
+		s.cur, s.synced = of, 0 // a fresh generation: nothing of it synced
+		s.mu.Unlock()
+		return trackedFile{f, of, s}
+	})
+}
+
+func (s *syncTracker) syncedLen() int64 {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.synced
+}
+
+type trackedFile struct {
+	WALFile
+	f *os.File
+	s *syncTracker
+}
+
+func (f trackedFile) Sync() error {
+	if err := f.WALFile.Sync(); err != nil {
+		return err
+	}
+	info, err := f.f.Stat()
+	if err != nil {
+		return err
+	}
+	f.s.mu.Lock()
+	if f.s.cur == f.f {
+		f.s.synced = info.Size()
+	}
+	f.s.mu.Unlock()
+	return nil
+}
+
+// TestWALCrashImages is the durability proof of the buffered log, the
+// test itself discarding what a crash would: a seeded workload over a
+// shared log — staged rounds, LogBlock, trust, digest and forget
+// records, Flush, Commit and a compaction — stops at seeded points to
+// take two images of the data dir. A process kill leaves every byte
+// written (the kernel's copy); a power loss only what the last fsync of
+// wal.log covered. Both must recover, and every owner as a record
+// prefix of its run: the state it had after some number of its own
+// operations, at least as many as the last call that vouched for them
+// — LogBlock under SyncBatch or SyncInterval and Flush vouch for a
+// process kill; LogBlock under SyncAlways, Commit and a compaction for a
+// power loss too. So every block a LogBlock or Commit acknowledged is
+// in the image it was acknowledged for.
+func TestWALCrashImages(t *testing.T) {
+	owners := []identity.NodeID{1, 2, 3, 4}
+	fx := newWorldFixture(t, owners, 80)
+	for _, policy := range []SyncPolicy{SyncAlways(), SyncBatch(), SyncInterval(time.Hour)} {
+		t.Run(policy.String(), func(t *testing.T) {
+			var tracker syncTracker
+			base := t.TempDir()
+			w := newWorld(t, base, true, tracker.option(), WithSyncPolicy(policy))
+			defer func() { w.close() }()
+			// The run: which owner each operation was, every owner's state
+			// after each of its own, and how many operations the last calls
+			// that vouched for a kill and for a power loss covered.
+			var ops []identity.NodeID
+			snaps := map[identity.NodeID][][]byte{}
+			for _, o := range owners {
+				w.open(o)
+				snaps[o] = [][]byte{stateBytes(t, w.sts[o])}
+			}
+			did := func(o identity.NodeID) {
+				ops = append(ops, o)
+				snaps[o] = append(snaps[o], stateBytes(t, w.sts[o]))
+			}
+			killFloor, lossFloor := 0, 0
+			vouched := func(loss bool) {
+				killFloor = len(ops)
+				if loss {
+					lossFloor = len(ops)
+				}
+			}
+			check := func(step int) {
+				t.Helper()
+				kill := dirImage(t, base)
+				loss := map[string][]byte{}
+				for name, data := range kill {
+					loss[name] = data
+				}
+				loss[walFileName] = loss[walFileName][:tracker.syncedLen()]
+				for _, im := range []struct {
+					name  string
+					img   map[string][]byte
+					floor int
+				}{{"process kill", kill, killFloor}, {"power loss", loss, lossFloor}} {
+					got := recoverImage(t, im.img, true, owners)
+					for _, o := range owners {
+						floor := 0
+						for _, op := range ops[:im.floor] {
+							if op == o {
+								floor++
+							}
+						}
+						if !slices.ContainsFunc(snaps[o][floor:], func(s []byte) bool { return bytes.Equal(s, got[o]) }) {
+							t.Fatalf("step %d, %s: owner %v recovered no state its run had after %d or more of its %d operations",
+								step, im.name, o, floor, len(snaps[o])-1)
+						}
+					}
+				}
+			}
+			rng := rand.New(rand.NewSource(31))
+			for step := 0; step < 150; step++ {
+				o := owners[rng.Intn(len(owners))]
+				switch p := rng.Intn(20); {
+				case step == 75:
+					if err := w.compact(); err != nil {
+						t.Fatal(err)
+					}
+					vouched(true)
+				case p < 8:
+					w.apply(fx, worldOp{kind: 1 + p%3, owner: o, arg: rng.Intn(worldForeign)})
+					did(o)
+				case p < 12:
+					w.apply(fx, worldOp{kind: 0, owner: o})
+					did(o)
+					vouched(policy.PerBlock())
+				case p < 16:
+					// A staged round of the owners from o on.
+					round := owners[slices.Index(owners, o):]
+					for _, r := range round {
+						st := w.sts[r]
+						if err := w.fbs[r].StageBlock(fx.chains[r][st.Store.Len()]); err != nil {
+							t.Fatal(err)
+						}
+					}
+					if err := w.log.Commit(); err != nil {
+						t.Fatal(err)
+					}
+					for _, r := range round {
+						w.apply(fx, worldOp{kind: 0, owner: r})
+						did(r)
+					}
+					vouched(true)
+				case p < 18:
+					if err := w.log.Flush(); err != nil {
+						t.Fatal(err)
+					}
+					vouched(false)
+				default:
+					if err := w.log.Commit(); err != nil {
+						t.Fatal(err)
+					}
+					vouched(true)
+				}
+				if rng.Intn(6) == 0 || step == 149 {
+					check(step)
+				}
+			}
+		})
+	}
 }
 
 // TestRecoveryIntervalPolicyCommits: under SyncInterval the committer's

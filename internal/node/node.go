@@ -297,11 +297,12 @@ func (n *Node) handle(env transport.Envelope) {
 }
 
 // ack answers an ingested (or already-ingested) announcement with a
-// wire-level DigestAck when the node runs in AnnounceAcks mode. Losses
-// are tolerated: the sender's retry re-announces, the receiver dedups
-// and re-acks.
+// wire-level DigestAck when the node runs in AnnounceAcks mode. The ack
+// outlives this process, so the digest records it vouches for reach the
+// kernel first; without that, no ack. Losses are tolerated: the
+// sender's retry re-announces, the receiver dedups and re-acks.
 func (n *Node) ack(ctx context.Context, msg *wire.Message) {
-	if !n.cfg.AnnounceAcks {
+	if !n.cfg.AnnounceAcks || n.engine.FlushJournal() != nil {
 		return
 	}
 	_ = n.rpc.Reply(ctx, msg.From, wire.NewDigestAck(msg))
