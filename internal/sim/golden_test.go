@@ -1,0 +1,61 @@
+package sim
+
+import (
+	"crypto/sha256"
+	"encoding/hex"
+	"encoding/json"
+	"testing"
+)
+
+// reportHash is the SHA-256 of a canonical encoding of r: every field
+// but Mem (process heap statistics, not a function of the Config), as
+// JSON in declaration order.
+func reportHash(t *testing.T, r *Report) string {
+	t.Helper()
+	cp := *r
+	cp.Mem = nil
+	enc, err := json.Marshal(cp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sum := sha256.Sum256(enc)
+	return hex.EncodeToString(sum[:])
+}
+
+// TestReportGolden pins the simulator's Report bit for bit across
+// refactors of the slot scheduler: the hashes were taken on an earlier
+// scheduler and every change since must reproduce them. The inputs are
+// the churn run (silent malicious nodes, retention accounting, a
+// mid-run Silence and JoinNode) at one and four workers, and a capped
+// trust store under randomized generation periods.
+func TestReportGolden(t *testing.T) {
+	periodic := func(workers int) *Report {
+		t.Helper()
+		cfg := smallConfig(7)
+		cfg.RandomPeriodMax = 3
+		cfg.TrustCap = 8
+		cfg.Workers = workers
+		s, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer s.Close()
+		rep, err := s.Run()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return rep
+	}
+	const (
+		churnWant    = "4ffccb0ab085d86acb33f8cce2f90568a245774192494e5818eea8911ca50d9d"
+		periodicWant = "20f88c900a00419a74538ae54002faabec1a80818287fb67a036e683c872256f"
+	)
+	for _, workers := range []int{1, 4} {
+		if got := reportHash(t, churnRun(t, workers)); got != churnWant {
+			t.Errorf("churn run, workers=%d: report hash %s, want %s", workers, got, churnWant)
+		}
+		if got := reportHash(t, periodic(workers)); got != periodicWant {
+			t.Errorf("trust cap + random periods, workers=%d: report hash %s, want %s", workers, got, periodicWant)
+		}
+	}
+}

@@ -9,10 +9,16 @@ import (
 	"github.com/twoldag/twoldag/internal/topology"
 )
 
-// churnRun drives the pipelined scheduler through a run with mid-run
+// churnRun is churnRunAt on the barriered schedule.
+func churnRun(t *testing.T, workers int) *Report {
+	t.Helper()
+	return churnRunAt(t, 1, workers)
+}
+
+// churnRunAt drives the pipelined scheduler through a run with mid-run
 // membership churn: a stretch of slots, then a Silence and a JoinNode
 // (both of which drain the pipeline), then more slots.
-func churnRun(t *testing.T, depth, workers int) *Report {
+func churnRunAt(t *testing.T, depth, workers int) *Report {
 	t.Helper()
 	cfg := smallConfig(42)
 	cfg.Malicious = 2
@@ -81,13 +87,13 @@ func churnRun(t *testing.T, depth, workers int) *Report {
 // per-node RNG ordering via audGate, in-order slot retirement with
 // boundary-frozen sums).
 func TestPipelinedSchedulerIsDeterministic(t *testing.T) {
-	want := churnRun(t, 1, 1)
+	want := churnRunAt(t, 1, 1)
 	for _, depth := range []int{1, 2, 4} {
 		for _, workers := range []int{1, 4} {
 			if depth == 1 && workers == 1 {
 				continue
 			}
-			got := churnRun(t, depth, workers)
+			got := churnRunAt(t, depth, workers)
 			if !reflect.DeepEqual(want, got) {
 				t.Fatalf("depth=%d workers=%d diverged from the barriered serial run:\nbarriered: %+v\npipelined: %+v",
 					depth, workers, want, got)

@@ -1,0 +1,85 @@
+package twoldag
+
+import (
+	"crypto/sha256"
+	"encoding/hex"
+	"encoding/json"
+	"testing"
+)
+
+// simReportHash is the SHA-256 of a canonical encoding of r: every
+// field but Mem, as JSON in declaration order.
+func simReportHash(t *testing.T, r *SimReport) string {
+	t.Helper()
+	cp := *r
+	cp.Mem = nil
+	enc, err := json.Marshal(cp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sum := sha256.Sum256(enc)
+	return hex.EncodeToString(sum[:])
+}
+
+// TestSimDriverReportGolden is the facade twin of the simulator's
+// TestReportGolden: SimDriver.RunSlots reports pinned bit for bit, the
+// hashes taken on an earlier slot scheduler. The inputs are a churn run
+// (two silent malicious nodes, a Silence and a Join between two
+// RunSlots calls) at one and four workers, and a run with a capped
+// trust store.
+func TestSimDriverReportGolden(t *testing.T) {
+	newSim := func(workers int, opts ...Option) *SimDriver {
+		t.Helper()
+		rt := newRuntime(t, append([]Option{
+			WithSimulator(), WithNodes(12), WithGamma(3), WithSeed(42),
+			WithDifficulty(0), WithBodyBytes(1000), WithWorkers(workers),
+		}, opts...)...)
+		return rt.(*SimDriver)
+	}
+	churn := func(workers int) *SimReport {
+		t.Helper()
+		sd := newSim(workers, WithMalicious(2))
+		if err := sd.RunSlots(14); err != nil {
+			t.Fatal(err)
+		}
+		bad := map[NodeID]bool{}
+		for _, id := range sd.MaliciousNodes() {
+			bad[id] = true
+		}
+		for _, id := range sd.Nodes() {
+			if !bad[id] {
+				if err := sd.Silence(id); err != nil {
+					t.Fatal(err)
+				}
+				break
+			}
+		}
+		if _, err := sd.Join(); err != nil {
+			t.Fatal(err)
+		}
+		if err := sd.RunSlots(16); err != nil {
+			t.Fatal(err)
+		}
+		return sd.Report()
+	}
+	capped := func(workers int) *SimReport {
+		t.Helper()
+		sd := newSim(workers, WithTrustCap(8))
+		if err := sd.RunSlots(30); err != nil {
+			t.Fatal(err)
+		}
+		return sd.Report()
+	}
+	const (
+		churnWant  = "8c0849fda565efaa68be1e2d7cad375b73478ff87353fda7691a8396117e36c1"
+		cappedWant = "c389430575004164c5ec1ffb522441234dbcd5c1e0800bb795cac05f486ceb00"
+	)
+	for _, workers := range []int{1, 4} {
+		if got := simReportHash(t, churn(workers)); got != churnWant {
+			t.Errorf("churn run, workers=%d: report hash %s, want %s", workers, got, churnWant)
+		}
+		if got := simReportHash(t, capped(workers)); got != cappedWant {
+			t.Errorf("trust cap, workers=%d: report hash %s, want %s", workers, got, cappedWant)
+		}
+	}
+}
