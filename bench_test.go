@@ -296,7 +296,7 @@ func BenchmarkPropositionBounds(b *testing.B) {
 
 // BenchmarkPoPAuditLive measures one live PoP audit on the public API.
 func BenchmarkPoPAuditLive(b *testing.B) {
-	cluster, err := NewCluster(ClusterConfig{Nodes: 12, Gamma: 3, Seed: 5, Difficulty: 2})
+	cluster, err := New(WithNodes(12), WithGamma(3), WithSeed(5), WithDifficulty(2))
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -330,7 +330,7 @@ func BenchmarkPoPAuditLive(b *testing.B) {
 // BenchmarkBlockGeneration measures end-to-end block production
 // (Merkle root + PoW + signature) at the default difficulty.
 func BenchmarkBlockGeneration(b *testing.B) {
-	cluster, err := NewCluster(ClusterConfig{Nodes: 6, Gamma: 1, Seed: 5})
+	cluster, err := New(WithNodes(6), WithGamma(1), WithSeed(5))
 	if err != nil {
 		b.Fatal(err)
 	}

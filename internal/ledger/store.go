@@ -57,17 +57,6 @@
 // cost an extra comparison, never a wrong block.
 // TestStoreIndexBytesPerBlock and TestTrustStoreIndexBytesPerHeader
 // hold both to a byte ceiling.
-//
-// # Immutable-prefix views
-//
-// Store is append-only, so any prefix of it is immutable forever.
-// Store.ViewAt captures that as a first-class read view: a View fenced
-// at length n answers Get/OldestContaining exactly as the store did
-// when it held n blocks, regardless of concurrent appends. This is the
-// contract the simulator's pipelined slot execution leans on — audits
-// of slot t read every responder's store through a view captured at
-// the slot-t boundary while slot t+1 generation keeps appending, and
-// still observe precisely the barriered-schedule state (see View).
 package ledger
 
 import (
@@ -291,18 +280,18 @@ func (s *Store) Latest() *block.Block {
 	return s.blocks[len(s.blocks)-1]
 }
 
-// oldestContainingAt answers the responder's selection rule restricted
-// to the first limit blocks (limit = MaxUint32 for the whole log): two
-// map probes at most and one scan of a Δ. The block on file under d's
-// key is the oldest referencing any digest with that key, so if it
-// references d it is d's oldest, and if it sits beyond the fence so
-// does every block referencing d. Otherwise d, if referenced at all,
-// has its own overflow record.
-func (s *Store) oldestContainingAt(d digest.Digest, limit uint32) (*block.Block, bool) {
+// OldestContaining implements the responder's selection rule (Alg. 4,
+// Eq. 10–11): among the owner's blocks whose Δ contains d, return the
+// oldest (sealed, read-only). The second result is false when no block
+// matches. It costs two map probes at most and one scan of a Δ: the
+// block on file under d's key is the oldest referencing any digest
+// with that key, so if it references d it is d's oldest. Otherwise d,
+// if referenced at all, has its own overflow record.
+func (s *Store) OldestContaining(d digest.Digest) (*block.Block, bool) {
 	s.rlockIndexed()
 	defer s.mu.RUnlock()
 	seq, ok := s.contains[digestKey(&d)&s.keyMask]
-	if !ok || seq >= limit {
+	if !ok {
 		return nil, false
 	}
 	// Contains is false for the zero digest, which is never indexed but
@@ -311,18 +300,10 @@ func (s *Store) oldestContainingAt(d digest.Digest, limit uint32) (*block.Block,
 		return b, true
 	}
 	seq, ok = s.containsMore[d]
-	if !ok || seq >= limit {
+	if !ok {
 		return nil, false
 	}
 	return s.blocks[seq], true
-}
-
-// OldestContaining implements the responder's selection rule (Alg. 4,
-// Eq. 10–11): among the owner's blocks whose Δ contains d, return the
-// oldest (sealed, read-only). The second result is false when no block
-// matches.
-func (s *Store) OldestContaining(d digest.Digest) (*block.Block, bool) {
-	return s.oldestContainingAt(d, ^uint32(0))
 }
 
 // CountContaining returns |C_j'(b)|: how many Δ entries of the owner's

@@ -43,12 +43,9 @@ func (r *containsReference) indexContains(h *block.Header) {
 	}
 }
 
-func (r *containsReference) oldestContainingAt(d digest.Digest, limit uint32) (uint32, bool) {
+func (r *containsReference) oldestContaining(d digest.Digest) (uint32, bool) {
 	e, ok := r.contains[d]
-	if !ok || e.oldest >= limit {
-		return 0, false
-	}
-	return e.oldest, true
+	return e.oldest, ok
 }
 
 func (r *containsReference) countContaining(d digest.Digest) int {
@@ -189,29 +186,17 @@ func (p *storePair) step(prog *storeProgram) bool {
 	return true
 }
 
-// checkDigest compares every responder answer for d: the whole log,
-// every fence, and the count.
+// checkDigest compares both responder answers for d: the oldest block
+// referencing it, and the count. (No t.Helper here: it walks the stack
+// on every call, and this runs a few hundred thousand times.)
 func (p *storePair) checkDigest(s *Store, name string, d digest.Digest) {
-	// fence < 0 names the unfenced query. (No t.Helper here: it walks
-	// the stack on every call, and this runs a few million times.)
-	check := func(fence int, b *block.Block, ok bool) {
-		limit := ^uint32(0)
-		if fence >= 0 {
-			limit = uint32(fence)
-		}
-		seq, wok := p.want.oldestContainingAt(d, limit)
-		if ok != wok || (ok && b.Header.Seq != seq) {
-			p.t.Fatalf("%s store, fence %d: OldestContaining(%s) = %v %v, reference #%d %v", name, fence, d.Hex(), b, ok, seq, wok)
-		}
-		if ok && !b.Header.Contains(d) {
-			p.t.Fatalf("%s store, fence %d: OldestContaining(%s) answered #%d, whose Δ does not hold it", name, fence, d.Hex(), b.Header.Seq)
-		}
-	}
 	b, ok := s.OldestContaining(d)
-	check(-1, b, ok)
-	for fence := 0; fence <= s.Len()+1; fence++ {
-		b, ok := s.ViewAt(fence).OldestContaining(d)
-		check(fence, b, ok)
+	seq, wok := p.want.oldestContaining(d)
+	if ok != wok || (ok && b.Header.Seq != seq) {
+		p.t.Fatalf("%s store: OldestContaining(%s) = %v %v, reference #%d %v", name, d.Hex(), b, ok, seq, wok)
+	}
+	if ok && !b.Header.Contains(d) {
+		p.t.Fatalf("%s store: OldestContaining(%s) answered #%d, whose Δ does not hold it", name, d.Hex(), b.Header.Seq)
 	}
 	if g, w := s.CountContaining(d), p.want.countContaining(d); g != w {
 		p.t.Fatalf("%s store: CountContaining(%s) = %d, reference %d", name, d.Hex(), g, w)
@@ -254,14 +239,8 @@ var storeKeyMasks = []uint64{^uint64(0), 0x7}
 // and the old full-digest map with the same seeded append streams and
 // requires every responder answer to agree after every append.
 func TestStoreIndexMatchesReference(t *testing.T) {
-	// The race detector makes the brute-force fence sweep ~25x slower
-	// and learns nothing from a second stream.
-	seeds := int64(4)
-	if raceEnabled {
-		seeds = 1
-	}
 	for _, mask := range storeKeyMasks {
-		for seed := int64(1); seed <= seeds; seed++ {
+		for seed := int64(1); seed <= 4; seed++ {
 			t.Run(fmt.Sprintf("mask=%x/seed=%d", mask, seed), func(t *testing.T) {
 				prog := &storeProgram{code: randomStoreProgram(rand.New(rand.NewSource(seed)), 512)}
 				p := newStorePair(t, mask)
@@ -279,10 +258,10 @@ func TestStoreIndexMatchesReference(t *testing.T) {
 	}
 }
 
-// TestStoreIndexFenceBetweenCollidingDigests spells out the case the
-// fence has to get right: two digests share a key, the first one's
-// oldest block sits before the fence and the second one's after it.
-func TestStoreIndexFenceBetweenCollidingDigests(t *testing.T) {
+// TestStoreIndexCollidingDigests spells out the overflow case: two
+// digests share a key, and the second one, first referenced by a later
+// block than the first, is answered from the overflow map.
+func TestStoreIndexCollidingDigests(t *testing.T) {
 	early, late := collidingDigest(0), collidingDigest(1)
 	s := NewStore(1)
 	for seq, d := range []digest.Digest{early, early, late, late} {
@@ -294,11 +273,8 @@ func TestStoreIndexFenceBetweenCollidingDigests(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if b, ok := s.ViewAt(2).OldestContaining(late); ok {
-		t.Fatalf("fence 2 answered #%d for a digest first referenced by #2", b.Header.Seq)
-	}
-	if b, ok := s.ViewAt(3).OldestContaining(late); !ok || b.Header.Seq != 2 {
-		t.Fatalf("fence 3 = %v %v, want #2", b, ok)
+	if b, ok := s.OldestContaining(late); !ok || b.Header.Seq != 2 {
+		t.Fatalf("OldestContaining(late) = %v %v, want #2", b, ok)
 	}
 	if b, ok := s.OldestContaining(early); !ok || b.Header.Seq != 0 {
 		t.Fatalf("OldestContaining(early) = %v %v, want #0", b, ok)
@@ -318,8 +294,8 @@ func FuzzStoreIndexMatchesReference(f *testing.F) {
 		if narrow {
 			mask = storeKeyMasks[1]
 		}
-		// Every check walks every fence for every digest, cubic in the
-		// block count: keep one input to some forty blocks.
+		// Every check queries every digest, quadratic in the block
+		// count: keep one input to some forty blocks.
 		if len(code) > 384 {
 			code = code[:384]
 		}

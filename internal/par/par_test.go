@@ -50,28 +50,25 @@ func TestPoolReuseAcrossBatches(t *testing.T) {
 }
 
 // TestPoolRunChunkedCoversAllIndexes checks exactly-once coverage of
-// the range form across pool widths, chunk sizes (including auto and
-// non-divisible), and batch sizes.
+// the range form across pool widths and batch sizes, including sizes
+// that do not divide into the pool's ranges.
 func TestPoolRunChunkedCoversAllIndexes(t *testing.T) {
 	for _, workers := range []int{1, 3, 8} {
 		p := NewPool(workers)
-		for _, n := range []int{0, 1, 7, 64, 1000} {
-			for _, chunk := range []int{0, 1, 3, 64, 5000} {
-				hits := make([]atomic.Int32, n)
-				p.RunChunked(n, chunk, func(lo, hi int) {
-					if lo < 0 || hi > n || lo >= hi {
-						t.Errorf("bad range [%d,%d) for n=%d", lo, hi, n)
-						return
-					}
-					for i := lo; i < hi; i++ {
-						hits[i].Add(1)
-					}
-				})
-				for i := range hits {
-					if got := hits[i].Load(); got != 1 {
-						t.Fatalf("workers=%d n=%d chunk=%d: index %d hit %d times",
-							workers, n, chunk, i, got)
-					}
+		for _, n := range []int{0, 1, 7, 13, 64, 1000} {
+			hits := make([]atomic.Int32, n)
+			p.RunChunked(n, func(lo, hi int) {
+				if lo < 0 || hi > n || lo >= hi {
+					t.Errorf("bad range [%d,%d) for n=%d", lo, hi, n)
+					return
+				}
+				for i := lo; i < hi; i++ {
+					hits[i].Add(1)
+				}
+			})
+			for i := range hits {
+				if got := hits[i].Load(); got != 1 {
+					t.Fatalf("workers=%d n=%d: index %d hit %d times", workers, n, i, got)
 				}
 			}
 		}
@@ -81,7 +78,7 @@ func TestPoolRunChunkedCoversAllIndexes(t *testing.T) {
 	// Nil pool: one inline chunk.
 	var nilPool *Pool
 	calls := 0
-	nilPool.RunChunked(10, 3, func(lo, hi int) {
+	nilPool.RunChunked(10, func(lo, hi int) {
 		calls++
 		if lo != 0 || hi != 10 {
 			t.Fatalf("nil pool chunk [%d,%d), want [0,10)", lo, hi)

@@ -5,19 +5,81 @@ import (
 	"testing"
 
 	"github.com/twoldag/twoldag/internal/attack"
+	"github.com/twoldag/twoldag/internal/identity"
 	"github.com/twoldag/twoldag/internal/topology"
 )
+
+// churnRun drives the slotted scheduler through a run with mid-run
+// membership churn: a stretch of slots, then a Silence and a JoinNode,
+// then more slots. Two nodes are silent-malicious and retention is
+// accounted.
+func churnRun(t *testing.T, workers int) *Report {
+	t.Helper()
+	cfg := smallConfig(42)
+	cfg.Malicious = 2
+	cfg.Behavior = attack.KindSilent
+	cfg.RetainVerifiedBlocks = true
+	cfg.Workers = workers
+	s, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	if err := s.RunSlots(14); err != nil {
+		t.Fatal(err)
+	}
+	// Silence the first honest node (deterministic across runs: ids are
+	// in construction order and the behavior assignment is seeded).
+	var victim identity.NodeID
+	found := false
+	for _, id := range s.ids {
+		if !s.IsMalicious(id) {
+			victim, found = id, true
+			break
+		}
+	}
+	if !found {
+		t.Fatal("no honest node to silence")
+	}
+	if err := s.Silence(victim); err != nil {
+		t.Fatal(err)
+	}
+	// Join a fresh node next to the newest device, mirroring the public
+	// facade's joiner placement.
+	g := s.Graph()
+	joiner := s.ids[len(s.ids)-1] + 1
+	for g.Has(joiner) {
+		joiner++
+	}
+	anchor := s.ids[len(s.ids)-1]
+	ap, _ := g.Position(anchor)
+	if err := g.AddNode(joiner, topology.Point{X: ap.X + g.CommRange()/2, Y: ap.Y}); err != nil {
+		t.Fatal(err)
+	}
+	if g.Degree(joiner) == 0 {
+		if err := g.Link(anchor, joiner); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := s.JoinNode(joiner); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.RunSlots(16); err != nil {
+		t.Fatal(err)
+	}
+	return s.Finalize()
+}
 
 // TestParallelSchedulerIsDeterministic asserts the acceptance criterion
 // of the parallel slot scheduler: the same Seed must produce an
 // identical Report — every storage/comm/consensus series and per-node
-// sample — for any (workers, pipeline depth, chunk size) combination,
-// including the serial fallback, and on sparse generated topologies as
-// well as the default random-geometric one. All three slot phases run
-// range-chunked on the worker pool, so this covers the receiver-batched
-// announcement phase too: per-receiver batches keep (sender,
-// slot-order) ordering, making cache contents — and hence the Report —
-// independent of delivery scheduling and chunk geometry.
+// sample — for any worker count, including the serial fallback, on
+// sparse generated topologies as well as the default random-geometric
+// one, and across mid-run Silence/JoinNode churn. All three slot
+// phases run range-chunked on the worker pool, so this covers the
+// receiver-batched announcement phase too: per-receiver batches keep
+// (sender, slot-order) ordering, making cache contents — and hence the
+// Report — independent of delivery scheduling.
 func TestParallelSchedulerIsDeterministic(t *testing.T) {
 	topos := []struct {
 		name  string
@@ -41,7 +103,7 @@ func TestParallelSchedulerIsDeterministic(t *testing.T) {
 	}
 	for _, tc := range topos {
 		t.Run(tc.name, func(t *testing.T) {
-			run := func(workers, depth, chunk int) *Report {
+			run := func(workers int) *Report {
 				t.Helper()
 				cfg := smallConfig(42)
 				cfg.Graph = tc.graph(t)
@@ -49,31 +111,34 @@ func TestParallelSchedulerIsDeterministic(t *testing.T) {
 				cfg.Behavior = attack.KindSilent
 				cfg.RetainVerifiedBlocks = true
 				cfg.Workers = workers
-				cfg.PipelineDepth = depth
-				cfg.ChunkSize = chunk
 				s, err := New(cfg)
 				if err != nil {
 					t.Fatal(err)
 				}
+				defer s.Close()
 				rep, err := s.Run()
 				if err != nil {
 					t.Fatal(err)
 				}
 				return rep
 			}
-
-			serial := run(1, 0, 0)
-			for _, workers := range []int{2, 8} {
-				for _, depth := range []int{0, 2} {
-					for _, chunk := range []int{0, 1, 5, 100} {
-						if got := run(workers, depth, chunk); !reflect.DeepEqual(serial, got) {
-							t.Fatalf("Workers=%d Depth=%d Chunk=%d diverged from serial run:\nserial:   %+v\nparallel: %+v",
-								workers, depth, chunk, serial, got)
-						}
-					}
-				}
-			}
+			checkWorkers(t, run)
 		})
+	}
+	t.Run("churn", func(t *testing.T) {
+		checkWorkers(t, func(workers int) *Report { return churnRun(t, workers) })
+	})
+}
+
+// checkWorkers requires run to report identically at 2 and 8 workers
+// as it does serially.
+func checkWorkers(t *testing.T, run func(workers int) *Report) {
+	t.Helper()
+	serial := run(1)
+	for _, workers := range []int{2, 8} {
+		if got := run(workers); !reflect.DeepEqual(serial, got) {
+			t.Fatalf("Workers=%d diverged from serial run:\nserial:   %+v\nparallel: %+v", workers, serial, got)
+		}
 	}
 }
 

@@ -13,30 +13,10 @@
 // headers, Prop. 2) + optionally the full blocks retained from
 // successful audits (see DESIGN.md on the Fig. 7 calibration).
 //
-// # Pipelined slot execution
-//
-// The slotted scheduler can run as a bounded-depth pipeline
-// (Config.PipelineDepth): once slot t's generation and announcement
-// flush have committed — the existing atomic sealed-delivery point —
-// slot t's audit duty is handed to a persistent audit stage while the
-// main loop proceeds to slot t+1 generation. Correctness rests on the
-// immutable-prefix contract:
-//
-//   - audits in slot t read every responder's store through a
-//     ledger.View fenced at the slot-t boundary, so they never observe
-//     blocks appended by slot t+1 generation (generation only appends
-//     blocks newer than the fence);
-//   - a node's slot-t+1 generation waits for that node's slot-t audit
-//     duty (audGate), because both draw from the node's single random
-//     stream and the barriered draw order must be preserved;
-//   - audit slots retire strictly in order on the stage, and each
-//     slot's report snapshot combines boundary-frozen store and
-//     construction sums with post-audit trust/retention/consensus
-//     state.
-//
-// Together these make the Report a pure function of the Config —
-// byte-identical across every pipeline depth and worker count for the
-// same Seed.
+// Each slot runs its phases on one worker pool behind barriers (see
+// Step). Every random choice inside a slot draws from a per-node
+// stream, so the Report is a pure function of the Config —
+// byte-identical for every worker count on the same Seed.
 package sim
 
 import (
@@ -113,21 +93,13 @@ type Config struct {
 	SyntheticBodyBytes int
 	// StepBudget caps per-audit probing (0 = core default).
 	StepBudget int
-	// Workers bounds the goroutines running per-slot generation and
-	// audits: 0 uses GOMAXPROCS, 1 forces the serial scheduler. Every
-	// random choice inside a slot draws from a per-node stream, so a
-	// given Seed produces an identical Report for any worker count.
+	// Workers bounds the goroutines running each slot's generation,
+	// announcement and audit phases: 0 uses GOMAXPROCS, 1 runs every
+	// phase inline. It is the scheduler's only knob. Each phase hands
+	// its workers contiguous ranges of nodes (par.Pool.RunChunked), and
+	// every random choice inside a slot draws from a per-node stream,
+	// so a given Seed produces an identical Report for any worker count.
 	Workers int
-	// ChunkSize sets how many nodes one worker claims at a time inside
-	// the per-slot phases. At 10k–100k nodes, one pool task per node
-	// spends more time on dispatch (an atomic claim per index) than on
-	// the work; range-chunked tasks amortize that to one claim per
-	// ChunkSize nodes and let each worker reuse its scratch across the
-	// chunk. 0 picks a size from the worker count. Chunking only
-	// changes which worker runs which node — every per-node draw still
-	// comes from that node's private stream — so the Report is
-	// byte-identical for any (Workers, PipelineDepth, ChunkSize).
-	ChunkSize int
 	// SampleMemStats fills Report.Mem with process heap statistics at
 	// Finalize (two forced collections, then runtime.ReadMemStats). Off
 	// by default: the sample reflects the whole process, not just this
@@ -135,20 +107,10 @@ type Config struct {
 	// of the Config — leave it off where reports are compared across
 	// runs.
 	SampleMemStats bool
-	// PipelineDepth bounds how many slots of audit duty may be in
-	// flight behind generation: at depth d the slotted scheduler moves
-	// on to slot t+1 generation while up to d audit slots are still
-	// verifying on a persistent audit stage, under the
-	// immutable-prefix contract (see the package doc). 0 or 1 (the
-	// default) runs the fully barriered schedule. Any depth produces a
-	// byte-identical Report for the same Seed.
-	PipelineDepth int
 	// Observer, when non-nil, receives the typed event stream
 	// (internal/events): block seals, digest deliveries, audit hops and
 	// outcomes. Generation and audit phases run on a worker pool, so
-	// the observer must be safe for concurrent use; with
-	// PipelineDepth > 1, slot t's audit events may additionally
-	// interleave with slot t+1's generation events. The Report stays a
+	// the observer must be safe for concurrent use. The Report stays a
 	// pure function of the Config regardless of observer behavior.
 	Observer events.Observer
 }
@@ -156,9 +118,6 @@ type Config struct {
 func (c Config) validate() error {
 	if c.Slots < 0 {
 		return fmt.Errorf("%w: %d slots", ErrBadConfig, c.Slots)
-	}
-	if c.PipelineDepth < 0 {
-		return fmt.Errorf("%w: pipeline depth %d", ErrBadConfig, c.PipelineDepth)
 	}
 	if c.BodyBytes <= 0 {
 		return fmt.Errorf("%w: body %d bytes", ErrBadConfig, c.BodyBytes)
@@ -168,9 +127,6 @@ func (c Config) validate() error {
 	}
 	if c.Malicious < 0 {
 		return fmt.Errorf("%w: malicious %d", ErrBadConfig, c.Malicious)
-	}
-	if c.ChunkSize < 0 {
-		return fmt.Errorf("%w: chunk size %d", ErrBadConfig, c.ChunkSize)
 	}
 	if c.TrustCap < 0 {
 		return fmt.Errorf("%w: trust cap %d", ErrBadConfig, c.TrustCap)
@@ -213,38 +169,19 @@ func (c *commCell) totalBits() int64 {
 
 // Sim is a running simulation. Build with New; Step/Run must not be
 // called concurrently (each Step fans its per-node work out over a
-// persistent worker pool, and with PipelineDepth > 1 hands audit duty
-// to a persistent audit stage). Call Close when done to release the
-// scheduler's goroutines.
+// persistent worker pool). Call Close when done to release the pool's
+// goroutines.
 type Sim struct {
-	cfg     Config
-	graph   *topology.Graph
-	model   block.SizeModel
-	params  block.Params
-	ring    *identity.Ring
-	rng     *rand.Rand
-	workers int
+	cfg    Config
+	graph  *topology.Graph
+	model  block.SizeModel
+	params block.Params
+	ring   *identity.Ring
+	rng    *rand.Rand
 
-	// pool runs the main loop's parallel phases (generation,
-	// announcement, and — when the pipeline is off — audits). audPool
-	// is the audit stage's own worker set: audit tasks must never share
-	// workers with generation tasks, which block on audGate.
-	pool    *par.Pool
-	audPool *par.Pool
-
-	// Pipeline state (PipelineDepth > 1 only). jobs carries one audit
-	// job per committed slot to the audit stage (capacity depth-1, so
-	// at most depth slots are in flight counting the one executing);
-	// acks posts one token per retired job back to the main loop;
-	// inFlight is the main loop's count of unretired jobs. audGate[i]
-	// tracks node i's outstanding audit duties so slot t+1 generation
-	// cannot overtake the node's slot-t audit on its random stream.
-	jobs      chan *auditJob
-	acks      chan struct{}
-	stageDone chan struct{}
-	inFlight  int
-	audGate   []*sync.WaitGroup
-	closed    bool
+	// pool runs every slot phase: generation, announcement and audits.
+	pool   *par.Pool
+	closed bool
 
 	// Per-node state is ordinal-indexed: ids assigns each node a dense
 	// ordinal at join, idx inverts it, and everything else is a slice
@@ -261,8 +198,6 @@ type Sim struct {
 	// vcache is the one process-wide header-verification cache every
 	// validator shares.
 	vcache *block.VerifyCache
-	// chunk is the resolved phase chunk size (Config.ChunkSize or auto).
-	chunk int
 	// nodeRNG[i] is node i's private random stream; all of a node's
 	// per-slot draws (body bytes, audit target, selection tie-breaks)
 	// come from it, so slot outcomes are independent of worker
@@ -272,21 +207,11 @@ type Sim struct {
 	// (AuditFrom): a validator's RNG stream is not safe for concurrent
 	// draws.
 	vmu []*sync.Mutex
-	// fenceFree recycles audit-job fence slices between the main loop
-	// and the audit stage (the channel provides the happens-before
-	// edge), so pipelined slots at 10k nodes stop allocating an
-	// O(nodes) view slice each.
-	fenceFree chan []ledger.View
 
 	comm         []*commCell
 	retainedBits []int64
 	blockLog     []loggedBlock
 	slot         int
-	// storeBits[i] is node i's running S_i footprint under the size
-	// model, maintained at append time by the main loop so the slot
-	// boundary can freeze Σ storeBits without touching store locks
-	// while pipelined audits read them.
-	storeBits []int64
 	// eligibleHi memoizes eligibleTargets' scan frontier (the cutoff is
 	// monotone in the slot, so the prefix only ever grows).
 	eligibleHi int
@@ -391,10 +316,6 @@ func New(cfg Config) (*Sim, error) {
 		LeafSize:   1024,
 	}
 	rng := rand.New(rand.NewSource(cfg.Seed))
-	workers := cfg.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
 	ids := g.Nodes()
 	counters := &metrics.EventCounters{}
 	s := &Sim{
@@ -403,8 +324,6 @@ func New(cfg Config) (*Sim, error) {
 		model:        block.DefaultSizeModel(cfg.BodyBytes),
 		params:       params,
 		rng:          rng,
-		workers:      workers,
-		chunk:        cfg.ChunkSize,
 		ids:          ids,
 		idx:          make(map[identity.NodeID]int, len(ids)),
 		engines:      make([]*core.Engine, len(ids)),
@@ -415,7 +334,6 @@ func New(cfg Config) (*Sim, error) {
 		nodeRNG:      make([]*rand.Rand, len(ids)),
 		comm:         make([]*commCell, len(ids)),
 		retainedBits: make([]int64, len(ids)),
-		storeBits:    make([]int64, len(ids)),
 		periods:      make([]int, len(ids)),
 		counters:     counters,
 		obs:          events.Multi(counters, cfg.Observer),
@@ -460,19 +378,7 @@ func New(cfg Config) (*Sim, error) {
 		}
 		s.validators[i] = v
 	}
-	s.pool = par.NewPool(workers)
-	if cfg.PipelineDepth > 1 {
-		s.audPool = par.NewPool(workers)
-		s.jobs = make(chan *auditJob, cfg.PipelineDepth-1)
-		s.acks = make(chan struct{}, cfg.PipelineDepth)
-		s.stageDone = make(chan struct{})
-		s.fenceFree = make(chan []ledger.View, cfg.PipelineDepth+1)
-		s.audGate = make([]*sync.WaitGroup, len(ids))
-		for i := range s.audGate {
-			s.audGate[i] = &sync.WaitGroup{}
-		}
-		go s.auditStage()
-	}
+	s.pool = par.NewPool(cfg.Workers)
 	return s, nil
 }
 
@@ -518,22 +424,12 @@ func (s *Sim) behaviorOf(id identity.NodeID) attack.Behavior {
 	return attack.Honest{}
 }
 
-// Close drains any in-flight audit slots and releases the scheduler's
-// persistent goroutines (worker pools and the audit stage). The
-// accumulated report stays readable through Finalize; Step, Run and
-// the external-drive verbs must not be called afterwards. Idempotent.
+// Close releases the worker pool's goroutines. The accumulated report
+// stays readable through Finalize; Step fails afterwards, and Run and
+// the external-drive verbs must not be called. Idempotent.
 func (s *Sim) Close() {
-	if s.closed {
-		return
-	}
 	s.closed = true
-	s.drain()
-	if s.jobs != nil {
-		close(s.jobs)
-		<-s.stageDone
-	}
 	s.pool.Close()
-	s.audPool.Close()
 }
 
 // Graph returns the physical topology.
@@ -547,7 +443,6 @@ func (s *Sim) Model() block.SizeModel { return s.model }
 
 // Stores returns every live node's block store (for DAG analysis).
 func (s *Sim) Stores() map[identity.NodeID]*ledger.Store {
-	s.drain()
 	out := make(map[identity.NodeID]*ledger.Store, len(s.ids))
 	for i, id := range s.ids {
 		if s.engines[i] != nil {
@@ -598,17 +493,12 @@ func (s *Sim) blockModelBits(h *block.Header) int64 {
 //     parallel; responder comm charges are atomic, and all random
 //     draws come from the auditing node's own stream.
 //
-// Every slot keeps synchronous semantics: blocks generated in slot t
+// The phases run on the worker pool behind full barriers, so every
+// slot keeps synchronous semantics: blocks generated in slot t
 // reference digests announced in slots < t, and audits in slot t see
-// all blocks through slot t. With PipelineDepth ≤ 1 the phases run
-// under full barriers. With a deeper pipeline, phase 3 is packaged as
-// an audit job at the slot boundary — target eligibility, per-store
-// fences (ledger.View) and the boundary's frozen storage/construction
-// sums — and handed to the persistent audit stage, letting Step return
-// and the next slot generate while the job verifies; per-node audGate
-// ordering keeps each node's random stream in barriered draw order.
-// Either way the report is a pure function of the Config, independent
-// of worker count and pipeline depth.
+// all blocks through slot t. The slot closes with the same snapshot
+// the external drive takes on AdvanceSlot, and the report is a pure
+// function of the Config, independent of the worker count.
 func (s *Sim) Step() error {
 	if s.closed {
 		return fmt.Errorf("%w: Step on a closed simulation", ErrBadConfig)
@@ -630,23 +520,16 @@ func (s *Sim) Step() error {
 	// which node is irrelevant to the outcome: every draw comes from the
 	// node's own stream.
 	type genResult struct {
-		ref  block.Ref
-		dig  digest.Digest
-		bits int64
-		err  error
+		ref block.Ref
+		dig digest.Digest
+		err error
 	}
 	results := make([]genResult, len(gens))
-	s.pool.RunChunked(len(gens), s.chunk, func(lo, hi int) {
+	s.pool.RunChunked(len(gens), func(lo, hi int) {
 		body := make([]byte, s.cfg.SyntheticBodyBytes)
 		for k := lo; k < hi; k++ {
 			i := gens[k]
 			id := s.ids[i]
-			if s.audGate != nil {
-				// Pipelined: the node's outstanding audit duties draw from
-				// the same random stream — let them finish first so the
-				// stream keeps its barriered order.
-				s.audGate[i].Wait()
-			}
 			s.nodeRNG[i].Read(body)
 			b, d, err := s.engines[i].Generate(uint32(s.slot), body)
 			if err != nil {
@@ -659,7 +542,7 @@ func (s *Sim) Step() error {
 			s.obs.OnBlockSealed(events.BlockSealed{
 				Node: id, Ref: b.Header.Ref(), Digest: d, Slot: uint32(s.slot),
 			})
-			results[k] = genResult{ref: b.Header.Ref(), dig: d, bits: s.blockModelBits(&b.Header)}
+			results[k] = genResult{ref: b.Header.Ref(), dig: d}
 		}
 	})
 
@@ -676,7 +559,6 @@ func (s *Sim) Step() error {
 		}
 		senders = append(senders, s.ids[i])
 		digs = append(digs, r.dig)
-		s.storeBits[i] += r.bits
 		s.blockLog = append(s.blockLog, loggedBlock{ref: r.ref, slot: s.slot})
 		s.report.Blocks++
 	}
@@ -685,152 +567,26 @@ func (s *Sim) Step() error {
 		return err
 	}
 
-	// Phase 3: audit duty for honest generators, packaged as one job
-	// per slot. Barriered mode runs it inline; pipelined mode hands it
-	// to the audit stage and lets the next slot generate meanwhile.
-	job := s.buildAuditJob(gens)
-	if s.jobs != nil {
-		for _, i := range job.auditors {
-			s.audGate[i].Add(1)
-		}
-		s.reapAcks()
-		s.jobs <- job
-		s.inFlight++
-	} else {
-		s.runAuditJob(job)
-	}
-	return nil
-}
-
-// auditJob is one slot's audit duty plus everything the audit stage
-// needs to execute and retire it without touching in-flight main-loop
-// state: the slot-boundary fences over every store, the frozen
-// eligible-target prefix, and the boundary's storage/construction
-// sums for the slot's report snapshot.
-type auditJob struct {
-	slot     int
-	auditors []int
-	// targets is the block log as of the slot boundary; only indexes
-	// below eligible are read (later appends land beyond them).
-	targets  []loggedBlock
-	eligible int
-	// fence[i] is node i's immutable-prefix store view at the slot
-	// boundary; nil (barriered mode) reads live stores, which phase
-	// barriers already freeze.
-	fence []ledger.View
-	// storeSum is Σ live-node S_i model bits and constrSum the total
-	// construction traffic at the slot boundary, both frozen by the
-	// main loop because slot t+1 generation mutates them while this
-	// slot's audits run.
-	storeSum  int64
-	constrSum int64
-}
-
-// buildAuditJob freezes slot s.slot's audit duty at the generation/
-// announcement commit point.
-func (s *Sim) buildAuditJob(gens []int) *auditJob {
-	job := &auditJob{slot: s.slot}
+	// Phase 3: audit duty for honest generators. Audits are chunked
+	// like the other phases; every audit draws only from its own node's
+	// stream and charges comm atomically, so the partition is
+	// outcome-neutral.
 	if !s.cfg.DisableAudits {
+		eligible := s.eligibleTargets()
+		auditors := gens[:0] // filtered in place: gens is not read again
 		for _, i := range gens {
 			if s.behaviors[i] == nil {
-				job.auditors = append(job.auditors, i)
+				auditors = append(auditors, i)
 			}
 		}
-	}
-	job.eligible = s.eligibleTargets()
-	job.targets = s.blockLog
-	if s.jobs != nil {
-		// Fence slices recycle through fenceFree once their slot
-		// retires; every entry is rewritten here (zero View for
-		// silenced nodes), so a recycled slice carries no stale state.
-		select {
-		case job.fence = <-s.fenceFree:
-		default:
-		}
-		if cap(job.fence) < len(s.ids) {
-			job.fence = make([]ledger.View, len(s.ids))
-		}
-		job.fence = job.fence[:len(s.ids)]
-		for i := range s.ids {
-			if eng := s.engines[i]; eng != nil {
-				job.fence[i] = eng.Store().View()
-			} else {
-				job.fence[i] = ledger.View{}
+		s.pool.RunChunked(len(auditors), func(lo, hi int) {
+			for _, i := range auditors[lo:hi] {
+				s.auditDuty(i, eligible)
 			}
-		}
+		})
 	}
-	for i := range s.ids {
-		if s.engines[i] != nil {
-			job.storeSum += s.storeBits[i]
-		}
-		job.constrSum += s.comm[i].construction.Load()
-	}
-	return job
-}
-
-// runAuditJob executes one slot's audits on the audit stage's pool
-// (or the main pool in barriered mode) and retires the slot into the
-// report. Jobs run strictly in slot order, so the post-audit state it
-// reads (trust stores, retained bits, consensus traffic) is exactly
-// the barriered schedule's end-of-slot state. Audits are chunked like
-// the other phases; every audit draws only from its own node's stream
-// and charges comm atomically, so the partition is outcome-neutral.
-func (s *Sim) runAuditJob(job *auditJob) {
-	pool := s.audPool
-	if pool == nil {
-		pool = s.pool
-	}
-	pool.RunChunked(len(job.auditors), s.chunk, func(lo, hi int) {
-		for k := lo; k < hi; k++ {
-			i := job.auditors[k]
-			s.auditDuty(i, job)
-			if s.audGate != nil {
-				s.audGate[i].Done()
-			}
-		}
-	})
-	s.snapshotSlot(job)
-}
-
-// auditStage is the pipeline's persistent audit goroutine: it executes
-// queued audit jobs FIFO and posts one ack per retired slot.
-func (s *Sim) auditStage() {
-	for job := range s.jobs {
-		s.runAuditJob(job)
-		if job.fence != nil {
-			select {
-			case s.fenceFree <- job.fence:
-			default:
-			}
-		}
-		s.acks <- struct{}{}
-	}
-	close(s.stageDone)
-}
-
-// reapAcks consumes completion acks the audit stage already posted,
-// without blocking.
-func (s *Sim) reapAcks() {
-	for s.inFlight > 0 {
-		select {
-		case <-s.acks:
-			s.inFlight--
-		default:
-			return
-		}
-	}
-}
-
-// drain blocks until every enqueued audit job has retired. The
-// external-drive and inspection verbs call it so anything observed
-// outside Step — reports, stores, membership — reflects a fully
-// settled pipeline; at depth ≤ 1 (or on a pure external-drive Sim) it
-// is a no-op.
-func (s *Sim) drain() {
-	for s.inFlight > 0 {
-		<-s.acks
-		s.inFlight--
-	}
+	s.snapshot()
+	return nil
 }
 
 // announce delivers a freshly sealed digest to every live neighbor's
@@ -889,7 +645,7 @@ func (s *Sim) deliverBatched(froms []identity.NodeID, ds []digest.Digest) error 
 		errs = append(errs, nil)
 	}
 	s.annErrs = errs
-	s.pool.RunChunked(len(recvs), s.chunk, func(lo, hi int) {
+	s.pool.RunChunked(len(recvs), func(lo, hi int) {
 		for k := lo; k < hi; k++ {
 			j := recvs[k]
 			to := s.ids[j]
@@ -919,14 +675,15 @@ func (s *Sim) deliverBatched(froms []identity.NodeID, ds []digest.Digest) error 
 // auditDuty runs one PoP verification of a random sufficiently old
 // block (Sec. VI: a node acts as validator whenever it generates).
 // Outcomes flow through the typed event stream; retained-storage
-// accounting goes straight to the auditor's own slot.
-func (s *Sim) auditDuty(i int, job *auditJob) {
+// accounting goes straight to the auditor's own slot. Targets come from
+// the first eligible entries of the block log.
+func (s *Sim) auditDuty(i, eligible int) {
 	id := s.ids[i]
-	target, ok := s.pickTarget(i, job)
+	target, ok := s.pickTarget(i, eligible)
 	if !ok {
 		return
 	}
-	f := &simFetcher{sim: s, validator: id, fence: job.fence}
+	f := &simFetcher{sim: s, validator: id}
 	res, err := s.validators[i].Verify(context.Background(), target, f)
 	s.observeOutcome(id, target, res, err)
 	if err == nil && res.Consensus && s.cfg.RetainVerifiedBlocks {
@@ -964,16 +721,16 @@ func (s *Sim) eligibleTargets() int {
 	return hi
 }
 
-// pickTarget selects a uniformly random eligible block not generated by
-// the validator itself, drawing from the validator's own RNG stream.
-// Candidates come from the job's boundary-frozen log prefix.
-func (s *Sim) pickTarget(i int, job *auditJob) (block.Ref, bool) {
-	if job.eligible == 0 {
+// pickTarget selects a uniformly random block among the first eligible
+// of the log that the validator did not generate itself, drawing from
+// the validator's own RNG stream.
+func (s *Sim) pickTarget(i, eligible int) (block.Ref, bool) {
+	if eligible == 0 {
 		return block.Ref{}, false
 	}
 	validator := s.ids[i]
 	for tries := 0; tries < 8; tries++ {
-		cand := job.targets[s.nodeRNG[i].Intn(job.eligible)]
+		cand := s.blockLog[s.nodeRNG[i].Intn(eligible)]
 		if cand.ref.Node != validator {
 			return cand.ref, true
 		}
@@ -981,48 +738,17 @@ func (s *Sim) pickTarget(i int, job *auditJob) (block.Ref, bool) {
 	return block.Ref{}, false
 }
 
-// snapshotSlot retires one slot into the report: storage combines the
-// boundary-frozen store sum with post-audit retention and trust
-// state, and communication combines the boundary-frozen construction
-// sum with post-audit consensus traffic. Because audit jobs retire
-// strictly in slot order, these reads equal the barriered schedule's
-// end-of-slot values bit for bit.
-func (s *Sim) snapshotSlot(job *auditJob) {
-	if s.snappedSlot >= job.slot {
-		return
-	}
-	s.snappedSlot = job.slot
-	storage := job.storeSum
-	var cons int64
-	for i := range s.ids {
-		if eng := s.engines[i]; eng != nil {
-			storage += s.retainedBits[i]
-			if !s.cfg.DisableTrust {
-				storage += eng.Trust().ModelBits(s.model)
-			}
-		}
-		cons += s.comm[i].consensus.Load()
-	}
-	n := int64(len(s.ids))
-	r := s.report
-	r.AvgStorageBits = append(r.AvgStorageBits, storage/n)
-	r.AvgCommBits = append(r.AvgCommBits, (job.constrSum+cons)/n)
-	r.AvgConstructionBits = append(r.AvgConstructionBits, job.constrSum/n)
-	r.AvgConsensusBits = append(r.AvgConsensusBits, cons/n)
-}
-
 // snapshot appends the current slot's aggregate points to the report,
-// at most once per slot — the external-drive flavor (AdvanceSlot,
-// Finalize) that reads everything live; the slotted scheduler retires
-// slots through snapshotSlot instead.
+// at most once per slot: Step closes every slot with it, the external
+// drive on AdvanceSlot, and Finalize closes a still-open final slot.
 func (s *Sim) snapshot() {
 	if s.slot == 0 || s.snappedSlot >= s.slot {
 		return
 	}
 	s.snappedSlot = s.slot
 	var storage, comm, constr, cons int64
-	for i, id := range s.ids {
-		storage += s.storageBits(id)
+	for i := range s.ids {
+		storage += s.storageBits(i)
 		comm += s.comm[i].totalBits()
 		constr += s.comm[i].construction.Load()
 		cons += s.comm[i].consensus.Load()
@@ -1035,14 +761,14 @@ func (s *Sim) snapshot() {
 	r.AvgConsensusBits = append(r.AvgConsensusBits, cons/n)
 }
 
-// storageBits is the node's total footprint under the size model.
+// storageBits is node i's total footprint under the size model.
 // Silenced nodes contribute nothing (their state left the network).
-func (s *Sim) storageBits(id identity.NodeID) int64 {
-	eng, live := s.engineOf(id)
-	if !live {
+func (s *Sim) storageBits(i int) int64 {
+	eng := s.engines[i]
+	if eng == nil {
 		return 0
 	}
-	total := eng.Store().ModelBits(s.model) + s.retainedBits[s.idx[id]]
+	total := eng.Store().ModelBits(s.model) + s.retainedBits[i]
 	if !s.cfg.DisableTrust {
 		total += eng.Trust().ModelBits(s.model)
 	}
@@ -1053,7 +779,6 @@ func (s *Sim) storageBits(id identity.NodeID) int64 {
 func (s *Sim) Run() (*Report, error) {
 	for s.slot < s.cfg.Slots {
 		if err := s.Step(); err != nil {
-			s.drain()
 			return nil, err
 		}
 	}
@@ -1063,37 +788,31 @@ func (s *Sim) Run() (*Report, error) {
 // RunSlots advances the slotted scheduler n more slots (n Step calls)
 // without finalizing, so callers that reach the Sim through the public
 // Runtime facade can drive the same generation/announcement/audit
-// schedule the figures use and read the report with Finalize. Slots
-// pipeline freely inside one call (PipelineDepth); the pipeline is
-// drained before returning, so whatever follows — more RunSlots,
-// membership changes, audits — observes fully settled state. Do not
-// mix RunSlots with the external-drive verbs (SubmitAs, AuditFrom) on
-// the same Sim.
+// schedule the figures use and read the report with Finalize. Every
+// slot has settled when its Step returns, so membership changes may
+// follow. Do not mix RunSlots with the external-drive verbs (SubmitAs,
+// AuditFrom) on the same Sim.
 func (s *Sim) RunSlots(n int) error {
 	for i := 0; i < n; i++ {
 		if err := s.Step(); err != nil {
-			s.drain()
 			return err
 		}
 	}
-	s.drain()
 	return nil
 }
 
 // Finalize fills the per-node samples and returns the report. Audit
 // totals come from the event counters, so externally driven audits
 // (AuditFrom) count alongside per-slot audit duty; an externally
-// driven run's still-open final slot is snapshotted here. In-flight
-// pipelined audit slots retire first.
+// driven run's still-open final slot is snapshotted here.
 func (s *Sim) Finalize() *Report {
-	s.drain()
 	s.snapshot()
 	r := s.report
 	r.Audits, r.Failures = int(s.counters.Audits()), int(s.counters.AuditsFailed())
 	r.NodeStorageBits = make([]int64, len(s.ids))
 	r.NodeCommBits = make([]int64, len(s.ids))
-	for i, id := range s.ids {
-		r.NodeStorageBits[i] = s.storageBits(id)
+	for i := range s.ids {
+		r.NodeStorageBits[i] = s.storageBits(i)
 		r.NodeCommBits[i] = s.comm[i].totalBits()
 	}
 	if s.cfg.SampleMemStats && r.Mem == nil {
@@ -1120,18 +839,13 @@ func (s *Sim) Finalize() *Report {
 // engines, fetcher accounting and attack behaviors, but generation and
 // audits happen exactly when the caller says so. Do not mix external
 // drive with Step on the same Sim, and do not call membership methods
-// (JoinNode, Silence) concurrently with submissions or audits. Every
-// verb below first drains in-flight pipelined audit slots, so a
-// RunSlots phase may be followed by external drive or membership
-// changes — the pipeline settles at the hand-off, keeping the run
-// equivalent to the barriered schedule.
+// (JoinNode, Silence) concurrently with submissions or audits.
 
 // AdvanceSlot closes the current logical slot — appending its
 // aggregate storage/comm sample to the report, mirroring Step's
 // per-slot snapshot — and begins the next one. Blocks submitted
 // afterwards carry the new slot in their Time field.
 func (s *Sim) AdvanceSlot() {
-	s.drain()
 	s.snapshot()
 	s.slot++
 }
@@ -1156,7 +870,6 @@ func (s *Sim) SubmitAs(id identity.NodeID, body []byte) (block.Ref, error) {
 // announcements with AnnounceAs, mirroring the slotted scheduler's
 // generation/announcement phase split.
 func (s *Sim) GenerateAs(id identity.NodeID, body []byte) (block.Ref, digest.Digest, error) {
-	s.drain()
 	i, known := s.idx[id]
 	if !known || s.engines[i] == nil {
 		return block.Ref{}, digest.Digest{}, fmt.Errorf("sim: unknown or silenced node %v", id)
@@ -1166,7 +879,6 @@ func (s *Sim) GenerateAs(id identity.NodeID, body []byte) (block.Ref, digest.Dig
 	if err != nil {
 		return block.Ref{}, digest.Digest{}, fmt.Errorf("sim: slot %d: %w", s.slot, err)
 	}
-	s.storeBits[i] += s.blockModelBits(&b.Header)
 	s.comm[i].add(metrics.Construction, int64(s.graph.Degree(id))*int64(s.model.DigestBits()))
 	s.obs.OnBlockSealed(events.BlockSealed{
 		Node: id, Ref: b.Header.Ref(), Digest: d, Slot: uint32(s.slot),
@@ -1180,7 +892,6 @@ func (s *Sim) GenerateAs(id identity.NodeID, body []byte) (block.Ref, digest.Dig
 // neighbors, one at a time (the singleton path; batch submitters use
 // AnnounceBatch).
 func (s *Sim) AnnounceAs(id identity.NodeID, d digest.Digest) error {
-	s.drain()
 	return s.announce(id, d)
 }
 
@@ -1191,7 +902,6 @@ func (s *Sim) AnnounceAs(id identity.NodeID, d digest.Digest) error {
 // pool, pairs in flush order. This is the external-drive verb behind
 // the public SubmitBatch.
 func (s *Sim) AnnounceBatch(froms []identity.NodeID, ds []digest.Digest) error {
-	s.drain()
 	if len(froms) != len(ds) {
 		return fmt.Errorf("sim: announce batch length mismatch: %d senders, %d digests", len(froms), len(ds))
 	}
@@ -1206,7 +916,6 @@ func (s *Sim) AnnounceBatch(froms []identity.NodeID, ds []digest.Digest) error {
 // BlockOf fetches a block from its origin's store (display and sample
 // proofs). The result is shared sealed store state — read-only.
 func (s *Sim) BlockOf(ref block.Ref) (*block.Block, error) {
-	s.drain()
 	eng, live := s.engineOf(ref.Node)
 	if !live {
 		return nil, fmt.Errorf("sim: unknown or silenced node %v", ref.Node)
@@ -1220,7 +929,6 @@ func (s *Sim) BlockOf(ref block.Ref) (*block.Block, error) {
 // distinct validators; audits from the same validator serialize on a
 // per-validator mutex because its RNG stream is not concurrency-safe.
 func (s *Sim) AuditFrom(ctx context.Context, validator identity.NodeID, target block.Ref) (*core.Result, error) {
-	s.drain()
 	i, known := s.idx[validator]
 	if !known || s.validators[i] == nil {
 		return nil, fmt.Errorf("sim: unknown or silenced validator %v", validator)
@@ -1239,7 +947,6 @@ func (s *Sim) AuditFrom(ctx context.Context, validator identity.NodeID, target b
 // and persistent validator, and zeroed accounting. The id must be new
 // to the simulation.
 func (s *Sim) JoinNode(id identity.NodeID) error {
-	s.drain()
 	if _, known := s.idx[id]; known {
 		return fmt.Errorf("sim: node %v already known", id)
 	}
@@ -1261,13 +968,9 @@ func (s *Sim) JoinNode(id identity.NodeID) error {
 	s.behaviors = append(s.behaviors, nil)
 	s.comm = append(s.comm, &commCell{})
 	s.retainedBits = append(s.retainedBits, 0)
-	s.storeBits = append(s.storeBits, 0)
 	s.periods = append(s.periods, 1)
 	s.nodeRNG = append(s.nodeRNG, rand.New(rand.NewSource(nodeSeed(s.cfg.Seed, id))))
 	s.vmu = append(s.vmu, &sync.Mutex{})
-	if s.audGate != nil {
-		s.audGate = append(s.audGate, &sync.WaitGroup{})
-	}
 	v, err := s.newValidator(id, i)
 	if err != nil {
 		return fmt.Errorf("sim: joiner validator: %w", err)
@@ -1288,7 +991,6 @@ func (s *Sim) Silenced(id identity.NodeID) bool {
 // and subsequent audits must route around it. The node stays in the
 // topology, exactly like a crashed radio.
 func (s *Sim) Silence(id identity.NodeID) error {
-	s.drain()
 	i, known := s.idx[id]
 	if !known || s.engines[i] == nil {
 		return fmt.Errorf("sim: unknown or already silenced node %v", id)
@@ -1302,7 +1004,6 @@ func (s *Sim) Silence(id identity.NodeID) error {
 // a fresh, cache-less validator instance (used by the consensus-probe
 // experiment so probes stay independent).
 func (s *Sim) Verify(validator identity.NodeID, target block.Ref) (*core.Result, error) {
-	s.drain()
 	v, err := core.NewValidator(core.ValidatorConfig{
 		Self:       validator,
 		Gamma:      s.cfg.Gamma,
@@ -1321,7 +1022,6 @@ func (s *Sim) Verify(validator identity.NodeID, target block.Ref) (*core.Result,
 
 // BlockAt returns the ref of the i-th generated block and its slot.
 func (s *Sim) BlockAt(i int) (block.Ref, int, error) {
-	s.drain()
 	if i < 0 || i >= len(s.blockLog) {
 		return block.Ref{}, 0, fmt.Errorf("%w: block index %d of %d", ErrBadConfig, i, len(s.blockLog))
 	}
@@ -1344,12 +1044,6 @@ func (s *Sim) IsMalicious(id identity.NodeID) bool {
 type simFetcher struct {
 	sim       *Sim
 	validator identity.NodeID
-	// fence, when non-nil, bounds every responder read at the audit's
-	// slot boundary (fence[idx] is node idx's immutable-prefix store
-	// view), so pipelined audits never observe blocks the next slot's
-	// generation is appending concurrently. Nil reads live stores —
-	// the barriered schedule, where phase barriers freeze them.
-	fence []ledger.View
 }
 
 var _ core.Fetcher = (*simFetcher)(nil)
@@ -1369,11 +1063,7 @@ func (f *simFetcher) RequestChild(_ context.Context, j identity.NodeID, target d
 	var err error
 	eng, live := s.engineOf(j)
 	if live {
-		if f.fence != nil {
-			h, err = core.NewResponder(f.fence[s.idx[j]]).ChildFor(target)
-		} else {
-			h, err = core.NewResponder(eng.Store()).ChildFor(target)
-		}
+		h, err = core.NewResponder(eng.Store()).ChildFor(target)
 	} else {
 		err = core.ErrTimeout
 	}
@@ -1400,11 +1090,7 @@ func (f *simFetcher) FetchBlock(_ context.Context, ref block.Ref) (*block.Block,
 	var err error
 	eng, live := s.engineOf(ref.Node)
 	if live {
-		if f.fence != nil {
-			b, err = core.NewResponder(f.fence[s.idx[ref.Node]]).Block(ref)
-		} else {
-			b, err = core.NewResponder(eng.Store()).Block(ref)
-		}
+		b, err = core.NewResponder(eng.Store()).Block(ref)
 	} else {
 		err = core.ErrTimeout
 	}

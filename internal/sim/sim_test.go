@@ -45,6 +45,11 @@ func TestRunBasics(t *testing.T) {
 	if len(rep.NodeStorageBits) != 12 || len(rep.NodeCommBits) != 12 {
 		t.Fatal("per-node sample counts wrong")
 	}
+	s.Close()
+	s.Close() // idempotent
+	if err := s.Step(); err == nil {
+		t.Fatal("Step on a closed simulation succeeded")
+	}
 }
 
 func TestStorageGrowsLinearly(t *testing.T) {

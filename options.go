@@ -79,8 +79,6 @@ type config struct {
 	observers    []Observer
 	malicious    int
 	bodyBytes    int
-	pipeline     int
-	chunk        int
 	faultPlan    faults.Plan
 	retry        faults.RetryPolicy
 	dataDir      string
@@ -95,7 +93,6 @@ func defaultConfig() *config {
 		params:    block.DefaultParams(),
 		rto:       2 * time.Second,
 		bodyBytes: 100_000,
-		pipeline:  1,
 	}
 }
 
@@ -183,11 +180,13 @@ func WithTransport(k TransportKind) Option {
 }
 
 // WithWorkers bounds the goroutines a batch call fans out over (0 =
-// GOMAXPROCS): the audits of AuditMany on both drivers, and on the
-// live driver the CPU side of SubmitBatch's seal stage — mining,
-// signing and staging the blocks of a round, one device per worker. It
-// does not bound I/O: a round's one fsync is the caller's. Results do
-// not depend on the width; 1 runs either as a plain loop on the
+// GOMAXPROCS): the audits of AuditMany on both drivers, on the live
+// driver the CPU side of SubmitBatch's seal stage — mining, signing and
+// staging the blocks of a round, one device per worker — and on the
+// simulator every phase of SimDriver.RunSlots (generation,
+// announcement, audits). It is the only scheduling knob. It does not
+// bound I/O: a round's one fsync is the caller's. Results do not
+// depend on the width; 1 runs each batch as a plain loop on the
 // caller, in batch order.
 func WithWorkers(n int) Option {
 	return func(c *config) error {
@@ -195,45 +194,6 @@ func WithWorkers(n int) Option {
 			return fmt.Errorf("twoldag: WithWorkers(%d): worker count must be non-negative", n)
 		}
 		c.workers = n
-		return nil
-	}
-}
-
-// WithPipelineDepth bounds how many slots of audit duty the
-// simulator's slotted scheduler (SimDriver.RunSlots) may keep in
-// flight behind generation. The default d = 1 runs the fully
-// barriered schedule; d ≥ 2 overlaps slot t's audits with slot t+1's
-// generation under the immutable-prefix contract — audits read every
-// store through a view fenced at their slot boundary, and a node's
-// next generation waits for its own outstanding audit so per-node
-// random streams keep their barriered order. The Report is
-// byte-identical for every depth and worker count on the same seed;
-// the depth only trades memory (in-flight slots) for wall-clock
-// overlap. Simulator only: the live driver's audits are already
-// caller-paced.
-func WithPipelineDepth(d int) Option {
-	return func(c *config) error {
-		if d < 1 {
-			return fmt.Errorf("twoldag: WithPipelineDepth(%d): depth must be at least 1", d)
-		}
-		c.pipeline = d
-		return nil
-	}
-}
-
-// WithChunkSize sets how many nodes each worker-pool task covers in
-// the simulator's slot phases (generation, announcement delivery,
-// audit fan-out). The default 0 auto-sizes chunks from the worker
-// count; at 10k+ nodes an explicit chunk in the hundreds amortizes
-// dispatch overhead without hurting balance. Purely a scheduling knob:
-// the Report is byte-identical for every chunk size on the same seed.
-// Simulator only.
-func WithChunkSize(n int) Option {
-	return func(c *config) error {
-		if n < 0 {
-			return fmt.Errorf("twoldag: WithChunkSize(%d): chunk size must be non-negative", n)
-		}
-		c.chunk = n
 		return nil
 	}
 }
@@ -458,12 +418,6 @@ func (c *config) validate(g *topology.Graph) error {
 		}
 		if !c.syncPolicy.PerBlock() && c.dataDir == "" {
 			return errors.New("twoldag: WithSyncPolicy requires WithDataDir")
-		}
-		if c.pipeline > 1 {
-			return errors.New("twoldag: WithPipelineDepth applies to the simulator driver only")
-		}
-		if c.chunk > 0 {
-			return errors.New("twoldag: WithChunkSize applies to the simulator driver only")
 		}
 	}
 	if c.driver == DriverSim {

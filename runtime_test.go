@@ -449,18 +449,3 @@ func TestOptionValidation(t *testing.T) {
 		}
 	}
 }
-
-// TestDeprecatedNewClusterShim keeps the old constructor working on
-// top of the options path.
-func TestDeprecatedNewClusterShim(t *testing.T) {
-	c, err := NewCluster(ClusterConfig{Nodes: 6, Gamma: 1, Seed: 3, Difficulty: 2})
-	if err != nil {
-		t.Fatalf("NewCluster: %v", err)
-	}
-	defer c.Close()
-	var rt Runtime = c // the shim result is a Runtime driver
-	rt.AdvanceSlot()
-	if _, err := rt.Submit(context.Background(), rt.Nodes()[0], []byte("compat")); err != nil {
-		t.Fatalf("Submit via shim: %v", err)
-	}
-}

@@ -36,12 +36,10 @@ func newSimDriver(cfg *config, g *topology.Graph) (*SimDriver, error) {
 		Malicious: cfg.malicious,
 		// The live driver's PoW and Merkle parameters apply verbatim, so
 		// identical options yield identical blocks on either driver.
-		Difficulty:    cfg.params.Difficulty,
-		TrustCap:      cfg.trustCap,
-		Workers:       cfg.workers,
-		PipelineDepth: cfg.pipeline,
-		ChunkSize:     cfg.chunk,
-		Observer:      events.Multi(cfg.observers...),
+		Difficulty: cfg.params.Difficulty,
+		TrustCap:   cfg.trustCap,
+		Workers:    cfg.workers,
+		Observer:   events.Multi(cfg.observers...),
 	})
 	if err != nil {
 		return nil, err
@@ -151,10 +149,8 @@ func (d *SimDriver) Silence(id NodeID) error {
 	return d.s.Silence(id)
 }
 
-// Close implements Runtime: it drains any in-flight pipelined audit
-// slots and releases the simulator's persistent scheduler goroutines
-// (worker pools and the audit stage). Report stays readable after
-// Close; the drive verbs do not.
+// Close implements Runtime: it releases the simulator's worker pool.
+// Report stays readable after Close; the drive verbs do not.
 func (d *SimDriver) Close() error {
 	d.s.Close()
 	return nil
@@ -176,10 +172,9 @@ func (d *SimDriver) Report() *SimReport { return d.s.Finalize() }
 // RunSlots drives the simulator's slotted scheduler for n slots —
 // per-slot generation, receiver-batched announcement and audit duty,
 // exactly the schedule behind the paper's figures — and leaves the
-// report open for Report. With WithPipelineDepth(d ≥ 2) the slots
-// execute as a bounded pipeline (slot t audits overlap slot t+1
-// generation) and settle before RunSlots returns; the report is
-// byte-identical to the barriered schedule either way. It is the
+// report open for Report. Each slot's phases fan out over the worker
+// pool sized by WithWorkers behind barriers, and the report is
+// byte-identical for every worker count on the same seed. It is the
 // figure-regeneration entry point on the public API: experiments that
 // used to reach into internal/sim build the driver with
 // New(WithSimulator(), ...) and read SimDriver.Report instead. Do not

@@ -44,21 +44,9 @@
 // identically on both drivers. The experiments harness (package
 // experiments, regenerating every figure of the paper) and the
 // bundled commands consume the same stream.
-//
-// # Migrating from NewCluster
-//
-// The flat ClusterConfig constructor survives as a deprecated shim:
-//
-//	NewCluster(ClusterConfig{Nodes: 50, Gamma: 4, Seed: 1})
-//	    ≡ New(WithNodes(50), WithGamma(4), WithSeed(1))
-//
-// with field-for-option equivalents Topology → WithTopology,
-// Difficulty → WithDifficulty, RequestTimeout → WithRequestTimeout.
 package twoldag
 
 import (
-	"time"
-
 	"github.com/twoldag/twoldag/internal/block"
 	"github.com/twoldag/twoldag/internal/core"
 	"github.com/twoldag/twoldag/internal/identity"
@@ -105,48 +93,3 @@ var (
 	// ErrTampered: the audited block failed its Merkle root check.
 	ErrTampered = core.ErrRootMismatch
 )
-
-// ClusterConfig sizes a live in-process deployment.
-//
-// Deprecated: use New with functional options; see the package
-// overview for the field-for-option mapping.
-type ClusterConfig struct {
-	// Nodes is the device count (ignored when Topology is set).
-	Nodes int
-	// Gamma is the PoP consensus threshold γ (≥ γ+1 vouchers needed).
-	Gamma int
-	// Seed drives placement and identities; same seed, same cluster.
-	Seed int64
-	// Topology overrides the generated radio graph.
-	Topology *topology.Graph
-	// Difficulty is the proof-of-work level ρ (default 8 bits).
-	Difficulty uint8
-	// RequestTimeout is the PoP request timeout τ (default 2s).
-	RequestTimeout time.Duration
-}
-
-// NewCluster builds and starts a live cluster: topology, keys,
-// transports and one node runtime per device.
-//
-// Deprecated: use New, which also offers the TCP transport, the
-// deterministic simulator, batch submission and audit fan-out, and
-// typed observers.
-func NewCluster(cfg ClusterConfig) (*Cluster, error) {
-	opts := []Option{WithGamma(cfg.Gamma), WithSeed(cfg.Seed)}
-	if cfg.Topology != nil {
-		opts = append(opts, WithTopology(cfg.Topology))
-	} else if cfg.Nodes > 0 {
-		opts = append(opts, WithNodes(cfg.Nodes))
-	}
-	if cfg.Difficulty > 0 {
-		opts = append(opts, WithDifficulty(cfg.Difficulty))
-	}
-	if cfg.RequestTimeout > 0 {
-		opts = append(opts, WithRequestTimeout(cfg.RequestTimeout))
-	}
-	rt, err := New(opts...)
-	if err != nil {
-		return nil, err
-	}
-	return rt.(*Cluster), nil
-}

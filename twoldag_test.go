@@ -11,18 +11,15 @@ import (
 
 func testCluster(t *testing.T, nodes, gamma int) *Cluster {
 	t.Helper()
-	c, err := NewCluster(ClusterConfig{
-		Nodes:          nodes,
-		Gamma:          gamma,
-		Seed:           7,
-		Difficulty:     2,
-		RequestTimeout: time.Second,
-	})
+	rt, err := New(
+		WithNodes(nodes), WithGamma(gamma), WithSeed(7),
+		WithDifficulty(2), WithRequestTimeout(time.Second),
+	)
 	if err != nil {
-		t.Fatalf("NewCluster: %v", err)
+		t.Fatalf("New: %v", err)
 	}
-	t.Cleanup(func() { _ = c.Close() })
-	return c
+	t.Cleanup(func() { _ = rt.Close() })
+	return rt.(*Cluster)
 }
 
 func fill(t *testing.T, c *Cluster, slots int) []Ref {
@@ -111,10 +108,10 @@ func TestClusterSilenceRoutesAround(t *testing.T) {
 }
 
 func TestClusterGammaTooHighFails(t *testing.T) {
-	if _, err := NewCluster(ClusterConfig{Nodes: 5, Gamma: 5, Seed: 1}); err == nil {
+	if _, err := New(WithNodes(5), WithGamma(5), WithSeed(1)); err == nil {
 		t.Fatal("gamma == nodes accepted")
 	}
-	if _, err := NewCluster(ClusterConfig{Nodes: 0, Gamma: 0}); err == nil {
+	if _, err := New(WithGamma(0)); err == nil {
 		t.Fatal("zero nodes accepted")
 	}
 }
@@ -132,7 +129,7 @@ func TestClusterUnknownIDs(t *testing.T) {
 
 func TestClusterExplicitTopology(t *testing.T) {
 	g := topology.PaperFig4()
-	c, err := NewCluster(ClusterConfig{Topology: g, Gamma: 2, Seed: 3, Difficulty: 2})
+	c, err := New(WithTopology(g), WithGamma(2), WithSeed(3), WithDifficulty(2))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -166,7 +163,7 @@ func TestClusterExplicitTopology(t *testing.T) {
 
 func TestClusterNoConsensusSurfacesSentinel(t *testing.T) {
 	g := topology.PaperFig6() // 3 nodes
-	c, err := NewCluster(ClusterConfig{Topology: g, Gamma: 2, Seed: 3, Difficulty: 2})
+	c, err := New(WithTopology(g), WithGamma(2), WithSeed(3), WithDifficulty(2))
 	if err != nil {
 		t.Fatal(err)
 	}
