@@ -59,6 +59,62 @@ func TestStoreConcurrentAuditReads(t *testing.T) {
 	}
 }
 
+// TestStoreAnswersStableUnderAppends pins what concurrent readers of a
+// responder's store may rely on while its owner appends: answers about
+// blocks already in the store never change, and a child appended later
+// becomes visible without disturbing them.
+func TestStoreAnswersStableUnderAppends(t *testing.T) {
+	key := identity.Deterministic(1, 1)
+	s := NewStore(1)
+	blocks := chainFor(t, key, 24, nil)
+	for _, b := range blocks[:12] {
+		if err := s.Append(b); err != nil {
+			t.Fatal(err)
+		}
+	}
+	inStore := blocks[4].Header.Hash() // child (seq 5) already stored
+	newest := blocks[11].Header.Hash() // child (seq 12) appended below
+
+	var wg sync.WaitGroup
+	for r := 0; r < 4; r++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for n := 0; n < 300; n++ {
+				if b, ok := s.OldestContaining(inStore); !ok || b.Header.Seq != 5 {
+					t.Errorf("stored child moved: %v, %v", b, ok)
+					return
+				}
+				if b, ok := s.OldestContaining(newest); ok && b.Header.Seq != 12 {
+					t.Errorf("child of #11 answered as #%d, want #12", b.Header.Seq)
+					return
+				}
+				if b, err := s.Get(11); err != nil || b.Header.Seq != 11 {
+					t.Errorf("Get(11) = %v, %v", b, err)
+					return
+				}
+			}
+		}()
+	}
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for _, b := range blocks[12:] {
+			if err := s.Append(b); err != nil {
+				t.Error(err)
+				return
+			}
+		}
+	}()
+	wg.Wait()
+	if s.Len() != 24 {
+		t.Fatalf("Len = %d, want 24", s.Len())
+	}
+	if b, ok := s.OldestContaining(newest); !ok || b.Header.Seq != 12 {
+		t.Fatalf("OldestContaining(#11) = %v, %v after appends; want #12", b, ok)
+	}
+}
+
 // TestTrustStoreConcurrentAddAndLookup exercises H_i under concurrent
 // Add/ChildOf/Get traffic, the pattern of parallel audits caching
 // verified paths.

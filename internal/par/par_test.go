@@ -1,6 +1,8 @@
 package par
 
 import (
+	"sort"
+	"sync"
 	"sync/atomic"
 	"testing"
 )
@@ -86,6 +88,40 @@ func TestPoolRunChunkedCoversAllIndexes(t *testing.T) {
 	})
 	if calls != 1 {
 		t.Fatalf("nil pool made %d calls, want 1", calls)
+	}
+}
+
+// TestPoolRunChunkedRangesPerWorker pins the range rule: n is cut into
+// contiguous ranges of ceil(n / (4 × workers)) indexes, the last one
+// possibly shorter, so no pool hands out more than four ranges per
+// worker.
+func TestPoolRunChunkedRangesPerWorker(t *testing.T) {
+	for _, workers := range []int{2, 3, 8} {
+		p := NewPool(workers)
+		for _, n := range []int{1, 7, 13, 64, 1000, 100_003} {
+			var mu sync.Mutex
+			var ranges [][2]int
+			p.RunChunked(n, func(lo, hi int) {
+				mu.Lock()
+				ranges = append(ranges, [2]int{lo, hi})
+				mu.Unlock()
+			})
+			sort.Slice(ranges, func(i, j int) bool { return ranges[i][0] < ranges[j][0] })
+			size := (n + 4*workers - 1) / (4 * workers)
+			if len(ranges) > 4*workers {
+				t.Fatalf("workers=%d n=%d: %d ranges, want at most %d", workers, n, len(ranges), 4*workers)
+			}
+			for i, r := range ranges {
+				if r[0] != i*size {
+					t.Fatalf("workers=%d n=%d: range %d starts at %d, want %d", workers, n, i, r[0], i*size)
+				}
+				last := i == len(ranges)-1
+				if got := r[1] - r[0]; (!last && got != size) || (last && (got < 1 || got > size || r[1] != n)) {
+					t.Fatalf("workers=%d n=%d: range %d is [%d,%d), want %d indexes ending by %d", workers, n, i, r[0], r[1], size, n)
+				}
+			}
+		}
+		p.Close()
 	}
 }
 

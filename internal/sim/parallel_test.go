@@ -165,3 +165,31 @@ func TestParallelSchedulerRepeatable(t *testing.T) {
 		t.Fatalf("same seed, different reports:\n%+v\n%+v", a, b)
 	}
 }
+
+// TestParallelAuditsOnHealthyNetwork runs a long multi-worker schedule
+// with a short verification lag, so every slot's audit phase has four
+// workers walking paths through the same responders' stores. Under
+// -race this pins the shared read path of the audit phase; on a
+// network with no malicious node every audit must reach consensus.
+func TestParallelAuditsOnHealthyNetwork(t *testing.T) {
+	cfg := smallConfig(99)
+	cfg.Slots = 40
+	cfg.VerifyLag = 6
+	cfg.Workers = 4
+	cfg.RetainVerifiedBlocks = true
+	s, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	rep, err := s.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Audits == 0 {
+		t.Fatal("no audits ran")
+	}
+	if rep.Failures != 0 {
+		t.Fatalf("%d/%d honest audits failed on a healthy network", rep.Failures, rep.Audits)
+	}
+}

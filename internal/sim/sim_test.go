@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"reflect"
 	"testing"
 
 	"github.com/twoldag/twoldag/internal/attack"
@@ -45,10 +46,61 @@ func TestRunBasics(t *testing.T) {
 	if len(rep.NodeStorageBits) != 12 || len(rep.NodeCommBits) != 12 {
 		t.Fatal("per-node sample counts wrong")
 	}
+}
+
+// TestCloseIsIdempotent pins the closed state: Close may be repeated,
+// Step and RunSlots fail afterwards, and the report stays readable.
+func TestCloseIsIdempotent(t *testing.T) {
+	s, err := New(smallConfig(12))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.RunSlots(3); err != nil {
+		t.Fatal(err)
+	}
 	s.Close()
 	s.Close() // idempotent
 	if err := s.Step(); err == nil {
 		t.Fatal("Step on a closed simulation succeeded")
+	}
+	if err := s.RunSlots(1); err == nil {
+		t.Fatal("RunSlots on a closed simulation succeeded")
+	}
+	if s.Slot() != 3 {
+		t.Fatalf("Slot = %d after a refused Step, want 3", s.Slot())
+	}
+	if rep := s.Finalize(); len(rep.AvgStorageBits) != 3 {
+		t.Fatalf("closed report has %d slot samples, want 3", len(rep.AvgStorageBits))
+	}
+}
+
+// TestRunSlotsMatchesRun drives the schedule in uneven RunSlots pieces
+// and finalizes twice: every slot is sampled once, at its own Step,
+// whichever way the slots are driven, so the report equals Run's.
+func TestRunSlotsMatchesRun(t *testing.T) {
+	cfg := smallConfig(5)
+	whole, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer whole.Close()
+	want, err := whole.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	pieces, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer pieces.Close()
+	for _, n := range []int{7, 13, 10} {
+		if err := pieces.RunSlots(n); err != nil {
+			t.Fatal(err)
+		}
+	}
+	pieces.Finalize()
+	if got := pieces.Finalize(); !reflect.DeepEqual(want, got) {
+		t.Fatalf("RunSlots report diverged from Run:\nRun:      %+v\nRunSlots: %+v", want, got)
 	}
 }
 

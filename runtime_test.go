@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"reflect"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -447,5 +448,38 @@ func TestOptionValidation(t *testing.T) {
 		if _, err := New(tc.opts...); err == nil {
 			t.Errorf("%s: accepted", tc.name)
 		}
+	}
+}
+
+// TestWithWorkersValidation pins the one scheduling knob's contract:
+// negative widths are rejected on both drivers, the live driver takes
+// the option, and a SimDriver.RunSlots report does not depend on it.
+func TestWithWorkersValidation(t *testing.T) {
+	if _, err := New(WithNodes(8), WithSimulator(), WithWorkers(-1)); err == nil {
+		t.Fatal("simulator accepted WithWorkers(-1)")
+	}
+	if _, err := New(WithNodes(8), WithDifficulty(0), WithWorkers(-1)); err == nil {
+		t.Fatal("live driver accepted WithWorkers(-1)")
+	}
+	newRuntime(t, WithNodes(8), WithDifficulty(0), WithWorkers(4))
+	run := func(workers int) *SimReport {
+		t.Helper()
+		rt := newRuntime(t,
+			WithSimulator(), WithNodes(12), WithGamma(3), WithSeed(7),
+			WithDifficulty(0), WithBodyBytes(100_000), WithMalicious(2),
+			WithWorkers(workers),
+		)
+		sd := rt.(*SimDriver)
+		if err := sd.RunSlots(25); err != nil {
+			t.Fatal(err)
+		}
+		return sd.Report()
+	}
+	serial, parallel := run(1), run(4)
+	if serial.Audits == 0 {
+		t.Fatal("no audits ran")
+	}
+	if !reflect.DeepEqual(serial, parallel) {
+		t.Fatalf("report depends on the worker count:\nworkers=1: %+v\nworkers=4: %+v", serial, parallel)
 	}
 }
