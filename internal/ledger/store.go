@@ -47,16 +47,18 @@
 // for everyone else, only fingerprints, so the indexes around S_i and
 // H_i are kept smaller than what they index and free of pointers (the
 // garbage collector never scans them). Each structure has one layout,
-// whoever builds it, keyed by the first 64 bits of a digest: Store
-// keeps one key → oldest-sequence map, built on the first responder
-// query; TrustStore keeps an insertion-ordered ring with two such maps
-// and per-reference links (see the types). A key only narrows the
-// search. The full 32-byte digests already sit in the headers the
-// stores hold, so the indexes never repeat them, and every lookup
-// compares against them before it answers: two digests sharing a key
-// cost an extra comparison, never a wrong block.
-// TestStoreIndexBytesPerBlock and TestTrustStoreIndexBytesPerHeader
-// hold both to a byte ceiling.
+// whoever builds it: a flat table of 8-byte slots (slotTable), each the
+// 32-bit tag of a digest's 64-bit key beside a 32-bit sequence number
+// or entry id, probed linearly from the tag's home slot. Store keeps
+// one such table, built on the first responder query; TrustStore keeps
+// an insertion-ordered ring of header pointers and two tables (see the
+// types). A tag only narrows the search. The full 32-byte digests
+// already sit in the headers the stores hold, so the tables never
+// repeat them, and every lookup compares against them before it
+// answers: two digests sharing a tag cost an extra comparison, never a
+// wrong block. A slot costs ~14 B of table per reference once the load
+// (3/8 to 3/4) is counted. TestStoreIndexBytesPerBlock and
+// TestTrustStoreIndexBytesPerHeader hold both to a byte ceiling.
 package ledger
 
 import (
@@ -90,11 +92,11 @@ func digestKey(d *digest.Digest) uint64 { return binary.LittleEndian.Uint64(d[:8
 // index, built from the log on the first responder query and kept
 // current by Append from then on, so a node nobody audits (and a
 // zero-audit scaling run of 10k–100k stores) never pays for it. The
-// index is fingerprint-sized — a 64-bit digest key → the sequence
-// number of the oldest block whose Δ holds a digest with that key —
-// because the log already stores every referenced digest in full
-// inside its own headers: a hit is confirmed against the answering
-// block's Δ before it is returned. Keys and values hold no pointers.
+// index is fingerprint-sized — one 8-byte slot per distinct referenced
+// digest: its key's tag and the sequence number of the oldest block
+// whose Δ holds it — because the log already stores every referenced
+// digest in full inside its own headers: a hit is confirmed against the
+// answering block's Δ before it is returned. Slots hold no pointers.
 //
 // One lock guards the log and the index. Append holds it across the
 // journal write (that is what keeps journal order equal to apply order
@@ -108,17 +110,14 @@ type Store struct {
 	bodyBytes int64
 	refCount  int64 // Σ len(Header.Digests) over the log, for O(1) ModelBits
 
-	// contains is nil until the first responder query builds it. It
-	// maps a referenced digest's key to the oldest block whose Δ holds
-	// a digest with that key. Only the oldest is ever asked for (Alg. 4
-	// wants exactly that block), and blocks are indexed in ascending
-	// sequence order, so an entry is written once and never updated.
-	contains map[uint64]uint32
-	// containsMore takes the digests whose key was already claimed by
-	// an older block that does not reference them, under their full 32
-	// bytes → their own oldest block. With 64-bit keys it is expected
-	// to stay empty (and unallocated).
-	containsMore map[digest.Digest]uint32
+	// index is the responder index, unallocated until the first
+	// responder query builds it: one slot (see slotTable) per distinct
+	// referenced digest, holding its key's tag and the sequence number
+	// of the oldest block whose Δ holds it. Only the oldest is ever
+	// asked for (Alg. 4 wants exactly that block), and blocks are
+	// indexed in ascending sequence order, so a slot is written once and
+	// never updated.
+	index slotTable
 	// keyMask is all ones; tests narrow it to force key collisions.
 	keyMask uint64
 
@@ -186,39 +185,27 @@ func (s *Store) Append(b *block.Block) error {
 	s.blocks = append(s.blocks, cp)
 	s.bodyBytes += int64(len(cp.Body))
 	s.refCount += int64(len(cp.Header.Digests))
-	if s.contains != nil {
+	if s.index.slots != nil {
 		s.indexContains(cp)
 	}
 	return nil
 }
 
 // indexContains folds one block, already in the log, into the
-// responder index. Caller holds s.mu for writing.
+// responder index: a slot for each digest of its Δ that no older block
+// (nor an earlier reference of its own) holds. Caller holds s.mu for
+// writing.
 func (s *Store) indexContains(b *block.Block) {
 	for k := range b.Header.Digests {
 		d := &b.Header.Digests[k].Digest
 		if d.IsZero() {
 			continue
 		}
-		rk := digestKey(d) & s.keyMask
-		seq, taken := s.contains[rk]
-		if !taken {
-			s.contains[rk] = b.Header.Seq
-			continue
-		}
-		// The key's block references d itself (the common case: a
-		// neighbour's digest stays in Δ until it seals again) or d has
-		// an overflow record already: an older block is on file.
-		if s.blocks[seq].Header.Contains(*d) {
-			continue
-		}
-		if _, indexed := s.containsMore[*d]; indexed {
-			continue
-		}
-		if s.containsMore == nil {
-			s.containsMore = make(map[digest.Digest]uint32)
-		}
-		s.containsMore[*d] = b.Header.Seq
+		// The common case is a neighbour's digest that stays in Δ until
+		// it seals again: an older block is on file and holds d itself.
+		s.index.insert(digestKey(d)&s.keyMask, b.Header.Seq, func(seq uint32) bool {
+			return s.blocks[seq].Header.Contains(*d)
+		})
 	}
 }
 
@@ -227,11 +214,11 @@ func (s *Store) indexContains(b *block.Block) {
 // never take the write lock.
 func (s *Store) rlockIndexed() {
 	s.mu.RLock()
-	for s.contains == nil {
+	for s.index.slots == nil {
 		s.mu.RUnlock()
 		s.mu.Lock()
-		if s.contains == nil {
-			s.contains = make(map[uint64]uint32)
+		if s.index.slots == nil {
+			s.index = newSlotTable()
 			for _, b := range s.blocks {
 				s.indexContains(b)
 			}
@@ -283,23 +270,17 @@ func (s *Store) Latest() *block.Block {
 // OldestContaining implements the responder's selection rule (Alg. 4,
 // Eq. 10–11): among the owner's blocks whose Δ contains d, return the
 // oldest (sealed, read-only). The second result is false when no block
-// matches. It costs two map probes at most and one scan of a Δ: the
-// block on file under d's key is the oldest referencing any digest
-// with that key, so if it references d it is d's oldest. Otherwise d,
-// if referenced at all, has its own overflow record.
+// matches. It walks d's probe run and scans the Δ of each block on
+// file under d's tag: the first that holds d is its oldest, since a
+// tag's slots are in sequence order.
 func (s *Store) OldestContaining(d digest.Digest) (*block.Block, bool) {
 	s.rlockIndexed()
 	defer s.mu.RUnlock()
-	seq, ok := s.contains[digestKey(&d)&s.keyMask]
-	if !ok {
-		return nil, false
-	}
 	// Contains is false for the zero digest, which is never indexed but
-	// shares key 0 with whatever digest happens to start with zeros.
-	if b := s.blocks[seq]; b.Header.Contains(d) {
-		return b, true
-	}
-	seq, ok = s.containsMore[d]
+	// shares its tag with whatever digest happens to start with zeros.
+	seq, ok := s.index.find(digestKey(&d)&s.keyMask, func(seq uint32) bool {
+		return s.blocks[seq].Header.Contains(d)
+	})
 	if !ok {
 		return nil, false
 	}

@@ -18,9 +18,9 @@ type containsEntry struct {
 }
 
 // containsReference is S_i's responder index as it was before the
-// 64-bit-key layout: one full-digest-keyed {oldest, count} map with
-// the original method bodies (locking and the lazy build aside). It is
-// the model the compact index must be indistinguishable from.
+// fingerprint-sized layouts: one full-digest-keyed {oldest, count} map
+// with the original method bodies (locking and the lazy build aside).
+// It is the model the slot table must be indistinguishable from.
 type containsReference struct {
 	contains map[digest.Digest]containsEntry
 }
@@ -209,7 +209,7 @@ func (p *storePair) checkDigest(s *Store, name string, d digest.Digest) {
 // the colliding key — and the zero digest, whose key is 0 yet must
 // never hit.
 func (p *storePair) checkAll() {
-	p.lazy.contains, p.lazy.containsMore = nil, nil
+	p.lazy.index = slotTable{}
 	probes := append([]digest.Digest(nil), p.refs...)
 	for _, h := range p.eager.Headers() {
 		probes = append(probes, h.Hash())
@@ -219,7 +219,7 @@ func (p *storePair) checkAll() {
 		p.checkDigest(p.eager, "incremental", d)
 		p.checkDigest(p.lazy, "lazy", d)
 	}
-	if p.cold.contains != nil || p.cold.containsMore != nil {
+	if p.cold.index.slots != nil {
 		p.t.Fatal("a store nobody queried built its responder index")
 	}
 }
@@ -231,8 +231,8 @@ func randomStoreProgram(rng *rand.Rand, n int) []byte {
 }
 
 // storeKeyMasks are the production key and one narrowed to three
-// bits, under which nearly every digest shares its key with an older
-// one and the overflow map does the work.
+// bits, under which nearly every digest shares its tag with an older
+// one and each lookup walks past slots of other digests.
 var storeKeyMasks = []uint64{^uint64(0), 0x7}
 
 // TestStoreIndexMatchesReference drives the compact responder index
@@ -250,17 +250,17 @@ func TestStoreIndexMatchesReference(t *testing.T) {
 				if p.eager.Len() < 40 || len(p.refs) < 60 {
 					t.Fatalf("stream appended only %d blocks over %d digests", p.eager.Len(), len(p.refs))
 				}
-				if mask != ^uint64(0) && len(p.eager.containsMore) == 0 {
-					t.Fatal("the narrowed key never reached the overflow map")
+				if mask != ^uint64(0) && !tagsCollided(&p.eager.index) {
+					t.Fatal("no two digests of the narrowed key ever shared a tag")
 				}
 			})
 		}
 	}
 }
 
-// TestStoreIndexCollidingDigests spells out the overflow case: two
-// digests share a key, and the second one, first referenced by a later
-// block than the first, is answered from the overflow map.
+// TestStoreIndexCollidingDigests spells out a tag collision: two
+// digests share a key, so both of their slots sit under one tag, in
+// sequence order, and each lookup steps over the other's block.
 func TestStoreIndexCollidingDigests(t *testing.T) {
 	early, late := collidingDigest(0), collidingDigest(1)
 	s := NewStore(1)
@@ -279,8 +279,18 @@ func TestStoreIndexCollidingDigests(t *testing.T) {
 	if b, ok := s.OldestContaining(early); !ok || b.Header.Seq != 0 {
 		t.Fatalf("OldestContaining(early) = %v %v, want #0", b, ok)
 	}
-	if len(s.contains) != 1 || len(s.containsMore) != 1 {
-		t.Fatalf("index holds %d keys and %d overflow digests, want 1 and 1", len(s.contains), len(s.containsMore))
+	// Blocks #1 and #3 repeat a digest an older block holds: no slot.
+	// The two left are one probe run, in sequence order.
+	tag, mask := slotTag(digestKey(&early)), s.index.mask()
+	var seqs []uint32
+	for i := tag & mask; s.index.slots[i] != 0; i = (i + 1) & mask {
+		if sl := s.index.slots[i]; sl>>32 != tag {
+			t.Fatalf("slot %#x is not under the shared tag %#x", sl, tag)
+		}
+		seqs = append(seqs, uint32(s.index.slots[i]))
+	}
+	if len(seqs) != 2 || seqs[0] != 0 || seqs[1] != 2 || s.index.used != 2 {
+		t.Fatalf("index holds sequences %v (used %d), want [0 2]", seqs, s.index.used)
 	}
 }
 

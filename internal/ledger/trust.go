@@ -17,42 +17,35 @@ import (
 //
 // Capped or not, the store has one layout, sized so the index around a
 // header costs less than the header: an insertion-ordered ring of
-// entries, two maps from a 64-bit digest key to an entry id, and one
-// link word per Δ reference. Map keys and values hold no pointers, so
-// the garbage collector never scans the maps. A key is a digest prefix
-// and only narrows the search: every lookup compares the full 32-byte
-// digest before it returns a header, so two digests sharing a key cost
-// an extra comparison, never a wrong answer.
+// header pointers and two slot tables (see slotTable) of 8-byte slots,
+// each a 64-bit digest key's tag and an entry id. byHash holds a slot
+// per live header, children one per distinct key of each live header's
+// Δ. A key only narrows the search: every lookup compares the full
+// 32-byte digest before it returns a header, so two digests sharing a
+// tag cost an extra comparison, never a wrong answer.
 type TrustStore struct {
 	mu sync.RWMutex
 
-	// entries[head:] are the live headers, oldest-inserted first. The
-	// ring serves two masters: the FIFO bound (capLimit > 0) evicts
-	// from head — the scale runs cap H_i so ten-thousand-validator
-	// simulations stay bounded — and the checkpoint serializes headers
-	// in this order so a restored store reproduces ChildOf's
-	// earliest-inserted-wins choices exactly. An entry's id is
-	// base + its index; ids (unlike indexes) survive the compaction
-	// that drops the evicted prefix, and all id arithmetic is modulo
-	// 2^32, so only the live window has to fit in 32 bits.
-	entries []trustEntry
+	// entries[head:] are the live headers, oldest-inserted first (nil
+	// once evicted). The ring serves two masters: the FIFO bound
+	// (capLimit > 0) evicts from head — the scale runs cap H_i so
+	// ten-thousand-validator simulations stay bounded — and the
+	// checkpoint serializes headers in this order so a restored store
+	// reproduces ChildOf's earliest-inserted-wins choices exactly. An
+	// entry's id is base + its index; ids (unlike indexes) survive the
+	// compaction that drops the evicted prefix, and all id arithmetic is
+	// modulo 2^32, so only the live window has to fit in 32 bits.
+	entries []*block.Header
 	head    int
 	base    uint32
 
-	// byHash maps a header-hash key to the oldest live entry with that
-	// key; trustEntry.hashNext chains the rest.
-	byHash map[uint64]uint32
-	// children maps a referenced-digest key to the chain of live
-	// entries whose Δ holds a digest with that key, in insertion
-	// order. The chain runs through links: links[e.link+k] belongs to
-	// e.hdr.Digests[k] and holds the distance, in ids, from e to the
-	// next entry on that reference's chain (0 = last). Of several
-	// references of one header sharing a key, the first carries the
-	// link (chainSlot). FIFO eviction removes the oldest live entry,
-	// which is therefore the head of every chain it is on: eviction
-	// pops O(|Δ|) heads and never searches a chain.
-	children map[uint64]childChain
-	links    []uint32
+	// byHash holds one slot per live header: its hash's key and its id.
+	byHash slotTable
+	// children holds one slot per distinct non-zero key of each live
+	// header's Δ, with the header's id. Ids grow with insertion, and a
+	// tag's slots are in insertion order, so the first of them whose
+	// header really holds a digest is its earliest-inserted child.
+	children slotTable
 	// keyMask is all ones; tests narrow it to force key collisions.
 	keyMask uint64
 
@@ -70,65 +63,24 @@ type TrustStore struct {
 	journal Journal
 }
 
-// trustEntry is one slot of the ring.
-type trustEntry struct {
-	hdr *block.Header // nil once evicted
-	// link is the offset in TrustStore.links of this header's
-	// per-reference links.
-	link uint32
-	// hashNext is the distance, in ids, to the next live entry whose
-	// header hash shares this one's key (0 = none).
-	hashNext uint32
-}
-
-// childChain names the two ends of one children chain by entry id.
-type childChain struct{ head, tail uint32 }
-
 // NewTrustStore returns an empty H_i.
 func NewTrustStore() *TrustStore {
-	return &TrustStore{
-		byHash:   make(map[uint64]uint32),
-		children: make(map[uint64]childChain),
-		keyMask:  ^uint64(0),
-	}
+	return &TrustStore{keyMask: ^uint64(0)}
 }
 
 func (t *TrustStore) key(d *digest.Digest) uint64 {
 	return digestKey(d) & t.keyMask
 }
 
-func (t *TrustStore) at(id uint32) *trustEntry { return &t.entries[id-t.base] }
+func (t *TrustStore) at(id uint32) *block.Header { return t.entries[id-t.base] }
 
-// chainSlot returns the reference of h that carries its link on the
-// chain of key rk: the first non-zero one whose digest has that key.
-func (t *TrustStore) chainSlot(h *block.Header, rk uint64) uint32 {
-	for k := range h.Digests {
-		d := &h.Digests[k].Digest
-		if t.key(d) == rk && !d.IsZero() {
-			return uint32(k)
-		}
-	}
-	panic("ledger: trust chain holds a header without a matching reference")
-}
-
-// findLocked walks the hash chain of hh's key. It returns the live
-// header hashing to hh, or nil and — when chained — the id of the
-// chain's last entry, where a new header with that key links in.
-func (t *TrustStore) findLocked(hh digest.Digest) (h *block.Header, tail uint32, chained bool) {
-	id, ok := t.byHash[t.key(&hh)]
+// findLocked returns the live header hashing to hh, or nil.
+func (t *TrustStore) findLocked(hh digest.Digest) *block.Header {
+	id, ok := t.byHash.find(t.key(&hh), func(id uint32) bool { return t.at(id).Hash() == hh })
 	if !ok {
-		return nil, 0, false
+		return nil
 	}
-	for {
-		e := t.at(id)
-		if e.hdr.Hash() == hh {
-			return e.hdr, id, true
-		}
-		if e.hashNext == 0 {
-			return nil, id, true
-		}
-		id += e.hashNext
-	}
+	return t.at(id)
 }
 
 // SetCap bounds H_i to at most n headers, evicting oldest-inserted
@@ -179,8 +131,7 @@ func (t *TrustStore) Add(h *block.Header) bool {
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	dup, tail, chained := t.findLocked(hh)
-	if dup != nil {
+	if t.findLocked(hh) != nil {
 		return false
 	}
 	// Journal inside the lock so the logged order is exactly the
@@ -193,42 +144,27 @@ func (t *TrustStore) Add(h *block.Header) bool {
 	}
 	t.inserted++
 	id := t.base + uint32(len(t.entries))
-	t.entries = append(t.entries, trustEntry{hdr: cp, link: uint32(len(t.links))})
-	if chained {
-		t.at(tail).hashNext = id - tail
-	} else {
-		t.byHash[t.key(&hh)] = id
-	}
+	t.entries = append(t.entries, cp)
+	// A slot is the same whichever of a header's references put it
+	// there, so a reference whose key an earlier one shares finds its
+	// slot in place.
+	same := func(v uint32) bool { return v == id }
+	t.byHash.insert(t.key(&hh), id, same)
 	for k := range cp.Digests {
-		t.links = append(t.links, 0)
 		d := &cp.Digests[k].Digest
 		if d.IsZero() {
 			continue
 		}
 		t.totalRefs++
-		rk := t.key(d)
-		c, ok := t.children[rk]
-		switch {
-		case !ok:
-			c.head = id
-		case c.tail == id:
-			// An earlier reference of this header shares the key and
-			// already put it on the chain.
-			continue
-		default:
-			last := t.at(c.tail)
-			t.links[last.link+t.chainSlot(last.hdr, rk)] = id - c.tail
-		}
-		c.tail = id
-		t.children[rk] = c
+		t.children.insert(t.key(d), id, same)
 	}
 	if t.capLimit > 0 {
 		for len(t.entries)-t.head > t.capLimit {
 			t.evictOldestLocked()
 		}
 	}
-	// Drop the evicted prefix once it dominates, so the backing arrays
-	// don't grow with total insertions.
+	// Drop the evicted prefix once it dominates, so the ring doesn't
+	// grow with total insertions.
 	if t.head > len(t.entries)/2 && t.head > t.capLimit && t.head > 64 {
 		t.compactLocked()
 	}
@@ -238,52 +174,29 @@ func (t *TrustStore) Add(h *block.Header) bool {
 // evictOldestLocked removes entries[head], the oldest live header,
 // from both indexes. Caller holds t.mu for writing.
 func (t *TrustStore) evictOldestLocked() {
-	e := &t.entries[t.head]
+	h := t.entries[t.head]
 	id := t.base + uint32(t.head)
-	hh := e.hdr.Hash()
-	if hk := t.key(&hh); e.hashNext == 0 {
-		delete(t.byHash, hk)
-	} else {
-		t.byHash[hk] = id + e.hashNext
-	}
-	for k := range e.hdr.Digests {
-		d := &e.hdr.Digests[k].Digest
+	hh := h.Hash()
+	t.byHash.remove(t.key(&hh), id)
+	for k := range h.Digests {
+		d := &h.Digests[k].Digest
 		if d.IsZero() {
 			continue
 		}
 		t.totalRefs--
-		rk := t.key(d)
-		c, ok := t.children[rk]
-		if !ok || c.head != id {
-			// An earlier reference of this header shared the key and
-			// already popped it.
-			continue
-		}
-		if next := t.links[e.link+uint32(k)]; next == 0 {
-			delete(t.children, rk)
-		} else {
-			c.head = id + next
-			t.children[rk] = c
-		}
+		// A second reference under an already-removed key finds nothing.
+		t.children.remove(t.key(d), id)
 	}
-	e.hdr = nil
+	t.entries[t.head] = nil
 	t.head++
 }
 
-// compactLocked slides the live window to the front of the ring and of
-// links. Ids are unchanged (base advances); link offsets shift.
+// compactLocked slides the live window to the front of the ring. Ids
+// are unchanged: base advances.
 func (t *TrustStore) compactLocked() {
-	shift := uint32(len(t.links))
-	if t.head < len(t.entries) {
-		shift = t.entries[t.head].link
-	}
-	t.links = append(t.links[:0], t.links[shift:]...)
 	n := copy(t.entries, t.entries[t.head:])
 	clear(t.entries[n:]) // release the moved-from slots' headers
 	t.entries = t.entries[:n]
-	for i := range t.entries {
-		t.entries[i].link -= shift
-	}
 	t.base += uint32(t.head)
 	t.head = 0
 }
@@ -313,8 +226,8 @@ func (t *TrustStore) appendHeaders(dst []byte) []byte {
 	dst = binary.LittleEndian.AppendUint64(dst, uint64(t.inserted))
 	live := t.entries[t.head:]
 	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(live)))
-	for i := range live {
-		dst = appendFramed(dst, block.AppendEncodeHeader, live[i].hdr)
+	for _, h := range live {
+		dst = appendFramed(dst, block.AppendEncodeHeader, h)
 	}
 	return dst
 }
@@ -327,8 +240,8 @@ func (t *TrustStore) appendHashes(dst []byte) []byte {
 	dst = binary.LittleEndian.AppendUint64(dst, uint64(t.inserted))
 	live := t.entries[t.head:]
 	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(live)))
-	for i := range live {
-		hh := live[i].hdr.Hash()
+	for _, h := range live {
+		hh := h.Hash()
 		dst = append(dst, hh[:]...)
 	}
 	return dst
@@ -345,7 +258,7 @@ func (t *TrustStore) Has(headerHash digest.Digest) bool {
 func (t *TrustStore) Get(headerHash digest.Digest) (*block.Header, bool) {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
-	h, _, _ := t.findLocked(headerHash)
+	h := t.findLocked(headerHash)
 	return h, h != nil
 }
 
@@ -358,25 +271,11 @@ func (t *TrustStore) ChildOf(d digest.Digest) (*block.Header, bool) {
 	}
 	t.mu.RLock()
 	defer t.mu.RUnlock()
-	rk := t.key(&d)
-	c, ok := t.children[rk]
+	id, ok := t.children.find(t.key(&d), func(id uint32) bool { return t.at(id).Contains(d) })
 	if !ok {
 		return nil, false
 	}
-	// The chain is in insertion order, so the first header on it that
-	// really contains d is the earliest inserted; one that only shares
-	// the key is stepped over.
-	for id := c.head; ; {
-		e := t.at(id)
-		if e.hdr.Contains(d) {
-			return e.hdr, true
-		}
-		next := t.links[e.link+t.chainSlot(e.hdr, rk)]
-		if next == 0 {
-			return nil, false
-		}
-		id += next
-	}
+	return t.at(id), true
 }
 
 // Len returns the number of distinct headers in H_i.

@@ -14,7 +14,7 @@ import (
 
 // trustReference is H_i as it was before the compact layout: two
 // digest-keyed maps and an order slice, with the original method
-// bodies (locking and journaling aside). It is the model the ring
+// bodies (locking and journaling aside). It is the model the slot-table
 // layout must be indistinguishable from.
 type trustReference struct {
 	headers   map[digest.Digest]*block.Header
@@ -329,11 +329,11 @@ func randomTrustProgram(rng *rand.Rand, n int) []byte {
 }
 
 // trustKeyMasks are the production key and one narrowed to six bits,
-// under which every chain of both indexes mixes several digests.
+// under which every probe run of both tables mixes several digests.
 var trustKeyMasks = []uint64{^uint64(0), 0x3f}
 
-// TestTrustStoreMatchesReference drives the ring layout and the old
-// map layout with the same seeded streams and requires every
+// TestTrustStoreMatchesReference drives the slot-table layout and the
+// old map layout with the same seeded streams and requires every
 // observable to agree after every step.
 func TestTrustStoreMatchesReference(t *testing.T) {
 	for _, mask := range trustKeyMasks {
@@ -342,11 +342,16 @@ func TestTrustStoreMatchesReference(t *testing.T) {
 				t.Run(fmt.Sprintf("mask=%x/cap=%d/seed=%d", mask, capLimit, seed), func(t *testing.T) {
 					prog := &trustProgram{code: randomTrustProgram(rand.New(rand.NewSource(seed)), 2048)}
 					p := newTrustPair(t, capLimit, mask)
+					collided := false
 					for p.step(prog) {
 						p.checkAll()
+						collided = collided || tagsCollided(&p.got.byHash)
 					}
 					if len(p.added) < 100 {
 						t.Fatalf("stream added only %d headers", len(p.added))
+					}
+					if mask != ^uint64(0) && !collided {
+						t.Fatal("no two live header hashes of the narrowed key ever shared a tag")
 					}
 				})
 			}
