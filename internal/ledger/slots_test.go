@@ -169,14 +169,11 @@ func (p *slotPair) step(prog *trustProgram) bool {
 		before := slices.Clone(p.got.slots)
 		p.got.remove(key, v)
 		p.want.remove(key, v)
-		if len(before) > 0 {
-			moved := 0
-			for i := range before {
-				if before[i] != 0 && p.got.slots[i] != 0 && before[i] != p.got.slots[i] {
-					moved++
-				}
+		for i := range before {
+			// A slot that changed without emptying was shifted back.
+			if before[i] != 0 && p.got.slots[i] != 0 && before[i] != p.got.slots[i] {
+				p.deleted = true
 			}
-			p.deleted = p.deleted || moved > 0
 		}
 	default:
 		accept := func(x uint32) bool { return x%m == v%m }
