@@ -350,38 +350,29 @@ func BenchmarkBlockGeneration(b *testing.B) {
 
 // BenchmarkHotpathSubmitBatchDurable prices one durable slot on the
 // live driver: 32 devices each seal one 256-byte block (difficulty 2,
-// so the WAL and not the grind is what is timed), the batch's commit
-// windows close, and the announcements flush and are acknowledged.
-// sync=always pays one fsync per block inside the parallel seal stage;
-// sync=batch stages the records there and closes the 32 windows at
-// the flush boundary — side by side, so the slot waits for the slowest
-// fsync instead of the sum of them.
+// so the WAL and not the grind is what is timed), the round's records
+// are staged on the WithWorkers pool and its one commit window closes
+// with one write and one fsync, and the announcements flush and are
+// acknowledged.
 func BenchmarkHotpathSubmitBatchDurable(b *testing.B) {
-	for _, tc := range []struct {
-		name   string
-		policy SyncPolicy
-	}{{"sync=always", SyncAlways()}, {"sync=batch", SyncBatch()}} {
-		b.Run(tc.name, func(b *testing.B) {
-			rt, err := New(WithNodes(32), WithGamma(3), WithSeed(5), WithDifficulty(2),
-				WithDataDir(b.TempDir()), WithSyncPolicy(tc.policy))
-			if err != nil {
-				b.Fatal(err)
-			}
-			defer rt.Close()
-			ctx := context.Background()
-			body := make([]byte, 256)
-			batch := make([]Submission, 0, 32)
-			for _, id := range rt.Nodes() {
-				batch = append(batch, Submission{Node: id, Data: body})
-			}
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				rt.AdvanceSlot()
-				if _, err := rt.SubmitBatch(ctx, batch); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
+	rt, err := New(WithNodes(32), WithGamma(3), WithSeed(5), WithDifficulty(2),
+		WithDataDir(b.TempDir()))
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer rt.Close()
+	ctx := context.Background()
+	body := make([]byte, 256)
+	batch := make([]Submission, 0, 32)
+	for _, id := range rt.Nodes() {
+		batch = append(batch, Submission{Node: id, Data: body})
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		rt.AdvanceSlot()
+		if _, err := rt.SubmitBatch(ctx, batch); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

@@ -119,7 +119,6 @@ type Cluster struct {
 	dataDir      string
 	trustCap     int
 	compactEvery int
-	sync         SyncPolicy
 	log          *ledger.Log
 	backends     map[NodeID]*ledger.FileBackend
 }
@@ -146,7 +145,6 @@ func newCluster(cfg *config, g *topology.Graph) (*Cluster, error) {
 		dataDir:      cfg.dataDir,
 		trustCap:     cfg.trustCap,
 		compactEvery: cfg.compactEvery,
-		sync:         cfg.syncPolicy,
 		backends:     make(map[NodeID]*ledger.FileBackend),
 	}
 	if c.compactEvery <= 0 {
@@ -178,7 +176,7 @@ func newCluster(cfg *config, g *topology.Graph) (*Cluster, error) {
 // every device up on it.
 func (c *Cluster) start(cfg *config, pairs []identity.KeyPair) error {
 	if c.dataDir != "" {
-		bopts := append([]ledger.BackendOption{ledger.WithSyncPolicy(c.sync)}, cfg.backendOpts...)
+		bopts := cfg.backendOpts
 		if co := commitObservers(cfg.observers); co != nil {
 			bopts = append(bopts, ledger.WithCommitObserver(co))
 		}
@@ -421,8 +419,7 @@ func (c *Cluster) Submit(ctx context.Context, id NodeID, data []byte) (Ref, erro
 // WithWorkers goroutines (with one, on the caller in batch order), and
 // on a durable deployment each stages its record in the data dir's log
 // as it is sealed. Then the round's one commit window closes — one
-// fsync whatever the device count, under SyncAlways and SyncBatch alike
-// (SyncInterval leaves it to the ticker) — and only then are the blocks
+// fsync whatever the device count — and only then are the blocks
 // appended to their S_i and BlockSealed fired, on the caller, in owner
 // order: durable before anything can see them, and the number of
 // windows a function of the batch alone. A window that does not close
@@ -509,7 +506,7 @@ func (c *Cluster) SubmitBatch(ctx context.Context, batch []Submission) ([]Ref, e
 			s.b = b
 		})
 		var werr error
-		if c.log != nil && c.sync.Every() == 0 {
+		if c.log != nil {
 			werr = c.log.Commit()
 		}
 		for _, s := range round {

@@ -12,7 +12,6 @@ import (
 	"github.com/twoldag/twoldag/internal/cluster"
 	"github.com/twoldag/twoldag/internal/faults"
 	"github.com/twoldag/twoldag/internal/identity"
-	"github.com/twoldag/twoldag/internal/ledger"
 )
 
 // runHost is the shared serve/join entry point: both host exactly one
@@ -39,12 +38,12 @@ func runHost(args []string, join bool) int {
 	timeout := fs.Duration("timeout", 2*time.Second, "PoP request timeout τ and acknowledgement deadline")
 
 	// Durability: with -data the ledger persists (WAL, block segment,
-	// checkpoint) and a killed process restarted on the same directory
+	// checkpoint), every seal fsyncs its block before the seal op
+	// answers, and a killed process restarted on the same directory
 	// resumes exactly where its last fsync'd block left off.
 	dataDir := fs.String("data", "", "ledger data directory (empty: in-memory only)")
 	trustCap := fs.Int("trust-cap", 0, "bound on retained trust headers H_i, oldest evicted first (0: unbounded)")
 	compactEvery := fs.Int("compact-every", 0, "WAL compaction threshold in block records (0: default 256)")
-	syncFlag := fs.String("sync", "always", "WAL sync policy: always (fsync per block), batch (one fsync per slot flush), or interval=<dur> (bounded staleness)")
 
 	var id *uint
 	var addr *string
@@ -81,12 +80,6 @@ func runHost(args []string, join bool) int {
 		DataDir:        *dataDir,
 		TrustCap:       *trustCap,
 		CompactEvery:   *compactEvery,
-	}
-	if pol, err := ledger.ParseSyncPolicy(*syncFlag); err != nil {
-		fmt.Fprintf(os.Stderr, "twoldag %s: %v\n", name, err)
-		return 2
-	} else {
-		cfg.Sync = pol
 	}
 	if !join {
 		cfg.ID = identity.NodeID(*id)

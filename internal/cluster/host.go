@@ -68,10 +68,10 @@ type Config struct {
 	// DataDir, when set, makes the ledger durable: a file-backed WAL +
 	// segment + checkpoint backend (ledger.FileBackend) opens there, the
 	// node recovers its whole prior state (S_i, H_i, A_i) before
-	// serving, every sealed block fsyncs before it is acknowledged, and
-	// every CompactEvery blocks the WAL's blocks move to the segment and
-	// the rest of the state to a fresh checkpoint. Empty = in-memory
-	// only (the no-op backend).
+	// serving, every sealed block is fsynced before Seal returns it or
+	// any peer can read it, and every CompactEvery blocks the WAL's
+	// blocks move to the segment and the rest of the state to a fresh
+	// checkpoint. Empty = in-memory only (the no-op backend).
 	DataDir string
 	// TrustCap bounds H_i to that many headers (FIFO eviction;
 	// 0 = unbounded). With DataDir set the cap is persisted in the
@@ -80,12 +80,10 @@ type Config struct {
 	// CompactEvery is the WAL compaction threshold in block records
 	// (default 256; only meaningful with DataDir).
 	CompactEvery int
-	// Sync is the WAL commit-window policy (only meaningful with
-	// DataDir). The zero value is ledger.SyncAlways — fsync per block.
-	// Under ledger.SyncBatch the host commits the window once per
-	// Flush, before any digest is announced; ledger.SyncInterval(d)
-	// bounds staleness to d.
-	Sync ledger.SyncPolicy
+
+	// backendOpts go to the data dir's log: set only by tests, to inject
+	// storage faults under it.
+	backendOpts []ledger.BackendOption
 }
 
 // DefaultCompactEvery is the WAL compaction threshold (in block
@@ -156,12 +154,6 @@ func Start(cfg Config) (*Host, error) {
 	}
 	if cfg.RequestTimeout <= 0 {
 		cfg.RequestTimeout = 2 * time.Second
-	}
-	if err := cfg.Sync.Validate(); err != nil {
-		return nil, fmt.Errorf("cluster: %w", err)
-	}
-	if cfg.DataDir == "" && !cfg.Sync.PerBlock() {
-		return nil, fmt.Errorf("cluster: sync policy %v requires DataDir", cfg.Sync)
 	}
 
 	topo, err := topology.Deployment(cfg.Nodes, cfg.Seed)
@@ -303,7 +295,7 @@ func (h *Host) startNode() error {
 	var state *ledger.NodeState
 	var backend ledger.Backend
 	if h.cfg.DataDir != "" {
-		bopts := []ledger.BackendOption{ledger.WithSyncPolicy(h.cfg.Sync)}
+		bopts := h.cfg.backendOpts
 		if co, ok := h.cfg.Observer.(ledger.CommitObserver); ok {
 			bopts = append(bopts, ledger.WithCommitObserver(co))
 		}
@@ -626,12 +618,26 @@ func (h *Host) opCtx(ctx context.Context) (context.Context, context.CancelFunc) 
 // all processes before any announcement flows — the same phase order
 // the in-process SubmitBatch enforces, which sealed-header equivalence
 // depends on (headers embed the A_i snapshot at seal time).
+//
+// With a data dir Seal runs SubmitBatch's three steps for a round of
+// one: stage the block's record, close the commit window with one
+// fsync, and only then append the block to S_i. So the block is
+// durable before any peer can read it, and a window that fails
+// publishes nothing: Seal returns the error, and the next Seal seals
+// the same sequence number again.
 func (h *Host) Seal(data []byte) (block.Ref, digest.Digest, error) {
 	if err := h.begin(); err != nil {
 		return block.Ref{}, digest.Digest{}, err
 	}
 	defer h.wg.Done()
-	b, d, err := h.node.GenerateLocal(data)
+	b, err := h.node.SealLocal(data)
+	if err == nil && h.backend != nil {
+		err = h.backend.Commit()
+	}
+	var d digest.Digest
+	if err == nil {
+		d, err = h.node.PublishLocal(b)
+	}
 	if err != nil {
 		return block.Ref{}, digest.Digest{}, err
 	}
@@ -718,16 +724,6 @@ func (h *Host) Flush(ctx context.Context, ds []digest.Digest) error {
 	defer h.wg.Done()
 	if len(ds) == 0 {
 		return nil
-	}
-	// Under a batched sync policy this is the commit point: the whole
-	// slot's block records become durable in one fsync before any
-	// neighbor learns their digests — write-ahead at window
-	// granularity. (SyncAlways committed per block at seal time;
-	// SyncInterval is deliberately decoupled from flushes.)
-	if h.cfg.Sync.Batched() {
-		if err := h.node.CommitJournal(); err != nil {
-			return err
-		}
 	}
 	nbs := h.liveNeighbors()
 	waiters := make([]*Waiter, len(ds))

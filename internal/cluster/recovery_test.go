@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"sync"
 	"testing"
 	"time"
 
@@ -13,6 +14,7 @@ import (
 	"github.com/twoldag/twoldag/internal/digest"
 	"github.com/twoldag/twoldag/internal/identity"
 	"github.com/twoldag/twoldag/internal/ledger"
+	"github.com/twoldag/twoldag/internal/wire"
 )
 
 // recoveryWorkload drives one deterministic slot across hosts: every
@@ -107,7 +109,7 @@ func TestRecoveryKillRestartEquivalence(t *testing.T) {
 		refs[i], ds[i] = ref, d
 	}
 	// Kill: the node goes down with no Leave, no backend Sync, no
-	// flush. Only LogBlock's own fsync has run.
+	// flush. Only Seal's own fsync has run.
 	_ = hosts[2].node.Close()
 
 	// Restart from the same data dir, re-discovering the cluster
@@ -218,82 +220,127 @@ func TestStateDigestGolden(t *testing.T) {
 	}
 }
 
-// TestRecoverySyncPolicies proves kill/restart equivalence under every
-// commit-window discipline at the host level: a durable single-node
-// host seals and flushes across three slots, dies without Leave or any
-// graceful host shutdown, and restarts from its data dir. The state
-// digest must survive the kill unchanged and — because sealing is
-// deterministic — be identical across all three policies: the flush
-// boundary is SyncBatch's commit point, the ticker SyncInterval's, and
-// the backend close commits whatever is still staged.
-func TestRecoverySyncPolicies(t *testing.T) {
-	digests := make(map[string]digest.Digest)
-	for _, tc := range []struct {
-		name   string
-		policy ledger.SyncPolicy
-	}{
-		{"always", ledger.SyncAlways()},
-		{"batch", ledger.SyncBatch()},
-		{"interval", ledger.SyncInterval(5 * time.Millisecond)},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			dir := t.TempDir()
-			cfg := Config{
-				ID: 0, Nodes: 1, Seed: 7, Gamma: 0, Difficulty: 2,
-				RequestTimeout: time.Second,
-				DataDir:        dir,
-				Sync:           tc.policy,
-			}
-			h, err := Start(cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for slot := uint32(1); slot <= 3; slot++ {
-				h.SetSlot(slot)
-				_, d, err := h.Seal([]byte{byte(slot)})
-				if err != nil {
-					t.Fatalf("seal slot %d: %v", slot, err)
-				}
-				if err := h.Flush(context.Background(), []digest.Digest{d}); err != nil {
-					t.Fatalf("flush slot %d: %v", slot, err)
-				}
-			}
-			before := h.StateDigest()
-			// Kill: close the node directly — no Leave, no host drain.
-			_ = h.node.Close()
-
-			h2, err := Start(cfg)
-			if err != nil {
-				t.Fatalf("restart: %v", err)
-			}
-			t.Cleanup(func() { _ = h2.Close() })
-			if after := h2.StateDigest(); after != before {
-				t.Fatalf("state digest changed across kill + restart under %s", tc.name)
-			}
-			digests[tc.name] = before
-		})
-	}
-	if digests["batch"] != digests["always"] || digests["interval"] != digests["always"] {
-		t.Fatalf("state digests diverged across sync policies: %v", digests)
-	}
+// syncFaults fails the next n fsyncs under a data dir's log.
+type syncFaults struct {
+	mu sync.Mutex
+	n  int
 }
 
-// TestRecoverySyncPolicyValidation pins the host-level config contract:
-// a malformed interval fails Start, and a batched or interval policy
-// without a data dir is meaningless (there is no WAL to commit).
-func TestRecoverySyncPolicyValidation(t *testing.T) {
-	base := Config{ID: 0, Nodes: 1, Seed: 7, Gamma: 0, Difficulty: 2, RequestTimeout: time.Second}
+var errInjected = errors.New("injected fsync failure")
 
-	bad := base
-	bad.DataDir = t.TempDir()
-	bad.Sync = ledger.SyncInterval(-time.Second)
-	if _, err := Start(bad); err == nil {
-		t.Fatal("negative sync interval accepted")
+func (f *syncFaults) arm(n int) {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	f.n = n
+}
+
+func (f *syncFaults) option() ledger.BackendOption {
+	return ledger.WithWALFile(func(w ledger.WALFile) ledger.WALFile { return faultySync{w, f} })
+}
+
+type faultySync struct {
+	ledger.WALFile
+	f *syncFaults
+}
+
+func (s faultySync) Sync() error {
+	s.f.mu.Lock()
+	fail := s.f.n > 0
+	if fail {
+		s.f.n--
 	}
-	memOnly := base
-	memOnly.Sync = ledger.SyncBatch()
-	if _, err := Start(memOnly); err == nil {
-		t.Fatal("batched sync policy accepted without a data dir")
+	s.f.mu.Unlock()
+	if fail {
+		return errInjected
+	}
+	return s.WALFile.Sync()
+}
+
+// TestRecoveryHostSealFailedWindowPublishesNothing: Host.Seal is
+// write-ahead. A durable host whose next WAL fsync fails returns the
+// error from Seal and publishes nothing — its latest block stays put,
+// and a peer asking for the child of that block hears NOT_FOUND — and
+// once the fault clears, the next Seal takes the same sequence number.
+// Every Seal that succeeds has closed a commit window of its own, and a
+// restart from the dir after a kill finds the state the host held.
+func TestRecoveryHostSealFailedWindowPublishesNothing(t *testing.T) {
+	const seed = 13
+	faults := &syncFaults{}
+	dir := t.TempDir()
+	hosts := startHosts(t, 2, seed, func(id identity.NodeID, cfg *Config) {
+		if id == 0 {
+			cfg.DataDir = dir
+			cfg.backendOpts = []ledger.BackendOption{faults.option()}
+		}
+	})
+	h, peer := hosts[0], hosts[1]
+	seal := func(slot uint32) (block.Ref, digest.Digest, error) {
+		t.Helper()
+		h.SetSlot(slot)
+		before := h.backend.WALStats().Fsyncs
+		ref, d, err := h.Seal([]byte{byte(slot)})
+		if err == nil && h.backend.WALStats().Fsyncs <= before {
+			t.Fatalf("Seal of slot %d returned before an fsync covered its block", slot)
+		}
+		return ref, d, err
+	}
+	reqChild := func(target digest.Digest) *wire.Message {
+		t.Helper()
+		ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
+		defer cancel()
+		resp, err := peer.node.Call(ctx, h.ID(), func(corr, nonce uint64) *wire.Message {
+			return wire.NewReqChild(peer.ID(), h.ID(), target, corr, nonce)
+		})
+		if err != nil {
+			t.Fatalf("REQ_CHILD: %v", err)
+		}
+		return resp
+	}
+
+	ref0, d0, err := seal(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	faults.arm(1)
+	if _, _, err := seal(2); !errors.Is(err, errInjected) {
+		t.Fatalf("Seal over a failed fsync: %v", err)
+	}
+	if ref, d, ok := h.Latest(); !ok || ref != ref0 || d != d0 {
+		t.Fatalf("latest after the failed Seal = (%v %v %v), want (%v %v)", ref, d, ok, ref0, d0)
+	}
+	if resp := reqChild(d0); resp.Kind != wire.KindNotFound {
+		t.Fatalf("REQ_CHILD for the latest digest answered %v, want NOT_FOUND: the failed block is visible", resp.Kind)
+	}
+
+	ref1, d1, err := seal(2)
+	if err != nil {
+		t.Fatalf("Seal after the fault cleared: %v", err)
+	}
+	if ref1.Seq != ref0.Seq+1 {
+		t.Fatalf("Seal after the failed one took seq %d, want %d", ref1.Seq, ref0.Seq+1)
+	}
+	resp := reqChild(d0)
+	if resp.Kind != wire.KindRpyChild {
+		t.Fatalf("REQ_CHILD after the retried Seal answered %v, want RPY_CHILD", resp.Kind)
+	}
+	if hdr, err := resp.DecodeHeaderPayload(); err != nil || hdr.Hash() != d1 {
+		t.Fatalf("REQ_CHILD answered a header other than the retried block's: %v", err)
+	}
+
+	want := h.StateDigest()
+	_ = h.node.Close() // kill: no Leave, no backend Sync or Close
+	restarted, err := Start(Config{
+		ID: 0, Nodes: 2, Seed: seed, Gamma: 1, Difficulty: 2,
+		RequestTimeout: 2 * time.Second,
+		JoinAddr:       peer.Addr(),
+		DataDir:        dir,
+	})
+	if err != nil {
+		t.Fatalf("restart: %v", err)
+	}
+	t.Cleanup(func() { _ = restarted.Close() })
+	if got := restarted.StateDigest(); got != want {
+		t.Fatal("the restarted host's state digest differs from the one the killed host held")
 	}
 }
 

@@ -124,19 +124,6 @@ func NewEngineWith(key identity.KeyPair, params block.Params, topo *topology.Gra
 	}, nil
 }
 
-// CommitJournal closes the backend's open WAL commit window, fsyncing
-// every block record staged since the last commit. Drivers running a
-// batched sync policy call it at their flush boundary — after sealing
-// a slot's blocks, before announcing any of them — so durability is
-// acknowledged once per slot instead of once per block. A no-op for
-// in-memory engines.
-func (e *Engine) CommitJournal() error {
-	if e.backend == nil {
-		return nil
-	}
-	return e.backend.Commit()
-}
-
 // FlushJournal writes the backend's buffered records without an fsync
 // (ledger.Backend.Flush), so a crash of this process no longer loses
 // them. A no-op for in-memory engines.

@@ -168,8 +168,8 @@ type Backend interface {
 	// returns without writing it (unless the log's buffer is full) or
 	// waiting for an fsync: the Commit that closes the window writes and
 	// fsyncs it. A LogBlock of the same block afterwards logs nothing: it
-	// only acknowledges (under SyncAlways, waits for) the window's
-	// fsync. A driver that stages a whole round of blocks, commits once
+	// only acknowledges the window's fsync, closing the window itself if
+	// no Commit has. A driver that stages a whole round of blocks, commits once
 	// and then appends them to their stores pays one write and one fsync
 	// for the round, and no block of it is visible before it is durable.
 	StageBlock(b *block.Block) error

@@ -513,7 +513,7 @@ func TestCompactionWritesEachBlockOnce(t *testing.T) {
 	const per = 256
 	counter := newByteCounter()
 	base := t.TempDir()
-	l, err := OpenLog(base, WithWALFile(counter.wrap), WithSyncPolicy(SyncBatch()))
+	l, err := OpenLog(base, WithWALFile(counter.wrap))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -56,17 +56,17 @@ import (
 //
 // Fsync discipline: block records are acknowledged by the fsync of
 // the commit window they were logged into (see walwriter.go), shared
-// by every owner that logged into it — under the default SyncAlways
-// policy that fsync happens before Store.Append publishes the block
-// (write-ahead — an accepted block survives a crash). Trust, digest
-// and forget records are buffered with the rest and ride the next
-// write: a window close, a block record the policy writes at once, a
-// Flush (a cluster.Host's, before it acks a digest on the wire), or a
-// full buffer. A process kill loses those logged since the last write,
+// by every owner that logged into it, and that fsync happens before
+// Store.Append publishes the block (write-ahead — an accepted block
+// survives a crash). Trust, digest and forget records are buffered
+// with the rest and ride the next write: a window close, a Flush (a
+// cluster.Host's, before it acks a digest on the wire), or a full
+// buffer. A process kill loses those logged since the last write,
 // a power loss those since the last fsync; either costs re-auditing,
 // never data. A segment append is fsynced before the checkpoint that
-// records it is written, and that checkpoint before the rename that
-// commits it.
+// records it is written, that checkpoint before the rename that
+// commits it, and the rename's directory before the compaction that
+// wrote it lets wal.old go.
 //
 // Compaction is the log's (Log.Compact): rotate once, for every open
 // backend append the blocks its segment lacks and commit a checkpoint,
@@ -338,6 +338,13 @@ func (fb *FileBackend) commitState(st *NodeState) error {
 	default:
 		fb.store = nil
 	}
+	// The new checkpoint is the one this process reads from here on, so
+	// the next commit appends behind its prefix. Whether the rename
+	// survives a power loss is up to the directory's fsync: until one
+	// succeeds, the commit fails, and the compaction keeps wal.old.
+	if err := fb.log.syncDir(fb.dir); err != nil {
+		return fmt.Errorf("ledger: syncing checkpoint directory: %w", err)
+	}
 	return nil
 }
 
@@ -420,7 +427,8 @@ func (fb *FileBackend) appendSegment(blocks []*block.Block) (segmentMark, []int6
 }
 
 // writeCheckpoint commits raw as this owner's checkpoint: written to
-// checkpoint.tmp, fsynced, renamed over the last one, the dir fsynced.
+// checkpoint.tmp, fsynced, renamed over the last one. The caller
+// fsyncs the dir.
 func (fb *FileBackend) writeCheckpoint(raw []byte) error {
 	tmp := filepath.Join(fb.dir, checkpointTmpName)
 	f, err := fb.log.openFile(tmp, os.O_CREATE|os.O_WRONLY|os.O_TRUNC)
@@ -441,7 +449,6 @@ func (fb *FileBackend) writeCheckpoint(raw []byte) error {
 		os.Remove(tmp)
 		return fmt.Errorf("ledger: committing checkpoint: %w", err)
 	}
-	syncDir(fb.dir)
 	return nil
 }
 
@@ -502,45 +509,28 @@ func (fb *FileBackend) StageBlock(b *block.Block) error {
 	return nil
 }
 
-// LogBlock logs a block record into the current commit window —
-// unless StageBlock already has, in a window that did not fail. Under
-// SyncAlways (the default) it then blocks until the fsync covering the
-// record has returned — write-ahead, the block is durable before
-// Store.Append publishes it — while concurrent callers share that
-// fsync; a staged record whose window was committed since returns at
-// once. Under SyncBatch/SyncInterval it returns once the record is
-// written, so a process kill keeps it; Commit or the committer's ticker
-// acknowledges the window later. An error here fails the append.
+// LogBlock acknowledges a block record before Store.Append publishes
+// the block — write-ahead, the block is durable first. A record
+// StageBlock logged into a window committed since returns at once.
+// Otherwise LogBlock logs the record into the open window (unless
+// StageBlock already has, in a window that did not fail) and closes
+// the window itself, under the log's mutex. An error here fails the
+// append.
 func (fb *FileBackend) LogBlock(b *block.Block) error {
 	l := fb.log
 	l.mu.Lock()
+	defer l.mu.Unlock()
 	durable := fb.staged == b && l.fsyncs > fb.stagedAt
 	if fb.staged != b {
 		if err := fb.stageLocked(b); err != nil {
-			l.mu.Unlock()
 			return err
 		}
 	}
 	fb.staged = nil
 	if durable {
-		l.mu.Unlock()
 		return nil
 	}
-	if !l.policy.PerBlock() {
-		err := l.writeLocked()
-		l.mu.Unlock()
-		return err
-	}
-	// The committer fsyncs under l.mu, so callers that stage while a
-	// flush is in flight join the next window — group commit without
-	// ever acknowledging before durability.
-	w := waiterPool.Get().(chan error)
-	l.waiters = append(l.waiters, w)
-	l.mu.Unlock()
-	l.kickCommitter()
-	err := <-w
-	waiterPool.Put(w)
-	return err
+	return l.commitLocked()
 }
 
 // payloadLocked starts a lazy record's payload in the log's scratch:

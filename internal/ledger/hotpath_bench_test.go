@@ -73,41 +73,54 @@ func BenchmarkHotpathWALAppend(b *testing.B) {
 	})
 }
 
-// BenchmarkHotpathWALGroupCommit prices the durable seal path under
-// the batched sync policy: LogBlock writes its record without waiting
-// for an fsync and one Commit fsync acknowledges the whole window, so
-// the per-block cost is the codec and a write plus 1/batch of an
-// fsync. batch=1 is
-// the group-commit writer doing SyncAlways-shaped work (one window
-// per block, the ~185 µs fsync baseline of
-// BenchmarkHotpathWALAppend/fsync); batch=64 must amortize the fsync
-// to noise — the durable path converging on the memory path.
+// BenchmarkHotpathWALGroupCommit prices the durable seal path in the
+// shape both live drivers run it: batch owners on one shared log each
+// stage one block, one Commit writes and fsyncs the round, and each
+// owner's LogBlock then finds its record durable. So the per-block cost
+// is the codec and 1/batch of a write and an fsync. batch=1 is one
+// window per block, the fsync baseline of
+// BenchmarkHotpathWALAppend/fsync; batch=64 must amortize the fsync to
+// noise — the durable path converging on the memory path.
 func BenchmarkHotpathWALGroupCommit(b *testing.B) {
-	key := identity.Deterministic(1, 1)
 	p := block.DefaultParams()
 	p.Difficulty = pow.Difficulty(0)
-	blk, err := p.Build(key, 0, 0, make([]byte, 256), []block.DigestRef{{Node: 1}})
-	if err != nil {
-		b.Fatal(err)
-	}
 	for _, batch := range []int{1, 8, 64} {
 		b.Run(fmt.Sprintf("batch=%d", batch), func(b *testing.B) {
-			fb, err := OpenFileBackend(b.TempDir(), WithSyncPolicy(SyncBatch()))
+			base := b.TempDir()
+			l, err := OpenLog(base)
 			if err != nil {
 				b.Fatal(err)
 			}
-			if _, err := fb.Recover(RecoverOptions{Owner: 1, Params: p}); err != nil {
-				b.Fatal(err)
+			b.Cleanup(func() { _ = l.Close() })
+			fbs := make([]*FileBackend, batch)
+			blks := make([]*block.Block, batch)
+			for k := range fbs {
+				o := identity.NodeID(k + 1)
+				if fbs[k], err = l.OpenBackend(filepath.Join(base, fmt.Sprintf("node-%d", o))); err != nil {
+					b.Fatal(err)
+				}
+				if _, err := fbs[k].Recover(RecoverOptions{Owner: o, Params: p}); err != nil {
+					b.Fatal(err)
+				}
+				if blks[k], err = p.Build(identity.Deterministic(o, 1), 0, 0, make([]byte, 256), []block.DigestRef{{Node: o}}); err != nil {
+					b.Fatal(err)
+				}
 			}
-			b.Cleanup(func() { _ = fb.Close() })
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if err := fb.LogBlock(blk); err != nil {
+				k := i % batch
+				if err := fbs[k].StageBlock(blks[k]); err != nil {
 					b.Fatal(err)
 				}
-				if (i+1)%batch == 0 {
-					if err := fb.Commit(); err != nil {
+				if k < batch-1 {
+					continue
+				}
+				if err := l.Commit(); err != nil {
+					b.Fatal(err)
+				}
+				for j, fb := range fbs {
+					if err := fb.LogBlock(blks[j]); err != nil {
 						b.Fatal(err)
 					}
 				}
@@ -157,10 +170,10 @@ func BenchmarkRecoverCold(b *testing.B) {
 	}
 	opts := RecoverOptions{Owner: 1, Params: testParams(), Ring: ring}
 
-	// Build the WAL-heavy fixture: every block staged through the
-	// journal, one commit window, no compaction.
+	// Build the WAL-heavy fixture: every block appended through the
+	// journal, no compaction.
 	walDir := b.TempDir()
-	fb, err := OpenFileBackend(walDir, WithSyncPolicy(SyncBatch()))
+	fb, err := OpenFileBackend(walDir)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -236,7 +249,7 @@ func BenchmarkHotpathCheckpoint(b *testing.B) {
 	key := identity.Deterministic(1, 4)
 	p := testParams()
 	base := b.TempDir()
-	l, err := OpenLog(base, WithSyncPolicy(SyncBatch()))
+	l, err := OpenLog(base)
 	if err != nil {
 		b.Fatal(err)
 	}

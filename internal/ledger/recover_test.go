@@ -155,7 +155,7 @@ func TestRecoveryFixturesMatchReference(t *testing.T) {
 	// cleanDir: six own blocks plus lazy-tier records, all in wal.log.
 	cleanDir := func(t *testing.T) string {
 		dir := t.TempDir()
-		fb, st := openBackendWith(t, dir, opts, WithSyncPolicy(SyncBatch()))
+		fb, st := openBackendWith(t, dir, opts)
 		for _, b := range blocks {
 			if err := st.Store.Append(b); err != nil {
 				t.Fatal(err)

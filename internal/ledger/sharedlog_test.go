@@ -258,69 +258,65 @@ func sameStates(t *testing.T, what string, got, want map[identity.NodeID][]byte)
 // stop — a crash mid-run, one device bounced, a crash at the end — that
 // both recover, owner by owner, the exact bytes the live states held.
 func TestSharedLogDifferential(t *testing.T) {
-	for _, policy := range []SyncPolicy{SyncAlways(), SyncBatch()} {
-		t.Run(policy.String(), func(t *testing.T) {
-			owners := []identity.NodeID{1, 2, 3, 4}
-			const joiner = identity.NodeID(5)
-			all := append(append([]identity.NodeID(nil), owners...), joiner)
-			fx := newWorldFixture(t, all, 80)
-			ops := worldWorkload(20, owners, joiner, 260)
+	owners := []identity.NodeID{1, 2, 3, 4}
+	const joiner = identity.NodeID(5)
+	all := append(append([]identity.NodeID(nil), owners...), joiner)
+	fx := newWorldFixture(t, all, 80)
+	ops := worldWorkload(20, owners, joiner, 260)
 
-			base := t.TempDir()
-			private := newWorld(t, filepath.Join(base, "private"), false, WithSyncPolicy(policy))
-			shared := newWorld(t, filepath.Join(base, "shared"), true, WithSyncPolicy(policy))
-			worlds := []*world{private, shared}
+	base := t.TempDir()
+	private := newWorld(t, filepath.Join(base, "private"), false)
+	shared := newWorld(t, filepath.Join(base, "shared"), true)
+	worlds := []*world{private, shared}
+	for _, w := range worlds {
+		for _, o := range owners {
+			w.open(o)
+		}
+	}
+	// crashAndRecover kills the process: every record logged is
+	// written (a kill leaves the kernel's copy), then every handle
+	// is dropped — nothing closed, nothing synced beyond what the
+	// appends already had — and the given owners cold-start.
+	crashAndRecover := func(what string, up []identity.NodeID) {
+		t.Helper()
+		want := private.states()
+		sameStates(t, what+": live states, shared vs private", shared.states(), want)
+		for _, w := range worlds {
+			w.flush()
+			w.reopen()
+			for _, o := range up {
+				w.open(o)
+			}
+		}
+		sameStates(t, what+": private layout recovered", private.states(), want)
+		sameStates(t, what+": shared log recovered", shared.states(), want)
+	}
+	for i, op := range ops {
+		for _, w := range worlds {
+			w.apply(fx, op)
+		}
+		switch i {
+		case 100:
+			crashAndRecover("crash at step 100", owners)
+		case 200:
+			// One device bounces while the rest stay up.
+			want := private.states()
 			for _, w := range worlds {
-				for _, o := range owners {
-					w.open(o)
-				}
+				w.silence(3)
+				w.open(3)
 			}
-			// crashAndRecover kills the process: every record logged is
-			// written (a kill leaves the kernel's copy), then every handle
-			// is dropped — nothing closed, nothing synced beyond what the
-			// policy already had — and the given owners cold-start.
-			crashAndRecover := func(what string, up []identity.NodeID) {
-				t.Helper()
-				want := private.states()
-				sameStates(t, what+": live states, shared vs private", shared.states(), want)
-				for _, w := range worlds {
-					w.flush()
-					w.reopen()
-					for _, o := range up {
-						w.open(o)
-					}
-				}
-				sameStates(t, what+": private layout recovered", private.states(), want)
-				sameStates(t, what+": shared log recovered", shared.states(), want)
+			sameStates(t, "bounce: private", private.states(), want)
+			sameStates(t, "bounce: shared", shared.states(), want)
+			// Silenced with everything in its snapshot, on a log
+			// that was there to see it: nothing to look for in it.
+			if rep := shared.fbs[3].RecoveryReport(); rep.WALBytes != 0 {
+				t.Errorf("the bounced owner read %d bytes of a log that holds nothing its snapshot lacks", rep.WALBytes)
 			}
-			for i, op := range ops {
-				for _, w := range worlds {
-					w.apply(fx, op)
-				}
-				switch i {
-				case 100:
-					crashAndRecover("crash at step 100", owners)
-				case 200:
-					// One device bounces while the rest stay up.
-					want := private.states()
-					for _, w := range worlds {
-						w.silence(3)
-						w.open(3)
-					}
-					sameStates(t, "bounce: private", private.states(), want)
-					sameStates(t, "bounce: shared", shared.states(), want)
-					// Silenced with everything in its snapshot, on a log
-					// that was there to see it: nothing to look for in it.
-					if rep := shared.fbs[3].RecoveryReport(); rep.WALBytes != 0 {
-						t.Errorf("the bounced owner read %d bytes of a log that holds nothing its snapshot lacks", rep.WALBytes)
-					}
-				}
-			}
-			crashAndRecover("crash at the end", all)
-			for _, w := range worlds {
-				w.close()
-			}
-		})
+		}
+	}
+	crashAndRecover("crash at the end", all)
+	for _, w := range worlds {
+		w.close()
 	}
 }
 
@@ -366,7 +362,7 @@ func TestSharedLogCrashMatrix(t *testing.T) {
 		owners := []identity.NodeID{1, 2, 3}
 		fx := newWorldFixture(t, owners, 40)
 		base := t.TempDir()
-		w := newWorld(t, base, true, WithSyncPolicy(SyncBatch()))
+		w := newWorld(t, base, true)
 		for _, o := range owners {
 			w.open(o)
 		}
@@ -448,7 +444,7 @@ func TestSharedLogCrashMatrix(t *testing.T) {
 		fx := newWorldFixture(t, owners, 60)
 		base := t.TempDir()
 		rec := &crashRecorder{base: base}
-		w := newWorld(t, base, true, append(rec.options(), WithSyncPolicy(SyncBatch()))...)
+		w := newWorld(t, base, true, rec.options()...)
 		defer func() { w.close() }()
 		for _, o := range owners {
 			w.open(o)

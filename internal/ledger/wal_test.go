@@ -235,8 +235,8 @@ func FuzzWALReplay(f *testing.F) {
 	f.Add(good[:len(good)-3])
 	f.Add([]byte{walKindBlock, 0xFF, 0xFF, 0xFF, 0xFF})
 	// A batched commit window: consecutive block records interleaved
-	// with lazy-tier records, exactly as SyncBatch stages them between
-	// two fsyncs.
+	// with lazy-tier records, exactly as a staged round leaves them
+	// between two fsyncs.
 	b1, err := p.Build(key, 1, 1, []byte("fuzz2"), []block.DigestRef{{Node: 1, Digest: b.Header.Hash()}})
 	if err != nil {
 		f.Fatal(err)
@@ -318,8 +318,8 @@ func FuzzWALReplay(f *testing.F) {
 // multi-record committed window byte for byte: records staged between
 // two fsyncs are laid out back to back with no window framing of their
 // own — the window exists only in the acknowledgement protocol, so a
-// WAL written under SyncBatch is indistinguishable from one written
-// record-at-a-time and every already-deployed replay can read it.
+// WAL written a staged round at a time is indistinguishable from one
+// written record-at-a-time and every already-deployed replay can read it.
 func TestWALGroupCommitWindowGolden(t *testing.T) {
 	d := digest.Sum([]byte("2ldag"))
 	var win []byte

@@ -2,6 +2,7 @@ package ledger
 
 import (
 	"bytes"
+	"cmp"
 	"errors"
 	"fmt"
 	"io"
@@ -17,11 +18,12 @@ import (
 	"github.com/twoldag/twoldag/internal/identity"
 )
 
-// Storage faults below the log, through its write/sync seam (WALFile
-// and the rename hook) — which every file the log and its backends
-// write goes through: WAL generations, segments, checkpoints. A write
-// that fails or comes up short halfway through a frame, an fsync that
-// fails, a truncation that fails, a rename that fails. After each, what
+// Storage faults below the log, through its write/sync seam (WALFile,
+// the rename hook and the checkpoint's directory fsync) — which every
+// file the log and its backends write goes through: WAL generations,
+// segments, checkpoints. A write that fails or comes up short halfway
+// through a frame, an fsync that fails, a truncation that fails, a
+// rename that fails, a directory fsync that fails. After each, what
 // was acknowledged must be recoverable and what was not must be gone,
 // whichever owner of a shared log the fault hit and whichever writes
 // next.
@@ -31,12 +33,12 @@ var errInjected = errors.New("injected storage fault")
 // walFaults arms faults: each counter fails that many of the next
 // calls of its kind, on any file or only on the one named.
 type walFaults struct {
-	mu                                sync.Mutex
-	writes, syncs, truncates, renames int
-	short                             bool   // a failing write reports a short count and no error
-	err                               error  // what a failing call returns (errInjected when nil)
-	only                              string // when set, the path of the one file that fails (of a rename: the old path)
-	onRename                          func(oldpath, newpath string)
+	mu                                          sync.Mutex
+	writes, syncs, truncates, renames, dirSyncs int
+	short                                       bool   // a failing write reports a short count and no error
+	err                                         error  // what a failing call returns (errInjected when nil)
+	only                                        string // when set, the path of the one file that fails (of a rename: the old path; of a dir fsync: the dir)
+	onRename                                    func(oldpath, newpath string)
 }
 
 // take reports whether the call of kind n on the file at path fails,
@@ -121,6 +123,12 @@ func (f *walFaults) options() []BackendOption {
 					hook(oldpath, newpath)
 				}
 				return nil
+			}
+			l.syncDir = func(dir string) error {
+				if err := f.take(&f.dirSyncs, dir); err != nil {
+					return err
+				}
+				return syncDir(dir)
 			}
 		},
 	}
@@ -224,85 +232,83 @@ func TestWALFaultWriteRepairAcrossOwners(t *testing.T) {
 // window, whoever stages first, goes through.
 func TestWALFaultSyncFailure(t *testing.T) {
 	for _, midRound := range []bool{false, true} {
-		for _, policy := range []SyncPolicy{SyncAlways(), SyncBatch()} {
-			name := "staged round/" + policy.String()
-			if midRound {
-				name = "staged round, failed write mid-round/" + policy.String()
-			}
-			t.Run(name, func(t *testing.T) {
-				faults := &walFaults{}
-				fx := newWorldFixture(t, []identity.NodeID{1, 2, 3}, 6)
-				base := t.TempDir()
-				w := newWorld(t, base, true, append(faults.options(), WithSyncPolicy(policy))...)
-				owners := []identity.NodeID{1, 2, 3}
-				for _, o := range owners {
-					w.open(o)
-				}
-				round := func(wantErr bool) {
-					t.Helper()
-					for i, o := range owners {
-						if err := w.fbs[o].StageBlock(fx.chains[o][w.sts[o].Store.Len()]); err != nil {
-							t.Fatal(err)
-						}
-						if w.sts[o].Store.Len() != w.fbs[o].PendingBlocks()-1 {
-							t.Fatalf("owner %v: a staged block is pending, and not yet in the store", o)
-						}
-						if wantErr && midRound && i == 0 {
-							if err := w.log.Flush(); !errors.Is(err, errInjected) {
-								t.Fatalf("Flush over a failed write: %v", err)
-							}
-						}
-					}
-					err := w.log.Commit()
-					if wantErr != (err != nil) {
-						t.Fatalf("Commit: %v, want an error: %v", err, wantErr)
-					}
-					if err != nil {
-						return
-					}
-					for _, o := range owners {
-						w.apply(fx, worldOp{kind: 0, owner: o})
-					}
-				}
-				round(false)
-				fsyncs := w.log.WALStats().Fsyncs
-				if midRound {
-					faults.arm(func() { faults.writes = 1 })
-				} else {
-					faults.arm(func() { faults.syncs = 1 })
-				}
-				round(true)
-				for _, o := range owners {
-					if p := w.fbs[o].PendingBlocks(); p != 1 {
-						t.Errorf("owner %v: %d pending blocks after a failed window, want the 1 of the window before", o, p)
-					}
-				}
-				// A block of the failed window appended after all is written
-				// again: its staged record went with the window.
-				w.apply(fx, worldOp{kind: 0, owner: 2})
-				if err := w.log.Commit(); err != nil {
-					t.Fatal(err)
-				}
-				// The other way round this time: the owner that staged last
-				// writes first behind the poisoned region.
-				owners[0], owners[2] = owners[2], owners[0]
-				round(false)
-				if got := w.log.WALStats().Fsyncs - fsyncs; got != 2 {
-					t.Fatalf("%d windows acknowledged since the first, want 2: the failed one does not count", got)
-				}
-				strictLog(t, base)
-				want := w.states()
-				w.reopen() // crash
-				for _, o := range owners {
-					w.open(o)
-				}
-				sameStates(t, "recovered", w.states(), want)
-				if a, b := w.sts[1].Store.Len(), w.sts[2].Store.Len(); a != 2 || b != 3 {
-					t.Fatalf("recovered %d and %d blocks, want the 2 and 3 acknowledged ones", a, b)
-				}
-				w.close()
-			})
+		name := "staged round"
+		if midRound {
+			name = "staged round, failed write mid-round"
 		}
+		t.Run(name, func(t *testing.T) {
+			faults := &walFaults{}
+			fx := newWorldFixture(t, []identity.NodeID{1, 2, 3}, 6)
+			base := t.TempDir()
+			w := newWorld(t, base, true, faults.options()...)
+			owners := []identity.NodeID{1, 2, 3}
+			for _, o := range owners {
+				w.open(o)
+			}
+			round := func(wantErr bool) {
+				t.Helper()
+				for i, o := range owners {
+					if err := w.fbs[o].StageBlock(fx.chains[o][w.sts[o].Store.Len()]); err != nil {
+						t.Fatal(err)
+					}
+					if w.sts[o].Store.Len() != w.fbs[o].PendingBlocks()-1 {
+						t.Fatalf("owner %v: a staged block is pending, and not yet in the store", o)
+					}
+					if wantErr && midRound && i == 0 {
+						if err := w.log.Flush(); !errors.Is(err, errInjected) {
+							t.Fatalf("Flush over a failed write: %v", err)
+						}
+					}
+				}
+				err := w.log.Commit()
+				if wantErr != (err != nil) {
+					t.Fatalf("Commit: %v, want an error: %v", err, wantErr)
+				}
+				if err != nil {
+					return
+				}
+				for _, o := range owners {
+					w.apply(fx, worldOp{kind: 0, owner: o})
+				}
+			}
+			round(false)
+			fsyncs := w.log.WALStats().Fsyncs
+			if midRound {
+				faults.arm(func() { faults.writes = 1 })
+			} else {
+				faults.arm(func() { faults.syncs = 1 })
+			}
+			round(true)
+			for _, o := range owners {
+				if p := w.fbs[o].PendingBlocks(); p != 1 {
+					t.Errorf("owner %v: %d pending blocks after a failed window, want the 1 of the window before", o, p)
+				}
+			}
+			// A block of the failed window appended after all is written
+			// again: its staged record went with the window.
+			w.apply(fx, worldOp{kind: 0, owner: 2})
+			if err := w.log.Commit(); err != nil {
+				t.Fatal(err)
+			}
+			// The other way round this time: the owner that staged last
+			// writes first behind the poisoned region.
+			owners[0], owners[2] = owners[2], owners[0]
+			round(false)
+			if got := w.log.WALStats().Fsyncs - fsyncs; got != 2 {
+				t.Fatalf("%d windows acknowledged since the first, want 2: the failed one does not count", got)
+			}
+			strictLog(t, base)
+			want := w.states()
+			w.reopen() // crash
+			for _, o := range owners {
+				w.open(o)
+			}
+			sameStates(t, "recovered", w.states(), want)
+			if a, b := w.sts[1].Store.Len(), w.sts[2].Store.Len(); a != 2 || b != 3 {
+				t.Fatalf("recovered %d and %d blocks, want the 2 and 3 acknowledged ones", a, b)
+			}
+			w.close()
+		})
 	}
 	t.Run("blocking append", func(t *testing.T) {
 		faults := &walFaults{}
@@ -519,7 +525,8 @@ func TestCompactionFailureKeepsEveryGeneration(t *testing.T) {
 // writers, hitting owner k of N in the middle of a log-wide compaction
 // (or the one owner of a single-owner dir): EIO, ENOSPC or a short write
 // halfway through a segment append or through checkpoint.tmp, an fsync
-// of either that fails, a checkpoint rename that fails. The compaction
+// of either that fails, a checkpoint rename that fails, an fsync of the
+// directory that rename went into that fails. The compaction
 // reports it and keeps wal.old; a crash right then recovers every owner
 // to the state it had; the next trigger retries and lets wal.old go;
 // and whatever the failed append left past the segment's recorded
@@ -540,14 +547,19 @@ func TestCheckpointFaults(t *testing.T) {
 			fault{"failed fsync", file, errInjected, func(f *walFaults) { f.syncs = 1 }},
 		)
 	}
-	faults = append(faults, fault{"failed rename", checkpointTmpName, errInjected, func(f *walFaults) { f.renames = 1 }})
+	faults = append(faults,
+		fault{"failed rename", checkpointTmpName, errInjected, func(f *walFaults) { f.renames = 1 }},
+		// The rename went through, so this process reads the new
+		// checkpoint; only its survival of a power loss is in doubt.
+		fault{"failed dir fsync", "", errInjected, func(f *walFaults) { f.dirSyncs = 1 }},
+	)
 	for _, shared := range []bool{false, true} {
 		owners, victim := []identity.NodeID{1}, identity.NodeID(1)
 		if shared {
 			owners, victim = []identity.NodeID{1, 2, 3}, 2
 		}
 		for _, fc := range faults {
-			name := fmt.Sprintf("%s/%s/shared=%v", fc.file, fc.name, shared)
+			name := fmt.Sprintf("%s/%s/shared=%v", cmp.Or(fc.file, "dir"), fc.name, shared)
 			t.Run(name, func(t *testing.T) {
 				faults := &walFaults{}
 				fx := newWorldFixture(t, owners, 12)

@@ -8,9 +8,8 @@ import (
 	"io/fs"
 	"os"
 	"path/filepath"
-	"strings"
 	"sync"
-	"time"
+	"syscall"
 
 	"github.com/twoldag/twoldag/internal/identity"
 	"github.com/twoldag/twoldag/internal/par"
@@ -20,53 +19,36 @@ import (
 // a write-ahead log (etcd, Pebble, every production WAL). The fsync
 // that acknowledges block records covers a whole *commit window* —
 // every record logged since the last fsync, whichever owner of the log
-// logged it — so concurrent and batched writers share one disk flush
-// instead of paying one each. The log belongs to the data dir, not to
-// a device (see Log): the devices one process hosts write to one file,
-// and a window is whatever all of them logged between two of its
-// fsyncs.
+// logged it — so batched writers share one disk flush instead of
+// paying one each. The log belongs to the data dir, not to a device
+// (see Log): the devices one process hosts write to one file, and a
+// window is whatever all of them logged between two of its fsyncs.
 //
 // The write(2) is shared the same way. Every record is framed into one
 // buffer the log holds, in log order, and the buffer goes to wal.log
 // in one write when something needs its bytes in the kernel: every
-// window close (Commit, the SyncAlways committer, the SyncInterval
-// ticker, a rotation, Sync, Close), a LogBlock under SyncBatch or
-// SyncInterval before it returns, Flush, and the buffer reaching
-// walBufferLimit. The rule is that a record reaches the kernel before
-// anything that vouches for it can outlive the process: a window's
-// fsync vouches for its blocks, and a cluster.Host's wire-level
-// DigestAck for a digest, which is why the Host flushes before it
-// acks. An in-process acknowledgement dies with the process and needs
-// no write. So a process kill loses at most the trust, digest and
-// forget records logged since the last write — never an acknowledged
-// block or a wire-acknowledged digest. Records reach wal.log whole and
-// in log order, so its bytes do not depend on where the writes fell.
+// window close (Commit, a LogBlock of an unstaged block, a rotation,
+// Sync, Close), Flush, and the buffer reaching walBufferLimit. The rule
+// is that a record reaches the kernel before anything that vouches for
+// it can outlive the process: a window's fsync vouches for its blocks,
+// and a cluster.Host's wire-level DigestAck for a digest, which is why
+// the Host flushes before it acks. An in-process acknowledgement dies
+// with the process and needs no write. So a process kill loses at most
+// the trust, digest and forget records logged since the last write —
+// never an acknowledged block or a wire-acknowledged digest. Records
+// reach wal.log whole and in log order, so its bytes do not depend on
+// where the writes fell.
 //
-// A driver that knows its batch forms the window itself, under any
-// policy: StageBlock every block of a round, Commit once, then append
-// the blocks to their stores (the LogBlock inside Store.Append finds
-// the record staged and durable, and returns). That is one fsync per
-// round however many devices sealed in it — and one write, or one per
-// walBufferLimit of records — no block visible before it is durable,
-// and a window count that is a function of the batch and not of
-// goroutine timing. For everyone else the window is closed by
-// whichever of these the SyncPolicy selects:
-//
-//   - SyncAlways: a dedicated committer goroutine writes and fsyncs on
-//     every block record logged without staging; each LogBlock caller
-//     blocks until the fsync covering its record returns. Callers that
-//     log while an fsync is in flight are absorbed into the next
-//     window, so the per-block write-ahead contract is preserved
-//     exactly while concurrent seal paths amortize the flush.
-//   - SyncBatch: LogBlock writes its record and returns; Commit closes
-//     the window explicitly. Drivers call it once per slot flush,
-//     before any digest goes on the wire — write-ahead at window
-//     granularity (a neighbor never learns of a block that could
-//     vanish).
-//   - SyncInterval(d): LogBlock writes and returns; the committer's
-//     ticker closes the window every d — bounded staleness for
-//     deployments that can afford to lose the last instants of sealed
-//     traffic.
+// One rule decides when a block is durable: the fsync of the window it
+// was logged into, and no block is appended to a store before that
+// fsync has returned. A driver forms the window itself: StageBlock
+// every block of a round, Commit once, then append the blocks to their
+// stores (the LogBlock inside Store.Append finds the record staged and
+// durable, and returns). That is one fsync per round however many
+// devices sealed in it — and one write, or one per walBufferLimit of
+// records — and a window count that is a function of the batch and not
+// of goroutine timing. A LogBlock of a block nobody staged closes its
+// own window, under the log's mutex, before it returns.
 //
 // Crash safety of an open window: records written but not yet fsynced
 // were never acknowledged. The kernel may persist them out of order,
@@ -79,97 +61,6 @@ import (
 // (failWindowLocked); the lazy records still buffered survive it and go
 // out ahead of the next write.
 
-// syncMode enumerates the window-closing disciplines.
-type syncMode uint8
-
-const (
-	syncModeAlways syncMode = iota
-	syncModeBatch
-	syncModeInterval
-)
-
-// SyncPolicy selects when WAL block records are fsynced — i.e. what
-// closes a commit window. The zero value is SyncAlways, the
-// default-compatible per-block discipline.
-type SyncPolicy struct {
-	mode  syncMode
-	every time.Duration
-}
-
-// SyncAlways fsyncs every block record before the append is
-// acknowledged (the default): nothing sealed is ever lost, and
-// concurrent writers group-commit under one flush.
-func SyncAlways() SyncPolicy { return SyncPolicy{} }
-
-// SyncBatch stages block records without fsyncing; Commit closes the
-// window. A crash inside an open window loses only records that were
-// never acknowledged durable — the driver commits before announcing.
-func SyncBatch() SyncPolicy { return SyncPolicy{mode: syncModeBatch} }
-
-// SyncInterval fsyncs staged records at most every d — bounded
-// staleness: a crash loses at most the last d of sealed traffic.
-func SyncInterval(d time.Duration) SyncPolicy {
-	return SyncPolicy{mode: syncModeInterval, every: d}
-}
-
-// PerBlock reports the SyncAlways discipline.
-func (p SyncPolicy) PerBlock() bool { return p.mode == syncModeAlways }
-
-// Batched reports the SyncBatch discipline — the one under which a
-// driver must Commit at its flush boundary.
-func (p SyncPolicy) Batched() bool { return p.mode == syncModeBatch }
-
-// Every returns the interval of a SyncInterval policy, 0 otherwise.
-func (p SyncPolicy) Every() time.Duration {
-	if p.mode == syncModeInterval {
-		return p.every
-	}
-	return 0
-}
-
-// Validate rejects malformed policies (a non-positive interval).
-func (p SyncPolicy) Validate() error {
-	if p.mode == syncModeInterval && p.every <= 0 {
-		return fmt.Errorf("ledger: SyncInterval(%v): interval must be positive", p.every)
-	}
-	return nil
-}
-
-// String renders the policy in the form ParseSyncPolicy accepts.
-func (p SyncPolicy) String() string {
-	switch p.mode {
-	case syncModeBatch:
-		return "batch"
-	case syncModeInterval:
-		return "interval=" + p.every.String()
-	default:
-		return "always"
-	}
-}
-
-// ParseSyncPolicy parses "always", "batch" or "interval=<duration>"
-// (e.g. "interval=50ms") — the -sync flag syntax.
-func ParseSyncPolicy(s string) (SyncPolicy, error) {
-	switch {
-	case s == "always" || s == "":
-		return SyncAlways(), nil
-	case s == "batch":
-		return SyncBatch(), nil
-	case strings.HasPrefix(s, "interval="):
-		d, err := time.ParseDuration(strings.TrimPrefix(s, "interval="))
-		if err != nil {
-			return SyncPolicy{}, fmt.Errorf("ledger: sync policy %q: %w", s, err)
-		}
-		p := SyncInterval(d)
-		if err := p.Validate(); err != nil {
-			return SyncPolicy{}, err
-		}
-		return p, nil
-	default:
-		return SyncPolicy{}, fmt.Errorf("ledger: unknown sync policy %q (want always, batch, or interval=<duration>)", s)
-	}
-}
-
 // CommitObserver receives one callback per WAL commit window, after
 // its fsync returned: how many block records the window acknowledged
 // and how many WAL bytes it made durable. Implementations must be
@@ -180,12 +71,6 @@ type CommitObserver interface {
 
 // BackendOption configures OpenFileBackend and OpenLog.
 type BackendOption func(*Log)
-
-// WithSyncPolicy selects the log's commit-window discipline (default
-// SyncAlways).
-func WithSyncPolicy(p SyncPolicy) BackendOption {
-	return func(l *Log) { l.policy = p }
-}
 
 // WithCommitObserver attaches a per-commit-window callback.
 func WithCommitObserver(o CommitObserver) BackendOption {
@@ -227,12 +112,12 @@ type WALStats struct {
 // checkpoint.
 // Safe for concurrent use by all of them.
 type Log struct {
-	dir    string
-	shared bool // OpenLog: several owners, every record names its own
-	policy SyncPolicy
-	obs    CommitObserver
-	wrap   func(WALFile) WALFile               // nil outside tests
-	rename func(oldpath, newpath string) error // os.Rename outside tests: rotations and checkpoint commits
+	dir     string
+	shared  bool // OpenLog: several owners, every record names its own
+	obs     CommitObserver
+	wrap    func(WALFile) WALFile               // nil outside tests
+	rename  func(oldpath, newpath string) error // os.Rename outside tests: rotations and checkpoint commits
+	syncDir func(dir string) error              // the package's syncDir outside tests: checkpoint commits
 
 	// compactMu is held for the length of a compaction, and by a backend
 	// of a shared log while it recovers or closes: the set of backends a
@@ -281,15 +166,9 @@ type Log struct {
 	// Commit-window state: syncedOff is the prefix the last successful
 	// fsync acknowledged; (syncedOff, goodOff] and the buffer are the
 	// open window, and each view counts the block records it has in it.
-	// waiters are the SyncAlways callers blocked on its fsync.
 	syncedOff int64
-	waiters   []chan error
 	fsyncs    int64 // commit windows closed since open
 	committed int64 // WAL bytes acknowledged durable since open
-
-	kick chan struct{} // wakes the committer (capacity 1, coalescing)
-	stop chan struct{} // closed by Close to retire the committer
-	done chan struct{} // closed by the committer on exit
 }
 
 // OpenLog opens (creating if needed) dir's log for several owners:
@@ -306,18 +185,12 @@ func openLog(dir string, shared bool, opts []BackendOption) (*Log, error) {
 		return nil, fmt.Errorf("ledger: creating data dir: %w", err)
 	}
 	l := &Log{
-		dir: dir, shared: shared, rename: os.Rename,
+		dir: dir, shared: shared, rename: os.Rename, syncDir: syncDir,
 		uncovered: make(map[identity.NodeID]struct{}),
 		covered:   make(map[identity.NodeID]struct{}),
-		kick:      make(chan struct{}, 1),
-		stop:      make(chan struct{}),
-		done:      make(chan struct{}),
 	}
 	for _, o := range opts {
 		o(l)
-	}
-	if err := l.policy.Validate(); err != nil {
-		return nil, err
 	}
 	var err error
 	if l.f, err = l.openGeneration(0); err != nil {
@@ -338,7 +211,6 @@ func openLog(dir string, shared bool, opts []BackendOption) (*Log, error) {
 		return nil, fmt.Errorf("ledger: reading WAL: %w", err)
 	}
 	l.syncedOff = l.goodOff
-	go l.committer()
 	return l, nil
 }
 
@@ -411,12 +283,21 @@ func (l *Log) PendingBlocks() int {
 }
 
 // syncDir fsyncs a directory so renames and truncations in it are
-// durable. Best-effort: some filesystems reject directory fsync.
-func syncDir(dir string) {
-	if d, err := os.Open(dir); err == nil {
-		_ = d.Sync()
-		d.Close()
+// durable. A filesystem that does not support directory fsync (EINVAL)
+// counts as success.
+func syncDir(dir string) error {
+	d, err := os.Open(dir)
+	if err != nil {
+		return err
 	}
+	err = d.Sync()
+	if cerr := d.Close(); err == nil {
+		err = cerr
+	}
+	if errors.Is(err, syscall.EINVAL) {
+		return nil
+	}
+	return err
 }
 
 // repairLocked truncates a poisoned tail — the partial frame a failed
@@ -494,7 +375,7 @@ func (l *Log) writeLocked() error {
 		l.dirty = true
 		err = fmt.Errorf("ledger: writing WAL: %w", err)
 	}
-	if l.failWindowLocked(err) > 0 && l.failed == nil {
+	if l.failWindowLocked() > 0 && l.failed == nil {
 		l.failed = err
 	}
 	if lost && len(l.buf) > 0 {
@@ -508,13 +389,12 @@ func (l *Log) writeLocked() error {
 
 // failWindowLocked fails every block record of the open window, whoever
 // logged it: each leaves its owner's pending count and stops counting
-// as staged, and every SyncAlways caller blocked on the window gets err,
-// so nothing of the window is appended to a store. The records the
-// window already wrote go with the unacknowledged region past
-// syncedOff, which the next write truncates away; those still buffered
-// leave the buffer, its lazy records staying in order. It returns how
-// many block records failed. Caller holds l.mu.
-func (l *Log) failWindowLocked(err error) int {
+// as staged, so nothing of the window is appended to a store. The
+// records the window already wrote go with the unacknowledged region
+// past syncedOff, which the next write truncates away; those still
+// buffered leave the buffer, its lazy records staying in order. It
+// returns how many block records failed. Caller holds l.mu.
+func (l *Log) failWindowLocked() int {
 	blocks := 0
 	for _, v := range l.views {
 		blocks += v.windowBlocks
@@ -528,10 +408,6 @@ func (l *Log) failWindowLocked(err error) int {
 	if l.bufBlocks > 0 {
 		l.buf, l.bufBlocks = lazyRecords(l.buf), 0
 	}
-	for _, w := range l.waiters {
-		w <- err
-	}
-	l.waiters = l.waiters[:0]
 	return blocks
 }
 
@@ -549,78 +425,30 @@ func lazyRecords(buf []byte) []byte {
 	return out
 }
 
-// waiterPool recycles the one-shot acknowledgement channels LogBlock
-// blocks on under SyncAlways; each receives exactly one send before
-// being returned, so a pooled channel is always empty.
-var waiterPool = sync.Pool{New: func() any { return make(chan error, 1) }}
-
-// kickCommitter wakes the committer goroutine without blocking; a
-// pending token already covers every staged record.
-func (l *Log) kickCommitter() {
-	select {
-	case l.kick <- struct{}{}:
-	default:
-	}
-}
-
-// committer is the dedicated commit goroutine: it closes commit
-// windows on demand (SyncAlways kicks) or on a ticker (SyncInterval).
-// The fsync runs under l.mu, which is what forms the window — every
-// LogBlock that queued on the mutex while a flush was in flight stages
-// into the next window and shares its fsync.
-func (l *Log) committer() {
-	defer close(l.done)
-	var tick <-chan time.Time
-	if d := l.policy.Every(); d > 0 {
-		t := time.NewTicker(d)
-		defer t.Stop()
-		tick = t.C
-	}
-	for {
-		select {
-		case <-l.stop:
-			return
-		case <-l.kick:
-		case <-tick:
-		}
-		l.mu.Lock()
-		if !l.closed {
-			err := l.commitLocked()
-			// Interval windows have no waiter to hand the error to; keep
-			// it sticky so Sync/Close surface it (SyncAlways errors reach
-			// every blocked caller directly).
-			if err != nil && l.policy.Every() > 0 && l.deferred == nil {
-				l.deferred = err
-			}
-		}
-		l.mu.Unlock()
-	}
-}
-
-// commitLocked closes the current commit window: write the buffer,
-// fsync everything past syncedOff, and release every blocked LogBlock
-// caller. On fsync failure the durability of the whole unsynced region
-// is unknown, so it is poisoned wholesale — goodOff retreats to the
-// last acknowledged fsync and the next write truncates the region away
-// — and the window fails (failWindowLocked), as it does when the write
-// fails. A window an earlier write already failed (l.failed) fails
-// again here, taking what was logged into it since: the close reports
-// it, and commits only the lazy records left. Caller holds l.mu.
+// commitLocked closes the current commit window: write the buffer and
+// fsync everything past syncedOff. On fsync failure the durability of
+// the whole unsynced region is unknown, so it is poisoned wholesale —
+// goodOff retreats to the last acknowledged fsync and the next write
+// truncates the region away — and the window fails (failWindowLocked),
+// as it does when the write fails. A window an earlier write already
+// failed (l.failed) fails again here, taking what was logged into it
+// since: the close reports it, and commits only the lazy records left.
+// Caller holds l.mu.
 func (l *Log) commitLocked() error {
 	failed := l.failed
 	if failed != nil {
-		l.failWindowLocked(failed)
+		l.failWindowLocked()
 		l.failed = nil
 	}
 	err := l.writeLocked()
-	if err == nil && l.goodOff == l.syncedOff && len(l.waiters) == 0 {
+	if err == nil && l.goodOff == l.syncedOff {
 		return failed // nothing written since the last fsync
 	}
 	if err == nil {
 		if err = l.f.Sync(); err != nil {
 			err = fmt.Errorf("ledger: syncing WAL: %w", err)
 			l.goodOff, l.dirty = l.syncedOff, true
-			l.failWindowLocked(err)
+			l.failWindowLocked()
 		}
 	}
 	if err != nil {
@@ -632,10 +460,6 @@ func (l *Log) commitLocked() error {
 		blocks += v.windowBlocks
 		v.windowBlocks = 0
 	}
-	for _, w := range l.waiters {
-		w <- nil
-	}
-	l.waiters = l.waiters[:0]
 	bytes := l.goodOff - l.syncedOff
 	l.syncedOff = l.goodOff
 	l.fsyncs++
@@ -648,8 +472,7 @@ func (l *Log) commitLocked() error {
 
 // Commit closes the current commit window, writing the buffer and
 // fsyncing every record logged since the last fsync: the
-// acknowledgement point of a driver that staged a round of blocks, and
-// under SyncBatch the one a driver invokes once per slot flush; a
+// acknowledgement point of a driver that staged a round of blocks; a
 // cheap no-op when nothing was logged. Unlike Sync it does not surface
 // (or clear) sticky errors — it is a hot-path call.
 func (l *Log) Commit() error {
@@ -701,8 +524,7 @@ func (l *Log) Flush() error {
 // that no wal.old exists.
 func (l *Log) rotateLocked() error {
 	// Closing the commit window first acknowledges (or fails) every
-	// staged record and blocked caller before the generation is sealed
-	// as wal.old.
+	// staged record before the generation is sealed as wal.old.
 	if err := l.commitLocked(); err != nil {
 		return fmt.Errorf("ledger: syncing WAL for rotation: %w", err)
 	}
@@ -725,7 +547,7 @@ func (l *Log) rotateLocked() error {
 	for _, v := range l.views {
 		v.pending = 0
 	}
-	syncDir(l.dir)
+	_ = syncDir(l.dir) // best-effort: nothing yet waits on the rotation's durability
 	return nil
 }
 
@@ -822,17 +644,16 @@ func (l *Log) compact(only *FileBackend, gather func(owner identity.NodeID) (*No
 	if err := os.Remove(filepath.Join(l.dir, walOldFileName)); err != nil && !errors.Is(err, fs.ErrNotExist) {
 		return fmt.Errorf("ledger: removing rotated WAL: %w", err)
 	}
-	syncDir(l.dir)
+	_ = syncDir(l.dir) // best-effort: a wal.old a power loss brings back replays idempotently
 	l.mu.Lock()
 	l.hasOld = false
 	l.mu.Unlock()
 	return nil
 }
 
-// Close commits any open window, closes the WAL, and retires the
-// committer goroutine; every backend still open on the log is closed
-// with it. It waits out a compaction in flight. Further calls return
-// ErrBackendClosed.
+// Close commits any open window and closes the WAL; every backend
+// still open on the log is closed with it. It waits out a compaction in
+// flight. Further calls return ErrBackendClosed.
 func (l *Log) Close() error {
 	l.compactMu.Lock()
 	defer l.compactMu.Unlock()
@@ -854,10 +675,6 @@ func (l *Log) Close() error {
 	}
 	l.deferred = nil
 	l.mu.Unlock()
-	// The committer may be blocked acquiring l.mu, so stop it only
-	// after releasing; closed is set, so a late wakeup is a no-op.
-	close(l.stop)
-	<-l.done
 	if err != nil {
 		return fmt.Errorf("ledger: closing backend: %w", err)
 	}

@@ -9,15 +9,14 @@ import (
 	"slices"
 	"sync"
 	"testing"
-	"time"
 
 	"github.com/twoldag/twoldag/internal/block"
 	"github.com/twoldag/twoldag/internal/digest"
 	"github.com/twoldag/twoldag/internal/identity"
 )
 
-// openBackendWith mirrors openBackend with backend options (sync
-// policy, commit observer).
+// openBackendWith mirrors openBackend with backend options (file seam,
+// commit observer).
 func openBackendWith(t *testing.T, dir string, opts RecoverOptions, bopts ...BackendOption) (*FileBackend, *NodeState) {
 	t.Helper()
 	fb, err := OpenFileBackend(dir, bopts...)
@@ -30,44 +29,6 @@ func openBackendWith(t *testing.T, dir string, opts RecoverOptions, bopts ...Bac
 	}
 	st.Attach(fb)
 	return fb, st
-}
-
-func TestSyncPolicyParseStringRoundtrip(t *testing.T) {
-	for _, s := range []string{"always", "batch", "interval=50ms"} {
-		p, err := ParseSyncPolicy(s)
-		if err != nil {
-			t.Fatalf("ParseSyncPolicy(%q): %v", s, err)
-		}
-		if p.String() != s {
-			t.Errorf("ParseSyncPolicy(%q).String() = %q", s, p.String())
-		}
-		q, err := ParseSyncPolicy(p.String())
-		if err != nil || q != p {
-			t.Errorf("roundtrip of %q: %v %v", s, q, err)
-		}
-	}
-	// The empty string and the zero value are the per-block default.
-	if p, err := ParseSyncPolicy(""); err != nil || !p.PerBlock() {
-		t.Fatalf("empty policy: %v %v", p, err)
-	}
-	var zero SyncPolicy
-	if !zero.PerBlock() || zero.Validate() != nil || zero.String() != "always" {
-		t.Fatal("zero SyncPolicy is not SyncAlways")
-	}
-	if SyncBatch().PerBlock() || !SyncBatch().Batched() {
-		t.Fatal("SyncBatch predicates wrong")
-	}
-	if SyncInterval(time.Second).Every() != time.Second || SyncAlways().Every() != 0 {
-		t.Fatal("Every() wrong")
-	}
-	for _, s := range []string{"sometimes", "interval=", "interval=-5ms", "interval=0"} {
-		if _, err := ParseSyncPolicy(s); err == nil {
-			t.Errorf("ParseSyncPolicy(%q) accepted", s)
-		}
-	}
-	if err := SyncInterval(0).Validate(); err == nil {
-		t.Fatal("SyncInterval(0) validated")
-	}
 }
 
 // commitLog is a test CommitObserver recording every window.
@@ -84,33 +45,39 @@ func (c *commitLog) OnWALCommit(blocks int, n int64) {
 	c.bytes += n
 }
 
-// TestRecoveryGroupCommitBatchWindow pins the SyncBatch contract: a
-// whole window of staged block records is acknowledged by exactly one
-// fsync at Commit, the observer sees the window, an empty Commit is
-// free, and everything committed survives a reopen.
+// TestRecoveryGroupCommitBatchWindow pins the staged round's window:
+// N owners of one shared log stage a block each, and one Commit
+// acknowledges all N with exactly one fsync, which the observer sees as
+// one window of N. The appends that follow find their records durable
+// and fsync nothing, an empty Commit is free, and everything committed
+// survives a reopen.
 func TestRecoveryGroupCommitBatchWindow(t *testing.T) {
-	dir := t.TempDir()
+	owners := []identity.NodeID{1, 2, 3, 4, 5}
+	fx := newWorldFixture(t, owners, 1)
+	base := t.TempDir()
 	obs := &commitLog{}
-	fb, st := openBackendWith(t, dir, walOpts(), WithSyncPolicy(SyncBatch()), WithCommitObserver(obs))
-	key := identity.Deterministic(1, 1)
-	blocks := chainFor(t, key, 5, nil)
-	for _, b := range blocks {
-		if err := st.Store.Append(b); err != nil {
+	w := newWorld(t, base, true, WithCommitObserver(obs))
+	for _, o := range owners {
+		w.open(o)
+		if err := w.fbs[o].StageBlock(fx.chains[o][0]); err != nil {
 			t.Fatal(err)
 		}
+		if p := w.fbs[o].PendingBlocks(); p != 1 {
+			t.Fatalf("owner %v: pending = %d, want 1", o, p)
+		}
 	}
-	if stats := fb.WALStats(); stats.Fsyncs != 0 {
-		t.Fatalf("%d fsyncs before Commit under SyncBatch", stats.Fsyncs)
+	if stats := w.log.WALStats(); stats.Fsyncs != 0 {
+		t.Fatalf("%d fsyncs before the round's Commit", stats.Fsyncs)
 	}
-	if fb.PendingBlocks() != 5 {
-		t.Fatalf("pending = %d, want 5", fb.PendingBlocks())
-	}
-	if err := fb.Commit(); err != nil {
+	if err := w.log.Commit(); err != nil {
 		t.Fatalf("Commit: %v", err)
 	}
-	stats := fb.WALStats()
+	for _, o := range owners {
+		w.apply(fx, worldOp{kind: 0, owner: o})
+	}
+	stats := w.log.WALStats()
 	if stats.Fsyncs != 1 {
-		t.Fatalf("%d fsyncs for one 5-block window, want 1", stats.Fsyncs)
+		t.Fatalf("%d fsyncs for one %d-block round, want 1", stats.Fsyncs, len(owners))
 	}
 	if stats.BytesCommitted == 0 {
 		t.Fatal("no bytes accounted to the window")
@@ -118,30 +85,31 @@ func TestRecoveryGroupCommitBatchWindow(t *testing.T) {
 	obs.mu.Lock()
 	windows, obsBytes := append([]int(nil), obs.windows...), obs.bytes
 	obs.mu.Unlock()
-	if len(windows) != 1 || windows[0] != 5 || obsBytes != stats.BytesCommitted {
+	if len(windows) != 1 || windows[0] != len(owners) || obsBytes != stats.BytesCommitted {
 		t.Fatalf("observer saw windows=%v bytes=%d, stats=%+v", windows, obsBytes, stats)
 	}
-	// Nothing staged: Commit is a no-op, not another fsync.
-	if err := fb.Commit(); err != nil {
+	// Nothing logged since: Commit is a no-op, not another fsync.
+	if err := w.log.Commit(); err != nil {
 		t.Fatal(err)
 	}
-	if got := fb.WALStats().Fsyncs; got != 1 {
+	if got := w.log.WALStats().Fsyncs; got != 1 {
 		t.Fatalf("empty Commit fsynced (%d total)", got)
 	}
-	if err := fb.Close(); err != nil {
-		t.Fatal(err)
-	}
+	want := w.states()
+	w.close()
 
-	fb2, st2 := openBackend(t, dir, walOpts())
-	defer fb2.Close()
-	if st2.Store.Len() != 5 {
-		t.Fatalf("recovered %d blocks, want 5", st2.Store.Len())
+	got := newWorld(t, base, true)
+	defer got.close()
+	for _, o := range owners {
+		got.open(o)
 	}
+	sameStates(t, "reopened", got.states(), want)
 }
 
-// TestRecoveryGroupCommitConcurrentAlways hammers the SyncAlways path
-// with concurrent LogBlock callers: every caller must be acknowledged
-// (its record fsync-covered) and the backend must stay recoverable.
+// TestRecoveryGroupCommitConcurrentAlways hammers the unstaged LogBlock
+// path with concurrent callers, each of which closes a window of its
+// own: every caller must be acknowledged (its record fsync-covered)
+// and the backend must stay recoverable.
 // The callers all log the same seq-0 block, so replay idempotency
 // collapses them to one stored block — WAL order is irrelevant.
 func TestRecoveryGroupCommitConcurrentAlways(t *testing.T) {
@@ -185,52 +153,63 @@ func TestRecoveryGroupCommitConcurrentAlways(t *testing.T) {
 	}
 }
 
-// TestRecoveryUnackedDiscardAfterCrash is the batched-policy crash
-// proof. A SIGKILL cannot evict the page cache, so the on-disk image a
-// test reads back always contains staged-but-unacknowledged records;
-// the power-loss outcome is emulated by copying the WAL and cutting it
-// inside the open window (anywhere past the last fsync acknowledgement
-// is fair game for real loss). Recovery must keep every acknowledged
-// block, account the discarded tail, and produce a state byte-identical
-// to an uninterrupted run over the surviving prefix.
+// TestRecoveryUnackedDiscardAfterCrash is the crash proof of a commit
+// window cut before its Commit. Owners 1-3 of a shared log stage a
+// round and commit it (3 blocks acknowledged); owners 4 and 5 stage the
+// next round, which is written (Flush) but never fsynced. A SIGKILL
+// cannot evict the page cache, so the on-disk image a test reads back
+// always contains the unacknowledged records; the power-loss outcome is
+// emulated by copying the WAL and cutting it inside the open window
+// (anywhere past the last fsync acknowledgement is fair game for real
+// loss). The log must cut the tear off as it opens, and every owner
+// must recover every acknowledged block and a state byte-identical to
+// an uninterrupted run over the surviving prefix.
 func TestRecoveryUnackedDiscardAfterCrash(t *testing.T) {
-	dir := t.TempDir()
-	fb, st := openBackendWith(t, dir, walOpts(), WithSyncPolicy(SyncBatch()))
-	key := identity.Deterministic(1, 1)
-	blocks := chainFor(t, key, 5, nil)
-	for _, b := range blocks[:3] {
-		if err := st.Store.Append(b); err != nil {
-			t.Fatal(err)
+	owners := []identity.NodeID{1, 2, 3, 4, 5}
+	fx := newWorldFixture(t, owners, 1)
+	base := t.TempDir()
+	w := newWorld(t, base, true)
+	for _, o := range owners {
+		w.open(o)
+	}
+	stage := func(round []identity.NodeID) {
+		for _, o := range round {
+			if err := w.fbs[o].StageBlock(fx.chains[o][0]); err != nil {
+				t.Fatal(err)
+			}
 		}
 	}
-	if err := fb.Commit(); err != nil { // acknowledgement point: 3 blocks durable
+	stage(owners[:3])
+	if err := w.log.Commit(); err != nil { // acknowledgement point: 3 blocks durable
 		t.Fatal(err)
 	}
-	for _, b := range blocks[3:] { // staged, never acknowledged
-		if err := st.Store.Append(b); err != nil {
-			t.Fatal(err)
-		}
+	for _, o := range owners[:3] {
+		w.apply(fx, worldOp{kind: 0, owner: o})
 	}
-	fb.log.mu.Lock()
-	synced, good := fb.log.syncedOff, fb.log.goodOff
-	fb.log.mu.Unlock()
-	if synced >= good || synced%3 != 0 {
-		t.Fatalf("offsets synced=%d good=%d", synced, good)
+	stage(owners[3:]) // staged, written, never acknowledged
+	if err := w.log.Flush(); err != nil {
+		t.Fatal(err)
 	}
-	recLen := synced / 3 // three identical committed records
-	raw, err := os.ReadFile(filepath.Join(dir, walFileName))
+	w.log.mu.Lock()
+	synced, good := w.log.syncedOff, w.log.goodOff
+	w.log.mu.Unlock()
+	recLen := int64(len(appendWALRecord(nil, walKindBlock, block.Encode(fx.chains[5][0]))))
+	if synced != 3*recLen || good != 5*recLen {
+		t.Fatalf("offsets synced=%d good=%d, want %d and %d", synced, good, 3*recLen, 5*recLen)
+	}
+	raw, err := os.ReadFile(filepath.Join(base, walFileName))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if int64(len(raw)) != good {
 		t.Fatalf("wal.log holds %d bytes, staged %d", len(raw), good)
 	}
+	w.close()
 
-	// Oracle states: an uninterrupted node that only ever sealed the
-	// first k blocks.
-	oracle := func(k int) []byte {
-		st := walState()
-		for _, b := range blocks[:k] {
+	// Oracle state: an uninterrupted owner that sealed its block, or not.
+	oracle := func(o identity.NodeID, blocks int) []byte {
+		st := NewNodeState(o, worldTrustCap)
+		for _, b := range fx.chains[o][:blocks] {
 			if err := st.Store.Append(b); err != nil {
 				t.Fatal(err)
 			}
@@ -241,109 +220,114 @@ func TestRecoveryUnackedDiscardAfterCrash(t *testing.T) {
 	for _, tc := range []struct {
 		name       string
 		cut        int64
-		wantBlocks int
-		torn       bool
+		wantBlocks int // the first wantBlocks owners hold their block
 		tornBytes  int64
 	}{
 		// Mid-record cuts discard the tear; the acknowledged prefix is
 		// the floor, intact unacknowledged records above it may survive.
-		{"mid-first-unacked", synced + 1, 3, true, 1},
-		{"mid-last-record", good - 1, 4, true, recLen - 1},
-		{"window-boundary", good, 5, false, 0},
+		{"mid-first-unacked", synced + 1, 3, 1},
+		{"mid-last-record", good - 1, 4, recLen - 1},
+		{"window-boundary", good, 5, 0},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			cdir := t.TempDir()
 			if err := os.WriteFile(filepath.Join(cdir, walFileName), raw[:tc.cut], 0o644); err != nil {
 				t.Fatal(err)
 			}
-			fb2, st2 := openBackend(t, cdir, walOpts())
-			defer fb2.Close()
-			if st2.Store.Len() != tc.wantBlocks {
-				t.Fatalf("recovered %d blocks, want %d", st2.Store.Len(), tc.wantBlocks)
+			got := newWorld(t, cdir, true)
+			defer got.close()
+			info, err := os.Stat(filepath.Join(cdir, walFileName))
+			if err != nil {
+				t.Fatal(err)
 			}
-			rep := fb2.RecoveryReport()
-			if rep.TornTail != tc.torn || int64(rep.TornBytes) != tc.tornBytes {
-				t.Fatalf("report torn=%v bytes=%d, want torn=%v bytes=%d",
-					rep.TornTail, rep.TornBytes, tc.torn, tc.tornBytes)
+			if info.Size() != tc.cut-tc.tornBytes {
+				t.Fatalf("the log opened to %d bytes, want the %d-byte intact prefix", info.Size(), tc.cut-tc.tornBytes)
 			}
-			if rep.WALBlocks != tc.wantBlocks {
-				t.Fatalf("report WALBlocks = %d, want %d", rep.WALBlocks, tc.wantBlocks)
-			}
-			if !bytes.Equal(stateBytes(t, st2), oracle(tc.wantBlocks)) {
-				t.Fatal("recovered state differs from an uninterrupted run over the same prefix")
+			for i, o := range owners {
+				got.open(o)
+				want := 0
+				if i < tc.wantBlocks {
+					want = 1
+				}
+				if n := got.sts[o].Store.Len(); n != want {
+					t.Fatalf("owner %v recovered %d blocks, want %d", o, n, want)
+				}
+				if rep := got.fbs[o].RecoveryReport(); rep.WALBlocks != want || rep.TornTail {
+					t.Fatalf("owner %v: report WALBlocks = %d torn = %v, want %d and no tear left to see", o, rep.WALBlocks, rep.TornTail, want)
+				}
+				if !bytes.Equal(stateBytes(t, got.sts[o]), oracle(o, want)) {
+					t.Fatalf("owner %v: recovered state differs from an uninterrupted run over the same prefix", o)
+				}
 			}
 		})
 	}
-	_ = fb.Close()
 }
 
 // TestWALWritesPerWindow pins the write(2) count of the log: records
 // are framed into one buffer and written when something needs them in
-// the kernel — a window close, Flush, a LogBlock that acknowledges no
-// fsync, a full buffer — not one write per record.
+// the kernel — a window close, Flush, a full buffer — not one write per
+// record.
 func TestWALWritesPerWindow(t *testing.T) {
 	p := testParams()
 	t.Run("staged round", func(t *testing.T) {
 		// 32 devices of one process: each takes in 8 announcements, then
 		// seals and stages. One Commit closes the round.
 		const owners, digests = 32, 8
-		for _, policy := range []SyncPolicy{SyncAlways(), SyncBatch()} {
-			for _, body := range []int{1 << 10, 2 << 10} {
-				t.Run(fmt.Sprintf("%s/body=%d", policy, body), func(t *testing.T) {
-					c := newByteCounter()
-					base := t.TempDir()
-					l, err := OpenLog(base, WithWALFile(c.wrap), WithSyncPolicy(policy))
-					if err != nil {
+		for _, body := range []int{1 << 10, 2 << 10} {
+			t.Run(fmt.Sprintf("body=%d", body), func(t *testing.T) {
+				c := newByteCounter()
+				base := t.TempDir()
+				l, err := OpenLog(base, WithWALFile(c.wrap))
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer l.Close()
+				fbs := make([]*FileBackend, owners)
+				sts := make([]*NodeState, owners)
+				blocks := make([]*block.Block, owners)
+				for i := range fbs {
+					o := identity.NodeID(i + 1)
+					if fbs[i], err = l.OpenBackend(filepath.Join(base, fmt.Sprintf("node-%d", o))); err != nil {
 						t.Fatal(err)
 					}
-					defer l.Close()
-					fbs := make([]*FileBackend, owners)
-					sts := make([]*NodeState, owners)
-					blocks := make([]*block.Block, owners)
-					for i := range fbs {
-						o := identity.NodeID(i + 1)
-						if fbs[i], err = l.OpenBackend(filepath.Join(base, fmt.Sprintf("node-%d", o))); err != nil {
-							t.Fatal(err)
-						}
-						if sts[i], err = fbs[i].Recover(RecoverOptions{Owner: o, Params: p}); err != nil {
-							t.Fatal(err)
-						}
-						sts[i].Attach(fbs[i])
-						if blocks[i], err = p.Build(identity.Deterministic(o, 4), 0, 0, make([]byte, body), []block.DigestRef{{Node: o}}); err != nil {
-							t.Fatal(err)
-						}
-					}
-					for i := range fbs {
-						for k := 0; k < digests; k++ {
-							sts[i].Cache.Update(identity.NodeID(100+k), digest.Sum([]byte{byte(i), byte(k)}))
-						}
-						if err := fbs[i].StageBlock(blocks[i]); err != nil {
-							t.Fatal(err)
-						}
-					}
-					if err := l.Commit(); err != nil {
+					if sts[i], err = fbs[i].Recover(RecoverOptions{Owner: o, Params: p}); err != nil {
 						t.Fatal(err)
 					}
-					for i := range fbs {
-						if err := sts[i].Store.Append(blocks[i]); err != nil {
-							t.Fatal(err)
-						}
-					}
-					writes, syncs := c.calls(walFileName)
-					info, err := os.Stat(filepath.Join(base, walFileName))
-					if err != nil {
+					sts[i].Attach(fbs[i])
+					if blocks[i], err = p.Build(identity.Deterministic(o, 4), 0, 0, make([]byte, body), []block.DigestRef{{Node: o}}); err != nil {
 						t.Fatal(err)
 					}
-					want := 1
-					if info.Size() >= walBufferLimit {
-						want = 2 // the bound splits the round
+				}
+				for i := range fbs {
+					for k := 0; k < digests; k++ {
+						sts[i].Cache.Update(identity.NodeID(100+k), digest.Sum([]byte{byte(i), byte(k)}))
 					}
-					if writes != want || syncs != 1 {
-						t.Fatalf("a round of %d bytes took %d writes and %d fsyncs, want %d and 1 (one write per record is %d)",
-							info.Size(), writes, syncs, want, owners*(digests+1))
+					if err := fbs[i].StageBlock(blocks[i]); err != nil {
+						t.Fatal(err)
 					}
-				})
-			}
+				}
+				if err := l.Commit(); err != nil {
+					t.Fatal(err)
+				}
+				for i := range fbs {
+					if err := sts[i].Store.Append(blocks[i]); err != nil {
+						t.Fatal(err)
+					}
+				}
+				writes, syncs := c.calls(walFileName)
+				info, err := os.Stat(filepath.Join(base, walFileName))
+				if err != nil {
+					t.Fatal(err)
+				}
+				want := 1
+				if info.Size() >= walBufferLimit {
+					want = 2 // the bound splits the round
+				}
+				if writes != want || syncs != 1 {
+					t.Fatalf("a round of %d bytes took %d writes and %d fsyncs, want %d and 1 (one write per record is %d)",
+						info.Size(), writes, syncs, want, owners*(digests+1))
+				}
+			})
 		}
 	})
 
@@ -406,23 +390,26 @@ func TestWALWritesPerWindow(t *testing.T) {
 		})
 	})
 
-	t.Run("SyncBatch LogBlock", func(t *testing.T) {
+	t.Run("unstaged LogBlock", func(t *testing.T) {
 		c := newByteCounter()
 		dir := t.TempDir()
-		fb, st := openBackendWith(t, dir, walOpts(), WithWALFile(c.wrap), WithSyncPolicy(SyncBatch()))
+		fb, st := openBackendWith(t, dir, walOpts(), WithWALFile(c.wrap))
 		defer fb.Close()
 		st.Cache.Update(7, digest.Sum([]byte("before the block")))
 		if err := st.Store.Append(chainFor(t, identity.Deterministic(1, 1), 1, nil)[0]); err != nil {
 			t.Fatal(err)
 		}
-		if writes, syncs := c.calls(walFileName); writes != 1 || syncs != 0 {
-			t.Fatalf("LogBlock under SyncBatch took %d writes and %d fsyncs, want 1 and 0", writes, syncs)
+		if writes, syncs := c.calls(walFileName); writes != 1 || syncs != 1 {
+			t.Fatalf("an unstaged LogBlock took %d writes and %d fsyncs, want 1 and 1", writes, syncs)
 		}
-		// What a process kill leaves: the block and the digest before it.
+		if stats := fb.WALStats(); stats.Fsyncs != 1 {
+			t.Fatalf("%d windows closed, want the block's own", stats.Fsyncs)
+		}
+		// Durable when it returns: the block and the digest before it.
 		fb2, st2 := openBackend(t, copyDir(t, dir), walOpts())
 		defer fb2.Close()
 		if !bytes.Equal(stateBytes(t, st2), stateBytes(t, st)) {
-			t.Fatal("the written block does not recover")
+			t.Fatal("the acknowledged block does not recover")
 		}
 	})
 }
@@ -497,145 +484,110 @@ func (f trackedFile) Sync() error {
 // wal.log covered. Both must recover, and every owner as a record
 // prefix of its run: the state it had after some number of its own
 // operations, at least as many as the last call that vouched for them
-// — LogBlock under SyncBatch or SyncInterval and Flush vouch for a
-// process kill; LogBlock under SyncAlways, Commit and a compaction for a
-// power loss too. So every block a LogBlock or Commit acknowledged is
-// in the image it was acknowledged for.
+// — Flush vouches for a process kill; LogBlock, Commit and a compaction
+// for a power loss too. So every block a LogBlock or Commit
+// acknowledged is in the image it was acknowledged for.
 func TestWALCrashImages(t *testing.T) {
 	owners := []identity.NodeID{1, 2, 3, 4}
 	fx := newWorldFixture(t, owners, 80)
-	for _, policy := range []SyncPolicy{SyncAlways(), SyncBatch(), SyncInterval(time.Hour)} {
-		t.Run(policy.String(), func(t *testing.T) {
-			var tracker syncTracker
-			base := t.TempDir()
-			w := newWorld(t, base, true, tracker.option(), WithSyncPolicy(policy))
-			defer func() { w.close() }()
-			// The run: which owner each operation was, every owner's state
-			// after each of its own, and how many operations the last calls
-			// that vouched for a kill and for a power loss covered.
-			var ops []identity.NodeID
-			snaps := map[identity.NodeID][][]byte{}
-			for _, o := range owners {
-				w.open(o)
-				snaps[o] = [][]byte{stateBytes(t, w.sts[o])}
-			}
-			did := func(o identity.NodeID) {
-				ops = append(ops, o)
-				snaps[o] = append(snaps[o], stateBytes(t, w.sts[o]))
-			}
-			killFloor, lossFloor := 0, 0
-			vouched := func(loss bool) {
-				killFloor = len(ops)
-				if loss {
-					lossFloor = len(ops)
-				}
-			}
-			check := func(step int) {
-				t.Helper()
-				kill := dirImage(t, base)
-				loss := map[string][]byte{}
-				for name, data := range kill {
-					loss[name] = data
-				}
-				loss[walFileName] = loss[walFileName][:tracker.syncedLen()]
-				for _, im := range []struct {
-					name  string
-					img   map[string][]byte
-					floor int
-				}{{"process kill", kill, killFloor}, {"power loss", loss, lossFloor}} {
-					got := recoverImage(t, im.img, true, owners)
-					for _, o := range owners {
-						floor := 0
-						for _, op := range ops[:im.floor] {
-							if op == o {
-								floor++
-							}
-						}
-						if !slices.ContainsFunc(snaps[o][floor:], func(s []byte) bool { return bytes.Equal(s, got[o]) }) {
-							t.Fatalf("step %d, %s: owner %v recovered no state its run had after %d or more of its %d operations",
-								step, im.name, o, floor, len(snaps[o])-1)
-						}
-					}
-				}
-			}
-			rng := rand.New(rand.NewSource(31))
-			for step := 0; step < 150; step++ {
-				o := owners[rng.Intn(len(owners))]
-				switch p := rng.Intn(20); {
-				case step == 75:
-					if err := w.compact(); err != nil {
-						t.Fatal(err)
-					}
-					vouched(true)
-				case p < 8:
-					w.apply(fx, worldOp{kind: 1 + p%3, owner: o, arg: rng.Intn(worldForeign)})
-					did(o)
-				case p < 12:
-					w.apply(fx, worldOp{kind: 0, owner: o})
-					did(o)
-					vouched(policy.PerBlock())
-				case p < 16:
-					// A staged round of the owners from o on.
-					round := owners[slices.Index(owners, o):]
-					for _, r := range round {
-						st := w.sts[r]
-						if err := w.fbs[r].StageBlock(fx.chains[r][st.Store.Len()]); err != nil {
-							t.Fatal(err)
-						}
-					}
-					if err := w.log.Commit(); err != nil {
-						t.Fatal(err)
-					}
-					for _, r := range round {
-						w.apply(fx, worldOp{kind: 0, owner: r})
-						did(r)
-					}
-					vouched(true)
-				case p < 18:
-					if err := w.log.Flush(); err != nil {
-						t.Fatal(err)
-					}
-					vouched(false)
-				default:
-					if err := w.log.Commit(); err != nil {
-						t.Fatal(err)
-					}
-					vouched(true)
-				}
-				if rng.Intn(6) == 0 || step == 149 {
-					check(step)
-				}
-			}
-		})
+	var tracker syncTracker
+	base := t.TempDir()
+	w := newWorld(t, base, true, tracker.option())
+	defer func() { w.close() }()
+	// The run: which owner each operation was, every owner's state
+	// after each of its own, and how many operations the last calls
+	// that vouched for a kill and for a power loss covered.
+	var ops []identity.NodeID
+	snaps := map[identity.NodeID][][]byte{}
+	for _, o := range owners {
+		w.open(o)
+		snaps[o] = [][]byte{stateBytes(t, w.sts[o])}
 	}
-}
-
-// TestRecoveryIntervalPolicyCommits: under SyncInterval the committer's
-// ticker closes windows without any caller involvement — a staged
-// block becomes durable within the interval (bounded staleness).
-func TestRecoveryIntervalPolicyCommits(t *testing.T) {
-	dir := t.TempDir()
-	fb, st := openBackendWith(t, dir, walOpts(), WithSyncPolicy(SyncInterval(2*time.Millisecond)))
-	key := identity.Deterministic(1, 1)
-	if err := st.Store.Append(chainFor(t, key, 1, nil)[0]); err != nil {
-		t.Fatal(err)
+	did := func(o identity.NodeID) {
+		ops = append(ops, o)
+		snaps[o] = append(snaps[o], stateBytes(t, w.sts[o]))
 	}
-	deadline := time.Now().Add(10 * time.Second)
-	for fb.WALStats().Fsyncs == 0 {
-		if time.Now().After(deadline) {
-			t.Fatal("interval committer never closed the window")
+	killFloor, lossFloor := 0, 0
+	vouched := func(loss bool) {
+		killFloor = len(ops)
+		if loss {
+			lossFloor = len(ops)
 		}
-		time.Sleep(time.Millisecond)
 	}
-	if stats := fb.WALStats(); stats.BytesCommitted == 0 {
-		t.Fatalf("fsync with no bytes accounted: %+v", stats)
+	check := func(step int) {
+		t.Helper()
+		kill := dirImage(t, base)
+		loss := map[string][]byte{}
+		for name, data := range kill {
+			loss[name] = data
+		}
+		loss[walFileName] = loss[walFileName][:tracker.syncedLen()]
+		for _, im := range []struct {
+			name  string
+			img   map[string][]byte
+			floor int
+		}{{"process kill", kill, killFloor}, {"power loss", loss, lossFloor}} {
+			got := recoverImage(t, im.img, true, owners)
+			for _, o := range owners {
+				floor := 0
+				for _, op := range ops[:im.floor] {
+					if op == o {
+						floor++
+					}
+				}
+				if !slices.ContainsFunc(snaps[o][floor:], func(s []byte) bool { return bytes.Equal(s, got[o]) }) {
+					t.Fatalf("step %d, %s: owner %v recovered no state its run had after %d or more of its %d operations",
+						step, im.name, o, floor, len(snaps[o])-1)
+				}
+			}
+		}
 	}
-	if err := fb.Close(); err != nil {
-		t.Fatal(err)
-	}
-	fb2, st2 := openBackend(t, dir, walOpts())
-	defer fb2.Close()
-	if st2.Store.Len() != 1 {
-		t.Fatalf("recovered %d blocks, want 1", st2.Store.Len())
+	rng := rand.New(rand.NewSource(31))
+	for step := 0; step < 150; step++ {
+		o := owners[rng.Intn(len(owners))]
+		switch p := rng.Intn(20); {
+		case step == 75:
+			if err := w.compact(); err != nil {
+				t.Fatal(err)
+			}
+			vouched(true)
+		case p < 8:
+			w.apply(fx, worldOp{kind: 1 + p%3, owner: o, arg: rng.Intn(worldForeign)})
+			did(o)
+		case p < 12:
+			w.apply(fx, worldOp{kind: 0, owner: o})
+			did(o)
+			vouched(true)
+		case p < 16:
+			// A staged round of the owners from o on.
+			round := owners[slices.Index(owners, o):]
+			for _, r := range round {
+				st := w.sts[r]
+				if err := w.fbs[r].StageBlock(fx.chains[r][st.Store.Len()]); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := w.log.Commit(); err != nil {
+				t.Fatal(err)
+			}
+			for _, r := range round {
+				w.apply(fx, worldOp{kind: 0, owner: r})
+				did(r)
+			}
+			vouched(true)
+		case p < 18:
+			if err := w.log.Flush(); err != nil {
+				t.Fatal(err)
+			}
+			vouched(false)
+		default:
+			if err := w.log.Commit(); err != nil {
+				t.Fatal(err)
+			}
+			vouched(true)
+		}
+		if rng.Intn(6) == 0 || step == 149 {
+			check(step)
+		}
 	}
 }

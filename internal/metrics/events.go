@@ -32,8 +32,9 @@ type EventCounters struct {
 	// through OnWALCommit (ledger.CommitObserver, implemented
 	// structurally so this package stays ledger-free). The window
 	// histogram makes fsync amortization visible on a scrape: a
-	// healthy batched deployment shows mass in the high buckets,
-	// while SyncAlways pins everything at le="1".
+	// process hosting many devices, one staged round per window, shows
+	// mass in the high buckets, while a single-device `serve` process,
+	// one window per seal, pins everything at le="1".
 	walFsyncs     atomic.Int64
 	walBytes      atomic.Int64
 	walWindowSum  atomic.Int64

@@ -51,7 +51,7 @@ func TestWritePrometheusGolden(t *testing.T) {
 	c.OnRetryAttempted(events.RetryAttempted{Attempt: 2})
 	c.OnPeerSuspected(events.PeerSuspected{Failures: 2})
 	c.OnPeerRecovered(events.PeerRecovered{})
-	c.OnWALCommit(1, 120)   // SyncAlways-shaped window
+	c.OnWALCommit(1, 120)   // one device's seal
 	c.OnWALCommit(8, 960)   // boundary lands in the le="8" bucket
 	c.OnWALCommit(40, 4800) // le="64"
 

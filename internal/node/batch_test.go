@@ -80,7 +80,7 @@ func TestAnnounceBatchCoalesces(t *testing.T) {
 	origin := identity.NodeID(1)
 	var ds []digest.Digest
 	for i := 0; i < 3; i++ {
-		_, d, err := nodes[origin].GenerateLocal([]byte(fmt.Sprintf("body %d", i)))
+		_, d, err := sealAndPublish(nodes[origin], []byte(fmt.Sprintf("body %d", i)))
 		if err != nil {
 			t.Fatal(err)
 		}

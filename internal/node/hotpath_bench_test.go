@@ -23,11 +23,12 @@ func sealFig4(tb testing.TB, c *cluster, slots int) {
 	for range slots + 1 {
 		c.slot++
 		for _, id := range order {
-			b, err := c.nodes[id].Generate(context.Background(), body)
+			_, d, err := sealAndPublish(c.nodes[id], body)
 			if err != nil {
-				tb.Fatalf("Generate(%v): %v", id, err)
+				tb.Fatalf("seal(%v): %v", id, err)
 			}
-			c.waitForDigest(id, b.Header.Hash())
+			c.nodes[id].Announce(context.Background(), d)
+			c.waitForDigest(id, d)
 		}
 		order = []identity.NodeID{1, 3, 4}
 	}

@@ -199,12 +199,6 @@ func (n *Node) ID() identity.NodeID { return n.cfg.Key.ID }
 // Engine exposes the node's 2LDAG state machine.
 func (n *Node) Engine() *core.Engine { return n.engine }
 
-// CommitJournal closes the durability backend's open WAL commit
-// window (see core.Engine.CommitJournal). Drivers call it at the
-// flush boundary when the backend runs a batched sync policy; a no-op
-// for in-memory nodes.
-func (n *Node) CommitJournal() error { return n.engine.CommitJournal() }
-
 // Blacklist exposes the node's penalty book (Sec. IV-D6).
 func (n *Node) Blacklist() *ledger.Blacklist { return n.bl }
 
@@ -454,31 +448,12 @@ func (n *Node) announceAllowed(from identity.NodeID, count int) bool {
 	return true
 }
 
-// Generate produces the node's next block from body and announces its
-// digest to every neighbor. Equivalent to GenerateLocal followed by
-// Announce; callers that need to observe the announcement (e.g. an
-// event-driven delivery ack) use the two halves directly.
-func (n *Node) Generate(ctx context.Context, body []byte) (*block.Block, error) {
-	b, d, err := n.GenerateLocal(body)
-	if err != nil {
-		return nil, err
-	}
-	n.Announce(ctx, d)
-	return b, nil
-}
-
-// GenerateLocal seals the node's next block from body — mined, signed
-// and appended to S_i — without announcing it, and returns the block
-// together with the digest to announce.
-func (n *Node) GenerateLocal(body []byte) (*block.Block, digest.Digest, error) {
-	return n.sealed(n.engine.Generate(n.slot(), body))
-}
-
-// SealLocal and PublishLocal are GenerateLocal split around a commit
-// window the driver closes in between (core.Engine.Seal and Publish):
-// SealLocal mines and signs the next block and stages its journal
-// record, PublishLocal appends it to S_i and fires BlockSealed. A block
-// whose window failed is simply never published.
+// SealLocal and PublishLocal seal the node's next block from body
+// around a commit window the driver closes in between (core.Engine.Seal
+// and Publish): SealLocal mines and signs the next block and stages its
+// journal record, PublishLocal appends it to S_i and fires BlockSealed,
+// returning the digest to announce. Neither announces. A block whose
+// window failed is simply never published.
 func (n *Node) SealLocal(body []byte) (*block.Block, error) {
 	return n.engine.Seal(n.slot(), body)
 }

@@ -140,15 +140,28 @@ func newCluster(t testing.TB, g *topology.Graph, gamma int, configure ...func(cf
 	return c
 }
 
-// generate makes a node produce a block and waits briefly for the
-// digest announcements to land.
+// sealAndPublish seals n's next block from body and appends it to S_i,
+// the two halves a driver runs around its commit window, and returns
+// the block with the digest to announce.
+func sealAndPublish(n *Node, body []byte) (*block.Block, digest.Digest, error) {
+	b, err := n.SealLocal(body)
+	if err != nil {
+		return nil, digest.Digest{}, err
+	}
+	d, err := n.PublishLocal(b)
+	return b, d, err
+}
+
+// generate makes a node produce and announce a block and waits briefly
+// for the digest announcements to land.
 func (c *cluster) generate(id identity.NodeID) *block.Block {
 	c.t.Helper()
-	b, err := c.nodes[id].Generate(context.Background(), []byte(fmt.Sprintf("body %v %d", id, c.slot)))
+	b, d, err := sealAndPublish(c.nodes[id], []byte(fmt.Sprintf("body %v %d", id, c.slot)))
 	if err != nil {
-		c.t.Fatalf("Generate(%v): %v", id, err)
+		c.t.Fatalf("seal(%v): %v", id, err)
 	}
-	c.waitForDigest(id, b.Header.Hash())
+	c.nodes[id].Announce(context.Background(), d)
+	c.waitForDigest(id, d)
 	return b
 }
 
@@ -448,13 +461,14 @@ func TestLiveClusterOverTCP(t *testing.T) {
 	ctx := context.Background()
 	gen := func(id identity.NodeID) {
 		t.Helper()
-		b, err := nodes[id].Generate(ctx, []byte(fmt.Sprintf("tcp body %v %d", id, slot)))
+		_, d, err := sealAndPublish(nodes[id], []byte(fmt.Sprintf("tcp body %v %d", id, slot)))
 		if err != nil {
 			t.Fatal(err)
 		}
+		nodes[id].Announce(ctx, d)
 		// Wait for the ingest events to fire over real sockets.
 		for _, nb := range g.Neighbors(id) {
-			log.wait(t, id, nb, b.Header.Hash())
+			log.wait(t, id, nb, d)
 		}
 	}
 	slot = 1
@@ -582,7 +596,7 @@ func TestAnnounceAcksSynthesizeDeliveryEvents(t *testing.T) {
 	}
 
 	ctx := context.Background()
-	_, d, err := nodes[1].GenerateLocal([]byte("acked"))
+	_, d, err := sealAndPublish(nodes[1], []byte("acked"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -595,11 +609,11 @@ func TestAnnounceAcksSynthesizeDeliveryEvents(t *testing.T) {
 	counter.wait(t, func(s, b int) bool { return s >= 2 })
 
 	// Batch path: one coalesced frame, one ack carrying both digests.
-	_, d2, err := nodes[1].GenerateLocal([]byte("acked-2"))
+	_, d2, err := sealAndPublish(nodes[1], []byte("acked-2"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, d3, err := nodes[1].GenerateLocal([]byte("acked-3"))
+	_, d3, err := sealAndPublish(nodes[1], []byte("acked-3"))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -12,32 +12,6 @@ import (
 	"github.com/twoldag/twoldag/internal/topology"
 )
 
-// Driver selects which Runtime implementation New builds.
-type Driver int
-
-const (
-	// DriverLive runs one node runtime per device exchanging real wire
-	// messages over the selected transport. This is the default.
-	DriverLive Driver = iota
-	// DriverSim runs the deterministic slot simulator: the same
-	// engines and PoP validators, but requests resolve in-process with
-	// the paper's analytic cost accounting and injectable attack
-	// behaviors. Same options, same Runtime verbs, reproducible runs.
-	DriverSim
-)
-
-// String names the driver.
-func (d Driver) String() string {
-	switch d {
-	case DriverLive:
-		return "live"
-	case DriverSim:
-		return "sim"
-	default:
-		return fmt.Sprintf("driver(%d)", int(d))
-	}
-}
-
 // TransportKind selects the live driver's message fabric.
 type TransportKind int
 
@@ -67,7 +41,7 @@ type Option func(*config) error
 
 // config is the resolved runtime configuration.
 type config struct {
-	driver       Driver
+	sim          bool // WithSimulator; the live driver otherwise
 	nodes        int
 	gamma        int
 	seed         int64
@@ -84,7 +58,6 @@ type config struct {
 	dataDir      string
 	trustCap     int
 	compactEvery int
-	syncPolicy   SyncPolicy
 	backendOpts  []ledger.BackendOption // in-package tests only: fault injection under the log
 }
 
@@ -252,7 +225,8 @@ func WithRetryPolicy(p RetryPolicy) Option {
 // prior state (S_i, H_i, A_i) on start from its checkpoint and segment
 // plus its records in the log, and every sealed block is fsynced
 // before it is appended, announced or returned — one fsync per round
-// of a batch for all the devices in it (see SubmitBatch). A silenced
+// of a batch for all the devices in it (see SubmitBatch), so a single
+// Submit pays one fsync of its own. A silenced
 // node leaves its state in its segment and checkpoint and can be
 // brought back with Cluster.Restart, resuming exactly from its last
 // durable record — the crash/recovery scenario of the robustness
@@ -289,49 +263,6 @@ func WithCompactEvery(n int) Option {
 	}
 }
 
-// SyncPolicy selects when durable nodes fsync WAL block records —
-// what closes a commit window (see ledger.SyncPolicy). Construct with
-// SyncAlways, SyncBatch, or SyncInterval.
-type SyncPolicy = ledger.SyncPolicy
-
-// SyncAlways fsyncs every sealed block before acknowledging it (the
-// default): nothing sealed is ever lost; concurrent seals share one
-// flush via group commit.
-func SyncAlways() SyncPolicy { return ledger.SyncAlways() }
-
-// SyncBatch defers the fsync to the slot flush: one commit window per
-// round of a Submit/SubmitBatch, closed before any digest is
-// announced. A crash can only lose blocks no neighbor was ever told
-// about.
-func SyncBatch() SyncPolicy { return ledger.SyncBatch() }
-
-// SyncInterval fsyncs staged records at most every d — bounded
-// staleness: a crash loses at most the last d of sealed traffic.
-func SyncInterval(d time.Duration) SyncPolicy { return ledger.SyncInterval(d) }
-
-// WithSyncPolicy sets the WAL commit-window policy of the data dir's
-// log (default SyncAlways). Requires WithDataDir; live driver only.
-//
-// On this driver SyncAlways and SyncBatch now do the same thing, at
-// the same cost: Submit and SubmitBatch stage a round's blocks, close
-// one window with one fsync, and only then append and announce, under
-// either. What still tells them apart is a block logged outside that
-// path — ledger.Store.Append straight on a journaled store, which is
-// how cluster.Host (`twoldag serve`) seals: SyncAlways blocks that
-// append on an fsync of its own, SyncBatch stages it and leaves the
-// fsync to the host's flush. SyncInterval is the one policy with a
-// different contract here too: the round's window is left to the
-// ticker, and the blocks are appended and announced ahead of it.
-func WithSyncPolicy(p SyncPolicy) Option {
-	return func(c *config) error {
-		if err := p.Validate(); err != nil {
-			return fmt.Errorf("twoldag: WithSyncPolicy: %w", err)
-		}
-		c.syncPolicy = p
-		return nil
-	}
-}
-
 // WithTrustCap bounds every node's trust store H_i to n headers,
 // evicting oldest-inserted first (ledger.TrustStore.SetCap) — the knob
 // that keeps long-lived deployments' memory bounded, on both drivers.
@@ -347,19 +278,18 @@ func WithTrustCap(n int) Option {
 	}
 }
 
-// WithDriver selects the Runtime implementation (default DriverLive).
-func WithDriver(d Driver) Option {
+// WithSimulator selects the deterministic slot simulator instead of the
+// live driver (the default, one node runtime per device exchanging real
+// wire messages over the selected transport): the same engines and PoP
+// validators, but requests resolve in-process with the paper's analytic
+// cost accounting and injectable attack behaviors. Same options, same
+// Runtime verbs, reproducible runs.
+func WithSimulator() Option {
 	return func(c *config) error {
-		if d != DriverLive && d != DriverSim {
-			return fmt.Errorf("twoldag: WithDriver(%v): unknown driver", d)
-		}
-		c.driver = d
+		c.sim = true
 		return nil
 	}
 }
-
-// WithSimulator is shorthand for WithDriver(DriverSim).
-func WithSimulator() Option { return WithDriver(DriverSim) }
 
 // WithMalicious makes n nodes behave maliciously (silent to PoP
 // requests, the paper's headline attack). Simulator only: the live
@@ -409,18 +339,15 @@ func (c *config) validate(g *topology.Graph) error {
 	if c.gamma < 0 || c.gamma >= g.Len() {
 		return fmt.Errorf("twoldag: gamma %d out of range for %d nodes", c.gamma, g.Len())
 	}
-	if c.driver == DriverLive {
+	if !c.sim {
 		if c.malicious > 0 {
 			return errors.New("twoldag: WithMalicious requires the simulator driver (use Silence on a live cluster)")
 		}
 		if c.compactEvery > 0 && c.dataDir == "" {
 			return errors.New("twoldag: WithCompactEvery requires WithDataDir")
 		}
-		if !c.syncPolicy.PerBlock() && c.dataDir == "" {
-			return errors.New("twoldag: WithSyncPolicy requires WithDataDir")
-		}
 	}
-	if c.driver == DriverSim {
+	if c.sim {
 		if c.transport != InMemory {
 			return errors.New("twoldag: WithTransport applies to the live driver only")
 		}
@@ -429,9 +356,6 @@ func (c *config) validate(g *topology.Graph) error {
 		}
 		if c.compactEvery > 0 {
 			return errors.New("twoldag: WithCompactEvery applies to the live driver only")
-		}
-		if !c.syncPolicy.PerBlock() {
-			return errors.New("twoldag: WithSyncPolicy applies to the live driver only")
 		}
 		if c.faultPlan.Active() {
 			return errors.New("twoldag: WithFaults applies to the live driver only")

@@ -31,25 +31,24 @@ type recoveryRun struct {
 // submit slot, then audits — against a durable live cluster rooted at
 // dataDir. When kill is set, the victim is silenced (backend flushed
 // and closed) and restarted from its data dir inside the crash window,
-// with its recovery byte-checked against its pre-kill state. extra
-// options (e.g. WithSyncPolicy) ride on top of the fixed world.
-func runRecoveryScenario(t *testing.T, dataDir string, kill bool, extra ...Option) recoveryRun {
+// with its recovery byte-checked against its pre-kill state.
+func runRecoveryScenario(t *testing.T, dataDir string, kill bool) recoveryRun {
 	t.Helper()
 	plan := FaultPlan{
 		Seed:    104,
 		Crashes: []CrashWindow{{Node: chaosVictim, From: 4, Until: 5}},
 	}
-	rt, err := New(append([]Option{
+	rt, err := New(
 		WithNodes(chaosNodes),
 		WithSeed(7),
 		WithGamma(1),
 		WithDifficulty(2),
-		WithRequestTimeout(250 * time.Millisecond),
+		WithRequestTimeout(250*time.Millisecond),
 		WithFaults(plan),
 		WithRetryPolicy(chaosRetry()),
 		WithDataDir(dataDir),
 		WithTrustCap(4),
-	}, extra...)...)
+	)
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
@@ -160,54 +159,6 @@ func TestRecoveryFacadeKillRestartEquivalence(t *testing.T) {
 	}
 }
 
-// TestRecoveryFacadeSyncPolicies runs the kill/restart scenario under
-// every commit-window discipline and compares each against one
-// uninterrupted SyncAlways oracle. Sealing is deterministic, so the
-// final ledger states are policy-independent: whatever a policy defers,
-// the flush boundary (SyncBatch), the ticker (SyncInterval) or the
-// backend's shutdown commit makes durable before the kill — group
-// commit changes when records are acknowledged, never what the cluster
-// converges to.
-func TestRecoveryFacadeSyncPolicies(t *testing.T) {
-	base := t.TempDir()
-	oracle := runRecoveryScenario(t, filepath.Join(base, "oracle"), false)
-	for i, ok := range oracle.outcomes {
-		if !ok {
-			t.Fatalf("uninterrupted audit %d reached no consensus — not a usable baseline", i)
-		}
-	}
-	for _, tc := range []struct {
-		name   string
-		policy SyncPolicy
-	}{
-		{"always", SyncAlways()},
-		{"batch", SyncBatch()},
-		{"interval", SyncInterval(10 * time.Millisecond)},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			crash := runRecoveryScenario(t, filepath.Join(base, tc.name), true, WithSyncPolicy(tc.policy))
-			if len(crash.hashes) != len(oracle.hashes) {
-				t.Fatalf("sealed %d blocks, oracle sealed %d", len(crash.hashes), len(oracle.hashes))
-			}
-			for i := range oracle.hashes {
-				if crash.hashes[i] != oracle.hashes[i] {
-					t.Errorf("sealed header %d diverged from the uninterrupted run", i)
-				}
-			}
-			for i := range oracle.outcomes {
-				if crash.outcomes[i] != oracle.outcomes[i] {
-					t.Errorf("audit %d verdict %v, oracle %v", i, crash.outcomes[i], oracle.outcomes[i])
-				}
-			}
-			for id, want := range oracle.states {
-				if crash.states[id] != want {
-					t.Errorf("node %v ledger state diverged from the uninterrupted run", id)
-				}
-			}
-		})
-	}
-}
-
 // TestStateDigestGolden pins Cluster.StateDigest of every node after
 // the uninterrupted recovery scenario — blocks, audited headers under
 // a trust cap, cache entries — to the values of the checkpoint digest
@@ -271,18 +222,6 @@ func TestRecoveryOptionValidation(t *testing.T) {
 		t.Fatalf("WithTrustCap on simulator: %v", err)
 	}
 	rt.Close()
-	// Sync policies: a malformed interval fails at the option, a
-	// non-default policy needs a durable dir, and the simulator (which
-	// has no WAL) rejects anything but the default.
-	if _, err := New(WithNodes(3), WithDataDir(t.TempDir()), WithSyncPolicy(SyncInterval(-time.Second))); err == nil {
-		t.Fatal("negative sync interval accepted")
-	}
-	if _, err := New(WithNodes(3), WithSyncPolicy(SyncBatch())); err == nil {
-		t.Fatal("WithSyncPolicy(batch) accepted without WithDataDir")
-	}
-	if _, err := New(WithNodes(3), WithSimulator(), WithSyncPolicy(SyncBatch())); err == nil {
-		t.Fatal("WithSyncPolicy accepted on the simulator driver")
-	}
 }
 
 // TestRecoveryTrustCapSurvivesRestart: the cap is recorded in the

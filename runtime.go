@@ -149,12 +149,10 @@ func New(opts ...Option) (Runtime, error) {
 	if err := cfg.validate(g); err != nil {
 		return nil, err
 	}
-	switch cfg.driver {
-	case DriverSim:
+	if cfg.sim {
 		return newSimDriver(cfg, g)
-	default:
-		return newCluster(cfg, g)
 	}
+	return newCluster(cfg, g)
 }
 
 // fanOut runs fn(0..n-1) on at most workers goroutines (0 =

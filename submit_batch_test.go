@@ -233,24 +233,14 @@ func runInterleaved(t *testing.T, opts ...Option) workersRun {
 // multi-block-per-owner batches seals byte-identical blocks, leaves
 // byte-identical node state and reaches the same audit verdicts under
 // WithWorkers(1) (the plain loop) and WithWorkers(4) — in memory and
-// on durable nodes under each sync policy, with compactions firing
-// inside the seal stage.
+// on durable nodes, with compactions firing inside the seal stage.
 func TestSubmitBatchWorkersEquivalence(t *testing.T) {
-	for _, tc := range []struct {
-		name    string
-		durable bool
-		policy  SyncPolicy
-	}{
-		{name: "mem"},
-		{name: "always", durable: true, policy: SyncAlways()},
-		{name: "batch", durable: true, policy: SyncBatch()},
-		{name: "interval", durable: true, policy: SyncInterval(10 * time.Millisecond)},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
+	for _, durable := range []bool{false, true} {
+		t.Run(map[bool]string{false: "mem", true: "durable"}[durable], func(t *testing.T) {
 			run := func(workers int) workersRun {
 				opts := []Option{WithWorkers(workers)}
-				if tc.durable {
-					opts = append(opts, WithDataDir(t.TempDir()), WithSyncPolicy(tc.policy), WithCompactEvery(4))
+				if durable {
+					opts = append(opts, WithDataDir(t.TempDir()), WithCompactEvery(4))
 				}
 				return runInterleaved(t, opts...)
 			}

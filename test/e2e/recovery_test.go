@@ -17,9 +17,8 @@ import (
 
 // recoveryFlags configure one durable host: the shared e2e world, no
 // chaos, a trust cap (so the checkpoint's cap branch rides the whole
-// pipeline), the WAL sync policy under test, and a per-node data dir
-// under base.
-func recoveryFlags(base string, id int, sync string) []string {
+// pipeline), and a per-node data dir under base.
+func recoveryFlags(base string, id int) []string {
 	return []string{
 		"-nodes", fmt.Sprint(nodes),
 		"-seed", fmt.Sprint(seed),
@@ -27,20 +26,19 @@ func recoveryFlags(base string, id int, sync string) []string {
 		"-difficulty", fmt.Sprint(difficulty),
 		"-timeout", "1s",
 		"-trust-cap", "4",
-		"-sync", sync,
 		"-data", filepath.Join(base, fmt.Sprintf("node-%d", id)),
 	}
 }
 
 // spawnDurable boots the planned cluster with persistence on.
-func spawnDurable(t *testing.T, base, sync string) []*proc {
+func spawnDurable(t *testing.T, base string) []*proc {
 	t.Helper()
 	procs := make([]*proc, nodes)
-	procs[0] = spawn(t, append([]string{"serve", "-id", "0"}, recoveryFlags(base, 0, sync)...)...)
+	procs[0] = spawn(t, append([]string{"serve", "-id", "0"}, recoveryFlags(base, 0)...)...)
 	for id := 1; id < nodes; id++ {
 		procs[id] = spawn(t, append([]string{
 			"serve", "-id", fmt.Sprint(id), "-bootstrap", procs[0].addr,
-		}, recoveryFlags(base, id, sync)...)...)
+		}, recoveryFlags(base, id)...)...)
 	}
 	return procs
 }
@@ -58,9 +56,9 @@ type recoveryObs struct {
 // everyone seals — and, when kill is set, the victim is SIGKILLed
 // before anyone flushes and a fresh serve process resumes from its
 // data dir — then flushes, audits, and a state digest per node.
-func runRecoveryE2E(t *testing.T, base string, kill bool, sync string) recoveryObs {
+func runRecoveryE2E(t *testing.T, base string, kill bool) recoveryObs {
 	t.Helper()
-	procs := spawnDurable(t, base, sync)
+	procs := spawnDurable(t, base)
 	var obs recoveryObs
 
 	submitSlot := func(slot int, members []*proc) {
@@ -120,7 +118,7 @@ func runRecoveryE2E(t *testing.T, base string, kill bool, sync string) recoveryO
 		procs[victim].kill()
 		restarted := spawn(t, append([]string{
 			"serve", "-id", fmt.Sprint(victim), "-bootstrap", procs[0].addr,
-		}, recoveryFlags(base, victim, sync)...)...)
+		}, recoveryFlags(base, victim)...)...)
 		restarted.mustOK(cluster.ControlRequest{Op: "slot", Slot: 3})
 		// The sealed-but-unannounced block survived the kill bit for bit.
 		latest := restarted.mustOK(cluster.ControlRequest{Op: "latest"})
@@ -166,13 +164,13 @@ func TestRecoveryE2EKillRestartEquivalence(t *testing.T) {
 		t.Skip("spawns real processes")
 	}
 	base := t.TempDir()
-	want := runRecoveryE2E(t, filepath.Join(base, "oracle"), false, "always")
+	want := runRecoveryE2E(t, filepath.Join(base, "oracle"), false)
 	for i, ok := range want.verdicts {
 		if !ok {
 			t.Fatalf("uninterrupted audit %d reached no consensus — not a usable baseline", i)
 		}
 	}
-	got := runRecoveryE2E(t, filepath.Join(base, "crash"), true, "always")
+	got := runRecoveryE2E(t, filepath.Join(base, "crash"), true)
 	compareRecoveryObs(t, got, want)
 }
 
@@ -197,32 +195,5 @@ func compareRecoveryObs(t *testing.T, got, want recoveryObs) {
 		if got.states[i] != want.states[i] {
 			t.Errorf("node %d ledger state diverged from the uninterrupted run", i)
 		}
-	}
-}
-
-// TestRecoveryE2ESyncPolicies re-runs the SIGKILL/restart proof under
-// the batched and interval commit-window disciplines, each compared
-// against one uninterrupted SyncAlways oracle. The victim dies between
-// seal and flush — under -sync batch its final block was staged but
-// never fsync-acknowledged, the harshest window group commit opens —
-// and the restarted cluster must still be indistinguishable from the
-// oracle, because the sealed chain is deterministic and every
-// announced record was committed at a flush boundary first.
-func TestRecoveryE2ESyncPolicies(t *testing.T) {
-	if testing.Short() {
-		t.Skip("spawns real processes")
-	}
-	base := t.TempDir()
-	want := runRecoveryE2E(t, filepath.Join(base, "oracle"), false, "always")
-	for i, ok := range want.verdicts {
-		if !ok {
-			t.Fatalf("uninterrupted audit %d reached no consensus — not a usable baseline", i)
-		}
-	}
-	for _, sync := range []string{"batch", "interval=25ms"} {
-		t.Run(sync, func(t *testing.T) {
-			got := runRecoveryE2E(t, filepath.Join(base, sync), true, sync)
-			compareRecoveryObs(t, got, want)
-		})
 	}
 }
