@@ -64,46 +64,50 @@ func slotBatch(ids []NodeID, perOwner int, tag string) []Submission {
 // a batch of one block per device closes exactly one commit window, of
 // all its blocks; two blocks per device, two — and no block of a round
 // is reported sealed, let alone announced, before its window's fsync
-// has returned.
+// has returned. One worker seals each round, or four do.
 func TestSubmitBatchDurableOneWindow(t *testing.T) {
-	obs := &windowLog{}
-	rt := newRuntime(t, append(baseOptions(8, 1), WithObserver(obs),
-		WithDataDir(t.TempDir()), WithCompactEvery(3))...)
-	ids := rt.Nodes()
-	ctx := context.Background()
-	// Six blocks per device over a threshold of three: compactions
-	// run inside these batches, and must not show up as windows.
-	for slot, perOwner := range []int{1, 2, 1, 2} {
-		rt.AdvanceSlot()
-		obs.take()
-		batch := slotBatch(ids, perOwner, fmt.Sprint("slot ", slot))
-		if _, err := rt.SubmitBatch(ctx, batch); err != nil {
-			t.Fatal(err)
-		}
-		events := obs.take()
-		commits, sealed, announced := 0, 0, 0
-		for i, e := range events {
-			switch e {
-			case "sealed":
-				sealed++
-				if sealed > commits*len(ids) {
-					t.Fatalf("slot %d: event %d reports block %d sealed after only %d windows of %d blocks: %v", slot, i, sealed, commits, len(ids), events)
+	for _, workers := range []int{1, 4} {
+		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
+			obs := &windowLog{}
+			rt := newRuntime(t, append(baseOptions(8, 1), WithObserver(obs),
+				WithDataDir(t.TempDir()), WithCompactEvery(3), WithWorkers(workers))...)
+			ids := rt.Nodes()
+			ctx := context.Background()
+			// Six blocks per device over a threshold of three: compactions
+			// run inside these batches, and must not show up as windows.
+			for slot, perOwner := range []int{1, 2, 1, 2} {
+				rt.AdvanceSlot()
+				obs.take()
+				batch := slotBatch(ids, perOwner, fmt.Sprint("slot ", slot))
+				if _, err := rt.SubmitBatch(ctx, batch); err != nil {
+					t.Fatal(err)
 				}
-			case "announced":
-				announced++
-				if commits != perOwner || sealed != len(batch) {
-					t.Fatalf("slot %d: event %d is an announcement after %d windows and %d seals, want all %d and %d first", slot, i, commits, sealed, perOwner, len(batch))
+				events := obs.take()
+				commits, sealed, announced := 0, 0, 0
+				for i, e := range events {
+					switch e {
+					case "sealed":
+						sealed++
+						if sealed > commits*len(ids) {
+							t.Fatalf("slot %d: event %d reports block %d sealed after only %d windows of %d blocks: %v", slot, i, sealed, commits, len(ids), events)
+						}
+					case "announced":
+						announced++
+						if commits != perOwner || sealed != len(batch) {
+							t.Fatalf("slot %d: event %d is an announcement after %d windows and %d seals, want all %d and %d first", slot, i, commits, sealed, perOwner, len(batch))
+						}
+					default:
+						commits++
+						if want := fmt.Sprintf("commit %d", len(ids)); e != want {
+							t.Fatalf("slot %d: window %d is %q, want %q", slot, commits, e, want)
+						}
+					}
 				}
-			default:
-				commits++
-				if want := fmt.Sprintf("commit %d", len(ids)); e != want {
-					t.Fatalf("slot %d: window %d is %q, want %q", slot, commits, e, want)
+				if commits != perOwner || sealed != len(batch) || announced == 0 {
+					t.Fatalf("slot %d: %d windows, %d seals, %d announcements for %d blocks per device: %v", slot, commits, sealed, announced, perOwner, events)
 				}
 			}
-		}
-		if commits != perOwner || sealed != len(batch) || announced == 0 {
-			t.Fatalf("slot %d: %d windows, %d seals, %d announcements for %d blocks per device: %v", slot, commits, sealed, announced, perOwner, events)
-		}
+		})
 	}
 }
 
@@ -158,112 +162,117 @@ func withSyncFaults(f *syncFaults) Option {
 // commit window fails. Nothing of that window is appended to a store,
 // reported sealed, announced, returned or counted as pending; the next
 // batch seals the same sequence numbers and goes through; and the data
-// dir recovers to exactly the state in memory.
+// dir recovers to exactly the state in memory. One worker seals each
+// round, or four do.
 func TestSubmitBatchFailedWindowPublishesNothing(t *testing.T) {
-	faults := &syncFaults{}
-	obs := &windowLog{}
-	dir := t.TempDir()
-	opts := append(baseOptions(6, 1), WithObserver(obs), WithDataDir(dir),
-		withSyncFaults(faults))
-	rt, err := New(opts...)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer func() { rt.Close() }()
-	c := rt.(*Cluster)
-	ids := rt.Nodes()
-	ctx := context.Background()
-	submit := func(perOwner int, tag string) ([]Ref, error) {
-		rt.AdvanceSlot()
-		return rt.SubmitBatch(ctx, slotBatch(ids, perOwner, tag))
-	}
-	if _, err := submit(1, "first"); err != nil {
-		t.Fatal(err)
-	}
-	pendingBefore := c.backends[ids[0]].PendingBlocks()
+	for _, workers := range []int{1, 4} {
+		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
+			faults := &syncFaults{}
+			obs := &windowLog{}
+			dir := t.TempDir()
+			opts := append(baseOptions(6, 1), WithObserver(obs), WithDataDir(dir),
+				withSyncFaults(faults), WithWorkers(workers))
+			rt, err := New(opts...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer func() { rt.Close() }()
+			c := rt.(*Cluster)
+			ids := rt.Nodes()
+			ctx := context.Background()
+			submit := func(perOwner int, tag string) ([]Ref, error) {
+				rt.AdvanceSlot()
+				return rt.SubmitBatch(ctx, slotBatch(ids, perOwner, tag))
+			}
+			if _, err := submit(1, "first"); err != nil {
+				t.Fatal(err)
+			}
+			pendingBefore := c.backends[ids[0]].PendingBlocks()
 
-	obs.take()
-	faults.fail(0, 1)
-	refs, err := submit(1, "lost")
-	if !errors.Is(err, errSyncFault) {
-		t.Fatalf("want the window's fsync error, got %v", err)
-	}
-	if len(refs) != 0 {
-		t.Fatalf("refs %v returned for blocks that are not durable", refs)
-	}
-	if events := obs.take(); len(events) != 0 {
-		t.Fatalf("a failed window let the outside see %v", events)
-	}
-	for _, id := range ids {
-		if _, err := rt.Block(Ref{Node: id, Seq: 1}); err == nil {
-			t.Fatalf("node %v holds a block of the failed window", id)
-		}
-		if p := c.backends[id].PendingBlocks(); p != pendingBefore {
-			t.Fatalf("node %v: %d pending blocks, %d before the failed window", id, p, pendingBefore)
-		}
-	}
+			obs.take()
+			faults.fail(0, 1)
+			refs, err := submit(1, "lost")
+			if !errors.Is(err, errSyncFault) {
+				t.Fatalf("want the window's fsync error, got %v", err)
+			}
+			if len(refs) != 0 {
+				t.Fatalf("refs %v returned for blocks that are not durable", refs)
+			}
+			if events := obs.take(); len(events) != 0 {
+				t.Fatalf("a failed window let the outside see %v", events)
+			}
+			for _, id := range ids {
+				if _, err := rt.Block(Ref{Node: id, Seq: 1}); err == nil {
+					t.Fatalf("node %v holds a block of the failed window", id)
+				}
+				if p := c.backends[id].PendingBlocks(); p != pendingBefore {
+					t.Fatalf("node %v: %d pending blocks, %d before the failed window", id, p, pendingBefore)
+				}
+			}
 
-	refs, err = submit(1, "second")
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, ref := range refs {
-		if ref.Node != ids[i] || ref.Seq != 1 {
-			t.Fatalf("ref %d = %v, want %v#1: the failed window's sequence numbers, sealed again", i, ref, ids[i])
-		}
-	}
+			refs, err = submit(1, "second")
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i, ref := range refs {
+				if ref.Node != ids[i] || ref.Seq != 1 {
+					t.Fatalf("ref %d = %v, want %v#1: the failed window's sequence numbers, sealed again", i, ref, ids[i])
+				}
+			}
 
-	// Two blocks per device, and the second round's window fails:
-	// the first round stands — durable, sealed, returned — and
-	// nothing of the batch is announced.
-	obs.take()
-	faults.fail(1, 1)
-	refs, err = submit(2, "half")
-	if !errors.Is(err, errSyncFault) {
-		t.Fatalf("want the second window's fsync error, got %v", err)
-	}
-	if len(refs) != len(ids) {
-		t.Fatalf("%d refs, want the %d of the round whose window closed", len(refs), len(ids))
-	}
-	for i, e := range obs.take() {
-		if want := "sealed"; (i == 0 && e != fmt.Sprintf("commit %d", len(ids))) || (i > 0 && e != want) || i > len(ids) {
-			t.Fatalf("event %d of the half-failed batch is %q", i, e)
-		}
-	}
-	for _, id := range ids {
-		if _, err := rt.Block(Ref{Node: id, Seq: 2}); err != nil {
-			t.Fatalf("node %v lost its block of the round that closed: %v", id, err)
-		}
-		if _, err := rt.Block(Ref{Node: id, Seq: 3}); err == nil {
-			t.Fatalf("node %v holds a block of the failed window", id)
-		}
-	}
-	if refs, err = submit(1, "third"); err != nil || refs[0].Seq != 3 {
-		t.Fatalf("the batch after: %v, %v", refs, err)
-	}
-	want := map[NodeID]Digest{}
-	for _, id := range ids {
-		d, err := c.StateDigest(id)
-		if err != nil {
-			t.Fatal(err)
-		}
-		want[id] = d
-	}
-	if err := rt.Close(); err != nil {
-		t.Fatal(err)
-	}
-	rt, err = New(opts...)
-	if err != nil {
-		t.Fatalf("reopening the data dir: %v", err)
-	}
-	for _, id := range ids {
-		d, err := rt.(*Cluster).StateDigest(id)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if d != want[id] {
-			t.Errorf("node %v recovered another state than it had in memory", id)
-		}
+			// Two blocks per device, and the second round's window fails:
+			// the first round stands — durable, sealed, returned — and
+			// nothing of the batch is announced.
+			obs.take()
+			faults.fail(1, 1)
+			refs, err = submit(2, "half")
+			if !errors.Is(err, errSyncFault) {
+				t.Fatalf("want the second window's fsync error, got %v", err)
+			}
+			if len(refs) != len(ids) {
+				t.Fatalf("%d refs, want the %d of the round whose window closed", len(refs), len(ids))
+			}
+			for i, e := range obs.take() {
+				if want := "sealed"; (i == 0 && e != fmt.Sprintf("commit %d", len(ids))) || (i > 0 && e != want) || i > len(ids) {
+					t.Fatalf("event %d of the half-failed batch is %q", i, e)
+				}
+			}
+			for _, id := range ids {
+				if _, err := rt.Block(Ref{Node: id, Seq: 2}); err != nil {
+					t.Fatalf("node %v lost its block of the round that closed: %v", id, err)
+				}
+				if _, err := rt.Block(Ref{Node: id, Seq: 3}); err == nil {
+					t.Fatalf("node %v holds a block of the failed window", id)
+				}
+			}
+			if refs, err = submit(1, "third"); err != nil || refs[0].Seq != 3 {
+				t.Fatalf("the batch after: %v, %v", refs, err)
+			}
+			want := map[NodeID]Digest{}
+			for _, id := range ids {
+				d, err := c.StateDigest(id)
+				if err != nil {
+					t.Fatal(err)
+				}
+				want[id] = d
+			}
+			if err := rt.Close(); err != nil {
+				t.Fatal(err)
+			}
+			rt, err = New(opts...)
+			if err != nil {
+				t.Fatalf("reopening the data dir: %v", err)
+			}
+			for _, id := range ids {
+				d, err := rt.(*Cluster).StateDigest(id)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if d != want[id] {
+					t.Errorf("node %v recovered another state than it had in memory", id)
+				}
+			}
+		})
 	}
 }
 

@@ -220,6 +220,96 @@ func TestStateDigestGolden(t *testing.T) {
 	}
 }
 
+// TestRecoveryHostKillPoints: a durable single-node host seals across
+// three slots and goes down at one of several points — straight after
+// its seals, after flushing them, with a compaction inside every seal,
+// or through a graceful Close — and restarts from its data dir. Each
+// Seal closed its own commit window, so no point loses a block: the
+// restarted host holds the state digest the host had, its latest block,
+// and seals on from the next sequence number. Sealing is deterministic,
+// so that digest is also the one an in-memory host reaches.
+func TestRecoveryHostKillPoints(t *testing.T) {
+	const seed = 7
+	base := Config{ID: 0, Nodes: 1, Seed: seed, Gamma: 0, Difficulty: 2, RequestTimeout: time.Second}
+	run := func(t *testing.T, h *Host, flush bool) {
+		t.Helper()
+		for slot := uint32(1); slot <= 3; slot++ {
+			h.SetSlot(slot)
+			_, d, err := h.Seal([]byte{byte(slot)})
+			if err != nil {
+				t.Fatalf("seal slot %d: %v", slot, err)
+			}
+			if flush {
+				if err := h.Flush(context.Background(), []digest.Digest{d}); err != nil {
+					t.Fatalf("flush slot %d: %v", slot, err)
+				}
+			}
+		}
+	}
+	mem, err := Start(base)
+	if err != nil {
+		t.Fatal(err)
+	}
+	run(t, mem, false)
+	oracle := mem.StateDigest()
+	_ = mem.Close()
+
+	for _, tc := range []struct {
+		name         string
+		compactEvery int
+		flush        bool
+		graceful     bool
+	}{
+		{name: "seal"},
+		{name: "seal and flush", flush: true},
+		{name: "compaction in every seal", compactEvery: 1},
+		{name: "graceful close", flush: true, graceful: true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := base
+			cfg.DataDir = t.TempDir()
+			cfg.CompactEvery = tc.compactEvery
+			h, err := Start(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			run(t, h, tc.flush)
+			before := h.StateDigest()
+			if before != oracle {
+				t.Fatal("the durable host sealed another state than an in-memory one")
+			}
+			ref, d, _ := h.Latest()
+			if tc.graceful {
+				if err := h.Close(); err != nil {
+					t.Fatal(err)
+				}
+			} else {
+				_ = h.node.Close() // kill: no Leave, no host drain
+			}
+
+			h2, err := Start(cfg)
+			if err != nil {
+				t.Fatalf("restart: %v", err)
+			}
+			t.Cleanup(func() { _ = h2.Close() })
+			if after := h2.StateDigest(); after != before {
+				t.Fatal("state digest changed across the restart")
+			}
+			if ref2, d2, ok := h2.Latest(); !ok || ref2 != ref || d2 != d {
+				t.Fatalf("restarted latest = (%v %v %v), want (%v %v)", ref2, d2, ok, ref, d)
+			}
+			h2.SetSlot(4)
+			next, _, err := h2.Seal([]byte{4})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if next.Seq != ref.Seq+1 {
+				t.Fatalf("the restarted host sealed seq %d, want %d", next.Seq, ref.Seq+1)
+			}
+		})
+	}
+}
+
 // syncFaults fails the next n fsyncs under a data dir's log.
 type syncFaults struct {
 	mu sync.Mutex

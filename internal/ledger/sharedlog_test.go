@@ -29,6 +29,7 @@ type world struct {
 	base   string
 	shared bool
 	bopts  []BackendOption
+	stage  bool // blocks go in as a driver seals them: staged, committed, appended
 	log    *Log // shared only
 	fbs    map[identity.NodeID]*FileBackend
 	sts    map[identity.NodeID]*NodeState
@@ -222,7 +223,18 @@ func (w *world) apply(fx *worldFixture, op worldOp) {
 	st := w.sts[op.owner]
 	switch op.kind {
 	case 0:
-		if err := st.Store.Append(fx.chains[op.owner][st.Store.Len()]); err != nil {
+		b := fx.chains[op.owner][st.Store.Len()]
+		if w.stage {
+			// The block's record is staged and its window closed before
+			// the append, which then finds it durable.
+			if err := w.fbs[op.owner].StageBlock(b); err != nil {
+				w.t.Fatalf("stage for %v: %v", op.owner, err)
+			}
+			if err := w.fbs[op.owner].Commit(); err != nil {
+				w.t.Fatalf("commit for %v: %v", op.owner, err)
+			}
+		}
+		if err := st.Store.Append(b); err != nil {
 			w.t.Fatalf("append for %v: %v", op.owner, err)
 		}
 	case 1:
@@ -257,66 +269,74 @@ func sameStates(t *testing.T, what string, got, want map[identity.NodeID][]byte)
 // single-owner backends and through one shared log, and checks at every
 // stop — a crash mid-run, one device bounced, a crash at the end — that
 // both recover, owner by owner, the exact bytes the live states held.
+// Blocks go in both ways a block reaches the log: an unstaged LogBlock
+// that closes its own window, and a staged record whose window is
+// committed before the append, as the live drivers seal.
 func TestSharedLogDifferential(t *testing.T) {
-	owners := []identity.NodeID{1, 2, 3, 4}
-	const joiner = identity.NodeID(5)
-	all := append(append([]identity.NodeID(nil), owners...), joiner)
-	fx := newWorldFixture(t, all, 80)
-	ops := worldWorkload(20, owners, joiner, 260)
+	for _, stage := range []bool{false, true} {
+		t.Run(map[bool]string{false: "LogBlock", true: "staged"}[stage], func(t *testing.T) {
+			owners := []identity.NodeID{1, 2, 3, 4}
+			const joiner = identity.NodeID(5)
+			all := append(append([]identity.NodeID(nil), owners...), joiner)
+			fx := newWorldFixture(t, all, 80)
+			ops := worldWorkload(20, owners, joiner, 260)
 
-	base := t.TempDir()
-	private := newWorld(t, filepath.Join(base, "private"), false)
-	shared := newWorld(t, filepath.Join(base, "shared"), true)
-	worlds := []*world{private, shared}
-	for _, w := range worlds {
-		for _, o := range owners {
-			w.open(o)
-		}
-	}
-	// crashAndRecover kills the process: every record logged is
-	// written (a kill leaves the kernel's copy), then every handle
-	// is dropped — nothing closed, nothing synced beyond what the
-	// appends already had — and the given owners cold-start.
-	crashAndRecover := func(what string, up []identity.NodeID) {
-		t.Helper()
-		want := private.states()
-		sameStates(t, what+": live states, shared vs private", shared.states(), want)
-		for _, w := range worlds {
-			w.flush()
-			w.reopen()
-			for _, o := range up {
-				w.open(o)
-			}
-		}
-		sameStates(t, what+": private layout recovered", private.states(), want)
-		sameStates(t, what+": shared log recovered", shared.states(), want)
-	}
-	for i, op := range ops {
-		for _, w := range worlds {
-			w.apply(fx, op)
-		}
-		switch i {
-		case 100:
-			crashAndRecover("crash at step 100", owners)
-		case 200:
-			// One device bounces while the rest stay up.
-			want := private.states()
+			base := t.TempDir()
+			private := newWorld(t, filepath.Join(base, "private"), false)
+			shared := newWorld(t, filepath.Join(base, "shared"), true)
+			worlds := []*world{private, shared}
 			for _, w := range worlds {
-				w.silence(3)
-				w.open(3)
+				w.stage = stage
+				for _, o := range owners {
+					w.open(o)
+				}
 			}
-			sameStates(t, "bounce: private", private.states(), want)
-			sameStates(t, "bounce: shared", shared.states(), want)
-			// Silenced with everything in its snapshot, on a log
-			// that was there to see it: nothing to look for in it.
-			if rep := shared.fbs[3].RecoveryReport(); rep.WALBytes != 0 {
-				t.Errorf("the bounced owner read %d bytes of a log that holds nothing its snapshot lacks", rep.WALBytes)
+			// crashAndRecover kills the process: every record logged is
+			// written (a kill leaves the kernel's copy), then every handle
+			// is dropped — nothing closed, nothing synced beyond what the
+			// appends already had — and the given owners cold-start.
+			crashAndRecover := func(what string, up []identity.NodeID) {
+				t.Helper()
+				want := private.states()
+				sameStates(t, what+": live states, shared vs private", shared.states(), want)
+				for _, w := range worlds {
+					w.flush()
+					w.reopen()
+					for _, o := range up {
+						w.open(o)
+					}
+				}
+				sameStates(t, what+": private layout recovered", private.states(), want)
+				sameStates(t, what+": shared log recovered", shared.states(), want)
 			}
-		}
-	}
-	crashAndRecover("crash at the end", all)
-	for _, w := range worlds {
-		w.close()
+			for i, op := range ops {
+				for _, w := range worlds {
+					w.apply(fx, op)
+				}
+				switch i {
+				case 100:
+					crashAndRecover("crash at step 100", owners)
+				case 200:
+					// One device bounces while the rest stay up.
+					want := private.states()
+					for _, w := range worlds {
+						w.silence(3)
+						w.open(3)
+					}
+					sameStates(t, "bounce: private", private.states(), want)
+					sameStates(t, "bounce: shared", shared.states(), want)
+					// Silenced with everything in its snapshot, on a log
+					// that was there to see it: nothing to look for in it.
+					if rep := shared.fbs[3].RecoveryReport(); rep.WALBytes != 0 {
+						t.Errorf("the bounced owner read %d bytes of a log that holds nothing its snapshot lacks", rep.WALBytes)
+					}
+				}
+			}
+			crashAndRecover("crash at the end", all)
+			for _, w := range worlds {
+				w.close()
+			}
+		})
 	}
 }
 

@@ -14,6 +14,7 @@ import (
 	"syscall"
 	"testing"
 
+	"github.com/twoldag/twoldag/internal/block"
 	"github.com/twoldag/twoldag/internal/digest"
 	"github.com/twoldag/twoldag/internal/identity"
 )
@@ -308,6 +309,59 @@ func TestWALFaultSyncFailure(t *testing.T) {
 				t.Fatalf("recovered %d and %d blocks, want the 2 and 3 acknowledged ones", a, b)
 			}
 			w.close()
+		})
+	}
+	// One device's seal on a log of its own: a window of one staged
+	// block, whose write or fsync fails.
+	for _, fault := range []string{"fsync", "write"} {
+		t.Run("staged block, failed "+fault, func(t *testing.T) {
+			faults := &walFaults{}
+			dir := t.TempDir()
+			fb, st := openBackendWith(t, dir, walOpts(), faults.options()...)
+			defer fb.Close()
+			blocks := chainFor(t, identity.Deterministic(1, 1), 3, nil)
+			seal := func(b *block.Block) error {
+				if err := fb.StageBlock(b); err != nil {
+					return err
+				}
+				if err := fb.Commit(); err != nil {
+					return err
+				}
+				return st.Store.Append(b)
+			}
+			if err := seal(blocks[0]); err != nil {
+				t.Fatal(err)
+			}
+			fsyncs := fb.WALStats().Fsyncs
+			faults.arm(func() {
+				if fault == "fsync" {
+					faults.syncs = 1
+				} else {
+					faults.writes = 1
+				}
+			})
+			if err := seal(blocks[1]); !errors.Is(err, errInjected) {
+				t.Fatalf("a window over a failed %s: %v", fault, err)
+			}
+			if st.Store.Len() != 1 || fb.PendingBlocks() != 1 {
+				t.Fatalf("memory ahead of disk: store %d, pending %d", st.Store.Len(), fb.PendingBlocks())
+			}
+			// The same block, staged again, goes through.
+			for _, b := range blocks[1:] {
+				if err := seal(b); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if got := fb.WALStats().Fsyncs - fsyncs; got != 2 {
+				t.Fatalf("%d windows acknowledged since the first, want 2: the failed one does not count", got)
+			}
+			strictLog(t, dir)
+			want := stateBytes(t, st)
+			fb2, st2 := openBackend(t, copyDir(t, dir), walOpts()) // crash, reopen
+			defer fb2.Close()
+			if !bytes.Equal(stateBytes(t, st2), want) {
+				t.Fatal("recovered state differs")
+			}
 		})
 	}
 	t.Run("blocking append", func(t *testing.T) {

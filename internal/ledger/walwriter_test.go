@@ -50,60 +50,67 @@ func (c *commitLog) OnWALCommit(blocks int, n int64) {
 // acknowledges all N with exactly one fsync, which the observer sees as
 // one window of N. The appends that follow find their records durable
 // and fsync nothing, an empty Commit is free, and everything committed
-// survives a reopen.
+// survives a reopen. A round of one is a single device's seal.
 func TestRecoveryGroupCommitBatchWindow(t *testing.T) {
-	owners := []identity.NodeID{1, 2, 3, 4, 5}
-	fx := newWorldFixture(t, owners, 1)
-	base := t.TempDir()
-	obs := &commitLog{}
-	w := newWorld(t, base, true, WithCommitObserver(obs))
-	for _, o := range owners {
-		w.open(o)
-		if err := w.fbs[o].StageBlock(fx.chains[o][0]); err != nil {
-			t.Fatal(err)
-		}
-		if p := w.fbs[o].PendingBlocks(); p != 1 {
-			t.Fatalf("owner %v: pending = %d, want 1", o, p)
-		}
-	}
-	if stats := w.log.WALStats(); stats.Fsyncs != 0 {
-		t.Fatalf("%d fsyncs before the round's Commit", stats.Fsyncs)
-	}
-	if err := w.log.Commit(); err != nil {
-		t.Fatalf("Commit: %v", err)
-	}
-	for _, o := range owners {
-		w.apply(fx, worldOp{kind: 0, owner: o})
-	}
-	stats := w.log.WALStats()
-	if stats.Fsyncs != 1 {
-		t.Fatalf("%d fsyncs for one %d-block round, want 1", stats.Fsyncs, len(owners))
-	}
-	if stats.BytesCommitted == 0 {
-		t.Fatal("no bytes accounted to the window")
-	}
-	obs.mu.Lock()
-	windows, obsBytes := append([]int(nil), obs.windows...), obs.bytes
-	obs.mu.Unlock()
-	if len(windows) != 1 || windows[0] != len(owners) || obsBytes != stats.BytesCommitted {
-		t.Fatalf("observer saw windows=%v bytes=%d, stats=%+v", windows, obsBytes, stats)
-	}
-	// Nothing logged since: Commit is a no-op, not another fsync.
-	if err := w.log.Commit(); err != nil {
-		t.Fatal(err)
-	}
-	if got := w.log.WALStats().Fsyncs; got != 1 {
-		t.Fatalf("empty Commit fsynced (%d total)", got)
-	}
-	want := w.states()
-	w.close()
+	for _, n := range []int{5, 1} {
+		t.Run(fmt.Sprintf("owners=%d", n), func(t *testing.T) {
+			owners := make([]identity.NodeID, n)
+			for i := range owners {
+				owners[i] = identity.NodeID(i + 1)
+			}
+			fx := newWorldFixture(t, owners, 1)
+			base := t.TempDir()
+			obs := &commitLog{}
+			w := newWorld(t, base, true, WithCommitObserver(obs))
+			for _, o := range owners {
+				w.open(o)
+				if err := w.fbs[o].StageBlock(fx.chains[o][0]); err != nil {
+					t.Fatal(err)
+				}
+				if p := w.fbs[o].PendingBlocks(); p != 1 {
+					t.Fatalf("owner %v: pending = %d, want 1", o, p)
+				}
+			}
+			if stats := w.log.WALStats(); stats.Fsyncs != 0 {
+				t.Fatalf("%d fsyncs before the round's Commit", stats.Fsyncs)
+			}
+			if err := w.log.Commit(); err != nil {
+				t.Fatalf("Commit: %v", err)
+			}
+			for _, o := range owners {
+				w.apply(fx, worldOp{kind: 0, owner: o})
+			}
+			stats := w.log.WALStats()
+			if stats.Fsyncs != 1 {
+				t.Fatalf("%d fsyncs for one %d-block round, want 1", stats.Fsyncs, len(owners))
+			}
+			if stats.BytesCommitted == 0 {
+				t.Fatal("no bytes accounted to the window")
+			}
+			obs.mu.Lock()
+			windows, obsBytes := append([]int(nil), obs.windows...), obs.bytes
+			obs.mu.Unlock()
+			if len(windows) != 1 || windows[0] != len(owners) || obsBytes != stats.BytesCommitted {
+				t.Fatalf("observer saw windows=%v bytes=%d, stats=%+v", windows, obsBytes, stats)
+			}
+			// Nothing logged since: Commit is a no-op, not another fsync.
+			if err := w.log.Commit(); err != nil {
+				t.Fatal(err)
+			}
+			if got := w.log.WALStats().Fsyncs; got != 1 {
+				t.Fatalf("empty Commit fsynced (%d total)", got)
+			}
+			want := w.states()
+			w.close()
 
-	got := newWorld(t, base, true)
-	defer got.close()
-	for _, o := range owners {
-		got.open(o)
+			got := newWorld(t, base, true)
+			defer got.close()
+			for _, o := range owners {
+				got.open(o)
+			}
+			sameStates(t, "reopened", got.states(), want)
+		})
 	}
-	sameStates(t, "reopened", got.states(), want)
 }
 
 // TestRecoveryGroupCommitConcurrentAlways hammers the unstaged LogBlock
@@ -151,6 +158,54 @@ func TestRecoveryGroupCommitConcurrentAlways(t *testing.T) {
 	if st2.Store.Len() != 1 {
 		t.Fatalf("recovered %d blocks, want 1", st2.Store.Len())
 	}
+}
+
+// TestSharedLogConcurrentLogBlock: owners of one shared log append
+// their own chains at once, each block through an unstaged LogBlock
+// that closes a window under the log's lock. Every append is
+// acknowledged, no window is closed that no append asked for, and a
+// crash right after recovers every owner's whole chain.
+func TestSharedLogConcurrentLogBlock(t *testing.T) {
+	owners := []identity.NodeID{1, 2, 3, 4}
+	const per = 8
+	fx := newWorldFixture(t, owners, per)
+	base := t.TempDir()
+	w := newWorld(t, base, true)
+	defer func() { w.close() }()
+	for _, o := range owners {
+		w.open(o)
+	}
+	errs := make(chan error, len(owners)*per)
+	var wg sync.WaitGroup
+	for _, o := range owners {
+		st := w.sts[o]
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for _, b := range fx.chains[o] {
+				errs <- st.Store.Append(b)
+			}
+		}()
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	if n := w.log.WALStats().Fsyncs; n < 1 || n > int64(len(owners)*per) {
+		t.Fatalf("%d fsyncs for %d acknowledged blocks", n, len(owners)*per)
+	}
+	want := w.states()
+	w.reopen() // crash: nothing closed
+	for _, o := range owners {
+		w.open(o)
+		if n := w.sts[o].Store.Len(); n != per {
+			t.Fatalf("owner %v recovered %d blocks, want %d", o, n, per)
+		}
+	}
+	sameStates(t, "recovered", w.states(), want)
 }
 
 // TestRecoveryUnackedDiscardAfterCrash is the crash proof of a commit
@@ -225,7 +280,9 @@ func TestRecoveryUnackedDiscardAfterCrash(t *testing.T) {
 	}{
 		// Mid-record cuts discard the tear; the acknowledged prefix is
 		// the floor, intact unacknowledged records above it may survive.
+		{"ack-boundary", synced, 3, 0},
 		{"mid-first-unacked", synced + 1, 3, 1},
+		{"record-boundary", synced + recLen, 4, 0},
 		{"mid-last-record", good - 1, 4, recLen - 1},
 		{"window-boundary", good, 5, 0},
 	} {
@@ -270,64 +327,71 @@ func TestRecoveryUnackedDiscardAfterCrash(t *testing.T) {
 func TestWALWritesPerWindow(t *testing.T) {
 	p := testParams()
 	t.Run("staged round", func(t *testing.T) {
-		// 32 devices of one process: each takes in 8 announcements, then
-		// seals and stages. One Commit closes the round.
-		const owners, digests = 32, 8
-		for _, body := range []int{1 << 10, 2 << 10} {
-			t.Run(fmt.Sprintf("body=%d", body), func(t *testing.T) {
-				c := newByteCounter()
-				base := t.TempDir()
-				l, err := OpenLog(base, WithWALFile(c.wrap))
-				if err != nil {
-					t.Fatal(err)
-				}
-				defer l.Close()
-				fbs := make([]*FileBackend, owners)
-				sts := make([]*NodeState, owners)
-				blocks := make([]*block.Block, owners)
-				for i := range fbs {
-					o := identity.NodeID(i + 1)
-					if fbs[i], err = l.OpenBackend(filepath.Join(base, fmt.Sprintf("node-%d", o))); err != nil {
+		// 32 devices of one process, or a single one: each takes in 8
+		// announcements, then seals and stages. One Commit closes the
+		// round.
+		const digests = 8
+		for _, tc := range []struct {
+			name   string
+			owners int
+		}{{"", 32}, {"one owner, ", 1}} {
+			owners := tc.owners
+			for _, body := range []int{1 << 10, 2 << 10} {
+				t.Run(fmt.Sprintf("%sbody=%d", tc.name, body), func(t *testing.T) {
+					c := newByteCounter()
+					base := t.TempDir()
+					l, err := OpenLog(base, WithWALFile(c.wrap))
+					if err != nil {
 						t.Fatal(err)
 					}
-					if sts[i], err = fbs[i].Recover(RecoverOptions{Owner: o, Params: p}); err != nil {
+					defer l.Close()
+					fbs := make([]*FileBackend, owners)
+					sts := make([]*NodeState, owners)
+					blocks := make([]*block.Block, owners)
+					for i := range fbs {
+						o := identity.NodeID(i + 1)
+						if fbs[i], err = l.OpenBackend(filepath.Join(base, fmt.Sprintf("node-%d", o))); err != nil {
+							t.Fatal(err)
+						}
+						if sts[i], err = fbs[i].Recover(RecoverOptions{Owner: o, Params: p}); err != nil {
+							t.Fatal(err)
+						}
+						sts[i].Attach(fbs[i])
+						if blocks[i], err = p.Build(identity.Deterministic(o, 4), 0, 0, make([]byte, body), []block.DigestRef{{Node: o}}); err != nil {
+							t.Fatal(err)
+						}
+					}
+					for i := range fbs {
+						for k := 0; k < digests; k++ {
+							sts[i].Cache.Update(identity.NodeID(100+k), digest.Sum([]byte{byte(i), byte(k)}))
+						}
+						if err := fbs[i].StageBlock(blocks[i]); err != nil {
+							t.Fatal(err)
+						}
+					}
+					if err := l.Commit(); err != nil {
 						t.Fatal(err)
 					}
-					sts[i].Attach(fbs[i])
-					if blocks[i], err = p.Build(identity.Deterministic(o, 4), 0, 0, make([]byte, body), []block.DigestRef{{Node: o}}); err != nil {
+					for i := range fbs {
+						if err := sts[i].Store.Append(blocks[i]); err != nil {
+							t.Fatal(err)
+						}
+					}
+					writes, syncs := c.calls(walFileName)
+					info, err := os.Stat(filepath.Join(base, walFileName))
+					if err != nil {
 						t.Fatal(err)
 					}
-				}
-				for i := range fbs {
-					for k := 0; k < digests; k++ {
-						sts[i].Cache.Update(identity.NodeID(100+k), digest.Sum([]byte{byte(i), byte(k)}))
+					want := 1
+					if info.Size() >= walBufferLimit {
+						want = 2 // the bound splits the round
 					}
-					if err := fbs[i].StageBlock(blocks[i]); err != nil {
-						t.Fatal(err)
+					if writes != want || syncs != 1 {
+						t.Fatalf("a round of %d bytes took %d writes and %d fsyncs, want %d and 1 (one write per record is %d)",
+							info.Size(), writes, syncs, want, owners*(digests+1))
 					}
-				}
-				if err := l.Commit(); err != nil {
-					t.Fatal(err)
-				}
-				for i := range fbs {
-					if err := sts[i].Store.Append(blocks[i]); err != nil {
-						t.Fatal(err)
-					}
-				}
-				writes, syncs := c.calls(walFileName)
-				info, err := os.Stat(filepath.Join(base, walFileName))
-				if err != nil {
-					t.Fatal(err)
-				}
-				want := 1
-				if info.Size() >= walBufferLimit {
-					want = 2 // the bound splits the round
-				}
-				if writes != want || syncs != 1 {
-					t.Fatalf("a round of %d bytes took %d writes and %d fsyncs, want %d and 1 (one write per record is %d)",
-						info.Size(), writes, syncs, want, owners*(digests+1))
-				}
-			})
+				})
+			}
 		}
 	})
 
@@ -411,6 +475,30 @@ func TestWALWritesPerWindow(t *testing.T) {
 		if !bytes.Equal(stateBytes(t, st2), stateBytes(t, st)) {
 			t.Fatal("the acknowledged block does not recover")
 		}
+	})
+
+	t.Run("unstaged LogBlock, shared log", func(t *testing.T) {
+		// Another owner's lazy record rides in the window the block
+		// closes: one write and one fsync carry both.
+		owners := []identity.NodeID{1, 2}
+		fx := newWorldFixture(t, owners, 1)
+		c := newByteCounter()
+		base := t.TempDir()
+		w := newWorld(t, base, true, WithWALFile(c.wrap))
+		defer w.close()
+		for _, o := range owners {
+			w.open(o)
+		}
+		c.calls(walFileName)
+		w.apply(fx, worldOp{kind: 2, owner: 2, arg: 1})
+		w.apply(fx, worldOp{kind: 0, owner: 1})
+		if writes, syncs := c.calls(walFileName); writes != 1 || syncs != 1 {
+			t.Fatalf("an unstaged LogBlock took %d writes and %d fsyncs, want 1 and 1", writes, syncs)
+		}
+		if stats := w.log.WALStats(); stats.Fsyncs != 1 {
+			t.Fatalf("%d windows closed, want the block's own", stats.Fsyncs)
+		}
+		sameStates(t, "after the acknowledged block", recoverImage(t, dirImage(t, base), true, owners), w.states())
 	})
 }
 

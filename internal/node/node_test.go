@@ -182,6 +182,77 @@ func (c *cluster) runSlot(order ...identity.NodeID) {
 	}
 }
 
+// sealedCount wraps a node's observer and counts its BlockSealed events.
+type sealedCount struct {
+	events.Observer
+	mu sync.Mutex
+	n  int
+}
+
+func (s *sealedCount) OnBlockSealed(e events.BlockSealed) {
+	s.mu.Lock()
+	s.n++
+	s.mu.Unlock()
+	s.Observer.OnBlockSealed(e)
+}
+
+func (s *sealedCount) count() int {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.n
+}
+
+// TestSealLocalThenPublishLocal pins the two halves a driver runs
+// around a block's commit window. SealLocal makes the block and nothing
+// of it visible: S_i, the latest block and the observer stay put, and a
+// block that is never published (its window failed) leaves the next
+// SealLocal the same sequence number. PublishLocal appends the block
+// and reports it sealed, and returns its digest without announcing it;
+// Announce is what brings it to the neighbors.
+func TestSealLocalThenPublishLocal(t *testing.T) {
+	obs := map[identity.NodeID]*sealedCount{}
+	c := newCluster(t, topology.PaperFig4(), 2, func(cfg *Config) {
+		o := &sealedCount{Observer: cfg.Observer}
+		obs[cfg.Key.ID] = o
+		cfg.Observer = o
+	})
+	c.slot = 1
+	const id = identity.NodeID(1)
+	n, st := c.nodes[id], c.nodes[id].Engine().Store()
+
+	dropped, err := n.SealLocal([]byte("lost in its window"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := n.SealLocal([]byte("body"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.Len() != 0 || st.Latest() != nil || obs[id].count() != 0 {
+		t.Fatalf("SealLocal published: store %d, sealed events %d", st.Len(), obs[id].count())
+	}
+	if b.Header.Ref() != dropped.Header.Ref() {
+		t.Fatalf("the seal after an unpublished block took %v, want %v", b.Header.Ref(), dropped.Header.Ref())
+	}
+
+	d, err := n.PublishLocal(b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if d != b.Header.Hash() || st.Len() != 1 || st.Latest() != b || obs[id].count() != 1 {
+		t.Fatalf("PublishLocal: digest ok %v, store %d, latest ok %v, sealed events %d",
+			d == b.Header.Hash(), st.Len(), st.Latest() == b, obs[id].count())
+	}
+	c.log.mu.Lock()
+	announced := len(c.log.seen)
+	c.log.mu.Unlock()
+	if announced != 0 {
+		t.Fatalf("%d digests reached a neighbor before Announce", announced)
+	}
+	n.Announce(context.Background(), d)
+	c.waitForDigest(id, d)
+}
+
 // TestLiveAuditPaperFig4 runs the Fig. 4 scenario over real message
 // passing: validator A audits B1 and reaches γ=2 consensus.
 func TestLiveAuditPaperFig4(t *testing.T) {

@@ -31,24 +31,25 @@ type recoveryRun struct {
 // submit slot, then audits — against a durable live cluster rooted at
 // dataDir. When kill is set, the victim is silenced (backend flushed
 // and closed) and restarted from its data dir inside the crash window,
-// with its recovery byte-checked against its pre-kill state.
-func runRecoveryScenario(t *testing.T, dataDir string, kill bool) recoveryRun {
+// with its recovery byte-checked against its pre-kill state. extra
+// options (e.g. WithWorkers) ride on top of the fixed world.
+func runRecoveryScenario(t *testing.T, dataDir string, kill bool, extra ...Option) recoveryRun {
 	t.Helper()
 	plan := FaultPlan{
 		Seed:    104,
 		Crashes: []CrashWindow{{Node: chaosVictim, From: 4, Until: 5}},
 	}
-	rt, err := New(
+	rt, err := New(append([]Option{
 		WithNodes(chaosNodes),
 		WithSeed(7),
 		WithGamma(1),
 		WithDifficulty(2),
-		WithRequestTimeout(250*time.Millisecond),
+		WithRequestTimeout(250 * time.Millisecond),
 		WithFaults(plan),
 		WithRetryPolicy(chaosRetry()),
 		WithDataDir(dataDir),
 		WithTrustCap(4),
-	)
+	}, extra...)...)
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
@@ -138,7 +139,13 @@ func TestRecoveryFacadeKillRestartEquivalence(t *testing.T) {
 		}
 	}
 	crash := runRecoveryScenario(t, filepath.Join(base, "crash"), true)
+	compareRecoveryRuns(t, crash, oracle)
+}
 
+// compareRecoveryRuns fails unless a crash run sealed the oracle's
+// headers, reached its audit verdicts and ended in its ledger states.
+func compareRecoveryRuns(t *testing.T, crash, oracle recoveryRun) {
+	t.Helper()
 	if len(crash.hashes) != len(oracle.hashes) {
 		t.Fatalf("sealed %d blocks, oracle sealed %d", len(crash.hashes), len(oracle.hashes))
 	}
@@ -156,6 +163,35 @@ func TestRecoveryFacadeKillRestartEquivalence(t *testing.T) {
 		if crash.states[id] != want {
 			t.Errorf("node %v ledger state diverged from the uninterrupted run", id)
 		}
+	}
+}
+
+// TestRecoveryFacadeKillRestartOptions runs the kill/restart scenario
+// with the seal stage fanned out over workers, and with a compaction
+// after every block, and compares each against the one uninterrupted
+// oracle of the default run: neither moves a commit window's contents
+// or the order in which blocks become durable, so neither may change
+// what the cluster converges to.
+func TestRecoveryFacadeKillRestartOptions(t *testing.T) {
+	base := t.TempDir()
+	oracle := runRecoveryScenario(t, filepath.Join(base, "oracle"), false)
+	for i, ok := range oracle.outcomes {
+		if !ok {
+			t.Fatalf("uninterrupted audit %d reached no consensus — not a usable baseline", i)
+		}
+	}
+	for _, tc := range []struct {
+		name string
+		opts []Option
+	}{
+		{"workers=4", []Option{WithWorkers(4)}},
+		{"compact-every=1", []Option{WithCompactEvery(1)}},
+		{"workers=4, compact-every=1", []Option{WithWorkers(4), WithCompactEvery(1)}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			crash := runRecoveryScenario(t, filepath.Join(base, tc.name), true, tc.opts...)
+			compareRecoveryRuns(t, crash, oracle)
+		})
 	}
 }
 

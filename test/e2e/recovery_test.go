@@ -17,9 +17,10 @@ import (
 
 // recoveryFlags configure one durable host: the shared e2e world, no
 // chaos, a trust cap (so the checkpoint's cap branch rides the whole
-// pipeline), and a per-node data dir under base.
-func recoveryFlags(base string, id int) []string {
-	return []string{
+// pipeline), and a per-node data dir under base; extra flags ride on
+// top.
+func recoveryFlags(base string, id int, extra ...string) []string {
+	return append([]string{
 		"-nodes", fmt.Sprint(nodes),
 		"-seed", fmt.Sprint(seed),
 		"-gamma", fmt.Sprint(gamma),
@@ -27,18 +28,18 @@ func recoveryFlags(base string, id int) []string {
 		"-timeout", "1s",
 		"-trust-cap", "4",
 		"-data", filepath.Join(base, fmt.Sprintf("node-%d", id)),
-	}
+	}, extra...)
 }
 
 // spawnDurable boots the planned cluster with persistence on.
-func spawnDurable(t *testing.T, base string) []*proc {
+func spawnDurable(t *testing.T, base string, extra ...string) []*proc {
 	t.Helper()
 	procs := make([]*proc, nodes)
-	procs[0] = spawn(t, append([]string{"serve", "-id", "0"}, recoveryFlags(base, 0)...)...)
+	procs[0] = spawn(t, append([]string{"serve", "-id", "0"}, recoveryFlags(base, 0, extra...)...)...)
 	for id := 1; id < nodes; id++ {
 		procs[id] = spawn(t, append([]string{
 			"serve", "-id", fmt.Sprint(id), "-bootstrap", procs[0].addr,
-		}, recoveryFlags(base, id)...)...)
+		}, recoveryFlags(base, id, extra...)...)...)
 	}
 	return procs
 }
@@ -55,10 +56,11 @@ type recoveryObs struct {
 // segment + checkpoint + WAL, not WAL alone), a third slot in which
 // everyone seals — and, when kill is set, the victim is SIGKILLed
 // before anyone flushes and a fresh serve process resumes from its
-// data dir — then flushes, audits, and a state digest per node.
-func runRecoveryE2E(t *testing.T, base string, kill bool) recoveryObs {
+// data dir — then flushes, audits, and a state digest per node. extra
+// flags go to every serve process.
+func runRecoveryE2E(t *testing.T, base string, kill bool, extra ...string) recoveryObs {
 	t.Helper()
-	procs := spawnDurable(t, base)
+	procs := spawnDurable(t, base, extra...)
 	var obs recoveryObs
 
 	submitSlot := func(slot int, members []*proc) {
@@ -118,7 +120,7 @@ func runRecoveryE2E(t *testing.T, base string, kill bool) recoveryObs {
 		procs[victim].kill()
 		restarted := spawn(t, append([]string{
 			"serve", "-id", fmt.Sprint(victim), "-bootstrap", procs[0].addr,
-		}, recoveryFlags(base, victim)...)...)
+		}, recoveryFlags(base, victim, extra...)...)...)
 		restarted.mustOK(cluster.ControlRequest{Op: "slot", Slot: 3})
 		// The sealed-but-unannounced block survived the kill bit for bit.
 		latest := restarted.mustOK(cluster.ControlRequest{Op: "latest"})
@@ -195,5 +197,31 @@ func compareRecoveryObs(t *testing.T, got, want recoveryObs) {
 		if got.states[i] != want.states[i] {
 			t.Errorf("node %d ledger state diverged from the uninterrupted run", i)
 		}
+	}
+}
+
+// TestRecoveryE2ECompactEvery re-runs the SIGKILL/restart proof with
+// compactions inside the seals — after every block, and after every
+// second one — each compared against the one uninterrupted oracle of
+// the default threshold. The victim dies between seal and flush with a
+// compaction just behind it or half a threshold back, and the restarted
+// cluster must still be indistinguishable from the oracle: a
+// compaction moves where a block is kept, never what is sealed.
+func TestRecoveryE2ECompactEvery(t *testing.T) {
+	if testing.Short() {
+		t.Skip("spawns real processes")
+	}
+	base := t.TempDir()
+	want := runRecoveryE2E(t, filepath.Join(base, "oracle"), false)
+	for i, ok := range want.verdicts {
+		if !ok {
+			t.Fatalf("uninterrupted audit %d reached no consensus — not a usable baseline", i)
+		}
+	}
+	for _, every := range []string{"1", "2"} {
+		t.Run("compact-every="+every, func(t *testing.T) {
+			got := runRecoveryE2E(t, filepath.Join(base, "every-"+every), true, "-compact-every", every)
+			compareRecoveryObs(t, got, want)
+		})
 	}
 }
