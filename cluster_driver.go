@@ -349,23 +349,6 @@ func (c *Cluster) ackCtx(ctx context.Context) (context.Context, context.CancelFu
 	return context.WithTimeout(ctx, c.rto)
 }
 
-// awaitAck blocks until every expected neighbor acknowledged d.
-func (c *Cluster) awaitAck(ctx context.Context, origin NodeID, d Digest, w *cluster.Waiter) error {
-	return c.tracker.Await(ctx, origin, d, w)
-}
-
-// awaitAckRetry is awaitAck with the configured retry policy: each
-// missing acknowledgement re-sends the digest — only to the neighbors
-// still pending, as a singleton frame — after an exponential backoff,
-// up to MaxAttempts total announcement rounds. Retries are ack-driven,
-// never blind: a loss-free run sends exactly one frame per link and
-// takes the plain awaitAck path.
-func (c *Cluster) awaitAckRetry(ctx context.Context, n *node.Node, d Digest, w *cluster.Waiter) error {
-	return c.tracker.AwaitRetry(ctx, n.ID(), d, w, c.retry, c.obs, func(ctx context.Context, nb NodeID, d Digest) {
-		n.AnnounceTo(ctx, nb, d)
-	})
-}
-
 // commitObservers collects the user observers that also implement
 // ledger.CommitObserver (e.g. *metrics.EventCounters), so WAL commit
 // windows surface on the same scrape as the event counters.
@@ -398,11 +381,7 @@ func (m multiCommitObserver) OnWALCommit(blocks int, bytes int64) {
 // neighbor's acknowledgement (event-driven — see cluster.AckTracker).
 // It is SubmitBatch of one block.
 func (c *Cluster) Submit(ctx context.Context, id NodeID, data []byte) (Ref, error) {
-	refs, err := c.SubmitBatch(ctx, []Submission{{Node: id, Data: data}})
-	if len(refs) == 0 {
-		return Ref{}, err
-	}
-	return refs[0], err
+	return submitOne(ctx, c, id, data)
 }
 
 // SubmitBatch implements Runtime: all blocks are sealed first, then
@@ -427,7 +406,8 @@ func (c *Cluster) Submit(ctx context.Context, id NodeID, data []byte) (Ref, erro
 // store and log still agree, and the next batch seals the same
 // sequence numbers again. The log compacts, when due, between rounds.
 // Everything after the seal stage — ack registration, announcements,
-// ack waits — runs on the caller in batch order.
+// ack waits in batch order — runs on the caller through
+// cluster.AckTracker.Announce, as cluster.Host.Flush does.
 func (c *Cluster) SubmitBatch(ctx context.Context, batch []Submission) ([]Ref, error) {
 	// Group the batch per owner, resolving every owner before anything
 	// is sealed: an unknown node fails the call without leaving sealed,
@@ -452,13 +432,8 @@ func (c *Cluster) SubmitBatch(ctx context.Context, batch []Submission) ([]Ref, e
 		owners[o].subs = append(owners[o].subs, i)
 	}
 
-	type flush struct {
-		n *node.Node
-		d Digest
-		w *cluster.Waiter
-	}
 	refs := make([]Ref, len(batch))
-	flushes := make([]flush, len(batch))
+	flush := make([]cluster.Sealed, len(batch))
 	// failed is the lowest batch index whose seal failed and sealErr its
 	// error. No worker starts a block beyond failed; blocks before it
 	// are still sealed, in later rounds too, so the refs returned are
@@ -523,7 +498,7 @@ func (c *Cluster) SubmitBatch(ctx context.Context, batch []Submission) ([]Ref, e
 				continue
 			}
 			refs[s.i] = s.b.Header.Ref()
-			flushes[s.i] = flush{n: s.n, d: d}
+			flush[s.i] = cluster.Sealed{Node: s.n, Digest: d}
 		}
 		c.maybeCompact()
 	}
@@ -531,53 +506,9 @@ func (c *Cluster) SubmitBatch(ctx context.Context, batch []Submission) ([]Ref, e
 		return refs[:f], sealErr
 	}
 
-	for i := range flushes {
-		f := &flushes[i]
-		f.w = c.tracker.Expect(f.d, c.liveNeighbors(f.n.ID()))
-	}
-	abort := func(err error) ([]Ref, error) {
-		for _, f := range flushes {
-			c.tracker.Cancel(f.d)
-		}
-		return refs, err
-	}
 	actx, cancel := c.ackCtx(ctx)
 	defer cancel()
-	// One coalesced announcement per sender, in seal order so the
-	// receiver's A_i ends on the newest digest.
-	for _, o := range owners {
-		ds := make([]Digest, len(o.subs))
-		for k, i := range o.subs {
-			ds[k] = flushes[i].d
-		}
-		o.n.AnnounceBatch(actx, ds)
-	}
-	if c.retry.Enabled() {
-		// Await concurrently so every flush's retry clock runs at once;
-		// sequential waits would serialize the backoffs.
-		errs := make([]error, len(flushes))
-		var wg sync.WaitGroup
-		for i, f := range flushes {
-			wg.Add(1)
-			go func(i int, f flush) {
-				defer wg.Done()
-				errs[i] = c.awaitAckRetry(actx, f.n, f.d, f.w)
-			}(i, f)
-		}
-		wg.Wait()
-		for _, err := range errs {
-			if err != nil {
-				return abort(err)
-			}
-		}
-		return refs, nil
-	}
-	for _, f := range flushes {
-		if err := c.awaitAck(actx, f.n.ID(), f.d, f.w); err != nil {
-			return abort(err)
-		}
-	}
-	return refs, nil
+	return refs, c.tracker.Announce(actx, flush, c.liveNeighbors, c.retry, c.obs)
 }
 
 // Audit implements Runtime.
@@ -638,7 +569,9 @@ func (c *Cluster) VerifySample(res *AuditResult, sp *SampleProof) error {
 // Join implements Runtime (the paper's Sec. VII dynamic-membership
 // extension): the new device is placed within radio range of the
 // newest live device, registered in the key ring, and starts serving
-// immediately.
+// immediately. A Join that fails (a damaged data dir, say) takes the
+// placement and the ring entry back, so no neighbor keeps a phantom
+// device in its Δ or announces to it, and the retry gets the same ID.
 func (c *Cluster) Join() (NodeID, error) {
 	id, err := placeJoiner(c.topo, c.ids, func(id NodeID) bool {
 		_, ok := c.nodes[id]
@@ -648,11 +581,15 @@ func (c *Cluster) Join() (NodeID, error) {
 		return 0, err
 	}
 	kp := identity.Deterministic(id, c.seed)
-	if err := c.ring.Register(kp.ID, kp.Public); err != nil {
-		return 0, fmt.Errorf("twoldag: registering joiner: %w", err)
+	if err = c.ring.Register(kp.ID, kp.Public); err != nil {
+		err = fmt.Errorf("twoldag: registering joiner: %w", err)
+	} else if err = c.startNode(kp); err != nil {
+		_ = c.ring.Deregister(id)
+		err = fmt.Errorf("twoldag: joiner: %w", err)
 	}
-	if err := c.startNode(kp); err != nil {
-		return 0, fmt.Errorf("twoldag: joiner: %w", err)
+	if err != nil {
+		_ = c.topo.RemoveNode(id)
+		return 0, err
 	}
 	c.ids = append(c.ids, id)
 	return id, nil

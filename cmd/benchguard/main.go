@@ -10,7 +10,10 @@
 //	    go run ./cmd/benchguard -baseline BENCH_hotpath.json -tolerance 0.20
 //
 // Only benchmarks present in the baseline's "micro" list are checked;
-// new benchmarks pass freely until a baseline entry is recorded. Two
+// new benchmarks pass freely until a baseline entry is recorded, and a
+// "micro" row with no result line in the input fails the run by name —
+// a deleted, renamed or filtered-out benchmark must not drop its guard
+// silently. Two
 // numbers are compared. ns/op is a ratio on the same machine class —
 // refresh the baseline (see its "regenerate" field) when hardware
 // changes. allocs/op is machine-independent, which ns/op on a shared
@@ -26,6 +29,7 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strconv"
 	"strings"
@@ -54,54 +58,67 @@ func allocLimit(ref row, tolerance float64) (float64, bool) {
 }
 
 func main() {
-	os.Exit(run())
+	os.Exit(run(os.Args[1:], os.Stdin, os.Stdout, os.Stderr))
 }
 
-func run() int {
-	path := flag.String("baseline", "BENCH_hotpath.json", "baseline JSON file")
-	tolerance := flag.Float64("tolerance", 0.20, "allowed fractional ns/op and allocs/op regression")
-	flag.Parse()
+// run guards the benchmark output read from in, echoing it to out and
+// reporting to errw, and returns the exit code: 0 when every tracked
+// row ran within tolerance, 1 on a regression or a row that never ran,
+// 2 on a bad flag, baseline or input.
+func run(args []string, in io.Reader, out, errw io.Writer) int {
+	fs := flag.NewFlagSet("benchguard", flag.ContinueOnError)
+	fs.SetOutput(errw)
+	path := fs.String("baseline", "BENCH_hotpath.json", "baseline JSON file")
+	tolerance := fs.Float64("tolerance", 0.20, "allowed fractional ns/op and allocs/op regression")
+	if err := fs.Parse(args); err != nil {
+		return 2
+	}
 
 	raw, err := os.ReadFile(*path)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "benchguard: reading baseline: %v\n", err)
+		fmt.Fprintf(errw, "benchguard: reading baseline: %v\n", err)
 		return 2
 	}
 	var base baseline
 	if err := json.Unmarshal(raw, &base); err != nil {
-		fmt.Fprintf(os.Stderr, "benchguard: parsing baseline: %v\n", err)
+		fmt.Fprintf(errw, "benchguard: parsing baseline: %v\n", err)
 		return 2
 	}
 	want := make(map[string]row, len(base.Micro))
 	for _, m := range base.Micro {
 		want[m.Benchmark] = m
 	}
+	ran := make(map[string]bool, len(base.Micro))
 
 	checked, regressed := 0, 0
-	sc := bufio.NewScanner(os.Stdin)
+	sc := bufio.NewScanner(in)
 	sc.Buffer(make([]byte, 1<<20), 1<<20)
 	for sc.Scan() {
 		line := sc.Text()
-		fmt.Println(line) // pass the output through for the CI log
+		fmt.Fprintln(out, line) // pass the output through for the CI log
 		name, ns, allocs, ok := parseBenchLine(line)
 		if !ok {
 			continue
 		}
 		ref, tracked := want[name]
-		if !tracked || ref.NsPerOp <= 0 {
+		if !tracked {
+			continue
+		}
+		ran[name] = true
+		if ref.NsPerOp <= 0 {
 			continue
 		}
 		checked++
 		ratio := ns/ref.NsPerOp - 1
 		slow := ratio > *tolerance
 		if slow {
-			fmt.Fprintf(os.Stderr, "benchguard: REGRESSION %s: %.4g ns/op vs baseline %.4g (%+.1f%%, tolerance %.0f%%)\n",
+			fmt.Fprintf(errw, "benchguard: REGRESSION %s: %.4g ns/op vs baseline %.4g (%+.1f%%, tolerance %.0f%%)\n",
 				name, ns, ref.NsPerOp, 100*ratio, 100**tolerance)
 		}
 		limit, counted := allocLimit(ref, *tolerance)
 		fat := counted && allocs > limit
 		if fat {
-			fmt.Fprintf(os.Stderr, "benchguard: REGRESSION %s: %.0f allocs/op vs baseline %.0f (limit %.1f)\n",
+			fmt.Fprintf(errw, "benchguard: REGRESSION %s: %.0f allocs/op vs baseline %.0f (limit %.1f)\n",
 				name, allocs, *ref.AllocsPerOp, limit)
 		}
 		if slow || fat {
@@ -109,15 +126,22 @@ func run() int {
 		}
 	}
 	if err := sc.Err(); err != nil {
-		fmt.Fprintf(os.Stderr, "benchguard: reading input: %v\n", err)
+		fmt.Fprintf(errw, "benchguard: reading input: %v\n", err)
 		return 2
 	}
-	if regressed > 0 {
-		fmt.Fprintf(os.Stderr, "benchguard: %d of %d tracked benchmarks regressed (ns/op or allocs/op) >%.0f%%\n",
-			regressed, checked, 100**tolerance)
+	missing := 0
+	for _, m := range base.Micro {
+		if !ran[m.Benchmark] {
+			fmt.Fprintf(errw, "benchguard: MISSING %s: tracked in the baseline, but no result line\n", m.Benchmark)
+			missing++
+		}
+	}
+	if regressed > 0 || missing > 0 {
+		fmt.Fprintf(errw, "benchguard: %d of %d tracked benchmarks regressed (ns/op or allocs/op) >%.0f%%, %d never ran\n",
+			regressed, checked, 100**tolerance, missing)
 		return 1
 	}
-	fmt.Fprintf(os.Stderr, "benchguard: %d tracked benchmarks within %.0f%% of baseline\n",
+	fmt.Fprintf(errw, "benchguard: %d tracked benchmarks within %.0f%% of baseline\n",
 		checked, 100**tolerance)
 	return 0
 }

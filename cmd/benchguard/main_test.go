@@ -1,6 +1,12 @@
 package main
 
-import "testing"
+import (
+	"io"
+	"os"
+	"path/filepath"
+	"strings"
+	"testing"
+)
 
 func TestParseBenchLine(t *testing.T) {
 	cases := []struct {
@@ -44,5 +50,49 @@ func TestAllocLimit(t *testing.T) {
 	}
 	if _, ok := allocLimit(row{}, 0.20); ok {
 		t.Error("a row without allocs_per_op must not be guarded on allocations")
+	}
+}
+
+// TestGuardFailsOnMissingRows: a tracked row with no result line — a
+// benchmark deleted, renamed or filtered out of the run — fails the
+// guard by name instead of passing unchecked; rows that ran within
+// tolerance and untracked benchmarks pass.
+func TestGuardFailsOnMissingRows(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "baseline.json")
+	err := os.WriteFile(path, []byte(`{"micro": [
+		{"benchmark": "BenchmarkRan", "ns_per_op": 100, "allocs_per_op": 2},
+		{"benchmark": "BenchmarkGone/sub", "ns_per_op": 100},
+		{"benchmark": "BenchmarkFiltered", "ns_per_op": 100}
+	]}`), 0o644)
+	if err != nil {
+		t.Fatal(err)
+	}
+	args := []string{"-baseline", path, "-tolerance", "0.20"}
+	input := strings.Join([]string{
+		"goos: linux",
+		"BenchmarkRan-2   100   110 ns/op   64 B/op   2 allocs/op",
+		"BenchmarkUntracked-2   100   5 ns/op",
+		"PASS",
+	}, "\n")
+	var out, errw strings.Builder
+	if code := run(args, strings.NewReader(input), &out, &errw); code != 1 {
+		t.Fatalf("run = %d with two tracked rows missing, want 1\n%s", code, errw.String())
+	}
+	for _, name := range []string{"BenchmarkGone/sub", "BenchmarkFiltered"} {
+		if !strings.Contains(errw.String(), "MISSING "+name+":") {
+			t.Errorf("report does not name %s:\n%s", name, errw.String())
+		}
+	}
+	if strings.Contains(errw.String(), "MISSING BenchmarkRan") || strings.Contains(errw.String(), "REGRESSION") {
+		t.Errorf("a row that ran within tolerance was reported:\n%s", errw.String())
+	}
+	if out.String() != input+"\n" {
+		t.Errorf("input not passed through: %q", out.String())
+	}
+
+	input += "\nBenchmarkGone/sub-2   100   90 ns/op\nBenchmarkFiltered   100   120 ns/op\n"
+	errw.Reset()
+	if code := run(args, strings.NewReader(input), io.Discard, &errw); code != 0 {
+		t.Fatalf("run = %d with every row present and in tolerance, want 0\n%s", code, errw.String())
 	}
 }

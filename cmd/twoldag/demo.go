@@ -18,11 +18,10 @@ type eventTally struct {
 	sealed, announced, hops atomic.Int64
 }
 
-func (t *eventTally) OnBlockSealed(twoldag.BlockSealed)         { t.sealed.Add(1) }
-func (t *eventTally) OnDigestAnnounced(twoldag.DigestAnnounced) { t.announced.Add(1) }
+func (t *eventTally) OnBlockSealed(twoldag.BlockSealed) { t.sealed.Add(1) }
 func (t *eventTally) OnDigestBatchDelivered(e twoldag.DigestBatchDelivered) {
-	// A coalesced flush counts one delivery per carried digest, so the
-	// tally agrees between the batched and singleton paths.
+	// A flush counts one delivery per carried digest, however many
+	// digests its frame coalesced.
 	t.announced.Add(int64(len(e.Digests)))
 }
 func (t *eventTally) OnAuditHop(twoldag.AuditHop) { t.hops.Add(1) }

@@ -40,9 +40,8 @@ func (w *windowLog) take() []string {
 	return out
 }
 
-func (w *windowLog) OnWALCommit(blocks int, _ int64)   { w.add(fmt.Sprintf("commit %d", blocks)) }
-func (w *windowLog) OnBlockSealed(BlockSealed)         { w.add("sealed") }
-func (w *windowLog) OnDigestAnnounced(DigestAnnounced) { w.add("announced") }
+func (w *windowLog) OnWALCommit(blocks int, _ int64) { w.add(fmt.Sprintf("commit %d", blocks)) }
+func (w *windowLog) OnBlockSealed(BlockSealed)       { w.add("sealed") }
 func (w *windowLog) OnDigestBatchDelivered(e DigestBatchDelivered) {
 	for range e.Digests {
 		w.add("announced")

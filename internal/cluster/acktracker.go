@@ -19,38 +19,98 @@ import (
 	"github.com/twoldag/twoldag/internal/events"
 	"github.com/twoldag/twoldag/internal/faults"
 	"github.com/twoldag/twoldag/internal/identity"
+	"github.com/twoldag/twoldag/internal/node"
 )
 
-// Waiter tracks one announcement's outstanding neighbor
-// acknowledgements.
-type Waiter struct {
+// waiter tracks one digest's outstanding neighbor acknowledgements.
+type waiter struct {
 	pending map[identity.NodeID]struct{}
 	done    chan struct{}
 }
 
-// Done is closed once every expected neighbor acknowledged.
-func (w *Waiter) Done() <-chan struct{} { return w.done }
-
-// AckTracker resolves digest announcements to waiting submitters. It
-// observes the receiver-side DigestAnnounced event from every node —
-// delivered directly by in-process receivers, or synthesized from
-// wire-level DigestAck frames in cross-process clusters — replacing
-// sleep-polls over neighbor caches with event-driven acknowledgement.
+// AckTracker is both live drivers' announce-and-await (Announce). It
+// resolves each wait on the receiver-side DigestBatchDelivered events
+// of every node — observed directly from in-process receivers, or
+// synthesized from wire-level DigestAck frames across processes.
 type AckTracker struct {
 	events.Nop
 	mu      sync.Mutex
-	waiters map[digest.Digest]*Waiter
+	waiters map[digest.Digest]*waiter
 }
 
 // NewAckTracker builds an empty tracker.
 func NewAckTracker() *AckTracker {
-	return &AckTracker{waiters: make(map[digest.Digest]*Waiter)}
+	return &AckTracker{waiters: make(map[digest.Digest]*waiter)}
 }
 
-// Expect registers interest in d reaching every listed neighbor. Call
-// before announcing so no acknowledgement can be missed.
-func (t *AckTracker) Expect(d digest.Digest, neighbors []identity.NodeID) *Waiter {
-	w := &Waiter{pending: make(map[identity.NodeID]struct{}, len(neighbors)), done: make(chan struct{})}
+// Sealed is one digest of a flush and the node that sealed it.
+type Sealed struct {
+	Node   *node.Node
+	Digest digest.Digest
+}
+
+// Announce flushes sealed digests and blocks until each sender's live
+// neighbors — neighbors(sender) — acknowledged each of its digests. It
+// registers every wait, then sends each sender's digests as one
+// DigestBatch frame per neighbor (node.AnnounceBatch), senders in order
+// of first appearance. The waits run in the order given, or, under a
+// retry policy, concurrently so every retry clock runs at once. The
+// first error in that order is returned, and every wait is cancelled.
+func (t *AckTracker) Announce(
+	ctx context.Context,
+	flush []Sealed,
+	neighbors func(identity.NodeID) []identity.NodeID,
+	retry faults.RetryPolicy,
+	obs events.Observer,
+) error {
+	runs := make(map[*node.Node][]digest.Digest)
+	nbs := make(map[*node.Node][]identity.NodeID)
+	var senders []*node.Node
+	waits := make([]*waiter, len(flush))
+	for i, s := range flush {
+		if _, ok := nbs[s.Node]; !ok {
+			nbs[s.Node] = neighbors(s.Node.ID())
+			senders = append(senders, s.Node)
+		}
+		runs[s.Node] = append(runs[s.Node], s.Digest)
+		waits[i] = t.expect(s.Digest, nbs[s.Node])
+	}
+	for _, n := range senders {
+		n.AnnounceBatch(ctx, runs[n])
+	}
+	errs := make([]error, len(flush))
+	if retry.Enabled() {
+		var wg sync.WaitGroup
+		for i := range flush {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				errs[i] = t.await(ctx, flush[i], waits[i], retry, obs)
+			}()
+		}
+		wg.Wait()
+	} else {
+		for i := range flush {
+			if errs[i] = t.await(ctx, flush[i], waits[i], retry, obs); errs[i] != nil {
+				break
+			}
+		}
+	}
+	for _, err := range errs {
+		if err != nil {
+			for _, s := range flush {
+				t.cancel(s.Digest)
+			}
+			return err
+		}
+	}
+	return nil
+}
+
+// expect registers interest in d reaching every listed neighbor,
+// before d is announced so no acknowledgement can be missed.
+func (t *AckTracker) expect(d digest.Digest, neighbors []identity.NodeID) *waiter {
+	w := &waiter{pending: make(map[identity.NodeID]struct{}, len(neighbors)), done: make(chan struct{})}
 	for _, nb := range neighbors {
 		w.pending[nb] = struct{}{}
 	}
@@ -64,16 +124,8 @@ func (t *AckTracker) Expect(d digest.Digest, neighbors []identity.NodeID) *Waite
 	return w
 }
 
-// OnDigestAnnounced implements events.Observer: one neighbor cached d.
-func (t *AckTracker) OnDigestAnnounced(e events.DigestAnnounced) {
-	t.mu.Lock()
-	t.resolve(e.Digest, e.To)
-	t.mu.Unlock()
-}
-
 // OnDigestBatchDelivered implements events.Observer: one neighbor
-// ingested a whole coalesced flush, acknowledging every digest it
-// carried at once.
+// ingested a flush, acknowledging every digest it carried at once.
 func (t *AckTracker) OnDigestBatchDelivered(e events.DigestBatchDelivered) {
 	t.mu.Lock()
 	for _, d := range e.Digests {
@@ -94,7 +146,7 @@ func (t *AckTracker) resolve(d digest.Digest, to identity.NodeID) {
 }
 
 // Pending snapshots the neighbors that have not yet acknowledged d
-// (nil once the waiter resolved), sorted for reproducible retry
+// (nil once the wait resolved), sorted for reproducible retry
 // fan-out.
 func (t *AckTracker) Pending(d digest.Digest) []identity.NodeID {
 	t.mu.Lock()
@@ -111,9 +163,9 @@ func (t *AckTracker) Pending(d digest.Digest) []identity.NodeID {
 	return out
 }
 
-// Cancel abandons a waiter and reports which neighbors never
-// acknowledged (empty when the waiter actually completed).
-func (t *AckTracker) Cancel(d digest.Digest) []identity.NodeID {
+// cancel abandons d's wait and reports which neighbors never
+// acknowledged (empty when the wait actually completed).
+func (t *AckTracker) cancel(d digest.Digest) []identity.NodeID {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	w, ok := t.waiters[d]
@@ -128,42 +180,15 @@ func (t *AckTracker) Cancel(d digest.Digest) []identity.NodeID {
 	return missing
 }
 
-// Await blocks until every expected neighbor acknowledged d or the
-// context expires, reporting the still-missing neighbors on timeout.
-func (t *AckTracker) Await(ctx context.Context, origin identity.NodeID, d digest.Digest, w *Waiter) error {
-	select {
-	case <-w.done:
-		return nil
-	case <-ctx.Done():
-		missing := t.Cancel(d)
-		if len(missing) == 0 {
-			return nil // acknowledged in the same instant
-		}
-		return fmt.Errorf("cluster: digest %s from %v unacknowledged by %v: %w", d, origin, missing, ctx.Err())
-	}
-}
-
-// AwaitRetry is Await with a retry policy: each missing
-// acknowledgement re-sends the digest — only to the neighbors still
-// pending, via the resend callback — after an exponential backoff, up
-// to MaxAttempts total announcement rounds. Retries are ack-driven,
-// never blind: a loss-free run sends exactly one frame per link and
-// takes the plain Await path. obs, when non-nil, sees each
-// RetryAttempted.
-func (t *AckTracker) AwaitRetry(
-	ctx context.Context,
-	origin identity.NodeID,
-	d digest.Digest,
-	w *Waiter,
-	retry faults.RetryPolicy,
-	obs events.Observer,
-	resend func(ctx context.Context, nb identity.NodeID, d digest.Digest),
-) error {
-	if !retry.Enabled() {
-		return t.Await(ctx, origin, d, w)
-	}
-	key := binary.LittleEndian.Uint64(d[:8])
-	for attempt := 2; attempt <= retry.MaxAttempts; attempt++ {
+// await blocks until every expected neighbor acknowledged s's digest
+// or ctx expires, naming the missing neighbors. Under a retry policy it
+// re-sends the digest to the still-pending neighbors (node.AnnounceTo)
+// after each exponential backoff, up to MaxAttempts rounds in all; obs,
+// when non-nil, sees each RetryAttempted. A loss-free run sends exactly
+// one frame per link.
+func (t *AckTracker) await(ctx context.Context, s Sealed, w *waiter, retry faults.RetryPolicy, obs events.Observer) error {
+	key := binary.LittleEndian.Uint64(s.Digest[:8])
+	for attempt := 2; attempt <= retry.MaxAttempts && ctx.Err() == nil; attempt++ {
 		timer := time.NewTimer(retry.Backoff(attempt, key))
 		select {
 		case <-w.done:
@@ -171,23 +196,26 @@ func (t *AckTracker) AwaitRetry(
 			return nil
 		case <-ctx.Done():
 			timer.Stop()
-			return t.Await(ctx, origin, d, w) // reports the missing set
+			continue
 		case <-timer.C:
 		}
-		pending := t.Pending(d)
-		if len(pending) == 0 {
-			// Resolved in the same instant; the waiter is gone, so done
-			// is closed (or about to be).
-			return t.Await(ctx, origin, d, w)
-		}
-		for _, nb := range pending {
+		for _, nb := range t.Pending(s.Digest) {
 			if obs != nil {
 				obs.OnRetryAttempted(events.RetryAttempted{
-					Node: origin, Peer: nb, Announce: true, Attempt: attempt,
+					Node: s.Node.ID(), Peer: nb, Announce: true, Attempt: attempt,
 				})
 			}
-			resend(ctx, nb, d)
+			s.Node.AnnounceTo(ctx, nb, s.Digest)
 		}
 	}
-	return t.Await(ctx, origin, d, w)
+	select {
+	case <-w.done:
+		return nil
+	case <-ctx.Done():
+		missing := t.cancel(s.Digest)
+		if len(missing) == 0 {
+			return nil // acknowledged in the same instant
+		}
+		return fmt.Errorf("cluster: digest %s from %v unacknowledged by %v: %w", s.Digest, s.Node.ID(), missing, ctx.Err())
+	}
 }

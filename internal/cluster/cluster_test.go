@@ -18,6 +18,7 @@ import (
 	"github.com/twoldag/twoldag/internal/faults"
 	"github.com/twoldag/twoldag/internal/identity"
 	"github.com/twoldag/twoldag/internal/topology"
+	"github.com/twoldag/twoldag/internal/wire"
 )
 
 // suspectLog records PeerSuspected events and lets tests block until a
@@ -418,4 +419,77 @@ func FuzzControlLines(f *testing.F) {
 			}
 		}
 	})
+}
+
+// frameLog records a host's injected frame losses and retried
+// announcements, signalling each retry.
+type frameLog struct {
+	events.Nop
+	mu      sync.Mutex
+	dropped []wire.Kind
+	retries chan int
+}
+
+func (l *frameLog) OnMessageDropped(e events.MessageDropped) {
+	l.mu.Lock()
+	l.dropped = append(l.dropped, wire.Kind(e.Kind))
+	l.mu.Unlock()
+}
+
+func (l *frameLog) OnRetryAttempted(e events.RetryAttempted) {
+	if e.Announce {
+		l.retries <- e.Attempt
+	}
+}
+
+// TestHostFlushRetriesAsBatches: a Flush whose first announcement is
+// lost re-sends it as a one-digest DigestBatch frame, like the first
+// send, and completes once a re-send gets through. The neighbor is
+// off the air for one slot of the announcer's fault plan; the flush
+// starts inside it and the slot moves on once a re-sent frame has been
+// lost too.
+func TestHostFlushRetriesAsBatches(t *testing.T) {
+	// Sized past the policy's 9 retries, so a retry event never blocks
+	// the flush once the test stops reading.
+	log := &frameLog{retries: make(chan int, 16)}
+	hosts := startHosts(t, 2, 7, func(id identity.NodeID, cfg *Config) {
+		if id != 0 {
+			return
+		}
+		cfg.Retry = faults.RetryPolicy{MaxAttempts: 10, BaseDelay: 5 * time.Millisecond, MaxDelay: 20 * time.Millisecond, Seed: 7}
+		cfg.Plan = faults.Plan{Crashes: []faults.CrashWindow{{Node: 1, From: 5, Until: 6}}}
+		cfg.Observer = log
+	})
+	hosts[0].SetSlot(5)
+	_, d, err := hosts[0].Seal([]byte("lost, then re-sent"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	flushed := make(chan error, 1)
+	go func() { flushed <- hosts[0].Flush(context.Background(), []digest.Digest{d}) }()
+	// Attempt 3's retry event fires after attempt 2's re-send was lost.
+	for attempt := 0; attempt < 3; {
+		select {
+		case attempt = <-log.retries:
+		case <-time.After(5 * time.Second):
+			t.Fatal("the lost announcement was never retried")
+		}
+	}
+	hosts[0].SetSlot(6)
+	if err := <-flushed; err != nil {
+		t.Fatalf("Flush: %v", err)
+	}
+	if got, ok := hosts[1].node.Engine().Cache().Get(0); !ok || got != d {
+		t.Fatal("the neighbor's A_i does not hold the flushed digest")
+	}
+	log.mu.Lock()
+	defer log.mu.Unlock()
+	if len(log.dropped) < 2 {
+		t.Fatalf("%d frames lost, want the first send and a re-send", len(log.dropped))
+	}
+	for _, k := range log.dropped {
+		if k != wire.KindDigestBatch {
+			t.Fatalf("lost frames %v: an announcement left as %v", log.dropped, k)
+		}
+	}
 }

@@ -573,9 +573,9 @@ func (h *Host) MarkDead(id identity.NodeID) {
 	h.tn.RemovePeer(id)
 }
 
-// liveNeighbors returns this node's radio neighbors believed running.
-func (h *Host) liveNeighbors() []identity.NodeID {
-	nbs := h.topo.Neighbors(h.id)
+// liveNeighbors returns id's radio neighbors believed running.
+func (h *Host) liveNeighbors(id identity.NodeID) []identity.NodeID {
+	nbs := h.topo.Neighbors(id)
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	out := nbs[:0]
@@ -715,47 +715,19 @@ func (h *Host) StateDigest() digest.Digest {
 
 // Flush announces previously sealed digests (in seal order) to every
 // radio neighbor and blocks until each live neighbor acknowledged
-// every digest — event-driven via wire-level DigestAcks, with the
-// configured per-digest retry.
+// every digest, via wire-level DigestAcks (AckTracker.Announce).
 func (h *Host) Flush(ctx context.Context, ds []digest.Digest) error {
 	if err := h.begin(); err != nil {
 		return err
 	}
 	defer h.wg.Done()
-	if len(ds) == 0 {
-		return nil
-	}
-	nbs := h.liveNeighbors()
-	waiters := make([]*Waiter, len(ds))
+	flush := make([]Sealed, len(ds))
 	for i, d := range ds {
-		waiters[i] = h.tracker.Expect(d, nbs)
+		flush[i] = Sealed{Node: h.node, Digest: d}
 	}
 	actx, cancel := h.opCtx(ctx)
 	defer cancel()
-	h.node.AnnounceBatch(actx, ds)
-	resend := func(ctx context.Context, nb identity.NodeID, d digest.Digest) {
-		h.node.AnnounceTo(ctx, nb, d)
-	}
-	// Await concurrently so every digest's retry clock runs at once.
-	errs := make([]error, len(ds))
-	var wg sync.WaitGroup
-	for i := range ds {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			errs[i] = h.tracker.AwaitRetry(actx, h.id, ds[i], waiters[i], h.cfg.Retry, h.obs, resend)
-		}(i)
-	}
-	wg.Wait()
-	for i, err := range errs {
-		if err != nil {
-			for _, d := range ds[i:] {
-				h.tracker.Cancel(d)
-			}
-			return err
-		}
-	}
-	return nil
+	return h.tracker.Announce(actx, flush, h.liveNeighbors, h.cfg.Retry, h.obs)
 }
 
 // Submit seals and flushes one block — the single-shot verb.

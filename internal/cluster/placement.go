@@ -61,6 +61,7 @@ func (p Placement) Apply(topo *topology.Graph) error {
 	}
 	if topo.Degree(p.ID) == 0 {
 		if err := topo.Link(p.Anchor, p.ID); err != nil {
+			_ = topo.RemoveNode(p.ID)
 			return fmt.Errorf("cluster: linking joiner: %w", err)
 		}
 	}

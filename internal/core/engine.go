@@ -19,8 +19,10 @@ var ErrNotNeighbor = errors.New("core: digest from non-neighbor")
 // Engine is the node-side 2LDAG state machine of Sec. III: it owns the
 // node's block log S_i, the neighbor digest cache A_i and the trusted
 // header store H_i, and implements block generation (Sec. III-D) and
-// digest ingestion. Transport-agnostic: callers deliver incoming
-// digests via OnDigest and broadcast the digests Generate returns.
+// digest ingestion. Transport-agnostic: callers Seal, Publish and
+// broadcast the digest Publish returns, and deliver incoming digests
+// as one sender's run (OnDigestsFrom) or one receiver's flush from
+// many senders (OnDigestBatch).
 type Engine struct {
 	key    identity.KeyPair
 	params block.Params
@@ -32,10 +34,10 @@ type Engine struct {
 	vcache  *block.VerifyCache
 	backend ledger.Backend // nil when the node is in-memory only
 
-	// Generate scratch: neighbor list and Δ refs are assembled here
-	// instead of fresh slices per block. Generate is not safe for
-	// concurrent use with itself (it never was — seq assignment demands
-	// a single generator), so unsynchronized scratch is fine.
+	// Seal scratch: neighbor list and Δ refs are assembled here
+	// instead of fresh slices per block. Seal is not safe for
+	// concurrent use with itself (seq assignment demands a single
+	// generator), so unsynchronized scratch is fine.
 	nbScratch  []identity.NodeID
 	refScratch []block.DigestRef
 }
@@ -164,32 +166,19 @@ func (e *Engine) State() *ledger.NodeState {
 // over between audits.
 func (e *Engine) VerifyCache() *block.VerifyCache { return e.vcache }
 
-// OnDigest ingests a digest announcement from a neighbor, replacing
-// that neighbor's entry in A_i (Sec. III-D). Announcements from
-// non-neighbors are rejected. It is the singleton shim over
-// OnDigestBatch; transports and schedulers that collect a whole slot's
-// announcements deliver them in one OnDigestBatch call instead.
-func (e *Engine) OnDigest(from identity.NodeID, d digest.Digest) error {
-	if !e.topo.IsNeighbor(e.key.ID, from) {
-		return fmt.Errorf("%w: %v -> %v", ErrNotNeighbor, from, e.key.ID)
-	}
-	e.cache.Update(from, d)
-	return nil
-}
-
 // OnDigestBatch ingests a batch of digest announcements — from[i]
 // announced ds[i] — in one pass: every sender is checked against the
 // radio topology first, then A_i is updated under a single lock
 // acquisition (ledger.DigestCache.UpdateBatch). Entries apply in slice
 // order, so a later digest from the same sender wins, exactly as the
-// equivalent sequence of OnDigest calls. The batch is all-or-nothing:
-// a non-neighbor sender (or mismatched slice lengths) rejects the
-// whole batch before any entry lands in A_i. The engine never retains
-// the slices, so callers may reuse them across batches.
+// equivalent sequence of one-digest OnDigestsFrom calls. The batch is
+// all-or-nothing: a non-neighbor sender (or mismatched slice lengths)
+// rejects the whole batch before any entry lands in A_i. The engine
+// never retains the slices, so callers may reuse them across batches.
 //
-// Safe for concurrent use with OnDigest; per-receiver batch delivery
-// (one goroutine per receiving engine) needs no locking beyond the
-// cache's own.
+// Safe for concurrent use with OnDigestsFrom; per-receiver batch
+// delivery (one goroutine per receiving engine) needs no locking
+// beyond the cache's own.
 func (e *Engine) OnDigestBatch(from []identity.NodeID, ds []digest.Digest) error {
 	if len(from) != len(ds) {
 		return fmt.Errorf("core: digest batch length mismatch: %d senders, %d digests", len(from), len(ds))
@@ -220,30 +209,24 @@ func (e *Engine) OnDigestsFrom(from identity.NodeID, ds []digest.Digest) error {
 	return nil
 }
 
-// Generate assembles, mines, signs and appends the node's next block
-// over the given body. It returns the block together with the digest
-// H(b^h) that must be announced to every neighbor.
-//
-// Generate must not be called concurrently with itself on the same
-// engine (sequence numbers are assigned from the store tail); other
-// engine methods may run concurrently with it.
-func (e *Engine) Generate(t uint32, body []byte) (*block.Block, digest.Digest, error) {
-	b, err := e.build(t, body)
-	if err != nil {
-		return nil, digest.Digest{}, err
-	}
-	return e.Publish(b)
-}
-
-// build assembles, mines and signs the node's next block.
-func (e *Engine) build(t uint32, body []byte) (*block.Block, error) {
+// Seal assembles, mines and signs the node's next block and, on a
+// durable engine, stages its record in the backend
+// (ledger.Backend.StageBlock) without appending it to S_i; with no
+// backend it only builds the block. The driver seals a round of
+// engines this way, closes the window they share with one fsync, and
+// then Publishes each block — or, when the window failed, publishes
+// none, and store and log still agree. Seal is not concurrent with
+// itself (sequence numbers are assigned from the store tail; other
+// engine methods may run concurrently with it), and the block it
+// returns is published (or dropped) before the next one is sealed.
+func (e *Engine) Seal(t uint32, body []byte) (*block.Block, error) {
 	var prev digest.Digest
 	seq := uint32(e.store.Len())
 	if latest := e.store.Latest(); latest != nil {
 		prev = latest.Header.Hash()
 	}
 	// Neighbor set and Δ refs go through engine scratch: Build copies
-	// both out, so the scratch is free for the next Generate. This keeps
+	// both out, so the scratch is free for the next Seal. This keeps
 	// block generation allocation-flat for the simulator's hot loop.
 	e.nbScratch = e.topo.AppendNeighbors(e.nbScratch[:0], e.key.ID)
 	e.refScratch = e.cache.AppendSnapshot(e.refScratch[:0], e.key.ID, prev, e.nbScratch)
@@ -251,24 +234,10 @@ func (e *Engine) build(t uint32, body []byte) (*block.Block, error) {
 	if err != nil {
 		return nil, fmt.Errorf("core: generating block %v#%d: %w", e.key.ID, seq, err)
 	}
-	return b, nil
-}
-
-// Seal is the first half of a Generate split around a commit window:
-// it assembles, mines and signs the next block and stages its record
-// in the backend (ledger.Backend.StageBlock) without appending it to
-// S_i. The driver seals a round of engines this way, closes the
-// window they share with one fsync, and then Publishes each block —
-// or, when the window failed, publishes none, and store and log still
-// agree. Like Generate it is not concurrent with itself, and the block
-// it returns is published (or dropped) before the next one is sealed.
-func (e *Engine) Seal(t uint32, body []byte) (*block.Block, error) {
-	b, err := e.build(t, body)
-	if err == nil && e.backend != nil {
-		err = e.backend.StageBlock(b)
-	}
-	if err != nil {
-		return nil, err
+	if e.backend != nil {
+		if err := e.backend.StageBlock(b); err != nil {
+			return nil, err
+		}
 	}
 	return b, nil
 }

@@ -13,7 +13,8 @@ import (
 
 // TestOnDigestBatchMatchesSingletons pins the batching contract: one
 // OnDigestBatch call leaves A_i exactly as the equivalent sequence of
-// OnDigest calls, including last-wins ordering for repeated senders.
+// one-digest OnDigestsFrom calls, including last-wins ordering for
+// repeated senders.
 func TestOnDigestBatchMatchesSingletons(t *testing.T) {
 	g := topology.PaperFig4()
 	batched := newLab(t, g)
@@ -34,8 +35,8 @@ func TestOnDigestBatchMatchesSingletons(t *testing.T) {
 		t.Fatalf("OnDigestBatch: %v", err)
 	}
 	for i := range from {
-		if err := single.engines[recv].OnDigest(from[i], ds[i]); err != nil {
-			t.Fatalf("OnDigest: %v", err)
+		if err := single.engines[recv].OnDigestsFrom(from[i], ds[i:i+1]); err != nil {
+			t.Fatalf("OnDigestsFrom: %v", err)
 		}
 	}
 	for _, nb := range g.Neighbors(recv) {
@@ -126,9 +127,9 @@ func TestOnDigestBatchRejections(t *testing.T) {
 
 // TestConcurrentBatchIngest exercises the batched delivery path the
 // way the parallel simulator drives it — one goroutine per receiving
-// engine, plus concurrent singleton announcements racing a batch on
-// the same engine — and relies on -race to flag unsynchronized cache
-// access.
+// engine, plus a concurrent one-sender run (the wire frame's ingest)
+// racing a batch on the same engine — and relies on -race to flag
+// unsynchronized cache access.
 func TestConcurrentBatchIngest(t *testing.T) {
 	g := topology.PaperFig4()
 	l := newLab(t, g)
@@ -149,12 +150,12 @@ func TestConcurrentBatchIngest(t *testing.T) {
 					t.Errorf("OnDigestBatch(%v): %v", recv, err)
 				}
 			}(recv, from, ds)
-			go func(recv, nb identity.NodeID, d digest.Digest) {
+			go func(recv, nb identity.NodeID, run []digest.Digest) {
 				defer wg.Done()
-				if err := l.engines[recv].OnDigest(nb, d); err != nil {
-					t.Errorf("OnDigest(%v): %v", recv, err)
+				if err := l.engines[recv].OnDigestsFrom(nb, run); err != nil {
+					t.Errorf("OnDigestsFrom(%v): %v", recv, err)
 				}
-			}(recv, nbs[0], ds[0])
+			}(recv, nbs[0], ds[:1])
 		}
 	}
 	wg.Wait()

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"github.com/twoldag/twoldag/internal/block"
+	"github.com/twoldag/twoldag/internal/digest"
 	"github.com/twoldag/twoldag/internal/identity"
 	"github.com/twoldag/twoldag/internal/ledger"
 	"github.com/twoldag/twoldag/internal/topology"
@@ -59,13 +60,17 @@ func (l *lab) generate(id identity.NodeID) *block.Block {
 	l.t.Helper()
 	eng := l.engines[id]
 	body := []byte(fmt.Sprintf("body %v slot %d", id, l.slot))
-	b, d, err := eng.Generate(l.slot, body)
+	b, err := eng.Seal(l.slot, body)
 	if err != nil {
-		l.t.Fatalf("Generate(%v): %v", id, err)
+		l.t.Fatalf("Seal(%v): %v", id, err)
 	}
+	if _, _, err := eng.Publish(b); err != nil {
+		l.t.Fatalf("Publish(%v): %v", id, err)
+	}
+	run := []digest.Digest{b.Header.Hash()}
 	for _, nb := range l.topo.Neighbors(id) {
-		if err := l.engines[nb].OnDigest(id, d); err != nil {
-			l.t.Fatalf("OnDigest(%v <- %v): %v", nb, id, err)
+		if err := l.engines[nb].OnDigestsFrom(id, run); err != nil {
+			l.t.Fatalf("OnDigestsFrom(%v <- %v): %v", nb, id, err)
 		}
 	}
 	return b

@@ -551,7 +551,7 @@ func TestResponderAlgorithm4(t *testing.T) {
 // TestEngineRejectsNonNeighborDigest enforces Sec. IV-D5 filtering.
 func TestEngineRejectsNonNeighborDigest(t *testing.T) {
 	l := newLab(t, topology.PaperFig4())
-	err := l.engines[0].OnDigest(4, digest.Sum([]byte("x"))) // E is not A's neighbor
+	err := l.engines[0].OnDigestsFrom(4, []digest.Digest{digest.Sum([]byte("x"))}) // E is not A's neighbor
 	if !errors.Is(err, ErrNotNeighbor) {
 		t.Fatalf("want ErrNotNeighbor, got %v", err)
 	}

@@ -33,12 +33,16 @@ func buildNetwork(t *testing.T, slots int) map[identity.NodeID]*ledger.Store {
 	for s := 0; s <= slots; s++ {
 		for _, id := range g.Nodes() {
 			body := []byte(fmt.Sprintf("%v@%d", id, s))
-			_, d, err := engines[id].Generate(uint32(s), body)
+			b, err := engines[id].Seal(uint32(s), body)
+			if err != nil {
+				t.Fatal(err)
+			}
+			_, d, err := engines[id].Publish(b)
 			if err != nil {
 				t.Fatal(err)
 			}
 			for _, nb := range g.Neighbors(id) {
-				if err := engines[nb].OnDigest(id, d); err != nil {
+				if err := engines[nb].OnDigestsFrom(id, []digest.Digest{d}); err != nil {
 					t.Fatal(err)
 				}
 			}

@@ -122,9 +122,9 @@ func TestAnnounceBatchCoalesces(t *testing.T) {
 	}
 }
 
-// TestBatchCountsAgainstRateGuard pins the DoS defense on the batched
-// path: a single frame carrying more digests than AnnounceLimit bans
-// the sender just like the equivalent singleton flood.
+// TestBatchCountsAgainstRateGuard pins the DoS defense per digest, not
+// per frame: a single frame carrying more digests than AnnounceLimit
+// bans the sender just like a flood of one-digest frames.
 func TestBatchCountsAgainstRateGuard(t *testing.T) {
 	g := topology.PaperFig6()
 	params := block.DefaultParams()
@@ -166,7 +166,7 @@ func TestBatchCountsAgainstRateGuard(t *testing.T) {
 	// Sentinel from B's other neighbor: FIFO inbox plus serial dispatch
 	// means its ingest event proves the flood frame was already judged.
 	sentinel := digest.Sum([]byte("batch sentinel"))
-	if err := epC.Send(ctx, 1, wire.NewDigestAnnounce(2, 1, sentinel, 2)); err != nil {
+	if err := epC.Send(ctx, 1, wire.NewDigestBatch(2, 1, []digest.Digest{sentinel}, 2)); err != nil {
 		t.Fatal(err)
 	}
 	log.wait(t, 2, 1, sentinel)

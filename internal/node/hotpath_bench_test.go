@@ -8,6 +8,7 @@ import (
 
 	"github.com/twoldag/twoldag/internal/block"
 	"github.com/twoldag/twoldag/internal/core"
+	"github.com/twoldag/twoldag/internal/digest"
 	"github.com/twoldag/twoldag/internal/identity"
 	"github.com/twoldag/twoldag/internal/ledger"
 	"github.com/twoldag/twoldag/internal/topology"
@@ -27,7 +28,7 @@ func sealFig4(tb testing.TB, c *cluster, slots int) {
 			if err != nil {
 				tb.Fatalf("seal(%v): %v", id, err)
 			}
-			c.nodes[id].Announce(context.Background(), d)
+			c.nodes[id].AnnounceBatch(context.Background(), []digest.Digest{d})
 			c.waitForDigest(id, d)
 		}
 		order = []identity.NodeID{1, 3, 4}

@@ -2,10 +2,9 @@
 // combining the core engine (block generation, digest cache), the
 // Algorithm 4 responder, a PoP validator and a transport. Nodes
 // exchange real wire messages — digest announcements on generation
-// (Sec. III-D), singly or coalesced into one DigestBatch frame per
-// neighbor per flush (AnnounceBatch), REQ_CHILD/RPY_CHILD and block
-// retrievals during PoP (Sec. IV) — over either the in-memory fabric
-// or TCP.
+// (Sec. III-D), always DigestBatch frames (AnnounceBatch, AnnounceTo),
+// REQ_CHILD/RPY_CHILD and block retrievals during PoP (Sec. IV) — over
+// either the in-memory fabric or TCP.
 //
 // The runtime also enforces the receiver-side DoS defense of Sec.
 // IV-D5: a neighbor announcing blocks faster than the proof-of-work
@@ -262,8 +261,6 @@ func (n *Node) handle(env transport.Envelope) {
 	msg := env.Msg
 	ctx := context.Background()
 	switch msg.Kind {
-	case wire.KindDigestAnnounce:
-		n.onAnnounce(ctx, msg)
 	case wire.KindDigestBatch:
 		n.onAnnounceBatch(ctx, msg)
 	case wire.KindDigestAck:
@@ -302,41 +299,15 @@ func (n *Node) ack(ctx context.Context, msg *wire.Message) {
 	_ = n.rpc.Reply(ctx, msg.From, wire.NewDigestAck(msg))
 }
 
-// onAnnounce ingests a digest announcement: idempotent-receive dedup
-// first (re-deliveries are free and side-effect-less), then the DoS
-// rate guard, then A_i.
-func (n *Node) onAnnounce(ctx context.Context, msg *wire.Message) {
-	from := msg.From
-	if n.seenBefore(from, msg.Digest) {
-		// Duplicate or retry of an ingested digest. Re-ack it: the
-		// retry means the original ack may have been lost, and without
-		// a fresh one the sender's pending wait never resolves.
-		n.ack(ctx, msg)
-		return
-	}
-	if !n.announceAllowed(from, 1) {
-		return // banned or flooding senders get no acknowledgement
-	}
-	if err := n.engine.OnDigest(from, msg.Digest); err != nil {
-		return // non-neighbors rejected inside
-	}
-	n.markSeen(from, msg.Digest)
-	if obs := n.cfg.Observer; obs != nil {
-		// Receiver-side event: the digest is now in A_i, so the sender
-		// can treat this as a delivery acknowledgement.
-		obs.OnDigestAnnounced(events.DigestAnnounced{From: from, To: n.ID(), Digest: msg.Digest})
-	}
-	n.ack(ctx, msg)
-}
-
-// onAnnounceBatch ingests a coalesced announcement frame: the DoS
-// guard charges the sender one announcement per carried digest, then
-// the whole batch enters A_i in one engine pass and is acknowledged
-// with a single receiver-side DigestBatchDelivered event. A flush
-// that would cross AnnounceLimit is dropped whole — unlike the
-// singleton flood, no under-limit prefix lands: a frame flooding past
-// the PoW-plausible rate is hostile end to end, and announcement loss
-// is tolerated anyway (neighbors pick up the next digest).
+// onAnnounceBatch ingests an announcement frame: idempotent-receive
+// dedup first (re-deliveries are free and side-effect-less), then the
+// DoS guard charges the sender one announcement per fresh digest, then
+// the run enters A_i in one engine pass and is acknowledged with a
+// single receiver-side DigestBatchDelivered event. A frame that would
+// cross AnnounceLimit is dropped whole — no under-limit prefix lands:
+// a frame flooding past the PoW-plausible rate is hostile end to end,
+// and announcement loss is tolerated anyway (neighbors pick up the
+// next digest).
 func (n *Node) onAnnounceBatch(ctx context.Context, msg *wire.Message) {
 	from := msg.From
 	if n.bl.Banned(from) {
@@ -370,14 +341,7 @@ func (n *Node) onAnnounceBatch(ctx context.Context, msg *wire.Message) {
 	for _, d := range fresh {
 		n.markSeen(from, d)
 	}
-	if obs := n.cfg.Observer; obs != nil {
-		froms := n.batchFrom[:0]
-		for range fresh {
-			froms = append(froms, from)
-		}
-		n.batchFrom = froms
-		obs.OnDigestBatchDelivered(events.DigestBatchDelivered{To: n.ID(), From: froms, Digests: fresh})
-	}
+	n.delivered(from, n.ID(), fresh)
 	// Note: the decode above consumed msg's payload copy, but NewDigestAck
 	// echoes the original payload bytes, so the ack still carries the
 	// full digest run — including any previously-seen suffix whose
@@ -390,25 +354,27 @@ func (n *Node) onAnnounceBatch(ctx context.Context, msg *wire.Message) {
 // peer at msg.From has the acknowledged digests in its A_i, exactly as
 // if this process had observed the ingest directly.
 func (n *Node) onDigestAck(msg *wire.Message) {
+	if !n.cfg.AnnounceAcks {
+		return
+	}
+	if ds, err := msg.DecodeDigestAckPayload(); err == nil && len(ds) > 0 {
+		n.delivered(n.ID(), msg.From, ds) // an ack with no digests names none
+	}
+}
+
+// delivered reports that to ingested from's run ds as one
+// DigestBatchDelivered event, the sender column in batchFrom.
+func (n *Node) delivered(from, to identity.NodeID, ds []digest.Digest) {
 	obs := n.cfg.Observer
-	if obs == nil || !n.cfg.AnnounceAcks {
-		return
-	}
-	ds, err := msg.DecodeDigestAckPayload()
-	if err != nil {
-		return
-	}
-	if ds == nil {
-		// Singleton announcement ack.
-		obs.OnDigestAnnounced(events.DigestAnnounced{From: n.ID(), To: msg.From, Digest: msg.Digest})
+	if obs == nil {
 		return
 	}
 	froms := n.batchFrom[:0]
 	for range ds {
-		froms = append(froms, n.ID())
+		froms = append(froms, from)
 	}
 	n.batchFrom = froms
-	obs.OnDigestBatchDelivered(events.DigestBatchDelivered{To: msg.From, From: froms, Digests: ds})
+	obs.OnDigestBatchDelivered(events.DigestBatchDelivered{To: to, From: froms, Digests: ds})
 }
 
 // announceAllowed applies the receiver-side DoS defense of Sec. IV-D5
@@ -499,30 +465,20 @@ func (n *Node) sendAnnounce(ctx context.Context, nb identity.NodeID, msg *wire.M
 	}
 }
 
-// Announce broadcasts a sealed block's digest to every radio neighbor
-// (Sec. III-D). Losses are tolerated: neighbors that miss the digest
-// pick up the next one (A_i keeps only the latest anyway).
-func (n *Node) Announce(ctx context.Context, d digest.Digest) {
-	for _, nb := range n.cfg.Topo.Neighbors(n.ID()) {
-		n.AnnounceTo(ctx, nb, d)
-	}
-}
-
-// AnnounceTo sends one digest announcement to a single neighbor — the
-// targeted re-transmission path: a retrying submitter re-announces
-// only to the neighbors whose acknowledgement is still missing.
-// Receivers dedup on the digest, so re-sending an already-delivered
-// digest is free and side-effect-less.
+// AnnounceTo re-sends one digest to a single neighbor as a one-digest
+// DigestBatch frame — the targeted re-transmission path: a retrying
+// submitter re-announces only to the neighbors whose acknowledgement
+// is still missing. Receivers dedup on the digest, so re-sending an
+// already-delivered digest is free and side-effect-less.
 func (n *Node) AnnounceTo(ctx context.Context, nb identity.NodeID, d digest.Digest) {
-	n.sendAnnounce(ctx, nb, wire.NewDigestAnnounce(n.ID(), nb, d, n.rpc.NextNonce()))
+	n.sendAnnounce(ctx, nb, wire.NewDigestBatch(n.ID(), nb, []digest.Digest{d}, n.rpc.NextNonce()))
 }
 
 // AnnounceBatch broadcasts a run of sealed digests (in seal order) to
-// every radio neighbor, coalesced into one DigestBatch frame per
-// neighbor — one frame per (sender, receiver) pair per flush instead
-// of one per digest. A single digest falls back to the singleton
-// DigestAnnounce frame. Losses are tolerated exactly as with
-// Announce.
+// every radio neighbor (Sec. III-D), coalesced into one DigestBatch
+// frame per neighbor — one frame per (sender, receiver) pair per flush
+// instead of one per digest. Losses are tolerated: neighbors that miss
+// a frame pick up the next digest (A_i keeps only the latest anyway).
 //
 // Retry/idempotency contract: announcement delivery is at-least-once
 // when a caller retries (AnnounceTo) and exactly-once in effect —
@@ -531,11 +487,7 @@ func (n *Node) AnnounceTo(ctx context.Context, nb identity.NodeID, d digest.Dige
 // rate guard, never regresses A_i's latest-wins entry, and never
 // re-fires the delivery acknowledgement event.
 func (n *Node) AnnounceBatch(ctx context.Context, ds []digest.Digest) {
-	switch len(ds) {
-	case 0:
-		return
-	case 1:
-		n.Announce(ctx, ds[0])
+	if len(ds) == 0 {
 		return
 	}
 	// One frame shared across neighbors: the digest concatenation is

@@ -27,7 +27,7 @@ type delivery struct {
 
 // deliveryLog is the event-driven replacement for the old sleep-poll
 // deadline loops: it records every receiver-side ingest event
-// (DigestAnnounced fires after A_i accepted the digest) and lets tests
+// (DigestBatchDelivered fires after A_i accepted the run) and lets tests
 // block until a specific delivery happened, woken by the event itself
 // instead of a timer.
 type deliveryLog struct {
@@ -39,10 +39,6 @@ type deliveryLog struct {
 
 func newDeliveryLog() *deliveryLog {
 	return &deliveryLog{seen: make(map[delivery]struct{}), signal: make(chan struct{})}
-}
-
-func (l *deliveryLog) OnDigestAnnounced(e events.DigestAnnounced) {
-	l.record(delivery{e.From, e.To, e.Digest})
 }
 
 func (l *deliveryLog) OnDigestBatchDelivered(e events.DigestBatchDelivered) {
@@ -160,7 +156,7 @@ func (c *cluster) generate(id identity.NodeID) *block.Block {
 	if err != nil {
 		c.t.Fatalf("seal(%v): %v", id, err)
 	}
-	c.nodes[id].Announce(context.Background(), d)
+	c.nodes[id].AnnounceBatch(context.Background(), []digest.Digest{d})
 	c.waitForDigest(id, d)
 	return b
 }
@@ -208,7 +204,7 @@ func (s *sealedCount) count() int {
 // block that is never published (its window failed) leaves the next
 // SealLocal the same sequence number. PublishLocal appends the block
 // and reports it sealed, and returns its digest without announcing it;
-// Announce is what brings it to the neighbors.
+// AnnounceBatch is what brings it to the neighbors.
 func TestSealLocalThenPublishLocal(t *testing.T) {
 	obs := map[identity.NodeID]*sealedCount{}
 	c := newCluster(t, topology.PaperFig4(), 2, func(cfg *Config) {
@@ -247,9 +243,9 @@ func TestSealLocalThenPublishLocal(t *testing.T) {
 	announced := len(c.log.seen)
 	c.log.mu.Unlock()
 	if announced != 0 {
-		t.Fatalf("%d digests reached a neighbor before Announce", announced)
+		t.Fatalf("%d digests reached a neighbor before AnnounceBatch", announced)
 	}
-	n.Announce(context.Background(), d)
+	n.AnnounceBatch(context.Background(), []digest.Digest{d})
 	c.waitForDigest(id, d)
 }
 
@@ -412,14 +408,14 @@ func TestDoSFlooderGetsBanned(t *testing.T) {
 	}
 	defer nodeB.Close()
 
-	// The flooder (node A) blasts 50 digests directly.
+	// The flooder (node A) blasts 50 one-digest frames directly.
 	epA, _ := netw.Endpoint(0)
 	defer epA.Close()
 	epC, _ := netw.Endpoint(2)
 	defer epC.Close()
 	ctx := context.Background()
 	for i := 0; i < 50; i++ {
-		msg := wire.NewDigestAnnounce(0, 1, digest.Sum([]byte{byte(i)}), uint64(i))
+		msg := wire.NewDigestBatch(0, 1, []digest.Digest{digest.Sum([]byte{byte(i)})}, uint64(i))
 		if err := epA.Send(ctx, 1, msg); err != nil {
 			t.Fatal(err)
 		}
@@ -428,7 +424,7 @@ func TestDoSFlooderGetsBanned(t *testing.T) {
 	// inbox is FIFO and dispatch is serial, so once the sentinel is
 	// ingested every flood frame has been judged — no ban polling.
 	sentinel := digest.Sum([]byte("sentinel 1"))
-	if err := epC.Send(ctx, 1, wire.NewDigestAnnounce(2, 1, sentinel, 100)); err != nil {
+	if err := epC.Send(ctx, 1, wire.NewDigestBatch(2, 1, []digest.Digest{sentinel}, 100)); err != nil {
 		t.Fatal(err)
 	}
 	log.wait(t, 2, 1, sentinel)
@@ -438,11 +434,11 @@ func TestDoSFlooderGetsBanned(t *testing.T) {
 	// Post-ban announcements must not update A_i; a second sentinel
 	// bounds the wait the same way.
 	final := digest.Sum([]byte("post-ban"))
-	if err := epA.Send(ctx, 1, wire.NewDigestAnnounce(0, 1, final, 99)); err != nil {
+	if err := epA.Send(ctx, 1, wire.NewDigestBatch(0, 1, []digest.Digest{final}, 99)); err != nil {
 		t.Fatal(err)
 	}
 	sentinel2 := digest.Sum([]byte("sentinel 2"))
-	if err := epC.Send(ctx, 1, wire.NewDigestAnnounce(2, 1, sentinel2, 101)); err != nil {
+	if err := epC.Send(ctx, 1, wire.NewDigestBatch(2, 1, []digest.Digest{sentinel2}, 101)); err != nil {
 		t.Fatal(err)
 	}
 	log.wait(t, 2, 1, sentinel2)
@@ -462,7 +458,7 @@ func TestNonNeighborAnnouncementIgnored(t *testing.T) {
 	}
 	defer ep.Close()
 	d := digest.Sum([]byte("forged"))
-	msg := wire.NewDigestAnnounce(4, 0, d, 1)
+	msg := wire.NewDigestBatch(4, 0, []digest.Digest{d}, 1)
 	ctx := context.Background()
 	if err := ep.Send(ctx, 0, msg); err != nil {
 		t.Fatal(err)
@@ -536,7 +532,7 @@ func TestLiveClusterOverTCP(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		nodes[id].Announce(ctx, d)
+		nodes[id].AnnounceBatch(ctx, []digest.Digest{d})
 		// Wait for the ingest events to fire over real sockets.
 		for _, nb := range g.Neighbors(id) {
 			log.wait(t, id, nb, d)
@@ -575,41 +571,36 @@ func TestNodeConfigValidation(t *testing.T) {
 	}
 }
 
-// ackCounter tallies the delivery events a submitter-side observer
-// receives; with AnnounceAcks on, those are synthesized from DigestAck
-// frames rather than observed at the receiver.
+// ackCounter tallies the digests of the delivery events a
+// submitter-side observer receives; with AnnounceAcks on, those are
+// synthesized from DigestAck frames rather than observed at the
+// receiver. acks keeps every event's digests, in arrival order.
 type ackCounter struct {
 	events.Nop
-	mu      sync.Mutex
-	singles int
-	batched int
-	signal  chan struct{}
+	mu     sync.Mutex
+	acks   [][]digest.Digest
+	acked  int
+	signal chan struct{}
 }
 
 func newAckCounter() *ackCounter { return &ackCounter{signal: make(chan struct{})} }
 
-func (c *ackCounter) OnDigestAnnounced(events.DigestAnnounced) {
-	c.mu.Lock()
-	c.singles++
-	close(c.signal)
-	c.signal = make(chan struct{})
-	c.mu.Unlock()
-}
-
 func (c *ackCounter) OnDigestBatchDelivered(e events.DigestBatchDelivered) {
 	c.mu.Lock()
-	c.batched += len(e.Digests)
+	c.acks = append(c.acks, append([]digest.Digest(nil), e.Digests...))
+	c.acked += len(e.Digests)
 	close(c.signal)
 	c.signal = make(chan struct{})
 	c.mu.Unlock()
 }
 
-func (c *ackCounter) wait(t *testing.T, cond func(singles, batched int) bool) {
+// wait blocks until at least n acknowledged digests arrived.
+func (c *ackCounter) wait(t *testing.T, n int) {
 	t.Helper()
 	deadline := time.After(5 * time.Second)
 	for {
 		c.mu.Lock()
-		ok := cond(c.singles, c.batched)
+		ok := c.acked >= n
 		sig := c.signal
 		c.mu.Unlock()
 		if ok {
@@ -619,17 +610,15 @@ func (c *ackCounter) wait(t *testing.T, cond func(singles, batched int) bool) {
 		case <-sig:
 		case <-deadline:
 			c.mu.Lock()
-			t.Fatalf("ack events never arrived: singles=%d batched=%d", c.singles, c.batched)
+			t.Fatalf("ack events never arrived: %d of %d digests acknowledged", c.acked, n)
 		}
 	}
 }
 
-// TestAnnounceAcksSynthesizeDeliveryEvents pins the cross-process ack
-// contract: with AnnounceAcks on, the announcer's own observer sees
-// the delivery events (synthesized from wire-level DigestAcks), and a
-// re-announced digest is re-acked so a lost first ack cannot stall a
-// retrying submitter.
-func TestAnnounceAcksSynthesizeDeliveryEvents(t *testing.T) {
+// ackPair is two nodes, 1 and 2, linked by radio and acknowledging
+// announcements on the wire; only node 1's observer counts.
+func ackPair(t *testing.T) (map[identity.NodeID]*Node, *ackCounter) {
+	t.Helper()
 	g := topology.New(10)
 	g.AddNode(1, topology.Point{X: 0, Y: 0})
 	g.AddNode(2, topology.Point{X: 1, Y: 0})
@@ -642,7 +631,7 @@ func TestAnnounceAcksSynthesizeDeliveryEvents(t *testing.T) {
 		t.Fatal(err)
 	}
 	netw := transport.NewNetwork()
-	defer netw.Close()
+	t.Cleanup(func() { _ = netw.Close() })
 	counter := newAckCounter()
 	nodes := make(map[identity.NodeID]*Node, 2)
 	for _, kp := range pairs {
@@ -663,21 +652,30 @@ func TestAnnounceAcksSynthesizeDeliveryEvents(t *testing.T) {
 			t.Fatal(err)
 		}
 		nodes[kp.ID] = n
-		defer n.Close()
+		t.Cleanup(func() { _ = n.Close() })
 	}
+	return nodes, counter
+}
 
+// TestAnnounceAcksSynthesizeDeliveryEvents pins the cross-process ack
+// contract: with AnnounceAcks on, the announcer's own observer sees
+// the delivery events (synthesized from wire-level DigestAcks), and a
+// re-announced digest is re-acked so a lost first ack cannot stall a
+// retrying submitter.
+func TestAnnounceAcksSynthesizeDeliveryEvents(t *testing.T) {
+	nodes, counter := ackPair(t)
 	ctx := context.Background()
 	_, d, err := sealAndPublish(nodes[1], []byte("acked"))
 	if err != nil {
 		t.Fatal(err)
 	}
 	nodes[1].AnnounceTo(ctx, 2, d)
-	counter.wait(t, func(s, b int) bool { return s >= 1 })
+	counter.wait(t, 1)
 
 	// Retry of the same digest: the receiver dedups the ingest but must
 	// re-ack, or a submitter whose first ack was lost waits forever.
 	nodes[1].AnnounceTo(ctx, 2, d)
-	counter.wait(t, func(s, b int) bool { return s >= 2 })
+	counter.wait(t, 2)
 
 	// Batch path: one coalesced frame, one ack carrying both digests.
 	_, d2, err := sealAndPublish(nodes[1], []byte("acked-2"))
@@ -689,9 +687,9 @@ func TestAnnounceAcksSynthesizeDeliveryEvents(t *testing.T) {
 		t.Fatal(err)
 	}
 	nodes[1].AnnounceBatch(ctx, []digest.Digest{d2, d3})
-	counter.wait(t, func(s, b int) bool { return b >= 2 })
+	counter.wait(t, 4)
 
 	// Pure-duplicate batch: every digest already ingested, full re-ack.
 	nodes[1].AnnounceBatch(ctx, []digest.Digest{d2, d3})
-	counter.wait(t, func(s, b int) bool { return b >= 4 })
+	counter.wait(t, 6)
 }

@@ -11,14 +11,13 @@ import (
 
 // BenchmarkAnnounceBatch isolates the announcement phase at the
 // paper's 50-node scale: one op delivers a full slot's digests (one
-// per node) to every live neighbor's A_i cache. "batched" is the
+// per node) to every live neighbor's A_i cache through the
 // receiver-centric path phase 2 rides — grouped by receiver, one
 // Engine.OnDigestBatch per receiver on the worker pool, zero
-// allocations per flush — and "singleton" the per-edge OnDigest loop
-// it replaced.
+// allocations per flush. It is the simulator's only announcement
+// path; the sub-benchmark name keeps the guarded baseline row.
 func BenchmarkAnnounceBatch(b *testing.B) {
-	newSim := func(b *testing.B) (*Sim, []identity.NodeID, []digest.Digest) {
-		b.Helper()
+	b.Run("batched", func(b *testing.B) {
 		cfg := topology.DefaultConfig(1)
 		cfg.Nodes = 50
 		s, err := New(Config{Topo: cfg, Seed: 1, Slots: 1, BodyBytes: 500_000})
@@ -32,27 +31,11 @@ func BenchmarkAnnounceBatch(b *testing.B) {
 			froms[i] = id
 			ds[i] = digest.Sum([]byte(fmt.Sprintf("slot digest %v", id)))
 		}
-		return s, froms, ds
-	}
-	b.Run("batched", func(b *testing.B) {
-		s, froms, ds := newSim(b)
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			if err := s.deliverBatched(froms, ds); err != nil {
 				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("singleton", func(b *testing.B) {
-		s, froms, ds := newSim(b)
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			for k, id := range froms {
-				if err := s.announce(id, ds[k]); err != nil {
-					b.Fatal(err)
-				}
 			}
 		}
 	})

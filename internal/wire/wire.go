@@ -1,12 +1,12 @@
 // Package wire defines the 2LDAG message vocabulary and its binary
 // encoding. The protocol has exactly the message families the paper
 // names (Sec. IV-D5): digest announcements (block generation,
-// Sec. III-D) — singly (DigestAnnounce) or coalesced into one frame
-// per neighbor per flush (DigestBatch) — REQ_CHILD / RPY_CHILD (PoP,
-// Sec. IV), plus the block retrieval pair a validator uses to fetch
-// the verifier's full block (Algorithm 3 line 2). Every message
-// carries an anti-replay nonce and a correlation ID for
-// request/response matching.
+// Sec. III-D), carried as DigestBatch frames — one per neighbor per
+// flush, a one-digest frame being the paper's single broadcast —
+// REQ_CHILD / RPY_CHILD (PoP, Sec. IV), plus the block retrieval pair
+// a validator uses to fetch the verifier's full block (Algorithm 3
+// line 2). Every message carries an anti-replay nonce and a
+// correlation ID for request/response matching.
 package wire
 
 import (
@@ -25,8 +25,9 @@ import (
 type Kind uint8
 
 const (
-	// KindDigestAnnounce carries H(b^h) from a block's origin to one
-	// neighbor.
+	// KindDigestAnnounce carried H(b^h) to one neighbor. No node sends
+	// it and nodes drop it unread — a one-digest DigestBatch carries the
+	// same — but kind numbers are wire bytes, so the kind stays.
 	KindDigestAnnounce Kind = iota + 1
 	// KindReqChild asks a node for the oldest of its blocks whose Δ
 	// contains Target.
@@ -180,11 +181,10 @@ func NewDigestAnnounce(from, to identity.NodeID, d digest.Digest, nonce uint64) 
 	return &Message{Kind: KindDigestAnnounce, From: from, To: to, Digest: d, Nonce: nonce}
 }
 
-// NewDigestBatch builds one coalesced announcement frame carrying
-// every digest from sealed for neighbor to, in seal order. The Digest
-// field holds the newest digest (the one that ends up in A_i), so a
-// batch of one is wire-equivalent to a DigestAnnounce plus the batch
-// framing.
+// NewDigestBatch builds one announcement frame carrying every digest
+// from sealed for neighbor to, in seal order. The Digest field holds
+// the newest digest (the one that ends up in A_i), so a batch of one
+// is a DigestAnnounce plus the batch framing.
 func NewDigestBatch(from, to identity.NodeID, ds []digest.Digest, nonce uint64) *Message {
 	payload := make([]byte, 0, len(ds)*digest.Size)
 	for i := range ds {
@@ -244,8 +244,9 @@ func NewDigestAck(req *Message) *Message {
 }
 
 // DecodeDigestAckPayload parses the digests a batch ack echoes, in
-// seal order. A singleton ack (empty payload) returns nil — the Digest
-// field alone names the acknowledged digest.
+// seal order. An ack with an empty payload (the ack of a
+// DigestAnnounce frame) returns nil: it names no digest a node
+// resolves.
 func (m *Message) DecodeDigestAckPayload() ([]digest.Digest, error) {
 	if m.Kind != KindDigestAck {
 		return nil, fmt.Errorf("%w: %v carries no digest ack", ErrBadPayload, m.Kind)

@@ -2,6 +2,10 @@ package twoldag
 
 import (
 	"context"
+	"os"
+	"path/filepath"
+	"reflect"
+	"strings"
 	"testing"
 
 	"github.com/twoldag/twoldag/internal/topology"
@@ -192,5 +196,69 @@ func TestJoinIDCollisionSafetyOnManualGraph(t *testing.T) {
 		if _, err := rt.Submit(ctx, j, []byte("manual graph")); err != nil {
 			t.Fatalf("joiner %v submit: %v", j, err)
 		}
+	}
+}
+
+// TestJoinFailureLeavesNoTrace: a Join whose device cannot start — here
+// a durable cluster whose data dir already holds a damaged checkpoint
+// for the joiner's ID — must leave no phantom behind: the radio graph,
+// every neighbor list and the key ring are as before, so no device puts
+// a Δ entry for it in its blocks or announces to it. Once the damage is
+// gone, the retry gets the same ID and the joiner takes part.
+func TestJoinFailureLeavesNoTrace(t *testing.T) {
+	dir := t.TempDir()
+	rt := newRuntime(t, append(baseOptions(8, 1), WithDataDir(dir))...)
+	c := rt.(*Cluster)
+	refs := fillBatch(t, rt, 2)
+
+	next := NodeID(len(rt.Nodes()))
+	ckpt := filepath.Join(dir, "node-8", "checkpoint.2ldg")
+	if next != 8 {
+		t.Fatalf("the joiner would get ID %v, want 8", next)
+	}
+	if err := os.MkdirAll(filepath.Dir(ckpt), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(ckpt, []byte("garbage"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	neighbors := func() map[NodeID][]NodeID {
+		out := map[NodeID][]NodeID{}
+		for _, id := range c.topo.Nodes() {
+			out[id] = c.topo.Neighbors(id)
+		}
+		return out
+	}
+	topoBefore, ringBefore := neighbors(), c.ring.IDs()
+	if _, err := rt.Join(); err == nil || !strings.Contains(err.Error(), "checkpoint") {
+		t.Fatalf("Join over a damaged checkpoint: %v, want a checkpoint error", err)
+	}
+	if got := c.topo.Len(); got != len(topoBefore) {
+		t.Fatalf("topology holds %d devices after the failed Join, want %d", got, len(topoBefore))
+	}
+	if got := neighbors(); !reflect.DeepEqual(got, topoBefore) {
+		t.Fatalf("neighbor lists changed by the failed Join: %v, want %v", got, topoBefore)
+	}
+	if got := c.ring.IDs(); !reflect.DeepEqual(got, ringBefore) {
+		t.Fatalf("ring %v after the failed Join, want %v", got, ringBefore)
+	}
+
+	if err := os.Remove(ckpt); err != nil {
+		t.Fatal(err)
+	}
+	id, err := rt.Join()
+	if err != nil {
+		t.Fatalf("Join after the damage was removed: %v", err)
+	}
+	if id != next {
+		t.Fatalf("the retried Join got ID %v, want %v", id, next)
+	}
+	rt.AdvanceSlot()
+	if _, err := rt.SubmitBatch(context.Background(), []Submission{{Node: id, Data: []byte("joined")}}); err != nil {
+		t.Fatalf("joiner SubmitBatch: %v", err)
+	}
+	res, err := rt.Audit(context.Background(), id, refs[0])
+	if err != nil || !res.Consensus {
+		t.Fatalf("joiner audit of pre-join data: %v", err)
 	}
 }

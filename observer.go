@@ -27,13 +27,15 @@ type (
 
 	// BlockSealed reports a node sealing its next data block.
 	BlockSealed = events.BlockSealed
-	// DigestAnnounced reports a neighbor ingesting a digest
-	// announcement into its A_i cache (receiver side — a delivery
-	// acknowledgement).
+	// DigestAnnounced reported one digest ingested into a neighbor's A_i.
+	//
+	// Deprecated: every delivery is a DigestBatchDelivered.
 	DigestAnnounced = events.DigestAnnounced
-	// DigestBatchDelivered reports a neighbor ingesting a whole
-	// coalesced announcement flush in one pass (one event per receiver
-	// per flush; the slices are only valid during the call).
+	// DigestBatchDelivered reports a neighbor ingesting an
+	// announcement flush — one digest or many — into its A_i cache in
+	// one pass (receiver side, a delivery acknowledgement; one event
+	// per receiver per flush; the slices are only valid during the
+	// call).
 	DigestBatchDelivered = events.DigestBatchDelivered
 	// AuditHop reports one REQ_CHILD probe of a PoP verification.
 	AuditHop = events.AuditHop

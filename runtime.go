@@ -155,6 +155,15 @@ func New(opts ...Option) (Runtime, error) {
 	return newCluster(cfg, g)
 }
 
+// submitOne is every driver's Submit: SubmitBatch of one block.
+func submitOne(ctx context.Context, rt Runtime, id NodeID, data []byte) (Ref, error) {
+	refs, err := rt.SubmitBatch(ctx, []Submission{{Node: id, Data: data}})
+	if len(refs) == 0 {
+		return Ref{}, err
+	}
+	return refs[0], err
+}
+
 // fanOut runs fn(0..n-1) on at most workers goroutines (0 =
 // GOMAXPROCS); with one worker it degrades to a plain loop.
 func fanOut(n, workers int, fn func(i int)) {

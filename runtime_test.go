@@ -5,9 +5,12 @@ import (
 	"errors"
 	"fmt"
 	"reflect"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"github.com/twoldag/twoldag/internal/wire"
 )
 
 // baseOptions are shared by both drivers in the equivalence tests:
@@ -143,7 +146,7 @@ func TestDriverEquivalence(t *testing.T) {
 }
 
 // fillSingleton drives the same per-slot submissions as fillBatch but
-// one Submit at a time — the singleton delivery path.
+// one Submit at a time — one one-digest flush per block.
 func fillSingleton(t *testing.T, rt Runtime, slots int) []Ref {
 	t.Helper()
 	ctx := context.Background()
@@ -163,10 +166,11 @@ func fillSingleton(t *testing.T, rt Runtime, slots int) []Ref {
 
 // TestBatchedAndSingletonDeliveryEquivalent extends the
 // driver-equivalence guarantee to the batched announcement pipeline:
-// on each driver, a deployment driven with per-slot SubmitBatch
-// (coalesced frames, per-receiver batch ingest) and an identical
-// deployment driven with one Submit per block (singleton path) must
-// seal the same refs and reach the same audit consensus outcomes.
+// on each driver, a deployment driven with per-slot SubmitBatch (one
+// flush per slot) and an identical deployment driven with one Submit
+// per block (one flush per block, each announced and acknowledged
+// before the next block is sealed) must seal the same refs and reach
+// the same audit consensus outcomes.
 func TestBatchedAndSingletonDeliveryEquivalent(t *testing.T) {
 	const nodes, gamma, slots = 10, 2, 4
 	for _, tc := range []struct {
@@ -264,6 +268,38 @@ func TestSubmitBatchCoalescesPerSender(t *testing.T) {
 	}
 }
 
+// TestAnnouncementsTravelAsBatches: on the live driver every
+// announcement frame on the fabric is a DigestBatch, one per (sender,
+// neighbor) pair per flush — for a slot of one block per device and
+// for a one-block Submit alike; no DigestAnnounce frame is ever sent.
+func TestAnnouncementsTravelAsBatches(t *testing.T) {
+	rt := newRuntime(t, baseOptions(8, 1)...)
+	var mu sync.Mutex
+	kinds := map[wire.Kind]int{}
+	rt.(*Cluster).fab.(*memFabric).net.SetDrop(func(_, _ NodeID, m *wire.Message) bool {
+		mu.Lock()
+		kinds[m.Kind]++
+		mu.Unlock()
+		return false
+	})
+	fillBatch(t, rt, 1)
+	ids := rt.Nodes()
+	rt.AdvanceSlot()
+	if _, err := rt.Submit(context.Background(), ids[0], []byte("one block")); err != nil {
+		t.Fatal(err)
+	}
+	links := len(rt.Topology().Neighbors(ids[0]))
+	for _, id := range ids {
+		links += len(rt.Topology().Neighbors(id))
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	if kinds[wire.KindDigestAnnounce] != 0 || kinds[wire.KindDigestBatch] != links {
+		t.Fatalf("%d DigestAnnounce and %d DigestBatch frames, want 0 and %d",
+			kinds[wire.KindDigestAnnounce], kinds[wire.KindDigestBatch], links)
+	}
+}
+
 // TestAuditManyBothDrivers exercises the worker-pool fan-out on each
 // driver: outcomes arrive in request order, carry their request, and
 // agree with one-at-a-time audits.
@@ -322,15 +358,14 @@ func TestSubmitRespectsContextDeadline(t *testing.T) {
 }
 
 // countingObserver tallies the typed event stream. announced counts
-// accepted digest deliveries on either path — singly announced or
-// carried by a coalesced batch — matching EventCounters semantics.
+// accepted digest deliveries, however many digests each delivery
+// carried — matching EventCounters semantics.
 type countingObserver struct {
 	NopObserver
 	sealed, announced, batches, hops, ok, failed atomic.Int64
 }
 
-func (o *countingObserver) OnBlockSealed(BlockSealed)         { o.sealed.Add(1) }
-func (o *countingObserver) OnDigestAnnounced(DigestAnnounced) { o.announced.Add(1) }
+func (o *countingObserver) OnBlockSealed(BlockSealed) { o.sealed.Add(1) }
 func (o *countingObserver) OnDigestBatchDelivered(e DigestBatchDelivered) {
 	o.batches.Add(1)
 	o.announced.Add(int64(len(e.Digests)))
@@ -357,7 +392,7 @@ func TestObserverStreamsBothDrivers(t *testing.T) {
 				t.Fatalf("BlockSealed events: got %d, want %d", got, len(refs))
 			}
 			if obs.announced.Load() == 0 {
-				t.Fatal("no DigestAnnounced events")
+				t.Fatal("no DigestBatchDelivered events")
 			}
 			ids := rt.Nodes()
 			res, err := rt.Audit(context.Background(), ids[len(ids)-1], refs[0])

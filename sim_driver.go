@@ -61,15 +61,12 @@ func (d *SimDriver) Slot() uint32 { return uint32(d.s.Slot()) }
 // AdvanceSlot implements Runtime.
 func (d *SimDriver) AdvanceSlot() { d.s.AdvanceSlot() }
 
-// Submit implements Runtime. Announcements resolve synchronously
-// in-process, so the call returns with every live neighbor's cache
-// already updated — the simulator's equivalent of the live driver's
-// acknowledgement wait.
+// Submit implements Runtime: it is SubmitBatch of one block.
+// Announcements resolve synchronously in-process, so the call returns
+// with every live neighbor's cache already updated — the simulator's
+// equivalent of the live driver's acknowledgement wait.
 func (d *SimDriver) Submit(ctx context.Context, id NodeID, data []byte) (Ref, error) {
-	if err := ctx.Err(); err != nil {
-		return Ref{}, err
-	}
-	return d.s.SubmitAs(id, data)
+	return submitOne(ctx, d, id, data)
 }
 
 // SubmitBatch implements Runtime, mirroring the slotted scheduler's
@@ -95,10 +92,7 @@ func (d *SimDriver) SubmitBatch(ctx context.Context, batch []Submission) ([]Ref,
 		froms = append(froms, sub.Node)
 		digs = append(digs, dig)
 	}
-	if err := d.s.AnnounceBatch(froms, digs); err != nil {
-		return refs, err
-	}
-	return refs, nil
+	return refs, d.s.AnnounceBatch(froms, digs)
 }
 
 // Audit implements Runtime. The validator's trust store H_i and

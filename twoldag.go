@@ -40,7 +40,7 @@
 // # Observing a deployment
 //
 // WithObserver attaches a typed event observer streaming BlockSealed,
-// DigestAnnounced, AuditHop, ConsensusReached and AuditFailed —
+// DigestBatchDelivered, AuditHop, ConsensusReached and AuditFailed —
 // identically on both drivers. The experiments harness (package
 // experiments, regenerating every figure of the paper) and the
 // bundled commands consume the same stream.
