@@ -186,7 +186,7 @@ func TestSubmitBatchFailedWindowPublishesNothing(t *testing.T) {
 			if _, err := submit(1, "first"); err != nil {
 				t.Fatal(err)
 			}
-			pendingBefore := c.backends[ids[0]].PendingBlocks()
+			pendingBefore := c.devs[ids[0]].Backend().PendingBlocks()
 
 			obs.take()
 			faults.fail(0, 1)
@@ -204,7 +204,7 @@ func TestSubmitBatchFailedWindowPublishesNothing(t *testing.T) {
 				if _, err := rt.Block(Ref{Node: id, Seq: 1}); err == nil {
 					t.Fatalf("node %v holds a block of the failed window", id)
 				}
-				if p := c.backends[id].PendingBlocks(); p != pendingBefore {
+				if p := c.devs[id].Backend().PendingBlocks(); p != pendingBefore {
 					t.Fatalf("node %v: %d pending blocks, %d before the failed window", id, p, pendingBefore)
 				}
 			}

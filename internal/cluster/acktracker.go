@@ -1,10 +1,3 @@
-// Package cluster hosts live 2LDAG deployments: the shared
-// announcement acknowledgement tracker and joiner-placement rules used
-// by every live driver, and the single-node Host that runs one device
-// per OS process in a cross-host cluster — discovering peers over the
-// wire (Hello/PeerList), re-anchoring joiners exactly as the
-// in-process drivers do, and exposing the slot/seal/flush/audit verbs
-// a distributed harness drives over its control protocol.
 package cluster
 
 import (

@@ -175,7 +175,7 @@ func TestHostJoinAnchorsPastDeadMember(t *testing.T) {
 	hosts := startHosts(t, 3, seed, nil)
 	// Member 2 dies without a Leave (crash): survivors are told via the
 	// harness's silence verb, exactly as the e2e kill path works.
-	_ = hosts[2].node.Close()
+	_ = hosts[2].dev.node.Close()
 	hosts[0].MarkDead(2)
 	hosts[1].MarkDead(2)
 
@@ -249,7 +249,7 @@ func TestHostCloseMidRetry(t *testing.T) {
 	})
 	// Crash host 1 without a Leave: host 0 still believes it live and
 	// will retry announcements against the dead listener.
-	_ = hosts[1].node.Close()
+	_ = hosts[1].dev.node.Close()
 
 	_, d, err := hosts[0].Seal([]byte("doomed"))
 	if err != nil {
@@ -479,7 +479,7 @@ func TestHostFlushRetriesAsBatches(t *testing.T) {
 	if err := <-flushed; err != nil {
 		t.Fatalf("Flush: %v", err)
 	}
-	if got, ok := hosts[1].node.Engine().Cache().Get(0); !ok || got != d {
+	if got, ok := hosts[1].dev.node.Engine().Cache().Get(0); !ok || got != d {
 		t.Fatal("the neighbor's A_i does not hold the flushed digest")
 	}
 	log.mu.Lock()

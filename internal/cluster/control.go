@@ -105,6 +105,12 @@ func ServeControl(ctx context.Context, h *Host, r io.Reader, w io.Writer) error 
 	return sc.Err()
 }
 
+// blockResponse reports one of the device's blocks: its ref and header
+// digest.
+func blockResponse(ref block.Ref, d digest.Digest) ControlResponse {
+	return ControlResponse{OK: true, Ref: &ControlRef{Node: uint32(ref.Node), Seq: ref.Seq}, Digest: d.Hex()}
+}
+
 // execControl dispatches one request.
 func execControl(ctx context.Context, h *Host, req *ControlRequest) (ControlResponse, bool) {
 	fail := func(err error) ControlResponse { return ControlResponse{Err: err.Error()} }
@@ -117,11 +123,7 @@ func execControl(ctx context.Context, h *Host, req *ControlRequest) (ControlResp
 		if err != nil {
 			return fail(err), false
 		}
-		return ControlResponse{
-			OK:     true,
-			Ref:    &ControlRef{Node: uint32(ref.Node), Seq: ref.Seq},
-			Digest: d.Hex(),
-		}, false
+		return blockResponse(ref, d), false
 	case "flush":
 		ds := make([]digest.Digest, 0, len(req.Digests))
 		for _, hex := range req.Digests {
@@ -136,19 +138,14 @@ func execControl(ctx context.Context, h *Host, req *ControlRequest) (ControlResp
 		}
 		return ControlResponse{OK: true}, false
 	case "submit":
-		ref, err := h.Submit(ctx, req.Data)
+		ref, d, err := h.Seal(req.Data)
+		if err == nil {
+			err = h.Flush(ctx, []digest.Digest{d})
+		}
 		if err != nil {
 			return fail(err), false
 		}
-		b, err := h.Block(ref)
-		if err != nil {
-			return fail(err), false
-		}
-		return ControlResponse{
-			OK:     true,
-			Ref:    &ControlRef{Node: uint32(ref.Node), Seq: ref.Seq},
-			Digest: b.Header.Hash().Hex(),
-		}, false
+		return blockResponse(ref, d), false
 	case "audit":
 		if req.Ref == nil {
 			return fail(fmt.Errorf("audit needs a ref")), false
@@ -184,11 +181,7 @@ func execControl(ctx context.Context, h *Host, req *ControlRequest) (ControlResp
 		if !ok {
 			return fail(fmt.Errorf("store is empty")), false
 		}
-		return ControlResponse{
-			OK:     true,
-			Ref:    &ControlRef{Node: uint32(ref.Node), Seq: ref.Seq},
-			Digest: d.Hex(),
-		}, false
+		return blockResponse(ref, d), false
 	case "state":
 		return ControlResponse{OK: true, Digest: h.StateDigest().Hex()}, false
 	case "compact":

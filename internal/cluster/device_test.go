@@ -1,0 +1,99 @@
+package cluster
+
+import (
+	"context"
+	"os"
+	"path/filepath"
+	"strings"
+	"testing"
+	"time"
+
+	"github.com/twoldag/twoldag/internal/events"
+	"github.com/twoldag/twoldag/internal/identity"
+	"github.com/twoldag/twoldag/internal/metrics"
+)
+
+// openUnder lists the files under dir that this process holds open,
+// read from /proc/self/fd. The test skips where that cannot be read.
+func openUnder(t *testing.T, dir string) []string {
+	t.Helper()
+	fds, err := os.ReadDir("/proc/self/fd")
+	if err != nil {
+		t.Skipf("cannot list this process's open files: %v", err)
+	}
+	if real, err := filepath.EvalSymlinks(dir); err == nil {
+		dir = real
+	}
+	var open []string
+	for _, fd := range fds {
+		target, err := os.Readlink(filepath.Join("/proc/self/fd", fd.Name()))
+		if err == nil && (target == dir || strings.HasPrefix(target, dir+string(filepath.Separator))) {
+			open = append(open, target)
+		}
+	}
+	return open
+}
+
+// TestHostStartFailureReleasesDataDir: a Start that fails after the
+// data dir opened — a hello to a member that died without a Leave, or
+// a checkpoint Recover refuses — holds no file of the dir afterwards,
+// so the operator can repair it or start again on it.
+func TestHostStartFailureReleasesDataDir(t *testing.T) {
+	t.Run("dead member hello", func(t *testing.T) {
+		dir := t.TempDir()
+		openUnder(t, dir)
+		const seed = 7
+		hosts := startHosts(t, 3, seed, nil)
+		_ = hosts[2].dev.node.Close() // a crash: no Leave, still live in the directory
+		_, err := Start(Config{
+			Join: true, JoinAddr: hosts[0].Addr(),
+			Nodes: 3, Seed: seed, Gamma: 1, Difficulty: 2,
+			RequestTimeout: 2 * time.Second,
+			DataDir:        dir,
+		})
+		if err == nil || !strings.Contains(err.Error(), "hello to n2") {
+			t.Fatalf("join past a dead member: %v, want a failed hello to n2", err)
+		}
+		if open := openUnder(t, dir); len(open) != 0 {
+			t.Fatalf("the failed Start holds %v open", open)
+		}
+	})
+	t.Run("garbage checkpoint", func(t *testing.T) {
+		dir := t.TempDir()
+		openUnder(t, dir)
+		if err := os.WriteFile(filepath.Join(dir, "checkpoint.2ldg"), []byte("garbage"), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		_, err := Start(Config{
+			ID: 0, Nodes: 1, Seed: 7, Gamma: 1, Difficulty: 2,
+			RequestTimeout: 2 * time.Second,
+			DataDir:        dir,
+		})
+		if err == nil || !strings.Contains(err.Error(), "recovering") {
+			t.Fatalf("Start over a damaged checkpoint: %v, want a recovery error", err)
+		}
+		if open := openUnder(t, dir); len(open) != 0 {
+			t.Fatalf("the failed Start holds %v open", open)
+		}
+	})
+}
+
+// TestHostCommitObserverBehindMulti: a durable Host reports its WAL
+// commit windows to an observer that takes them even when it sits
+// behind events.Multi, as the in-process cluster does.
+func TestHostCommitObserverBehindMulti(t *testing.T) {
+	counters := &metrics.EventCounters{}
+	hosts := startHosts(t, 1, 7, func(_ identity.NodeID, cfg *Config) {
+		cfg.DataDir = t.TempDir()
+		cfg.Observer = events.Multi(counters, events.Nop{})
+	})
+	if _, err := hosts[0].Submit(context.Background(), []byte("reading")); err != nil {
+		t.Fatal(err)
+	}
+	if got := counters.BlocksSealed(); got != 1 {
+		t.Fatalf("BlocksSealed = %d, want 1", got)
+	}
+	if got := counters.WALFsyncs(); got < 1 {
+		t.Fatalf("WALFsyncs = %d after a durable Submit, want at least 1", got)
+	}
+}

@@ -1,0 +1,24 @@
+// Package cluster hosts live 2LDAG deployments: the lifecycle of one
+// device, written once for both live drivers, and the membership plane
+// of a device that runs alone in its process.
+//
+//   - Device (NewDevice) is one IoT device holding S_i, H_i and A_i: a
+//     node runtime on a fabric endpoint, with, on a durable deployment,
+//     the backend its state recovers from, journals to and checkpoints
+//     into. It closes node first, then backend.
+//   - Sealer is the seal stage: a batch sealed in rounds, one commit
+//     window per round, blocks published only once their window's fsync
+//     returned, the log compacted between rounds. AckTracker.Announce
+//     is the stage after it: the batch's digests announced and their
+//     acknowledgements awaited.
+//   - PlanJoin and PlaceJoiner are the one joiner-placement rule.
+//
+// The facade's in-process Cluster (package twoldag) runs N Devices on
+// one fabric, on one shared log under its data dir, and seals every
+// SubmitBatch through one Sealer; membership there is the map of
+// running devices. Host runs one Device per OS process in a cross-host
+// cluster: TCP, a directory kept by Hello/PeerList/Leave frames, joiners
+// re-anchored exactly as in process, each Seal a Sealer round of one on
+// the private log of its flat data dir, and the slot/seal/flush/audit
+// verbs a distributed harness drives over its control protocol.
+package cluster

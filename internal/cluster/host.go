@@ -86,11 +86,6 @@ type Config struct {
 	backendOpts []ledger.BackendOption
 }
 
-// DefaultCompactEvery is the WAL compaction threshold (in block
-// records) when Config.CompactEvery is zero — shared with the facade
-// driver so both seal paths bound their replay tails identically.
-const DefaultCompactEvery = 256
-
 // member is one directory entry.
 type member struct {
 	live   bool
@@ -111,12 +106,11 @@ type Host struct {
 	pos     topology.Point
 	topo    *topology.Graph
 	ring    *identity.Ring
-	node    *node.Node
+	dev     *Device
+	seal    Sealer // rounds of one on dev
 	tn      *transport.TCPNode
 	tracker *AckTracker
-	health  *faults.Health
 	obs     events.Observer // merged user observer + tracker
-	backend *ledger.FileBackend
 	slot    atomic.Uint32
 
 	mu      sync.Mutex
@@ -176,10 +170,26 @@ func Start(cfg Config) (*Host, error) {
 		h.id = wire.BootstrapID
 	}
 	h.ctx, h.cancel = context.WithCancel(context.Background())
-	for _, id := range topo.Nodes() {
+	if err := h.start(); err != nil {
+		// Nothing of a failed start outlives it: no verb context, no
+		// node on the port, no handle on the data dir.
+		if h.dev != nil {
+			_ = h.dev.Close()
+		}
+		h.cancel()
+		return nil, err
+	}
+	return h, nil
+}
+
+// start registers the planned world, discovers the cluster, places
+// this device, brings it up and announces it.
+func (h *Host) start() error {
+	cfg := h.cfg
+	for _, id := range h.topo.Nodes() {
 		kp := identity.Deterministic(id, cfg.Seed)
 		if err := h.ring.Register(kp.ID, kp.Public); err != nil {
-			return nil, fmt.Errorf("cluster: %w", err)
+			return fmt.Errorf("cluster: %w", err)
 		}
 		h.members[id] = &member{anchor: wire.NoAnchor}
 		h.ids = append(h.ids, id)
@@ -194,11 +204,11 @@ func Start(cfg Config) (*Host, error) {
 		reply, err := transport.Bootstrap(bctx, cfg.JoinAddr, hello)
 		bcancel()
 		if err != nil {
-			return nil, fmt.Errorf("cluster: discovering via %s: %w", cfg.JoinAddr, err)
+			return fmt.Errorf("cluster: discovering via %s: %w", cfg.JoinAddr, err)
 		}
 		entries, err := reply.DecodePeerListPayload()
 		if err != nil {
-			return nil, fmt.Errorf("cluster: bad directory from %s: %w", cfg.JoinAddr, err)
+			return fmt.Errorf("cluster: bad directory from %s: %w", cfg.JoinAddr, err)
 		}
 		h.merge(entries)
 	}
@@ -213,36 +223,24 @@ func Start(cfg Config) (*Host, error) {
 			return ok && m.live
 		})
 		if err == nil {
-			err = pl.Apply(h.topo)
-		}
-		if err != nil {
-			h.mu.Unlock()
-			return nil, err
+			_, err = h.memberLocked(pl)
 		}
 		h.id, h.anchor, h.pos = pl.ID, pl.Anchor, pl.Pos
-		kp := identity.Deterministic(h.id, cfg.Seed)
-		if rerr := h.ring.Register(kp.ID, kp.Public); rerr != nil {
-			h.mu.Unlock()
-			return nil, fmt.Errorf("cluster: %w", rerr)
-		}
-		h.members[h.id] = &member{anchor: h.anchor}
-		h.ids = append(h.ids, h.id)
 		h.mu.Unlock()
+		if err != nil {
+			return err
+		}
 	} else {
-		h.pos, _ = topo.Position(h.id)
+		h.pos, _ = h.topo.Position(h.id)
 	}
 
 	if err := h.startNode(); err != nil {
-		return nil, err
+		return err
 	}
-	if err := h.announceSelf(); err != nil {
-		_ = h.node.Close()
-		return nil, err
-	}
-	return h, nil
+	return h.announceSelf()
 }
 
-// startNode brings up the transport and node runtime.
+// startNode brings up the transport and the device on it.
 func (h *Host) startNode() error {
 	var opts []transport.TCPOption
 	if h.cfg.Advertise != "" {
@@ -265,88 +263,49 @@ func (h *Host) startNode() error {
 	}
 	h.mu.Unlock()
 
-	// User observers run before the tracker: the tracker's ack is what
-	// unblocks a waiting Flush, so ordering it last guarantees every
-	// user observer has already seen a delivery by the time the
-	// submitter returns.
-	obs := events.Multi(h.cfg.Observer, h.tracker)
-	self := h.id
-	tn.SetDropHandler(func(env transport.Envelope) {
-		obs.OnMessageDropped(events.MessageDropped{
-			From: env.From, To: self, Kind: uint8(env.Msg.Kind),
-			Reason: events.DropBackpressure,
-		})
-	})
-	h.obs = obs
-	h.health = faults.NewHealth(h.id, 0, obs)
-
-	params := block.DefaultParams()
-	params.Difficulty = pow.Difficulty(h.cfg.Difficulty)
-	tr := transport.Transport(tn)
-	if h.cfg.Plan.Active() {
-		slot := &h.slot
-		tr = faults.Wrap(tn, h.cfg.Plan, func() uint32 { return slot.Load() }, obs)
-	}
-
-	// Durability: open the data dir and recover the whole prior state
-	// — checkpoint and segment, then WAL replay, with cryptographic
-	// re-verification against the ring — before the node serves any
-	// traffic.
-	var state *ledger.NodeState
-	var backend ledger.Backend
+	// Durability: the data dir keeps this device's files flat, on a
+	// log of its own.
+	var fb *ledger.FileBackend
 	if h.cfg.DataDir != "" {
-		bopts := h.cfg.backendOpts
-		if co, ok := h.cfg.Observer.(ledger.CommitObserver); ok {
-			bopts = append(bopts, ledger.WithCommitObserver(co))
-		}
-		fb, err := ledger.OpenFileBackend(h.cfg.DataDir, bopts...)
+		fb, err = ledger.OpenFileBackend(h.cfg.DataDir, LogOptions(h.cfg.Observer, h.cfg.backendOpts)...)
 		if err != nil {
 			tn.Close()
 			return err
 		}
-		state, err = fb.Recover(ledger.RecoverOptions{
-			Owner:    h.id,
-			Params:   params,
-			Ring:     h.ring,
-			TrustCap: h.cfg.TrustCap,
-		})
-		if err != nil {
-			_ = fb.Close()
-			tn.Close()
-			return fmt.Errorf("cluster: recovering %s: %w", h.cfg.DataDir, err)
-		}
-		h.backend = fb
-		backend = fb
 	}
-
-	n, err := node.New(node.Config{
-		Key:            identity.Deterministic(h.id, h.cfg.Seed),
-		Params:         params,
-		Topo:           h.topo,
-		Ring:           h.ring,
-		Transport:      tr,
-		Gamma:          h.cfg.Gamma,
-		RequestTimeout: h.cfg.RequestTimeout,
-		Retry:          h.cfg.Retry,
-		Health:         h.health,
-		Observer:       obs,
-		Control:        h.onControl,
-		State:          state,
-		TrustCap:       h.cfg.TrustCap,
-		Backend:        backend,
-		AnnounceAcks:   true,
+	params := block.DefaultParams()
+	params.Difficulty = pow.Difficulty(h.cfg.Difficulty)
+	h.obs = events.Multi(h.cfg.Observer, h.tracker)
+	h.dev, err = NewDevice(DeviceConfig{
+		Node: node.Config{
+			Key:            identity.Deterministic(h.id, h.cfg.Seed),
+			Params:         params,
+			Topo:           h.topo,
+			Ring:           h.ring,
+			Gamma:          h.cfg.Gamma,
+			RequestTimeout: h.cfg.RequestTimeout,
+			Retry:          h.cfg.Retry,
+			Observer:       h.obs,
+			Control:        h.onControl,
+			TrustCap:       h.cfg.TrustCap,
+			AnnounceAcks:   true,
+		},
+		Endpoint: tn,
+		Backend:  fb,
+		Plan:     h.cfg.Plan,
+		Clock:    h.slot.Load,
 	})
 	if err != nil {
-		if h.backend != nil {
-			_ = h.backend.Close()
-			h.backend = nil
-		}
-		tn.Close()
-		return fmt.Errorf("cluster: %w", err)
+		return err
 	}
-	slot := &h.slot
-	n.SetClock(func() uint32 { return slot.Load() })
-	h.node = n
+	h.seal = Sealer{
+		CompactEvery: h.cfg.CompactEvery,
+		Workers:      1,
+		Device:       func(identity.NodeID) (*Device, error) { return h.dev, nil },
+	}
+	if fb != nil {
+		h.seal.Log = fb.Log()
+	}
 	tn.SetBootstrapHandler(h.onBootstrap)
 	return nil
 }
@@ -401,7 +360,7 @@ func (h *Host) helloExchange(peer identity.NodeID) error {
 			}
 		}
 		var resp *wire.Message
-		resp, err = h.node.Call(h.ctx, peer, func(corr, nonce uint64) *wire.Message {
+		resp, err = h.dev.node.Call(h.ctx, peer, func(corr, nonce uint64) *wire.Message {
 			return wire.NewHello(h.id, peer, info, corr, nonce)
 		})
 		if err != nil {
@@ -418,10 +377,34 @@ func (h *Host) helloExchange(peer identity.NodeID) error {
 	return err
 }
 
+// memberLocked returns pl.ID's directory entry, admitting an unknown
+// device as the dynamic joiner pl places: into the topology, the key
+// ring — identities are deterministic, so the key derives from the
+// seed rather than trusting carried bytes — and the directory. A
+// placement that names no anchor claims planned membership in a
+// different world and is refused, as is one the topology refuses.
+// Callers hold h.mu.
+func (h *Host) memberLocked(pl Placement) (*member, error) {
+	if m, ok := h.members[pl.ID]; ok {
+		return m, nil
+	}
+	if pl.Anchor == wire.NoAnchor {
+		return nil, fmt.Errorf("cluster: %v is neither planned nor a joiner", pl.ID)
+	}
+	if err := pl.Apply(h.topo); err != nil {
+		return nil, err
+	}
+	kp := identity.Deterministic(pl.ID, h.cfg.Seed)
+	_ = h.ring.Register(kp.ID, kp.Public)
+	m := &member{anchor: pl.Anchor}
+	h.members[pl.ID] = m
+	h.ids = append(h.ids, pl.ID)
+	return m, nil
+}
+
 // merge folds a directory snapshot into local state: unknown dynamic
-// joiners are replayed into the topology and key ring (identities are
-// deterministic, so the key derives from the seed rather than trusting
-// the carried bytes), and addresses and liveness are adopted.
+// joiners are replayed (memberLocked), and addresses and liveness are
+// adopted.
 func (h *Host) merge(entries []wire.PeerEntry) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
@@ -429,20 +412,9 @@ func (h *Host) merge(entries []wire.PeerEntry) {
 		if e.ID == h.id {
 			continue
 		}
-		m, known := h.members[e.ID]
-		if !known {
-			if e.Anchor == wire.NoAnchor {
-				continue // not planned, not a join record: ignore
-			}
-			pl := Placement{ID: e.ID, Anchor: e.Anchor, Pos: topology.Point{X: e.X, Y: e.Y}}
-			if err := pl.Apply(h.topo); err != nil {
-				continue
-			}
-			kp := identity.Deterministic(e.ID, h.cfg.Seed)
-			_ = h.ring.Register(kp.ID, kp.Public)
-			m = &member{anchor: e.Anchor}
-			h.members[e.ID] = m
-			h.ids = append(h.ids, e.ID)
+		m, err := h.memberLocked(Placement{ID: e.ID, Anchor: e.Anchor, Pos: topology.Point{X: e.X, Y: e.Y}})
+		if err != nil {
+			continue
 		}
 		m.live = e.Live
 		if e.Addr != "" {
@@ -493,22 +465,10 @@ func (h *Host) onControl(env transport.Envelope) {
 		}
 		h.mu.Lock()
 		from := msg.From
-		m, known := h.members[from]
-		if !known {
-			if info.Anchor == wire.NoAnchor {
-				h.mu.Unlock()
-				return // claims planned membership in a different world
-			}
-			pl := Placement{ID: from, Anchor: info.Anchor, Pos: topology.Point{X: info.X, Y: info.Y}}
-			if err := pl.Apply(h.topo); err != nil {
-				h.mu.Unlock()
-				return
-			}
-			kp := identity.Deterministic(from, h.cfg.Seed)
-			_ = h.ring.Register(kp.ID, kp.Public)
-			m = &member{anchor: info.Anchor}
-			h.members[from] = m
-			h.ids = append(h.ids, from)
+		m, err := h.memberLocked(Placement{ID: from, Anchor: info.Anchor, Pos: topology.Point{X: info.X, Y: info.Y}})
+		if err != nil {
+			h.mu.Unlock()
+			return
 		}
 		m.live = true
 		if info.Addr != "" {
@@ -517,8 +477,8 @@ func (h *Host) onControl(env transport.Envelope) {
 		}
 		h.mu.Unlock()
 		// A node re-admitting itself clears any open circuit.
-		h.health.ReportSuccess(from)
-		_ = h.node.Send(h.ctx, from, wire.NewPeerList(msg, h.snapshot()))
+		h.dev.health.ReportSuccess(from)
+		_ = h.dev.node.Send(h.ctx, from, wire.NewPeerList(msg, h.snapshot()))
 	case wire.KindPeerList:
 		// Corr≠0 replies route to the RPC pending map; only pushes land
 		// here.
@@ -569,7 +529,7 @@ func (h *Host) MarkDead(id identity.NodeID) {
 		m.live = false
 	}
 	h.mu.Unlock()
-	h.health.Suspect(id)
+	h.dev.health.Suspect(id)
 	h.tn.RemovePeer(id)
 }
 
@@ -619,50 +579,21 @@ func (h *Host) opCtx(ctx context.Context) (context.Context, context.CancelFunc) 
 // the in-process SubmitBatch enforces, which sealed-header equivalence
 // depends on (headers embed the A_i snapshot at seal time).
 //
-// With a data dir Seal runs SubmitBatch's three steps for a round of
-// one: stage the block's record, close the commit window with one
-// fsync, and only then append the block to S_i. So the block is
-// durable before any peer can read it, and a window that fails
-// publishes nothing: Seal returns the error, and the next Seal seals
-// the same sequence number again.
+// Seal is a Sealer round of one — SubmitBatch's seal stage: with a
+// data dir the block is durable before any peer can read it, and a
+// failed commit window publishes nothing and leaves its sequence
+// number to the next Seal. Compaction runs inside the verb, so Close
+// never races the backend away under it.
 func (h *Host) Seal(data []byte) (block.Ref, digest.Digest, error) {
 	if err := h.begin(); err != nil {
 		return block.Ref{}, digest.Digest{}, err
 	}
 	defer h.wg.Done()
-	b, err := h.node.SealLocal(data)
-	if err == nil && h.backend != nil {
-		err = h.backend.Commit()
-	}
-	var d digest.Digest
-	if err == nil {
-		d, err = h.node.PublishLocal(b)
-	}
+	refs, flush, err := h.seal.Seal([]Submission{{Node: h.id, Data: data}})
 	if err != nil {
 		return block.Ref{}, digest.Digest{}, err
 	}
-	h.maybeCompact()
-	return b.Header.Ref(), d, nil
-}
-
-// maybeCompact folds the WAL into segment and checkpoint once the
-// block-record threshold is reached. Runs inside the Seal verb (h.wg
-// held), so Close never races the backend away mid-compaction;
-// concurrent compactions coalesce inside the backend.
-func (h *Host) maybeCompact() {
-	if h.backend == nil {
-		return
-	}
-	every := h.cfg.CompactEvery
-	if every <= 0 {
-		every = DefaultCompactEvery
-	}
-	if h.backend.PendingBlocks() < every {
-		return
-	}
-	_ = h.backend.Compact(func() (*ledger.NodeState, error) {
-		return h.node.Engine().State(), nil
-	})
+	return refs[0], flush[0].Digest, nil
 }
 
 // Compact forces a WAL compaction now (no-op without a data dir) —
@@ -672,12 +603,7 @@ func (h *Host) Compact() error {
 		return err
 	}
 	defer h.wg.Done()
-	if h.backend == nil {
-		return nil
-	}
-	return h.backend.Compact(func() (*ledger.NodeState, error) {
-		return h.node.Engine().State(), nil
-	})
+	return h.dev.Checkpoint()
 }
 
 // RecoveryReport returns what startup recovery read from the data dir;
@@ -685,33 +611,20 @@ func (h *Host) Compact() error {
 // final, never-acknowledged WAL record was discarded — worth a log
 // line, never an error.
 func (h *Host) RecoveryReport() (ledger.RecoveryReport, bool) {
-	if h.backend == nil {
+	if h.dev.backend == nil {
 		return ledger.RecoveryReport{}, false
 	}
-	return h.backend.RecoveryReport(), true
+	return h.dev.backend.RecoveryReport(), true
 }
 
 // Latest returns the ref and digest of this node's newest sealed
 // block. ok is false for an empty store — a fresh node, or one whose
 // data dir held nothing.
-func (h *Host) Latest() (ref block.Ref, d digest.Digest, ok bool) {
-	b := h.node.Engine().Store().Latest()
-	if b == nil {
-		return block.Ref{}, digest.Digest{}, false
-	}
-	return b.Header.Ref(), b.Header.Hash(), true
-}
+func (h *Host) Latest() (ref block.Ref, d digest.Digest, ok bool) { return h.dev.Latest() }
 
 // StateDigest returns a canonical digest over the node's whole ledger
-// state (ledger.NodeState.Digest: SHA-256 over the checkpoint's branch
-// table — trust cap, each S_i block's header hash and body root, H_i's
-// insertion count and header hashes, A_i) for identity checks across
-// crash/recovery boundaries. Equal states give equal digests; the
-// values differ from those of builds that hashed the whole snapshot-v2
-// stream instead.
-func (h *Host) StateDigest() digest.Digest {
-	return h.node.Engine().State().Digest()
-}
+// state (Device.StateDigest).
+func (h *Host) StateDigest() digest.Digest { return h.dev.StateDigest() }
 
 // Flush announces previously sealed digests (in seal order) to every
 // radio neighbor and blocks until each live neighbor acknowledged
@@ -723,7 +636,7 @@ func (h *Host) Flush(ctx context.Context, ds []digest.Digest) error {
 	defer h.wg.Done()
 	flush := make([]Sealed, len(ds))
 	for i, d := range ds {
-		flush[i] = Sealed{Node: h.node, Digest: d}
+		flush[i] = Sealed{Node: h.dev.node, Digest: d}
 	}
 	actx, cancel := h.opCtx(ctx)
 	defer cancel()
@@ -733,13 +646,10 @@ func (h *Host) Flush(ctx context.Context, ds []digest.Digest) error {
 // Submit seals and flushes one block — the single-shot verb.
 func (h *Host) Submit(ctx context.Context, data []byte) (block.Ref, error) {
 	ref, d, err := h.Seal(data)
-	if err != nil {
-		return block.Ref{}, err
+	if err == nil {
+		err = h.Flush(ctx, []digest.Digest{d})
 	}
-	if err := h.Flush(ctx, []digest.Digest{d}); err != nil {
-		return ref, err
-	}
-	return ref, nil
+	return ref, err
 }
 
 // Audit runs PoP from this node against ref.
@@ -750,7 +660,7 @@ func (h *Host) Audit(ctx context.Context, ref block.Ref) (*core.Result, error) {
 	defer h.wg.Done()
 	actx, cancel := h.opCtx(ctx)
 	defer cancel()
-	return h.node.Audit(actx, ref)
+	return h.dev.node.Audit(actx, ref)
 }
 
 // Block fetches a block from this node's own store (read-only; with a
@@ -759,7 +669,7 @@ func (h *Host) Block(ref block.Ref) (*block.Block, error) {
 	if ref.Node != h.id {
 		return nil, fmt.Errorf("cluster: block %v is not local to %v", ref, h.id)
 	}
-	return h.node.Engine().Store().Get(ref.Seq)
+	return h.dev.Block(ref.Seq)
 }
 
 // Close shuts the host down gracefully, in strict order: stop
@@ -768,11 +678,8 @@ func (h *Host) Block(ref block.Ref) (*block.Block, error) {
 // flush + fsync the durability backend — every accepted block is on
 // disk before any peer learns we are leaving — then broadcast Leave so
 // peers mark this node dead immediately instead of waiting for their
-// health trackers, close the node — which closes the RPC layer, the
-// transport and the listener — and only then close the backend. Until
-// the node stops serving, a GET_BLOCK still reads a body that lives
-// only in the segment, and journal writes from frames that arrive
-// meanwhile still reach the log, which the backend's close commits.
+// health trackers, and close the device: the node first — its RPC
+// layer, transport and listener — then the backend (Device.Close).
 func (h *Host) Close() error {
 	h.closeMu.Lock()
 	defer h.closeMu.Unlock()
@@ -784,26 +691,20 @@ func (h *Host) Close() error {
 	h.verbMu.Unlock()
 	h.cancel()
 	h.wg.Wait()
-	var backendErr error
-	if h.backend != nil {
-		backendErr = h.backend.Sync()
+	var syncErr error
+	if h.dev.backend != nil {
+		syncErr = h.dev.backend.Sync()
 	}
 	lctx, lcancel := context.WithTimeout(context.Background(), h.cfg.RequestTimeout)
 	for _, peer := range h.Live() {
 		if peer == h.id {
 			continue
 		}
-		_ = h.node.Send(lctx, peer, wire.NewLeave(h.id, peer, h.node.NextNonce()))
+		_ = h.dev.node.Send(lctx, peer, wire.NewLeave(h.id, peer, h.dev.node.NextNonce()))
 	}
 	lcancel()
-	nodeErr := h.node.Close()
-	if h.backend != nil {
-		if err := h.backend.Close(); err != nil && backendErr == nil {
-			backendErr = err
-		}
+	if err := h.dev.Close(); err != nil {
+		return err
 	}
-	if nodeErr != nil {
-		return nodeErr
-	}
-	return backendErr
+	return syncErr
 }

@@ -110,7 +110,7 @@ func TestRecoveryKillRestartEquivalence(t *testing.T) {
 	}
 	// Kill: the node goes down with no Leave, no backend Sync, no
 	// flush. Only Seal's own fsync has run.
-	_ = hosts[2].node.Close()
+	_ = hosts[2].dev.node.Close()
 
 	// Restart from the same data dir, re-discovering the cluster
 	// through host 0.
@@ -284,7 +284,7 @@ func TestRecoveryHostKillPoints(t *testing.T) {
 					t.Fatal(err)
 				}
 			} else {
-				_ = h.node.Close() // kill: no Leave, no host drain
+				_ = h.dev.node.Close() // kill: no Leave, no host drain
 			}
 
 			h2, err := Start(cfg)
@@ -367,9 +367,9 @@ func TestRecoveryHostSealFailedWindowPublishesNothing(t *testing.T) {
 	seal := func(slot uint32) (block.Ref, digest.Digest, error) {
 		t.Helper()
 		h.SetSlot(slot)
-		before := h.backend.WALStats().Fsyncs
+		before := h.dev.backend.WALStats().Fsyncs
 		ref, d, err := h.Seal([]byte{byte(slot)})
-		if err == nil && h.backend.WALStats().Fsyncs <= before {
+		if err == nil && h.dev.backend.WALStats().Fsyncs <= before {
 			t.Fatalf("Seal of slot %d returned before an fsync covered its block", slot)
 		}
 		return ref, d, err
@@ -378,7 +378,7 @@ func TestRecoveryHostSealFailedWindowPublishesNothing(t *testing.T) {
 		t.Helper()
 		ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
 		defer cancel()
-		resp, err := peer.node.Call(ctx, h.ID(), func(corr, nonce uint64) *wire.Message {
+		resp, err := peer.dev.node.Call(ctx, h.ID(), func(corr, nonce uint64) *wire.Message {
 			return wire.NewReqChild(peer.ID(), h.ID(), target, corr, nonce)
 		})
 		if err != nil {
@@ -418,7 +418,7 @@ func TestRecoveryHostSealFailedWindowPublishesNothing(t *testing.T) {
 	}
 
 	want := h.StateDigest()
-	_ = h.node.Close() // kill: no Leave, no backend Sync or Close
+	_ = h.dev.node.Close() // kill: no Leave, no backend Sync or Close
 	restarted, err := Start(Config{
 		ID: 0, Nodes: 2, Seed: seed, Gamma: 1, Difficulty: 2,
 		RequestTimeout: 2 * time.Second,

@@ -1,0 +1,178 @@
+package cluster
+
+import (
+	"sync"
+	"sync/atomic"
+
+	"github.com/twoldag/twoldag/internal/block"
+	"github.com/twoldag/twoldag/internal/identity"
+	"github.com/twoldag/twoldag/internal/ledger"
+	"github.com/twoldag/twoldag/internal/node"
+	"github.com/twoldag/twoldag/internal/par"
+)
+
+// DefaultCompactEvery is the WAL compaction threshold (in block
+// records of one owner) when Sealer.CompactEvery is zero.
+const DefaultCompactEvery = 256
+
+// Submission is one block to seal: Data for device Node's next block.
+type Submission struct {
+	Node identity.NodeID
+	Data []byte
+}
+
+// Sealer is the seal stage of both live drivers, run before anything
+// of a batch is on the wire: a Cluster seals a slot of its devices
+// with it, a Host each block of its one device as a round of one.
+type Sealer struct {
+	// Log is the devices' write-ahead log: the data dir's shared log,
+	// or the private one behind a single-owner backend. Nil when their
+	// ledgers live in memory.
+	Log *ledger.Log
+	// CompactEvery is the compaction threshold in block records of one
+	// owner (0 = DefaultCompactEvery).
+	CompactEvery int
+	// Workers bounds the goroutines that seal a round side by side (0 =
+	// GOMAXPROCS; 1 seals on the caller in batch order).
+	Workers int
+	// Device resolves a running device: a submission's owner, or a log
+	// owner whose state a compaction gathers.
+	Device func(identity.NodeID) (*Device, error)
+}
+
+// Seal seals one block per submission, in rounds: round r is the r-th
+// block of every owner in the batch, so a slot of one block per device
+// is one round. Every owner resolves before anything is sealed. A
+// round's blocks are mined and signed side by side, each staging its
+// record in the log; then the round's one commit window closes — one
+// fsync whatever the device count — and only then are the blocks
+// appended to their S_i and BlockSealed fired, on the caller, in owner
+// order. A window that does not close fails every block in it, and the
+// next batch seals their sequence numbers again. The log compacts,
+// when due, between rounds, so no block is staged but unpublished
+// while it rotates. On failure the error is that of the lowest-index
+// failing submission, and the refs and digests returned exactly those
+// of the submissions before it; the digests are for
+// AckTracker.Announce.
+func (s *Sealer) Seal(batch []Submission) ([]block.Ref, []Sealed, error) {
+	type owner struct {
+		n    *node.Node
+		subs []int // indexes into batch, ascending
+	}
+	var owners []owner
+	ownerOf := make(map[identity.NodeID]int, len(batch))
+	for i, sub := range batch {
+		o, seen := ownerOf[sub.Node]
+		if !seen {
+			d, err := s.Device(sub.Node)
+			if err != nil {
+				return nil, nil, err
+			}
+			o = len(owners)
+			ownerOf[sub.Node] = o
+			owners = append(owners, owner{n: d.node})
+		}
+		owners[o].subs = append(owners[o].subs, i)
+	}
+
+	refs := make([]block.Ref, len(batch))
+	flush := make([]Sealed, len(batch))
+	// failed is the lowest batch index whose seal failed and sealErr its
+	// error. No worker starts a block beyond failed; blocks before it
+	// are still sealed, in later rounds too.
+	var (
+		failed  atomic.Int64
+		mu      sync.Mutex // orders the writers of failed and sealErr
+		sealErr error
+	)
+	failed.Store(int64(len(batch)))
+	fail := func(i int, err error) {
+		mu.Lock()
+		if int64(i) < failed.Load() {
+			failed.Store(int64(i))
+			sealErr = err
+		}
+		mu.Unlock()
+	}
+	type sealing struct {
+		n *node.Node
+		i int // index into batch
+		b *block.Block
+	}
+	var round []sealing
+	for r := 0; ; r++ {
+		round = round[:0]
+		for _, o := range owners {
+			if r < len(o.subs) && int64(o.subs[r]) < failed.Load() {
+				round = append(round, sealing{n: o.n, i: o.subs[r]})
+			}
+		}
+		if len(round) == 0 {
+			break
+		}
+		par.ForEach(len(round), s.Workers, func(k int) {
+			sl := &round[k]
+			if int64(sl.i) > failed.Load() {
+				return
+			}
+			b, err := sl.n.SealLocal(batch[sl.i].Data)
+			if err != nil {
+				fail(sl.i, err)
+				return
+			}
+			sl.b = b
+		})
+		var werr error
+		if s.Log != nil {
+			werr = s.Log.Commit()
+		}
+		for _, sl := range round {
+			if sl.b == nil {
+				continue
+			}
+			if werr != nil {
+				fail(sl.i, werr)
+				continue
+			}
+			d, err := sl.n.PublishLocal(sl.b)
+			if err != nil {
+				fail(sl.i, err)
+				continue
+			}
+			refs[sl.i] = sl.b.Header.Ref()
+			flush[sl.i] = Sealed{Node: sl.n, Digest: d}
+		}
+		s.maybeCompact()
+	}
+	if f := failed.Load(); f < int64(len(batch)) {
+		return refs[:f], flush[:f], sealErr
+	}
+	return refs, flush, nil
+}
+
+// maybeCompact compacts the log once one owner has the threshold of
+// block records in its current generation, so a long-lived run bounds
+// the log's growth and the recovery replay tail. Not lost on failure:
+// the log keeps the error as its sticky one, which Sync and Close
+// report, and the next trigger retries.
+func (s *Sealer) maybeCompact() {
+	every := s.CompactEvery
+	if every <= 0 {
+		every = DefaultCompactEvery
+	}
+	if s.Log != nil && s.Log.PendingBlocks() >= every {
+		_ = s.Compact()
+	}
+}
+
+// Compact rotates the log once, commits every running device's segment
+// and checkpoint and drops the rotated generation (ledger.Log.Compact).
+func (s *Sealer) Compact() error {
+	return s.Log.Compact(func(id identity.NodeID) (*ledger.NodeState, error) {
+		d, err := s.Device(id)
+		if err != nil {
+			return nil, err
+		}
+		return d.node.Engine().State(), nil
+	})
+}

@@ -264,6 +264,17 @@ func (m multi) OnPeerRecovered(e PeerRecovered) {
 	}
 }
 
+// OnWALCommit forwards a WAL commit window to the members that take
+// one (ledger.CommitObserver, as metrics.EventCounters does), so a
+// durable log can report to the same fan-out as the event stream.
+func (m multi) OnWALCommit(blocks int, bytes int64) {
+	for _, o := range m {
+		if c, ok := o.(interface{ OnWALCommit(int, int64) }); ok {
+			c.OnWALCommit(blocks, bytes)
+		}
+	}
+}
+
 // Multi combines observers into one, dropping nils. It returns nil
 // when nothing remains (callers treat a nil Observer as "no
 // observation"), and the sole survivor unwrapped when only one does.

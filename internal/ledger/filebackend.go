@@ -599,6 +599,10 @@ func (fb *FileBackend) RecoveryReport() RecoveryReport {
 // WALStats returns the log's durability counters since open.
 func (fb *FileBackend) WALStats() WALStats { return fb.log.WALStats() }
 
+// Log returns the log the backend writes its records to: the shared
+// one it was opened on, or the private one of a single-owner dir.
+func (fb *FileBackend) Log() *Log { return fb.log }
+
 // Compact commits this owner's state, from gather, to its segment and
 // checkpoint. On a single-owner backend that is the whole of
 // Log.Compact: the log rotates and wal.old goes once the checkpoint is

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 )
@@ -341,7 +342,7 @@ func TestRecoveryFacadeCompaction(t *testing.T) {
 	// rotated at least once, so pending sits below the threshold and a
 	// checkpoint exists.
 	for _, id := range rt.Nodes() {
-		fb := c.backends[id]
+		fb := c.devs[id].Backend()
 		if p := fb.PendingBlocks(); p >= 2 {
 			t.Errorf("node %v: %d pending WAL blocks, threshold 2 never compacted", id, p)
 		}
@@ -380,5 +381,79 @@ func TestRecoveryCompactEveryValidation(t *testing.T) {
 	}
 	if _, err := New(WithNodes(3), WithSimulator(), WithCompactEvery(4)); err == nil {
 		t.Fatal("WithCompactEvery accepted on the simulator driver")
+	}
+}
+
+// openUnder lists the files under dir that this process holds open,
+// read from /proc/self/fd. The test skips where that cannot be read.
+func openUnder(t *testing.T, dir string) []string {
+	t.Helper()
+	fds, err := os.ReadDir("/proc/self/fd")
+	if err != nil {
+		t.Skipf("cannot list this process's open files: %v", err)
+	}
+	if real, err := filepath.EvalSymlinks(dir); err == nil {
+		dir = real
+	}
+	var open []string
+	for _, fd := range fds {
+		target, err := os.Readlink(filepath.Join("/proc/self/fd", fd.Name()))
+		if err == nil && (target == dir || strings.HasPrefix(target, dir+string(filepath.Separator))) {
+			open = append(open, target)
+		}
+	}
+	return open
+}
+
+// TestFacadeReleasesDataDir: the live driver holds a device's files
+// exactly while the device runs. Silence lets go of everything under
+// node-<id>/ and Restart opens its segment again; a Join that fails on
+// a damaged checkpoint holds nothing under the joiner's dir; and Close
+// holds nothing under the data dir at all.
+func TestFacadeReleasesDataDir(t *testing.T) {
+	dir := t.TempDir()
+	openUnder(t, dir)
+	rt, err := New(append(baseOptions(8, 1), WithDataDir(dir))...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rt.Close()
+	c := rt.(*Cluster)
+	fillBatch(t, rt, 2)
+	nodeDir := func(id NodeID) string { return filepath.Join(dir, fmt.Sprintf("node-%d", id)) }
+
+	if err := c.Silence(3); err != nil {
+		t.Fatal(err)
+	}
+	if open := openUnder(t, nodeDir(3)); len(open) != 0 {
+		t.Fatalf("silenced node 3 holds %v open", open)
+	}
+	if err := c.Restart(3); err != nil {
+		t.Fatal(err)
+	}
+	seg := filepath.Join(nodeDir(3), "blocks.seg")
+	if open := openUnder(t, nodeDir(3)); len(open) != 1 || filepath.Base(open[0]) != "blocks.seg" {
+		t.Fatalf("restarted node 3 holds %v open, want %s", open, seg)
+	}
+
+	ckpt := filepath.Join(nodeDir(8), "checkpoint.2ldg")
+	if err := os.MkdirAll(filepath.Dir(ckpt), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(ckpt, []byte("garbage"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := rt.Join(); err == nil {
+		t.Fatal("Join over a damaged checkpoint succeeded")
+	}
+	if open := openUnder(t, nodeDir(8)); len(open) != 0 {
+		t.Fatalf("the failed Join holds %v open", open)
+	}
+
+	if err := rt.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if open := openUnder(t, dir); len(open) != 0 {
+		t.Fatalf("the closed runtime holds %v open", open)
 	}
 }

@@ -3,11 +3,8 @@ package twoldag
 import (
 	"context"
 	"errors"
-	"fmt"
 
 	"github.com/twoldag/twoldag/internal/cluster"
-	"github.com/twoldag/twoldag/internal/par"
-	"github.com/twoldag/twoldag/internal/topology"
 )
 
 // Runtime is a running 2LDAG deployment, live or simulated. Both
@@ -95,11 +92,8 @@ type Runtime interface {
 	Close() error
 }
 
-// Submission is one SubmitBatch entry.
-type Submission struct {
-	Node NodeID
-	Data []byte
-}
+// Submission is one SubmitBatch entry: Data for Node's next block.
+type Submission = cluster.Submission
 
 // AuditRequest names one AuditMany verification.
 type AuditRequest struct {
@@ -162,23 +156,4 @@ func submitOne(ctx context.Context, rt Runtime, id NodeID, data []byte) (Ref, er
 		return Ref{}, err
 	}
 	return refs[0], err
-}
-
-// fanOut runs fn(0..n-1) on at most workers goroutines (0 =
-// GOMAXPROCS); with one worker it degrades to a plain loop.
-func fanOut(n, workers int, fn func(i int)) {
-	par.ForEach(n, workers, fn)
-}
-
-// placeJoiner allocates an unused device ID and wires it into the
-// radio graph within communication range of the newest live device
-// (the paper's Sec. VII dynamic-membership extension). The rule lives
-// in internal/cluster so the in-process drivers and cross-host Hosts
-// place joiners identically.
-func placeJoiner(topo *topology.Graph, ids []NodeID, isLive func(NodeID) bool) (NodeID, error) {
-	id, err := cluster.PlaceJoiner(topo, ids, isLive)
-	if err != nil {
-		return 0, fmt.Errorf("twoldag: %w", err)
-	}
-	return id, nil
 }

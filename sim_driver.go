@@ -2,8 +2,11 @@ package twoldag
 
 import (
 	"context"
+	"fmt"
 
+	"github.com/twoldag/twoldag/internal/cluster"
 	"github.com/twoldag/twoldag/internal/events"
+	"github.com/twoldag/twoldag/internal/par"
 	"github.com/twoldag/twoldag/internal/sim"
 	"github.com/twoldag/twoldag/internal/topology"
 )
@@ -108,7 +111,7 @@ func (d *SimDriver) Audit(ctx context.Context, validator NodeID, ref Ref) (*Audi
 // validators run fully in parallel.
 func (d *SimDriver) AuditMany(ctx context.Context, reqs []AuditRequest) []AuditOutcome {
 	out := make([]AuditOutcome, len(reqs))
-	fanOut(len(reqs), d.workers, func(i int) {
+	par.ForEach(len(reqs), d.workers, func(i int) {
 		r := reqs[i]
 		res, err := d.s.AuditFrom(ctx, r.Validator, r.Ref)
 		out[i] = AuditOutcome{Request: r, Result: res, Err: err}
@@ -123,11 +126,11 @@ func (d *SimDriver) Block(ref Ref) (*Block, error) {
 
 // Join implements Runtime.
 func (d *SimDriver) Join() (NodeID, error) {
-	id, err := placeJoiner(d.topo, d.ids, func(id NodeID) bool {
+	id, err := cluster.PlaceJoiner(d.topo, d.ids, func(id NodeID) bool {
 		return !d.s.Silenced(id)
 	})
 	if err != nil {
-		return 0, err
+		return 0, fmt.Errorf("twoldag: %w", err)
 	}
 	if err := d.s.JoinNode(id); err != nil {
 		return 0, err
