@@ -36,6 +36,7 @@ var errInjected = errors.New("injected storage fault")
 type walFaults struct {
 	mu                                          sync.Mutex
 	writes, syncs, truncates, renames, dirSyncs int
+	dirSyncsPass                                int    // directory fsyncs that go through before the armed ones fail
 	short                                       bool   // a failing write reports a short count and no error
 	err                                         error  // what a failing call returns (errInjected when nil)
 	only                                        string // when set, the path of the one file that fails (of a rename: the old path; of a dir fsync: the dir)
@@ -126,6 +127,15 @@ func (f *walFaults) options() []BackendOption {
 				return nil
 			}
 			l.syncDir = func(dir string) error {
+				f.mu.Lock()
+				pass := f.dirSyncsPass > 0 && (f.only == "" || dir == f.only)
+				if pass {
+					f.dirSyncsPass--
+				}
+				f.mu.Unlock()
+				if pass {
+					return syncDir(dir)
+				}
 				if err := f.take(&f.dirSyncs, dir); err != nil {
 					return err
 				}
@@ -469,6 +479,136 @@ func TestWALFaultRotation(t *testing.T) {
 			}
 			sameStates(t, "recovered", w.states(), want)
 			w.close()
+		})
+	}
+}
+
+// TestWALFaultRotationDirSync: the data dir's fsync after a rotation —
+// what makes the rename to wal.old and the new wal.log survive a power
+// loss — goes through the seam, made by the first window close after
+// the rotation. When it fails, that window fails: none of its blocks is
+// acknowledged, pending or found by a recovery. The next close retries
+// the fsync and acknowledges its window, and once one fsync succeeded
+// no later close makes another. The fsync after wal.old's removal is
+// best-effort: when it fails, the compaction succeeds all the same and
+// nothing else changes.
+func TestWALFaultRotationDirSync(t *testing.T) {
+	for _, shared := range []bool{false, true} {
+		owners := []identity.NodeID{1}
+		if shared {
+			owners = []identity.NodeID{1, 2, 3}
+		}
+		setup := func(t *testing.T) (*walFaults, *worldFixture, *world, string) {
+			faults := &walFaults{}
+			fx := newWorldFixture(t, owners, 10)
+			base := t.TempDir()
+			w := newWorld(t, base, shared, faults.options()...)
+			t.Cleanup(func() { w.close() })
+			for _, o := range owners {
+				w.open(o)
+				w.apply(fx, worldOp{kind: 0, owner: o})
+				w.apply(fx, worldOp{kind: 2, owner: o, arg: 1})
+			}
+			logDir := base
+			if !shared {
+				logDir = w.dir(1)
+			}
+			return faults, fx, w, logDir
+		}
+		commit := func(w *world) error {
+			if shared {
+				return w.log.Commit()
+			}
+			return w.fbs[1].Commit()
+		}
+		// round stages one block per owner and closes the window; the
+		// blocks go to their stores only when it was acknowledged.
+		round := func(t *testing.T, fx *worldFixture, w *world, want error) {
+			t.Helper()
+			for _, o := range owners {
+				if err := w.fbs[o].StageBlock(fx.chains[o][w.sts[o].Store.Len()]); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := commit(w); !errors.Is(err, want) || (want == nil && err != nil) {
+				t.Fatalf("Commit: %v, want %v", err, want)
+			}
+			if want != nil {
+				return
+			}
+			for _, o := range owners {
+				w.apply(fx, worldOp{kind: 0, owner: o})
+			}
+		}
+		name := map[bool]string{false: "single owner", true: "shared"}[shared]
+		t.Run(name+"/rotation", func(t *testing.T) {
+			faults, fx, w, logDir := setup(t)
+			if err := w.compact(); err != nil {
+				t.Fatal(err)
+			}
+			lens := map[identity.NodeID]int{}
+			for _, o := range owners {
+				lens[o] = w.sts[o].Store.Len()
+			}
+			fsyncs := w.fbs[1].WALStats().Fsyncs
+			faults.arm(func() { faults.dirSyncs, faults.only = 1, logDir })
+			round(t, fx, w, errInjected)
+			for _, o := range owners {
+				if n, p := w.sts[o].Store.Len(), w.fbs[o].PendingBlocks(); n != lens[o] || p != 0 {
+					t.Fatalf("owner %v after a window whose dir fsync failed: store %d (was %d), pending %d", o, n, lens[o], p)
+				}
+			}
+			// The seam healed: the retry acknowledges the next window.
+			round(t, fx, w, nil)
+			if got := w.fbs[1].WALStats().Fsyncs - fsyncs; got != 1 {
+				t.Fatalf("%d windows acknowledged since the rotation, want 1: the failed one does not count", got)
+			}
+			// The rotation is durable now: no later close fsyncs the dir.
+			faults.arm(func() { faults.dirSyncs = 1 })
+			round(t, fx, w, nil)
+			faults.arm(func() { faults.dirSyncs = 0 })
+			strictLog(t, logDir)
+			want := w.states()
+			w.reopen() // crash
+			for _, o := range owners {
+				w.open(o)
+			}
+			sameStates(t, "recovered", w.states(), want)
+			for _, o := range owners {
+				if n := w.sts[o].Store.Len(); n != lens[o]+2 {
+					t.Fatalf("owner %v recovered %d blocks, want the %d acknowledged", o, n, lens[o]+2)
+				}
+			}
+		})
+		t.Run(name+"/removal", func(t *testing.T) {
+			faults, fx, w, logDir := setup(t)
+			faults.arm(func() {
+				faults.dirSyncs, faults.only = 1, logDir
+				if !shared {
+					faults.dirSyncsPass = 1 // the checkpoint's, in the same dir
+				}
+			})
+			if err := w.compact(); err != nil {
+				t.Fatalf("compaction over a failed dir fsync after the removal: %v", err)
+			}
+			faults.arm(func() {
+				if faults.dirSyncs != 0 {
+					t.Error("the removal's dir fsync bypassed the seam")
+				}
+			})
+			if _, err := os.Stat(filepath.Join(logDir, walOldFileName)); !errors.Is(err, os.ErrNotExist) {
+				t.Fatal("wal.old survived the compaction that covered it")
+			}
+			if err := w.fbs[1].Sync(); err != nil {
+				t.Fatalf("a failed best-effort fsync became a sticky error: %v", err)
+			}
+			round(t, fx, w, nil)
+			want := w.states()
+			w.reopen() // crash
+			for _, o := range owners {
+				w.open(o)
+			}
+			sameStates(t, "recovered", w.states(), want)
 		})
 	}
 }

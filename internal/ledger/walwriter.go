@@ -117,7 +117,7 @@ type Log struct {
 	obs     CommitObserver
 	wrap    func(WALFile) WALFile               // nil outside tests
 	rename  func(oldpath, newpath string) error // os.Rename outside tests: rotations and checkpoint commits
-	syncDir func(dir string) error              // the package's syncDir outside tests: checkpoint commits
+	syncDir func(dir string) error              // the package's syncDir outside tests: every directory fsync
 
 	// compactMu is held for the length of a compaction, and by a backend
 	// of a shared log while it recovers or closes: the set of backends a
@@ -142,6 +142,12 @@ type Log struct {
 	// rotates again — the rename would replace the only copy of records
 	// no segment or checkpoint holds.
 	hasOld bool
+	// rotated says a rotation's rename and new wal.log may not yet have
+	// survived a power loss: the data dir has not been fsynced since.
+	// Every window close with records to acknowledge fsyncs it after
+	// wal.log (commitLocked) until one succeeds, and no record of the
+	// new generation is acknowledged before.
+	rotated bool
 	// uncovered owners have records in the generations that no
 	// checkpoint is known to hold and no open backend could gather —
 	// found in the files as a shared log opened and not yet recovered, or
@@ -426,14 +432,16 @@ func lazyRecords(buf []byte) []byte {
 }
 
 // commitLocked closes the current commit window: write the buffer and
-// fsync everything past syncedOff. On fsync failure the durability of
-// the whole unsynced region is unknown, so it is poisoned wholesale —
-// goodOff retreats to the last acknowledged fsync and the next write
-// truncates the region away — and the window fails (failWindowLocked),
-// as it does when the write fails. A window an earlier write already
-// failed (l.failed) fails again here, taking what was logged into it
-// since: the close reports it, and commits only the lazy records left.
-// Caller holds l.mu.
+// fsync everything past syncedOff — and, after a rotation, the data dir
+// until that succeeds once, since records in a wal.log whose directory
+// entry a power loss may take are not durable either. On fsync failure
+// the durability of the whole unsynced region is unknown, so it is
+// poisoned wholesale — goodOff retreats to the last acknowledged fsync
+// and the next write truncates the region away — and the window fails
+// (failWindowLocked), as it does when the write fails. A window an
+// earlier write already failed (l.failed) fails again here, taking what
+// was logged into it since: the close reports it, and commits only the
+// lazy records left. Caller holds l.mu.
 func (l *Log) commitLocked() error {
 	failed := l.failed
 	if failed != nil {
@@ -447,6 +455,13 @@ func (l *Log) commitLocked() error {
 	if err == nil {
 		if err = l.f.Sync(); err != nil {
 			err = fmt.Errorf("ledger: syncing WAL: %w", err)
+		} else if l.rotated {
+			if err = l.syncDir(l.dir); err != nil {
+				err = fmt.Errorf("ledger: syncing data dir after WAL rotation: %w", err)
+			}
+			l.rotated = err != nil
+		}
+		if err != nil {
 			l.goodOff, l.dirty = l.syncedOff, true
 			l.failWindowLocked()
 		}
@@ -520,8 +535,10 @@ func (l *Log) Flush() error {
 // wal.old never carries a partial frame — which is what entitles
 // recovery to treat a torn wal.old as corruption rather than a crash
 // artifact. A rename that fails changes nothing: the log keeps
-// appending to the generation it has. Caller holds l.mu and has checked
-// that no wal.old exists.
+// appending to the generation it has. The directory fsync that makes
+// the rename and the new wal.log durable is left to the next window
+// close (see rotated), the first thing that needs it. Caller holds l.mu
+// and has checked that no wal.old exists.
 func (l *Log) rotateLocked() error {
 	// Closing the commit window first acknowledges (or fails) every
 	// staged record before the generation is sealed as wal.old.
@@ -547,7 +564,7 @@ func (l *Log) rotateLocked() error {
 	for _, v := range l.views {
 		v.pending = 0
 	}
-	_ = syncDir(l.dir) // best-effort: nothing yet waits on the rotation's durability
+	l.rotated = true
 	return nil
 }
 
@@ -559,7 +576,10 @@ func (l *Log) rotateLocked() error {
 //  2. outside mu, owners side by side: gather each owner's current
 //     state, append the blocks its segment lacks and fsync them, then
 //     commit a checkpoint recording them (tmp + fsync + rename);
-//  3. delete wal.old.
+//  3. delete wal.old, and fsync the data dir best-effort: a wal.old a
+//     power loss brings back holds only records the checkpoints of step
+//     2 hold too, which replay idempotently, and the log does not
+//     rotate over it (see hasOld) until a compaction deletes it again.
 //
 // Logging continues into the new generation throughout. Records
 // gathered into a checkpoint or segment AND logged to the new
@@ -644,7 +664,7 @@ func (l *Log) compact(only *FileBackend, gather func(owner identity.NodeID) (*No
 	if err := os.Remove(filepath.Join(l.dir, walOldFileName)); err != nil && !errors.Is(err, fs.ErrNotExist) {
 		return fmt.Errorf("ledger: removing rotated WAL: %w", err)
 	}
-	_ = syncDir(l.dir) // best-effort: a wal.old a power loss brings back replays idempotently
+	_ = l.syncDir(l.dir) // best-effort: see step 3 above
 	l.mu.Lock()
 	l.hasOld = false
 	l.mu.Unlock()

@@ -13,6 +13,7 @@ package node
 
 import (
 	"context"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"sync"
@@ -205,54 +206,68 @@ func (n *Node) Blacklist() *ledger.Blacklist { return n.bl }
 // duplicate can only trail its original by the fabric's maximum delay,
 // during which a sender seals at most a handful of digests, so a short
 // window suffices; the window only needs to outlive the oldest copy
-// still in flight.
+// still in flight. It is also how many words a lookup scans (seenRing),
+// which is one more reason to keep it short.
 const dedupWindow = 64
 
 // seenRing remembers the last dedupWindow digests ingested from one
-// sender: O(1) membership via the index map, O(1) eviction via the
-// ring.
+// sender in a flat ring: the digests, and beside them each one's first
+// 8 bytes as a word. A lookup scans the words of the filled slots and
+// confirms a matching word on the whole digest; a record overwrites
+// the oldest slot once the ring is full. No map sits beside the ring,
+// so a sender costs the ring's 2.7 KiB however many digests it once
+// sent.
 type seenRing struct {
+	keys [dedupWindow]uint64
 	ring [dedupWindow]digest.Digest
-	idx  map[digest.Digest]struct{}
-	n    int
+	n    int // digests recorded; the next goes to slot n % dedupWindow
 }
 
-func newSeenRing() *seenRing {
-	return &seenRing{idx: make(map[digest.Digest]struct{}, dedupWindow)}
-}
+func seenKey(d digest.Digest) uint64 { return binary.LittleEndian.Uint64(d[:]) }
 
-func (r *seenRing) has(d digest.Digest) bool {
-	_, ok := r.idx[d]
-	return ok
-}
-
-func (r *seenRing) add(d digest.Digest) {
-	if r.has(d) {
-		return
+// holds reports whether d is among the digests recorded since the
+// ring's count was since and not yet overwritten.
+func (r *seenRing) holds(d digest.Digest, since int) bool {
+	k := seenKey(d)
+	for m := max(since, r.n-dedupWindow); m < r.n; m++ {
+		if s := uint(m) % dedupWindow; r.keys[s] == k && r.ring[s] == d {
+			return true
+		}
 	}
-	slot := r.n % dedupWindow
-	if r.n >= dedupWindow {
-		delete(r.idx, r.ring[slot])
+	return false
+}
+
+// record appends a frame's fresh digests, each of which has just been
+// found absent (holds(d, 0)). So only a digest the frame repeats can
+// be in the ring already, among those this call recorded, and only
+// they are searched: each digest costs one full scan however it
+// arrives, and the ring holds dedupWindow distinct digests.
+func (r *seenRing) record(fresh []digest.Digest) {
+	start := r.n
+	for _, d := range fresh {
+		if !r.holds(d, start) {
+			s := uint(r.n) % dedupWindow
+			r.keys[s], r.ring[s] = seenKey(d), d
+			r.n++
+		}
 	}
-	r.ring[slot] = d
-	r.idx[d] = struct{}{}
-	r.n++
 }
 
 // seenBefore reports whether from already delivered d.
 func (n *Node) seenBefore(from identity.NodeID, d digest.Digest) bool {
 	r, ok := n.seen[from]
-	return ok && r.has(d)
+	return ok && r.holds(d, 0)
 }
 
-// markSeen records d as ingested from from.
-func (n *Node) markSeen(from identity.NodeID, d digest.Digest) {
+// markSeen records from's fresh digests as ingested (see
+// seenRing.record).
+func (n *Node) markSeen(from identity.NodeID, fresh []digest.Digest) {
 	r, ok := n.seen[from]
 	if !ok {
-		r = newSeenRing()
+		r = new(seenRing)
 		n.seen[from] = r
 	}
-	r.add(d)
+	r.record(fresh)
 }
 
 // handle serves unsolicited messages: digest announcements and
@@ -338,9 +353,7 @@ func (n *Node) onAnnounceBatch(ctx context.Context, msg *wire.Message) {
 	if err := n.engine.OnDigestsFrom(from, fresh); err != nil {
 		return // non-neighbors rejected inside
 	}
-	for _, d := range fresh {
-		n.markSeen(from, d)
-	}
+	n.markSeen(from, fresh)
 	n.delivered(from, n.ID(), fresh)
 	// Note: the decode above consumed msg's payload copy, but NewDigestAck
 	// echoes the original payload bytes, so the ack still carries the

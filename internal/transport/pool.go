@@ -8,7 +8,10 @@ import "sync"
 // wire.Decode copies the payload out — so buffers can be pooled
 // instead of allocated per message (a ROADMAP hot-path item: blocks
 // carry up to ~1 MB bodies, and per-message allocation dominated
-// transport CPU).
+// transport CPU). A TCP read loop holds a buffer only while a frame is
+// in hand — from its length prefix until wire.Decode has copied the
+// payload out — so a connection waiting for its next frame pins none,
+// whatever the largest frame it once carried.
 var framePool = sync.Pool{
 	New: func() any {
 		b := make([]byte, 0, 4096)

@@ -156,7 +156,9 @@ func (n *TCPNode) SetDropHandler(f func(Envelope)) {
 // From is wire.BootstrapID comes from a joiner that has no identity or
 // directory yet (see Bootstrap), so instead of entering the inbox the
 // handler's reply is written straight back on the same connection.
-// A nil handler (the default) drops such frames. The handler runs on
+// Only a connection the joiner dialed is answered; such a frame on a
+// connection this node dialed is dropped. A nil handler (the default)
+// drops every such frame. The handler runs on
 // read-loop goroutines and must be safe for concurrent use.
 func (n *TCPNode) SetBootstrapHandler(f func(*wire.Message) *wire.Message) {
 	n.stateMu.Lock()
@@ -197,13 +199,16 @@ func (n *TCPNode) acceptLoop() {
 		n.inbound[conn] = struct{}{}
 		n.mu.Unlock()
 		n.wg.Add(1)
-		go n.readLoop(conn)
+		go n.readLoop(conn, true)
 	}
 }
 
 // readLoop decodes frames from one connection and hands each to the
-// response handler or the inbox.
-func (n *TCPNode) readLoop(conn net.Conn) {
+// response handler or the inbox. accepted says the peer dialed this
+// node: only such a connection answers bootstrap frames. A frame buffer
+// is held only while a frame is in hand (readFrame), so an idle
+// connection pins none.
+func (n *TCPNode) readLoop(conn net.Conn, accepted bool) {
 	defer n.wg.Done()
 	defer func() {
 		conn.Close()
@@ -212,8 +217,6 @@ func (n *TCPNode) readLoop(conn net.Conn) {
 		n.mu.Unlock()
 	}()
 	var lenBuf [4]byte
-	buf := getFrame()
-	defer putFrame(buf)
 	for {
 		if _, err := io.ReadFull(conn, lenBuf[:]); err != nil {
 			return
@@ -222,27 +225,24 @@ func (n *TCPNode) readLoop(conn net.Conn) {
 		if size > maxFrame {
 			return // hostile peer; drop the connection
 		}
-		if cap(*buf) < int(size) {
-			*buf = make([]byte, size)
-		}
-		frame := (*buf)[:size]
-		if _, err := io.ReadFull(conn, frame); err != nil {
+		msg, ok := readFrame(conn, size)
+		if !ok {
 			return
 		}
-		// Decode copies the payload out, so frame is reusable next loop.
-		msg, err := wire.Decode(frame)
-		if err != nil {
+		if msg == nil {
 			continue // skip malformed frames, keep the connection
 		}
 		if msg.From == wire.BootstrapID {
 			// Discovery exchange: reply on this connection (the sender has
 			// no listener registered anywhere yet) and keep the frame out
-			// of the inbox. Writes are safe unlocked — inbound connections
-			// are only ever written from their own read loop.
+			// of the inbox. Writes are safe unlocked on an accepted
+			// connection only — its own read loop is its one writer. Send
+			// writes a dialed one under lockedConn.mu, so a bootstrap
+			// frame arriving there is dropped: a joiner dials in.
 			n.stateMu.RLock()
 			handler := n.onBootstrap
 			n.stateMu.RUnlock()
-			if handler == nil {
+			if handler == nil || !accepted {
 				continue
 			}
 			reply := handler(msg)
@@ -267,6 +267,25 @@ func (n *TCPNode) readLoop(conn net.Conn) {
 		}
 		n.stateMu.RUnlock()
 	}
+}
+
+// readFrame reads the size-byte frame behind a length prefix into a
+// pooled buffer and decodes it. The buffer is back in the pool when it
+// returns, on every path: wire.Decode copies the payload out. It
+// reports false when the read failed; a frame that does not decode
+// yields a nil message.
+func readFrame(r io.Reader, size uint32) (*wire.Message, bool) {
+	buf := getFrame()
+	defer putFrame(buf)
+	if cap(*buf) < int(size) {
+		*buf = make([]byte, size)
+	}
+	frame := (*buf)[:size]
+	if _, err := io.ReadFull(r, frame); err != nil {
+		return nil, false
+	}
+	msg, _ := wire.Decode(frame)
+	return msg, true
 }
 
 // route hands env to the response handler or queues it on the inbox,
@@ -378,7 +397,7 @@ func (n *TCPNode) conn(ctx context.Context, to identity.NodeID) (*lockedConn, er
 	n.mu.Unlock()
 	// Read replies arriving on the outbound connection too.
 	n.wg.Add(1)
-	go n.readLoop(c)
+	go n.readLoop(c, false)
 	return lc, nil
 }
 

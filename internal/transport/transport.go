@@ -6,6 +6,12 @@
 // correlation with timeouts τ on top of either, which is what the PoP
 // validator's REQ_CHILD exchange (Algorithm 3 line 19) requires.
 //
+// A TCP connection costs its node a read loop and no frame buffer while
+// it is idle: the loop takes a pooled buffer once a frame's length
+// prefix has arrived and hands it back as soon as the frame is decoded,
+// so what a device spends on a peer does not grow with the largest
+// frame that peer ever sent.
+//
 // # Who completes a call
 //
 // A frame reaches its receiver on the fabric's delivering goroutine:
