@@ -115,6 +115,16 @@ func (h *Header) Ref() Ref {
 	return Ref{Node: h.Origin, Seq: h.Seq}
 }
 
+// Every preimage of a header — its wire form for Hash, the Eq. 5
+// prefix and the Eq. 6 preimage — is built in a scratch array on the
+// caller's stack, sized for a Δ of up to stackDigestRefs entries (own
+// previous + 8 neighbours). A larger Δ grows onto the heap through the
+// same append.
+const (
+	stackDigestRefs = 9
+	stackRefsSize   = stackDigestRefs * (4 + digest.Size)
+)
+
 // Hash computes H(b^h): the digest a node transmits to its neighbors
 // after generating the block. It covers every header field including the
 // signature.
@@ -128,7 +138,8 @@ func (h *Header) Hash() digest.Digest {
 	if h.hashOK {
 		return h.hash
 	}
-	h.hash = digest.Sum(AppendEncodeHeader(make([]byte, 0, headerWireSize(h)), h))
+	var scratch [4*6 + digest.Size + stackRefsSize + 4 + identity.SignatureSize]byte
+	h.hash = digest.Sum(AppendEncodeHeader(scratch[:0], h))
 	h.hashOK = true
 	return h.hash
 }
@@ -140,33 +151,38 @@ func (h *Header) Seal() digest.Digest { return h.Hash() }
 // Sealed reports whether the header hash has been memoized.
 func (h *Header) Sealed() bool { return h.hashOK }
 
-// powPrefix is the preimage prefix of Eq. 5: H(M(b^d), Δ, nonce) ≤ ρ.
-// The nonce is appended by the pow package; the buffer reserves room
-// for it, so pow.VerifyPrefix completes the preimage in place instead
-// of copying the prefix on every validation.
-func (h *Header) powPrefix() []byte {
-	buf := make([]byte, 0, digest.Size+len(h.Digests)*(4+digest.Size)+pow.NonceSize)
-	buf = append(buf, h.Root[:]...)
-	buf = appendDigestRefs(buf, h.Digests)
-	return buf
+// powScratch holds the preimage prefix of Eq. 5 with room for the
+// nonce, so pow.VerifyPrefix completes the preimage in place.
+type powScratch [digest.Size + stackRefsSize + pow.NonceSize]byte
+
+// appendPowPrefix appends the preimage prefix of Eq. 5,
+// H(M(b^d), Δ, nonce) ≤ ρ, to b; the pow package appends the nonce.
+func (h *Header) appendPowPrefix(b []byte) []byte {
+	b = append(b, h.Root[:]...)
+	return appendDigestRefs(b, h.Digests)
 }
 
-// SigPreimage is the byte string hashed and signed per Eq. 6:
+// powSolved reports whether h's nonce solves Eq. 5 at diff.
+func (h *Header) powSolved(diff pow.Difficulty) bool {
+	var scratch powScratch
+	return pow.VerifyPrefix(h.appendPowPrefix(scratch[:0]), h.Nonce, diff)
+}
+
+// SigPreimage returns the digest signed per Eq. 6:
 // s = E(H(v, t, M(b^d), Δ, n), sk). The origin and sequence fields are
 // folded in so a signature cannot be replayed onto a different position
 // in the log.
-func (h *Header) SigPreimage() []byte {
+func (h *Header) SigPreimage() digest.Digest {
 	// Five uint32 fields, the root and Δ.
-	buf := make([]byte, 0, 4*5+digest.Size+len(h.Digests)*(4+digest.Size))
-	buf = appendUint32(buf, h.Version)
+	var scratch [4*5 + digest.Size + stackRefsSize]byte
+	buf := appendUint32(scratch[:0], h.Version)
 	buf = appendUint32(buf, h.Time)
 	buf = appendUint32(buf, uint32(h.Origin))
 	buf = appendUint32(buf, h.Seq)
 	buf = append(buf, h.Root[:]...)
 	buf = appendDigestRefs(buf, h.Digests)
 	buf = appendUint32(buf, h.Nonce)
-	d := digest.Sum(buf)
-	return d[:]
+	return digest.Sum(buf)
 }
 
 // DigestOf returns the digest recorded for node v in Δ — the paper's
@@ -333,12 +349,14 @@ func (p Params) Build(key identity.KeyPair, t, seq uint32, body []byte, digests 
 		Root:    root,
 		Digests: append([]DigestRef(nil), digests...),
 	}
-	nonce, _, err := pow.SearchPrefix(h.powPrefix(), p.Difficulty, 0)
+	var scratch powScratch
+	nonce, _, err := pow.SearchPrefix(h.appendPowPrefix(scratch[:0]), p.Difficulty, 0)
 	if err != nil {
 		return nil, fmt.Errorf("block: mining nonce: %w", err)
 	}
 	h.Nonce = nonce
-	h.Signature = key.Sign(h.SigPreimage())
+	sig := h.SigPreimage()
+	h.Signature = key.Sign(sig[:])
 	b := &Block{Header: h, Body: append([]byte(nil), body...)}
 	b.Header.Seal()
 	b.sealBody(root, p.LeafSize)
@@ -351,10 +369,11 @@ func (p Params) ValidateHeader(h *Header, ring *identity.Ring) error {
 	if h.Version != p.Version {
 		return fmt.Errorf("%w: %d, want %d", ErrBadVersion, h.Version, p.Version)
 	}
-	if !pow.VerifyPrefix(h.powPrefix(), h.Nonce, p.Difficulty) {
+	if !h.powSolved(p.Difficulty) {
 		return fmt.Errorf("%w: difficulty %d", ErrPowUnsatisfied, p.Difficulty)
 	}
-	if err := ring.Verify(h.Origin, h.SigPreimage(), h.Signature); err != nil {
+	sig := h.SigPreimage()
+	if err := ring.Verify(h.Origin, sig[:], h.Signature); err != nil {
 		return fmt.Errorf("block: header signature: %w", err)
 	}
 	return nil
@@ -404,12 +423,13 @@ func (p Params) VerifyChain(prev *Header, blocks []*Block, ring *identity.Ring) 
 		if root, ok := b.CachedBodyRoot(p.LeafSize); !ok || root != h.Root {
 			return false
 		}
-		if !pow.VerifyPrefix(h.powPrefix(), h.Nonce, p.Difficulty) {
+		if !h.powSolved(p.Difficulty) {
 			return false
 		}
 		prev = h
 	}
-	return ring.Verify(head.Origin, head.SigPreimage(), head.Signature) == nil
+	sig := head.SigPreimage()
+	return ring.Verify(head.Origin, sig[:], head.Signature) == nil
 }
 
 // verifyShardCount shards the cache by digest prefix so concurrent

@@ -317,32 +317,111 @@ func TestPowDifficultyZeroStillBuilds(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !pow.VerifyPrefix(b.Header.powPrefix(), b.Header.Nonce, 0) {
+	if !b.Header.powSolved(0) {
 		t.Fatal("zero-difficulty block should trivially verify")
 	}
 }
 
-// TestPreimageBuffersAreExact pins the two preimage buffers of
-// ValidateHeader to one allocation each: powPrefix reserves the nonce's
-// room, so pow.VerifyPrefix appends in place, and SigPreimage is sized
-// for every field it writes — for an empty Δ (a decoded header may
-// carry one) as for a seal-sized one.
+// headerWithRefs returns an unsealed header whose Δ holds n entries.
+func headerWithRefs(n int) *Header {
+	h := &Header{Version: 1, Time: 2, Origin: 3, Seq: 4, Root: digest.Sum([]byte("root")), Nonce: 5}
+	for v := 0; v < n; v++ {
+		h.Digests = append(h.Digests, DigestRef{Node: identity.NodeID(v), Digest: digest.Sum([]byte{byte(v)})})
+	}
+	h.Signature = make([]byte, identity.SignatureSize)
+	return h
+}
+
+// TestPreimageBuffersAreExact pins every preimage a header builds —
+// its wire form for Hash, the Eq. 5 prefix and the Eq. 6 preimage — to
+// zero allocations for a Δ of up to stackDigestRefs entries (a decoded
+// header may carry an empty one): each lives in a scratch array on the
+// caller's stack, and the Eq. 5 scratch leaves room for the nonce.
 func TestPreimageBuffersAreExact(t *testing.T) {
-	for _, n := range []int{0, 1, 4, 9} {
-		h := &Header{}
-		for v := 0; v < n; v++ {
-			h.Digests = append(h.Digests, DigestRef{Node: identity.NodeID(v), Digest: digest.Sum([]byte{byte(v)})})
-		}
-		prefix := h.powPrefix()
+	for _, n := range []int{0, 1, 4, stackDigestRefs} {
+		h := headerWithRefs(n)
+		var scratch powScratch
+		prefix := h.appendPowPrefix(scratch[:0])
 		if got := testing.AllocsPerRun(100, func() { pow.VerifyPrefix(prefix, 7, 0) }); got != 0 {
 			t.Errorf("Δ of %d: VerifyPrefix allocates %v times appending the nonce, want 0", n, got)
 		}
-		if got := testing.AllocsPerRun(100, func() { pow.VerifyPrefix(h.powPrefix(), 7, 0) }); got != 1 {
-			t.Errorf("Δ of %d: powPrefix + VerifyPrefix allocate %v times, want 1", n, got)
+		if got := testing.AllocsPerRun(100, func() { h.powSolved(0) }); got != 0 {
+			t.Errorf("Δ of %d: the Eq. 5 check allocates %v times, want 0", n, got)
 		}
-		// One buffer plus the digest slice SigPreimage returns.
-		if got := testing.AllocsPerRun(100, func() { h.SigPreimage() }); got != 2 {
-			t.Errorf("Δ of %d: SigPreimage allocates %v times, want 2", n, got)
+		if got := testing.AllocsPerRun(100, func() { h.SigPreimage() }); got != 0 {
+			t.Errorf("Δ of %d: SigPreimage allocates %v times, want 0", n, got)
+		}
+		if got := testing.AllocsPerRun(100, func() { h.hashOK = false; h.Hash() }); got != 0 {
+			t.Errorf("Δ of %d: Hash of an unsealed header allocates %v times, want 0", n, got)
+		}
+	}
+}
+
+// TestPreimagesMatchAcrossScratchBoundary holds each stack-built
+// preimage to a heap-built reference for every Δ from empty to three
+// entries past the stack scratch, where append moves it to the heap.
+func TestPreimagesMatchAcrossScratchBoundary(t *testing.T) {
+	for n := 0; n <= stackDigestRefs+3; n++ {
+		h := headerWithRefs(n)
+		if got, want := h.Hash(), digest.Sum(EncodeHeader(h)); got != want {
+			t.Errorf("Δ of %d: Hash %s, encoding hashes to %s", n, got, want)
+		}
+		sig := make([]byte, 0, 4)
+		for _, v := range []uint32{h.Version, h.Time, uint32(h.Origin), h.Seq} {
+			sig = appendUint32(sig, v)
+		}
+		sig = appendUint32(appendDigestRefs(append(sig, h.Root[:]...), h.Digests), h.Nonce)
+		if got, want := h.SigPreimage(), digest.Sum(sig); got != want {
+			t.Errorf("Δ of %d: SigPreimage %s, reference %s", n, got, want)
+		}
+		prefix := appendDigestRefs(append([]byte(nil), h.Root[:]...), h.Digests)
+		for _, diff := range []pow.Difficulty{0, 1, 2, 3, 4} {
+			if got, want := h.powSolved(diff), pow.VerifyPrefix(prefix, h.Nonce, diff); got != want {
+				t.Errorf("Δ of %d, difficulty %d: Eq. 5 check %v, reference %v", n, diff, got, want)
+			}
+		}
+		var scratch powScratch
+		if got := h.appendPowPrefix(scratch[:0]); string(got) != string(prefix) {
+			t.Errorf("Δ of %d: Eq. 5 prefix differs from the reference", n)
+		}
+	}
+}
+
+// TestValidationPreimagesAllocateNothing pins ValidateHeader and
+// VerifyChain at zero allocations on seal-sized headers: no preimage
+// of either reaches the heap, for the one signature or per block.
+func TestValidationPreimagesAllocateNothing(t *testing.T) {
+	key := identity.Deterministic(1, 7)
+	ring, _ := identity.RingFor([]identity.KeyPair{key})
+	p := testParams()
+	var refs []DigestRef
+	for v := 2; v <= stackDigestRefs; v++ {
+		refs = append(refs, DigestRef{Node: identity.NodeID(v), Digest: digest.Sum([]byte{byte(v)})})
+	}
+	var chain []*Block
+	prev := digest.Digest{}
+	for seq := uint32(0); seq < 4; seq++ {
+		b, err := p.Build(key, seq, seq, []byte{byte(seq)}, append([]DigestRef{{Node: key.ID, Digest: prev}}, refs...))
+		if err != nil {
+			t.Fatal(err)
+		}
+		chain = append(chain, b)
+		prev = b.Header.Hash()
+	}
+	if got := testing.AllocsPerRun(20, func() {
+		if err := p.ValidateHeader(&chain[0].Header, ring); err != nil {
+			t.Fatal(err)
+		}
+	}); got != 0 {
+		t.Errorf("ValidateHeader allocates %v times, want 0", got)
+	}
+	for k := 1; k <= len(chain); k++ {
+		if got := testing.AllocsPerRun(20, func() {
+			if !p.VerifyChain(nil, chain[:k], ring) {
+				t.Fatal("VerifyChain refused a linked chain")
+			}
+		}); got != 0 {
+			t.Errorf("VerifyChain over %d blocks allocates %v times, want 0", k, got)
 		}
 	}
 }

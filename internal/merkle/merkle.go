@@ -14,6 +14,7 @@ import (
 	"crypto/sha256"
 	"errors"
 	"fmt"
+	"slices"
 
 	"github.com/twoldag/twoldag/internal/digest"
 )
@@ -36,7 +37,9 @@ var (
 	ErrProofInvalid = errors.New("merkle: proof does not reproduce root")
 )
 
-// LeafHash hashes a single leaf with the leaf domain prefix.
+// LeafHash hashes a single leaf with the leaf domain prefix. The prefix
+// and the leaf stream into the hasher in turn, so the leaf preimage is
+// never copied and nothing is allocated.
 func LeafHash(data []byte) digest.Digest {
 	return digest.Sum(leafPrefix, data)
 }
@@ -51,23 +54,10 @@ func NodeHash(left, right digest.Digest) digest.Digest {
 	return sha256.Sum256(buf[:])
 }
 
-// leafSum hashes one domain-separated leaf preimage into the reused
-// scratch buffer, returning the digest and the (possibly grown)
-// scratch. Semantically identical to LeafHash, minus the per-call
-// hasher allocation.
-func leafSum(scratch, data []byte) (digest.Digest, []byte) {
-	scratch = append(scratch[:0], leafPrefix...)
-	scratch = append(scratch, data...)
-	return sha256.Sum256(scratch), scratch
-}
-
-// hashLeaves fills level with the domain-separated leaf hashes, reusing
-// one scratch buffer for every leaf preimage instead of allocating a
-// hasher per leaf.
+// hashLeaves fills level with the domain-separated leaf hashes.
 func hashLeaves(level []digest.Digest, leaves [][]byte) {
-	var scratch []byte
 	for i, l := range leaves {
-		level[i], scratch = leafSum(scratch, l)
+		level[i] = LeafHash(l)
 	}
 }
 
@@ -76,7 +66,7 @@ func hashLeaves(level []digest.Digest, leaves [][]byte) {
 //
 // The computation runs in a single reused level slice (each reduction
 // writes over the previous level in place), so a root over N leaves
-// costs one digest slice plus one scratch buffer regardless of depth.
+// costs one digest slice regardless of depth.
 func Root(leaves [][]byte) digest.Digest {
 	if len(leaves) == 0 {
 		return digest.Digest{}
@@ -105,6 +95,11 @@ func reduceInPlace(level []digest.Digest) digest.Digest {
 	return level[0]
 }
 
+// stackLeaves is how many leaf hashes RootOfBody keeps on the stack: a
+// body of up to stackLeaves leaves is hashed without allocating, and a
+// larger one grows the same level slice onto the heap, once.
+const stackLeaves = 8
+
 // RootOfBody splits a flat body into leafSize chunks and computes the
 // root. This is the form used for block bodies: the paper's M(b^d). The
 // body is hashed chunk by chunk without materializing a chunk slice.
@@ -115,13 +110,10 @@ func RootOfBody(body []byte, leafSize int) (digest.Digest, error) {
 	if len(body) == 0 {
 		return digest.Digest{}, nil
 	}
-	n := (len(body) + leafSize - 1) / leafSize
-	level := make([]digest.Digest, n)
-	scratch := make([]byte, 0, 1+leafSize)
-	for i := 0; i < n; i++ {
-		lo := i * leafSize
-		hi := min(lo+leafSize, len(body))
-		level[i], scratch = leafSum(scratch, body[lo:hi])
+	var stack [stackLeaves]digest.Digest
+	level := slices.Grow(stack[:0], (len(body)+leafSize-1)/leafSize)
+	for lo := 0; lo < len(body); lo += leafSize {
+		level = append(level, LeafHash(body[lo:min(lo+leafSize, len(body))]))
 	}
 	return reduceInPlace(level), nil
 }

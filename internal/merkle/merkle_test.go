@@ -2,6 +2,7 @@ package merkle
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -82,6 +83,64 @@ func TestRootOfBodyChunking(t *testing.T) {
 	}
 	if _, err := RootOfBody(body, 0); err == nil {
 		t.Fatal("expected error on zero leaf size")
+	}
+}
+
+// referenceRootOfBody is M(b^d) built the long way: the body cut by
+// split, each leaf's 0x00 ‖ chunk preimage copied out and hashed whole,
+// and the levels reduced into fresh slices.
+func referenceRootOfBody(body []byte, leafSize int) digest.Digest {
+	chunks := split(body, leafSize)
+	if len(chunks) == 0 {
+		return digest.Digest{}
+	}
+	level := make([]digest.Digest, len(chunks))
+	for i, c := range chunks {
+		level[i] = sha256.Sum256(append([]byte{0x00}, c...))
+	}
+	for len(level) > 1 {
+		level = reduce(level)
+	}
+	return level[0]
+}
+
+// TestRootOfBodyMatchesSplitRoot checks RootOfBody against the
+// reference for every body length from 0 to 9 leaves and a byte, at
+// leaf sizes on both sides of DefaultLeafSize: every body crosses from
+// the stack-held leaf level (up to stackLeaves leaves) to the heap.
+func TestRootOfBodyMatchesSplitRoot(t *testing.T) {
+	for _, leaf := range []int{1, 33, DefaultLeafSize, 4 * DefaultLeafSize} {
+		body := make([]byte, (stackLeaves+1)*leaf+1)
+		rand.New(rand.NewSource(int64(leaf))).Read(body)
+		for n := 0; n <= len(body); n++ {
+			got, err := RootOfBody(body[:n], leaf)
+			if err != nil {
+				t.Fatalf("leaf %d, body %d: %v", leaf, n, err)
+			}
+			if want := referenceRootOfBody(body[:n], leaf); got != want {
+				t.Fatalf("leaf %d, body %d: RootOfBody %s, reference %s", leaf, n, got, want)
+			}
+		}
+	}
+}
+
+// TestRootOfBodyAllocs pins RootOfBody at zero allocations for bodies
+// of up to stackLeaves leaves and at one — the level grown onto the
+// heap — past them.
+func TestRootOfBodyAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's instrumentation allocates")
+	}
+	for _, leaf := range []int{33, DefaultLeafSize} {
+		body := make([]byte, (stackLeaves+1)*leaf)
+		for _, n := range []int{1, leaf, 3*leaf + 1, stackLeaves * leaf} {
+			if got := testing.AllocsPerRun(20, func() { RootOfBody(body[:n], leaf) }); got != 0 {
+				t.Errorf("leaf %d, body %d: %v allocations, want 0", leaf, n, got)
+			}
+		}
+		if got := testing.AllocsPerRun(20, func() { RootOfBody(body, leaf) }); got != 1 {
+			t.Errorf("leaf %d, body of %d leaves: %v allocations, want 1", leaf, stackLeaves+1, got)
+		}
 	}
 }
 

@@ -118,10 +118,12 @@ func warmAudit(tb testing.TB, v *Node, ref block.Ref) *core.Result {
 }
 
 // warmAuditAllocCeiling bounds the heap allocations of one warm audit,
-// requester and responder side together. What is left is the reply's
-// decode (message, payload copy, header, Δ, signature, block), the
-// request frame, the Result with its path and vouchers, and the event.
-const warmAuditAllocCeiling = 20
+// requester and responder side together: 13 at the last count, plus 2.
+// What is left is the reply's decode (message, payload copy, header, Δ,
+// signature, block), the request frame, the Result with its path and
+// vouchers, and the event; the body root and the header hash build
+// their preimages on the stack.
+const warmAuditAllocCeiling = 15
 
 // warmAuditAllocs counts the allocations of one warm audit.
 func warmAuditAllocs(t *testing.T, durable bool) float64 {

@@ -204,6 +204,21 @@ func TestSearchPrefixMatchesReference(t *testing.T) {
 	}
 }
 
+// TestSearchPrefixAllocatesPerCallNotPerTry pins the grind's heap use
+// to the hasher and the buffer its state is saved and read back in,
+// however many nonces it tries.
+func TestSearchPrefixAllocatesPerCallNotPerTry(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's instrumentation allocates")
+	}
+	prefix := make([]byte, 356)
+	for _, diff := range []Difficulty{0, 12} {
+		if got := testing.AllocsPerRun(5, func() { SearchPrefix(prefix, diff, 0) }); got != 2 {
+			t.Errorf("difficulty %d: %v allocations per search, want 2", diff, got)
+		}
+	}
+}
+
 func FuzzSearchPrefixMatchesReference(f *testing.F) {
 	for _, n := range []int{0, 51, 52, 55, 56, 59, 60, 63, 64, 128, 200} {
 		f.Add(make([]byte, n), uint8(8), uint16(0))

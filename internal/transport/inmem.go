@@ -97,14 +97,21 @@ func (n *Network) Close() error {
 	return nil
 }
 
-// deliver hands an envelope to the target: a response goes to the
-// target's response handler on this goroutine, anything else is
-// enqueued on its inbox and dropped on overflow.
+// deliver looks the target up and hands it an envelope (see
+// deliverTo); a delayed frame takes this path when its latency elapses.
 func (n *Network) deliver(to identity.NodeID, env Envelope) error {
 	n.mu.RLock()
-	ep, ok := n.eps[to]
+	ep := n.eps[to]
 	n.mu.RUnlock()
-	if !ok {
+	return deliverTo(ep, to, env)
+}
+
+// deliverTo hands an envelope to ep, the endpoint of to (nil if there
+// is none): a response goes to its response handler on this
+// goroutine, anything else is enqueued on its inbox and dropped on
+// overflow.
+func deliverTo(ep *Endpoint, to identity.NodeID, env Envelope) error {
+	if ep == nil {
 		return fmt.Errorf("%w: %v", ErrUnknownPeer, to)
 	}
 	ep.stateMu.RLock()
@@ -155,7 +162,9 @@ func (e *Endpoint) SetResponseHandler(f func(*wire.Message)) {
 
 // Send implements Transport, applying the fabric's loss and latency
 // rules. The message is deep-copied so sender and receiver never share
-// memory.
+// memory. One read lock yields the rules, the fabric's state and the
+// target endpoint; a frame without latency is handed to that endpoint
+// directly, and a delayed one looks its target up again on arrival.
 func (e *Endpoint) Send(ctx context.Context, to identity.NodeID, msg *wire.Message) error {
 	if err := ctx.Err(); err != nil {
 		return err
@@ -166,8 +175,8 @@ func (e *Endpoint) Send(ctx context.Context, to identity.NodeID, msg *wire.Messa
 	default:
 	}
 	e.net.mu.RLock()
-	drop, lat := e.net.drop, e.net.latency
-	closed := e.net.closed
+	drop, lat, closed := e.net.drop, e.net.latency, e.net.closed
+	target := e.net.eps[to]
 	e.net.mu.RUnlock()
 	if closed {
 		return ErrClosed
@@ -186,12 +195,12 @@ func (e *Endpoint) Send(ctx context.Context, to identity.NodeID, msg *wire.Messa
 		return fmt.Errorf("transport: message not encodable: %w", err)
 	}
 	env := Envelope{From: e.id, Msg: cp}
-	if lat == nil {
-		return e.net.deliver(to, env)
+	var d time.Duration
+	if lat != nil {
+		d = lat(e.id, to)
 	}
-	d := lat(e.id, to)
 	if d <= 0 {
-		return e.net.deliver(to, env)
+		return deliverTo(target, to, env)
 	}
 	e.net.wg.Add(1)
 	timer := time.AfterFunc(d, func() {
