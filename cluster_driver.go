@@ -104,6 +104,15 @@ type Cluster struct {
 	plan    faults.Plan
 	retry   faults.RetryPolicy
 
+	// vcache is the one header-verification cache every device of the
+	// cluster uses (node.Config.VerifyCache), so a header one device has
+	// verified is not verified again by the next. That is sound because
+	// a cluster is a single (Params, Ring) pair for its whole life:
+	// every device runs params, and ring only gains keys — Join
+	// registers one, and Deregister runs only for a Join whose device
+	// never started, so no header under that key was ever verified.
+	vcache *block.VerifyCache
+
 	// Durability (WithDataDir): one log for the whole data dir, which
 	// every device writes to (dataDir/wal.log), and per device a backend
 	// on it for that device's segment and checkpoint under
@@ -121,6 +130,7 @@ var _ Runtime = (*Cluster)(nil)
 func newCluster(cfg *config, g *topology.Graph) (*Cluster, error) {
 	c := &Cluster{
 		topo:    g,
+		vcache:  block.NewVerifyCache(),
 		devs:    make(map[NodeID]*cluster.Device, g.Len()),
 		ids:     g.Nodes(),
 		params:  cfg.params,
@@ -210,6 +220,7 @@ func (c *Cluster) startNode(kp identity.KeyPair) error {
 			Retry:          c.retry,
 			Observer:       events.Multi(c.obs, c.tracker),
 			TrustCap:       c.trustCap,
+			VerifyCache:    c.vcache,
 		},
 		Endpoint: ep,
 		Backend:  fb,

@@ -439,14 +439,19 @@ func (p Params) VerifyChain(prev *Header, blocks []*Block, ring *identity.Ring) 
 const verifyShardCount = 32
 
 // VerifyCache remembers header digests that have already passed
-// ValidateHeader, so a node re-verifies each distinct header once
-// rather than once per audit hop. The header hash covers every field
-// including the signature, so the digest is a sound cache key.
+// ValidateHeader, so each distinct header is verified once by whoever
+// holds the cache rather than once per audit hop. The header hash
+// covers every field including the signature, so the digest is a sound
+// cache key: a forged or altered header misses and is checked in full.
 //
 // A cache is only valid for one (Params, Ring) pair — do not share one
 // across nodes with different consensus constants or key registries.
-// It is safe for concurrent use; entries are sharded by digest prefix
-// so readers on different headers rarely contend.
+// Within that pair the rule is one cache per process: the simulator
+// shares one across all its engines and an in-process Cluster across
+// all its devices, while a Host, which runs one device per process,
+// holds one for that device. It is safe for concurrent use; entries
+// are sharded by digest prefix so readers on different headers rarely
+// contend.
 type VerifyCache struct {
 	shards [verifyShardCount]verifyShard
 }

@@ -69,8 +69,10 @@ type EngineOptions struct {
 	Backend ledger.Backend
 	// VerifyCache replaces the engine-private cache. Verification
 	// results are objective facts about sealed headers (the cache keys
-	// on header hash and records only successes), so sharing one across
-	// engines is sound and deduplicates the cached state n-fold.
+	// on header hash and records only successes), so engines that share
+	// one (Params, Ring) pair share one cache per process — the
+	// simulator's engines and a Cluster's devices do — which verifies
+	// each header once and deduplicates the cached state n-fold.
 	VerifyCache *block.VerifyCache
 }
 
@@ -161,9 +163,10 @@ func (e *Engine) State() *ledger.NodeState {
 	}
 }
 
-// VerifyCache exposes the node's header-validation cache, shared by
-// every validator built from this engine so cryptographic checks carry
-// over between audits.
+// VerifyCache exposes the engine's header-validation cache, shared by
+// every validator built from this engine and by every engine given the
+// same EngineOptions.VerifyCache, so cryptographic checks carry over
+// between audits and between nodes.
 func (e *Engine) VerifyCache() *block.VerifyCache { return e.vcache }
 
 // OnDigestBatch ingests a batch of digest announcements — from[i]

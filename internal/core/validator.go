@@ -51,9 +51,10 @@ type ValidatorConfig struct {
 	StepBudget int
 	// VerifyCache remembers headers that already passed PoW + signature
 	// checks, so each distinct header is cryptographically verified once
-	// per node rather than once per audit hop. Nil allocates a fresh
-	// private cache; share one (e.g. the engine's) across a node's
-	// validators to carry hits between audits. Must not be shared across
+	// per cache rather than once per audit hop. Nil allocates a fresh
+	// private cache; Engine.Validator passes the engine's, which is one
+	// per process wherever the nodes of a process share one (Params,
+	// Ring) pair (block.VerifyCache). Must not be shared across
 	// different Params or Ring values.
 	VerifyCache *block.VerifyCache
 	// StrictPath disables the union-semantics fallback: consensus then

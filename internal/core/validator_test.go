@@ -106,23 +106,56 @@ func TestPoPDetectsTamperedBody(t *testing.T) {
 }
 
 // TestPoPDetectsForgedHeader: a verifier re-signing a block under a key
-// not in the ring (or with broken PoW) must be rejected.
+// not in the ring (or with broken PoW) must be rejected — also by a
+// validator whose verification cache already holds the genuine header,
+// because another node audited the same target honestly first. The
+// failed check must not add to the cache.
 func TestPoPDetectsForgedHeader(t *testing.T) {
-	l := newLab(t, topology.PaperFig4())
-	l.genesisAll()
-	l.runSlot(1, 3, 4)
-	l.fetcher.InterceptBlock = func(ref block.Ref, b *block.Block, err error) (*block.Block, error) {
-		if err == nil {
-			b = b.Clone() // fetched blocks are shared store state
-			b.Header.Signature[0] ^= 0x01
-		}
-		return b, err
+	for _, prefilled := range []bool{false, true} {
+		t.Run(cacheCase(prefilled), func(t *testing.T) {
+			l := newLab(t, topology.PaperFig4())
+			l.genesisAll()
+			l.runSlot(1, 3, 4)
+			ref := block.Ref{Node: 1, Seq: 1}
+			cache := block.NewVerifyCache()
+			if prefilled {
+				// Node C audits the target honestly into the cache.
+				res, err := l.validator(2, 2, withVerifyCache(cache)).Verify(context.Background(), ref, l.fetcher)
+				if err != nil || !res.Consensus {
+					t.Fatalf("honest audit: %v", err)
+				}
+			}
+			before := cache.Len()
+			l.fetcher.InterceptBlock = func(ref block.Ref, b *block.Block, err error) (*block.Block, error) {
+				if err == nil {
+					b = b.Clone() // fetched blocks are shared store state
+					b.Header.Signature[0] ^= 0x01
+				}
+				return b, err
+			}
+			_, err := l.validator(0, 2, withVerifyCache(cache)).Verify(context.Background(), ref, l.fetcher)
+			if !errors.Is(err, ErrInvalidBlock) {
+				t.Fatalf("want ErrInvalidBlock, got %v", err)
+			}
+			if got := cache.Len(); got != before {
+				t.Fatalf("failed check changed the cache: %d -> %d headers", before, got)
+			}
+		})
 	}
-	v := l.validator(0, 2)
-	_, err := v.Verify(context.Background(), block.Ref{Node: 1, Seq: 1}, l.fetcher)
-	if !errors.Is(err, ErrInvalidBlock) {
-		t.Fatalf("want ErrInvalidBlock, got %v", err)
+}
+
+// cacheCase names a subtest by whether its validator's verification
+// cache was first filled by another node's honest audit.
+func cacheCase(prefilled bool) string {
+	if prefilled {
+		return "prefilled"
 	}
+	return "empty"
+}
+
+// withVerifyCache points a validator at cache.
+func withVerifyCache(cache *block.VerifyCache) func(*ValidatorConfig) {
+	return func(c *ValidatorConfig) { c.VerifyCache = cache }
 }
 
 // TestPoPRejectsSubstitutedBlock: a Byzantine owner answering
@@ -192,30 +225,83 @@ func TestPoPRoutesAroundSilentNode(t *testing.T) {
 }
 
 // TestPoPRejectsCorruptedReplies: a responder forging RPY_CHILD headers
-// (wrong digest or broken signature) is treated as failed and bypassed.
+// (wrong digest or broken signature) is treated as failed and bypassed
+// — also by a validator whose verification cache another node's honest
+// audit of the same target filled first. The validator accepts exactly
+// the honest replies, and the cache ends up holding exactly the honest
+// headers that reached the validators: no forged reply enters it.
 func TestPoPRejectsCorruptedReplies(t *testing.T) {
-	l := newLab(t, topology.PaperFig4())
-	l.genesisAll()
-	for s := 0; s < 3; s++ {
-		l.runSlot(1, 2, 3, 4, 0)
-	}
-	evil := identity.NodeID(3)
-	l.fetcher.InterceptChild = func(j identity.NodeID, target digest.Digest, h *block.Header, err error) (*block.Header, error) {
-		if j == evil && err == nil {
-			forged := h.Clone()
-			forged.Digests[0].Digest = digest.Sum([]byte("lie"))
-			return forged, nil
-		}
-		return h, err
-	}
-	v := l.validator(0, 2)
-	res, err := v.Verify(context.Background(), block.Ref{Node: 1, Seq: 1}, l.fetcher)
-	if err != nil {
-		t.Fatalf("Verify: %v", err)
-	}
-	for _, id := range res.Vouchers {
-		if id == evil {
-			t.Fatal("corrupting node accepted as voucher")
+	for _, forgery := range []struct {
+		name  string
+		forge func(*block.Header)
+	}{
+		{"digest", func(h *block.Header) { h.Digests[0].Digest = digest.Sum([]byte("lie")) }},
+		{"signature", func(h *block.Header) { h.Signature[0] ^= 0x01 }},
+	} {
+		for _, prefilled := range []bool{false, true} {
+			t.Run(forgery.name+"/"+cacheCase(prefilled), func(t *testing.T) {
+				l := newLab(t, topology.PaperFig4())
+				l.genesisAll()
+				for s := 0; s < 3; s++ {
+					l.runSlot(1, 2, 3, 4, 0)
+				}
+				ref := block.Ref{Node: 1, Seq: 1}
+				evil := identity.NodeID(3)
+				forging := false
+				honest := make(map[digest.Digest]bool)
+				honestReplies := 0 // while forging
+				l.fetcher.InterceptBlock = func(_ block.Ref, b *block.Block, err error) (*block.Block, error) {
+					if err == nil {
+						honest[b.Header.Hash()] = true
+					}
+					return b, err
+				}
+				l.fetcher.InterceptChild = func(j identity.NodeID, target digest.Digest, h *block.Header, err error) (*block.Header, error) {
+					if err != nil {
+						return h, err
+					}
+					if forging && j == evil {
+						forged := h.Clone()
+						forgery.forge(forged)
+						return forged, nil
+					}
+					if forging {
+						honestReplies++
+					}
+					honest[h.Hash()] = true
+					return h, nil
+				}
+				cache := block.NewVerifyCache()
+				if prefilled {
+					// Node C audits the target honestly into the cache.
+					res, err := l.validator(2, 2, withVerifyCache(cache)).Verify(context.Background(), ref, l.fetcher)
+					if err != nil || !res.Consensus {
+						t.Fatalf("honest audit: %v", err)
+					}
+					if cache.Len() == 0 {
+						t.Fatal("honest audit cached nothing")
+					}
+				}
+				forging = true
+				res, err := l.validator(0, 2, withVerifyCache(cache)).Verify(context.Background(), ref, l.fetcher)
+				if err != nil {
+					t.Fatalf("Verify: %v", err)
+				}
+				for _, id := range res.Vouchers {
+					if id == evil {
+						t.Fatal("corrupting node accepted as voucher")
+					}
+				}
+				if res.Timeouts == 0 {
+					t.Fatal("no forged reply reached the validator")
+				}
+				if res.HeadersFetched != honestReplies {
+					t.Fatalf("validator accepted %d replies, %d of them honest", res.HeadersFetched, honestReplies)
+				}
+				if got := cache.Len(); got != len(honest) {
+					t.Fatalf("cache holds %d headers, %d honest ones reached the validators", got, len(honest))
+				}
+			})
 		}
 	}
 }

@@ -97,6 +97,14 @@ type Config struct {
 	// directly. Cross-process clusters need it: events don't cross
 	// process boundaries.
 	AnnounceAcks bool
+	// VerifyCache, when non-nil, is the header-verification cache the
+	// node's engine and validator use (core.EngineOptions.VerifyCache);
+	// nil gives the node a private one. A verification result is a fact
+	// about a sealed header under one (Params, Ring) pair, so the nodes
+	// of one process that share that pair share one cache: an
+	// in-process cluster passes every device the same cache, and a
+	// host running one device per process passes none.
+	VerifyCache *block.VerifyCache
 }
 
 // Node is a running 2LDAG participant.
@@ -147,7 +155,7 @@ func New(cfg Config) (*Node, error) {
 	if cfg.Ring == nil {
 		return nil, errors.New("node: Config.Ring is required")
 	}
-	engOpts := core.EngineOptions{TrustCap: cfg.TrustCap, Backend: cfg.Backend}
+	engOpts := core.EngineOptions{TrustCap: cfg.TrustCap, Backend: cfg.Backend, VerifyCache: cfg.VerifyCache}
 	if cfg.State != nil {
 		engOpts.Store = cfg.State.Store
 		engOpts.Trust = cfg.State.Trust
