@@ -39,7 +39,9 @@ package block
 import (
 	"errors"
 	"fmt"
+	"runtime"
 	"sync"
+	"weak"
 
 	"github.com/twoldag/twoldag/internal/digest"
 	"github.com/twoldag/twoldag/internal/identity"
@@ -444,21 +446,31 @@ const verifyShardCount = 32
 // covers every field including the signature, so the digest is a sound
 // cache key: a forged or altered header misses and is checked in full.
 //
+// It also interns header objects (Intern): a standalone header decoded
+// or copied by one holder resolves to the one live header with the
+// same hash, so the holders' H_i share it instead of keeping a copy
+// each. The table holds headers weakly, so it keeps alive none that no
+// one else references. Interning needs no prior verification: two
+// headers with one hash are byte-identical, so a check reads the same
+// bytes through either pointer, and a forged header only ever resolves
+// to itself (or to an identical forgery).
+//
 // A cache is only valid for one (Params, Ring) pair — do not share one
 // across nodes with different consensus constants or key registries.
-// Within that pair the rule is one cache per process: the simulator
-// shares one across all its engines and an in-process Cluster across
-// all its devices, while a Host, which runs one device per process,
-// holds one for that device. It is safe for concurrent use; entries
-// are sharded by digest prefix so readers on different headers rarely
-// contend.
+// Within that pair the rule is one cache per process, for verdicts and
+// header objects alike: the simulator shares one across all its
+// engines and an in-process Cluster across all its devices, while a
+// Host, which runs one device per process, holds one for that device.
+// It is safe for concurrent use; entries are sharded by digest prefix
+// so readers on different headers rarely contend.
 type VerifyCache struct {
 	shards [verifyShardCount]verifyShard
 }
 
 type verifyShard struct {
-	mu sync.RWMutex
-	ok map[digest.Digest]struct{}
+	mu       sync.RWMutex
+	ok       map[digest.Digest]struct{}
+	interned map[digest.Digest]weak.Pointer[Header]
 }
 
 // NewVerifyCache returns an empty cache.
@@ -466,6 +478,7 @@ func NewVerifyCache() *VerifyCache {
 	c := &VerifyCache{}
 	for i := range c.shards {
 		c.shards[i].ok = make(map[digest.Digest]struct{})
+		c.shards[i].interned = make(map[digest.Digest]weak.Pointer[Header])
 	}
 	return c
 }
@@ -499,6 +512,63 @@ func (c *VerifyCache) add(d digest.Digest) {
 	s.mu.Lock()
 	s.ok[d] = struct{}{}
 	s.mu.Unlock()
+}
+
+// Interned returns the live interned header hashing to d, or nil.
+// Callers must treat it as read-only: other holders share it.
+func (c *VerifyCache) Interned(d digest.Digest) *Header {
+	s := c.shard(d)
+	s.mu.RLock()
+	h := s.interned[d].Value()
+	s.mu.RUnlock()
+	return h
+}
+
+// Intern returns the canonical header for h: the live interned header
+// with h's hash if there is one, else h itself, sealed and registered.
+// h must be a standalone header — its own allocation, not one embedded
+// in a Block — or its table entry would keep the block's body alive
+// wherever the header is shared. The caller must not use h after a
+// call that returns another header, and must treat the result as
+// read-only. The entry is dropped once the header is collected.
+func (c *VerifyCache) Intern(h *Header) *Header {
+	d := h.Hash()
+	if canon := c.Interned(d); canon != nil {
+		return canon
+	}
+	s := c.shard(d)
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if canon := s.interned[d].Value(); canon != nil {
+		return canon
+	}
+	s.interned[d] = weak.Make(h)
+	runtime.AddCleanup(h, c.dropInterned, d)
+	return h
+}
+
+// dropInterned deletes d's entry once its header has been collected.
+// A live entry is a later header with the same hash and stays.
+func (c *VerifyCache) dropInterned(d digest.Digest) {
+	s := c.shard(d)
+	s.mu.Lock()
+	if wp, ok := s.interned[d]; ok && wp.Value() == nil {
+		delete(s.interned, d)
+	}
+	s.mu.Unlock()
+}
+
+// internedLen returns the number of entries in the intern table, live
+// or awaiting their cleanup.
+func (c *VerifyCache) internedLen() int {
+	n := 0
+	for i := range c.shards {
+		s := &c.shards[i]
+		s.mu.RLock()
+		n += len(s.interned)
+		s.mu.RUnlock()
+	}
+	return n
 }
 
 // ValidateHeaderCached is ValidateHeader with a positive-result cache:

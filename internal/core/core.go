@@ -79,8 +79,10 @@ type PathStep struct {
 	// Node is the physical node owning the block (the j' that answered,
 	// or the verifier itself for the first step).
 	Node identity.NodeID
-	// Header is the block's header, possibly shared with a store —
-	// treat it as read-only (see Fetcher's ownership contract).
+	// Header is the block's header, possibly shared with a store or,
+	// through the verification cache's intern table, with other
+	// devices of the process — treat it as read-only (see Fetcher's
+	// ownership contract and block.VerifyCache.Intern).
 	Header *block.Header
 	// HeaderHash caches Header.Hash().
 	HeaderHash digest.Digest

@@ -55,7 +55,10 @@ type ValidatorConfig struct {
 	// private cache; Engine.Validator passes the engine's, which is one
 	// per process wherever the nodes of a process share one (Params,
 	// Ring) pair (block.VerifyCache). Must not be shared across
-	// different Params or Ring values.
+	// different Params or Ring values. The detached target copies
+	// line 39 stores in H_i are interned through it, so a path header
+	// may be the one object every device sharing the cache holds:
+	// treat path headers as read-only.
 	VerifyCache *block.VerifyCache
 	// StrictPath disables the union-semantics fallback: consensus then
 	// requires a single path of γ+1 distinct nodes, exactly as the
@@ -424,16 +427,20 @@ func (v *Validator) replyValid(child *block.Header, jPrime identity.NodeID, cur 
 // block, so storing it as is would keep the target's whole body
 // reachable from H_i — a validator holding another node's data, which
 // 2LDAG nodes never do. Unless the block is fully sealed (it sits in
-// its owner's log, shared and alive regardless), H_i gets a detached
-// copy of that header.
+// its owner's log, shared and alive regardless), H_i gets the
+// interned detached copy of that header: the one already live in the
+// verification cache, else a fresh copy registered there.
 func (v *Validator) cacheVerifiedPath(path []PathStep, target *block.Block) {
 	if v.cfg.Trust == nil {
 		return
 	}
+	vc := v.cfg.VerifyCache
 	for i, step := range path {
 		h := step.Header
 		if i == 0 && !target.Sealed() && !v.cfg.Trust.Has(step.HeaderHash) {
-			h = h.CloneSealed()
+			if h = vc.Interned(step.HeaderHash); h == nil {
+				h = vc.Intern(step.Header.CloneSealed())
+			}
 		}
 		v.cfg.Trust.Add(h)
 	}

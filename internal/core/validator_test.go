@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -229,7 +230,10 @@ func TestPoPRoutesAroundSilentNode(t *testing.T) {
 // — also by a validator whose verification cache another node's honest
 // audit of the same target filled first. The validator accepts exactly
 // the honest replies, and the cache ends up holding exactly the honest
-// headers that reached the validators: no forged reply enters it.
+// headers that reached the validators: no forged reply enters it. With
+// every reply interned, as over the wire, a forgery made from an
+// interned honest header gets an intern entry of its own, and the
+// honest header keeps its bytes and stays the canonical one.
 func TestPoPRejectsCorruptedReplies(t *testing.T) {
 	for _, forgery := range []struct {
 		name  string
@@ -238,8 +242,9 @@ func TestPoPRejectsCorruptedReplies(t *testing.T) {
 		{"digest", func(h *block.Header) { h.Digests[0].Digest = digest.Sum([]byte("lie")) }},
 		{"signature", func(h *block.Header) { h.Signature[0] ^= 0x01 }},
 	} {
-		for _, prefilled := range []bool{false, true} {
-			t.Run(forgery.name+"/"+cacheCase(prefilled), func(t *testing.T) {
+		for _, mode := range []string{"empty", "prefilled", "interned"} {
+			t.Run(forgery.name+"/"+mode, func(t *testing.T) {
+				prefilled, intern := mode != "empty", mode == "interned"
 				l := newLab(t, topology.PaperFig4())
 				l.genesisAll()
 				for s := 0; s < 3; s++ {
@@ -250,6 +255,10 @@ func TestPoPRejectsCorruptedReplies(t *testing.T) {
 				forging := false
 				honest := make(map[digest.Digest]bool)
 				honestReplies := 0 // while forging
+				cache := block.NewVerifyCache()
+				// canon maps each interned honest header a forgery was
+				// made from to its encoding at that moment.
+				canon := make(map[*block.Header][]byte)
 				l.fetcher.InterceptBlock = func(_ block.Ref, b *block.Block, err error) (*block.Block, error) {
 					if err == nil {
 						honest[b.Header.Hash()] = true
@@ -260,9 +269,22 @@ func TestPoPRejectsCorruptedReplies(t *testing.T) {
 					if err != nil {
 						return h, err
 					}
+					if intern {
+						// As the node's RPC fetcher does with each
+						// decoded reply.
+						h = cache.Intern(h.Clone())
+					}
 					if forging && j == evil {
 						forged := h.Clone()
 						forgery.forge(forged)
+						if intern {
+							canon[h] = block.EncodeHeader(h)
+							// Its own entry, or an earlier identical
+							// forgery's: never the honest header.
+							if forged = cache.Intern(forged); forged == h {
+								t.Error("forged reply resolved to the honest header")
+							}
+						}
 						return forged, nil
 					}
 					if forging {
@@ -271,7 +293,6 @@ func TestPoPRejectsCorruptedReplies(t *testing.T) {
 					honest[h.Hash()] = true
 					return h, nil
 				}
-				cache := block.NewVerifyCache()
 				if prefilled {
 					// Node C audits the target honestly into the cache.
 					res, err := l.validator(2, 2, withVerifyCache(cache)).Verify(context.Background(), ref, l.fetcher)
@@ -300,6 +321,17 @@ func TestPoPRejectsCorruptedReplies(t *testing.T) {
 				}
 				if got := cache.Len(); got != len(honest) {
 					t.Fatalf("cache holds %d headers, %d honest ones reached the validators", got, len(honest))
+				}
+				if intern && len(canon) == 0 {
+					t.Fatal("no forged reply was made from an interned header")
+				}
+				for h, enc := range canon {
+					if !bytes.Equal(block.EncodeHeader(h), enc) {
+						t.Fatalf("interned honest header of %v changed its bytes", h.Ref())
+					}
+					if cache.Interned(h.Hash()) != h {
+						t.Fatalf("interned honest header of %v lost its identity", h.Ref())
+					}
 				}
 			})
 		}

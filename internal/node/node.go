@@ -637,7 +637,9 @@ func (f *rpcFetcher) RequestChild(ctx context.Context, j identity.NodeID, target
 	if err != nil {
 		return nil, fmt.Errorf("node: bad RPY_CHILD from %v: %w", j, err)
 	}
-	return h, nil
+	// The devices sharing the engine's cache then hold one object for
+	// this header between them.
+	return f.node.engine.VerifyCache().Intern(h), nil
 }
 
 // FetchBlock implements core.Fetcher over GET_BLOCK/BLOCK_RESP.

@@ -23,9 +23,13 @@ var ErrFrameTooLarge = errors.New("transport: frame exceeds limit")
 // TCPNode is a Transport over real TCP connections with 4-byte
 // length-prefixed frames. Peers are dialed lazily from a directory of
 // addresses; inbound connections are identified by the From field of
-// their messages (every message is independently authenticated at
-// higher layers via signatures, per the paper's Sec. IV-D threat
-// model).
+// their messages, which this layer takes on trust. Only two frame
+// kinds carry signed content that higher layers check: RPY_CHILD (a
+// header, signed by its origin per Eq. 6) and BLOCK_RESP (a block,
+// whose signed header binds its body through the Merkle root). The
+// rest — REQ_CHILD, GET_BLOCK, NOT_FOUND, DigestBatch, DigestAck,
+// Hello, PeerList and Leave — carry no signature, so nothing checks
+// that their sender is the node their From field names.
 type TCPNode struct {
 	self      identity.NodeID
 	ln        net.Listener

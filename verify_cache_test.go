@@ -2,9 +2,12 @@ package twoldag
 
 import (
 	"context"
+	"slices"
 	"testing"
 
+	"github.com/twoldag/twoldag/internal/block"
 	"github.com/twoldag/twoldag/internal/digest"
+	"github.com/twoldag/twoldag/internal/ledger"
 )
 
 // TestClusterDevicesShareOneVerifyCache checks that a Cluster verifies
@@ -51,16 +54,8 @@ func TestClusterDevicesShareOneVerifyCache(t *testing.T) {
 
 			// Cold audits, run side by side so the devices use the cache
 			// at once: every validator's H_i is empty, so each path step
-			// past the target is a reply the validator verified. The
-			// first three devices' first blocks are the targets.
-			var reqs []AuditRequest
-			for i, v := range ids {
-				target := refs[i%3]
-				if target.Node == v {
-					target = refs[(i+1)%3]
-				}
-				reqs = append(reqs, AuditRequest{Validator: v, Ref: target})
-			}
+			// past the target is a reply the validator verified.
+			reqs := coldAudits(ids, refs)
 			distinct := make(map[digest.Digest]bool)
 			verifications := 0
 			for _, out := range rt.AuditMany(context.Background(), reqs) {
@@ -83,6 +78,111 @@ func TestClusterDevicesShareOneVerifyCache(t *testing.T) {
 				t.Fatalf("%d distinct headers over %d per-audit verifications: the audits shared nothing", len(distinct), verifications)
 			}
 			t.Logf("%d audits verified %d headers, %d distinct", len(reqs), verifications, len(distinct))
+		})
+	}
+}
+
+// coldAudits gives every device one audit of another device's block:
+// the first three devices' first blocks (refs from fillBatch) are the
+// targets.
+func coldAudits(ids []NodeID, refs []Ref) []AuditRequest {
+	var reqs []AuditRequest
+	for i, v := range ids {
+		target := refs[i%3]
+		if target.Node == v {
+			target = refs[(i+1)%3]
+		}
+		reqs = append(reqs, AuditRequest{Validator: v, Ref: target})
+	}
+	return reqs
+}
+
+// TestClusterHoldsEachTrustedHeaderOnce checks that a Cluster's
+// devices share the header objects of their H_i, not just the verdicts
+// on them: after one round of cold audits run side by side, a header
+// in several devices' H_i — a device added by Join included — is one
+// *block.Header on all of them, and no H_i holds the header embedded
+// in a block a validator fetched, which would keep that block's body
+// alive.
+func TestClusterHoldsEachTrustedHeaderOnce(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		kind TransportKind
+	}{
+		{"mem", InMemory},
+		{"tcp", TCP},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			rt := newRuntime(t, append(baseOptions(10, 2), WithTransport(tc.kind))...)
+			c := rt.(*Cluster)
+			joiner, err := rt.Join()
+			if err != nil {
+				t.Fatalf("Join: %v", err)
+			}
+			refs := fillBatch(t, rt, 3)
+			ids := rt.Nodes()
+
+			var fetched []*block.Header
+			onPaths := make(map[digest.Digest]bool)
+			for _, out := range rt.AuditMany(context.Background(), coldAudits(ids, refs)) {
+				res, req := out.Result, out.Request
+				if out.Err != nil || !res.Consensus {
+					t.Fatalf("audit of %v by %v: %v", req.Ref, req.Validator, out.Err)
+				}
+				if res.TrustHits != 0 {
+					t.Fatalf("audit of %v by %v is not cold: %+v", req.Ref, req.Validator, res)
+				}
+				fetched = append(fetched, res.Path[0].Header)
+				for _, s := range res.Path {
+					onPaths[s.HeaderHash] = true
+				}
+			}
+
+			trust := make(map[NodeID]*ledger.TrustStore, len(ids))
+			total := 0
+			for _, id := range ids {
+				trust[id] = c.devs[id].Node().Engine().Trust()
+				total += trust[id].Len()
+			}
+			held, shared, joinerShared := 0, 0, 0
+			for d := range onPaths {
+				var canon *block.Header
+				var holders []NodeID
+				for _, id := range ids {
+					h, ok := trust[id].Get(d)
+					if !ok {
+						continue
+					}
+					if canon == nil {
+						canon = h
+					} else if h != canon {
+						t.Fatalf("devices %v and %v hold separate copies of header %v", holders[0], id, h.Ref())
+					}
+					holders = append(holders, id)
+				}
+				held += len(holders)
+				if len(holders) >= 2 {
+					shared++
+					if slices.Contains(holders, joiner) {
+						joinerShared++
+					}
+				}
+			}
+			// Every H_i starts empty, so the audits' paths hold all of it.
+			if held != total {
+				t.Fatalf("H_i hold %d headers, %d of them from the audits' paths", total, held)
+			}
+			if shared == 0 || joinerShared == 0 {
+				t.Fatalf("%d headers sit in two or more H_i, %d of them the joiner's %v: the audits shared nothing", shared, joinerShared, joiner)
+			}
+			for _, emb := range fetched {
+				for _, id := range ids {
+					if h, ok := trust[id].Get(emb.Hash()); ok && h == emb {
+						t.Fatalf("device %v's H_i holds the header embedded in fetched block %v", id, emb.Ref())
+					}
+				}
+			}
+			t.Logf("%d H_i entries over %d distinct headers, %d of them shared (%d with the joiner)", total, len(onPaths), shared, joinerShared)
 		})
 	}
 }
