@@ -93,7 +93,7 @@ func (b *Block) WireSize() int {
 
 // EncodedOrigin reads the origin out of an encoded header or block
 // (version, time, origin: the third word) without decoding the rest —
-// how a log shared by several devices tells whose block a record is.
+// how the write-ahead log tells whose block a record is.
 func EncodedOrigin(enc []byte) (identity.NodeID, bool) {
 	if len(enc) < 12 {
 		return 0, false

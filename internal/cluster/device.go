@@ -135,7 +135,8 @@ func (d *Device) Block(seq uint32) (*block.Block, error) {
 
 // Checkpoint commits the device's state to its own segment and
 // checkpoint (ledger.FileBackend.Compact); a no-op in memory. On a
-// single-owner dir that is a whole compaction of its log.
+// backend that owns its log (a Host's) that is a whole compaction of
+// the log.
 func (d *Device) Checkpoint() error {
 	if d.backend == nil {
 		return nil

@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"context"
+	"errors"
 	"os"
 	"path/filepath"
 	"strings"
@@ -10,6 +11,7 @@ import (
 
 	"github.com/twoldag/twoldag/internal/events"
 	"github.com/twoldag/twoldag/internal/identity"
+	"github.com/twoldag/twoldag/internal/ledger"
 	"github.com/twoldag/twoldag/internal/metrics"
 )
 
@@ -76,6 +78,60 @@ func TestHostStartFailureReleasesDataDir(t *testing.T) {
 			t.Fatalf("the failed Start holds %v open", open)
 		}
 	})
+}
+
+// TestRecoveryHostRefusesAnotherDevicesDir: a Host started as ID 1 on
+// the data dir node 0 wrote fails with ErrWrongOwner and holds no file
+// of the dir afterwards.
+func TestRecoveryHostRefusesAnotherDevicesDir(t *testing.T) {
+	dir := t.TempDir()
+	openUnder(t, dir)
+	cfg := Config{
+		ID: 0, Nodes: 2, Seed: 7, Gamma: 1, Difficulty: 2,
+		RequestTimeout: 2 * time.Second,
+		DataDir:        dir,
+	}
+	h, err := Start(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := h.Seal([]byte("node 0's")); err != nil {
+		t.Fatal(err)
+	}
+	if err := h.Close(); err != nil {
+		t.Fatal(err)
+	}
+	cfg.ID = 1
+	if _, err := Start(cfg); !errors.Is(err, ledger.ErrWrongOwner) {
+		t.Fatalf("node 1 on node 0's data dir: %v, want ErrWrongOwner", err)
+	}
+	if open := openUnder(t, dir); len(open) != 0 {
+		t.Fatalf("the failed Start holds %v open", open)
+	}
+}
+
+// TestRecoveryHostRefusesEarlierBuildDir: a data dir whose WAL holds a
+// record an earlier build wrote without its owner's tag — here a forget
+// record, framed as those builds framed it — is refused as its log
+// opens, the error naming the format, and the dir is left unheld.
+func TestRecoveryHostRefusesEarlierBuildDir(t *testing.T) {
+	dir := t.TempDir()
+	openUnder(t, dir)
+	forget := []byte{4, 4, 0, 0, 0, 7, 0, 0, 0, 0x37, 0x90, 0x37, 0x5d} // kind, length, node 7, CRC-32C
+	if err := os.WriteFile(filepath.Join(dir, "wal.log"), forget, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	_, err := Start(Config{
+		ID: 0, Nodes: 1, Seed: 7, Gamma: 1, Difficulty: 2,
+		RequestTimeout: 2 * time.Second,
+		DataDir:        dir,
+	})
+	if err == nil || !strings.Contains(err.Error(), "earlier build") {
+		t.Fatalf("Start over an earlier build's WAL: %v, want it refused as that build's format", err)
+	}
+	if open := openUnder(t, dir); len(open) != 0 {
+		t.Fatalf("the failed Start holds %v open", open)
+	}
 }
 
 // TestHostCommitObserverBehindMulti: a durable Host reports its WAL

@@ -19,6 +19,8 @@
 // running devices. Host runs one Device per OS process in a cross-host
 // cluster: TCP, a directory kept by Hello/PeerList/Leave frames, joiners
 // re-anchored exactly as in process, each Seal a Sealer round of one on
-// the private log of its flat data dir, and the slot/seal/flush/audit
-// verbs a distributed harness drives over its control protocol.
+// the log of its flat data dir, and the slot/seal/flush/audit verbs a
+// distributed harness drives over its control protocol. Both write the
+// same owner-tagged log records and start up the same way: open,
+// recover every device, compact.
 package cluster

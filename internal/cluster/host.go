@@ -263,8 +263,8 @@ func (h *Host) startNode() error {
 	}
 	h.mu.Unlock()
 
-	// Durability: the data dir keeps this device's files flat, on a
-	// log of its own.
+	// Durability: the data dir keeps this device's segment and
+	// checkpoint flat, beside the log its backend owns.
 	var fb *ledger.FileBackend
 	if h.cfg.DataDir != "" {
 		fb, err = ledger.OpenFileBackend(h.cfg.DataDir, LogOptions(h.cfg.Observer, h.cfg.backendOpts)...)
@@ -304,7 +304,12 @@ func (h *Host) startNode() error {
 		Device:       func(identity.NodeID) (*Device, error) { return h.dev, nil },
 	}
 	if fb != nil {
+		// The device has recovered: compact what the log held, as a
+		// Cluster does once all of its devices have.
 		h.seal.Log = fb.Log()
+		if err := h.seal.Compact(); err != nil {
+			return err
+		}
 	}
 	tn.SetBootstrapHandler(h.onBootstrap)
 	return nil

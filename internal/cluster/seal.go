@@ -25,8 +25,8 @@ type Submission struct {
 // of a batch is on the wire: a Cluster seals a slot of its devices
 // with it, a Host each block of its one device as a round of one.
 type Sealer struct {
-	// Log is the devices' write-ahead log: the data dir's shared log,
-	// or the private one behind a single-owner backend. Nil when their
+	// Log is the devices' write-ahead log: the one a Cluster opens in
+	// its data dir, or the one a Host's backend owns. Nil when their
 	// ledgers live in memory.
 	Log *ledger.Log
 	// CompactEvery is the compaction threshold in block records of one

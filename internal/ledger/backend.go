@@ -104,8 +104,9 @@ func (st *NodeState) Attach(j Journal) {
 
 // RecoverOptions parameterizes Backend.Recover.
 type RecoverOptions struct {
-	// Owner is the recovering node; a checkpoint, segment or WAL
-	// belonging to a different node fails recovery with ErrWrongOwner.
+	// Owner is the recovering node; a checkpoint or segment of a
+	// different node, or a log of one that a backend owns alone
+	// (OpenFileBackend), fails recovery with ErrWrongOwner.
 	Owner identity.NodeID
 	// Params re-seals replayed blocks and headers
 	// (block.Params.SealBlock), so everything Recover returns honors
@@ -130,10 +131,6 @@ type RecoverOptions struct {
 	// redeployment with a new -trust-cap wins); 0 adopts the recorded
 	// cap so the bound survives restarts unconfigured.
 	TrustCap int
-
-	// shared is set by Recover on a view of a shared log: other owners'
-	// block records are passed over instead of failing as ErrWrongOwner.
-	shared bool
 }
 
 // Backend is the pluggable durability layer under a node's ledger: a
@@ -145,19 +142,21 @@ type Backend interface {
 	Journal
 
 	// Recover rebuilds the node state recorded so far: checkpoint and
-	// segment first, then WAL replay (torn tails tolerated). On a fresh
+	// segment first, then WAL replay (a torn tail cut off as the log
+	// opened). It writes nothing; compacting what it replayed is the
+	// opener's, once every owner of the log has recovered. On a fresh
 	// backend it returns an empty state. Call once, before attaching the
 	// backend as journal and before the node sees traffic.
 	Recover(opts RecoverOptions) (*NodeState, error)
 
-	// Compact folds the journal into the segment and a fresh
+	// Compact commits the owner's state to its segment and a fresh
 	// checkpoint: the blocks the segment lacks are appended to it, the
-	// rest of the state replaces the checkpoint. gather is called after
-	// the WAL has been rotated and must return a consistent view of the
-	// current state, continuing the blocks the segment holds; mutations
-	// logged meanwhile land in the new WAL generation and replay
-	// idempotently on recovery. A failure is returned and also kept as
-	// the sticky error Sync and Close report.
+	// rest of the state replaces the checkpoint; a backend that owns its
+	// log rotates the WAL first and drops the rotated generation after.
+	// gather must return a consistent view of the current state,
+	// continuing the blocks the segment holds; mutations logged meanwhile
+	// land in the WAL and replay idempotently on recovery. A failure is
+	// returned and also kept as the sticky error Sync and Close report.
 	Compact(gather func() (*NodeState, error)) error
 
 	// PendingBlocks reports how many block records the current WAL

@@ -41,18 +41,18 @@ import (
 //	checkpoint.tmp  — checkpoint being written; garbage after a crash,
 //	                  deleted on recovery.
 //
-// OpenFileBackend(dir) is the self-contained single-owner case (one
-// process per device, `serve`): all five files in dir, records as they
-// have always been written, and a Recover that replayed any records
-// folds them — the blocks the segment lacks appended to it, a
-// checkpoint committed, the WAL emptied. A process hosting several
-// devices opens the log once, OpenLog(dir), and a backend per device,
-// Log.OpenBackend: dir/wal.log and dir/wal.old for all of them, every
-// record naming its owner, and dir/node-<id>/ for each device's
-// segment and checkpoint (and .tmp). A device then recovers as its
-// checkpoint and segment plus the shared generations filtered to its
-// records, through the same idempotent replay rules — its checkpoint
-// may well be newer than records of its still in the log.
+// A process opens the log once, OpenLog(dir), and a backend per
+// device, Log.OpenBackend: dir/wal.log and dir/wal.old for all of them,
+// every record naming its owner, and dir/node-<id>/ for each device's
+// segment and checkpoint (and .tmp). OpenFileBackend(dir) is the one
+// device of a process (`serve`): the same log, and one backend whose
+// segment and checkpoint sit beside it in dir. Either way a device
+// recovers as its checkpoint and segment plus the generations filtered
+// to its records, through the same idempotent replay rules — its
+// checkpoint may well be newer than records of its still in the log —
+// and Recover writes nothing: once every device has recovered, the
+// opener compacts (Log.Compact), so a crash loop cannot grow an
+// unbounded replay tail.
 //
 // Fsync discipline: block records are acknowledged by the fsync of
 // the commit window they were logged into (see walwriter.go), shared
@@ -76,23 +76,23 @@ import (
 // checkpoint per owner, and a Silence that follows it only the
 // checkpoint. Compaction has no state to gather for a backend that is
 // closed, and drops the generations that held its records: so whoever
-// closes a backend of a shared log while the others run on first
-// commits that owner's whole state (Compact on the backend does just
-// that). An owner closed without — or found in the files and never
-// recovered — is uncovered, and holds every compaction off until it is
-// recovered again.
+// closes one backend while the others run on first commits that
+// owner's whole state (Compact on the backend does just that). An
+// owner closed without — or found in the files and never recovered —
+// is uncovered, and holds every compaction off until it is recovered
+// again.
 //
 // Torn writes: a crash mid-record leaves wal.log with an incomplete or
-// CRC-failing tail. Recovery replays the intact prefix and discards the
-// tail (a shared log cuts it off as it opens), so the node restarts
-// exactly at the last durable record. Only wal.log may end torn: a
-// failed write poisons the generation and the partial frame is
-// truncated away before any further record (or the rotation rename) —
-// so replay never has to skip mid-file garbage, and a torn wal.old is
-// treated as corruption, not tolerated. A segment may end in bytes
-// past the prefix its checkpoint records — an append whose checkpoint
-// never committed: recovery reads only the prefix, and the next append
-// truncates the rest before writing behind it.
+// CRC-failing tail. The log cuts it off as it opens and Recover
+// reports the cut, so the node restarts exactly at the last durable
+// record. Only wal.log may end torn: a failed write poisons the
+// generation and the partial frame is truncated away before any
+// further record (or the rotation rename) — so replay never has to
+// skip mid-file garbage, and a torn wal.old is treated as corruption,
+// not tolerated. A segment may end in bytes past the prefix its
+// checkpoint records — an append whose checkpoint never committed:
+// recovery reads only the prefix, and the next append truncates the
+// rest before writing behind it.
 const (
 	walFileName        = "wal.log"
 	walOldFileName     = "wal.old"
@@ -110,8 +110,9 @@ const (
 // Safe for concurrent journal use; Compact may run concurrently with
 // logging.
 type FileBackend struct {
-	log *Log
-	dir string // keeps segment and checkpoint; the log's own dir for a single owner
+	log  *Log
+	dir  string // keeps segment and checkpoint
+	owns bool   // OpenFileBackend's: the log is this backend's alone
 
 	// Guarded by log.compactMu: seg is the segment prefix the committed
 	// checkpoint records; store is the S_i Recover returned, the one
@@ -145,32 +146,34 @@ type RecoveryReport struct {
 	// generations, duplicates of the segment's excluded).
 	WALBlocks int
 	// WALBytes is the intact record prefix replayed across both WAL
-	// generations (of a shared log: every owner's records in it).
+	// generations: every owner's records in it.
 	WALBytes int
 	// TornTail reports that wal.log ended in an incomplete or corrupt
-	// record; TornBytes is the discarded suffix length. Torn tails only
-	// ever hold unacknowledged data.
+	// record when the log opened; TornBytes is the length of the suffix
+	// cut off. Torn tails only ever hold unacknowledged data.
 	TornTail  bool
 	TornBytes int
 	// Duration is the wall time spent reading checkpoint and segment and
-	// replaying both WAL generations (folding excluded).
+	// replaying both WAL generations.
 	Duration time.Duration
 }
 
-// OpenFileBackend opens (creating if needed) a single-owner data dir:
-// its log and the one backend on it, which closes the log with itself.
-// Call Recover next.
+// OpenFileBackend opens (creating if needed) dir's log and one backend
+// on it whose segment and checkpoint sit beside the log. The backend
+// owns the log: it closes the log with itself, its Compact compacts the
+// whole log, and its Recover refuses a log holding another owner's
+// records. Call Recover next.
 func OpenFileBackend(dir string, opts ...BackendOption) (*FileBackend, error) {
-	l, err := openLog(dir, false, opts)
+	l, err := OpenLog(dir, opts...)
 	if err != nil {
 		return nil, err
 	}
-	return &FileBackend{log: l, dir: dir}, nil
+	return &FileBackend{log: l, dir: dir, owns: true}, nil
 }
 
-// OpenBackend opens one owner's backend on a shared log; dir (created
-// if needed) keeps that owner's segment and checkpoint. Call Recover
-// next. Closing the backend leaves the log open.
+// OpenBackend opens one owner's backend on the log; dir (created if
+// needed) keeps that owner's segment and checkpoint. Call Recover next.
+// Closing the backend leaves the log open.
 func (l *Log) OpenBackend(dir string) (*FileBackend, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("ledger: creating data dir: %w", err)
@@ -181,11 +184,12 @@ func (l *Log) OpenBackend(dir string) (*FileBackend, error) {
 // Recover rebuilds the node state from checkpoint, segment and WAL (see
 // Backend). With opts.Ring its blocks cost hashing plus one signature
 // per replayed chain, its H_i one signature per header
-// (RecoverOptions.Ring). A single-owner backend that replayed any
-// records then folds them at once — the segment takes the blocks it
-// lacked, a checkpoint commits and the WAL restarts empty — so a crash
-// loop cannot grow an unbounded replay tail. On a shared log that is
-// the opener's to do, with Log.Compact, once every owner has recovered.
+// (RecoverOptions.Ring). It writes nothing of its own — it only
+// deletes a checkpoint.tmp an interrupted compaction left — so the
+// records it replayed stay in the log until the opener compacts it,
+// once every owner has recovered. A backend that owns its log
+// (OpenFileBackend) refuses one holding another owner's records with
+// ErrWrongOwner.
 func (fb *FileBackend) Recover(opts RecoverOptions) (*NodeState, error) {
 	l := fb.log
 	l.compactMu.Lock()
@@ -197,6 +201,13 @@ func (fb *FileBackend) Recover(opts RecoverOptions) (*NodeState, error) {
 	}
 	if fb.recovered {
 		return nil, errors.New("ledger: backend already recovered")
+	}
+	if fb.owns {
+		for o := range l.uncovered {
+			if o != opts.Owner {
+				return nil, fmt.Errorf("%w: the log holds records of %v, recovering %v", ErrWrongOwner, o, opts.Owner)
+			}
+		}
 	}
 	defer func() {
 		if !fb.recovered {
@@ -218,7 +229,7 @@ func (fb *FileBackend) Recover(opts RecoverOptions) (*NodeState, error) {
 	}
 	st := cp.st
 	fb.store = st.Store
-	report := RecoveryReport{SegmentBlocks: st.Store.Len()}
+	report := RecoveryReport{SegmentBlocks: st.Store.Len(), TornTail: l.torn > 0, TornBytes: int(l.torn)}
 	// The trust cap is in force before replay, so FIFO evictions replay
 	// exactly as they happened live. A torn tail is tolerated only in
 	// wal.log — the generation a crash can tear mid-write; wal.old was
@@ -230,8 +241,6 @@ func (fb *FileBackend) Recover(opts RecoverOptions) (*NodeState, error) {
 	if _, covered := l.covered[opts.Owner]; covered {
 		gens = nil
 	}
-	opts.shared = l.shared
-	replayed := false
 	for _, name := range gens {
 		buf, err := os.ReadFile(filepath.Join(l.dir, name))
 		if errors.Is(err, fs.ErrNotExist) {
@@ -245,31 +254,15 @@ func (fb *FileBackend) Recover(opts RecoverOptions) (*NodeState, error) {
 			// frame awaiting repair.
 			buf = buf[:min(int64(len(buf)), l.goodOff)]
 		}
-		replayed = replayed || len(buf) > 0 || name == walOldFileName
 		stats, err := replayWAL(st, buf, opts, name == walFileName)
 		if err != nil {
 			return nil, fmt.Errorf("ledger: replaying %s: %w", name, err)
 		}
 		report.WALBlocks += stats.blocks
 		report.WALBytes += stats.valid
-		if stats.torn {
-			report.TornTail = true
-			report.TornBytes = len(buf) - stats.valid
-		}
 	}
 	report.Duration = time.Since(start)
 	fb.seg = cp.seg
-	if !l.shared && replayed {
-		// Fold under mu: nothing else can log or compact meanwhile.
-		if err := fb.commitState(st); err != nil {
-			return nil, err
-		}
-		_ = os.Remove(filepath.Join(l.dir, walOldFileName))
-		if err := l.f.Truncate(0); err != nil {
-			return nil, fmt.Errorf("ledger: truncating WAL: %w", err)
-		}
-		l.goodOff, l.syncedOff, l.dirty, l.hasOld = 0, 0, false, false
-	}
 	fb.owner, fb.report, fb.recovered = opts.Owner, report, true
 	delete(l.uncovered, opts.Owner)
 	delete(l.covered, opts.Owner)
@@ -462,8 +455,9 @@ func writeFull(w io.Writer, p []byte) error {
 	return err
 }
 
-// logLocked buffers one record of this owner's — named as its own when
-// the log is shared — into the open commit window. Caller holds log.mu.
+// logLocked buffers one record of this owner's — a record that is not a
+// block tagged as its own — into the open commit window. Caller holds
+// log.mu.
 func (fb *FileBackend) logLocked(kind byte, payload []byte) error {
 	if fb.closed {
 		return ErrBackendClosed
@@ -471,7 +465,7 @@ func (fb *FileBackend) logLocked(kind byte, payload []byte) error {
 	if !fb.recovered {
 		return errors.New("ledger: journal call before Recover")
 	}
-	if fb.log.shared && kind != walKindBlock {
+	if kind != walKindBlock {
 		kind |= walOwnerTag
 	}
 	if err := fb.log.appendLocked(kind, payload); err != nil {
@@ -534,11 +528,8 @@ func (fb *FileBackend) LogBlock(b *block.Block) error {
 }
 
 // payloadLocked starts a lazy record's payload in the log's scratch:
-// empty, or on a shared log the owner tag.
+// the owner tag.
 func (fb *FileBackend) payloadLocked() []byte {
-	if !fb.log.shared {
-		return fb.log.pscratch[:0]
-	}
 	return binary.LittleEndian.AppendUint32(fb.log.pscratch[:0], uint32(fb.owner))
 }
 
@@ -599,21 +590,19 @@ func (fb *FileBackend) RecoveryReport() RecoveryReport {
 // WALStats returns the log's durability counters since open.
 func (fb *FileBackend) WALStats() WALStats { return fb.log.WALStats() }
 
-// Log returns the log the backend writes its records to: the shared
-// one it was opened on, or the private one of a single-owner dir.
+// Log returns the log the backend writes its records to.
 func (fb *FileBackend) Log() *Log { return fb.log }
 
 // Compact commits this owner's state, from gather, to its segment and
-// checkpoint. On a single-owner backend that is the whole of
-// Log.Compact: the log rotates and wal.old goes once the checkpoint is
-// committed. On a shared log a backend cannot retire generations that
-// hold other owners' records, so only its own segment and checkpoint
-// are written — which is what has to happen before it is closed for
-// good, and with nothing sealed since the last compaction is a
-// checkpoint alone.
+// checkpoint. A backend that owns its log compacts the whole of it
+// (Log.Compact): the log rotates and wal.old goes once the checkpoint
+// is committed. Any other cannot retire generations that hold other
+// owners' records, so only its own segment and checkpoint are written —
+// which is what has to happen before it is closed for good, and with
+// nothing sealed since the last compaction is a checkpoint alone.
 func (fb *FileBackend) Compact(gather func() (*NodeState, error)) error {
 	only := fb
-	if !fb.log.shared {
+	if fb.owns {
 		only = nil
 	}
 	return fb.log.compact(only, func(identity.NodeID) (*NodeState, error) { return gather() })
@@ -630,14 +619,14 @@ func (fb *FileBackend) Sync() error { return fb.log.Sync() }
 // Log.Flush).
 func (fb *FileBackend) Flush() error { return fb.log.Flush() }
 
-// Close commits any open window and closes the backend; a single-owner
-// backend closes its log with it. Closing a backend of a shared log
-// that has logged since its last checkpoint leaves its owner uncovered.
-// The store Recover returned reads no segmented body back afterwards.
-// Further calls return ErrBackendClosed.
+// Close commits any open window and closes the backend; a backend
+// that owns its log closes the log with it. Closing one that has
+// logged since its last checkpoint, on a log it does not own, leaves
+// its owner uncovered. The store Recover returned reads no segmented
+// body back afterwards. Further calls return ErrBackendClosed.
 func (fb *FileBackend) Close() error {
 	l := fb.log
-	if !l.shared {
+	if fb.owns {
 		return l.Close()
 	}
 	l.compactMu.Lock()

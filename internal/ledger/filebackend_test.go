@@ -2,9 +2,12 @@ package ledger
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"errors"
 	"os"
 	"path/filepath"
+	"slices"
+	"strings"
 	"testing"
 
 	"github.com/twoldag/twoldag/internal/block"
@@ -73,16 +76,19 @@ func TestFileBackendRecoverEquivalence(t *testing.T) {
 	if !bytes.Equal(stateBytes(t, st2), want) {
 		t.Fatal("recovered state differs from the pre-crash state")
 	}
-	// Recovery folded what it replayed: blocks in the segment, a
-	// checkpoint, an empty WAL.
-	if fb2.PendingBlocks() != 0 {
-		t.Fatal("recovery left pending WAL blocks")
-	}
-	if info, err := os.Stat(filepath.Join(dir, walFileName)); err != nil || info.Size() != 0 {
-		t.Fatalf("recovery left the WAL as it was: %v", err)
-	}
 	if rep := fb2.RecoveryReport(); rep.SegmentBlocks != 0 || rep.WALBlocks != 3 {
 		t.Fatalf("first recovery read %+v, want the 3 blocks from the WAL", rep)
+	}
+	// Compacted as the opener does once every owner has recovered: blocks
+	// in the segment, a checkpoint, an empty WAL.
+	if err := fb2.Compact(func() (*NodeState, error) { return st2, nil }); err != nil {
+		t.Fatal(err)
+	}
+	if fb2.PendingBlocks() != 0 {
+		t.Fatal("compaction left pending WAL blocks")
+	}
+	if info, err := os.Stat(filepath.Join(dir, walFileName)); err != nil || info.Size() != 0 {
+		t.Fatalf("compaction left the WAL as it was: %v", err)
 	}
 	// And the recovered node keeps working: more appends, another
 	// recovery, still equivalent.
@@ -98,6 +104,119 @@ func TestFileBackendRecoverEquivalence(t *testing.T) {
 	}
 	if rep := fb3.RecoveryReport(); rep.SegmentBlocks != 3 || rep.WALBlocks != 2 {
 		t.Fatalf("second recovery read %+v, want 3 blocks from the segment and 2 from the WAL", rep)
+	}
+}
+
+// dirSum hashes the names and contents of dir's regular files.
+func dirSum(t *testing.T, dir string) [sha256.Size]byte {
+	t.Helper()
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := sha256.New()
+	for _, e := range entries { // sorted by name
+		if !e.Type().IsRegular() {
+			continue
+		}
+		raw, err := os.ReadFile(filepath.Join(dir, e.Name()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		h.Write([]byte(e.Name()))
+		h.Write(raw)
+	}
+	return [sha256.Size]byte(h.Sum(nil))
+}
+
+// TestFileBackendRecoverWritesNothing: Recover reads the data dir and
+// writes none of it — a stale checkpoint.tmp goes, nothing else moves.
+// Compacting what it replayed is the opener's, once every owner has
+// recovered.
+func TestFileBackendRecoverWritesNothing(t *testing.T) {
+	dir := t.TempDir()
+	opts := RecoverOptions{Owner: 4, Params: testParams()}
+	fb, st := openBackend(t, dir, opts)
+	driveState(t, st, 2)
+	if err := fb.Compact(func() (*NodeState, error) { return st, nil }); err != nil {
+		t.Fatal(err)
+	}
+	driveState(t, st, 2)
+	if err := fb.Close(); err != nil {
+		t.Fatal(err)
+	}
+	before := dirSum(t, dir)
+	tmp := filepath.Join(dir, checkpointTmpName)
+	if err := os.WriteFile(tmp, []byte("an interrupted compaction's"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	fb2, err := OpenFileBackend(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer fb2.Close()
+	if _, err := fb2.Recover(opts); err != nil {
+		t.Fatal(err)
+	}
+	if rep := fb2.RecoveryReport(); rep.SegmentBlocks != 2 || rep.WALBlocks != 2 {
+		t.Fatalf("recovery read %+v, want 2 blocks from the segment and 2 from the WAL", rep)
+	}
+	if _, err := os.Stat(tmp); !errors.Is(err, os.ErrNotExist) {
+		t.Fatal("checkpoint.tmp survived recovery")
+	}
+	if dirSum(t, dir) != before {
+		t.Fatal("recovery rewrote the data dir")
+	}
+}
+
+// TestOpenLogRefusesUntaggedRecords: an earlier build wrote the trust,
+// digest and forget records of a `serve` dir without an owner tag. A
+// generation holding one, current or rotated, is refused as the log
+// opens, the error naming the format; a dir of block records alone —
+// never tagged — opens and recovers as it is.
+func TestOpenLogRefusesUntaggedRecords(t *testing.T) {
+	own := chainFor(t, identity.Deterministic(4, 4), 2, nil)
+	nb := chainFor(t, identity.Deterministic(9, 4), 1, nil)[0]
+	var blocks []byte
+	for _, b := range own {
+		blocks = appendWALRecord(blocks, walKindBlock, block.Encode(b))
+	}
+	untagged := appendWALRecord(slices.Clip(blocks), walKindTrust, appendWALTrust(nil, 0, &nb.Header))
+	for _, gen := range []string{walFileName, walOldFileName} {
+		dir := t.TempDir()
+		if err := os.WriteFile(filepath.Join(dir, gen), untagged, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		fb, err := OpenFileBackend(dir)
+		if err == nil {
+			fb.Close()
+		}
+		if err == nil || !strings.Contains(err.Error(), gen) || !strings.Contains(err.Error(), "earlier build") {
+			t.Fatalf("%s with an untagged trust record: %v, want it refused as an earlier build's", gen, err)
+		}
+		if l, err := OpenLog(dir); err == nil {
+			l.Close()
+			t.Fatalf("%s with an untagged trust record: OpenLog took it", gen)
+		}
+	}
+
+	dir := t.TempDir()
+	if err := os.WriteFile(filepath.Join(dir, walFileName), blocks, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	before := dirSum(t, dir)
+	fb, err := OpenFileBackend(dir)
+	if err != nil {
+		t.Fatalf("a dir of block records: %v", err)
+	}
+	defer fb.Close()
+	st, err := fb.Recover(RecoverOptions{Owner: 4, Params: testParams()})
+	if err != nil || st.Store.Len() != len(own) {
+		t.Fatalf("a dir of block records recovered %v, err %v", st, err)
+	}
+	if dirSum(t, dir) != before {
+		t.Fatal("opening a dir of block records changed it")
 	}
 }
 
@@ -189,8 +308,8 @@ func TestFileBackendCompaction(t *testing.T) {
 // rotation and checkpoint commit leaves wal.old, possibly a
 // checkpoint.tmp and segment bytes no checkpoint records; recovery
 // replays segment + wal.old + wal.log, discards the tmp and reads none
-// of the uncommitted bytes, and the fold it does appends behind the
-// committed prefix only.
+// of the uncommitted bytes, and the compaction after it appends behind
+// the committed prefix only.
 func TestFileBackendCrashedCompaction(t *testing.T) {
 	dir := t.TempDir()
 	opts := RecoverOptions{Owner: 4, Params: testParams()}
@@ -225,8 +344,13 @@ func TestFileBackendCrashedCompaction(t *testing.T) {
 	if _, err := os.Stat(filepath.Join(dir, checkpointTmpName)); !errors.Is(err, os.ErrNotExist) {
 		t.Fatal("checkpoint.tmp survived recovery")
 	}
+	// The opener's compaction, once every owner has recovered, finishes
+	// the crashed one.
+	if err := fb2.Compact(func() (*NodeState, error) { return st2, nil }); err != nil {
+		t.Fatal(err)
+	}
 	if _, err := os.Stat(filepath.Join(dir, walOldFileName)); !errors.Is(err, os.ErrNotExist) {
-		t.Fatal("wal.old survived recovery")
+		t.Fatal("wal.old survived the compaction after recovery")
 	}
 	strictSegment(t, dir)
 }
@@ -530,12 +654,12 @@ func TestFileBackendTrustEvictionHorizon(t *testing.T) {
 	extra := chainFor(t, identity.Deterministic(8, 4), 1, nil)[0]
 	var old []byte
 	for i, b := range nb {
-		old = appendWALRecord(old, walKindTrust, appendWALTrust(nil, int64(i), &b.Header))
+		old = appendTagged(old, 4, walKindTrust, appendWALTrust(nil, int64(i), &b.Header))
 	}
 	if err := os.WriteFile(filepath.Join(dir, walOldFileName), old, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	cur := appendWALRecord(nil, walKindTrust, appendWALTrust(nil, 6, &extra.Header))
+	cur := appendTagged(nil, 4, walKindTrust, appendWALTrust(nil, 6, &extra.Header))
 	if err := os.WriteFile(filepath.Join(dir, walFileName), cur, 0o644); err != nil {
 		t.Fatal(err)
 	}
@@ -556,10 +680,13 @@ func TestFileBackendTrustEvictionHorizon(t *testing.T) {
 		t.Fatalf("inserted = %d, want 7", st2.Trust.Insertions())
 	}
 
-	// Replant the stale generation against the folded checkpoint
-	// (horizon now 7): every record is below it, so recovery changes
-	// nothing.
+	// Replant the stale generation against the checkpoint the opener's
+	// compaction commits (horizon now 7): every record is below it, so
+	// recovery changes nothing.
 	want := stateBytes(t, st2)
+	if err := fb2.Compact(func() (*NodeState, error) { return st2, nil }); err != nil {
+		t.Fatal(err)
+	}
 	if err := fb2.Close(); err != nil {
 		t.Fatal(err)
 	}

@@ -130,9 +130,8 @@ func BenchmarkHotpathWALGroupCommit(b *testing.B) {
 }
 
 // copyLedgerDir clones a fixture data dir file by file, so each
-// recovery iteration gets a pristine copy (Recover folds the WAL of the
-// dir it runs on: a WAL-heavy fixture would become segment-heavy after
-// the first iteration).
+// recovery iteration opens a dir of its own, as a restarted process
+// does.
 func copyLedgerDir(b testing.TB, src, dst string) {
 	b.Helper()
 	entries, err := os.ReadDir(src)
@@ -190,15 +189,19 @@ func BenchmarkRecoverCold(b *testing.B) {
 	if err := fb.Close(); err != nil {
 		b.Fatal(err)
 	}
-	// The segment-heavy fixture is the same dir after one recovery folded
-	// it (segment + checkpoint, empty WAL).
+	// The segment-heavy fixture is the same dir recovered and compacted
+	// (segment + checkpoint, empty WAL).
 	segDir := b.TempDir()
 	copyLedgerDir(b, walDir, segDir)
 	fb2, err := OpenFileBackend(segDir)
 	if err != nil {
 		b.Fatal(err)
 	}
-	if _, err := fb2.Recover(opts); err != nil {
+	st2, err := fb2.Recover(opts)
+	if err != nil {
+		b.Fatal(err)
+	}
+	if err := fb2.Compact(func() (*NodeState, error) { return st2, nil }); err != nil {
 		b.Fatal(err)
 	}
 	if err := fb2.Close(); err != nil {

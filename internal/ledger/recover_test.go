@@ -40,13 +40,14 @@ func recoverReference(v *recoverVerifier) (int, error) {
 
 // ledgerFiles is a data dir as bytes: paths relative to the dir. A
 // shared one is a log several owners write, each owner's segment and
-// checkpoint in node-<id>; otherwise the dir is one owner's.
+// checkpoint in node-<id>; otherwise the dir is one owner's, opened
+// with OpenFileBackend.
 type ledgerFiles struct {
 	files  map[string][]byte
 	shared bool
 }
 
-// readLedgerFiles reads the regular files of a single-owner dir.
+// readLedgerFiles reads the regular files of a one-owner dir.
 func readLedgerFiles(t testing.TB, dir string) ledgerFiles {
 	t.Helper()
 	entries, err := os.ReadDir(dir)
@@ -109,7 +110,7 @@ func recoverFiles(t testing.TB, base string, lf ledgerFiles, opts RecoverOptions
 			t.Fatal(err)
 		}
 	} else if fb, err = OpenFileBackend(dir); err != nil {
-		t.Fatal(err)
+		return recoverOutcome{err: err.Error()}
 	}
 	defer fb.Close()
 	st, err := fb.Recover(opts)
@@ -190,7 +191,11 @@ func TestRecoveryFixturesMatchReference(t *testing.T) {
 		{"wal", false, cleanDir},
 		{"segment", false, func(t *testing.T) string {
 			dir := cleanDir(t)
-			fb, _ := openBackendWith(t, dir, opts) // Recover folds: segment + checkpoint + empty WAL
+			fb, st := openBackendWith(t, dir, opts)
+			// Compacted as the opener does: segment + checkpoint + empty WAL.
+			if err := fb.Compact(func() (*NodeState, error) { return st, nil }); err != nil {
+				t.Fatal(err)
+			}
 			if err := fb.Close(); err != nil {
 				t.Fatal(err)
 			}
@@ -332,7 +337,7 @@ func writeFiles(t testing.TB, dir string, files map[string][]byte) string {
 	return dir
 }
 
-// stateLedgerFiles is a single-owner dir holding st's checkpoint and
+// stateLedgerFiles is a one-owner dir holding st's checkpoint and
 // segment.
 func stateLedgerFiles(st *NodeState) ledgerFiles {
 	ckpt, seg := stateFiles(st)
@@ -380,16 +385,8 @@ func chainLayouts(n, others int, rng *rand.Rand) []chainLayout {
 // in a shared log. Every WAL layout ends its wal.log with a digest and
 // a trust record of owner 1's (trusted: the other owner's genesis).
 func (l chainLayout) files(encs, others [][]byte, trusted *block.Header) ledgerFiles {
-	var lazy []byte
-	tag := func(kind byte, payload []byte) {
-		if l.pattern != nil {
-			kind |= walOwnerTag
-			payload = append([]byte{1, 0, 0, 0}, payload...)
-		}
-		lazy = appendWALRecord(lazy, kind, payload)
-	}
-	tag(walKindDigest, appendWALDigest(nil, 9, digest.Sum([]byte("nine"))))
-	tag(walKindTrust, appendWALTrust(nil, 0, trusted))
+	lazy := appendTagged(nil, 1, walKindDigest, appendWALDigest(nil, 9, digest.Sum([]byte("nine"))))
+	lazy = appendTagged(lazy, 1, walKindTrust, appendWALTrust(nil, 0, trusted))
 
 	lf := ledgerFiles{files: map[string][]byte{}, shared: l.pattern != nil}
 	if l.seg > 0 {
@@ -637,7 +634,7 @@ func FuzzRecoverMatchesReference(f *testing.F) {
 	rng := rand.New(rand.NewSource(4))
 	encs := encodeAll(proofChain(f, key, 4, rng, true))
 	trusted := proofChain(f, nb, 1, rng, true)[0]
-	trust := appendWALRecord(nil, walKindTrust, appendWALTrust(nil, 0, &trusted.Header))
+	trust := appendTagged(nil, 1, walKindTrust, appendWALTrust(nil, 0, &trusted.Header))
 	// Seeds: the honest layouts; a header byte, a body byte and a record
 	// length of block 2; block 1 duplicated, blocks 1 and 2 swapped,
 	// block 2 dropped; 16 bytes inserted into and deleted from block 2;
@@ -749,9 +746,9 @@ func TestRecoverRejectsForgedTrustHeader(t *testing.T) {
 	for _, b := range own {
 		log = appendWALRecord(log, walKindBlock, block.Encode(b))
 	}
-	log = appendWALRecord(log, walKindTrust, appendWALTrust(nil, 0, &audited[0].Header))
+	log = appendTagged(log, 4, walKindTrust, appendWALTrust(nil, 0, &audited[0].Header))
 	forgedAt := len(log)
-	log = appendWALRecord(log, walKindTrust, appendWALTrust(nil, 1, forged))
+	log = appendTagged(log, 4, walKindTrust, appendWALTrust(nil, 1, forged))
 
 	base := t.TempDir()
 	for _, tc := range []struct {

@@ -17,9 +17,9 @@ import (
 )
 
 // The shared log against the layout it replaced. Until the log became a
-// property of the data dir, a process hosting N devices kept N private
-// single-owner backends, one per base/node-<id> dir. That layout is
-// still what OpenFileBackend writes, so it serves here as the reference:
+// property of the data dir, a process hosting N devices kept N one-device
+// dirs, one per base/node-<id>, each with a log of its own. OpenFileBackend
+// still opens such a dir, so that layout serves here as the reference:
 // one seeded workload goes through both, and whatever either recovers,
 // the other must recover byte for byte.
 
@@ -265,8 +265,8 @@ func sameStates(t *testing.T, what string, got, want map[identity.NodeID][]byte)
 	}
 }
 
-// TestSharedLogDifferential drives the seeded workload through N private
-// single-owner backends and through one shared log, and checks at every
+// TestSharedLogDifferential drives the seeded workload through N
+// one-device dirs and through one shared log, and checks at every
 // stop — a crash mid-run, one device bounced, a crash at the end — that
 // both recover, owner by owner, the exact bytes the live states held.
 // Blocks go in both ways a block reaches the log: an unstaged LogBlock
@@ -341,7 +341,7 @@ func TestSharedLogDifferential(t *testing.T) {
 }
 
 // ownRecords rewrites the intact prefix of a shared generation as the
-// single-owner generation of owner o: its records only, tags stripped.
+// generation of a dir of owner o's alone: its records only.
 func ownRecords(t *testing.T, buf []byte, o identity.NodeID) []byte {
 	t.Helper()
 	var out []byte
@@ -353,24 +353,53 @@ func ownRecords(t *testing.T, buf []byte, o identity.NodeID) []byte {
 		off += n
 		if owner, ok := rec.owner(); !ok {
 			t.Fatalf("record of kind %d names no owner", rec.kind)
-		} else if owner != o {
-			continue
-		}
-		if rec.kind&walOwnerTag != 0 {
-			out = appendWALRecord(out, rec.kind&^walOwnerTag, rec.payload[walOwnerLen:])
-		} else {
+		} else if owner == o {
 			out = appendWALRecord(out, rec.kind, rec.payload)
 		}
 	}
 	return out
 }
 
+// TestSharedLogRecoveryReport: a shared log cuts a torn wal.log tail
+// off as it opens, and the Recover that follows reports the cut, as
+// one device's dir does (TestFileBackendRecoveryReport).
+func TestSharedLogRecoveryReport(t *testing.T) {
+	base := t.TempDir()
+	blocks := chainFor(t, identity.Deterministic(4, 4), 2, nil)
+	var log []byte
+	log = appendWALRecord(log, walKindBlock, block.Encode(blocks[0]))
+	intact := len(log)
+	log = appendWALRecord(log, walKindBlock, block.Encode(blocks[1]))
+	torn := log[:len(log)-3]
+	if err := os.WriteFile(filepath.Join(base, walFileName), torn, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	l, err := OpenLog(base)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	fb, err := l.OpenBackend(filepath.Join(base, "node-4"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := fb.Recover(RecoverOptions{Owner: 4, Params: testParams()}); err != nil {
+		t.Fatal(err)
+	}
+	rep := fb.RecoveryReport()
+	rep.Duration = 0
+	want := RecoveryReport{WALBlocks: 1, WALBytes: intact, TornTail: true, TornBytes: len(torn) - intact}
+	if rep != want {
+		t.Fatalf("report = %+v, want %+v", rep, want)
+	}
+}
+
 // TestSharedLogCrashMatrix crashes a shared log at every point it can
 // be written. wal.log: cut at every record boundary and inside every
 // record, each owner must come back as its checkpoint and segment plus
-// exactly its own records of the intact prefix — checked against the
-// single-owner path replaying just those records — and never with a
-// record of anybody else's. Compaction and Silence: the data dir as it
+// exactly its own records of the intact prefix — checked against a dir
+// of its own holding just those records — and never with a record of
+// anybody else's, and each must report the tear the log cut off. Compaction and Silence: the data dir as it
 // stands halfway through and after every write of every step (segment
 // appends, checkpoint.tmp), before and after every rename (the
 // rotation; each checkpoint's commit, so a crash before its dir fsync
@@ -409,6 +438,14 @@ func TestSharedLogCrashMatrix(t *testing.T) {
 			t.Fatalf("only %d cut points: the fixture log is too short to mean anything", len(cuts))
 		}
 		for _, cut := range cuts {
+			intact := 0
+			for intact < cut {
+				_, n, err := scanWALRecord(raw[intact:cut])
+				if err != nil {
+					break
+				}
+				intact += n
+			}
 			cdir := t.TempDir()
 			for _, o := range owners {
 				ndir := filepath.Join(cdir, fmt.Sprintf("node-%d", o))
@@ -424,7 +461,7 @@ func TestSharedLogCrashMatrix(t *testing.T) {
 			for _, o := range owners {
 				got.open(o)
 				// The reference: o's segment, checkpoint and records, in a dir of
-				// its own, through the single-owner path.
+				// its own.
 				rdir := t.TempDir()
 				copyLedgerDir(t, w.dir(o), rdir)
 				if err := os.WriteFile(filepath.Join(rdir, walFileName), ownRecords(t, raw[:cut], o), 0o644); err != nil {
@@ -443,8 +480,9 @@ func TestSharedLogCrashMatrix(t *testing.T) {
 				if !bytes.Equal(stateBytes(t, got.sts[o]), wantBytes) {
 					t.Fatalf("cut %d: owner %v recovered something other than its own records of the intact prefix", cut, o)
 				}
-				if rep := got.fbs[o].RecoveryReport(); rep.TornTail {
-					t.Fatalf("cut %d: owner %v saw a torn tail the log should have cut off as it opened", cut, o)
+				if rep := got.fbs[o].RecoveryReport(); rep.TornTail != (cut > intact) || rep.TornBytes != cut-intact {
+					t.Fatalf("cut %d: owner %v reported torn=%v over %d bytes, want the %d bytes the log cut off as it opened",
+						cut, o, rep.TornTail, rep.TornBytes, cut-intact)
 				}
 			}
 			// The tear is gone for good: what is appended now is found again.

@@ -26,13 +26,15 @@ import (
 // as the recovery point (see replayWAL); everything before a torn or
 // corrupt record is state the node durably owned.
 //
-// A log shared by several devices (see Log) has to say whose each
-// record is. A block record already does — its header opens with the
-// origin — so it is written as in a single-owner log; every other kind
-// is written with walOwnerTag set and the owner's ID (uint32 LE) ahead
-// of the payload above. The tag is a fixed four bytes on every such
+// A log serves every device of its process (see Log), so each record
+// says whose it is. A block record already does — its header opens
+// with the origin — so it is written untagged; every other kind is
+// written with walOwnerTag set and the owner's ID (uint32 LE) ahead of
+// the payload above. The tag is a fixed four bytes on every such
 // record, never a marker between records, so what a log holds does not
-// depend on the order its owners wrote in.
+// depend on the order its owners wrote in. Earlier builds wrote a
+// one-device dir's trust, digest and forget records untagged; the log
+// refuses a generation holding one as it opens (OpenLog).
 
 // WAL record kinds.
 const (
@@ -177,9 +179,8 @@ type walReplayStats struct {
 // (sequence below the log length) are skipped, trust records below the
 // store's insertion horizon are skipped, digest upserts are
 // latest-wins — so a WAL generation that overlaps the checkpoint and
-// segment it preceded is harmless. Records of another owner — tagged ones, and in
-// a shared log (opts.shared) blocks too — are passed over: a view of a
-// shared log replays its owner's records and nobody else's.
+// segment it preceded is harmless. Records of another owner are passed
+// over: a backend replays its owner's records and nobody else's.
 //
 // Blocks are re-sealed through opts.Params.SealBlock and, when
 // opts.Ring is set, authenticated as one chain linked to the store's
@@ -187,8 +188,8 @@ type walReplayStats struct {
 // they re-enter the store: this scan queues that work on a
 // recoverVerifier. With a Ring every trust header applied is validated
 // (opts.Params.ValidateHeader) as it is read. Structural violations
-// that cannot come from a torn write — wrong owner, a sequence gap —
-// fail recovery rather than truncate it.
+// that cannot come from a torn write — a record naming no owner, a
+// sequence gap — fail recovery rather than truncate it.
 func replayWAL(st *NodeState, buf []byte, opts RecoverOptions, allowTorn bool) (walReplayStats, error) {
 	var stats walReplayStats
 	verify := recoverVerifier{opts: opts}
@@ -221,31 +222,23 @@ scan:
 		}
 		kind, payload := rec.kind, rec.payload
 		owner, named := rec.owner()
-		switch {
-		case kind&walOwnerTag != 0 && named:
-			kind, payload = kind&^walOwnerTag, payload[walOwnerLen:]
-		case !opts.shared && kind&walOwnerTag == 0:
-			// A single-owner log holds one node's records: a foreign block
-			// in it is the wrong data dir (below), not a neighbour's record.
-			named = false
-		case !named:
+		if !named {
 			scanErr = fmt.Errorf("%w: record of kind %d at offset %d names no owner", ErrBadWALRecord, kind, off)
 			break scan
 		}
-		if named && owner != opts.Owner {
+		if owner != opts.Owner {
 			off += n
 			stats.valid = off
 			continue
+		}
+		if kind&walOwnerTag != 0 {
+			kind, payload = kind&^walOwnerTag, payload[walOwnerLen:]
 		}
 		switch kind {
 		case walKindBlock:
 			b, err := block.Decode(payload)
 			if err != nil {
 				scanErr = fmt.Errorf("%w: block at offset %d: %v", ErrBadWALRecord, off, err)
-				break scan
-			}
-			if b.Header.Origin != opts.Owner {
-				scanErr = fmt.Errorf("%w: block at offset %d origin %v", ErrWrongOwner, off, b.Header.Origin)
 				break scan
 			}
 			switch seq := int(b.Header.Seq); {

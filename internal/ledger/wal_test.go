@@ -2,9 +2,12 @@ package ledger
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/hex"
 	"errors"
 	"io"
+	"os"
+	"path/filepath"
 	"testing"
 
 	"github.com/twoldag/twoldag/internal/block"
@@ -18,6 +21,34 @@ func walState() *NodeState { return NewNodeState(1, 0) }
 
 func walOpts() RecoverOptions {
 	return RecoverOptions{Owner: 1, Params: testParams()}
+}
+
+// appendTagged frames a trust, digest or forget record of owner's as a
+// backend logs it: the owner's tag set in the kind and its ID ahead of
+// the payload.
+func appendTagged(dst []byte, owner identity.NodeID, kind byte, payload []byte) []byte {
+	tagged := binary.LittleEndian.AppendUint32(make([]byte, 0, walOwnerLen+len(payload)), uint32(owner))
+	return appendWALRecord(dst, kind|walOwnerTag, append(tagged, payload...))
+}
+
+// untagWAL re-frames every record of an intact log without its owner's
+// tag: the bytes earlier builds wrote for the same records in a
+// one-device dir.
+func untagWAL(t *testing.T, buf []byte) []byte {
+	t.Helper()
+	var out []byte
+	for off := 0; off < len(buf); {
+		rec, n, err := scanWALRecord(buf[off:])
+		if err != nil {
+			t.Fatalf("record at %d: %v", off, err)
+		}
+		if rec.kind&walOwnerTag != 0 {
+			rec.kind, rec.payload = rec.kind&^walOwnerTag, rec.payload[walOwnerLen:]
+		}
+		out = appendWALRecord(out, rec.kind, rec.payload)
+		off += n
+	}
+	return out
 }
 
 // TestWALRecordGolden pins the record framing byte for byte: kind,
@@ -80,10 +111,10 @@ func TestWALReplayAllKinds(t *testing.T) {
 	for _, b := range blocks {
 		log = appendWALRecord(log, walKindBlock, block.Encode(b))
 	}
-	log = appendWALRecord(log, walKindTrust, appendWALTrust(nil, 0, &nb.Header))
-	log = appendWALRecord(log, walKindDigest, appendWALDigest(nil, 9, d))
-	log = appendWALRecord(log, walKindDigest, appendWALDigest(nil, 8, d))
-	log = appendWALRecord(log, walKindForget, []byte{8, 0, 0, 0})
+	log = appendTagged(log, 1, walKindTrust, appendWALTrust(nil, 0, &nb.Header))
+	log = appendTagged(log, 1, walKindDigest, appendWALDigest(nil, 9, d))
+	log = appendTagged(log, 1, walKindDigest, appendWALDigest(nil, 8, d))
+	log = appendTagged(log, 1, walKindForget, []byte{8, 0, 0, 0})
 
 	st := walState()
 	stats, err := replayWAL(st, log, walOpts(), true)
@@ -151,8 +182,22 @@ func TestWALReplayStructuralViolations(t *testing.T) {
 	blocks := chainFor(t, key, 2, nil)
 	foreign := chainFor(t, identity.Deterministic(2, 1), 1, nil)[0]
 
+	// Another owner's block is its record to replay, not ours; in a log
+	// a backend owns alone (OpenFileBackend) it is the wrong data dir.
 	wrongOwner := appendWALRecord(nil, walKindBlock, block.Encode(foreign))
-	if _, err := replayWAL(walState(), wrongOwner, walOpts(), true); !errors.Is(err, ErrWrongOwner) {
+	if stats, err := replayWAL(walState(), wrongOwner, walOpts(), true); err != nil || stats.blocks != 0 {
+		t.Fatalf("another owner's block: stats=%+v err=%v", stats, err)
+	}
+	dir := t.TempDir()
+	if err := os.WriteFile(filepath.Join(dir, walFileName), wrongOwner, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	fb, err := OpenFileBackend(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer fb.Close()
+	if _, err := fb.Recover(walOpts()); !errors.Is(err, ErrWrongOwner) {
 		t.Fatalf("wrong owner: %v", err)
 	}
 
@@ -161,14 +206,19 @@ func TestWALReplayStructuralViolations(t *testing.T) {
 		t.Fatalf("seq gap: %v", err)
 	}
 
-	unknown := appendWALRecord(nil, 99, nil)
+	unknown := appendTagged(nil, 1, 99, nil)
 	if _, err := replayWAL(walState(), unknown, walOpts(), true); !errors.Is(err, ErrBadWALRecord) {
 		t.Fatalf("unknown kind: %v", err)
 	}
 
-	shortDigest := appendWALRecord(nil, walKindDigest, []byte{1, 2, 3})
+	shortDigest := appendTagged(nil, 1, walKindDigest, []byte{1, 2, 3})
 	if _, err := replayWAL(walState(), shortDigest, walOpts(), true); !errors.Is(err, ErrBadWALRecord) {
 		t.Fatalf("short digest: %v", err)
+	}
+
+	untagged := appendWALRecord(nil, walKindForget, []byte{7, 0, 0, 0})
+	if _, err := replayWAL(walState(), untagged, walOpts(), true); !errors.Is(err, ErrBadWALRecord) {
+		t.Fatalf("record naming no owner: %v", err)
 	}
 }
 
@@ -217,9 +267,8 @@ func TestWALReplayVerifiesWithRing(t *testing.T) {
 
 // FuzzWALReplay: arbitrary bytes must never panic and never corrupt
 // the state invariants — either replay succeeds with a consistent
-// store, or it errors. Read as a shared log, they must never carry a
-// record across owners: what an owner replays from them is what the
-// single-owner rules make of its own records alone.
+// store, or it errors. Nor must they carry a record across owners:
+// what an owner replays from them is what its own records make alone.
 func FuzzWALReplay(f *testing.F) {
 	key := identity.Deterministic(1, 1)
 	p := testParams()
@@ -229,8 +278,8 @@ func FuzzWALReplay(f *testing.F) {
 	}
 	var good []byte
 	good = appendWALRecord(good, walKindBlock, block.Encode(b))
-	good = appendWALRecord(good, walKindDigest, appendWALDigest(nil, 9, digest.Sum([]byte("x"))))
-	good = appendWALRecord(good, walKindForget, []byte{9, 0, 0, 0})
+	good = appendTagged(good, 1, walKindDigest, appendWALDigest(nil, 9, digest.Sum([]byte("x"))))
+	good = appendTagged(good, 1, walKindForget, []byte{9, 0, 0, 0})
 	f.Add(good)
 	f.Add(good[:len(good)-3])
 	f.Add([]byte{walKindBlock, 0xFF, 0xFF, 0xFF, 0xFF})
@@ -243,72 +292,65 @@ func FuzzWALReplay(f *testing.F) {
 	}
 	var window []byte
 	window = appendWALRecord(window, walKindBlock, block.Encode(b))
-	window = appendWALRecord(window, walKindDigest, appendWALDigest(nil, 7, digest.Sum([]byte("w"))))
+	window = appendTagged(window, 1, walKindDigest, appendWALDigest(nil, 7, digest.Sum([]byte("w"))))
 	window = appendWALRecord(window, walKindBlock, block.Encode(b1))
-	window = appendWALRecord(window, walKindTrust, appendWALTrust(nil, 0, &b1.Header))
+	window = appendTagged(window, 1, walKindTrust, appendWALTrust(nil, 0, &b1.Header))
 	f.Add(window)
 	// Torn mid-window tails: the crash landed between the stage and the
 	// fsync, cutting inside the second block record and inside the
 	// trailing trust record.
 	f.Add(window[:len(window)/2])
 	f.Add(window[:len(window)-5])
-	// A shared log: two owners' blocks and owner-tagged lazy records
-	// interleaved, whole and torn, and a tag too short to hold an owner.
+	// Two owners' blocks and tagged lazy records interleaved, whole and
+	// torn, a tag too short to hold an owner, and a record an earlier
+	// build wrote untagged.
 	key2 := identity.Deterministic(2, 1)
 	b2, err := p.Build(key2, 0, 0, []byte("other"), []block.DigestRef{{Node: 2}})
 	if err != nil {
 		f.Fatal(err)
 	}
-	tag := func(owner byte, payload []byte) []byte { return append([]byte{owner, 0, 0, 0}, payload...) }
 	var two []byte
 	two = appendWALRecord(two, walKindBlock, block.Encode(b))
-	two = appendWALRecord(two, walKindDigest|walOwnerTag, tag(2, appendWALDigest(nil, 7, digest.Sum([]byte("2")))))
+	two = appendTagged(two, 2, walKindDigest, appendWALDigest(nil, 7, digest.Sum([]byte("2"))))
 	two = appendWALRecord(two, walKindBlock, block.Encode(b2))
-	two = appendWALRecord(two, walKindTrust|walOwnerTag, tag(1, appendWALTrust(nil, 0, &b2.Header)))
-	two = appendWALRecord(two, walKindDigest|walOwnerTag, tag(1, appendWALDigest(nil, 7, digest.Sum([]byte("1")))))
-	two = appendWALRecord(two, walKindForget|walOwnerTag, tag(2, []byte{7, 0, 0, 0}))
+	two = appendTagged(two, 1, walKindTrust, appendWALTrust(nil, 0, &b2.Header))
+	two = appendTagged(two, 1, walKindDigest, appendWALDigest(nil, 7, digest.Sum([]byte("1"))))
+	two = appendTagged(two, 2, walKindForget, []byte{7, 0, 0, 0})
 	two = appendWALRecord(two, walKindBlock, block.Encode(b1))
 	f.Add(two)
 	f.Add(two[:len(two)-40])
 	f.Add(appendWALRecord(two, walKindForget|walOwnerTag, []byte{1, 0}))
+	f.Add(appendWALRecord(two, walKindForget, []byte{7, 0, 0, 0}))
 	f.Fuzz(func(t *testing.T, data []byte) {
-		st := NewNodeState(1, 0)
-		stats, err := replayWAL(st, data, RecoverOptions{Owner: 1, Params: p}, true)
-		if err == nil {
-			if stats.blocks != st.Store.Len() {
-				t.Fatalf("blocks=%d store=%d", stats.blocks, st.Store.Len())
-			}
-			if stats.valid > len(data) {
-				t.Fatalf("valid=%d > input %d", stats.valid, len(data))
-			}
-		}
 		for _, o := range []identity.NodeID{1, 2} {
 			got := NewNodeState(o, 0)
-			stats, err := replayWAL(got, data, RecoverOptions{Owner: o, Params: p, shared: true}, true)
+			stats, err := replayWAL(got, data, RecoverOptions{Owner: o, Params: p}, true)
 			if err != nil {
 				continue
 			}
+			if stats.blocks != got.Store.Len() {
+				t.Fatalf("owner %v: blocks=%d store=%d", o, stats.blocks, got.Store.Len())
+			}
+			if stats.valid > len(data) {
+				t.Fatalf("owner %v: valid=%d > input %d", o, stats.valid, len(data))
+			}
 			// The intact prefix named an owner on every record, or the
-			// replay would have failed: o's alone, tags off, must replay
-			// to the same state under the single-owner rules.
+			// replay would have failed: o's alone must replay, strictly,
+			// to the same state.
 			var own []byte
 			for off := 0; off < stats.valid; {
 				rec, n, _ := scanWALRecord(data[off:])
 				off += n
-				if owner, _ := rec.owner(); owner != o {
-					continue
+				if owner, _ := rec.owner(); owner == o {
+					own = appendWALRecord(own, rec.kind, rec.payload)
 				}
-				if rec.kind&walOwnerTag != 0 {
-					rec.kind, rec.payload = rec.kind&^walOwnerTag, rec.payload[walOwnerLen:]
-				}
-				own = appendWALRecord(own, rec.kind, rec.payload)
 			}
 			want := NewNodeState(o, 0)
 			if _, err := replayWAL(want, own, RecoverOptions{Owner: o, Params: p}, false); err != nil {
 				t.Fatalf("owner %v: its own records of a log that replayed do not replay alone: %v", o, err)
 			}
 			if !bytes.Equal(stateBytes(t, got), stateBytes(t, want)) {
-				t.Fatalf("owner %v: replaying the shared log gave another state than replaying its own records of it", o)
+				t.Fatalf("owner %v: replaying the whole log gave another state than replaying its own records of it", o)
 			}
 		}
 	})
@@ -319,18 +361,26 @@ func FuzzWALReplay(f *testing.F) {
 // two fsyncs are laid out back to back with no window framing of their
 // own — the window exists only in the acknowledgement protocol, so a
 // WAL written a staged round at a time is indistinguishable from one
-// written record-at-a-time and every already-deployed replay can read it.
+// written record-at-a-time. Each record carries its owner's tag, and
+// the tag is all that differs from the untagged image earlier builds
+// wrote for a one-device dir, which is pinned too.
 func TestWALGroupCommitWindowGolden(t *testing.T) {
 	d := digest.Sum([]byte("2ldag"))
 	var win []byte
-	win = appendWALRecord(win, walKindDigest, appendWALDigest(nil, 3, d))
-	win = appendWALRecord(win, walKindForget, []byte{3, 0, 0, 0})
-	win = appendWALRecord(win, walKindDigest, appendWALDigest(nil, 5, d))
-	const want = "03240000000300000099c40c59e749d56f24ecdd01951a85380b258e9a17b498e31292c2aa6530efcb3bfaf689" + // digest node 3
-		"040400000003000000c4a11526" + // forget node 3
-		"03240000000500000099c40c59e749d56f24ecdd01951a85380b258e9a17b498e31292c2aa6530efcbb3635d21" // digest node 5
+	win = appendTagged(win, 1, walKindDigest, appendWALDigest(nil, 3, d))
+	win = appendTagged(win, 1, walKindForget, []byte{3, 0, 0, 0})
+	win = appendTagged(win, 1, walKindDigest, appendWALDigest(nil, 5, d))
+	const want = "8328000000010000000300000099c40c59e749d56f24ecdd01951a85380b258e9a17b498e31292c2aa6530efcba7c7cf6a" + // digest node 3
+		"84080000000100000003000000078dd7c2" + // forget node 3
+		"8328000000010000000500000099c40c59e749d56f24ecdd01951a85380b258e9a17b498e31292c2aa6530efcb2f5e64c2" // digest node 5
 	if got := hex.EncodeToString(win); got != want {
 		t.Fatalf("window image diverged from golden bytes:\n got %s\nwant %s", got, want)
+	}
+	const untagged = "03240000000300000099c40c59e749d56f24ecdd01951a85380b258e9a17b498e31292c2aa6530efcb3bfaf689" + // digest node 3
+		"040400000003000000c4a11526" + // forget node 3
+		"03240000000500000099c40c59e749d56f24ecdd01951a85380b258e9a17b498e31292c2aa6530efcbb3635d21" // digest node 5
+	if got := hex.EncodeToString(untagWAL(t, win)); got != untagged {
+		t.Fatalf("window image less its tags diverged from the untagged golden:\n got %s\nwant %s", got, untagged)
 	}
 	// The whole window replays: node 3's entry was upserted then
 	// forgotten, node 5's survives.
@@ -380,7 +430,7 @@ func TestWALReplayTrustHorizon(t *testing.T) {
 	nb := chainFor(t, identity.Deterministic(9, 1), 5, nil)
 	var log []byte
 	for i, b := range nb {
-		log = appendWALRecord(log, walKindTrust, appendWALTrust(nil, int64(i), &b.Header))
+		log = appendTagged(log, 1, walKindTrust, appendWALTrust(nil, int64(i), &b.Header))
 	}
 
 	st := walState()
@@ -397,7 +447,7 @@ func TestWALReplayTrustHorizon(t *testing.T) {
 		t.Fatalf("inserted = %d, want 5", st.Trust.Insertions())
 	}
 
-	short := appendWALRecord(nil, walKindTrust, []byte{1, 2, 3})
+	short := appendTagged(nil, 1, walKindTrust, []byte{1, 2, 3})
 	if _, err := replayWAL(walState(), short, walOpts(), true); !errors.Is(err, ErrBadWALRecord) {
 		t.Fatalf("short trust record: %v", err)
 	}

@@ -717,7 +717,7 @@ func TestCompactionFailureKeepsEveryGeneration(t *testing.T) {
 
 // TestCheckpointFaults: storage faults under the segment and checkpoint
 // writers, hitting owner k of N in the middle of a log-wide compaction
-// (or the one owner of a single-owner dir): EIO, ENOSPC or a short write
+// (or the one owner of a one-device dir): EIO, ENOSPC or a short write
 // halfway through a segment append or through checkpoint.tmp, an fsync
 // of either that fails, a checkpoint rename that fails, an fsync of the
 // directory that rename went into that fails. The compaction

@@ -69,7 +69,7 @@ type CommitObserver interface {
 	OnWALCommit(blocks int, bytes int64)
 }
 
-// BackendOption configures OpenFileBackend and OpenLog.
+// BackendOption configures OpenLog and OpenFileBackend.
 type BackendOption func(*Log)
 
 // WithCommitObserver attaches a per-commit-window callback.
@@ -105,24 +105,23 @@ type WALStats struct {
 
 // Log is one data dir's write-ahead log: the wal.log/wal.old
 // generations, the commit windows over them and the compaction that
-// retires them. It serves the FileBackends opened on it — the one
-// OpenFileBackend makes for a single-owner dir, or one per device of
-// a process for a log opened with OpenLog — and each of those is a
-// Journal for its own node's structures and keeps its own segment and
-// checkpoint.
+// retires them. It serves the FileBackends opened on it — one per
+// device of a process (OpenBackend), or the one OpenFileBackend makes
+// beside it — and each of those is a Journal for its own node's
+// structures and keeps its own segment and checkpoint. Every record
+// that is not a block names its owner (see wal.go).
 // Safe for concurrent use by all of them.
 type Log struct {
 	dir     string
-	shared  bool // OpenLog: several owners, every record names its own
 	obs     CommitObserver
 	wrap    func(WALFile) WALFile               // nil outside tests
 	rename  func(oldpath, newpath string) error // os.Rename outside tests: rotations and checkpoint commits
 	syncDir func(dir string) error              // the package's syncDir outside tests: every directory fsync
 
 	// compactMu is held for the length of a compaction, and by a backend
-	// of a shared log while it recovers or closes: the set of backends a
-	// compaction commits does not change under it, nor do the files a
-	// recovery reads. Taken before mu.
+	// while it recovers or closes: the set of backends a compaction
+	// commits does not change under it, nor do the files a recovery
+	// reads. Taken before mu.
 	compactMu sync.Mutex
 
 	mu        sync.Mutex
@@ -150,7 +149,7 @@ type Log struct {
 	rotated bool
 	// uncovered owners have records in the generations that no
 	// checkpoint is known to hold and no open backend could gather —
-	// found in the files as a shared log opened and not yet recovered, or
+	// found in the files as the log opened and not yet recovered, or
 	// closed with records newer than their checkpoint: while there is
 	// one, compaction leaves the generations alone. covered owners closed
 	// with their checkpoint holding all they ever logged here: their next
@@ -168,6 +167,9 @@ type Log struct {
 	goodOff int64
 	dirty   bool
 	broken  error
+	// torn is the byte length of the torn tail cut off wal.log as the
+	// log opened, which every Recover reports.
+	torn int64
 
 	// Commit-window state: syncedOff is the prefix the last successful
 	// fsync acknowledged; (syncedOff, goodOff] and the buffer are the
@@ -177,21 +179,18 @@ type Log struct {
 	committed int64 // WAL bytes acknowledged durable since open
 }
 
-// OpenLog opens (creating if needed) dir's log for several owners:
-// OpenBackend gives each its view. What a crash tore off the end of
-// wal.log is cut away here, before anybody appends behind it, and every
-// owner found in the generations counts as uncovered until its backend
-// has recovered.
+// OpenLog opens (creating if needed) dir's log: OpenBackend gives each
+// owner its view. What a crash tore off the end of wal.log is cut away
+// here, before anybody appends behind it, and every owner found in the
+// generations counts as uncovered until its backend has recovered. A
+// generation holding a record an earlier build wrote without its
+// owner's tag is refused.
 func OpenLog(dir string, opts ...BackendOption) (*Log, error) {
-	return openLog(dir, true, opts)
-}
-
-func openLog(dir string, shared bool, opts []BackendOption) (*Log, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("ledger: creating data dir: %w", err)
 	}
 	l := &Log{
-		dir: dir, shared: shared, rename: os.Rename, syncDir: syncDir,
+		dir: dir, rename: os.Rename, syncDir: syncDir,
 		uncovered: make(map[identity.NodeID]struct{}),
 		covered:   make(map[identity.NodeID]struct{}),
 	}
@@ -208,8 +207,6 @@ func openLog(dir string, shared bool, opts []BackendOption) (*Log, error) {
 		// Any doubt counts as a wal.old: the log then never rotates over it.
 		_, oldErr := os.Stat(filepath.Join(dir, walOldFileName))
 		l.hasOld = !errors.Is(oldErr, fs.ErrNotExist)
-	}
-	if err == nil && shared {
 		err = l.scanOwners()
 	}
 	if err != nil {
@@ -237,11 +234,11 @@ func (l *Log) openFile(path string, flag int) (WALFile, error) {
 	return f, nil
 }
 
-// scanOwners reads both generations of a shared log as it opens: every
-// owner with a record in them is uncovered until it recovers, and a
-// torn tail of wal.log — unacknowledged by definition — is truncated
-// before anything is appended behind it. Damage inside wal.old is left
-// for Recover to refuse.
+// scanOwners reads both generations as the log opens: every owner with
+// a record in them is uncovered until it recovers, and a torn tail of
+// wal.log — unacknowledged by definition — is truncated before
+// anything is appended behind it. Damage inside wal.old is left for
+// Recover to refuse.
 func (l *Log) scanOwners() error {
 	for _, name := range []string{walOldFileName, walFileName} {
 		buf, err := os.ReadFile(filepath.Join(l.dir, name))
@@ -254,6 +251,10 @@ func (l *Log) scanOwners() error {
 			if err != nil {
 				break
 			}
+			if rec.kind != walKindBlock && rec.kind&walOwnerTag == 0 {
+				return fmt.Errorf("%s holds a record of kind %d at offset %d without its owner's tag, the format of an earlier build, which this one does not read",
+					name, rec.kind, off)
+			}
 			if owner, ok := rec.owner(); ok {
 				l.uncovered[owner] = struct{}{}
 			}
@@ -263,7 +264,7 @@ func (l *Log) scanOwners() error {
 			if err := l.f.Truncate(int64(off)); err != nil {
 				return err
 			}
-			l.goodOff = int64(off)
+			l.goodOff, l.torn = int64(off), int64(len(buf)-off)
 		}
 	}
 	return nil

@@ -309,8 +309,9 @@ func TestRecoveryUnackedDiscardAfterCrash(t *testing.T) {
 				if n := got.sts[o].Store.Len(); n != want {
 					t.Fatalf("owner %v recovered %d blocks, want %d", o, n, want)
 				}
-				if rep := got.fbs[o].RecoveryReport(); rep.WALBlocks != want || rep.TornTail {
-					t.Fatalf("owner %v: report WALBlocks = %d torn = %v, want %d and no tear left to see", o, rep.WALBlocks, rep.TornTail, want)
+				if rep := got.fbs[o].RecoveryReport(); rep.WALBlocks != want || rep.TornTail != (tc.tornBytes > 0) || int64(rep.TornBytes) != tc.tornBytes {
+					t.Fatalf("owner %v: report WALBlocks = %d torn = %v over %d bytes, want %d and the %d bytes the log cut off",
+						o, rep.WALBlocks, rep.TornTail, rep.TornBytes, want, tc.tornBytes)
 				}
 				if !bytes.Equal(stateBytes(t, got.sts[o]), oracle(o, want)) {
 					t.Fatalf("owner %v: recovered state differs from an uninterrupted run over the same prefix", o)
@@ -442,7 +443,7 @@ func TestWALWritesPerWindow(t *testing.T) {
 			logged := 0
 			for i := 0; logged < walBufferLimit; i++ {
 				st.Cache.Update(identity.NodeID(100+i%64), digest.Sum([]byte{byte(i)}))
-				logged += walHeaderLen + 4 + digest.Size + walCRCLen
+				logged += walHeaderLen + walOwnerLen + 4 + digest.Size + walCRCLen
 				want := 0
 				if logged >= walBufferLimit {
 					want = 1
@@ -502,7 +503,7 @@ func TestWALWritesPerWindow(t *testing.T) {
 	})
 }
 
-// copyDir copies a single-owner data dir, as a process kill leaves it,
+// copyDir copies a one-device data dir, as a process kill leaves it,
 // to a fresh one.
 func copyDir(t *testing.T, dir string) string {
 	t.Helper()
