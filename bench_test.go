@@ -1,10 +1,11 @@
 package twoldag
 
 // Benchmark harness: one benchmark per figure of the paper's
-// evaluation (see DESIGN.md's experiment index), plus ablations and
-// protocol micro-benchmarks. Benchmarks run a scaled-down (but
-// shape-preserving) configuration so `go test -bench=.` completes in
-// minutes; cmd/experiments regenerates the full-scale figures.
+// evaluation (the figure functions of package experiments), plus
+// ablations and protocol micro-benchmarks. Benchmarks run a
+// scaled-down (but shape-preserving) configuration so `go test
+// -bench=.` completes in minutes; cmd/experiments regenerates the
+// full-scale figures.
 //
 // Custom metrics reported:
 //

@@ -146,7 +146,7 @@ func newCluster(cfg *config, g *topology.Graph) (*Cluster, error) {
 		dataDir:  cfg.dataDir,
 		trustCap: cfg.trustCap,
 	}
-	c.seal = cluster.Sealer{CompactEvery: cfg.compactEvery, Workers: cfg.workers, Device: c.device}
+	c.seal = cluster.Sealer{Workers: cfg.workers, Device: c.device}
 	switch cfg.transport {
 	case TCP:
 		c.fab = &tcpFabric{nodes: make(map[NodeID]*transport.TCPNode)}

@@ -1,6 +1,6 @@
 // Command experiments regenerates every figure of the 2LDAG paper's
-// evaluation (Sec. VI). See DESIGN.md for the experiment index and
-// EXPERIMENTS.md for recorded paper-vs-measured comparisons.
+// evaluation (Sec. VI). Each figure's flow is documented on its
+// function in package experiments.
 //
 // Usage:
 //

@@ -4,6 +4,7 @@ import (
 	"context"
 	"flag"
 	"fmt"
+	"math"
 	"os"
 	"os/signal"
 	"syscall"
@@ -43,7 +44,6 @@ func runHost(args []string, join bool) int {
 	// resumes exactly where its last fsync'd block left off.
 	dataDir := fs.String("data", "", "ledger data directory (empty: in-memory only)")
 	trustCap := fs.Int("trust-cap", 0, "bound on retained trust headers H_i, oldest evicted first (0: unbounded)")
-	compactEvery := fs.Int("compact-every", 0, "WAL compaction threshold in block records (0: default 256)")
 
 	var id *uint
 	var addr *string
@@ -67,6 +67,31 @@ func runHost(args []string, join bool) int {
 	retryJitter := fs.Float64("retry-jitter", 0.5, "jitter fraction in [0, 1]")
 	fs.Parse(args)
 
+	// Every flag narrowed below must fit its type: a silent wrap would
+	// turn -difficulty 256 into no proof of work, or -id 2^32 into node 0.
+	type narrowed struct {
+		name   string
+		v, max uint64
+	}
+	checks := []narrowed{
+		{"difficulty", uint64(*difficulty), math.MaxUint8},
+		{"crash-from", uint64(*crashFrom), math.MaxUint32},
+		{"crash-until", uint64(*crashUntil), math.MaxUint32},
+	}
+	if id != nil {
+		checks = append(checks, narrowed{"id", uint64(*id), math.MaxUint32})
+	}
+	for _, c := range checks {
+		if c.v > c.max {
+			fmt.Fprintf(os.Stderr, "twoldag %s: -%s %d out of range [0, %d]\n", name, c.name, c.v, c.max)
+			return 2
+		}
+	}
+	if *crashNode < -1 || int64(*crashNode) > math.MaxUint32 {
+		fmt.Fprintf(os.Stderr, "twoldag %s: -crash-node %d out of range [-1, %d]\n", name, *crashNode, math.MaxUint32)
+		return 2
+	}
+
 	cfg := cluster.Config{
 		Join:           join,
 		JoinAddr:       *addr,
@@ -79,7 +104,6 @@ func runHost(args []string, join bool) int {
 		RequestTimeout: *timeout,
 		DataDir:        *dataDir,
 		TrustCap:       *trustCap,
-		CompactEvery:   *compactEvery,
 	}
 	if !join {
 		cfg.ID = identity.NodeID(*id)
@@ -87,7 +111,7 @@ func runHost(args []string, join bool) int {
 		fmt.Fprintln(os.Stderr, "twoldag join: -addr is required")
 		return 2
 	}
-	if *drop > 0 || *crashNode >= 0 {
+	if *drop != 0 || *crashNode >= 0 {
 		cfg.Plan = faults.Plan{Seed: *seed, DropRate: *drop}
 		if *crashNode >= 0 {
 			cfg.Plan.Crashes = []faults.CrashWindow{{

@@ -50,7 +50,7 @@ func (l *sealedLog) of(ref Ref) (Digest, bool) {
 func TestDurableReadsAcrossCompactions(t *testing.T) {
 	dir := t.TempDir()
 	sealed := &sealedLog{digest: map[Ref]Digest{}}
-	rt := newRuntime(t, append(baseOptions(6, 1), WithDataDir(dir), WithCompactEvery(3), WithObserver(sealed))...)
+	rt := compactEvery(newRuntime(t, append(baseOptions(6, 1), WithDataDir(dir), WithObserver(sealed))...), 3)
 	c := rt.(*Cluster)
 	ids := rt.Nodes()
 

@@ -4,11 +4,14 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"io/fs"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 
+	"github.com/twoldag/twoldag/internal/cluster"
 	"github.com/twoldag/twoldag/internal/ledger"
 )
 
@@ -68,8 +71,8 @@ func TestSubmitBatchDurableOneWindow(t *testing.T) {
 	for _, workers := range []int{1, 4} {
 		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
 			obs := &windowLog{}
-			rt := newRuntime(t, append(baseOptions(8, 1), WithObserver(obs),
-				WithDataDir(t.TempDir()), WithCompactEvery(3), WithWorkers(workers))...)
+			rt := compactEvery(newRuntime(t, append(baseOptions(8, 1), WithObserver(obs),
+				WithDataDir(t.TempDir()), WithWorkers(workers))...), 3)
 			ids := rt.Nodes()
 			ctx := context.Background()
 			// Six blocks per device over a threshold of three: compactions
@@ -107,6 +110,54 @@ func TestSubmitBatchDurableOneWindow(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestCompactionAtDefaultThreshold: left alone, the live driver
+// compacts at cluster.DefaultCompactEvery. One batch takes a device
+// past that many block records in the current generation, and the log
+// compacts exactly once inside it — wal.old gone, the blocks in the
+// device's segment under a checkpoint, its pending count started over
+// — without a commit window of its own: one window per round.
+func TestCompactionAtDefaultThreshold(t *testing.T) {
+	const (
+		owner  = NodeID(0)
+		rounds = cluster.DefaultCompactEvery + 4
+	)
+	dir := t.TempDir()
+	obs := &windowLog{}
+	rt := newRuntime(t, append(baseOptions(3, 1), WithDifficulty(0), WithDataDir(dir), WithObserver(obs))...)
+	rt.AdvanceSlot()
+	obs.take()
+	batch := make([]Submission, rounds)
+	for i := range batch {
+		batch[i] = Submission{Node: owner, Data: []byte(fmt.Sprint("reading ", i))}
+	}
+	if _, err := rt.SubmitBatch(context.Background(), batch); err != nil {
+		t.Fatal(err)
+	}
+	windows := 0
+	for _, e := range obs.take() {
+		if strings.HasPrefix(e, "commit") {
+			windows++
+			if e != "commit 1" {
+				t.Fatalf("window %d is %q, want one block's", windows, e)
+			}
+		}
+	}
+	if windows != rounds {
+		t.Fatalf("%d commit windows for %d rounds", windows, rounds)
+	}
+	if p := rt.(*Cluster).devs[owner].Backend().PendingBlocks(); p != rounds-cluster.DefaultCompactEvery {
+		t.Fatalf("%d pending blocks after %d rounds, want the %d since one compaction", p, rounds, rounds-cluster.DefaultCompactEvery)
+	}
+	if _, err := os.Stat(filepath.Join(dir, "wal.old")); !errors.Is(err, fs.ErrNotExist) {
+		t.Fatalf("wal.old outlived the compaction: %v", err)
+	}
+	for _, name := range []string{"checkpoint.2ldg", "blocks.seg"} {
+		if _, err := os.Stat(filepath.Join(dir, fmt.Sprintf("node-%d", owner), name)); err != nil {
+			t.Fatalf("no %s after the compaction: %v", name, err)
+		}
 	}
 }
 
@@ -341,7 +392,7 @@ func TestRestartAfterDamagedCheckpoint(t *testing.T) {
 // them all.
 func TestSilencedAcrossCompactions(t *testing.T) {
 	dir := t.TempDir()
-	rt := newRuntime(t, append(baseOptions(6, 1), WithDataDir(dir), WithCompactEvery(3))...)
+	rt := compactEvery(newRuntime(t, append(baseOptions(6, 1), WithDataDir(dir))...), 3)
 	c := rt.(*Cluster)
 	ctx := context.Background()
 	fillBatch(t, rt, 2)
@@ -377,7 +428,7 @@ func TestSilencedAcrossCompactions(t *testing.T) {
 	if err := rt.Close(); err != nil {
 		t.Fatal(err)
 	}
-	rt2 := newRuntime(t, append(baseOptions(6, 1), WithDataDir(dir), WithCompactEvery(3))...)
+	rt2 := compactEvery(newRuntime(t, append(baseOptions(6, 1), WithDataDir(dir))...), 3)
 	for id, d := range digests(t, rt2.(*Cluster), rt2.Nodes()) {
 		if d != want[id] {
 			t.Errorf("node %v cold-started into another state", id)

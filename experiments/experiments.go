@@ -346,9 +346,9 @@ func Fig9(scale Scale) ([]*FigResult, error) {
 	return out, nil
 }
 
-// Ablations regenerates the design-choice studies DESIGN.md calls out:
-// WPS vs random vs shortest-path-first selection (ABL-WPS), and H_i
-// caching on/off (ABL-TPS). Both switches (Strategy, DisableTrust)
+// Ablations regenerates two design-choice studies: WPS vs random vs
+// shortest-path-first selection (ABL-WPS), and H_i caching on/off
+// (ABL-TPS). Both switches (Strategy, DisableTrust)
 // are figure-only knobs the public facade does not expose, so the
 // ablation runs stay on the internal config.
 func Ablations(scale Scale) ([]*FigResult, error) {

@@ -212,7 +212,7 @@ func TestMessageBoundDominatesHonestSimulator(t *testing.T) {
 		t.Fatal(err)
 	}
 	got := float64(res.MessagesSent + res.MessagesReceived)
-	// Negative reproduction finding (recorded in EXPERIMENTS.md): the
+	// Negative reproduction finding: the
 	// paper's Prop. 6 ceiling does NOT hold for equal-rate networks —
 	// its Eq. 19 path-length argument bounds micro-loops by rate
 	// ratios, but WPS executions revisit node pairs far more often

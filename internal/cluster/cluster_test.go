@@ -7,6 +7,7 @@ import (
 	"encoding/json"
 	"errors"
 	"io"
+	"os"
 	"runtime"
 	"strings"
 	"sync"
@@ -88,6 +89,44 @@ func startHosts(t *testing.T, n int, seed int64, mutate func(id identity.NodeID,
 		t.Cleanup(func() { _ = h.Close() })
 	}
 	return hosts
+}
+
+// TestStartRejectsBadConfig: Start refuses what the facade refuses —
+// a γ no audit of the cluster can reach, a negative trust cap, an
+// invalid fault plan or retry policy — before it binds a port or opens
+// a data dir.
+func TestStartRejectsBadConfig(t *testing.T) {
+	retry := faults.RetryPolicy{MaxAttempts: 3, BaseDelay: 20 * time.Millisecond, MaxDelay: 200 * time.Millisecond}
+	for _, tc := range []struct {
+		name   string
+		mutate func(*Config)
+		want   string
+	}{
+		{"gamma past the node count", func(c *Config) { c.Gamma = 7 }, "gamma 7 out of range for 3 nodes"},
+		{"gamma equal to the node count", func(c *Config) { c.Gamma = 3 }, "gamma 3 out of range"},
+		{"negative gamma", func(c *Config) { c.Gamma = -1 }, "gamma -1 out of range"},
+		{"negative trust cap", func(c *Config) { c.TrustCap = -4 }, "TrustCap -4"},
+		{"drop rate above one", func(c *Config) { c.Plan = faults.Plan{Seed: 1, DropRate: 1.5} }, "DropRate 1.5"},
+		{"retry jitter above one", func(c *Config) { c.Retry = retry; c.Retry.Jitter = 2 }, "Jitter 2"},
+		{"negative retry base", func(c *Config) { c.Retry = retry; c.Retry.BaseDelay = -time.Second }, "BaseDelay -1s"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			cfg := Config{ID: 0, Nodes: 3, Seed: 7, Gamma: 1, Difficulty: 2, DataDir: dir}
+			tc.mutate(&cfg)
+			h, err := Start(cfg)
+			if err == nil {
+				_ = h.Close()
+				t.Fatal("Start accepted the config")
+			}
+			if !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("Start: %v, want an error naming %q", err, tc.want)
+			}
+			if entries, _ := os.ReadDir(dir); len(entries) != 0 {
+				t.Fatalf("the refused Start wrote %d entries into the data dir", len(entries))
+			}
+		})
+	}
 }
 
 func TestHostDirectoryExchange(t *testing.T) {

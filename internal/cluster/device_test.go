@@ -67,7 +67,7 @@ func TestHostStartFailureReleasesDataDir(t *testing.T) {
 			t.Fatal(err)
 		}
 		_, err := Start(Config{
-			ID: 0, Nodes: 1, Seed: 7, Gamma: 1, Difficulty: 2,
+			ID: 0, Nodes: 1, Seed: 7, Gamma: 0, Difficulty: 2,
 			RequestTimeout: 2 * time.Second,
 			DataDir:        dir,
 		})
@@ -122,7 +122,7 @@ func TestRecoveryHostRefusesEarlierBuildDir(t *testing.T) {
 		t.Fatal(err)
 	}
 	_, err := Start(Config{
-		ID: 0, Nodes: 1, Seed: 7, Gamma: 1, Difficulty: 2,
+		ID: 0, Nodes: 1, Seed: 7, Gamma: 0, Difficulty: 2,
 		RequestTimeout: 2 * time.Second,
 		DataDir:        dir,
 	})
@@ -140,6 +140,7 @@ func TestRecoveryHostRefusesEarlierBuildDir(t *testing.T) {
 func TestHostCommitObserverBehindMulti(t *testing.T) {
 	counters := &metrics.EventCounters{}
 	hosts := startHosts(t, 1, 7, func(_ identity.NodeID, cfg *Config) {
+		cfg.Gamma = 0 // one device: no neighbour can vouch
 		cfg.DataDir = t.TempDir()
 		cfg.Observer = events.Multi(counters, events.Nop{})
 	})

@@ -8,7 +8,8 @@
 //     into. It closes node first, then backend.
 //   - Sealer is the seal stage: a batch sealed in rounds, one commit
 //     window per round, blocks published only once their window's fsync
-//     returned, the log compacted between rounds. AckTracker.Announce
+//     returned, the log compacted between rounds once one device has
+//     DefaultCompactEvery block records in it. AckTracker.Announce
 //     is the stage after it: the batch's digests announced and their
 //     acknowledgements awaited.
 //   - PlanJoin and PlaceJoiner are the one joiner-placement rule.

@@ -69,17 +69,14 @@ type Config struct {
 	// segment + checkpoint backend (ledger.FileBackend) opens there, the
 	// node recovers its whole prior state (S_i, H_i, A_i) before
 	// serving, every sealed block is fsynced before Seal returns it or
-	// any peer can read it, and every CompactEvery blocks the WAL's
-	// blocks move to the segment and the rest of the state to a fresh
-	// checkpoint. Empty = in-memory only (the no-op backend).
+	// any peer can read it, and every DefaultCompactEvery blocks the
+	// WAL's blocks move to the segment and the rest of the state to a
+	// fresh checkpoint. Empty = in-memory only (the no-op backend).
 	DataDir string
 	// TrustCap bounds H_i to that many headers (FIFO eviction;
 	// 0 = unbounded). With DataDir set the cap is persisted in the
 	// checkpoint and survives restarts even if the flag is dropped.
 	TrustCap int
-	// CompactEvery is the WAL compaction threshold in block records
-	// (default 256; only meaningful with DataDir).
-	CompactEvery int
 
 	// backendOpts go to the data dir's log: set only by tests, to inject
 	// storage faults under it.
@@ -136,6 +133,18 @@ type Host struct {
 func Start(cfg Config) (*Host, error) {
 	if cfg.Nodes <= 0 {
 		return nil, errors.New("cluster: Config.Nodes must be positive")
+	}
+	if cfg.Gamma < 0 || cfg.Gamma >= cfg.Nodes {
+		return nil, fmt.Errorf("cluster: gamma %d out of range for %d nodes", cfg.Gamma, cfg.Nodes)
+	}
+	if cfg.TrustCap < 0 {
+		return nil, fmt.Errorf("cluster: Config.TrustCap %d: cap must be non-negative", cfg.TrustCap)
+	}
+	if err := cfg.Plan.Validate(); err != nil {
+		return nil, fmt.Errorf("cluster: Config.Plan: %w", err)
+	}
+	if err := cfg.Retry.Validate(); err != nil {
+		return nil, fmt.Errorf("cluster: Config.Retry: %w", err)
 	}
 	if cfg.Join && cfg.JoinAddr == "" {
 		return nil, errors.New("cluster: Join mode requires JoinAddr")
@@ -299,9 +308,8 @@ func (h *Host) startNode() error {
 		return err
 	}
 	h.seal = Sealer{
-		CompactEvery: h.cfg.CompactEvery,
-		Workers:      1,
-		Device:       func(identity.NodeID) (*Device, error) { return h.dev, nil },
+		Workers: 1,
+		Device:  func(identity.NodeID) (*Device, error) { return h.dev, nil },
 	}
 	if fb != nil {
 		// The device has recovered: compact what the log held, as a

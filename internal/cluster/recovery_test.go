@@ -14,6 +14,7 @@ import (
 	"github.com/twoldag/twoldag/internal/digest"
 	"github.com/twoldag/twoldag/internal/identity"
 	"github.com/twoldag/twoldag/internal/ledger"
+	"github.com/twoldag/twoldag/internal/metrics"
 	"github.com/twoldag/twoldag/internal/wire"
 )
 
@@ -268,11 +269,11 @@ func TestRecoveryHostKillPoints(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			cfg := base
 			cfg.DataDir = t.TempDir()
-			cfg.CompactEvery = tc.compactEvery
 			h, err := Start(cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
+			h.seal.CompactEvery = tc.compactEvery
 			run(t, h, tc.flush)
 			before := h.StateDigest()
 			if before != oracle {
@@ -356,10 +357,12 @@ func (s faultySync) Sync() error {
 func TestRecoveryHostSealFailedWindowPublishesNothing(t *testing.T) {
 	const seed = 13
 	faults := &syncFaults{}
+	windows := &metrics.EventCounters{}
 	dir := t.TempDir()
 	hosts := startHosts(t, 2, seed, func(id identity.NodeID, cfg *Config) {
 		if id == 0 {
 			cfg.DataDir = dir
+			cfg.Observer = windows
 			cfg.backendOpts = []ledger.BackendOption{faults.option()}
 		}
 	})
@@ -367,9 +370,9 @@ func TestRecoveryHostSealFailedWindowPublishesNothing(t *testing.T) {
 	seal := func(slot uint32) (block.Ref, digest.Digest, error) {
 		t.Helper()
 		h.SetSlot(slot)
-		before := h.dev.backend.WALStats().Fsyncs
+		before := windows.WALFsyncs()
 		ref, d, err := h.Seal([]byte{byte(slot)})
-		if err == nil && h.dev.backend.WALStats().Fsyncs <= before {
+		if err == nil && windows.WALFsyncs() <= before {
 			t.Fatalf("Seal of slot %d returned before an fsync covered its block", slot)
 		}
 		return ref, d, err
@@ -444,11 +447,11 @@ func TestRecoveryCloseMidAppend(t *testing.T) {
 		ID: 0, Nodes: 1, Seed: 7, Gamma: 0, Difficulty: 2,
 		RequestTimeout: time.Second,
 		DataDir:        dir,
-		CompactEvery:   4, // exercise compaction concurrently too
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
+	h.seal.CompactEvery = 4 // exercise compaction concurrently too
 	h.SetSlot(1)
 
 	type acked struct {

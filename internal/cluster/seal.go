@@ -11,8 +11,10 @@ import (
 	"github.com/twoldag/twoldag/internal/par"
 )
 
-// DefaultCompactEvery is the WAL compaction threshold (in block
-// records of one owner) when Sealer.CompactEvery is zero.
+// DefaultCompactEvery is the WAL compaction threshold of both live
+// drivers, in block records of one owner in the log's current
+// generation: it bounds wal.log's growth (devices x threshold blocks)
+// and the recovery replay tail.
 const DefaultCompactEvery = 256
 
 // Submission is one block to seal: Data for device Node's next block.
@@ -29,8 +31,8 @@ type Sealer struct {
 	// its data dir, or the one a Host's backend owns. Nil when their
 	// ledgers live in memory.
 	Log *ledger.Log
-	// CompactEvery is the compaction threshold in block records of one
-	// owner (0 = DefaultCompactEvery).
+	// CompactEvery overrides DefaultCompactEvery when positive. Tests
+	// set it to compact at small block counts; the drivers leave it 0.
 	CompactEvery int
 	// Workers bounds the goroutines that seal a round side by side (0 =
 	// GOMAXPROCS; 1 seals on the caller in batch order).

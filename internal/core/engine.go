@@ -32,7 +32,7 @@ type Engine struct {
 	cache   *ledger.DigestCache
 	trust   *ledger.TrustStore
 	vcache  *block.VerifyCache
-	backend ledger.Backend // nil when the node is in-memory only
+	backend *ledger.FileBackend // nil when the node is in-memory only
 
 	// Seal scratch: neighbor list and Δ refs are assembled here
 	// instead of fresh slices per block. Seal is not safe for
@@ -66,7 +66,7 @@ type EngineOptions struct {
 	// injected (recovered) state, so recovery itself is never
 	// re-journaled. The engine does not manage the backend's
 	// lifecycle; whoever opened it closes it.
-	Backend ledger.Backend
+	Backend *ledger.FileBackend
 	// VerifyCache replaces the engine-private cache. Verification
 	// results are objective facts about sealed headers (the cache keys
 	// on header hash and records only successes), so engines that share
@@ -129,7 +129,7 @@ func NewEngineWith(key identity.KeyPair, params block.Params, topo *topology.Gra
 }
 
 // FlushJournal writes the backend's buffered records without an fsync
-// (ledger.Backend.Flush), so a crash of this process no longer loses
+// (ledger.FileBackend.Flush), so a crash of this process no longer loses
 // them. A no-op for in-memory engines.
 func (e *Engine) FlushJournal() error {
 	if e.backend == nil {
@@ -214,7 +214,7 @@ func (e *Engine) OnDigestsFrom(from identity.NodeID, ds []digest.Digest) error {
 
 // Seal assembles, mines and signs the node's next block and, on a
 // durable engine, stages its record in the backend
-// (ledger.Backend.StageBlock) without appending it to S_i; with no
+// (ledger.FileBackend.StageBlock) without appending it to S_i; with no
 // backend it only builds the block. The driver seals a round of
 // engines this way, closes the window they share with one fsync, and
 // then Publishes each block — or, when the window failed, publishes

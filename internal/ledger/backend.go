@@ -12,9 +12,9 @@ import (
 // holder of its own ledger S_i — a node that reboots and loses state
 // loses data nobody else stores). The ledger structures stay in-memory
 // and index-rich; durability is layered underneath them through a
-// Journal that observes every mutation, and a Backend that can compact
-// the journal — each sealed block into an append-only segment, the
-// rest of the node into a checkpoint — and recover the whole node
+// Journal that observes every mutation, and a FileBackend that can
+// compact the journal — each sealed block into an append-only segment,
+// the rest of the node into a checkpoint — and recover the whole node
 // state after a crash.
 //
 // # Sealed-immutability contract
@@ -22,10 +22,10 @@ import (
 // Every value handed to a Journal is sealed and immutable by the
 // codebase-wide contract (see the block package doc): Store.Append
 // seals before logging, TrustStore.Add stores sealed headers, and
-// digests are values. A Backend must treat them as read-only — it may
+// digests are values. A journal must treat them as read-only — it may
 // retain references across calls (they never mutate), and it must
 // never hand a logged block or header to anything that writes to it.
-// Conversely, everything a Backend returns from Recover must be fully
+// Conversely, everything FileBackend.Recover returns must be fully
 // sealed again: replay decodes wire bytes, so RecoverOptions.Params is
 // used to re-seal (block.Params.SealBlock) and — when a Ring is given
 // — authenticate each block before it re-enters a Store (see
@@ -67,9 +67,9 @@ type Journal interface {
 
 // NodeState is the whole recoverable state of one node's ledger: the
 // own-block log S_i, the PoP trust store H_i (with its FIFO cap), and
-// the neighbor digest cache A_i. FileBackend keeps S_i in a segment and
-// the rest in a checkpoint (see checkpoint.go), Backend.Recover returns
-// it, and Digest names it.
+// the neighbor digest cache A_i. FileBackend keeps S_i in a segment
+// and the rest in a checkpoint (see checkpoint.go), FileBackend.Recover
+// returns it, and Digest names it.
 type NodeState struct {
 	Store *Store
 	Trust *TrustStore
@@ -102,7 +102,7 @@ func (st *NodeState) Attach(j Journal) {
 	st.Cache.SetJournal(j)
 }
 
-// RecoverOptions parameterizes Backend.Recover.
+// RecoverOptions parameterizes FileBackend.Recover.
 type RecoverOptions struct {
 	// Owner is the recovering node; a checkpoint or segment of a
 	// different node, or a log of one that a backend owns alone
@@ -131,67 +131,4 @@ type RecoverOptions struct {
 	// redeployment with a new -trust-cap wins); 0 adopts the recorded
 	// cap so the bound survives restarts unconfigured.
 	TrustCap int
-}
-
-// Backend is the pluggable durability layer under a node's ledger: a
-// Journal plus compaction/recovery lifecycle. The in-memory default is
-// simply the absence of one (nil journal everywhere); FileBackend is
-// the file-backed implementation (append-only WAL, compacted into an
-// append-only block segment and a checkpoint).
-type Backend interface {
-	Journal
-
-	// Recover rebuilds the node state recorded so far: checkpoint and
-	// segment first, then WAL replay (a torn tail cut off as the log
-	// opened). It writes nothing; compacting what it replayed is the
-	// opener's, once every owner of the log has recovered. On a fresh
-	// backend it returns an empty state. Call once, before attaching the
-	// backend as journal and before the node sees traffic.
-	Recover(opts RecoverOptions) (*NodeState, error)
-
-	// Compact commits the owner's state to its segment and a fresh
-	// checkpoint: the blocks the segment lacks are appended to it, the
-	// rest of the state replaces the checkpoint; a backend that owns its
-	// log rotates the WAL first and drops the rotated generation after.
-	// gather must return a consistent view of the current state,
-	// continuing the blocks the segment holds; mutations logged meanwhile
-	// land in the WAL and replay idempotently on recovery. A failure is
-	// returned and also kept as the sticky error Sync and Close report.
-	Compact(gather func() (*NodeState, error)) error
-
-	// PendingBlocks reports how many block records the current WAL
-	// generation holds — the compaction trigger.
-	PendingBlocks() int
-
-	// StageBlock logs b's record into the open commit window and
-	// returns without writing it (unless the log's buffer is full) or
-	// waiting for an fsync: the Commit that closes the window writes and
-	// fsyncs it. A LogBlock of the same block afterwards logs nothing: it
-	// only acknowledges the window's fsync, closing the window itself if
-	// no Commit has. A driver that stages a whole round of blocks, commits once
-	// and then appends them to their stores pays one write and one fsync
-	// for the round, and no block of it is visible before it is durable.
-	StageBlock(b *block.Block) error
-
-	// Commit closes the current commit window: it writes every buffered
-	// record and fsyncs every record logged since the last fsync — the
-	// acknowledgement point drivers invoke at their flush boundary. A
-	// failed write or fsync, here or earlier in the window, fails every
-	// block record of the window, and Commit reports it. A no-op when
-	// nothing was logged.
-	Commit() error
-
-	// Flush writes every buffered record without an fsync, so a process
-	// kill no longer loses it: what a node calls before it acknowledges
-	// a digest on the wire.
-	Flush() error
-
-	// Sync writes and fsyncs everything logged so far, and surfaces any
-	// deferred journal error (trust, digest and forget records are
-	// buffered; one lost to storage is reported here and on Close).
-	Sync() error
-
-	// Close syncs and releases the backend. Journal calls after Close
-	// return ErrBackendClosed.
-	Close() error
 }

@@ -105,10 +105,12 @@ const (
 	legacySnapshotName = "snapshot.2ldg"
 )
 
-// FileBackend is the file-backed ledger Backend of one owner: its
-// records in the data dir's Log plus its own segment and checkpoint.
-// Safe for concurrent journal use; Compact may run concurrently with
-// logging.
+// FileBackend is the durability layer under one owner's ledger: the
+// Journal of its node's structures, writing its records to the data
+// dir's Log, plus its own segment and checkpoint, with the compaction
+// and recovery lifecycle over them. An in-memory node has none (a nil
+// journal everywhere). Safe for concurrent journal use; Compact may run
+// concurrently with logging.
 type FileBackend struct {
 	log  *Log
 	dir  string // keeps segment and checkpoint
@@ -181,8 +183,11 @@ func (l *Log) OpenBackend(dir string) (*FileBackend, error) {
 	return &FileBackend{log: l, dir: dir}, nil
 }
 
-// Recover rebuilds the node state from checkpoint, segment and WAL (see
-// Backend). With opts.Ring its blocks cost hashing plus one signature
+// Recover rebuilds the node state recorded so far: checkpoint and
+// segment first, then WAL replay (a torn tail cut off as the log
+// opened); on a fresh backend it returns an empty state. Call it once,
+// before attaching the backend as journal and before the node sees
+// traffic. With opts.Ring its blocks cost hashing plus one signature
 // per replayed chain, its H_i one signature per header
 // (RecoverOptions.Ring). It writes nothing of its own — it only
 // deletes a checkpoint.tmp an interrupted compaction left — so the
@@ -490,8 +495,14 @@ func (fb *FileBackend) stageLocked(b *block.Block) error {
 }
 
 // StageBlock logs b's record into the open commit window and returns
-// (see Backend): the Commit that closes the window writes and fsyncs
-// it, and the LogBlock that follows finds it there.
+// without writing it (unless the log's buffer is full) or waiting for
+// an fsync: the Log.Commit that closes the window writes and fsyncs it.
+// A LogBlock of the same block afterwards logs nothing: it only
+// acknowledges the window's fsync, closing the window itself if no
+// Commit has. A driver that stages a whole round of blocks, commits
+// once and then appends them to their stores pays one write and one
+// fsync for the round, and no block of it is visible before it is
+// durable.
 func (fb *FileBackend) StageBlock(b *block.Block) error {
 	l := fb.log
 	l.mu.Lock()
@@ -587,9 +598,6 @@ func (fb *FileBackend) RecoveryReport() RecoveryReport {
 	return fb.report
 }
 
-// WALStats returns the log's durability counters since open.
-func (fb *FileBackend) WALStats() WALStats { return fb.log.WALStats() }
-
 // Log returns the log the backend writes its records to.
 func (fb *FileBackend) Log() *Log { return fb.log }
 
@@ -600,6 +608,10 @@ func (fb *FileBackend) Log() *Log { return fb.log }
 // owners' records, so only its own segment and checkpoint are written —
 // which is what has to happen before it is closed for good, and with
 // nothing sealed since the last compaction is a checkpoint alone.
+// gather must return a consistent view of the current state,
+// continuing the blocks the segment holds; mutations logged meanwhile
+// land in the WAL and replay idempotently on recovery. A failure is
+// returned and also kept as the sticky error Sync and Close report.
 func (fb *FileBackend) Compact(gather func() (*NodeState, error)) error {
 	only := fb
 	if fb.owns {
@@ -608,15 +620,14 @@ func (fb *FileBackend) Compact(gather func() (*NodeState, error)) error {
 	return fb.log.compact(only, func(identity.NodeID) (*NodeState, error) { return gather() })
 }
 
-// Commit closes the log's current commit window (see Log.Commit).
-func (fb *FileBackend) Commit() error { return fb.log.Commit() }
-
 // Sync closes the log's current commit window and surfaces its sticky
-// error (see Log.Sync).
+// error (see Log.Sync): a trust, digest or forget record lost to
+// storage is reported here and on Close.
 func (fb *FileBackend) Sync() error { return fb.log.Sync() }
 
 // Flush writes the log's buffered records without an fsync (see
-// Log.Flush).
+// Log.Flush), so a process kill no longer loses them: what a node calls
+// before it acknowledges a digest on the wire.
 func (fb *FileBackend) Flush() error { return fb.log.Flush() }
 
 // Close commits any open window and closes the backend; a backend

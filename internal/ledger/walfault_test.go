@@ -41,6 +41,7 @@ type walFaults struct {
 	err                                         error  // what a failing call returns (errInjected when nil)
 	only                                        string // when set, the path of the one file that fails (of a rename: the old path; of a dir fsync: the dir)
 	onRename                                    func(oldpath, newpath string)
+	windows                                     commitLog // the windows the log closed
 }
 
 // take reports whether the call of kind n on the file at path fails,
@@ -100,9 +101,10 @@ func (ff faultyFile) Truncate(size int64) error {
 	return ff.WALFile.Truncate(size)
 }
 
-// options puts the faults under a log.
+// options puts the faults under a log, and counts its windows.
 func (f *walFaults) options() []BackendOption {
 	return []BackendOption{
+		WithCommitObserver(&f.windows),
 		WithWALFile(func(w WALFile) WALFile {
 			path := ""
 			if of, ok := w.(*os.File); ok {
@@ -283,7 +285,7 @@ func TestWALFaultSyncFailure(t *testing.T) {
 				}
 			}
 			round(false)
-			fsyncs := w.log.WALStats().Fsyncs
+			fsyncs := faults.windows.count()
 			if midRound {
 				faults.arm(func() { faults.writes = 1 })
 			} else {
@@ -305,7 +307,7 @@ func TestWALFaultSyncFailure(t *testing.T) {
 			// writes first behind the poisoned region.
 			owners[0], owners[2] = owners[2], owners[0]
 			round(false)
-			if got := w.log.WALStats().Fsyncs - fsyncs; got != 2 {
+			if got := faults.windows.count() - fsyncs; got != 2 {
 				t.Fatalf("%d windows acknowledged since the first, want 2: the failed one does not count", got)
 			}
 			strictLog(t, base)
@@ -334,7 +336,7 @@ func TestWALFaultSyncFailure(t *testing.T) {
 				if err := fb.StageBlock(b); err != nil {
 					return err
 				}
-				if err := fb.Commit(); err != nil {
+				if err := fb.Log().Commit(); err != nil {
 					return err
 				}
 				return st.Store.Append(b)
@@ -342,7 +344,7 @@ func TestWALFaultSyncFailure(t *testing.T) {
 			if err := seal(blocks[0]); err != nil {
 				t.Fatal(err)
 			}
-			fsyncs := fb.WALStats().Fsyncs
+			fsyncs := faults.windows.count()
 			faults.arm(func() {
 				if fault == "fsync" {
 					faults.syncs = 1
@@ -362,7 +364,7 @@ func TestWALFaultSyncFailure(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
-			if got := fb.WALStats().Fsyncs - fsyncs; got != 2 {
+			if got := faults.windows.count() - fsyncs; got != 2 {
 				t.Fatalf("%d windows acknowledged since the first, want 2: the failed one does not count", got)
 			}
 			strictLog(t, dir)
@@ -519,7 +521,7 @@ func TestWALFaultRotationDirSync(t *testing.T) {
 			if shared {
 				return w.log.Commit()
 			}
-			return w.fbs[1].Commit()
+			return w.fbs[1].Log().Commit()
 		}
 		// round stages one block per owner and closes the window; the
 		// blocks go to their stores only when it was acknowledged.
@@ -550,7 +552,7 @@ func TestWALFaultRotationDirSync(t *testing.T) {
 			for _, o := range owners {
 				lens[o] = w.sts[o].Store.Len()
 			}
-			fsyncs := w.fbs[1].WALStats().Fsyncs
+			fsyncs := faults.windows.count()
 			faults.arm(func() { faults.dirSyncs, faults.only = 1, logDir })
 			round(t, fx, w, errInjected)
 			for _, o := range owners {
@@ -560,7 +562,7 @@ func TestWALFaultRotationDirSync(t *testing.T) {
 			}
 			// The seam healed: the retry acknowledges the next window.
 			round(t, fx, w, nil)
-			if got := w.fbs[1].WALStats().Fsyncs - fsyncs; got != 1 {
+			if got := faults.windows.count() - fsyncs; got != 1 {
 				t.Fatalf("%d windows acknowledged since the rotation, want 1: the failed one does not count", got)
 			}
 			// The rotation is durable now: no later close fsyncs the dir.

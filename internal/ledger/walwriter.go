@@ -94,15 +94,6 @@ func WithWALFile(wrap func(WALFile) WALFile) BackendOption {
 	return func(l *Log) { l.wrap = wrap }
 }
 
-// WALStats are the log's durability counters since open — how many
-// fsyncs the commit windows cost and how many bytes they made
-// durable. The ratio of blocks logged to Fsyncs is the amortization
-// group commit bought.
-type WALStats struct {
-	Fsyncs         int64
-	BytesCommitted int64
-}
-
 // Log is one data dir's write-ahead log: the wal.log/wal.old
 // generations, the commit windows over them and the compaction that
 // retires them. It serves the FileBackends opened on it — one per
@@ -176,7 +167,6 @@ type Log struct {
 	// open window, and each view counts the block records it has in it.
 	syncedOff int64
 	fsyncs    int64 // commit windows closed since open
-	committed int64 // WAL bytes acknowledged durable since open
 }
 
 // OpenLog opens (creating if needed) dir's log: OpenBackend gives each
@@ -268,13 +258,6 @@ func (l *Log) scanOwners() error {
 		}
 	}
 	return nil
-}
-
-// WALStats returns the durability counters since open.
-func (l *Log) WALStats() WALStats {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return WALStats{Fsyncs: l.fsyncs, BytesCommitted: l.committed}
 }
 
 // PendingBlocks reports the most block records any one owner has in
@@ -479,7 +462,6 @@ func (l *Log) commitLocked() error {
 	bytes := l.goodOff - l.syncedOff
 	l.syncedOff = l.goodOff
 	l.fsyncs++
-	l.committed += bytes
 	if l.obs != nil {
 		l.obs.OnWALCommit(blocks, bytes)
 	}
@@ -489,8 +471,10 @@ func (l *Log) commitLocked() error {
 // Commit closes the current commit window, writing the buffer and
 // fsyncing every record logged since the last fsync: the
 // acknowledgement point of a driver that staged a round of blocks; a
-// cheap no-op when nothing was logged. Unlike Sync it does not surface
-// (or clear) sticky errors — it is a hot-path call.
+// cheap no-op when nothing was logged. A failed write or fsync, here or
+// earlier in the window, fails every block record of the window, and
+// Commit reports it. Unlike Sync it does not surface (or clear) sticky
+// errors — it is a hot-path call.
 func (l *Log) Commit() error {
 	l.mu.Lock()
 	defer l.mu.Unlock()

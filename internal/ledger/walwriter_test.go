@@ -45,6 +45,13 @@ func (c *commitLog) OnWALCommit(blocks int, n int64) {
 	c.bytes += n
 }
 
+// count returns how many windows have closed: one fsync each.
+func (c *commitLog) count() int {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return len(c.windows)
+}
+
 // TestRecoveryGroupCommitBatchWindow pins the staged round's window:
 // N owners of one shared log stage a block each, and one Commit
 // acknowledges all N with exactly one fsync, which the observer sees as
@@ -71,8 +78,8 @@ func TestRecoveryGroupCommitBatchWindow(t *testing.T) {
 					t.Fatalf("owner %v: pending = %d, want 1", o, p)
 				}
 			}
-			if stats := w.log.WALStats(); stats.Fsyncs != 0 {
-				t.Fatalf("%d fsyncs before the round's Commit", stats.Fsyncs)
+			if n := obs.count(); n != 0 {
+				t.Fatalf("%d fsyncs before the round's Commit", n)
 			}
 			if err := w.log.Commit(); err != nil {
 				t.Fatalf("Commit: %v", err)
@@ -80,24 +87,20 @@ func TestRecoveryGroupCommitBatchWindow(t *testing.T) {
 			for _, o := range owners {
 				w.apply(fx, worldOp{kind: 0, owner: o})
 			}
-			stats := w.log.WALStats()
-			if stats.Fsyncs != 1 {
-				t.Fatalf("%d fsyncs for one %d-block round, want 1", stats.Fsyncs, len(owners))
-			}
-			if stats.BytesCommitted == 0 {
-				t.Fatal("no bytes accounted to the window")
-			}
 			obs.mu.Lock()
 			windows, obsBytes := append([]int(nil), obs.windows...), obs.bytes
 			obs.mu.Unlock()
-			if len(windows) != 1 || windows[0] != len(owners) || obsBytes != stats.BytesCommitted {
-				t.Fatalf("observer saw windows=%v bytes=%d, stats=%+v", windows, obsBytes, stats)
+			if len(windows) != 1 || windows[0] != len(owners) {
+				t.Fatalf("observer saw windows=%v for one %d-block round, want one of them all", windows, len(owners))
+			}
+			if obsBytes == 0 {
+				t.Fatal("no bytes accounted to the window")
 			}
 			// Nothing logged since: Commit is a no-op, not another fsync.
 			if err := w.log.Commit(); err != nil {
 				t.Fatal(err)
 			}
-			if got := w.log.WALStats().Fsyncs; got != 1 {
+			if got := obs.count(); got != 1 {
 				t.Fatalf("empty Commit fsynced (%d total)", got)
 			}
 			want := w.states()
@@ -121,7 +124,8 @@ func TestRecoveryGroupCommitBatchWindow(t *testing.T) {
 // collapses them to one stored block — WAL order is irrelevant.
 func TestRecoveryGroupCommitConcurrentAlways(t *testing.T) {
 	dir := t.TempDir()
-	fb, _ := openBackendWith(t, dir, walOpts())
+	obs := &commitLog{}
+	fb, _ := openBackendWith(t, dir, walOpts(), WithCommitObserver(obs))
 	key := identity.Deterministic(1, 1)
 	b0 := chainFor(t, key, 1, nil)[0]
 
@@ -144,11 +148,11 @@ func TestRecoveryGroupCommitConcurrentAlways(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	stats := fb.WALStats()
-	if stats.Fsyncs < 1 || stats.Fsyncs > workers*per {
-		t.Fatalf("fsyncs = %d for %d acknowledged records", stats.Fsyncs, workers*per)
+	fsyncs := obs.count()
+	if fsyncs < 1 || fsyncs > workers*per {
+		t.Fatalf("fsyncs = %d for %d acknowledged records", fsyncs, workers*per)
 	}
-	t.Logf("group commit: %d records acknowledged by %d fsyncs", workers*per, stats.Fsyncs)
+	t.Logf("group commit: %d records acknowledged by %d fsyncs", workers*per, fsyncs)
 	if err := fb.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -170,7 +174,8 @@ func TestSharedLogConcurrentLogBlock(t *testing.T) {
 	const per = 8
 	fx := newWorldFixture(t, owners, per)
 	base := t.TempDir()
-	w := newWorld(t, base, true)
+	obs := &commitLog{}
+	w := newWorld(t, base, true, WithCommitObserver(obs))
 	defer func() { w.close() }()
 	for _, o := range owners {
 		w.open(o)
@@ -194,7 +199,7 @@ func TestSharedLogConcurrentLogBlock(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if n := w.log.WALStats().Fsyncs; n < 1 || n > int64(len(owners)*per) {
+	if n := obs.count(); n < 1 || n > len(owners)*per {
 		t.Fatalf("%d fsyncs for %d acknowledged blocks", n, len(owners)*per)
 	}
 	want := w.states()
@@ -412,7 +417,7 @@ func TestWALWritesPerWindow(t *testing.T) {
 			run   func(fb *FileBackend) error
 			syncs int
 		}{
-			{"Commit", (*FileBackend).Commit, 1},
+			{"Commit", func(fb *FileBackend) error { return fb.Log().Commit() }, 1},
 			{"Sync", (*FileBackend).Sync, 1},
 			{"Close", (*FileBackend).Close, 1},
 			{"Flush", (*FileBackend).Flush, 0},
@@ -458,7 +463,8 @@ func TestWALWritesPerWindow(t *testing.T) {
 	t.Run("unstaged LogBlock", func(t *testing.T) {
 		c := newByteCounter()
 		dir := t.TempDir()
-		fb, st := openBackendWith(t, dir, walOpts(), WithWALFile(c.wrap))
+		obs := &commitLog{}
+		fb, st := openBackendWith(t, dir, walOpts(), WithWALFile(c.wrap), WithCommitObserver(obs))
 		defer fb.Close()
 		st.Cache.Update(7, digest.Sum([]byte("before the block")))
 		if err := st.Store.Append(chainFor(t, identity.Deterministic(1, 1), 1, nil)[0]); err != nil {
@@ -467,8 +473,8 @@ func TestWALWritesPerWindow(t *testing.T) {
 		if writes, syncs := c.calls(walFileName); writes != 1 || syncs != 1 {
 			t.Fatalf("an unstaged LogBlock took %d writes and %d fsyncs, want 1 and 1", writes, syncs)
 		}
-		if stats := fb.WALStats(); stats.Fsyncs != 1 {
-			t.Fatalf("%d windows closed, want the block's own", stats.Fsyncs)
+		if n := obs.count(); n != 1 {
+			t.Fatalf("%d windows closed, want the block's own", n)
 		}
 		// Durable when it returns: the block and the digest before it.
 		fb2, st2 := openBackend(t, copyDir(t, dir), walOpts())
@@ -485,7 +491,8 @@ func TestWALWritesPerWindow(t *testing.T) {
 		fx := newWorldFixture(t, owners, 1)
 		c := newByteCounter()
 		base := t.TempDir()
-		w := newWorld(t, base, true, WithWALFile(c.wrap))
+		obs := &commitLog{}
+		w := newWorld(t, base, true, WithWALFile(c.wrap), WithCommitObserver(obs))
 		defer w.close()
 		for _, o := range owners {
 			w.open(o)
@@ -496,8 +503,8 @@ func TestWALWritesPerWindow(t *testing.T) {
 		if writes, syncs := c.calls(walFileName); writes != 1 || syncs != 1 {
 			t.Fatalf("an unstaged LogBlock took %d writes and %d fsyncs, want 1 and 1", writes, syncs)
 		}
-		if stats := w.log.WALStats(); stats.Fsyncs != 1 {
-			t.Fatalf("%d windows closed, want the block's own", stats.Fsyncs)
+		if n := obs.count(); n != 1 {
+			t.Fatalf("%d windows closed, want the block's own", n)
 		}
 		sameStates(t, "after the acknowledged block", recoverImage(t, dirImage(t, base), true, owners), w.states())
 	})

@@ -87,7 +87,7 @@ type Config struct {
 	// recovery. The node attaches it after restoring State (recovery
 	// is never re-journaled) but does not own it: the caller that
 	// opened the backend syncs and closes it after node.Close.
-	Backend ledger.Backend
+	Backend *ledger.FileBackend
 	// AnnounceAcks switches delivery acknowledgement to the wire: each
 	// ingested announcement (and each pure re-delivery, whose original
 	// ack may have been lost) is answered with a DigestAck frame, and

@@ -11,7 +11,8 @@
 //
 // Storage accounting per node = S_i (own blocks, Eq. 2) + H_i (verified
 // headers, Prop. 2) + optionally the full blocks retained from
-// successful audits (see DESIGN.md on the Fig. 7 calibration).
+// successful audits (Config.RetainVerifiedBlocks, which the Fig. 7
+// flow of package experiments turns on).
 //
 // Each slot runs its phases on one worker pool behind barriers (see
 // Step). Every random choice inside a slot draws from a per-node
@@ -43,6 +44,10 @@ import (
 
 // ErrBadConfig reports invalid simulation parameters.
 var ErrBadConfig = errors.New("sim: invalid config")
+
+// syntheticBodyBytes is the body each generated block materializes:
+// the accounting charges Config.BodyBytes whatever its real size.
+const syntheticBodyBytes = 32
 
 // Config parameterizes one simulation run.
 type Config struct {
@@ -88,11 +93,6 @@ type Config struct {
 	// Difficulty is the PoW difficulty ρ; simulations default to 0 so
 	// runs stay fast (cost accounting never depends on ρ).
 	Difficulty pow.Difficulty
-	// SyntheticBodyBytes is the materialized body size (the accounted
-	// size is always BodyBytes); 0 means 32.
-	SyntheticBodyBytes int
-	// StepBudget caps per-audit probing (0 = core default).
-	StepBudget int
 	// Workers bounds the goroutines running each slot's generation,
 	// announcement and audit phases: 0 uses GOMAXPROCS, 1 runs every
 	// phase inline. It is the scheduler's only knob. Each phase hands
@@ -300,9 +300,6 @@ func New(cfg Config) (*Sim, error) {
 			return nil, fmt.Errorf("sim: generating topology: %w", err)
 		}
 	}
-	if cfg.SyntheticBodyBytes <= 0 {
-		cfg.SyntheticBodyBytes = 32
-	}
 	if cfg.VerifyLag <= 0 {
 		cfg.VerifyLag = g.Len()
 	}
@@ -400,7 +397,6 @@ func (s *Sim) newValidator(id identity.NodeID, i int) (*core.Validator, error) {
 		Trust:       trust,
 		Strategy:    s.cfg.Strategy,
 		RNG:         s.nodeRNG[i],
-		StepBudget:  s.cfg.StepBudget,
 		VerifyCache: s.engines[i].VerifyCache(),
 	})
 }
@@ -537,7 +533,7 @@ func (s *Sim) Step() error {
 	}
 	results := make([]genResult, len(gens))
 	s.pool.RunChunked(len(gens), func(lo, hi int) {
-		body := make([]byte, s.cfg.SyntheticBodyBytes)
+		body := make([]byte, syntheticBodyBytes)
 		for k := lo; k < hi; k++ {
 			i := gens[k]
 			id := s.ids[i]
@@ -976,14 +972,13 @@ func (s *Sim) Silence(id identity.NodeID) error {
 // experiment so probes stay independent).
 func (s *Sim) Verify(validator identity.NodeID, target block.Ref) (*core.Result, error) {
 	v, err := core.NewValidator(core.ValidatorConfig{
-		Self:       validator,
-		Gamma:      s.cfg.Gamma,
-		Params:     s.params,
-		Ring:       s.ring,
-		Topo:       s.graph,
-		Strategy:   s.cfg.Strategy,
-		RNG:        s.rng,
-		StepBudget: s.cfg.StepBudget,
+		Self:     validator,
+		Gamma:    s.cfg.Gamma,
+		Params:   s.params,
+		Ring:     s.ring,
+		Topo:     s.graph,
+		Strategy: s.cfg.Strategy,
+		RNG:      s.rng,
 	})
 	if err != nil {
 		return nil, err

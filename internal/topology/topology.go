@@ -72,8 +72,10 @@ type Config struct {
 }
 
 // DefaultConfig is the paper's Sec. VI deployment: 50 nodes, 50 m range,
-// read as a 1000 m × 1000 m area (see DESIGN.md on the "1000 square
-// meters" reading).
+// read as a 1000 m × 1000 m area. The paper's "1000 square meters",
+// taken literally, is a 31.6 m square inside one 50 m radio range:
+// every node would neighbour every other, and no audit would take a
+// hop.
 func DefaultConfig(seed int64) Config {
 	return Config{Nodes: 50, Width: 1000, Height: 1000, Range: 50, Seed: seed}
 }

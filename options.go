@@ -41,24 +41,23 @@ type Option func(*config) error
 
 // config is the resolved runtime configuration.
 type config struct {
-	sim          bool // WithSimulator; the live driver otherwise
-	nodes        int
-	gamma        int
-	seed         int64
-	topo         *topology.Graph
-	params       block.Params
-	rto          time.Duration
-	transport    TransportKind
-	workers      int
-	observers    []Observer
-	malicious    int
-	bodyBytes    int
-	faultPlan    faults.Plan
-	retry        faults.RetryPolicy
-	dataDir      string
-	trustCap     int
-	compactEvery int
-	backendOpts  []ledger.BackendOption // in-package tests only: fault injection under the log
+	sim         bool // WithSimulator; the live driver otherwise
+	nodes       int
+	gamma       int
+	seed        int64
+	topo        *topology.Graph
+	params      block.Params
+	rto         time.Duration
+	transport   TransportKind
+	workers     int
+	observers   []Observer
+	malicious   int
+	bodyBytes   int
+	faultPlan   faults.Plan
+	retry       faults.RetryPolicy
+	dataDir     string
+	trustCap    int
+	backendOpts []ledger.BackendOption // in-package tests only: fault injection under the log
 }
 
 func defaultConfig() *config {
@@ -242,27 +241,6 @@ func WithDataDir(dir string) Option {
 	}
 }
 
-// WithCompactEvery sets the WAL compaction threshold in block records
-// (default 256). The trigger is log-wide: once any one device has that
-// many blocks in the current generation of the data dir's log, the
-// log rotates once, every running device's blocks since the last
-// compaction are appended to its segment and the rest of its state
-// committed as a fresh checkpoint, and the rotated generation is
-// dropped — bounding both wal.log growth (devices x threshold blocks)
-// and the recovery replay tail, at a cost that follows the blocks
-// sealed since, not the device's lifetime. Devices sealing in step, one
-// block a slot, all compact in the slot of their n-th block. Requires
-// WithDataDir; live driver only.
-func WithCompactEvery(n int) Option {
-	return func(c *config) error {
-		if n <= 0 {
-			return fmt.Errorf("twoldag: WithCompactEvery(%d): threshold must be positive", n)
-		}
-		c.compactEvery = n
-		return nil
-	}
-}
-
 // WithTrustCap bounds every node's trust store H_i to n headers,
 // evicting oldest-inserted first (ledger.TrustStore.SetCap) — the knob
 // that keeps long-lived deployments' memory bounded, on both drivers.
@@ -343,9 +321,6 @@ func (c *config) validate(g *topology.Graph) error {
 		if c.malicious > 0 {
 			return errors.New("twoldag: WithMalicious requires the simulator driver (use Silence on a live cluster)")
 		}
-		if c.compactEvery > 0 && c.dataDir == "" {
-			return errors.New("twoldag: WithCompactEvery requires WithDataDir")
-		}
 	}
 	if c.sim {
 		if c.transport != InMemory {
@@ -353,9 +328,6 @@ func (c *config) validate(g *topology.Graph) error {
 		}
 		if c.dataDir != "" {
 			return errors.New("twoldag: WithDataDir applies to the live driver only")
-		}
-		if c.compactEvery > 0 {
-			return errors.New("twoldag: WithCompactEvery applies to the live driver only")
 		}
 		if c.faultPlan.Active() {
 			return errors.New("twoldag: WithFaults applies to the live driver only")

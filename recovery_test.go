@@ -32,9 +32,10 @@ type recoveryRun struct {
 // submit slot, then audits — against a durable live cluster rooted at
 // dataDir. When kill is set, the victim is silenced (backend flushed
 // and closed) and restarted from its data dir inside the crash window,
-// with its recovery byte-checked against its pre-kill state. extra
+// with its recovery byte-checked against its pre-kill state. every,
+// when positive, is the compaction threshold (compactEvery); extra
 // options (e.g. WithWorkers) ride on top of the fixed world.
-func runRecoveryScenario(t *testing.T, dataDir string, kill bool, extra ...Option) recoveryRun {
+func runRecoveryScenario(t *testing.T, dataDir string, kill bool, every int, extra ...Option) recoveryRun {
 	t.Helper()
 	plan := FaultPlan{
 		Seed:    104,
@@ -56,6 +57,7 @@ func runRecoveryScenario(t *testing.T, dataDir string, kill bool, extra ...Optio
 	}
 	defer rt.Close()
 	c := rt.(*Cluster)
+	compactEvery(rt, every)
 
 	ctx := context.Background()
 	ids := rt.Nodes()
@@ -133,13 +135,13 @@ func runRecoveryScenario(t *testing.T, dataDir string, kill bool, extra ...Optio
 // verdicts, and per-node ledger state digests.
 func TestRecoveryFacadeKillRestartEquivalence(t *testing.T) {
 	base := t.TempDir()
-	oracle := runRecoveryScenario(t, filepath.Join(base, "oracle"), false)
+	oracle := runRecoveryScenario(t, filepath.Join(base, "oracle"), false, 0)
 	for i, ok := range oracle.outcomes {
 		if !ok {
 			t.Fatalf("uninterrupted audit %d reached no consensus — not a usable baseline", i)
 		}
 	}
-	crash := runRecoveryScenario(t, filepath.Join(base, "crash"), true)
+	crash := runRecoveryScenario(t, filepath.Join(base, "crash"), true, 0)
 	compareRecoveryRuns(t, crash, oracle)
 }
 
@@ -175,22 +177,23 @@ func compareRecoveryRuns(t *testing.T, crash, oracle recoveryRun) {
 // what the cluster converges to.
 func TestRecoveryFacadeKillRestartOptions(t *testing.T) {
 	base := t.TempDir()
-	oracle := runRecoveryScenario(t, filepath.Join(base, "oracle"), false)
+	oracle := runRecoveryScenario(t, filepath.Join(base, "oracle"), false, 0)
 	for i, ok := range oracle.outcomes {
 		if !ok {
 			t.Fatalf("uninterrupted audit %d reached no consensus — not a usable baseline", i)
 		}
 	}
 	for _, tc := range []struct {
-		name string
-		opts []Option
+		name  string
+		every int
+		opts  []Option
 	}{
-		{"workers=4", []Option{WithWorkers(4)}},
-		{"compact-every=1", []Option{WithCompactEvery(1)}},
-		{"workers=4, compact-every=1", []Option{WithWorkers(4), WithCompactEvery(1)}},
+		{"workers=4", 0, []Option{WithWorkers(4)}},
+		{"compact-every=1", 1, nil},
+		{"workers=4, compact-every=1", 1, []Option{WithWorkers(4)}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			crash := runRecoveryScenario(t, filepath.Join(base, tc.name), true, tc.opts...)
+			crash := runRecoveryScenario(t, filepath.Join(base, tc.name), true, tc.every, tc.opts...)
 			compareRecoveryRuns(t, crash, oracle)
 		})
 	}
@@ -214,7 +217,7 @@ func TestStateDigestGolden(t *testing.T) {
 		6: "692cc332642674aa4b8669fe6be3cf7da84f9b4f734c7c4c1fd6faa8e0a5662c",
 		7: "bd74e0baff721d57e9bfef89054896897a31ee4435e4f0170cfca0f25d227de6",
 	}
-	run := runRecoveryScenario(t, t.TempDir(), false)
+	run := runRecoveryScenario(t, t.TempDir(), false, 0)
 	if len(run.states) != len(golden) {
 		t.Fatalf("%d nodes, golden has %d", len(run.states), len(golden))
 	}
@@ -315,19 +318,20 @@ func TestRecoveryTrustCapSurvivesRestart(t *testing.T) {
 }
 
 // TestRecoveryFacadeCompaction: the facade driver compacts each
-// node's WAL at the configured threshold, so wal.log (and the replay
-// tail a restart pays) stays bounded for the life of a run.
+// node's WAL at the threshold, so wal.log (and the replay tail a
+// restart pays) stays bounded for the life of a run.
 func TestRecoveryFacadeCompaction(t *testing.T) {
 	dir := t.TempDir()
 	rt, err := New(
 		WithNodes(3), WithSeed(7), WithGamma(1), WithDifficulty(2),
-		WithDataDir(dir), WithCompactEvery(2),
+		WithDataDir(dir),
 	)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer rt.Close()
 	c := rt.(*Cluster)
+	compactEvery(rt, 2)
 
 	ctx := context.Background()
 	for tag := byte(1); tag <= 3; tag++ {
@@ -371,17 +375,14 @@ func TestRecoveryFacadeCompaction(t *testing.T) {
 	}
 }
 
-// TestRecoveryCompactEveryValidation pins WithCompactEvery's contract.
-func TestRecoveryCompactEveryValidation(t *testing.T) {
-	if _, err := New(WithNodes(3), WithCompactEvery(0)); err == nil {
-		t.Fatal("WithCompactEvery(0) accepted")
-	}
-	if _, err := New(WithNodes(3), WithCompactEvery(4)); err == nil {
-		t.Fatal("WithCompactEvery accepted without WithDataDir")
-	}
-	if _, err := New(WithNodes(3), WithSimulator(), WithCompactEvery(4)); err == nil {
-		t.Fatal("WithCompactEvery accepted on the simulator driver")
-	}
+// compactEvery has a live runtime compact its log once one device has
+// n block records in the current generation, in place of
+// cluster.DefaultCompactEvery (n <= 0 keeps the default), so a test
+// reaches compactions within a few slots. Call it before the first
+// Submit.
+func compactEvery(rt Runtime, n int) Runtime {
+	rt.(*Cluster).seal.CompactEvery = n
+	return rt
 }
 
 // openUnder lists the files under dir that this process holds open,

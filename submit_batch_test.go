@@ -163,10 +163,11 @@ type workersRun struct {
 
 // runInterleaved drives a fixed seeded workload — four slots, each one
 // batch holding three blocks per owner in a shuffled interleaving —
-// then audits a spread of the older blocks.
-func runInterleaved(t *testing.T, opts ...Option) workersRun {
+// then audits a spread of the older blocks, compacting at every block
+// records of one device when every is positive (compactEvery).
+func runInterleaved(t *testing.T, every int, opts ...Option) workersRun {
 	t.Helper()
-	rt := newRuntime(t, append(baseOptions(8, 2), opts...)...)
+	rt := compactEvery(newRuntime(t, append(baseOptions(8, 2), opts...)...), every)
 	ctx := context.Background()
 	ids := rt.Nodes()
 	rng := rand.New(rand.NewSource(11))
@@ -238,11 +239,11 @@ func TestSubmitBatchWorkersEquivalence(t *testing.T) {
 	for _, durable := range []bool{false, true} {
 		t.Run(map[bool]string{false: "mem", true: "durable"}[durable], func(t *testing.T) {
 			run := func(workers int) workersRun {
-				opts := []Option{WithWorkers(workers)}
+				opts, every := []Option{WithWorkers(workers)}, 0
 				if durable {
-					opts = append(opts, WithDataDir(t.TempDir()), WithCompactEvery(4))
+					opts, every = append(opts, WithDataDir(t.TempDir())), 4
 				}
-				return runInterleaved(t, opts...)
+				return runInterleaved(t, every, opts...)
 			}
 			serial, wide := run(1), run(4)
 			if !reflect.DeepEqual(serial.refs, wide.refs) {

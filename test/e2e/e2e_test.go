@@ -14,14 +14,18 @@
 package e2e
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"os"
 	"os/exec"
 	"path/filepath"
+	"strings"
 	"testing"
+	"time"
 
 	"github.com/twoldag/twoldag"
 	"github.com/twoldag/twoldag/internal/cluster"
@@ -164,6 +168,39 @@ func (p *proc) kill() {
 		p.t.Fatal(err)
 	}
 	_ = p.cmd.Wait() // "signal: killed" is the point
+}
+
+// TestServeRejectsBadFlags: serve refuses, before it listens, every
+// value the facade would refuse — and every value it would otherwise
+// narrow into another one (-difficulty 256 into no proof of work, -id
+// 2^32 into node 0) — exiting non-zero with a one-line error.
+func TestServeRejectsBadFlags(t *testing.T) {
+	for _, bad := range [][]string{
+		{"-difficulty", "256"},
+		{"-id", "4294967296"},
+		{"-gamma", "7"},
+		{"-drop", "1.5"},
+		{"-retry", "3", "-retry-jitter", "2"},
+		{"-retry", "3", "-retry-base", "-1s"},
+		{"-trust-cap", "-4"},
+		{"-crash-node", "-2"},
+	} {
+		t.Run(strings.Join(bad, " "), func(t *testing.T) {
+			ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+			defer cancel()
+			var stderr bytes.Buffer
+			cmd := exec.CommandContext(ctx, bin, append([]string{"serve", "-nodes", "3"}, bad...)...)
+			cmd.Stderr = &stderr
+			err := cmd.Run()
+			var exit *exec.ExitError
+			if !errors.As(err, &exit) || exit.ExitCode() <= 0 {
+				t.Fatalf("serve %v: %v, want a non-zero exit", bad, err)
+			}
+			if lines := strings.Split(strings.TrimSpace(stderr.String()), "\n"); len(lines) != 1 || lines[0] == "" {
+				t.Fatalf("serve %v wrote %q, want one line of error", bad, stderr.String())
+			}
+		})
+	}
 }
 
 // payload is the deterministic per-block body both sides submit.
