@@ -352,7 +352,7 @@ func BenchmarkBlockGeneration(b *testing.B) {
 // BenchmarkHotpathSubmitBatchDurable prices one durable slot on the
 // live driver: 32 devices each seal one 256-byte block (difficulty 2,
 // so the WAL and not the grind is what is timed), the round's records
-// are staged on the WithWorkers pool and its one commit window closes
+// are staged on the GOMAXPROCS-wide seal pool and its one commit window closes
 // with one write and one fsync, and the announcements flush and are
 // acknowledged.
 func BenchmarkHotpathSubmitBatchDurable(b *testing.B) {

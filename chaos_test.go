@@ -200,7 +200,7 @@ func TestChaosCountersAreDeterministic(t *testing.T) {
 			WithSeed(7),
 			WithGamma(1),
 			WithDifficulty(2),
-			WithWorkers(1),
+			withWorkers(1),
 			WithRequestTimeout(250*time.Millisecond),
 			WithFaults(plan),
 			WithRetryPolicy(chaosRetry()),

@@ -17,7 +17,6 @@ import (
 	"github.com/twoldag/twoldag/internal/identity"
 	"github.com/twoldag/twoldag/internal/ledger"
 	"github.com/twoldag/twoldag/internal/node"
-	"github.com/twoldag/twoldag/internal/par"
 	"github.com/twoldag/twoldag/internal/topology"
 	"github.com/twoldag/twoldag/internal/transport"
 )
@@ -310,20 +309,14 @@ func (c *Cluster) Audit(ctx context.Context, validator NodeID, ref Ref) (*AuditR
 	return d.Node().Audit(ctx, ref)
 }
 
-// AuditMany implements Runtime: audits fan out over a worker pool
-// bounded by WithWorkers. A node's one PoP validator holds only
+// AuditMany implements Runtime: audits fan out over a worker pool of
+// GOMAXPROCS goroutines. A node's one PoP validator holds only
 // configuration, builds each audit's state afresh and reads shared
 // state that locks for itself (core.Validator), so any mix of
 // validators — the same one several times included — may run
 // concurrently.
 func (c *Cluster) AuditMany(ctx context.Context, reqs []AuditRequest) []AuditOutcome {
-	out := make([]AuditOutcome, len(reqs))
-	par.ForEach(len(reqs), c.workers, func(i int) {
-		r := reqs[i]
-		res, err := c.Audit(ctx, r.Validator, r.Ref)
-		out[i] = AuditOutcome{Request: r, Result: res, Err: err}
-	})
-	return out
+	return auditMany(ctx, c, c.workers, reqs)
 }
 
 // Block implements Runtime. The returned block is shared store state,

@@ -36,7 +36,6 @@ func runDemo(args []string) int {
 	audits := fs.Int("audits", 5, "number of random audits to run")
 	seed := fs.Int64("seed", 1, "random seed")
 	transport := fs.String("transport", "mem", "message fabric: mem or tcp (tcp = one loopback listener per node, still a single process; use serve/join for cross-host)")
-	workers := fs.Int("workers", 0, "audit worker pool size (0 = GOMAXPROCS)")
 	topoOnly := fs.Bool("topo", false, "print topology statistics and exit")
 	fs.Parse(args)
 
@@ -50,7 +49,6 @@ func runDemo(args []string) int {
 		twoldag.WithGamma(*gamma),
 		twoldag.WithSeed(*seed),
 		twoldag.WithTransport(kind),
-		twoldag.WithWorkers(*workers),
 		twoldag.WithObserver(tally),
 	)
 	if err != nil {

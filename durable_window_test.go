@@ -72,7 +72,7 @@ func TestSubmitBatchDurableOneWindow(t *testing.T) {
 		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
 			obs := &windowLog{}
 			rt := compactEvery(newRuntime(t, append(baseOptions(8, 1), WithObserver(obs),
-				WithDataDir(t.TempDir()), WithWorkers(workers))...), 3)
+				WithDataDir(t.TempDir()), withWorkers(workers))...), 3)
 			ids := rt.Nodes()
 			ctx := context.Background()
 			// Six blocks per device over a threshold of three: compactions
@@ -221,7 +221,7 @@ func TestSubmitBatchFailedWindowPublishesNothing(t *testing.T) {
 			obs := &windowLog{}
 			dir := t.TempDir()
 			opts := append(baseOptions(6, 1), WithObserver(obs), WithDataDir(dir),
-				withSyncFaults(faults), WithWorkers(workers))
+				withSyncFaults(faults), withWorkers(workers))
 			rt, err := New(opts...)
 			if err != nil {
 				t.Fatal(err)

@@ -26,7 +26,6 @@ func main() {
 		twoldag.WithNodes(machines),
 		twoldag.WithGamma(gamma),
 		twoldag.WithSeed(7),
-		twoldag.WithWorkers(4),
 	)
 	if err != nil {
 		log.Fatalf("factory network: %v", err)

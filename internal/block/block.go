@@ -58,7 +58,7 @@ var (
 	ErrPowUnsatisfied = errors.New("block: nonce does not satisfy difficulty")
 	ErrBadVersion     = errors.New("block: unsupported version")
 	ErrNoDigest       = errors.New("block: digest not present in header")
-	ErrBodyTooLarge   = errors.New("block: body exceeds configured size")
+	ErrBodyTooLarge   = errors.New("block: body exceeds the decoder limit")
 )
 
 // DigestRef is one entry of the Digests field Δ: the digest of the latest
@@ -286,8 +286,6 @@ type Params struct {
 	Difficulty pow.Difficulty
 	// LeafSize is the Merkle chunk size for block bodies, in bytes.
 	LeafSize int
-	// MaxBodyBytes bounds accepted body sizes; 0 disables the check.
-	MaxBodyBytes int
 }
 
 // DefaultParams returns the parameters used across the repository:
@@ -334,10 +332,11 @@ func (p Params) SealBlock(b *Block) error {
 
 // Build assembles, mines and signs a block. digests must be the Δ field
 // in final order: own-previous first (zero digest for genesis), then the
-// latest digest cached for each neighbor.
+// latest digest cached for each neighbor. A body longer than MaxBodyLen
+// is refused: no decoder, WAL replay or peer could read the block back.
 func (p Params) Build(key identity.KeyPair, t, seq uint32, body []byte, digests []DigestRef) (*Block, error) {
-	if p.MaxBodyBytes > 0 && len(body) > p.MaxBodyBytes {
-		return nil, fmt.Errorf("%w: %d > %d", ErrBodyTooLarge, len(body), p.MaxBodyBytes)
+	if len(body) > MaxBodyLen {
+		return nil, fmt.Errorf("%w: %d > %d bytes", ErrBodyTooLarge, len(body), MaxBodyLen)
 	}
 	root, err := p.BodyRoot(body)
 	if err != nil {

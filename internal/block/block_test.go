@@ -185,9 +185,16 @@ func TestVerifyChain(t *testing.T) {
 func TestBuildBodyTooLarge(t *testing.T) {
 	key := identity.Deterministic(1, 7)
 	p := testParams()
-	p.MaxBodyBytes = 4
-	if _, err := p.Build(key, 0, 0, []byte("too large"), nil); !errors.Is(err, ErrBodyTooLarge) {
+	if _, err := p.Build(key, 0, 0, make([]byte, MaxBodyLen+1), nil); !errors.Is(err, ErrBodyTooLarge) {
 		t.Fatalf("want ErrBodyTooLarge, got %v", err)
+	}
+	// The largest body Build accepts is one the decoder reads back.
+	b, err := p.Build(key, 0, 0, make([]byte, MaxBodyLen), nil)
+	if err != nil {
+		t.Fatalf("Build of a MaxBodyLen body: %v", err)
+	}
+	if got, err := Decode(Encode(b)); err != nil || len(got.Body) != MaxBodyLen {
+		t.Fatalf("Decode of a MaxBodyLen block: %v", err)
 	}
 }
 

@@ -9,6 +9,7 @@ import (
 	"io"
 	"os"
 	"runtime"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -204,9 +205,19 @@ func TestHostDynamicJoinReanchors(t *testing.T) {
 	for _, h := range append(hosts, joiner) {
 		h.SetSlot(1)
 	}
-	if _, err := joiner.Submit(context.Background(), []byte("joiner-block")); err != nil {
-		t.Fatalf("joiner submit: %v", err)
+	if err := sealAndFlush(joiner, []byte("joiner-block")); err != nil {
+		t.Fatalf("joiner seal+flush: %v", err)
 	}
+}
+
+// sealAndFlush seals one block on h and announces it, waiting for every
+// live neighbour's acknowledgement.
+func sealAndFlush(h *Host, data []byte) error {
+	_, d, err := h.Seal(data)
+	if err == nil {
+		err = h.Flush(context.Background(), []digest.Digest{d})
+	}
+	return err
 }
 
 func TestHostJoinAnchorsPastDeadMember(t *testing.T) {
@@ -530,5 +541,88 @@ func TestHostFlushRetriesAsBatches(t *testing.T) {
 		if k != wire.KindDigestBatch {
 			t.Fatalf("lost frames %v: an announcement left as %v", log.dropped, k)
 		}
+	}
+}
+
+// ackLog records, per acknowledging neighbour, the digests a host's
+// DigestAcks named.
+type ackLog struct {
+	events.Nop
+	mu    sync.Mutex
+	acked map[identity.NodeID][]digest.Digest
+}
+
+func (l *ackLog) OnDigestBatchDelivered(e events.DigestBatchDelivered) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	l.acked[e.To] = append(l.acked[e.To], e.Digests...)
+}
+
+func (l *ackLog) ackedBy(id identity.NodeID, d digest.Digest) bool {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return slices.Contains(l.acked[id], d)
+}
+
+// TestHostIgnoresUnsolicitedPeerList: a PeerList frame nobody asked for
+// (correlation 0) naming a live member dead at a bogus address changes
+// nothing on the host that receives it — the directory, its liveness
+// view and the member's route all stay, so a Seal+Flush still waits
+// for and gets the member's acknowledgement.
+func TestHostIgnoresUnsolicitedPeerList(t *testing.T) {
+	acks := &ackLog{acked: make(map[identity.NodeID][]digest.Digest)}
+	const receiver = 1
+	hosts := startHosts(t, 3, 7, func(id identity.NodeID, cfg *Config) {
+		if id == receiver {
+			cfg.Observer = acks
+		}
+	})
+	r := hosts[receiver]
+	nbs := r.Topology().Neighbors(r.ID())
+	if len(nbs) == 0 {
+		t.Fatal("the receiver has no radio neighbour; test has no power")
+	}
+	victim := nbs[0]
+	var sender *Host
+	for _, h := range hosts {
+		if h != r && h.ID() != victim {
+			sender = h
+		}
+	}
+	live := r.Live()
+	if !slices.Contains(live, victim) {
+		t.Fatalf("victim %v not live before the push: %v", victim, live)
+	}
+
+	pos, _ := r.Topology().Position(victim)
+	hello := wire.NewHello(r.ID(), sender.ID(), wire.HelloInfo{Anchor: wire.NoAnchor}, 0, sender.dev.node.NextNonce())
+	push := wire.NewPeerList(hello, []wire.PeerEntry{{
+		ID: victim, Live: false, Anchor: wire.NoAnchor, X: pos.X, Y: pos.Y, Addr: "127.0.0.1:1",
+	}})
+	if push.Corr != 0 || push.From != sender.ID() || push.To != r.ID() {
+		t.Fatalf("push frame %v→%v corr %d, want %v→%v corr 0", push.From, push.To, push.Corr, sender.ID(), r.ID())
+	}
+	if err := sender.dev.node.Send(context.Background(), r.ID(), push); err != nil {
+		t.Fatal(err)
+	}
+	// The receiver handles frames of one connection in order: once it
+	// has answered a Hello sent after the push, the push was handled.
+	if err := sender.helloExchange(r.ID()); err != nil {
+		t.Fatal(err)
+	}
+
+	if got := r.Live(); !slices.Equal(got, live) {
+		t.Fatalf("an unsolicited PeerList changed Live(): %v, was %v", got, live)
+	}
+	r.SetSlot(1)
+	_, d, err := r.Seal([]byte("after the push"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := r.Flush(context.Background(), []digest.Digest{d}); err != nil {
+		t.Fatalf("Flush: %v", err)
+	}
+	if !acks.ackedBy(victim, d) {
+		t.Fatalf("Flush returned without %v's acknowledgement", victim)
 	}
 }

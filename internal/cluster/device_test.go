@@ -1,7 +1,6 @@
 package cluster
 
 import (
-	"context"
 	"errors"
 	"os"
 	"path/filepath"
@@ -144,13 +143,13 @@ func TestHostCommitObserverBehindMulti(t *testing.T) {
 		cfg.DataDir = t.TempDir()
 		cfg.Observer = events.Multi(counters, events.Nop{})
 	})
-	if _, err := hosts[0].Submit(context.Background(), []byte("reading")); err != nil {
+	if err := sealAndFlush(hosts[0], []byte("reading")); err != nil {
 		t.Fatal(err)
 	}
 	if got := counters.BlocksSealed(); got != 1 {
 		t.Fatalf("BlocksSealed = %d, want 1", got)
 	}
 	if got := counters.WALFsyncs(); got < 1 {
-		t.Fatalf("WALFsyncs = %d after a durable Submit, want at least 1", got)
+		t.Fatalf("WALFsyncs = %d after a durable Seal+Flush, want at least 1", got)
 	}
 }

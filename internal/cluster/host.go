@@ -467,7 +467,8 @@ func (h *Host) onBootstrap(msg *wire.Message) *wire.Message {
 }
 
 // onControl serves membership-plane frames from the node's dispatch
-// loop.
+// loop: Hello and Leave. A PeerList is read only as the reply to this
+// host's own Hello; the node drops an unsolicited one.
 func (h *Host) onControl(env transport.Envelope) {
 	msg := env.Msg
 	switch msg.Kind {
@@ -492,12 +493,6 @@ func (h *Host) onControl(env transport.Envelope) {
 		// A node re-admitting itself clears any open circuit.
 		h.dev.health.ReportSuccess(from)
 		_ = h.dev.node.Send(h.ctx, from, wire.NewPeerList(msg, h.snapshot()))
-	case wire.KindPeerList:
-		// Corr≠0 replies route to the RPC pending map; only pushes land
-		// here.
-		if entries, err := msg.DecodePeerListPayload(); err == nil {
-			h.merge(entries)
-		}
 	case wire.KindLeave:
 		h.MarkDead(msg.From)
 	}
@@ -654,15 +649,6 @@ func (h *Host) Flush(ctx context.Context, ds []digest.Digest) error {
 	actx, cancel := h.opCtx(ctx)
 	defer cancel()
 	return h.tracker.Announce(actx, flush, h.liveNeighbors, h.cfg.Retry, h.obs)
-}
-
-// Submit seals and flushes one block — the single-shot verb.
-func (h *Host) Submit(ctx context.Context, data []byte) (block.Ref, error) {
-	ref, d, err := h.Seal(data)
-	if err == nil {
-		err = h.Flush(ctx, []digest.Digest{d})
-	}
-	return ref, err
 }
 
 // Audit runs PoP from this node against ref.

@@ -50,7 +50,7 @@ var (
 	// ErrTimeout stands for an expired REQ_CHILD timeout τ.
 	ErrTimeout = errors.New("core: request timed out")
 	// ErrStepBudget is returned when path construction exceeds the
-	// configured safety budget.
+	// safety budget DefaultStepBudget.
 	ErrStepBudget = errors.New("core: step budget exhausted")
 )
 
@@ -114,7 +114,8 @@ type Result struct {
 	// Timeouts counts requests that produced no valid reply.
 	Timeouts int
 	// UnionFallback reports that strict path construction exhausted and
-	// the union-semantics retry ran (see ValidatorConfig.StrictPath).
+	// the union-semantics retry ran (see Validator.Verify). Algorithm 3's
+	// strict verdict is Consensus && !UnionFallback.
 	UnionFallback bool
 }
 

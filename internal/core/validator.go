@@ -14,7 +14,8 @@ import (
 )
 
 // DefaultStepBudget bounds the number of candidate probes per
-// verification; Prop. 6 bounds honest executions far below this.
+// path-construction attempt; Prop. 6 bounds honest executions far
+// below this.
 const DefaultStepBudget = 65536
 
 // ValidatorConfig configures a PoP validator.
@@ -47,8 +48,6 @@ type ValidatorConfig struct {
 	// RNG breaks selection ties; nil keeps runs deterministic. A
 	// validator given one must not run Verify concurrently.
 	RNG *rand.Rand
-	// StepBudget caps candidate probes; 0 means DefaultStepBudget.
-	StepBudget int
 	// VerifyCache remembers headers that already passed PoW + signature
 	// checks, so each distinct header is cryptographically verified once
 	// per cache rather than once per audit hop. Nil allocates a fresh
@@ -60,17 +59,6 @@ type ValidatorConfig struct {
 	// may be the one object every device sharing the cache holds:
 	// treat path headers as read-only.
 	VerifyCache *block.VerifyCache
-	// StrictPath disables the union-semantics fallback: consensus then
-	// requires a single path of γ+1 distinct nodes, exactly as the
-	// paper's Algorithm 3 defines it. By default, when strict path
-	// construction exhausts (Algorithm 3's backtracking search is
-	// incomplete — rolled-back subtrees may be viable under other
-	// prefixes), Verify retries counting every node that ever produced
-	// a valid child along the exploration. That is security-equivalent:
-	// each such node owns a block that verifiably descends from the
-	// target, so it vouches transitively (Sec. III-C), and the retry is
-	// a complete decision procedure for γ+1-voucher reachability.
-	StrictPath bool
 }
 
 // Validator runs Proof-of-Path verifications (Algorithm 3).
@@ -99,9 +87,6 @@ func NewValidator(cfg ValidatorConfig) (*Validator, error) {
 	}
 	if cfg.Gamma < 0 {
 		return nil, fmt.Errorf("core: negative gamma %d", cfg.Gamma)
-	}
-	if cfg.StepBudget == 0 {
-		cfg.StepBudget = DefaultStepBudget
 	}
 	if cfg.VerifyCache == nil {
 		cfg.VerifyCache = block.NewVerifyCache()
@@ -159,6 +144,17 @@ func (s *voucherSet) snapshot() []identity.NodeID {
 // retrieving data through f. On success the returned Result has
 // Consensus == true and, when H_i is configured, every header on the
 // path has been cached for future TPS hits (line 39).
+//
+// Algorithm 3's backtracking search is incomplete: subtrees it rolls
+// back may be viable under other prefixes. So when strict path
+// construction exhausts, Verify retries counting every node that ever
+// produced a valid child along the exploration (Result.UnionFallback).
+// That is security-equivalent — each such node owns a block that
+// verifiably descends from the target, so it vouches transitively
+// (Sec. III-C) — and the retry is a complete decision procedure for
+// γ+1-voucher reachability. The paper's strict verdict stays on the
+// Result: a single path of γ+1 distinct nodes was found exactly when
+// Consensus && !UnionFallback.
 func (v *Validator) Verify(ctx context.Context, ref block.Ref, f Fetcher) (*Result, error) {
 	res := &Result{Target: ref}
 
@@ -190,9 +186,9 @@ func (v *Validator) Verify(ctx context.Context, ref block.Ref, f Fetcher) (*Resu
 	}
 
 	err = v.construct(ctx, ref, blk, f, res, false)
-	if errors.Is(err, ErrNoConsensus) && !v.cfg.StrictPath {
+	if errors.Is(err, ErrNoConsensus) {
 		// Strict path construction exhausted; retry with union
-		// semantics (see ValidatorConfig.StrictPath).
+		// semantics (see above).
 		res.UnionFallback = true
 		err = v.construct(ctx, ref, blk, f, res, true)
 	}
@@ -214,7 +210,7 @@ func (v *Validator) construct(ctx context.Context, ref block.Ref, blk *block.Blo
 	path := make([]PathStep, 1, v.cfg.Gamma+2)
 	path[0] = PathStep{Node: ref.Node, Header: hdr, HeaderHash: hdr.Hash()}
 
-	budget := v.cfg.StepBudget
+	budget := DefaultStepBudget
 
 	// Probe and rollback bookkeeping. All of it starts nil and is made by
 	// its first write (a nil map reads and clears for free), so an audit

@@ -75,7 +75,7 @@ func verifyReference(v *Validator, ctx context.Context, ref block.Ref, f Fetcher
 		return res, fmt.Errorf("%w: %v: %v", ErrInvalidBlock, ref, err)
 	}
 	err = constructReference(v, ctx, ref, blk, f, res, false)
-	if errors.Is(err, ErrNoConsensus) && !v.cfg.StrictPath {
+	if errors.Is(err, ErrNoConsensus) {
 		res.UnionFallback = true
 		err = constructReference(v, ctx, ref, blk, f, res, true)
 	}
@@ -91,7 +91,7 @@ func constructReference(v *Validator, ctx context.Context, ref block.Ref, blk *b
 	vouchers.add(ref.Node)
 	hdr := &blk.Header
 	path := []PathStep{{Node: ref.Node, Header: hdr, HeaderHash: hdr.Hash()}}
-	budget := v.cfg.StepBudget
+	budget := DefaultStepBudget
 	dead := make(map[digest.Digest]bool)
 	st := SelectionState{
 		Validator:  v.cfg.Self,

@@ -141,17 +141,12 @@ func (c *DigestCache) appendEntries(dst []byte) []byte {
 	return dst
 }
 
-// Snapshot assembles the Δ field for a new block (Sec. III-D): the
-// owner's previous-header digest first (zero for genesis), then the
-// cached digest for each listed neighbor, in the given order. Neighbors
-// with no cached digest yet are included with the zero digest so the
-// field layout is stable; zero entries never match Contains.
-func (c *DigestCache) Snapshot(owner identity.NodeID, prev digest.Digest, neighbors []identity.NodeID) []block.DigestRef {
-	return c.AppendSnapshot(make([]block.DigestRef, 0, len(neighbors)+1), owner, prev, neighbors)
-}
-
-// AppendSnapshot is Snapshot writing into dst (reusing its capacity),
-// for generation hot loops that keep per-worker scratch instead of
+// AppendSnapshot appends the Δ field for a new block (Sec. III-D) to
+// dst: the owner's previous-header digest first (zero for genesis),
+// then the cached digest for each listed neighbor, in the given order.
+// Neighbors with no cached digest yet are included with the zero digest
+// so the field layout is stable; zero entries never match Contains.
+// Generation hot loops keep per-worker scratch as dst instead of
 // allocating a Δ slice per block. The appended region is copied out by
 // block.Params.Build, so dst may be reused immediately after the block
 // is built.

@@ -176,8 +176,8 @@ func (p *cachePair) checkSnapshot(owner identity.NodeID, prev digest.Digest, nbs
 	if got[0].Node != 99 || !reflect.DeepEqual(got[1:], want) {
 		p.t.Fatalf("AppendSnapshot(%v, %v) = %v, reference %v", owner, nbs, got[1:], want)
 	}
-	if got := p.got.Snapshot(owner, prev, nbs); !reflect.DeepEqual(got, want) {
-		p.t.Fatalf("Snapshot(%v, %v) = %v, reference %v", owner, nbs, got, want)
+	if got := p.got.AppendSnapshot(nil, owner, prev, nbs); !reflect.DeepEqual(got, want) {
+		p.t.Fatalf("AppendSnapshot(nil, %v, %v) = %v, reference %v", owner, nbs, got, want)
 	}
 }
 

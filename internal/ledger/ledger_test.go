@@ -269,7 +269,7 @@ func TestDigestCacheSnapshot(t *testing.T) {
 	c.Update(2, dA)
 	c.Update(3, dB)
 	prev := digest.Sum([]byte("prev"))
-	refs := c.Snapshot(1, prev, []identity.NodeID{2, 3, 4})
+	refs := c.AppendSnapshot(nil, 1, prev, []identity.NodeID{2, 3, 4})
 	if len(refs) != 4 {
 		t.Fatalf("snapshot size %d, want 4", len(refs))
 	}
@@ -292,7 +292,7 @@ func TestDigestCacheAppendSnapshotReusesScratch(t *testing.T) {
 	scratch := make([]block.DigestRef, 0, 8)
 	prev := digest.Sum([]byte("prev"))
 	got := c.AppendSnapshot(scratch[:0], 1, prev, []identity.NodeID{3, 2, 7})
-	want := c.Snapshot(1, prev, []identity.NodeID{3, 2, 7})
+	want := c.AppendSnapshot(nil, 1, prev, []identity.NodeID{3, 2, 7})
 	if len(got) != len(want) {
 		t.Fatalf("len mismatch: %d vs %d", len(got), len(want))
 	}

@@ -143,10 +143,6 @@ func (c *EventCounters) WALFsyncs() int64 { return c.walFsyncs.Load() }
 // commit windows.
 func (c *EventCounters) WALBytesWritten() int64 { return c.walBytes.Load() }
 
-// WALBlocksCommitted returns the total block records acknowledged
-// across all commit windows (the histogram's _sum).
-func (c *EventCounters) WALBlocksCommitted() int64 { return c.walWindowSum.Load() }
-
 // WritePrometheus writes the counters in the Prometheus text
 // exposition format (version 0.0.4), making the typed observer stream
 // scrapeable: point a collector at any io.Writer-backed endpoint and

@@ -48,8 +48,6 @@ type Config struct {
 	Gamma int
 	// RequestTimeout is τ for PoP requests (0 = transport default).
 	RequestTimeout time.Duration
-	// Strategy overrides WPS.
-	Strategy core.SelectionStrategy
 	// AnnounceWindow and AnnounceLimit bound per-neighbor digest
 	// announcements: more than AnnounceLimit digests within
 	// AnnounceWindow bans the sender (0 values disable the guard).
@@ -71,9 +69,10 @@ type Config struct {
 	// safe for concurrent use and cheap.
 	Observer events.Observer
 	// Control, when non-nil, receives membership-plane frames (Hello,
-	// PeerList pushes, Leave) that the data-plane node does not
-	// interpret itself — the cluster host owning this node handles
-	// directory state there. Runs on the dispatch goroutine; must not
+	// Leave) that the data-plane node does not interpret itself — the
+	// cluster host owning this node handles directory state there. A
+	// PeerList is only ever read as the reply to a Call; an unsolicited
+	// one is dropped. Runs on the dispatch goroutine; must not
 	// block.
 	Control func(transport.Envelope)
 	// State, when non-nil, is the recovered ledger state (checkpoint +
@@ -174,7 +173,6 @@ func New(cfg Config) (*Node, error) {
 		slot:     wallClockSlot,
 	}
 	n.validator, err = eng.Validator(cfg.Gamma, cfg.Ring, func(c *core.ValidatorConfig) {
-		c.Strategy = cfg.Strategy
 		c.Blacklist = n.bl
 		if h := cfg.Health; h != nil {
 			// Route around peers the circuit breaker suspects; the
@@ -288,7 +286,7 @@ func (n *Node) handle(env transport.Envelope) {
 		n.onAnnounceBatch(ctx, msg)
 	case wire.KindDigestAck:
 		n.onDigestAck(msg)
-	case wire.KindHello, wire.KindPeerList, wire.KindLeave:
+	case wire.KindHello, wire.KindLeave:
 		if c := n.cfg.Control; c != nil {
 			c(env)
 		}
@@ -531,7 +529,7 @@ func (n *Node) Call(ctx context.Context, peer identity.NodeID, build func(corr, 
 }
 
 // Send pushes one fire-and-forget frame to peer — the membership-plane
-// broadcast path (PeerList pushes, Leave).
+// path for a Hello's PeerList reply and for Leave.
 func (n *Node) Send(ctx context.Context, peer identity.NodeID, msg *wire.Message) error {
 	return n.rpc.Transport().Send(ctx, peer, msg)
 }

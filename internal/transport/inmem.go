@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"sync"
-	"time"
 
 	"github.com/twoldag/twoldag/internal/identity"
 	"github.com/twoldag/twoldag/internal/wire"
@@ -15,27 +14,19 @@ import (
 const inboxCapacity = 256
 
 // Network is an in-memory message fabric connecting Endpoints. It
-// supports latency and loss injection for protocol testing. The zero
-// value is not usable; call NewNetwork.
+// supports loss injection for protocol testing; delays come from the
+// layer above (faults.Plan). The zero value is not usable; call
+// NewNetwork.
 type Network struct {
-	mu      sync.RWMutex
-	eps     map[identity.NodeID]*Endpoint
-	latency func(from, to identity.NodeID) time.Duration
-	drop    func(from, to identity.NodeID, m *wire.Message) bool
-	closed  bool
-	wg      sync.WaitGroup
+	mu     sync.RWMutex
+	eps    map[identity.NodeID]*Endpoint
+	drop   func(from, to identity.NodeID, m *wire.Message) bool
+	closed bool
 }
 
-// NewNetwork creates an empty fabric with zero latency and no loss.
+// NewNetwork creates an empty, lossless fabric.
 func NewNetwork() *Network {
 	return &Network{eps: make(map[identity.NodeID]*Endpoint)}
-}
-
-// SetLatency installs a per-link latency function (nil = instant).
-func (n *Network) SetLatency(f func(from, to identity.NodeID) time.Duration) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	n.latency = f
 }
 
 // SetDrop installs a loss function returning true to drop a message
@@ -75,8 +66,7 @@ func (n *Network) Remove(id identity.NodeID) error {
 	return ep.Close()
 }
 
-// Close shuts the fabric down, closing every endpoint after in-flight
-// delayed deliveries settle.
+// Close shuts the fabric down, closing every endpoint.
 func (n *Network) Close() error {
 	n.mu.Lock()
 	if n.closed {
@@ -90,20 +80,10 @@ func (n *Network) Close() error {
 	}
 	n.eps = make(map[identity.NodeID]*Endpoint)
 	n.mu.Unlock()
-	n.wg.Wait()
 	for _, ep := range eps {
 		_ = ep.Close()
 	}
 	return nil
-}
-
-// deliver looks the target up and hands it an envelope (see
-// deliverTo); a delayed frame takes this path when its latency elapses.
-func (n *Network) deliver(to identity.NodeID, env Envelope) error {
-	n.mu.RLock()
-	ep := n.eps[to]
-	n.mu.RUnlock()
-	return deliverTo(ep, to, env)
 }
 
 // deliverTo hands an envelope to ep, the endpoint of to (nil if there
@@ -160,11 +140,10 @@ func (e *Endpoint) SetResponseHandler(f func(*wire.Message)) {
 	e.onResponse = f
 }
 
-// Send implements Transport, applying the fabric's loss and latency
-// rules. The message is deep-copied so sender and receiver never share
-// memory. One read lock yields the rules, the fabric's state and the
-// target endpoint; a frame without latency is handed to that endpoint
-// directly, and a delayed one looks its target up again on arrival.
+// Send implements Transport, applying the fabric's loss rule. The
+// message is deep-copied so sender and receiver never share memory.
+// One read lock yields the rule, the fabric's state and the target
+// endpoint, which the frame is handed to on this goroutine.
 func (e *Endpoint) Send(ctx context.Context, to identity.NodeID, msg *wire.Message) error {
 	if err := ctx.Err(); err != nil {
 		return err
@@ -175,7 +154,7 @@ func (e *Endpoint) Send(ctx context.Context, to identity.NodeID, msg *wire.Messa
 	default:
 	}
 	e.net.mu.RLock()
-	drop, lat, closed := e.net.drop, e.net.latency, e.net.closed
+	drop, closed := e.net.drop, e.net.closed
 	target := e.net.eps[to]
 	e.net.mu.RUnlock()
 	if closed {
@@ -194,21 +173,7 @@ func (e *Endpoint) Send(ctx context.Context, to identity.NodeID, msg *wire.Messa
 	if err != nil {
 		return fmt.Errorf("transport: message not encodable: %w", err)
 	}
-	env := Envelope{From: e.id, Msg: cp}
-	var d time.Duration
-	if lat != nil {
-		d = lat(e.id, to)
-	}
-	if d <= 0 {
-		return deliverTo(target, to, env)
-	}
-	e.net.wg.Add(1)
-	timer := time.AfterFunc(d, func() {
-		defer e.net.wg.Done()
-		_ = e.net.deliver(to, env) // late loss is indistinguishable from drop
-	})
-	_ = timer
-	return nil
+	return deliverTo(target, to, Envelope{From: e.id, Msg: cp})
 }
 
 // Close implements Transport.

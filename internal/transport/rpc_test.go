@@ -228,8 +228,8 @@ func TestResponsesReachInboxWithoutRPC(t *testing.T) {
 // TestRPCResponseBypassesFullInbox: with the handler stuck and the
 // inbox full to the last slot, a call still completes — its response
 // is handed over on the delivering goroutine, not queued behind the
-// announcements. Uncorrelated response kinds (a PeerList push) still
-// queue and are shed.
+// announcements. Uncorrelated response kinds (a NotFound with
+// correlation 0) still queue and are shed.
 func TestRPCResponseBypassesFullInbox(t *testing.T) {
 	n := NewNetwork()
 	defer n.Close()
@@ -265,8 +265,9 @@ func TestRPCResponseBypassesFullInbox(t *testing.T) {
 			t.Fatalf("fill %d: %v", i, err)
 		}
 	}
-	if err := b.Send(ctx, 1, wire.NewPeerListPush(2, 1, nil, 1)); !errors.Is(err, ErrBackpressure) {
-		t.Fatalf("uncorrelated push into a full inbox: %v, want ErrBackpressure", err)
+	uncorrelated := wire.NewNotFound(wire.NewReqChild(1, 2, callTag(8, 8), 0, 1))
+	if err := b.Send(ctx, 1, uncorrelated); !errors.Is(err, ErrBackpressure) {
+		t.Fatalf("uncorrelated response into a full inbox: %v, want ErrBackpressure", err)
 	}
 	tag := callTag(9, 9)
 	resp, err := caller.Call(ctx, 2, func(corr, nonce uint64) *wire.Message {

@@ -1,6 +1,6 @@
 // Package transport carries 2LDAG wire messages between nodes. Two
 // implementations are provided: an in-memory network with injectable
-// latency, loss and partitions (deterministic tests, single-process
+// loss and partitions (deterministic tests, single-process
 // deployments) and a TCP transport with length-prefixed frames (real
 // distributed deployments). An RPC layer adds request/response
 // correlation with timeouts τ on top of either, which is what the PoP
@@ -15,8 +15,8 @@
 // # Who completes a call
 //
 // A frame reaches its receiver on the fabric's delivering goroutine:
-// the sender's own goroutine on the in-memory network (or the timer
-// goroutine of an injected delay), a connection's read loop on TCP.
+// the sender's own goroutine on the in-memory network, a connection's
+// read loop on TCP.
 // What happens next depends on the frame.
 //
 // A response — Kind.IsResponse with a non-zero correlation ID — is

@@ -73,22 +73,6 @@ func TestInmemDropRule(t *testing.T) {
 	}
 }
 
-func TestInmemLatency(t *testing.T) {
-	n := NewNetwork()
-	defer n.Close()
-	a, _ := n.Endpoint(1)
-	b, _ := n.Endpoint(2)
-	n.SetLatency(func(from, to identity.NodeID) time.Duration { return 40 * time.Millisecond })
-	start := time.Now()
-	if err := a.Send(context.Background(), 2, announce(1, 2, "x")); err != nil {
-		t.Fatal(err)
-	}
-	<-b.Inbox()
-	if elapsed := time.Since(start); elapsed < 35*time.Millisecond {
-		t.Fatalf("latency not applied: %v", elapsed)
-	}
-}
-
 func TestInmemMessageIsolation(t *testing.T) {
 	// Receiver must not share memory with the sender's message.
 	n := NewNetwork()

@@ -383,13 +383,6 @@ func NewPeerList(req *Message, entries []PeerEntry) *Message {
 	}
 }
 
-// NewPeerListPush builds an unsolicited membership snapshot
-// (correlation 0), for gossiping directory changes to peers that did
-// not ask.
-func NewPeerListPush(from, to identity.NodeID, entries []PeerEntry, nonce uint64) *Message {
-	return &Message{Kind: KindPeerList, From: from, To: to, Nonce: nonce, Payload: encodePeerEntries(entries)}
-}
-
 func encodePeerEntries(entries []PeerEntry) []byte {
 	buf := binary.LittleEndian.AppendUint32(nil, uint32(len(entries)))
 	for i := range entries {

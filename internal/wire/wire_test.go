@@ -55,7 +55,7 @@ func TestRoundTripAllKinds(t *testing.T) {
 		NewDigestAck(NewDigestBatch(1, 2, []digest.Digest{digest.Sum([]byte("a"))}, 4)),
 		hello,
 		NewPeerList(hello, []PeerEntry{{ID: 1, Live: true, Anchor: NoAnchor, Addr: "h:1", PubKey: []byte{9}}}),
-		NewPeerListPush(1, 2, nil, 5),
+		NewPeerList(hello, nil),
 		NewLeave(1, 2, 6),
 	}
 	for _, m := range msgs {

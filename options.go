@@ -49,7 +49,7 @@ type config struct {
 	params      block.Params
 	rto         time.Duration
 	transport   TransportKind
-	workers     int
+	workers     int // batch fan-out width, 0 = GOMAXPROCS; in-package tests narrow it
 	observers   []Observer
 	malicious   int
 	bodyBytes   int
@@ -147,25 +147,6 @@ func WithTransport(k TransportKind) Option {
 			return fmt.Errorf("twoldag: WithTransport(%v): unknown transport", k)
 		}
 		c.transport = k
-		return nil
-	}
-}
-
-// WithWorkers bounds the goroutines a batch call fans out over (0 =
-// GOMAXPROCS): the audits of AuditMany on both drivers, on the live
-// driver the CPU side of SubmitBatch's seal stage — mining, signing and
-// staging the blocks of a round, one device per worker — and on the
-// simulator every phase of SimDriver.RunSlots (generation,
-// announcement, audits). It is the only scheduling knob. It does not
-// bound I/O: a round's one fsync is the caller's. Results do not
-// depend on the width; 1 runs each batch as a plain loop on the
-// caller, in batch order.
-func WithWorkers(n int) Option {
-	return func(c *config) error {
-		if n < 0 {
-			return fmt.Errorf("twoldag: WithWorkers(%d): worker count must be non-negative", n)
-		}
-		c.workers = n
 		return nil
 	}
 }

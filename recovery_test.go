@@ -1,13 +1,17 @@
 package twoldag
 
 import (
+	"bytes"
 	"context"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 	"time"
+
+	"github.com/twoldag/twoldag/internal/block"
 )
 
 // The facade recovery suite: with WithDataDir every device's ledger is
@@ -34,7 +38,7 @@ type recoveryRun struct {
 // and closed) and restarted from its data dir inside the crash window,
 // with its recovery byte-checked against its pre-kill state. every,
 // when positive, is the compaction threshold (compactEvery); extra
-// options (e.g. WithWorkers) ride on top of the fixed world.
+// options (e.g. withWorkers) ride on top of the fixed world.
 func runRecoveryScenario(t *testing.T, dataDir string, kill bool, every int, extra ...Option) recoveryRun {
 	t.Helper()
 	plan := FaultPlan{
@@ -188,9 +192,9 @@ func TestRecoveryFacadeKillRestartOptions(t *testing.T) {
 		every int
 		opts  []Option
 	}{
-		{"workers=4", 0, []Option{WithWorkers(4)}},
+		{"workers=4", 0, []Option{withWorkers(4)}},
 		{"compact-every=1", 1, nil},
-		{"workers=4, compact-every=1", 1, []Option{WithWorkers(4)}},
+		{"workers=4, compact-every=1", 1, []Option{withWorkers(4)}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			crash := runRecoveryScenario(t, filepath.Join(base, tc.name), true, tc.every, tc.opts...)
@@ -372,6 +376,82 @@ func TestRecoveryFacadeCompaction(t *testing.T) {
 	}
 	if after != before {
 		t.Fatal("ledger state drifted across a compacted restart")
+	}
+}
+
+// TestRecoveryRefusesOversizedBody: a device is the only holder of its
+// blocks, so a block its ledger acknowledges but cannot replay is lost.
+// A body longer than block.MaxBodyLen — what the block decoder, WAL
+// replay and the wire read back — is refused at seal and leaves the
+// device as it was; a body of exactly that length is sealed, and a
+// reopen of the data dir reads it back with every device's state
+// intact.
+func TestRecoveryRefusesOversizedBody(t *testing.T) {
+	dir := t.TempDir()
+	opts := []Option{WithNodes(4), WithSeed(7), WithGamma(1), WithDifficulty(0), WithDataDir(dir)}
+	rt, err := New(opts...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rt.Close()
+	c := rt.(*Cluster)
+	ctx := context.Background()
+	rt.AdvanceSlot()
+	id := rt.Nodes()[0]
+	first, err := rt.Submit(ctx, id, []byte("reading"))
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	before, err := c.StateDigest(id)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := rt.Submit(ctx, id, make([]byte, block.MaxBodyLen+1)); !errors.Is(err, block.ErrBodyTooLarge) {
+		t.Fatalf("Submit of a %d-byte body: %v, want ErrBodyTooLarge", block.MaxBodyLen+1, err)
+	}
+	if after, err := c.StateDigest(id); err != nil || after != before {
+		t.Fatalf("a refused seal changed the device's state (err %v)", err)
+	}
+
+	body := make([]byte, block.MaxBodyLen)
+	for i := range body {
+		body[i] = byte(i * 7)
+	}
+	ref, err := rt.Submit(ctx, id, body)
+	if err != nil {
+		t.Fatalf("Submit of a MaxBodyLen body: %v", err)
+	}
+	if ref.Seq != first.Seq+1 {
+		t.Fatalf("the seal after a refused one took seq %d, want %d", ref.Seq, first.Seq+1)
+	}
+	states := make(map[NodeID]Digest)
+	for _, n := range rt.Nodes() {
+		if states[n], err = c.StateDigest(n); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := rt.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	rt, err = New(opts...)
+	if err != nil {
+		t.Fatalf("reopening the data dir: %v", err)
+	}
+	defer rt.Close()
+	c = rt.(*Cluster)
+	got, err := rt.Block(ref)
+	if err != nil {
+		t.Fatalf("Block(%v) after reopen: %v", ref, err)
+	}
+	if !bytes.Equal(got.Body, body) {
+		t.Fatalf("Block(%v) after reopen: body differs", ref)
+	}
+	for n, want := range states {
+		if d, err := c.StateDigest(n); err != nil || d != want {
+			t.Fatalf("node %v: state drifted across the reopen (err %v)", n, err)
+		}
 	}
 }
 

@@ -32,7 +32,7 @@ func TestSimDriverReportGolden(t *testing.T) {
 		t.Helper()
 		rt := newRuntime(t, append([]Option{
 			WithSimulator(), WithNodes(12), WithGamma(3), WithSeed(42),
-			WithDifficulty(0), WithBodyBytes(1000), WithWorkers(workers),
+			WithDifficulty(0), WithBodyBytes(1000), withWorkers(workers),
 		}, opts...)...)
 		return rt.(*SimDriver)
 	}

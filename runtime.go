@@ -5,6 +5,7 @@ import (
 	"errors"
 
 	"github.com/twoldag/twoldag/internal/cluster"
+	"github.com/twoldag/twoldag/internal/par"
 )
 
 // Runtime is a running 2LDAG deployment, live or simulated. Both
@@ -51,7 +52,7 @@ type Runtime interface {
 	// lowest-index failing submission and the refs are exactly those
 	// of the submissions before it — all sealed, none announced. The
 	// live driver seals in rounds, the r-th block of every device side
-	// by side (WithWorkers): once a failure is on record no worker
+	// by side (GOMAXPROCS workers): once a failure is on record no worker
 	// starts a block that comes after it in the batch, and an unknown
 	// Submission.Node fails the call before anything is sealed (the
 	// simulator meets it in batch order, after sealing the entries
@@ -73,9 +74,9 @@ type Runtime interface {
 	// Audit runs PoP from validator against ref and reports whether
 	// γ+1 distinct nodes vouch for the block.
 	Audit(ctx context.Context, validator NodeID, ref Ref) (*AuditResult, error)
-	// AuditMany runs the requested audits concurrently over a bounded
-	// worker pool (WithWorkers) and returns one outcome per request,
-	// in request order.
+	// AuditMany runs the requested audits concurrently over a worker
+	// pool of GOMAXPROCS goroutines and returns one outcome per
+	// request, in request order.
 	AuditMany(ctx context.Context, reqs []AuditRequest) []AuditOutcome
 	// Block fetches a block from its origin's local store (display,
 	// sample proofs). The result is read-only: shared sealed state, or
@@ -117,7 +118,6 @@ type AuditOutcome struct {
 //	    twoldag.WithNodes(50),
 //	    twoldag.WithGamma(4),
 //	    twoldag.WithTransport(twoldag.TCP),
-//	    twoldag.WithWorkers(8),
 //	)
 //
 // The default driver is the live cluster over the in-memory fabric;
@@ -156,4 +156,16 @@ func submitOne(ctx context.Context, rt Runtime, id NodeID, data []byte) (Ref, er
 		return Ref{}, err
 	}
 	return refs[0], err
+}
+
+// auditMany is every driver's AuditMany: rt.Audit fanned out over
+// workers goroutines (0 = GOMAXPROCS), outcomes in request order.
+func auditMany(ctx context.Context, rt Runtime, workers int, reqs []AuditRequest) []AuditOutcome {
+	out := make([]AuditOutcome, len(reqs))
+	par.ForEach(len(reqs), workers, func(i int) {
+		r := reqs[i]
+		res, err := rt.Audit(ctx, r.Validator, r.Ref)
+		out[i] = AuditOutcome{Request: r, Result: res, Err: err}
+	})
+	return out
 }

@@ -312,7 +312,7 @@ func TestAuditManyBothDrivers(t *testing.T) {
 		{"sim", append(baseOptions(10, 2), WithSimulator())},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			rt := newRuntime(t, append(tc.opts, WithWorkers(4))...)
+			rt := newRuntime(t, append(tc.opts, withWorkers(4))...)
 			refs := fillBatch(t, rt, 4)
 			ids := rt.Nodes()
 			var reqs []AuditRequest
@@ -486,23 +486,15 @@ func TestOptionValidation(t *testing.T) {
 	}
 }
 
-// TestWithWorkersValidation pins the one scheduling knob's contract:
-// negative widths are rejected on both drivers, the live driver takes
-// the option, and a SimDriver.RunSlots report does not depend on it.
+// TestWithWorkersValidation pins the simulator's scheduling contract:
+// a SimDriver.RunSlots report does not depend on the fan-out width.
 func TestWithWorkersValidation(t *testing.T) {
-	if _, err := New(WithNodes(8), WithSimulator(), WithWorkers(-1)); err == nil {
-		t.Fatal("simulator accepted WithWorkers(-1)")
-	}
-	if _, err := New(WithNodes(8), WithDifficulty(0), WithWorkers(-1)); err == nil {
-		t.Fatal("live driver accepted WithWorkers(-1)")
-	}
-	newRuntime(t, WithNodes(8), WithDifficulty(0), WithWorkers(4))
 	run := func(workers int) *SimReport {
 		t.Helper()
 		rt := newRuntime(t,
 			WithSimulator(), WithNodes(12), WithGamma(3), WithSeed(7),
 			WithDifficulty(0), WithBodyBytes(100_000), WithMalicious(2),
-			WithWorkers(workers),
+			withWorkers(workers),
 		)
 		sd := rt.(*SimDriver)
 		if err := sd.RunSlots(25); err != nil {

@@ -6,7 +6,6 @@ import (
 
 	"github.com/twoldag/twoldag/internal/cluster"
 	"github.com/twoldag/twoldag/internal/events"
-	"github.com/twoldag/twoldag/internal/par"
 	"github.com/twoldag/twoldag/internal/sim"
 	"github.com/twoldag/twoldag/internal/topology"
 )
@@ -105,18 +104,12 @@ func (d *SimDriver) Audit(ctx context.Context, validator NodeID, ref Ref) (*Audi
 	return d.s.AuditFrom(ctx, validator, ref)
 }
 
-// AuditMany implements Runtime: audits fan out over a worker pool
-// bounded by WithWorkers. Audits from the same validator serialize
+// AuditMany implements Runtime: audits fan out over a worker pool of
+// GOMAXPROCS goroutines. Audits from the same validator serialize
 // internally (its random stream is single-threaded); distinct
 // validators run fully in parallel.
 func (d *SimDriver) AuditMany(ctx context.Context, reqs []AuditRequest) []AuditOutcome {
-	out := make([]AuditOutcome, len(reqs))
-	par.ForEach(len(reqs), d.workers, func(i int) {
-		r := reqs[i]
-		res, err := d.s.AuditFrom(ctx, r.Validator, r.Ref)
-		out[i] = AuditOutcome{Request: r, Result: res, Err: err}
-	})
-	return out
+	return auditMany(ctx, d, d.workers, reqs)
 }
 
 // Block implements Runtime.
@@ -170,7 +163,7 @@ func (d *SimDriver) Report() *SimReport { return d.s.Finalize() }
 // per-slot generation, receiver-batched announcement and audit duty,
 // exactly the schedule behind the paper's figures — and leaves the
 // report open for Report. Each slot's phases fan out over the worker
-// pool sized by WithWorkers behind barriers, and the report is
+// pool of GOMAXPROCS goroutines behind barriers, and the report is
 // byte-identical for every worker count on the same seed. It is the
 // figure-regeneration entry point on the public API: experiments that
 // used to reach into internal/sim build the driver with

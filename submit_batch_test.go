@@ -13,12 +13,12 @@ import (
 	"github.com/twoldag/twoldag/internal/block"
 )
 
-// withMaxBodyBytes makes seals of larger bodies fail — the one seal
-// error a test can provoke on demand. In-package on purpose: the facade
-// has no such option.
-func withMaxBodyBytes(n int) Option {
+// withWorkers sets the fan-out width of batch calls (0 = GOMAXPROCS),
+// so tests can compare the plain loop with a pool. In-package on
+// purpose: the facade has no such option.
+func withWorkers(n int) Option {
 	return func(c *config) error {
-		c.params.MaxBodyBytes = n
+		c.workers = n
 		return nil
 	}
 }
@@ -28,7 +28,9 @@ func withMaxBodyBytes(n int) Option {
 // stage.
 func TestSubmitBatchFailureSemantics(t *testing.T) {
 	ctx := context.Background()
-	small, big, bigger := make([]byte, 8), make([]byte, 100), make([]byte, 200)
+	// big and bigger provoke the one seal error a test can cause on
+	// demand: a body past the decoder limit.
+	small, big, bigger := make([]byte, 8), make([]byte, block.MaxBodyLen+1), make([]byte, block.MaxBodyLen+2)
 
 	// nextSeq reports the sequence number id's next block will get.
 	nextSeq := func(t *testing.T, rt Runtime, id NodeID) uint32 {
@@ -64,7 +66,7 @@ func TestSubmitBatchFailureSemantics(t *testing.T) {
 
 	for _, workers := range []int{1, 4} {
 		t.Run(fmt.Sprintf("lowest-index failure and the refs before it/workers=%d", workers), func(t *testing.T) {
-			rt := newRuntime(t, append(baseOptions(6, 1), WithWorkers(workers), withMaxBodyBytes(64))...)
+			rt := newRuntime(t, append(baseOptions(6, 1), withWorkers(workers))...)
 			rt.AdvanceSlot()
 			ids := rt.Nodes()
 			a, b, c := ids[0], ids[1], ids[2]
@@ -82,8 +84,8 @@ func TestSubmitBatchFailureSemantics(t *testing.T) {
 				{Node: b, Data: bigger}, // fails too
 				{Node: a, Data: small},
 			})
-			if !errors.Is(err, block.ErrBodyTooLarge) || !strings.Contains(err.Error(), "100 > 64") {
-				t.Fatalf("want index 3's error (100 > 64), got %v", err)
+			if want := fmt.Sprintf("%d > %d", len(big), block.MaxBodyLen); !errors.Is(err, block.ErrBodyTooLarge) || !strings.Contains(err.Error(), want) {
+				t.Fatalf("want index 3's error (%s), got %v", want, err)
 			}
 			want := []Ref{{Node: a, Seq: seqA}, {Node: b, Seq: seqB}, {Node: c, Seq: seqC}}
 			if !reflect.DeepEqual(refs, want) {
@@ -101,7 +103,7 @@ func TestSubmitBatchFailureSemantics(t *testing.T) {
 		// One worker runs the owners in first-appearance order, so the
 		// failure at index 0 is on record before any other owner starts.
 		obs := &countingObserver{}
-		rt := newRuntime(t, append(baseOptions(6, 1), WithWorkers(1), withMaxBodyBytes(64), WithObserver(obs))...)
+		rt := newRuntime(t, append(baseOptions(6, 1), withWorkers(1), WithObserver(obs))...)
 		rt.AdvanceSlot()
 		ids := rt.Nodes()
 		refs, err := rt.SubmitBatch(ctx, []Submission{
@@ -121,7 +123,7 @@ func TestSubmitBatchFailureSemantics(t *testing.T) {
 	t.Run("every registered expectation is cancelled", func(t *testing.T) {
 		// Every announcement frame is dropped and nothing retries, so
 		// each wait times out with all of its neighbours pending.
-		rt := newRuntime(t, append(baseOptions(6, 1), WithWorkers(4),
+		rt := newRuntime(t, append(baseOptions(6, 1), withWorkers(4),
 			WithRequestTimeout(50*time.Millisecond), WithFaults(FaultPlan{Seed: 1, DropRate: 1}))...)
 		rt.AdvanceSlot()
 		ids := rt.Nodes()
@@ -233,13 +235,13 @@ func runInterleaved(t *testing.T, every int, opts ...Option) workersRun {
 // scheduling knob only. The same seeded run of interleaved
 // multi-block-per-owner batches seals byte-identical blocks, leaves
 // byte-identical node state and reaches the same audit verdicts under
-// WithWorkers(1) (the plain loop) and WithWorkers(4) — in memory and
+// withWorkers(1) (the plain loop) and withWorkers(4) — in memory and
 // on durable nodes, with compactions firing inside the seal stage.
 func TestSubmitBatchWorkersEquivalence(t *testing.T) {
 	for _, durable := range []bool{false, true} {
 		t.Run(map[bool]string{false: "mem", true: "durable"}[durable], func(t *testing.T) {
 			run := func(workers int) workersRun {
-				opts, every := []Option{WithWorkers(workers)}, 0
+				opts, every := []Option{withWorkers(workers)}, 0
 				if durable {
 					opts, every = append(opts, WithDataDir(t.TempDir())), 4
 				}
@@ -250,10 +252,10 @@ func TestSubmitBatchWorkersEquivalence(t *testing.T) {
 				t.Fatalf("refs diverge:\n 1: %v\n 4: %v", serial.refs, wide.refs)
 			}
 			if !reflect.DeepEqual(serial.hashes, wide.hashes) {
-				t.Fatal("sealed header hashes diverge between WithWorkers(1) and WithWorkers(4)")
+				t.Fatal("sealed header hashes diverge between withWorkers(1) and withWorkers(4)")
 			}
 			if !reflect.DeepEqual(serial.states, wide.states) {
-				t.Fatal("state digests diverge between WithWorkers(1) and WithWorkers(4)")
+				t.Fatal("state digests diverge between withWorkers(1) and withWorkers(4)")
 			}
 			if !reflect.DeepEqual(serial.verdicts, wide.verdicts) {
 				t.Fatalf("audit verdicts diverge:\n 1: %v\n 4: %v", serial.verdicts, wide.verdicts)

@@ -23,7 +23,6 @@
 //	    twoldag.WithGamma(4),
 //	    twoldag.WithSeed(1),
 //	    twoldag.WithTransport(twoldag.TCP),
-//	    twoldag.WithWorkers(8),
 //	)
 //	...
 //	rt.AdvanceSlot()
