@@ -72,9 +72,12 @@ type segmentMark struct {
 }
 
 // checkpoint is one owner's state as the branch table addresses it.
+// recapped says a decoded one holds its H_i under another trust cap than
+// the file records (RecoverOptions.TrustCap): st is not the file's own.
 type checkpoint struct {
-	st  *NodeState
-	seg segmentMark
+	st       *NodeState
+	seg      segmentMark
+	recapped bool
 }
 
 // branch is one row of the checkpoint table: put appends its file
@@ -203,6 +206,7 @@ func getCap(r *cursor, cp *checkpoint, opts RecoverOptions) error {
 		cp.st.TrustCap = int(recorded)
 		cp.st.Trust.SetCap(int(recorded))
 	}
+	cp.recapped = cp.st.TrustCap != int(recorded)
 	return nil
 }
 

@@ -265,8 +265,13 @@ func (fb *FileBackend) Recover(opts RecoverOptions) (*NodeState, error) {
 		}
 		report.WALBlocks += stats.blocks
 		report.WALBytes += stats.valid
+		fb.logged = fb.logged || stats.owned > 0
 	}
 	report.Duration = time.Since(start)
+	// Records of its own in the generations, or a state that is not the
+	// checkpoint's, leave the owner with something no checkpoint of its
+	// own covers yet: the next compaction commits it.
+	fb.logged = fb.logged || cp.recapped
 	fb.seg = cp.seg
 	fb.owner, fb.report, fb.recovered = opts.Owner, report, true
 	delete(l.uncovered, opts.Owner)

@@ -394,6 +394,60 @@ func TestSharedLogRecoveryReport(t *testing.T) {
 	}
 }
 
+// TestSharedLogReplayedOwnerStaysUncovered: an owner that replays records
+// of its own from the log and closes before any checkpoint holds them
+// is still uncovered. So its next Recover reads the log again, and a
+// whole-log compaction meanwhile leaves the records alone.
+func TestSharedLogReplayedOwnerStaysUncovered(t *testing.T) {
+	base := t.TempDir()
+	blocks := chainFor(t, identity.Deterministic(4, 4), 2, nil)
+	var raw []byte
+	for _, b := range blocks {
+		raw = appendWALRecord(raw, walKindBlock, block.Encode(b))
+	}
+	if err := os.WriteFile(filepath.Join(base, walFileName), raw, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	l, err := OpenLog(base)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	recoverOwner := func(o identity.NodeID) (*FileBackend, *NodeState) {
+		t.Helper()
+		fb, err := l.OpenBackend(filepath.Join(base, fmt.Sprintf("node-%d", o)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		st, err := fb.Recover(RecoverOptions{Owner: o, Params: testParams()})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return fb, st
+	}
+	for round := 0; round < 2; round++ {
+		fb, st := recoverOwner(4)
+		if rep := fb.RecoveryReport(); st.Store.Len() != 2 || rep.WALBlocks != 2 {
+			t.Fatalf("recovery %d: %d blocks, report %+v; want 2 from the log", round, st.Store.Len(), rep)
+		}
+		if err := fb.Close(); err != nil {
+			t.Fatal(err)
+		}
+		// Another owner open and a whole-log compaction: nothing holds
+		// owner 4's records but the log, so the log must keep them.
+		other, otherSt := recoverOwner(5)
+		if err := l.Compact(func(identity.NodeID) (*NodeState, error) { return otherSt, nil }); err != nil {
+			t.Fatal(err)
+		}
+		if now, err := os.ReadFile(filepath.Join(base, walFileName)); err != nil || !bytes.Equal(now, raw) {
+			t.Fatalf("recovery %d: wal.log went from %d to %d bytes (%v) under a compaction", round, len(raw), len(now), err)
+		}
+		if err := other.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
 // TestSharedLogCrashMatrix crashes a shared log at every point it can
 // be written. wal.log: cut at every record boundary and inside every
 // record, each owner must come back as its checkpoint and segment plus

@@ -167,6 +167,9 @@ type walReplayStats struct {
 	torn bool
 	// blocks counts block records applied (not skipped as duplicates).
 	blocks int
+	// owned counts the records of the recovering owner's read, applied
+	// or skipped as already held.
+	owned int
 }
 
 // replayWAL applies every intact record in buf to st. With allowTorn
@@ -231,6 +234,7 @@ scan:
 			stats.valid = off
 			continue
 		}
+		stats.owned++
 		if kind&walOwnerTag != 0 {
 			kind, payload = kind&^walOwnerTag, payload[walOwnerLen:]
 		}
