@@ -2,6 +2,7 @@ package block
 
 import (
 	"errors"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -179,6 +180,27 @@ func TestVerifyChain(t *testing.T) {
 	}
 	if err := p.Validate(badSig, ring); err == nil {
 		t.Fatal("a bad signature validated")
+	}
+}
+
+// TestMaxEncodedLen: a block with every field at its decoder limit
+// encodes to exactly MaxEncodedLen bytes and decodes; one Δ entry more
+// is refused.
+func TestMaxEncodedLen(t *testing.T) {
+	b := &Block{
+		Header: Header{Digests: make([]DigestRef, MaxDigestRefs), Signature: make([]byte, MaxSignatureLen)},
+		Body:   make([]byte, MaxBodyLen),
+	}
+	enc := Encode(b)
+	if len(enc) != MaxEncodedLen {
+		t.Fatalf("the longest block encodes to %d bytes, MaxEncodedLen is %d", len(enc), MaxEncodedLen)
+	}
+	if _, err := Decode(enc); err != nil {
+		t.Fatalf("Decode of the longest block: %v", err)
+	}
+	b.Header.Digests = append(b.Header.Digests, DigestRef{})
+	if _, err := Decode(Encode(b)); !errors.Is(err, ErrBadEncoded) || !strings.Contains(err.Error(), ErrOversized.Error()) {
+		t.Fatalf("Decode past the Δ limit: %v, want %v", err, ErrOversized)
 	}
 }
 

@@ -19,6 +19,11 @@ const (
 	MaxSignatureLen = 512
 	// MaxBodyLen bounds decoded body sizes (16 MiB).
 	MaxBodyLen = 16 << 20
+	// MaxEncodedLen is the longest block encoding Decode accepts: the
+	// longest header (version, time, origin, seq, root, MaxDigestRefs Δ
+	// entries, nonce, a MaxSignatureLen signature, each with its length
+	// prefix), the body's length prefix and a MaxBodyLen body.
+	MaxEncodedLen = 4*4 + digest.Size + 4 + MaxDigestRefs*(4+digest.Size) + 4 + 4 + MaxSignatureLen + 4 + MaxBodyLen
 )
 
 // Decoding errors.

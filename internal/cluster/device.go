@@ -134,9 +134,10 @@ func (d *Device) Block(seq uint32) (*block.Block, error) {
 }
 
 // Checkpoint commits the device's state to its own segment and
-// checkpoint (ledger.FileBackend.Compact); a no-op in memory. On a
-// backend that owns its log (a Host's) that is a whole compaction of
-// the log.
+// checkpoint (ledger.FileBackend.Compact); a no-op in memory, and one
+// that writes nothing for a device that logged nothing since its last
+// checkpoint. On a backend that owns its log (a Host's) that is a whole
+// compaction of the log, which rotates it either way.
 func (d *Device) Checkpoint() error {
 	if d.backend == nil {
 		return nil

@@ -504,9 +504,10 @@ func (f countedFile) Sync() error {
 
 // TestCompactionWritesEachBlockOnce is the write-amplification gate:
 // one owner goes through four compactions of 256 blocks each, then a
-// Silence with nothing new. Every compaction must write exactly its 256
-// block records to the segment plus one checkpoint — the same bytes
-// each time, however long the owner's history — and the Silence its
+// Silence with nothing new and one with a new A_i entry only. Every
+// compaction must write exactly its 256 block records to the segment
+// plus one checkpoint — the same bytes each time, however long the
+// owner's history — the first Silence nothing, and the second its
 // checkpoint alone. (A whole-state snapshot wrote 256, 512, 768 and
 // 1024 blocks, then 1024 again.)
 func TestCompactionWritesEachBlockOnce(t *testing.T) {
@@ -572,8 +573,17 @@ func TestCompactionWritesEachBlockOnce(t *testing.T) {
 			t.Fatalf("compaction %d wrote %d bytes, the first %d: the cost grows with the history", round, total, first)
 		}
 	}
-	// Silence: nothing sealed since the last compaction.
-	if err := fb.Compact(func() (*NodeState, error) { return st, nil }); err != nil {
+	// Silence: nothing logged since the last compaction.
+	silence := func() error { return fb.Compact(func() (*NodeState, error) { return st, nil }) }
+	if err := silence(); err != nil {
+		t.Fatal(err)
+	}
+	if w := counter.take(); len(w) != 0 {
+		t.Fatalf("Silence with nothing new wrote %v: want nothing", w)
+	}
+	// Silence after an A_i update: no block is new, the checkpoint is.
+	st.Cache.Update(9, digest.Sum([]byte("after")))
+	if err := silence(); err != nil {
 		t.Fatal(err)
 	}
 	want := stateBytes(t, st) // its bodies are read back through the backend
@@ -581,7 +591,7 @@ func TestCompactionWritesEachBlockOnce(t *testing.T) {
 		t.Fatal(err)
 	}
 	if w := counter.take(); w[segmentFileName] != 0 || w[checkpointTmpName] != checkpointSize() {
-		t.Fatalf("Silence with nothing new wrote %v: want no segment bytes and one %d-byte checkpoint", w, checkpointSize())
+		t.Fatalf("Silence with a new A_i entry wrote %v: want no segment bytes and one %d-byte checkpoint", w, checkpointSize())
 	}
 	fb, err = l.OpenBackend(dir)
 	if err != nil {

@@ -69,12 +69,16 @@ import (
 // wrote it lets wal.old go.
 //
 // Compaction is the log's (Log.Compact): rotate once, for every open
-// backend append the blocks its segment lacks and commit a checkpoint,
-// drop wal.old. So a block is written twice in its life, as a WAL
-// record and as a segment record, however many compactions follow: a
-// compaction writes the blocks sealed since the last one plus a
-// checkpoint per owner, and a Silence that follows it only the
-// checkpoint. Compaction has no state to gather for a backend that is
+// backend that logged since its checkpoint append the blocks its
+// segment lacks and commit a checkpoint, drop wal.old. So a block is
+// written twice in its life, as a WAL record and as a segment record,
+// however many compactions follow: a compaction writes the blocks
+// sealed since the last one plus a checkpoint per owner that logged,
+// and a device that logged nothing since its checkpoint writes nothing
+// (a Silence right after a restart, say). Logged means a record of
+// the owner's went to the log since its last checkpoint, or Recover
+// found one in the generations or derived a state its checkpoint does
+// not hold. Compaction has no state to gather for a backend that is
 // closed, and drops the generations that held its records: so whoever
 // closes one backend while the others run on first commits that
 // owner's whole state (Compact on the backend does just that). An
@@ -135,7 +139,7 @@ type FileBackend struct {
 	windowBlocks int          // those of them in the open commit window
 	staged       *block.Block // logged by StageBlock, not yet acknowledged by LogBlock
 	stagedAt     int64        // log.fsyncs at that write: durable once it has moved on
-	logged       bool         // has records no checkpoint of its own covers
+	logged       bool         // has records no checkpoint of its own covers: set by logLocked and Recover, cleared by a commit
 }
 
 // RecoveryReport summarizes what the last Recover read from disk, so
@@ -246,6 +250,7 @@ func (fb *FileBackend) Recover(opts RecoverOptions) (*NodeState, error) {
 	if _, covered := l.covered[opts.Owner]; covered {
 		gens = nil
 	}
+	owned := 0
 	for _, name := range gens {
 		buf, err := os.ReadFile(filepath.Join(l.dir, name))
 		if errors.Is(err, fs.ErrNotExist) {
@@ -265,13 +270,13 @@ func (fb *FileBackend) Recover(opts RecoverOptions) (*NodeState, error) {
 		}
 		report.WALBlocks += stats.blocks
 		report.WALBytes += stats.valid
-		fb.logged = fb.logged || stats.owned > 0
+		owned += stats.owned
 	}
 	report.Duration = time.Since(start)
 	// Records of its own in the generations, or a state that is not the
-	// checkpoint's, leave the owner with something no checkpoint of its
-	// own covers yet: the next compaction commits it.
-	fb.logged = fb.logged || cp.recapped
+	// checkpoint's, are what no checkpoint of its own covers yet: the
+	// next compaction commits them.
+	fb.logged = owned > 0 || cp.recapped
 	fb.seg = cp.seg
 	fb.owner, fb.report, fb.recovered = opts.Owner, report, true
 	delete(l.uncovered, opts.Owner)
@@ -611,9 +616,11 @@ func (fb *FileBackend) Log() *Log { return fb.log }
 // (Log.Compact): the log rotates and wal.old goes once the checkpoint
 // is committed. Any other cannot retire generations that hold other
 // owners' records, so only its own segment and checkpoint are written —
-// which is what has to happen before it is closed for good, and with
-// nothing sealed since the last compaction is a checkpoint alone.
-// gather must return a consistent view of the current state,
+// which is what has to happen before it is closed for good: with no
+// block sealed since the last compaction a checkpoint alone, and with
+// nothing logged since the last checkpoint nothing at all (gather is
+// not called, no file is touched). gather must return a consistent
+// view of the current state,
 // continuing the blocks the segment holds; mutations logged meanwhile
 // land in the WAL and replay idempotently on recovery. A failure is
 // returned and also kept as the sticky error Sync and Close report.
@@ -637,9 +644,12 @@ func (fb *FileBackend) Flush() error { return fb.log.Flush() }
 
 // Close commits any open window and closes the backend; a backend
 // that owns its log closes the log with it. Closing one that has
-// logged since its last checkpoint, on a log it does not own, leaves
-// its owner uncovered. The store Recover returned reads no segmented
-// body back afterwards. Further calls return ErrBackendClosed.
+// logged since its last checkpoint (or recovered records of its own
+// from the log that no checkpoint has taken in since), on a log it
+// does not own, leaves its owner uncovered; any other leaves it
+// covered, so its next Recover skips the generations. The store
+// Recover returned reads no segmented body back afterwards. Further
+// calls return ErrBackendClosed.
 func (fb *FileBackend) Close() error {
 	l := fb.log
 	if fb.owns {

@@ -220,6 +220,43 @@ func TestOpenLogRefusesUntaggedRecords(t *testing.T) {
 	}
 }
 
+// TestRecoverUnderNewTrustCapCommits: a Recover under another trust cap
+// than its checkpoint records derives a state the checkpoint does not
+// hold, though it reads no record from the log. The next Compact
+// commits it, so a restart that takes the recorded cap finds the new
+// one.
+func TestRecoverUnderNewTrustCapCommits(t *testing.T) {
+	dir := t.TempDir()
+	opts := RecoverOptions{Owner: 4, Params: testParams(), TrustCap: 4}
+	fb, st := openBackend(t, dir, opts)
+	for _, b := range chainFor(t, identity.Deterministic(9, 4), 4, nil) {
+		st.Trust.Add(b.Header.Clone())
+	}
+	bounce := func(st *NodeState) {
+		t.Helper()
+		if err := fb.Compact(func() (*NodeState, error) { return st, nil }); err != nil {
+			t.Fatal(err)
+		}
+		if err := fb.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	bounce(st)
+	opts.TrustCap = 2
+	fb, st = openBackend(t, dir, opts)
+	if st.Trust.Len() != 2 {
+		t.Fatalf("recovered under cap 2 with %d headers", st.Trust.Len())
+	}
+	want := stateBytes(t, st)
+	bounce(st)
+	opts.TrustCap = 0 // the recorded cap
+	fb, st = openBackend(t, dir, opts)
+	defer fb.Close()
+	if st.TrustCap != 2 || !bytes.Equal(stateBytes(t, st), want) {
+		t.Fatalf("restart under the recorded cap found cap %d and %d headers, want the state recovered under cap 2", st.TrustCap, st.Trust.Len())
+	}
+}
+
 func TestFileBackendFreshDir(t *testing.T) {
 	fb, st := openBackend(t, t.TempDir(), RecoverOptions{Owner: 7, Params: testParams()})
 	defer fb.Close()

@@ -241,13 +241,10 @@ func BenchmarkRecoverCold(b *testing.B) {
 	}
 }
 
-// BenchmarkHotpathCheckpoint prices what Silence writes for a device
-// with nothing sealed since the last compaction: a 300-block owner of a
-// shared log (1 KiB bodies, the restart_durable shape) commits its
-// state again, which is its checkpoint alone — tmp, fsync, rename, dir
-// fsync — where the whole-state snapshot it replaced rewrote all 300
-// blocks every time.
-func BenchmarkHotpathCheckpoint(b *testing.B) {
+// checkpointedOwner is the restart_durable shape: a 300-block owner of
+// a shared log (1 KiB bodies) whose segment and checkpoint hold every
+// block. It returns the owner's backend and a gather of its state.
+func checkpointedOwner(b *testing.B) (*FileBackend, *NodeState, func() (*NodeState, error)) {
 	const n = 300
 	key := identity.Deterministic(1, 4)
 	p := testParams()
@@ -256,7 +253,7 @@ func BenchmarkHotpathCheckpoint(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	defer l.Close()
+	b.Cleanup(func() { l.Close() })
 	fb, err := l.OpenBackend(filepath.Join(base, "node-1"))
 	if err != nil {
 		b.Fatal(err)
@@ -286,6 +283,29 @@ func BenchmarkHotpathCheckpoint(b *testing.B) {
 	if err := fb.Compact(gather); err != nil {
 		b.Fatal(err)
 	}
+	return fb, st, gather
+}
+
+// BenchmarkHotpathCheckpoint prices what Silence writes for a device
+// with no block sealed since its checkpoint but one new A_i entry: the
+// checkpoint alone — tmp, fsync, rename, dir fsync — where the
+// whole-state snapshot it replaced rewrote all 300 blocks every time.
+func BenchmarkHotpathCheckpoint(b *testing.B) {
+	fb, st, gather := checkpointedOwner(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		st.Cache.Update(2, digest.Digest{byte(i), byte(i >> 8), byte(i >> 16)})
+		if err := fb.Compact(gather); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkHotpathCheckpointClean prices what Silence writes for a
+// device that logged nothing since its checkpoint: nothing.
+func BenchmarkHotpathCheckpointClean(b *testing.B) {
+	fb, _, gather := checkpointedOwner(b)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -7,10 +7,12 @@ import (
 	"fmt"
 	"io"
 	"io/fs"
+	"maps"
 	"os"
 	"path/filepath"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"syscall"
 	"testing"
 
@@ -814,6 +816,105 @@ func TestCheckpointFaults(t *testing.T) {
 		}
 	}
 }
+
+// TestCleanCompactTouchesNothing: a backend that logged nothing since
+// its checkpoint has nothing to commit, so its Compact opens, renames
+// and fsyncs nothing. Here every one of those fails, and the Compact
+// still returns nil with the data dir as it was; once the owner logs
+// again, the same seams fail its Compact. A whole-log compaction still
+// rotates, and commits the checkpoints of the owners that logged only.
+func TestCleanCompactTouchesNothing(t *testing.T) {
+	var armed atomic.Bool
+	var mu sync.Mutex
+	opened := map[string]int{}
+	seams := []BackendOption{
+		WithWALFile(func(f WALFile) WALFile {
+			mu.Lock()
+			opened[filepath.Base(f.(*os.File).Name())]++
+			mu.Unlock()
+			if armed.Load() {
+				return failingFile{f}
+			}
+			return f
+		}),
+		func(l *Log) {
+			l.rename = func(oldpath, newpath string) error {
+				if armed.Load() {
+					return errInjected
+				}
+				return os.Rename(oldpath, newpath)
+			}
+			l.syncDir = func(dir string) error {
+				if armed.Load() {
+					return errInjected
+				}
+				return syncDir(dir)
+			}
+		},
+	}
+	takeOpened := func() map[string]int {
+		mu.Lock()
+		defer mu.Unlock()
+		out := opened
+		opened = map[string]int{}
+		return out
+	}
+	owners := []identity.NodeID{1, 2}
+	fx := newWorldFixture(t, owners, 4)
+	base := t.TempDir()
+	w := newWorld(t, base, true, seams...)
+	defer func() { w.close() }()
+	for _, o := range owners {
+		w.open(o)
+		w.apply(fx, worldOp{kind: 0, owner: o})
+		w.apply(fx, worldOp{kind: 2, owner: o, arg: 1})
+	}
+	if err := w.compact(); err != nil {
+		t.Fatal(err)
+	}
+
+	// Owner 1 logs, owner 2 does not: the rotation opens a new wal.log,
+	// and one checkpoint is written.
+	w.apply(fx, worldOp{kind: 0, owner: 1})
+	takeOpened()
+	if err := w.compact(); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := takeOpened(), map[string]int{walFileName: 1, segmentFileName: 1, checkpointTmpName: 1}; !maps.Equal(got, want) {
+		t.Fatalf("a compaction with one owner dirty opened %v, want %v", got, want)
+	}
+
+	armed.Store(true)
+	before := dirImage(t, base)
+	for _, o := range owners {
+		st := w.sts[o]
+		if err := w.fbs[o].Compact(func() (*NodeState, error) { return st, nil }); err != nil {
+			t.Fatalf("owner %v, clean: %v", o, err)
+		}
+	}
+	if got := takeOpened(); len(got) != 0 {
+		t.Fatalf("clean compactions opened %v", got)
+	}
+	if err := w.log.Sync(); err != nil {
+		t.Fatalf("clean compactions left an error behind: %v", err)
+	}
+	if after := dirImage(t, base); !maps.EqualFunc(after, before, bytes.Equal) {
+		t.Fatal("clean compactions changed the data dir")
+	}
+	w.apply(fx, worldOp{kind: 2, owner: 1, arg: 2})
+	st := w.sts[1]
+	if err := w.fbs[1].Compact(func() (*NodeState, error) { return st, nil }); !errors.Is(err, errInjected) {
+		t.Fatalf("the compaction of an owner that logged since: %v, want %v", err, errInjected)
+	}
+	armed.Store(false)
+}
+
+// failingFile fails every write, fsync and truncation.
+type failingFile struct{ WALFile }
+
+func (failingFile) Write([]byte) (int, error) { return 0, errInjected }
+func (failingFile) Sync() error               { return errInjected }
+func (failingFile) Truncate(int64) error      { return errInjected }
 
 // dirImage reads every regular file under base, by relative path: a
 // data dir as a crash at this instant would leave it.

@@ -558,9 +558,12 @@ func (l *Log) rotateLocked() error {
 //
 //  1. under mu: fsync wal.log, rename it to wal.old, start an empty
 //     generation (every owner's pending = 0);
-//  2. outside mu, owners side by side: gather each owner's current
-//     state, append the blocks its segment lacks and fsync them, then
-//     commit a checkpoint recording them (tmp + fsync + rename);
+//  2. outside mu: gather the current state of each owner that logged
+//     since its checkpoint, then, owners side by side, append the
+//     blocks its segment lacks and fsync them, and commit a checkpoint
+//     recording them (tmp + fsync + rename). An owner that logged
+//     nothing is skipped: its checkpoint already holds every record of
+//     its in wal.old;
 //  3. delete wal.old, and fsync the data dir best-effort: a wal.old a
 //     power loss brings back holds only records the checkpoints of step
 //     2 hold too, which replay idempotently, and the log does not
@@ -587,7 +590,8 @@ func (l *Log) Compact(gather func(owner identity.NodeID) (*NodeState, error)) er
 // that one view: its owner's state into its own segment and
 // checkpoint, no generation touched — and that one waits its turn
 // instead of leaving it to a next trigger, because the caller is about
-// to close the view.
+// to close the view. A view that logged nothing since its checkpoint
+// has nothing to commit: compact returns nil and touches no file.
 func (l *Log) compact(only *FileBackend, gather func(owner identity.NodeID) (*NodeState, error)) (err error) {
 	if only != nil {
 		l.compactMu.Lock()
@@ -604,15 +608,21 @@ func (l *Log) compact(only *FileBackend, gather func(owner identity.NodeID) (*No
 	for _, v := range l.views {
 		busy = busy || v.staged != nil
 	}
-	if busy {
+	if busy || (only != nil && !only.logged) {
 		l.mu.Unlock()
 		return nil
 	}
-	views := []*FileBackend{only}
-	if only == nil {
-		views = append([]*FileBackend(nil), l.views...)
+	var views []*FileBackend
+	if only != nil {
+		views = []*FileBackend{only}
+	} else {
 		if !l.hasOld {
 			err = l.rotateLocked()
+		}
+		for _, v := range l.views {
+			if v.logged {
+				views = append(views, v)
+			}
 		}
 	}
 	errs := make([]error, len(views))
@@ -635,13 +645,18 @@ func (l *Log) compact(only *FileBackend, gather func(owner identity.NodeID) (*No
 	if err != nil {
 		return err
 	}
-	par.ForEach(len(views), 0, func(i int) {
-		st, err := gather(views[i].owner)
-		if err != nil {
-			errs[i] = fmt.Errorf("ledger: gathering state for compaction: %w", err)
-			return
+	// gather runs here, not in the workers, so it does not escape: the
+	// Compact of a clean backend allocates nothing.
+	sts := make([]*NodeState, len(views))
+	for i, v := range views {
+		if sts[i], errs[i] = gather(v.owner); errs[i] != nil {
+			errs[i] = fmt.Errorf("ledger: gathering state for compaction: %w", errs[i])
 		}
-		errs[i] = views[i].commitState(st)
+	}
+	par.ForEach(len(views), 0, func(i int) {
+		if errs[i] == nil {
+			errs[i] = views[i].commitState(sts[i])
+		}
 	})
 	if err = errors.Join(errs...); err != nil || only != nil {
 		return err

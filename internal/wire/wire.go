@@ -133,9 +133,9 @@ var (
 	ErrBadPayload = errors.New("wire: malformed payload")
 )
 
-// MaxPayload bounds encoded header/block payload sizes (matches the
-// block codec limit plus framing slack).
-const MaxPayload = block.MaxBodyLen + 1<<16
+// MaxPayload bounds payload sizes. It is sized for the longest of them,
+// a BLOCK_RESP carrying the longest block the block codec decodes.
+const MaxPayload = block.MaxEncodedLen
 
 // Message is a single 2LDAG protocol message.
 //

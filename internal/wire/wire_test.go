@@ -29,6 +29,39 @@ func sampleHeader() *block.Header {
 	return &b.Header
 }
 
+// TestBlockRespCarriesTheLongestBlock: a block at every limit a sealer
+// meets — a MaxBodyLen body and MaxDigestRefs Δ entries — encodes within
+// block.MaxEncodedLen, and its BLOCK_RESP round-trips the codec, so an
+// audit can fetch any block the ledger accepts.
+func TestBlockRespCarriesTheLongestBlock(t *testing.T) {
+	key := identity.Deterministic(3, 3)
+	p := block.DefaultParams()
+	p.Difficulty = 0
+	refs := make([]block.DigestRef, block.MaxDigestRefs)
+	for i := range refs {
+		refs[i] = block.DigestRef{Node: identity.NodeID(i), Digest: digest.Sum([]byte{byte(i), byte(i >> 8)})}
+	}
+	b, err := p.Build(key, 1, 1, make([]byte, block.MaxBodyLen), refs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := b.WireSize(); n > block.MaxEncodedLen {
+		t.Fatalf("the block encodes to %d bytes, past MaxEncodedLen %d", n, block.MaxEncodedLen)
+	}
+	resp := NewBlockResp(NewGetBlock(4, 3, b.Header.Ref(), 7, 9), b)
+	got, err := Decode(resp.Encode())
+	if err != nil {
+		t.Fatalf("Decode of the BLOCK_RESP: %v", err)
+	}
+	back, err := block.Decode(got.Payload)
+	if err != nil {
+		t.Fatalf("the BLOCK_RESP's block: %v", err)
+	}
+	if back.Header.Hash() != b.Header.Hash() || !bytes.Equal(back.Body, b.Body) {
+		t.Fatal("the BLOCK_RESP's block differs from the one sent")
+	}
+}
+
 // messagesEqual compares the envelope fields directly and the payload
 // through the encoding: a sender-built RpyChild or BlockResp carries
 // its header or block by reference and has no Payload bytes to compare.

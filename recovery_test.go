@@ -379,6 +379,113 @@ func TestRecoveryFacadeCompaction(t *testing.T) {
 	}
 }
 
+// bounced is what bounceTwice saw: the device, its checkpoint file as
+// the first and the second Silence left it, and its state digest before
+// each bounce and after the second.
+type bounced struct {
+	c             *Cluster
+	id            NodeID
+	first, second os.FileInfo
+	digests       [3]Digest
+}
+
+// bounceTwice runs a durable cluster through a round of blocks, then
+// silences and restarts one device, calls between (nil for no traffic)
+// and bounces the device again.
+func bounceTwice(t *testing.T, between func(c *Cluster, id NodeID)) bounced {
+	t.Helper()
+	dir := t.TempDir()
+	rt, err := New(WithNodes(4), WithSeed(7), WithGamma(1), WithDifficulty(0), WithDataDir(dir))
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { rt.Close() })
+	b := bounced{c: rt.(*Cluster), id: rt.Nodes()[1]}
+	rt.AdvanceSlot()
+	var batch []Submission
+	for _, n := range rt.Nodes() {
+		batch = append(batch, Submission{Node: n, Data: []byte{1, byte(n)}})
+	}
+	if _, err := rt.SubmitBatch(context.Background(), batch); err != nil {
+		t.Fatal(err)
+	}
+	node := filepath.Join(dir, fmt.Sprintf("node-%d", b.id))
+	bounce := func(i int) os.FileInfo {
+		t.Helper()
+		var err error
+		if b.digests[i], err = b.c.StateDigest(b.id); err != nil {
+			t.Fatal(err)
+		}
+		if err := b.c.Silence(b.id); err != nil {
+			t.Fatal(err)
+		}
+		info, err := os.Stat(filepath.Join(node, "checkpoint.2ldg"))
+		if err != nil {
+			t.Fatalf("bounce %d: %v", i, err)
+		}
+		if _, err := os.Stat(filepath.Join(node, "checkpoint.tmp")); !errors.Is(err, os.ErrNotExist) {
+			t.Fatalf("bounce %d left a checkpoint.tmp: %v", i, err)
+		}
+		if err := b.c.Restart(b.id); err != nil {
+			t.Fatal(err)
+		}
+		return info
+	}
+	b.first = bounce(0)
+	if between != nil {
+		between(b.c, b.id)
+	}
+	b.second = bounce(1)
+	if b.digests[2], err = b.c.StateDigest(b.id); err != nil {
+		t.Fatal(err)
+	}
+	return b
+}
+
+// TestSilenceWithNothingNewWritesNothing: a device that logged nothing
+// since its checkpoint is silenced without a write — the checkpoint file
+// the first bounce committed is the one on disk after the second — and
+// comes back the same.
+func TestSilenceWithNothingNewWritesNothing(t *testing.T) {
+	b := bounceTwice(t, nil)
+	if !os.SameFile(b.first, b.second) || b.first.Size() != b.second.Size() || !b.first.ModTime().Equal(b.second.ModTime()) {
+		t.Fatalf("the second Silence rewrote the checkpoint: %d bytes at %v, then %d bytes at %v (same file %v)",
+			b.first.Size(), b.first.ModTime(), b.second.Size(), b.second.ModTime(), os.SameFile(b.first, b.second))
+	}
+	if b.digests[1] != b.digests[0] || b.digests[2] != b.digests[0] {
+		t.Fatalf("state digests %x, %x, %x across two bounces", b.digests[0][:4], b.digests[1][:4], b.digests[2][:4])
+	}
+}
+
+// TestSilenceWithNewBlockRewritesCheckpoint is the dirty twin: a block
+// sealed between the bounces is committed by the second Silence and
+// comes back with the Restart.
+func TestSilenceWithNewBlockRewritesCheckpoint(t *testing.T) {
+	data := []byte("sealed between the bounces")
+	var ref Ref
+	b := bounceTwice(t, func(c *Cluster, id NodeID) {
+		c.AdvanceSlot()
+		refs, err := c.SubmitBatch(context.Background(), []Submission{{Node: id, Data: data}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		ref = refs[0]
+	})
+	if os.SameFile(b.first, b.second) {
+		t.Fatal("the Silence after a new block left the old checkpoint in place")
+	}
+	if b.digests[1] == b.digests[0] || b.digests[2] != b.digests[1] {
+		t.Fatalf("state digests %x, %x, %x: want a new state that survives the bounce", b.digests[0][:4], b.digests[1][:4], b.digests[2][:4])
+	}
+	blk, err := b.c.Block(ref)
+	if err != nil {
+		t.Fatalf("the block sealed between the bounces: %v", err)
+	}
+	if !bytes.Equal(blk.Body, data) {
+		t.Fatalf("the block sealed between the bounces came back with body %q", blk.Body)
+	}
+}
+
 // TestRecoveryRefusesOversizedBody: a device is the only holder of its
 // blocks, so a block its ledger acknowledges but cannot replay is lost.
 // A body longer than block.MaxBodyLen — what the block decoder, WAL
