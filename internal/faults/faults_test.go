@@ -385,7 +385,7 @@ func TestDuplicatedRepliesCompleteEachCallOnce(t *testing.T) {
 	responder = transport.NewRPC(faults.Wrap(ep2, plan, nil, nil), func(env transport.Envelope) {
 		reply := wire.NewNotFound(env.Msg)
 		reply.Digest = env.Msg.Digest // lets the caller tell whose reply it got
-		_ = responder.Reply(ctx, env.From, reply)
+		_ = responder.Transport().Send(ctx, env.From, reply)
 	}, time.Second)
 	defer responder.Close()
 	caller := transport.NewRPC(faults.Wrap(ep1, plan, nil, nil), func(env transport.Envelope) {

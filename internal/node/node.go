@@ -124,9 +124,9 @@ type Node struct {
 
 	// batchFrom is the scratch sender column for DigestBatchDelivered
 	// events on single-sender wire batches. It is only touched from
-	// the RPC dispatch goroutine (handle runs serially), so no lock is
-	// needed, and the event contract lets observers see it only for
-	// the duration of the call.
+	// the RPC dispatch goroutine (handle's announcement arms run
+	// serially), so no lock is needed, and the event contract lets
+	// observers see it only for the duration of the call.
 	batchFrom []identity.NodeID
 
 	// seen is the idempotent-receive guard: per sender, the recent
@@ -277,7 +277,12 @@ func (n *Node) markSeen(from identity.NodeID, fresh []digest.Digest) {
 }
 
 // handle serves unsolicited messages: digest announcements and
-// responder duties.
+// responder duties, on both fabrics the one server of REQ_CHILD and
+// GET_BLOCK. Everything but those two runs serially on the RPC's
+// dispatch goroutine. The in-memory fabric runs the two requests on
+// the requester's goroutine instead (see package transport), alongside
+// dispatch and each other; their arms only read S_i, under the store's
+// own locks, and touch no A_i, ban or rate-guard state.
 func (n *Node) handle(env transport.Envelope) {
 	msg := env.Msg
 	ctx := context.Background()
@@ -292,20 +297,29 @@ func (n *Node) handle(env transport.Envelope) {
 		}
 	case wire.KindReqChild:
 		if h, err := n.engine.Responder().ChildFor(msg.Digest); err == nil {
-			_ = n.rpc.Reply(ctx, msg.From, wire.NewRpyChild(msg, h))
+			n.reply(ctx, msg.From, wire.NewRpyChild(msg, h))
 		} else {
-			_ = n.rpc.Reply(ctx, msg.From, wire.NewNotFound(msg))
+			n.reply(ctx, msg.From, wire.NewNotFound(msg))
 		}
 	case wire.KindGetBlock:
 		if b, err := n.engine.Responder().Block(msg.Ref); err == nil {
-			_ = n.rpc.Reply(ctx, msg.From, wire.NewBlockResp(msg, b))
+			n.reply(ctx, msg.From, wire.NewBlockResp(msg, b))
 		} else {
-			_ = n.rpc.Reply(ctx, msg.From, wire.NewNotFound(msg))
+			n.reply(ctx, msg.From, wire.NewNotFound(msg))
 		}
 	default:
 		// Unknown unsolicited kinds are dropped (authenticated peers
 		// never send them).
 	}
+}
+
+// reply sends a response to a frame handle serves. It goes out on the
+// node's transport, not through n.rpc: a transport may hand handle a
+// frame as soon as NewRPC installs the handler, before New has stored
+// the RPC — on the in-memory fabric a peer's PoP read is served on the
+// peer's own goroutine the moment the node's endpoint has a handler.
+func (n *Node) reply(ctx context.Context, to identity.NodeID, msg *wire.Message) {
+	_ = n.cfg.Transport.Send(ctx, to, msg)
 }
 
 // ack answers an ingested (or already-ingested) announcement with a
@@ -317,7 +331,7 @@ func (n *Node) ack(ctx context.Context, msg *wire.Message) {
 	if !n.cfg.AnnounceAcks || n.engine.FlushJournal() != nil {
 		return
 	}
-	_ = n.rpc.Reply(ctx, msg.From, wire.NewDigestAck(msg))
+	n.reply(ctx, msg.From, wire.NewDigestAck(msg))
 }
 
 // onAnnounceBatch ingests an announcement frame: idempotent-receive

@@ -87,22 +87,29 @@ func (n *Network) Close() error {
 }
 
 // deliverTo hands an envelope to ep, the endpoint of to (nil if there
-// is none): a response goes to its response handler on this
-// goroutine, anything else is enqueued on its inbox and dropped on
-// overflow.
+// is none). A response or a PoP read request goes to ep's response
+// handler when it has one (see the package doc), on this goroutine and
+// outside stateMu: serving a request sends the reply, and a
+// self-addressed request re-enters ep, where a second read lock could
+// wait behind a Close. serving lets Close wait for the call instead.
+// Anything else is enqueued on the inbox and dropped on overflow.
 func deliverTo(ep *Endpoint, to identity.NodeID, env Envelope) error {
 	if ep == nil {
 		return fmt.Errorf("%w: %v", ErrUnknownPeer, to)
 	}
 	ep.stateMu.RLock()
-	defer ep.stateMu.RUnlock()
 	if ep.closed {
+		ep.stateMu.RUnlock()
 		return fmt.Errorf("%w: %v", ErrClosed, to)
 	}
-	if ep.onResponse != nil && solicited(env.Msg) {
-		ep.onResponse(env.Msg)
+	if f := ep.onResponse; f != nil && (solicited(env.Msg) || popRequest(env.Msg)) {
+		ep.serving.Add(1)
+		ep.stateMu.RUnlock()
+		defer ep.serving.Done()
+		f(env.Msg)
 		return nil
 	}
+	defer ep.stateMu.RUnlock()
 	select {
 	case ep.inbox <- env:
 		return nil
@@ -123,6 +130,9 @@ type Endpoint struct {
 	closed     bool
 	onResponse func(*wire.Message)
 	done       chan struct{}
+
+	// serving counts the onResponse calls in flight (deliverTo).
+	serving sync.WaitGroup
 }
 
 var _ Transport = (*Endpoint)(nil)
@@ -176,15 +186,17 @@ func (e *Endpoint) Send(ctx context.Context, to identity.NodeID, msg *wire.Messa
 	return deliverTo(target, to, Envelope{From: e.id, Msg: cp})
 }
 
-// Close implements Transport.
+// Close implements Transport. It returns once no call of the direct
+// handler is in flight: a request being served when Close began has
+// been answered (or its reply failed), and no later one starts.
 func (e *Endpoint) Close() error {
 	e.stateMu.Lock()
-	defer e.stateMu.Unlock()
-	if e.closed {
-		return nil
+	if !e.closed {
+		e.closed = true
+		close(e.done)
+		close(e.inbox)
 	}
-	e.closed = true
-	close(e.done)
-	close(e.inbox)
+	e.stateMu.Unlock()
+	e.serving.Wait()
 	return nil
 }

@@ -179,7 +179,7 @@ func BenchmarkHotpathTCPRoundTrip(b *testing.B) {
 	srv.SetPeer(1, a.Addr())
 	var responder *RPC
 	responder = NewRPC(srv, func(env Envelope) {
-		_ = responder.Reply(context.Background(), env.From, wire.NewRpyChild(env.Msg, &blk.Header))
+		_ = responder.Transport().Send(context.Background(), env.From, wire.NewRpyChild(env.Msg, &blk.Header))
 	}, time.Second)
 	defer responder.Close()
 	caller := NewRPC(a, nil, 5*time.Second)

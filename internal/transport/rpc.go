@@ -19,16 +19,21 @@ var ErrRPCTimeout = errors.New("transport: request timed out")
 // DefaultRPCTimeout is the default τ.
 const DefaultRPCTimeout = 2 * time.Second
 
-// Handler consumes unsolicited (non-response) messages.
+// Handler consumes unsolicited (non-response) messages. The inbox
+// feeds it one frame at a time; on the in-memory fabric it also serves
+// correlated REQ_CHILD and GET_BLOCK frames on their senders'
+// goroutines, concurrently with that and with each other, so serving
+// those two kinds must be safe for concurrent use.
 type Handler func(Envelope)
 
 // RPC multiplexes request/response exchanges over a Transport. It owns
 // the transport's receive side: it installs itself as the transport's
 // response handler, so a response is matched to its pending call by
 // correlation ID on the goroutine that delivered it, and it drains the
-// inbox, passing everything else to the handler one frame at a time
-// (see the package doc). Close the RPC (not the transport directly) to
-// shut down.
+// inbox, passing everything else to the handler one frame at a time.
+// A PoP read request the in-memory fabric delivers directly goes to
+// the handler on the delivering goroutine (see the package doc). Close
+// the RPC (not the transport directly) to shut down.
 type RPC struct {
 	tr      Transport
 	handler Handler
@@ -94,14 +99,22 @@ func (r *RPC) dispatch() {
 	}
 }
 
-// complete is the transport's response handler: it hands resp to the
-// call waiting on its correlation ID. It runs on the delivering
-// goroutine and never blocks. A response no call waits for — late,
-// duplicated, or carrying a correlation ID this RPC never issued — is
-// dropped.
-func (r *RPC) complete(resp *wire.Message) {
-	if c := r.take(resp.Corr); c != nil {
-		c.reply <- resp
+// complete is the transport's response handler, run on the delivering
+// goroutine. A response goes to the call waiting on its correlation ID
+// without blocking; one no call waits for — late, duplicated, or
+// carrying a correlation ID this RPC never issued — is dropped. A PoP
+// read request, which the in-memory fabric delivers here too, is
+// served by the handler right away, as dispatch would have served it,
+// with the frame's From as its sender.
+func (r *RPC) complete(msg *wire.Message) {
+	if !msg.Kind.IsResponse() {
+		if r.handler != nil {
+			r.handler(Envelope{From: msg.From, Msg: msg})
+		}
+		return
+	}
+	if c := r.take(msg.Corr); c != nil {
+		c.reply <- msg
 	}
 }
 
@@ -155,12 +168,6 @@ func (r *RPC) Call(ctx context.Context, to identity.NodeID, build func(corr, non
 		r.take(corr)
 		return nil, ctx.Err()
 	}
-}
-
-// Reply sends a response message (correlation already set by the
-// response constructors in package wire).
-func (r *RPC) Reply(ctx context.Context, to identity.NodeID, msg *wire.Message) error {
-	return r.tr.Send(ctx, to, msg)
 }
 
 // Close shuts down the transport and waits for the dispatch loop.

@@ -5,9 +5,11 @@ import (
 	"encoding/binary"
 	"errors"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
+	"github.com/twoldag/twoldag/internal/block"
 	"github.com/twoldag/twoldag/internal/digest"
 	"github.com/twoldag/twoldag/internal/identity"
 	"github.com/twoldag/twoldag/internal/wire"
@@ -88,22 +90,22 @@ func TestRPCRepliesNeverCross(t *testing.T) {
 				// The first digest byte picks the responder's behaviour.
 				switch req.Digest[0] % 5 {
 				case 0: // prompt
-					_ = responder.Reply(ctx, env.From, echoReply(req))
+					_ = responder.Transport().Send(ctx, env.From, echoReply(req))
 				case 1: // duplicated
-					_ = responder.Reply(ctx, env.From, echoReply(req))
-					_ = responder.Reply(ctx, env.From, echoReply(req))
+					_ = responder.Transport().Send(ctx, env.From, echoReply(req))
+					_ = responder.Transport().Send(ctx, env.From, echoReply(req))
 				case 2: // late: after the caller gave up and moved on
 					late.Add(1)
 					time.AfterFunc(2*timeout, func() {
 						defer late.Done()
-						_ = responder.Reply(ctx, env.From, echoReply(req))
+						_ = responder.Transport().Send(ctx, env.From, echoReply(req))
 					})
 				case 3: // silent
 				case 4: // prompt, after a response nobody asked for
 					forged := echoReply(req)
 					forged.Corr += 1 << 40
-					_ = responder.Reply(ctx, env.From, forged)
-					_ = responder.Reply(ctx, env.From, echoReply(req))
+					_ = responder.Transport().Send(ctx, env.From, forged)
+					_ = responder.Transport().Send(ctx, env.From, echoReply(req))
 				}
 			}, time.Second)
 			caller := NewRPC(a, func(env Envelope) {
@@ -240,7 +242,7 @@ func TestRPCResponseBypassesFullInbox(t *testing.T) {
 	var responder *RPC
 	responder = NewRPC(b, func(env Envelope) {
 		if env.Msg.Kind == wire.KindReqChild {
-			_ = responder.Reply(ctx, env.From, echoReply(env.Msg))
+			_ = responder.Transport().Send(ctx, env.From, echoReply(env.Msg))
 		}
 	}, time.Second)
 	defer responder.Close()
@@ -329,7 +331,7 @@ func TestTCPSelfCallCompletes(t *testing.T) {
 	ctx := context.Background()
 	var r *RPC
 	r = NewRPC(tn, func(env Envelope) {
-		_ = r.Reply(ctx, env.From, echoReply(env.Msg))
+		_ = r.Transport().Send(ctx, env.From, echoReply(env.Msg))
 	}, time.Second)
 	defer r.Close()
 	tag := callTag(3, 3)
@@ -338,5 +340,182 @@ func TestTCPSelfCallCompletes(t *testing.T) {
 	})
 	if err != nil || resp.Digest != tag {
 		t.Fatalf("self call: %v", err)
+	}
+}
+
+// TestRequestServedPastFullInbox: on the in-memory fabric a PoP read
+// request from a Call is served on the caller's goroutine, so with the
+// responder's dispatch parked and its inbox full to the last slot,
+// REQ_CHILD and GET_BLOCK calls still get their answers. A request with
+// correlation 0 is a push like any other: it still queues, and is
+// shed.
+func TestRequestServedPastFullInbox(t *testing.T) {
+	n := NewNetwork()
+	defer n.Close()
+	a, _ := n.Endpoint(1)
+	b, _ := n.Endpoint(2)
+	ctx := context.Background()
+
+	release := make(chan struct{})
+	entered := make(chan struct{})
+	var once sync.Once
+	var responder *RPC
+	responder = NewRPC(b, func(env Envelope) {
+		switch env.Msg.Kind {
+		case wire.KindReqChild, wire.KindGetBlock:
+			_ = responder.Transport().Send(ctx, env.From, echoReply(env.Msg))
+		default:
+			once.Do(func() { close(entered) })
+			<-release
+		}
+	}, time.Second)
+	defer responder.Close()
+	defer close(release)
+	caller := NewRPC(a, nil, 5*time.Second)
+	defer caller.Close()
+
+	// One frame parks the responder's dispatch, inboxCapacity more fill
+	// its queue.
+	if err := a.Send(ctx, 2, announce(1, 2, "park")); err != nil {
+		t.Fatal(err)
+	}
+	<-entered
+	for i := 0; i < inboxCapacity; i++ {
+		if err := a.Send(ctx, 2, announce(1, 2, "fill")); err != nil {
+			t.Fatalf("fill %d: %v", i, err)
+		}
+	}
+	push := wire.NewReqChild(1, 2, callTag(8, 8), 0, 1)
+	if err := a.Send(ctx, 2, push); !errors.Is(err, ErrBackpressure) {
+		t.Fatalf("corr-0 request into a full inbox: %v, want ErrBackpressure", err)
+	}
+	for i, build := range []func(tag digest.Digest, corr, nonce uint64) *wire.Message{
+		func(tag digest.Digest, corr, nonce uint64) *wire.Message {
+			return wire.NewReqChild(1, 2, tag, corr, nonce)
+		},
+		func(tag digest.Digest, corr, nonce uint64) *wire.Message {
+			m := wire.NewGetBlock(1, 2, block.Ref{Node: 2, Seq: 3}, corr, nonce)
+			m.Digest = tag // echoed back, like a REQ_CHILD's target
+			return m
+		},
+	} {
+		tag := callTag(9, i)
+		resp, err := caller.Call(ctx, 2, func(corr, nonce uint64) *wire.Message {
+			return build(tag, corr, nonce)
+		})
+		if err != nil {
+			t.Fatalf("call %d behind a full inbox: %v", i, err)
+		}
+		if resp.Digest != tag {
+			t.Fatalf("call %d: wrong reply", i)
+		}
+	}
+}
+
+// TestRequestsReachInboxWithoutRPC: a transport nobody attached an RPC
+// to queues correlated REQ_CHILD and GET_BLOCK frames on its inbox, on
+// both fabrics — there is no handler to serve them directly.
+func TestRequestsReachInboxWithoutRPC(t *testing.T) {
+	for _, fab := range fabrics {
+		t.Run(fab.name, func(t *testing.T) {
+			a, b := fab.pair(t)
+			ctx := context.Background()
+			reqs := []*wire.Message{
+				wire.NewReqChild(1, 2, digest.Sum([]byte("t")), 7, 9),
+				wire.NewGetBlock(1, 2, block.Ref{Node: 2, Seq: 3}, 8, 10),
+			}
+			for _, m := range reqs {
+				if err := a.Send(ctx, 2, m); err != nil {
+					t.Fatal(err)
+				}
+			}
+			for _, want := range reqs {
+				select {
+				case env := <-b.Inbox():
+					if env.Msg.Kind != want.Kind || env.Msg.Corr != want.Corr {
+						t.Fatalf("inbox got %v corr=%d, want %v corr=%d", env.Msg.Kind, env.Msg.Corr, want.Kind, want.Corr)
+					}
+				case <-time.After(5 * time.Second):
+					t.Fatalf("%v never reached the inbox of a transport without an RPC", want.Kind)
+				}
+			}
+		})
+	}
+}
+
+// TestEndpointCloseWaitsForServes: Close of an in-memory endpoint
+// returns only once the requests it is serving on their callers'
+// goroutines are done, so its owner may release what they read (a
+// device closes its backend after its node). A self-addressed request
+// re-enters the endpoint being closed and must not deadlock there.
+func TestEndpointCloseWaitsForServes(t *testing.T) {
+	for _, self := range []bool{false, true} {
+		name := map[bool]string{false: "peer", true: "self"}[self]
+		t.Run(name, func(t *testing.T) {
+			n := NewNetwork()
+			defer n.Close()
+			a, _ := n.Endpoint(1)
+			b, _ := n.Endpoint(2)
+			server, to := b, identity.NodeID(2)
+			if self {
+				server, to = a, 1
+			}
+			ctx := context.Background()
+			entered, release := make(chan struct{}), make(chan struct{})
+			var served atomic.Bool
+			var responder *RPC
+			responder = NewRPC(server, func(env Envelope) {
+				if env.Msg.Kind != wire.KindReqChild {
+					return
+				}
+				close(entered)
+				<-release
+				_ = responder.Transport().Send(ctx, env.From, echoReply(env.Msg))
+				served.Store(true)
+			}, 200*time.Millisecond)
+			defer responder.Close()
+			caller := responder
+			if !self {
+				caller = NewRPC(a, nil, 200*time.Millisecond)
+				defer caller.Close()
+			}
+			var unpark sync.Once
+			defer unpark.Do(func() { close(release) }) // before the Closes, on a failure
+			called := make(chan struct{})
+			go func() {
+				defer close(called)
+				_, _ = caller.Call(ctx, to, func(corr, nonce uint64) *wire.Message {
+					return wire.NewReqChild(1, to, callTag(1, 1), corr, nonce)
+				})
+			}()
+			<-entered
+			closed := make(chan struct{})
+			go func() {
+				_ = server.Close()
+				close(closed)
+			}()
+			select {
+			case <-closed:
+				t.Fatal("Close returned while a request was being served")
+			case <-time.After(50 * time.Millisecond):
+			}
+			unpark.Do(func() { close(release) })
+			select {
+			case <-closed:
+			case <-time.After(5 * time.Second):
+				t.Fatal("Close never returned after the serve was released")
+			}
+			if !served.Load() {
+				t.Fatal("Close returned before the serve finished")
+			}
+			if err := caller.Transport().Send(ctx, to, wire.NewReqChild(1, to, callTag(1, 2), 99, 1)); err == nil {
+				t.Fatal("a request reached a closed endpoint")
+			}
+			select {
+			case <-called:
+			case <-time.After(5 * time.Second):
+				t.Fatal("the call never returned")
+			}
+		})
 	}
 }

@@ -32,15 +32,36 @@
 // timeout τ. A response nobody waits for (late, duplicated, forged
 // correlation ID) is dropped.
 //
-// Everything else — announcements, requests, acks, membership frames,
-// unsolicited pushes with correlation 0 — is queued on the bounded
-// inbox and handled one frame at a time by the RPC's dispatch
+// On the in-memory fabric that function also gets PoP's two read
+// requests, REQ_CHILD and GET_BLOCK, when a Call sent them (non-zero
+// correlation ID). RPC's completion routine routes them by kind to the RPC's
+// handler, the same one that serves them from the inbox on TCP, so a
+// warm audit runs start to end on the requester's goroutine: the
+// request is answered there, and the reply completes the call there,
+// with no goroutine woken on either side. That is safe because both
+// answers are read-only lookups of S_i under the store's own locks.
+// Such a request is never shed: the requester's goroutine does the
+// work, so its own CPU bounds how many arrive. The fabric runs the
+// handler outside the endpoint's lock (a self-audit re-enters its own
+// endpoint), and Endpoint.Close waits for the calls in flight, so none
+// runs after Close returns.
+//
+// TCP keeps queuing these requests on the inbox. Serving them on the
+// read loops bought nothing measurable over loopback, and it can
+// deadlock: a read loop that blocks writing a reply — a BLOCK_RESP may
+// be up to block.MaxEncodedLen, about 16 MiB — stops draining its
+// connection, and two nodes whose read loops each wait for the other
+// to drain stall for good once the replies outgrow the socket buffers.
+//
+// Everything else — announcements, acks, membership frames, requests
+// on TCP, unsolicited pushes with correlation 0 — is queued on the
+// bounded inbox and handled one frame at a time by the RPC's dispatch
 // goroutine. These are unsolicited: a peer decides how many arrive,
 // and handling one does real work (a store lookup and a reply, an A_i
 // update, observer callbacks), so they need a queue that sheds under
 // overload, and the node's receive path relies on their serial
 // handling. A transport nobody called SetResponseHandler on queues
-// responses on the inbox like any other frame.
+// responses and requests on the inbox like any other frame.
 package transport
 
 import (
@@ -97,8 +118,10 @@ type Transport interface {
 	// SetResponseHandler installs the consumer of response frames
 	// (Kind.IsResponse with a non-zero Corr): from then on they are
 	// passed to f on the delivering goroutine instead of being queued on
-	// the inbox (see the package doc). f must not block. NewRPC calls
-	// it; a transport without a handler queues every frame.
+	// the inbox (see the package doc). The in-memory fabric passes it
+	// correlated REQ_CHILD and GET_BLOCK frames too, and f serves those
+	// there; serving one must not block either. NewRPC calls it; a
+	// transport without a handler queues every frame.
 	SetResponseHandler(f func(*wire.Message))
 	// Close releases resources and closes the inbox.
 	Close() error
@@ -108,4 +131,11 @@ type Transport interface {
 // waiting on — the frames a response handler consumes.
 func solicited(msg *wire.Message) bool {
 	return msg.Corr != 0 && msg.Kind.IsResponse()
+}
+
+// popRequest reports whether msg is one of PoP's two read requests,
+// REQ_CHILD or GET_BLOCK, sent by a Call (non-zero Corr): the frames
+// the in-memory fabric also hands to the response handler.
+func popRequest(msg *wire.Message) bool {
+	return msg.Corr != 0 && (msg.Kind == wire.KindReqChild || msg.Kind == wire.KindGetBlock)
 }

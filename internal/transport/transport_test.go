@@ -144,7 +144,7 @@ func TestRPCRoundTrip(t *testing.T) {
 	// Node 2 answers every REQ_CHILD with NOT_FOUND.
 	var responder *RPC
 	responder = NewRPC(b, func(env Envelope) {
-		_ = responder.Reply(context.Background(), env.From, wire.NewNotFound(env.Msg))
+		_ = responder.Transport().Send(context.Background(), env.From, wire.NewNotFound(env.Msg))
 	}, time.Second)
 	defer responder.Close()
 
@@ -204,7 +204,7 @@ func TestRPCConcurrentCalls(t *testing.T) {
 	b, _ := n.Endpoint(2)
 	var responder *RPC
 	responder = NewRPC(b, func(env Envelope) {
-		_ = responder.Reply(context.Background(), env.From, wire.NewNotFound(env.Msg))
+		_ = responder.Transport().Send(context.Background(), env.From, wire.NewNotFound(env.Msg))
 	}, time.Second)
 	defer responder.Close()
 	caller := NewRPC(a, nil, time.Second)
@@ -270,7 +270,7 @@ func TestTCPRPC(t *testing.T) {
 
 	var responder *RPC
 	responder = NewRPC(b, func(env Envelope) {
-		_ = responder.Reply(context.Background(), env.From, wire.NewNotFound(env.Msg))
+		_ = responder.Transport().Send(context.Background(), env.From, wire.NewNotFound(env.Msg))
 	}, time.Second)
 	defer responder.Close()
 	caller := NewRPC(a, nil, 2*time.Second)
