@@ -968,11 +968,11 @@ func (s *Sim) Silence(id identity.NodeID) error {
 }
 
 // Verify runs a one-off PoP verification from the given validator with
-// a fresh validator instance and no H_i (used by the
-// consensus-probe experiment so probes stay independent). It shares
-// the simulation's header-verification cache: that holds only headers
-// that passed validation under these params and this ring, so no
-// verdict depends on what an earlier probe verified.
+// a fresh validator instance and no H_i (used by the consensus-probe
+// experiment so probes stay independent). It shares the simulation's
+// header-verification cache: that holds only headers that passed
+// validation under these params and this ring, so no verdict depends
+// on what an earlier probe verified.
 func (s *Sim) Verify(validator identity.NodeID, target block.Ref) (*core.Result, error) {
 	v, err := core.NewValidator(core.ValidatorConfig{
 		Self:        validator,

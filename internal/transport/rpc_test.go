@@ -206,22 +206,32 @@ func TestRPCCloseMidCall(t *testing.T) {
 
 // TestResponsesReachInboxWithoutRPC: a transport nobody attached an RPC
 // to queues response frames like any other — what a raw Endpoint or
-// TCPNode user (tests, the benchmark's transport drill) reads.
+// TCPNode user (tests, the benchmark's transport drill) reads — and
+// correlated REQ_CHILD and GET_BLOCK frames too, which the in-memory
+// fabric serves directly only through a handler.
 func TestResponsesReachInboxWithoutRPC(t *testing.T) {
 	for _, fab := range fabrics {
 		t.Run(fab.name, func(t *testing.T) {
 			a, b := fab.pair(t)
-			req := wire.NewReqChild(2, 1, digest.Sum([]byte("t")), 7, 9)
-			if err := a.Send(context.Background(), 2, wire.NewNotFound(req)); err != nil {
-				t.Fatal(err)
+			frames := []*wire.Message{
+				wire.NewNotFound(wire.NewReqChild(2, 1, digest.Sum([]byte("t")), 7, 9)),
+				wire.NewReqChild(1, 2, digest.Sum([]byte("t")), 8, 10),
+				wire.NewGetBlock(1, 2, block.Ref{Node: 2, Seq: 3}, 9, 11),
 			}
-			select {
-			case env := <-b.Inbox():
-				if env.Msg.Kind != wire.KindNotFound || env.Msg.Corr != 7 {
-					t.Fatalf("inbox got %v corr=%d", env.Msg.Kind, env.Msg.Corr)
+			for _, m := range frames {
+				if err := a.Send(context.Background(), 2, m); err != nil {
+					t.Fatal(err)
 				}
-			case <-time.After(5 * time.Second):
-				t.Fatal("response never reached the inbox of a transport without an RPC")
+			}
+			for _, want := range frames {
+				select {
+				case env := <-b.Inbox():
+					if env.Msg.Kind != want.Kind || env.Msg.Corr != want.Corr {
+						t.Fatalf("inbox got %v corr=%d, want %v corr=%d", env.Msg.Kind, env.Msg.Corr, want.Kind, want.Corr)
+					}
+				case <-time.After(5 * time.Second):
+					t.Fatalf("%v never reached the inbox of a transport without an RPC", want.Kind)
+				}
 			}
 		})
 	}
@@ -409,37 +419,6 @@ func TestRequestServedPastFullInbox(t *testing.T) {
 		if resp.Digest != tag {
 			t.Fatalf("call %d: wrong reply", i)
 		}
-	}
-}
-
-// TestRequestsReachInboxWithoutRPC: a transport nobody attached an RPC
-// to queues correlated REQ_CHILD and GET_BLOCK frames on its inbox, on
-// both fabrics — there is no handler to serve them directly.
-func TestRequestsReachInboxWithoutRPC(t *testing.T) {
-	for _, fab := range fabrics {
-		t.Run(fab.name, func(t *testing.T) {
-			a, b := fab.pair(t)
-			ctx := context.Background()
-			reqs := []*wire.Message{
-				wire.NewReqChild(1, 2, digest.Sum([]byte("t")), 7, 9),
-				wire.NewGetBlock(1, 2, block.Ref{Node: 2, Seq: 3}, 8, 10),
-			}
-			for _, m := range reqs {
-				if err := a.Send(ctx, 2, m); err != nil {
-					t.Fatal(err)
-				}
-			}
-			for _, want := range reqs {
-				select {
-				case env := <-b.Inbox():
-					if env.Msg.Kind != want.Kind || env.Msg.Corr != want.Corr {
-						t.Fatalf("inbox got %v corr=%d, want %v corr=%d", env.Msg.Kind, env.Msg.Corr, want.Kind, want.Corr)
-					}
-				case <-time.After(5 * time.Second):
-					t.Fatalf("%v never reached the inbox of a transport without an RPC", want.Kind)
-				}
-			}
-		})
 	}
 }
 

@@ -34,9 +34,9 @@
 //
 // On the in-memory fabric that function also gets PoP's two read
 // requests, REQ_CHILD and GET_BLOCK, when a Call sent them (non-zero
-// correlation ID). RPC's completion routine routes them by kind to the RPC's
-// handler, the same one that serves them from the inbox on TCP, so a
-// warm audit runs start to end on the requester's goroutine: the
+// correlation ID). RPC's completion routine routes them by kind to the
+// RPC's handler, the same one that serves them from the inbox on TCP,
+// so a warm audit runs start to end on the requester's goroutine: the
 // request is answered there, and the reply completes the call there,
 // with no goroutine woken on either side. That is safe because both
 // answers are read-only lookups of S_i under the store's own locks.
@@ -47,11 +47,12 @@
 // runs after Close returns.
 //
 // TCP keeps queuing these requests on the inbox. Serving them on the
-// read loops bought nothing measurable over loopback, and it can
-// deadlock: a read loop that blocks writing a reply — a BLOCK_RESP may
-// be up to block.MaxEncodedLen, about 16 MiB — stops draining its
-// connection, and two nodes whose read loops each wait for the other
-// to drain stall for good once the replies outgrow the socket buffers.
+// read loops bought nothing measurable over loopback in a prototype,
+// and it can deadlock: a read loop that blocks writing a reply — a
+// BLOCK_RESP may be up to block.MaxEncodedLen, about 16 MiB — stops
+// draining its connection, and two nodes whose read loops each wait
+// for the other to drain stall for good once the replies outgrow the
+// socket buffers.
 //
 // Everything else — announcements, acks, membership frames, requests
 // on TCP, unsolicited pushes with correlation 0 — is queued on the

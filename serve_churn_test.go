@@ -81,6 +81,17 @@ type churnAuditor struct {
 	nodes map[NodeID]*node.Node
 }
 
+// set points validator at n; nil takes it out.
+func (a *churnAuditor) set(validator NodeID, n *node.Node) {
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	if n == nil {
+		delete(a.nodes, validator)
+	} else {
+		a.nodes[validator] = n
+	}
+}
+
 func (a *churnAuditor) Audit(ctx context.Context, validator NodeID, ref Ref) (*AuditResult, error) {
 	a.mu.RLock()
 	n := a.nodes[validator]
@@ -92,14 +103,15 @@ func (a *churnAuditor) Audit(ctx context.Context, validator NodeID, ref Ref) (*A
 }
 
 // TestAuditsRaceSilenceAndRestart: on a durable in-memory Cluster,
-// audits fan out through auditMany (the code AuditMany runs) — every
-// device but one auditing its own blocks and the others' — while that
-// one device is silenced and restarted over and over. The in-memory
-// fabric serves REQ_CHILD and GET_BLOCK on the requester's goroutine,
-// so a Silence must wait for the serves in flight on its device before
-// the backend they read closes: no audit hangs, each reaches consensus
-// or returns an error, and no serve runs after its device's Silence
-// returned.
+// audits fan out through auditMany (the code AuditMany runs) — each
+// device auditing its own blocks and others' — while one device is
+// silenced and restarted over and over. The in-memory fabric serves
+// REQ_CHILD and GET_BLOCK on the requester's goroutine, so a Silence
+// must wait for the serves in flight on its device before the backend
+// they read closes, and the device's audits of its own blocks re-enter
+// the endpoint its Silence is closing. No audit hangs, each reaches
+// consensus or returns an error, and no serve runs after its device's
+// Silence returned.
 func TestAuditsRaceSilenceAndRestart(t *testing.T) {
 	rt := newRuntime(t, WithNodes(8), WithGamma(2), WithSeed(7), WithDifficulty(0),
 		WithDataDir(t.TempDir()), WithRequestTimeout(100*time.Millisecond), withWorkers(4))
@@ -117,14 +129,11 @@ func TestAuditsRaceSilenceAndRestart(t *testing.T) {
 	if err := c.Restart(victim); err != nil {
 		t.Fatal(err)
 	}
-	// Each validator audits the first two slots' blocks of its own, of
-	// the victim and of its successor in ID order.
+	// Each device audits the first two slots' blocks of its own, of the
+	// victim and of its successor in ID order.
 	auditor := &churnAuditor{Runtime: rt, nodes: make(map[NodeID]*node.Node)}
 	var reqs []AuditRequest
 	for i, id := range ids {
-		if id == victim {
-			continue // a node's own audits must not race its Silence
-		}
 		auditor.nodes[id] = c.devs[id].Node()
 		for _, ref := range refs[:2*len(ids)] {
 			if ref.Node == id || ref.Node == victim || ref.Node == ids[(i+1)%len(ids)] {
@@ -163,6 +172,18 @@ func TestAuditsRaceSilenceAndRestart(t *testing.T) {
 			}
 		}
 	}()
+	// stopAudits ends the audits on every path out of the test, before
+	// the cluster closes.
+	var halt sync.Once
+	stopAudits := func() {
+		halt.Do(func() { close(stop) })
+		select {
+		case <-done:
+		case <-time.After(time.Minute):
+			t.Error("audits still running a minute after the churn ended")
+		}
+	}
+	defer stopAudits()
 	// nextRound returns once a round of audits that began after the call
 	// has ended: the end of the round in progress, then of the next.
 	nextRound := func() {
@@ -182,6 +203,7 @@ func TestAuditsRaceSilenceAndRestart(t *testing.T) {
 
 	for i := 0; i < 4; i++ {
 		w := watch.newest()
+		auditor.set(victim, nil)
 		if err := c.Silence(victim); err != nil {
 			t.Fatal(err)
 		}
@@ -190,14 +212,10 @@ func TestAuditsRaceSilenceAndRestart(t *testing.T) {
 		if err := c.Restart(victim); err != nil {
 			t.Fatal(err)
 		}
+		auditor.set(victim, c.devs[victim].Node())
 		nextRound()
 	}
-	close(stop)
-	select {
-	case <-done:
-	case <-time.After(time.Minute):
-		t.Fatal("audits still running a minute after the churn ended")
-	}
+	stopAudits()
 
 	var serves, late int64
 	for _, w := range watch.watches {
