@@ -64,7 +64,6 @@ func BenchmarkFig7Storage(b *testing.B) {
 					b.Fatal(err)
 				}
 				r2, err := s.Run()
-				s.Close()
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -95,7 +94,6 @@ func BenchmarkFig7StorageCDF(b *testing.B) {
 			b.Fatal(err)
 		}
 		rep, err := s.Run()
-		s.Close()
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -132,7 +130,6 @@ func BenchmarkFig8Comm(b *testing.B) {
 					b.Fatal(err)
 				}
 				rep, err := s.Run()
-				s.Close()
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -230,7 +227,6 @@ func BenchmarkAblationPathStrategy(b *testing.B) {
 					b.Fatal(err)
 				}
 				rep, err := s.Run()
-				s.Close()
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -263,7 +259,6 @@ func BenchmarkAblationTPS(b *testing.B) {
 					b.Fatal(err)
 				}
 				rep, err := s.Run()
-				s.Close()
 				if err != nil {
 					b.Fatal(err)
 				}

@@ -193,6 +193,7 @@ func TestChaosEquivalence(t *testing.T) {
 // *what*, and counter equality is a statement about the what.
 func TestChaosCountersAreDeterministic(t *testing.T) {
 	plan := FaultPlan{Seed: 105, DropRate: 0.2}
+	setGOMAXPROCS(t, 1)
 	run := func() *metrics.EventCounters {
 		var ec metrics.EventCounters
 		rt, err := New(
@@ -200,7 +201,6 @@ func TestChaosCountersAreDeterministic(t *testing.T) {
 			WithSeed(7),
 			WithGamma(1),
 			WithDifficulty(2),
-			withWorkers(1),
 			WithRequestTimeout(250*time.Millisecond),
 			WithFaults(plan),
 			WithRetryPolicy(chaosRetry()),

@@ -97,7 +97,6 @@ type Cluster struct {
 	seed    int64
 	gamma   int
 	rto     time.Duration
-	workers int
 	tracker *cluster.AckTracker
 	obs     Observer // user observers (may be nil); tracker added per node
 	plan    faults.Plan
@@ -136,7 +135,6 @@ func newCluster(cfg *config, g *topology.Graph) (*Cluster, error) {
 		seed:    cfg.seed,
 		gamma:   cfg.gamma,
 		rto:     cfg.rto,
-		workers: cfg.workers,
 		tracker: cluster.NewAckTracker(),
 		obs:     events.Multi(cfg.observers...),
 		plan:    cfg.faultPlan,
@@ -145,7 +143,7 @@ func newCluster(cfg *config, g *topology.Graph) (*Cluster, error) {
 		dataDir:  cfg.dataDir,
 		trustCap: cfg.trustCap,
 	}
-	c.seal = cluster.Sealer{Workers: cfg.workers, Device: c.device}
+	c.seal = cluster.Sealer{Device: c.device}
 	switch cfg.transport {
 	case TCP:
 		c.fab = &tcpFabric{nodes: make(map[NodeID]*transport.TCPNode)}
@@ -309,14 +307,14 @@ func (c *Cluster) Audit(ctx context.Context, validator NodeID, ref Ref) (*AuditR
 	return d.Node().Audit(ctx, ref)
 }
 
-// AuditMany implements Runtime: audits fan out over a worker pool of
-// GOMAXPROCS goroutines. A node's one PoP validator holds only
+// AuditMany implements Runtime: audits fan out over GOMAXPROCS
+// goroutines. A node's one PoP validator holds only
 // configuration, builds each audit's state afresh and reads shared
 // state that locks for itself (core.Validator), so any mix of
 // validators — the same one several times included — may run
 // concurrently.
 func (c *Cluster) AuditMany(ctx context.Context, reqs []AuditRequest) []AuditOutcome {
-	return auditMany(ctx, c, c.workers, reqs)
+	return auditMany(ctx, c, reqs)
 }
 
 // Block implements Runtime. The returned block is shared store state,

@@ -6,7 +6,7 @@
 //
 // run is the original demo: it generates a connected IoT topology,
 // starts one node runtime per device, submits data blocks in per-slot
-// batches and fans random Proof-of-Path audits out over a worker pool.
+// batches and fans random Proof-of-Path audits out with AuditMany.
 // Note that run's -transport tcp still keeps every node in this one
 // process — each device gets its own loopback TCP listener, but nothing
 // crosses a host boundary. For a real cross-host cluster start one

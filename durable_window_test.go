@@ -66,13 +66,14 @@ func slotBatch(ids []NodeID, perOwner int, tag string) []Submission {
 // a batch of one block per device closes exactly one commit window, of
 // all its blocks; two blocks per device, two — and no block of a round
 // is reported sealed, let alone announced, before its window's fsync
-// has returned. One worker seals each round, or four do.
+// has returned. One goroutine seals each round, or four do.
 func TestSubmitBatchDurableOneWindow(t *testing.T) {
-	for _, workers := range []int{1, 4} {
-		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
+	for _, procs := range []int{1, 4} {
+		t.Run(fmt.Sprintf("workers=%d", procs), func(t *testing.T) {
+			setGOMAXPROCS(t, procs)
 			obs := &windowLog{}
 			rt := compactEvery(newRuntime(t, append(baseOptions(8, 1), WithObserver(obs),
-				WithDataDir(t.TempDir()), withWorkers(workers))...), 3)
+				WithDataDir(t.TempDir()))...), 3)
 			ids := rt.Nodes()
 			ctx := context.Background()
 			// Six blocks per device over a threshold of three: compactions
@@ -212,16 +213,17 @@ func withSyncFaults(f *syncFaults) Option {
 // commit window fails. Nothing of that window is appended to a store,
 // reported sealed, announced, returned or counted as pending; the next
 // batch seals the same sequence numbers and goes through; and the data
-// dir recovers to exactly the state in memory. One worker seals each
-// round, or four do.
+// dir recovers to exactly the state in memory. One goroutine seals
+// each round, or four do.
 func TestSubmitBatchFailedWindowPublishesNothing(t *testing.T) {
-	for _, workers := range []int{1, 4} {
-		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
+	for _, procs := range []int{1, 4} {
+		t.Run(fmt.Sprintf("workers=%d", procs), func(t *testing.T) {
+			setGOMAXPROCS(t, procs)
 			faults := &syncFaults{}
 			obs := &windowLog{}
 			dir := t.TempDir()
 			opts := append(baseOptions(6, 1), WithObserver(obs), WithDataDir(dir),
-				withSyncFaults(faults), withWorkers(workers))
+				withSyncFaults(faults))
 			rt, err := New(opts...)
 			if err != nil {
 				t.Fatal(err)

@@ -3,7 +3,7 @@
 // the factory's digital twin audits readings before trusting them for
 // maintenance decisions, and detects when a reading's provenance cannot
 // be established. The compliance sweep at the end fans its audits out
-// over the runtime's bounded worker pool in one AuditMany call.
+// over GOMAXPROCS goroutines in one AuditMany call.
 package main
 
 import (
@@ -94,7 +94,7 @@ func main() {
 
 	// Periodic compliance sweep: one reading per shift from the older
 	// half of the lake — readings become auditable once the DAG has
-	// grown past them — audited concurrently over the worker pool.
+	// grown past them — audited concurrently in one AuditMany call.
 	reqs := make([]twoldag.AuditRequest, 0, shifts/2)
 	for shift := 1; shift <= shifts/2; shift++ {
 		r := lake[(shift-1)*machines+rng.Intn(machines)]

@@ -189,7 +189,6 @@ func Fig7(scale Scale) ([]*FigResult, error) {
 			return nil, err
 		}
 		r2, err := s2.Run()
-		s2.Close()
 		if err != nil {
 			return nil, err
 		}
@@ -377,7 +376,6 @@ func Ablations(scale Scale) ([]*FigResult, error) {
 			return nil, err
 		}
 		r2, err := s2.Run()
-		s2.Close()
 		if err != nil {
 			return nil, err
 		}
@@ -397,7 +395,6 @@ func Ablations(scale Scale) ([]*FigResult, error) {
 			return nil, err
 		}
 		r2, err := s2.Run()
-		s2.Close()
 		if err != nil {
 			return nil, err
 		}
@@ -459,7 +456,6 @@ func ScalingCurve(scale Scale) ([]*FigResult, error) {
 		start := time.Now()
 		r2, err := s2.Run()
 		elapsed := time.Since(start)
-		s2.Close()
 		if err != nil {
 			return nil, err
 		}

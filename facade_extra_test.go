@@ -17,10 +17,11 @@ func TestSparseTopologyFacade(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	setGOMAXPROCS(t, 4)
 	for name, g := range map[string]*Topology{"smallworld": sw, "geoclustered": gc} {
 		rt, err := New(
 			WithSimulator(), WithTopology(g), WithSeed(9),
-			WithGamma(3), WithDifficulty(0), withWorkers(4),
+			WithGamma(3), WithDifficulty(0),
 		)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)

@@ -308,8 +308,7 @@ func (h *Host) startNode() error {
 		return err
 	}
 	h.seal = Sealer{
-		Workers: 1,
-		Device:  func(identity.NodeID) (*Device, error) { return h.dev, nil },
+		Device: func(identity.NodeID) (*Device, error) { return h.dev, nil },
 	}
 	if fb != nil {
 		// The device has recovered: compact what the log held, as a

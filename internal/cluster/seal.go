@@ -34,9 +34,6 @@ type Sealer struct {
 	// CompactEvery overrides DefaultCompactEvery when positive. Tests
 	// set it to compact at small block counts; the drivers leave it 0.
 	CompactEvery int
-	// Workers bounds the goroutines that seal a round side by side (0 =
-	// GOMAXPROCS; 1 seals on the caller in batch order).
-	Workers int
 	// Device resolves a running device: a submission's owner, or a log
 	// owner whose state a compaction gathers.
 	Device func(identity.NodeID) (*Device, error)
@@ -112,7 +109,7 @@ func (s *Sealer) Seal(batch []Submission) ([]block.Ref, []Sealed, error) {
 		if len(round) == 0 {
 			break
 		}
-		par.ForEach(len(round), s.Workers, func(k int) {
+		par.ForEach(len(round), func(k int) {
 			sl := &round[k]
 			if int64(sl.i) > failed.Load() {
 				return

@@ -30,8 +30,8 @@
 //   - PeerRecovered  — a recovery probe succeeded and the peer was
 //     re-admitted.
 //
-// Observers may be invoked concurrently from generation and audit
-// worker pools; implementations must be safe for concurrent use.
+// Observers may be invoked concurrently from parallel generation and
+// audit phases; implementations must be safe for concurrent use.
 // Observer calls sit on protocol hot paths — keep them cheap and
 // non-blocking (count, sample or enqueue; never do I/O inline).
 package events

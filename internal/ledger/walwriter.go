@@ -653,7 +653,7 @@ func (l *Log) compact(only *FileBackend, gather func(owner identity.NodeID) (*No
 			errs[i] = fmt.Errorf("ledger: gathering state for compaction: %w", errs[i])
 		}
 	}
-	par.ForEach(len(views), 0, func(i int) {
+	par.ForEach(len(views), func(i int) {
 		if errs[i] == nil {
 			errs[i] = views[i].commitState(sts[i])
 		}

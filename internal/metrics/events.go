@@ -12,10 +12,10 @@ import (
 // into atomic counters. It replaces the ad-hoc per-driver tallies the
 // simulator and the experiment harness used to keep: both drivers emit
 // the same events, so one counter type serves every deployment shape.
-// All methods are safe for concurrent use from generation and audit
-// worker pools; because atomic addition is commutative the final
+// All methods are safe for concurrent use from parallel generation
+// and audit phases; because atomic addition is commutative the final
 // totals are independent of scheduling order, which keeps
-// deterministic-simulator reports reproducible under any worker count.
+// deterministic-simulator reports reproducible under any GOMAXPROCS.
 type EventCounters struct {
 	blocksSealed     atomic.Int64
 	digestsAnnounced atomic.Int64

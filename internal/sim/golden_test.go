@@ -26,20 +26,19 @@ func reportHash(t *testing.T, r *Report) string {
 // refactors of the slot scheduler: the hashes were taken on an earlier
 // scheduler and every change since must reproduce them. The inputs are
 // the churn run (silent malicious nodes, retention accounting, a
-// mid-run Silence and JoinNode) at one and four workers, and a capped
+// mid-run Silence and JoinNode) at GOMAXPROCS 1 and 4, and a capped
 // trust store under randomized generation periods.
 func TestReportGolden(t *testing.T) {
-	periodic := func(workers int) *Report {
+	periodic := func(procs int) *Report {
 		t.Helper()
+		setGOMAXPROCS(t, procs)
 		cfg := smallConfig(7)
 		cfg.RandomPeriodMax = 3
 		cfg.TrustCap = 8
-		cfg.Workers = workers
 		s, err := New(cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
-		defer s.Close()
 		rep, err := s.Run()
 		if err != nil {
 			t.Fatal(err)
@@ -50,12 +49,12 @@ func TestReportGolden(t *testing.T) {
 		churnWant    = "4ffccb0ab085d86acb33f8cce2f90568a245774192494e5818eea8911ca50d9d"
 		periodicWant = "20f88c900a00419a74538ae54002faabec1a80818287fb67a036e683c872256f"
 	)
-	for _, workers := range []int{1, 4} {
-		if got := reportHash(t, churnRun(t, workers)); got != churnWant {
-			t.Errorf("churn run, workers=%d: report hash %s, want %s", workers, got, churnWant)
+	for _, procs := range []int{1, 4} {
+		if got := reportHash(t, churnRun(t, procs)); got != churnWant {
+			t.Errorf("churn run, GOMAXPROCS=%d: report hash %s, want %s", procs, got, churnWant)
 		}
-		if got := reportHash(t, periodic(workers)); got != periodicWant {
-			t.Errorf("trust cap + random periods, workers=%d: report hash %s, want %s", workers, got, periodicWant)
+		if got := reportHash(t, periodic(procs)); got != periodicWant {
+			t.Errorf("trust cap + random periods, GOMAXPROCS=%d: report hash %s, want %s", procs, got, periodicWant)
 		}
 	}
 }

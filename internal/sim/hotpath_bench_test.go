@@ -13,7 +13,7 @@ import (
 // paper's 50-node scale: one op delivers a full slot's digests (one
 // per node) to every live neighbor's A_i cache through the
 // receiver-centric path phase 2 rides — grouped by receiver, one
-// Engine.OnDigestBatch per receiver on the worker pool, zero
+// Engine.OnDigestBatch per receiver in parallel, zero
 // allocations per flush. It is the simulator's only announcement
 // path; the sub-benchmark name keeps the guarded baseline row.
 func BenchmarkAnnounceBatch(b *testing.B) {
@@ -24,7 +24,6 @@ func BenchmarkAnnounceBatch(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		b.Cleanup(s.Close)
 		froms := make([]identity.NodeID, len(s.ids))
 		ds := make([]digest.Digest, len(s.ids))
 		for i, id := range s.ids {
@@ -42,20 +41,24 @@ func BenchmarkAnnounceBatch(b *testing.B) {
 }
 
 // BenchmarkHotpathSimStep measures one full simulated run (generation,
-// announcement, audits) under the serial scheduler and the parallel
-// worker pool. Both produce byte-identical reports (see
-// TestParallelSchedulerIsDeterministic); the difference is wall clock.
-// The n=10k variant is the scale benchmark behind ROADMAP item 5: a
-// 10k-node small-world network stepping three slots with audits live
-// (VerifyLag below the horizon) on the chunked phases and one plain
-// store per node, so ns/op tracks per-slot cost at scale.
+// announcement, audits) under the serial scheduler (GOMAXPROCS 1) and
+// the parallel one (the process's GOMAXPROCS). Both produce
+// byte-identical reports (see TestParallelSchedulerIsDeterministic);
+// the difference is wall clock. The n=10k variant is the scale
+// benchmark behind ROADMAP item 5: a 10k-node small-world network
+// stepping three slots with audits live (VerifyLag below the horizon)
+// on the per-node par.ForEach phases and one plain store per node, so
+// ns/op tracks per-slot cost at scale.
 func BenchmarkHotpathSimStep(b *testing.B) {
-	for _, workers := range []int{1, 0} {
+	for _, serial := range []bool{true, false} {
 		name := "serial"
-		if workers == 0 {
+		if !serial {
 			name = "parallel"
 		}
 		b.Run(name, func(b *testing.B) {
+			if serial {
+				setGOMAXPROCS(b, 1)
+			}
 			for i := 0; i < b.N; i++ {
 				s, err := New(Config{
 					Topo:      topology.Config{Nodes: 16, Width: 320, Height: 320, Range: 100, Seed: 1},
@@ -63,13 +66,11 @@ func BenchmarkHotpathSimStep(b *testing.B) {
 					Slots:     30,
 					BodyBytes: 500_000,
 					Gamma:     5,
-					Workers:   workers,
 				})
 				if err != nil {
 					b.Fatal(err)
 				}
 				_, err = s.Run()
-				s.Close()
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -98,7 +99,6 @@ func BenchmarkHotpathSimStep(b *testing.B) {
 				b.Fatal(err)
 			}
 			rep, err := s.Run()
-			s.Close()
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -119,12 +119,10 @@ func BenchmarkHotpathAuditRepeat(b *testing.B) {
 		Slots:     20,
 		BodyBytes: 500_000,
 		Gamma:     5,
-		Workers:   1,
 	})
 	if err != nil {
 		b.Fatal(err)
 	}
-	b.Cleanup(s.Close)
 	if _, err := s.Run(); err != nil {
 		b.Fatal(err)
 	}

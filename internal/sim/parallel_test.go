@@ -2,29 +2,39 @@ package sim
 
 import (
 	"reflect"
+	"runtime"
 	"testing"
+	"time"
 
 	"github.com/twoldag/twoldag/internal/attack"
 	"github.com/twoldag/twoldag/internal/identity"
 	"github.com/twoldag/twoldag/internal/topology"
 )
 
-// churnRun drives the slotted scheduler through a run with mid-run
-// membership churn: a stretch of slots, then a Silence and a JoinNode,
-// then more slots. Two nodes are silent-malicious and retention is
-// accounted.
-func churnRun(t *testing.T, workers int) *Report {
+// setGOMAXPROCS sets the width of every par.ForEach — the slot
+// phases' — for the rest of the test and restores the old one
+// afterwards. Tests that use it must not run in parallel: GOMAXPROCS
+// is process-wide.
+func setGOMAXPROCS(t testing.TB, n int) {
+	old := runtime.GOMAXPROCS(n)
+	t.Cleanup(func() { runtime.GOMAXPROCS(old) })
+}
+
+// churnRun drives the slotted scheduler at GOMAXPROCS procs through a
+// run with mid-run membership churn: a stretch of slots, then a
+// Silence and a JoinNode, then more slots. Two nodes are
+// silent-malicious and retention is accounted.
+func churnRun(t *testing.T, procs int) *Report {
 	t.Helper()
+	setGOMAXPROCS(t, procs)
 	cfg := smallConfig(42)
 	cfg.Malicious = 2
 	cfg.Behavior = attack.KindSilent
 	cfg.RetainVerifiedBlocks = true
-	cfg.Workers = workers
 	s, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer s.Close()
 	if err := s.RunSlots(14); err != nil {
 		t.Fatal(err)
 	}
@@ -73,11 +83,11 @@ func churnRun(t *testing.T, workers int) *Report {
 // TestParallelSchedulerIsDeterministic asserts the acceptance criterion
 // of the parallel slot scheduler: the same Seed must produce an
 // identical Report — every storage/comm/consensus series and per-node
-// sample — for any worker count, including the serial fallback, on
+// sample — at any GOMAXPROCS, including the serial fallback, on
 // sparse generated topologies as well as the default random-geometric
 // one, and across mid-run Silence/JoinNode churn. All three slot
-// phases run range-chunked on the worker pool, so this covers the
-// receiver-batched announcement phase too: per-receiver batches keep
+// phases are par.ForEach fan-outs, so this covers the receiver-batched
+// announcement phase too: per-receiver batches keep
 // (sender, slot-order) ordering, making cache contents — and hence the
 // Report — independent of delivery scheduling.
 func TestParallelSchedulerIsDeterministic(t *testing.T) {
@@ -103,19 +113,18 @@ func TestParallelSchedulerIsDeterministic(t *testing.T) {
 	}
 	for _, tc := range topos {
 		t.Run(tc.name, func(t *testing.T) {
-			run := func(workers int) *Report {
+			run := func(procs int) *Report {
 				t.Helper()
+				setGOMAXPROCS(t, procs)
 				cfg := smallConfig(42)
 				cfg.Graph = tc.graph(t)
 				cfg.Malicious = 2
 				cfg.Behavior = attack.KindSilent
 				cfg.RetainVerifiedBlocks = true
-				cfg.Workers = workers
 				s, err := New(cfg)
 				if err != nil {
 					t.Fatal(err)
 				}
-				defer s.Close()
 				rep, err := s.Run()
 				if err != nil {
 					t.Fatal(err)
@@ -126,24 +135,24 @@ func TestParallelSchedulerIsDeterministic(t *testing.T) {
 		})
 	}
 	t.Run("churn", func(t *testing.T) {
-		checkWorkers(t, func(workers int) *Report { return churnRun(t, workers) })
+		checkWorkers(t, func(procs int) *Report { return churnRun(t, procs) })
 	})
 }
 
-// checkWorkers requires run to report identically at 2 and 8 workers
-// as it does serially.
-func checkWorkers(t *testing.T, run func(workers int) *Report) {
+// checkWorkers requires run to report identically at GOMAXPROCS 2 and
+// 8 as it does serially, at GOMAXPROCS 1.
+func checkWorkers(t *testing.T, run func(procs int) *Report) {
 	t.Helper()
 	serial := run(1)
-	for _, workers := range []int{2, 8} {
-		if got := run(workers); !reflect.DeepEqual(serial, got) {
-			t.Fatalf("Workers=%d diverged from serial run:\nserial:   %+v\nparallel: %+v", workers, serial, got)
+	for _, procs := range []int{2, 8} {
+		if got := run(procs); !reflect.DeepEqual(serial, got) {
+			t.Fatalf("GOMAXPROCS=%d diverged from serial run:\nserial:   %+v\nparallel: %+v", procs, serial, got)
 		}
 	}
 }
 
-// TestParallelSchedulerRepeatable runs the default (GOMAXPROCS) worker
-// pool twice: scheduling jitter must never leak into the report.
+// TestParallelSchedulerRepeatable runs the default (GOMAXPROCS-wide)
+// schedule twice: scheduling jitter must never leak into the report.
 func TestParallelSchedulerRepeatable(t *testing.T) {
 	run := func() *Report {
 		t.Helper()
@@ -166,22 +175,22 @@ func TestParallelSchedulerRepeatable(t *testing.T) {
 	}
 }
 
-// TestParallelAuditsOnHealthyNetwork runs a long multi-worker schedule
-// with a short verification lag, so every slot's audit phase has four
-// workers walking paths through the same responders' stores. Under
+// TestParallelAuditsOnHealthyNetwork runs a long schedule at
+// GOMAXPROCS 4 with a short verification lag, so every slot's audit
+// phase has four goroutines walking paths through the same responders'
+// stores. Under
 // -race this pins the shared read path of the audit phase; on a
 // network with no malicious node every audit must reach consensus.
 func TestParallelAuditsOnHealthyNetwork(t *testing.T) {
 	cfg := smallConfig(99)
 	cfg.Slots = 40
 	cfg.VerifyLag = 6
-	cfg.Workers = 4
+	setGOMAXPROCS(t, 4)
 	cfg.RetainVerifiedBlocks = true
 	s, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer s.Close()
 	rep, err := s.Run()
 	if err != nil {
 		t.Fatal(err)
@@ -191,5 +200,28 @@ func TestParallelAuditsOnHealthyNetwork(t *testing.T) {
 	}
 	if rep.Failures != 0 {
 		t.Fatalf("%d/%d honest audits failed on a healthy network", rep.Failures, rep.Audits)
+	}
+}
+
+// TestSimHoldsNoGoroutines: a Sim keeps no goroutine between calls,
+// so one that is built, run and dropped without any teardown leaves
+// the process's goroutine count where it found it.
+func TestSimHoldsNoGoroutines(t *testing.T) {
+	setGOMAXPROCS(t, 4)
+	before := runtime.NumGoroutine()
+	s, err := New(smallConfig(3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.Run(); err != nil {
+		t.Fatal(err)
+	}
+	// Goroutines that returned may take a moment to leave the count.
+	deadline := time.Now().Add(2 * time.Second)
+	for runtime.NumGoroutine() > before && time.Now().Before(deadline) {
+		time.Sleep(10 * time.Millisecond)
+	}
+	if after := runtime.NumGoroutine(); after > before {
+		t.Fatalf("%d goroutines before building the Sim, %d after its run", before, after)
 	}
 }

@@ -82,38 +82,31 @@ func RunProbe(cfg ProbeConfig) (*ProbeReport, error) {
 		var target block.Ref
 		haveTarget := false
 		pi := 0
-		trialErr := func() error {
-			defer s.Close()
-			for slot := 1; slot <= cfg.MaxSlots; slot++ {
-				if err := s.Step(); err != nil {
-					return err
-				}
-				if !haveTarget && slot >= cfg.TargetWindow {
-					target, err = pickProbeTarget(s, cfg.TargetWindow, trialRNG)
-					if err != nil {
-						return err
-					}
-					haveTarget = true
-				}
-				if pi < len(probeSlots) && probeSlots[pi] == slot {
-					failed := true
-					if haveTarget {
-						validator, ok := pickHonestValidator(s, target.Node, trialRNG)
-						if ok {
-							res, verr := s.Verify(validator, target)
-							failed = verr != nil || !res.Consensus
-						}
-					}
-					if failed {
-						failures[pi]++
-					}
-					pi++
-				}
+		for slot := 1; slot <= cfg.MaxSlots; slot++ {
+			if err := s.Step(); err != nil {
+				return nil, err
 			}
-			return nil
-		}()
-		if trialErr != nil {
-			return nil, trialErr
+			if !haveTarget && slot >= cfg.TargetWindow {
+				target, err = pickProbeTarget(s, cfg.TargetWindow, trialRNG)
+				if err != nil {
+					return nil, err
+				}
+				haveTarget = true
+			}
+			if pi < len(probeSlots) && probeSlots[pi] == slot {
+				failed := true
+				if haveTarget {
+					validator, ok := pickHonestValidator(s, target.Node, trialRNG)
+					if ok {
+						res, verr := s.Verify(validator, target)
+						failed = verr != nil || !res.Consensus
+					}
+				}
+				if failed {
+					failures[pi]++
+				}
+				pi++
+			}
 		}
 	}
 

@@ -14,10 +14,10 @@
 // successful audits (Config.RetainVerifiedBlocks, which the Fig. 7
 // flow of package experiments turns on).
 //
-// Each slot runs its phases on one worker pool behind barriers (see
-// Step). Every random choice inside a slot draws from a per-node
-// stream, so the Report is a pure function of the Config —
-// byte-identical for every worker count on the same Seed.
+// Each slot runs its phases as GOMAXPROCS-wide fan-outs behind
+// barriers (see Step). Every random choice inside a slot draws from a
+// per-node stream, so the Report is a pure function of the Config —
+// byte-identical for any GOMAXPROCS on the same Seed.
 package sim
 
 import (
@@ -93,13 +93,6 @@ type Config struct {
 	// Difficulty is the PoW difficulty ρ; simulations default to 0 so
 	// runs stay fast (cost accounting never depends on ρ).
 	Difficulty pow.Difficulty
-	// Workers bounds the goroutines running each slot's generation,
-	// announcement and audit phases: 0 uses GOMAXPROCS, 1 runs every
-	// phase inline. It is the scheduler's only knob. Each phase hands
-	// its workers contiguous ranges of nodes (par.Pool.RunChunked), and
-	// every random choice inside a slot draws from a per-node stream,
-	// so a given Seed produces an identical Report for any worker count.
-	Workers int
 	// SampleMemStats fills Report.Mem with process heap statistics at
 	// Finalize (two forced collections, then runtime.ReadMemStats). Off
 	// by default: the sample reflects the whole process, not just this
@@ -109,8 +102,8 @@ type Config struct {
 	SampleMemStats bool
 	// Observer, when non-nil, receives the typed event stream
 	// (internal/events): block seals, digest deliveries, audit hops and
-	// outcomes. Generation and audit phases run on a worker pool, so
-	// the observer must be safe for concurrent use. The Report stays a
+	// outcomes. Generation and audit phases fan out over goroutines,
+	// so the observer must be safe for concurrent use. The Report stays a
 	// pure function of the Config regardless of observer behavior.
 	Observer events.Observer
 }
@@ -168,9 +161,9 @@ func (c *commCell) totalBits() int64 {
 }
 
 // Sim is a running simulation. Build with New; Step/Run must not be
-// called concurrently (each Step fans its per-node work out over a
-// persistent worker pool). Call Close when done to release the pool's
-// goroutines.
+// called concurrently (each Step fans its per-node work out with
+// par.ForEach). A Sim holds no goroutines between calls, so there is
+// nothing to close.
 type Sim struct {
 	cfg    Config
 	graph  *topology.Graph
@@ -178,10 +171,6 @@ type Sim struct {
 	params block.Params
 	ring   *identity.Ring
 	rng    *rand.Rand
-
-	// pool runs every slot phase: generation, announcement and audits.
-	pool   *par.Pool
-	closed bool
 
 	// Per-node state is ordinal-indexed: ids assigns each node a dense
 	// ordinal at join, idx inverts it, and everything else is a slice
@@ -200,7 +189,7 @@ type Sim struct {
 	vcache *block.VerifyCache
 	// nodeRNG[i] is node i's private random stream; all of a node's
 	// per-slot draws (body bytes, audit target, selection tie-breaks)
-	// come from it, so slot outcomes are independent of worker
+	// come from it, so slot outcomes are independent of goroutine
 	// scheduling.
 	nodeRNG []*rand.Rand
 	// vmu[i] serializes externally driven audits per validator
@@ -375,7 +364,6 @@ func New(cfg Config) (*Sim, error) {
 		}
 		s.validators[i] = v
 	}
-	s.pool = par.NewPool(cfg.Workers)
 	return s, nil
 }
 
@@ -431,14 +419,6 @@ func (s *Sim) behaviorOf(id identity.NodeID) attack.Behavior {
 	return attack.Honest{}
 }
 
-// Close releases the worker pool's goroutines. The accumulated report
-// stays readable through Finalize; Step fails afterwards, and Run and
-// the external-drive verbs must not be called. Idempotent.
-func (s *Sim) Close() {
-	s.closed = true
-	s.pool.Close()
-}
-
 // Graph returns the physical topology.
 func (s *Sim) Graph() *topology.Graph { return s.graph }
 
@@ -490,8 +470,8 @@ func (s *Sim) blockModelBits(h *block.Header) int64 {
 //     start-of-slot digest cache, in parallel (a node's generation only
 //     touches its own engine and RNG stream).
 //  2. Announcement — the slot's digests are grouped by receiver and
-//     ingested as one per-receiver batch (Engine.OnDigestBatch) on the
-//     worker pool: each receiver's A_i is touched by exactly one
+//     ingested as one per-receiver batch (Engine.OnDigestBatch), in
+//     parallel: each receiver's A_i is touched by exactly one
 //     goroutine, so delivery parallelizes without contention. Inside a
 //     batch the (sender, digest) pairs keep slot order, so cache
 //     contents are those of applying the slot's announcements one by
@@ -500,16 +480,14 @@ func (s *Sim) blockModelBits(h *block.Header) int64 {
 //     parallel; responder comm charges are atomic, and all random
 //     draws come from the auditing node's own stream.
 //
-// The phases run on the worker pool behind full barriers, so every
-// slot keeps synchronous semantics: blocks generated in slot t
-// reference digests announced in slots < t, and audits in slot t see
-// all blocks through slot t. The slot closes with the same snapshot
-// the external drive takes on AdvanceSlot, and the report is a pure
-// function of the Config, independent of the worker count.
+// Each phase is one par.ForEach over its nodes, and ForEach returns
+// only when every call has, so the phases are separated by full
+// barriers and every slot keeps synchronous semantics: blocks
+// generated in slot t reference digests announced in slots < t, and
+// audits in slot t see all blocks through slot t. The slot closes with
+// the same snapshot the external drive takes on AdvanceSlot, and the
+// report is a pure function of the Config, independent of GOMAXPROCS.
 func (s *Sim) Step() error {
-	if s.closed {
-		return fmt.Errorf("%w: Step on a closed simulation", ErrBadConfig)
-	}
 	s.slot++
 	var gens []int
 	for i := range s.ids {
@@ -521,10 +499,9 @@ func (s *Sim) Step() error {
 		}
 	}
 
-	// Phase 1: parallel block generation, chunked so each worker claims
-	// a contiguous range of generators and reuses one body buffer across
-	// it (Engine's Build copies the body out). Which worker generates
-	// which node is irrelevant to the outcome: every draw comes from the
+	// Phase 1: parallel block generation. Every generator takes its body
+	// from one slab allocated per Step. Which goroutine generates which
+	// node is irrelevant to the outcome: every draw comes from the
 	// node's own stream.
 	type genResult struct {
 		ref block.Ref
@@ -532,29 +509,28 @@ func (s *Sim) Step() error {
 		err error
 	}
 	results := make([]genResult, len(gens))
-	s.pool.RunChunked(len(gens), func(lo, hi int) {
-		body := make([]byte, syntheticBodyBytes)
-		for k := lo; k < hi; k++ {
-			i := gens[k]
-			id := s.ids[i]
-			s.nodeRNG[i].Read(body)
-			b, d, err := s.seal(i, body)
-			if err != nil {
-				results[k] = genResult{err: fmt.Errorf("sim: slot %d: %w", s.slot, err)}
-				continue
-			}
-			// DAG construction traffic: one digest per neighbor (Sec. III-D).
-			deg := s.graph.Degree(id)
-			s.comm[i].add(metrics.Construction, int64(deg)*int64(s.model.DigestBits()))
-			s.obs.OnBlockSealed(events.BlockSealed{
-				Node: id, Ref: b.Header.Ref(), Digest: d, Slot: uint32(s.slot),
-			})
-			results[k] = genResult{ref: b.Header.Ref(), dig: d}
+	bodies := make([]byte, len(gens)*syntheticBodyBytes)
+	par.ForEach(len(gens), func(k int) {
+		i := gens[k]
+		id := s.ids[i]
+		body := bodies[k*syntheticBodyBytes : (k+1)*syntheticBodyBytes]
+		s.nodeRNG[i].Read(body)
+		b, d, err := s.seal(i, body)
+		if err != nil {
+			results[k] = genResult{err: fmt.Errorf("sim: slot %d: %w", s.slot, err)}
+			return
 		}
+		// DAG construction traffic: one digest per neighbor (Sec. III-D).
+		deg := s.graph.Degree(id)
+		s.comm[i].add(metrics.Construction, int64(deg)*int64(s.model.DigestBits()))
+		s.obs.OnBlockSealed(events.BlockSealed{
+			Node: id, Ref: b.Header.Ref(), Digest: d, Slot: uint32(s.slot),
+		})
+		results[k] = genResult{ref: b.Header.Ref(), dig: d}
 	})
 
 	// Phase 2: bookkeeping in node order, then receiver-centric batched
-	// announcement on the worker pool. The whole slot's generation must
+	// announcement in parallel. The whole slot's generation must
 	// validate before anything is announced (sealed-delivery contract:
 	// a slot's announcements flush atomically or not at all).
 	senders := s.annSenders[:0]
@@ -574,10 +550,9 @@ func (s *Sim) Step() error {
 		return err
 	}
 
-	// Phase 3: audit duty for honest generators. Audits are chunked
-	// like the other phases; every audit draws only from its own node's
-	// stream and charges comm atomically, so the partition is
-	// outcome-neutral.
+	// Phase 3: audit duty for honest generators, in parallel. Every
+	// audit draws only from its own node's stream and charges comm
+	// atomically, so the schedule is outcome-neutral.
 	if !s.cfg.DisableAudits {
 		eligible := s.eligibleTargets()
 		auditors := gens[:0] // filtered in place: gens is not read again
@@ -586,10 +561,8 @@ func (s *Sim) Step() error {
 				auditors = append(auditors, i)
 			}
 		}
-		s.pool.RunChunked(len(auditors), func(lo, hi int) {
-			for _, i := range auditors[lo:hi] {
-				s.auditDuty(i, eligible)
-			}
+		par.ForEach(len(auditors), func(k int) {
+			s.auditDuty(auditors[k], eligible)
 		})
 	}
 	s.snapshot()
@@ -598,11 +571,11 @@ func (s *Sim) Step() error {
 
 // deliverBatched is the receiver-centric announcement path: one
 // flush's (froms[i] announced ds[i]) pairs are grouped by receiving
-// neighbor and ingested as one Engine.OnDigestBatch call per receiver
-// on the worker pool. Each receiver's cache is touched by exactly one
+// neighbor and ingested as one Engine.OnDigestBatch call per receiver,
+// in parallel. Each receiver's cache is touched by exactly one
 // goroutine, so the phase parallelizes contention-free, and every
 // batch keeps its pairs in flush order — bit-identical cache contents
-// to applying the flush pair by pair, for any worker count. Silenced
+// to applying the flush pair by pair, for any GOMAXPROCS. Silenced
 // neighbors miss the flush, like a dead radio. The per-receiver
 // scratch columns are reused across flushes, so a full slot's
 // delivery allocates nothing.
@@ -633,18 +606,16 @@ func (s *Sim) deliverBatched(froms []identity.NodeID, ds []digest.Digest) error 
 		errs = append(errs, nil)
 	}
 	s.annErrs = errs
-	s.pool.RunChunked(len(recvs), func(lo, hi int) {
-		for k := lo; k < hi; k++ {
-			j := recvs[k]
-			to := s.ids[j]
-			if err := s.engines[j].OnDigestBatch(s.annFrom[j], s.annDigs[j]); err != nil {
-				errs[k] = fmt.Errorf("sim: delivering batch to %v: %w", to, err)
-				continue
-			}
-			s.obs.OnDigestBatchDelivered(events.DigestBatchDelivered{
-				To: to, From: s.annFrom[j], Digests: s.annDigs[j],
-			})
+	par.ForEach(len(recvs), func(k int) {
+		j := recvs[k]
+		to := s.ids[j]
+		if err := s.engines[j].OnDigestBatch(s.annFrom[j], s.annDigs[j]); err != nil {
+			errs[k] = fmt.Errorf("sim: delivering batch to %v: %w", to, err)
+			return
 		}
+		s.obs.OnDigestBatchDelivered(events.DigestBatchDelivered{
+			To: to, From: s.annFrom[j], Digests: s.annDigs[j],
+		})
 	})
 	var first error
 	for _, err := range errs {
@@ -865,8 +836,8 @@ func (s *Sim) GenerateAs(id identity.NodeID, body []byte) (block.Ref, digest.Dig
 // AnnounceBatch flushes a whole batch of digests returned by
 // GenerateAs — froms[i] announced ds[i] — through the same
 // receiver-centric delivery the slotted scheduler uses: grouped by
-// receiving neighbor, one batch ingest per receiver on the worker
-// pool, pairs in flush order. This is the external-drive verb behind
+// receiving neighbor, one batch ingest per receiver in parallel,
+// pairs in flush order. This is the external-drive verb behind
 // the public Submit and SubmitBatch.
 func (s *Sim) AnnounceBatch(froms []identity.NodeID, ds []digest.Digest) error {
 	if len(froms) != len(ds) {

@@ -86,7 +86,8 @@ func TestAuditsRouteAroundSilenced(t *testing.T) {
 		{"sim", append(baseOptions(10, 2), WithSimulator())},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			rt := newRuntime(t, append(tc.opts, withWorkers(4))...)
+			setGOMAXPROCS(t, 4)
+			rt := newRuntime(t, tc.opts...)
 			refs := fillBatch(t, rt, 3)
 			ids := rt.Nodes()
 			validator := ids[len(ids)-1]

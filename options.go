@@ -49,7 +49,6 @@ type config struct {
 	params      block.Params
 	rto         time.Duration
 	transport   TransportKind
-	workers     int // batch fan-out width, 0 = GOMAXPROCS; in-package tests narrow it
 	observers   []Observer
 	malicious   int
 	bodyBytes   int

@@ -38,7 +38,7 @@ type recoveryRun struct {
 // and closed) and restarted from its data dir inside the crash window,
 // with its recovery byte-checked against its pre-kill state. every,
 // when positive, is the compaction threshold (compactEvery); extra
-// options (e.g. withWorkers) ride on top of the fixed world.
+// options ride on top of the fixed world.
 func runRecoveryScenario(t *testing.T, dataDir string, kill bool, every int, extra ...Option) recoveryRun {
 	t.Helper()
 	plan := FaultPlan{
@@ -174,7 +174,7 @@ func compareRecoveryRuns(t *testing.T, crash, oracle recoveryRun) {
 }
 
 // TestRecoveryFacadeKillRestartOptions runs the kill/restart scenario
-// with the seal stage fanned out over workers, and with a compaction
+// with the seal stage fanned out at GOMAXPROCS 4, and with a compaction
 // after every block, and compares each against the one uninterrupted
 // oracle of the default run: neither moves a commit window's contents
 // or the order in which blocks become durable, so neither may change
@@ -190,14 +190,17 @@ func TestRecoveryFacadeKillRestartOptions(t *testing.T) {
 	for _, tc := range []struct {
 		name  string
 		every int
-		opts  []Option
+		procs int // GOMAXPROCS for the run; 0 leaves it
 	}{
-		{"workers=4", 0, []Option{withWorkers(4)}},
-		{"compact-every=1", 1, nil},
-		{"workers=4, compact-every=1", 1, []Option{withWorkers(4)}},
+		{"workers=4", 0, 4},
+		{"compact-every=1", 1, 0},
+		{"workers=4, compact-every=1", 1, 4},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			crash := runRecoveryScenario(t, filepath.Join(base, tc.name), true, tc.every, tc.opts...)
+			if tc.procs > 0 {
+				setGOMAXPROCS(t, tc.procs)
+			}
+			crash := runRecoveryScenario(t, filepath.Join(base, tc.name), true, tc.every)
 			compareRecoveryRuns(t, crash, oracle)
 		})
 	}

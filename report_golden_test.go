@@ -25,20 +25,21 @@ func simReportHash(t *testing.T, r *SimReport) string {
 // TestReportGolden: SimDriver.RunSlots reports pinned bit for bit, the
 // hashes taken on an earlier slot scheduler. The inputs are a churn run
 // (two silent malicious nodes, a Silence and a Join between two
-// RunSlots calls) at one and four workers, and a run with a capped
+// RunSlots calls) at GOMAXPROCS 1 and 4, and a run with a capped
 // trust store.
 func TestSimDriverReportGolden(t *testing.T) {
-	newSim := func(workers int, opts ...Option) *SimDriver {
+	newSim := func(procs int, opts ...Option) *SimDriver {
 		t.Helper()
+		setGOMAXPROCS(t, procs)
 		rt := newRuntime(t, append([]Option{
 			WithSimulator(), WithNodes(12), WithGamma(3), WithSeed(42),
-			WithDifficulty(0), WithBodyBytes(1000), withWorkers(workers),
+			WithDifficulty(0), WithBodyBytes(1000),
 		}, opts...)...)
 		return rt.(*SimDriver)
 	}
-	churn := func(workers int) *SimReport {
+	churn := func(procs int) *SimReport {
 		t.Helper()
-		sd := newSim(workers, WithMalicious(2))
+		sd := newSim(procs, WithMalicious(2))
 		if err := sd.RunSlots(14); err != nil {
 			t.Fatal(err)
 		}
@@ -62,9 +63,9 @@ func TestSimDriverReportGolden(t *testing.T) {
 		}
 		return sd.Report()
 	}
-	capped := func(workers int) *SimReport {
+	capped := func(procs int) *SimReport {
 		t.Helper()
-		sd := newSim(workers, WithTrustCap(8))
+		sd := newSim(procs, WithTrustCap(8))
 		if err := sd.RunSlots(30); err != nil {
 			t.Fatal(err)
 		}
@@ -74,12 +75,12 @@ func TestSimDriverReportGolden(t *testing.T) {
 		churnWant  = "8c0849fda565efaa68be1e2d7cad375b73478ff87353fda7691a8396117e36c1"
 		cappedWant = "c389430575004164c5ec1ffb522441234dbcd5c1e0800bb795cac05f486ceb00"
 	)
-	for _, workers := range []int{1, 4} {
-		if got := simReportHash(t, churn(workers)); got != churnWant {
-			t.Errorf("churn run, workers=%d: report hash %s, want %s", workers, got, churnWant)
+	for _, procs := range []int{1, 4} {
+		if got := simReportHash(t, churn(procs)); got != churnWant {
+			t.Errorf("churn run, GOMAXPROCS=%d: report hash %s, want %s", procs, got, churnWant)
 		}
-		if got := simReportHash(t, capped(workers)); got != cappedWant {
-			t.Errorf("trust cap, workers=%d: report hash %s, want %s", workers, got, cappedWant)
+		if got := simReportHash(t, capped(procs)); got != cappedWant {
+			t.Errorf("trust cap, GOMAXPROCS=%d: report hash %s, want %s", procs, got, cappedWant)
 		}
 	}
 }

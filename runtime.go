@@ -15,7 +15,7 @@ import (
 //     digest to the node's radio neighbors; SubmitBatch seals a whole
 //     slot's blocks first and flushes every announcement at once.
 //   - Audit runs Proof-of-Path from a validator against a block ref;
-//     AuditMany fans a batch of audits out over a bounded worker pool.
+//     AuditMany fans a batch of audits out over GOMAXPROCS goroutines.
 //   - Join and Silence change membership while the network runs
 //     (Sec. VII): joiners are placed in radio range of a live device,
 //     silenced nodes stop answering and audits route around them.
@@ -52,7 +52,7 @@ type Runtime interface {
 	// lowest-index failing submission and the refs are exactly those
 	// of the submissions before it — all sealed, none announced. The
 	// live driver seals in rounds, the r-th block of every device side
-	// by side (GOMAXPROCS workers): once a failure is on record no worker
+	// by side (GOMAXPROCS goroutines): once a failure is on record none
 	// starts a block that comes after it in the batch, and an unknown
 	// Submission.Node fails the call before anything is sealed (the
 	// simulator meets it in batch order, after sealing the entries
@@ -74,9 +74,9 @@ type Runtime interface {
 	// Audit runs PoP from validator against ref and reports whether
 	// γ+1 distinct nodes vouch for the block.
 	Audit(ctx context.Context, validator NodeID, ref Ref) (*AuditResult, error)
-	// AuditMany runs the requested audits concurrently over a worker
-	// pool of GOMAXPROCS goroutines and returns one outcome per
-	// request, in request order.
+	// AuditMany runs the requested audits concurrently on GOMAXPROCS
+	// goroutines and returns one outcome per request, in request
+	// order.
 	AuditMany(ctx context.Context, reqs []AuditRequest) []AuditOutcome
 	// Block fetches a block from its origin's local store (display,
 	// sample proofs). The result is read-only: shared sealed state, or
@@ -159,10 +159,10 @@ func submitOne(ctx context.Context, rt Runtime, id NodeID, data []byte) (Ref, er
 }
 
 // auditMany is every driver's AuditMany: rt.Audit fanned out over
-// workers goroutines (0 = GOMAXPROCS), outcomes in request order.
-func auditMany(ctx context.Context, rt Runtime, workers int, reqs []AuditRequest) []AuditOutcome {
+// GOMAXPROCS goroutines (par.ForEach), outcomes in request order.
+func auditMany(ctx context.Context, rt Runtime, reqs []AuditRequest) []AuditOutcome {
 	out := make([]AuditOutcome, len(reqs))
-	par.ForEach(len(reqs), workers, func(i int) {
+	par.ForEach(len(reqs), func(i int) {
 		r := reqs[i]
 		res, err := rt.Audit(ctx, r.Validator, r.Ref)
 		out[i] = AuditOutcome{Request: r, Result: res, Err: err}

@@ -312,7 +312,8 @@ func TestAuditManyBothDrivers(t *testing.T) {
 		{"sim", append(baseOptions(10, 2), WithSimulator())},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			rt := newRuntime(t, append(tc.opts, withWorkers(4))...)
+			setGOMAXPROCS(t, 4)
+			rt := newRuntime(t, tc.opts...)
 			refs := fillBatch(t, rt, 4)
 			ids := rt.Nodes()
 			var reqs []AuditRequest
@@ -486,15 +487,16 @@ func TestOptionValidation(t *testing.T) {
 	}
 }
 
-// TestWithWorkersValidation pins the simulator's scheduling contract:
-// a SimDriver.RunSlots report does not depend on the fan-out width.
-func TestWithWorkersValidation(t *testing.T) {
-	run := func(workers int) *SimReport {
+// TestSimReportIndependentOfGOMAXPROCS pins the simulator's scheduling
+// contract: a SimDriver.RunSlots report does not depend on the fan-out
+// width.
+func TestSimReportIndependentOfGOMAXPROCS(t *testing.T) {
+	run := func(procs int) *SimReport {
 		t.Helper()
+		setGOMAXPROCS(t, procs)
 		rt := newRuntime(t,
 			WithSimulator(), WithNodes(12), WithGamma(3), WithSeed(7),
 			WithDifficulty(0), WithBodyBytes(100_000), WithMalicious(2),
-			withWorkers(workers),
 		)
 		sd := rt.(*SimDriver)
 		if err := sd.RunSlots(25); err != nil {
@@ -507,6 +509,6 @@ func TestWithWorkersValidation(t *testing.T) {
 		t.Fatal("no audits ran")
 	}
 	if !reflect.DeepEqual(serial, parallel) {
-		t.Fatalf("report depends on the worker count:\nworkers=1: %+v\nworkers=4: %+v", serial, parallel)
+		t.Fatalf("report depends on GOMAXPROCS:\nGOMAXPROCS=1: %+v\nGOMAXPROCS=4: %+v", serial, parallel)
 	}
 }

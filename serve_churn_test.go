@@ -113,8 +113,9 @@ func (a *churnAuditor) Audit(ctx context.Context, validator NodeID, ref Ref) (*A
 // consensus or returns an error, and no serve runs after its device's
 // Silence returned.
 func TestAuditsRaceSilenceAndRestart(t *testing.T) {
+	setGOMAXPROCS(t, 4)
 	rt := newRuntime(t, WithNodes(8), WithGamma(2), WithSeed(7), WithDifficulty(0),
-		WithDataDir(t.TempDir()), WithRequestTimeout(100*time.Millisecond), withWorkers(4))
+		WithDataDir(t.TempDir()), WithRequestTimeout(100*time.Millisecond))
 	c := rt.(*Cluster)
 	refs := fillBatch(t, rt, 4)
 	ids := rt.Nodes()
@@ -155,7 +156,7 @@ func TestAuditsRaceSilenceAndRestart(t *testing.T) {
 				return
 			default:
 			}
-			for _, out := range auditMany(ctx, auditor, 4, reqs) {
+			for _, out := range auditMany(ctx, auditor, reqs) {
 				switch {
 				case out.Err != nil:
 					failed.Add(1)

@@ -19,11 +19,10 @@ import (
 // scenario sweeps; cmd/experiments regenerates every figure of the
 // paper on the same machinery.
 type SimDriver struct {
-	s       *sim.Sim
-	topo    *topology.Graph
-	ids     []NodeID
-	seed    int64
-	workers int
+	s    *sim.Sim
+	topo *topology.Graph
+	ids  []NodeID
+	seed int64
 }
 
 var _ Runtime = (*SimDriver)(nil)
@@ -40,13 +39,12 @@ func newSimDriver(cfg *config, g *topology.Graph) (*SimDriver, error) {
 		// identical options yield identical blocks on either driver.
 		Difficulty: cfg.params.Difficulty,
 		TrustCap:   cfg.trustCap,
-		Workers:    cfg.workers,
 		Observer:   events.Multi(cfg.observers...),
 	})
 	if err != nil {
 		return nil, err
 	}
-	return &SimDriver{s: s, topo: g, ids: g.Nodes(), seed: cfg.seed, workers: cfg.workers}, nil
+	return &SimDriver{s: s, topo: g, ids: g.Nodes(), seed: cfg.seed}, nil
 }
 
 // Nodes implements Runtime.
@@ -76,7 +74,7 @@ func (d *SimDriver) Submit(ctx context.Context, id NodeID, data []byte) (Ref, er
 // caches first, then the whole batch flushes through the
 // receiver-centric delivery path (sim.AnnounceBatch) — the slot's
 // digests grouped by receiving neighbor and ingested as one batch per
-// receiver on the worker pool, the same semantics the live driver's
+// receiver in parallel, the same semantics the live driver's
 // coalesced frames and batched acknowledgement wait produce.
 func (d *SimDriver) SubmitBatch(ctx context.Context, batch []Submission) ([]Ref, error) {
 	refs := make([]Ref, 0, len(batch))
@@ -104,12 +102,12 @@ func (d *SimDriver) Audit(ctx context.Context, validator NodeID, ref Ref) (*Audi
 	return d.s.AuditFrom(ctx, validator, ref)
 }
 
-// AuditMany implements Runtime: audits fan out over a worker pool of
-// GOMAXPROCS goroutines. Audits from the same validator serialize
+// AuditMany implements Runtime: audits fan out over GOMAXPROCS
+// goroutines. Audits from the same validator serialize
 // internally (its random stream is single-threaded); distinct
 // validators run fully in parallel.
 func (d *SimDriver) AuditMany(ctx context.Context, reqs []AuditRequest) []AuditOutcome {
-	return auditMany(ctx, d, d.workers, reqs)
+	return auditMany(ctx, d, reqs)
 }
 
 // Block implements Runtime.
@@ -139,12 +137,10 @@ func (d *SimDriver) Silence(id NodeID) error {
 	return d.s.Silence(id)
 }
 
-// Close implements Runtime: it releases the simulator's worker pool.
-// Report stays readable after Close; the drive verbs do not.
-func (d *SimDriver) Close() error {
-	d.s.Close()
-	return nil
-}
+// Close implements Runtime. The simulator holds no goroutines, files
+// or connections between calls, so there is nothing to release: it
+// returns nil, and Report stays readable afterwards.
+func (d *SimDriver) Close() error { return nil }
 
 // MaliciousNodes returns the IDs assigned a malicious behavior via
 // WithMalicious, in arbitrary order.
@@ -162,9 +158,9 @@ func (d *SimDriver) Report() *SimReport { return d.s.Finalize() }
 // RunSlots drives the simulator's slotted scheduler for n slots —
 // per-slot generation, receiver-batched announcement and audit duty,
 // exactly the schedule behind the paper's figures — and leaves the
-// report open for Report. Each slot's phases fan out over the worker
-// pool of GOMAXPROCS goroutines behind barriers, and the report is
-// byte-identical for every worker count on the same seed. It is the
+// report open for Report. Each slot's phases fan out over GOMAXPROCS
+// goroutines behind barriers, and the report is byte-identical for any
+// GOMAXPROCS on the same seed. It is the
 // figure-regeneration entry point on the public API: experiments that
 // used to reach into internal/sim build the driver with
 // New(WithSimulator(), ...) and read SimDriver.Report instead. Do not

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -13,14 +14,14 @@ import (
 	"github.com/twoldag/twoldag/internal/block"
 )
 
-// withWorkers sets the fan-out width of batch calls (0 = GOMAXPROCS),
-// so tests can compare the plain loop with a pool. In-package on
-// purpose: the facade has no such option.
-func withWorkers(n int) Option {
-	return func(c *config) error {
-		c.workers = n
-		return nil
-	}
+// setGOMAXPROCS sets the width of every batch fan-out (par.ForEach:
+// the seal stage, AuditMany, compaction, the simulator's slot phases)
+// for the rest of the test and restores the old one afterwards, so
+// tests can compare the plain loop with a parallel schedule. Tests
+// that use it must not run in parallel: GOMAXPROCS is process-wide.
+func setGOMAXPROCS(t testing.TB, n int) {
+	old := runtime.GOMAXPROCS(n)
+	t.Cleanup(func() { runtime.GOMAXPROCS(old) })
 }
 
 // TestSubmitBatchFailureSemantics pins, clause by clause, the contract
@@ -64,9 +65,10 @@ func TestSubmitBatchFailureSemantics(t *testing.T) {
 		}
 	})
 
-	for _, workers := range []int{1, 4} {
-		t.Run(fmt.Sprintf("lowest-index failure and the refs before it/workers=%d", workers), func(t *testing.T) {
-			rt := newRuntime(t, append(baseOptions(6, 1), withWorkers(workers))...)
+	for _, procs := range []int{1, 4} {
+		t.Run(fmt.Sprintf("lowest-index failure and the refs before it/workers=%d", procs), func(t *testing.T) {
+			setGOMAXPROCS(t, procs)
+			rt := newRuntime(t, baseOptions(6, 1)...)
 			rt.AdvanceSlot()
 			ids := rt.Nodes()
 			a, b, c := ids[0], ids[1], ids[2]
@@ -100,10 +102,12 @@ func TestSubmitBatchFailureSemantics(t *testing.T) {
 	}
 
 	t.Run("no block is started after a recorded failure", func(t *testing.T) {
-		// One worker runs the owners in first-appearance order, so the
-		// failure at index 0 is on record before any other owner starts.
+		// At GOMAXPROCS 1 the seal stage runs the owners in
+		// first-appearance order on the caller, so the failure at index 0
+		// is on record before any other owner starts.
 		obs := &countingObserver{}
-		rt := newRuntime(t, append(baseOptions(6, 1), withWorkers(1), WithObserver(obs))...)
+		setGOMAXPROCS(t, 1)
+		rt := newRuntime(t, append(baseOptions(6, 1), WithObserver(obs))...)
 		rt.AdvanceSlot()
 		ids := rt.Nodes()
 		refs, err := rt.SubmitBatch(ctx, []Submission{
@@ -123,7 +127,8 @@ func TestSubmitBatchFailureSemantics(t *testing.T) {
 	t.Run("every registered expectation is cancelled", func(t *testing.T) {
 		// Every announcement frame is dropped and nothing retries, so
 		// each wait times out with all of its neighbours pending.
-		rt := newRuntime(t, append(baseOptions(6, 1), withWorkers(4),
+		setGOMAXPROCS(t, 4)
+		rt := newRuntime(t, append(baseOptions(6, 1),
 			WithRequestTimeout(50*time.Millisecond), WithFaults(FaultPlan{Seed: 1, DropRate: 1}))...)
 		rt.AdvanceSlot()
 		ids := rt.Nodes()
@@ -232,16 +237,18 @@ func runInterleaved(t *testing.T, every int, opts ...Option) workersRun {
 }
 
 // TestSubmitBatchWorkersEquivalence: the seal stage's width is a
-// scheduling knob only. The same seeded run of interleaved
+// matter of scheduling only. The same seeded run of interleaved
 // multi-block-per-owner batches seals byte-identical blocks, leaves
-// byte-identical node state and reaches the same audit verdicts under
-// withWorkers(1) (the plain loop) and withWorkers(4) — in memory and
-// on durable nodes, with compactions firing inside the seal stage.
+// byte-identical node state and reaches the same audit verdicts at
+// GOMAXPROCS 1 (the plain loop) and 4 — in memory and on durable
+// nodes, with compactions firing inside the seal stage.
 func TestSubmitBatchWorkersEquivalence(t *testing.T) {
 	for _, durable := range []bool{false, true} {
 		t.Run(map[bool]string{false: "mem", true: "durable"}[durable], func(t *testing.T) {
-			run := func(workers int) workersRun {
-				opts, every := []Option{withWorkers(workers)}, 0
+			run := func(procs int) workersRun {
+				setGOMAXPROCS(t, procs)
+				var opts []Option
+				every := 0
 				if durable {
 					opts, every = append(opts, WithDataDir(t.TempDir())), 4
 				}
@@ -252,10 +259,10 @@ func TestSubmitBatchWorkersEquivalence(t *testing.T) {
 				t.Fatalf("refs diverge:\n 1: %v\n 4: %v", serial.refs, wide.refs)
 			}
 			if !reflect.DeepEqual(serial.hashes, wide.hashes) {
-				t.Fatal("sealed header hashes diverge between withWorkers(1) and withWorkers(4)")
+				t.Fatal("sealed header hashes diverge between GOMAXPROCS 1 and 4")
 			}
 			if !reflect.DeepEqual(serial.states, wide.states) {
-				t.Fatal("state digests diverge between withWorkers(1) and withWorkers(4)")
+				t.Fatal("state digests diverge between GOMAXPROCS 1 and 4")
 			}
 			if !reflect.DeepEqual(serial.verdicts, wide.verdicts) {
 				t.Fatalf("audit verdicts diverge:\n 1: %v\n 4: %v", serial.verdicts, wide.verdicts)

@@ -28,7 +28,7 @@
 //	rt.AdvanceSlot()
 //	refs, err := rt.SubmitBatch(ctx, batch)  // one flush per slot
 //	...
-//	outs := rt.AuditMany(ctx, reqs)          // bounded worker pool
+//	outs := rt.AuditMany(ctx, reqs)          // GOMAXPROCS-wide fan-out
 //	if outs[0].Result.Consensus { /* γ+1 nodes vouch */ }
 //
 // Each node stores only its own data blocks plus neighbor header
