@@ -193,7 +193,6 @@ func TestChaosEquivalence(t *testing.T) {
 // *what*, and counter equality is a statement about the what.
 func TestChaosCountersAreDeterministic(t *testing.T) {
 	plan := FaultPlan{Seed: 105, DropRate: 0.2}
-	setGOMAXPROCS(t, 1)
 	run := func() *metrics.EventCounters {
 		var ec metrics.EventCounters
 		rt, err := New(

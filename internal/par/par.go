@@ -10,10 +10,10 @@ import (
 )
 
 // ForEach runs fn(0..n-1) on min(n, GOMAXPROCS) goroutines that claim
-// indexes through one atomic counter; with one goroutine's worth of
-// width (or one item) it degrades to a plain loop on the caller's
-// goroutine. It returns when every call has completed. fn must be safe
-// for concurrent invocation across distinct indexes.
+// indexes through one atomic counter; when that is one goroutine, it is
+// a plain loop on the caller's, in index order. It returns when every
+// call has completed. fn must be safe for concurrent invocation across
+// distinct indexes.
 func ForEach(n int, fn func(i int)) {
 	workers := runtime.GOMAXPROCS(0)
 	if workers > n {
@@ -25,20 +25,25 @@ func ForEach(n int, fn func(i int)) {
 		}
 		return
 	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	wg.Add(workers)
-	for w := 0; w < workers; w++ {
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= n {
-					return
-				}
-				fn(i)
-			}
-		}()
+	// One closure over one struct serves every goroutine, so a call
+	// allocates the same few objects whatever the width.
+	var run struct {
+		next atomic.Int64
+		wg   sync.WaitGroup
 	}
-	wg.Wait()
+	work := func() {
+		defer run.wg.Done()
+		for {
+			i := int(run.next.Add(1)) - 1
+			if i >= n {
+				return
+			}
+			fn(i)
+		}
+	}
+	run.wg.Add(workers)
+	for w := 0; w < workers; w++ {
+		go work()
+	}
+	run.wg.Wait()
 }
