@@ -47,25 +47,19 @@ type Engine struct {
 // simulator backs thousands of engines with one process-wide
 // verification cache.
 type EngineOptions struct {
-	// Store replaces the default empty ledger.NewStore — how a
-	// recovered node resumes with its persisted S_i. Must be owned by
-	// the engine's node ID.
-	Store *ledger.Store
-	// Trust replaces the default empty ledger.NewTrustStore — how a
-	// recovered node resumes with its persisted H_i.
-	Trust *ledger.TrustStore
-	// Cache replaces the default empty ledger.NewDigestCache — how a
-	// recovered node resumes with its persisted A_i.
-	Cache *ledger.DigestCache
+	// State replaces the default empty ledger.NewNodeState — how a
+	// recovered node resumes with its persisted S_i, H_i and A_i. Its
+	// store must be owned by the engine's node ID.
+	State *ledger.NodeState
 	// TrustCap, when > 0, bounds H_i to that many headers (FIFO
-	// eviction; ledger.TrustStore.SetCap). Applied to the injected
-	// Trust store too, so config and recovered state agree.
+	// eviction; ledger.TrustStore.SetCap). Applied to an injected
+	// State's trust store too, so config and recovered state agree.
 	TrustCap int
 	// Backend, when non-nil, is attached as the durability journal on
-	// the engine's store, trust store and digest cache — after any
-	// injected (recovered) state, so recovery itself is never
-	// re-journaled. The engine does not manage the backend's
-	// lifecycle; whoever opened it closes it.
+	// the state (ledger.NodeState.Attach) — after any injected
+	// (recovered) state, so recovery itself is never re-journaled. The
+	// engine does not manage the backend's lifecycle; whoever opened
+	// it closes it.
 	Backend *ledger.FileBackend
 	// VerifyCache replaces the engine-private cache. Verification
 	// results are objective facts about sealed headers (the cache keys
@@ -90,39 +84,30 @@ func NewEngineWith(key identity.KeyPair, params block.Params, topo *topology.Gra
 	if !topo.Has(key.ID) {
 		return nil, fmt.Errorf("core: node %v not in topology", key.ID)
 	}
-	store := opts.Store
-	if store == nil {
-		store = ledger.NewStore(key.ID)
-	} else if store.Owner() != key.ID {
-		return nil, fmt.Errorf("core: injected store owned by %v, engine is %v", store.Owner(), key.ID)
+	st := opts.State
+	if st == nil {
+		st = ledger.NewNodeState(key.ID, 0)
+	} else if owner := st.Store.Owner(); owner != key.ID {
+		return nil, fmt.Errorf("core: injected store owned by %v, engine is %v", owner, key.ID)
+	}
+	if opts.TrustCap > 0 {
+		st.Trust.SetCap(opts.TrustCap)
+	}
+	// A nil *FileBackend in the Journal interface is not a nil journal.
+	if opts.Backend != nil {
+		st.Attach(opts.Backend)
 	}
 	vcache := opts.VerifyCache
 	if vcache == nil {
 		vcache = block.NewVerifyCache()
 	}
-	trust := opts.Trust
-	if trust == nil {
-		trust = ledger.NewTrustStore()
-	}
-	if opts.TrustCap > 0 {
-		trust.SetCap(opts.TrustCap)
-	}
-	cache := opts.Cache
-	if cache == nil {
-		cache = ledger.NewDigestCache()
-	}
-	if opts.Backend != nil {
-		store.SetJournal(opts.Backend)
-		trust.SetJournal(opts.Backend)
-		cache.SetJournal(opts.Backend)
-	}
 	return &Engine{
 		key:     key,
 		params:  params,
 		topo:    topo,
-		store:   store,
-		cache:   cache,
-		trust:   trust,
+		store:   st.Store,
+		cache:   st.Cache,
+		trust:   st.Trust,
 		vcache:  vcache,
 		backend: opts.Backend,
 	}, nil

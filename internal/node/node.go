@@ -154,13 +154,9 @@ func New(cfg Config) (*Node, error) {
 	if cfg.Ring == nil {
 		return nil, errors.New("node: Config.Ring is required")
 	}
-	engOpts := core.EngineOptions{TrustCap: cfg.TrustCap, Backend: cfg.Backend, VerifyCache: cfg.VerifyCache}
-	if cfg.State != nil {
-		engOpts.Store = cfg.State.Store
-		engOpts.Trust = cfg.State.Trust
-		engOpts.Cache = cfg.State.Cache
-	}
-	eng, err := core.NewEngineWith(cfg.Key, cfg.Params, cfg.Topo, engOpts)
+	eng, err := core.NewEngineWith(cfg.Key, cfg.Params, cfg.Topo, core.EngineOptions{
+		State: cfg.State, TrustCap: cfg.TrustCap, Backend: cfg.Backend, VerifyCache: cfg.VerifyCache,
+	})
 	if err != nil {
 		return nil, fmt.Errorf("node: %w", err)
 	}

@@ -50,7 +50,6 @@ var testOnlyAllowed = map[string]string{
 	"identity.Ring.Lookup":                  "pending: ROADMAP item 15",
 	"ledger.Blacklist.BannedCount":          "pending: ROADMAP item 15",
 	"ledger.Blacklist.Credit":               "pending: ROADMAP item 7(d)",
-	"ledger.NodeState.Attach":               "pending: ROADMAP item 15",
 	"ledger.Store.CountContaining":          "pending: ROADMAP item 15",
 	"ledger.WithWALFile":                    "seam",
 	"metrics.CDF.At":                        "pending: ROADMAP item 15",
