@@ -167,25 +167,6 @@ func (e Eclipse) OnBlockRequest(validator, _ identity.NodeID, b *block.Block, er
 // Responds implements Behavior.
 func (Eclipse) Responds() bool { return true }
 
-// Flooder models the DoS attacker of Sec. IV-D5: a node attempting to
-// generate (and announce) far more blocks per slot than the
-// proof-of-work difficulty permits. The defense under test is the
-// receiver-side rate check, not this type itself.
-type Flooder struct {
-	// BlocksPerSlot is how many blocks the attacker tries to announce
-	// each slot.
-	BlocksPerSlot int
-}
-
-// Announcements returns how many digest announcements the flooder emits
-// in one slot (at least 1).
-func (f Flooder) Announcements() int {
-	if f.BlocksPerSlot < 1 {
-		return 1
-	}
-	return f.BlocksPerSlot
-}
-
 // Kind identifies a behavior for configuration surfaces (CLI flags,
 // experiment configs).
 type Kind string

@@ -117,15 +117,6 @@ func TestEclipseFiltersByValidator(t *testing.T) {
 	}
 }
 
-func TestFlooderAnnouncements(t *testing.T) {
-	if (Flooder{}).Announcements() != 1 {
-		t.Fatal("zero flooder must announce once")
-	}
-	if (Flooder{BlocksPerSlot: 50}).Announcements() != 50 {
-		t.Fatal("flooder rate wrong")
-	}
-}
-
 func TestNewByKind(t *testing.T) {
 	if _, ok := New(KindSilent).(Silent); !ok {
 		t.Fatal("KindSilent wrong type")

@@ -6,11 +6,12 @@ import (
 
 	"github.com/twoldag/twoldag/internal/block"
 	"github.com/twoldag/twoldag/internal/topology"
+	"github.com/twoldag/twoldag/internal/topology/topologytest"
 )
 
 func ringGraph(t *testing.T, n int) *topology.Graph {
 	t.Helper()
-	g, err := topology.Ring(n)
+	g, err := topologytest.Ring(n)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -69,7 +70,7 @@ func TestGossipCostScalesWithDegree(t *testing.T) {
 	// origin directly... but degree is higher). Instead compare against
 	// a line: total flood traffic must still deliver every tx to every
 	// node; per-node cost is degree-driven.
-	line, err := topology.Line(6)
+	line, err := topologytest.Line(6)
 	if err != nil {
 		t.Fatal(err)
 	}

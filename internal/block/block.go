@@ -557,19 +557,6 @@ func (c *VerifyCache) dropInterned(d digest.Digest) {
 	s.mu.Unlock()
 }
 
-// internedLen returns the number of entries in the intern table, live
-// or awaiting their cleanup.
-func (c *VerifyCache) internedLen() int {
-	n := 0
-	for i := range c.shards {
-		s := &c.shards[i]
-		s.mu.RLock()
-		n += len(s.interned)
-		s.mu.RUnlock()
-	}
-	return n
-}
-
 // ValidateHeaderCached is ValidateHeader with a positive-result cache:
 // headers whose digest is already in cache are accepted immediately.
 // Only successful validations are cached (a header that fails could be

@@ -392,7 +392,7 @@ func TestPreimageBuffersAreExact(t *testing.T) {
 func TestPreimagesMatchAcrossScratchBoundary(t *testing.T) {
 	for n := 0; n <= stackDigestRefs+3; n++ {
 		h := headerWithRefs(n)
-		if got, want := h.Hash(), digest.Sum(EncodeHeader(h)); got != want {
+		if got, want := h.Hash(), digest.Sum(AppendEncodeHeader(nil, h)); got != want {
 			t.Errorf("Δ of %d: Hash %s, encoding hashes to %s", n, got, want)
 		}
 		sig := make([]byte, 0, 4)

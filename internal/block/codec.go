@@ -64,16 +64,11 @@ func AppendEncodeHeader(b []byte, h *Header) []byte {
 	return b
 }
 
-// EncodeHeader serializes a header to its wire form.
-func EncodeHeader(h *Header) []byte {
-	return AppendEncodeHeader(make([]byte, 0, headerWireSize(h)), h)
-}
-
 func headerWireSize(h *Header) int {
 	return 4*6 + digest.Size + len(h.Digests)*(4+digest.Size) + 4 + len(h.Signature)
 }
 
-// WireSize returns the exact number of bytes EncodeHeader produces.
+// WireSize returns the exact number of bytes AppendEncodeHeader appends.
 func (h *Header) WireSize() int {
 	return headerWireSize(h)
 }

@@ -49,7 +49,7 @@ func TestHeaderRoundTrip(t *testing.T) {
 	r := rand.New(rand.NewSource(1))
 	for i := 0; i < 50; i++ {
 		h := randomHeader(r)
-		enc := EncodeHeader(h)
+		enc := AppendEncodeHeader(nil, h)
 		if len(enc) != h.WireSize() {
 			t.Fatalf("WireSize %d != encoded %d", h.WireSize(), len(enc))
 		}
@@ -85,7 +85,7 @@ func TestBlockRoundTrip(t *testing.T) {
 func TestDecodeTruncated(t *testing.T) {
 	r := rand.New(rand.NewSource(3))
 	h := randomHeader(r)
-	enc := EncodeHeader(h)
+	enc := AppendEncodeHeader(nil, h)
 	for cut := 0; cut < len(enc); cut++ {
 		if _, err := DecodeHeader(enc[:cut]); err == nil {
 			t.Fatalf("truncation at %d accepted", cut)
@@ -96,7 +96,7 @@ func TestDecodeTruncated(t *testing.T) {
 func TestDecodeTrailingBytes(t *testing.T) {
 	r := rand.New(rand.NewSource(4))
 	h := randomHeader(r)
-	enc := append(EncodeHeader(h), 0xAA)
+	enc := append(AppendEncodeHeader(nil, h), 0xAA)
 	if _, err := DecodeHeader(enc); !errors.Is(err, ErrTrailing) {
 		t.Fatalf("want ErrTrailing, got %v", err)
 	}
@@ -111,7 +111,7 @@ func TestDecodeHostileCounts(t *testing.T) {
 	r := rand.New(rand.NewSource(5))
 	h := randomHeader(r)
 	h.Digests = nil
-	enc := EncodeHeader(h)
+	enc := AppendEncodeHeader(nil, h)
 	// Digest-ref count lives after version/time/origin/seq/root.
 	off := 4*4 + digest.Size
 	for _, hostile := range []uint32{MaxDigestRefs + 1, 1 << 30, 0xFFFFFFFF} {
@@ -139,7 +139,7 @@ func TestDecodedHeaderHashStable(t *testing.T) {
 	// Hash must be computable identically before and after a round trip.
 	r := rand.New(rand.NewSource(6))
 	h := randomHeader(r)
-	got, err := DecodeHeader(EncodeHeader(h))
+	got, err := DecodeHeader(AppendEncodeHeader(nil, h))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -152,7 +152,7 @@ func TestQuickHeaderRoundTrip(t *testing.T) {
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
 		h := randomHeader(r)
-		got, err := DecodeHeader(EncodeHeader(h))
+		got, err := DecodeHeader(AppendEncodeHeader(nil, h))
 		return err == nil && headersEqual(h, got)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
@@ -177,13 +177,13 @@ func BenchmarkEncodeHeader(b *testing.B) {
 	h := randomHeader(r)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		EncodeHeader(h)
+		AppendEncodeHeader(nil, h)
 	}
 }
 
 func BenchmarkDecodeHeader(b *testing.B) {
 	r := rand.New(rand.NewSource(8))
-	enc := EncodeHeader(randomHeader(r))
+	enc := AppendEncodeHeader(nil, randomHeader(r))
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		if _, err := DecodeHeader(enc); err != nil {

@@ -10,6 +10,19 @@ import (
 	"github.com/twoldag/twoldag/internal/digest"
 )
 
+// internedLen returns the number of entries in the intern table, live
+// or awaiting their cleanup.
+func (c *VerifyCache) internedLen() int {
+	n := 0
+	for i := range c.shards {
+		s := &c.shards[i]
+		s.mu.RLock()
+		n += len(s.interned)
+		s.mu.RUnlock()
+	}
+	return n
+}
+
 func decodeCopy(t testing.TB, enc []byte) *Header {
 	t.Helper()
 	h, err := DecodeHeader(enc)
@@ -24,7 +37,7 @@ func decodeCopy(t testing.TB, enc []byte) *Header {
 // entry, and a hit allocates nothing.
 func TestInternReturnsFirstHeader(t *testing.T) {
 	r := rand.New(rand.NewSource(1))
-	enc := EncodeHeader(randomHeader(r))
+	enc := AppendEncodeHeader(nil, randomHeader(r))
 	c := NewVerifyCache()
 
 	first := decodeCopy(t, enc)
@@ -41,7 +54,7 @@ func TestInternReturnsFirstHeader(t *testing.T) {
 		t.Fatal("Interned does not find the registered header")
 	}
 
-	other := decodeCopy(t, EncodeHeader(randomHeader(r)))
+	other := decodeCopy(t, AppendEncodeHeader(nil, randomHeader(r)))
 	if got := c.Intern(other); got != other {
 		t.Fatal("a header with another hash resolved to an existing entry")
 	}
@@ -69,7 +82,7 @@ func TestInternReturnsFirstHeader(t *testing.T) {
 // strong reference drops, a collection clears the entry, and a fresh
 // copy of the same bytes then registers itself.
 func TestInternLetsGo(t *testing.T) {
-	enc := EncodeHeader(randomHeader(rand.New(rand.NewSource(2))))
+	enc := AppendEncodeHeader(nil, randomHeader(rand.New(rand.NewSource(2))))
 	c := NewVerifyCache()
 	d := func() digest.Digest {
 		h := decodeCopy(t, enc)
@@ -103,7 +116,7 @@ func TestInternConcurrent(t *testing.T) {
 	r := rand.New(rand.NewSource(3))
 	c := NewVerifyCache()
 	for round := 0; round < 20; round++ {
-		enc := EncodeHeader(randomHeader(r))
+		enc := AppendEncodeHeader(nil, randomHeader(r))
 		copies := make([]*Header, workers)
 		for i := range copies {
 			copies[i] = decodeCopy(t, enc)

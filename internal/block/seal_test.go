@@ -55,7 +55,7 @@ func TestHashMatchesUnmemoizedEncoding(t *testing.T) {
 	b := buildTestBlock(t, key, 3, []byte("data"), []DigestRef{{Node: 1}})
 	// A wire round-trip strips every memo; the freshly computed hash of
 	// the decoded header must agree with the sealed original.
-	decoded, err := DecodeHeader(EncodeHeader(&b.Header))
+	decoded, err := DecodeHeader(AppendEncodeHeader(nil, &b.Header))
 	if err != nil {
 		t.Fatal(err)
 	}

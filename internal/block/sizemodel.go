@@ -25,23 +25,7 @@ func (m SizeModel) ConstantBits() int {
 	return m.FV + m.FT + m.FH + m.FN + m.FS
 }
 
-// HeaderBits is the header size for a node with n neighbors:
-// f_c + f_H·(n+1), per Fig. 2.
-func (m SizeModel) HeaderBits(neighbors int) int {
-	return m.ConstantBits() + m.FH*(neighbors+1)
-}
-
-// BlockBits is the full block size f_i = f_c + f_H·(n+1) + C (Eq. 2).
-func (m SizeModel) BlockBits(neighbors int) int {
-	return m.HeaderBits(neighbors) + m.C
-}
-
 // DigestBits is the size of one transmitted digest (f_H).
 func (m SizeModel) DigestBits() int {
 	return m.FH
-}
-
-// BodyBits returns C.
-func (m SizeModel) BodyBits() int {
-	return m.C
 }

@@ -2,7 +2,6 @@ package block
 
 import (
 	"testing"
-	"testing/quick"
 )
 
 func TestDefaultSizeModelPaperConstants(t *testing.T) {
@@ -22,38 +21,9 @@ func TestDefaultSizeModelPaperConstants(t *testing.T) {
 	}
 }
 
-func TestHeaderAndBlockBits(t *testing.T) {
-	m := DefaultSizeModel(100)
-	// Fig. 2: header = f_c + 256*(n+1).
-	for n := 0; n < 10; n++ {
-		wantHeader := 608 + 256*(n+1)
-		if got := m.HeaderBits(n); got != wantHeader {
-			t.Fatalf("HeaderBits(%d) = %d, want %d", n, got, wantHeader)
-		}
-		if got := m.BlockBits(n); got != wantHeader+800 {
-			t.Fatalf("BlockBits(%d) = %d, want %d", n, got, wantHeader+800)
-		}
-	}
-}
-
-func TestDigestAndBodyBits(t *testing.T) {
+func TestDigestBits(t *testing.T) {
 	m := DefaultSizeModel(10)
 	if m.DigestBits() != 256 {
 		t.Fatal("digest must be 256 bits")
-	}
-	if m.BodyBits() != 80 {
-		t.Fatal("BodyBits must equal C")
-	}
-}
-
-func TestQuickBlockBitsDecomposition(t *testing.T) {
-	// Eq. 2: f_i - C - f_H*(n+1) must always equal f_c.
-	f := func(bodyBytes uint16, n uint8) bool {
-		m := DefaultSizeModel(int(bodyBytes))
-		nn := int(n % 64)
-		return m.BlockBits(nn)-m.C-m.FH*(nn+1) == m.ConstantBits()
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
 	}
 }

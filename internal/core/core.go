@@ -118,33 +118,3 @@ type Result struct {
 	// strict verdict is Consensus && !UnionFallback.
 	UnionFallback bool
 }
-
-// PathNodes returns the distinct physical nodes on the path, in first-
-// appearance order. With micro-loops (paper Fig. 6) the path may be
-// longer than this set.
-func (r *Result) PathNodes() []identity.NodeID {
-	seen := make(map[identity.NodeID]bool, len(r.Path))
-	var out []identity.NodeID
-	for _, s := range r.Path {
-		if !seen[s.Node] {
-			seen[s.Node] = true
-			out = append(out, s.Node)
-		}
-	}
-	return out
-}
-
-// MicroLoopBlocks counts path steps that did not add a new node to R_i —
-// the micro-loop blocks analyzed in Prop. 5.
-func (r *Result) MicroLoopBlocks() int {
-	seen := make(map[identity.NodeID]bool, len(r.Path))
-	loops := 0
-	for _, s := range r.Path {
-		if seen[s.Node] {
-			loops++
-			continue
-		}
-		seen[s.Node] = true
-	}
-	return loops
-}

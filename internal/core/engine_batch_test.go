@@ -8,7 +8,7 @@ import (
 
 	"github.com/twoldag/twoldag/internal/digest"
 	"github.com/twoldag/twoldag/internal/identity"
-	"github.com/twoldag/twoldag/internal/topology"
+	"github.com/twoldag/twoldag/internal/topology/topologytest"
 )
 
 // TestOnDigestBatchMatchesSingletons pins the batching contract: one
@@ -16,7 +16,7 @@ import (
 // one-digest OnDigestsFrom calls, including last-wins ordering for
 // repeated senders.
 func TestOnDigestBatchMatchesSingletons(t *testing.T) {
-	g := topology.PaperFig4()
+	g := topologytest.PaperFig4()
 	batched := newLab(t, g)
 	single := newLab(t, g)
 
@@ -56,7 +56,7 @@ func TestOnDigestBatchMatchesSingletons(t *testing.T) {
 // exactly as OnDigestBatch with a repeated sender column, and reject
 // non-neighbors identically.
 func TestOnDigestsFromMatchesRepeatedSenderBatch(t *testing.T) {
-	g := topology.PaperFig4()
+	g := topologytest.PaperFig4()
 	fast := newLab(t, g)
 	slow := newLab(t, g)
 	recv := identity.NodeID(1)
@@ -97,7 +97,7 @@ func TestOnDigestsFromMatchesRepeatedSenderBatch(t *testing.T) {
 // non-neighbor sender or mismatched slice lengths reject the whole
 // batch before any entry lands.
 func TestOnDigestBatchRejections(t *testing.T) {
-	g := topology.PaperFig4()
+	g := topologytest.PaperFig4()
 	l := newLab(t, g)
 	recv := identity.NodeID(1)
 	nb := g.Neighbors(recv)[0]
@@ -131,7 +131,7 @@ func TestOnDigestBatchRejections(t *testing.T) {
 // racing a batch on the same engine — and relies on -race to flag
 // unsynchronized cache access.
 func TestConcurrentBatchIngest(t *testing.T) {
-	g := topology.PaperFig4()
+	g := topologytest.PaperFig4()
 	l := newLab(t, g)
 	var wg sync.WaitGroup
 	for round := 0; round < 8; round++ {

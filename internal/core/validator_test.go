@@ -12,12 +12,13 @@ import (
 	"github.com/twoldag/twoldag/internal/identity"
 	"github.com/twoldag/twoldag/internal/ledger"
 	"github.com/twoldag/twoldag/internal/topology"
+	"github.com/twoldag/twoldag/internal/topology/topologytest"
 )
 
 // TestPoPPaperFig4GreenPath replays Fig. 4: verifying B1 with γ=2 must
 // construct the short green path {B1, D1, E2} via WPS.
 func TestPoPPaperFig4GreenPath(t *testing.T) {
-	l := newLab(t, topology.PaperFig4()) // A=0,B=1,C=2,D=3,E=4
+	l := newLab(t, topologytest.PaperFig4()) // A=0,B=1,C=2,D=3,E=4
 	l.genesisAll()
 	// Slot 1: B generates B1, then D (captures B1's digest), then E
 	// (captures D1's digest).
@@ -49,10 +50,25 @@ func TestPoPPaperFig4GreenPath(t *testing.T) {
 	}
 }
 
+// MicroLoopBlocks counts path steps that did not add a new node to R_i —
+// the micro-loop blocks analyzed in Prop. 5.
+func (r *Result) MicroLoopBlocks() int {
+	seen := make(map[identity.NodeID]bool, len(r.Path))
+	loops := 0
+	for _, s := range r.Path {
+		if seen[s.Node] {
+			loops++
+			continue
+		}
+		seen[s.Node] = true
+	}
+	return loops
+}
+
 // TestPoPMicroLoopPaperFig6 reproduces Fig. 6: with r_B >> r_C, the path
 // from B1 to C1 traverses the micro-loop {B2, A2, B3, A3, B4}.
 func TestPoPMicroLoopPaperFig6(t *testing.T) {
-	l := newLab(t, topology.PaperFig6()) // A=0, B=1, C=2; chain A-B-C
+	l := newLab(t, topologytest.PaperFig6()) // A=0, B=1, C=2; chain A-B-C
 	l.genesisAll()
 	// Slots 1..4: B then A generate each slot; C stays silent.
 	for s := 0; s < 4; s++ {
@@ -88,7 +104,7 @@ func TestPoPMicroLoopPaperFig6(t *testing.T) {
 // TestPoPDetectsTamperedBody: any mutation of the verifier's stored body
 // must fail the Merkle root check (Algorithm 3 lines 3-5).
 func TestPoPDetectsTamperedBody(t *testing.T) {
-	l := newLab(t, topology.PaperFig4())
+	l := newLab(t, topologytest.PaperFig4())
 	l.genesisAll()
 	l.runSlot(1, 3, 4)
 
@@ -114,7 +130,7 @@ func TestPoPDetectsTamperedBody(t *testing.T) {
 func TestPoPDetectsForgedHeader(t *testing.T) {
 	for _, prefilled := range []bool{false, true} {
 		t.Run(cacheCase(prefilled), func(t *testing.T) {
-			l := newLab(t, topology.PaperFig4())
+			l := newLab(t, topologytest.PaperFig4())
 			l.genesisAll()
 			l.runSlot(1, 3, 4)
 			ref := block.Ref{Node: 1, Seq: 1}
@@ -164,7 +180,7 @@ func withVerifyCache(cache *block.VerifyCache) func(*ValidatorConfig) {
 // consensus reported under B2's name — the fetched block has to be the
 // one that was asked for.
 func TestPoPRejectsSubstitutedBlock(t *testing.T) {
-	l := newLab(t, topology.PaperFig4())
+	l := newLab(t, topologytest.PaperFig4())
 	l.genesisAll()
 	l.runSlot(1, 3, 4) // B1, attested by D1 and E1
 	l.runSlot(1)       // B2, which nobody has built on
@@ -195,7 +211,7 @@ func TestPoPRejectsSubstitutedBlock(t *testing.T) {
 // TestPoPRoutesAroundSilentNode: a malicious node that never answers
 // REQ_CHILD is bypassed via other branches (the Fig. 5 behavior).
 func TestPoPRoutesAroundSilentNode(t *testing.T) {
-	l := newLab(t, topology.PaperFig4())
+	l := newLab(t, topologytest.PaperFig4())
 	l.genesisAll()
 	for s := 0; s < 3; s++ {
 		l.runSlot(1, 2, 3, 4, 0) // everyone generates for a rich DAG
@@ -245,7 +261,7 @@ func TestPoPRejectsCorruptedReplies(t *testing.T) {
 		for _, mode := range []string{"empty", "prefilled", "interned"} {
 			t.Run(forgery.name+"/"+mode, func(t *testing.T) {
 				prefilled, intern := mode != "empty", mode == "interned"
-				l := newLab(t, topology.PaperFig4())
+				l := newLab(t, topologytest.PaperFig4())
 				l.genesisAll()
 				for s := 0; s < 3; s++ {
 					l.runSlot(1, 2, 3, 4, 0)
@@ -278,7 +294,7 @@ func TestPoPRejectsCorruptedReplies(t *testing.T) {
 						forged := h.Clone()
 						forgery.forge(forged)
 						if intern {
-							canon[h] = block.EncodeHeader(h)
+							canon[h] = block.AppendEncodeHeader(nil, h)
 							// Its own entry, or an earlier identical
 							// forgery's: never the honest header.
 							if forged = cache.Intern(forged); forged == h {
@@ -326,7 +342,7 @@ func TestPoPRejectsCorruptedReplies(t *testing.T) {
 					t.Fatal("no forged reply was made from an interned header")
 				}
 				for h, enc := range canon {
-					if !bytes.Equal(block.EncodeHeader(h), enc) {
+					if !bytes.Equal(block.AppendEncodeHeader(nil, h), enc) {
 						t.Fatalf("interned honest header of %v changed its bytes", h.Ref())
 					}
 					if cache.Interned(h.Hash()) != h {
@@ -343,7 +359,7 @@ func TestPoPRejectsCorruptedReplies(t *testing.T) {
 // first. B's branch dead-ends, forcing a rollback to A and success via
 // C then D.
 func rollbackTopology(t *testing.T) *topology.Graph {
-	g, err := topology.FromEdges(6, [][2]identity.NodeID{
+	g, err := topologytest.FromEdges(6, [][2]identity.NodeID{
 		{0, 1}, {0, 2}, {2, 3}, {1, 4}, {1, 5},
 	})
 	if err != nil {
@@ -370,8 +386,8 @@ func TestPoPRollbackThenSucceed(t *testing.T) {
 	if res.Rollbacks == 0 {
 		t.Fatal("expected at least one rollback")
 	}
-	// Final path must run A -> C -> D.
-	nodes := res.PathNodes()
+	// The final path runs A -> C -> D, so R_i joins them in that order.
+	nodes := res.Vouchers
 	want := []identity.NodeID{0, 2, 3}
 	if len(nodes) != len(want) {
 		t.Fatalf("path nodes %v, want %v", nodes, want)
@@ -386,7 +402,7 @@ func TestPoPRollbackThenSucceed(t *testing.T) {
 // TestPoPNoConsensusWhenGammaTooLarge: γ+1 beyond the reachable voucher
 // count must fail with ErrNoConsensus after exhausting every branch.
 func TestPoPNoConsensusWhenGammaTooLarge(t *testing.T) {
-	l := newLab(t, topology.PaperFig6()) // 3 nodes only
+	l := newLab(t, topologytest.PaperFig6()) // 3 nodes only
 	l.genesisAll()
 	l.runSlot(1, 0)
 	l.runSlot(2)
@@ -401,7 +417,7 @@ func TestPoPNoConsensusWhenGammaTooLarge(t *testing.T) {
 // TestPoPTrustPathSelection: a second verification of the same block
 // must be satisfied from H_i with zero REQ_CHILD traffic (Alg. 2).
 func TestPoPTrustPathSelection(t *testing.T) {
-	l := newLab(t, topology.PaperFig4())
+	l := newLab(t, topologytest.PaperFig4())
 	l.genesisAll()
 	l.runSlot(1, 3, 4)
 
@@ -433,7 +449,7 @@ func TestPoPTrustPathSelection(t *testing.T) {
 // one would keep the target's whole body reachable from the validator —
 // while a fully sealed target (shared store state) stays shared.
 func TestPoPTrustStoreDoesNotPinFetchedBody(t *testing.T) {
-	l := newLab(t, topology.PaperFig4())
+	l := newLab(t, topologytest.PaperFig4())
 	l.genesisAll()
 	l.runSlot(1, 3, 4)
 	ref := block.Ref{Node: 1, Seq: 1}
@@ -478,7 +494,7 @@ func TestPoPTrustStoreDoesNotPinFetchedBody(t *testing.T) {
 // TestPoPTrustStoreDisabled: without H_i every verification pays full
 // network cost (the ABL-TPS ablation baseline).
 func TestPoPTrustStoreDisabled(t *testing.T) {
-	l := newLab(t, topology.PaperFig4())
+	l := newLab(t, topologytest.PaperFig4())
 	l.genesisAll()
 	l.runSlot(1, 3, 4)
 
@@ -505,7 +521,7 @@ func TestPoPTrustStoreDisabled(t *testing.T) {
 // exchanges at least 2(γ+1) messages to reach consensus.
 func TestPoPProp4MessageFloor(t *testing.T) {
 	for gamma := 0; gamma <= 3; gamma++ {
-		g, err := topology.Line(6)
+		g, err := topologytest.Line(6)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -536,7 +552,7 @@ func TestPoPAlternativeStrategies(t *testing.T) {
 		{"shortest-path-first", ShortestPathFirst{}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			l := newLab(t, topology.PaperFig4())
+			l := newLab(t, topologytest.PaperFig4())
 			l.genesisAll()
 			for s := 0; s < 3; s++ {
 				l.runSlot(1, 2, 3, 4, 0)
@@ -553,7 +569,7 @@ func TestPoPAlternativeStrategies(t *testing.T) {
 // TestPoPBlacklistSkipsBannedNodes: after enough failures the silent
 // node is banned and no longer probed at all.
 func TestPoPBlacklistSkipsBannedNodes(t *testing.T) {
-	l := newLab(t, topology.PaperFig4())
+	l := newLab(t, topologytest.PaperFig4())
 	l.genesisAll()
 	for s := 0; s < 5; s++ {
 		l.runSlot(1, 2, 3, 4, 0)
@@ -598,7 +614,7 @@ func TestPoPBlacklistSkipsBannedNodes(t *testing.T) {
 
 // TestPoPContextCancellation: a canceled context aborts verification.
 func TestPoPContextCancellation(t *testing.T) {
-	l := newLab(t, topology.PaperFig4())
+	l := newLab(t, topologytest.PaperFig4())
 	l.genesisAll()
 	l.runSlot(1, 3, 4)
 	ctx, cancel := context.WithCancel(context.Background())
@@ -612,7 +628,7 @@ func TestPoPContextCancellation(t *testing.T) {
 // TestPoPUnreachableVerifier: fetching the target from an unknown node
 // fails cleanly.
 func TestPoPUnreachableVerifier(t *testing.T) {
-	l := newLab(t, topology.PaperFig4())
+	l := newLab(t, topologytest.PaperFig4())
 	l.genesisAll()
 	v := l.validator(0, 1)
 	if _, err := v.Verify(context.Background(), block.Ref{Node: 99, Seq: 0}, l.fetcher); err == nil {
@@ -622,7 +638,7 @@ func TestPoPUnreachableVerifier(t *testing.T) {
 
 // TestValidatorConfigValidation covers constructor errors.
 func TestValidatorConfigValidation(t *testing.T) {
-	g := topology.PaperFig3()
+	g := topologytest.PaperFig3()
 	ring := identity.NewRing()
 	if _, err := NewValidator(ValidatorConfig{Topo: g}); err == nil {
 		t.Fatal("missing ring accepted")
@@ -637,7 +653,7 @@ func TestValidatorConfigValidation(t *testing.T) {
 
 // TestResponderAlgorithm4 covers the responder in isolation.
 func TestResponderAlgorithm4(t *testing.T) {
-	l := newLab(t, topology.PaperFig6())
+	l := newLab(t, topologytest.PaperFig6())
 	l.genesisAll()
 	for s := 0; s < 3; s++ {
 		l.runSlot(1, 0) // B then A each slot
@@ -668,7 +684,7 @@ func TestResponderAlgorithm4(t *testing.T) {
 
 // TestEngineRejectsNonNeighborDigest enforces Sec. IV-D5 filtering.
 func TestEngineRejectsNonNeighborDigest(t *testing.T) {
-	l := newLab(t, topology.PaperFig4())
+	l := newLab(t, topologytest.PaperFig4())
 	err := l.engines[0].OnDigestsFrom(4, []digest.Digest{digest.Sum([]byte("x"))}) // E is not A's neighbor
 	if !errors.Is(err, ErrNotNeighbor) {
 		t.Fatalf("want ErrNotNeighbor, got %v", err)
@@ -678,7 +694,7 @@ func TestEngineRejectsNonNeighborDigest(t *testing.T) {
 // TestEngineChaining: consecutive blocks link via PrevDigest and carry
 // fresh neighbor digests.
 func TestEngineChaining(t *testing.T) {
-	l := newLab(t, topology.PaperFig3())
+	l := newLab(t, topologytest.PaperFig3())
 	l.genesisAll()
 	l.runSlot(3, 2, 1, 0) // D, C, B, A — the Fig. 3 generation order
 	bStore := l.engines[1].Store()
@@ -714,7 +730,7 @@ func TestEngineChaining(t *testing.T) {
 
 // TestEngineConstructorValidation covers engine construction errors.
 func TestEngineConstructorValidation(t *testing.T) {
-	g := topology.PaperFig3()
+	g := topologytest.PaperFig3()
 	key := identity.Deterministic(99, 1) // not in topology
 	if _, err := NewEngine(key, block.DefaultParams(), g); err == nil {
 		t.Fatal("engine accepted node outside topology")
@@ -727,7 +743,7 @@ func TestEngineConstructorValidation(t *testing.T) {
 // TestStoreFetcherDynamicMembership: removing a store makes the node
 // unreachable; re-registering restores it.
 func TestStoreFetcherDynamicMembership(t *testing.T) {
-	l := newLab(t, topology.PaperFig4())
+	l := newLab(t, topologytest.PaperFig4())
 	l.genesisAll()
 	ctx := context.Background()
 	ref := block.Ref{Node: 2, Seq: 0}

@@ -11,6 +11,7 @@ import (
 	"github.com/twoldag/twoldag/internal/digest"
 	"github.com/twoldag/twoldag/internal/identity"
 	"github.com/twoldag/twoldag/internal/topology"
+	"github.com/twoldag/twoldag/internal/topology/topologytest"
 )
 
 // voucherReference is the R_i the validator used before voucherSet
@@ -189,7 +190,7 @@ func constructReference(v *Validator, ctx context.Context, ref block.Ref, blk *b
 // a child of A's and a dead end, so no single path holds three distinct
 // nodes while the union of the explored branches does.
 func starTopology(t *testing.T) *topology.Graph {
-	g, err := topology.FromEdges(4, [][2]identity.NodeID{{0, 1}, {0, 2}, {0, 3}})
+	g, err := topologytest.FromEdges(4, [][2]identity.NodeID{{0, 1}, {0, 2}, {0, 3}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -251,13 +252,13 @@ func TestConstructMatchesReference(t *testing.T) {
 		want      func(*Result) bool // the shape the case exists for
 	}{
 		{
-			name: "fig4 green path", topo: func(*testing.T) *topology.Graph { return topology.PaperFig4() },
+			name: "fig4 green path", topo: func(*testing.T) *topology.Graph { return topologytest.PaperFig4() },
 			build:     func(l *lab) { l.genesisAll(); l.runSlot(1, 3, 4) },
 			validator: 0, gamma: 2, target: block.Ref{Node: 1, Seq: 1},
 			want: func(r *Result) bool { return r.Consensus && r.Rollbacks == 0 },
 		},
 		{
-			name: "fig6 micro-loop", topo: func(*testing.T) *topology.Graph { return topology.PaperFig6() },
+			name: "fig6 micro-loop", topo: func(*testing.T) *topology.Graph { return topologytest.PaperFig6() },
 			build: func(l *lab) {
 				l.genesisAll()
 				for s := 0; s < 4; s++ {
@@ -275,7 +276,7 @@ func TestConstructMatchesReference(t *testing.T) {
 			want: func(r *Result) bool { return r.Consensus && r.Rollbacks > 0 && !r.UnionFallback },
 		},
 		{
-			name: "union retry fails", topo: func(*testing.T) *topology.Graph { return topology.PaperFig6() },
+			name: "union retry fails", topo: func(*testing.T) *topology.Graph { return topologytest.PaperFig6() },
 			build:     func(l *lab) { l.genesisAll(); l.runSlot(1, 0); l.runSlot(2) },
 			validator: 0, gamma: 3, target: block.Ref{Node: 1, Seq: 1},
 			want: func(r *Result) bool { return !r.Consensus && r.UnionFallback },
@@ -287,7 +288,7 @@ func TestConstructMatchesReference(t *testing.T) {
 			want: func(r *Result) bool { return r.Consensus && r.UnionFallback && r.Rollbacks > 0 },
 		},
 		{
-			name: "silent node", topo: func(*testing.T) *topology.Graph { return topology.PaperFig4() },
+			name: "silent node", topo: func(*testing.T) *topology.Graph { return topologytest.PaperFig4() },
 			build: func(l *lab) {
 				l.genesisAll()
 				for s := 0; s < 3; s++ {

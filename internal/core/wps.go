@@ -33,8 +33,8 @@ type SelectionState struct {
 	zScratch  []identity.NodeID
 }
 
-// weight is Eq. 7 through the state's neighbor scratch — the
-// allocation-free form of Weight for selection hot loops.
+// weight is Eq. 7 through the state's neighbor scratch, so selection
+// hot loops fetch neighbors without allocating.
 func (st *SelectionState) weight(cand identity.NodeID) float64 {
 	st.nbScratch = st.Topo.AppendNeighbors(st.nbScratch[:0], cand)
 	return weightOf(st.nbScratch, st.InVouchers, cand)
@@ -46,13 +46,10 @@ type SelectionStrategy interface {
 	Next(st *SelectionState) identity.NodeID
 }
 
-// Weight computes Eq. 7 for candidate v̂: the fraction of v̂'s closed
-// neighborhood {N(v̂) ∪ {v̂}} already present in R_i. Lower weight means
-// more potential fresh vouchers behind that candidate.
-func Weight(topo *topology.Graph, inVouchers func(identity.NodeID) bool, cand identity.NodeID) float64 {
-	return weightOf(topo.Neighbors(cand), inVouchers, cand)
-}
-
+// weightOf computes Eq. 7 for candidate v̂ with neighbors nbs: the
+// fraction of v̂'s closed neighborhood {N(v̂) ∪ {v̂}} already present in
+// R_i. Lower weight means more potential fresh vouchers behind that
+// candidate.
 func weightOf(nbs []identity.NodeID, inVouchers func(identity.NodeID) bool, cand identity.NodeID) float64 {
 	in := 0
 	for _, nb := range nbs {

@@ -6,7 +6,7 @@ import (
 	"testing"
 
 	"github.com/twoldag/twoldag/internal/identity"
-	"github.com/twoldag/twoldag/internal/topology"
+	"github.com/twoldag/twoldag/internal/topology/topologytest"
 )
 
 // inSet builds an R_i membership predicate.
@@ -22,7 +22,7 @@ func inSet(ids ...identity.NodeID) func(identity.NodeID) bool {
 // verifying B1 with R = {B}, the weights of B's neighbors must be
 // w_A = 1/2, w_C = 1/3, w_D = 1/4.
 func TestWeightPaperFig4FirstStep(t *testing.T) {
-	g := topology.PaperFig4() // A=0, B=1, C=2, D=3, E=4
+	g := topologytest.PaperFig4() // A=0, B=1, C=2, D=3, E=4
 	r := inSet(1)
 	cases := []struct {
 		node identity.NodeID
@@ -33,8 +33,8 @@ func TestWeightPaperFig4FirstStep(t *testing.T) {
 		{3, 0.25},
 	}
 	for _, c := range cases {
-		if got := Weight(g, r, c.node); math.Abs(got-c.want) > 1e-12 {
-			t.Errorf("Weight(%v) = %v, want %v", c.node, got, c.want)
+		if got := weightOf(g.Neighbors(c.node), r, c.node); math.Abs(got-c.want) > 1e-12 {
+			t.Errorf("weightOf(%v) = %v, want %v", c.node, got, c.want)
 		}
 	}
 	st := &SelectionState{Current: 1, Candidates: []identity.NodeID{0, 2, 3}, InVouchers: r, Topo: g}
@@ -47,15 +47,15 @@ func TestWeightPaperFig4FirstStep(t *testing.T) {
 // R = {B, D}; among D's neighbors, w_B = 1/2, w_C = 2/3, w_E = 1/2, and
 // E must win the tie because B is already in R_i.
 func TestWeightPaperFig4SecondStep(t *testing.T) {
-	g := topology.PaperFig4()
+	g := topologytest.PaperFig4()
 	r := inSet(1, 3)
-	if got := Weight(g, r, 1); math.Abs(got-0.5) > 1e-12 {
+	if got := weightOf(g.Neighbors(1), r, 1); math.Abs(got-0.5) > 1e-12 {
 		t.Errorf("w_B = %v, want 0.5", got)
 	}
-	if got := Weight(g, r, 2); math.Abs(got-2.0/3.0) > 1e-12 {
+	if got := weightOf(g.Neighbors(2), r, 2); math.Abs(got-2.0/3.0) > 1e-12 {
 		t.Errorf("w_C = %v, want 2/3", got)
 	}
-	if got := Weight(g, r, 4); math.Abs(got-0.5) > 1e-12 {
+	if got := weightOf(g.Neighbors(4), r, 4); math.Abs(got-0.5) > 1e-12 {
 		t.Errorf("w_E = %v, want 0.5", got)
 	}
 	st := &SelectionState{Current: 3, Candidates: []identity.NodeID{1, 2, 4}, InVouchers: r, Topo: g}
@@ -65,7 +65,7 @@ func TestWeightPaperFig4SecondStep(t *testing.T) {
 }
 
 func TestWPSSingleCandidate(t *testing.T) {
-	g := topology.PaperFig4()
+	g := topologytest.PaperFig4()
 	st := &SelectionState{Candidates: []identity.NodeID{2}, InVouchers: inSet(), Topo: g}
 	if got := (WPS{}).Next(st); got != 2 {
 		t.Fatalf("single candidate not returned: %v", got)
@@ -75,7 +75,7 @@ func TestWPSSingleCandidate(t *testing.T) {
 func TestWPSTieAllOutsideR(t *testing.T) {
 	// Ring: every node has degree 2; with empty R all weights are 0, so
 	// any candidate is legal (lines 8-10). Deterministic pick = lowest.
-	g, err := topology.Ring(6)
+	g, err := topologytest.Ring(6)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -99,7 +99,7 @@ func TestWPSTiePrefersNonVoucher(t *testing.T) {
 	// symmetric case: complete graph K4, R = {0}. All candidates have
 	// closed neighborhood = V, weight 1/4... all equal; candidates
 	// {0-excluded}; include one candidate in R to check preference.
-	g, err := topology.Complete(4)
+	g, err := topologytest.Complete(4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -114,7 +114,7 @@ func TestWPSTiePrefersNonVoucher(t *testing.T) {
 }
 
 func TestRandomSelectionStaysInCandidates(t *testing.T) {
-	g := topology.PaperFig4()
+	g := topologytest.PaperFig4()
 	st := &SelectionState{
 		Candidates: []identity.NodeID{0, 2, 3},
 		InVouchers: inSet(),
@@ -137,7 +137,7 @@ func TestRandomSelectionStaysInCandidates(t *testing.T) {
 func TestShortestPathFirstPrefersCloserNode(t *testing.T) {
 	// Line 0-1-2-3-4; validator is node 0. Candidates 1 and 3: node 1
 	// is closer to the validator and must win regardless of weights.
-	g, err := topology.Line(5)
+	g, err := topologytest.Line(5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -155,8 +155,8 @@ func TestShortestPathFirstPrefersCloserNode(t *testing.T) {
 
 func TestWeightCountsSelfInclusion(t *testing.T) {
 	// Candidate already in R contributes itself to the numerator.
-	g := topology.PaperFig4()
-	w := Weight(g, inSet(0), 0) // A in R; N(A)={B}; |{A}|/2
+	g := topologytest.PaperFig4()
+	w := weightOf(g.Neighbors(0), inSet(0), 0) // A in R; N(A)={B}; |{A}|/2
 	if math.Abs(w-0.5) > 1e-12 {
 		t.Fatalf("self-inclusion weight = %v, want 0.5", w)
 	}

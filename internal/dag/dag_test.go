@@ -10,14 +10,14 @@ import (
 	"github.com/twoldag/twoldag/internal/digest"
 	"github.com/twoldag/twoldag/internal/identity"
 	"github.com/twoldag/twoldag/internal/ledger"
-	"github.com/twoldag/twoldag/internal/topology"
+	"github.com/twoldag/twoldag/internal/topology/topologytest"
 )
 
 // buildNetwork generates a small 2LDAG network over the Fig. 3 topology
 // and returns the stores keyed by node.
 func buildNetwork(t *testing.T, slots int) map[identity.NodeID]*ledger.Store {
 	t.Helper()
-	g := topology.PaperFig3()
+	g := topologytest.PaperFig3()
 	params := block.DefaultParams()
 	params.Difficulty = 2
 	engines := make(map[identity.NodeID]*core.Engine)

@@ -40,11 +40,6 @@ func Sum(parts ...[]byte) Digest {
 	return d
 }
 
-// SumString hashes a string without forcing callers to convert to []byte.
-func SumString(s string) Digest {
-	return sha256.Sum256([]byte(s))
-}
-
 // FromHex parses a 64-character hex string into a Digest.
 func FromHex(s string) (Digest, error) {
 	var d Digest
@@ -75,20 +70,6 @@ func (d Digest) String() string {
 // IsZero reports whether d is the all-zero sentinel digest.
 func (d Digest) IsZero() bool {
 	return d == Digest{}
-}
-
-// Compare orders digests lexicographically: -1 if d < other, 0 if equal,
-// +1 if d > other.
-func (d Digest) Compare(other Digest) int {
-	for i := range d {
-		switch {
-		case d[i] < other[i]:
-			return -1
-		case d[i] > other[i]:
-			return 1
-		}
-	}
-	return 0
 }
 
 // LeadingZeroBits counts the number of leading zero bits, interpreting the

@@ -25,12 +25,6 @@ func TestSumConcatenation(t *testing.T) {
 	}
 }
 
-func TestSumStringAgrees(t *testing.T) {
-	if SumString("abc") != Sum([]byte("abc")) {
-		t.Fatal("SumString disagrees with Sum")
-	}
-}
-
 func TestHexRoundTrip(t *testing.T) {
 	d := Sum([]byte("round trip"))
 	back, err := FromHex(d.Hex())
@@ -64,14 +58,6 @@ func TestIsZero(t *testing.T) {
 	}
 	if Sum([]byte("x")).IsZero() {
 		t.Fatal("hash of data reported as zero")
-	}
-}
-
-func TestCompare(t *testing.T) {
-	a := Digest{0x01}
-	b := Digest{0x02}
-	if a.Compare(b) != -1 || b.Compare(a) != 1 || a.Compare(a) != 0 {
-		t.Fatal("Compare ordering wrong")
 	}
 }
 
@@ -109,24 +95,6 @@ func TestQuickHexRoundTrip(t *testing.T) {
 		d := Digest(raw)
 		back, err := FromHex(d.Hex())
 		return err == nil && back == d
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestQuickCompareConsistency(t *testing.T) {
-	f := func(a, b [Size]byte) bool {
-		da, db := Digest(a), Digest(b)
-		c := da.Compare(db)
-		switch {
-		case da == db:
-			return c == 0
-		case c == 0:
-			return false
-		default:
-			return c == -db.Compare(da)
-		}
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)

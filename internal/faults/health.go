@@ -129,13 +129,3 @@ func (h *Health) Suspected(peer identity.NodeID) bool {
 	h.mu.Unlock()
 	return sus
 }
-
-// SuspectCount returns the number of currently open circuits.
-func (h *Health) SuspectCount() int {
-	if h == nil {
-		return 0
-	}
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return len(h.suspects)
-}

@@ -19,9 +19,6 @@ func TestHealthCircuitOpensAtThreshold(t *testing.T) {
 	if !h.Suspected(9) {
 		t.Fatal("not suspected after threshold failures")
 	}
-	if h.SuspectCount() != 1 {
-		t.Fatalf("SuspectCount = %d, want 1", h.SuspectCount())
-	}
 	// Further failures keep the circuit open without re-announcing it.
 	h.ReportFailure(9)
 	rec.mu.Lock()
@@ -35,7 +32,7 @@ func TestHealthCircuitOpensAtThreshold(t *testing.T) {
 	}
 
 	h.ReportSuccess(9)
-	if h.Suspected(9) || h.SuspectCount() != 0 {
+	if h.Suspected(9) {
 		t.Fatal("success did not close the circuit")
 	}
 	rec.mu.Lock()
@@ -74,11 +71,11 @@ func TestHealthTracksPeersIndependently(t *testing.T) {
 		h.ReportFailure(5)
 		h.ReportFailure(6)
 	}
-	if !h.Suspected(5) || !h.Suspected(6) || h.SuspectCount() != 2 {
+	if !h.Suspected(5) || !h.Suspected(6) {
 		t.Fatal("both peers should be suspected")
 	}
 	h.ReportSuccess(5)
-	if h.Suspected(5) || !h.Suspected(6) || h.SuspectCount() != 1 {
+	if h.Suspected(5) || !h.Suspected(6) {
 		t.Fatal("recovery of one peer leaked to the other")
 	}
 }
@@ -90,9 +87,6 @@ func TestHealthNilReceiverIsSafe(t *testing.T) {
 	h.Suspect(1)
 	if h.Suspected(1) {
 		t.Fatal("nil tracker suspects")
-	}
-	if h.SuspectCount() != 0 {
-		t.Fatal("nil tracker counts suspects")
 	}
 }
 

@@ -12,7 +12,7 @@ import (
 	"github.com/twoldag/twoldag/internal/faults"
 	"github.com/twoldag/twoldag/internal/identity"
 	"github.com/twoldag/twoldag/internal/node"
-	"github.com/twoldag/twoldag/internal/topology"
+	"github.com/twoldag/twoldag/internal/topology/topologytest"
 	"github.com/twoldag/twoldag/internal/transport"
 )
 
@@ -36,7 +36,7 @@ func (a *batchAck) OnDigestBatchDelivered(events.DigestBatchDelivered) {
 // the number that proves the robustness substrate costs nothing when
 // nothing fails.
 func BenchmarkHotpathFaultFree(b *testing.B) {
-	g := topology.PaperFig6() // chain 0-1-2: node 0 announces to its one neighbor
+	g := topologytest.PaperFig6() // chain 0-1-2: node 0 announces to its one neighbor
 	params := block.DefaultParams()
 	kp0 := identity.Deterministic(0, 700)
 	kp1 := identity.Deterministic(1, 700)

@@ -16,7 +16,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"sort"
 	"sync"
 
 	"github.com/twoldag/twoldag/internal/digest"
@@ -126,17 +125,6 @@ func (r *Ring) Deregister(id NodeID) error {
 	return nil
 }
 
-// Lookup returns the public key registered for id.
-func (r *Ring) Lookup(id NodeID) (ed25519.PublicKey, error) {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	pub, ok := r.keys[id]
-	if !ok {
-		return nil, fmt.Errorf("%w: %v", ErrUnknownNode, id)
-	}
-	return append(ed25519.PublicKey(nil), pub...), nil
-}
-
 // Verify checks sig over msg against id's registered key.
 func (r *Ring) Verify(id NodeID, msg, sig []byte) error {
 	r.mu.RLock()
@@ -156,18 +144,6 @@ func (r *Ring) Len() int {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
 	return len(r.keys)
-}
-
-// IDs returns all registered node IDs in ascending order.
-func (r *Ring) IDs() []NodeID {
-	r.mu.RLock()
-	ids := make([]NodeID, 0, len(r.keys))
-	for id := range r.keys {
-		ids = append(ids, id)
-	}
-	r.mu.RUnlock()
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	return ids
 }
 
 // RingFor builds a ring from a set of key pairs, failing on duplicates.

@@ -90,10 +90,3 @@ func (b *Blacklist) Banned(id identity.NodeID) bool {
 	_, banned := b.redemption[id]
 	return banned
 }
-
-// BannedCount returns how many nodes are currently banned.
-func (b *Blacklist) BannedCount() int {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return len(b.redemption)
-}

@@ -46,7 +46,7 @@ import (
 //	magic(8) | owner(4)
 //	| trustCap(4)                                                 trust cap
 //	| records(4) | bytes(8) | newestHash(32)                       S_i
-//	| inserted(8) | headers(4) | { len(4) | block.EncodeHeader }…  H_i (insertion order)
+//	| inserted(8) | headers(4) | { len(4) | block.AppendEncodeHeader }…  H_i (insertion order)
 //	| entries(4) | { node(4) | digest(32) }…                       A_i (node order)
 //	| crc32c(4) over everything above
 //

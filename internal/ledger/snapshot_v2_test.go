@@ -20,7 +20,7 @@ import (
 //
 //	magic(8) | owner(4) | trustCap(4)
 //	| blockCount(4)  | { len(4) | block.Encode }…
-//	| trustInserted(8) | headerCount(4) | { len(4) | block.EncodeHeader }…  (insertion order)
+//	| trustInserted(8) | headerCount(4) | { len(4) | block.AppendEncodeHeader }…  (insertion order)
 //	| entryCount(4)  | { node(4) | digest(32) }…                          (node order)
 //	| crc32c(4) over everything above
 

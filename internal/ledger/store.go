@@ -287,27 +287,6 @@ func (s *Store) OldestContaining(d digest.Digest) (*block.Block, bool) {
 	return s.blocks[seq], true
 }
 
-// CountContaining returns |C_j'(b)|: how many Δ entries of the owner's
-// blocks reference digest d. Test support for the micro-loop analysis
-// (Prop. 5); no protocol path asks, so it scans the log instead of
-// costing the index a counter per digest.
-func (s *Store) CountContaining(d digest.Digest) int {
-	if d.IsZero() {
-		return 0
-	}
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	n := 0
-	for _, b := range s.blocks {
-		for k := range b.Header.Digests {
-			if b.Header.Digests[k].Digest == d {
-				n++
-			}
-		}
-	}
-	return n
-}
-
 // BodyBytes returns the cumulative body payload stored, in bytes.
 func (s *Store) BodyBytes() int64 {
 	s.mu.RLock()

@@ -39,7 +39,7 @@ import (
 // WAL record kinds.
 const (
 	walKindBlock  = 1 // payload: block.Encode(b)
-	walKindTrust  = 2 // payload: insertion index uint64 LE + block.EncodeHeader(h)
+	walKindTrust  = 2 // payload: insertion index uint64 LE + block.AppendEncodeHeader(nil, h)
 	walKindDigest = 3 // payload: sender uint32 LE + digest [digest.Size]byte
 	walKindForget = 4 // payload: sender uint32 LE
 )

@@ -80,12 +80,6 @@ func NewCDF(samples []float64) (*CDF, error) {
 	return &CDF{sorted: cp}, nil
 }
 
-// At returns P(X ≤ x).
-func (c *CDF) At(x float64) float64 {
-	i := sort.SearchFloat64s(c.sorted, math.Nextafter(x, math.Inf(1)))
-	return float64(i) / float64(len(c.sorted))
-}
-
 // Quantile returns the q-th quantile (0 ≤ q ≤ 1, nearest-rank).
 func (c *CDF) Quantile(q float64) float64 {
 	if q <= 0 {
@@ -114,16 +108,6 @@ func (c *CDF) Mean() float64 {
 		sum += v
 	}
 	return sum / float64(len(c.sorted))
-}
-
-// Points renders the CDF as (value, probability) steps, one per sample.
-func (c *CDF) Points() ([]float64, []float64) {
-	xs := append([]float64(nil), c.sorted...)
-	ys := make([]float64, len(xs))
-	for i := range xs {
-		ys[i] = float64(i+1) / float64(len(xs))
-	}
-	return xs, ys
 }
 
 // Table renders series side by side as an aligned text table with one

@@ -10,7 +10,7 @@ import (
 	"github.com/twoldag/twoldag/internal/events"
 	"github.com/twoldag/twoldag/internal/identity"
 	"github.com/twoldag/twoldag/internal/metrics"
-	"github.com/twoldag/twoldag/internal/topology"
+	"github.com/twoldag/twoldag/internal/topology/topologytest"
 	"github.com/twoldag/twoldag/internal/transport"
 	"github.com/twoldag/twoldag/internal/wire"
 )
@@ -20,7 +20,7 @@ import (
 // is a bare endpoint the test drives by hand.
 func ackingNode(t *testing.T, id identity.NodeID, obs events.Observer) (*Node, map[identity.NodeID]*transport.Endpoint) {
 	t.Helper()
-	g := topology.PaperFig6()
+	g := topologytest.PaperFig6()
 	params := block.DefaultParams()
 	params.Difficulty = 2
 	var pairs []identity.KeyPair

@@ -11,7 +11,7 @@ import (
 	"github.com/twoldag/twoldag/internal/digest"
 	"github.com/twoldag/twoldag/internal/events"
 	"github.com/twoldag/twoldag/internal/identity"
-	"github.com/twoldag/twoldag/internal/topology"
+	"github.com/twoldag/twoldag/internal/topology/topologytest"
 	"github.com/twoldag/twoldag/internal/transport"
 	"github.com/twoldag/twoldag/internal/wire"
 )
@@ -45,7 +45,7 @@ func (r *batchRecorder) OnDigestBatchDelivered(e events.DigestBatchDelivered) {
 // DigestBatch frame carrying all digests in seal order, and its A_i
 // must end on the newest digest.
 func TestAnnounceBatchCoalesces(t *testing.T) {
-	g := topology.PaperFig6() // A-B-C chain
+	g := topologytest.PaperFig6() // A-B-C chain
 	params := block.DefaultParams()
 	params.Difficulty = 2
 	var pairs []identity.KeyPair
@@ -126,7 +126,7 @@ func TestAnnounceBatchCoalesces(t *testing.T) {
 // per frame: a single frame carrying more digests than AnnounceLimit
 // bans the sender just like a flood of one-digest frames.
 func TestBatchCountsAgainstRateGuard(t *testing.T) {
-	g := topology.PaperFig6()
+	g := topologytest.PaperFig6()
 	params := block.DefaultParams()
 	params.Difficulty = 2
 	kpA := identity.Deterministic(0, 1)

@@ -11,7 +11,7 @@ import (
 	"github.com/twoldag/twoldag/internal/digest"
 	"github.com/twoldag/twoldag/internal/identity"
 	"github.com/twoldag/twoldag/internal/ledger"
-	"github.com/twoldag/twoldag/internal/topology"
+	"github.com/twoldag/twoldag/internal/topology/topologytest"
 )
 
 // sealFig4 seals the Fig. 4 blocks with benchmark-shaped (1 KiB)
@@ -43,7 +43,7 @@ func durableFig4(tb testing.TB, slots int) (*cluster, string) {
 	tb.Helper()
 	dir := tb.TempDir()
 	var fb *ledger.FileBackend
-	c := newCluster(tb, topology.PaperFig4(), 2, func(cfg *Config) {
+	c := newCluster(tb, topologytest.PaperFig4(), 2, func(cfg *Config) {
 		if cfg.Key.ID != 1 {
 			return
 		}
@@ -88,7 +88,7 @@ func warmAuditCluster(tb testing.TB, durable bool) (*Node, []block.Ref) {
 	if durable {
 		c, _ = durableFig4(tb, warmSlots)
 	} else {
-		c = newCluster(tb, topology.PaperFig4(), 2)
+		c = newCluster(tb, topologytest.PaperFig4(), 2)
 		sealFig4(tb, c, warmSlots)
 	}
 	validator := c.nodes[0]

@@ -14,6 +14,7 @@ import (
 	"github.com/twoldag/twoldag/internal/events"
 	"github.com/twoldag/twoldag/internal/identity"
 	"github.com/twoldag/twoldag/internal/topology"
+	"github.com/twoldag/twoldag/internal/topology/topologytest"
 	"github.com/twoldag/twoldag/internal/transport"
 	"github.com/twoldag/twoldag/internal/wire"
 )
@@ -207,7 +208,7 @@ func (s *sealedCount) count() int {
 // AnnounceBatch is what brings it to the neighbors.
 func TestSealLocalThenPublishLocal(t *testing.T) {
 	obs := map[identity.NodeID]*sealedCount{}
-	c := newCluster(t, topology.PaperFig4(), 2, func(cfg *Config) {
+	c := newCluster(t, topologytest.PaperFig4(), 2, func(cfg *Config) {
 		o := &sealedCount{Observer: cfg.Observer}
 		obs[cfg.Key.ID] = o
 		cfg.Observer = o
@@ -252,7 +253,7 @@ func TestSealLocalThenPublishLocal(t *testing.T) {
 // TestLiveAuditPaperFig4 runs the Fig. 4 scenario over real message
 // passing: validator A audits B1 and reaches γ=2 consensus.
 func TestLiveAuditPaperFig4(t *testing.T) {
-	c := newCluster(t, topology.PaperFig4(), 2)
+	c := newCluster(t, topologytest.PaperFig4(), 2)
 	c.runSlot(0, 1, 2, 3, 4) // genesis
 	c.runSlot(1, 3, 4)       // B1, D1 (child of B1), E1 (child of D1)
 
@@ -271,7 +272,7 @@ func TestLiveAuditPaperFig4(t *testing.T) {
 // TestLiveAuditDetectsTamper mutates a stored block body behind the
 // runtime's back; a live audit must fail the root check.
 func TestLiveAuditDetectsTamper(t *testing.T) {
-	c := newCluster(t, topology.PaperFig4(), 2)
+	c := newCluster(t, topologytest.PaperFig4(), 2)
 	c.runSlot(0, 1, 2, 3, 4)
 	c.runSlot(1, 3, 4)
 
@@ -288,7 +289,7 @@ func TestLiveAuditDetectsTamper(t *testing.T) {
 // TestLiveAuditSurvivesSilentNode closes one node's transport; audits
 // still succeed around it.
 func TestLiveAuditSurvivesSilentNode(t *testing.T) {
-	c := newCluster(t, topology.PaperFig4(), 2)
+	c := newCluster(t, topologytest.PaperFig4(), 2)
 	c.runSlot(0, 1, 2, 3, 4)
 	for s := 0; s < 3; s++ {
 		c.runSlot(1, 2, 3, 4, 0)
@@ -318,7 +319,7 @@ func TestLiveAuditSurvivesSilentNode(t *testing.T) {
 // TestTrustCacheAcrossLiveAudits: the second audit of the same block
 // uses H_i instead of network requests.
 func TestTrustCacheAcrossLiveAudits(t *testing.T) {
-	c := newCluster(t, topology.PaperFig4(), 2)
+	c := newCluster(t, topologytest.PaperFig4(), 2)
 	c.runSlot(0, 1, 2, 3, 4)
 	c.runSlot(1, 3, 4)
 	ref := block.Ref{Node: 1, Seq: 1}
@@ -340,7 +341,7 @@ func TestTrustCacheAcrossLiveAudits(t *testing.T) {
 // audit of B2 must fail instead of reporting B1's consensus under B2's
 // name.
 func TestLiveAuditRejectsSubstitutedBlock(t *testing.T) {
-	c := newCluster(t, topology.PaperFig4(), 2)
+	c := newCluster(t, topologytest.PaperFig4(), 2)
 	c.runSlot(0, 1, 2, 3, 4)
 	c.runSlot(1, 3, 4) // B1, D1 (child of B1), E1 (child of D1)
 	c.runSlot(1)       // B2
@@ -384,7 +385,7 @@ func TestLiveAuditRejectsSubstitutedBlock(t *testing.T) {
 // TestDoSFlooderGetsBanned: a neighbor announcing digests far above
 // the rate limit is banned and its announcements ignored.
 func TestDoSFlooderGetsBanned(t *testing.T) {
-	g := topology.PaperFig6() // A-B-C chain
+	g := topologytest.PaperFig6() // A-B-C chain
 	params := block.DefaultParams()
 	params.Difficulty = 2
 	kpA := identity.Deterministic(0, 1)
@@ -450,7 +451,7 @@ func TestDoSFlooderGetsBanned(t *testing.T) {
 // TestNonNeighborAnnouncementIgnored: digests from nodes without a
 // radio link never enter A_i (Sec. IV-D5 filtering).
 func TestNonNeighborAnnouncementIgnored(t *testing.T) {
-	c := newCluster(t, topology.PaperFig4(), 1)
+	c := newCluster(t, topologytest.PaperFig4(), 1)
 	// E (4) is not A's (0) neighbor; forge a direct announcement.
 	ep, err := c.net.Endpoint(99)
 	if err != nil {
@@ -477,7 +478,7 @@ func TestNonNeighborAnnouncementIgnored(t *testing.T) {
 
 // TestLiveClusterOverTCP runs the Fig. 4 audit over real TCP sockets.
 func TestLiveClusterOverTCP(t *testing.T) {
-	g := topology.PaperFig4()
+	g := topologytest.PaperFig4()
 	params := block.DefaultParams()
 	params.Difficulty = 2
 	var pairs []identity.KeyPair
@@ -558,7 +559,7 @@ func TestLiveClusterOverTCP(t *testing.T) {
 
 // TestNodeConfigValidation covers constructor errors.
 func TestNodeConfigValidation(t *testing.T) {
-	g := topology.PaperFig3()
+	g := topologytest.PaperFig3()
 	ring := identity.NewRing()
 	if _, err := New(Config{Topo: g, Ring: ring}); err == nil {
 		t.Fatal("missing transport accepted")

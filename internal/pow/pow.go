@@ -130,13 +130,3 @@ const (
 func VerifyPrefix(prefix []byte, nonce uint32, diff Difficulty) bool {
 	return Meets(digest.Sum(AppendNonce(prefix, nonce)), diff)
 }
-
-// ExpectedTries returns the expected number of hash evaluations to solve
-// a puzzle at the given difficulty (2^diff). It saturates at 2^63 to stay
-// in range. Useful for calibrating block-generation intervals.
-func ExpectedTries(diff Difficulty) uint64 {
-	if diff >= 63 {
-		return 1 << 63
-	}
-	return 1 << diff
-}

@@ -72,18 +72,6 @@ func TestAppendNonceLittleEndian(t *testing.T) {
 	}
 }
 
-func TestExpectedTries(t *testing.T) {
-	if ExpectedTries(0) != 1 {
-		t.Fatal("difficulty 0 should need one expected try")
-	}
-	if ExpectedTries(8) != 256 {
-		t.Fatal("difficulty 8 should need 256 expected tries")
-	}
-	if ExpectedTries(100) != 1<<63 {
-		t.Fatal("expected tries should saturate")
-	}
-}
-
 func TestQuickSearchSolutionsVerify(t *testing.T) {
 	f := func(prefix []byte) bool {
 		nonce, d, err := SearchPrefix(prefix, 4, 0)

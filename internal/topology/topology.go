@@ -28,7 +28,6 @@ var (
 	ErrUnknownNode   = errors.New("topology: unknown node")
 	ErrDuplicateNode = errors.New("topology: node already present")
 	ErrBadConfig     = errors.New("topology: invalid configuration")
-	ErrNoPath        = errors.New("topology: nodes not connected")
 	ErrPlacement     = errors.New("topology: placement failed")
 )
 
@@ -340,54 +339,6 @@ func (g *Graph) BFSDistances(src identity.NodeID) (map[identity.NodeID]int, erro
 		}
 	}
 	return dist, nil
-}
-
-// ShortestPath returns a minimum-hop path from a to b, inclusive. It
-// prefers lower node IDs on ties, making results deterministic.
-func (g *Graph) ShortestPath(a, b identity.NodeID) ([]identity.NodeID, error) {
-	g.mu.RLock()
-	defer g.mu.RUnlock()
-	if _, ok := g.pos[a]; !ok {
-		return nil, fmt.Errorf("%w: %v", ErrUnknownNode, a)
-	}
-	if _, ok := g.pos[b]; !ok {
-		return nil, fmt.Errorf("%w: %v", ErrUnknownNode, b)
-	}
-	if a == b {
-		return []identity.NodeID{a}, nil
-	}
-	prev := map[identity.NodeID]identity.NodeID{a: a}
-	queue := []identity.NodeID{a}
-	for len(queue) > 0 {
-		cur := queue[0]
-		queue = queue[1:]
-		for _, nb := range g.adj[cur] {
-			if _, seen := prev[nb]; seen {
-				continue
-			}
-			prev[nb] = cur
-			if nb == b {
-				return rebuild(prev, a, b), nil
-			}
-			queue = append(queue, nb)
-		}
-	}
-	return nil, fmt.Errorf("%w: %v to %v", ErrNoPath, a, b)
-}
-
-func rebuild(prev map[identity.NodeID]identity.NodeID, a, b identity.NodeID) []identity.NodeID {
-	var rev []identity.NodeID
-	for cur := b; ; cur = prev[cur] {
-		rev = append(rev, cur)
-		if cur == a {
-			break
-		}
-	}
-	path := make([]identity.NodeID, len(rev))
-	for i, id := range rev {
-		path[len(rev)-1-i] = id
-	}
-	return path
 }
 
 // Connected reports whether the graph is a single component.

@@ -4,8 +4,6 @@ import (
 	"errors"
 	"testing"
 	"testing/quick"
-
-	"github.com/twoldag/twoldag/internal/identity"
 )
 
 func TestGenerateDefaultIsConnected(t *testing.T) {
@@ -94,123 +92,6 @@ func TestGenerateConfigValidation(t *testing.T) {
 	}
 }
 
-func TestPaperFig3Neighbors(t *testing.T) {
-	g := PaperFig3()
-	want := map[identity.NodeID][]identity.NodeID{
-		0: {1},       // N(A) = {B}
-		1: {0, 2, 3}, // N(B) = {A, C, D}
-		2: {1, 3},    // N(C) = {B, D}
-		3: {1, 2},    // N(D) = {B, C}
-	}
-	for id, nbs := range want {
-		got := g.Neighbors(id)
-		if len(got) != len(nbs) {
-			t.Fatalf("N(%v) = %v, want %v", id, got, nbs)
-		}
-		for i := range nbs {
-			if got[i] != nbs[i] {
-				t.Fatalf("N(%v) = %v, want %v", id, got, nbs)
-			}
-		}
-	}
-}
-
-func TestPaperFig4Structure(t *testing.T) {
-	g := PaperFig4()
-	if g.Degree(0) != 1 || g.Degree(4) != 1 {
-		t.Fatal("A and E must be leaves")
-	}
-	if !g.IsNeighbor(1, 2) || !g.IsNeighbor(1, 3) || !g.IsNeighbor(2, 3) {
-		t.Fatal("B, C, D must form a triangle")
-	}
-	if !g.Connected() {
-		t.Fatal("Fig. 4 graph must be connected")
-	}
-}
-
-func TestShortestPathLine(t *testing.T) {
-	g, err := Line(6)
-	if err != nil {
-		t.Fatal(err)
-	}
-	p, err := g.ShortestPath(0, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(p) != 6 {
-		t.Fatalf("path length %d, want 6", len(p))
-	}
-	for i, id := range p {
-		if id != identity.NodeID(i) {
-			t.Fatalf("path %v not the straight line", p)
-		}
-	}
-	if _, err := g.ShortestPath(0, 99); !errors.Is(err, ErrUnknownNode) {
-		t.Fatalf("want ErrUnknownNode, got %v", err)
-	}
-	self, err := g.ShortestPath(3, 3)
-	if err != nil || len(self) != 1 {
-		t.Fatalf("self path = %v, %v", self, err)
-	}
-}
-
-func TestShortestPathDisconnected(t *testing.T) {
-	g, err := FromEdges(4, [][2]identity.NodeID{{0, 1}, {2, 3}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := g.ShortestPath(0, 3); !errors.Is(err, ErrNoPath) {
-		t.Fatalf("want ErrNoPath, got %v", err)
-	}
-	if g.Connected() {
-		t.Fatal("graph should report disconnected")
-	}
-}
-
-func TestBFSDistancesRing(t *testing.T) {
-	g, err := Ring(8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	dist, err := g.BFSDistances(0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if dist[4] != 4 || dist[7] != 1 || dist[1] != 1 {
-		t.Fatalf("ring distances wrong: %v", dist)
-	}
-}
-
-func TestAddRemoveNodeDynamic(t *testing.T) {
-	g, err := Line(3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Join: new node 3 linked manually to 2.
-	if err := g.AddNode(3, Point{X: 99}); err != nil {
-		t.Fatal(err)
-	}
-	if err := g.Link(2, 3); err != nil {
-		t.Fatal(err)
-	}
-	if !g.Connected() {
-		t.Fatal("graph should be connected after join")
-	}
-	// Leave: removing 1 splits the line.
-	if err := g.RemoveNode(1); err != nil {
-		t.Fatal(err)
-	}
-	if g.Connected() {
-		t.Fatal("removing the bridge should disconnect")
-	}
-	if g.Has(1) || g.Degree(0) != 0 {
-		t.Fatal("stale adjacency after removal")
-	}
-	if err := g.RemoveNode(1); !errors.Is(err, ErrUnknownNode) {
-		t.Fatalf("double remove: %v", err)
-	}
-}
-
 func TestAddNodeWithinRangeAutolinks(t *testing.T) {
 	g := New(10)
 	if err := g.AddNode(0, Point{}); err != nil {
@@ -243,47 +124,6 @@ func TestDuplicateAndSelfLinkErrors(t *testing.T) {
 	}
 }
 
-func TestSummary(t *testing.T) {
-	g, err := Ring(5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s := g.Summary()
-	if s.Nodes != 5 || s.Edges != 5 || s.MinDegree != 2 || s.MaxDegree != 2 {
-		t.Fatalf("ring summary wrong: %+v", s)
-	}
-	if s.Diameter != 2 || !s.Connected {
-		t.Fatalf("ring diameter = %d, want 2", s.Diameter)
-	}
-	d, _ := FromEdges(4, [][2]identity.NodeID{{0, 1}})
-	ds := d.Summary()
-	if ds.Connected || ds.Diameter != -1 {
-		t.Fatalf("disconnected summary wrong: %+v", ds)
-	}
-}
-
-func TestNeighborsReturnsCopy(t *testing.T) {
-	g := PaperFig3()
-	nbs := g.Neighbors(1)
-	nbs[0] = 99
-	if g.Neighbors(1)[0] == 99 {
-		t.Fatal("Neighbors leaked internal slice")
-	}
-}
-
-func TestCompleteGraph(t *testing.T) {
-	g, err := Complete(6)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if g.EdgeCount() != 15 {
-		t.Fatalf("K6 edges = %d, want 15", g.EdgeCount())
-	}
-	if g.Summary().Diameter != 1 {
-		t.Fatal("K6 diameter must be 1")
-	}
-}
-
 func TestQuickGeneratedAlwaysConnected(t *testing.T) {
 	f := func(seedRaw uint32, nRaw uint8) bool {
 		n := int(nRaw%30) + 2
@@ -297,33 +137,6 @@ func TestQuickGeneratedAlwaysConnected(t *testing.T) {
 		return g.Connected() && g.Len() == n
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestQuickShortestPathIsValidWalk(t *testing.T) {
-	g, err := Generate(Config{Nodes: 30, Width: 400, Height: 400, Range: 80, Seed: 5})
-	if err != nil {
-		t.Fatal(err)
-	}
-	f := func(aRaw, bRaw uint8) bool {
-		a := identity.NodeID(aRaw % 30)
-		b := identity.NodeID(bRaw % 30)
-		p, err := g.ShortestPath(a, b)
-		if err != nil {
-			return false
-		}
-		if p[0] != a || p[len(p)-1] != b {
-			return false
-		}
-		for i := 0; i+1 < len(p); i++ {
-			if !g.IsNeighbor(p[i], p[i+1]) {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
 		t.Fatal(err)
 	}
 }

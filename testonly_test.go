@@ -26,16 +26,8 @@ var testOnlyAllowed = map[string]string{
 	"analysis.StorageBound":                 "pending: ROADMAP item 3",
 	"analysis.TotalBlocks":                  "pending: ROADMAP item 3",
 	"analysis.TrustStoreBound":              "pending: ROADMAP item 3",
-	"attack.Flooder.Announcements":          "pending: ROADMAP item 15",
 	"attack.Selfish.Credit":                 "pending: ROADMAP item 7(d)",
-	"block.EncodeHeader":                    "pending: ROADMAP item 15",
-	"block.SizeModel.BlockBits":             "pending: ROADMAP item 15",
-	"block.SizeModel.BodyBits":              "pending: ROADMAP item 15",
-	"block.VerifyCache.internedLen":         "pending: ROADMAP item 15",
 	"core.NewStoreFetcher":                  "pending: ROADMAP item 3",
-	"core.Result.MicroLoopBlocks":           "pending: ROADMAP item 15",
-	"core.Result.PathNodes":                 "pending: ROADMAP item 15",
-	"core.Weight":                           "pending: ROADMAP item 15",
 	"dag.FromStores":                        "pending: ROADMAP item 3",
 	"dag.Graph.BlocksPerNode":               "pending: ROADMAP item 3",
 	"dag.Graph.Children":                    "pending: ROADMAP item 3",
@@ -43,27 +35,11 @@ var testOnlyAllowed = map[string]string{
 	"dag.Graph.IsAcyclic":                   "pending: ROADMAP item 3",
 	"dag.Graph.Reachable":                   "pending: ROADMAP item 3",
 	"dag.Graph.VoucherReach":                "pending: ROADMAP item 3",
-	"digest.Digest.Compare":                 "pending: ROADMAP item 15",
-	"digest.SumString":                      "pending: ROADMAP item 15",
-	"faults.Health.SuspectCount":            "pending: ROADMAP item 15",
-	"identity.Ring.IDs":                     "pending: ROADMAP item 15",
-	"identity.Ring.Lookup":                  "pending: ROADMAP item 15",
-	"ledger.Blacklist.BannedCount":          "pending: ROADMAP item 15",
 	"ledger.Blacklist.Credit":               "pending: ROADMAP item 7(d)",
-	"ledger.Store.CountContaining":          "pending: ROADMAP item 15",
 	"ledger.WithWALFile":                    "seam",
-	"metrics.CDF.At":                        "pending: ROADMAP item 15",
-	"metrics.CDF.Points":                    "pending: ROADMAP item 15",
 	"metrics.EventCounters.WritePrometheus": "pending: ROADMAP item 1(a0)",
-	"pow.ExpectedTries":                     "pending: ROADMAP item 15",
 	"sim.Sim.Stores":                        "pending: ROADMAP item 2",
-	"topology.Complete":                     "pending: ROADMAP item 15",
-	"topology.Graph.ShortestPath":           "pending: ROADMAP item 15",
-	"topology.Line":                         "pending: ROADMAP item 15",
-	"topology.PaperFig3":                    "pending: ROADMAP item 15",
-	"topology.PaperFig4":                    "pending: ROADMAP item 15",
-	"topology.PaperFig6":                    "pending: ROADMAP item 15",
-	"transport.Network.SetDrop":             "pending: ROADMAP item 15",
+	"transport.Network.SetDrop":             "seam",
 }
 
 // TestInternalFuncsHaveNonTestCallers is the ratchet on code only tests

@@ -6,7 +6,7 @@ import (
 	"testing"
 	"time"
 
-	"github.com/twoldag/twoldag/internal/topology"
+	"github.com/twoldag/twoldag/internal/topology/topologytest"
 )
 
 func testCluster(t *testing.T, nodes, gamma int) *Cluster {
@@ -128,7 +128,7 @@ func TestClusterUnknownIDs(t *testing.T) {
 }
 
 func TestClusterExplicitTopology(t *testing.T) {
-	g := topology.PaperFig4()
+	g := topologytest.PaperFig4()
 	c, err := New(WithTopology(g), WithGamma(2), WithSeed(3), WithDifficulty(2))
 	if err != nil {
 		t.Fatal(err)
@@ -162,7 +162,7 @@ func TestClusterExplicitTopology(t *testing.T) {
 }
 
 func TestClusterNoConsensusSurfacesSentinel(t *testing.T) {
-	g := topology.PaperFig6() // 3 nodes
+	g := topologytest.PaperFig6() // 3 nodes
 	c, err := New(WithTopology(g), WithGamma(2), WithSeed(3), WithDifficulty(2))
 	if err != nil {
 		t.Fatal(err)
