@@ -15,6 +15,7 @@ import (
 	"testing"
 	"time"
 
+	"github.com/twoldag/twoldag/internal/block"
 	"github.com/twoldag/twoldag/internal/digest"
 	"github.com/twoldag/twoldag/internal/events"
 	"github.com/twoldag/twoldag/internal/faults"
@@ -345,6 +346,43 @@ func TestHostCloseMidRetry(t *testing.T) {
 	}
 }
 
+// serveOverPipes runs ServeControl for h over a pair of pipes and
+// returns its ready line, a request/response round trip, and the loop's
+// result. Once the loop returns, both pipes are closed, so a request
+// it stopped reading or a response it never wrote fails the round trip
+// instead of blocking it.
+func serveOverPipes(t *testing.T, h *Host) (ControlReady, func(ControlRequest) ControlResponse, <-chan error) {
+	t.Helper()
+	reqR, reqW := io.Pipe()
+	respR, respW := io.Pipe()
+	serveDone := make(chan error, 1)
+	go func() {
+		err := ServeControl(context.Background(), h, reqR, respW)
+		reqR.CloseWithError(err)
+		respW.CloseWithError(err)
+		serveDone <- err
+	}()
+	enc := json.NewEncoder(reqW)
+	dec := json.NewDecoder(respR)
+
+	var ready ControlReady
+	if err := dec.Decode(&ready); err != nil || ready.Event != "ready" || ready.Addr == "" {
+		t.Fatalf("ready line = %+v, err %v", ready, err)
+	}
+	roundTrip := func(req ControlRequest) ControlResponse {
+		t.Helper()
+		if err := enc.Encode(req); err != nil {
+			t.Fatalf("%s request: %v", req.Op, err)
+		}
+		var resp ControlResponse
+		if err := dec.Decode(&resp); err != nil {
+			t.Fatalf("%s response: %v", req.Op, err)
+		}
+		return resp
+	}
+	return ready, roundTrip, serveDone
+}
+
 func TestControlProtocol(t *testing.T) {
 	h, err := Start(Config{
 		ID: 0, Nodes: 1, Seed: 7, Gamma: 0, Difficulty: 2,
@@ -353,29 +391,7 @@ func TestControlProtocol(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	reqR, reqW := io.Pipe()
-	respR, respW := io.Pipe()
-	serveDone := make(chan error, 1)
-	go func() { serveDone <- ServeControl(context.Background(), h, reqR, respW) }()
-	enc := json.NewEncoder(reqW)
-	dec := json.NewDecoder(respR)
-
-	var ready ControlReady
-	if err := dec.Decode(&ready); err != nil || ready.Event != "ready" || ready.Addr == "" {
-		t.Fatalf("ready line = %+v, err %v", ready, err)
-	}
-
-	roundTrip := func(req ControlRequest) ControlResponse {
-		t.Helper()
-		if err := enc.Encode(req); err != nil {
-			t.Fatal(err)
-		}
-		var resp ControlResponse
-		if err := dec.Decode(&resp); err != nil {
-			t.Fatal(err)
-		}
-		return resp
-	}
+	ready, roundTrip, serveDone := serveOverPipes(t, h)
 
 	if resp := roundTrip(ControlRequest{Op: "slot", Slot: 3}); !resp.OK {
 		t.Fatalf("slot: %+v", resp)
@@ -403,6 +419,31 @@ func TestControlProtocol(t *testing.T) {
 	// The host is closed by the leave.
 	if _, _, err := h.Seal(nil); !errors.Is(err, ErrClosed) {
 		t.Fatalf("host alive after leave: %v", err)
+	}
+}
+
+// TestControlSealsLongestBody: a seal request carrying a body of
+// block.MaxBodyLen bytes, which Build accepts, is a line of ~22 MB once
+// JSON has base64-encoded it. The control loop must read it, answer it
+// with the new block, and go on serving, not end the host.
+func TestControlSealsLongestBody(t *testing.T) {
+	h, err := Start(Config{ID: 0, Nodes: 1, Seed: 7, Gamma: 0, Difficulty: 0, RequestTimeout: time.Second})
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, roundTrip, serveDone := serveOverPipes(t, h)
+	seal := roundTrip(ControlRequest{Op: "seal", Data: make([]byte, block.MaxBodyLen)})
+	if !seal.OK || seal.Ref == nil || seal.Digest == "" {
+		t.Fatalf("seal of a %d-byte body: %+v", block.MaxBodyLen, seal)
+	}
+	if info := roundTrip(ControlRequest{Op: "info"}); !info.OK || len(info.Live) != 1 {
+		t.Fatalf("info after the seal: %+v", info)
+	}
+	if resp := roundTrip(ControlRequest{Op: "leave"}); !resp.OK {
+		t.Fatalf("leave: %+v", resp)
+	}
+	if err := <-serveDone; err != nil {
+		t.Fatalf("serve loop: %v", err)
 	}
 }
 
@@ -443,7 +484,7 @@ func FuzzControlLines(f *testing.F) {
 		// of them are not requests.
 		var bad []bool
 		sc := bufio.NewScanner(bytes.NewReader(in))
-		sc.Buffer(make([]byte, 0, 1<<16), 1<<24)
+		sc.Buffer(make([]byte, 0, 1<<16), maxControlLine)
 		for sc.Scan() {
 			if len(sc.Bytes()) == 0 {
 				continue

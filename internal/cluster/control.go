@@ -3,6 +3,7 @@ package cluster
 import (
 	"bufio"
 	"context"
+	"encoding/base64"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -65,6 +66,11 @@ type ControlReady struct {
 	Addr  string `json:"addr"`
 }
 
+// maxControlLine bounds one request line. It fits a seal of the longest
+// body block.Params.Build accepts, which JSON carries as base64, plus
+// room for the rest of the object.
+var maxControlLine = base64.StdEncoding.EncodedLen(block.MaxBodyLen) + 1<<16
+
 // ServeControl runs the request/response loop for h over (r, w) until
 // a leave op, EOF, or ctx cancellation, then closes the host. The
 // driver owns pacing: every response is written (and flushed) before
@@ -77,7 +83,7 @@ func ServeControl(ctx context.Context, h *Host, r io.Reader, w io.Writer) error 
 		return err
 	}
 	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 1<<16), 1<<24)
+	sc.Buffer(make([]byte, 0, 1<<16), maxControlLine)
 	for sc.Scan() {
 		if ctx.Err() != nil {
 			break
