@@ -68,7 +68,7 @@ func RunProbe(cfg ProbeConfig) (*ProbeReport, error) {
 
 	for trial := 0; trial < cfg.Trials; trial++ {
 		base := cfg.Base
-		base.DisableAudits = true
+		base.disableAudits = true
 		base.Seed = cfg.Base.Seed + int64(trial)*7919
 		if base.Graph == nil {
 			base.Topo.Seed = cfg.Base.Topo.Seed + int64(trial)*104729

@@ -82,9 +82,6 @@ type Config struct {
 	// every slot, unbounded trust retention is the dominant memory
 	// term past a few thousand nodes.
 	TrustCap int
-	// DisableAudits turns off per-generation audits (used by the
-	// consensus-probe experiment, which runs its own verifications).
-	DisableAudits bool
 	// RetainVerifiedBlocks adds retrieved blocks to storage accounting.
 	RetainVerifiedBlocks bool
 	// VerifyLag is the minimum age (slots) of auditable blocks;
@@ -106,6 +103,10 @@ type Config struct {
 	// so the observer must be safe for concurrent use. The Report stays a
 	// pure function of the Config regardless of observer behavior.
 	Observer events.Observer
+
+	// disableAudits turns off per-generation audits. Only RunProbe sets
+	// it: the consensus probe runs its own verifications.
+	disableAudits bool
 }
 
 func (c Config) validate() error {
@@ -553,7 +554,7 @@ func (s *Sim) Step() error {
 	// Phase 3: audit duty for honest generators, in parallel. Every
 	// audit draws only from its own node's stream and charges comm
 	// atomically, so the schedule is outcome-neutral.
-	if !s.cfg.DisableAudits {
+	if !s.cfg.disableAudits {
 		eligible := s.eligibleTargets()
 		auditors := gens[:0] // filtered in place: gens is not read again
 		for _, i := range gens {
