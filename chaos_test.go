@@ -192,46 +192,50 @@ func TestChaosEquivalence(t *testing.T) {
 // injected delays trade determinism of *when* for determinism of
 // *what*, and counter equality is a statement about the what.
 func TestChaosCountersAreDeterministic(t *testing.T) {
-	plan := FaultPlan{Seed: 105, DropRate: 0.2}
-	run := func() *metrics.EventCounters {
-		var ec metrics.EventCounters
-		rt, err := New(
-			WithNodes(chaosNodes),
-			WithSeed(7),
-			WithGamma(1),
-			WithDifficulty(2),
-			WithRequestTimeout(250*time.Millisecond),
-			WithFaults(plan),
-			WithRetryPolicy(chaosRetry()),
-			WithObserver(&ec),
-		)
-		if err != nil {
-			t.Fatal(err)
+	a, b := chaosCounterRun(t), chaosCounterRun(t)
+	if a.dropped == 0 || a.retried == 0 {
+		t.Fatalf("plan injected nothing: %+v", a)
+	}
+	if a != b {
+		t.Fatalf("counters diverged across identical runs:\nrun 1: %+v\nrun 2: %+v", a, b)
+	}
+}
+
+// chaosCounts are the fault counters of one chaos counter run.
+type chaosCounts struct {
+	dropped, retried, suspected, recovered int64
+}
+
+// chaosCounterRun submits three slots of one block per device on the
+// in-memory fabric under a seeded 20 % drop plan and returns the event
+// counters the run ends with.
+func chaosCounterRun(t *testing.T) chaosCounts {
+	t.Helper()
+	var ec metrics.EventCounters
+	rt, err := New(
+		WithNodes(chaosNodes),
+		WithSeed(7),
+		WithGamma(1),
+		WithDifficulty(2),
+		WithRequestTimeout(250*time.Millisecond),
+		WithFaults(FaultPlan{Seed: 105, DropRate: 0.2}),
+		WithRetryPolicy(chaosRetry()),
+		WithObserver(&ec),
+	)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rt.Close()
+	ctx := context.Background()
+	for tag := byte(1); tag <= 3; tag++ {
+		rt.AdvanceSlot()
+		batch := make([]Submission, 0, chaosNodes)
+		for _, id := range rt.Nodes() {
+			batch = append(batch, Submission{Node: id, Data: []byte{tag, byte(id)}})
 		}
-		defer rt.Close()
-		ctx := context.Background()
-		for tag := byte(1); tag <= 3; tag++ {
-			rt.AdvanceSlot()
-			batch := make([]Submission, 0, chaosNodes)
-			for _, id := range rt.Nodes() {
-				batch = append(batch, Submission{Node: id, Data: []byte{tag, byte(id)}})
-			}
-			if _, err := rt.SubmitBatch(ctx, batch); err != nil {
-				t.Fatalf("SubmitBatch: %v", err)
-			}
+		if _, err := rt.SubmitBatch(ctx, batch); err != nil {
+			t.Fatalf("SubmitBatch: %v", err)
 		}
-		return &ec
 	}
-	a, b := run(), run()
-	if a.MessagesDropped() == 0 || a.RetriesAttempted() == 0 {
-		t.Fatalf("plan injected nothing: drops %d, retries %d", a.MessagesDropped(), a.RetriesAttempted())
-	}
-	if a.MessagesDropped() != b.MessagesDropped() ||
-		a.RetriesAttempted() != b.RetriesAttempted() ||
-		a.PeersSuspected() != b.PeersSuspected() ||
-		a.PeersRecovered() != b.PeersRecovered() {
-		t.Fatalf("counters diverged across identical runs:\nrun 1: drops %d retries %d suspected %d recovered %d\nrun 2: drops %d retries %d suspected %d recovered %d",
-			a.MessagesDropped(), a.RetriesAttempted(), a.PeersSuspected(), a.PeersRecovered(),
-			b.MessagesDropped(), b.RetriesAttempted(), b.PeersSuspected(), b.PeersRecovered())
-	}
+	return chaosCounts{ec.MessagesDropped(), ec.RetriesAttempted(), ec.PeersSuspected(), ec.PeersRecovered()}
 }
