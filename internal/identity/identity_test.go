@@ -75,6 +75,21 @@ func TestRegisterMalformedKey(t *testing.T) {
 	}
 }
 
+// TestRegisterKeepsItsOwnCopy: changing the key slice a caller
+// registered does not change the key the ring verifies against.
+func TestRegisterKeepsItsOwnCopy(t *testing.T) {
+	kp := Deterministic(4, 4)
+	pub := append([]byte(nil), kp.Public...)
+	ring := NewRing()
+	if err := ring.Register(kp.ID, pub); err != nil {
+		t.Fatal(err)
+	}
+	pub[0] ^= 0xFF
+	if err := ring.Verify(4, []byte("m"), kp.Sign([]byte("m"))); err != nil {
+		t.Fatalf("mutating the registered slice corrupted the ring: %v", err)
+	}
+}
+
 func TestDeregister(t *testing.T) {
 	kp := Deterministic(9, 9)
 	ring, _ := RingFor([]KeyPair{kp})

@@ -1,8 +1,10 @@
 package metrics
 
 import (
+	"math"
 	"strings"
 	"testing"
+	"testing/quick"
 )
 
 func TestPurposeString(t *testing.T) {
@@ -71,6 +73,39 @@ func TestCDFDoesNotMutateInput(t *testing.T) {
 	}
 	if in[0] != 3 {
 		t.Fatal("NewCDF sorted the caller's slice")
+	}
+}
+
+// TestQuickCDFQuantileMonotone: for any finite samples, NewCDF
+// succeeds, its quantiles never decrease in q, and they run from Min
+// to Max.
+func TestQuickCDFQuantileMonotone(t *testing.T) {
+	f := func(raw []float64) bool {
+		samples := make([]float64, 0, len(raw))
+		for _, v := range raw {
+			if !math.IsNaN(v) && !math.IsInf(v, 0) {
+				samples = append(samples, v)
+			}
+		}
+		if len(samples) == 0 {
+			return true
+		}
+		c, err := NewCDF(samples)
+		if err != nil {
+			return false
+		}
+		prev := c.Quantile(0)
+		for q := 0.05; q <= 1; q += 0.05 {
+			v := c.Quantile(q)
+			if v < prev {
+				return false
+			}
+			prev = v
+		}
+		return c.Quantile(0) == c.Min() && c.Quantile(1) == c.Max()
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
+		t.Fatal(err)
 	}
 }
 

@@ -4,6 +4,8 @@ import (
 	"errors"
 	"testing"
 	"testing/quick"
+
+	"github.com/twoldag/twoldag/internal/identity"
 )
 
 func TestGenerateDefaultIsConnected(t *testing.T) {
@@ -137,6 +139,43 @@ func TestQuickGeneratedAlwaysConnected(t *testing.T) {
 		return g.Connected() && g.Len() == n
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestQuickBFSDistancesAreShortest: on a generated graph, BFS distances
+// from any source are 0 at the source, differ by at most one across
+// every link, and give every other node a neighbor one hop nearer, so
+// each distance is the length of a shortest walk.
+func TestQuickBFSDistancesAreShortest(t *testing.T) {
+	g, err := Generate(Config{Nodes: 30, Width: 400, Height: 400, Range: 80, Seed: 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	f := func(srcRaw uint8) bool {
+		src := identity.NodeID(srcRaw % 30)
+		dist, err := g.BFSDistances(src)
+		if err != nil || len(dist) != g.Len() || dist[src] != 0 {
+			return false
+		}
+		for _, id := range g.Nodes() {
+			nearer := id == src
+			for _, nb := range g.Neighbors(id) {
+				switch dist[nb] - dist[id] {
+				case -1:
+					nearer = true
+				case 0, 1:
+				default:
+					return false
+				}
+			}
+			if !nearer {
+				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
 		t.Fatal(err)
 	}
 }
