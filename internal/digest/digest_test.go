@@ -2,6 +2,7 @@ package digest
 
 import (
 	"crypto/sha256"
+	"math/big"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -95,6 +96,34 @@ func TestQuickHexRoundTrip(t *testing.T) {
 		d := Digest(raw)
 		back, err := FromHex(d.Hex())
 		return err == nil && back == d
+	}
+	if err := quick.Check(f, nil); err != nil {
+		t.Fatal(err)
+	}
+}
+
+func TestQuickSumSplitAnywhere(t *testing.T) {
+	f := func(data []byte, cut uint16) bool {
+		i := 0
+		if len(data) > 0 {
+			i = int(cut) % (len(data) + 1)
+		}
+		want := Digest(sha256.Sum256(data))
+		return Sum(data[:i], data[i:]) == want && Sum(data) == want
+	}
+	if err := quick.Check(f, nil); err != nil {
+		t.Fatal(err)
+	}
+}
+
+func TestQuickLeadingZeroBitsMatchesBitLen(t *testing.T) {
+	f := func(raw [Size]byte, shift uint8) bool {
+		// Zero a prefix of random length so high counts are reached too.
+		d := Digest(raw)
+		for k := 0; k < int(shift)%(Size+1); k++ {
+			d[k] = 0
+		}
+		return d.LeadingZeroBits() == 8*Size-new(big.Int).SetBytes(d[:]).BitLen()
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)

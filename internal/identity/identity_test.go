@@ -117,6 +117,27 @@ func TestDeterministicReproducible(t *testing.T) {
 	}
 }
 
+func TestRingForRegistersEveryPair(t *testing.T) {
+	pairs := []KeyPair{Deterministic(9, 1), Deterministic(2, 1), Deterministic(5, 1)}
+	ring, err := RingFor(pairs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ring.Len() != len(pairs) {
+		t.Fatalf("Len = %d, want %d", ring.Len(), len(pairs))
+	}
+	msg := []byte("ring membership")
+	for i, kp := range pairs {
+		if err := ring.Verify(kp.ID, msg, kp.Sign(msg)); err != nil {
+			t.Fatalf("%v does not verify its own signature: %v", kp.ID, err)
+		}
+		other := pairs[(i+1)%len(pairs)]
+		if err := ring.Verify(other.ID, msg, kp.Sign(msg)); err == nil {
+			t.Fatalf("%v's signature verified as %v's", kp.ID, other.ID)
+		}
+	}
+}
+
 func TestRingForDuplicateFails(t *testing.T) {
 	_, err := RingFor([]KeyPair{Deterministic(1, 1), Deterministic(1, 2)})
 	if !errors.Is(err, ErrDuplicateKey) {

@@ -3,6 +3,7 @@ package ledger
 import (
 	"errors"
 	"testing"
+	"testing/quick"
 
 	"github.com/twoldag/twoldag/internal/block"
 	"github.com/twoldag/twoldag/internal/digest"
@@ -261,6 +262,39 @@ func TestStoreModelBits(t *testing.T) {
 	want := int64(4) * int64(608+256*3+800)
 	if got := s.ModelBits(m); got != want {
 		t.Fatalf("ModelBits = %d, want %d", got, want)
+	}
+}
+
+func TestQuickStoreModelBitsDecomposition(t *testing.T) {
+	// Eq. 2 per block: f_i - C - f_H*|Δ_i| = f_c, summed over a log
+	// whose blocks carry different numbers of neighbor refs.
+	key := identity.Deterministic(1, 1)
+	p := testParams()
+	f := func(bodyBytes uint16, neighbors []uint8) bool {
+		if len(neighbors) > 6 {
+			neighbors = neighbors[:6]
+		}
+		s := NewStore(1)
+		prev := digest.Digest{}
+		refs := int64(0)
+		for i, n := range neighbors {
+			delta := []block.DigestRef{{Node: key.ID, Digest: prev}}
+			for j := 0; j < int(n%5); j++ {
+				delta = append(delta, block.DigestRef{Node: identity.NodeID(10 + j), Digest: digest.Sum([]byte{byte(i), byte(j)})})
+			}
+			b, err := p.Build(key, uint32(i), uint32(i), []byte{byte(i)}, delta)
+			if err != nil || s.Append(b) != nil {
+				return false
+			}
+			prev = b.Header.Hash()
+			refs += int64(len(delta))
+		}
+		m := block.DefaultSizeModel(int(bodyBytes))
+		blocks := int64(len(neighbors))
+		return s.ModelBits(m)-blocks*int64(m.C)-refs*int64(m.FH) == blocks*int64(m.ConstantBits())
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
+		t.Fatal(err)
 	}
 }
 

@@ -109,6 +109,40 @@ func TestQuickCDFQuantileMonotone(t *testing.T) {
 	}
 }
 
+func TestQuickCDFQuantileIsNearestRank(t *testing.T) {
+	// Nearest rank: Quantile(q) is the smallest sample with at least a
+	// q share of the samples at or below it.
+	f := func(raw []int8, qRaw uint16) bool {
+		if len(raw) == 0 {
+			return true
+		}
+		samples := make([]float64, len(raw))
+		for i, v := range raw {
+			samples[i] = float64(v)
+		}
+		c, err := NewCDF(samples)
+		if err != nil {
+			return false
+		}
+		q := float64(qRaw%1000+1) / 1001 // strictly inside (0, 1)
+		x := c.Quantile(q)
+		atOrBelow, below := 0, 0
+		for _, v := range samples {
+			if v <= x {
+				atOrBelow++
+			}
+			if v < x {
+				below++
+			}
+		}
+		want := q * float64(len(samples))
+		return float64(atOrBelow) >= want && float64(below) < want
+	}
+	if err := quick.Check(f, nil); err != nil {
+		t.Fatal(err)
+	}
+}
+
 func TestTableAndCSV(t *testing.T) {
 	a := &Series{Name: "pbft"}
 	a.Append(1, 100)

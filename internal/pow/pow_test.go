@@ -72,6 +72,37 @@ func TestAppendNonceLittleEndian(t *testing.T) {
 	}
 }
 
+func TestDifficultyZeroTakesOneTry(t *testing.T) {
+	for _, prefix := range [][]byte{nil, []byte("x"), make([]byte, 61), make([]byte, 200)} {
+		nonce, d, err := SearchPrefix(prefix, 0, 1)
+		if err != nil || nonce != 0 {
+			t.Fatalf("len %d: nonce %d, err %v; want nonce 0 in one try", len(prefix), nonce, err)
+		}
+		if d != digest.Sum(AppendNonce(prefix, 0)) {
+			t.Fatalf("len %d: digest is not H(prefix || 0)", len(prefix))
+		}
+	}
+}
+
+func TestMeanTriesNearTwoToTheDifficulty(t *testing.T) {
+	// A try meets difficulty d with probability 2^-d, so the tries a
+	// search spends average 2^d: 256 at d = 8. Over 128 prefixes the
+	// mean's standard deviation is about 23, so [181, 362] (a factor of
+	// sqrt 2 either way) holds at d = 8 and excludes d = 7 and d = 9.
+	const prefixes = 128
+	total := 0.0
+	for i := 0; i < prefixes; i++ {
+		nonce, _, err := SearchPrefix(binary.LittleEndian.AppendUint64(nil, uint64(i)), 8, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		total += float64(nonce) + 1
+	}
+	if mean := total / prefixes; mean < 181 || mean > 362 {
+		t.Fatalf("mean tries at difficulty 8 = %.1f, want about 256", mean)
+	}
+}
+
 func TestQuickSearchSolutionsVerify(t *testing.T) {
 	f := func(prefix []byte) bool {
 		nonce, d, err := SearchPrefix(prefix, 4, 0)

@@ -53,6 +53,28 @@ func TestTwoComponentsAreDisconnected(t *testing.T) {
 	}
 }
 
+func TestBFSDistancesOmitUnreachable(t *testing.T) {
+	g, err := topologytest.FromEdges(5, [][2]identity.NodeID{{0, 1}, {1, 2}, {3, 4}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	dist, err := g.BFSDistances(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(dist) != 3 || dist[0] != 0 || dist[1] != 1 || dist[2] != 2 {
+		t.Fatalf("distances from 0 = %v, want {0:0 1:1 2:2}", dist)
+	}
+	for _, id := range []identity.NodeID{3, 4} {
+		if d, ok := dist[id]; ok {
+			t.Fatalf("node %v of the other component has distance %d", id, d)
+		}
+	}
+	if _, err := g.BFSDistances(9); !errors.Is(err, topology.ErrUnknownNode) {
+		t.Fatalf("BFSDistances from an unknown node: want ErrUnknownNode, got %v", err)
+	}
+}
+
 func TestBFSDistancesRing(t *testing.T) {
 	g, err := topologytest.Ring(8)
 	if err != nil {
