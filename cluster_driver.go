@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"path/filepath"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -15,7 +14,6 @@ import (
 	"github.com/twoldag/twoldag/internal/events"
 	"github.com/twoldag/twoldag/internal/faults"
 	"github.com/twoldag/twoldag/internal/identity"
-	"github.com/twoldag/twoldag/internal/ledger"
 	"github.com/twoldag/twoldag/internal/node"
 	"github.com/twoldag/twoldag/internal/topology"
 	"github.com/twoldag/twoldag/internal/transport"
@@ -111,12 +109,10 @@ type Cluster struct {
 	// never started, so no header under that key was ever verified.
 	vcache *block.VerifyCache
 
-	// Durability (WithDataDir): one log for the whole data dir, which
-	// every device writes to (dataDir/wal.log), and per device a backend
-	// on it for that device's segment and checkpoint under
-	// dataDir/node-<id>. The sealer's Log is that log, nil without a
-	// data dir.
-	dataDir  string
+	// Durability (WithDataDir): the sealer opens one log for the whole
+	// data dir, which every device writes to, and per device a backend
+	// on it for that device's segment and checkpoint (cluster.Sealer).
+	// Its Log is nil without a data dir.
 	trustCap int
 	seal     cluster.Sealer
 }
@@ -140,7 +136,6 @@ func newCluster(cfg *config, g *topology.Graph) (*Cluster, error) {
 		plan:    cfg.faultPlan,
 		retry:   cfg.retry,
 
-		dataDir:  cfg.dataDir,
 		trustCap: cfg.trustCap,
 	}
 	c.seal = cluster.Sealer{Device: c.device}
@@ -166,27 +161,22 @@ func newCluster(cfg *config, g *topology.Graph) (*Cluster, error) {
 	return c, nil
 }
 
-// start opens the data dir's log, if there is to be one, and brings
-// every device up on it.
+// start opens the data dir's log, if there is to be one, brings every
+// device up on it, and ends the start once all have recovered
+// (cluster.Sealer.Recovered).
 func (c *Cluster) start(cfg *config, pairs []identity.KeyPair) error {
-	if c.dataDir != "" {
-		var err error
-		if c.seal.Log, err = ledger.OpenLog(c.dataDir, cluster.LogOptions(c.obs, cfg.backendOpts)...); err != nil {
-			return fmt.Errorf("twoldag: %w", err)
-		}
+	if err := c.seal.Open(cfg.dataDir, c.obs, cfg.backendOpts); err != nil {
+		return fmt.Errorf("twoldag: %w", err)
 	}
 	for _, kp := range pairs {
 		if err := c.startNode(kp); err != nil {
 			return err
 		}
 	}
-	if c.seal.Log == nil {
-		return nil
+	if err := c.seal.Recovered(); err != nil {
+		return fmt.Errorf("twoldag: %w", err)
 	}
-	// Every device has recovered: fold what the log held into segments
-	// and checkpoints, so a crash loop cannot grow an unbounded replay
-	// tail.
-	return c.seal.Compact()
+	return nil
 }
 
 // startNode creates the transport and device for one node. A start
@@ -197,16 +187,7 @@ func (c *Cluster) startNode(kp identity.KeyPair) error {
 	if err != nil {
 		return fmt.Errorf("twoldag: %w", err)
 	}
-	var fb *ledger.FileBackend
-	if c.seal.Log != nil {
-		fb, err = c.seal.Log.OpenBackend(filepath.Join(c.dataDir, fmt.Sprintf("node-%d", kp.ID)))
-		if err != nil {
-			_ = ep.Close()
-			_ = c.fab.remove(kp.ID)
-			return fmt.Errorf("twoldag: node %v: %w", kp.ID, err)
-		}
-	}
-	d, err := cluster.NewDevice(cluster.DeviceConfig{
+	d, err := c.seal.NewDevice(cluster.DeviceConfig{
 		Node: node.Config{
 			Key:            kp,
 			Params:         c.params,
@@ -220,7 +201,6 @@ func (c *Cluster) startNode(kp identity.KeyPair) error {
 			VerifyCache:    c.vcache,
 		},
 		Endpoint: ep,
-		Backend:  fb,
 		Plan:     c.plan,
 		Clock:    c.slot.Load,
 	})
@@ -410,7 +390,7 @@ func (c *Cluster) Silence(id NodeID) error {
 // Restart that fails (a damaged checkpoint, say) leaves the device as
 // it was, silent, and can be repeated once the dir is repaired.
 func (c *Cluster) Restart(id NodeID) error {
-	if c.dataDir == "" {
+	if c.seal.Log == nil {
 		return fmt.Errorf("twoldag: Restart(%v) requires WithDataDir", id)
 	}
 	if _, running := c.devs[id]; running {
@@ -443,11 +423,8 @@ func (c *Cluster) Close() error {
 		}
 		delete(c.devs, id)
 	}
-	if c.seal.Log != nil {
-		if err := c.seal.Log.Close(); err != nil && first == nil {
-			first = err
-		}
-		c.seal.Log = nil
+	if err := c.seal.Close(); err != nil && first == nil {
+		first = err
 	}
 	if err := c.fab.close(); err != nil && first == nil {
 		first = err

@@ -42,7 +42,7 @@ func runHost(args []string, join bool) int {
 	// checkpoint), every seal fsyncs its block before the seal op
 	// answers, and a killed process restarted on the same directory
 	// resumes exactly where its last fsync'd block left off.
-	dataDir := fs.String("data", "", "ledger data directory (empty: in-memory only)")
+	dataDir := fs.String("data", "", "ledger data directory: wal.log, and node-<id>/ for the device's segment and checkpoint (empty: in-memory only)")
 	trustCap := fs.Int("trust-cap", 0, "bound on retained trust headers H_i, oldest evicted first (0: unbounded)")
 
 	var id *uint

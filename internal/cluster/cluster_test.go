@@ -447,6 +447,33 @@ func TestControlSealsLongestBody(t *testing.T) {
 	}
 }
 
+// TestControlSurvivesOverlongLine: a line longer than maxControlLine
+// draws one "bad request" answer, and the loop serves the next line —
+// it does not end and take the host down with it. The limit is lowered
+// to 64 KiB for the test, so a seal of 128 KiB is over it.
+func TestControlSurvivesOverlongLine(t *testing.T) {
+	defer func(n int) { maxControlLine = n }(maxControlLine)
+	maxControlLine = 1 << 16
+	h, err := Start(Config{ID: 0, Nodes: 1, Seed: 7, Gamma: 0, Difficulty: 0, RequestTimeout: time.Second})
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, roundTrip, serveDone := serveOverPipes(t, h)
+	resp := roundTrip(ControlRequest{Op: "seal", Data: make([]byte, 1<<17)})
+	if resp.OK || !strings.HasPrefix(resp.Err, "bad request: line longer than") {
+		t.Fatalf("over-long seal line: %+v, want a bad request", resp)
+	}
+	if info := roundTrip(ControlRequest{Op: "info"}); !info.OK || len(info.Live) != 1 {
+		t.Fatalf("info after the over-long line: %+v", info)
+	}
+	if resp := roundTrip(ControlRequest{Op: "leave"}); !resp.OK {
+		t.Fatalf("leave: %+v", resp)
+	}
+	if err := <-serveDone; err != nil {
+		t.Fatalf("serve loop: %v", err)
+	}
+}
+
 // FuzzControlLines feeds hostile bytes, as lines, to the control loop of
 // a fresh durable host on loopback. The loop must neither panic nor
 // hang, must answer every non-empty line it reads up to and including a

@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"bufio"
+	"bytes"
 	"context"
 	"encoding/base64"
 	"encoding/json"
@@ -75,31 +76,37 @@ var maxControlLine = base64.StdEncoding.EncodedLen(block.MaxBodyLen) + 1<<16
 // a leave op, EOF, or ctx cancellation, then closes the host. The
 // driver owns pacing: every response is written (and flushed) before
 // the next request is read, so zero polling is ever needed on either
-// side.
+// side. A line longer than maxControlLine is a bad request like any
+// other, and the loop serves the line after it.
 func ServeControl(ctx context.Context, h *Host, r io.Reader, w io.Writer) error {
 	enc := json.NewEncoder(w)
 	if err := enc.Encode(ControlReady{Event: "ready", ID: uint32(h.ID()), Addr: h.Addr()}); err != nil {
 		_ = h.Close()
 		return err
 	}
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 1<<16), maxControlLine)
-	for sc.Scan() {
-		if ctx.Err() != nil {
+	br := bufio.NewReaderSize(r, 1<<16)
+	var line []byte
+	var err error
+	for {
+		var tooLong bool
+		if line, tooLong, err = readControlLine(br, line[:0]); err != nil || ctx.Err() != nil {
 			break
 		}
-		line := sc.Bytes()
-		if len(line) == 0 {
+		var resp ControlResponse
+		leave := false
+		switch {
+		case tooLong:
+			resp.Err = fmt.Sprintf("bad request: line longer than %d bytes", maxControlLine)
+		case len(line) == 0:
 			continue
-		}
-		var req ControlRequest
-		if err := json.Unmarshal(line, &req); err != nil {
-			if err := enc.Encode(ControlResponse{Err: fmt.Sprintf("bad request: %v", err)}); err != nil {
-				break
+		default:
+			var req ControlRequest
+			if err := json.Unmarshal(line, &req); err != nil {
+				resp.Err = fmt.Sprintf("bad request: %v", err)
+			} else {
+				resp, leave = execControl(ctx, h, &req)
 			}
-			continue
 		}
-		resp, leave := execControl(ctx, h, &req)
 		if err := enc.Encode(resp); err != nil {
 			break
 		}
@@ -108,7 +115,30 @@ func ServeControl(ctx context.Context, h *Host, r io.Reader, w io.Writer) error 
 		}
 	}
 	_ = h.Close()
-	return sc.Err()
+	if err == io.EOF {
+		return nil
+	}
+	return err
+}
+
+// readControlLine appends the next line of br to buf, without its "\n"
+// or "\r\n" ending, as bufio.ScanLines splits lines. A line of more
+// than maxControlLine bytes, its newline counted, is read through and
+// dropped: tooLong reports it. err is io.EOF only once br holds no byte
+// of another line.
+func readControlLine(br *bufio.Reader, buf []byte) (line []byte, tooLong bool, err error) {
+	for line = buf; ; {
+		frag, err := br.ReadSlice('\n')
+		if tooLong = tooLong || len(line)+len(frag) > maxControlLine; !tooLong {
+			line = append(line, frag...)
+		}
+		if err == nil || (err == io.EOF && (len(line) > 0 || tooLong)) {
+			return bytes.TrimSuffix(bytes.TrimSuffix(line, []byte("\n")), []byte("\r")), tooLong, nil
+		}
+		if err != bufio.ErrBufferFull {
+			return nil, false, err
+		}
+	}
 }
 
 // blockResponse reports one of the device's blocks: its ref and header

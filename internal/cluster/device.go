@@ -2,7 +2,7 @@ package cluster
 
 import (
 	"fmt"
-	"slices"
+	"path/filepath"
 
 	"github.com/twoldag/twoldag/internal/block"
 	"github.com/twoldag/twoldag/internal/digest"
@@ -24,9 +24,6 @@ type DeviceConfig struct {
 	// Endpoint is the device's transport on the driver's fabric. The
 	// device owns it from the call on.
 	Endpoint transport.Transport
-	// Backend, when non-nil, is the device's opened, not yet recovered
-	// data dir backend. The device owns it from the call on.
-	Backend *ledger.FileBackend
 	// Plan, when active, wraps Endpoint in seeded fault injection timed
 	// by Clock.
 	Plan faults.Plan
@@ -43,14 +40,17 @@ type Device struct {
 	health  *faults.Health
 }
 
-// NewDevice recovers the device's ledger state from its backend, if it
-// has one, and starts its node on the endpoint. A device that fails to
-// start has closed its endpoint and backend.
-func NewDevice(cfg DeviceConfig) (d *Device, err error) {
+// NewDevice starts a device of the driver on the endpoint. On a durable
+// deployment its backend opens on the log first, in dir/node-<id> — the
+// one place a device's own files live — and its ledger state recovers
+// from it. A device that fails to start has closed its endpoint and
+// backend.
+func (s *Sealer) NewDevice(cfg DeviceConfig) (d *Device, err error) {
+	var fb *ledger.FileBackend
 	defer func() {
 		if err != nil {
-			if cfg.Backend != nil {
-				_ = cfg.Backend.Close()
+			if fb != nil {
+				_ = fb.Close()
 			}
 			_ = cfg.Endpoint.Close()
 		}
@@ -72,10 +72,13 @@ func NewDevice(cfg DeviceConfig) (d *Device, err error) {
 		ncfg.Transport = faults.Wrap(cfg.Endpoint, cfg.Plan, cfg.Clock, obs)
 	}
 	ncfg.Health = faults.NewHealth(id, 0, obs)
-	if cfg.Backend != nil {
+	if s.Log != nil {
+		if fb, err = s.Log.OpenBackend(filepath.Join(s.dir, fmt.Sprintf("node-%d", id))); err != nil {
+			return nil, fmt.Errorf("cluster: node %v: %w", id, err)
+		}
 		// The whole prior state — checkpoint and segment, then WAL
 		// replay, re-verified against the ring — before the node serves.
-		ncfg.State, err = cfg.Backend.Recover(ledger.RecoverOptions{
+		ncfg.State, err = fb.Recover(ledger.RecoverOptions{
 			Owner:    id,
 			Params:   ncfg.Params,
 			Ring:     ncfg.Ring,
@@ -84,25 +87,14 @@ func NewDevice(cfg DeviceConfig) (d *Device, err error) {
 		if err != nil {
 			return nil, fmt.Errorf("cluster: recovering node %v: %w", id, err)
 		}
-		ncfg.Backend = cfg.Backend
+		ncfg.Backend = fb
 	}
 	n, err := node.New(ncfg)
 	if err != nil {
 		return nil, fmt.Errorf("cluster: starting node %v: %w", id, err)
 	}
 	n.SetClock(cfg.Clock)
-	return &Device{node: n, backend: cfg.Backend, health: ncfg.Health}, nil
-}
-
-// LogOptions returns opts plus, when obs takes WAL commit windows
-// (ledger.CommitObserver, alone or behind events.Multi), obs as the
-// commit observer of the devices' log, so the windows surface on the
-// same scrape as the event counters.
-func LogOptions(obs events.Observer, opts []ledger.BackendOption) []ledger.BackendOption {
-	if co, ok := obs.(ledger.CommitObserver); ok {
-		return append(slices.Clip(opts), ledger.WithCommitObserver(co))
-	}
-	return opts
+	return &Device{node: n, backend: fb, health: ncfg.Health}, nil
 }
 
 // Node returns the device's node runtime.
@@ -136,8 +128,7 @@ func (d *Device) Block(seq uint32) (*block.Block, error) {
 // Checkpoint commits the device's state to its own segment and
 // checkpoint (ledger.FileBackend.Compact); a no-op in memory, and one
 // that writes nothing for a device that logged nothing since its last
-// checkpoint. On a backend that owns its log (a Host's) that is a whole
-// compaction of the log, which rotates it either way.
+// checkpoint.
 func (d *Device) Checkpoint() error {
 	if d.backend == nil {
 		return nil

@@ -2,12 +2,16 @@ package cluster
 
 import (
 	"errors"
+	"io/fs"
+	"maps"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 	"time"
 
+	"github.com/twoldag/twoldag/internal/block"
 	"github.com/twoldag/twoldag/internal/events"
 	"github.com/twoldag/twoldag/internal/identity"
 	"github.com/twoldag/twoldag/internal/ledger"
@@ -62,7 +66,10 @@ func TestHostStartFailureReleasesDataDir(t *testing.T) {
 	t.Run("garbage checkpoint", func(t *testing.T) {
 		dir := t.TempDir()
 		openUnder(t, dir)
-		if err := os.WriteFile(filepath.Join(dir, "checkpoint.2ldg"), []byte("garbage"), 0o644); err != nil {
+		if err := os.Mkdir(filepath.Join(dir, "node-0"), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(dir, "node-0", "checkpoint.2ldg"), []byte("garbage"), 0o644); err != nil {
 			t.Fatal(err)
 		}
 		_, err := Start(Config{
@@ -106,6 +113,137 @@ func TestRecoveryHostRefusesAnotherDevicesDir(t *testing.T) {
 	}
 	if open := openUnder(t, dir); len(open) != 0 {
 		t.Fatalf("the failed Start holds %v open", open)
+	}
+}
+
+// dirImage reads the tree under dir: each directory's path below dir,
+// ending in a separator, and each file's path with its bytes.
+func dirImage(t *testing.T, dir string) map[string]string {
+	t.Helper()
+	img := make(map[string]string)
+	err := filepath.WalkDir(dir, func(path string, d fs.DirEntry, err error) error {
+		if err != nil || path == dir {
+			return err
+		}
+		rel, err := filepath.Rel(dir, path)
+		if err != nil {
+			return err
+		}
+		if d.IsDir() {
+			img[rel+string(filepath.Separator)] = ""
+			return nil
+		}
+		b, err := os.ReadFile(path)
+		img[rel] = string(b)
+		return err
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return img
+}
+
+// TestRecoveryHostRefusesFlatLayout: a data dir that keeps its device's
+// segment and checkpoint flat beside the log — the layout earlier
+// builds of serve wrote, and ledger.OpenFileBackend still writes — is
+// refused, the error naming the earlier build's layout, rather than
+// recovered empty from node-<id>/. The dir is left byte for byte as it
+// was, no file of it held open.
+func TestRecoveryHostRefusesFlatLayout(t *testing.T) {
+	dir := t.TempDir()
+	openUnder(t, dir)
+	mem, err := Start(Config{ID: 0, Nodes: 1, Seed: 7, Gamma: 0, Difficulty: 2, RequestTimeout: 2 * time.Second})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref, _, err := mem.Seal([]byte("sealed before the upgrade"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := mem.Block(ref)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_ = mem.Close()
+
+	fb, err := ledger.OpenFileBackend(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := block.DefaultParams()
+	p.Difficulty = 2
+	st, err := fb.Recover(ledger.RecoverOptions{Owner: 0, Params: p})
+	if err != nil {
+		t.Fatal(err)
+	}
+	st.Attach(fb)
+	if err := st.Store.Append(b); err != nil {
+		t.Fatal(err)
+	}
+	if err := fb.Compact(func() (*ledger.NodeState, error) { return st, nil }); err != nil {
+		t.Fatal(err)
+	}
+	if err := fb.Close(); err != nil {
+		t.Fatal(err)
+	}
+	before := dirImage(t, dir)
+	for _, name := range []string{"wal.log", "blocks.seg", "checkpoint.2ldg"} {
+		if _, ok := before[name]; !ok {
+			t.Fatalf("OpenFileBackend left no %s in the dir: %v", name, slices.Sorted(maps.Keys(before)))
+		}
+	}
+
+	h, err := Start(Config{
+		ID: 0, Nodes: 1, Seed: 7, Gamma: 0, Difficulty: 2,
+		RequestTimeout: 2 * time.Second,
+		DataDir:        dir,
+	})
+	if err == nil {
+		_ = h.Close()
+	}
+	if err == nil || !strings.Contains(err.Error(), "layout of an earlier build") {
+		t.Fatalf("Start over the flat layout: %v, want it refused as an earlier build's layout", err)
+	}
+	if open := openUnder(t, dir); len(open) != 0 {
+		t.Fatalf("the failed Start holds %v open", open)
+	}
+	if !maps.Equal(dirImage(t, dir), before) {
+		t.Fatal("the failed Start changed the data dir")
+	}
+}
+
+// TestRecoveryServeDirLayout: serve's data dir is laid out as a
+// Cluster's is. Once its device has sealed and compacted, the dir holds
+// the log, wal.log, and node-<id>/ with the device's segment and
+// checkpoint, and nothing else at its top level.
+func TestRecoveryServeDirLayout(t *testing.T) {
+	dir := t.TempDir()
+	h, err := Start(Config{
+		ID: 2, Nodes: 3, Seed: 7, Gamma: 0, Difficulty: 2,
+		RequestTimeout: 2 * time.Second,
+		DataDir:        dir,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	h.SetSlot(1)
+	if _, _, err := h.Seal([]byte("reading")); err != nil {
+		t.Fatal(err)
+	}
+	if err := h.Compact(); err != nil {
+		t.Fatal(err)
+	}
+	if err := h.Close(); err != nil {
+		t.Fatal(err)
+	}
+	want := []string{
+		"node-2" + string(filepath.Separator),
+		filepath.Join("node-2", "blocks.seg"),
+		filepath.Join("node-2", "checkpoint.2ldg"),
+		"wal.log",
+	}
+	if got := slices.Sorted(maps.Keys(dirImage(t, dir))); !slices.Equal(got, want) {
+		t.Fatalf("serve's data dir holds %v, want %v", got, want)
 	}
 }
 

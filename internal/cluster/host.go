@@ -65,13 +65,13 @@ type Config struct {
 	Plan faults.Plan
 	// Observer, when non-nil, receives the node's event stream.
 	Observer events.Observer
-	// DataDir, when set, makes the ledger durable: a file-backed WAL +
-	// segment + checkpoint backend (ledger.FileBackend) opens there, the
-	// node recovers its whole prior state (S_i, H_i, A_i) before
-	// serving, every sealed block is fsynced before Seal returns it or
-	// any peer can read it, and every DefaultCompactEvery blocks the
-	// WAL's blocks move to the segment and the rest of the state to a
-	// fresh checkpoint. Empty = in-memory only (the no-op backend).
+	// DataDir, when set, makes the ledger durable, laid out as a
+	// Cluster's data dir is (Sealer): the node recovers its whole prior
+	// state (S_i, H_i, A_i) before serving, every sealed block is
+	// fsynced before Seal returns it or any peer can read it, and every
+	// DefaultCompactEvery blocks the WAL's blocks move to the segment
+	// and the rest of the state to a fresh checkpoint. Empty = in-memory
+	// only (the no-op backend).
 	DataDir string
 	// TrustCap bounds H_i to that many headers (FIFO eviction;
 	// 0 = unbounded). With DataDir set the cap is persisted in the
@@ -104,7 +104,7 @@ type Host struct {
 	topo    *topology.Graph
 	ring    *identity.Ring
 	dev     *Device
-	seal    Sealer // rounds of one on dev
+	seal    Sealer // rounds of one on dev, and the data dir's log
 	tn      *transport.TCPNode
 	tracker *AckTracker
 	obs     events.Observer // merged user observer + tracker
@@ -172,6 +172,7 @@ func Start(cfg Config) (*Host, error) {
 		tracker: NewAckTracker(),
 		members: make(map[identity.NodeID]*member, cfg.Nodes),
 	}
+	h.seal.Device = func(identity.NodeID) (*Device, error) { return h.dev, nil }
 	if cfg.Join {
 		// No identity until placement: park on the bootstrap sentinel so
 		// directory merges can't mistake a real member's entry for our
@@ -185,6 +186,7 @@ func Start(cfg Config) (*Host, error) {
 		if h.dev != nil {
 			_ = h.dev.Close()
 		}
+		_ = h.seal.Close()
 		h.cancel()
 		return nil, err
 	}
@@ -272,20 +274,14 @@ func (h *Host) startNode() error {
 	}
 	h.mu.Unlock()
 
-	// Durability: the data dir keeps this device's segment and
-	// checkpoint flat, beside the log its backend owns.
-	var fb *ledger.FileBackend
-	if h.cfg.DataDir != "" {
-		fb, err = ledger.OpenFileBackend(h.cfg.DataDir, LogOptions(h.cfg.Observer, h.cfg.backendOpts)...)
-		if err != nil {
-			tn.Close()
-			return err
-		}
+	if err := h.seal.Open(h.cfg.DataDir, h.cfg.Observer, h.cfg.backendOpts); err != nil {
+		tn.Close()
+		return err
 	}
 	params := block.DefaultParams()
 	params.Difficulty = pow.Difficulty(h.cfg.Difficulty)
 	h.obs = events.Multi(h.cfg.Observer, h.tracker)
-	h.dev, err = NewDevice(DeviceConfig{
+	h.dev, err = h.seal.NewDevice(DeviceConfig{
 		Node: node.Config{
 			Key:            identity.Deterministic(h.id, h.cfg.Seed),
 			Params:         params,
@@ -300,23 +296,14 @@ func (h *Host) startNode() error {
 			AnnounceAcks:   true,
 		},
 		Endpoint: tn,
-		Backend:  fb,
 		Plan:     h.cfg.Plan,
 		Clock:    h.slot.Load,
 	})
 	if err != nil {
 		return err
 	}
-	h.seal = Sealer{
-		Device: func(identity.NodeID) (*Device, error) { return h.dev, nil },
-	}
-	if fb != nil {
-		// The device has recovered: compact what the log held, as a
-		// Cluster does once all of its devices have.
-		h.seal.Log = fb.Log()
-		if err := h.seal.Compact(); err != nil {
-			return err
-		}
+	if err := h.seal.Recovered(); err != nil {
+		return err
 	}
 	tn.SetBootstrapHandler(h.onBootstrap)
 	return nil
@@ -610,7 +597,7 @@ func (h *Host) Compact() error {
 		return err
 	}
 	defer h.wg.Done()
-	return h.dev.Checkpoint()
+	return h.seal.Compact()
 }
 
 // RecoveryReport returns what startup recovery read from the data dir;
@@ -673,11 +660,12 @@ func (h *Host) Block(ref block.Ref) (*block.Block, error) {
 // Close shuts the host down gracefully, in strict order: stop
 // accepting verbs, cancel and drain every in-flight one (their retry
 // loops are bounded by the policy cap and their contexts are dead),
-// flush + fsync the durability backend — every accepted block is on
-// disk before any peer learns we are leaving — then broadcast Leave so
-// peers mark this node dead immediately instead of waiting for their
-// health trackers, and close the device: the node first — its RPC
-// layer, transport and listener — then the backend (Device.Close).
+// flush + fsync the data dir's log — every accepted block is on disk
+// before any peer learns we are leaving — then broadcast Leave so peers
+// mark this node dead immediately instead of waiting for their health
+// trackers, and close the device — the node first, its RPC layer,
+// transport and listener, then the backend (Device.Close) — and the log
+// after it.
 func (h *Host) Close() error {
 	h.closeMu.Lock()
 	defer h.closeMu.Unlock()
@@ -690,8 +678,8 @@ func (h *Host) Close() error {
 	h.cancel()
 	h.wg.Wait()
 	var syncErr error
-	if h.dev.backend != nil {
-		syncErr = h.dev.backend.Sync()
+	if h.seal.Log != nil {
+		syncErr = h.seal.Log.Sync()
 	}
 	lctx, lcancel := context.WithTimeout(context.Background(), h.cfg.RequestTimeout)
 	for _, peer := range h.Live() {
@@ -701,8 +689,5 @@ func (h *Host) Close() error {
 		_ = h.dev.node.Send(lctx, peer, wire.NewLeave(h.id, peer, h.dev.node.NextNonce()))
 	}
 	lcancel()
-	if err := h.dev.Close(); err != nil {
-		return err
-	}
-	return syncErr
+	return errors.Join(h.dev.Close(), h.seal.Close(), syncErr)
 }

@@ -181,20 +181,33 @@ func TestRecoveryHostAckedDigestSurvivesKill(t *testing.T) {
 	if err := os.CopyFS(killed, os.DirFS(filepath.Join(base, "node-1"))); err != nil {
 		t.Fatal(err)
 	}
-	fb, err := ledger.OpenFileBackend(killed)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer fb.Close()
-	p := block.DefaultParams()
-	p.Difficulty = 2
-	st, err := fb.Recover(ledger.RecoverOptions{Owner: b.ID(), Params: p})
+	st, err := recoverDir(t, killed, b.ID())
 	if err != nil {
 		t.Fatalf("recovering the killed copy: %v", err)
 	}
 	if got, ok := st.Cache.Get(a.ID()); !ok || got != d {
 		t.Fatalf("A_i of the killed copy holds (%v, %v) for %v, want the acked digest %v", got, ok, a.ID(), d)
 	}
+}
+
+// recoverDir recovers owner's ledger state, at difficulty 2, from data
+// dir dir as a Host lays it out: the dir's log, and owner's segment and
+// checkpoint in dir/node-<owner>. Both stay open until the test ends, so
+// the state's store can read bodies back from the segment.
+func recoverDir(t *testing.T, dir string, owner identity.NodeID) (*ledger.NodeState, error) {
+	t.Helper()
+	l, err := ledger.OpenLog(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = l.Close() })
+	fb, err := l.OpenBackend(filepath.Join(dir, fmt.Sprintf("node-%d", owner)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := block.DefaultParams()
+	p.Difficulty = 2
+	return fb.Recover(ledger.RecoverOptions{Owner: owner, Params: p})
 }
 
 // TestStateDigestGolden pins Host.StateDigest of a seeded three-host
@@ -489,14 +502,7 @@ func TestRecoveryCloseMidAppend(t *testing.T) {
 	}
 
 	// Reopen the data dir: every acknowledged block must be there.
-	fb, err := ledger.OpenFileBackend(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer fb.Close()
-	p := block.DefaultParams()
-	p.Difficulty = 2
-	st, err := fb.Recover(ledger.RecoverOptions{Owner: 0, Params: p})
+	st, err := recoverDir(t, dir, 0)
 	if err != nil {
 		t.Fatalf("recover after close: %v", err)
 	}

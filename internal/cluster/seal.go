@@ -1,10 +1,13 @@
 package cluster
 
 import (
+	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 
 	"github.com/twoldag/twoldag/internal/block"
+	"github.com/twoldag/twoldag/internal/events"
 	"github.com/twoldag/twoldag/internal/identity"
 	"github.com/twoldag/twoldag/internal/ledger"
 	"github.com/twoldag/twoldag/internal/node"
@@ -25,11 +28,11 @@ type Submission struct {
 
 // Sealer is the seal stage of both live drivers, run before anything
 // of a batch is on the wire: a Cluster seals a slot of its devices
-// with it, a Host each block of its one device as a round of one.
+// with it, a Host each block of its one device as a round of one. It
+// is also their durable lifecycle: Open, NewDevice, Recovered, Close.
 type Sealer struct {
-	// Log is the devices' write-ahead log: the one a Cluster opens in
-	// its data dir, or the one a Host's backend owns. Nil when their
-	// ledgers live in memory.
+	// Log is the devices' write-ahead log, the one Open opened in the
+	// data dir. Nil when their ledgers live in memory.
 	Log *ledger.Log
 	// CompactEvery overrides DefaultCompactEvery when positive. Tests
 	// set it to compact at small block counts; the drivers leave it 0.
@@ -37,6 +40,59 @@ type Sealer struct {
 	// Device resolves a running device: a submission's owner, or a log
 	// owner whose state a compaction gathers.
 	Device func(identity.NodeID) (*Device, error)
+
+	dir string // the data dir Open opened Log in
+}
+
+// Open opens the log of data dir dir as s.Log, with obs as its commit
+// observer when obs takes WAL commit windows (ledger.CommitObserver,
+// alone or behind events.Multi); an empty dir keeps the ledgers in
+// memory. A dir that keeps a device's checkpoint, segment or snapshot
+// flat beside its log, as earlier builds of `serve` did, is refused
+// before anything in it is opened: that device would recover empty
+// from dir/node-<id> and seal from seq 0 again.
+func (s *Sealer) Open(dir string, obs events.Observer, opts []ledger.BackendOption) error {
+	if dir == "" {
+		return nil
+	}
+	if name := ledger.FlatDeviceFile(dir); name != "" {
+		return fmt.Errorf("cluster: %s holds a %s beside its log, the layout of an earlier build, which this one does not read",
+			dir, name)
+	}
+	if co, ok := obs.(ledger.CommitObserver); ok {
+		opts = append(slices.Clip(opts), ledger.WithCommitObserver(co))
+	}
+	var err error
+	s.Log, err = ledger.OpenLog(dir, opts...)
+	s.dir = dir
+	return err
+}
+
+// Recovered ends a durable start, once every device of it has
+// recovered. An owner that still has records in the log then is a
+// device of this dir that did not start: no compaction could retire
+// the generations while it is missing, so the start fails with
+// ledger.ErrWrongOwner. Otherwise the log compacts, so a crash loop
+// cannot grow an unbounded replay tail.
+func (s *Sealer) Recovered() error {
+	if s.Log == nil {
+		return nil
+	}
+	if owners := s.Log.Uncovered(); len(owners) > 0 {
+		return fmt.Errorf("%w: the log holds records of %v, which no device here recovered", ledger.ErrWrongOwner, owners)
+	}
+	return s.Compact()
+}
+
+// Close closes the log, after every device on it has closed; nil in
+// memory and once closed.
+func (s *Sealer) Close() error {
+	if s.Log == nil {
+		return nil
+	}
+	err := s.Log.Close()
+	s.Log = nil
+	return err
 }
 
 // Seal seals one block per submission, in rounds: round r is the r-th
@@ -165,8 +221,12 @@ func (s *Sealer) maybeCompact() {
 }
 
 // Compact rotates the log once, commits every running device's segment
-// and checkpoint and drops the rotated generation (ledger.Log.Compact).
+// and checkpoint and drops the rotated generation (ledger.Log.Compact);
+// a no-op in memory.
 func (s *Sealer) Compact() error {
+	if s.Log == nil {
+		return nil
+	}
 	return s.Log.Compact(func(id identity.NodeID) (*ledger.NodeState, error) {
 		d, err := s.Device(id)
 		if err != nil {

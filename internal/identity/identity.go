@@ -11,11 +11,9 @@ package identity
 
 import (
 	"crypto/ed25519"
-	"crypto/rand"
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"io"
 	"sync"
 
 	"github.com/twoldag/twoldag/internal/digest"
@@ -47,19 +45,6 @@ type KeyPair struct {
 	ID      NodeID
 	Public  ed25519.PublicKey
 	private ed25519.PrivateKey
-}
-
-// Generate creates a key pair for id using entropy from rng (nil means
-// crypto/rand.Reader).
-func Generate(id NodeID, rng io.Reader) (KeyPair, error) {
-	if rng == nil {
-		rng = rand.Reader
-	}
-	pub, priv, err := ed25519.GenerateKey(rng)
-	if err != nil {
-		return KeyPair{}, fmt.Errorf("identity: generating key for %v: %w", id, err)
-	}
-	return KeyPair{ID: id, Public: pub, private: priv}, nil
 }
 
 // Deterministic derives a reproducible key pair from (seed, id). Used by

@@ -6,13 +6,10 @@ import (
 	"testing/quick"
 )
 
-func TestGenerateSignVerify(t *testing.T) {
-	kp, err := Generate(7, nil)
-	if err != nil {
-		t.Fatalf("Generate: %v", err)
-	}
+func TestDeterministicSignVerify(t *testing.T) {
+	kp := Deterministic(7, 42)
 	if !kp.Valid() {
-		t.Fatal("generated key pair invalid")
+		t.Fatal("derived key pair invalid")
 	}
 	ring := NewRing()
 	if err := ring.Register(kp.ID, kp.Public); err != nil {

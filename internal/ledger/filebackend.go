@@ -44,9 +44,11 @@ import (
 // A process opens the log once, OpenLog(dir), and a backend per
 // device, Log.OpenBackend: dir/wal.log and dir/wal.old for all of them,
 // every record naming its owner, and dir/node-<id>/ for each device's
-// segment and checkpoint (and .tmp). OpenFileBackend(dir) is the one
-// device of a process (`serve`): the same log, and one backend whose
-// segment and checkpoint sit beside it in dir. Either way a device
+// segment and checkpoint (and .tmp). Both live drivers lay a data dir
+// out so (cluster.Sealer). OpenFileBackend(dir) is the single-device
+// form that tests and the benchmark drill use: the same log, and one
+// backend whose segment and checkpoint sit beside it in dir, a layout
+// the live drivers refuse (FlatDeviceFile). Either way a device
 // recovers as its checkpoint and segment plus the generations filtered
 // to its records, through the same idempotent replay rules — its
 // checkpoint may well be newer than records of its still in the log —
@@ -185,6 +187,19 @@ func (l *Log) OpenBackend(dir string) (*FileBackend, error) {
 		return nil, fmt.Errorf("ledger: creating data dir: %w", err)
 	}
 	return &FileBackend{log: l, dir: dir}, nil
+}
+
+// FlatDeviceFile names a file of one device's own — its checkpoint, its
+// segment or an earlier build's snapshot — that dir keeps directly
+// beside its log, as OpenFileBackend lays them out; "" when it keeps
+// none.
+func FlatDeviceFile(dir string) string {
+	for _, name := range []string{checkpointFileName, segmentFileName, legacySnapshotName} {
+		if _, err := os.Stat(filepath.Join(dir, name)); err == nil {
+			return name
+		}
+	}
+	return ""
 }
 
 // Recover rebuilds the node state recorded so far: checkpoint and
@@ -607,9 +622,6 @@ func (fb *FileBackend) RecoveryReport() RecoveryReport {
 	defer fb.log.mu.Unlock()
 	return fb.report
 }
-
-// Log returns the log the backend writes its records to.
-func (fb *FileBackend) Log() *Log { return fb.log }
 
 // Compact commits this owner's state, from gather, to its segment and
 // checkpoint. A backend that owns its log compacts the whole of it

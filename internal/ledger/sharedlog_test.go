@@ -230,7 +230,7 @@ func (w *world) apply(fx *worldFixture, op worldOp) {
 			if err := w.fbs[op.owner].StageBlock(b); err != nil {
 				w.t.Fatalf("stage for %v: %v", op.owner, err)
 			}
-			if err := w.fbs[op.owner].Log().Commit(); err != nil {
+			if err := w.fbs[op.owner].log.Commit(); err != nil {
 				w.t.Fatalf("commit for %v: %v", op.owner, err)
 			}
 		}

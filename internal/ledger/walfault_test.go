@@ -338,7 +338,7 @@ func TestWALFaultSyncFailure(t *testing.T) {
 				if err := fb.StageBlock(b); err != nil {
 					return err
 				}
-				if err := fb.Log().Commit(); err != nil {
+				if err := fb.log.Commit(); err != nil {
 					return err
 				}
 				return st.Store.Append(b)
@@ -523,7 +523,7 @@ func TestWALFaultRotationDirSync(t *testing.T) {
 			if shared {
 				return w.log.Commit()
 			}
-			return w.fbs[1].Log().Commit()
+			return w.fbs[1].log.Commit()
 		}
 		// round stages one block per owner and closes the window; the
 		// blocks go to their stores only when it was acknowledged.

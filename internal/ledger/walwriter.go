@@ -6,8 +6,10 @@ import (
 	"fmt"
 	"io"
 	"io/fs"
+	"maps"
 	"os"
 	"path/filepath"
+	"slices"
 	"sync"
 	"syscall"
 
@@ -97,10 +99,11 @@ func WithWALFile(wrap func(WALFile) WALFile) BackendOption {
 // Log is one data dir's write-ahead log: the wal.log/wal.old
 // generations, the commit windows over them and the compaction that
 // retires them. It serves the FileBackends opened on it — one per
-// device of a process (OpenBackend), or the one OpenFileBackend makes
-// beside it — and each of those is a Journal for its own node's
-// structures and keeps its own segment and checkpoint. Every record
-// that is not a block names its owner (see wal.go).
+// device a live driver runs (OpenBackend, in dir/node-<id>), or the
+// single device OpenFileBackend keeps beside it, the form tests and the
+// benchmark drill use — and each of those is a Journal for its own
+// node's structures and keeps its own segment and checkpoint. Every
+// record that is not a block names its owner (see wal.go).
 // Safe for concurrent use by all of them.
 type Log struct {
 	dir     string
@@ -270,6 +273,15 @@ func (l *Log) PendingBlocks() int {
 		most = max(most, v.pending)
 	}
 	return most
+}
+
+// Uncovered lists, ascending, the owners that have records in the log
+// no checkpoint is known to hold and no open backend could gather (see
+// the field): while there is one, Compact leaves the generations alone.
+func (l *Log) Uncovered() []identity.NodeID {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return slices.Sorted(maps.Keys(l.uncovered))
 }
 
 // syncDir fsyncs a directory so renames and truncations in it are

@@ -417,7 +417,7 @@ func TestWALWritesPerWindow(t *testing.T) {
 			run   func(fb *FileBackend) error
 			syncs int
 		}{
-			{"Commit", func(fb *FileBackend) error { return fb.Log().Commit() }, 1},
+			{"Commit", func(fb *FileBackend) error { return fb.log.Commit() }, 1},
 			{"Sync", (*FileBackend).Sync, 1},
 			{"Close", (*FileBackend).Close, 1},
 			{"Flush", (*FileBackend).Flush, 0},

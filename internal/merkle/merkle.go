@@ -61,21 +61,6 @@ func hashLeaves(level []digest.Digest, leaves [][]byte) {
 	}
 }
 
-// Root computes the Merkle root over the given leaves. An empty leaf set
-// yields the zero digest, matching a block with an empty body.
-//
-// The computation runs in a single reused level slice (each reduction
-// writes over the previous level in place), so a root over N leaves
-// costs one digest slice regardless of depth.
-func Root(leaves [][]byte) digest.Digest {
-	if len(leaves) == 0 {
-		return digest.Digest{}
-	}
-	level := make([]digest.Digest, len(leaves))
-	hashLeaves(level, leaves)
-	return reduceInPlace(level)
-}
-
 // reduceInPlace collapses a leaf-hash level to the root, overwriting the
 // slice level by level (promoting an odd trailing node unchanged, like
 // reduce).

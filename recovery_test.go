@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"github.com/twoldag/twoldag/internal/block"
+	"github.com/twoldag/twoldag/internal/ledger"
 )
 
 // The facade recovery suite: with WithDataDir every device's ledger is
@@ -594,6 +595,42 @@ func openUnder(t *testing.T, dir string) []string {
 		}
 	}
 	return open
+}
+
+// TestRecoveryClusterRefusesLeftoverOwner: a durable Cluster reopened
+// without a device that has records in its log — a joiner, which the
+// same options do not start again — fails New with ErrWrongOwner,
+// naming the joiner, and holds nothing under the dir. Started, it would
+// run on a log no compaction could retire while the joiner's records
+// are in it.
+func TestRecoveryClusterRefusesLeftoverOwner(t *testing.T) {
+	dir := t.TempDir()
+	openUnder(t, dir)
+	opts := append(baseOptions(8, 1), WithDataDir(dir))
+	rt, err := New(opts...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	joiner, err := rt.Join()
+	if err != nil {
+		t.Fatal(err)
+	}
+	fillBatch(t, rt, 1) // the joiner seals a block of its own
+	if err := rt.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	rt, err = New(opts...)
+	if err == nil {
+		_ = rt.Close()
+		t.Fatal("New started on a log that holds the records of a device it does not run")
+	}
+	if !errors.Is(err, ledger.ErrWrongOwner) || !strings.Contains(err.Error(), joiner.String()) {
+		t.Fatalf("New without the joiner: %v, want ErrWrongOwner naming %v", err, joiner)
+	}
+	if open := openUnder(t, dir); len(open) != 0 {
+		t.Fatalf("the failed New holds %v open", open)
+	}
 }
 
 // TestFacadeReleasesDataDir: the live driver holds a device's files

@@ -9,6 +9,7 @@ import (
 	"path/filepath"
 	"regexp"
 	"slices"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -47,9 +48,10 @@ var testOnlyAllowed = map[string]string{
 // of internal/ must be named by some identifier of a non-test .go file of
 // the repository (benchmark/, cmd/, examples/, experiments/ and test/
 // included), other than its own declaration, or be in testOnlyAllowed.
-// Test-support packages internal/<pkg>/<pkg>test are neither scanned nor
-// counted as callers. Matching is by name, so a name shared with another
-// function hides a candidate.
+// A package-level function is named by a bare identifier in its own
+// package or by pkg.Name where pkg is a file's import of its package; a
+// method by any identifier of its name. Test-support packages
+// internal/<pkg>/<pkg>test are neither scanned nor counted as callers.
 func TestInternalFuncsHaveNonTestCallers(t *testing.T) {
 	flagged := testOnlyFuncs(t)
 	for _, name := range slices.Sorted(maps.Keys(flagged)) {
@@ -73,12 +75,16 @@ func TestInternalFuncsHaveNonTestCallers(t *testing.T) {
 // line count of each body.
 func testOnlyFuncs(t *testing.T) map[string]int {
 	t.Helper()
+	const internalPath = "github.com/twoldag/twoldag/internal/"
 	type decl struct {
 		key, name string
+		method    bool
 		lines     int
 	}
 	var decls []decl
-	used := map[string]bool{}
+	// used holds every identifier a method may be named by; funcUsed the
+	// "<dir under internal>.<Name>" of every package-level function named.
+	used, funcUsed := map[string]bool{}, map[string]bool{}
 	fset := token.NewFileSet()
 	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
 		if err != nil {
@@ -113,11 +119,37 @@ func testOnlyFuncs(t *testing.T) map[string]int {
 				key += recvName(fn.Recv.List[0].Type) + "."
 			}
 			lines := fset.Position(fn.End()).Line - fset.Position(fn.Pos()).Line + 1
-			decls = append(decls, decl{key + fn.Name.Name, fn.Name.Name, lines})
+			decls = append(decls, decl{key + fn.Name.Name, fn.Name.Name, fn.Recv != nil, lines})
 		}
+		// imports maps each import name of the file to the package's dir
+		// under internal/.
+		imports := map[string]string{}
+		for _, imp := range f.Imports {
+			ipath, _ := strconv.Unquote(imp.Path.Value)
+			if idir, ok := strings.CutPrefix(ipath, internalPath); ok {
+				name := filepath.Base(idir)
+				if imp.Name != nil {
+					name = imp.Name.Name
+				}
+				imports[name] = idir
+			}
+		}
+		sels := map[*ast.Ident]bool{}
 		ast.Inspect(f, func(n ast.Node) bool {
-			if id, ok := n.(*ast.Ident); ok && !own[id] {
-				used[id.Name] = true
+			switch n := n.(type) {
+			case *ast.SelectorExpr:
+				sels[n.Sel] = true
+				if x, ok := n.X.(*ast.Ident); ok && imports[x.Name] != "" {
+					funcUsed[imports[x.Name]+"."+n.Sel.Name] = true
+				}
+			case *ast.Ident:
+				if own[n] {
+					break
+				}
+				used[n.Name] = true
+				if internal && !sels[n] {
+					funcUsed[dir+"."+n.Name] = true
+				}
 			}
 			return true
 		})
@@ -128,7 +160,7 @@ func testOnlyFuncs(t *testing.T) map[string]int {
 	}
 	flagged := map[string]int{}
 	for _, d := range decls {
-		if !used[d.name] {
+		if (d.method && !used[d.name]) || (!d.method && !funcUsed[d.key]) {
 			flagged[d.key] = d.lines
 		}
 	}
