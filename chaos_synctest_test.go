@@ -40,3 +40,22 @@ func TestChaosCountersAreDeterministicBubbled(t *testing.T) {
 	}
 	t.Logf("%d runs, each %+v", runs, first)
 }
+
+// TestAuditsRouteAroundSilencedBubbled runs the live driver's
+// route-around body (routeAroundRun) on synctest's fake clock and
+// requires every run to pass. No RPC deadline fires early there, so a
+// failing run is an interleaving of the audits, not a slow host. Run it
+// with GOEXPERIMENT=synctest until the module's Go version has synctest
+// without the experiment.
+func TestAuditsRouteAroundSilencedBubbled(t *testing.T) {
+	const runs = 100
+	setGOMAXPROCS(t, 4)
+	// As in the chaos twin, each result comes back on a channel.
+	result := make(chan error, 1)
+	for i := 0; i < runs; i++ {
+		synctest.Run(func() { result <- routeAroundRun(baseOptions(10, 2)...) })
+		if err := <-result; err != nil {
+			t.Fatalf("run %d: %v", i, err)
+		}
+	}
+}

@@ -161,11 +161,11 @@ func newCluster(cfg *config, g *topology.Graph) (*Cluster, error) {
 	return c, nil
 }
 
-// start opens the data dir's log, if there is to be one, brings every
-// device up on it, and ends the start once all have recovered
-// (cluster.Sealer.Recovered).
+// start opens the data dir's log, if there is to be one, for the
+// topology's devices (cluster.Sealer.Open), brings every device up on
+// it, and compacts it once all have recovered.
 func (c *Cluster) start(cfg *config, pairs []identity.KeyPair) error {
-	if err := c.seal.Open(cfg.dataDir, c.obs, cfg.backendOpts); err != nil {
+	if err := c.seal.Open(cfg.dataDir, c.ids, c.obs, cfg.backendOpts); err != nil {
 		return fmt.Errorf("twoldag: %w", err)
 	}
 	for _, kp := range pairs {
@@ -173,7 +173,7 @@ func (c *Cluster) start(cfg *config, pairs []identity.KeyPair) error {
 			return err
 		}
 	}
-	if err := c.seal.Recovered(); err != nil {
+	if err := c.seal.Compact(); err != nil {
 		return fmt.Errorf("twoldag: %w", err)
 	}
 	return nil

@@ -55,16 +55,10 @@ func TestDurableReadsAcrossCompactions(t *testing.T) {
 	ids := rt.Nodes()
 
 	var (
-		mu   sync.Mutex
-		refs []Ref
-		// settled counts the refs sealed two slots ago or earlier: every
-		// device has sealed a child of each since. An audit of a younger
-		// block asks neighbours for children they may not have yet, and a
-		// validator blacklists a neighbour that answers NOT_FOUND — whose
-		// announcements it then leaves unacknowledged, failing SubmitBatch.
-		settled int
-		data    = map[Ref][]byte{}
-		first   = map[Ref][]byte{} // the encoding of the first read
+		mu    sync.Mutex
+		refs  []Ref
+		data  = map[Ref][]byte{}
+		first = map[Ref][]byte{} // the encoding of the first read
 	)
 	// gate: readers hold it shared per call; Silence/Restart exclusively.
 	var gate sync.RWMutex
@@ -89,15 +83,11 @@ func TestDurableReadsAcrossCompactions(t *testing.T) {
 		gate.RLock()
 		defer gate.RUnlock()
 		mu.Lock()
-		pool := len(refs)
-		if op%3 == 2 {
-			pool = settled
-		}
-		if pool == 0 {
+		if len(refs) == 0 {
 			mu.Unlock()
 			return nil
 		}
-		ref := refs[rng.Intn(pool)]
+		ref := refs[rng.Intn(len(refs))]
 		mu.Unlock()
 		b, err := c.Block(ref)
 		if err != nil {
@@ -160,7 +150,6 @@ func TestDurableReadsAcrossCompactions(t *testing.T) {
 	// eight a store keeps from recent reads — so blocks are read back
 	// from the segment again and again. (One block a device a slot: with
 	// two, no neighbour's Δ would name the first, only its owner's next.)
-	var sealedBy []int // len(refs) after each slot
 	for slot := 0; slot < 16; slot++ {
 		rt.AdvanceSlot()
 		batch := slotBatch(ids, 1, fmt.Sprint("slot ", slot))
@@ -173,10 +162,6 @@ func TestDurableReadsAcrossCompactions(t *testing.T) {
 			data[ref] = batch[i].Data
 		}
 		refs = append(refs, got...)
-		sealedBy = append(sealedBy, len(refs))
-		if slot >= 2 {
-			settled = sealedBy[slot-2]
-		}
 		mu.Unlock()
 		if slot == 7 {
 			gate.Lock()

@@ -1,15 +1,15 @@
 // Package attack models the adversarial behaviors analyzed in the
 // paper's security discussion (Sec. IV-D): silent nodes, header
-// corruption (man-in-the-middle), selfish refusal, eclipse filtering
-// and DoS flooding. Behaviors intercept a responder's honest reply on
-// its way to a validator; the simulator and the live runtime both
-// inject them behind the core.Fetcher seam, so the validator code under
-// test is exactly the production code.
+// corruption (man-in-the-middle) and eclipse filtering. A selfish node
+// of Sec. IV-D6, one that refuses to serve, is a Silent one: no
+// redemption is modelled that would bring it back. Behaviors intercept
+// a responder's honest reply on its way to a validator; the simulator
+// injects them behind the core.Fetcher seam, so the validator code
+// under test is exactly the production code.
 package attack
 
 import (
 	"math/rand"
-	"sync"
 
 	"github.com/twoldag/twoldag/internal/block"
 	"github.com/twoldag/twoldag/internal/core"
@@ -98,49 +98,6 @@ func (Corrupt) OnBlockRequest(_, _ identity.NodeID, b *block.Block, err error) (
 // Responds implements Behavior.
 func (Corrupt) Responds() bool { return true }
 
-// Selfish refuses to serve until it has been credited enough times —
-// the behavior the blacklist mechanism of Sec. IV-D6 penalizes. It is
-// concurrency-safe.
-type Selfish struct {
-	mu sync.Mutex
-	// CreditsNeeded is how many Credit calls unlock cooperation.
-	CreditsNeeded int
-	credits       int
-}
-
-// Credit records that the network helped this node (e.g. forwarded its
-// blocks); after CreditsNeeded credits it starts cooperating.
-func (s *Selfish) Credit() {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.credits++
-}
-
-func (s *Selfish) cooperating() bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.credits >= s.CreditsNeeded
-}
-
-// OnChildRequest implements Behavior.
-func (s *Selfish) OnChildRequest(_, _ identity.NodeID, _ digest.Digest, h *block.Header, err error) (*block.Header, error) {
-	if !s.cooperating() {
-		return nil, core.ErrTimeout
-	}
-	return h, err
-}
-
-// OnBlockRequest implements Behavior.
-func (s *Selfish) OnBlockRequest(_, _ identity.NodeID, b *block.Block, err error) (*block.Block, error) {
-	if !s.cooperating() {
-		return nil, core.ErrTimeout
-	}
-	return b, err
-}
-
-// Responds implements Behavior.
-func (s *Selfish) Responds() bool { return s.cooperating() }
-
 // Eclipse answers only validators in its allow list, isolating all
 // others (Sec. I's eclipse attack). The zero value eclipses everyone.
 type Eclipse struct {
@@ -176,7 +133,6 @@ const (
 	KindHonest  Kind = "honest"
 	KindSilent  Kind = "silent"
 	KindCorrupt Kind = "corrupt"
-	KindSelfish Kind = "selfish"
 	KindEclipse Kind = "eclipse"
 )
 
@@ -187,8 +143,6 @@ func New(k Kind) Behavior {
 		return Silent{}
 	case KindCorrupt:
 		return Corrupt{}
-	case KindSelfish:
-		return &Selfish{CreditsNeeded: 1}
 	case KindEclipse:
 		return Eclipse{}
 	default:
@@ -218,6 +172,5 @@ var (
 	_ Behavior = Honest{}
 	_ Behavior = Silent{}
 	_ Behavior = Corrupt{}
-	_ Behavior = (*Selfish)(nil)
 	_ Behavior = Eclipse{}
 )

@@ -83,26 +83,6 @@ func TestCorruptForgesBlocks(t *testing.T) {
 	}
 }
 
-func TestSelfishUnlocksAfterCredits(t *testing.T) {
-	s := &Selfish{CreditsNeeded: 2}
-	h := sampleHeader(t)
-	if _, err := s.OnChildRequest(0, 1, digest.Digest{}, h, nil); err == nil {
-		t.Fatal("selfish node cooperated without credits")
-	}
-	if s.Responds() {
-		t.Fatal("selfish node should be silent pre-credit")
-	}
-	s.Credit()
-	s.Credit()
-	got, err := s.OnChildRequest(0, 1, digest.Digest{}, h, nil)
-	if err != nil || got != h {
-		t.Fatal("selfish node refused after credits")
-	}
-	if !s.Responds() {
-		t.Fatal("selfish node should respond post-credit")
-	}
-}
-
 func TestEclipseFiltersByValidator(t *testing.T) {
 	e := Eclipse{Allow: map[identity.NodeID]bool{7: true}}
 	h := sampleHeader(t)
@@ -123,9 +103,6 @@ func TestNewByKind(t *testing.T) {
 	}
 	if _, ok := New(KindCorrupt).(Corrupt); !ok {
 		t.Fatal("KindCorrupt wrong type")
-	}
-	if _, ok := New(KindSelfish).(*Selfish); !ok {
-		t.Fatal("KindSelfish wrong type")
 	}
 	if _, ok := New(KindEclipse).(Eclipse); !ok {
 		t.Fatal("KindEclipse wrong type")

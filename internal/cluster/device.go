@@ -71,7 +71,7 @@ func (s *Sealer) NewDevice(cfg DeviceConfig) (d *Device, err error) {
 	if cfg.Plan.Active() {
 		ncfg.Transport = faults.Wrap(cfg.Endpoint, cfg.Plan, cfg.Clock, obs)
 	}
-	ncfg.Health = faults.NewHealth(id, 0, obs)
+	ncfg.Health = faults.NewHealth(id, obs)
 	if s.Log != nil {
 		if fb, err = s.Log.OpenBackend(filepath.Join(s.dir, fmt.Sprintf("node-%d", id))); err != nil {
 			return nil, fmt.Errorf("cluster: node %v: %w", id, err)

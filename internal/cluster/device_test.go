@@ -87,8 +87,9 @@ func TestHostStartFailureReleasesDataDir(t *testing.T) {
 }
 
 // TestRecoveryHostRefusesAnotherDevicesDir: a Host started as ID 1 on
-// the data dir node 0 wrote fails with ErrWrongOwner and holds no file
-// of the dir afterwards.
+// the data dir node 0 wrote fails with ErrWrongOwner as its log opens:
+// it holds no file of the dir afterwards and leaves the dir byte for
+// byte as it was, with no node-1/ made in it.
 func TestRecoveryHostRefusesAnotherDevicesDir(t *testing.T) {
 	dir := t.TempDir()
 	openUnder(t, dir)
@@ -107,12 +108,17 @@ func TestRecoveryHostRefusesAnotherDevicesDir(t *testing.T) {
 	if err := h.Close(); err != nil {
 		t.Fatal(err)
 	}
+	before := dirImage(t, dir)
 	cfg.ID = 1
 	if _, err := Start(cfg); !errors.Is(err, ledger.ErrWrongOwner) {
 		t.Fatalf("node 1 on node 0's data dir: %v, want ErrWrongOwner", err)
 	}
 	if open := openUnder(t, dir); len(open) != 0 {
 		t.Fatalf("the failed Start holds %v open", open)
+	}
+	if after := dirImage(t, dir); !maps.Equal(after, before) {
+		t.Fatalf("the failed Start changed the data dir: %v, was %v",
+			slices.Sorted(maps.Keys(after)), slices.Sorted(maps.Keys(before)))
 	}
 }
 

@@ -274,7 +274,7 @@ func (h *Host) startNode() error {
 	}
 	h.mu.Unlock()
 
-	if err := h.seal.Open(h.cfg.DataDir, h.cfg.Observer, h.cfg.backendOpts); err != nil {
+	if err := h.seal.Open(h.cfg.DataDir, []identity.NodeID{h.id}, h.cfg.Observer, h.cfg.backendOpts); err != nil {
 		tn.Close()
 		return err
 	}
@@ -302,7 +302,7 @@ func (h *Host) startNode() error {
 	if err != nil {
 		return err
 	}
-	if err := h.seal.Recovered(); err != nil {
+	if err := h.seal.Compact(); err != nil {
 		return err
 	}
 	tn.SetBootstrapHandler(h.onBootstrap)

@@ -29,7 +29,7 @@ type Submission struct {
 // Sealer is the seal stage of both live drivers, run before anything
 // of a batch is on the wire: a Cluster seals a slot of its devices
 // with it, a Host each block of its one device as a round of one. It
-// is also their durable lifecycle: Open, NewDevice, Recovered, Close.
+// is also their durable lifecycle: Open, NewDevice, Compact, Close.
 type Sealer struct {
 	// Log is the devices' write-ahead log, the one Open opened in the
 	// data dir. Nil when their ledgers live in memory.
@@ -44,14 +44,22 @@ type Sealer struct {
 	dir string // the data dir Open opened Log in
 }
 
-// Open opens the log of data dir dir as s.Log, with obs as its commit
-// observer when obs takes WAL commit windows (ledger.CommitObserver,
-// alone or behind events.Multi); an empty dir keeps the ledgers in
-// memory. A dir that keeps a device's checkpoint, segment or snapshot
-// flat beside its log, as earlier builds of `serve` did, is refused
-// before anything in it is opened: that device would recover empty
-// from dir/node-<id> and seal from seq 0 again.
-func (s *Sealer) Open(dir string, obs events.Observer, opts []ledger.BackendOption) error {
+// Open opens the log of data dir dir as s.Log for a start that runs
+// the devices ids, with obs as its commit observer when obs takes WAL
+// commit windows (ledger.CommitObserver, alone or behind events.Multi);
+// an empty dir keeps the ledgers in memory. Two dirs are refused
+// before any device dir is made in them, and leave nothing open:
+//   - one that keeps a device's checkpoint, segment or snapshot flat
+//     beside its log, as earlier builds of `serve` did: that device
+//     would recover empty from dir/node-<id> and seal from seq 0 again;
+//   - one whose log holds records of a device outside ids, with
+//     ledger.ErrWrongOwner: no compaction could retire the generations
+//     while that device does not run.
+//
+// Once every device has started on the log (NewDevice), the driver
+// compacts it (Compact), so a crash loop cannot grow an unbounded
+// replay tail.
+func (s *Sealer) Open(dir string, ids []identity.NodeID, obs events.Observer, opts []ledger.BackendOption) error {
 	if dir == "" {
 		return nil
 	}
@@ -62,26 +70,22 @@ func (s *Sealer) Open(dir string, obs events.Observer, opts []ledger.BackendOpti
 	if co, ok := obs.(ledger.CommitObserver); ok {
 		opts = append(slices.Clip(opts), ledger.WithCommitObserver(co))
 	}
-	var err error
-	s.Log, err = ledger.OpenLog(dir, opts...)
-	s.dir = dir
-	return err
-}
-
-// Recovered ends a durable start, once every device of it has
-// recovered. An owner that still has records in the log then is a
-// device of this dir that did not start: no compaction could retire
-// the generations while it is missing, so the start fails with
-// ledger.ErrWrongOwner. Otherwise the log compacts, so a crash loop
-// cannot grow an unbounded replay tail.
-func (s *Sealer) Recovered() error {
-	if s.Log == nil {
-		return nil
+	log, err := ledger.OpenLog(dir, opts...)
+	if err != nil {
+		return err
 	}
-	if owners := s.Log.Uncovered(); len(owners) > 0 {
-		return fmt.Errorf("%w: the log holds records of %v, which no device here recovered", ledger.ErrWrongOwner, owners)
+	var strangers []identity.NodeID
+	for _, owner := range log.Uncovered() {
+		if !slices.Contains(ids, owner) {
+			strangers = append(strangers, owner)
+		}
 	}
-	return s.Compact()
+	if len(strangers) > 0 {
+		_ = log.Close()
+		return fmt.Errorf("%w: the log holds records of %v, which this start does not run", ledger.ErrWrongOwner, strangers)
+	}
+	s.Log, s.dir = log, dir
+	return nil
 }
 
 // Close closes the log, after every device on it has closed; nil in

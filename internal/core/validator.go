@@ -33,15 +33,14 @@ type ValidatorConfig struct {
 	Topo *topology.Graph
 	// Trust is H_i. Nil disables TPS caching (the ablation baseline).
 	Trust *ledger.TrustStore
-	// Blacklist, when non-nil, records unresponsive peers and skips
-	// banned ones (Sec. IV-D6).
-	Blacklist *ledger.Blacklist
 	// Avoid, when non-nil, reports peers to route around — e.g. a
-	// health tracker's suspects. Unlike a blacklist ban the filter is
-	// advisory: avoided peers are skipped only while a non-avoided
-	// candidate remains, so they stay reachable as a last resort (which
-	// doubles as the recovery probe that re-admits them). Called from
-	// the audit loop — must be cheap and safe for concurrent use.
+	// health tracker's suspects. The filter is advisory: avoided peers
+	// are skipped only while a non-avoided candidate remains, so they
+	// stay reachable as a last resort (which doubles as the recovery
+	// probe that re-admits them). It is the validator's only record of
+	// a peer's standing: a reply is judged on its own (replyValid), and
+	// no answer, however bad, bars a peer from later audits. Called
+	// from the audit loop — must be cheap and safe for concurrent use.
 	Avoid func(identity.NodeID) bool
 	// Strategy selects the next responder; nil means WPS (Alg. 1).
 	Strategy SelectionStrategy
@@ -65,7 +64,7 @@ type ValidatorConfig struct {
 //
 // A Validator holds configuration only — every Verify builds its R_i,
 // path and bookkeeping afresh, and the stores it reads (H_i, the
-// verification cache, the blacklist, the topology) lock for themselves
+// verification cache, the topology) lock for themselves
 // — so one Validator serves any number of concurrent Verify calls,
 // which is how a node.Node uses the single one it builds at start-up.
 // The exceptions are what the caller plugs in: a ValidatorConfig.RNG
@@ -308,16 +307,13 @@ func (v *Validator) construct(ctx context.Context, ref block.Ref, blk *block.Blo
 			child, err := f.RequestChild(ctx, jPrime, cur.HeaderHash)
 			if err != nil {
 				res.Timeouts++
-				v.reportFailure(jPrime)
 				continue
 			}
 			res.MessagesReceived++
 			if !v.replyValid(child, jPrime, cur) {
 				res.Timeouts++
-				v.reportFailure(jPrime)
 				continue
 			}
-			v.reportSuccess(jPrime)
 			res.HeadersFetched++
 			hh := child.Hash()
 			if dead[hh] {
@@ -370,7 +366,7 @@ func (v *Validator) runTPS(path []PathStep, vouchers *voucherSet, dead map[diges
 }
 
 // candidates computes N' for the current verifying node: its physical
-// neighbors minus already-tried, rolled-back and blacklisted nodes.
+// neighbors minus already-tried and rolled-back nodes.
 // Avoided peers (ValidatorConfig.Avoid) are then filtered out only
 // when at least one non-avoided candidate remains — suspicion routes
 // around a peer but never makes consensus unreachable. The neighbor
@@ -382,9 +378,6 @@ func (v *Validator) candidates(cur identity.NodeID, tried, excluded map[identity
 	nonAvoided := 0
 	for _, nb := range nbs {
 		if tried[nb] || excluded[nb] {
-			continue
-		}
-		if v.cfg.Blacklist != nil && v.cfg.Blacklist.Banned(nb) {
 			continue
 		}
 		if v.cfg.Avoid == nil || !v.cfg.Avoid(nb) {
@@ -439,18 +432,6 @@ func (v *Validator) cacheVerifiedPath(path []PathStep, target *block.Block) {
 			}
 		}
 		v.cfg.Trust.Add(h)
-	}
-}
-
-func (v *Validator) reportFailure(id identity.NodeID) {
-	if v.cfg.Blacklist != nil {
-		v.cfg.Blacklist.ReportFailure(id)
-	}
-}
-
-func (v *Validator) reportSuccess(id identity.NodeID) {
-	if v.cfg.Blacklist != nil {
-		v.cfg.Blacklist.ReportSuccess(id)
 	}
 }
 

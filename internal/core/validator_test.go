@@ -5,12 +5,12 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"testing"
 
 	"github.com/twoldag/twoldag/internal/block"
 	"github.com/twoldag/twoldag/internal/digest"
 	"github.com/twoldag/twoldag/internal/identity"
-	"github.com/twoldag/twoldag/internal/ledger"
 	"github.com/twoldag/twoldag/internal/topology"
 	"github.com/twoldag/twoldag/internal/topology/topologytest"
 )
@@ -566,49 +566,79 @@ func TestPoPAlternativeStrategies(t *testing.T) {
 	}
 }
 
-// TestPoPBlacklistSkipsBannedNodes: after enough failures the silent
-// node is banned and no longer probed at all.
-func TestPoPBlacklistSkipsBannedNodes(t *testing.T) {
+// probeLog records, in order, the responders a fetcher's REQ_CHILDs
+// went to, leaving every reply as it was.
+func probeLog(l *lab) *[]identity.NodeID {
+	var probed []identity.NodeID
+	l.fetcher.InterceptChild = func(j identity.NodeID, _ digest.Digest, h *block.Header, err error) (*block.Header, error) {
+		probed = append(probed, j)
+		return h, err
+	}
+	return &probed
+}
+
+// avoiding is a ValidatorConfig option that routes around id.
+func avoiding(id identity.NodeID) func(*ValidatorConfig) {
+	return func(cfg *ValidatorConfig) {
+		cfg.Avoid = func(nb identity.NodeID) bool { return nb == id }
+	}
+}
+
+// TestPoPAvoidRoutesAroundWhileOthersRemain: a neighbour the Avoid
+// filter names is not probed while a candidate it does not name
+// remains, though WPS would pick it first. In a rich DAG the audit of
+// B1 reaches consensus without ever asking D, where the same audit with
+// no filter goes through D. Neither validator keeps H_i, so the second
+// audit probes afresh instead of following the first one's path.
+func TestPoPAvoidRoutesAroundWhileOthersRemain(t *testing.T) {
 	l := newLab(t, topologytest.PaperFig4())
 	l.genesisAll()
-	for s := 0; s < 5; s++ {
+	for s := 0; s < 3; s++ {
 		l.runSlot(1, 2, 3, 4, 0)
 	}
-	silent := identity.NodeID(3)
-	l.fetcher.InterceptChild = func(j identity.NodeID, target digest.Digest, h *block.Header, err error) (*block.Header, error) {
-		if j == silent {
-			return nil, ErrTimeout
-		}
-		return h, err
-	}
-	eng := l.engines[0]
-	bl := ledger.NewBlacklist(2, 100)
-	v, err := eng.Validator(2, l.ring, func(cfg *ValidatorConfig) { cfg.Blacklist = bl })
-	if err != nil {
+	const d = identity.NodeID(3)
+	target := block.Ref{Node: 1, Seq: 1}
+	noTrust := func(cfg *ValidatorConfig) { cfg.Trust = nil }
+	probed := probeLog(l)
+	if _, err := l.validator(0, 2, noTrust).Verify(context.Background(), target, l.fetcher); err != nil {
 		t.Fatal(err)
 	}
-	// Run several verifications; the silent node accumulates strikes.
-	for seq := uint32(1); seq <= 3; seq++ {
-		if _, err := v.Verify(context.Background(), block.Ref{Node: 1, Seq: seq}, l.fetcher); err != nil {
-			t.Fatalf("verify #%d: %v", seq, err)
-		}
+	if !slices.Contains(*probed, d) {
+		t.Fatalf("the unfiltered audit never asked D (probes %v): nothing to route around", *probed)
 	}
-	if !bl.Banned(silent) {
-		t.Fatal("silent node never banned")
+	*probed = nil
+	res, err := l.validator(0, 2, noTrust, avoiding(d)).Verify(context.Background(), target, l.fetcher)
+	if err != nil || !res.Consensus {
+		t.Fatalf("audit avoiding D: %v", err)
 	}
-	// Once banned, a fresh verification must not probe it at all.
-	probed := false
-	l.fetcher.InterceptChild = func(j identity.NodeID, target digest.Digest, h *block.Header, err error) (*block.Header, error) {
-		if j == silent {
-			probed = true
-		}
-		return h, err
+	if slices.Contains(*probed, d) {
+		t.Fatalf("avoided D was probed while other candidates remained (probes %v)", *probed)
 	}
-	if _, err := v.Verify(context.Background(), block.Ref{Node: 2, Seq: 1}, l.fetcher); err != nil {
-		t.Fatal(err)
+}
+
+// TestPoPAvoidedNeighbourIsLastResort: the Avoid filter is advisory. On
+// Fig. 4's green path only D holds a child of B1, so once A and C have
+// answered that they hold none, the avoided D is the last candidate and
+// is probed, and consensus runs through it.
+func TestPoPAvoidedNeighbourIsLastResort(t *testing.T) {
+	l := newLab(t, topologytest.PaperFig4())
+	l.genesisAll()
+	l.runSlot(1, 3, 4)
+	const d = identity.NodeID(3)
+	probed := probeLog(l)
+	res, err := l.validator(0, 2, avoiding(d)).Verify(context.Background(), block.Ref{Node: 1, Seq: 1}, l.fetcher)
+	if err != nil || !res.Consensus {
+		t.Fatalf("audit avoiding D: %v", err)
 	}
-	if probed {
-		t.Fatal("banned node was still probed")
+	i := slices.Index(*probed, d)
+	if i < 0 {
+		t.Fatalf("avoided D was never probed (probes %v)", *probed)
+	}
+	if asked := (*probed)[:i]; !slices.Contains(asked, 0) || !slices.Contains(asked, 2) {
+		t.Fatalf("D was probed before A and C were exhausted (probes %v)", *probed)
+	}
+	if !slices.Contains(res.Vouchers, d) {
+		t.Fatalf("vouchers %v: the path did not run through D", res.Vouchers)
 	}
 }
 

@@ -164,16 +164,13 @@ func constructReference(v *Validator, ctx context.Context, ref block.Ref, blk *b
 			child, err := f.RequestChild(ctx, jPrime, cur.HeaderHash)
 			if err != nil {
 				res.Timeouts++
-				v.reportFailure(jPrime)
 				continue
 			}
 			res.MessagesReceived++
 			if !v.replyValid(child, jPrime, cur) {
 				res.Timeouts++
-				v.reportFailure(jPrime)
 				continue
 			}
-			v.reportSuccess(jPrime)
 			res.HeadersFetched++
 			hh := child.Hash()
 			if dead[hh] {

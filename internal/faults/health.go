@@ -8,11 +8,9 @@ import (
 )
 
 // DefaultSuspectThreshold is the consecutive-failure count that opens
-// a peer's circuit. It is deliberately below the blacklist's ban
-// threshold (3 strikes, Sec. IV-D6): a flaky-but-honest peer gets
-// routed around before it can accumulate enough audit timeouts to be
-// banned outright, and bans are what the protocol reserves for
-// adversarial behavior.
+// a peer's circuit. One failure is not enough: a single lost frame or
+// late reply on a lossy radio link says little about the peer, while
+// two in a row, with no success between, is worth routing around.
 const DefaultSuspectThreshold = 2
 
 // Health is one node's per-peer circuit breaker. Transport failures
@@ -24,39 +22,35 @@ const DefaultSuspectThreshold = 2
 // goes through, a PoP reply) closes the circuit and re-admits the
 // peer.
 //
-// Suspicion is local, advisory state: it never feeds the blacklist,
-// never blocks inbound traffic, and resets on the first success, so a
-// healthy network converges back to full routing with no operator
-// action.
+// Suspicion is local, advisory state: it never blocks inbound traffic,
+// and resets on the first success, so a healthy network converges back
+// to full routing with no operator action. It is the node's one record
+// of a peer's standing: a live node bans no peer for how it answers
+// audits, and that re-admission on the next answer stands in for the
+// redemption of Sec. IV-D6.
 type Health struct {
-	node      identity.NodeID
-	threshold int
-	obs       events.Observer
+	node identity.NodeID
+	obs  events.Observer
 
 	mu       sync.Mutex
 	failures map[identity.NodeID]int
 	suspects map[identity.NodeID]struct{}
 }
 
-// NewHealth builds the tracker for node. threshold <= 0 selects
-// DefaultSuspectThreshold. obs, when non-nil, receives PeerSuspected
-// and PeerRecovered transitions.
-func NewHealth(node identity.NodeID, threshold int, obs events.Observer) *Health {
-	if threshold <= 0 {
-		threshold = DefaultSuspectThreshold
-	}
+// NewHealth builds the tracker for node. obs, when non-nil, receives
+// PeerSuspected and PeerRecovered transitions.
+func NewHealth(node identity.NodeID, obs events.Observer) *Health {
 	return &Health{
-		node:      node,
-		threshold: threshold,
-		obs:       obs,
-		failures:  make(map[identity.NodeID]int),
-		suspects:  make(map[identity.NodeID]struct{}),
+		node:     node,
+		obs:      obs,
+		failures: make(map[identity.NodeID]int),
+		suspects: make(map[identity.NodeID]struct{}),
 	}
 }
 
-// ReportFailure records one failed interaction with peer. Crossing the
-// consecutive-failure threshold opens the circuit (emitting
-// PeerSuspected once per opening).
+// ReportFailure records one failed interaction with peer. Reaching
+// DefaultSuspectThreshold consecutive failures opens the circuit
+// (emitting PeerSuspected once per opening).
 func (h *Health) ReportFailure(peer identity.NodeID) {
 	if h == nil {
 		return
@@ -65,7 +59,7 @@ func (h *Health) ReportFailure(peer identity.NodeID) {
 	n := h.failures[peer] + 1
 	h.failures[peer] = n
 	opened := false
-	if _, sus := h.suspects[peer]; !sus && n >= h.threshold {
+	if _, sus := h.suspects[peer]; !sus && n >= DefaultSuspectThreshold {
 		h.suspects[peer] = struct{}{}
 		opened = true
 	}

@@ -9,7 +9,7 @@ import (
 
 func TestHealthCircuitOpensAtThreshold(t *testing.T) {
 	rec := &recorder{}
-	h := faults.NewHealth(1, 0, rec) // 0 selects DefaultSuspectThreshold (2)
+	h := faults.NewHealth(1, rec)
 
 	h.ReportFailure(9)
 	if h.Suspected(9) {
@@ -52,7 +52,7 @@ func TestHealthCircuitOpensAtThreshold(t *testing.T) {
 }
 
 func TestHealthSuccessResetsFailureStreak(t *testing.T) {
-	h := faults.NewHealth(1, 2, nil)
+	h := faults.NewHealth(1, nil)
 	h.ReportFailure(5)
 	h.ReportSuccess(5)
 	h.ReportFailure(5)
@@ -66,7 +66,7 @@ func TestHealthSuccessResetsFailureStreak(t *testing.T) {
 }
 
 func TestHealthTracksPeersIndependently(t *testing.T) {
-	h := faults.NewHealth(1, 2, nil)
+	h := faults.NewHealth(1, nil)
 	for i := 0; i < 2; i++ {
 		h.ReportFailure(5)
 		h.ReportFailure(6)
@@ -92,7 +92,7 @@ func TestHealthNilReceiverIsSafe(t *testing.T) {
 
 func TestHealthSuspectForcesOpen(t *testing.T) {
 	rec := &recorder{}
-	h := faults.NewHealth(1, 0, rec)
+	h := faults.NewHealth(1, rec)
 
 	h.Suspect(9)
 	if !h.Suspected(9) {

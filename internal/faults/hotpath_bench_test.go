@@ -51,7 +51,7 @@ func BenchmarkHotpathFaultFree(b *testing.B) {
 	ack := &batchAck{ch: make(chan struct{}, 1)}
 	sender, err := node.New(node.Config{
 		Key: kp0, Params: params, Topo: g, Ring: ring, Transport: ep0,
-		Health: faults.NewHealth(0, 0, nil),
+		Health: faults.NewHealth(0, nil),
 	})
 	if err != nil {
 		b.Fatal(err)
@@ -59,7 +59,7 @@ func BenchmarkHotpathFaultFree(b *testing.B) {
 	defer sender.Close()
 	receiver, err := node.New(node.Config{
 		Key: kp1, Params: params, Topo: g, Ring: ring, Transport: ep1,
-		Health:   faults.NewHealth(1, 0, nil),
+		Health:   faults.NewHealth(1, nil),
 		Observer: ack,
 	})
 	if err != nil {

@@ -499,55 +499,3 @@ func TestTrustStoreModelBits(t *testing.T) {
 		t.Fatalf("ModelBits = %d, want %d", got, want)
 	}
 }
-
-func TestBlacklistBanAndRedemption(t *testing.T) {
-	bl := NewBlacklist(2, 2)
-	if bl.Banned(9) {
-		t.Fatal("fresh node banned")
-	}
-	if bl.ReportFailure(9) {
-		t.Fatal("first strike should not ban")
-	}
-	if !bl.ReportFailure(9) {
-		t.Fatal("second strike should ban")
-	}
-	if !bl.Banned(9) {
-		t.Fatal("ban not recorded")
-	}
-	// Redemption: two credits lift the ban.
-	bl.Credit(9)
-	if !bl.Banned(9) {
-		t.Fatal("ban lifted too early")
-	}
-	bl.Credit(9)
-	if bl.Banned(9) {
-		t.Fatal("ban not lifted after quota")
-	}
-}
-
-func TestBlacklistSuccessResetsStrikes(t *testing.T) {
-	bl := NewBlacklist(2, 1)
-	bl.ReportFailure(3)
-	bl.ReportSuccess(3)
-	if bl.ReportFailure(3) {
-		t.Fatal("strikes should have been reset by success")
-	}
-}
-
-func TestBlacklistCreditNonBannedNoop(t *testing.T) {
-	bl := NewBlacklist(0, 0) // defaults
-	bl.Credit(4)
-	if bl.Banned(4) {
-		t.Fatal("credit must not ban")
-	}
-	for i := 0; i < DefaultBanThreshold; i++ {
-		bl.ReportFailure(4)
-	}
-	if !bl.Banned(4) {
-		t.Fatal("default threshold did not ban")
-	}
-	// Failure reports while banned stay banned.
-	if !bl.ReportFailure(4) {
-		t.Fatal("banned node should remain banned")
-	}
-}

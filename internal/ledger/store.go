@@ -8,7 +8,6 @@
 //   - TrustStore — H_i, headers the node has already verified via PoP,
 //     indexed so the Trust Path Selection algorithm (Alg. 2) can extend
 //     paths without any network traffic.
-//   - Blacklist — the selfish-attack penalty mechanism of Sec. IV-D6.
 //
 // # Shared-reference reads
 //

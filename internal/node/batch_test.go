@@ -126,54 +126,21 @@ func TestAnnounceBatchCoalesces(t *testing.T) {
 // per frame: a single frame carrying more digests than AnnounceLimit
 // bans the sender just like a flood of one-digest frames.
 func TestBatchCountsAgainstRateGuard(t *testing.T) {
-	g := topologytest.PaperFig6()
-	params := block.DefaultParams()
-	params.Difficulty = 2
-	kpA := identity.Deterministic(0, 1)
-	kpB := identity.Deterministic(1, 1)
-	kpC := identity.Deterministic(2, 1)
-	ring, err := identity.RingFor([]identity.KeyPair{kpA, kpB, kpC})
-	if err != nil {
-		t.Fatal(err)
-	}
-	netw := transport.NewNetwork()
-	defer netw.Close()
 	log := newDeliveryLog()
-	epB, _ := netw.Endpoint(1)
-	nodeB, err := New(Config{
-		Key: kpB, Params: params, Topo: g, Ring: ring, Transport: epB,
-		Gamma: 1, AnnounceWindow: time.Second, AnnounceLimit: 5,
-		Observer: log,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer nodeB.Close()
-
-	epA, _ := netw.Endpoint(0)
-	defer epA.Close()
-	epC, _ := netw.Endpoint(2)
-	defer epC.Close()
-	ctx := context.Background()
+	nodeB, epA, epC := floodGuardedB(t, log)
 	var flood []digest.Digest
 	for i := 0; i < 50; i++ {
 		flood = append(flood, digest.Sum([]byte{byte(i)}))
 	}
-	msg := wire.NewDigestBatch(0, 1, flood, 1)
-	if err := epA.Send(ctx, 1, msg); err != nil {
+	if err := epA.Send(context.Background(), 1, wire.NewDigestBatch(0, 1, flood, 1)); err != nil {
 		t.Fatal(err)
 	}
-	// Sentinel from B's other neighbor: FIFO inbox plus serial dispatch
-	// means its ingest event proves the flood frame was already judged.
-	sentinel := digest.Sum([]byte("batch sentinel"))
-	if err := epC.Send(ctx, 1, wire.NewDigestBatch(2, 1, []digest.Digest{sentinel}, 2)); err != nil {
-		t.Fatal(err)
-	}
-	log.wait(t, 2, 1, sentinel)
-	if !nodeB.Blacklist().Banned(0) {
-		t.Fatal("batch flooder never banned")
-	}
+	judged(t, epC, log, "batch sentinel", 2)
 	if _, ok := nodeB.Engine().Cache().Get(0); ok {
 		t.Fatal("over-limit batch still updated the digest cache")
 	}
+	if acked(epA, flood[0]) {
+		t.Fatal("over-limit batch was acknowledged")
+	}
+	requireFlooderBanned(t, nodeB, epA, epC, log)
 }

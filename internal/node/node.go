@@ -9,6 +9,9 @@
 // The runtime also enforces the receiver-side DoS defense of Sec.
 // IV-D5: a neighbor announcing blocks faster than the proof-of-work
 // difficulty plausibly allows is banned and its digests are discarded.
+// That ban is the rate guard's alone. Audits keep no record of a
+// peer's standing beyond Config.Health, whose suspicion routes around
+// a peer and lifts on its next answer.
 package node
 
 import (
@@ -111,7 +114,6 @@ type Node struct {
 	cfg    Config
 	engine *core.Engine
 	rpc    *transport.RPC
-	bl     *ledger.Blacklist
 
 	// validator and fetcher serve every Audit: a Validator holds only
 	// configuration and is safe for concurrent Verify calls, and the
@@ -119,8 +121,12 @@ type Node struct {
 	validator *core.Validator
 	fetcher   rpcFetcher
 
+	// mu guards the Sec. IV-D5 rate guard: each sender's recent
+	// announcement times, and the senders it banned for flooding,
+	// whose frames are dropped unread and never acknowledged.
 	mu       sync.Mutex
 	lastAnns map[identity.NodeID][]time.Time
+	flooders map[identity.NodeID]bool
 
 	// batchFrom is the scratch sender column for DigestBatchDelivered
 	// events on single-sender wire batches. It is only touched from
@@ -163,13 +169,12 @@ func New(cfg Config) (*Node, error) {
 	n := &Node{
 		cfg:      cfg,
 		engine:   eng,
-		bl:       ledger.NewBlacklist(0, 0),
 		lastAnns: make(map[identity.NodeID][]time.Time),
+		flooders: make(map[identity.NodeID]bool),
 		seen:     make(map[identity.NodeID]*seenRing),
 		slot:     wallClockSlot,
 	}
 	n.validator, err = eng.Validator(cfg.Gamma, cfg.Ring, func(c *core.ValidatorConfig) {
-		c.Blacklist = n.bl
 		if h := cfg.Health; h != nil {
 			// Route around peers the circuit breaker suspects; the
 			// filter is advisory (suspects remain last-resort
@@ -200,9 +205,6 @@ func (n *Node) ID() identity.NodeID { return n.cfg.Key.ID }
 
 // Engine exposes the node's 2LDAG state machine.
 func (n *Node) Engine() *core.Engine { return n.engine }
-
-// Blacklist exposes the node's penalty book (Sec. IV-D6).
-func (n *Node) Blacklist() *ledger.Blacklist { return n.bl }
 
 // dedupWindow bounds the per-sender idempotent-receive memory. A
 // duplicate can only trail its original by the fabric's maximum delay,
@@ -341,7 +343,7 @@ func (n *Node) ack(ctx context.Context, msg *wire.Message) {
 // next digest).
 func (n *Node) onAnnounceBatch(ctx context.Context, msg *wire.Message) {
 	from := msg.From
-	if n.bl.Banned(from) {
+	if n.flooder(from) {
 		return // cheap pre-check: banned peers don't get a decode
 	}
 	ds, err := msg.DecodeDigestBatchPayload()
@@ -364,7 +366,7 @@ func (n *Node) onAnnounceBatch(ctx context.Context, msg *wire.Message) {
 		return
 	}
 	if !n.announceAllowed(from, len(fresh)) {
-		return // banned or flooding senders get no acknowledgement
+		return // flooding senders get no acknowledgement
 	}
 	if err := n.engine.OnDigestsFrom(from, fresh); err != nil {
 		return // non-neighbors rejected inside
@@ -406,22 +408,27 @@ func (n *Node) delivered(from, to identity.NodeID, ds []digest.Digest) {
 	obs.OnDigestBatchDelivered(events.DigestBatchDelivered{To: to, From: froms, Digests: ds})
 }
 
+// flooder reports whether the rate guard has banned from.
+func (n *Node) flooder(from identity.NodeID) bool {
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	return n.flooders[from]
+}
+
 // announceAllowed applies the receiver-side DoS defense of Sec. IV-D5
-// for count announcements arriving from one neighbor at once: a
-// banned sender is ignored, and a sender exceeding AnnounceLimit
-// digests within AnnounceWindow is banned (flooding faster than the
-// PoW difficulty plausibly allows — "a node may ban a neighbor that
-// generates blocks quicker than the expected time to solve the
-// puzzle").
+// for count announcements arriving at once from a neighbor not yet
+// banned (onAnnounceBatch checks flooder first): a sender exceeding
+// AnnounceLimit digests within AnnounceWindow is banned for good
+// (flooding faster than the PoW difficulty plausibly allows — "a node
+// may ban a neighbor that generates blocks quicker than the expected
+// time to solve the puzzle").
 func (n *Node) announceAllowed(from identity.NodeID, count int) bool {
-	if n.bl.Banned(from) {
-		return false
-	}
 	if n.cfg.AnnounceWindow <= 0 || n.cfg.AnnounceLimit <= 0 {
 		return true
 	}
 	now := time.Now()
 	n.mu.Lock()
+	defer n.mu.Unlock()
 	keep := n.lastAnns[from][:0]
 	for _, t := range n.lastAnns[from] {
 		if now.Sub(t) <= n.cfg.AnnounceWindow {
@@ -431,15 +438,12 @@ func (n *Node) announceAllowed(from identity.NodeID, count int) bool {
 	for i := 0; i < count; i++ {
 		keep = append(keep, now)
 	}
-	n.lastAnns[from] = keep
-	over := len(keep) > n.cfg.AnnounceLimit
-	n.mu.Unlock()
-	if over {
-		for !n.bl.Banned(from) {
-			n.bl.ReportFailure(from)
-		}
+	if len(keep) > n.cfg.AnnounceLimit {
+		n.flooders[from] = true
+		delete(n.lastAnns, from)
 		return false
 	}
+	n.lastAnns[from] = keep
 	return true
 }
 

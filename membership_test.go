@@ -2,11 +2,14 @@ package twoldag
 
 import (
 	"context"
+	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
 	"strings"
 	"testing"
+	"time"
 
 	"github.com/twoldag/twoldag/internal/topology"
 )
@@ -87,48 +90,109 @@ func TestAuditsRouteAroundSilenced(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			setGOMAXPROCS(t, 4)
-			rt := newRuntime(t, tc.opts...)
-			refs := fillBatch(t, rt, 3)
-			ids := rt.Nodes()
-			validator := ids[len(ids)-1]
-			target := refs[0]
-			var victim NodeID
-			for _, id := range ids {
-				if id != target.Node && id != validator {
-					victim = id
-					break
-				}
-			}
-			if err := rt.Silence(victim); err != nil {
+			if err := routeAroundRun(tc.opts...); err != nil {
 				t.Fatal(err)
 			}
-			if err := rt.Silence(victim); err == nil {
-				t.Fatal("double silence accepted")
+		})
+	}
+}
+
+// routeAroundRun is TestAuditsRouteAroundSilenced's body on one driver:
+// it silences one device after three slots, then audits four
+// first-slot blocks of devices still online from the last device. It
+// returns the first step that failed: a seal, a Silence, or an audit
+// that failed, reached no consensus or counted the silenced device
+// among its vouchers. It closes the runtime before it returns, and
+// reports through its result alone, so it may run on a goroutine other
+// than the test's.
+func routeAroundRun(opts ...Option) error {
+	rt, err := New(opts...)
+	if err != nil {
+		return err
+	}
+	defer rt.Close()
+	refs, err := fillSlots(rt, 3)
+	if err != nil {
+		return err
+	}
+	ids := rt.Nodes()
+	validator := ids[len(ids)-1]
+	target := refs[0]
+	var victim NodeID
+	for _, id := range ids {
+		if id != target.Node && id != validator {
+			victim = id
+			break
+		}
+	}
+	if err := rt.Silence(victim); err != nil {
+		return err
+	}
+	if err := rt.Silence(victim); err == nil {
+		return errors.New("double silence accepted")
+	}
+	// Audit first-slot blocks of devices that are still online (a
+	// silenced origin cannot serve its own block at all).
+	var reqs []AuditRequest
+	for _, ref := range refs[:len(refs)/3] {
+		if ref.Node == victim || ref.Node == validator {
+			continue
+		}
+		reqs = append(reqs, AuditRequest{Validator: validator, Ref: ref})
+		if len(reqs) == 4 {
+			break
+		}
+	}
+	for _, out := range rt.AuditMany(context.Background(), reqs) {
+		if out.Err != nil {
+			return fmt.Errorf("audit %v after silencing %v: %w", out.Request.Ref, victim, out.Err)
+		}
+		if !out.Result.Consensus {
+			return fmt.Errorf("no consensus on %v after one node silenced", out.Request.Ref)
+		}
+		for _, v := range out.Result.Vouchers {
+			if v == victim {
+				return fmt.Errorf("silenced node %v vouched for %v", victim, out.Request.Ref)
 			}
-			// Audit first-slot blocks of devices that are still online
-			// (a silenced origin cannot serve its own block at all).
+		}
+	}
+	return nil
+}
+
+// TestFreshAuditsKeepNeighboursAcknowledging audits every device's
+// newest block from every device, four times over, before any device
+// has sealed a child of it, so every REQ_CHILD of those audits is
+// answered "no child yet", an honest reply. The next slot's batch must
+// still be acknowledged by every neighbour within a short deadline: a
+// validator that counted those replies against the neighbour, and then
+// dropped its announcements, left the batch "unacknowledged by" it.
+func TestFreshAuditsKeepNeighboursAcknowledging(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		opts []Option
+	}{
+		{"live", baseOptions(8, 2)},
+		{"sim", append(baseOptions(8, 2), WithSimulator())},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			rt := newRuntime(t, tc.opts...)
+			fresh := fillBatch(t, rt, 1)
 			var reqs []AuditRequest
-			for _, ref := range refs[:len(refs)/3] {
-				if ref.Node == victim || ref.Node == validator {
-					continue
-				}
-				reqs = append(reqs, AuditRequest{Validator: validator, Ref: ref})
-				if len(reqs) == 4 {
-					break
-				}
-			}
-			for _, out := range rt.AuditMany(context.Background(), reqs) {
-				if out.Err != nil {
-					t.Fatalf("audit %v after silencing %v: %v", out.Request.Ref, victim, out.Err)
-				}
-				if !out.Result.Consensus {
-					t.Fatalf("no consensus on %v after one node silenced", out.Request.Ref)
-				}
-				for _, v := range out.Result.Vouchers {
-					if v == victim {
-						t.Fatalf("silenced node %v vouched for %v", victim, out.Request.Ref)
+			for _, v := range rt.Nodes() {
+				for _, ref := range fresh {
+					for k := 0; k < 4; k++ {
+						reqs = append(reqs, AuditRequest{Validator: v, Ref: ref})
 					}
 				}
+			}
+			// No verdict is asked of these audits: a block nobody has
+			// referenced yet cannot gather γ+1 vouchers.
+			rt.AuditMany(context.Background(), reqs)
+			ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
+			defer cancel()
+			rt.AdvanceSlot()
+			if _, err := rt.SubmitBatch(ctx, slotBatch(rt.Nodes(), 1, "after the audits")); err != nil {
+				t.Fatal(err)
 			}
 		})
 	}

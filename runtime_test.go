@@ -39,7 +39,16 @@ func newRuntime(t *testing.T, opts ...Option) Runtime {
 // returns every ref.
 func fillBatch(t *testing.T, rt Runtime, slots int) []Ref {
 	t.Helper()
-	ctx := context.Background()
+	refs, err := fillSlots(rt, slots)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return refs
+}
+
+// fillSlots is fillBatch reporting its failure as an error, for runs
+// on a goroutine other than the test's.
+func fillSlots(rt Runtime, slots int) ([]Ref, error) {
 	var refs []Ref
 	for s := 0; s < slots; s++ {
 		rt.AdvanceSlot()
@@ -48,13 +57,13 @@ func fillBatch(t *testing.T, rt Runtime, slots int) []Ref {
 		for i, id := range ids {
 			batch[i] = Submission{Node: id, Data: []byte(fmt.Sprintf("reading %v@%d", id, s))}
 		}
-		got, err := rt.SubmitBatch(ctx, batch)
+		got, err := rt.SubmitBatch(context.Background(), batch)
 		if err != nil {
-			t.Fatalf("SubmitBatch slot %d: %v", s, err)
+			return refs, fmt.Errorf("SubmitBatch slot %d: %w", s, err)
 		}
 		refs = append(refs, got...)
 	}
-	return refs
+	return refs, nil
 }
 
 // TestDriverEquivalence is the tentpole acceptance test: the same seed

@@ -27,7 +27,6 @@ var testOnlyAllowed = map[string]string{
 	"analysis.StorageBound":                 "pending: ROADMAP item 3",
 	"analysis.TotalBlocks":                  "pending: ROADMAP item 3",
 	"analysis.TrustStoreBound":              "pending: ROADMAP item 3",
-	"attack.Selfish.Credit":                 "pending: ROADMAP item 7(d)",
 	"core.NewStoreFetcher":                  "pending: ROADMAP item 3",
 	"dag.FromStores":                        "pending: ROADMAP item 3",
 	"dag.Graph.BlocksPerNode":               "pending: ROADMAP item 3",
@@ -36,7 +35,6 @@ var testOnlyAllowed = map[string]string{
 	"dag.Graph.IsAcyclic":                   "pending: ROADMAP item 3",
 	"dag.Graph.Reachable":                   "pending: ROADMAP item 3",
 	"dag.Graph.VoucherReach":                "pending: ROADMAP item 3",
-	"ledger.Blacklist.Credit":               "pending: ROADMAP item 7(d)",
 	"ledger.WithWALFile":                    "seam",
 	"metrics.EventCounters.WritePrometheus": "pending: ROADMAP item 1(a0)",
 	"sim.Sim.Stores":                        "pending: ROADMAP item 2",
