@@ -408,8 +408,8 @@ func Ablations(scale Scale) ([]*FigResult, error) {
 	return []*FigResult{strat, tps}, nil
 }
 
-// ScalingCurve is the scale-validation run behind ROADMAP item 5: it
-// sweeps network size over a seeded small-world topology and reports
+// ScalingCurve is the simulator's scale-validation run: it sweeps
+// network size over a seeded small-world topology and reports
 // per-node storage, communication, heap footprint and wall-clock at
 // each size. Everything but heap/wall-clock is deterministic on the
 // seed; the heap column is the live heap after two collections

@@ -81,7 +81,7 @@ func TestStorageBoundDominatesSimulator(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m := s.Model()
+	m := block.DefaultSizeModel(cfg.BodyBytes) // the model sim.New stores
 	rates := make([]float64, 10)
 	for i := range rates {
 		rates[i] = float64(m.C) // bits per slot

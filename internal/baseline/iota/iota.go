@@ -30,8 +30,6 @@ type Config struct {
 	BodyBytes int
 	// Seed drives tip selection.
 	Seed int64
-	// Model overrides the analytic size model.
-	Model block.SizeModel
 }
 
 func (c Config) validate() error {
@@ -79,10 +77,7 @@ func Run(cfg Config) (*Report, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
-	m := cfg.Model
-	if m == (block.SizeModel{}) {
-		m = block.DefaultSizeModel(cfg.BodyBytes)
-	}
+	m := block.DefaultSizeModel(cfg.BodyBytes)
 	g := cfg.Graph
 	ids := g.Nodes()
 	n := len(ids)

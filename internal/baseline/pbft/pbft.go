@@ -30,9 +30,6 @@ type Config struct {
 	Slots int
 	// BodyBytes is C: each node's per-slot transaction payload.
 	BodyBytes int
-	// Model overrides the analytic size model; zero value means
-	// DefaultSizeModel(BodyBytes).
-	Model block.SizeModel
 }
 
 func (c Config) validate() error {
@@ -91,10 +88,7 @@ func Run(cfg Config) (*Report, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
-	m := cfg.Model
-	if m == (block.SizeModel{}) {
-		m = block.DefaultSizeModel(cfg.BodyBytes)
-	}
+	m := block.DefaultSizeModel(cfg.BodyBytes)
 	n := cfg.Nodes
 	rep := &Report{
 		AvgStorageBits:  make([]int64, 0, cfg.Slots),

@@ -13,11 +13,9 @@ import (
 // moves the validator to another candidate.
 //
 // Retries are only safe because receive is idempotent: every
-// announcement ingest dedups on the digest (a re-delivered digest is
-// discarded before the Sec. IV-D5 DoS guard charges the sender), and
+// announcement ingest dedups on the digest before it touches A_i, and
 // PoP requests are read-only with per-call correlation IDs, so a
-// duplicated or re-sent frame can never corrupt A_i nor double-charge
-// a rate guard.
+// duplicated or re-sent frame can never corrupt A_i.
 type RetryPolicy struct {
 	// MaxAttempts is the total number of tries including the first;
 	// values below 2 disable retries.

@@ -3,6 +3,7 @@ package node
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -122,25 +123,36 @@ func TestAnnounceBatchCoalesces(t *testing.T) {
 	}
 }
 
-// TestBatchCountsAgainstRateGuard pins the DoS defense per digest, not
-// per frame: a single frame carrying more digests than AnnounceLimit
-// bans the sender just like a flood of one-digest frames.
-func TestBatchCountsAgainstRateGuard(t *testing.T) {
-	log := newDeliveryLog()
-	nodeB, epA, epC := floodGuardedB(t, log)
-	var flood []digest.Digest
+// TestDigestBatchFrameIngestedWhole sends one 50-digest frame from a
+// bare neighbor endpoint: A_i ends on the frame's last digest, one
+// DigestBatchDelivered event carries every digest in order, and the
+// DigestAck echoes every digest, though the decode consumed the frame's
+// payload copy.
+func TestDigestBatchFrameIngestedWhole(t *testing.T) {
+	rec := newBatchRecorder()
+	b, eps := ackingNode(t, 1, rec)
+	var run []digest.Digest
 	for i := 0; i < 50; i++ {
-		flood = append(flood, digest.Sum([]byte{byte(i)}))
+		run = append(run, digest.Sum([]byte{byte(i)}))
 	}
-	if err := epA.Send(context.Background(), 1, wire.NewDigestBatch(0, 1, flood, 1)); err != nil {
+	if err := eps[0].Send(context.Background(), 1, wire.NewDigestBatch(0, 1, run, 1)); err != nil {
 		t.Fatal(err)
 	}
-	judged(t, epC, log, "batch sentinel", 2)
-	if _, ok := nodeB.Engine().Cache().Get(0); ok {
-		t.Fatal("over-limit batch still updated the digest cache")
+	// The ack goes out after the delivery event, on the same dispatch.
+	ack := nextFrame(t, eps[0])
+	if ack.Kind != wire.KindDigestAck {
+		t.Fatalf("A got a %v, want a DigestAck", ack.Kind)
 	}
-	if acked(epA, flood[0]) {
-		t.Fatal("over-limit batch was acknowledged")
+	acked, err := ack.DecodeDigestAckPayload()
+	if err != nil || !slices.Equal(acked, run) {
+		t.Fatalf("ack names %d digests (%v), want the frame's %d in order", len(acked), err, len(run))
 	}
-	requireFlooderBanned(t, nodeB, epA, epC, log)
+	if got, ok := b.Engine().Cache().Get(0); !ok || got != run[len(run)-1] {
+		t.Fatal("A_i did not end on the frame's last digest")
+	}
+	rec.mu.Lock()
+	defer rec.mu.Unlock()
+	if got := rec.batches[1]; len(got) != 1 || !slices.Equal(got[0], run) {
+		t.Fatalf("%d delivery events, want one carrying the frame's %d digests in order", len(got), len(run))
+	}
 }

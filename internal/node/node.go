@@ -6,12 +6,12 @@
 // REQ_CHILD/RPY_CHILD and block retrievals during PoP (Sec. IV) — over
 // either the in-memory fabric or TCP.
 //
-// The runtime also enforces the receiver-side DoS defense of Sec.
-// IV-D5: a neighbor announcing blocks faster than the proof-of-work
-// difficulty plausibly allows is banned and its digests are discarded.
-// That ban is the rate guard's alone. Audits keep no record of a
-// peer's standing beyond Config.Health, whose suspicion routes around
-// a peer and lifts on its next answer.
+// A receiver admits a neighbor's digests into A_i whatever their rate:
+// the ban of Sec. IV-D5 on a neighbor announcing faster than the
+// proof-of-work difficulty plausibly allows is not reproduced, because
+// it would key on a frame's From, which TCP does not authenticate. A
+// node keeps no record of a peer's standing beyond Config.Health, whose
+// suspicion routes audits around a peer and lifts on its next answer.
 package node
 
 import (
@@ -51,11 +51,6 @@ type Config struct {
 	Gamma int
 	// RequestTimeout is τ for PoP requests (0 = transport default).
 	RequestTimeout time.Duration
-	// AnnounceWindow and AnnounceLimit bound per-neighbor digest
-	// announcements: more than AnnounceLimit digests within
-	// AnnounceWindow bans the sender (0 values disable the guard).
-	AnnounceWindow time.Duration
-	AnnounceLimit  int
 	// Retry bounds re-transmission of PoP requests (REQ_CHILD,
 	// GET_BLOCK): each failed call backs off and retries up to
 	// Retry.MaxAttempts before the validator gives up on the peer. The
@@ -121,13 +116,6 @@ type Node struct {
 	validator *core.Validator
 	fetcher   rpcFetcher
 
-	// mu guards the Sec. IV-D5 rate guard: each sender's recent
-	// announcement times, and the senders it banned for flooding,
-	// whose frames are dropped unread and never acknowledged.
-	mu       sync.Mutex
-	lastAnns map[identity.NodeID][]time.Time
-	flooders map[identity.NodeID]bool
-
 	// batchFrom is the scratch sender column for DigestBatchDelivered
 	// events on single-sender wire batches. It is only touched from
 	// the RPC dispatch goroutine (handle's announcement arms run
@@ -138,15 +126,13 @@ type Node struct {
 	// seen is the idempotent-receive guard: per sender, the recent
 	// digests already ingested into A_i. A re-delivered digest —
 	// a retry, an injected duplicate, a delayed copy arriving after
-	// newer announcements — is discarded before the DoS guard charges
-	// the sender and before the latest-wins cache could regress to a
-	// stale entry. Like batchFrom it is only touched from the dispatch
-	// goroutine, so no lock is needed.
+	// newer announcements — is discarded before the latest-wins cache
+	// could regress to a stale entry. Like batchFrom it is only touched
+	// from the dispatch goroutine, so no lock is needed.
 	seen map[identity.NodeID]*seenRing
 
 	slot func() uint32
 
-	wg      sync.WaitGroup
 	closeMu sync.Mutex
 	closed  bool
 }
@@ -167,12 +153,10 @@ func New(cfg Config) (*Node, error) {
 		return nil, fmt.Errorf("node: %w", err)
 	}
 	n := &Node{
-		cfg:      cfg,
-		engine:   eng,
-		lastAnns: make(map[identity.NodeID][]time.Time),
-		flooders: make(map[identity.NodeID]bool),
-		seen:     make(map[identity.NodeID]*seenRing),
-		slot:     wallClockSlot,
+		cfg:    cfg,
+		engine: eng,
+		seen:   make(map[identity.NodeID]*seenRing),
+		slot:   wallClockSlot,
 	}
 	n.validator, err = eng.Validator(cfg.Gamma, cfg.Ring, func(c *core.ValidatorConfig) {
 		if h := cfg.Health; h != nil {
@@ -280,7 +264,7 @@ func (n *Node) markSeen(from identity.NodeID, fresh []digest.Digest) {
 // dispatch goroutine. The in-memory fabric runs the two requests on
 // the requester's goroutine instead (see package transport), alongside
 // dispatch and each other; their arms only read S_i, under the store's
-// own locks, and touch no A_i, ban or rate-guard state.
+// own locks, and touch no A_i or dedup state.
 func (n *Node) handle(env transport.Envelope) {
 	msg := env.Msg
 	ctx := context.Background()
@@ -334,25 +318,17 @@ func (n *Node) ack(ctx context.Context, msg *wire.Message) {
 
 // onAnnounceBatch ingests an announcement frame: idempotent-receive
 // dedup first (re-deliveries are free and side-effect-less), then the
-// DoS guard charges the sender one announcement per fresh digest, then
-// the run enters A_i in one engine pass and is acknowledged with a
-// single receiver-side DigestBatchDelivered event. A frame that would
-// cross AnnounceLimit is dropped whole — no under-limit prefix lands:
-// a frame flooding past the PoW-plausible rate is hostile end to end,
-// and announcement loss is tolerated anyway (neighbors pick up the
-// next digest).
+// fresh run enters A_i in one engine pass and is acknowledged with a
+// single receiver-side DigestBatchDelivered event.
 func (n *Node) onAnnounceBatch(ctx context.Context, msg *wire.Message) {
 	from := msg.From
-	if n.flooder(from) {
-		return // cheap pre-check: banned peers don't get a decode
-	}
 	ds, err := msg.DecodeDigestBatchPayload()
 	if err != nil || len(ds) == 0 {
 		return // malformed or empty frames are dropped
 	}
 	// Idempotent receive: drop already-ingested digests from the frame
-	// (in place, preserving seal order) so a re-delivered batch neither
-	// re-charges the rate guard nor regresses the latest-wins cache.
+	// (in place, preserving seal order) so a re-delivered batch cannot
+	// regress the latest-wins cache.
 	fresh := ds[:0]
 	for _, d := range ds {
 		if !n.seenBefore(from, d) {
@@ -364,9 +340,6 @@ func (n *Node) onAnnounceBatch(ctx context.Context, msg *wire.Message) {
 		// so re-ack the whole frame (the retry implies a lost ack).
 		n.ack(ctx, msg)
 		return
-	}
-	if !n.announceAllowed(from, len(fresh)) {
-		return // flooding senders get no acknowledgement
 	}
 	if err := n.engine.OnDigestsFrom(from, fresh); err != nil {
 		return // non-neighbors rejected inside
@@ -406,45 +379,6 @@ func (n *Node) delivered(from, to identity.NodeID, ds []digest.Digest) {
 	}
 	n.batchFrom = froms
 	obs.OnDigestBatchDelivered(events.DigestBatchDelivered{To: to, From: froms, Digests: ds})
-}
-
-// flooder reports whether the rate guard has banned from.
-func (n *Node) flooder(from identity.NodeID) bool {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	return n.flooders[from]
-}
-
-// announceAllowed applies the receiver-side DoS defense of Sec. IV-D5
-// for count announcements arriving at once from a neighbor not yet
-// banned (onAnnounceBatch checks flooder first): a sender exceeding
-// AnnounceLimit digests within AnnounceWindow is banned for good
-// (flooding faster than the PoW difficulty plausibly allows — "a node
-// may ban a neighbor that generates blocks quicker than the expected
-// time to solve the puzzle").
-func (n *Node) announceAllowed(from identity.NodeID, count int) bool {
-	if n.cfg.AnnounceWindow <= 0 || n.cfg.AnnounceLimit <= 0 {
-		return true
-	}
-	now := time.Now()
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	keep := n.lastAnns[from][:0]
-	for _, t := range n.lastAnns[from] {
-		if now.Sub(t) <= n.cfg.AnnounceWindow {
-			keep = append(keep, t)
-		}
-	}
-	for i := 0; i < count; i++ {
-		keep = append(keep, now)
-	}
-	if len(keep) > n.cfg.AnnounceLimit {
-		n.flooders[from] = true
-		delete(n.lastAnns, from)
-		return false
-	}
-	n.lastAnns[from] = keep
-	return true
 }
 
 // SealLocal and PublishLocal seal the node's next block from body
@@ -516,9 +450,8 @@ func (n *Node) AnnounceTo(ctx context.Context, nb identity.NodeID, d digest.Dige
 // Retry/idempotency contract: announcement delivery is at-least-once
 // when a caller retries (AnnounceTo) and exactly-once in effect —
 // every receiver dedups on the digest before any side effect, so a
-// re-sent or duplicated frame never double-charges the Sec. IV-D5
-// rate guard, never regresses A_i's latest-wins entry, and never
-// re-fires the delivery acknowledgement event.
+// re-sent or duplicated frame never regresses A_i's latest-wins entry
+// and never re-fires the delivery acknowledgement event.
 func (n *Node) AnnounceBatch(ctx context.Context, ds []digest.Digest) {
 	if len(ds) == 0 {
 		return
@@ -577,9 +510,7 @@ func (n *Node) Close() error {
 		return nil
 	}
 	n.closed = true
-	err := n.rpc.Close()
-	n.wg.Wait()
-	return err
+	return n.rpc.Close()
 }
 
 // rpcFetcher adapts the RPC layer to the core.Fetcher seam.

@@ -1,8 +1,12 @@
 // Package pow implements the lightweight proof-of-work nonce search of
 // 2LDAG (paper Eq. 5): a node must find a nonce n such that
 // H(M(b^d), Δ, n) ≤ ρ before publishing a block. The difficulty ρ is
-// deliberately tiny — it exists to rate-limit block generation (the DoS
-// defense of Sec. IV-D5, the same strategy as IOTA), not to elect miners.
+// deliberately tiny, as in IOTA: it prices block generation rather than
+// electing miners. Every header on an audit path must carry a solved
+// nonce (block.Params.ValidateHeader and VerifyChain check it), but no
+// receiver limits how fast a neighbor announces: Sec. IV-D5's ban on a
+// neighbor generating faster than PoW plausibly allows is not
+// reproduced.
 //
 // Difficulty is expressed as the required number of leading zero bits of
 // the digest, which is equivalent to the paper's "≤ ρ" threshold form
@@ -42,7 +46,7 @@ type Difficulty uint8
 
 // DefaultDifficulty keeps nonce search around tens of microseconds on a
 // desktop CPU — "found quickly, e.g. in seconds" on an IoT-class device
-// per the paper — while still throttling flooding attackers.
+// per the paper. It prices a seal; it throttles no receiver.
 const DefaultDifficulty Difficulty = 8
 
 // NonceSize is the wire size of a nonce in bytes (f_n = 32 bits).

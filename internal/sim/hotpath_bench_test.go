@@ -44,8 +44,8 @@ func BenchmarkAnnounceBatch(b *testing.B) {
 // announcement, audits) under the serial scheduler (GOMAXPROCS 1) and
 // the parallel one (the process's GOMAXPROCS). Both produce
 // byte-identical reports (see TestParallelSchedulerIsDeterministic);
-// the difference is wall clock. The n=10k variant is the scale
-// benchmark behind ROADMAP item 5: a 10k-node small-world network
+// the difference is wall clock. The n=10k variant is the short form
+// of TestScaleRun10k's scale validation: a 10k-node small-world network
 // stepping three slots with audits live (VerifyLag below the horizon)
 // on the per-node par.ForEach phases and one plain store per node, so
 // ns/op tracks per-slot cost at scale.

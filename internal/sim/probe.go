@@ -24,9 +24,6 @@ type ProbeConfig struct {
 	Trials int
 	// Stride probes every Stride slots (0 = 1).
 	Stride int
-	// TargetWindow restricts targets to blocks generated within the
-	// first TargetWindow slots (0 = Gamma, per Sec. VI-C).
-	TargetWindow int
 }
 
 // ProbeReport is the Fig. 9 data: consensus failure probability per
@@ -50,12 +47,8 @@ func RunProbe(cfg ProbeConfig) (*ProbeReport, error) {
 	if cfg.Stride <= 0 {
 		cfg.Stride = 1
 	}
-	if cfg.TargetWindow <= 0 {
-		cfg.TargetWindow = cfg.Base.Gamma
-		if cfg.TargetWindow <= 0 {
-			cfg.TargetWindow = 1
-		}
-	}
+	// Targets are blocks generated within the first γ slots (Sec. VI-C).
+	window := max(cfg.Base.Gamma, 1)
 	if cfg.MaxSlots <= 0 {
 		return nil, fmt.Errorf("%w: MaxSlots %d", ErrBadConfig, cfg.MaxSlots)
 	}
@@ -86,8 +79,8 @@ func RunProbe(cfg ProbeConfig) (*ProbeReport, error) {
 			if err := s.Step(); err != nil {
 				return nil, err
 			}
-			if !haveTarget && slot >= cfg.TargetWindow {
-				target, err = pickProbeTarget(s, cfg.TargetWindow, trialRNG)
+			if !haveTarget && slot >= window {
+				target, err = pickProbeTarget(s, window, trialRNG)
 				if err != nil {
 					return nil, err
 				}

@@ -8,7 +8,7 @@ import (
 	"github.com/twoldag/twoldag/internal/topology"
 )
 
-// TestScaleRun10k is the ROADMAP item 5 acceptance run: a seeded
+// TestScaleRun10k is the simulator's scale-validation run: a seeded
 // 10k-node small-world network driven for 500 slots with audit duty
 // live, on ten thousand plain per-node stores and per-node fan-outs. It
 // asserts the run completes with bounded memory and logs the headline

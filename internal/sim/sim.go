@@ -426,9 +426,6 @@ func (s *Sim) Graph() *topology.Graph { return s.graph }
 // Ring returns the shared public-key registry.
 func (s *Sim) Ring() *identity.Ring { return s.ring }
 
-// Model returns the analytic size model in use.
-func (s *Sim) Model() block.SizeModel { return s.model }
-
 // Stores returns every live node's block store (for DAG analysis).
 func (s *Sim) Stores() map[identity.NodeID]*ledger.Store {
 	out := make(map[identity.NodeID]*ledger.Store, len(s.ids))

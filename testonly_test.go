@@ -68,12 +68,94 @@ func TestInternalFuncsHaveNonTestCallers(t *testing.T) {
 	}
 }
 
+// TestInternalConfigFieldsAreSet is the ratchet on knobs nothing turns:
+// every exported field of an exported struct type of internal/ whose
+// name ends in Config, Options, Policy or Params must be set by a
+// non-test .go file of the repository other than the one declaring it,
+// as a composite-literal key or as the selector on an assignment's left
+// side. Fields match by name, as methods do above. Types the root
+// package re-exports by alias are public API that library users set, and
+// are exempt. There is no allowlist: set the field or delete it.
+func TestInternalConfigFieldsAreSet(t *testing.T) {
+	for _, name := range unsetConfigFields(t) {
+		t.Errorf("%s is set by no non-test file but its own: set it or delete it", name)
+	}
+}
+
+// unsetConfigFields returns the fields TestInternalConfigFieldsAreSet
+// flags, as "<dir under internal>.<Type>.<Field>", sorted.
+func unsetConfigFields(t *testing.T) []string {
+	t.Helper()
+	type field struct{ typ, name, file string }
+	var fields []field
+	setIn := map[string][]string{} // field name -> files setting it
+	aliased := map[string]bool{}   // "<dir under internal>.<Type>"
+	configType := regexp.MustCompile(`(Config|Options|Policy|Params)$`)
+	walkNonTestGo(t, func(_ *token.FileSet, path string, f *ast.File) {
+		dir := filepath.ToSlash(filepath.Dir(path))
+		idir, internal := strings.CutPrefix(dir, "internal/")
+		imports := internalImports(f)
+		for _, d := range f.Decls {
+			gd, ok := d.(*ast.GenDecl)
+			if !ok || gd.Tok != token.TYPE {
+				continue
+			}
+			for _, spec := range gd.Specs {
+				ts := spec.(*ast.TypeSpec)
+				if sel, ok := ts.Type.(*ast.SelectorExpr); ok && dir == "." && ts.Assign.IsValid() {
+					if x, ok := sel.X.(*ast.Ident); ok && imports[x.Name] != "" {
+						aliased[imports[x.Name]+"."+sel.Sel.Name] = true
+					}
+				}
+				st, ok := ts.Type.(*ast.StructType)
+				if !ok || !internal || !ts.Name.IsExported() || !configType.MatchString(ts.Name.Name) {
+					continue
+				}
+				for _, fl := range st.Fields.List {
+					for _, name := range fl.Names {
+						if name.IsExported() {
+							fields = append(fields, field{idir + "." + ts.Name.Name, name.Name, path})
+						}
+					}
+				}
+			}
+		}
+		ast.Inspect(f, func(n ast.Node) bool {
+			switch n := n.(type) {
+			case *ast.CompositeLit:
+				for _, e := range n.Elts {
+					if kv, ok := e.(*ast.KeyValueExpr); ok {
+						if k, ok := kv.Key.(*ast.Ident); ok {
+							setIn[k.Name] = append(setIn[k.Name], path)
+						}
+					}
+				}
+			case *ast.AssignStmt:
+				for _, lhs := range n.Lhs {
+					if sel, ok := lhs.(*ast.SelectorExpr); ok {
+						setIn[sel.Sel.Name] = append(setIn[sel.Sel.Name], path)
+					}
+				}
+			}
+			return true
+		})
+	})
+	var unset []string
+	for _, fl := range fields {
+		elsewhere := func(file string) bool { return file != fl.file }
+		if !aliased[fl.typ] && !slices.ContainsFunc(setIn[fl.name], elsewhere) {
+			unset = append(unset, fl.typ+"."+fl.name)
+		}
+	}
+	slices.Sort(unset)
+	return unset
+}
+
 // testOnlyFuncs returns the internal/ functions and methods no non-test
 // identifier names, keyed "<dir under internal>.[<Recv>.]<Name>", with the
 // line count of each body.
 func testOnlyFuncs(t *testing.T) map[string]int {
 	t.Helper()
-	const internalPath = "github.com/twoldag/twoldag/internal/"
 	type decl struct {
 		key, name string
 		method    bool
@@ -83,24 +165,7 @@ func testOnlyFuncs(t *testing.T) map[string]int {
 	// used holds every identifier a method may be named by; funcUsed the
 	// "<dir under internal>.<Name>" of every package-level function named.
 	used, funcUsed := map[string]bool{}, map[string]bool{}
-	fset := token.NewFileSet()
-	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
-		if err != nil {
-			return err
-		}
-		if d.IsDir() {
-			if path != "." && (strings.HasPrefix(d.Name(), ".") || isTestSupport(path)) {
-				return filepath.SkipDir
-			}
-			return nil
-		}
-		if !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
-			return nil
-		}
-		f, err := parser.ParseFile(fset, path, nil, 0)
-		if err != nil {
-			return err
-		}
+	walkNonTestGo(t, func(fset *token.FileSet, path string, f *ast.File) {
 		own := map[*ast.Ident]bool{}
 		dir, internal := strings.CutPrefix(filepath.ToSlash(filepath.Dir(path)), "internal/")
 		for _, d := range f.Decls {
@@ -119,19 +184,7 @@ func testOnlyFuncs(t *testing.T) map[string]int {
 			lines := fset.Position(fn.End()).Line - fset.Position(fn.Pos()).Line + 1
 			decls = append(decls, decl{key + fn.Name.Name, fn.Name.Name, fn.Recv != nil, lines})
 		}
-		// imports maps each import name of the file to the package's dir
-		// under internal/.
-		imports := map[string]string{}
-		for _, imp := range f.Imports {
-			ipath, _ := strconv.Unquote(imp.Path.Value)
-			if idir, ok := strings.CutPrefix(ipath, internalPath); ok {
-				name := filepath.Base(idir)
-				if imp.Name != nil {
-					name = imp.Name.Name
-				}
-				imports[name] = idir
-			}
-		}
+		imports := internalImports(f)
 		sels := map[*ast.Ident]bool{}
 		ast.Inspect(f, func(n ast.Node) bool {
 			switch n := n.(type) {
@@ -151,11 +204,7 @@ func testOnlyFuncs(t *testing.T) map[string]int {
 			}
 			return true
 		})
-		return nil
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
 	flagged := map[string]int{}
 	for _, d := range decls {
 		if (d.method && !used[d.name]) || (!d.method && !funcUsed[d.key]) {
@@ -163,6 +212,55 @@ func testOnlyFuncs(t *testing.T) map[string]int {
 		}
 	}
 	return flagged
+}
+
+// walkNonTestGo parses every non-test .go file of the repository,
+// benchmark/ included, and hands it to visit. Hidden dirs and the
+// test-support packages internal/<pkg>/<pkg>test are skipped.
+func walkNonTestGo(t *testing.T, visit func(fset *token.FileSet, path string, f *ast.File)) {
+	t.Helper()
+	fset := token.NewFileSet()
+	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() {
+			if path != "." && (strings.HasPrefix(d.Name(), ".") || isTestSupport(path)) {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		if !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
+			return nil
+		}
+		f, err := parser.ParseFile(fset, path, nil, 0)
+		if err != nil {
+			return err
+		}
+		visit(fset, path, f)
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+}
+
+// internalImports maps each import name of f to the imported package's
+// dir under internal/.
+func internalImports(f *ast.File) map[string]string {
+	const internalPath = "github.com/twoldag/twoldag/internal/"
+	imports := map[string]string{}
+	for _, imp := range f.Imports {
+		ipath, _ := strconv.Unquote(imp.Path.Value)
+		if idir, ok := strings.CutPrefix(ipath, internalPath); ok {
+			name := filepath.Base(idir)
+			if imp.Name != nil {
+				name = imp.Name.Name
+			}
+			imports[name] = idir
+		}
+	}
+	return imports
 }
 
 // isTestSupport reports whether dir is a test-support package
