@@ -135,9 +135,52 @@ func (r *reader) digest() (digest.Digest, error) {
 	return d, nil
 }
 
+// EncodedHeaderLen returns the length of the header an encoding opens
+// with — a header's encoding, or a block's (AppendEncode) — read from
+// its Δ count and signature length without decoding it. ok is false
+// when enc is too short to hold that header or a count is past the
+// decoder's limits.
+func EncodedHeaderLen(enc []byte) (n int, ok bool) {
+	const refsAt = 4*4 + digest.Size // version, time, origin, seq, root
+	if len(enc) < refsAt+4 {
+		return 0, false
+	}
+	refs := binary.LittleEndian.Uint32(enc[refsAt:])
+	if refs > MaxDigestRefs {
+		return 0, false
+	}
+	n = refsAt + 4 + int(refs)*(4+digest.Size) + 4 // Δ, then the nonce
+	if len(enc) < n+4 {
+		return 0, false
+	}
+	sig := binary.LittleEndian.Uint32(enc[n:])
+	if sig > MaxSignatureLen || len(enc)-n-4 < int(sig) {
+		return 0, false
+	}
+	return n + 4 + int(sig), true
+}
+
+// EncodedContains is Header.Contains read off a header's encoding, one
+// EncodedHeaderLen accepts, without decoding it.
+func EncodedContains(enc []byte, d digest.Digest) bool {
+	const refsAt = 4*4 + digest.Size
+	if d.IsZero() || len(enc) < refsAt+4 {
+		return false
+	}
+	refs := int(binary.LittleEndian.Uint32(enc[refsAt:]))
+	for k, off := 0, refsAt+4; k < refs && off+4+digest.Size <= len(enc); k, off = k+1, off+4+digest.Size {
+		if digest.Digest(enc[off+4:off+4+digest.Size]) == d {
+			return true
+		}
+	}
+	return false
+}
+
 // decodeHeader parses one header at the cursor into h, which must be
-// zero. Δ and the signature are copied out of the buffer.
-func decodeHeader(r *reader, h *Header) error {
+// zero but for room for Δ: Δ is copied out of the buffer, into h.Digests'
+// backing array when it is long enough, and so is the signature unless
+// shared is set, when it aliases the buffer.
+func decodeHeader(r *reader, h *Header, shared bool) error {
 	var err error
 	if h.Version, err = r.uint32(); err != nil {
 		return err
@@ -163,7 +206,11 @@ func decodeHeader(r *reader, h *Header) error {
 	if nRefs > MaxDigestRefs {
 		return fmt.Errorf("%w: %d digest refs", ErrOversized, nRefs)
 	}
-	h.Digests = make([]DigestRef, nRefs)
+	if h.Digests != nil && cap(h.Digests) >= int(nRefs) {
+		h.Digests = h.Digests[:nRefs]
+	} else {
+		h.Digests = make([]DigestRef, nRefs)
+	}
 	for i := range h.Digests {
 		node, err := r.uint32()
 		if err != nil {
@@ -189,7 +236,11 @@ func decodeHeader(r *reader, h *Header) error {
 	if err != nil {
 		return err
 	}
-	h.Signature = append([]byte(nil), sig...)
+	if shared {
+		h.Signature = sig[:len(sig):len(sig)]
+	} else {
+		h.Signature = append([]byte(nil), sig...)
+	}
 	return nil
 }
 
@@ -197,7 +248,7 @@ func decodeHeader(r *reader, h *Header) error {
 func DecodeHeader(buf []byte) (*Header, error) {
 	r := reader{buf: buf}
 	h := new(Header)
-	if err := decodeHeader(&r, h); err != nil {
+	if err := decodeHeader(&r, h, false); err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrBadEncoded, err)
 	}
 	if r.off != len(buf) {
@@ -222,10 +273,36 @@ func Decode(buf []byte) (*Block, error) {
 // copied), so buf must be neither modified nor reused afterwards. It is
 // how a received frame's private payload copy becomes the block body
 // without a second copy.
-func DecodeOwned(buf []byte) (*Block, error) {
+func DecodeOwned(buf []byte) (*Block, error) { return decodeOwned(buf, new(Block), false) }
+
+// sharedBlock is a block with room for its Δ in the same allocation.
+type sharedBlock struct {
+	Block
+	refs [stackDigestRefs]DigestRef
+}
+
+// DecodeShared is DecodeOwned with the signature aliasing buf as well,
+// a Δ of up to stackDigestRefs entries held in the block's own
+// allocation, and the header sealed: its hash is taken over the
+// header's bytes in buf, which a header that decodes re-encodes to
+// exactly. It is for a buffer read for this one block, which its body
+// keeps alive anyway (a segment record read back for a Get): whoever
+// keeps the header keeps buf.
+func DecodeShared(buf []byte) (*Block, error) {
+	sb := new(sharedBlock)
+	sb.Header.Digests = sb.refs[:0]
+	b, err := decodeOwned(buf, &sb.Block, true)
+	if err != nil {
+		return nil, err
+	}
+	n := len(buf) - 4 - len(b.Body)
+	b.Header.hash, b.Header.hashOK = digest.Sum(buf[:n]), true
+	return b, nil
+}
+
+func decodeOwned(buf []byte, b *Block, shared bool) (*Block, error) {
 	r := reader{buf: buf}
-	b := new(Block)
-	if err := decodeHeader(&r, &b.Header); err != nil {
+	if err := decodeHeader(&r, &b.Header, shared); err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrBadEncoded, err)
 	}
 	bodyLen, err := r.uint32()

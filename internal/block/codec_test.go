@@ -63,10 +63,17 @@ func TestHeaderRoundTrip(t *testing.T) {
 	}
 }
 
+// TestBlockRoundTrip also reads each encoding the ways a segment
+// record is read back: DecodeShared (sealed from the raw header bytes,
+// Δ past stackDigestRefs included), EncodedHeaderLen and
+// EncodedContains.
 func TestBlockRoundTrip(t *testing.T) {
 	r := rand.New(rand.NewSource(2))
 	for i := 0; i < 30; i++ {
 		b := &Block{Header: *randomHeader(r), Body: make([]byte, r.Intn(500))}
+		for i%5 == 0 && len(b.Header.Digests) <= stackDigestRefs {
+			b.Header.Digests = append(b.Header.Digests, DigestRef{Node: identity.NodeID(i), Digest: digest.Sum(b.Header.Root[:], []byte{byte(len(b.Header.Digests))})})
+		}
 		r.Read(b.Body)
 		enc := Encode(b)
 		if len(enc) != b.WireSize() {
@@ -79,6 +86,23 @@ func TestBlockRoundTrip(t *testing.T) {
 		if !headersEqual(&b.Header, &got.Header) || string(b.Body) != string(got.Body) {
 			t.Fatal("block round trip mismatch")
 		}
+		shared, err := DecodeShared(enc)
+		if err != nil || !shared.Header.Sealed() || shared.Header.Hash() != b.Header.Clone().Hash() ||
+			!headersEqual(&b.Header, &shared.Header) || string(b.Body) != string(shared.Body) {
+			t.Fatalf("DecodeShared: %v, or another block", err)
+		}
+		if n, ok := EncodedHeaderLen(enc); !ok || n != b.Header.WireSize() {
+			t.Fatalf("EncodedHeaderLen = %d, %v; want %d", n, ok, b.Header.WireSize())
+		}
+		hdr := enc[:b.Header.WireSize()]
+		for _, ref := range b.Header.Digests {
+			if !EncodedContains(hdr, ref.Digest) {
+				t.Fatal("EncodedContains misses a digest of Δ")
+			}
+		}
+		if EncodedContains(hdr, b.Header.Root) || EncodedContains(hdr, digest.Digest{}) {
+			t.Fatal("EncodedContains finds a digest Δ does not hold")
+		}
 	}
 }
 
@@ -89,6 +113,9 @@ func TestDecodeTruncated(t *testing.T) {
 	for cut := 0; cut < len(enc); cut++ {
 		if _, err := DecodeHeader(enc[:cut]); err == nil {
 			t.Fatalf("truncation at %d accepted", cut)
+		}
+		if _, ok := EncodedHeaderLen(enc[:cut]); ok {
+			t.Fatalf("EncodedHeaderLen accepts a truncation at %d", cut)
 		}
 	}
 }

@@ -193,7 +193,7 @@ func TestRecoveryHostAckedDigestSurvivesKill(t *testing.T) {
 // recoverDir recovers owner's ledger state, at difficulty 2, from data
 // dir dir as a Host lays it out: the dir's log, and owner's segment and
 // checkpoint in dir/node-<owner>. Both stay open until the test ends, so
-// the state's store can read bodies back from the segment.
+// the state's store can read blocks back from the segment.
 func recoverDir(t *testing.T, dir string, owner identity.NodeID) (*ledger.NodeState, error) {
 	t.Helper()
 	l, err := ledger.OpenLog(dir)

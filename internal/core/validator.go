@@ -437,6 +437,9 @@ func (v *Validator) cacheVerifiedPath(path []PathStep, target *block.Block) {
 
 // Responder implements Algorithm 4: serve the oldest local block whose
 // Δ contains a requested digest, and serve full blocks to validators.
+// A durable node's store reads the blocks its segment holds back from
+// it: Child and Serve hand a reply the record's encoding as read, and
+// ChildFor and Block, for callers in the same process, decode it.
 type Responder struct {
 	store *ledger.Store
 }
@@ -449,11 +452,23 @@ func NewResponder(store *ledger.Store) *Responder {
 // ChildFor returns the header of the oldest local block containing
 // target in its Δ (Eq. 10–11), or ErrNoChild.
 func (r *Responder) ChildFor(target digest.Digest) (*block.Header, error) {
-	b, ok := r.store.OldestContaining(target)
-	if !ok {
-		return nil, fmt.Errorf("%w: %s at %v", ErrNoChild, target, r.store.Owner())
+	v, err := r.Child(target)
+	if err != nil {
+		return nil, err
 	}
-	return &b.Header, nil
+	return v.Header()
+}
+
+// Child is ChildFor as an RPY_CHILD carries it: the stored block, or
+// the header's encoding read back from the segment
+// (ledger.Served.Enc[:HeaderLen]). No block holding target is
+// ErrNoChild; a record that cannot be read back is the store's error.
+func (r *Responder) Child(target digest.Digest) (ledger.Served, error) {
+	v, err := r.store.OldestContaining(target)
+	if errors.Is(err, ledger.ErrNotFound) {
+		return ledger.Served{}, fmt.Errorf("%w: %s at %v", ErrNoChild, target, r.store.Owner())
+	}
+	return v, err
 }
 
 // Block returns the full local block for ref, used to answer a
@@ -463,4 +478,13 @@ func (r *Responder) Block(ref block.Ref) (*block.Block, error) {
 		return nil, fmt.Errorf("%w: %v not owned by %v", ledger.ErrNotFound, ref, r.store.Owner())
 	}
 	return r.store.Get(ref.Seq)
+}
+
+// Serve is Block as a BLOCK_RESP carries it: the stored block, or its
+// encoding read back from the segment (ledger.Served.Enc).
+func (r *Responder) Serve(ref block.Ref) (ledger.Served, error) {
+	if ref.Node != r.store.Owner() {
+		return ledger.Served{}, fmt.Errorf("%w: %v not owned by %v", ledger.ErrNotFound, ref, r.store.Owner())
+	}
+	return r.store.Serve(ref.Seq)
 }

@@ -42,8 +42,9 @@ func New() *Graph {
 }
 
 // FromStores builds the logical DAG over every block in the given
-// stores.
-func FromStores(stores map[identity.NodeID]*ledger.Store) *Graph {
+// stores. A durable store reads the headers its segment holds back
+// from it, and a read that fails fails the build.
+func FromStores(stores map[identity.NodeID]*ledger.Store) (*Graph, error) {
 	g := New()
 	ids := make([]identity.NodeID, 0, len(stores))
 	for id := range stores {
@@ -51,11 +52,15 @@ func FromStores(stores map[identity.NodeID]*ledger.Store) *Graph {
 	}
 	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
 	for _, id := range ids {
-		for _, h := range stores[id].Headers() {
+		hs, err := stores[id].Headers()
+		if err != nil {
+			return nil, err
+		}
+		for _, h := range hs {
 			g.Add(h)
 		}
 	}
-	return g
+	return g, nil
 }
 
 // Add indexes a header.

@@ -51,10 +51,31 @@ func buildNetwork(t *testing.T, slots int) map[identity.NodeID]*ledger.Store {
 	return stores
 }
 
+// mustFromStores is FromStores for in-memory stores, which read no
+// header back and so cannot fail.
+func mustFromStores(t *testing.T, stores map[identity.NodeID]*ledger.Store) *Graph {
+	t.Helper()
+	g, err := FromStores(stores)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return g
+}
+
+// mustHeaders is Store.Headers for an in-memory store.
+func mustHeaders(t *testing.T, s *ledger.Store) []*block.Header {
+	t.Helper()
+	hs, err := s.Headers()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return hs
+}
+
 func TestFromStoresCountsAndProp1(t *testing.T) {
 	slots := 4
 	stores := buildNetwork(t, slots)
-	g := FromStores(stores)
+	g := mustFromStores(t, stores)
 	// Prop. 1: every node generated slots+1 blocks (incl. genesis).
 	want := 4 * (slots + 1)
 	if g.Len() != want {
@@ -69,7 +90,7 @@ func TestFromStoresCountsAndProp1(t *testing.T) {
 }
 
 func TestAcyclicity(t *testing.T) {
-	g := FromStores(buildNetwork(t, 5))
+	g := mustFromStores(t, buildNetwork(t, 5))
 	if !g.IsAcyclic() {
 		t.Fatal("2LDAG logical layer must be acyclic")
 	}
@@ -77,10 +98,10 @@ func TestAcyclicity(t *testing.T) {
 
 func TestChildrenParentsConsistency(t *testing.T) {
 	stores := buildNetwork(t, 3)
-	g := FromStores(stores)
+	g := mustFromStores(t, stores)
 	// For every indexed block, each parent must list it as a child.
 	for _, s := range stores {
-		for _, h := range s.Headers() {
+		for _, h := range mustHeaders(t, s) {
 			hh := h.Hash()
 			for _, p := range g.Parents(hh) {
 				found := false
@@ -100,7 +121,7 @@ func TestChildrenParentsConsistency(t *testing.T) {
 
 func TestReachableAlongChain(t *testing.T) {
 	stores := buildNetwork(t, 4)
-	g := FromStores(stores)
+	g := mustFromStores(t, stores)
 	s := stores[1] // node B
 	first, err := s.Get(0)
 	if err != nil {
@@ -120,7 +141,7 @@ func TestReachableAlongChain(t *testing.T) {
 
 func TestReachableCrossNode(t *testing.T) {
 	stores := buildNetwork(t, 4)
-	g := FromStores(stores)
+	g := mustFromStores(t, stores)
 	// D0 must be reachable from... D0's digest is included in C's or
 	// B's later blocks, which are in turn referenced onward: check that
 	// an early block reaches some block of every other node
@@ -136,7 +157,7 @@ func TestReachableCrossNode(t *testing.T) {
 
 func TestDescendantCountMonotone(t *testing.T) {
 	stores := buildNetwork(t, 4)
-	g := FromStores(stores)
+	g := mustFromStores(t, stores)
 	s := stores[0]
 	early, err := s.Get(0)
 	if err != nil {
@@ -166,7 +187,7 @@ func TestHeaderLookupErrors(t *testing.T) {
 
 func TestAddIdempotent(t *testing.T) {
 	stores := buildNetwork(t, 1)
-	g := FromStores(stores)
+	g := mustFromStores(t, stores)
 	n := g.Len()
 	e := g.EdgeCount()
 	h, err := stores[0].Get(0)
@@ -181,11 +202,11 @@ func TestAddIdempotent(t *testing.T) {
 
 func TestEdgeCountMatchesDigestRefs(t *testing.T) {
 	stores := buildNetwork(t, 2)
-	g := FromStores(stores)
+	g := mustFromStores(t, stores)
 	// Every non-zero Δ entry whose parent is indexed is one edge.
 	want := 0
 	for _, s := range stores {
-		for _, h := range s.Headers() {
+		for _, h := range mustHeaders(t, s) {
 			for _, ref := range h.Digests {
 				if ref.Digest.IsZero() {
 					continue

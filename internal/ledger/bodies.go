@@ -1,102 +1,209 @@
 package ledger
 
 import (
-	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
 
 	"github.com/twoldag/twoldag/internal/block"
+	"github.com/twoldag/twoldag/internal/digest"
+	"github.com/twoldag/twoldag/internal/identity"
 	"github.com/twoldag/twoldag/internal/merkle"
 )
 
-// Bodies on disk. A durable node's S_i holds every own block twice
+// Blocks on disk. A durable node's S_i holds every own block twice
 // unless it lets one copy go: its segment (see FileBackend) has each
-// block's record at an offset that never changes, so once a committed
-// checkpoint covers a block the store keeps it without its body —
-// header, body-root memo, the record's end — and reads the body back
-// when a block is asked for whole (Get: GET_BLOCK, Runtime.Block,
-// sample proofs). Everything else the protocol asks of S_i (responder
-// queries, Latest, Headers, the state digest, checkpoints) reads
-// headers and memos only. No read is kept: every Get of a segmented
-// block reads its record (BenchmarkHotpathSegmentGet prices one).
+// block's record at an offset that never changes. So once a committed
+// checkpoint covers a block, the store keeps three things of it — its
+// header hash, its body root M(body) under the default leaf size and
+// where its record ends (keptBlock, 72 B) — and lets the block go. The
+// newest block alone stays, without its body, for Latest. The state
+// digest, checkpoints, ModelBits and BodyBytes read what is kept. Any
+// read that needs more reads the record back: Get (GET_BLOCK in
+// process, Runtime.Block, sample proofs), Headers, and the responder
+// index, whose build reads every header (one it cannot read fails only
+// the queries that block could answer) and whose confirm of a hit
+// reads the one it names. A read is one pread, the record's CRC, and
+// one SHA-256 that holds the header bytes to the kept hash; a record
+// that is not the block's is ErrBadSegment, never another block. A
+// responder replying on the wire takes the record's payload as it is
+// (Served): it already is the BLOCK_RESP payload, and its header
+// prefix the RPY_CHILD one. No read is kept: every read of a
+// segmented block reads its record (BenchmarkHotpathSegmentGet prices
+// a Get).
 
-// segmentBodies is where a durable store reads back the bodies it
-// does not hold: the first len(ends) blocks of the log sit in the
-// segment r, block i's record ending at ends[i] and starting where
-// block i-1's ends (block 0's at 0).
-type segmentBodies struct {
-	r    io.ReaderAt
-	ends []int64 // guarded by the store's lock
+// keptBlock is what S_i keeps of a block its segment holds: the header
+// hash and body root the state digest reads — the hash also tells the
+// block's record from another's — and where the record ends.
+type keptBlock struct {
+	hash, root digest.Digest
+	end        int64
 }
 
-// start is where block seq's record starts. Caller holds the store's
-// lock.
-func (sb *segmentBodies) start(seq uint32) int64 {
-	if seq == 0 {
-		return 0
+// keep is what S_i keeps of b once its record, ending at end, is
+// committed. b must still hold its body unless it carries a body-root
+// memo under the default leaf size.
+func keep(b *block.Block, end int64) keptBlock {
+	return keptBlock{hash: b.Header.Hash(), root: digestRoot(b), end: end}
+}
+
+// digestRoot is b's body root under the default leaf size, the state
+// digest's: the root memoized at seal time, or — for a block appended
+// unsealed — hashed from its body.
+func digestRoot(b *block.Block) digest.Digest {
+	if root, ok := b.CachedBodyRoot(merkle.DefaultLeafSize); ok {
+		return root
 	}
-	return sb.ends[seq-1]
+	// RootOfBody fails only on a non-positive leaf size.
+	root, _ := merkle.RootOfBody(b.Body, merkle.DefaultLeafSize)
+	return root
 }
 
-// readSegmented reads the segment record of b, bytes [start, end) of
-// r, and returns a fresh block: b's header, shared, and the body the
-// record holds. The record must be intact (its CRC), a block record,
-// and open with b's header byte for byte — so with b's origin and
-// sequence number too; anything else is ErrBadSegment, never another
-// block. The body is not held to the header's Root here: the fresh
-// block carries no body-root memo, so whoever validates it hashes the
-// body it got.
-func readSegmented(r io.ReaderAt, b *block.Block, start, end int64) (*block.Block, error) {
-	h := &b.Header
-	rec := make([]byte, end-start)
-	if n, err := r.ReadAt(rec, start); n < len(rec) {
+// segment is where a durable store reads back the blocks it lets go
+// of: the first len(recs) blocks of the log sit in r, block i's record
+// ending at recs[i].end and starting where block i-1's ends (block 0's
+// at 0).
+type segment struct {
+	r    io.ReaderAt
+	recs []keptBlock // guarded by the store's lock
+}
+
+// recordAt is where block seq's record sits and the header hash it
+// must carry. Caller holds the store's lock; the record never changes
+// once committed, so it may be read without it.
+func (sg *segment) recordAt(owner identity.NodeID, seq uint32) blockRecord {
+	rr := blockRecord{r: sg.r, ref: block.Ref{Node: owner, Seq: seq}, end: sg.recs[seq].end, hash: sg.recs[seq].hash}
+	if seq > 0 {
+		rr.start = sg.recs[seq-1].end
+	}
+	return rr
+}
+
+// blockRecord is one segmented block's record to read back.
+type blockRecord struct {
+	r          io.ReaderAt
+	ref        block.Ref
+	start, end int64
+	hash       digest.Digest
+}
+
+// payload reads the record and returns its payload, the block's
+// encoding. The record must be intact (its CRC) and a block record;
+// anything else is ErrBadSegment. Whose block it holds is the caller's
+// to check.
+func (rr blockRecord) payload() ([]byte, error) {
+	rec := make([]byte, rr.end-rr.start)
+	if n, err := rr.r.ReadAt(rec, rr.start); n < len(rec) {
 		if err == nil || errors.Is(err, io.EOF) {
-			return nil, fmt.Errorf("%w: %v#%d: the segment ends inside its record at offset %d", ErrBadSegment, h.Origin, h.Seq, start)
+			return nil, fmt.Errorf("%w: %v: the segment ends inside its record at offset %d", ErrBadSegment, rr.ref, rr.start)
 		}
-		return nil, fmt.Errorf("ledger: reading %v#%d from its segment: %w", h.Origin, h.Seq, err)
+		return nil, fmt.Errorf("ledger: reading %v from its segment: %w", rr.ref, err)
 	}
 	got, n, err := scanWALRecord(rec)
 	if err != nil || n != len(rec) || got.kind != walKindBlock {
-		return nil, fmt.Errorf("%w: %v#%d: no block record at offset %d", ErrBadSegment, h.Origin, h.Seq, start)
+		return nil, fmt.Errorf("%w: %v: no block record at offset %d", ErrBadSegment, rr.ref, rr.start)
 	}
-	var scratch [1024]byte
-	p, hdr := got.payload, block.AppendEncodeHeader(scratch[:0], h)
-	if len(p) < len(hdr)+4 || !bytes.Equal(p[:len(hdr)], hdr) ||
-		int(binary.LittleEndian.Uint32(p[len(hdr):])) != len(p)-len(hdr)-4 {
-		return nil, fmt.Errorf("%w: %v#%d: the record at offset %d holds another block", ErrBadSegment, h.Origin, h.Seq, start)
-	}
-	return &block.Block{Header: *h, Body: p[len(hdr)+4 : len(p) : len(p)]}, nil
+	return got.payload, nil
 }
 
-// readBodiesFrom makes r, the owner's segment, where this store reads
-// back the bodies segmented lets go of. The backend installs it once,
+// otherBlock is the error of a record that holds another block than
+// the one read back.
+func (rr blockRecord) otherBlock() error {
+	return fmt.Errorf("%w: %v: the record at offset %d holds another block", ErrBadSegment, rr.ref, rr.start)
+}
+
+// encoded reads the record for a reply: its payload, once its header
+// bytes hash to the kept header hash and its body length is the rest.
+func (rr blockRecord) encoded() (Served, error) {
+	p, err := rr.payload()
+	if err != nil {
+		return Served{}, err
+	}
+	n, ok := block.EncodedHeaderLen(p)
+	if !ok || len(p)-n < 4 || int(binary.LittleEndian.Uint32(p[n:])) != len(p)-n-4 || digest.Sum(p[:n]) != rr.hash {
+		return Served{}, rr.otherBlock()
+	}
+	return Served{Enc: p, HeaderLen: n}, nil
+}
+
+// block reads the record back as a fresh read-only block: header and
+// body decoded in place — the header sealed, its hash the kept one —
+// with no body-root memo, so whoever validates it hashes the body it
+// got.
+func (rr blockRecord) block() (*block.Block, error) {
+	p, err := rr.payload()
+	if err != nil {
+		return nil, err
+	}
+	b, err := block.DecodeShared(p)
+	if err != nil || b.Header.Hash() != rr.hash {
+		return nil, rr.otherBlock()
+	}
+	return b, nil
+}
+
+// Served is one of S_i's blocks as a read hands it to a responder:
+// Block when S_i holds it (without its body when only its header was
+// asked for and the body is in the segment), else Enc, the block's
+// encoding read back from its segment record, whose first HeaderLen
+// bytes are its header's and hash to the header hash S_i keeps. Enc is
+// a BLOCK_RESP payload as it stands, and Enc[:HeaderLen] an RPY_CHILD
+// one. Enc is read for this one call, and is read-only like a held
+// block.
+type Served struct {
+	Block     *block.Block
+	Enc       []byte
+	HeaderLen int
+}
+
+// Header returns the served block's header: the held one, or one
+// decoded from Enc.
+func (v Served) Header() (*block.Header, error) {
+	if v.Block != nil {
+		return &v.Block.Header, nil
+	}
+	return block.DecodeHeader(v.Enc[:v.HeaderLen])
+}
+
+// contains reports whether the served block's Δ holds d.
+func (v Served) contains(d digest.Digest) bool {
+	if v.Block != nil {
+		return v.Block.Header.Contains(d)
+	}
+	return block.EncodedContains(v.Enc[:v.HeaderLen], d)
+}
+
+// readBlocksFrom makes r, the owner's segment, where this store reads
+// back the blocks segmented lets go of. The backend installs it once,
 // when it first opens the segment, the way SetJournal installs the
 // journal.
-func (s *Store) readBodiesFrom(r io.ReaderAt) {
+func (s *Store) readBlocksFrom(r io.ReaderAt) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.seg = &segmentBodies{r: r}
+	s.seg = &segment{r: r}
 }
 
-// segmented records that the next len(ends) blocks after those already
-// recorded sit in the segment — ends[k] is where the k-th one's record
-// ends — and lets go of their bodies: each is replaced by a body-less
-// copy (block.Block.WithoutBody), which Get reads back. Readers holding
-// the replaced block keep it whole. A block without a body-root memo
-// under the default leaf size stays whole, since the state digest
-// needs that root; one restored without its body (readSegment) has
-// none to let go.
-func (s *Store) segmented(ends []int64) {
+// segmented records that the next len(recs) blocks after those already
+// recorded sit in the segment, and lets go of them: S_i keeps recs of
+// them (taking recs itself when it kept none yet), and of the newest
+// block of its log a body-less copy (block.Block.WithoutBody) for
+// Latest. Readers holding a block let go keep it whole.
+func (s *Store) segmented(recs []keptBlock) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	from := len(s.seg.ends)
-	for k := range ends {
-		b := s.blocks[from+k]
-		if _, ok := b.CachedBodyRoot(merkle.DefaultLeafSize); ok && b.Body != nil {
-			s.blocks[from+k] = b.WithoutBody()
+	from := len(s.seg.recs)
+	if from == 0 {
+		s.seg.recs = recs
+	} else {
+		s.seg.recs = append(s.seg.recs, recs...)
+	}
+	newest := len(s.blocks) - 1
+	for seq := from; seq < len(s.seg.recs); seq++ {
+		if seq == newest {
+			s.blocks[seq] = s.blocks[seq].WithoutBody()
+		} else {
+			s.blocks[seq] = nil
 		}
 	}
-	s.seg.ends = append(s.seg.ends, ends...)
 }

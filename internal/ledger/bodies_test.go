@@ -3,6 +3,7 @@ package ledger
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -65,10 +66,11 @@ func segmentedStore(t *testing.T, chain []*block.Block) (string, *Store) {
 }
 
 // TestSegmentedBlocksReadBack: once a committed checkpoint covers its
-// blocks, S_i holds none of their bodies — after the compaction that
-// committed them and after a restart alike — and Get returns each
-// block byte-identical to the one sealed, the state digest and
-// BodyBytes unmoved.
+// blocks, S_i holds none of them but the newest, and that one without
+// its body — after the compaction that committed them and after a
+// restart alike — and Get returns each block byte-identical to the one
+// sealed, Headers each header, the state digest and BodyBytes
+// unmoved.
 func TestSegmentedBlocksReadBack(t *testing.T) {
 	key := identity.Deterministic(1, 4)
 	chain := bodyChain(t, key, 20)
@@ -84,12 +86,20 @@ func TestSegmentedBlocksReadBack(t *testing.T) {
 	want, wantBytes := st.Digest(), st.Store.BodyBytes()
 	check := func(stage string, st *NodeState, segmented int) {
 		t.Helper()
+		hs, err := st.Store.Headers()
+		if err != nil {
+			t.Fatalf("%s: Headers: %v", stage, err)
+		}
 		for seq := 0; seq < st.Store.Len(); seq++ {
 			st.Store.mu.RLock()
-			held := st.Store.blocks[seq].Body != nil
+			b := st.Store.blocks[seq]
 			st.Store.mu.RUnlock()
-			if held != (seq >= segmented) {
-				t.Fatalf("%s: block %d holds its body: %v, want %v", stage, seq, held, seq >= segmented)
+			header, body := b != nil, b != nil && b.Body != nil
+			if newest := seq == st.Store.Len()-1; header != (seq >= segmented || newest) || body != (seq >= segmented) {
+				t.Fatalf("%s: block %d: header held %v, body held %v; %d of %d blocks segmented", stage, seq, header, body, segmented, st.Store.Len())
+			}
+			if hs[seq].Hash() != chain[seq].Header.Hash() {
+				t.Fatalf("%s: Headers()[%d] is another block's", stage, seq)
 			}
 			got, err := st.Store.Get(uint32(seq))
 			if err != nil {
@@ -226,13 +236,19 @@ func TestSegmentedGetConcurrent(t *testing.T) {
 }
 
 // TestSegmentedGetFaults: damage to a committed record is never served
-// as a block. A flipped body byte fails the record's CRC; a segment cut
-// below a recorded offset ends inside the record; a record moved to
-// another block's offset is a valid record of the wrong block — each is
-// ErrBadSegment from Get. A body byte flipped with the CRC recomputed
-// passes (the header is the stored one) and fails validation against
-// the header's Root instead, as any substituted body does. And a
-// closed backend reads nothing back.
+// as a block or a header. A flipped body byte fails the record's CRC; a
+// segment cut below a recorded offset ends inside the record; a record
+// moved to another block's offset is a valid record of the wrong block
+// — each is ErrBadSegment from Get, and from the responder query whose
+// answer is that block (OldestContaining), whether its index was built
+// before the damage or reads every header back after it, while a query
+// an older, intact block answers still answers. A body byte
+// flipped with the CRC recomputed passes (the header is the stored one)
+// and fails validation against the header's Root instead, as any
+// substituted body does. And a closed backend reads nothing back: Get,
+// the responder query and Headers fail with an I/O error, not a verdict
+// on the segment, while what S_i keeps — the newest header, the state
+// digest — outlives it.
 func TestSegmentedGetFaults(t *testing.T) {
 	key := identity.Deterministic(1, 4)
 	ring := identity.NewRing()
@@ -241,6 +257,8 @@ func TestSegmentedGetFaults(t *testing.T) {
 	}
 	chain := bodyChain(t, key, 6)
 	recLen := int64(len(appendWALRecord(nil, walKindBlock, block.Encode(chain[0]))))
+	// Block 3's Δ holds block 2's hash: the query whose answer is block 3.
+	child := chain[2].Header.Hash()
 	for _, tc := range []struct {
 		name   string
 		damage func(seg []byte) []byte
@@ -262,32 +280,54 @@ func TestSegmentedGetFaults(t *testing.T) {
 		}, false},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			dir, s := segmentedStore(t, chain)
-			path := filepath.Join(dir, segmentFileName)
-			seg, err := os.ReadFile(path)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := os.WriteFile(path, tc.damage(seg), 0o644); err != nil {
-				t.Fatal(err)
-			}
-			got, err := s.Get(3)
-			switch {
-			case tc.bad && !errors.Is(err, ErrBadSegment):
-				t.Fatalf("Get of a damaged record: %v, %v; want ErrBadSegment", got, err)
-			case !tc.bad && err != nil:
-				t.Fatalf("Get: %v", err)
-			case !tc.bad:
-				if got.Header.Hash() != chain[3].Header.Hash() {
-					t.Fatal("the record read back holds another header")
-				}
-				if err := testParams().Validate(got, ring); !errors.Is(err, block.ErrRootMismatch) {
-					t.Fatalf("a substituted body validates: %v", err)
-				}
-			}
-			// The blocks before the damage still read back.
-			if got, err := s.Get(1); err != nil || !bytes.Equal(block.Encode(got), block.Encode(chain[1])) {
-				t.Fatalf("an intact record: %v", err)
+			for _, indexed := range []bool{false, true} {
+				t.Run(fmt.Sprintf("index built before %v", indexed), func(t *testing.T) {
+					dir, s := segmentedStore(t, chain)
+					if indexed {
+						if h, ok := oldestHeader(s, child); !ok || h.Hash() != chain[3].Header.Hash() {
+							t.Fatal("the intact segment answers another block")
+						}
+					}
+					path := filepath.Join(dir, segmentFileName)
+					seg, err := os.ReadFile(path)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if err := os.WriteFile(path, tc.damage(seg), 0o644); err != nil {
+						t.Fatal(err)
+					}
+					got, err := s.Get(3)
+					switch {
+					case tc.bad && !errors.Is(err, ErrBadSegment):
+						t.Fatalf("Get of a damaged record: %v, %v; want ErrBadSegment", got, err)
+					case !tc.bad && err != nil:
+						t.Fatalf("Get: %v", err)
+					case !tc.bad:
+						if got.Header.Hash() != chain[3].Header.Hash() {
+							t.Fatal("the record read back holds another header")
+						}
+						if err := testParams().Validate(got, ring); !errors.Is(err, block.ErrRootMismatch) {
+							t.Fatalf("a substituted body validates: %v", err)
+						}
+					}
+					v, err := s.OldestContaining(child)
+					switch {
+					case tc.bad && !errors.Is(err, ErrBadSegment):
+						t.Fatalf("responder query answered by a damaged record: %+v, %v; want ErrBadSegment", v, err)
+					case !tc.bad && err != nil:
+						t.Fatalf("responder query: %v", err)
+					case !tc.bad && digest.Sum(v.Enc[:v.HeaderLen]) != chain[3].Header.Hash():
+						t.Fatal("the responder query answers another header")
+					}
+					// The blocks before the damage still read back, and answer
+					// the queries whose oldest holder they are.
+					if got, err := s.Get(1); err != nil || !bytes.Equal(block.Encode(got), block.Encode(chain[1])) {
+						t.Fatalf("an intact record: %v", err)
+					}
+					if h, ok := oldestHeader(s, chain[0].Header.Hash()); !ok || h.Hash() != chain[1].Header.Hash() {
+						t.Fatal("a query answered by an intact block older than the damage fails")
+					}
+				})
 			}
 		})
 	}
@@ -302,25 +342,38 @@ func TestSegmentedGetFaults(t *testing.T) {
 		if err := fb.Compact(func() (*NodeState, error) { return st, nil }); err != nil {
 			t.Fatal(err)
 		}
+		want := st.Digest()
 		if err := fb.Close(); err != nil {
 			t.Fatal(err)
 		}
 		if _, err := st.Store.Get(2); err == nil || errors.Is(err, ErrBadSegment) {
 			t.Fatalf("Get after Close: %v; want an I/O error, not a verdict on the segment", err)
 		}
-		if h := st.Store.Headers(); len(h) != len(chain) || h[2].Hash() != chain[2].Header.Hash() {
-			t.Fatal("headers went with the backend")
+		if _, err := st.Store.OldestContaining(child); err == nil || errors.Is(err, ErrBadSegment) || errors.Is(err, ErrNotFound) {
+			t.Fatalf("responder query after Close: %v; want an I/O error, not a verdict on the segment", err)
+		}
+		if _, err := st.Store.Headers(); err == nil || errors.Is(err, ErrBadSegment) {
+			t.Fatalf("Headers after Close: %v; want an I/O error, not a verdict on the segment", err)
+		}
+		if b := st.Store.Latest(); b == nil || b.Header.Hash() != chain[len(chain)-1].Header.Hash() {
+			t.Fatal("the newest header went with the backend")
+		}
+		if st.Digest() != want {
+			t.Fatal("the state digest moved with the backend's close")
 		}
 	})
 }
 
 // FuzzSegmentRead writes hostile bytes over the record of block k in a
-// segment a store reads its bodies from — re-framed with a valid CRC
+// segment a store reads its blocks from — re-framed with a valid CRC
 // when reframe is set, so they reach the record's header and length
 // checks. Get must return the block asked for, or ErrBadSegment: a
 // block whose header is the stored one, with the sealed body or one
-// that fails validation against that header's Root. Never a panic,
-// never another block.
+// that fails validation against that header's Root. The responder
+// query for every digest the chain references — its index built
+// before the damage when k's top bit is set, after it otherwise — must
+// answer the oldest block holding it, or ErrBadSegment. Never a panic,
+// never another block's header.
 func FuzzSegmentRead(f *testing.F) {
 	key := identity.Deterministic(1, 4)
 	ring := identity.NewRing()
@@ -334,10 +387,27 @@ func FuzzSegmentRead(f *testing.F) {
 			f.Fatal(err)
 		}
 	}
+	// oldest maps each referenced digest to the block that answers it.
+	oldest := map[digest.Digest]*block.Block{}
+	for _, b := range chain {
+		for _, r := range b.Header.Digests {
+			if _, ok := oldest[r.Digest]; !ok && !r.Digest.IsZero() {
+				oldest[r.Digest] = b
+			}
+		}
+	}
 	ckpt, seg := stateFiles(st)
 	recs := walBlockRecords(encodeAll(chain[1:2]))
+	// Block 1's own record with its Time field changed: a record of the
+	// right length and, re-framed, a valid CRC, whose header is not the
+	// stored one.
+	retimed := bytes.Clone(recs)
+	retimed[walHeaderLen+4] ^= 0x01
 	f.Add(uint8(1), false, recs)
 	f.Add(uint8(2), true, recs)
+	f.Add(uint8(0x82), true, recs)
+	f.Add(uint8(1), true, retimed)
+	f.Add(uint8(0x81), true, retimed)
 	f.Add(uint8(3), true, appendWALRecord(nil, walKindBlock, []byte("not a block")))
 	f.Add(uint8(0), false, []byte{walKindBlock, 0xff, 0xff, 0xff, 0xff})
 	opts := RecoverOptions{Owner: 1, Params: testParams()}
@@ -347,13 +417,34 @@ func FuzzSegmentRead(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		if k&0x80 != 0 {
+			if _, err := got.Store.OldestContaining(chain[0].Header.Hash()); err != nil {
+				t.Fatal(err)
+			}
+		}
 		seq := uint32(k) % uint32(len(chain))
 		got.Store.mu.RLock()
-		start := got.Store.seg.start(seq)
+		start := got.Store.seg.recordAt(1, seq).start
 		got.Store.mu.RUnlock()
 		copy(buf[start:], hostile)
 		if reframe {
 			reframeWAL(buf[start:])
+		}
+		for d, want := range oldest {
+			v, err := got.Store.OldestContaining(d)
+			if err != nil {
+				if !errors.Is(err, ErrBadSegment) {
+					t.Fatalf("a responder query over a hostile record: %v, not ErrBadSegment", err)
+				}
+				continue
+			}
+			h, err := v.Header()
+			if err != nil {
+				t.Fatalf("a served header does not decode: %v", err)
+			}
+			if h.Hash() != want.Header.Hash() {
+				t.Fatal("the responder query answered another block's header")
+			}
 		}
 		b, err := got.Store.Get(seq)
 		if err != nil {
@@ -375,11 +466,13 @@ func FuzzSegmentRead(f *testing.F) {
 // TestDurableStoreBytesPerBlock is the heap ceiling of a durable S_i: a
 // recovered store whose 1 KiB-body blocks all sit in its segment,
 // against an in-memory store of the same blocks, measured side by side.
-// The durable one must hold at least 900 B a block less — the body it
-// lets go, less the record end it keeps — and stay under its ceiling.
+// The durable one must hold at least 900 B a block less — the block it
+// lets go, less what it keeps — and stay under its ceiling: a header
+// hash, a body root and a record end (72 B) and a log slot (8 B) per
+// block, where it held the whole header (~660 B) before.
 func TestDurableStoreBytesPerBlock(t *testing.T) {
 	skipUnderRace(t)
-	const n, ceiling, saved = 4096, 760, 900
+	const n, ceiling, saved = 4096, 128, 900
 	// Bodies of 1 KiB on synthetic headers (Δ of nine, a 64-byte
 	// signature): recovery without a Ring reseals but does not verify.
 	build := func() []*block.Block {
@@ -432,8 +525,10 @@ func TestDurableStoreBytesPerBlock(t *testing.T) {
 }
 
 // BenchmarkHotpathSegmentGet prices reading a segmented block back: the
-// record's read (page cache warm), its CRC and header check, and the
-// fresh block. Gets cycle through a 64-block segment.
+// record's read (page cache warm), its CRC, the header decoded and
+// hashed against the kept hash, and the fresh block. Gets cycle
+// through a 64-block segment; it fails before the timer unless every
+// block is read back from there.
 func BenchmarkHotpathSegmentGet(b *testing.B) {
 	const n = 64
 	chain := bodyChain(b, identity.Deterministic(1, 4), n)
@@ -447,6 +542,7 @@ func BenchmarkHotpathSegmentGet(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
+	st.Attach(fb)
 	for _, blk := range chain {
 		if err := st.Store.Append(blk); err != nil {
 			b.Fatal(err)
@@ -454,6 +550,12 @@ func BenchmarkHotpathSegmentGet(b *testing.B) {
 	}
 	if err := fb.Compact(func() (*NodeState, error) { return st, nil }); err != nil {
 		b.Fatal(err)
+	}
+	st.Store.mu.RLock()
+	segmented := st.Store.segmentedLocked()
+	st.Store.mu.RUnlock()
+	if segmented != n || st.Store.Latest().Body != nil {
+		b.Fatalf("%d of %d blocks segmented: the Gets would not read the segment", segmented, n)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()

@@ -2,7 +2,6 @@ package ledger
 
 import (
 	"bufio"
-	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -13,7 +12,6 @@ import (
 	"github.com/twoldag/twoldag/internal/block"
 	"github.com/twoldag/twoldag/internal/digest"
 	"github.com/twoldag/twoldag/internal/identity"
-	"github.com/twoldag/twoldag/internal/merkle"
 )
 
 // On-disk state besides the log. IoT devices reboot, and a 2LDAG node
@@ -25,7 +23,7 @@ import (
 //     like a WAL block record (appendWALRecord / scanWALRecord: one
 //     codec). A block is appended once — by the compaction, Silence or
 //     recovery that first finds it missing — and never copied again;
-//     from then on it is also where S_i reads the block's body from
+//     from then on it is also where S_i reads the block back from
 //     (bodies.go).
 //   - its checkpoint: the rest of the node — trust cap, H_i, A_i — and
 //     the segment prefix it vouches for (segmentMark: records, bytes,
@@ -349,18 +347,22 @@ func (r *cursor) framed(limit uint32) ([]byte, error) {
 // sequence from 0, the newest hashing to cp.seg.last, read from r
 // through one reused record buffer — the segment is never held whole,
 // and nothing past the prefix is read. Each block is sealed from that
-// buffer and kept without its body, which S_i reads back from r on
-// demand (Store.readBodiesFrom). The scan does the decoding and
-// structural checks and queues each block's authentication on a
-// recoverVerifier; the blocks enter the store only once all of it has
-// passed.
+// buffer, and what S_i keeps of it once the segment holds it (its
+// header hash, body root and record end) taken, before its body goes
+// with the buffer. The scan does the decoding and structural checks
+// and queues each block's authentication on a recoverVerifier; the
+// blocks enter the store only once all of it has passed, and the
+// store then lets go of all of them but the newest (Store.segmented),
+// reading them back from r on demand (Store.readBlocksFrom).
 func readSegment(r io.ReaderAt, cp *checkpoint, opts RecoverOptions) error {
 	mark := cp.seg
 	verify := recoverVerifier{opts: opts}
 	src := bufio.NewReaderSize(io.NewSectionReader(r, 0, mark.size), 64<<10)
 	var buf []byte
 	var end, dropped int64
-	var ends []int64 // where each record ends
+	// Sized from the checkpoint's count, which its CRC vouches for but
+	// nothing yet holds to the file: a hostile one costs at most this.
+	recs := make([]keptBlock, 0, min(mark.records, 1<<16))
 	// The scan stops at its first error, but queued verification has not
 	// run yet: a failing block before that point outranks it.
 	var scanErr error
@@ -389,20 +391,15 @@ func readSegment(r io.ReaderAt, cp *checkpoint, opts RecoverOptions) error {
 			break
 		}
 		// The body aliases buf, which the next record overwrites: seal it
-		// now and let it go — unless the state digest, which hashes bodies
-		// under the default leaf size, would have to read it back.
+		// and take what S_i keeps now, then let it go.
 		if err := opts.Params.SealBlock(b); err != nil {
 			scanErr = fmt.Errorf("%w: block %d: %v", ErrBadSegment, i, err)
 			break
 		}
-		if _, ok := b.CachedBodyRoot(merkle.DefaultLeafSize); ok {
-			dropped += int64(len(b.Body))
-			b.Body = nil
-		} else {
-			b.Body = bytes.Clone(b.Body)
-		}
 		end += int64(len(buf))
-		ends = append(ends, end)
+		recs = append(recs, keep(b, end))
+		dropped += int64(len(b.Body))
+		b.Body = nil
 		// Queue before the sequence check: a block that fails both has
 		// its verification failure reported, as a pass that sealed and
 		// validated each block before appending it would.
@@ -425,15 +422,16 @@ func readSegment(r io.ReaderAt, cp *checkpoint, opts RecoverOptions) error {
 	if scanErr != nil {
 		return scanErr
 	}
+	s := cp.st.Store
+	s.blocks = make([]*block.Block, 0, len(verify.blocks)) // s is not shared yet
 	for i, b := range verify.blocks {
-		if err := cp.st.Store.Append(b); err != nil {
+		if err := s.Append(b); err != nil {
 			return fmt.Errorf("%w: block %d: %v", ErrBadSegment, i, err)
 		}
 	}
-	s := cp.st.Store
-	s.bodyBytes += dropped // Append counted none of the bodies let go; s is not shared yet
-	s.readBodiesFrom(r)
-	s.segmented(ends)
+	s.bodyBytes += dropped // Append counted none of the bodies let go
+	s.readBlocksFrom(r)
+	s.segmented(recs)
 	return nil
 }
 

@@ -8,6 +8,7 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"slices"
 	"sync"
 	"testing"
 
@@ -76,8 +77,8 @@ func markOf(seg []byte) segmentMark {
 // checkpoint and a segment holding every block.
 func stateFiles(st *NodeState) (ckpt, seg []byte) {
 	var encs [][]byte
-	for _, h := range st.Store.Headers() {
-		b, _ := st.Store.Get(h.Seq)
+	for seq := 0; seq < st.Store.Len(); seq++ {
+		b, _ := st.Store.Get(uint32(seq))
 		encs = append(encs, block.Encode(b))
 	}
 	seg, mark := segmentOf(encs)
@@ -122,10 +123,16 @@ func TestCheckpointRoundTrip(t *testing.T) {
 		t.Fatalf("restored sizes: %d blocks, %d headers, %d entries",
 			got.Store.Len(), got.Trust.Len(), got.Cache.Len())
 	}
-	// S_i holds the restored blocks sealed and without their bodies; Get
-	// reads a body back into a fresh block around the stored header.
+	// S_i holds only the newest restored block, sealed and without its
+	// body; Get reads a block back into a fresh, header-sealed one.
 	if b := got.Store.Latest(); !b.Sealed() || b.Body != nil {
 		t.Fatal("restored block not fully sealed, or holding its body")
+	}
+	got.Store.mu.RLock()
+	held := slices.IndexFunc(got.Store.blocks, func(b *block.Block) bool { return b != nil })
+	got.Store.mu.RUnlock()
+	if held != got.Store.Len()-1 {
+		t.Fatalf("the restored S_i holds block %d; only the newest, %d, should stay", held, got.Store.Len()-1)
 	}
 	if b, _ := got.Store.Get(0); !b.Header.Sealed() || len(b.Body) == 0 {
 		t.Fatal("a body read back lost its header seal or its body")

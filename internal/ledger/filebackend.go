@@ -30,11 +30,12 @@ import (
 //	blocks.seg      — an owner's sealed blocks, oldest first, framed as
 //	                  WAL block records. Append-only: each block is
 //	                  written to it once. It is also where the owner's
-//	                  bodies are read from: once a committed checkpoint
-//	                  covers a block, S_i keeps its header and the
-//	                  record's place and drops the body, which Store.Get
-//	                  reads back through a read-only handle the backend
-//	                  holds open until it closes.
+//	                  blocks are read from: once a committed checkpoint
+//	                  covers a block, S_i keeps its header hash, body
+//	                  root and record end and lets the block go, and
+//	                  every read of it reads the record back through a
+//	                  read-only handle the backend holds open until it
+//	                  closes.
 //	checkpoint.2ldg — an owner's last checkpoint: trust cap, H_i, A_i
 //	                  and the segment prefix it vouches for, CRC-sealed.
 //	                  Always committed by atomic rename; never partial.
@@ -302,7 +303,7 @@ func (fb *FileBackend) Recover(opts RecoverOptions) (*NodeState, error) {
 
 // readCheckpoint restores what fb.dir holds of opts.Owner besides the
 // log — its checkpoint, then the segment prefix that records, whose
-// handle stays open as fb.segFile, S_i's to read bodies back through —
+// handle stays open as fb.segFile, S_i's to read blocks back through —
 // or an empty state for a dir without a checkpoint.
 func (fb *FileBackend) readCheckpoint(opts RecoverOptions) (*checkpoint, error) {
 	raw, err := os.ReadFile(filepath.Join(fb.dir, checkpointFileName))
@@ -335,18 +336,18 @@ func (fb *FileBackend) readCheckpoint(opts RecoverOptions) (*checkpoint, error) 
 // commitState makes st this owner's state on disk besides the log: the
 // blocks of S_i its segment lacks are appended and fsynced, then a
 // checkpoint recording them commits. Once it has, the S_i Recover
-// returned lets go of their bodies — when st holds it. Blocks of
+// returned lets go of them (Store.segmented) — when st holds it. Blocks of
 // another S_i (a shadow state, say) leave the recovered one no longer
-// a mirror of the segment: it lets go of no more bodies. A failure
+// a mirror of the segment: it lets go of no more blocks. A failure
 // leaves the last checkpoint in force. Caller holds log.compactMu.
 func (fb *FileBackend) commitState(st *NodeState) error {
 	blocks, err := st.Store.since(fb.seg.records, fb.seg.last)
 	if err != nil {
 		return err
 	}
-	seg, ends := fb.seg, []int64(nil)
+	seg, recs := fb.seg, []keptBlock(nil)
 	if len(blocks) > 0 {
-		if seg, ends, err = fb.appendSegment(blocks); err != nil {
+		if seg, recs, err = fb.appendSegment(blocks); err != nil {
 			return err
 		}
 	}
@@ -355,9 +356,9 @@ func (fb *FileBackend) commitState(st *NodeState) error {
 	}
 	fb.seg = seg
 	switch {
-	case len(ends) == 0:
+	case len(recs) == 0:
 	case st.Store == fb.store:
-		fb.store.segmented(ends)
+		fb.store.segmented(recs)
 	default:
 		fb.store = nil
 	}
@@ -372,7 +373,7 @@ func (fb *FileBackend) commitState(st *NodeState) error {
 }
 
 // closeSegment closes the read handle on the segment; the store reads
-// no body back from then on. Caller holds log.compactMu.
+// no block back from then on. Caller holds log.compactMu.
 func (fb *FileBackend) closeSegment() {
 	if fb.segFile != nil {
 		fb.segFile.Close()
@@ -384,8 +385,8 @@ func (fb *FileBackend) closeSegment() {
 // checkpoint records — cutting off first whatever an append that never
 // committed left past it — and fsyncs them. It returns the prefix with
 // the blocks in it, which only a checkpoint recording it commits, and
-// where each block's record ends.
-func (fb *FileBackend) appendSegment(blocks []*block.Block) (segmentMark, []int64, error) {
+// what S_i keeps of each block once it does.
+func (fb *FileBackend) appendSegment(blocks []*block.Block) (segmentMark, []keptBlock, error) {
 	seg := fb.seg
 	path := filepath.Join(fb.dir, segmentFileName)
 	info, err := os.Stat(path)
@@ -403,14 +404,14 @@ func (fb *FileBackend) appendSegment(blocks []*block.Block) (segmentMark, []int6
 	defer f.Close() // on error paths; the success path closes below
 	if fb.segFile == nil {
 		// The segment's first write (readCheckpoint opens an existing one):
-		// the read-only handle S_i reads its bodies back through.
+		// the read-only handle S_i reads its blocks back through.
 		r, err := os.Open(path)
 		if err != nil {
 			return segmentMark{}, nil, fmt.Errorf("ledger: opening segment for reading: %w", err)
 		}
 		fb.segFile = r
 		if fb.store != nil {
-			fb.store.readBodiesFrom(r)
+			fb.store.readBlocksFrom(r)
 		}
 	}
 	if info != nil && info.Size() > seg.size {
@@ -423,12 +424,12 @@ func (fb *FileBackend) appendSegment(blocks []*block.Block) (segmentMark, []int6
 		total += walHeaderLen + b.WireSize() + walCRCLen
 	}
 	buf, enc := make([]byte, 0, min(total, 128<<10)), []byte(nil)
-	ends, end := make([]int64, len(blocks)), seg.size
+	recs, end := make([]keptBlock, len(blocks)), seg.size
 	for i, b := range blocks {
 		enc = block.AppendEncode(enc[:0], b)
 		buf = appendWALRecord(buf, walKindBlock, enc)
 		end += int64(walHeaderLen + len(enc) + walCRCLen)
-		ends[i] = end
+		recs[i] = keep(b, end)
 		if len(buf) < 64<<10 && i < len(blocks)-1 {
 			continue
 		}
@@ -446,7 +447,7 @@ func (fb *FileBackend) appendSegment(blocks []*block.Block) (segmentMark, []int6
 	}
 	seg.records += uint32(len(blocks))
 	seg.last = blocks[len(blocks)-1].Header.Hash()
-	return seg, ends, nil
+	return seg, recs, nil
 }
 
 // writeCheckpoint commits raw as this owner's checkpoint: written to
@@ -660,7 +661,7 @@ func (fb *FileBackend) Flush() error { return fb.log.Flush() }
 // from the log that no checkpoint has taken in since), on a log it
 // does not own, leaves its owner uncovered; any other leaves it
 // covered, so its next Recover skips the generations. The store
-// Recover returned reads no segmented body back afterwards. Further
+// Recover returned reads no segmented block back afterwards. Further
 // calls return ErrBackendClosed.
 func (fb *FileBackend) Close() error {
 	l := fb.log

@@ -122,7 +122,7 @@ func TestStoreIndexBytesPerBlock(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		if _, ok := s.OldestContaining(blocks[n/2].Header.Digests[0].Digest); !ok {
+		if _, ok := oldestIn(s, blocks[n/2].Header.Digests[0].Digest); !ok {
 			t.Fatal("responder index misses a referenced digest")
 		}
 		return s

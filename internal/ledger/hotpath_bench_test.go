@@ -364,7 +364,7 @@ func BenchmarkHotpathStoreAppend(b *testing.B) {
 	blocks := syntheticBlocks(b, pool)
 	indexed := func() *Store {
 		s := NewStore(1)
-		s.OldestContaining(blocks[0].Header.Hash())
+		oldestIn(s, blocks[0].Header.Hash())
 		return s
 	}
 	s := indexed()
@@ -409,7 +409,7 @@ func BenchmarkHotpathStoreOldestContaining(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, ok := s.OldestContaining(target); !ok {
+		if _, ok := oldestIn(s, target); !ok {
 			b.Fatal("lookup miss")
 		}
 	}

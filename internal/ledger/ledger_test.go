@@ -31,6 +31,25 @@ func (s *Store) CountContaining(d digest.Digest) int {
 	return n
 }
 
+// oldestIn is OldestContaining on a store that holds its blocks: the
+// stored block, or nil and false when no block holds d.
+func oldestIn(s *Store, d digest.Digest) (*block.Block, bool) {
+	v, err := s.OldestContaining(d)
+	return v.Block, err == nil
+}
+
+// oldestHeader is OldestContaining's answer as a header, however the
+// store holds it; nil and false when no block holds d or it cannot be
+// read back.
+func oldestHeader(s *Store, d digest.Digest) (*block.Header, bool) {
+	v, err := s.OldestContaining(d)
+	if err != nil {
+		return nil, false
+	}
+	h, err := v.Header()
+	return h, err == nil
+}
+
 func testParams() block.Params {
 	p := block.DefaultParams()
 	p.Difficulty = 2
@@ -123,10 +142,10 @@ func TestStoreOldestContaining(t *testing.T) {
 	if got, err := s.Get(1); err != nil || got != blocks[1] || got.Header.Hash() != blocks[1].Header.Hash() {
 		t.Fatalf("Get(1) = %v, %v", got, err)
 	}
-	if _, ok := s.OldestContaining(digest.Sum([]byte("missing"))); ok {
-		t.Fatal("OldestContaining hit for unreferenced digest")
+	if _, err := s.OldestContaining(digest.Sum([]byte("missing"))); !errors.Is(err, ErrNotFound) {
+		t.Fatalf("OldestContaining of an unreferenced digest: %v, want ErrNotFound", err)
 	}
-	oldest, ok := s.OldestContaining(target)
+	oldest, ok := oldestIn(s, target)
 	if !ok || oldest.Header.Seq != 0 {
 		t.Fatalf("OldestContaining returned seq %d, want 0", oldest.Header.Seq)
 	}
@@ -134,7 +153,7 @@ func TestStoreOldestContaining(t *testing.T) {
 		t.Fatalf("CountContaining = %d, want 3", s.CountContaining(target))
 	}
 	// Chain links: block 1's Δ contains block 0's hash.
-	child, ok := s.OldestContaining(blocks[0].Header.Hash())
+	child, ok := oldestIn(s, blocks[0].Header.Hash())
 	if !ok || child.Header.Seq != 1 {
 		t.Fatal("chain child lookup failed")
 	}
@@ -153,7 +172,7 @@ func TestStoreIndexStaysCurrentAfterLazyBuild(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Force the lazy build with only one block in the log.
-	if oldest, ok := s.OldestContaining(target); !ok || oldest != blocks[0] {
+	if oldest, ok := oldestIn(s, target); !ok || oldest != blocks[0] {
 		t.Fatal("index wrong after lazy build")
 	}
 	for _, b := range blocks[1:] {
@@ -164,10 +183,10 @@ func TestStoreIndexStaysCurrentAfterLazyBuild(t *testing.T) {
 	if s.CountContaining(target) != 4 {
 		t.Fatalf("CountContaining = %d, want 4 after post-build appends", s.CountContaining(target))
 	}
-	if oldest, ok := s.OldestContaining(target); !ok || oldest != blocks[0] {
+	if oldest, ok := oldestIn(s, target); !ok || oldest != blocks[0] {
 		t.Fatal("a later reference displaced the oldest block")
 	}
-	if oldest, ok := s.OldestContaining(blocks[2].Header.Hash()); !ok || oldest != blocks[3] {
+	if oldest, ok := oldestIn(s, blocks[2].Header.Hash()); !ok || oldest != blocks[3] {
 		t.Fatal("post-build append missing from index")
 	}
 }

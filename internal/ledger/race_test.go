@@ -28,7 +28,7 @@ func TestStoreConcurrentAuditReads(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for n := 0; n < 200; n++ {
-				if b, ok := s.OldestContaining(target); ok {
+				if b, ok := oldestIn(s, target); ok {
 					// Typical responder/validator reads on the shared
 					// block: memoized identity and header fields.
 					_ = b.Header.Hash()
@@ -38,7 +38,9 @@ func TestStoreConcurrentAuditReads(t *testing.T) {
 					_ = b.Header.Hash()
 				}
 				_ = s.Latest()
-				_ = s.Headers()
+				if _, err := s.Headers(); err != nil {
+					t.Error(err)
+				}
 				_ = s.BodyBytes()
 			}
 		}()
@@ -81,11 +83,11 @@ func TestStoreAnswersStableUnderAppends(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for n := 0; n < 300; n++ {
-				if b, ok := s.OldestContaining(inStore); !ok || b.Header.Seq != 5 {
+				if b, ok := oldestIn(s, inStore); !ok || b.Header.Seq != 5 {
 					t.Errorf("stored child moved: %v, %v", b, ok)
 					return
 				}
-				if b, ok := s.OldestContaining(newest); ok && b.Header.Seq != 12 {
+				if b, ok := oldestIn(s, newest); ok && b.Header.Seq != 12 {
 					t.Errorf("child of #11 answered as #%d, want #12", b.Header.Seq)
 					return
 				}
@@ -110,7 +112,7 @@ func TestStoreAnswersStableUnderAppends(t *testing.T) {
 	if s.Len() != 24 {
 		t.Fatalf("Len = %d, want 24", s.Len())
 	}
-	if b, ok := s.OldestContaining(newest); !ok || b.Header.Seq != 12 {
+	if b, ok := oldestIn(s, newest); !ok || b.Header.Seq != 12 {
 		t.Fatalf("OldestContaining(#11) = %v, %v after appends; want #12", b, ok)
 	}
 }

@@ -83,7 +83,7 @@ func TestSnapshotIgnoresIndex(t *testing.T) {
 		return st
 	}
 	cold, indexed := build(), build()
-	if b, ok := indexed.Store.OldestContaining(shared); !ok || b != blocks[0] {
+	if b, ok := oldestIn(indexed.Store, shared); !ok || b != blocks[0] {
 		t.Fatal("responder index misses the shared digest")
 	}
 
@@ -108,7 +108,7 @@ func TestSnapshotIgnoresIndex(t *testing.T) {
 			t.Fatalf("restored #%d: %v, %v", want.Header.Seq, got, err)
 		}
 	}
-	if child, ok := restored.Store.OldestContaining(blocks[0].Header.Hash()); !ok || child.Header.Seq != 1 {
+	if child, ok := oldestHeader(restored.Store, blocks[0].Header.Hash()); !ok || child.Seq != 1 {
 		t.Fatal("restored store lost the digest index")
 	}
 }

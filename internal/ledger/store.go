@@ -13,26 +13,29 @@
 //
 // Store and TrustStore hold immutable, header-sealed blocks and
 // headers (see the block package doc) and hand them out by shared
-// reference: Get, Latest, OldestContaining, Headers, TrustStore.Get
-// and ChildOf return pointers into the store, not copies. Callers must
-// treat the results as read-only; anyone who needs to mutate one (e.g.
-// the attack library forging a reply) must take a
-// block.Clone/Header.Clone first. This removes the O(C) body copy that
-// used to sit on every REQ_CHILD/GetBlock hop. A sealed block has one
-// owner — the log of the device that sealed it — and is found by
-// (origin, sequence number); nothing in the protocol looks a block up
-// by its own hash, so no store keeps a hash → block map.
+// reference: Get, Latest, OldestContaining, Serve, Headers,
+// TrustStore.Get and ChildOf return pointers into the store, not
+// copies. Callers must treat the results as read-only; anyone who
+// needs to mutate one (e.g. the attack library forging a reply) must
+// take a block.Clone/Header.Clone first. This removes the O(C) body
+// copy that used to sit on every REQ_CHILD/GetBlock hop. A sealed
+// block has one owner — the log of the device that sealed it — and is
+// found by (origin, sequence number); nothing in the protocol looks a
+// block up by its own hash, so no store keeps a hash → block map.
 //
 // One exception, on a durable node: once a committed checkpoint covers
-// a block, its body lives only in the owner's segment (see
-// FileBackend), and S_i keeps the block without it — header, body-root
-// memo and the record's place in the segment (bodies.go). Get of such a
-// block reads the record back and returns a fresh read-only block: the
-// stored, shared header plus the body read, with no body-root memo, so
-// whoever validates it hashes that body; each such Get reads the record
-// again. Latest, OldestContaining and Headers hand out the body-less
-// block itself; their callers read headers only. Headers stay shared
-// either way.
+// a block, the block lives only in the owner's segment (see
+// FileBackend), and S_i keeps of it only its header hash, its body
+// root and where its record ends (bodies.go) — of the newest block,
+// for Latest, the header too. A read that needs the block or its
+// header reads the record back, every time: Get returns a fresh
+// read-only block, header and body decoded from the record, with no
+// body-root memo, so whoever validates it hashes that body; Headers
+// returns fresh headers; OldestContaining and Serve hand a responder
+// the record's encoding as it stands (Served), which its reply frame
+// carries without a Block being built. Each holds the record's header
+// bytes to the kept hash first, so a damaged or substituted record is
+// ErrBadSegment, never another block; a closed segment fails the read.
 //
 // Blocks built by block.Params.Build are fully sealed (body root
 // memoized too). A block appended unsealed — e.g. decoded from the
@@ -69,7 +72,6 @@ import (
 	"github.com/twoldag/twoldag/internal/block"
 	"github.com/twoldag/twoldag/internal/digest"
 	"github.com/twoldag/twoldag/internal/identity"
-	"github.com/twoldag/twoldag/internal/merkle"
 )
 
 // Sentinel errors.
@@ -101,7 +103,10 @@ func digestKey(d *digest.Digest) uint64 { return binary.LittleEndian.Uint64(d[:8
 // journal write (that is what keeps journal order equal to apply order
 // and lets a compaction's gather see every block its rotated WAL
 // holds), so on a durable node a responder query, like Get, waits out
-// an append's fsync.
+// an append's fsync. On a durable node the index's build reads every
+// header its segment holds back, and each hit it confirms against a
+// block S_i let go of reads that block's record (under the read lock);
+// Get and Serve read theirs unlocked.
 type Store struct {
 	mu        sync.RWMutex
 	owner     identity.NodeID
@@ -117,6 +122,12 @@ type Store struct {
 	// indexed in ascending sequence order, so a slot is written once and
 	// never updated.
 	index slotTable
+	// unread lists, in sequence order, the blocks whose header the
+	// index's build could not read back from the segment, and unreadErr
+	// the first such read's error. Their digests are not in the index,
+	// so an answer from a younger block, or none, may not be the oldest.
+	unread    []uint32
+	unreadErr error
 	// keyMask is all ones; tests narrow it to force key collisions.
 	keyMask uint64
 
@@ -124,9 +135,11 @@ type Store struct {
 	// published (write-ahead). nil = in-memory only.
 	journal Journal
 
-	// seg, on a durable node, is where the blocks the owner's segment
-	// holds are read back from (see segmentBodies). nil in memory.
-	seg *segmentBodies
+	// seg, on a durable node, is where the blocks S_i lets go of once the
+	// owner's segment holds them are read back from, and what S_i keeps
+	// of each (see bodies.go): blocks[i] is nil for those but the newest.
+	// nil in memory.
+	seg *segment
 }
 
 // NewStore creates an empty log owned by the given node.
@@ -182,28 +195,34 @@ func (s *Store) Append(b *block.Block) error {
 		}
 	}
 	s.blocks = append(s.blocks, cp)
+	if prev := len(s.blocks) - 2; prev >= 0 && prev < s.segmentedLocked() {
+		s.blocks[prev] = nil // no longer the newest: the segment has it
+	}
 	s.bodyBytes += int64(len(cp.Body))
 	s.refCount += int64(len(cp.Header.Digests))
 	if s.index.slots != nil {
-		s.indexContains(cp)
+		s.indexContains(&cp.Header)
 	}
 	return nil
 }
 
-// indexContains folds one block, already in the log, into the
-// responder index: a slot for each digest of its Δ that no older block
-// (nor an earlier reference of its own) holds. Caller holds s.mu for
-// writing.
-func (s *Store) indexContains(b *block.Block) {
-	for k := range b.Header.Digests {
-		d := &b.Header.Digests[k].Digest
+// indexContains folds one block's header h, the block already in the
+// log, into the responder index: a slot for each digest of its Δ that
+// no older block (nor an earlier reference of its own) holds. An older
+// block whose record cannot be read back counts as not holding it: the
+// slot that adds is never the first of its digest's tag to answer.
+// Caller holds s.mu for writing.
+func (s *Store) indexContains(h *block.Header) {
+	for k := range h.Digests {
+		d := &h.Digests[k].Digest
 		if d.IsZero() {
 			continue
 		}
 		// The common case is a neighbour's digest that stays in Δ until
 		// it seals again: an older block is on file and holds d itself.
-		s.index.insert(digestKey(d)&s.keyMask, b.Header.Seq, func(seq uint32) bool {
-			return s.blocks[seq].Header.Contains(*d)
+		s.index.insert(digestKey(d)&s.keyMask, h.Seq, func(seq uint32) bool {
+			v, err := s.headerLocked(seq)
+			return err == nil && v.contains(*d)
 		})
 	}
 }
@@ -217,13 +236,32 @@ func (s *Store) rlockIndexed() {
 		s.mu.RUnlock()
 		s.mu.Lock()
 		if s.index.slots == nil {
-			s.index = newSlotTable()
-			for _, b := range s.blocks {
-				s.indexContains(b)
-			}
+			s.buildIndex()
 		}
 		s.mu.Unlock()
 		s.mu.RLock()
+	}
+}
+
+// buildIndex builds the responder index from the log. A block whose
+// header cannot be read back is left out and listed in unread. Caller
+// holds s.mu for writing.
+func (s *Store) buildIndex() {
+	s.index = newSlotTable()
+	for seq := range s.blocks {
+		v, err := s.headerLocked(uint32(seq))
+		var h *block.Header
+		if err == nil {
+			h, err = v.Header()
+		}
+		if err != nil {
+			if s.unreadErr == nil {
+				s.unreadErr = err
+			}
+			s.unread = append(s.unread, uint32(seq))
+			continue
+		}
+		s.indexContains(h)
 	}
 }
 
@@ -235,28 +273,63 @@ func (s *Store) Len() int {
 }
 
 // Get returns the (read-only) block with the given sequence number:
-// the stored, sealed block, or — for one whose body lives only in the
-// segment — a fresh block read back from it (see the package doc). A
-// record that is not that block's is ErrBadSegment.
+// the stored, sealed block, or — for one S_i let go of — a fresh block
+// read back from the segment (see bodies.go). A record that is not
+// that block's is ErrBadSegment.
 func (s *Store) Get(seq uint32) (*block.Block, error) {
+	b, rr, err := s.at(seq)
+	if err != nil || b != nil {
+		return b, err
+	}
+	return rr.block()
+}
+
+// Serve is Get as a responder replies with it: the stored block, or the
+// encoding of one S_i let go of, read back from its segment record
+// (Served).
+func (s *Store) Serve(seq uint32) (Served, error) {
+	b, rr, err := s.at(seq)
+	if err != nil || b != nil {
+		return Served{Block: b}, err
+	}
+	return rr.encoded()
+}
+
+// at returns the stored block seq, or — for one S_i let go of — its
+// record to read back, which the caller reads without the lock.
+func (s *Store) at(seq uint32) (*block.Block, blockRecord, error) {
 	s.mu.RLock()
+	defer s.mu.RUnlock()
 	if int(seq) >= len(s.blocks) {
-		s.mu.RUnlock()
-		return nil, fmt.Errorf("%w: %v#%d", ErrNotFound, s.owner, seq)
+		return nil, blockRecord{}, fmt.Errorf("%w: %v#%d", ErrNotFound, s.owner, seq)
 	}
-	b := s.blocks[seq]
-	if s.seg == nil || int(seq) >= len(s.seg.ends) || b.Body != nil {
-		s.mu.RUnlock()
-		return b, nil
+	if int(seq) < s.segmentedLocked() {
+		return nil, s.seg.recordAt(s.owner, seq), nil
 	}
-	seg, start, end := s.seg, s.seg.start(seq), s.seg.ends[seq]
-	s.mu.RUnlock()
-	// The record never changes once committed: read it unlocked.
-	return readSegmented(seg.r, b, start, end)
+	return s.blocks[seq], blockRecord{}, nil
+}
+
+// segmentedLocked is how many of the oldest blocks S_i has let go of.
+// Caller holds s.mu.
+func (s *Store) segmentedLocked() int {
+	if s.seg == nil {
+		return 0
+	}
+	return len(s.seg.recs)
+}
+
+// headerLocked returns block seq's header as a responder query reads
+// it: the stored block, or its record read back (see Served). Caller
+// holds s.mu.
+func (s *Store) headerLocked(seq uint32) (Served, error) {
+	if b := s.blocks[seq]; b != nil {
+		return Served{Block: b}, nil
+	}
+	return s.seg.recordAt(s.owner, seq).encoded()
 }
 
 // Latest returns the (sealed, read-only) most recent block, or nil for
-// an empty store.
+// an empty store. Once the segment holds it, it holds no body.
 func (s *Store) Latest() *block.Block {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
@@ -267,23 +340,35 @@ func (s *Store) Latest() *block.Block {
 }
 
 // OldestContaining implements the responder's selection rule (Alg. 4,
-// Eq. 10–11): among the owner's blocks whose Δ contains d, return the
-// oldest (sealed, read-only). The second result is false when no block
-// matches. It walks d's probe run and scans the Δ of each block on
+// Eq. 10–11): among the owner's blocks whose Δ contains d, the oldest,
+// as a responder replies with it (Served: the stored block, or for one
+// S_i let go of its record read back). No block matching is
+// ErrNotFound; a record that cannot be read back fails the query, and
+// so does one the index's build could not read when it is older than
+// the answer. It walks d's probe run and checks the Δ of each block on
 // file under d's tag: the first that holds d is its oldest, since a
 // tag's slots are in sequence order.
-func (s *Store) OldestContaining(d digest.Digest) (*block.Block, bool) {
+func (s *Store) OldestContaining(d digest.Digest) (Served, error) {
 	s.rlockIndexed()
 	defer s.mu.RUnlock()
 	// Contains is false for the zero digest, which is never indexed but
 	// shares its tag with whatever digest happens to start with zeros.
+	var hit Served
+	var err error
 	seq, ok := s.index.find(digestKey(&d)&s.keyMask, func(seq uint32) bool {
-		return s.blocks[seq].Header.Contains(d)
+		hit, err = s.headerLocked(seq)
+		return err != nil || hit.contains(d)
 	})
-	if !ok {
-		return nil, false
+	switch {
+	case err != nil:
+		return Served{}, err
+	case len(s.unread) > 0 && (!ok || s.unread[0] < seq):
+		// A block the index could not read may hold d, and is older.
+		return Served{}, s.unreadErr
+	case !ok:
+		return Served{}, fmt.Errorf("%w: no block of %v holds %s", ErrNotFound, s.owner, d.Short())
 	}
-	return s.blocks[seq], true
+	return hit, nil
 }
 
 // BodyBytes returns the cumulative body payload stored, in bytes.
@@ -309,46 +394,64 @@ func (s *Store) ModelBits(m block.SizeModel) int64 {
 // since returns the blocks after the first n, provided the n-th hashes
 // to last: what a segment holding that prefix of this log lacks. The
 // result shares the log's backing array, which Append never rewrites
-// below its length and segmented only below the segment's prefix.
+// at or past the segment's prefix and segmented only below its new
+// one. Blocks S_i has let go of are the segment's already: n below
+// them is an error.
 func (s *Store) since(n uint32, last digest.Digest) ([]*block.Block, error) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	if int(n) > len(s.blocks) || (n > 0 && s.blocks[n-1].Header.Hash() != last) {
+	if int(n) > len(s.blocks) || int(n) < s.segmentedLocked() || (n > 0 && s.hashLocked(n-1) != last) {
 		return nil, fmt.Errorf("ledger: the %d blocks of %v do not continue its segment of %d", len(s.blocks), s.owner, n)
 	}
 	return s.blocks[n:len(s.blocks):len(s.blocks)], nil
 }
 
+// hashLocked is block seq's header hash. Caller holds s.mu.
+func (s *Store) hashLocked(seq uint32) digest.Digest {
+	if int(seq) < s.segmentedLocked() {
+		return s.seg.recs[seq].hash
+	}
+	return s.blocks[seq].Header.Hash()
+}
+
 // appendDigest appends S_i's state-digest branch under the read lock:
 // the block count, then each block's header hash and body root M(body)
-// under the default leaf size — the root memoized at seal time, so no
-// body is hashed again (recovery memoizes what it computes, whether or
-// not it compared it to the header's Root).
+// under the default leaf size — the root memoized at seal time, or kept
+// for a block S_i let go of, so no body is hashed again (recovery
+// memoizes what it computes, whether or not it compared it to the
+// header's Root).
 func (s *Store) appendDigest(dst []byte) []byte {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(s.blocks)))
-	for _, b := range s.blocks {
-		hh := b.Header.Hash()
-		root, ok := b.CachedBodyRoot(merkle.DefaultLeafSize)
-		if !ok {
-			// Appended unsealed: no memo. RootOfBody fails only on a
-			// non-positive leaf size.
-			root, _ = merkle.RootOfBody(b.Body, merkle.DefaultLeafSize)
+	if s.seg != nil {
+		for _, r := range s.seg.recs {
+			dst = append(append(dst, r.hash[:]...), r.root[:]...)
 		}
+	}
+	for _, b := range s.blocks[s.segmentedLocked():] {
+		hh, root := b.Header.Hash(), digestRoot(b)
 		dst = append(append(dst, hh[:]...), root[:]...)
 	}
 	return dst
 }
 
-// Headers returns the stored (sealed, read-only) headers in sequence
-// order.
-func (s *Store) Headers() []*block.Header {
+// Headers returns the headers of S_i in sequence order: the stored
+// (sealed, read-only) ones, and for blocks S_i let go of fresh ones
+// read back from the segment. A record that cannot be read back fails
+// the call.
+func (s *Store) Headers() ([]*block.Header, error) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	out := make([]*block.Header, len(s.blocks))
-	for i, b := range s.blocks {
-		out[i] = &b.Header
+	for seq := range s.blocks {
+		v, err := s.headerLocked(uint32(seq))
+		if err == nil {
+			out[seq], err = v.Header()
+		}
+		if err != nil {
+			return nil, err
+		}
 	}
-	return out
+	return out, nil
 }

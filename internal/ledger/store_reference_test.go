@@ -1,7 +1,9 @@
 package ledger
 
 import (
+	"errors"
 	"fmt"
+	"io"
 	"math/rand"
 	"testing"
 
@@ -84,17 +86,23 @@ func (p *storeProgram) arg() int {
 // from; each holds the digest that neighbour last announced.
 const storeNeighbours = 6
 
-// storePair drives three stores and the reference through one program:
+// storePair drives five stores and the reference through one program:
 // eager's index exists before the first append and is kept current by
 // Append alone; lazy's is dropped before every check, so each check
 // rebuilds it from the whole log; cold is never queried and must stay
-// unindexed.
+// unindexed. durable and durableLazy are eager and lazy over a segment
+// that every third block moves their blocks into, as a committed
+// checkpoint does (Store.segmented): their answers and index builds
+// read the headers back from it.
 type storePair struct {
-	t     testing.TB
-	eager *Store
-	lazy  *Store
-	cold  *Store
-	want  *containsReference
+	t           testing.TB
+	eager       *Store
+	lazy        *Store
+	cold        *Store
+	durable     *Store
+	durableLazy *Store
+	seg         *memSegment
+	want        *containsReference
 	// latest[k] is neighbour k's current digest, minted counts the
 	// digests handed out so far.
 	latest [storeNeighbours]digest.Digest
@@ -107,16 +115,53 @@ type storePair struct {
 func newStorePair(t testing.TB, keyMask uint64) *storePair {
 	p := &storePair{
 		t: t, eager: NewStore(1), lazy: NewStore(1), cold: NewStore(1),
+		durable: NewStore(1), durableLazy: NewStore(1), seg: new(memSegment),
 		want: newContainsReference(), seen: make(map[digest.Digest]struct{}),
 	}
-	for _, s := range []*Store{p.eager, p.lazy, p.cold} {
+	for _, s := range p.stores() {
 		s.keyMask = keyMask
 	}
+	for _, s := range []*Store{p.durable, p.durableLazy} {
+		s.readBlocksFrom(p.seg)
+	}
 	// Queried before any append: the index is built over an empty log.
-	if _, ok := p.eager.OldestContaining(digest.Sum([]byte("early"))); ok {
-		t.Fatal("an empty store answered a responder query")
+	for _, s := range []*Store{p.eager, p.durable} {
+		if _, ok := oldestIn(s, digest.Sum([]byte("early"))); ok {
+			t.Fatal("an empty store answered a responder query")
+		}
 	}
 	return p
+}
+
+func (p *storePair) stores() []*Store {
+	return []*Store{p.eager, p.lazy, p.cold, p.durable, p.durableLazy}
+}
+
+// memSegment is a segment held in memory.
+type memSegment struct{ buf []byte }
+
+func (m *memSegment) ReadAt(b []byte, off int64) (int, error) {
+	if off >= int64(len(m.buf)) {
+		return 0, io.EOF
+	}
+	n := copy(b, m.buf[off:])
+	if n < len(b) {
+		return n, io.EOF
+	}
+	return n, nil
+}
+
+// segment moves the durable stores' blocks not yet in the segment into
+// it, and lets them go.
+func (p *storePair) segment() {
+	from := p.durable.segmentedLocked()
+	var recs []keptBlock
+	for _, b := range p.durable.blocks[from:] {
+		p.seg.buf = appendWALRecord(p.seg.buf, walKindBlock, block.Encode(b))
+		recs = append(recs, keep(b, int64(len(p.seg.buf))))
+	}
+	p.durable.segmented(recs)
+	p.durableLazy.segmented(append([]keptBlock(nil), recs...))
 }
 
 // mint returns a digest no earlier call returned. Every fourth one
@@ -174,15 +219,18 @@ func (p *storePair) step(prog *storeProgram) bool {
 			p.refs = append(p.refs, ref.Digest)
 		}
 	}
-	// Unsealed on purpose: Append clones and seals, so the three stores
-	// share nothing.
+	// Unsealed on purpose: Append clones and seals, so the stores share
+	// nothing.
 	b := &block.Block{Header: h}
-	for _, s := range []*Store{p.eager, p.lazy, p.cold} {
+	for _, s := range p.stores() {
 		if err := s.Append(b); err != nil {
 			p.t.Fatalf("Append #%d: %v", seq, err)
 		}
 	}
 	p.want.indexContains(&h)
+	if op%3 == 0 {
+		p.segment()
+	}
 	return true
 }
 
@@ -190,7 +238,7 @@ func (p *storePair) step(prog *storeProgram) bool {
 // referencing it, and the count. (No t.Helper here: it walks the stack
 // on every call, and this runs a few hundred thousand times.)
 func (p *storePair) checkDigest(s *Store, name string, d digest.Digest) {
-	b, ok := s.OldestContaining(d)
+	b, ok := oldestIn(s, d)
 	seq, wok := p.want.oldestContaining(d)
 	if ok != wok || (ok && b.Header.Seq != seq) {
 		p.t.Fatalf("%s store: OldestContaining(%s) = %v %v, reference #%d %v", name, d.Hex(), b, ok, seq, wok)
@@ -203,21 +251,46 @@ func (p *storePair) checkDigest(s *Store, name string, d digest.Digest) {
 	}
 }
 
-// checkAll compares, on the eager and the lazy store, every digest
-// ever referenced, every block's own hash (what its chain child
+// checkServed compares a durable store's answer for d with the
+// reference: the oldest block referencing it, read back from the
+// segment unless it is the newest.
+func (p *storePair) checkServed(s *Store, name string, d digest.Digest) {
+	seq, wok := p.want.oldestContaining(d)
+	v, err := s.OldestContaining(d)
+	if errors.Is(err, ErrNotFound) && !wok {
+		return
+	}
+	var h *block.Header
+	if err == nil {
+		h, err = v.Header()
+	}
+	if err != nil || !wok || h.Seq != seq || !h.Contains(d) {
+		p.t.Fatalf("%s store: OldestContaining(%s) = %+v, %v; reference #%d %v", name, d.Hex(), h, err, seq, wok)
+	}
+}
+
+// checkAll compares, on the eager and the lazy stores, in memory and
+// durable, every digest ever referenced, every block's own hash (what its chain child
 // references), a few digests nobody referenced — one of them sharing
 // the colliding key — and the zero digest, whose key is 0 yet must
 // never hit.
 func (p *storePair) checkAll() {
 	p.lazy.index = slotTable{}
+	p.durableLazy.index = slotTable{}
 	probes := append([]digest.Digest(nil), p.refs...)
-	for _, h := range p.eager.Headers() {
+	hs, err := p.eager.Headers()
+	if err != nil {
+		p.t.Fatal(err)
+	}
+	for _, h := range hs {
 		probes = append(probes, h.Hash())
 	}
 	probes = append(probes, digest.Digest{}, digest.Sum([]byte("never referenced")), collidingDigest(3))
 	for _, d := range probes {
 		p.checkDigest(p.eager, "incremental", d)
 		p.checkDigest(p.lazy, "lazy", d)
+		p.checkServed(p.durable, "durable incremental", d)
+		p.checkServed(p.durableLazy, "durable lazy", d)
 	}
 	if p.cold.index.slots != nil {
 		p.t.Fatal("a store nobody queried built its responder index")
@@ -273,10 +346,10 @@ func TestStoreIndexCollidingDigests(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if b, ok := s.OldestContaining(late); !ok || b.Header.Seq != 2 {
+	if b, ok := oldestIn(s, late); !ok || b.Header.Seq != 2 {
 		t.Fatalf("OldestContaining(late) = %v %v, want #2", b, ok)
 	}
-	if b, ok := s.OldestContaining(early); !ok || b.Header.Seq != 0 {
+	if b, ok := oldestIn(s, early); !ok || b.Header.Seq != 0 {
 		t.Fatalf("OldestContaining(early) = %v %v, want #0", b, ok)
 	}
 	// Blocks #1 and #3 repeat a digest an older block holds: no slot.

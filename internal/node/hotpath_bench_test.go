@@ -37,8 +37,8 @@ func sealFig4(tb testing.TB, c *cluster, slots int) {
 
 // durableFig4 is the Fig. 4 deployment of sealFig4 with B's owner,
 // node 1, on a data dir of its own (returned), compacted once the
-// blocks are sealed: B's bodies then live only in node 1's segment, and
-// every GET_BLOCK of B_k reads it back from there.
+// blocks are sealed: B's blocks then live only in node 1's segment, and
+// every GET_BLOCK of B_k reads its record back from there.
 func durableFig4(tb testing.TB, slots int) (*cluster, string) {
 	tb.Helper()
 	dir := tb.TempDir()
@@ -64,7 +64,7 @@ func durableFig4(tb testing.TB, slots int) (*cluster, string) {
 		tb.Fatal(err)
 	}
 	if b := owner.Store().Latest(); int(b.Header.Seq) != slots || b.Body != nil {
-		tb.Fatal("compaction left B's bodies on node 1's heap")
+		tb.Fatal("compaction left B's blocks on node 1's heap")
 	}
 	return c, dir
 }
@@ -152,8 +152,9 @@ func TestWarmAuditAllocs(t *testing.T) {
 
 // TestWarmAuditAllocsDurable holds the same audits against a responder
 // that reads each B_k back from its segment to at most two allocations
-// more than the in-memory one, measured beside it: the record read and
-// the fresh block around it.
+// more than the in-memory one, measured beside it. The reply carries
+// the record's payload as read, so the record buffer is the one
+// allocation more.
 func TestWarmAuditAllocsDurable(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector's instrumentation allocates")
@@ -191,6 +192,7 @@ func benchWarmAudit(b *testing.B, durable bool) {
 func BenchmarkHotpathAuditWarm(b *testing.B) { benchWarmAudit(b, false) }
 
 // BenchmarkHotpathAuditWarmDurable times the same audits against a
-// responder whose copies of B's bodies are on disk only: each GET_BLOCK
-// reads and checks the record from the segment (page cache warm).
+// responder whose copies of B's blocks are on disk only: each GET_BLOCK
+// reads the record from the segment (page cache warm), checks it and
+// replies with its payload as it stands.
 func BenchmarkHotpathAuditWarmDurable(b *testing.B) { benchWarmAudit(b, true) }

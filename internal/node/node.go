@@ -278,21 +278,33 @@ func (n *Node) handle(env transport.Envelope) {
 			c(env)
 		}
 	case wire.KindReqChild:
-		if h, err := n.engine.Responder().ChildFor(msg.Digest); err == nil {
-			n.reply(ctx, msg.From, wire.NewRpyChild(msg, h))
-		} else {
-			n.reply(ctx, msg.From, wire.NewNotFound(msg))
-		}
+		v, err := n.engine.Responder().Child(msg.Digest)
+		n.reply(ctx, msg.From, answer(msg, v, err))
 	case wire.KindGetBlock:
-		if b, err := n.engine.Responder().Block(msg.Ref); err == nil {
-			n.reply(ctx, msg.From, wire.NewBlockResp(msg, b))
-		} else {
-			n.reply(ctx, msg.From, wire.NewNotFound(msg))
-		}
+		v, err := n.engine.Responder().Serve(msg.Ref)
+		n.reply(ctx, msg.From, answer(msg, v, err))
 	default:
 		// Unknown unsolicited kinds are dropped (authenticated peers
 		// never send them).
 	}
+}
+
+// answer builds the reply to a REQ_CHILD or GET_BLOCK from what the
+// responder served: NOT_FOUND on an error, else the header or block
+// S_i holds, or the encoding read back from its segment record as it
+// stands — nothing decoded or re-encoded.
+func answer(req *wire.Message, v ledger.Served, err error) *wire.Message {
+	switch {
+	case err != nil:
+		return wire.NewNotFound(req)
+	case req.Kind == wire.KindReqChild && v.Block != nil:
+		return wire.NewRpyChild(req, &v.Block.Header)
+	case req.Kind == wire.KindReqChild:
+		return wire.NewRpyChildEncoded(req, v.Enc[:v.HeaderLen])
+	case v.Block != nil:
+		return wire.NewBlockResp(req, v.Block)
+	}
+	return wire.NewBlockRespEncoded(req, v.Enc)
 }
 
 // reply sends a response to a frame handle serves. It goes out on the

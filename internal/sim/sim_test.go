@@ -166,7 +166,10 @@ func TestLogicalLayerIsAcyclicDAG(t *testing.T) {
 	if _, err := s.Run(); err != nil {
 		t.Fatal(err)
 	}
-	g := dag.FromStores(s.Stores())
+	g, err := dag.FromStores(s.Stores())
+	if err != nil {
+		t.Fatal(err)
+	}
 	if g.Len() != s.BlockCount() {
 		t.Fatalf("DAG has %d blocks, log has %d", g.Len(), s.BlockCount())
 	}

@@ -145,8 +145,12 @@ const MaxPayload = block.MaxEncodedLen
 // reference to the sealed header or block they answer with and leave
 // Payload nil: WireSize and AppendEncode write that header or block
 // straight into the caller's buffer, so serving a block costs one copy
-// into the frame instead of an intermediate encoding. Sealed headers
-// and blocks are immutable (package block), so the bytes such a message
+// into the frame instead of an intermediate encoding. A reply whose
+// header or block is already in its wire form — read back from a
+// segment record — carries those bytes in Payload
+// (NewRpyChildEncoded, NewBlockRespEncoded), copied into the frame as
+// they stand. Sealed headers and blocks are immutable (package block),
+// and so are the encodings handed over, so the bytes such a message
 // encodes to never change — a send that a fault plan delays or
 // duplicates, or a caller repeats, produces the identical frame. To
 // read a sender-built reply's payload, Decode its encoding.
@@ -166,8 +170,8 @@ type Message struct {
 	Ref block.Ref
 	// Payload carries an encoded header (RpyChild) or block (BlockResp),
 	// a digest run (DigestBatch, DigestAck) or a directory record
-	// (Hello, PeerList). Nil on a sender-built RpyChild or BlockResp,
-	// whose payload is encoded from hdr or blk.
+	// (Hello, PeerList). Nil on an RpyChild or BlockResp built from a
+	// header or block, whose payload is encoded from hdr or blk.
 	Payload []byte
 
 	// hdr and blk are the lazy payload source of a sender-built RpyChild
@@ -211,6 +215,16 @@ func NewRpyChild(req *Message, h *block.Header) *Message {
 	}
 }
 
+// NewRpyChildEncoded answers req with a header's encoding, enc
+// (block.AppendEncodeHeader's bytes, as a segment record holds them),
+// carried as the payload as it stands. enc must not be mutated.
+func NewRpyChildEncoded(req *Message, enc []byte) *Message {
+	return &Message{
+		Kind: KindRpyChild, From: req.To, To: req.From,
+		Corr: req.Corr, Nonce: req.Nonce, Payload: enc,
+	}
+}
+
 // NewGetBlock builds a full-block retrieval request.
 func NewGetBlock(from, to identity.NodeID, ref block.Ref, corr, nonce uint64) *Message {
 	return &Message{Kind: KindGetBlock, From: from, To: to, Ref: ref, Corr: corr, Nonce: nonce}
@@ -222,6 +236,16 @@ func NewBlockResp(req *Message, b *block.Block) *Message {
 	return &Message{
 		Kind: KindBlockResp, From: req.To, To: req.From,
 		Corr: req.Corr, Nonce: req.Nonce, blk: b,
+	}
+}
+
+// NewBlockRespEncoded answers req with a block's encoding, enc
+// (block.AppendEncode's bytes: a segment record's payload), carried as
+// the payload as it stands. enc must not be mutated.
+func NewBlockRespEncoded(req *Message, enc []byte) *Message {
+	return &Message{
+		Kind: KindBlockResp, From: req.To, To: req.From,
+		Corr: req.Corr, Nonce: req.Nonce, Payload: enc,
 	}
 }
 

@@ -563,3 +563,25 @@ func TestFrameBytesGolden(t *testing.T) {
 		}
 	}
 }
+
+// TestEncodedRepliesMatchGoldenFrames: a reply built from a header's or
+// block's encoding as a segment record holds it encodes to the very
+// frame the reply built from the header or block does.
+func TestEncodedRepliesMatchGoldenFrames(t *testing.T) {
+	h := sampleHeader()
+	blk := &block.Block{Header: *h, Body: []byte("golden body bytes")}
+	req := NewReqChild(1, 2, digest.Sum([]byte("t")), 7, 9)
+	get := NewGetBlock(1, 2, h.Ref(), 8, 10)
+	for _, m := range []*Message{
+		NewRpyChildEncoded(req, block.AppendEncodeHeader(nil, h)),
+		NewBlockRespEncoded(get, block.Encode(blk)),
+	} {
+		enc := m.AppendEncode(nil)
+		if len(enc) != m.WireSize() {
+			t.Fatalf("%v: WireSize %d, encoded %d", m.Kind, m.WireSize(), len(enc))
+		}
+		if sum := sha256.Sum256(enc); hex.EncodeToString(sum[:]) != goldenFrameSums[m.Kind] {
+			t.Errorf("%v: a reply built from its encoding frames other bytes", m.Kind)
+		}
+	}
+}
