@@ -275,23 +275,14 @@ func Decode(buf []byte) (*Block, error) {
 // without a second copy.
 func DecodeOwned(buf []byte) (*Block, error) { return decodeOwned(buf, new(Block), false) }
 
-// sharedBlock is a block with room for its Δ in the same allocation.
-type sharedBlock struct {
-	Block
-	refs [stackDigestRefs]DigestRef
-}
-
-// DecodeShared is DecodeOwned with the signature aliasing buf as well,
-// a Δ of up to stackDigestRefs entries held in the block's own
-// allocation, and the header sealed: its hash is taken over the
-// header's bytes in buf, which a header that decodes re-encodes to
-// exactly. It is for a buffer read for this one block, which its body
-// keeps alive anyway (a segment record read back for a Get): whoever
-// keeps the header keeps buf.
+// DecodeShared is DecodeOwned with the signature aliasing buf as well
+// and the header sealed: its hash is taken over the header's bytes in
+// buf, which a header that decodes re-encodes to exactly. It is for a
+// buffer read for this one block, which its body keeps alive anyway (a
+// segment record read back for a Get): whoever keeps the header keeps
+// buf.
 func DecodeShared(buf []byte) (*Block, error) {
-	sb := new(sharedBlock)
-	sb.Header.Digests = sb.refs[:0]
-	b, err := decodeOwned(buf, &sb.Block, true)
+	b, err := decodeOwned(buf, new(Block), true)
 	if err != nil {
 		return nil, err
 	}

@@ -22,12 +22,13 @@ import (
 // digest, checkpoints, ModelBits and BodyBytes read what is kept. Any
 // read that needs more reads the record back: Get (GET_BLOCK in
 // process, Runtime.Block, sample proofs), Headers, and the responder
-// index, whose build reads every header (one it cannot read fails only
-// the queries that block could answer) and whose confirm of a hit
-// reads the one it names. A read is one pread, the record's CRC, and
-// one SHA-256 that holds the header bytes to the kept hash; a record
-// that is not the block's is ErrBadSegment, never another block. A
-// responder replying on the wire takes the record's payload as it is
+// index, whose build reads every header once and whose confirm of a
+// hit reads the one it names. A header the build cannot read fails
+// every later query whose answer is younger than that block, or that
+// has none, since the block may hold the digest asked for. A read is
+// one pread, the record's CRC, and one SHA-256 that holds the header
+// bytes to the kept hash; a record that is not the block's is
+// ErrBadSegment, never another block. A responder replying on the wire takes the record's payload as it is
 // (Served): it already is the BLOCK_RESP payload, and its header
 // prefix the RPY_CHILD one. No read is kept: every read of a
 // segmented block reads its record (BenchmarkHotpathSegmentGet prices

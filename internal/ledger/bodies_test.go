@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"io"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -469,6 +470,101 @@ func FuzzSegmentRead(f *testing.F) {
 // The durable one must hold at least 900 B a block less — the block it
 // lets go, less what it keeps — and stay under its ceiling: a header
 // hash, a body root and a record end (72 B) and a log slot (8 B) per
+// countingReaderAt counts the reads of a segment.
+type countingReaderAt struct {
+	r     io.ReaderAt
+	reads atomic.Int64
+}
+
+func (c *countingReaderAt) ReadAt(b []byte, off int64) (int, error) {
+	c.reads.Add(1)
+	return c.r.ReadAt(b, off)
+}
+
+// TestSilentNeighbourIndexReadsNoSegment: a neighbour that stops
+// announcing leaves its last digest in the Δ of every later block.
+// Once the oldest block holding it is segmented, neither Append nor an
+// index build may read that block back for each later one: the
+// previous block's Δ already shows an older block holds the digest.
+// Appends to an indexed durable store read nothing across two
+// compactions, its answers stay right, and a rebuild reads each
+// segmented header once.
+func TestSilentNeighbourIndexReadsNoSegment(t *testing.T) {
+	const n = 24
+	p := testParams()
+	key := identity.Deterministic(1, 4)
+	silent := digest.Sum([]byte("a neighbour that fell silent"))
+	fresh := func(i int) digest.Digest { return digest.Sum([]byte{byte(i), 'n'}) }
+	chain := make([]*block.Block, 0, 3*n)
+	var prev digest.Digest
+	for i := 0; i < 3*n; i++ {
+		refs := []block.DigestRef{{Node: 1, Digest: prev}, {Node: 2, Digest: silent}, {Node: 3, Digest: fresh(i)}}
+		b, err := p.Build(key, uint32(i), uint32(i), []byte{byte(i)}, refs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		chain = append(chain, b)
+		prev = b.Header.Hash()
+	}
+	fb, st := openBackend(t, t.TempDir(), RecoverOptions{Owner: 1, Params: p})
+	defer fb.Close()
+	s := st.Store
+	appendAll := func(bs []*block.Block) {
+		for _, b := range bs {
+			if err := s.Append(b); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	compact := func() {
+		if err := fb.Compact(func() (*NodeState, error) { return st, nil }); err != nil {
+			t.Fatal(err)
+		}
+	}
+	oldest := func(d digest.Digest, want uint32) {
+		t.Helper()
+		v, err := s.OldestContaining(d)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if h, err := v.Header(); err != nil || h.Seq != want {
+			t.Fatalf("OldestContaining(%s) = %v, %v; want block %d", d.Short(), h, err, want)
+		}
+	}
+
+	appendAll(chain[:n])
+	oldest(silent, 0) // builds the index, every block held
+	compact()
+	s.mu.Lock()
+	if s.segmentedLocked() != n {
+		s.mu.Unlock()
+		t.Fatalf("%d of %d blocks segmented", s.segmentedLocked(), n)
+	}
+	seg := &countingReaderAt{r: s.seg.r}
+	s.seg.r = seg
+	s.mu.Unlock()
+	appendAll(chain[n : 2*n])
+	compact()
+	appendAll(chain[2*n:])
+	if r := seg.reads.Load(); r != 0 {
+		t.Fatalf("%d appends carrying a silent neighbour's digest read the segment %d times, want 0", 2*n, r)
+	}
+	oldest(silent, 0)
+	for _, i := range []int{0, n - 1, n, 2*n - 1, 3*n - 1} {
+		oldest(fresh(i), uint32(i))
+	}
+
+	s.mu.Lock()
+	segmented := s.segmentedLocked()
+	s.index = slotTable{}
+	s.mu.Unlock()
+	seg.reads.Store(0)
+	oldest(silent, 0)
+	if r := seg.reads.Load(); r != int64(segmented)+1 {
+		t.Fatalf("an index build over %d segmented blocks and one answer read the segment %d times, want %d", segmented, r, segmented+1)
+	}
+}
+
 // block, where it held the whole header (~660 B) before.
 func TestDurableStoreBytesPerBlock(t *testing.T) {
 	skipUnderRace(t)

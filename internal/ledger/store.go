@@ -122,12 +122,13 @@ type Store struct {
 	// indexed in ascending sequence order, so a slot is written once and
 	// never updated.
 	index slotTable
-	// unread lists, in sequence order, the blocks whose header the
-	// index's build could not read back from the segment, and unreadErr
-	// the first such read's error. Their digests are not in the index,
-	// so an answer from a younger block, or none, may not be the oldest.
-	unread    []uint32
-	unreadErr error
+	// unreadErr is the error of the first block, firstUnread, whose
+	// header the index's last build could not read back from the
+	// segment; nil when it read them all. The digests of that block and
+	// of any later unread one are not in the index, so an answer younger
+	// than firstUnread, or none, may not be the oldest.
+	firstUnread uint32
+	unreadErr   error
 	// keyMask is all ones; tests narrow it to force key collisions.
 	keyMask uint64
 
@@ -195,34 +196,49 @@ func (s *Store) Append(b *block.Block) error {
 		}
 	}
 	s.blocks = append(s.blocks, cp)
-	if prev := len(s.blocks) - 2; prev >= 0 && prev < s.segmentedLocked() {
-		s.blocks[prev] = nil // no longer the newest: the segment has it
-	}
 	s.bodyBytes += int64(len(cp.Body))
 	s.refCount += int64(len(cp.Header.Digests))
+	prev := len(s.blocks) - 2
 	if s.index.slots != nil {
-		s.indexContains(&cp.Header)
+		var ph *block.Header
+		if prev >= 0 {
+			ph = &s.blocks[prev].Header // the newest until now: held
+		}
+		s.indexContains(&cp.Header, ph)
+	}
+	if prev >= 0 && prev < s.segmentedLocked() {
+		s.blocks[prev] = nil // no longer the newest: the segment has it
 	}
 	return nil
 }
 
 // indexContains folds one block's header h, the block already in the
 // log, into the responder index: a slot for each digest of its Δ that
-// no older block (nor an earlier reference of its own) holds. An older
-// block whose record cannot be read back counts as not holding it: the
-// slot that adds is never the first of its digest's tag to answer.
-// Caller holds s.mu for writing.
-func (s *Store) indexContains(h *block.Header) {
+// no older block (nor an earlier reference of its own) holds. prev is
+// the header of the block before h, already indexed, or nil. Most of
+// Δ is in prev's too, at the same position — a neighbour's digest stays
+// in Δ until it seals again, for as long as it stays silent, and Δ
+// lists the neighbours in a fixed order (DigestCache.AppendSnapshot) —
+// so an older block holds those, and they cost no probe and no segment
+// read. Any other older block a probe meets is read back, and one whose
+// record cannot be counts as not holding the digest: the slot that
+// adds is never the first of its tag to answer. Caller holds s.mu for
+// writing.
+func (s *Store) indexContains(h, prev *block.Header) {
 	for k := range h.Digests {
-		d := &h.Digests[k].Digest
-		if d.IsZero() {
+		d := h.Digests[k].Digest
+		if d.IsZero() || prev != nil && k < len(prev.Digests) && prev.Digests[k].Digest == d {
 			continue
 		}
-		// The common case is a neighbour's digest that stays in Δ until
-		// it seals again: an older block is on file and holds d itself.
-		s.index.insert(digestKey(d)&s.keyMask, h.Seq, func(seq uint32) bool {
+		s.index.insert(digestKey(&d)&s.keyMask, h.Seq, func(seq uint32) bool {
+			switch {
+			case seq == h.Seq:
+				return true // an earlier entry of h's Δ: h holds d
+			case prev != nil && seq == prev.Seq:
+				return prev.Contains(d)
+			}
 			v, err := s.headerLocked(seq)
-			return err == nil && v.contains(*d)
+			return err == nil && v.contains(d)
 		})
 	}
 }
@@ -243,11 +259,13 @@ func (s *Store) rlockIndexed() {
 	}
 }
 
-// buildIndex builds the responder index from the log. A block whose
-// header cannot be read back is left out and listed in unread. Caller
-// holds s.mu for writing.
+// buildIndex builds the responder index from the log, reading each
+// header S_i let go of back once. A block whose header cannot be read
+// back is left out; the first sets firstUnread. Caller holds s.mu for
+// writing.
 func (s *Store) buildIndex() {
-	s.index = newSlotTable()
+	s.index, s.unreadErr = newSlotTable(), nil
+	var prev *block.Header
 	for seq := range s.blocks {
 		v, err := s.headerLocked(uint32(seq))
 		var h *block.Header
@@ -256,12 +274,13 @@ func (s *Store) buildIndex() {
 		}
 		if err != nil {
 			if s.unreadErr == nil {
-				s.unreadErr = err
+				s.firstUnread, s.unreadErr = uint32(seq), err
 			}
-			s.unread = append(s.unread, uint32(seq))
+			prev = nil
 			continue
 		}
-		s.indexContains(h)
+		s.indexContains(h, prev)
+		prev = h
 	}
 }
 
@@ -344,10 +363,10 @@ func (s *Store) Latest() *block.Block {
 // as a responder replies with it (Served: the stored block, or for one
 // S_i let go of its record read back). No block matching is
 // ErrNotFound; a record that cannot be read back fails the query, and
-// so does one the index's build could not read when it is older than
-// the answer. It walks d's probe run and checks the Δ of each block on
-// file under d's tag: the first that holds d is its oldest, since a
-// tag's slots are in sequence order.
+// so does a header the index's build could not read when it is older
+// than the answer, or there is none. It walks d's probe run and checks
+// the Δ of each block on file under d's tag: the first that holds d is
+// its oldest, since a tag's slots are in sequence order.
 func (s *Store) OldestContaining(d digest.Digest) (Served, error) {
 	s.rlockIndexed()
 	defer s.mu.RUnlock()
@@ -362,7 +381,7 @@ func (s *Store) OldestContaining(d digest.Digest) (Served, error) {
 	switch {
 	case err != nil:
 		return Served{}, err
-	case len(s.unread) > 0 && (!ok || s.unread[0] < seq):
+	case s.unreadErr != nil && (!ok || s.firstUnread < seq):
 		// A block the index could not read may hold d, and is older.
 		return Served{}, s.unreadErr
 	case !ok:
