@@ -298,11 +298,11 @@ func (c *Cluster) AuditMany(ctx context.Context, reqs []AuditRequest) []AuditOut
 }
 
 // Block implements Runtime. The returned block is shared store state,
-// or — once a committed checkpoint covers it on a durable cluster — a
-// fresh block decoded from its owner's segment record, header and body
-// both (ledger.Store.Get), which fails once the owner's backend has
-// closed. Treat it as read-only either way and Clone it before
-// mutating.
+// or — once the commit window that logged it has fsynced, on a durable
+// cluster — a fresh block decoded from its record in the log or its
+// owner's segment, header and body both (ledger.Store.Get), which fails
+// once the file's handle has closed. Treat it as read-only either way
+// and Clone it before mutating.
 func (c *Cluster) Block(ref Ref) (*Block, error) {
 	d, err := c.device(ref.Node)
 	if err != nil {

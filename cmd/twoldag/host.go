@@ -13,6 +13,7 @@ import (
 	"github.com/twoldag/twoldag/internal/cluster"
 	"github.com/twoldag/twoldag/internal/faults"
 	"github.com/twoldag/twoldag/internal/identity"
+	"github.com/twoldag/twoldag/internal/metrics"
 )
 
 // runHost is the shared serve/join entry point: both host exactly one
@@ -104,6 +105,8 @@ func runHost(args []string, join bool) int {
 		RequestTimeout: *timeout,
 		DataDir:        *dataDir,
 		TrustCap:       *trustCap,
+		// What the control loop's metrics op reports.
+		Observer: new(metrics.EventCounters),
 	}
 	if !join {
 		cfg.ID = identity.NodeID(*id)

@@ -10,15 +10,17 @@ import (
 // durableGrowthCeiling bounds the live heap a durable, capped cluster
 // adds per sealed block between slots 600 and 1200 of
 // TestDurableHeapGrowthPerBlock. It read 736 B at the ROADMAP item 14
-// measurement and 795 B just before S_i let go of the headers its
-// segment holds; it reads 452 B since, and the ceiling sits 15 % above
-// that. About 220 B of it is the compaction phase, not history: each
-// device compacts every 256 blocks, so at slot 1200 it holds 176
-// blocks whole awaiting the next compaction against 88 at slot 600.
-// The rest is what S_i keeps per segmented block (72 B and a log
-// slot), the responder index's slots, and the digests of the shared
-// verification cache, which nothing bounds yet.
-const durableGrowthCeiling = 520
+// measurement, 795 B just before S_i let go of the headers its segment
+// holds and 452 B after, about 220 B of which was each device holding
+// the blocks sealed since its last compaction whole (176 at slot 1200
+// against 88 at slot 600). Since S_i lets go of a block once its commit
+// window has fsynced it reads 248 B, and the ceiling sits 15 % above
+// that. Where a device stands between compactions now moves it by a
+// few bytes: S_i keeps 72 B and a log slot per segmented block and 16 B
+// more per block only the log holds. The rest is the responder index's
+// slots and the digests of the shared verification cache, which nothing
+// bounds yet.
+const durableGrowthCeiling = 285
 
 // TestDurableHeapGrowthPerBlock is ROADMAP item 14's heap table as a
 // test: 8 devices, γ 2, difficulty 1, trust cap 256, durable, 1 KiB

@@ -8,6 +8,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"strings"
 
 	"github.com/twoldag/twoldag/internal/block"
 	"github.com/twoldag/twoldag/internal/digest"
@@ -36,8 +37,10 @@ type ControlRef struct {
 // live members), "latest" (ref + digest of the newest own block —
 // what a restarted node re-flushes), "state" (canonical digest over
 // the whole ledger state, for crash-recovery equivalence checks),
-// "compact" (force a WAL compaction), "leave" (graceful shutdown;
-// final response, then the loop ends).
+// "compact" (force a WAL compaction), "metrics" (the host's event
+// counters in the Prometheus text format, when its Config.Observer
+// writes them), "leave" (graceful shutdown; final response, then the
+// loop ends).
 type ControlRequest struct {
 	Op      string      `json:"op"`
 	Slot    uint32      `json:"slot,omitempty"`
@@ -58,6 +61,7 @@ type ControlResponse struct {
 	Consensus *bool       `json:"consensus,omitempty"`
 	Vouchers  int         `json:"vouchers,omitempty"`
 	Live      []uint32    `json:"live,omitempty"`
+	Metrics   string      `json:"metrics,omitempty"` // Prometheus text exposition
 }
 
 // ControlReady is the single event line a host emits once it serves.
@@ -225,6 +229,16 @@ func execControl(ctx context.Context, h *Host, req *ControlRequest) (ControlResp
 			return fail(err), false
 		}
 		return ControlResponse{OK: true}, false
+	case "metrics":
+		m, ok := h.cfg.Observer.(interface{ WritePrometheus(io.Writer) error })
+		if !ok {
+			return fail(fmt.Errorf("the host keeps no counters")), false
+		}
+		var text strings.Builder
+		if err := m.WritePrometheus(&text); err != nil {
+			return fail(err), false
+		}
+		return ControlResponse{OK: true, Metrics: text.String()}, false
 	case "leave":
 		return ControlResponse{OK: true}, true
 	default:

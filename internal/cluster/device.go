@@ -119,8 +119,8 @@ func (d *Device) Latest() (ref block.Ref, dg digest.Digest, ok bool) {
 }
 
 // Block returns the device's own block seq: shared store state, or
-// read back from its segment once a checkpoint covers it — read-only
-// either way.
+// read back from its record — in the log, then its segment — once the
+// commit window that logged it has fsynced; read-only either way.
 func (d *Device) Block(seq uint32) (*block.Block, error) {
 	return d.node.Engine().Store().Get(seq)
 }

@@ -42,17 +42,19 @@ var (
 // the mutating goroutine, inside the owning structure's write lock —
 // so the journal order is exactly the apply order, and replaying the
 // journal reproduces the state byte for byte. Implementations must
-// therefore be fast (buffered writes; only LogBlock is expected to
+// therefore be fast (buffered writes; only logBlock is expected to
 // write or fsync before it returns) and must not call back into the
 // ledger structures.
 //
 // A nil Journal (the default on every structure) is the in-memory
 // no-op backend: no call sites pay more than a nil check.
 type Journal interface {
-	// LogBlock records a sealed block appended to the owner's S_i. An
-	// error fails the append: durability is write-ahead, a block that
-	// cannot be logged is not accepted.
-	LogBlock(b *block.Block) error
+	// logBlock records a sealed block appended to s, the owner's S_i,
+	// and returns where its record sits in the log once it is durable,
+	// for s to read it back from instead of holding it (Store.append);
+	// the zero span keeps it held. An error fails the append: durability
+	// is write-ahead, a block that cannot be logged is not accepted.
+	logBlock(s *Store, b *block.Block) (walSpan, error)
 	// LogTrust records a sealed header added to H_i. inserted is the
 	// header's zero-based index in H_i's lifetime insertion sequence
 	// (TrustStore.Insertions at Add time); recovery uses it to skip

@@ -5,6 +5,8 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"os"
+	"slices"
 
 	"github.com/twoldag/twoldag/internal/block"
 	"github.com/twoldag/twoldag/internal/digest"
@@ -13,26 +15,33 @@ import (
 )
 
 // Blocks on disk. A durable node's S_i holds every own block twice
-// unless it lets one copy go: its segment (see FileBackend) has each
-// block's record at an offset that never changes. So once a committed
-// checkpoint covers a block, the store keeps three things of it — its
-// header hash, its body root M(body) under the default leaf size and
-// where its record ends (keptBlock, 72 B) — and lets the block go. The
-// newest block alone stays, without its body, for Latest. The state
-// digest, checkpoints, ModelBits and BodyBytes read what is kept. Any
-// read that needs more reads the record back: Get (GET_BLOCK in
+// unless it lets one copy go: the log holds each block's record from the
+// commit window that made it durable until a compaction copies that
+// record into the owner's segment, where it sits at an offset that never
+// changes. So once the window that logged a block has fsynced, the store
+// keeps three things of it — its header hash, its body root M(body)
+// under the default leaf size and where its record sits — and lets the
+// block go: in the log (loggedBlock, 88 B: the generation's read handle
+// and the record's start and end) until the compaction that copies the
+// record moves it to the segment (keptBlock, 72 B: the record's end; it
+// starts where the one before ends). The newest block alone stays,
+// without its body, for Latest. The state digest, checkpoints,
+// ModelBits and BodyBytes read what is kept. Any read that needs more
+// reads the record back, from whichever file holds it: Get (GET_BLOCK in
 // process, Runtime.Block, sample proofs), Headers, and the responder
-// index, whose build reads every header once and whose confirm of a
-// hit reads the one it names. A header the build cannot read fails
-// every later query whose answer is younger than that block, or that
-// has none, since the block may hold the digest asked for. A read is
-// one pread, the record's CRC, and one SHA-256 that holds the header
-// bytes to the kept hash; a record that is not the block's is
-// ErrBadSegment, never another block. A responder replying on the wire takes the record's payload as it is
-// (Served): it already is the BLOCK_RESP payload, and its header
-// prefix the RPY_CHILD one. No read is kept: every read of a
-// segmented block reads its record (BenchmarkHotpathSegmentGet prices
-// a Get).
+// index, whose build reads every header once and whose confirm of a hit
+// reads the one it names. A header the build cannot read fails every
+// later query whose answer is younger than that block, or that has none,
+// since the block may hold the digest asked for. A read is one pread,
+// the record's CRC, and one SHA-256 that holds the header bytes to the
+// kept hash; a record that is not the block's is ErrBadSegment, never
+// another block. The compaction's copy is such a read too, and also
+// hashes the body against the kept root before the record joins the
+// segment. A responder replying on the wire takes the record's payload
+// as it is (Served): it already is the BLOCK_RESP payload, and its
+// header prefix the RPY_CHILD one. No read is kept: every read of a
+// block S_i let go of reads its record (BenchmarkHotpathSegmentGet and
+// BenchmarkHotpathLoggedGet price a Get).
 
 // keptBlock is what S_i keeps of a block its segment holds: the header
 // hash and body root the state digest reads — the hash also tells the
@@ -61,6 +70,21 @@ func digestRoot(b *block.Block) digest.Digest {
 	return root
 }
 
+// walSpan is where one block record sits in the log: the read handle on
+// the generation holding it (Log.logReader) and the record's first byte
+// and the byte past its last. The zero span names none.
+type walSpan struct {
+	gen        *os.File
+	start, end int64
+}
+
+// loggedBlock is what S_i keeps of a block whose record only the log
+// holds: what it keeps of a segmented one, and the record's span.
+type loggedBlock struct {
+	hash, root digest.Digest
+	walSpan
+}
+
 // segment is where a durable store reads back the blocks it lets go
 // of: the first len(recs) blocks of the log sit in r, block i's record
 // ending at recs[i].end and starting where block i-1's ends (block 0's
@@ -81,7 +105,13 @@ func (sg *segment) recordAt(owner identity.NodeID, seq uint32) blockRecord {
 	return rr
 }
 
-// blockRecord is one segmented block's record to read back.
+// record is where w's record sits in the log, as block ref's.
+func (w *loggedBlock) record(ref block.Ref) blockRecord {
+	return blockRecord{r: w.gen, ref: ref, start: w.start, end: w.end, hash: w.hash}
+}
+
+// blockRecord is the record of one block S_i let go of, to read back
+// from its segment or the log generation that holds it.
 type blockRecord struct {
 	r          io.ReaderAt
 	ref        block.Ref
@@ -89,17 +119,16 @@ type blockRecord struct {
 	hash       digest.Digest
 }
 
-// payload reads the record and returns its payload, the block's
-// encoding. The record must be intact (its CRC) and a block record;
-// anything else is ErrBadSegment. Whose block it holds is the caller's
-// to check.
-func (rr blockRecord) payload() ([]byte, error) {
-	rec := make([]byte, rr.end-rr.start)
+// readInto reads the record into rec, which is exactly its length, and
+// returns its payload, the block's encoding. The record must be intact
+// (its CRC) and a block record; anything else is ErrBadSegment. Whose
+// block it holds is the caller's to check.
+func (rr blockRecord) readInto(rec []byte) ([]byte, error) {
 	if n, err := rr.r.ReadAt(rec, rr.start); n < len(rec) {
 		if err == nil || errors.Is(err, io.EOF) {
-			return nil, fmt.Errorf("%w: %v: the segment ends inside its record at offset %d", ErrBadSegment, rr.ref, rr.start)
+			return nil, fmt.Errorf("%w: %v: its file ends inside its record at offset %d", ErrBadSegment, rr.ref, rr.start)
 		}
-		return nil, fmt.Errorf("ledger: reading %v from its segment: %w", rr.ref, err)
+		return nil, fmt.Errorf("ledger: reading %v back: %w", rr.ref, err)
 	}
 	got, n, err := scanWALRecord(rec)
 	if err != nil || n != len(rec) || got.kind != walKindBlock {
@@ -108,22 +137,38 @@ func (rr blockRecord) payload() ([]byte, error) {
 	return got.payload, nil
 }
 
+// payload reads the record into a buffer of its own (readInto).
+func (rr blockRecord) payload() ([]byte, error) {
+	return rr.readInto(make([]byte, rr.end-rr.start))
+}
+
 // otherBlock is the error of a record that holds another block than
 // the one read back.
 func (rr blockRecord) otherBlock() error {
 	return fmt.Errorf("%w: %v: the record at offset %d holds another block", ErrBadSegment, rr.ref, rr.start)
 }
 
+// headerLen returns the length of the header payload p, the record's,
+// opens with, once those bytes hash to the kept header hash and the
+// body length is the rest.
+func (rr blockRecord) headerLen(p []byte) (int, error) {
+	n, ok := block.EncodedHeaderLen(p)
+	if !ok || len(p)-n < 4 || int(binary.LittleEndian.Uint32(p[n:])) != len(p)-n-4 || digest.Sum(p[:n]) != rr.hash {
+		return 0, rr.otherBlock()
+	}
+	return n, nil
+}
+
 // encoded reads the record for a reply: its payload, once its header
-// bytes hash to the kept header hash and its body length is the rest.
+// checks out (headerLen).
 func (rr blockRecord) encoded() (Served, error) {
 	p, err := rr.payload()
 	if err != nil {
 		return Served{}, err
 	}
-	n, ok := block.EncodedHeaderLen(p)
-	if !ok || len(p)-n < 4 || int(binary.LittleEndian.Uint32(p[n:])) != len(p)-n-4 || digest.Sum(p[:n]) != rr.hash {
-		return Served{}, rr.otherBlock()
+	n, err := rr.headerLen(p)
+	if err != nil {
+		return Served{}, err
 	}
 	return Served{Enc: p, HeaderLen: n}, nil
 }
@@ -142,6 +187,26 @@ func (rr blockRecord) block() (*block.Block, error) {
 		return nil, rr.otherBlock()
 	}
 	return b, nil
+}
+
+// appendTo appends the record to dst as a compaction copies it into the
+// segment: read as encoded reads it, and its body hashed to the kept
+// root first. A record that fails either leaves dst as it was.
+func (rr blockRecord) appendTo(dst []byte, root digest.Digest) ([]byte, error) {
+	at := len(dst)
+	dst = slices.Grow(dst, int(rr.end-rr.start))[:at+int(rr.end-rr.start)]
+	p, err := rr.readInto(dst[at:])
+	if err != nil {
+		return dst[:at], err
+	}
+	n, err := rr.headerLen(p)
+	if err != nil {
+		return dst[:at], err
+	}
+	if got, _ := merkle.RootOfBody(p[n+4:], merkle.DefaultLeafSize); got != root {
+		return dst[:at], fmt.Errorf("%w: %v: the body at offset %d is not the one sealed", ErrBadSegment, rr.ref, rr.start)
+	}
+	return dst, nil
 }
 
 // Served is one of S_i's blocks as a read hands it to a responder:
@@ -185,11 +250,42 @@ func (s *Store) readBlocksFrom(r io.ReaderAt) {
 	s.seg = &segment{r: r}
 }
 
+// holdWhole reads back every block S_i keeps only a log span of and
+// holds it whole from then on, its body hashed to the kept root first:
+// what a store does that stops mirroring its segment
+// (FileBackend.commitState), before the generations holding the
+// records go. A record that fails the read fails the call, and S_i
+// stays as it was.
+func (s *Store) holdWhole() error {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	n := s.segmentedLocked()
+	held := make([]*block.Block, len(s.wal))
+	for i := range s.wal {
+		w := &s.wal[i]
+		rr := w.record(block.Ref{Node: s.owner, Seq: uint32(n + i)})
+		b, err := rr.block()
+		if err == nil && digestRoot(b) != w.root {
+			err = rr.otherBlock()
+		}
+		if err != nil {
+			return err
+		}
+		held[i] = b
+	}
+	copy(s.blocks[n:], held)
+	s.wal = nil
+	return nil
+}
+
 // segmented records that the next len(recs) blocks after those already
 // recorded sit in the segment, and lets go of them: S_i keeps recs of
-// them (taking recs itself when it kept none yet), and of the newest
-// block of its log a body-less copy (block.Block.WithoutBody) for
-// Latest. Readers holding a block let go keep it whole.
+// them (taking recs itself when it kept none yet) in place of the spans
+// it kept of those the log held, and of the newest block of its log a
+// body-less copy (block.Block.WithoutBody) for Latest. The spans left,
+// of blocks logged since the compaction gathered, move to an array of
+// their own size: the one the compaction emptied goes. Readers holding
+// a block let go keep it whole.
 func (s *Store) segmented(recs []keptBlock) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -199,12 +295,16 @@ func (s *Store) segmented(recs []keptBlock) {
 	} else {
 		s.seg.recs = append(s.seg.recs, recs...)
 	}
+	if moved := min(len(recs), len(s.wal)); moved > 0 {
+		s.wal = append([]loggedBlock(nil), s.wal[moved:]...)
+	}
 	newest := len(s.blocks) - 1
 	for seq := from; seq < len(s.seg.recs); seq++ {
-		if seq == newest {
-			s.blocks[seq] = s.blocks[seq].WithoutBody()
-		} else {
+		switch b := s.blocks[seq]; {
+		case seq != newest:
 			s.blocks[seq] = nil
+		case b.Body != nil:
+			s.blocks[seq] = b.WithoutBody()
 		}
 	}
 }

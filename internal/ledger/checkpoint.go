@@ -22,9 +22,10 @@ import (
 //   - its segment: its sealed blocks, oldest first, each framed exactly
 //     like a WAL block record (appendWALRecord / scanWALRecord: one
 //     codec). A block is appended once — by the compaction, Silence or
-//     recovery that first finds it missing — and never copied again;
-//     from then on it is also where S_i reads the block back from
-//     (bodies.go).
+//     recovery that first finds it missing, which copies its record's
+//     bytes from the log (or encodes a block S_i holds whole) — and
+//     never copied again; from then on it is also where S_i reads the
+//     block back from (bodies.go).
 //   - its checkpoint: the rest of the node — trust cap, H_i, A_i — and
 //     the segment prefix it vouches for (segmentMark: records, bytes,
 //     newest header hash), CRC-sealed and replaced whole by rename.

@@ -29,18 +29,23 @@ import (
 //	                  wal.log, and never replaced while it exists.
 //	blocks.seg      — an owner's sealed blocks, oldest first, framed as
 //	                  WAL block records. Append-only: each block is
-//	                  written to it once. It is also where the owner's
-//	                  blocks are read from: once a committed checkpoint
-//	                  covers a block, S_i keeps its header hash, body
-//	                  root and record end and lets the block go, and
-//	                  every read of it reads the record back through a
-//	                  read-only handle the backend holds open until it
-//	                  closes.
+//	                  written to it once.
 //	checkpoint.2ldg — an owner's last checkpoint: trust cap, H_i, A_i
 //	                  and the segment prefix it vouches for, CRC-sealed.
 //	                  Always committed by atomic rename; never partial.
 //	checkpoint.tmp  — checkpoint being written; garbage after a crash,
 //	                  deleted on recovery.
+//
+// The generations and the segments are also where the owners' blocks
+// are read from. Once the commit window that logged a block has
+// fsynced, S_i keeps its header hash, body root and where its record
+// sits and lets the block go (bodies.go): its record in the generation
+// until the compaction that retires the generation copies the record's
+// bytes into the segment, its segment record from then on. Every read
+// of the block reads the record back through a read-only handle — the
+// log's on each live generation (Log.logReader), closed with the
+// compaction that deletes wal.old, or the backend's on its segment,
+// which it holds open until it closes.
 //
 // A process opens the log once, OpenLog(dir), and a backend per
 // device, Log.OpenBackend: dir/wal.log and dir/wal.old for all of them,
@@ -124,11 +129,13 @@ type FileBackend struct {
 	owns bool   // OpenFileBackend's: the log is this backend's alone
 
 	// Guarded by log.compactMu: seg is the segment prefix the committed
-	// checkpoint records; store is the S_i Recover returned, the one
-	// store whose bodies a commit lets go of (nil once a commit has
-	// written another's blocks), and segFile the read-only handle on the
-	// segment it reads them back through (opened where the segment is
-	// first read or written, closed with the backend).
+	// checkpoint records, and segFile the read-only handle on the segment
+	// store reads its blocks back through (opened where the segment is
+	// first read or written, closed with the backend). store is the S_i
+	// Recover returned, the one store that keeps a span of the records
+	// this backend logs and whose blocks a commit lets go of (nil once a
+	// commit has written another's blocks); it changes under both
+	// log.compactMu and log.mu.
 	seg     segmentMark
 	store   *Store
 	segFile *os.File
@@ -142,6 +149,7 @@ type FileBackend struct {
 	windowBlocks int          // those of them in the open commit window
 	staged       *block.Block // logged by StageBlock, not yet acknowledged by LogBlock
 	stagedAt     int64        // log.fsyncs at that write: durable once it has moved on
+	stagedSpan   walSpan      // where its record sits
 	logged       bool         // has records no checkpoint of its own covers: set by logLocked and Recover, cleared by a commit
 }
 
@@ -280,7 +288,11 @@ func (fb *FileBackend) Recover(opts RecoverOptions) (*NodeState, error) {
 			// frame awaiting repair.
 			buf = buf[:min(int64(len(buf)), l.goodOff)]
 		}
-		stats, err := replayWAL(st, buf, opts, name == walFileName)
+		gen := l.oldReader
+		if name == walFileName {
+			gen = l.logReader
+		}
+		stats, err := replayWAL(st, buf, opts, name == walFileName, gen)
 		if err != nil {
 			return nil, fmt.Errorf("ledger: replaying %s: %w", name, err)
 		}
@@ -336,18 +348,31 @@ func (fb *FileBackend) readCheckpoint(opts RecoverOptions) (*checkpoint, error) 
 // commitState makes st this owner's state on disk besides the log: the
 // blocks of S_i its segment lacks are appended and fsynced, then a
 // checkpoint recording them commits. Once it has, the S_i Recover
-// returned lets go of them (Store.segmented) — when st holds it. Blocks of
-// another S_i (a shadow state, say) leave the recovered one no longer
-// a mirror of the segment: it lets go of no more blocks. A failure
-// leaves the last checkpoint in force. Caller holds log.compactMu.
+// returned keeps their segment records in place of their log records
+// (Store.segmented) — when st holds it. Blocks of another S_i (a shadow
+// state, say) leave the recovered one no longer a mirror of the segment:
+// first it holds whole again the blocks only the log holds
+// (Store.holdWhole), since the compaction lets their generation go, and
+// it lets go of no more blocks. A failure leaves the last checkpoint in
+// force. Caller holds log.compactMu.
 func (fb *FileBackend) commitState(st *NodeState) error {
-	blocks, err := st.Store.since(fb.seg.records, fb.seg.last)
+	logged, whole, err := st.Store.since(fb.seg.records, fb.seg.last)
 	if err != nil {
 		return err
 	}
 	seg, recs := fb.seg, []keptBlock(nil)
-	if len(blocks) > 0 {
-		if seg, recs, err = fb.appendSegment(blocks); err != nil {
+	if len(logged)+len(whole) > 0 {
+		if held := fb.store; held != nil && st.Store != held {
+			// No span is handed out from here on (logBlock), so holdWhole
+			// finds every one the store keeps. A failed one hands the
+			// store back for the next commit to retry.
+			fb.setStore(nil)
+			if err := held.holdWhole(); err != nil {
+				fb.setStore(held)
+				return err
+			}
+		}
+		if seg, recs, err = fb.appendSegment(st.Store.Owner(), logged, whole); err != nil {
 			return err
 		}
 	}
@@ -355,12 +380,8 @@ func (fb *FileBackend) commitState(st *NodeState) error {
 		return err
 	}
 	fb.seg = seg
-	switch {
-	case len(recs) == 0:
-	case st.Store == fb.store:
+	if len(recs) > 0 && st.Store == fb.store {
 		fb.store.segmented(recs)
-	default:
-		fb.store = nil
 	}
 	// The new checkpoint is the one this process reads from here on, so
 	// the next commit appends behind its prefix. Whether the rename
@@ -372,6 +393,14 @@ func (fb *FileBackend) commitState(st *NodeState) error {
 	return nil
 }
 
+// setStore makes s the store logBlock hands spans to. Caller holds
+// log.compactMu.
+func (fb *FileBackend) setStore(s *Store) {
+	fb.log.mu.Lock()
+	fb.store = s
+	fb.log.mu.Unlock()
+}
+
 // closeSegment closes the read handle on the segment; the store reads
 // no block back from then on. Caller holds log.compactMu.
 func (fb *FileBackend) closeSegment() {
@@ -381,12 +410,15 @@ func (fb *FileBackend) closeSegment() {
 	}
 }
 
-// appendSegment writes blocks to the segment behind the prefix the
-// checkpoint records — cutting off first whatever an append that never
-// committed left past it — and fsyncs them. It returns the prefix with
-// the blocks in it, which only a checkpoint recording it commits, and
-// what S_i keeps of each block once it does.
-func (fb *FileBackend) appendSegment(blocks []*block.Block) (segmentMark, []keptBlock, error) {
+// appendSegment writes owner's blocks to the segment behind the prefix
+// the checkpoint records — cutting off first whatever an append that
+// never committed left past it — and fsyncs them: logged, those only the
+// log holds, as their records copied from it (blockRecord.appendTo
+// checks each), then whole, encoded. It returns the prefix with the
+// blocks in it, which only a checkpoint recording it commits, and what
+// S_i keeps of each block once it does. A record the copy refuses fails
+// the append, and the segment keeps its committed prefix.
+func (fb *FileBackend) appendSegment(owner identity.NodeID, logged []loggedBlock, whole []*block.Block) (segmentMark, []keptBlock, error) {
 	seg := fb.seg
 	path := filepath.Join(fb.dir, segmentFileName)
 	info, err := os.Stat(path)
@@ -419,18 +451,33 @@ func (fb *FileBackend) appendSegment(blocks []*block.Block) (segmentMark, []kept
 			return segmentMark{}, nil, fmt.Errorf("ledger: truncating uncommitted segment tail: %w", err)
 		}
 	}
-	total := 0
-	for _, b := range blocks {
+	total, n := 0, len(logged)+len(whole)
+	for _, w := range logged {
+		total += int(w.end - w.start)
+	}
+	for _, b := range whole {
 		total += walHeaderLen + b.WireSize() + walCRCLen
 	}
 	buf, enc := make([]byte, 0, min(total, 128<<10)), []byte(nil)
-	recs, end := make([]keptBlock, len(blocks)), seg.size
-	for i, b := range blocks {
-		enc = block.AppendEncode(enc[:0], b)
-		buf = appendWALRecord(buf, walKindBlock, enc)
-		end += int64(walHeaderLen + len(enc) + walCRCLen)
-		recs[i] = keep(b, end)
-		if len(buf) < 64<<10 && i < len(blocks)-1 {
+	recs, end := make([]keptBlock, n), seg.size
+	for i := range n {
+		at := len(buf)
+		if i < len(logged) {
+			w := &logged[i]
+			ref := block.Ref{Node: owner, Seq: seg.records + uint32(i)}
+			if buf, err = w.record(ref).appendTo(buf, w.root); err != nil {
+				return segmentMark{}, nil, err
+			}
+			recs[i] = keptBlock{hash: w.hash, root: w.root}
+		} else {
+			b := whole[i-len(logged)]
+			enc = block.AppendEncode(enc[:0], b)
+			buf = appendWALRecord(buf, walKindBlock, enc)
+			recs[i] = keep(b, 0)
+		}
+		end += int64(len(buf) - at)
+		recs[i].end = end
+		if len(buf) < 64<<10 && i < n-1 {
 			continue
 		}
 		if err := writeFull(f, buf); err != nil {
@@ -445,8 +492,8 @@ func (fb *FileBackend) appendSegment(blocks []*block.Block) (segmentMark, []kept
 	if err := f.Close(); err != nil {
 		return segmentMark{}, nil, fmt.Errorf("ledger: closing segment: %w", err)
 	}
-	seg.records += uint32(len(blocks))
-	seg.last = blocks[len(blocks)-1].Header.Hash()
+	seg.records += uint32(n)
+	seg.last = recs[n-1].hash
 	return seg, recs, nil
 }
 
@@ -506,18 +553,22 @@ func (fb *FileBackend) logLocked(kind byte, payload []byte) error {
 	return nil
 }
 
-// stageLocked buffers b's record and counts it into the open window. A
-// full buffer is written, and a failed write fails the window, b with
-// it.
-func (fb *FileBackend) stageLocked(b *block.Block) error {
+// stageLocked buffers b's record and counts it into the open window,
+// and returns where the record sits in the current generation: behind
+// what the generation and the buffer hold, a place no later write
+// moves, since a failed one fails b with its window. A full buffer is
+// written, and a failed write fails the window, b with it.
+func (fb *FileBackend) stageLocked(b *block.Block) (walSpan, error) {
 	l := fb.log
 	l.pscratch = block.AppendEncode(l.pscratch[:0], b)
+	span := walSpan{gen: l.logReader, start: l.goodOff + int64(len(l.buf))}
 	if err := fb.logLocked(walKindBlock, l.pscratch); err != nil {
-		return err
+		return walSpan{}, err
 	}
+	span.end = l.goodOff + int64(len(l.buf))
 	fb.pending++
 	fb.windowBlocks++
-	return l.spillLocked()
+	return span, l.spillLocked()
 }
 
 // StageBlock logs b's record into the open commit window and returns
@@ -533,10 +584,11 @@ func (fb *FileBackend) StageBlock(b *block.Block) error {
 	l := fb.log
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	if err := fb.stageLocked(b); err != nil {
+	span, err := fb.stageLocked(b)
+	if err != nil {
 		return err
 	}
-	fb.staged, fb.stagedAt = b, l.fsyncs
+	fb.staged, fb.stagedAt, fb.stagedSpan = b, l.fsyncs, span
 	return nil
 }
 
@@ -546,22 +598,39 @@ func (fb *FileBackend) StageBlock(b *block.Block) error {
 // Otherwise LogBlock logs the record into the open window (unless
 // StageBlock already has, in a window that did not fail) and closes
 // the window itself, under the log's mutex. An error here fails the
-// append.
+// append. It is the journal's logBlock for a caller that appends to no
+// store.
 func (fb *FileBackend) LogBlock(b *block.Block) error {
+	_, err := fb.logBlock(nil, b)
+	return err
+}
+
+// logBlock is LogBlock as s's Append journals it (Journal). Once b is
+// durable it returns the span of b's record too when s is the store
+// Recover returned (see store) and the generation holding it has a read
+// handle, and the zero span otherwise.
+func (fb *FileBackend) logBlock(s *Store, b *block.Block) (walSpan, error) {
 	l := fb.log
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	durable := fb.staged == b && l.fsyncs > fb.stagedAt
+	span := fb.stagedSpan
 	if fb.staged != b {
-		if err := fb.stageLocked(b); err != nil {
-			return err
+		var err error
+		if span, err = fb.stageLocked(b); err != nil {
+			return walSpan{}, err
 		}
 	}
-	fb.staged = nil
-	if durable {
-		return nil
+	fb.staged, fb.stagedSpan = nil, walSpan{}
+	if !durable {
+		if err := l.commitLocked(); err != nil {
+			return walSpan{}, err
+		}
 	}
-	return l.commitLocked()
+	if s != fb.store {
+		return walSpan{}, nil
+	}
+	return span, nil
 }
 
 // payloadLocked starts a lazy record's payload in the log's scratch:
@@ -661,8 +730,9 @@ func (fb *FileBackend) Flush() error { return fb.log.Flush() }
 // from the log that no checkpoint has taken in since), on a log it
 // does not own, leaves its owner uncovered; any other leaves it
 // covered, so its next Recover skips the generations. The store
-// Recover returned reads no segmented block back afterwards. Further
-// calls return ErrBackendClosed.
+// Recover returned reads no segmented block back afterwards (the blocks
+// only the log holds, until the log closes). Further calls return
+// ErrBackendClosed.
 func (fb *FileBackend) Close() error {
 	l := fb.log
 	if fb.owns {

@@ -533,7 +533,7 @@ func TestFileBackendPartialWriteRepair(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	stats, err := replayWAL(NewNodeState(4, 0), buf, opts, true)
+	stats, err := replayWAL(NewNodeState(4, 0), buf, opts, true, nil)
 	if err != nil {
 		t.Fatalf("replaying repaired WAL: %v", err)
 	}
@@ -578,7 +578,7 @@ func TestFileBackendPartialWriteRepairOnRotate(t *testing.T) {
 	}); err != nil {
 		t.Fatalf("Compact: %v", err)
 	}
-	if stats, err := replayWAL(NewNodeState(4, 0), rotated, opts, false); err != nil {
+	if stats, err := replayWAL(NewNodeState(4, 0), rotated, opts, false, nil); err != nil {
 		t.Fatalf("rotated generation fails strict replay: %v", err)
 	} else if stats.blocks != 2 {
 		t.Fatalf("rotated generation holds %d blocks, want 2", stats.blocks)

@@ -23,19 +23,21 @@
 // found by (origin, sequence number); nothing in the protocol looks a
 // block up by its own hash, so no store keeps a hash → block map.
 //
-// One exception, on a durable node: once a committed checkpoint covers
-// a block, the block lives only in the owner's segment (see
-// FileBackend), and S_i keeps of it only its header hash, its body
-// root and where its record ends (bodies.go) — of the newest block,
-// for Latest, the header too. A read that needs the block or its
-// header reads the record back, every time: Get returns a fresh
-// read-only block, header and body decoded from the record, with no
-// body-root memo, so whoever validates it hashes that body; Headers
-// returns fresh headers; OldestContaining and Serve hand a responder
-// the record's encoding as it stands (Served), which its reply frame
-// carries without a Block being built. Each holds the record's header
-// bytes to the kept hash first, so a damaged or substituted record is
-// ErrBadSegment, never another block; a closed segment fails the read.
+// One exception, on a durable node: once the commit window that logged
+// a block has fsynced, the block lives only on disk — in the log until a
+// compaction copies its record into the owner's segment (see
+// FileBackend), in the segment from then on — and S_i keeps of it only
+// its header hash, its body root and where its record sits (bodies.go)
+// — of the newest block, for Latest, the header too. A read that needs
+// the block or its header reads the record back, every time: Get
+// returns a fresh read-only block, header and body decoded from the
+// record, with no body-root memo, so whoever validates it hashes that
+// body; Headers returns fresh headers; OldestContaining and Serve hand a
+// responder the record's encoding as it stands (Served), which its reply
+// frame carries without a Block being built. Each holds the record's
+// header bytes to the kept hash first, so a damaged or substituted
+// record is ErrBadSegment, never another block; a closed segment or log
+// fails the read.
 //
 // Blocks built by block.Params.Build are fully sealed (body root
 // memoized too). A block appended unsealed — e.g. decoded from the
@@ -104,9 +106,9 @@ func digestKey(d *digest.Digest) uint64 { return binary.LittleEndian.Uint64(d[:8
 // and lets a compaction's gather see every block its rotated WAL
 // holds), so on a durable node a responder query, like Get, waits out
 // an append's fsync. On a durable node the index's build reads every
-// header its segment holds back, and each hit it confirms against a
-// block S_i let go of reads that block's record (under the read lock);
-// Get and Serve read theirs unlocked.
+// header but the newest back, and each hit it confirms against a block
+// S_i let go of reads that block's record (under the read lock); Get
+// and Serve read theirs unlocked.
 type Store struct {
 	mu        sync.RWMutex
 	owner     identity.NodeID
@@ -138,9 +140,12 @@ type Store struct {
 
 	// seg, on a durable node, is where the blocks S_i lets go of once the
 	// owner's segment holds them are read back from, and what S_i keeps
-	// of each (see bodies.go): blocks[i] is nil for those but the newest.
-	// nil in memory.
+	// of each (see bodies.go); wal is what it keeps of the blocks after
+	// those whose records only the log holds, block len(seg.recs)+i's
+	// at wal[i]. blocks[i] is nil for all of them but the newest. Blocks
+	// S_i holds whole follow them. nil in memory.
 	seg *segment
+	wal []loggedBlock
 }
 
 // NewStore creates an empty log owned by the given node.
@@ -169,8 +174,18 @@ func (s *Store) SetJournal(j Journal) {
 // the caller keeps read access but must not mutate it afterwards. An
 // unsealed block (e.g. decoded from the wire) is defensively copied
 // and header-sealed, so the caller's value stays mutable; run
-// block.Params.SealBlock first to carry a body-root memo too.
-func (s *Store) Append(b *block.Block) error {
+// block.Params.SealBlock first to carry a body-root memo too. On a
+// durable node whose journal leaves the record readable in its log, S_i
+// keeps the block as bodies.go says from the moment it is durable.
+func (s *Store) Append(b *block.Block) error { return s.append(b, walSpan{}) }
+
+// append is Append for a block whose record the log holds at logged,
+// when that names a generation: one WAL replay restores. A journal
+// names the span of the record it logs itself (Journal.logBlock), the
+// zero span when it keeps none readable. Either way S_i
+// keeps a loggedBlock of the block and holds it without its body, unless
+// it holds an older block whole (it appended that one without a span).
+func (s *Store) append(b *block.Block, logged walSpan) error {
 	if b.Header.Origin != s.owner {
 		return fmt.Errorf("%w: %v vs %v", ErrWrongOrigin, b.Header.Origin, s.owner)
 	}
@@ -191,11 +206,17 @@ func (s *Store) Append(b *block.Block) error {
 	// order exactly apply order, which is what lets WAL replay
 	// reconstruct the log byte for byte.
 	if s.journal != nil {
-		if err := s.journal.LogBlock(cp); err != nil {
+		var err error
+		if logged, err = s.journal.logBlock(s, cp); err != nil {
 			return fmt.Errorf("ledger: journaling block %v#%d: %w", s.owner, cp.Header.Seq, err)
 		}
 	}
-	s.blocks = append(s.blocks, cp)
+	held := cp
+	if logged.gen != nil && s.recordedLocked() == len(s.blocks) {
+		s.wal = append(s.wal, loggedBlock{hash: cp.Header.Hash(), root: digestRoot(cp), walSpan: logged})
+		held = cp.WithoutBody()
+	}
+	s.blocks = append(s.blocks, held)
 	s.bodyBytes += int64(len(cp.Body))
 	s.refCount += int64(len(cp.Header.Digests))
 	prev := len(s.blocks) - 2
@@ -206,8 +227,8 @@ func (s *Store) Append(b *block.Block) error {
 		}
 		s.indexContains(&cp.Header, ph)
 	}
-	if prev >= 0 && prev < s.segmentedLocked() {
-		s.blocks[prev] = nil // no longer the newest: the segment has it
+	if prev >= 0 && prev < s.recordedLocked() {
+		s.blocks[prev] = nil // no longer the newest: its record is kept
 	}
 	return nil
 }
@@ -293,25 +314,43 @@ func (s *Store) Len() int {
 
 // Get returns the (read-only) block with the given sequence number:
 // the stored, sealed block, or — for one S_i let go of — a fresh block
-// read back from the segment (see bodies.go). A record that is not
+// read back from its record (see bodies.go). A record that is not
 // that block's is ErrBadSegment.
 func (s *Store) Get(seq uint32) (*block.Block, error) {
 	b, rr, err := s.at(seq)
 	if err != nil || b != nil {
 		return b, err
 	}
-	return rr.block()
+	if b, err = rr.block(); err != nil && s.moved(rr) {
+		return s.Get(seq)
+	}
+	return b, err
 }
 
 // Serve is Get as a responder replies with it: the stored block, or the
-// encoding of one S_i let go of, read back from its segment record
-// (Served).
+// encoding of one S_i let go of, read back from its record (Served).
 func (s *Store) Serve(seq uint32) (Served, error) {
 	b, rr, err := s.at(seq)
 	if err != nil || b != nil {
 		return Served{Block: b}, err
 	}
-	return rr.encoded()
+	v, err := rr.encoded()
+	if err != nil && s.moved(rr) {
+		return s.Serve(seq)
+	}
+	return v, err
+}
+
+// moved reports whether the block rr was read for sits elsewhere now: a
+// compaction copied its record from the log to the segment, or S_i
+// holds it whole again (holdWhole), while an unlocked read was under
+// way, and may have closed the generation that read failed on. A block
+// moves once, so the read it calls for again reads the segment or the
+// held block.
+func (s *Store) moved(rr blockRecord) bool {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	return int(rr.ref.Seq) >= s.recordedLocked() || s.recordLocked(rr.ref.Seq) != rr
 }
 
 // at returns the stored block seq, or — for one S_i let go of — its
@@ -322,19 +361,33 @@ func (s *Store) at(seq uint32) (*block.Block, blockRecord, error) {
 	if int(seq) >= len(s.blocks) {
 		return nil, blockRecord{}, fmt.Errorf("%w: %v#%d", ErrNotFound, s.owner, seq)
 	}
-	if int(seq) < s.segmentedLocked() {
-		return nil, s.seg.recordAt(s.owner, seq), nil
+	if int(seq) < s.recordedLocked() {
+		return nil, s.recordLocked(seq), nil
 	}
 	return s.blocks[seq], blockRecord{}, nil
 }
 
-// segmentedLocked is how many of the oldest blocks S_i has let go of.
-// Caller holds s.mu.
+// segmentedLocked is how many of the oldest blocks S_i keeps in its
+// segment. Caller holds s.mu.
 func (s *Store) segmentedLocked() int {
 	if s.seg == nil {
 		return 0
 	}
 	return len(s.seg.recs)
+}
+
+// recordedLocked is how many of the oldest blocks S_i has let go of:
+// those its segment holds, then those only the log does. Caller holds
+// s.mu.
+func (s *Store) recordedLocked() int { return s.segmentedLocked() + len(s.wal) }
+
+// recordLocked is the record of block seq, one S_i has let go of, to
+// read back. Caller holds s.mu.
+func (s *Store) recordLocked(seq uint32) blockRecord {
+	if n := s.segmentedLocked(); int(seq) >= n {
+		return s.wal[int(seq)-n].record(block.Ref{Node: s.owner, Seq: seq})
+	}
+	return s.seg.recordAt(s.owner, seq)
 }
 
 // headerLocked returns block seq's header as a responder query reads
@@ -344,11 +397,12 @@ func (s *Store) headerLocked(seq uint32) (Served, error) {
 	if b := s.blocks[seq]; b != nil {
 		return Served{Block: b}, nil
 	}
-	return s.seg.recordAt(s.owner, seq).encoded()
+	return s.recordLocked(seq).encoded()
 }
 
 // Latest returns the (sealed, read-only) most recent block, or nil for
-// an empty store. Once the segment holds it, it holds no body.
+// an empty store. Once S_i has let go of it (bodies.go), it holds no
+// body.
 func (s *Store) Latest() *block.Block {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
@@ -411,26 +465,28 @@ func (s *Store) ModelBits(m block.SizeModel) int64 {
 }
 
 // since returns the blocks after the first n, provided the n-th hashes
-// to last: what a segment holding that prefix of this log lacks. The
-// result shares the log's backing array, which Append never rewrites
-// at or past the segment's prefix and segmented only below its new
-// one. Blocks S_i has let go of are the segment's already: n below
-// them is an error.
-func (s *Store) since(n uint32, last digest.Digest) ([]*block.Block, error) {
+// to last: what a segment holding that prefix of this log lacks — first
+// those only the log holds, as S_i keeps them, then those it holds
+// whole. The results share the store's backing arrays, which Append
+// never rewrites below their lengths, and segmented replaces. Blocks
+// in the segment S_i reads back are the segment's already: n below them
+// is an error.
+func (s *Store) since(n uint32, last digest.Digest) ([]loggedBlock, []*block.Block, error) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	if int(n) > len(s.blocks) || int(n) < s.segmentedLocked() || (n > 0 && s.hashLocked(n-1) != last) {
-		return nil, fmt.Errorf("ledger: the %d blocks of %v do not continue its segment of %d", len(s.blocks), s.owner, n)
+	seg, rec := s.segmentedLocked(), s.recordedLocked()
+	if int(n) > len(s.blocks) || int(n) < seg || (n > 0 && s.hashLocked(n-1) != last) {
+		return nil, nil, fmt.Errorf("ledger: the %d blocks of %v do not continue its segment of %d", len(s.blocks), s.owner, n)
 	}
-	return s.blocks[n:len(s.blocks):len(s.blocks)], nil
+	return s.wal[min(int(n), rec)-seg : len(s.wal) : len(s.wal)], s.blocks[max(int(n), rec):len(s.blocks):len(s.blocks)], nil
 }
 
 // hashLocked is block seq's header hash. Caller holds s.mu.
 func (s *Store) hashLocked(seq uint32) digest.Digest {
-	if int(seq) < s.segmentedLocked() {
-		return s.seg.recs[seq].hash
+	if b := s.blocks[seq]; b != nil {
+		return b.Header.Hash()
 	}
-	return s.blocks[seq].Header.Hash()
+	return s.recordLocked(seq).hash
 }
 
 // appendDigest appends S_i's state-digest branch under the read lock:
@@ -448,7 +504,10 @@ func (s *Store) appendDigest(dst []byte) []byte {
 			dst = append(append(dst, r.hash[:]...), r.root[:]...)
 		}
 	}
-	for _, b := range s.blocks[s.segmentedLocked():] {
+	for _, w := range s.wal {
+		dst = append(append(dst, w.hash[:]...), w.root[:]...)
+	}
+	for _, b := range s.blocks[s.recordedLocked():] {
 		hh, root := b.Header.Hash(), digestRoot(b)
 		dst = append(append(dst, hh[:]...), root[:]...)
 	}
@@ -457,7 +516,7 @@ func (s *Store) appendDigest(dst []byte) []byte {
 
 // Headers returns the headers of S_i in sequence order: the stored
 // (sealed, read-only) ones, and for blocks S_i let go of fresh ones
-// read back from the segment. A record that cannot be read back fails
+// read back from their records. A record that cannot be read back fails
 // the call.
 func (s *Store) Headers() ([]*block.Header, error) {
 	s.mu.RLock()

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
+	"os"
 
 	"github.com/twoldag/twoldag/internal/block"
 	"github.com/twoldag/twoldag/internal/digest"
@@ -185,6 +186,10 @@ type walReplayStats struct {
 // segment it preceded is harmless. Records of another owner are passed
 // over: a backend replays its owner's records and nobody else's.
 //
+// buf is the whole generation gen is a read handle on (nil for none):
+// each block it restores, the store keeps as a span of its record there
+// (Store.append), its body let go.
+//
 // Blocks are re-sealed through opts.Params.SealBlock and, when
 // opts.Ring is set, authenticated as one chain linked to the store's
 // newest block — falling back to opts.Params.Validate of each — before
@@ -193,7 +198,7 @@ type walReplayStats struct {
 // (opts.Params.ValidateHeader) as it is read. Structural violations
 // that cannot come from a torn write — a record naming no owner, a
 // sequence gap — fail recovery rather than truncate it.
-func replayWAL(st *NodeState, buf []byte, opts RecoverOptions, allowTorn bool) (walReplayStats, error) {
+func replayWAL(st *NodeState, buf []byte, opts RecoverOptions, allowTorn bool, gen *os.File) (walReplayStats, error) {
 	var stats walReplayStats
 	verify := recoverVerifier{opts: opts}
 	if last := st.Store.Latest(); last != nil {
@@ -204,6 +209,7 @@ func replayWAL(st *NodeState, buf []byte, opts RecoverOptions, allowTorn bool) (
 	// append-as-you-go loop saw.
 	have := st.Store.Len()
 	off := 0
+	var ends []int // each queued block's record end; verify.labels has its start
 	// The scan stops at its first error, like the serial loop — but
 	// queued verification hasn't run yet, so the error is only recorded
 	// here; a verification failure at an earlier position outranks it.
@@ -254,6 +260,7 @@ scan:
 				break scan
 			default:
 				verify.add(b, off)
+				ends = append(ends, off+n)
 				have++
 			}
 		case walKindTrust:
@@ -316,8 +323,12 @@ scan:
 	if scanErr != nil {
 		return stats, scanErr
 	}
-	for _, b := range verify.blocks {
-		if err := st.Store.Append(b); err != nil {
+	for i, b := range verify.blocks {
+		var span walSpan
+		if gen != nil {
+			span = walSpan{gen: gen, start: int64(verify.labels[i]), end: int64(ends[i])}
+		}
+		if err := st.Store.append(b, span); err != nil {
 			return stats, fmt.Errorf("ledger: WAL replay append: %w", err)
 		}
 		stats.blocks++

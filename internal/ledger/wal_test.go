@@ -117,7 +117,7 @@ func TestWALReplayAllKinds(t *testing.T) {
 	log = appendTagged(log, 1, walKindForget, []byte{8, 0, 0, 0})
 
 	st := walState()
-	stats, err := replayWAL(st, log, walOpts(), true)
+	stats, err := replayWAL(st, log, walOpts(), true, nil)
 	if err != nil {
 		t.Fatalf("replay: %v", err)
 	}
@@ -154,7 +154,7 @@ func TestWALReplayTornTail(t *testing.T) {
 
 	for _, cut := range []int{prefix + 1, prefix + walHeaderLen, len(log) - 1} {
 		st := walState()
-		stats, err := replayWAL(st, log[:cut], walOpts(), true)
+		stats, err := replayWAL(st, log[:cut], walOpts(), true, nil)
 		if err != nil {
 			t.Fatalf("cut %d: %v", cut, err)
 		}
@@ -169,7 +169,7 @@ func TestWALReplayTornTail(t *testing.T) {
 	bad := append([]byte(nil), log...)
 	bad[len(bad)-1] ^= 0xFF
 	st := walState()
-	stats, err := replayWAL(st, bad, walOpts(), true)
+	stats, err := replayWAL(st, bad, walOpts(), true, nil)
 	if err != nil || !stats.torn || st.Store.Len() != 1 {
 		t.Fatalf("corrupt tail: stats=%+v err=%v len=%d", stats, err, st.Store.Len())
 	}
@@ -185,7 +185,7 @@ func TestWALReplayStructuralViolations(t *testing.T) {
 	// Another owner's block is its record to replay, not ours; in a log
 	// a backend owns alone (OpenFileBackend) it is the wrong data dir.
 	wrongOwner := appendWALRecord(nil, walKindBlock, block.Encode(foreign))
-	if stats, err := replayWAL(walState(), wrongOwner, walOpts(), true); err != nil || stats.blocks != 0 {
+	if stats, err := replayWAL(walState(), wrongOwner, walOpts(), true, nil); err != nil || stats.blocks != 0 {
 		t.Fatalf("another owner's block: stats=%+v err=%v", stats, err)
 	}
 	dir := t.TempDir()
@@ -202,22 +202,22 @@ func TestWALReplayStructuralViolations(t *testing.T) {
 	}
 
 	gap := appendWALRecord(nil, walKindBlock, block.Encode(blocks[1]))
-	if _, err := replayWAL(walState(), gap, walOpts(), true); !errors.Is(err, ErrBadWALRecord) {
+	if _, err := replayWAL(walState(), gap, walOpts(), true, nil); !errors.Is(err, ErrBadWALRecord) {
 		t.Fatalf("seq gap: %v", err)
 	}
 
 	unknown := appendTagged(nil, 1, 99, nil)
-	if _, err := replayWAL(walState(), unknown, walOpts(), true); !errors.Is(err, ErrBadWALRecord) {
+	if _, err := replayWAL(walState(), unknown, walOpts(), true, nil); !errors.Is(err, ErrBadWALRecord) {
 		t.Fatalf("unknown kind: %v", err)
 	}
 
 	shortDigest := appendTagged(nil, 1, walKindDigest, []byte{1, 2, 3})
-	if _, err := replayWAL(walState(), shortDigest, walOpts(), true); !errors.Is(err, ErrBadWALRecord) {
+	if _, err := replayWAL(walState(), shortDigest, walOpts(), true, nil); !errors.Is(err, ErrBadWALRecord) {
 		t.Fatalf("short digest: %v", err)
 	}
 
 	untagged := appendWALRecord(nil, walKindForget, []byte{7, 0, 0, 0})
-	if _, err := replayWAL(walState(), untagged, walOpts(), true); !errors.Is(err, ErrBadWALRecord) {
+	if _, err := replayWAL(walState(), untagged, walOpts(), true, nil); !errors.Is(err, ErrBadWALRecord) {
 		t.Fatalf("record naming no owner: %v", err)
 	}
 }
@@ -238,7 +238,7 @@ func TestWALReplayIdempotent(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	stats, err := replayWAL(st, log, walOpts(), true)
+	stats, err := replayWAL(st, log, walOpts(), true, nil)
 	if err != nil {
 		t.Fatalf("replay: %v", err)
 	}
@@ -260,7 +260,7 @@ func TestWALReplayVerifiesWithRing(t *testing.T) {
 	}
 	opts := walOpts()
 	opts.Ring = ring
-	if _, err := replayWAL(walState(), log, opts, true); err == nil {
+	if _, err := replayWAL(walState(), log, opts, true, nil); err == nil {
 		t.Fatal("forged block accepted with Ring set")
 	}
 }
@@ -324,7 +324,7 @@ func FuzzWALReplay(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		for _, o := range []identity.NodeID{1, 2} {
 			got := NewNodeState(o, 0)
-			stats, err := replayWAL(got, data, RecoverOptions{Owner: o, Params: p}, true)
+			stats, err := replayWAL(got, data, RecoverOptions{Owner: o, Params: p}, true, nil)
 			if err != nil {
 				continue
 			}
@@ -346,7 +346,7 @@ func FuzzWALReplay(f *testing.F) {
 				}
 			}
 			want := NewNodeState(o, 0)
-			if _, err := replayWAL(want, own, RecoverOptions{Owner: o, Params: p}, false); err != nil {
+			if _, err := replayWAL(want, own, RecoverOptions{Owner: o, Params: p}, false, nil); err != nil {
 				t.Fatalf("owner %v: its own records of a log that replayed do not replay alone: %v", o, err)
 			}
 			if !bytes.Equal(stateBytes(t, got), stateBytes(t, want)) {
@@ -385,7 +385,7 @@ func TestWALGroupCommitWindowGolden(t *testing.T) {
 	// The whole window replays: node 3's entry was upserted then
 	// forgotten, node 5's survives.
 	st := walState()
-	stats, err := replayWAL(st, win, walOpts(), true)
+	stats, err := replayWAL(st, win, walOpts(), true, nil)
 	if err != nil {
 		t.Fatalf("replay: %v", err)
 	}
@@ -411,12 +411,12 @@ func TestWALReplayStrict(t *testing.T) {
 	log = appendWALRecord(log, walKindBlock, block.Encode(blocks[1]))
 
 	torn := log[:len(log)-3]
-	if _, err := replayWAL(walState(), torn, walOpts(), false); !errors.Is(err, ErrBadWALRecord) {
+	if _, err := replayWAL(walState(), torn, walOpts(), false, nil); !errors.Is(err, ErrBadWALRecord) {
 		t.Fatalf("strict replay of a torn log: %v", err)
 	}
 	// The intact log passes strict replay unchanged.
 	st := walState()
-	if stats, err := replayWAL(st, log, walOpts(), false); err != nil || stats.blocks != 2 {
+	if stats, err := replayWAL(st, log, walOpts(), false, nil); err != nil || stats.blocks != 2 {
 		t.Fatalf("strict replay of an intact log: stats=%+v err=%v", stats, err)
 	}
 }
@@ -435,7 +435,7 @@ func TestWALReplayTrustHorizon(t *testing.T) {
 
 	st := walState()
 	st.Trust.setInsertions(3)
-	if _, err := replayWAL(st, log, walOpts(), true); err != nil {
+	if _, err := replayWAL(st, log, walOpts(), true, nil); err != nil {
 		t.Fatalf("replay: %v", err)
 	}
 	for i, b := range nb {
@@ -448,7 +448,7 @@ func TestWALReplayTrustHorizon(t *testing.T) {
 	}
 
 	short := appendTagged(nil, 1, walKindTrust, []byte{1, 2, 3})
-	if _, err := replayWAL(walState(), short, walOpts(), true); !errors.Is(err, ErrBadWALRecord) {
+	if _, err := replayWAL(walState(), short, walOpts(), true, nil); !errors.Is(err, ErrBadWALRecord) {
 		t.Fatalf("short trust record: %v", err)
 	}
 }

@@ -130,6 +130,15 @@ type Log struct {
 	// the window's block records: the close of that window fails with it.
 	failed error
 
+	// logReader and oldReader are read-only handles on wal.log and
+	// wal.old, which the stores read back the blocks only the log holds
+	// through (loggedBlock): one per live generation, nil where it could
+	// not be opened (its blocks stay whole in their stores). A rotation
+	// makes the one on wal.log the one on wal.old, and the compaction
+	// that deletes wal.old closes it as it ends, once every store reading
+	// through it keeps its blocks' segment records instead.
+	logReader, oldReader *os.File
+
 	// hasOld says wal.old exists: a compaction rotated and has not yet
 	// committed every checkpoint that lets it go. Until one does, nothing
 	// rotates again — the rename would replace the only copy of records
@@ -194,15 +203,19 @@ func OpenLog(dir string, opts ...BackendOption) (*Log, error) {
 	if l.f, err = l.openGeneration(0); err != nil {
 		return nil, fmt.Errorf("ledger: opening WAL: %w", err)
 	}
+	l.logReader, _ = os.Open(filepath.Join(dir, walFileName)) // nil on failure: see logReader
 	info, err := os.Stat(filepath.Join(dir, walFileName))
 	if err == nil {
 		l.goodOff = info.Size()
 		// Any doubt counts as a wal.old: the log then never rotates over it.
 		_, oldErr := os.Stat(filepath.Join(dir, walOldFileName))
-		l.hasOld = !errors.Is(oldErr, fs.ErrNotExist)
+		if l.hasOld = !errors.Is(oldErr, fs.ErrNotExist); l.hasOld {
+			l.oldReader, _ = os.Open(filepath.Join(dir, walOldFileName)) // as logReader
+		}
 		err = l.scanOwners()
 	}
 	if err != nil {
+		l.closeReaders()
 		l.f.Close()
 		return nil, fmt.Errorf("ledger: reading WAL: %w", err)
 	}
@@ -261,6 +274,18 @@ func (l *Log) scanOwners() error {
 		}
 	}
 	return nil
+}
+
+// closeReaders closes the read handles on both generations: no store
+// reads a block back from the log from then on. Caller holds l.mu, or
+// has the log to itself.
+func (l *Log) closeReaders() {
+	for _, r := range []*os.File{l.logReader, l.oldReader} {
+		if r != nil {
+			r.Close()
+		}
+	}
+	l.logReader, l.oldReader = nil, nil
 }
 
 // PendingBlocks reports the most block records any one owner has in
@@ -556,6 +581,8 @@ func (l *Log) rotateLocked() error {
 	}
 	_ = l.f.Close() // synced above; nothing left for Close to lose
 	l.f = f
+	r, _ := os.Open(walPath) // nil on failure: see logReader
+	l.logReader, l.oldReader = r, l.logReader
 	l.hasOld = true
 	l.goodOff, l.syncedOff, l.dirty = 0, 0, false
 	for _, v := range l.views {
@@ -679,7 +706,14 @@ func (l *Log) compact(only *FileBackend, gather func(owner identity.NodeID) (*No
 	_ = l.syncDir(l.dir) // best-effort: see step 3 above
 	l.mu.Lock()
 	l.hasOld = false
+	old := l.oldReader
+	l.oldReader = nil
 	l.mu.Unlock()
+	if old != nil {
+		// Every store that read through it keeps segment records now
+		// (commitState): a Get whose read it fails reads those (Store.moved).
+		old.Close()
+	}
 	return nil
 }
 
@@ -699,6 +733,7 @@ func (l *Log) Close() error {
 	for _, v := range l.views {
 		v.closeSegment()
 	}
+	l.closeReaders()
 	if cerr := l.f.Close(); err == nil {
 		err = cerr
 	}

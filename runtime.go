@@ -80,8 +80,9 @@ type Runtime interface {
 	AuditMany(ctx context.Context, reqs []AuditRequest) []AuditOutcome
 	// Block fetches a block from its origin's local store (display,
 	// sample proofs). The result is read-only: shared sealed state, or
-	// on a durable deployment, once a committed checkpoint covers the
-	// block, one read back from its owner's segment.
+	// on a durable deployment, once the commit window that logged the
+	// block has fsynced, one read back from its record in the log or,
+	// after a compaction, its owner's segment.
 	Block(ref Ref) (*Block, error)
 	// Join adds a new device in radio range of a live device and
 	// returns its ID.

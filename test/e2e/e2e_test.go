@@ -203,6 +203,45 @@ func TestServeRejectsBadFlags(t *testing.T) {
 	}
 }
 
+// TestServeMetrics: the metrics op of a live durable serve answers its
+// event counters in the Prometheus text format, and a seal moves the
+// block counter and both WAL counters — the seal's commit window, one
+// fsync, and the bytes it made durable.
+func TestServeMetrics(t *testing.T) {
+	p := spawn(t, append([]string{"serve", "-id", "0"}, recoveryFlags(t.TempDir(), 0)...)...)
+	counters := func() map[string]int64 {
+		t.Helper()
+		text := p.mustOK(cluster.ControlRequest{Op: "metrics"}).Metrics
+		out := map[string]int64{}
+		for _, line := range strings.Split(text, "\n") {
+			var name string
+			var v int64
+			if !strings.HasPrefix(line, "#") && line != "" {
+				if _, err := fmt.Sscanf(line, "%s %d", &name, &v); err != nil {
+					t.Fatalf("metrics line %q: %v", line, err)
+				}
+				out[name] = v
+			}
+		}
+		return out
+	}
+	before := counters()
+	p.mustOK(cluster.ControlRequest{Op: "seal", Data: payload(0, 1)})
+	after := counters()
+	for _, name := range []string{"twoldag_blocks_sealed_total", "twoldag_wal_fsyncs_total", "twoldag_wal_bytes_written_total"} {
+		if _, ok := before[name]; !ok {
+			t.Fatalf("the metrics op reports no %s:\n%v", name, before)
+		}
+		if after[name] <= before[name] {
+			t.Fatalf("%s read %d before a seal and %d after it", name, before[name], after[name])
+		}
+	}
+	if got := after["twoldag_blocks_sealed_total"] - before["twoldag_blocks_sealed_total"]; got != 1 {
+		t.Fatalf("one seal counted %d blocks", got)
+	}
+	p.leave()
+}
+
 // payload is the deterministic per-block body both sides submit.
 func payload(id uint32, slot int) []byte {
 	return []byte(fmt.Sprintf("n%d@s%d", id, slot))
