@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"math/rand"
 
 	"github.com/twoldag/twoldag/internal/block"
 	"github.com/twoldag/twoldag/internal/digest"
@@ -44,9 +43,6 @@ type ValidatorConfig struct {
 	Avoid func(identity.NodeID) bool
 	// Strategy selects the next responder; nil means WPS (Alg. 1).
 	Strategy SelectionStrategy
-	// RNG breaks selection ties; nil keeps runs deterministic. A
-	// validator given one must not run Verify concurrently.
-	RNG *rand.Rand
 	// VerifyCache remembers headers that already passed PoW + signature
 	// checks, so each distinct header is cryptographically verified once
 	// per cache rather than once per audit hop. Nil allocates a fresh
@@ -66,10 +62,9 @@ type ValidatorConfig struct {
 // path and bookkeeping afresh, and the stores it reads (H_i, the
 // verification cache, the topology) lock for themselves
 // — so one Validator serves any number of concurrent Verify calls,
-// which is how a node.Node uses the single one it builds at start-up.
-// The exceptions are what the caller plugs in: a ValidatorConfig.RNG
-// (a *rand.Rand is not safe for concurrent use; node.Node passes none,
-// the simulator runs each node's audits serially) and a Strategy or
+// which is how a node.Node and the simulator use the single one each
+// builds per node. Selection ties are broken by a stateless rule
+// (pick). The exceptions are what the caller plugs in: a Strategy or
 // Avoid callback with state of its own.
 type Validator struct {
 	cfg      ValidatorConfig
@@ -294,10 +289,10 @@ func (v *Validator) construct(ctx context.Context, ref block.Ref, blk *block.Blo
 					Verifier:   ref.Node,
 					InVouchers: vouchers.has,
 					Topo:       v.cfg.Topo,
-					RNG:        v.cfg.RNG,
 				}
 			}
 			st.Current = cur.Node
+			st.CurrentHash = cur.HeaderHash
 			st.Candidates = cands
 			jPrime := v.strategy.Next(st)
 			mark(&tried, jPrime)

@@ -99,7 +99,6 @@ func constructReference(v *Validator, ctx context.Context, ref block.Ref, blk *b
 		Verifier:   ref.Node,
 		InVouchers: vouchers.has,
 		Topo:       v.cfg.Topo,
-		RNG:        v.cfg.RNG,
 	}
 	var nbBuf []identity.NodeID
 	for {
@@ -157,6 +156,7 @@ func constructReference(v *Validator, ctx context.Context, ref block.Ref, blk *b
 				return fmt.Errorf("%w: %v", ErrStepBudget, ref)
 			}
 			st.Current = cur.Node
+			st.CurrentHash = cur.HeaderHash
 			st.Candidates = cands
 			jPrime := v.strategy.Next(&st)
 			tried[jPrime] = true

@@ -1,8 +1,9 @@
 package core
 
 import (
-	"math/rand"
+	"encoding/binary"
 
+	"github.com/twoldag/twoldag/internal/digest"
 	"github.com/twoldag/twoldag/internal/identity"
 	"github.com/twoldag/twoldag/internal/topology"
 )
@@ -16,15 +17,15 @@ type SelectionState struct {
 	Verifier identity.NodeID
 	// Current is the origin v of the current verifying block.
 	Current identity.NodeID
+	// CurrentHash is the header hash of the current verifying block;
+	// with Validator it seeds the tie rule (pick).
+	CurrentHash digest.Digest
 	// Candidates is N' — the not-yet-tried neighbors of Current.
 	Candidates []identity.NodeID
 	// InVouchers reports membership in R_i.
 	InVouchers func(identity.NodeID) bool
 	// Topo is the shared physical topology.
 	Topo *topology.Graph
-	// RNG breaks ties; nil means "lowest node ID", keeping selection
-	// fully deterministic.
-	RNG *rand.Rand
 
 	// Strategy scratch, reused when the caller keeps one SelectionState
 	// across probes (the validator does): neighbor fetches and tie sets
@@ -101,17 +102,17 @@ func (WPS) Next(st *SelectionState) identity.NodeID {
 		// Z ∩ R_i ≠ ∅ and Z ⊄ R_i: prefer the members outside R_i.
 		pool = fresh
 	}
-	return pick(pool, st.RNG)
+	return pick(st, pool)
 }
 
 // RandomSelection ignores weights entirely — the ablation baseline for
 // WPS. The zero value is ready to use.
 type RandomSelection struct{}
 
-// Next picks a uniformly random candidate (or the lowest ID without an
-// RNG).
+// Next treats every candidate as tied: the tie rule's pick, which is
+// spread across candidates like a uniform draw (see pick).
 func (RandomSelection) Next(st *SelectionState) identity.NodeID {
-	return pick(st.Candidates, st.RNG)
+	return pick(st, st.Candidates)
 }
 
 // ShortestPathFirst implements the paper's Sec. VII future-work idea:
@@ -145,25 +146,44 @@ func (ShortestPathFirst) Next(st *SelectionState) identity.NodeID {
 			best = append(best, cand)
 		}
 	}
-	return pick(best, st.RNG)
+	return pick(st, best)
 }
 
-// pick chooses deterministically (lowest ID) without an RNG, uniformly
-// with one.
-func pick(pool []identity.NodeID, rng *rand.Rand) identity.NodeID {
+// pick is the one tie rule every driver applies (Algorithm 1 lets the
+// validator take any member of a tie set): the member with the smallest
+// mix of (validator, current header hash, member). The keys are
+// splitmix64's stream from a seed of the first two, so distinct members
+// never share one and the pool's order does not matter. The rule holds
+// no state, so a validator may run any number of audits concurrently
+// and the same audit takes the same path on every driver. Header hashes
+// are SHA-256 outputs, so across blocks each member of a k-way tie
+// comes first about 1/k of the time, not the lowest ID always.
+func pick(st *SelectionState, pool []identity.NodeID) identity.NodeID {
 	if len(pool) == 1 {
 		return pool[0]
 	}
-	if rng != nil {
-		return pool[rng.Intn(len(pool))]
-	}
-	best := pool[0]
+	seed := mix64(binary.LittleEndian.Uint64(st.CurrentHash[:8]) ^ uint64(st.Validator)*golden64)
+	best, bestKey := pool[0], mix64(seed+uint64(pool[0])*golden64)
 	for _, c := range pool[1:] {
-		if c < best {
-			best = c
+		if k := mix64(seed + uint64(c)*golden64); k < bestKey {
+			best, bestKey = c, k
 		}
 	}
 	return best
+}
+
+// golden64 is 2^64/φ, splitmix64's odd increment: multiplying by it is a
+// bijection on uint64.
+const golden64 = 0x9E3779B97F4A7C15
+
+// mix64 is splitmix64's finalizer: a bijection on uint64 whose every
+// output bit depends on every input bit.
+func mix64(x uint64) uint64 {
+	x ^= x >> 30
+	x *= 0xBF58476D1CE4E5B9
+	x ^= x >> 27
+	x *= 0x94D049BB133111EB
+	return x ^ x>>31
 }
 
 // Compile-time strategy conformance checks.

@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"github.com/twoldag/twoldag/internal/digest"
 	"github.com/twoldag/twoldag/internal/identity"
 	"github.com/twoldag/twoldag/internal/topology/topologytest"
 )
@@ -72,24 +73,36 @@ func TestWPSSingleCandidate(t *testing.T) {
 	}
 }
 
+// hashes returns n header hashes drawn from a seeded stream.
+func hashes(seed int64, n int) []digest.Digest {
+	rng := rand.New(rand.NewSource(seed))
+	out := make([]digest.Digest, n)
+	for i := range out {
+		rng.Read(out[i][:])
+	}
+	return out
+}
+
 func TestWPSTieAllOutsideR(t *testing.T) {
 	// Ring: every node has degree 2; with empty R all weights are 0, so
-	// any candidate is legal (lines 8-10). Deterministic pick = lowest.
+	// any candidate is legal (lines 8-10). The tie rule must stay in the
+	// tie set and, across current blocks, take either member.
 	g, err := topologytest.Ring(6)
 	if err != nil {
 		t.Fatal(err)
 	}
-	st := &SelectionState{Candidates: []identity.NodeID{5, 1}, InVouchers: inSet(), Topo: g}
-	if got := (WPS{}).Next(st); got != 1 {
-		t.Fatalf("deterministic tie-break = %v, want 1", got)
-	}
-	// With an RNG the result must still come from the tie set.
-	st.RNG = rand.New(rand.NewSource(3))
-	for i := 0; i < 10; i++ {
+	st := &SelectionState{Validator: 2, Candidates: []identity.NodeID{5, 1}, InVouchers: inSet(), Topo: g}
+	seen := make(map[identity.NodeID]bool)
+	for _, h := range hashes(3, 32) {
+		st.CurrentHash = h
 		got := (WPS{}).Next(st)
 		if got != 1 && got != 5 {
-			t.Fatalf("RNG pick %v outside tie set", got)
+			t.Fatalf("tie pick %v outside tie set", got)
 		}
+		seen[got] = true
+	}
+	if len(seen) != 2 {
+		t.Fatalf("32 current blocks picked only %v from a two-way tie", seen)
 	}
 }
 
@@ -119,10 +132,10 @@ func TestRandomSelectionStaysInCandidates(t *testing.T) {
 		Candidates: []identity.NodeID{0, 2, 3},
 		InVouchers: inSet(),
 		Topo:       g,
-		RNG:        rand.New(rand.NewSource(9)),
 	}
 	seen := make(map[identity.NodeID]bool)
-	for i := 0; i < 50; i++ {
+	for _, h := range hashes(9, 50) {
+		st.CurrentHash = h
 		got := (RandomSelection{}).Next(st)
 		if got != 0 && got != 2 && got != 3 {
 			t.Fatalf("pick %v outside candidates", got)
@@ -130,7 +143,55 @@ func TestRandomSelectionStaysInCandidates(t *testing.T) {
 		seen[got] = true
 	}
 	if len(seen) < 2 {
-		t.Fatal("RandomSelection never varied across 50 draws")
+		t.Fatal("RandomSelection never varied across 50 current blocks")
+	}
+}
+
+// TestTieRuleSpreadsEvenly: over many current blocks, each member of a
+// k-way tie comes first about 1/k of the time, so tie-broken probes do
+// not pile onto the lowest IDs. With 12,000 hashes the tolerance of
+// 0.02 is more than 4 standard deviations for every k here.
+func TestTieRuleSpreadsEvenly(t *testing.T) {
+	const n, tol = 12000, 0.02
+	hs := hashes(17, n)
+	for k := 2; k <= 6; k++ {
+		pool := make([]identity.NodeID, k)
+		for i := range pool {
+			pool[i] = identity.NodeID(3 + i) // adjacent IDs: the weakest input
+		}
+		st := &SelectionState{Validator: 7}
+		first := make(map[identity.NodeID]int, k)
+		for _, h := range hs {
+			st.CurrentHash = h
+			first[pick(st, pool)]++
+		}
+		for _, c := range pool {
+			if f := float64(first[c]) / n; math.Abs(f-1/float64(k)) > tol {
+				t.Errorf("k=%d: candidate %v first in %.4f of ties, want %.4f ± %.2f", k, c, f, 1/float64(k), tol)
+			}
+		}
+	}
+}
+
+// TestTieRuleIsAFunctionOfTheState: the same (validator, current hash,
+// tie set) gives the same pick, whatever the call count, the order of
+// the set or the SelectionState value that carries it.
+func TestTieRuleIsAFunctionOfTheState(t *testing.T) {
+	pool := []identity.NodeID{9, 2, 14, 5, 11}
+	for _, h := range hashes(23, 200) {
+		st := &SelectionState{Validator: 4, CurrentHash: h}
+		want := pick(st, pool)
+		rev := make([]identity.NodeID, len(pool))
+		for i, c := range pool {
+			rev[len(pool)-1-i] = c
+		}
+		again := &SelectionState{Validator: 4, CurrentHash: h}
+		if got := pick(st, pool); got != want {
+			t.Fatalf("hash %v: second call picked %v, first %v", h.Short(), got, want)
+		}
+		if got := pick(again, rev); got != want {
+			t.Fatalf("hash %v: reversed set picked %v, want %v", h.Short(), got, want)
+		}
 	}
 }
 

@@ -26,7 +26,6 @@ import (
 	"fmt"
 	"math/rand"
 	"runtime"
-	"sync"
 	"sync/atomic"
 
 	"github.com/twoldag/twoldag/internal/attack"
@@ -171,7 +170,6 @@ type Sim struct {
 	model  block.SizeModel
 	params block.Params
 	ring   *identity.Ring
-	rng    *rand.Rand
 
 	// Per-node state is ordinal-indexed: ids assigns each node a dense
 	// ordinal at join, idx inverts it, and everything else is a slice
@@ -189,14 +187,10 @@ type Sim struct {
 	// validator shares.
 	vcache *block.VerifyCache
 	// nodeRNG[i] is node i's private random stream; all of a node's
-	// per-slot draws (body bytes, audit target, selection tie-breaks)
-	// come from it, so slot outcomes are independent of goroutine
-	// scheduling.
+	// per-slot draws (body bytes, audit target) come from it, so slot
+	// outcomes are independent of goroutine scheduling. Audits draw
+	// nothing: selection ties follow a stateless rule.
 	nodeRNG []*rand.Rand
-	// vmu[i] serializes externally driven audits per validator
-	// (AuditFrom): a validator's RNG stream is not safe for concurrent
-	// draws.
-	vmu []*sync.Mutex
 
 	comm         []*commCell
 	retainedBits []int64
@@ -310,13 +304,11 @@ func New(cfg Config) (*Sim, error) {
 		graph:        g,
 		model:        block.DefaultSizeModel(cfg.BodyBytes),
 		params:       params,
-		rng:          rng,
 		ids:          ids,
 		idx:          make(map[identity.NodeID]int, len(ids)),
 		engines:      make([]*core.Engine, len(ids)),
 		validators:   make([]*core.Validator, len(ids)),
 		behaviors:    make([]attack.Behavior, len(ids)),
-		vmu:          make([]*sync.Mutex, len(ids)),
 		vcache:       block.NewVerifyCache(),
 		nodeRNG:      make([]*rand.Rand, len(ids)),
 		comm:         make([]*commCell, len(ids)),
@@ -344,7 +336,6 @@ func New(cfg Config) (*Sim, error) {
 		// A fixed per-node stream, derived from the run seed and the
 		// node ID with golden-ratio mixing so nearby seeds decorrelate.
 		s.nodeRNG[i] = rand.New(rand.NewSource(nodeSeed(cfg.Seed, id)))
-		s.vmu[i] = &sync.Mutex{}
 		s.periods[i] = 1
 		if cfg.RandomPeriodMax >= 2 {
 			s.periods[i] = 1 + rng.Intn(cfg.RandomPeriodMax)
@@ -385,7 +376,6 @@ func (s *Sim) newValidator(id identity.NodeID, i int) (*core.Validator, error) {
 		Topo:        s.graph,
 		Trust:       trust,
 		Strategy:    s.cfg.Strategy,
-		RNG:         s.nodeRNG[i],
 		VerifyCache: s.engines[i].VerifyCache(),
 	})
 }
@@ -475,8 +465,9 @@ func (s *Sim) blockModelBits(h *block.Header) int64 {
 //     contents are those of applying the slot's announcements one by
 //     one in that order.
 //  3. Audit duty — each generating honest node runs one PoP audit, in
-//     parallel; responder comm charges are atomic, and all random
-//     draws come from the auditing node's own stream.
+//     parallel; responder comm charges are atomic, the target is drawn
+//     from the auditing node's own stream, and selection ties follow
+//     a stateless rule.
 //
 // Each phase is one par.ForEach over its nodes, and ForEach returns
 // only when every call has, so the phases are separated by full
@@ -549,8 +540,9 @@ func (s *Sim) Step() error {
 	}
 
 	// Phase 3: audit duty for honest generators, in parallel. Every
-	// audit draws only from its own node's stream and charges comm
-	// atomically, so the schedule is outcome-neutral.
+	// audit draws its target from its own node's stream, breaks
+	// selection ties by a stateless rule and charges comm atomically,
+	// so the schedule is outcome-neutral.
 	if !s.cfg.disableAudits {
 		eligible := s.eligibleTargets()
 		auditors := gens[:0] // filtered in place: gens is not read again
@@ -861,19 +853,14 @@ func (s *Sim) BlockOf(ref block.Ref) (*block.Block, error) {
 
 // AuditFrom runs a PoP verification from the given validator's
 // persistent validator (H_i and the verification cache carry over
-// between audits, as on a live node). Safe for concurrent use across
-// distinct validators; audits from the same validator serialize on a
-// per-validator mutex because its RNG stream is not concurrency-safe.
+// between audits, as on a live node). Safe for concurrent use, the
+// same validator several times included.
 func (s *Sim) AuditFrom(ctx context.Context, validator identity.NodeID, target block.Ref) (*core.Result, error) {
 	i, known := s.idx[validator]
 	if !known || s.validators[i] == nil {
 		return nil, fmt.Errorf("sim: unknown or silenced validator %v", validator)
 	}
-	v := s.validators[i]
-	mu := s.vmu[i]
-	mu.Lock()
-	res, err := v.Verify(ctx, target, &simFetcher{sim: s, validator: validator})
-	mu.Unlock()
+	res, err := s.validators[i].Verify(ctx, target, &simFetcher{sim: s, validator: validator})
 	s.observeOutcome(validator, target, res, err)
 	return res, err
 }
@@ -906,7 +893,6 @@ func (s *Sim) JoinNode(id identity.NodeID) error {
 	s.retainedBits = append(s.retainedBits, 0)
 	s.periods = append(s.periods, 1)
 	s.nodeRNG = append(s.nodeRNG, rand.New(rand.NewSource(nodeSeed(s.cfg.Seed, id))))
-	s.vmu = append(s.vmu, &sync.Mutex{})
 	v, err := s.newValidator(id, i)
 	if err != nil {
 		return fmt.Errorf("sim: joiner validator: %w", err)
@@ -950,7 +936,6 @@ func (s *Sim) Verify(validator identity.NodeID, target block.Ref) (*core.Result,
 		Ring:        s.ring,
 		Topo:        s.graph,
 		Strategy:    s.cfg.Strategy,
-		RNG:         s.rng,
 		VerifyCache: s.vcache,
 	})
 	if err != nil {
