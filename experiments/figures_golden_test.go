@@ -9,7 +9,7 @@ import (
 // quickFiguresWant is the SHA-256 of what `experiments -quick all`
 // prints: Fig7, Fig8, Fig9 and Ablations at QuickScale, rendered in
 // that order. It does not depend on GOMAXPROCS.
-const quickFiguresWant = "4a8597b68bfd7c69b5d2f6146902c1b77f2fffb6e62193a9a6b130c09feff3a9"
+const quickFiguresWant = "ccde73a808e4569ede2e97107e9934426b808666a518bb911ef2202f1c8fb99a"
 
 // TestQuickFiguresGolden pins every number the quick figure set
 // prints, so a change under the simulator that moves a figure fails

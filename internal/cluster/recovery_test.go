@@ -217,7 +217,7 @@ func recoverDir(t *testing.T, dir string, owner identity.NodeID) (*ledger.NodeSt
 func TestStateDigestGolden(t *testing.T) {
 	golden := map[identity.NodeID]string{
 		0: "c9bb13a118845e3189e0a1fdfeccd4f09f9af28c7274379ff6c28503c1987a67",
-		1: "a235d9fce3fdcb2264ea01a2acef0cbc1bf7204a9347ce2f5255cf4c9951bcef",
+		1: "151dfcfe687e0dc7d257f83cf2ddba3dcf50c2af788cf12ef45026e3da1de0da",
 		2: "57f03a5179d07db7b0a475139fa3f3e506381264f2c19ac27b8a5213e6ed8c8c",
 	}
 	hosts := startHosts(t, 3, 13, nil)

@@ -46,8 +46,8 @@ func TestReportGolden(t *testing.T) {
 		return rep
 	}
 	const (
-		churnWant    = "4ffccb0ab085d86acb33f8cce2f90568a245774192494e5818eea8911ca50d9d"
-		periodicWant = "20f88c900a00419a74538ae54002faabec1a80818287fb67a036e683c872256f"
+		churnWant    = "3c88cb501fccf24cbbd37e99581adf74b025ff99d532869ac73086ae768391a6"
+		periodicWant = "39d4065b41dc2793102f07f101d95c48f410c7490a4c647d8ab8b5ce9959265d"
 	)
 	for _, procs := range []int{1, 4} {
 		if got := reportHash(t, churnRun(t, procs)); got != churnWant {

@@ -72,8 +72,8 @@ func TestSimDriverReportGolden(t *testing.T) {
 		return sd.Report()
 	}
 	const (
-		churnWant  = "8c0849fda565efaa68be1e2d7cad375b73478ff87353fda7691a8396117e36c1"
-		cappedWant = "c389430575004164c5ec1ffb522441234dbcd5c1e0800bb795cac05f486ceb00"
+		churnWant  = "1f3fa29cf874613aea7ba6ba2e3d8d46933178f6950c662dd65feaccf25053dd"
+		cappedWant = "1cc288d3deb27778b1b953aecf571742d65a4a5efc3b431d936b6986e8d27a11"
 	)
 	for _, procs := range []int{1, 4} {
 		if got := simReportHash(t, churn(procs)); got != churnWant {
