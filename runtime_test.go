@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"reflect"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -66,10 +67,10 @@ func fillSlots(rt Runtime, slots int) ([]Ref, error) {
 	return refs, nil
 }
 
-// TestDriverEquivalence is the tentpole acceptance test: the same seed
-// and options, driven with the same submissions and audits, yield the
-// same refs, the same sealed headers, and the same audit consensus
-// outcomes through the live driver and the simulator.
+// TestDriverEquivalence: the same seed and options, driven with the
+// same submissions and audits, yield the same refs, the same sealed
+// headers and, audit by audit, the same verdicts, cost counters,
+// vouchers and paths through the live driver and the simulator.
 func TestDriverEquivalence(t *testing.T) {
 	const nodes, gamma, slots = 10, 2, 4
 	live := newRuntime(t, baseOptions(nodes, gamma)...)
@@ -101,27 +102,29 @@ func TestDriverEquivalence(t *testing.T) {
 		}
 	}
 
-	// Audit a spread of old blocks from several validators: consensus
-	// outcomes (and their sentinel errors) must agree pairwise.
+	// Audit a spread of old blocks from several validators. Both
+	// drivers break selection ties by the same stateless rule, so each
+	// audit must take the same path with the same messages, not only
+	// reach the same verdict.
 	ctx := context.Background()
 	ids := live.Nodes()
 	consensuses := 0
-	for k := 0; k < 6; k++ {
-		target := liveRefs[(k*3)%(len(liveRefs)/2)]
-		validator := ids[(k*5)%len(ids)]
+	for k := 0; k < 30; k++ {
+		target := liveRefs[(k*7)%(len(liveRefs)/2)]
+		validator := ids[(k*3)%len(ids)]
 		if validator == target.Node {
-			validator = ids[(k*5+1)%len(ids)]
+			validator = ids[(k*3+1)%len(ids)]
 		}
 		lres, lerr := live.Audit(ctx, validator, target)
 		sres, serr := simr.Audit(ctx, validator, target)
 		if (lerr == nil) != (serr == nil) || errors.Is(lerr, ErrNoConsensus) != errors.Is(serr, ErrNoConsensus) {
 			t.Fatalf("audit %v by %v: errors diverge: live %v, sim %v", target, validator, lerr, serr)
 		}
-		if lerr != nil {
+		if lres == nil || sres == nil {
 			continue
 		}
-		if lres.Consensus != sres.Consensus {
-			t.Fatalf("audit %v by %v: consensus diverges: live %v, sim %v", target, validator, lres.Consensus, sres.Consensus)
+		if diff := auditDiff(lres, sres); diff != "" {
+			t.Errorf("audit %v by %v diverges (live vs sim): %s", target, validator, diff)
 		}
 		if lres.Consensus {
 			consensuses++
@@ -152,6 +155,33 @@ func TestDriverEquivalence(t *testing.T) {
 	if _, err := simr.Audit(ctx, ids[1], sfresh); !errors.Is(err, ErrNoConsensus) {
 		t.Fatalf("sim: want ErrNoConsensus, got %v", err)
 	}
+}
+
+// auditDiff names the first way two results of one audit differ: the
+// verdict, a cost counter, the voucher list or a path step's (node,
+// header hash). It is empty when they agree.
+func auditDiff(a, b *AuditResult) string {
+	type counts struct {
+		Consensus, UnionFallback                                            bool
+		Sent, Received, Fetched, TrustHits, Rollbacks, Timeouts, PathLength int
+	}
+	of := func(r *AuditResult) counts {
+		return counts{r.Consensus, r.UnionFallback, r.MessagesSent, r.MessagesReceived,
+			r.HeadersFetched, r.TrustHits, r.Rollbacks, r.Timeouts, len(r.Path)}
+	}
+	if ca, cb := of(a), of(b); ca != cb {
+		return fmt.Sprintf("%+v vs %+v", ca, cb)
+	}
+	if !slices.Equal(a.Vouchers, b.Vouchers) {
+		return fmt.Sprintf("vouchers %v vs %v", a.Vouchers, b.Vouchers)
+	}
+	for i := range a.Path {
+		sa, sb := a.Path[i], b.Path[i]
+		if sa.Node != sb.Node || sa.HeaderHash != sb.HeaderHash {
+			return fmt.Sprintf("path step %d: %v %v vs %v %v", i, sa.Node, sa.HeaderHash.Short(), sb.Node, sb.HeaderHash.Short())
+		}
+	}
+	return ""
 }
 
 // fillSingleton drives the same per-slot submissions as fillBatch but
