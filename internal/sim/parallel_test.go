@@ -1,13 +1,18 @@
 package sim
 
 import (
+	"context"
+	"errors"
 	"reflect"
 	"runtime"
 	"testing"
 	"time"
 
 	"github.com/twoldag/twoldag/internal/attack"
+	"github.com/twoldag/twoldag/internal/block"
+	"github.com/twoldag/twoldag/internal/core"
 	"github.com/twoldag/twoldag/internal/identity"
+	"github.com/twoldag/twoldag/internal/par"
 	"github.com/twoldag/twoldag/internal/topology"
 )
 
@@ -224,4 +229,69 @@ func TestSimHoldsNoGoroutines(t *testing.T) {
 	if after := runtime.NumGoroutine(); after > before {
 		t.Fatalf("%d goroutines before building the Sim, %d after its run", before, after)
 	}
+}
+
+// TestConcurrentAuditsFromOneValidator: the validator's tie rule holds
+// no state, so AuditFrom takes no per-validator lock, and audits from
+// one validator may run at once. Run under -race, many concurrent
+// audits from one node must race on nothing and reach the verdicts a
+// serial run of the same audits on an identical Sim reaches. Slot duty
+// is off, so H_i starts empty and the audits walk the network, breaking
+// ties, instead of reading H_i; with the earlier per-node RNG in place
+// of the tie rule and no lock, -race reports the shared stream here.
+func TestConcurrentAuditsFromOneValidator(t *testing.T) {
+	setGOMAXPROCS(t, 4)
+	build := func() *Sim {
+		cfg := smallConfig(5)
+		cfg.Malicious = 3
+		cfg.Behavior = attack.KindSilent
+		cfg.disableAudits = true
+		s, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := s.RunSlots(20); err != nil {
+			t.Fatal(err)
+		}
+		return s
+	}
+	serial, concurrent := build(), build()
+	var validator identity.NodeID
+	for _, id := range serial.ids {
+		if !serial.IsMalicious(id) {
+			validator = id
+			break
+		}
+	}
+	var targets []block.Ref
+	for i := 0; i < serial.BlockCount() && len(targets) < 48; i++ {
+		if ref, _, _ := serial.BlockAt(i); ref.Node != validator {
+			targets = append(targets, ref)
+		}
+	}
+	type verdict struct{ consensus, noConsensus bool }
+	of := func(res *core.Result, err error) verdict {
+		return verdict{res != nil && res.Consensus, errors.Is(err, core.ErrNoConsensus)}
+	}
+	want := make([]verdict, len(targets))
+	for k, ref := range targets {
+		want[k] = of(serial.AuditFrom(context.Background(), validator, ref))
+	}
+	got := make([]verdict, len(targets))
+	par.ForEach(len(targets), func(k int) {
+		got[k] = of(concurrent.AuditFrom(context.Background(), validator, targets[k]))
+	})
+	reached := 0
+	for k := range targets {
+		if got[k] != want[k] {
+			t.Errorf("audit %v by %v: concurrent %+v, serial %+v", targets[k], validator, got[k], want[k])
+		}
+		if want[k].consensus {
+			reached++
+		}
+	}
+	if reached == 0 {
+		t.Fatal("no audit reached consensus: the test has no power")
+	}
+	t.Logf("%d audits from %v, %d reached consensus", len(targets), validator, reached)
 }
