@@ -9,7 +9,7 @@ import (
 // quickFiguresWant is the SHA-256 of what `experiments -quick all`
 // prints: Fig7, Fig8, Fig9 and Ablations at QuickScale, rendered in
 // that order. It does not depend on GOMAXPROCS.
-const quickFiguresWant = "ccde73a808e4569ede2e97107e9934426b808666a518bb911ef2202f1c8fb99a"
+const quickFiguresWant = "f271e94ca411866a2df820a2e8a0db2de6c5fafe837f7960fe3d370a2fb2b585"
 
 // TestQuickFiguresGolden pins every number the quick figure set
 // prints, so a change under the simulator that moves a figure fails

@@ -260,12 +260,15 @@ func (v *Validator) construct(ctx context.Context, ref block.Ref, blk *block.Blo
 			if len(cands) == 0 {
 				// Lines 26–31: roll back past the exhausted node.
 				res.Rollbacks++
-				mark(&excluded, cur.Node)
 				mark(&dead, cur.HeaderHash)
 				if !union {
 					// Line 27; with union semantics the voucher
 					// stays (its block provably descends from the
-					// target).
+					// target), and so does the node as a candidate:
+					// it may own another block, the child of an
+					// earlier block on the path, whose subtree holds
+					// new vouchers. Only the exhausted block is dead.
+					mark(&excluded, cur.Node)
 					vouchers.remove(cur.Node)
 				}
 				path = path[:len(path)-1]

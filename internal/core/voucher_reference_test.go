@@ -138,9 +138,9 @@ func constructReference(v *Validator, ctx context.Context, ref block.Ref, blk *b
 			nbBuf = cands[:0]
 			if len(cands) == 0 {
 				res.Rollbacks++
-				excluded[cur.Node] = true
 				dead[cur.HeaderHash] = true
 				if !union {
+					excluded[cur.Node] = true
 					vouchers.remove(cur.Node)
 				}
 				path = path[:len(path)-1]
