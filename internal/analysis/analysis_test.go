@@ -165,10 +165,10 @@ func TestPathLengthAndMessageBounds(t *testing.T) {
 }
 
 func TestMessageBoundDominatesHonestSimulator(t *testing.T) {
-	// On an attack-free network with unit rates, a deterministic WPS
-	// validator's per-audit messages must sit between the Prop. 4 floor
-	// and the Prop. 6 ceiling. (Prop. 6 analyzes the deterministic
-	// greedy execution; randomized tie-breaking can wander past it.)
+	// On an attack-free network with unit rates, a WPS validator's
+	// per-audit messages must sit between the Prop. 4 floor and the
+	// Prop. 6 ceiling, which analyzes the deterministic greedy
+	// execution.
 	cfg := sim.Config{
 		Topo:      topology.Config{Nodes: 12, Width: 300, Height: 300, Range: 100, Seed: 6},
 		Seed:      6,

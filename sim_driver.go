@@ -103,9 +103,8 @@ func (d *SimDriver) Audit(ctx context.Context, validator NodeID, ref Ref) (*Audi
 }
 
 // AuditMany implements Runtime: audits fan out over GOMAXPROCS
-// goroutines. Audits from the same validator serialize
-// internally (its random stream is single-threaded); distinct
-// validators run fully in parallel.
+// goroutines, from any mix of validators — the same one several times
+// included (Sim.AuditFrom takes no lock).
 func (d *SimDriver) AuditMany(ctx context.Context, reqs []AuditRequest) []AuditOutcome {
 	return auditMany(ctx, d, reqs)
 }

@@ -251,6 +251,7 @@ func payload(id uint32, slot int) []byte {
 type observation struct {
 	hashes   []string // sealed header hashes, submission order
 	verdicts []bool   // audit consensus outcomes, request order
+	vouchers []int    // audit voucher counts, request order
 	joiner   uint32
 }
 
@@ -298,6 +299,7 @@ func simOracle(t *testing.T) observation {
 			t.Fatalf("sim audit %v by %v: %v", ref, validator, err)
 		}
 		obs.verdicts = append(obs.verdicts, res.Consensus)
+		obs.vouchers = append(obs.vouchers, len(res.Vouchers))
 	}
 
 	all := rt.Nodes()
@@ -324,7 +326,8 @@ func simOracle(t *testing.T) observation {
 
 // TestClusterMatchesSimulator is the headline e2e: three real
 // processes, one killed and replaced mid-run, byte-identical sealed
-// headers and identical audit verdicts to the simulator.
+// headers and identical audit verdicts and voucher counts to the
+// simulator.
 func TestClusterMatchesSimulator(t *testing.T) {
 	if testing.Short() {
 		t.Skip("spawns real processes")
@@ -383,6 +386,7 @@ func TestClusterMatchesSimulator(t *testing.T) {
 			t.Logf("proc %d: audit %+v: consensus=%v vouchers=%d err=%s", p.id, ref, *resp.Consensus, resp.Vouchers, resp.Err)
 		}
 		got.verdicts = append(got.verdicts, *resp.Consensus)
+		got.vouchers = append(got.vouchers, resp.Vouchers)
 	}
 
 	for slot := 1; slot <= 3; slot++ {
@@ -447,6 +451,9 @@ func TestClusterMatchesSimulator(t *testing.T) {
 	for i := range want.verdicts {
 		if got.verdicts[i] != want.verdicts[i] {
 			t.Errorf("audit %d: cluster consensus=%v, simulator consensus=%v", i, got.verdicts[i], want.verdicts[i])
+		}
+		if got.vouchers[i] != want.vouchers[i] {
+			t.Errorf("audit %d: cluster vouchers=%d, simulator vouchers=%d", i, got.vouchers[i], want.vouchers[i])
 		}
 	}
 }
