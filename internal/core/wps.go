@@ -158,26 +158,21 @@ func (ShortestPathFirst) Next(st *SelectionState) identity.NodeID {
 // and the same audit takes the same path on every driver. Header hashes
 // are SHA-256 outputs, so across blocks each member of a k-way tie
 // comes first about 1/k of the time, not the lowest ID always.
-func pick(st *SelectionState, pool []identity.NodeID) identity.NodeID {
-	if len(pool) == 1 {
-		return pool[0]
-	}
+func pick(st *SelectionState, pool []identity.NodeID) (best identity.NodeID) {
 	seed := mix64(binary.LittleEndian.Uint64(st.CurrentHash[:8]) ^ uint64(st.Validator)*golden64)
-	best, bestKey := pool[0], mix64(seed+uint64(pool[0])*golden64)
-	for _, c := range pool[1:] {
-		if k := mix64(seed + uint64(c)*golden64); k < bestKey {
+	bestKey := ^uint64(0)
+	for _, c := range pool {
+		if k := mix64(seed + uint64(c)*golden64); k <= bestKey {
 			best, bestKey = c, k
 		}
 	}
 	return best
 }
 
-// golden64 is 2^64/φ, splitmix64's odd increment: multiplying by it is a
-// bijection on uint64.
+// golden64 is 2^64/φ, splitmix64's odd increment.
 const golden64 = 0x9E3779B97F4A7C15
 
-// mix64 is splitmix64's finalizer: a bijection on uint64 whose every
-// output bit depends on every input bit.
+// mix64 is splitmix64's finalizer, a bijection on uint64.
 func mix64(x uint64) uint64 {
 	x ^= x >> 30
 	x *= 0xBF58476D1CE4E5B9

@@ -188,8 +188,7 @@ type Sim struct {
 	vcache *block.VerifyCache
 	// nodeRNG[i] is node i's private random stream; all of a node's
 	// per-slot draws (body bytes, audit target) come from it, so slot
-	// outcomes are independent of goroutine scheduling. Audits draw
-	// nothing: selection ties follow a stateless rule.
+	// outcomes are independent of goroutine scheduling.
 	nodeRNG []*rand.Rand
 
 	comm         []*commCell

@@ -123,11 +123,10 @@ type AuditOutcome struct {
 //
 // The default driver is the live cluster over the in-memory fabric;
 // WithSimulator selects the deterministic slot simulator. Identical
-// options (and seed) build deployments with identical topologies and
-// identities on either driver, and the same audits, run in the same
-// order, take identical audit paths and message counts to identical
-// verdicts — the drivers differ in transport realism and in the bits
-// they charge, not in protocol behavior.
+// options (and seed) build identical topologies and identities on
+// either driver, and the same audits in the same order take identical
+// audit paths and message counts — the drivers differ in transport
+// realism and cost accounting, not protocol behavior.
 func New(opts ...Option) (Runtime, error) {
 	cfg := defaultConfig()
 	for _, opt := range opts {
