@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"github.com/twoldag/twoldag/internal/block"
@@ -39,11 +40,7 @@ func (lowestIDWPS) Next(st *SelectionState) identity.NodeID {
 	if len(fresh) > 0 && len(fresh) < len(z) {
 		pool = fresh
 	}
-	low := pool[0]
-	for _, c := range pool[1:] {
-		low = min(low, c)
-	}
-	return low
+	return slices.Min(pool)
 }
 
 // voucherReach counts the nodes that own the target or a block that
@@ -71,15 +68,15 @@ func voucherReach(l *lab, ref block.Ref) int {
 	return len(owners)
 }
 
-// TestUnionRetryRevisitsRolledBackNode is the smallest instance the
-// tie-rule sweep found. Target P = n0#0; n2 seals a child of P (n2#0),
-// n3 a child of that (n3#0), n1 a child of both P and n2#0 (n1#0), and
-// n2 then a dead-end child of n1#0 (n2#1). No single path holds four
-// distinct nodes, so the strict search exhausts; the union of the tree
-// holds n0-n3, so gamma=3 is reachable. The leaf n4 ties n1 with n2 at
-// P, and the lowest-ID rule takes n1 first: the retry walks P, n1#0,
-// n2#1, rolls back twice, and once excluded n1 and n2 as nodes, and so
-// never asked n2 for its other child of P.
+// TestUnionRetryRevisitsRolledBackNode is a hand-built instance of the
+// fault TestVerdictIndependentOfTieRule found. Target P = n0#0; n2 seals
+// a child of P (n2#0), n3 a child of that (n3#0), n1 a child of both P
+// and n2#0 (n1#0), and n2 then a dead-end child of n1#0 (n2#1). No
+// single path holds four distinct nodes, so the strict search exhausts;
+// the union of the tree holds n0-n3, so gamma=3 is reachable. The leaf
+// n4 ties n1 with n2 at P. Taking n1 first, the retry walks P, n1#0,
+// n2#1 and rolls back to P; a retry that excluded rolled-back nodes (V')
+// never asked n2 for its other child of P, n2#0, and so missed n3.
 func TestUnionRetryRevisitsRolledBackNode(t *testing.T) {
 	g, err := topologytest.FromEdges(5, [][2]identity.NodeID{{0, 1}, {0, 2}, {1, 2}, {2, 3}, {1, 4}})
 	if err != nil {

@@ -3,6 +3,7 @@ package core
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"github.com/twoldag/twoldag/internal/digest"
@@ -178,18 +179,15 @@ func TestTieRuleSpreadsEvenly(t *testing.T) {
 // the set or the SelectionState value that carries it.
 func TestTieRuleIsAFunctionOfTheState(t *testing.T) {
 	pool := []identity.NodeID{9, 2, 14, 5, 11}
+	rev := slices.Clone(pool)
+	slices.Reverse(rev)
 	for _, h := range hashes(23, 200) {
 		st := &SelectionState{Validator: 4, CurrentHash: h}
 		want := pick(st, pool)
-		rev := make([]identity.NodeID, len(pool))
-		for i, c := range pool {
-			rev[len(pool)-1-i] = c
-		}
-		again := &SelectionState{Validator: 4, CurrentHash: h}
 		if got := pick(st, pool); got != want {
 			t.Fatalf("hash %v: second call picked %v, first %v", h.Short(), got, want)
 		}
-		if got := pick(again, rev); got != want {
+		if got := pick(&SelectionState{Validator: 4, CurrentHash: h}, rev); got != want {
 			t.Fatalf("hash %v: reversed set picked %v, want %v", h.Short(), got, want)
 		}
 	}
