@@ -45,8 +45,10 @@ func (lowestIDWPS) Next(st *SelectionState) identity.NodeID {
 
 // voucherReach counts the nodes that own the target or a block that
 // descends from it along the edges PoP walks: from each block, the child
-// each neighbour of its origin answers REQ_CHILD with.
-func voucherReach(l *lab, ref block.Ref) int {
+// each neighbour of its origin answers REQ_CHILD with. A neighbour for
+// which answers is false (silent) answers nothing; nil means every
+// neighbour answers.
+func voucherReach(l *lab, ref block.Ref, answers func(identity.NodeID) bool) int {
 	b, err := l.engines[ref.Node].Store().Get(ref.Seq)
 	if err != nil {
 		l.t.Fatal(err)
@@ -56,6 +58,9 @@ func voucherReach(l *lab, ref block.Ref) int {
 	for queue := []*block.Header{&b.Header}; len(queue) > 0; queue = queue[1:] {
 		cur := queue[0]
 		for _, j := range l.topo.Neighbors(cur.Origin) {
+			if answers != nil && !answers(j) {
+				continue
+			}
 			child, err := l.engines[j].Responder().ChildFor(cur.Hash())
 			if err != nil || seen[child.Hash()] {
 				continue
@@ -87,7 +92,7 @@ func TestUnionRetryRevisitsRolledBackNode(t *testing.T) {
 		l.runSlot(id)
 	}
 	target := block.Ref{Node: 0, Seq: 0}
-	if got := voucherReach(l, target); got != 4 {
+	if got := voucherReach(l, target, nil); got != 4 {
 		t.Fatalf("%d nodes own descendants of the target, want 4", got)
 	}
 	noTrust := func(c *ValidatorConfig) { c.Trust = nil }
@@ -193,7 +198,7 @@ func TestVerdictIndependentOfTieRule(t *testing.T) {
 				t.Errorf("instance %d (n=%d, gamma=%d): audit %v by %v: consensus %v, lowest-ID rule %v",
 					inst, n, gamma, ref, self, got.Consensus, want.Consensus)
 			}
-			if reach := voucherReach(l, ref); got.Consensus != (reach >= gamma+1) {
+			if reach := voucherReach(l, ref, nil); got.Consensus != (reach >= gamma+1) {
 				t.Errorf("instance %d (n=%d, gamma=%d): audit %v by %v: consensus %v, but %d nodes own descendants",
 					inst, n, gamma, ref, self, got.Consensus, reach)
 			}
