@@ -9,7 +9,7 @@ import (
 // quickFiguresWant is the SHA-256 of what `experiments -quick all`
 // prints: Fig7, Fig8, Fig9 and Ablations at QuickScale, rendered in
 // that order. It does not depend on GOMAXPROCS.
-const quickFiguresWant = "f271e94ca411866a2df820a2e8a0db2de6c5fafe837f7960fe3d370a2fb2b585"
+const quickFiguresWant = "07de425e1f10e2736a20199134bb95d5a7d40762c8d8fe36c45332a9dc8d4f91"
 
 // TestQuickFiguresGolden pins every number the quick figure set
 // prints, so a change under the simulator that moves a figure fails

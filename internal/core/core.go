@@ -113,8 +113,10 @@ type Result struct {
 	Rollbacks int
 	// Timeouts counts requests that produced no valid reply.
 	Timeouts int
-	// UnionFallback reports that strict path construction exhausted and
-	// the union-semantics retry ran (see Validator.Verify). Algorithm 3's
-	// strict verdict is Consensus && !UnionFallback.
+	// UnionFallback reports that the final path alone holds fewer than
+	// γ+1 distinct nodes: consensus, if reached, counted vouchers whose
+	// blocks lie on branches the search rolled back (see
+	// Validator.Verify). Algorithm 3's strict verdict is Consensus &&
+	// !UnionFallback.
 	UnionFallback bool
 }

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 
 	"github.com/twoldag/twoldag/internal/block"
 	"github.com/twoldag/twoldag/internal/digest"
@@ -33,13 +34,14 @@ type ValidatorConfig struct {
 	// Trust is H_i. Nil disables TPS caching (the ablation baseline).
 	Trust *ledger.TrustStore
 	// Avoid, when non-nil, reports peers to route around — e.g. a
-	// health tracker's suspects. The filter is advisory: avoided peers
-	// are skipped only while a non-avoided candidate remains, so they
-	// stay reachable as a last resort (which doubles as the recovery
-	// probe that re-admits them). It is the validator's only record of
-	// a peer's standing: a reply is judged on its own (replyValid), and
-	// no answer, however bad, bars a peer from later audits. Called
-	// from the audit loop — must be cheap and safe for concurrent use.
+	// health tracker's suspects. The filter is advisory: about each
+	// verifying block, avoided peers are asked only once every other
+	// neighbour has been, so they stay reachable as a last resort
+	// (which doubles as the recovery probe that re-admits them). It is
+	// the validator's only record of a peer's standing across audits: a
+	// reply is judged on its own (replyValid), and no answer, however
+	// bad, bars a peer from later audits. Called from the audit loop —
+	// must be cheap and safe for concurrent use.
 	Avoid func(identity.NodeID) bool
 	// Strategy selects the next responder; nil means WPS (Alg. 1).
 	Strategy SelectionStrategy
@@ -107,17 +109,6 @@ func (s *voucherSet) add(id identity.NodeID) {
 	}
 }
 
-// remove deletes id, keeping the others in order; a later add of the
-// same id joins at the end.
-func (s *voucherSet) remove(id identity.NodeID) {
-	for i, m := range s.ids {
-		if m == id {
-			s.ids = append(s.ids[:i], s.ids[i+1:]...)
-			return
-		}
-	}
-}
-
 func (s *voucherSet) has(id identity.NodeID) bool {
 	for _, m := range s.ids {
 		if m == id {
@@ -139,16 +130,18 @@ func (s *voucherSet) snapshot() []identity.NodeID {
 // Consensus == true and, when H_i is configured, every header on the
 // path has been cached for future TPS hits (line 39).
 //
-// Algorithm 3's backtracking search is incomplete: subtrees it rolls
-// back may be viable under other prefixes. So when strict path
-// construction exhausts, Verify retries counting every node that ever
-// produced a valid child along the exploration (Result.UnionFallback).
-// That is security-equivalent — each such node owns a block that
-// verifiably descends from the target, so it vouches transitively
-// (Sec. III-C) — and the retry is a complete decision procedure for
-// γ+1-voucher reachability. The paper's strict verdict stays on the
-// Result: a single path of γ+1 distinct nodes was found exactly when
-// Consensus && !UnionFallback.
+// Algorithm 3's backtracking search is incomplete: it drops a node's
+// voucher when it rolls back past it and excludes the node for the
+// rest of the step (V'), so a subtree it abandons may be viable under
+// another prefix. Verify instead searches once with union semantics
+// (construct): every node that produced a valid child along the
+// exploration keeps vouching. That is security-equivalent — each such
+// node owns a block that verifiably descends from the target, so it
+// vouches transitively (Sec. III-C) — and the search is a complete
+// decision procedure for γ+1-voucher reachability within
+// DefaultStepBudget. The paper's strict verdict stays on the Result: the
+// final path alone holds γ+1 distinct nodes exactly when Consensus &&
+// !UnionFallback.
 func (v *Validator) Verify(ctx context.Context, ref block.Ref, f Fetcher) (*Result, error) {
 	res := &Result{Target: ref}
 
@@ -179,20 +172,26 @@ func (v *Validator) Verify(ctx context.Context, ref block.Ref, f Fetcher) (*Resu
 		return res, fmt.Errorf("%w: %v: %v", ErrInvalidBlock, ref, err)
 	}
 
-	err = v.construct(ctx, ref, blk, f, res, false)
-	if errors.Is(err, ErrNoConsensus) {
-		// Strict path construction exhausted; retry with union
-		// semantics (see above).
-		res.UnionFallback = true
-		err = v.construct(ctx, ref, blk, f, res, true)
-	}
+	err = v.construct(ctx, ref, blk, f, res)
+	res.UnionFallback = !holdsDistinct(res.Path, v.cfg.Gamma+1)
 	return res, err
 }
 
-// construct runs one path-construction attempt (Algorithm 3 lines
-// 6–39). With union == true, vouchers survive rollbacks. Message
-// counters accumulate into res across attempts.
-func (v *Validator) construct(ctx context.Context, ref block.Ref, blk *block.Block, f Fetcher, res *Result, union bool) error {
+// asked is one REQ_CHILD of a Verify: peer was asked for a child of the
+// block at path depth depth.
+type asked struct {
+	depth int32
+	peer  identity.NodeID
+}
+
+// construct is Algorithm 3's path construction (lines 6–39) with union
+// semantics: a rollback marks only the exhausted block dead; its
+// owner keeps its voucher and stays a candidate, since it may own
+// another child of an earlier block on the path. No question is asked
+// twice: tried keeps, per block on the path, the peers already asked
+// for its child, whatever they answered. A block leaves the path only
+// by going dead, so its entries leave with it and are never needed.
+func (v *Validator) construct(ctx context.Context, ref block.Ref, blk *block.Block, f Fetcher, res *Result) error {
 	// Line 6: R_i = {j}, P_i = {b_j,t}, verifying block = target.
 	// Fetched headers are owned by the validator (or shared sealed store
 	// state) and never mutated here, so path steps reference them
@@ -207,22 +206,21 @@ func (v *Validator) construct(ctx context.Context, ref block.Ref, blk *block.Blo
 	budget := DefaultStepBudget
 
 	// Probe and rollback bookkeeping. All of it starts nil and is made by
-	// its first write (a nil map reads and clears for free), so an audit
-	// that H_i satisfies outright — the warm case — builds none of it.
+	// its first write, so an audit that H_i satisfies outright — the
+	// warm case — builds none of it.
 	var (
 		// dead records blocks whose subtrees were exhausted by a
 		// rollback. The paper's pseudocode resets V' = V each outer
 		// iteration (line 14), which livelocks between two dead-end
 		// branches when consensus is unsatisfiable; memoizing exhausted
-		// blocks preserves Algorithm 3's behavior on satisfiable
-		// instances while guaranteeing termination (stores are immutable
-		// during one verification).
+		// blocks guarantees termination (stores are immutable during
+		// one verification).
 		dead map[digest.Digest]bool
-		// excluded is V', the nodes rolled back past; tried is the
-		// neighbors of the current verifying node already probed.
-		excluded, tried map[identity.NodeID]bool
+		// tried is the stack of questions asked about the blocks on the
+		// path, in path order: the verifying block's sit on top.
+		tried []asked
 		// One SelectionState and one neighbor buffer serve every probe of
-		// this attempt: strategies and candidate filtering run through
+		// this search: strategies and candidate filtering run through
 		// their scratch fields, so a probe costs no per-step allocations.
 		st    *SelectionState
 		nbBuf []identity.NodeID
@@ -243,41 +241,33 @@ func (v *Validator) construct(ctx context.Context, ref block.Ref, blk *block.Blo
 		}
 
 		// Lines 13–35: probe neighbors of the verifying block's origin,
-		// rolling back when a node's neighborhood is exhausted. V' (the
-		// exclusion set) resets at each outer iteration, per line 14.
-		clear(excluded)
-		clear(tried)
-		advanced := false
-
-		for !advanced {
+		// rolling back when a block's neighborhood is exhausted.
+		for advanced := false; !advanced; {
 			if err := ctx.Err(); err != nil {
 				res.Path = path
 				return fmt.Errorf("core: verification canceled: %w", err)
 			}
-			cur := path[len(path)-1]
-			cands := v.candidates(cur.Node, tried, excluded, nbBuf)
+			depth := int32(len(path) - 1)
+			cur := path[depth]
+			top := len(tried)
+			for top > 0 && tried[top-1].depth == depth {
+				top--
+			}
+			cands := v.candidates(cur.Node, tried[top:], nbBuf)
 			nbBuf = cands[:0]
 			if len(cands) == 0 {
-				// Lines 26–31: roll back past the exhausted node.
+				// Lines 26–31: roll back past the exhausted block.
 				res.Rollbacks++
-				mark(&dead, cur.HeaderHash)
-				if !union {
-					// Line 27; with union semantics the voucher
-					// stays (its block provably descends from the
-					// target), and so does the node as a candidate:
-					// it may own another block, the child of an
-					// earlier block on the path, whose subtree holds
-					// new vouchers. Only the exhausted block is dead.
-					mark(&excluded, cur.Node)
-					vouchers.remove(cur.Node)
+				if dead == nil {
+					dead = make(map[digest.Digest]bool)
 				}
-				path = path[:len(path)-1]
-				if len(path) == 0 || vouchers.len() == 0 {
+				dead[cur.HeaderHash] = true
+				path, tried = path[:depth], tried[:top]
+				if len(path) == 0 {
 					// Lines 32–34.
 					res.Path = path
 					return fmt.Errorf("%w: %v: every path exhausted", ErrNoConsensus, ref)
 				}
-				clear(tried)
 				continue
 			}
 
@@ -286,19 +276,20 @@ func (v *Validator) construct(ctx context.Context, ref block.Ref, blk *block.Blo
 				return fmt.Errorf("%w: %v", ErrStepBudget, ref)
 			}
 
-			if st == nil {
+			if st == nil { // the first probe
 				st = &SelectionState{
 					Validator:  v.cfg.Self,
 					Verifier:   ref.Node,
 					InVouchers: vouchers.has,
 					Topo:       v.cfg.Topo,
 				}
+				tried = make([]asked, 0, 16)
 			}
 			st.Current = cur.Node
 			st.CurrentHash = cur.HeaderHash
 			st.Candidates = cands
 			jPrime := v.strategy.Next(st)
-			mark(&tried, jPrime)
+			tried = append(tried, asked{depth: depth, peer: jPrime})
 
 			// Lines 17–24: REQ_CHILD / RPY_CHILD exchange.
 			res.MessagesSent++
@@ -315,8 +306,7 @@ func (v *Validator) construct(ctx context.Context, ref block.Ref, blk *block.Blo
 			res.HeadersFetched++
 			hh := child.Hash()
 			if dead[hh] {
-				// This child's subtree is already known to dead-end;
-				// probing it again would livelock.
+				// This child's subtree is already known to dead-end.
 				continue
 			}
 
@@ -329,12 +319,17 @@ func (v *Validator) construct(ctx context.Context, ref block.Ref, blk *block.Blo
 	}
 }
 
-// mark sets (*m)[k], making the map on its first write.
-func mark[K comparable](m *map[K]bool, k K) {
-	if *m == nil {
-		*m = make(map[K]bool)
+// holdsDistinct reports whether path alone holds n distinct nodes, by
+// a pairwise scan that stops at the n-th: paths are short.
+func holdsDistinct(path []PathStep, n int) bool {
+	for i, step := range path {
+		if !slices.ContainsFunc(path[:i], func(p PathStep) bool { return p.Node == step.Node }) {
+			if n--; n == 0 {
+				return true
+			}
+		}
 	}
-	(*m)[k] = true
+	return false
 }
 
 // runTPS is Algorithm 2: follow child links already present in H_i,
@@ -363,19 +358,20 @@ func (v *Validator) runTPS(path []PathStep, vouchers *voucherSet, dead map[diges
 	return path
 }
 
-// candidates computes N' for the current verifying node: its physical
-// neighbors minus already-tried and rolled-back nodes.
-// Avoided peers (ValidatorConfig.Avoid) are then filtered out only
-// when at least one non-avoided candidate remains — suspicion routes
-// around a peer but never makes consensus unreachable. The neighbor
-// fetch and the filtering share buf's backing array; the result aliases
-// it, so callers reuse it only after consuming the previous result.
-func (v *Validator) candidates(cur identity.NodeID, tried, excluded map[identity.NodeID]bool, buf []identity.NodeID) []identity.NodeID {
+// candidates computes N' for the current verifying block, whose
+// origin is cur: cur's physical neighbors minus the peers already asked
+// about this block (tried). Avoided peers (ValidatorConfig.Avoid) are
+// then filtered out only when at least one non-avoided candidate
+// remains — suspicion routes around a peer but never makes consensus
+// unreachable. The neighbor fetch and the filtering share buf's backing
+// array; the result aliases it, so callers reuse it only after
+// consuming the previous result.
+func (v *Validator) candidates(cur identity.NodeID, tried []asked, buf []identity.NodeID) []identity.NodeID {
 	nbs := v.cfg.Topo.AppendNeighbors(buf[:0], cur)
 	eligible := nbs[:0]
 	nonAvoided := 0
 	for _, nb := range nbs {
-		if tried[nb] || excluded[nb] {
+		if slices.ContainsFunc(tried, func(q asked) bool { return q.peer == nb }) {
 			continue
 		}
 		if v.cfg.Avoid == nil || !v.cfg.Avoid(nb) {

@@ -368,6 +368,11 @@ func rollbackTopology(t *testing.T) *topology.Graph {
 	return g
 }
 
+// TestPoPRollbackThenSucceed: B's branch dead-ends, so Algorithm 3's
+// strict search (verifyReference) rolls back to A, drops B's voucher and
+// reaches consensus on the path A -> C -> D. Verify's union-first search
+// keeps B's voucher through the rollback, so only its verdict is held
+// to the strict one.
 func TestPoPRollbackThenSucceed(t *testing.T) {
 	l := newLab(t, rollbackTopology(t))
 	l.genesisAll()
@@ -375,27 +380,29 @@ func TestPoPRollbackThenSucceed(t *testing.T) {
 	// B's subtree cannot extend the path past B.
 	l.runSlot(0, 1, 2, 3)
 
-	v := l.validator(3, 2) // validator D, γ=2, target A#1
-	res, err := v.Verify(context.Background(), block.Ref{Node: 0, Seq: 1}, l.fetcher)
+	ref := block.Ref{Node: 0, Seq: 1}
+	noTrust := func(c *ValidatorConfig) { c.Trust = nil }
+	v := l.validator(3, 2, noTrust) // validator D, γ=2, target A#1
+	strict, err := verifyReference(v, context.Background(), ref, l.fetcher)
 	if err != nil {
-		t.Fatalf("Verify: %v", err)
+		t.Fatalf("verifyReference: %v", err)
 	}
-	if !res.Consensus {
-		t.Fatal("consensus not reached after rollback")
+	if !strict.Consensus || strict.UnionFallback {
+		t.Fatalf("strict search: consensus %v, union fallback %v", strict.Consensus, strict.UnionFallback)
 	}
-	if res.Rollbacks == 0 {
+	if strict.Rollbacks == 0 {
 		t.Fatal("expected at least one rollback")
 	}
-	// The final path runs A -> C -> D, so R_i joins them in that order.
-	nodes := res.Vouchers
-	want := []identity.NodeID{0, 2, 3}
-	if len(nodes) != len(want) {
-		t.Fatalf("path nodes %v, want %v", nodes, want)
+	var nodes []identity.NodeID
+	for _, step := range strict.Path {
+		nodes = append(nodes, step.Node)
 	}
-	for i := range want {
-		if nodes[i] != want[i] {
-			t.Fatalf("path nodes %v, want %v", nodes, want)
-		}
+	if want := []identity.NodeID{0, 2, 3}; !slices.Equal(nodes, want) || !slices.Equal(strict.Vouchers, want) {
+		t.Fatalf("strict path %v, vouchers %v, want both %v", nodes, strict.Vouchers, want)
+	}
+	res, err := v.Verify(context.Background(), ref, l.fetcher)
+	if err != nil || !res.Consensus {
+		t.Fatalf("Verify: consensus %v, err %v", res.Consensus, err)
 	}
 }
 
