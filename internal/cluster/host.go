@@ -552,16 +552,9 @@ func (h *Host) begin() error {
 	return nil
 }
 
-// opCtx bounds a verb: the caller's deadline rules when present
-// (falling back to the request timeout), and closing the host cancels
-// the verb either way.
+// opCtx is a verb's context: ctx, canceled too when the host closes.
 func (h *Host) opCtx(ctx context.Context) (context.Context, context.CancelFunc) {
-	var cancel context.CancelFunc
-	if _, ok := ctx.Deadline(); ok {
-		ctx, cancel = context.WithCancel(ctx)
-	} else {
-		ctx, cancel = context.WithTimeout(ctx, h.cfg.RequestTimeout)
-	}
+	ctx, cancel := context.WithCancel(ctx)
 	stop := context.AfterFunc(h.ctx, cancel)
 	return ctx, func() { stop(); cancel() }
 }
@@ -622,7 +615,8 @@ func (h *Host) StateDigest() digest.Digest { return h.dev.StateDigest() }
 
 // Flush announces previously sealed digests (in seal order) to every
 // radio neighbor and blocks until each live neighbor acknowledged
-// every digest, via wire-level DigestAcks (AckTracker.Announce).
+// every digest, via wire-level DigestAcks (AckTracker.Announce), or
+// until the caller's deadline; without one, one request timeout.
 func (h *Host) Flush(ctx context.Context, ds []digest.Digest) error {
 	if err := h.begin(); err != nil {
 		return err
@@ -632,12 +626,18 @@ func (h *Host) Flush(ctx context.Context, ds []digest.Digest) error {
 	for i, d := range ds {
 		flush[i] = Sealed{Node: h.dev.node, Digest: d}
 	}
+	if _, ok := ctx.Deadline(); !ok {
+		var cancel context.CancelFunc
+		ctx, cancel = context.WithTimeout(ctx, h.cfg.RequestTimeout)
+		defer cancel()
+	}
 	actx, cancel := h.opCtx(ctx)
 	defer cancel()
 	return h.tracker.Announce(actx, flush, h.liveNeighbors, h.cfg.Retry, h.obs)
 }
 
-// Audit runs PoP from this node against ref.
+// Audit runs PoP from this node against ref. Only the caller's deadline
+// and the host's closing bound it; each REQ_CHILD waits its own τ.
 func (h *Host) Audit(ctx context.Context, ref block.Ref) (*core.Result, error) {
 	if err := h.begin(); err != nil {
 		return nil, err
