@@ -13,9 +13,8 @@ import (
 	"github.com/twoldag/twoldag/internal/topology"
 )
 
-// DefaultStepBudget bounds the number of candidate probes per
-// path-construction attempt; Prop. 6 bounds honest executions far
-// below this.
+// DefaultStepBudget bounds the number of candidate probes per audit;
+// Prop. 6 bounds honest executions far below this.
 const DefaultStepBudget = 65536
 
 // ValidatorConfig configures a PoP validator.
@@ -94,11 +93,11 @@ func NewValidator(cfg ValidatorConfig) (*Validator, error) {
 	return v, nil
 }
 
-// voucherSet is R_i: the distinct node IDs vouching so far, in the
-// order of each member's latest add. It is a plain slice: |R_i| never
+// voucherSet is R_i: the distinct node IDs vouching so far, in join
+// order. It is a plain slice: |R_i| never
 // exceeds γ+1 (construction stops there) and γ is a fraction of an
 // IoT-scale |V|, so a linear scan beats hashing and the set costs one
-// allocation per attempt instead of a map.
+// allocation per audit instead of a map.
 type voucherSet struct {
 	ids []identity.NodeID
 }
