@@ -8,6 +8,8 @@ import (
 
 	"github.com/twoldag/twoldag/internal/block"
 	"github.com/twoldag/twoldag/internal/core"
+	"github.com/twoldag/twoldag/internal/identity"
+	"github.com/twoldag/twoldag/internal/ledger"
 	"github.com/twoldag/twoldag/internal/sim"
 	"github.com/twoldag/twoldag/internal/topology"
 )
@@ -199,7 +201,12 @@ func TestMessageBoundDominatesHonestSimulator(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := v.Verify(context.Background(), ref, core.NewStoreFetcher(s.Stores()))
+	stores := s.Stores()
+	f := &core.StoreFetcher{Lookup: func(id identity.NodeID) (*ledger.Store, bool) {
+		st, ok := stores[id]
+		return st, ok
+	}}
+	res, err := v.Verify(context.Background(), ref, f)
 	if err != nil {
 		t.Fatal(err)
 	}

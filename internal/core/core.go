@@ -21,6 +21,11 @@
 //     nodes;
 //   - Responder (Algorithm 4) — answers REQ_CHILD with the oldest local
 //     block whose Δ field contains the requested digest (Eq. 10–11).
+//
+// A validator reaches responders through a Fetcher: StoreFetcher asks
+// their stores in process (the simulator's transport, which accounts
+// costs and injects attacks through its hooks), and package node's RPC
+// fetcher sends REQ_CHILD and GET_BLOCK over a transport.
 package core
 
 import (
@@ -44,8 +49,10 @@ var (
 	// header validation (PoW or signature) or is not the block the
 	// validator asked for.
 	ErrInvalidBlock = errors.New("core: verifier block invalid")
-	// ErrNoChild is returned by responders that hold no child of the
-	// requested digest.
+	// ErrNoChild is a NOT_FOUND answer to REQ_CHILD as a validator
+	// across a transport sees it: the responder holds no child of the
+	// requested digest. In process, that miss is the store's
+	// ledger.ErrNotFound.
 	ErrNoChild = errors.New("core: no child block for digest")
 	// ErrTimeout stands for an expired REQ_CHILD timeout τ.
 	ErrTimeout = errors.New("core: request timed out")
@@ -54,9 +61,10 @@ var (
 	ErrStepBudget = errors.New("core: step budget exhausted")
 )
 
-// Fetcher is the validator's view of the network. Implementations exist
-// over the in-memory simulator (deterministic, cost-accounted) and over
-// real transports (RPC with timeouts); malicious behaviors are injected
+// Fetcher is the validator's view of the network. StoreFetcher answers
+// in process, from the responders' stores (the simulator's
+// deterministic, cost-accounted transport); node's RPC fetcher answers
+// over real transports, with timeouts. Malicious behaviors are injected
 // behind this interface.
 //
 // Ownership contract: returned headers and blocks must not be mutated

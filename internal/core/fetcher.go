@@ -2,8 +2,6 @@ package core
 
 import (
 	"context"
-	"fmt"
-	"sync"
 
 	"github.com/twoldag/twoldag/internal/block"
 	"github.com/twoldag/twoldag/internal/digest"
@@ -11,14 +9,18 @@ import (
 	"github.com/twoldag/twoldag/internal/ledger"
 )
 
-// StoreFetcher is an in-process Fetcher resolving requests directly
-// against a set of node stores. It is the honest transport used by
-// single-process deployments, tests and the simulator; malicious
-// behaviors and cost accounting are layered on via the Intercept hooks.
+// StoreFetcher is the in-process Fetcher: it runs each request's
+// Algorithm 4 directly against the responder's store. The simulator
+// audits through it and so do the tests; cost accounting and malicious
+// behaviors ride on the Intercept hooks. An answer is immediate, so
+// the context goes unread: the validator checks it before each probe.
+// Lookup and the hooks run on the auditing goroutine, and concurrent
+// audits may share one StoreFetcher, so they must be safe for
+// concurrent use.
 type StoreFetcher struct {
-	mu     sync.RWMutex
-	stores map[identity.NodeID]*ledger.Store
-
+	// Lookup resolves a responder to its store. A node it does not
+	// find does not answer: the request times out (ErrTimeout).
+	Lookup func(identity.NodeID) (*ledger.Store, bool)
 	// InterceptChild, when non-nil, may rewrite or suppress a child
 	// reply before the validator sees it. It receives the responder,
 	// the target digest and the honest answer; returning an error
@@ -30,63 +32,34 @@ type StoreFetcher struct {
 
 var _ Fetcher = (*StoreFetcher)(nil)
 
-// NewStoreFetcher builds a fetcher over the given stores.
-func NewStoreFetcher(stores map[identity.NodeID]*ledger.Store) *StoreFetcher {
-	cp := make(map[identity.NodeID]*ledger.Store, len(stores))
-	for id, s := range stores {
-		cp[id] = s
-	}
-	return &StoreFetcher{stores: cp}
-}
-
-// Register adds or replaces a node's store (dynamic membership).
-func (f *StoreFetcher) Register(id identity.NodeID, s *ledger.Store) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	f.stores[id] = s
-}
-
-// Remove drops a node's store.
-func (f *StoreFetcher) Remove(id identity.NodeID) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	delete(f.stores, id)
-}
-
-func (f *StoreFetcher) store(id identity.NodeID) (*ledger.Store, error) {
-	f.mu.RLock()
-	defer f.mu.RUnlock()
-	s, ok := f.stores[id]
-	if !ok {
-		return nil, fmt.Errorf("%w: node %v unreachable", ErrTimeout, id)
-	}
-	return s, nil
-}
-
 // RequestChild implements Fetcher by running Algorithm 4 in-process.
-func (f *StoreFetcher) RequestChild(ctx context.Context, j identity.NodeID, target digest.Digest) (*block.Header, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	var h *block.Header
-	s, err := f.store(j)
-	if err == nil {
-		h, err = NewResponder(s).ChildFor(target)
-	}
+func (f *StoreFetcher) RequestChild(_ context.Context, j identity.NodeID, target digest.Digest) (*block.Header, error) {
+	h, err := f.child(j, target)
 	if f.InterceptChild != nil {
 		return f.InterceptChild(j, target, h, err)
 	}
 	return h, err
 }
 
-// FetchBlock implements Fetcher.
-func (f *StoreFetcher) FetchBlock(ctx context.Context, ref block.Ref) (*block.Block, error) {
-	if err := ctx.Err(); err != nil {
+// child is j's honest answer to REQ_CHILD(target).
+func (f *StoreFetcher) child(j identity.NodeID, target digest.Digest) (*block.Header, error) {
+	s, ok := f.Lookup(j)
+	if !ok {
+		return nil, ErrTimeout
+	}
+	v, err := NewResponder(s).Child(target)
+	if err != nil {
 		return nil, err
 	}
+	return v.Header()
+}
+
+// FetchBlock implements Fetcher.
+func (f *StoreFetcher) FetchBlock(_ context.Context, ref block.Ref) (*block.Block, error) {
 	var b *block.Block
-	s, err := f.store(ref.Node)
-	if err == nil {
+	s, ok := f.Lookup(ref.Node)
+	err := ErrTimeout
+	if ok {
 		b, err = NewResponder(s).Block(ref)
 	}
 	if f.InterceptBlock != nil {

@@ -12,13 +12,17 @@ import (
 )
 
 // lab is an in-process 2LDAG network used throughout the core tests:
-// one Engine per topology node, a shared key ring and a StoreFetcher.
+// one Engine per topology node, a shared key ring and a StoreFetcher
+// over the stores the lab lists as reachable.
 type lab struct {
 	t       *testing.T
 	topo    *topology.Graph
 	params  block.Params
 	ring    *identity.Ring
 	engines map[identity.NodeID]*Engine
+	// stores are the responders the fetcher reaches: a node deleted
+	// from it does not answer.
+	stores  map[identity.NodeID]*ledger.Store
 	fetcher *StoreFetcher
 	slot    uint32
 }
@@ -32,9 +36,9 @@ func newLab(t *testing.T, topo *topology.Graph) *lab {
 		topo:    topo,
 		params:  params,
 		engines: make(map[identity.NodeID]*Engine),
+		stores:  make(map[identity.NodeID]*ledger.Store),
 	}
 	var pairs []identity.KeyPair
-	stores := make(map[identity.NodeID]*ledger.Store)
 	for _, id := range topo.Nodes() {
 		key := identity.Deterministic(id, 1000)
 		pairs = append(pairs, key)
@@ -43,14 +47,17 @@ func newLab(t *testing.T, topo *topology.Graph) *lab {
 			t.Fatalf("NewEngine(%v): %v", id, err)
 		}
 		l.engines[id] = eng
-		stores[id] = eng.Store()
+		l.stores[id] = eng.Store()
 	}
 	ring, err := identity.RingFor(pairs)
 	if err != nil {
 		t.Fatal(err)
 	}
 	l.ring = ring
-	l.fetcher = NewStoreFetcher(stores)
+	l.fetcher = &StoreFetcher{Lookup: func(id identity.NodeID) (*ledger.Store, bool) {
+		s, ok := l.stores[id]
+		return s, ok
+	}}
 	return l
 }
 

@@ -66,7 +66,11 @@ func descendantOwners(l *lab, ref block.Ref, answers func(identity.NodeID) bool)
 			if answers != nil && !answers(j) {
 				continue
 			}
-			child, err := l.engines[j].Responder().ChildFor(cur.Hash())
+			served, err := l.engines[j].Responder().Child(cur.Hash())
+			if err != nil {
+				continue
+			}
+			child, err := served.Header()
 			if err != nil || seen[child.Hash()] {
 				continue
 			}

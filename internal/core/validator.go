@@ -431,8 +431,9 @@ func (v *Validator) cacheVerifiedPath(path []PathStep, target *block.Block) {
 // Responder implements Algorithm 4: serve the oldest local block whose
 // Δ contains a requested digest, and serve full blocks to validators.
 // A durable node's store reads the blocks its segment holds back from
-// it: Child and Serve hand a reply the record's encoding as read, and
-// ChildFor and Block, for callers in the same process, decode it.
+// it: Child and Serve hand a reply the record's encoding as read
+// (ledger.Served; its Header decodes one for a caller in the same
+// process), and Block decodes it.
 type Responder struct {
 	store *ledger.Store
 }
@@ -442,26 +443,14 @@ func NewResponder(store *ledger.Store) *Responder {
 	return &Responder{store: store}
 }
 
-// ChildFor returns the header of the oldest local block containing
-// target in its Δ (Eq. 10–11), or ErrNoChild.
-func (r *Responder) ChildFor(target digest.Digest) (*block.Header, error) {
-	v, err := r.Child(target)
-	if err != nil {
-		return nil, err
-	}
-	return v.Header()
-}
-
-// Child is ChildFor as an RPY_CHILD carries it: the stored block, or
-// the header's encoding read back from the segment
-// (ledger.Served.Enc[:HeaderLen]). No block holding target is
-// ErrNoChild; a record that cannot be read back is the store's error.
+// Child answers REQ_CHILD(target) with the oldest local block whose Δ
+// holds target (Eq. 10–11), as an RPY_CHILD carries it: the stored
+// block, or the header's encoding read back from the segment
+// (ledger.Served.Enc[:HeaderLen]). No block holding target is the
+// store's bare ledger.ErrNotFound, and a record that cannot be read
+// back is the store's error.
 func (r *Responder) Child(target digest.Digest) (ledger.Served, error) {
-	v, err := r.store.OldestContaining(target)
-	if errors.Is(err, ledger.ErrNotFound) {
-		return ledger.Served{}, fmt.Errorf("%w: %s at %v", ErrNoChild, target, r.store.Owner())
-	}
-	return v, err
+	return r.store.OldestContaining(target)
 }
 
 // Block returns the full local block for ref, used to answer a

@@ -11,6 +11,7 @@ import (
 	"github.com/twoldag/twoldag/internal/block"
 	"github.com/twoldag/twoldag/internal/digest"
 	"github.com/twoldag/twoldag/internal/identity"
+	"github.com/twoldag/twoldag/internal/ledger"
 	"github.com/twoldag/twoldag/internal/topology"
 	"github.com/twoldag/twoldag/internal/topology/topologytest"
 )
@@ -701,21 +702,44 @@ func TestResponderAlgorithm4(t *testing.T) {
 	}
 	// A's oldest child of B1 must be A1 (seq 1), not a later block.
 	resp := l.engines[0].Responder()
-	child, err := resp.ChildFor(b1.Header.Hash())
+	served, err := resp.Child(b1.Header.Hash())
 	if err != nil {
-		t.Fatalf("ChildFor: %v", err)
+		t.Fatalf("Child: %v", err)
+	}
+	child, err := served.Header()
+	if err != nil {
+		t.Fatal(err)
 	}
 	if child.Origin != 0 || child.Seq != 1 {
 		t.Fatalf("oldest child = %v#%d, want n0#1", child.Origin, child.Seq)
 	}
-	if _, err := resp.ChildFor(digest.Sum([]byte("unknown"))); !errors.Is(err, ErrNoChild) {
-		t.Fatalf("want ErrNoChild, got %v", err)
+	if _, err := resp.Child(digest.Sum([]byte("unknown"))); !errors.Is(err, ledger.ErrNotFound) {
+		t.Fatalf("want ledger.ErrNotFound, got %v", err)
 	}
 	if _, err := resp.Block(block.Ref{Node: 0, Seq: 0}); err != nil {
 		t.Fatalf("Block: %v", err)
 	}
 	if _, err := resp.Block(block.Ref{Node: 1, Seq: 0}); err == nil {
 		t.Fatal("responder served a foreign block")
+	}
+}
+
+// TestResponderChildMissAllocs: a REQ_CHILD that finds no child in an
+// indexed in-memory store allocates nothing. No caller reads a miss's
+// text (a node answers NOT_FOUND, a validator counts a timeout), so
+// neither the store nor the responder formats one.
+func TestResponderChildMissAllocs(t *testing.T) {
+	l := newLab(t, topologytest.PaperFig6())
+	l.genesisAll()
+	l.runSlot(1, 0)
+	resp := l.engines[0].Responder()
+	missing := digest.Sum([]byte("unknown"))
+	// The first query builds the store's index.
+	if _, err := resp.Child(missing); !errors.Is(err, ledger.ErrNotFound) {
+		t.Fatalf("want ledger.ErrNotFound, got %v", err)
+	}
+	if n := testing.AllocsPerRun(100, func() { _, _ = resp.Child(missing) }); n != 0 {
+		t.Fatalf("a REQ_CHILD miss makes %v allocations, want 0", n)
 	}
 }
 
@@ -777,23 +801,39 @@ func TestEngineConstructorValidation(t *testing.T) {
 	}
 }
 
-// TestStoreFetcherDynamicMembership: removing a store makes the node
-// unreachable; re-registering restores it.
+// TestStoreFetcherDynamicMembership: a store its lookup no longer finds
+// makes the node unreachable; putting it back restores it.
 func TestStoreFetcherDynamicMembership(t *testing.T) {
 	l := newLab(t, topologytest.PaperFig4())
 	l.genesisAll()
+	l.runSlot(2)
 	ctx := context.Background()
 	ref := block.Ref{Node: 2, Seq: 0}
+	nb := l.topo.Neighbors(2)[0]
+	parent, err := l.engines[nb].Store().Get(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	target := parent.Header.Hash()
 	if _, err := l.fetcher.FetchBlock(ctx, ref); err != nil {
 		t.Fatalf("fetch before removal: %v", err)
 	}
-	l.fetcher.Remove(2)
+	if _, err := l.fetcher.RequestChild(ctx, 2, target); err != nil {
+		t.Fatalf("REQ_CHILD before removal: %v", err)
+	}
+	delete(l.stores, 2)
 	if _, err := l.fetcher.FetchBlock(ctx, ref); !errors.Is(err, ErrTimeout) {
 		t.Fatalf("want ErrTimeout after removal, got %v", err)
 	}
-	l.fetcher.Register(2, l.engines[2].Store())
+	if _, err := l.fetcher.RequestChild(ctx, 2, target); !errors.Is(err, ErrTimeout) {
+		t.Fatalf("want ErrTimeout for REQ_CHILD after removal, got %v", err)
+	}
+	l.stores[2] = l.engines[2].Store()
 	if _, err := l.fetcher.FetchBlock(ctx, ref); err != nil {
 		t.Fatalf("fetch after re-register: %v", err)
+	}
+	if _, err := l.fetcher.RequestChild(ctx, 2, target); err != nil {
+		t.Fatalf("REQ_CHILD after re-register: %v", err)
 	}
 }
 

@@ -415,12 +415,13 @@ func (s *Store) Latest() *block.Block {
 // OldestContaining implements the responder's selection rule (Alg. 4,
 // Eq. 10–11): among the owner's blocks whose Δ contains d, the oldest,
 // as a responder replies with it (Served: the stored block, or for one
-// S_i let go of its record read back). No block matching is
-// ErrNotFound; a record that cannot be read back fails the query, and
-// so does a header the index's build could not read when it is older
-// than the answer, or there is none. It walks d's probe run and checks
-// the Δ of each block on file under d's tag: the first that holds d is
-// its oldest, since a tag's slots are in sequence order.
+// S_i let go of its record read back). No block matching is the bare
+// ErrNotFound, so a miss allocates nothing; a record that cannot be
+// read back fails the query, and so does a header the index's build
+// could not read when it is older than the answer, or there is none.
+// It walks d's probe run and checks the Δ of each block on file under
+// d's tag: the first that holds d is its oldest, since a tag's slots
+// are in sequence order.
 func (s *Store) OldestContaining(d digest.Digest) (Served, error) {
 	s.rlockIndexed()
 	defer s.mu.RUnlock()
@@ -439,7 +440,7 @@ func (s *Store) OldestContaining(d digest.Digest) (Served, error) {
 		// A block the index could not read may hold d, and is older.
 		return Served{}, s.unreadErr
 	case !ok:
-		return Served{}, fmt.Errorf("%w: no block of %v holds %s", ErrNotFound, s.owner, d.Short())
+		return Served{}, ErrNotFound
 	}
 	return hit, nil
 }

@@ -5,8 +5,8 @@
 // slot (at its configured period), announces the header digest to its
 // radio neighbors, and — once the network is older than |V| slots —
 // audits one past block per generated block by running the real PoP
-// validator (internal/core) over an in-process fetcher that accounts
-// every transmission with the paper's analytic size model and injects
+// validator (internal/core) over core.StoreFetcher, whose hooks account
+// every transmission with the paper's analytic size model and inject
 // the configured attack behaviors.
 //
 // Storage accounting per node = S_i (own blocks, Eq. 2) + H_i (verified
@@ -175,12 +175,14 @@ type Sim struct {
 	// ordinal at join, idx inverts it, and everything else is a slice
 	// over ordinals — at 10k–100k nodes, slice indexing replaces a map
 	// probe on every hot-path touch and the per-node bookkeeping costs
-	// a few words instead of map buckets. engines[i]/validators[i] are
-	// nil for silenced nodes, behaviors[i] is nil for honest ones.
+	// a few words instead of map buckets. engines[i], validators[i] and
+	// fetchers[i] (what node i's audits ask through) are nil for
+	// silenced nodes, behaviors[i] is nil for honest ones.
 	ids        []identity.NodeID
 	idx        map[identity.NodeID]int
 	engines    []*core.Engine
 	validators []*core.Validator
+	fetchers   []*core.StoreFetcher
 	behaviors  []attack.Behavior
 	periods    []int
 	// vcache is the one process-wide header-verification cache every
@@ -307,6 +309,7 @@ func New(cfg Config) (*Sim, error) {
 		idx:          make(map[identity.NodeID]int, len(ids)),
 		engines:      make([]*core.Engine, len(ids)),
 		validators:   make([]*core.Validator, len(ids)),
+		fetchers:     make([]*core.StoreFetcher, len(ids)),
 		behaviors:    make([]attack.Behavior, len(ids)),
 		vcache:       block.NewVerifyCache(),
 		nodeRNG:      make([]*rand.Rand, len(ids)),
@@ -349,25 +352,34 @@ func New(cfg Config) (*Sim, error) {
 		s.behaviors[s.idx[id]] = b
 	}
 	for i, id := range ids {
-		v, err := s.newValidator(id, i)
-		if err != nil {
+		if err := s.newValidator(i); err != nil {
 			return nil, fmt.Errorf("sim: validator %v: %w", id, err)
 		}
-		s.validators[i] = v
 	}
 	return s, nil
 }
 
-// newValidator builds node id's persistent validator over the shared
-// ring, topology and verification cache.
-func (s *Sim) newValidator(id identity.NodeID, i int) (*core.Validator, error) {
+// newValidator builds node i's persistent validator, with its H_i, and
+// the fetcher its audits go through.
+func (s *Sim) newValidator(i int) error {
 	trust := s.engines[i].Trust()
 	if s.cfg.DisableTrust {
 		trust = nil
 	} else if s.cfg.TrustCap > 0 {
 		trust.SetCap(s.cfg.TrustCap)
 	}
-	return core.NewValidator(core.ValidatorConfig{
+	v, err := core.NewValidator(s.validatorConfig(s.ids[i], trust))
+	if err != nil {
+		return err
+	}
+	s.validators[i], s.fetchers[i] = v, s.fetcher(i)
+	return nil
+}
+
+// validatorConfig is node id's validator over the shared ring, topology
+// and verification cache, with trust as its H_i (nil: none).
+func (s *Sim) validatorConfig(id identity.NodeID, trust *ledger.TrustStore) core.ValidatorConfig {
+	return core.ValidatorConfig{
 		Self:        id,
 		Gamma:       s.cfg.Gamma,
 		Params:      s.params,
@@ -375,8 +387,75 @@ func (s *Sim) newValidator(id identity.NodeID, i int) (*core.Validator, error) {
 		Topo:        s.graph,
 		Trust:       trust,
 		Strategy:    s.cfg.Strategy,
-		VerifyCache: s.engines[i].VerifyCache(),
-	})
+		VerifyCache: s.vcache,
+	}
+}
+
+// fetcher builds the core.StoreFetcher node i's audits go through. It
+// asks the live engines' stores, passes each reply through the
+// responder's attack behavior and charges every transmission to the
+// paper's size model (see exchange): the reply is the header or block,
+// or a digest-sized NAK. The hooks only read the Sim and add to its
+// atomic counters, so one node's audits may share them.
+func (s *Sim) fetcher(i int) *core.StoreFetcher {
+	self, digestBits := s.ids[i], int64(s.model.DigestBits())
+	return &core.StoreFetcher{
+		Lookup: s.storeOf,
+		InterceptChild: func(j identity.NodeID, target digest.Digest, h *block.Header, err error) (*block.Header, error) {
+			s.obs.OnAuditHop(events.AuditHop{Validator: self, Responder: j, Target: target})
+			beh, replier := s.exchange(i, j)
+			h, err = beh.OnChildRequest(self, j, target, h, err)
+			if replier != nil {
+				bits := digestBits
+				if h != nil {
+					bits = s.headerModelBits(h)
+				}
+				replier.add(metrics.Consensus, bits)
+			}
+			return h, err
+		},
+		InterceptBlock: func(ref block.Ref, b *block.Block, err error) (*block.Block, error) {
+			beh, replier := s.exchange(i, ref.Node)
+			b, err = beh.OnBlockRequest(self, ref.Node, b, err)
+			if replier != nil {
+				bits := digestBits
+				if b != nil {
+					bits = s.blockModelBits(&b.Header)
+				}
+				replier.add(metrics.Consensus, bits)
+			}
+			return b, err
+		},
+	}
+}
+
+// exchange charges node i's digest-sized REQ_CHILD or GET_BLOCK to it
+// and returns responder j's attack behavior (Honest for everyone not
+// assigned one) and the cell j's reply is charged to: nil when j is
+// not live or its behavior never answers.
+func (s *Sim) exchange(i int, j identity.NodeID) (attack.Behavior, *commCell) {
+	s.comm[i].add(metrics.Consensus, int64(s.model.DigestBits()))
+	k, known := s.idx[j]
+	if !known {
+		return attack.Honest{}, nil
+	}
+	beh := s.behaviors[k]
+	if beh == nil {
+		beh = attack.Honest{}
+	}
+	if s.engines[k] == nil || !beh.Responds() {
+		return beh, nil
+	}
+	return beh, s.comm[k]
+}
+
+// storeOf is the fetchers' lookup: the store of node id's live engine.
+func (s *Sim) storeOf(id identity.NodeID) (*ledger.Store, bool) {
+	eng, live := s.engineOf(id)
+	if !live {
+		return nil, false
+	}
+	return eng.Store(), true
 }
 
 // engineOf resolves a node ID to its live engine; ok is false for
@@ -389,24 +468,25 @@ func (s *Sim) engineOf(id identity.NodeID) (*core.Engine, bool) {
 	return s.engines[i], true
 }
 
-// seal makes node i's engine seal its next block over body and append
-// it to S_i (core.Engine.Seal, then Publish; a simulated engine has no
-// commit window between them), returning the block and its digest.
-func (s *Sim) seal(i int, body []byte) (*block.Block, digest.Digest, error) {
+// generate makes node i's engine seal its next block over body and
+// append it to S_i (core.Engine.Seal, then Publish; a simulated engine
+// has no commit window between them), charges the construction traffic
+// — one digest per neighbor (Sec. III-D) — and reports the seal. It
+// returns the block's ref and the digest to announce; the caller logs
+// the block.
+func (s *Sim) generate(i int, body []byte) (block.Ref, digest.Digest, error) {
 	b, err := s.engines[i].Seal(uint32(s.slot), body)
+	var d digest.Digest
+	if err == nil {
+		b, d, err = s.engines[i].Publish(b)
+	}
 	if err != nil {
-		return nil, digest.Digest{}, err
+		return block.Ref{}, digest.Digest{}, fmt.Errorf("sim: slot %d: %w", s.slot, err)
 	}
-	return s.engines[i].Publish(b)
-}
-
-// behaviorOf returns node id's attack behavior (Honest for everyone
-// not assigned one).
-func (s *Sim) behaviorOf(id identity.NodeID) attack.Behavior {
-	if i, known := s.idx[id]; known && s.behaviors[i] != nil {
-		return s.behaviors[i]
-	}
-	return attack.Honest{}
+	id, ref := s.ids[i], b.Header.Ref()
+	s.comm[i].add(metrics.Construction, int64(s.graph.Degree(id))*int64(s.model.DigestBits()))
+	s.obs.OnBlockSealed(events.BlockSealed{Node: id, Ref: ref, Digest: d, Slot: uint32(s.slot)})
+	return ref, d, nil
 }
 
 // Graph returns the physical topology.
@@ -500,21 +580,10 @@ func (s *Sim) Step() error {
 	bodies := make([]byte, len(gens)*syntheticBodyBytes)
 	par.ForEach(len(gens), func(k int) {
 		i := gens[k]
-		id := s.ids[i]
 		body := bodies[k*syntheticBodyBytes : (k+1)*syntheticBodyBytes]
 		s.nodeRNG[i].Read(body)
-		b, d, err := s.seal(i, body)
-		if err != nil {
-			results[k] = genResult{err: fmt.Errorf("sim: slot %d: %w", s.slot, err)}
-			return
-		}
-		// DAG construction traffic: one digest per neighbor (Sec. III-D).
-		deg := s.graph.Degree(id)
-		s.comm[i].add(metrics.Construction, int64(deg)*int64(s.model.DigestBits()))
-		s.obs.OnBlockSealed(events.BlockSealed{
-			Node: id, Ref: b.Header.Ref(), Digest: d, Slot: uint32(s.slot),
-		})
-		results[k] = genResult{ref: b.Header.Ref(), dig: d}
+		r := &results[k]
+		r.ref, r.dig, r.err = s.generate(i, body)
 	})
 
 	// Phase 2: bookkeeping in node order, then receiver-centric batched
@@ -631,8 +700,7 @@ func (s *Sim) auditDuty(i, eligible int) {
 	if !ok {
 		return
 	}
-	f := &simFetcher{sim: s, validator: id}
-	res, err := s.validators[i].Verify(context.Background(), target, f)
+	res, err := s.validators[i].Verify(context.Background(), target, s.fetchers[i])
 	s.observeOutcome(id, target, res, err)
 	if err == nil && res.Consensus && s.cfg.RetainVerifiedBlocks {
 		// The validator holds on to the retrieved block (header+body).
@@ -809,17 +877,13 @@ func (s *Sim) GenerateAs(id identity.NodeID, body []byte) (block.Ref, digest.Dig
 	if !known || s.engines[i] == nil {
 		return block.Ref{}, digest.Digest{}, fmt.Errorf("sim: unknown or silenced node %v", id)
 	}
-	b, d, err := s.seal(i, body)
+	ref, d, err := s.generate(i, body)
 	if err != nil {
-		return block.Ref{}, digest.Digest{}, fmt.Errorf("sim: slot %d: %w", s.slot, err)
+		return block.Ref{}, digest.Digest{}, err
 	}
-	s.comm[i].add(metrics.Construction, int64(s.graph.Degree(id))*int64(s.model.DigestBits()))
-	s.obs.OnBlockSealed(events.BlockSealed{
-		Node: id, Ref: b.Header.Ref(), Digest: d, Slot: uint32(s.slot),
-	})
-	s.blockLog = append(s.blockLog, loggedBlock{ref: b.Header.Ref(), slot: s.slot})
+	s.blockLog = append(s.blockLog, loggedBlock{ref: ref, slot: s.slot})
 	s.report.Blocks++
-	return b.Header.Ref(), d, nil
+	return ref, d, nil
 }
 
 // AnnounceBatch flushes a whole batch of digests returned by
@@ -859,7 +923,7 @@ func (s *Sim) AuditFrom(ctx context.Context, validator identity.NodeID, target b
 	if !known || s.validators[i] == nil {
 		return nil, fmt.Errorf("sim: unknown or silenced validator %v", validator)
 	}
-	res, err := s.validators[i].Verify(ctx, target, &simFetcher{sim: s, validator: validator})
+	res, err := s.validators[i].Verify(ctx, target, s.fetchers[i])
 	s.observeOutcome(validator, target, res, err)
 	return res, err
 }
@@ -887,16 +951,16 @@ func (s *Sim) JoinNode(id identity.NodeID) error {
 	s.idx[id] = i
 	s.ids = append(s.ids, id)
 	s.engines = append(s.engines, eng)
+	s.validators = append(s.validators, nil)
+	s.fetchers = append(s.fetchers, nil)
 	s.behaviors = append(s.behaviors, nil)
 	s.comm = append(s.comm, &commCell{})
 	s.retainedBits = append(s.retainedBits, 0)
 	s.periods = append(s.periods, 1)
 	s.nodeRNG = append(s.nodeRNG, rand.New(rand.NewSource(nodeSeed(s.cfg.Seed, id))))
-	v, err := s.newValidator(id, i)
-	if err != nil {
+	if err := s.newValidator(i); err != nil {
 		return fmt.Errorf("sim: joiner validator: %w", err)
 	}
-	s.validators = append(s.validators, v)
 	return nil
 }
 
@@ -918,6 +982,7 @@ func (s *Sim) Silence(id identity.NodeID) error {
 	}
 	s.engines[i] = nil
 	s.validators[i] = nil
+	s.fetchers[i] = nil
 	return nil
 }
 
@@ -928,19 +993,15 @@ func (s *Sim) Silence(id identity.NodeID) error {
 // validation under these params and this ring, so no verdict depends
 // on what an earlier probe verified.
 func (s *Sim) Verify(validator identity.NodeID, target block.Ref) (*core.Result, error) {
-	v, err := core.NewValidator(core.ValidatorConfig{
-		Self:        validator,
-		Gamma:       s.cfg.Gamma,
-		Params:      s.params,
-		Ring:        s.ring,
-		Topo:        s.graph,
-		Strategy:    s.cfg.Strategy,
-		VerifyCache: s.vcache,
-	})
+	i, known := s.idx[validator]
+	if !known {
+		return nil, fmt.Errorf("sim: unknown validator %v", validator)
+	}
+	v, err := core.NewValidator(s.validatorConfig(validator, nil))
 	if err != nil {
 		return nil, err
 	}
-	return v.Verify(context.Background(), target, &simFetcher{sim: s, validator: validator})
+	return v.Verify(context.Background(), target, s.fetcher(i))
 }
 
 // BlockAt returns the ref of the i-th generated block and its slot.
@@ -959,74 +1020,6 @@ func (s *Sim) BlockCount() int { return len(s.blockLog) }
 func (s *Sim) IsMalicious(id identity.NodeID) bool {
 	i, known := s.idx[id]
 	return known && s.behaviors[i] != nil
-}
-
-// simFetcher resolves PoP requests against the simulation state,
-// applying attack behaviors and charging every transmission to the
-// paper's size model.
-type simFetcher struct {
-	sim       *Sim
-	validator identity.NodeID
-}
-
-var _ core.Fetcher = (*simFetcher)(nil)
-
-func (f *simFetcher) behavior(j identity.NodeID) attack.Behavior {
-	return f.sim.behaviorOf(j)
-}
-
-// RequestChild implements core.Fetcher with Algorithm 4 semantics.
-func (f *simFetcher) RequestChild(_ context.Context, j identity.NodeID, target digest.Digest) (*block.Header, error) {
-	s := f.sim
-	s.obs.OnAuditHop(events.AuditHop{Validator: f.validator, Responder: j, Target: target})
-	// Validator transmits REQ_CHILD (a digest-sized request).
-	s.comm[s.idx[f.validator]].add(metrics.Consensus, int64(s.model.DigestBits()))
-
-	var h *block.Header
-	var err error
-	eng, live := s.engineOf(j)
-	if live {
-		h, err = core.NewResponder(eng.Store()).ChildFor(target)
-	} else {
-		err = core.ErrTimeout
-	}
-	beh := f.behavior(j)
-	h, err = beh.OnChildRequest(f.validator, j, target, h, err)
-	if beh.Responds() && live {
-		if h != nil {
-			// Responder transmits RPY_CHILD with the header.
-			s.comm[s.idx[j]].add(metrics.Consensus, s.headerModelBits(h))
-		} else {
-			// Negative reply: digest-sized NAK.
-			s.comm[s.idx[j]].add(metrics.Consensus, int64(s.model.DigestBits()))
-		}
-	}
-	return h, err
-}
-
-// FetchBlock implements core.Fetcher.
-func (f *simFetcher) FetchBlock(_ context.Context, ref block.Ref) (*block.Block, error) {
-	s := f.sim
-	s.comm[s.idx[f.validator]].add(metrics.Consensus, int64(s.model.DigestBits()))
-
-	var b *block.Block
-	var err error
-	eng, live := s.engineOf(ref.Node)
-	if live {
-		b, err = core.NewResponder(eng.Store()).Block(ref)
-	} else {
-		err = core.ErrTimeout
-	}
-	beh := f.behavior(ref.Node)
-	b, err = beh.OnBlockRequest(f.validator, ref.Node, b, err)
-	if beh.Responds() && live {
-		if b != nil {
-			s.comm[s.idx[ref.Node]].add(metrics.Consensus, s.blockModelBits(&b.Header))
-		} else {
-			s.comm[s.idx[ref.Node]].add(metrics.Consensus, int64(s.model.DigestBits()))
-		}
-	}
-	return b, err
 }
 
 // StorageSeries renders per-slot average storage in MB.

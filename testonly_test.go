@@ -27,7 +27,6 @@ var testOnlyAllowed = map[string]string{
 	"analysis.StorageBound":      "pending: ROADMAP item 3",
 	"analysis.TotalBlocks":       "pending: ROADMAP item 3",
 	"analysis.TrustStoreBound":   "pending: ROADMAP item 3",
-	"core.NewStoreFetcher":       "pending: ROADMAP item 3",
 	"dag.FromStores":             "pending: ROADMAP item 3",
 	"dag.Graph.BlocksPerNode":    "pending: ROADMAP item 3",
 	"dag.Graph.Children":         "pending: ROADMAP item 3",
