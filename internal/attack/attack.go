@@ -24,10 +24,6 @@ type Behavior interface {
 	OnChildRequest(validator, j identity.NodeID, target digest.Digest, h *block.Header, err error) (*block.Header, error)
 	// OnBlockRequest intercepts full-block retrievals served by node j.
 	OnBlockRequest(validator, j identity.NodeID, b *block.Block, err error) (*block.Block, error)
-	// Responds reports whether the node transmits anything at all for
-	// the given request outcome; used by cost accounting (a silent node
-	// sends no bits).
-	Responds() bool
 }
 
 // Honest passes traffic through unchanged. The zero value is ready.
@@ -43,9 +39,6 @@ func (Honest) OnBlockRequest(_, _ identity.NodeID, b *block.Block, err error) (*
 	return b, err
 }
 
-// Responds implements Behavior.
-func (Honest) Responds() bool { return true }
-
 // Silent never answers any PoP request — the malicious model of the
 // paper's Fig. 5 and the consensus experiments (Sec. VI-C). The zero
 // value is ready.
@@ -60,9 +53,6 @@ func (Silent) OnChildRequest(_, _ identity.NodeID, _ digest.Digest, _ *block.Hea
 func (Silent) OnBlockRequest(_, _ identity.NodeID, _ *block.Block, _ error) (*block.Block, error) {
 	return nil, core.ErrTimeout
 }
-
-// Responds implements Behavior.
-func (Silent) Responds() bool { return false }
 
 // Corrupt answers with forged headers/blocks: one Δ digest (or body
 // byte) is flipped, modeling a captured node serving tampered data
@@ -95,9 +85,6 @@ func (Corrupt) OnBlockRequest(_, _ identity.NodeID, b *block.Block, err error) (
 	return forged, nil
 }
 
-// Responds implements Behavior.
-func (Corrupt) Responds() bool { return true }
-
 // Eclipse answers only validators in its allow list, isolating all
 // others (Sec. I's eclipse attack). The zero value eclipses everyone.
 type Eclipse struct {
@@ -120,9 +107,6 @@ func (e Eclipse) OnBlockRequest(validator, _ identity.NodeID, b *block.Block, er
 	}
 	return b, err
 }
-
-// Responds implements Behavior.
-func (Eclipse) Responds() bool { return true }
 
 // Kind identifies a behavior for configuration surfaces (CLI flags,
 // experiment configs).

@@ -1,9 +1,11 @@
 package pow
 
 import (
+	"crypto/sha256"
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"math/rand/v2"
 	"testing"
 	"testing/quick"
 
@@ -143,11 +145,13 @@ func BenchmarkVerifyPrefix(b *testing.B) {
 
 // BenchmarkHotpathSearchPrefix is the Eq. 5 grind at the default
 // difficulty over seal-sized prefixes: 356 B is Root ‖ Δ of a block
-// with 8 neighbors (Δ of 9), 392 B ends 8 bytes into a SHA-256 block.
-// The prefix changes every iteration so ns/op averages over the ~256
-// expected tries instead of timing one lucky or unlucky nonce.
+// with 8 neighbors (Δ of 9), 392 B ends 8 bytes into a SHA-256 block,
+// and 248 B (a Δ of 6) leaves a 56-byte tail, so every try compresses
+// two final blocks. The prefix changes every iteration so ns/op
+// averages over the ~256 expected tries instead of timing one lucky or
+// unlucky nonce.
 func BenchmarkHotpathSearchPrefix(b *testing.B) {
-	for _, size := range []int{356, 392} {
+	for _, size := range []int{248, 356, 392} {
 		b.Run(fmt.Sprintf("prefix=%dB", size), func(b *testing.B) {
 			prefix := make([]byte, size)
 			for i := range prefix {
@@ -206,36 +210,96 @@ func checkAgainstReference(t *testing.T, prefix []byte, diff Difficulty, maxTrie
 // which covers each len%64 where tail ‖ nonce ‖ padding fits one block
 // (≤ 51), spills into a second (52–59) or where the nonce itself
 // straddles the block boundary (60–63) — at difficulties 0/1/8/12,
-// with an unbounded search and one that exhausts after two tries.
+// with an unbounded search and ones that exhaust after two tries (one
+// nonce pair) and three (lane B of the second pair is out of bounds),
+// on each lane.
 func TestSearchPrefixMatchesReference(t *testing.T) {
 	buf := make([]byte, 200)
 	for i := range buf {
 		buf[i] = byte(i*31 + 7)
 	}
-	for n := 0; n <= len(buf); n++ {
-		for _, diff := range []Difficulty{0, 1, 8, 12} {
-			if diff == 12 && n%64 != 0 && n%64 < 51 {
-				continue // ~4096 tries each: keep the boundary lengths only
+	forEachLane(t, func(t *testing.T) {
+		for n := 0; n <= len(buf); n++ {
+			for _, diff := range []Difficulty{0, 1, 8, 12} {
+				if diff == 12 && n%64 != 0 && n%64 < 51 {
+					continue // ~4096 tries each: keep the boundary lengths only
+				}
+				for _, maxTries := range []uint64{0, 2, 3} {
+					checkAgainstReference(t, buf[:n], diff, maxTries)
+				}
 			}
-			checkAgainstReference(t, buf[:n], diff, 0)
-			checkAgainstReference(t, buf[:n], diff, 2)
 		}
-	}
+	})
 }
 
-// TestSearchPrefixAllocatesPerCallNotPerTry pins the grind's heap use
-// to the hasher and the buffer its state is saved and read back in,
-// however many nonces it tries.
+// TestLanesMatchSHA256 compares each lane's digests of a nonce pair
+// with crypto/sha256's over random midstates — zero to three random
+// whole blocks — and every tail length 0–127 after them. Tails of 64
+// and more add one whole block to the midstate; the rest of each tail
+// makes a one-block final (≤ 51 bytes), a two-block one (52–63) and,
+// at 60–63, a nonce that straddles the block boundary.
+func TestLanesMatchSHA256(t *testing.T) {
+	rng := rand.New(rand.NewPCG(5, 53))
+	forEachLane(t, func(t *testing.T) {
+		for tail := 0; tail < 2*sha256.BlockSize; tail++ {
+			for blocks := 0; blocks < 4; blocks++ {
+				prefix := make([]byte, blocks*sha256.BlockSize+tail)
+				for i := range prefix {
+					prefix[i] = byte(rng.Uint32())
+				}
+				var l lanes
+				if err := l.absorb(prefix[:len(prefix)&^(sha256.BlockSize-1)]); err != nil {
+					t.Fatal(err)
+				}
+				var padA, padB [2 * sha256.BlockSize]byte
+				finalA, slotA := padFinal(&padA, prefix)
+				finalB, slotB := padFinal(&padB, prefix)
+				nonceA, nonceB := rng.Uint32(), rng.Uint32()
+				binary.LittleEndian.PutUint32(slotA, nonceA)
+				binary.LittleEndian.PutUint32(slotB, nonceB)
+				var da, db [8]uint32
+				if err := l.compress(finalA, finalB, &da, &db); err != nil {
+					t.Fatal(err)
+				}
+				for _, c := range []struct {
+					lane  string
+					nonce uint32
+					h     *[8]uint32
+				}{{"A", nonceA, &da}, {"B", nonceB, &db}} {
+					var got digest.Digest
+					for i, w := range c.h {
+						binary.BigEndian.PutUint32(got[4*i:], w)
+					}
+					if want := digest.Digest(sha256.Sum256(AppendNonce(prefix[:len(prefix):len(prefix)], c.nonce))); got != want {
+						t.Fatalf("len %d lane %s nonce %d: got %s, crypto/sha256 %s", len(prefix), c.lane, c.nonce, got, want)
+					}
+				}
+			}
+		}
+	})
+}
+
+// TestSearchPrefixAllocatesPerCallNotPerTry pins the grind's heap use,
+// however many nonces it tries: none on the kernel lane, whose
+// midstate, final blocks and digests live on the stack; on the
+// portable lane the hasher and the one buffer its state is saved and
+// read back in.
 func TestSearchPrefixAllocatesPerCallNotPerTry(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector's instrumentation allocates")
 	}
 	prefix := make([]byte, 356)
-	for _, diff := range []Difficulty{0, 12} {
-		if got := testing.AllocsPerRun(5, func() { SearchPrefix(prefix, diff, 0) }); got != 2 {
-			t.Errorf("difficulty %d: %v allocations per search, want 2", diff, got)
+	forEachLane(t, func(t *testing.T) {
+		want := 2.0
+		if useKernel {
+			want = 0
 		}
-	}
+		for _, diff := range []Difficulty{0, 12} {
+			if got := testing.AllocsPerRun(5, func() { SearchPrefix(prefix, diff, 0) }); got != want {
+				t.Errorf("difficulty %d: %v allocations per search, want %v", diff, got, want)
+			}
+		}
+	})
 }
 
 func FuzzSearchPrefixMatchesReference(f *testing.F) {
@@ -246,6 +310,42 @@ func FuzzSearchPrefixMatchesReference(f *testing.F) {
 	f.Fuzz(func(t *testing.T, prefix []byte, diff uint8, maxTries uint16) {
 		// Difficulty ≤ 12 bounds the reference at a few thousand hashes
 		// per input; maxTries 0 is the unbounded search.
-		checkAgainstReference(t, prefix, Difficulty(diff%13), uint64(maxTries))
+		for _, kernel := range hostLanes() {
+			useLane(t, kernel)
+			checkAgainstReference(t, prefix, Difficulty(diff%13), uint64(maxTries))
+		}
 	})
+}
+
+// kernelHere is the lane CPUID chose, read before any test switches.
+var kernelHere = useKernel
+
+// hostLanes lists the lanes this host runs: the kernel where CPUID
+// chose it, and the portable lane always.
+func hostLanes() []bool {
+	if kernelHere {
+		return []bool{true, false}
+	}
+	return []bool{false}
+}
+
+// useLane makes SearchPrefix grind on the kernel lane or the portable
+// one until the test ends.
+func useLane(t testing.TB, kernel bool) {
+	useKernel = kernel
+	t.Cleanup(func() { useKernel = kernelHere })
+}
+
+// forEachLane runs f as one subtest per lane of hostLanes.
+func forEachLane(t *testing.T, f func(t *testing.T)) {
+	for _, kernel := range hostLanes() {
+		name := "lane=portable"
+		if kernel {
+			name = "lane=kernel"
+		}
+		t.Run(name, func(t *testing.T) {
+			useLane(t, kernel)
+			f(t)
+		})
+	}
 }

@@ -101,9 +101,10 @@ func (o *outcomeLog) record(s string) {
 // series, the per-node transmissions and every audit's verdict, path,
 // message count and vouchers (error texts are left out). Three of 12
 // nodes misbehave; H_i is off, so every audit walks the network and
-// its cost does not depend on which audit ran first. The eclipse run
-// silences one eclipsing node mid-run: it answers nothing and is
-// charged nothing. After the slots, one honest validator runs 24 audits
+// its cost does not depend on which audit ran first. A reply is
+// charged only when it is sent: an eclipsing node is charged nothing
+// for a validator it shuts out, and the eclipse run silences one
+// eclipsing node mid-run, which answers nothing and is charged nothing. After the slots, one honest validator runs 24 audits
 // at once through its one fetcher, which -race checks.
 func TestAttackAccountingGolden(t *testing.T) {
 	for _, tc := range []struct {
@@ -113,7 +114,7 @@ func TestAttackAccountingGolden(t *testing.T) {
 	}{
 		{attack.KindSilent, false, "a0cfded6d90fd1cfc605f1a6f41710fb4e66cf87aaf7da3e77a21253dd45b493"},
 		{attack.KindCorrupt, false, "0e8cb14074022ff67167e8db87f3df035ba0a6598d3d337d5f15d650035600ed"},
-		{attack.KindEclipse, true, "0df49aecc9a3743dd33f81aba3ac047a13490f59cba0e61e164b2c17263a22c1"},
+		{attack.KindEclipse, true, "3df3b34d636cbc11a8f229bf79aec672e17ab57e8e847820f658d1a6a7d0cf9f"},
 	} {
 		t.Run(string(tc.kind), func(t *testing.T) {
 			setGOMAXPROCS(t, 4)

@@ -405,7 +405,7 @@ func (s *Sim) fetcher(i int) *core.StoreFetcher {
 			s.obs.OnAuditHop(events.AuditHop{Validator: self, Responder: j, Target: target})
 			beh, replier := s.exchange(i, j)
 			h, err = beh.OnChildRequest(self, j, target, h, err)
-			if replier != nil {
+			if replier != nil && !errors.Is(err, core.ErrTimeout) {
 				bits := digestBits
 				if h != nil {
 					bits = s.headerModelBits(h)
@@ -417,7 +417,7 @@ func (s *Sim) fetcher(i int) *core.StoreFetcher {
 		InterceptBlock: func(ref block.Ref, b *block.Block, err error) (*block.Block, error) {
 			beh, replier := s.exchange(i, ref.Node)
 			b, err = beh.OnBlockRequest(self, ref.Node, b, err)
-			if replier != nil {
+			if replier != nil && !errors.Is(err, core.ErrTimeout) {
 				bits := digestBits
 				if b != nil {
 					bits = s.blockModelBits(&b.Header)
@@ -431,8 +431,10 @@ func (s *Sim) fetcher(i int) *core.StoreFetcher {
 
 // exchange charges node i's digest-sized REQ_CHILD or GET_BLOCK to it
 // and returns responder j's attack behavior (Honest for everyone not
-// assigned one) and the cell j's reply is charged to: nil when j is
-// not live or its behavior never answers.
+// assigned one) and the cell j's reply is charged to, nil for an
+// unknown j. The hooks charge a reply only when j answered: a timeout
+// — a silenced j, or a behavior that kept the reply back — costs j
+// nothing.
 func (s *Sim) exchange(i int, j identity.NodeID) (attack.Behavior, *commCell) {
 	s.comm[i].add(metrics.Consensus, int64(s.model.DigestBits()))
 	k, known := s.idx[j]
@@ -442,9 +444,6 @@ func (s *Sim) exchange(i int, j identity.NodeID) (attack.Behavior, *commCell) {
 	beh := s.behaviors[k]
 	if beh == nil {
 		beh = attack.Honest{}
-	}
-	if s.engines[k] == nil || !beh.Responds() {
-		return beh, nil
 	}
 	return beh, s.comm[k]
 }
