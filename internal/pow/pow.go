@@ -55,7 +55,7 @@ import (
 type Difficulty uint8
 
 // DefaultDifficulty keeps nonce search to ~256 SHA-256 compressions,
-// about 15 µs on a desktop CPU with SHA-NI — "found quickly, e.g. in
+// about 15 µs on a 2 GHz Xeon with SHA-NI — "found quickly, e.g. in
 // seconds" on an IoT-class device per the paper. It prices a seal; it
 // throttles no receiver.
 const DefaultDifficulty Difficulty = 8
