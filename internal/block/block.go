@@ -367,15 +367,24 @@ func (p Params) Build(key identity.KeyPair, t, seq uint32, body []byte, digests 
 // ValidateHeader checks everything that can be checked without the body:
 // version, proof-of-work (Eq. 5) and signature (Eq. 6) against the ring.
 func (p Params) ValidateHeader(h *Header, ring *identity.Ring) error {
+	if err := p.validateUnsigned(h); err != nil {
+		return err
+	}
+	sig := h.SigPreimage()
+	if err := ring.Verify(h.Origin, sig[:], h.Signature); err != nil {
+		return fmt.Errorf("block: header signature: %w", err)
+	}
+	return nil
+}
+
+// validateUnsigned runs every check of ValidateHeader but the
+// signature's: version and proof-of-work.
+func (p Params) validateUnsigned(h *Header) error {
 	if h.Version != p.Version {
 		return fmt.Errorf("%w: %d, want %d", ErrBadVersion, h.Version, p.Version)
 	}
 	if !h.powSolved(p.Difficulty) {
 		return fmt.Errorf("%w: difficulty %d", ErrPowUnsatisfied, p.Difficulty)
-	}
-	sig := h.SigPreimage()
-	if err := ring.Verify(h.Origin, sig[:], h.Signature); err != nil {
-		return fmt.Errorf("block: header signature: %w", err)
 	}
 	return nil
 }
@@ -445,6 +454,13 @@ const verifyShardCount = 32
 // covers every field including the signature, so the digest is a sound
 // cache key: a forged or altered header misses and is checked in full.
 //
+// It also knows the signers of its process (Register): each engine
+// sharing the cache registers the key it signs with and which headers
+// of its log it sealed and published itself, and a header one of them
+// sealed enters the cache without its signature being verified again
+// (see ValidateHeaderCached). The table holds signers weakly, so it
+// keeps no engine, and no log an engine reads, alive.
+//
 // It also interns header objects (Intern): a standalone header decoded
 // or copied by one holder resolves to the one live header with the
 // same hash, so the holders' H_i share it instead of keeping a copy
@@ -456,14 +472,19 @@ const verifyShardCount = 32
 //
 // A cache is only valid for one (Params, Ring) pair — do not share one
 // across nodes with different consensus constants or key registries.
-// Within that pair the rule is one cache per process, for verdicts and
-// header objects alike: the simulator shares one across all its
-// engines and an in-process Cluster across all its devices, while a
+// Within that pair the rule is one cache per process, for verdicts,
+// signers and header objects alike: the simulator shares one across all
+// its engines and an in-process Cluster across all its devices, while a
 // Host, which runs one device per process, holds one for that device.
-// It is safe for concurrent use; entries are sharded by digest prefix
-// so readers on different headers rarely contend.
+// It is safe for concurrent use; verdicts and interned headers are
+// sharded by digest prefix so readers on different headers rarely
+// contend. Signers sit in one table: it is read only on a verdict's
+// miss.
 type VerifyCache struct {
 	shards [verifyShardCount]verifyShard
+
+	signersMu sync.RWMutex
+	signers   map[identity.NodeID]weak.Pointer[Signer]
 }
 
 type verifyShard struct {
@@ -472,9 +493,20 @@ type verifyShard struct {
 	interned map[digest.Digest]weak.Pointer[Header]
 }
 
+// Signer is what a VerifyCache knows of one signer in its process: Key,
+// the key it signs with, and Sealed, which returns the hash of the header
+// the signer sealed and published itself at sequence number seq, and
+// false for any seq where it did not, whatever its log holds there.
+// Sealed must be safe for concurrent use and must not block on the
+// caller's locks.
+type Signer struct {
+	Key    *identity.KeyPair
+	Sealed func(seq uint32) (digest.Digest, bool)
+}
+
 // NewVerifyCache returns an empty cache.
 func NewVerifyCache() *VerifyCache {
-	c := &VerifyCache{}
+	c := &VerifyCache{signers: make(map[identity.NodeID]weak.Pointer[Signer])}
 	for i := range c.shards {
 		c.shards[i].ok = make(map[digest.Digest]struct{})
 		c.shards[i].interned = make(map[digest.Digest]weak.Pointer[Header])
@@ -557,11 +589,47 @@ func (c *VerifyCache) dropInterned(d digest.Digest) {
 	s.mu.Unlock()
 }
 
+// Register records s as the signer of s.Key.ID's headers in this
+// process, in place of any earlier one. The cache holds s weakly: its
+// entry reads as absent once s is collected, so whoever registers s
+// keeps it reachable for as long as it signs — an engine holds its own
+// — and the cache keeps nothing s reaches alive.
+func (c *VerifyCache) Register(s *Signer) {
+	c.signersMu.Lock()
+	c.signers[s.Key.ID] = weak.Make(s)
+	c.signersMu.Unlock()
+}
+
+// sealedHere reports whether h, which hashes to hh, is a header the
+// signer registered for h.Origin sealed itself, with the key ring holds
+// for h.Origin.
+func (c *VerifyCache) sealedHere(h *Header, hh digest.Digest, ring *identity.Ring) bool {
+	c.signersMu.RLock()
+	sg := c.signers[h.Origin].Value()
+	c.signersMu.RUnlock()
+	if sg == nil {
+		return false
+	}
+	d, ok := sg.Sealed(h.Seq)
+	return ok && d == hh && ring.Holds(*sg.Key)
+}
+
 // ValidateHeaderCached is ValidateHeader with a positive-result cache:
 // headers whose digest is already in cache are accepted immediately.
 // Only successful validations are cached (a header that fails could be
 // retransmitted correctly later). A nil cache degrades to the uncached
 // check.
+//
+// On a miss, a header sealed in this process skips the signature check
+// and nothing else: one whose hash is the hash its origin's registered
+// signer (Register) reports for h.Seq, where ring holds that signer's
+// key for h.Origin. Its version and proof-of-work are checked as any
+// header's are, and its verdict is cached the same way. This is sound
+// for the reason VerifyChain is: the hash covers every field, signature
+// included, so by SHA-256 collision resistance h is byte for byte the
+// header that signer signed with the key ring holds, and verifying the
+// signature cannot fail. Forged, corrupted, recovered, injected and
+// other processes' headers miss that lookup and are checked in full.
 func (p Params) ValidateHeaderCached(h *Header, ring *identity.Ring, cache *VerifyCache) error {
 	if cache == nil {
 		return p.ValidateHeader(h, ring)
@@ -570,7 +638,13 @@ func (p Params) ValidateHeaderCached(h *Header, ring *identity.Ring, cache *Veri
 	if cache.has(hh) {
 		return nil
 	}
-	if err := p.ValidateHeader(h, ring); err != nil {
+	var err error
+	if cache.sealedHere(h, hh, ring) {
+		err = p.validateUnsigned(h)
+	} else {
+		err = p.ValidateHeader(h, ring)
+	}
+	if err != nil {
 		return err
 	}
 	cache.add(hh)

@@ -2,6 +2,7 @@ package block
 
 import (
 	"encoding/binary"
+	"runtime"
 	"testing"
 
 	"github.com/twoldag/twoldag/internal/digest"
@@ -87,6 +88,33 @@ func BenchmarkHotpathValidateHeaderCacheMiss(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+}
+
+// BenchmarkHotpathValidateHeaderSealedHere measures a cache miss on a
+// header a signer registered in the cache sealed itself: the version
+// and PoW checks, the signer lookup and the ring's key comparison, with
+// no ed25519 verification (compare BenchmarkHotpathValidateHeaderCacheMiss).
+// The verdict is dropped after each check so every iteration misses.
+func BenchmarkHotpathValidateHeaderSealedHere(b *testing.B) {
+	key := identity.Deterministic(1, 7)
+	ring, _ := identity.RingFor([]identity.KeyPair{key})
+	p := testParams()
+	p.Difficulty = 0
+	blk := benchHeader(b, 8)
+	hh := blk.Header.Hash()
+	cache := NewVerifyCache()
+	signer := &Signer{Key: &key, Sealed: sealedAt(blk.Header.Seq, hh)}
+	cache.Register(signer)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := p.ValidateHeaderCached(&blk.Header, ring, cache); err != nil {
+			b.Fatal(err)
+		}
+		cache.forget(hh)
+	}
+	b.StopTimer()
+	runtime.KeepAlive(signer)
 }
 
 // BenchmarkHotpathSeal measures one seal as the drivers pay it:

@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"sync/atomic"
 
 	"github.com/twoldag/twoldag/internal/block"
 	"github.com/twoldag/twoldag/internal/digest"
@@ -40,6 +41,16 @@ type Engine struct {
 	// generator), so unsynchronized scratch is fine.
 	nbScratch  []identity.NodeID
 	refScratch []block.DigestRef
+
+	// signer is the engine's entry in vcache (block.VerifyCache.Register),
+	// which holds it weakly: it lives as long as the engine. pending is the
+	// header hash of the block Seal built last. sealed is the run of
+	// S_i's sequence numbers [sealed>>32, uint32(sealed)) whose blocks
+	// this engine built in Seal and published, the newest last; Publish
+	// writes it, and signer.Sealed reads it from any goroutine.
+	signer  block.Signer
+	pending digest.Digest
+	sealed  atomic.Uint64
 }
 
 // EngineOptions overrides the state an engine would otherwise build for
@@ -66,7 +77,11 @@ type EngineOptions struct {
 	// on header hash and records only successes), so engines that share
 	// one (Params, Ring) pair share one cache per process — the
 	// simulator's engines and a Cluster's devices do — which verifies
-	// each header once and deduplicates the cached state n-fold.
+	// each header once and deduplicates the cached state n-fold. The
+	// engine registers itself there as its node's signer, so a header it
+	// sealed and published is not re-verified against its own signature
+	// by any validator sharing the cache
+	// (block.Params.ValidateHeaderCached).
 	VerifyCache *block.VerifyCache
 }
 
@@ -76,7 +91,13 @@ func NewEngine(key identity.KeyPair, params block.Params, topo *topology.Graph) 
 }
 
 // NewEngineWith builds the state machine for one node with explicit
-// storage backing (see EngineOptions).
+// storage backing (see EngineOptions). It registers the engine as its
+// node's signer with the verification cache (block.VerifyCache.Register),
+// in place of any engine registered there for the node before: key,
+// and the header hash of each block this engine builds in Seal and
+// publishes through Publish. Blocks already in an injected State, and
+// any appended to the store some other way, are not the engine's own,
+// and their headers are verified in full like any other's.
 func NewEngineWith(key identity.KeyPair, params block.Params, topo *topology.Graph, opts EngineOptions) (*Engine, error) {
 	if topo == nil {
 		return nil, errors.New("core: Engine requires a topology")
@@ -101,7 +122,7 @@ func NewEngineWith(key identity.KeyPair, params block.Params, topo *topology.Gra
 	if vcache == nil {
 		vcache = block.NewVerifyCache()
 	}
-	return &Engine{
+	e := &Engine{
 		key:     key,
 		params:  params,
 		topo:    topo,
@@ -110,7 +131,20 @@ func NewEngineWith(key identity.KeyPair, params block.Params, topo *topology.Gra
 		trust:   st.Trust,
 		vcache:  vcache,
 		backend: opts.Backend,
-	}, nil
+	}
+	e.signer = block.Signer{Key: &e.key, Sealed: e.sealedHash}
+	vcache.Register(&e.signer)
+	return e, nil
+}
+
+// sealedHash returns the header hash of block seq if this engine built
+// it in Seal and published it (block.Signer.Sealed).
+func (e *Engine) sealedHash(seq uint32) (digest.Digest, bool) {
+	r := e.sealed.Load()
+	if seq < uint32(r>>32) || seq >= uint32(r) {
+		return digest.Digest{}, false
+	}
+	return e.store.HashAt(seq)
 }
 
 // FlushJournal writes the backend's buffered records without an fsync
@@ -227,17 +261,31 @@ func (e *Engine) Seal(t uint32, body []byte) (*block.Block, error) {
 			return nil, err
 		}
 	}
+	e.pending = b.Header.Hash()
 	return b, nil
 }
 
 // Publish appends a block the engine built to S_i — for one Seal
 // staged, without writing its record again — and returns it with the
-// digest to announce.
+// digest to announce. The block the last Seal built joins the run of
+// S_i this engine vouches for as its signer (NewEngineWith); a block
+// appended to the store past the engine breaks the run, and it starts
+// over at the engine's next block.
 func (e *Engine) Publish(b *block.Block) (*block.Block, digest.Digest, error) {
 	if err := e.store.Append(b); err != nil {
 		return nil, digest.Digest{}, fmt.Errorf("core: appending block: %w", err)
 	}
-	return b, b.Header.Hash(), nil
+	d := b.Header.Hash()
+	if d == e.pending {
+		seq := b.Header.Seq
+		r := e.sealed.Load()
+		from := uint32(r >> 32)
+		if seq != uint32(r) {
+			from = seq
+		}
+		e.sealed.Store(uint64(from)<<32 | uint64(seq+1))
+	}
+	return b, d, nil
 }
 
 // Validator constructs a PoP validator bound to this node's trust store.

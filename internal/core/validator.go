@@ -49,7 +49,11 @@ type ValidatorConfig struct {
 	// per cache rather than once per audit hop. Nil allocates a fresh
 	// private cache; Engine.Validator passes the engine's, which is one
 	// per process wherever the nodes of a process share one (Params,
-	// Ring) pair (block.VerifyCache). Must not be shared across
+	// Ring) pair (block.VerifyCache). A header that an engine on the
+	// same cache sealed and published itself, under the key Ring holds
+	// for it, skips only the signature check there: its version and
+	// PoW are checked, its verdict cached, like any other's
+	// (block.Params.ValidateHeaderCached). Must not be shared across
 	// different Params or Ring values. The detached target copies
 	// line 39 stores in H_i are interned through it, so a path header
 	// may be the one object every device sharing the cache holds:

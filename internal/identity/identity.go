@@ -10,6 +10,7 @@
 package identity
 
 import (
+	"bytes"
 	"crypto/ed25519"
 	"encoding/binary"
 	"errors"
@@ -122,6 +123,20 @@ func (r *Ring) Verify(id NodeID, msg, sig []byte) error {
 		return fmt.Errorf("%w: node %v", ErrBadSignature, id)
 	}
 	return nil
+}
+
+// Holds reports whether the key registered for kp.ID is the one kp
+// signs with: the public half of kp's private key, whatever kp.Public
+// says, so a signature kp makes verifies against the ring exactly when
+// Holds is true. It compares keys and checks no signature.
+func (r *Ring) Holds(kp KeyPair) bool {
+	if len(kp.private) != ed25519.PrivateKeySize {
+		return false
+	}
+	r.mu.RLock()
+	pub, ok := r.keys[kp.ID]
+	r.mu.RUnlock()
+	return ok && bytes.Equal(pub, kp.private[ed25519.SeedSize:])
 }
 
 // Len returns the number of registered nodes.

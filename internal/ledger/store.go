@@ -482,6 +482,18 @@ func (s *Store) since(n uint32, last digest.Digest) ([]loggedBlock, []*block.Blo
 	return s.wal[min(int(n), rec)-seg : len(s.wal) : len(s.wal)], s.blocks[max(int(n), rec):len(s.blocks):len(s.blocks)], nil
 }
 
+// HashAt returns block seq's header hash, or false when S_i holds no
+// block seq. It reads what S_i keeps in memory of every block, the
+// ones it let go of included, and never the disk.
+func (s *Store) HashAt(seq uint32) (digest.Digest, bool) {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	if int(seq) >= len(s.blocks) {
+		return digest.Digest{}, false
+	}
+	return s.hashLocked(seq), true
+}
+
 // hashLocked is block seq's header hash. Caller holds s.mu.
 func (s *Store) hashLocked(seq uint32) digest.Digest {
 	if b := s.blocks[seq]; b != nil {

@@ -232,3 +232,75 @@ func TestAuditsRaceSilenceAndRestart(t *testing.T) {
 		t.Fatalf("nothing exercised: %d direct serves, %d audits agreed", serves, agreed.Load())
 	}
 }
+
+// TestAuditsRaceReRegistration: on a durable in-memory Cluster, one
+// device is silenced and restarted over and over while every device
+// audits the first of three slots the cluster sealed just before — the
+// churned device's block among them, sealed by the engine its restart
+// replaces. First checks of those headers in the shared verification
+// cache look the churned device's signer up there while its new engine
+// registers. Every audit reaches consensus or returns an error, and
+// once the device is back every other device's audit of its block
+// reaches consensus.
+func TestAuditsRaceReRegistration(t *testing.T) {
+	setGOMAXPROCS(t, 4)
+	rt := newRuntime(t, WithNodes(8), WithGamma(2), WithSeed(7), WithDifficulty(0),
+		WithDataDir(t.TempDir()), WithRequestTimeout(100*time.Millisecond))
+	c := rt.(*Cluster)
+	ids := rt.Nodes()
+	victim := ids[1]
+	auditor := &churnAuditor{Runtime: rt, nodes: make(map[NodeID]*node.Node)}
+	for _, id := range ids {
+		auditor.nodes[id] = c.devs[id].Node()
+	}
+	ctx := context.Background()
+	var agreed, failed int
+	for i := 0; i < 4; i++ {
+		fresh := fillBatch(t, rt, 3)[:len(ids)]
+		var reqs []AuditRequest
+		var own Ref
+		for _, ref := range fresh {
+			if ref.Node == victim {
+				own = ref
+			}
+			for _, id := range ids {
+				if id != ref.Node {
+					reqs = append(reqs, AuditRequest{Validator: id, Ref: ref})
+				}
+			}
+		}
+		outs := make(chan []AuditOutcome, 1)
+		go func() { outs <- auditMany(ctx, auditor, reqs) }()
+		auditor.set(victim, nil)
+		if err := c.Silence(victim); err != nil {
+			t.Fatal(err)
+		}
+		if err := c.Restart(victim); err != nil {
+			t.Fatal(err)
+		}
+		auditor.set(victim, c.devs[victim].Node())
+		before := agreed
+		for _, out := range <-outs {
+			switch {
+			case out.Err != nil:
+				failed++
+			case out.Result == nil || !out.Result.Consensus:
+				t.Errorf("audit %v by %v: no consensus and no error", out.Request.Ref, out.Request.Validator)
+			default:
+				agreed++
+			}
+		}
+		if agreed == before {
+			t.Fatalf("round %d: none of %d audits agreed", i, len(reqs))
+		}
+		for _, id := range ids {
+			if id == victim {
+				continue
+			}
+			if res, err := auditor.Audit(ctx, id, own); err != nil || !res.Consensus {
+				t.Fatalf("round %d: audit of %v by %v after the restart: %v", i, own, id, err)
+			}
+		}
+	}
+	t.Logf("during the churn %d audits agreed, %d failed", agreed, failed)
+}

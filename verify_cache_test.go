@@ -2,8 +2,10 @@ package twoldag
 
 import (
 	"context"
+	"runtime"
 	"slices"
 	"testing"
+	"weak"
 
 	"github.com/twoldag/twoldag/internal/block"
 	"github.com/twoldag/twoldag/internal/digest"
@@ -80,6 +82,68 @@ func TestClusterDevicesShareOneVerifyCache(t *testing.T) {
 			t.Logf("%d audits verified %d headers, %d distinct", len(reqs), verifications, len(distinct))
 		})
 	}
+}
+
+// TestVerifyCacheRetainsNoStore: every engine on a verification cache
+// is registered there as its node's signer, and the cache keeps none of
+// them, nor the S_i they read, alive. After a Cluster (on either
+// fabric) or a simulator has sealed, audited cold and closed, a
+// device's S_i is collected, on a Cluster while its cache is still held
+// — as the cleanups of the headers it interned hold it until they run.
+func TestVerifyCacheRetainsNoStore(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		opt  Option
+	}{
+		{"mem", WithTransport(InMemory)},
+		{"tcp", WithTransport(TCP)},
+		{"sim", WithSimulator()},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			store, cache := closedRuntime(t, append(baseOptions(10, 2), tc.opt))
+			runtime.GC()
+			runtime.GC()
+			if store.Value() != nil {
+				t.Fatal("a device's S_i outlived its runtime's Close")
+			}
+			runtime.KeepAlive(cache)
+		})
+	}
+}
+
+// closedRuntime builds a runtime from opts, seals three slots, runs one
+// round of cold audits and closes it. It returns a weak pointer to the
+// first device's S_i and, for a Cluster, the devices' shared
+// verification cache (nil for the simulator).
+func closedRuntime(t *testing.T, opts []Option) (weak.Pointer[ledger.Store], *block.VerifyCache) {
+	t.Helper()
+	rt, err := New(opts...)
+	if err != nil {
+		t.Fatalf("New: %v", err)
+	}
+	refs := fillBatch(t, rt, 3)
+	ids := rt.Nodes()
+	for _, out := range rt.AuditMany(context.Background(), coldAudits(ids, refs)) {
+		if out.Err != nil || !out.Result.Consensus {
+			t.Fatalf("audit of %v by %v: %v", out.Request.Ref, out.Request.Validator, out.Err)
+		}
+	}
+	var cache *block.VerifyCache
+	var store *ledger.Store
+	switch d := rt.(type) {
+	case *Cluster:
+		eng := d.devs[ids[0]].Node().Engine()
+		cache, store = eng.VerifyCache(), eng.Store()
+	case *SimDriver:
+		store = d.s.Stores()[ids[0]]
+	}
+	if store == nil {
+		t.Fatalf("no S_i for %v", ids[0])
+	}
+	if err := rt.Close(); err != nil {
+		t.Fatal(err)
+	}
+	return weak.Make(store), cache
 }
 
 // coldAudits gives every device one audit of another device's block:
